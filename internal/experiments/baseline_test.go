@@ -9,15 +9,15 @@ import (
 	"rpivideo/internal/obs"
 )
 
-// baselinePath is the checked-in regression baseline the CI gate compares
-// against (regenerate with
-// `rpbench -scenario urban-gcc -metrics <path>` after an intentional
+// baselineDir holds the checked-in regression baselines the CI gates
+// compare against (regenerate one with
+// `rpbench -scenario <name> -metrics <path>` after an intentional
 // behavior change).
-const baselinePath = "testdata/baseline/urban-gcc.metrics.json"
+const baselineDir = "testdata/baseline/"
 
 // fleetBaselinePath is the fleet counterpart (regenerate with
 // `rpbench -scenario fleet-contention -metrics <path>`).
-const fleetBaselinePath = "testdata/baseline/fleet-contention.metrics.json"
+const fleetBaselinePath = baselineDir + "fleet-contention.metrics.json"
 
 func readBaselineAt(t *testing.T, path string) *obs.Registry {
 	t.Helper()
@@ -33,45 +33,46 @@ func readBaselineAt(t *testing.T, path string) *obs.Registry {
 	return base
 }
 
-func readBaseline(t *testing.T) *obs.Registry {
-	t.Helper()
-	return readBaselineAt(t, baselinePath)
-}
-
-// TestBaselineGate is the regression gate end-to-end: the urban-gcc
-// scenario's campaign metrics must match the checked-in baseline exactly
-// (runs are deterministic, so the tolerance is zero), and a perturbed
-// baseline must trip the gate — proving the comparison actually bites.
+// TestBaselineGate is the regression gate end-to-end: each gated campaign
+// scenario's metrics must match its checked-in baseline exactly (runs are
+// deterministic, so the tolerance is zero), and a perturbed baseline must
+// trip the gate — proving the comparison actually bites.
 func TestBaselineGate(t *testing.T) {
-	sc, err := ScenarioByName("urban-gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := RunScenario(sc, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := core.CampaignMetrics(results)
+	for _, name := range []string{"urban-gcc", "urban-scream"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			sc, err := ScenarioByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := RunScenario(sc, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := core.CampaignMetrics(results)
+			path := baselineDir + name + ".metrics.json"
 
-	if drifts := obs.CompareRegistries(readBaseline(t), cur, obs.Tolerance{}); len(drifts) != 0 {
-		for _, d := range drifts {
-			t.Errorf("drift vs baseline: %s", d)
-		}
-		t.Fatal("urban-gcc campaign metrics drifted from testdata/baseline (regenerate the baseline if the change is intentional)")
-	}
+			if drifts := obs.CompareRegistries(readBaselineAt(t, path), cur, obs.Tolerance{}); len(drifts) != 0 {
+				for _, d := range drifts {
+					t.Errorf("drift vs baseline: %s", d)
+				}
+				t.Fatalf("%s campaign metrics drifted from testdata/baseline (regenerate the baseline if the change is intentional)", name)
+			}
 
-	// Perturb the baseline: the gate must catch it and name the metric.
-	perturbed := readBaseline(t)
-	perturbed.Add("packets_sent", 100)
-	drifts := obs.CompareRegistries(perturbed, cur, obs.Tolerance{})
-	found := false
-	for _, d := range drifts {
-		if d.Metric == "counter/packets_sent" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("perturbed baseline not caught: %v", drifts)
+			// Perturb the baseline: the gate must catch it and name the metric.
+			perturbed := readBaselineAt(t, path)
+			perturbed.Add("packets_sent", 100)
+			drifts := obs.CompareRegistries(perturbed, cur, obs.Tolerance{})
+			found := false
+			for _, d := range drifts {
+				if d.Metric == "counter/packets_sent" {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("perturbed baseline not caught: %v", drifts)
+			}
+		})
 	}
 }
 

@@ -51,6 +51,19 @@ func Scenarios() []Scenario {
 			Runs: 1,
 		},
 		{
+			Name: "urban-scream",
+			Desc: "urban aerial SCReAM, 4 s — the RFC 8888 feedback-path trace",
+			Config: core.Config{
+				Env:      cell.Urban,
+				Op:       cell.P1,
+				Air:      true,
+				CC:       core.CCSCReAM,
+				Seed:     1,
+				Duration: 4 * time.Second,
+			},
+			Runs: 1,
+		},
+		{
 			Name: "robust-blackout",
 			Desc: "urban ground GCC with a 2 s blackout at 3 s, 8 s — the fault-path trace",
 			Config: core.Config{
