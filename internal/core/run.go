@@ -517,7 +517,11 @@ func runVideo(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, 
 		}
 	}
 
-	// Sender-side feedback consumption.
+	// Sender-side feedback consumption. ackScratch and ccfb are reused across
+	// reports: no controller (nor cc.Bonded) keeps the acks slice past
+	// OnFeedback, and CCFB.Unmarshal refills the struct it is called on.
+	var ackScratch []cc.Ack
+	var ccfb rtp.CCFB
 	downlink.Deliver = func(meta any, size int, sentAt, at time.Duration) {
 		if _, ok := meta.(kfRequest); ok {
 			snd.ForceKeyframe()
@@ -572,7 +576,7 @@ func runVideo(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, 
 			if err := fb.Unmarshal(buf); err != nil {
 				return
 			}
-			acks := make([]cc.Ack, 0, len(fb.Packets))
+			acks := ackScratch[:0]
 			for i, p := range fb.Packets {
 				tseq := fb.BaseSeq + uint16(i)
 				a := cc.Ack{TransportSeq: tseq, Received: p.Received, ArrivalTime: p.At}
@@ -581,25 +585,26 @@ func runVideo(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, 
 				}
 				acks = append(acks, a)
 			}
+			ackScratch = acks
 			ctrl.OnFeedback(at, acks)
 		case CCSCReAM:
-			var fb rtp.CCFB
-			if err := fb.Unmarshal(buf); err != nil {
+			if err := ccfb.Unmarshal(buf); err != nil {
 				return
 			}
-			for _, rep := range fb.Reports {
-				acks := make([]cc.Ack, 0, len(rep.Metrics))
+			for _, rep := range ccfb.Reports {
+				acks := ackScratch[:0]
 				for i, m := range rep.Metrics {
 					seq := rep.BeginSeq + uint16(i)
 					a := cc.Ack{Seq: seq, Received: m.Received}
 					if m.Received {
-						a.ArrivalTime = fb.Timestamp - m.ArrivalOffset
+						a.ArrivalTime = ccfb.Timestamp - m.ArrivalOffset
 					}
 					if rec, ok := snd.LookupSeq(seq); ok {
 						a.TransportSeq, a.Size, a.SendTime = rec.TransportSeq, rec.Size, rec.SendTime
 					}
 					acks = append(acks, a)
 				}
+				ackScratch = acks
 				ctrl.OnFeedback(at, acks)
 			}
 		}

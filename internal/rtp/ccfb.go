@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -93,7 +94,9 @@ func (f *CCFB) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal parses an RFC 8888 feedback packet.
+// Unmarshal parses an RFC 8888 feedback packet. It reuses the Reports and
+// Metrics backing arrays of f, so a CCFB that is unmarshalled into
+// repeatedly stops allocating once it has seen its largest packet.
 func (f *CCFB) Unmarshal(buf []byte) error {
 	var hdr rtcpHeader
 	if err := hdr.unmarshal(buf); err != nil {
@@ -119,6 +122,9 @@ func (f *CCFB) Unmarshal(buf []byte) error {
 		r := CCFBReport{
 			SSRC:     binary.BigEndian.Uint32(body[off:]),
 			BeginSeq: binary.BigEndian.Uint16(body[off+4:]),
+		}
+		if k := len(f.Reports); k < cap(f.Reports) {
+			r.Metrics = f.Reports[:k+1][k].Metrics[:0] // the slot's previous backing
 		}
 		n := int(binary.BigEndian.Uint16(body[off+6:]))
 		off += 8
@@ -161,13 +167,25 @@ type CCFBGenerator struct {
 	// default is 64.
 	Window int
 
-	started  bool
-	highest  uint16
-	arrivals map[uint16]time.Duration
+	started bool
+	highest uint16
+	// ring holds the arrival time of sequence number seq in slot
+	// seq&(len-1), or noArrival. It is a power of two no smaller than
+	// Window and stands for exactly the len(ring) sequence numbers ending
+	// at highest: a slot is wiped when highest advances onto it, so a
+	// sequence number reused after the 16-bit space wraps can never read
+	// as received, and arrivals older than the ring (which no report can
+	// cover any more) are not stored.
+	ring []time.Duration
+	// fb is the packet Report fills and returns.
+	fb CCFB
 }
 
 // DefaultCCFBWindow is the ack window of the SCReAM library the paper used.
 const DefaultCCFBWindow = 64
+
+// noArrival marks an empty ring slot.
+const noArrival = time.Duration(math.MinInt64)
 
 // NewCCFBGenerator returns a generator with the given ack window (0 means
 // DefaultCCFBWindow).
@@ -175,48 +193,61 @@ func NewCCFBGenerator(senderSSRC, mediaSSRC uint32, window int) *CCFBGenerator {
 	if window <= 0 {
 		window = DefaultCCFBWindow
 	}
-	return &CCFBGenerator{
+	size := 1
+	for size < window && size < 1<<16 {
+		size <<= 1
+	}
+	g := &CCFBGenerator{
 		SenderSSRC: senderSSRC,
 		MediaSSRC:  mediaSSRC,
 		Window:     window,
-		arrivals:   make(map[uint16]time.Duration),
+		ring:       make([]time.Duration, size),
 	}
+	for i := range g.ring {
+		g.ring[i] = noArrival
+	}
+	g.fb.Reports = []CCFBReport{{Metrics: make([]CCFBMetric, 0, window)}}
+	return g
 }
 
-// Record notes the arrival of RTP sequence number seq at time at.
+// Record notes the arrival of RTP sequence number seq at time at. Only the
+// first arrival of a sequence number counts.
 func (g *CCFBGenerator) Record(seq uint16, at time.Duration) {
-	if !g.started {
+	mask := len(g.ring) - 1
+	switch {
+	case !g.started:
 		g.started = true
 		g.highest = seq
-	} else if seqLess(g.highest, seq) {
-		g.highest = seq
-	}
-	if _, dup := g.arrivals[seq]; !dup {
-		g.arrivals[seq] = at
-	}
-	// Trim arrivals that can never be reported again to bound memory.
-	if len(g.arrivals) > 4*g.Window {
-		floor := g.highest - uint16(2*g.Window)
-		for s := range g.arrivals {
-			if seqLess(s, floor) {
-				delete(g.arrivals, s)
-			}
+	case seqLess(g.highest, seq):
+		n := int(seq - g.highest)
+		if n > len(g.ring) {
+			n = len(g.ring)
 		}
+		for i := 0; i < n; i++ {
+			g.ring[(int(seq)-i)&mask] = noArrival
+		}
+		g.highest = seq
+	case int(g.highest-seq) >= len(g.ring):
+		return
+	}
+	if slot := &g.ring[int(seq)&mask]; *slot == noArrival {
+		*slot = at
 	}
 }
 
 // Report builds the feedback packet for the current reporting instant, or
-// returns nil when no packet has been received yet.
+// returns nil when no packet has been received yet. The packet is owned by
+// the generator and valid until the next call to Report.
 func (g *CCFBGenerator) Report(now time.Duration) *CCFB {
 	if !g.started {
 		return nil
 	}
 	begin := g.highest - uint16(g.Window-1)
-	rep := CCFBReport{SSRC: g.MediaSSRC, BeginSeq: begin}
+	rep := &g.fb.Reports[0]
+	rep.SSRC, rep.BeginSeq, rep.Metrics = g.MediaSSRC, begin, rep.Metrics[:0]
 	for i := 0; i < g.Window; i++ {
-		seq := begin + uint16(i)
 		m := CCFBMetric{}
-		if at, ok := g.arrivals[seq]; ok {
+		if at := g.ring[int(begin+uint16(i))&(len(g.ring)-1)]; at != noArrival {
 			m.Received = true
 			if off := now - at; off > 0 {
 				m.ArrivalOffset = off
@@ -224,9 +255,6 @@ func (g *CCFBGenerator) Report(now time.Duration) *CCFB {
 		}
 		rep.Metrics = append(rep.Metrics, m)
 	}
-	return &CCFB{
-		SenderSSRC: g.SenderSSRC,
-		Reports:    []CCFBReport{rep},
-		Timestamp:  now,
-	}
+	g.fb.SenderSSRC, g.fb.Timestamp = g.SenderSSRC, now
+	return &g.fb
 }

@@ -446,16 +446,6 @@ func TestCCFBGeneratorNilBeforeFirstPacket(t *testing.T) {
 	}
 }
 
-func TestCCFBGeneratorTrimsHistory(t *testing.T) {
-	g := NewCCFBGenerator(1, 2, 16)
-	for i := 0; i < 1000; i++ {
-		g.Record(uint16(i), time.Duration(i)*time.Millisecond)
-	}
-	if len(g.arrivals) > 4*16 {
-		t.Errorf("arrivals grew to %d, want bounded by %d", len(g.arrivals), 4*16)
-	}
-}
-
 func TestNTP32RoundTrip(t *testing.T) {
 	for _, d := range []time.Duration{0, time.Millisecond, time.Second, 90 * time.Minute} {
 		got := fromNTP32(ntp32(d))

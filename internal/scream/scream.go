@@ -95,15 +95,111 @@ const (
 // inflightPkt is the sender-side record of an unacknowledged packet.
 type inflightPkt struct {
 	seq      uint16
+	live     bool
 	size     int
 	sendTime time.Duration
 }
 
-// owdSample supports the windowed base-delay minimum.
+// inflightTable is the set of unacknowledged packets as a direct-mapped,
+// key-validated window: slot seq&mask holds the live record whose seq
+// matches. It doubles when two live sequence numbers would share a slot
+// (at 1<<16 slots none can), so it answers exactly as a map keyed by seq
+// would, without hashing. No live record precedes oldest in serial-number
+// order, which turns "everything below begin_seq is lost" into a walk of
+// that cursor — each sent packet is stepped over once — instead of a scan
+// of the whole set per report.
+type inflightTable struct {
+	slots  []inflightPkt // len is a power of two
+	live   int
+	oldest uint16
+}
+
+// inflightInitSlots covers the in-flight span of a 25 Mbps stream of
+// 1200-byte packets across ≈400 ms of round trip and queue.
+const inflightInitSlots = 1 << 10
+
+func (t *inflightTable) get(seq uint16) *inflightPkt {
+	if p := &t.slots[int(seq)&(len(t.slots)-1)]; p.live && p.seq == seq {
+		return p
+	}
+	return nil
+}
+
+// put stores p. A live record with the same seq is overwritten, as a map
+// entry would be.
+func (t *inflightTable) put(p inflightPkt) {
+	if t.live == 0 || seqLess(p.seq, t.oldest) {
+		t.oldest = p.seq
+	}
+	slot := &t.slots[int(p.seq)&(len(t.slots)-1)]
+	for slot.live && slot.seq != p.seq {
+		old := t.slots
+		t.slots = make([]inflightPkt, 2*len(old))
+		for _, q := range old {
+			if q.live {
+				t.slots[int(q.seq)&(len(t.slots)-1)] = q
+			}
+		}
+		slot = &t.slots[int(p.seq)&(len(t.slots)-1)]
+	}
+	if !slot.live {
+		t.live++
+	}
+	*slot = p
+}
+
+// drop removes a record returned by get; its fields stay readable until
+// the next put.
+func (t *inflightTable) drop(p *inflightPkt) {
+	p.live = false
+	t.live--
+}
+
+func (t *inflightTable) reset() {
+	clear(t.slots)
+	t.live = 0
+}
+
+// owdSample is one one-way-delay observation.
 type owdSample struct {
 	at  time.Duration
 	owd time.Duration
 }
+
+// baseWindowLen is the span of the windowed base-delay minimum.
+const baseWindowLen = 10 * time.Second
+
+// baseDelay is the minimum one-way delay over the last baseWindowLen as an
+// ascending-minima deque: q[head:] holds, oldest first, exactly the samples
+// that no later sample undercuts or ties, so the window minimum is q[head]
+// and each sample is pushed and popped once. head indexes into q rather
+// than re-slicing it, so the backing array is reused instead of leaking
+// its expired prefix.
+type baseDelay struct {
+	q    []owdSample
+	head int
+}
+
+// update folds in the sample (now, owd) and returns the window minimum.
+func (b *baseDelay) update(now, owd time.Duration) time.Duration {
+	n := len(b.q)
+	for n > b.head && b.q[n-1].owd >= owd {
+		n--
+	}
+	if n == b.head {
+		n, b.head = 0, 0
+	} else if n == cap(b.q) && b.head > n/2 {
+		n, b.head = copy(b.q, b.q[b.head:n]), 0
+	}
+	b.q = append(b.q[:n], owdSample{at: now, owd: owd})
+	// The sample just pushed has age zero, so head stops at it at the latest.
+	for now-b.q[b.head].at > baseWindowLen {
+		b.head++
+	}
+	return b.q[b.head].owd
+}
+
+func (b *baseDelay) reset() { b.q, b.head = b.q[:0], 0 }
 
 // Controller implements cc.Controller with SCReAM.
 type Controller struct {
@@ -111,19 +207,18 @@ type Controller struct {
 
 	cwnd          float64 // bytes
 	bytesInFlight int
-	inflight      map[uint16]inflightPkt
+	inflight      inflightTable
 
 	// One-way-delay tracking. The raw OWD includes the unknown clock
 	// offset; the queuing delay is its excess over the windowed minimum.
-	baseWindow []owdSample
-	qdelay     time.Duration // EWMA of the queuing delay
+	base   baseDelay
+	qdelay time.Duration // EWMA of the queuing delay
 
 	srtt time.Duration
 
 	target         float64
 	lastRateAdjust time.Duration
 	lastLossAt     time.Duration
-	started        bool
 
 	queue *cc.SendQueue
 
@@ -159,7 +254,7 @@ func New(cfg Config) *Controller {
 	srtt := 100 * time.Millisecond
 	c := &Controller{
 		cfg:      cfg,
-		inflight: make(map[uint16]inflightPkt),
+		inflight: inflightTable{slots: make([]inflightPkt, inflightInitSlots)},
 		srtt:     srtt,
 		target:   cfg.InitialRate,
 		qdelay:   0,
@@ -249,7 +344,7 @@ func (c *Controller) SRTT() time.Duration { return c.srtt }
 
 // OnPacketSent implements cc.Controller.
 func (c *Controller) OnPacketSent(p cc.SentPacket) {
-	c.inflight[p.Seq] = inflightPkt{seq: p.Seq, size: p.Size, sendTime: p.SendTime}
+	c.inflight.put(inflightPkt{seq: p.Seq, live: true, size: p.Size, sendTime: p.SendTime})
 	c.bytesInFlight += p.Size
 }
 
@@ -257,29 +352,13 @@ func (c *Controller) OnPacketSent(p cc.SentPacket) {
 func seqLess(a, b uint16) bool { return a != b && b-a < 0x8000 }
 
 // updateOWD folds one (send, arrival) pair into the base/queuing delay
-// estimators and returns the instantaneous queuing delay.
-func (c *Controller) updateOWD(now time.Duration, sendTime, arrival time.Duration) time.Duration {
+// estimators. The sample itself is in the base window, so the queuing
+// delay is never negative.
+func (c *Controller) updateOWD(now time.Duration, sendTime, arrival time.Duration) {
 	owd := arrival - sendTime
-	const baseWindowLen = 10 * time.Second
-	c.baseWindow = append(c.baseWindow, owdSample{at: now, owd: owd})
-	i := 0
-	for i < len(c.baseWindow) && now-c.baseWindow[i].at > baseWindowLen {
-		i++
-	}
-	c.baseWindow = c.baseWindow[i:]
-	base := c.baseWindow[0].owd
-	for _, s := range c.baseWindow[1:] {
-		if s.owd < base {
-			base = s.owd
-		}
-	}
-	q := owd - base
-	if q < 0 {
-		q = 0
-	}
+	q := owd - c.base.update(now, owd)
 	// EWMA with 1/8 gain.
 	c.qdelay = (c.qdelay*7 + q) / 8
-	return q
 }
 
 // OnFeedback implements cc.Controller: it ingests one RFC 8888 report,
@@ -291,7 +370,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 		// was in flight — the stale backlog was flushed at re-establishment,
 		// not dropped by congestion — so restart the self-clock from the
 		// floor without counting it as window losses.
-		c.inflight = make(map[uint16]inflightPkt)
+		c.inflight.reset()
 		c.bytesInFlight = 0
 		c.cwnd = c.cfg.MinRate / 8 * c.boundedSRTT().Seconds()
 		if c.cwnd < float64(2*c.cfg.MSS) {
@@ -299,21 +378,19 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 		}
 		c.target = c.cfg.MinRate
 		c.qdelay = 0
-		c.baseWindow = c.baseWindow[:0]
+		c.base.reset()
 		c.lastLossAt = now
 		c.lastRateAdjust = now
 	}
 	if len(acks) == 0 {
 		return
 	}
-	c.started = true
 	bytesAcked := 0
 	lossDetected := false
 	var highestAcked uint16
 	haveHighest := false
 
 	for _, a := range acks {
-		pkt, known := c.inflight[a.Seq]
 		if !a.Received {
 			continue
 		}
@@ -321,10 +398,11 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 			highestAcked = a.Seq
 			haveHighest = true
 		}
-		if !known {
+		pkt := c.inflight.get(a.Seq)
+		if pkt == nil {
 			continue // already acked in an earlier overlapping report
 		}
-		delete(c.inflight, a.Seq)
+		c.inflight.drop(pkt)
 		c.bytesInFlight -= pkt.size
 		bytesAcked += pkt.size
 		// RTT sample: feedback arrival minus packet departure.
@@ -348,8 +426,8 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 			// well past the feedback round trip before a hole below the
 			// highest ack means anything.
 			lossAge := c.srtt*3/2 + 20*time.Millisecond
-			if pkt, known := c.inflight[a.Seq]; known && now-pkt.sendTime > lossAge {
-				delete(c.inflight, a.Seq)
+			if pkt := c.inflight.get(a.Seq); pkt != nil && now-pkt.sendTime > lossAge {
+				c.inflight.drop(pkt)
 				c.bytesInFlight -= pkt.size
 				c.Losses++
 				c.LossesInBand++
@@ -362,9 +440,9 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	// be acknowledged again — the ack-window defect manufactures losses
 	// here at high rates.
 	begin := acks[0].Seq
-	for seq, pkt := range c.inflight {
-		if seqLess(seq, begin) {
-			delete(c.inflight, seq)
+	for t := &c.inflight; t.live > 0 && seqLess(t.oldest, begin); t.oldest++ {
+		if pkt := t.get(t.oldest); pkt != nil {
+			t.drop(pkt)
 			c.bytesInFlight -= pkt.size
 			c.Losses++
 			c.LossesWindow++
