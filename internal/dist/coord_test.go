@@ -404,7 +404,16 @@ func TestDegradesToSingleSurvivor(t *testing.T) {
 	// completes, carried by the survivor.
 	spec := json.RawMessage(`"survivor"`)
 	const runs = 9
-	peers := []Peer{StartPipe("steady", okRunner())}
+	// The steady worker holds its first result until both fragile peers have
+	// been granted a chunk; otherwise it can drain the whole campaign before
+	// one of them is ever granted (and so never lost).
+	var granted sync.WaitGroup
+	granted.Add(2)
+	var first sync.Once
+	peers := []Peer{StartPipe("steady", RunnerFunc(func(spec json.RawMessage, run int) ([]byte, error) {
+		first.Do(granted.Wait)
+		return testPayload(spec, run), nil
+	}))}
 	for i := 0; i < 2; i++ {
 		p := newFakePeer(fmt.Sprintf("fragile-%d", i))
 		go func() {
@@ -415,6 +424,7 @@ func TestDegradesToSingleSurvivor(t *testing.T) {
 					case MsgHello:
 						p.out <- &Msg{T: MsgReady, Proto: ProtoVersion}
 					case MsgGrant:
+						granted.Done()
 						p.Kill()
 						return
 					case MsgShutdown:
