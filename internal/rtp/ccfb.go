@@ -164,7 +164,8 @@ type CCFBGenerator struct {
 	MediaSSRC  uint32
 	// Window is the number of sequence numbers covered per report,
 	// counting back from the highest received one. The Ericsson library
-	// default is 64.
+	// default is 64. NewCCFBGenerator sizes the arrival ring from it, so it
+	// must not be raised afterwards.
 	Window int
 
 	started bool
@@ -242,12 +243,13 @@ func (g *CCFBGenerator) Report(now time.Duration) *CCFB {
 	if !g.started {
 		return nil
 	}
+	mask := len(g.ring) - 1
 	begin := g.highest - uint16(g.Window-1)
 	rep := &g.fb.Reports[0]
 	rep.SSRC, rep.BeginSeq, rep.Metrics = g.MediaSSRC, begin, rep.Metrics[:0]
 	for i := 0; i < g.Window; i++ {
 		m := CCFBMetric{}
-		if at := g.ring[int(begin+uint16(i))&(len(g.ring)-1)]; at != noArrival {
+		if at := g.ring[int(begin+uint16(i))&mask]; at != noArrival {
 			m.Received = true
 			if off := now - at; off > 0 {
 				m.ArrivalOffset = off

@@ -217,9 +217,6 @@ func (p *pair) check(now time.Duration, table bool) {
 
 // flightRec is the test link's record of one sent packet.
 type flightRec struct {
-	seq    uint16
-	size   int
-	send   time.Duration
 	arrive time.Duration
 	lost   bool
 }
@@ -290,7 +287,7 @@ func TestOnFeedbackMatchesReferenceClosedLoop(t *testing.T) {
 					}
 					linkFree += time.Duration(float64(it.Size*8) / capacity * float64(time.Second))
 					jitter := time.Duration(rng.Intn(3000)) * time.Microsecond
-					pk = append(pk, flightRec{seq: seq, size: it.Size, send: now,
+					pk = append(pk, flightRec{
 						arrive: linkFree + 35*time.Millisecond + jitter,
 						lost:   rng.Float64() < lossP || (now < fadeUntil && rng.Intn(2) == 0)})
 				}

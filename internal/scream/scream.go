@@ -118,8 +118,13 @@ type inflightTable struct {
 // 1200-byte packets across ≈400 ms of round trip and queue.
 const inflightInitSlots = 1 << 10
 
+// slot returns the one slot seq can occupy.
+func (t *inflightTable) slot(seq uint16) *inflightPkt {
+	return &t.slots[int(seq)&(len(t.slots)-1)]
+}
+
 func (t *inflightTable) get(seq uint16) *inflightPkt {
-	if p := &t.slots[int(seq)&(len(t.slots)-1)]; p.live && p.seq == seq {
+	if p := t.slot(seq); p.live && p.seq == seq {
 		return p
 	}
 	return nil
@@ -131,21 +136,20 @@ func (t *inflightTable) put(p inflightPkt) {
 	if t.live == 0 || seqLess(p.seq, t.oldest) {
 		t.oldest = p.seq
 	}
-	slot := &t.slots[int(p.seq)&(len(t.slots)-1)]
-	for slot.live && slot.seq != p.seq {
+	for s := t.slot(p.seq); s.live && s.seq != p.seq; s = t.slot(p.seq) {
 		old := t.slots
 		t.slots = make([]inflightPkt, 2*len(old))
 		for _, q := range old {
 			if q.live {
-				t.slots[int(q.seq)&(len(t.slots)-1)] = q
+				*t.slot(q.seq) = q
 			}
 		}
-		slot = &t.slots[int(p.seq)&(len(t.slots)-1)]
 	}
-	if !slot.live {
+	s := t.slot(p.seq)
+	if !s.live {
 		t.live++
 	}
-	*slot = p
+	*s = p
 }
 
 // drop removes a record returned by get; its fields stay readable until
