@@ -1,15 +1,27 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"math"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
+	"rpivideo/internal/bond"
 	"rpivideo/internal/cell"
+	"rpivideo/internal/fault"
 	"rpivideo/internal/metrics"
+	"rpivideo/internal/repair"
 )
+
+// updateWire regenerates testdata/summary.wire.json instead of comparing:
+//
+//	go test ./internal/core -run TestSummaryJSONRoundTrip -update
+var updateWire = flag.Bool("update", false, "rewrite testdata/summary.wire.json")
 
 // TestSummaryMatchesMerge: the sketch-based campaign aggregate must agree
 // with the sample-retaining Merge on every field the experiments consume —
@@ -120,55 +132,111 @@ func interpGap(d *metrics.Dist, q float64) float64 {
 	return math.Abs(s[hi] - s[lo])
 }
 
-// TestSummaryJSONRoundTrip locks the wire form the distributed campaign
-// shards travel in: marshal → unmarshal → marshal must be byte-identical
-// (canonical output), and a summary merged from round-tripped single-run
-// summaries must serialize identically to one merged from the originals —
-// the exact fold the dist coordinator performs.
-func TestSummaryJSONRoundTrip(t *testing.T) {
-	cfg := Config{Env: cell.Urban, CC: CCGCC, Seed: 11, Duration: 3 * time.Second}
-	results, errs := RunCampaignWithOptions(cfg, 3, CampaignOptions{})
+// wireCampaign is the short pinned campaign behind testdata/summary.wire.json:
+// two bonded (spray) SCReAM flights over a rural cell with repair, CoDel, a
+// scripted outage, a loss fade and RLF armed, plus one ping flight for the RTT
+// distributions — between them every field group of Summary is non-zero.
+func wireCampaign(t *testing.T) []*Result {
+	t.Helper()
+	video := Config{
+		Env: cell.Rural, Op: cell.P1, Air: true, CC: CCSCReAM, Seed: 2, Duration: 30 * time.Second,
+		AQM:    true,
+		Bond:   bond.Config{Policy: bond.PolicySpray},
+		Repair: repair.Config{Enabled: true},
+		Faults: fault.Config{
+			Windows: []fault.Window{
+				{Start: 8 * time.Second, Duration: time.Second, Dir: fault.Both},
+				{Start: 15 * time.Second, Duration: 80 * time.Millisecond, Dir: fault.Both, Loss: true},
+			},
+			RLF: true, Watchdog: true, KeyframeRecovery: true,
+		},
+	}
+	ping := Config{Env: cell.Rural, Op: cell.P1, Air: true, Workload: WorkloadPing, Seed: 2, Duration: 30 * time.Second}
+	results, errs := RunCampaignWithOptions(video, 2, CampaignOptions{})
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	direct := &Summary{}
-	wired := &Summary{}
+	return append(results, Run(ping))
+}
+
+// TestSummaryJSONRoundTrip locks the wire form the distributed campaign
+// shards travel in, against a checked-in golden: the pinned campaign's
+// summary must marshal to exactly testdata/summary.wire.json, the golden
+// must survive unmarshal → marshal byte for byte (canonical output), and a
+// summary merged from per-run summaries that each crossed the wire must
+// serialize identically to one merged from the originals — the exact fold
+// the dist coordinator performs. Regenerate with -update only for an
+// intentional wire change.
+func TestSummaryJSONRoundTrip(t *testing.T) {
+	results := wireCampaign(t)
+	sum := Summarize(results)
+	got, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	got = append(got, '\n')
+	const golden = "testdata/summary.wire.json"
+	if *updateWire {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("summary wire form drifted from %s:\n got %s\nwant %s", golden, got, want)
+	}
+
+	var rt Summary
+	if err := json.Unmarshal(want, &rt); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	again, err := json.Marshal(&rt)
+	if err != nil {
+		t.Fatalf("re-marshal: %v", err)
+	}
+	if !bytes.Equal(append(again, '\n'), want) {
+		t.Fatalf("round trip not canonical:\n first %s\nsecond %s", want, again)
+	}
+	if rt.SamplesFolded() != sum.SamplesFolded() || rt.SamplesFolded() == 0 {
+		t.Errorf("samplesFolded lost on the wire: %d, want %d", rt.SamplesFolded(), sum.SamplesFolded())
+	}
+
+	direct, wired := &Summary{}, &Summary{}
 	for _, r := range results {
 		one := Summarize([]*Result{r})
 		direct.Merge(one)
-
-		raw, err := one.MarshalJSON()
+		raw, err := json.Marshal(one)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		var rt Summary
-		if err := rt.UnmarshalJSON(raw); err != nil {
+		// Decode into a dirty receiver: Unmarshal must overwrite, not merge.
+		dec := *sum
+		if err := json.Unmarshal(raw, &dec); err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}
-		again, err := rt.MarshalJSON()
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
-		}
-		if string(raw) != string(again) {
-			t.Fatalf("round trip not canonical:\n first %s\nsecond %s", raw, again)
-		}
-		wired.Merge(&rt)
+		wired.Merge(&dec)
 	}
-	a, err := direct.MarshalJSON()
+	a, err := json.Marshal(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := wired.MarshalJSON()
+	b, err := json.Marshal(wired)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(a) != string(b) {
+	if !bytes.Equal(a, b) {
 		t.Fatalf("merge of round-tripped summaries diverged:\n direct %s\n  wired %s", a, b)
 	}
-	if wired.Runs != 3 || wired.PacketsSent == 0 {
-		t.Fatalf("round-tripped merge lost data: %+v", wired)
+	// Against the batch fold the merged summary agrees on everything but the
+	// float-sum grouping (AddResult adds sample by sample, Merge run by run).
+	if wired.Runs != sum.Runs || wired.PacketsSent != sum.PacketsSent || wired.SamplesFolded() != sum.SamplesFolded() ||
+		wired.OWDms.N() != sum.OWDms.N() || wired.RTTms.N() != sum.RTTms.N() || wired.PER != sum.PER {
+		t.Fatalf("merge of per-run summaries lost data vs Summarize: %+v", wired)
 	}
 }
 
