@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -86,7 +87,7 @@ func benchScenario(sc experiments.Scenario, seed int64, dur time.Duration, minSe
 	st.AllocBytesPerRun = (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 	st.AllocsPerRun = (after.Mallocs - before.Mallocs) / uint64(runs)
 
-	if err := writeFileWith(outPath, func(f *os.File) error {
+	if err := writeFileWith(outPath, func(f io.Writer) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		return enc.Encode(&st)
@@ -188,7 +189,7 @@ func benchFleet(sc experiments.Scenario, seed int64, dur time.Duration, minSecon
 	if st.WallSeconds > 0 {
 		st.SimPerWall = st.SimSeconds / st.WallSeconds
 	}
-	if err := writeFileWith(outPath, func(f *os.File) error {
+	if err := writeFileWith(outPath, func(f io.Writer) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		return enc.Encode(&st)

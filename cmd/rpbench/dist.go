@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 
@@ -22,19 +23,16 @@ func runWorker() error {
 // runDistScenario shards a scenario campaign across c.distWorkers rpbench
 // subprocesses (each re-exec'd with -worker) and writes the same exports as
 // the serial path, byte-identically. The campaign size is the scenario's own
-// Runs unless -runs was given explicitly. sink, when non-nil, receives the
-// coordinator's live lease/straggler status and, after the fold, the merged
-// campaign registry.
-func runDistScenario(c *cliConfig, sc experiments.Scenario, sink obs.StatusSink, exp scenarioExports) (drifted bool, err error) {
-	seed := c.seed
-	if seed == 1 {
-		seed = 0 // default flag value: keep the scenario's pinned seed
-	}
+// Runs unless -runs was given explicitly. so.StatusSink, when non-nil,
+// receives the coordinator's live lease/straggler status and, after the
+// fold, the merged campaign registry.
+func runDistScenario(c *cliConfig, sc experiments.Scenario, so experiments.ScenarioOptions, exp scenarioExports) (drifted bool, err error) {
+	sink := so.StatusSink
 	runs := sc.Runs
-	if c.runsSet {
-		runs = c.runs
+	if so.Runs > 0 {
+		runs = so.Runs
 	}
-	spec := experiments.DistSpec{Scenario: sc.Name, Seed: seed, RunTimeout: c.runTimeout}
+	spec := experiments.DistSpec{Scenario: sc.Name, Seed: so.Seed, RunTimeout: c.runTimeout}
 	rawSpec, err := json.Marshal(spec)
 	if err != nil {
 		return false, err
@@ -96,61 +94,24 @@ func runDistScenario(c *cliConfig, sc experiments.Scenario, sink obs.StatusSink,
 		// arrive only now, as the folded campaign registry.
 		sink.ObserveRun(camp.Registry)
 	}
-	if exp.trace != "" {
-		if err := writeFileWith(exp.trace, func(f *os.File) error {
-			_, err := f.Write(camp.Trace)
+	return exp.write(scenarioOutput{
+		registry: camp.Registry,
+		writeTrace: func(w io.Writer) error {
+			_, err := w.Write(camp.Trace)
 			return err
-		}); err != nil {
-			return false, err
-		}
-		fmt.Fprintf(os.Stderr, "rpbench: wrote trace %s\n", exp.trace)
-	}
-	if exp.metrics != "" {
-		if err := writeFileWith(exp.metrics, func(f *os.File) error {
-			return camp.Registry.WriteJSON(f)
-		}); err != nil {
-			return false, err
-		}
-		fmt.Fprintf(os.Stderr, "rpbench: wrote metrics %s\n", exp.metrics)
-	}
-	if exp.report != "" {
+		},
 		// The folded trace is byte-identical to a live serial trace, and a
 		// replayed bundle is byte-identical to a live one, so replaying the
 		// fold gives exactly the serial -report output.
-		runsMeta, err := obs.ReadJSONL(bytes.NewReader(camp.Trace))
-		if err != nil {
-			return false, err
-		}
-		if err := analyze.WriteBundle(exp.report, analyze.Trace(runsMeta)); err != nil {
-			return false, err
-		}
-		fmt.Fprintf(os.Stderr, "rpbench: wrote report bundle %s\n", exp.report)
-	}
-	if exp.compare != "" {
-		f, err := os.Open(exp.compare)
-		if err != nil {
-			return false, err
-		}
-		base, err := obs.ReadRegistryJSON(f)
-		f.Close()
-		if err != nil {
-			return false, err
-		}
-		drifts := obs.CompareRegistries(base, camp.Registry, obs.Tolerance{Default: exp.tolerance})
-		for _, d := range drifts {
-			fmt.Fprintln(os.Stderr, "rpbench: drift:", d)
-		}
-		if len(drifts) > 0 {
-			fmt.Fprintf(os.Stderr, "rpbench: %d metric(s) drifted from %s\n", len(drifts), exp.compare)
-			drifted = true
-		} else {
-			fmt.Fprintf(os.Stderr, "rpbench: metrics match baseline %s\n", exp.compare)
-		}
-	}
-	s := camp.Summary
-	fmt.Printf("scenario %s: %d runs, %d packets sent, %d delivered, %d frames played, %d skipped\n",
-		sc.Name, s.Runs, s.PacketsSent, s.PacketsDelivered, s.FramesPlayed, s.FramesSkipped)
-	return drifted, nil
+		analyses: func() ([]*analyze.RunAnalysis, error) {
+			runsMeta, err := obs.ReadJSONL(bytes.NewReader(camp.Trace))
+			if err != nil {
+				return nil, err
+			}
+			return analyze.Trace(runsMeta), nil
+		},
+		line: campaignLine(sc.Name, camp.Summary),
+	})
 }
 
 // logDistEvent surfaces the coordinator's notable fault-handling decisions

@@ -40,11 +40,10 @@ type cliConfig struct {
 	benchSeconds   float64
 	benchDur       time.Duration
 
-	// Live ops server: -serve is the address, -pprof its legacy alias,
-	// servGrace how long the server outlives the workload so a scraper can
-	// read the terminal status.
+	// Live ops server: -serve is the address, serveGrace how long the
+	// server outlives the workload so a scraper can read the terminal
+	// status.
 	serve      string
-	pprof      string
 	serveGrace time.Duration
 
 	// Distributed campaigns.
@@ -84,7 +83,6 @@ func parseFlags(args []string) (*cliConfig, error) {
 	fs.Float64Var(&c.benchSeconds, "benchseconds", 1.5, "minimum wall-clock seconds of untraced repetitions for the -scenario benchmark")
 	fs.DurationVar(&c.benchDur, "benchdur", 30*time.Second, "simulated duration of each benchmark repetition (0 = the scenario's own duration); the default stretches short scenarios to steady state so the metric reflects event-loop throughput, not setup amortization")
 	fs.StringVar(&c.serve, "serve", "", "serve the live ops endpoints on this address while running: Prometheus /metrics, /status JSON, /events SSE, plus pprof and /debug/runtime-metrics (use 127.0.0.1:0 for an ephemeral port; the bound address is printed)")
-	fs.StringVar(&c.pprof, "pprof", "", "alias for -serve (the old name; the address now also carries /metrics, /status and /events)")
 	fs.DurationVar(&c.serveGrace, "servegrace", 0, "keep the -serve ops server up this long after the workload completes, so a scraper can collect the terminal /status and /metrics (0 = shut down immediately)")
 	fs.IntVar(&c.distWorkers, "dist", 0, "shard the scenario campaign across N local worker subprocesses with leased chunks and crash recovery (requires -scenario; campaign size is the scenario's runs unless -runs is given)")
 	fs.IntVar(&c.distChunk, "distchunk", 0, "runs per leased chunk for -dist (0 = auto: runs/(4·workers), at least 1)")
@@ -116,7 +114,7 @@ func (c *cliConfig) validate() error {
 		case c.scenario != "", c.distWorkers != 0, c.analyze != "", c.list,
 			c.fleetSpec != "", c.trace != "", c.metrics != "", c.report != "",
 			c.compare != "", c.bench != "", c.benchCompare != "", c.fig != "all",
-			c.serve != "", c.pprof != "":
+			c.serve != "":
 			return errors.New("-worker is the distributed-campaign subprocess entrypoint and takes no other mode flags")
 		}
 		return nil
@@ -127,13 +125,10 @@ func (c *cliConfig) validate() error {
 	if c.tolerance < 0 {
 		return errors.New("-tolerance must not be negative")
 	}
-	if c.serve != "" && c.pprof != "" && c.serve != c.pprof {
-		return errors.New("-serve and -pprof are the same server (the latter is the legacy alias); give one address, not two")
-	}
 	if c.serveGrace < 0 {
 		return errors.New("-servegrace must not be negative")
 	}
-	if c.serveGrace != 0 && c.opsAddr() == "" {
+	if c.serveGrace != 0 && c.serve == "" {
 		return errors.New("-servegrace requires -serve (there is no server to hold open)")
 	}
 
@@ -205,13 +200,4 @@ func (c *cliConfig) validate() error {
 		return errors.New("-benchcompare requires -benchout")
 	}
 	return nil
-}
-
-// opsAddr resolves the ops-server listen address: -serve, falling back to
-// its legacy alias -pprof. Empty means no server.
-func (c *cliConfig) opsAddr() string {
-	if c.serve != "" {
-		return c.serve
-	}
-	return c.pprof
 }

@@ -81,8 +81,6 @@ func TestValidateRejectsIllegalCombos(t *testing.T) {
 		{"benchcompare without benchout", []string{"-scenario", "urban-gcc", "-benchcompare", "base.json"}, "-benchout"},
 		{"benchcompare without scenario", []string{"-benchcompare", "base.json"}, "-benchcompare requires -scenario"},
 		{"worker with serve", []string{"-worker", "-serve", "127.0.0.1:0"}, "-worker"},
-		{"worker with pprof", []string{"-worker", "-pprof", "127.0.0.1:0"}, "-worker"},
-		{"serve and pprof disagree", []string{"-serve", "127.0.0.1:7070", "-pprof", "127.0.0.1:7071"}, "one address"},
 		{"negative servegrace", []string{"-serve", "127.0.0.1:0", "-servegrace", "-1s"}, "-servegrace"},
 		{"servegrace without serve", []string{"-servegrace", "5s"}, "-servegrace requires -serve"},
 	}
@@ -118,11 +116,8 @@ func TestValidateAcceptsLegalCombos(t *testing.T) {
 		{"-scenario", "urban-gcc", "-dist", "4", "-distchunk", "2", "-runs", "32", "-runtimeout", "30s"},
 		{"-scenario", "urban-gcc", "-dist", "4", "-trace", "t.jsonl", "-metrics", "m.json", "-report", "out", "-compare", "b.json"},
 		{"-scenario", "urban-gcc", "-serve", "127.0.0.1:0"},
-		{"-pprof", "127.0.0.1:0"},                                // legacy alias still works alone
-		{"-serve", "127.0.0.1:7070", "-pprof", "127.0.0.1:7070"}, // agreeing addresses are one server
 		{"-scenario", "urban-gcc", "-serve", "127.0.0.1:0", "-servegrace", "30s"},
-		{"-scenario", "urban-gcc", "-pprof", "127.0.0.1:0", "-servegrace", "30s"}, // grace works through the alias
-		{"-scenario", "urban-gcc", "-dist", "4", "-serve", "127.0.0.1:0"},         // ops server on the coordinator
+		{"-scenario", "urban-gcc", "-dist", "4", "-serve", "127.0.0.1:0"}, // ops server on the coordinator
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
@@ -130,24 +125,6 @@ func TestValidateAcceptsLegalCombos(t *testing.T) {
 				t.Fatalf("validate(%v): %v", args, err)
 			}
 		})
-	}
-}
-
-// TestOpsAddr pins the -serve / -pprof aliasing: -serve wins when both are
-// given (validate has already required them to agree), -pprof fills in for
-// old command lines, empty means no server.
-func TestOpsAddr(t *testing.T) {
-	if got := mustParse(t).opsAddr(); got != "" {
-		t.Errorf("default opsAddr = %q, want empty", got)
-	}
-	if got := mustParse(t, "-serve", "a:1").opsAddr(); got != "a:1" {
-		t.Errorf("opsAddr with -serve = %q", got)
-	}
-	if got := mustParse(t, "-pprof", "b:2").opsAddr(); got != "b:2" {
-		t.Errorf("opsAddr with -pprof = %q", got)
-	}
-	if got := mustParse(t, "-serve", "a:1", "-pprof", "a:1").opsAddr(); got != "a:1" {
-		t.Errorf("opsAddr with both = %q", got)
 	}
 }
 

@@ -23,7 +23,6 @@
 //	rpbench -scenario urban-gcc -serve 127.0.0.1:0   # Prometheus /metrics, /status JSON,
 //	                                                 # /events SSE, pprof; bound addr printed
 //	rpbench -scenario urban-gcc -serve 127.0.0.1:0 -servegrace 30s  # hold for a final scrape
-//	rpbench -pprof 127.0.0.1:6060 ...                # legacy alias for -serve
 //
 // Trace, metrics and report exports are byte-identical at any -workers
 // setting, and a report built from a live run matches one replayed from its
@@ -55,6 +54,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -128,16 +128,15 @@ func main() {
 		return
 	}
 
-	// The live ops server (-serve, or its legacy alias -pprof): one address
-	// carrying pprof, runtime metrics, the Prometheus exposition, the status
+	// The live ops server (-serve): one address carrying pprof, runtime metrics, the Prometheus exposition, the status
 	// snapshot and the SSE stream. sink stays nil without a server so the
 	// engines skip all status work.
 	var sink obs.StatusSink
 	var tel *obs.Telemetry
-	if addr := c.opsAddr(); addr != "" {
+	if c.serve != "" {
 		tel = obs.NewTelemetry()
 		sink = tel
-		srv, err := obs.Serve(addr, tel)
+		srv, err := obs.Serve(c.serve, tel)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rpbench:", err)
 			os.Exit(1)
@@ -181,6 +180,9 @@ func main() {
 			compare: c.compare, tolerance: c.tolerance,
 		}
 		so := experiments.ScenarioOptions{Seed: c.seed, Workers: c.workers, StatusSink: sink}
+		if so.Seed == 1 {
+			so.Seed = 0 // default flag value: keep the scenario's pinned seed, so goldens regenerate exactly
+		}
 		if c.runsSet {
 			so.Runs = c.runs
 		}
@@ -190,7 +192,7 @@ func main() {
 			if tel != nil {
 				tel.SetLabels("dist", sc.Name)
 			}
-			drifted, err = runDistScenario(c, sc, sink, exports)
+			drifted, err = runDistScenario(c, sc, so, exports)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "rpbench:", err)
 				os.Exit(1)
@@ -285,91 +287,46 @@ type scenarioExports struct {
 	tolerance float64
 }
 
-// runScenario executes one observability scenario and writes the requested
-// exports. Seed == the default base seed (1) keeps the scenario's pinned
-// seed, so golden traces regenerate exactly. drifted reports a -compare
-// gate failure (already printed); err covers everything else.
-func runScenario(sc experiments.Scenario, so experiments.ScenarioOptions, exp scenarioExports) (drifted bool, err error) {
-	if so.Seed == 1 {
-		so.Seed = 0 // default flag value: keep the scenario's pinned seed
-	}
-	results, err := experiments.RunScenarioWithOptions(sc, so)
-	if err != nil {
-		return false, err
-	}
+// scenarioOutput is what a finished scenario mode — campaign, fleet or
+// dist — hands to scenarioExports.write: everything the exports consume and
+// nothing about how it was produced.
+type scenarioOutput struct {
+	// registry is the campaign metrics registry (-metrics, -compare).
+	registry *obs.Registry
+	// writeTrace renders the -trace JSONL: per-run traces, or for a fleet
+	// the per-cell attach/detach/overload timeline.
+	writeTrace func(io.Writer) error
+	// analyses builds the -report bundle's input.
+	analyses func() ([]*analyze.RunAnalysis, error)
+	// line is the one-line stdout summary.
+	line string
+}
+
+// write produces every requested export from one scenario output, then
+// prints its summary line. drifted reports a -compare gate failure (already
+// printed); err covers everything else.
+func (exp scenarioExports) write(out scenarioOutput) (drifted bool, err error) {
 	if exp.trace != "" {
-		if err := writeFileWith(exp.trace, func(f *os.File) error {
-			return core.WriteCampaignTrace(f, results)
-		}); err != nil {
+		if err := writeFileWith(exp.trace, out.writeTrace); err != nil {
 			return false, err
 		}
 		fmt.Fprintf(os.Stderr, "rpbench: wrote trace %s\n", exp.trace)
 	}
 	if exp.metrics != "" {
-		if err := writeFileWith(exp.metrics, func(f *os.File) error {
-			return core.WriteCampaignMetrics(f, results)
-		}); err != nil {
+		if err := writeFileWith(exp.metrics, out.registry.WriteJSON); err != nil {
 			return false, err
 		}
 		fmt.Fprintf(os.Stderr, "rpbench: wrote metrics %s\n", exp.metrics)
 	}
 	if exp.report != "" {
-		var analyses []*analyze.RunAnalysis
-		for i, r := range results {
-			analyses = append(analyses, analyze.Run(core.TraceRunMeta(r, i), r.Trace.Events()))
+		analyses, err := out.analyses()
+		if err != nil {
+			return false, err
 		}
 		if err := analyze.WriteBundle(exp.report, analyses); err != nil {
 			return false, err
 		}
 		fmt.Fprintf(os.Stderr, "rpbench: wrote report bundle %s\n", exp.report)
-	}
-	if exp.compare != "" {
-		drifts, err := compareBaseline(exp.compare, results, exp.tolerance)
-		if err != nil {
-			return false, err
-		}
-		for _, d := range drifts {
-			fmt.Fprintln(os.Stderr, "rpbench: drift:", d)
-		}
-		if len(drifts) > 0 {
-			fmt.Fprintf(os.Stderr, "rpbench: %d metric(s) drifted from %s\n", len(drifts), exp.compare)
-			drifted = true
-		} else {
-			fmt.Fprintf(os.Stderr, "rpbench: metrics match baseline %s\n", exp.compare)
-		}
-	}
-	merged := core.Merge(results)
-	fmt.Printf("scenario %s: %d runs, %d packets sent, %d delivered, %d frames played, %d skipped\n",
-		sc.Name, len(results), merged.PacketsSent, merged.PacketsDelivered, merged.FramesPlayed, merged.FramesSkipped)
-	return drifted, nil
-}
-
-// runFleetScenario is the fleet counterpart of runScenario: -trace receives
-// the per-cell event timeline (attach/detach/overload JSONL) and -metrics /
-// -compare use the merged fleet registry. The analyzer bundle has no fleet
-// analog, so -report is rejected.
-func runFleetScenario(sc experiments.Scenario, so experiments.ScenarioOptions, exp scenarioExports) (drifted bool, err error) {
-	if exp.report != "" {
-		return false, fmt.Errorf("-report is not supported for fleet runs (the analyzer consumes per-run traces)")
-	}
-	if so.Seed == 1 {
-		so.Seed = 0 // default flag value: keep the scenario's pinned seed
-	}
-	fr, err := experiments.RunFleetScenarioWithOptions(sc, so)
-	if err != nil {
-		return false, err
-	}
-	if exp.trace != "" {
-		if err := writeFileWith(exp.trace, func(f *os.File) error { return fr.WriteCellEvents(f) }); err != nil {
-			return false, err
-		}
-		fmt.Fprintf(os.Stderr, "rpbench: wrote cell events %s\n", exp.trace)
-	}
-	if exp.metrics != "" {
-		if err := writeFileWith(exp.metrics, func(f *os.File) error { return fr.WriteMetrics(f) }); err != nil {
-			return false, err
-		}
-		fmt.Fprintf(os.Stderr, "rpbench: wrote metrics %s\n", exp.metrics)
 	}
 	if exp.compare != "" {
 		f, err := os.Open(exp.compare)
@@ -381,7 +338,7 @@ func runFleetScenario(sc experiments.Scenario, so experiments.ScenarioOptions, e
 		if err != nil {
 			return false, err
 		}
-		drifts := obs.CompareRegistries(base, fr.MetricsRegistry(), obs.Tolerance{Default: exp.tolerance})
+		drifts := obs.CompareRegistries(base, out.registry, obs.Tolerance{Default: exp.tolerance})
 		for _, d := range drifts {
 			fmt.Fprintln(os.Stderr, "rpbench: drift:", d)
 		}
@@ -392,9 +349,54 @@ func runFleetScenario(sc experiments.Scenario, so experiments.ScenarioOptions, e
 			fmt.Fprintf(os.Stderr, "rpbench: metrics match baseline %s\n", exp.compare)
 		}
 	}
-	fmt.Printf("fleet %s: %d UAVs (%s), median per-UAV goodput %.2f Mbps, min share %.4f, %d overload epochs, peak cell users %d, %d attaches, %d handovers\n",
-		sc.Name, fr.Size, fr.Sched, fr.MedianUAVGoodput(), fr.MinShare, fr.OverloadEpochs, fr.PeakCellUsers, fr.Attaches, fr.Summary.Handovers)
+	fmt.Println(out.line)
 	return drifted, nil
+}
+
+// campaignLine is the stdout summary the campaign and dist modes share.
+func campaignLine(name string, s *core.Summary) string {
+	return fmt.Sprintf("scenario %s: %d runs, %d packets sent, %d delivered, %d frames played, %d skipped",
+		name, s.Runs, s.PacketsSent, s.PacketsDelivered, s.FramesPlayed, s.FramesSkipped)
+}
+
+// runScenario executes one observability scenario in process and writes the
+// requested exports.
+func runScenario(sc experiments.Scenario, so experiments.ScenarioOptions, exp scenarioExports) (drifted bool, err error) {
+	results, err := experiments.RunScenarioWithOptions(sc, so)
+	if err != nil {
+		return false, err
+	}
+	return exp.write(scenarioOutput{
+		registry:   core.CampaignMetrics(results),
+		writeTrace: func(w io.Writer) error { return core.WriteCampaignTrace(w, results) },
+		analyses: func() ([]*analyze.RunAnalysis, error) {
+			var analyses []*analyze.RunAnalysis
+			for i, r := range results {
+				analyses = append(analyses, analyze.Run(core.TraceRunMeta(r, i), r.Trace.Events()))
+			}
+			return analyses, nil
+		},
+		line: campaignLine(sc.Name, core.Summarize(results)),
+	})
+}
+
+// runFleetScenario is the fleet counterpart of runScenario: -trace receives
+// the per-cell event timeline and -metrics / -compare use the merged fleet
+// registry. The analyzer bundle has no fleet analog, so -report is rejected.
+func runFleetScenario(sc experiments.Scenario, so experiments.ScenarioOptions, exp scenarioExports) (drifted bool, err error) {
+	if exp.report != "" {
+		return false, fmt.Errorf("-report is not supported for fleet runs (the analyzer consumes per-run traces)")
+	}
+	fr, err := experiments.RunFleetScenarioWithOptions(sc, so)
+	if err != nil {
+		return false, err
+	}
+	return exp.write(scenarioOutput{
+		registry:   fr.MetricsRegistry(),
+		writeTrace: fr.WriteCellEvents,
+		line: fmt.Sprintf("fleet %s: %d UAVs (%s), median per-UAV goodput %.2f Mbps, min share %.4f, %d overload epochs, peak cell users %d, %d attaches, %d handovers",
+			sc.Name, fr.Size, fr.Sched, fr.MedianUAVGoodput(), fr.MinShare, fr.OverloadEpochs, fr.PeakCellUsers, fr.Attaches, fr.Summary.Handovers),
+	})
 }
 
 // replayTrace runs the analyzer over a JSONL trace file and writes the
@@ -414,21 +416,6 @@ func replayTrace(tracePath, reportDir string) error {
 	}
 	fmt.Fprintf(os.Stderr, "rpbench: analyzed %d run(s) from %s into %s\n", len(runs), tracePath, reportDir)
 	return nil
-}
-
-// compareBaseline reads a baseline registry export and diffs the campaign's
-// freshly merged registry against it.
-func compareBaseline(path string, results []*core.Result, tolerance float64) ([]obs.Drift, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	base, err := obs.ReadRegistryJSON(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	return obs.CompareRegistries(base, core.CampaignMetrics(results), obs.Tolerance{Default: tolerance}), nil
 }
 
 // benchStats is the BENCH_campaign.json payload: wall-clock and throughput
@@ -456,7 +443,7 @@ func writeBench(path string, wall time.Duration) error {
 	if w := st.WallSeconds; w > 0 {
 		st.RunsPerSec = float64(st.RunsExecuted) / w
 	}
-	return writeFileWith(path, func(f *os.File) error {
+	return writeFileWith(path, func(f io.Writer) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		return enc.Encode(&st)
@@ -465,7 +452,7 @@ func writeBench(path string, wall time.Duration) error {
 
 // writeFileWith creates path and runs write against it, closing on the way
 // out and reporting the first error.
-func writeFileWith(path string, write func(*os.File) error) error {
+func writeFileWith(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -32,7 +32,7 @@ func main() {
 	rural := rpivideo.Config{Env: rpivideo.Rural, Air: true, CC: rpivideo.Static, Seed: 7}
 	show("  baseline (P1 only)", rural)
 	mp := rural
-	mp.Multipath = true
+	mp.Bond = rpivideo.BondConfig{Policy: rpivideo.BondDuplicate}
 	show("  + duplication over P1+P2", mp)
 
 	fmt.Println("\nrural ground, static pushed to 10.5 Mbps (bufferbloat regime):")

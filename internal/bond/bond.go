@@ -17,11 +17,11 @@
 //     ProbationTicks clean streak to come back).
 //
 //   - Scheduler: the routing policy. Four are provided — duplicate (every
-//     packet on every live path; the legacy Multipath behaviour), failover
-//     (primary plus hot standby, switch on health breach, switch back
-//     after the primary's probation), cheapest (send on the currently best
-//     path, probe the other at low rate) and spray (weighted packet
-//     striping across live paths).
+//     packet on every live path), failover (primary plus hot standby,
+//     switch on health breach, switch back after the primary's
+//     probation), cheapest (send on the currently best path, probe the
+//     other at low rate) and spray (weighted packet striping across live
+//     paths).
 //
 //   - Reorder: a bounded receiver-side reorder buffer with a deadline, so
 //     packets striped across paths of different latency re-serialize

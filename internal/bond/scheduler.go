@@ -56,10 +56,9 @@ func allSet() PathSet {
 
 // duplicateSched sends every packet on every live path (all paths when none
 // are live — the copies queue behind the interruptions, which is how the
-// monitor sees recovery). This is the legacy Multipath behaviour. Down paths
-// still get the probe duplicates: a loss-caused down only clears when fresh
-// deliveries decay the loss EWMA, and probes are the only traffic a down
-// path sees.
+// monitor sees recovery). Down paths still get the probe duplicates: a
+// loss-caused down only clears when fresh deliveries decay the loss EWMA,
+// and probes are the only traffic a down path sees.
 type duplicateSched struct{}
 
 func (duplicateSched) Name() string                 { return PolicyDuplicate.String() }

@@ -34,8 +34,7 @@ type bondPaths struct {
 // only the primary, @p2 only the secondary, unscoped windows (the vehicle
 // sitting in a coverage hole) silence both.
 func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, hoCfg cell.HandoverConfig, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
-	bcfg := cfg.bondConfig()
-	if !bcfg.Enabled() || cfg.Workload != WorkloadVideo {
+	if !cfg.Bond.Enabled() || cfg.Workload != WorkloadVideo {
 		return nil
 	}
 	op2 := cell.P2
@@ -63,7 +62,7 @@ func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, hoC
 		uplink2.SetFaults(fault.NewPathLine(cfg.Faults.Windows, fault.Uplink, fault.PathSecondary), flushStale, cfg.Faults.StaleAfter)
 	}
 
-	bp := &bondPaths{mgr: bond.NewManager(bcfg), uplinks: [bond.NumPaths]*link.Link{uplink, uplink2}}
+	bp := &bondPaths{mgr: bond.NewManager(cfg.Bond), uplinks: [bond.NumPaths]*link.Link{uplink, uplink2}}
 	for i := range bp.uplinks {
 		l := bp.uplinks[i]
 		bp.mgr.SetOutageProbe(i, l.Interrupted)

@@ -97,17 +97,11 @@ func TestBondFailoverReacts(t *testing.T) {
 	}
 }
 
-// TestBondDuplicateMatchesLegacyMultipath: Multipath:true is a compat alias
-// for the duplicate policy — the two spellings must be byte-identical.
+// TestBondDuplicateMatchesLegacyMultipath: the duplicate policy feeds the
+// legacy MultipathDuplicates counter (still a baseline registry key) — it
+// must equal the copies the per-path rows record as suppressed.
 func TestBondDuplicateMatchesLegacyMultipath(t *testing.T) {
-	legacy := bondedConfig(bond.PolicyNone)
-	legacy.Multipath = true
-	alias := bondedConfig(bond.PolicyDuplicate)
-	a, b := bondFingerprint(Run(legacy)), bondFingerprint(Run(alias))
-	if a != b {
-		t.Errorf("legacy Multipath differs from Bond duplicate:\n--- legacy ---\n%s--- duplicate ---\n%s", a, b)
-	}
-	r := Run(alias)
+	r := Run(bondedConfig(bond.PolicyDuplicate))
 	if r.MultipathDuplicates == 0 {
 		t.Error("duplicate policy suppressed no copies")
 	}

@@ -116,77 +116,133 @@ func RunCampaign(cfg Config, runs int) []*Result {
 // (cfg, runs, seed derivation) the output is byte-identical at any worker
 // count.
 func RunCampaignWithOptions(cfg Config, runs int, opts CampaignOptions) ([]*Result, []error) {
-	return runJobs(runs, opts, func(i int) *Result {
-		c := cfg
-		c.Seed = opts.runSeed(cfg.Seed, i)
-		return Run(c)
-	})
-}
-
-// runJobs fans job(0..runs-1) out across the option's worker pool,
-// recovering per-job panics into error slots and emitting progress samples.
-func runJobs(runs int, opts CampaignOptions, job func(i int) *Result) ([]*Result, []error) {
 	if runs <= 0 {
 		return nil, nil
 	}
-	workers := opts.Workers
+	results := make([]*Result, runs)
+	errs := opts.run(cfg, runs, func(i int, r *Result) { results[i] = r })
+	return results, errs
+}
+
+// run executes the campaign's runs on the executor, handing each result to
+// fold in run-index order.
+func (o CampaignOptions) run(cfg Config, runs int, fold func(i int, r *Result)) []error {
+	if runs <= 0 {
+		return nil
+	}
+	errs := make([]error, runs)
+	e := executor{workers: o.Workers, timeout: o.RunTimeout, unit: "campaign run", progress: o.Progress, sink: o.StatusSink}
+	e.run(errs, func(i int) *Result {
+		c := cfg
+		c.Seed = o.runSeed(cfg.Seed, i)
+		return Run(c)
+	}, fold)
+	return errs
+}
+
+// executor is the one engine every in-process campaign entry point runs on:
+// RunCampaignWithOptions (fold stores results[i]), RunCampaignSummary (fold
+// is Summary.AddResult) and both per-UAV phases of RunFleet. It keeps three
+// contracts:
+//
+//   - every job runs under runGuarded, so a panic or a watchdog expiry
+//     becomes that job's error and its result is nil;
+//   - the observer (Progress, StatusSink) is serialized and sees jobs in
+//     completion order;
+//   - fold is serialized and sees jobs in strict index order whatever order
+//     they complete in — a nil result still takes its turn — which is what
+//     makes every export byte-identical at any worker count. Results that
+//     complete ahead of their turn wait in a pending map and nowhere else.
+type executor struct {
+	workers  int           // <= 0 selects GOMAXPROCS
+	timeout  time.Duration // per-job watchdog; 0 runs jobs inline
+	unit     string        // names job i in its error: "campaign run 3"
+	progress func(CampaignProgress)
+	sink     obs.StatusSink
+	// decorate, when non-nil, stamps each status snapshot before it is
+	// published (the fleet adds its mode and cell table).
+	decorate func(*obs.StatusSnapshot)
+}
+
+// run executes job(i) for every i in [0, len(errs)), filling errs[i]. A job
+// whose errs[i] is already set (a fleet UAV that failed an earlier phase)
+// is not run: it is observed and folded as the failure it already is.
+func (e executor) run(errs []error, job func(i int) *Result, fold func(i int, r *Result)) {
+	n := len(errs)
+	workers := e.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > runs {
-		workers = runs
+	if workers > n {
+		workers = n
 	}
-
-	results := make([]*Result, runs)
-	errs := make([]error, runs)
 	start := time.Now()
 	var (
 		mu        sync.Mutex
+		pending   = make(map[int]*Result)
+		next      int
 		completed int
 		failed    int
 		simSecs   float64
 	)
-	finish := func(i int) {
+	finish := func(i int, res *Result) {
 		mu.Lock()
 		defer mu.Unlock()
+		pending[i] = res
+		for {
+			r, ok := pending[next]
+			if !ok {
+				break
+			}
+			delete(pending, next)
+			fold(next, r)
+			next++
+		}
 		completed++
 		if errs[i] != nil {
 			failed++
 		}
-		if results[i] != nil {
-			simSecs += results[i].Duration.Seconds()
+		if res != nil {
+			simSecs += res.Duration.Seconds()
 		}
-		if opts.Progress == nil && opts.StatusSink == nil {
+		if e.progress == nil && e.sink == nil {
 			return
 		}
-		p := CampaignProgress{Completed: completed, Total: runs, RunIndex: i, Err: errs[i], Wall: time.Since(start)}
+		p := CampaignProgress{Completed: completed, Total: n, RunIndex: i, Err: errs[i], Wall: time.Since(start)}
 		if w := p.Wall.Seconds(); w > 0 {
 			p.SimRate = simSecs / w
 		}
-		if opts.Progress != nil {
-			opts.Progress(p)
+		if e.progress != nil {
+			e.progress(p)
 		}
-		if opts.StatusSink != nil {
-			if res := results[i]; res != nil {
+		if e.sink != nil {
+			if res != nil {
 				reg := res.MetricsRegistry()
 				if res.Telemetry != nil {
 					reg.Merge(res.Telemetry)
 				}
-				opts.StatusSink.ObserveRun(reg)
+				e.sink.ObserveRun(reg)
 			}
-			opts.StatusSink.PublishStatus(campaignSnapshot(p, failed))
+			s := campaignSnapshot(p, failed)
+			if e.decorate != nil {
+				e.decorate(&s)
+			}
+			e.sink.PublishStatus(s)
 		}
 	}
 	runOne := func(i int) {
-		results[i], errs[i] = runGuarded(fmt.Sprintf("campaign run %d", i), opts.RunTimeout, func() *Result { return job(i) })
-		finish(i)
+		var res *Result
+		if errs[i] == nil {
+			res, errs[i] = runGuarded(fmt.Sprintf("%s %d", e.unit, i), e.timeout, func() *Result { return job(i) })
+		}
+		finish(i, res)
 	}
 
-	if workers == 1 {
-		for i := 0; i < runs; i++ {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
 			runOne(i)
 		}
-		return results, errs
+		return
 	}
 	var wg sync.WaitGroup
 	idx := make(chan int)
@@ -199,12 +255,11 @@ func runJobs(runs int, opts CampaignOptions, job func(i int) *Result) ([]*Result
 			}
 		}()
 	}
-	for i := 0; i < runs; i++ {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return results, errs
 }
 
 // campaignSnapshot converts one progress sample into the live status shape.

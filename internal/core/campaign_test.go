@@ -56,10 +56,20 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// execJobs drives the executor over an arbitrary job the way
+// RunCampaignWithOptions does: the fold stores results[i].
+func execJobs(n int, e executor, job func(i int) *Result) ([]*Result, []error) {
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	e.unit = "campaign run"
+	e.run(errs, job, func(i int, r *Result) { results[i] = r })
+	return results, errs
+}
+
 // TestCampaignPanicRecovered: one panicking run must surface as an error in
 // its own slot without losing the other runs' results.
 func TestCampaignPanicRecovered(t *testing.T) {
-	results, errs := runJobs(5, CampaignOptions{Workers: 3}, func(i int) *Result {
+	results, errs := execJobs(5, executor{workers: 3}, func(i int) *Result {
 		if i == 2 {
 			panic("injected failure")
 		}
@@ -93,7 +103,7 @@ func TestCampaignErrorAggregation(t *testing.T) {
 		return &Result{Duration: time.Duration(i) * time.Second}
 	}
 	for _, workers := range []int{1, 4} {
-		results, errs := runJobs(runs, CampaignOptions{Workers: workers}, job)
+		results, errs := execJobs(runs, executor{workers: workers}, job)
 		for i := 0; i < runs; i++ {
 			if bad[i] {
 				if results[i] != nil {
@@ -122,7 +132,7 @@ func TestCampaignErrorAggregation(t *testing.T) {
 func TestCampaignWatchdogAbandonsHungRun(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release) // unblock the abandoned goroutine on the way out
-	results, errs := runJobs(5, CampaignOptions{Workers: 3, RunTimeout: 30 * time.Millisecond}, func(i int) *Result {
+	results, errs := execJobs(5, executor{workers: 3, timeout: 30 * time.Millisecond}, func(i int) *Result {
 		if i == 2 {
 			<-release
 		}
@@ -173,7 +183,7 @@ func TestRunCampaignRepanics(t *testing.T) {
 func TestCampaignProgress(t *testing.T) {
 	seen := make(map[int]int)
 	last := 0
-	_, errs := runJobs(7, CampaignOptions{Workers: 4, Progress: func(p CampaignProgress) {
+	_, errs := execJobs(7, executor{workers: 4, progress: func(p CampaignProgress) {
 		seen[p.RunIndex]++
 		if p.Total != 7 || p.Completed != last+1 {
 			t.Errorf("progress out of order: %+v after completed=%d", p, last)
@@ -191,6 +201,113 @@ func TestCampaignProgress(t *testing.T) {
 	for i, n := range seen {
 		if n != 1 {
 			t.Errorf("run %d reported %d times", i, n)
+		}
+	}
+}
+
+// TestExecutorFoldsInIndexOrder: with every job in flight at once and the
+// jobs gated to complete in reverse order, the fold must still see indices
+// 0..n-1 in order — so nothing folds until job 0 lands — and a job without
+// a result (here a panic) takes its turn as nil instead of stalling the
+// ones behind it.
+func TestExecutorFoldsInIndexOrder(t *testing.T) {
+	const n, bad = 6, 3
+	gates := make([]chan struct{}, n)
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	close(gates[n-1])
+	type folded struct {
+		i   int
+		nil bool
+	}
+	var order []folded
+	errs := make([]error, n)
+	e := executor{workers: n, unit: "job", progress: func(p CampaignProgress) {
+		if want := n - p.Completed; p.RunIndex != want {
+			t.Errorf("completion %d was job %d, want %d (reverse order)", p.Completed, p.RunIndex, want)
+		}
+		if p.RunIndex > 0 {
+			if len(order) != 0 {
+				t.Errorf("folded %v before job 0 completed", order)
+			}
+			close(gates[p.RunIndex-1]) // release the next-lower job
+		}
+	}}
+	e.run(errs, func(i int) *Result {
+		<-gates[i]
+		if i == bad {
+			panic("no result")
+		}
+		return &Result{Duration: time.Duration(i) * time.Second}
+	}, func(i int, r *Result) {
+		if r != nil && r.Duration != time.Duration(i)*time.Second {
+			t.Errorf("fold(%d) got job %v's result", i, r.Duration)
+		}
+		order = append(order, folded{i, r == nil})
+	})
+	if len(order) != n {
+		t.Fatalf("folded %d of %d jobs: %v", len(order), n, order)
+	}
+	for i, f := range order {
+		if f.i != i || f.nil != (i == bad) {
+			t.Errorf("fold %d = %+v, want index %d (nil only at %d)", i, f, i, bad)
+		}
+	}
+	for i, err := range errs {
+		if (err != nil) != (i == bad) {
+			t.Errorf("errs[%d] = %v", i, err)
+		}
+	}
+}
+
+// TestExecutorKeepsEarlierFailure is RunFleet's two-phase shape: both
+// phases share one errs slice, so a UAV that panicked in phase 1 must not
+// run in phase 3 — it is folded as nil and counted as failed, keeping its
+// phase-1 error — while a UAV that panics in phase 3 lands in its own slot
+// and every other UAV folds.
+func TestExecutorKeepsEarlierFailure(t *testing.T) {
+	const n = 6
+	for _, workers := range []int{1, 4} {
+		errs := make([]error, n)
+		e := executor{workers: workers, unit: "fleet uav"}
+		e.run(errs, func(u int) *Result {
+			if u == 1 {
+				panic("phase 1")
+			}
+			return nil
+		}, func(int, *Result) {})
+
+		var folded []int
+		failedSeen := 0
+		e.progress = func(p CampaignProgress) {
+			if p.Err != nil {
+				failedSeen++
+			}
+		}
+		e.run(errs, func(u int) *Result {
+			switch u {
+			case 1:
+				t.Errorf("workers=%d: uav 1 ran in phase 3 after failing phase 1", workers)
+			case 4:
+				panic("phase 3")
+			}
+			return &Result{Duration: time.Second}
+		}, func(u int, r *Result) {
+			if r != nil {
+				folded = append(folded, u)
+			}
+		})
+		if got := fmt.Sprint(folded); got != "[0 2 3 5]" {
+			t.Errorf("workers=%d: folded %s, want the four healthy UAVs in order", workers, got)
+		}
+		for u, want := range map[int]string{1: "fleet uav 1 panicked: phase 1", 4: "fleet uav 4 panicked: phase 3"} {
+			if errs[u] == nil || errs[u].Error() != want {
+				t.Errorf("workers=%d: errs[%d] = %v, want %q", workers, u, errs[u], want)
+			}
+		}
+		if failedSeen != 2 {
+			t.Errorf("workers=%d: observer saw %d failed UAVs, want 2", workers, failedSeen)
 		}
 	}
 }

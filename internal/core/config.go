@@ -112,12 +112,6 @@ type Config struct {
 	// AQM enables a CoDel queue manager on the bottleneck buffer instead
 	// of the operator's deep FIFO (the bufferbloat mitigation).
 	AQM bool
-	// Multipath duplicates the stream over both operators' access links
-	// (the multipath-transport reliability idea); the receiver plays the
-	// first copy of each packet. It is the compat alias for
-	// Bond.Policy = bond.PolicyDuplicate.
-	Multipath bool
-
 	// Bond arms dual-operator link bonding (internal/bond): a second radio
 	// chain over the competing operator, a per-path health monitor with
 	// hysteresis, the selected scheduling policy (duplicate, failover,
@@ -154,18 +148,6 @@ type Config struct {
 	// capacity by the fleet scheduler's share for this UAV at a given sim
 	// time (internal/cell.Contend). It must be a pure function of time.
 	CapacityShare func(time.Duration) float64
-}
-
-// bondConfig resolves the effective bonding configuration: Bond wins when
-// armed, otherwise the legacy Multipath flag maps to the duplicate policy.
-func (c Config) bondConfig() bond.Config {
-	if c.Bond.Enabled() {
-		return c.Bond
-	}
-	if c.Multipath {
-		return bond.Config{Policy: bond.PolicyDuplicate}
-	}
-	return bond.Config{}
 }
 
 // watchdogTimeout resolves the feedback-starvation threshold when the

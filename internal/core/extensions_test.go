@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rpivideo/internal/bond"
 	"rpivideo/internal/cell"
 )
 
@@ -27,7 +28,8 @@ func TestDAPSRemovesExecutionGaps(t *testing.T) {
 }
 
 func TestMultipathDeduplicates(t *testing.T) {
-	r := Run(Config{Env: cell.Rural, Air: true, CC: CCStatic, Seed: 5, Duration: 60 * time.Second, Multipath: true})
+	r := Run(Config{Env: cell.Rural, Air: true, CC: CCStatic, Seed: 5, Duration: 60 * time.Second,
+		Bond: bond.Config{Policy: bond.PolicyDuplicate}})
 	if r.MultipathDuplicates == 0 {
 		t.Fatal("no duplicate copies recorded on a dual-path run")
 	}
@@ -55,7 +57,8 @@ func TestAQMDropsCounted(t *testing.T) {
 }
 
 func TestExtensionsDeterministic(t *testing.T) {
-	cfg := Config{Env: cell.Rural, Air: true, CC: CCStatic, Seed: 11, Duration: 40 * time.Second, Multipath: true, DAPS: true, AQM: true}
+	cfg := Config{Env: cell.Rural, Air: true, CC: CCStatic, Seed: 11, Duration: 40 * time.Second,
+		Bond: bond.Config{Policy: bond.PolicyDuplicate}, DAPS: true, AQM: true}
 	a, b := Run(cfg), Run(cfg)
 	if a.MultipathDuplicates != b.MultipathDuplicates || a.AQMDrops != b.AQMDrops ||
 		a.PacketsDelivered != b.PacketsDelivered {

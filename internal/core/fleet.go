@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"rpivideo/internal/cell"
@@ -191,47 +189,6 @@ func shareLookup(shares []float64, epoch time.Duration) func(time.Duration) floa
 	}
 }
 
-// fleetFan runs fn(0..n-1) across a bounded worker pool, recovering each
-// index's panic into errs[i]. Indexed slice writes need no locking.
-func fleetFan(workers, n int, errs []error, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	runOne := func(i int) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				errs[i] = fmt.Errorf("fleet uav %d panicked: %v", i, rec)
-			}
-		}()
-		fn(i)
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			runOne(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
 // RunFleet executes N concurrent flights against one shared base-station
 // map in a single process, in three phases:
 //
@@ -258,7 +215,7 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 		fc.OverloadShare = 0.25
 	}
 	base := fc.Config
-	if base.bondConfig().Enabled() {
+	if base.Bond.Enabled() {
 		return nil, []error{errors.New("fleet: bonded configs are not supported (contention models the single-operator chain)")}
 	}
 	cells := cell.Deployment(base.Env, base.Op, sim.New(base.Seed).Stream("fleet-deploy"))
@@ -293,17 +250,19 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	}
 
 	errs := make([]error, fc.Size)
+	exec := executor{workers: fc.Workers, unit: "fleet uav"}
 
-	// Phase 1: attachment timelines.
+	// Phase 1: attachment timelines. Nothing is published yet: the status
+	// view starts with the cell table phase 2 produces.
 	timelines := make([][]cell.AttachSample, fc.Size)
-	fleetFan(fc.Workers, fc.Size, errs, func(u int) {
+	exec.run(errs, func(u int) *Result {
 		timelines[u] = attachTimeline(cfgs[u], dur, fc.Epoch, nEpochs)
-	})
-	for u, tl := range timelines {
-		if tl == nil {
+		return nil
+	}, func(u int, _ *Result) {
+		if timelines[u] == nil {
 			timelines[u] = []cell.AttachSample{} // failed UAV: never attached
 		}
-	}
+	})
 
 	// Phase 2: the scheduling fold.
 	ct := cell.Contend(timelines, cells, fc.Sched, fc.OverloadShare, fc.Epoch, fc.Events)
@@ -337,70 +296,10 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	}
 
 	// Phase 3: full runs with the shares installed, folded in UAV-index
-	// order through the same pending-map the campaign engine uses.
-	var (
-		mu        sync.Mutex
-		pending   = make(map[int]*Result)
-		next      int
-		completed int
-		failed    int
-		simSecs   float64
-	)
-	start := time.Now()
-	fold := func(u int, res *Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		pending[u] = res // nil marks a failed UAV so index order advances
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if r != nil {
-				fr.Summary.AddResult(r)
-				fr.metrics.Merge(r.MetricsRegistry())
-				fr.PerUAVGoodput.Add(r.Goodput.Mean())
-			}
-			next++
-		}
-		completed++
-		if errs[u] != nil {
-			failed++
-		}
-		if res != nil {
-			simSecs += res.Duration.Seconds()
-		}
-		if fc.Progress == nil && fc.StatusSink == nil {
-			return
-		}
-		p := CampaignProgress{Completed: completed, Total: fc.Size, RunIndex: u, Err: errs[u], Wall: time.Since(start)}
-		if w := p.Wall.Seconds(); w > 0 {
-			p.SimRate = simSecs / w
-		}
-		if fc.Progress != nil {
-			fc.Progress(p)
-		}
-		if fc.StatusSink != nil {
-			if res != nil {
-				reg := res.MetricsRegistry()
-				if res.Telemetry != nil {
-					reg.Merge(res.Telemetry)
-				}
-				fc.StatusSink.ObserveRun(reg)
-			}
-			s := campaignSnapshot(p, failed)
-			s.Mode = "fleet"
-			s.Cells = cellStatuses
-			fc.StatusSink.PublishStatus(s)
-		}
-	}
-	fleetFan(fc.Workers, fc.Size, errs, func(u int) {
-		var res *Result
-		defer func() { fold(u, res) }()
-		if errs[u] != nil {
-			return // phase 1 already failed this UAV
-		}
+	// order. A UAV that failed phase 1 keeps its error and is not run.
+	exec.progress, exec.sink = fc.Progress, fc.StatusSink
+	exec.decorate = func(s *obs.StatusSnapshot) { s.Mode, s.Cells = "fleet", cellStatuses }
+	exec.run(errs, func(u int) *Result {
 		c := cfgs[u]
 		c.CapacityShare = shareLookup(ct.Shares[u], fc.Epoch)
 		r := Run(c)
@@ -409,7 +308,13 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 		// the 500-way-shared deployment slice.
 		r.Config.CapacityShare = nil
 		r.Config.Cells = nil
-		res = r
+		return r
+	}, func(_ int, r *Result) {
+		if r != nil {
+			fr.Summary.AddResult(r)
+			fr.metrics.Merge(r.MetricsRegistry())
+			fr.PerUAVGoodput.Add(r.Goodput.Mean())
+		}
 	})
 
 	fr.finishMetrics()

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"rpivideo/internal/bond"
 	"rpivideo/internal/cell"
 	"rpivideo/internal/fault"
+	"rpivideo/internal/obs"
 )
 
 func fleetTestConfig() Config {
@@ -125,10 +128,36 @@ func TestFleetContentionMonotonic(t *testing.T) {
 // second path.
 func TestFleetRejectsBondedConfigs(t *testing.T) {
 	cfg := fleetTestConfig()
-	cfg.Multipath = true
+	cfg.Bond = bond.Config{Policy: bond.PolicyDuplicate}
 	fr, errs := RunFleet(FleetConfig{Config: cfg, Size: 2})
 	if fr != nil || len(errs) != 1 || errs[0] == nil {
 		t.Fatalf("bonded fleet: fr=%v errs=%v, want nil result and one error", fr, errs)
+	}
+}
+
+// TestFleetUAVPanicsLandInErrs: UAVs whose runs panic come back as errors
+// naming the UAV, are missing from the aggregate and are counted on the
+// status surface — the fleet itself still returns its result.
+func TestFleetUAVPanicsLandInErrs(t *testing.T) {
+	cfg := fleetTestConfig()
+	// A negative SCReAM feedback interval makes sim.Every panic inside Run.
+	cfg.CC, cfg.ScreamFeedbackInterval = CCSCReAM, -time.Millisecond
+	const size = 3
+	tel := obs.NewTelemetry()
+	fr, errs := RunFleet(FleetConfig{Config: cfg, Size: size, Workers: 2, StatusSink: tel})
+	if fr == nil || len(errs) != size {
+		t.Fatalf("fr=%v, %d errs; want a result and %d error slots", fr, len(errs), size)
+	}
+	for u, err := range errs {
+		if want := fmt.Sprintf("fleet uav %d panicked", u); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("errs[%d] = %v, want %q", u, err, want)
+		}
+	}
+	if fr.Summary.Runs != 0 || fr.PerUAVGoodput.N() != 0 {
+		t.Errorf("failed UAVs folded: runs=%d goodput samples=%d", fr.Summary.Runs, fr.PerUAVGoodput.N())
+	}
+	if st, _ := tel.Status(); st.RunErrors != size || !st.Done || st.Mode != "fleet" {
+		t.Errorf("terminal snapshot %+v, want %d run errors, done, mode fleet", st, size)
 	}
 }
 

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
+	"encoding/json"
 	"sync/atomic"
 	"time"
 
@@ -24,86 +22,129 @@ import (
 // order (Summarize and RunCampaignSummary do) so float accumulation order
 // — and therefore every exported byte — is independent of scheduling.
 type Summary struct {
-	Config   Config // first folded run's config
-	Runs     int
-	Duration time.Duration
+	// Config is the first folded run's config. It does not travel on the
+	// wire: the campaign spec, which both sides of a distributed campaign
+	// hold, identifies the configuration, and Config carries fields (the
+	// fleet CapacityShare hook in particular) that have no JSON form.
+	Config   Config        `json:"-"`
+	Runs     int           `json:"runs"`
+	Duration time.Duration `json:"duration"`
 
 	// Distribution aggregates, mirroring Result's Dist fields.
-	OWDms      metrics.Sketch
-	OWDByAlt   [altBuckets]metrics.Sketch
-	Goodput    metrics.Sketch
-	FPS        metrics.Sketch
-	PlaybackMs metrics.Sketch
-	SSIM       metrics.Sketch
-	RTTms      metrics.Sketch
-	RTTByAlt   [altBuckets]metrics.Sketch
-	JitterMs   metrics.Sketch
-	RTCPRTTms  metrics.Sketch
-	OutageMs   metrics.Sketch
-	RecoveryMs metrics.Sketch
+	OWDms      metrics.Sketch             `json:"owd_ms"`
+	OWDByAlt   [altBuckets]metrics.Sketch `json:"owd_by_alt"`
+	Goodput    metrics.Sketch             `json:"goodput"`
+	FPS        metrics.Sketch             `json:"fps"`
+	PlaybackMs metrics.Sketch             `json:"playback_ms"`
+	SSIM       metrics.Sketch             `json:"ssim"`
+	RTTms      metrics.Sketch             `json:"rtt_ms"`
+	RTTByAlt   [altBuckets]metrics.Sketch `json:"rtt_by_alt"`
+	JitterMs   metrics.Sketch             `json:"jitter_ms"`
+	RTCPRTTms  metrics.Sketch             `json:"rtcp_rtt_ms"`
+	OutageMs   metrics.Sketch             `json:"outage_ms"`
+	RecoveryMs metrics.Sketch             `json:"recovery_ms"`
 
 	// Packet accounting.
-	PER                                                   float64
-	PacketsSent, PacketsDelivered, PacketsLost, Overflows int
-	CtrlPacketsSent, CtrlPacketsDelivered                 int
-	CtrlPacketsLost                                       int
+	PER                  float64 `json:"per"`
+	PacketsSent          int     `json:"packets_sent"`
+	PacketsDelivered     int     `json:"packets_delivered"`
+	PacketsLost          int     `json:"packets_lost"`
+	Overflows            int     `json:"overflows"`
+	CtrlPacketsSent      int     `json:"ctrl_packets_sent"`
+	CtrlPacketsDelivered int     `json:"ctrl_packets_delivered"`
+	CtrlPacketsLost      int     `json:"ctrl_packets_lost"`
 
 	// Radio events (counts; per-event detail stays in the per-run Results).
-	Handovers        int
-	RLFs             int
-	HandoverFailures int
+	Handovers        int `json:"handovers"`
+	RLFs             int `json:"rlfs"`
+	HandoverFailures int `json:"handover_failures"`
 
 	// Video.
-	Stalls        int
-	StallsPerMin  float64
-	FramesPlayed  int
-	FramesSkipped int
+	Stalls        int     `json:"stalls"`
+	StallsPerMin  float64 `json:"stalls_per_min"`
+	FramesPlayed  int     `json:"frames_played"`
+	FramesSkipped int     `json:"frames_skipped"`
 
 	// Extensions.
-	MultipathDuplicates int
-	AQMDrops            int
+	MultipathDuplicates int `json:"multipath_duplicates"`
+	AQMDrops            int `json:"aqm_drops"`
 
 	// Bonding (sums across runs; per-path detail collapses to totals so
 	// the summary footprint stays O(1) in the run count).
-	BondSwitches       int
-	BondPathDownEvents int
-	BondPathUpEvents   int
-	BondReorderLate    int
-	BondReorderForced  int
+	BondSwitches       int `json:"bond_switches"`
+	BondPathDownEvents int `json:"bond_path_down_events"`
+	BondPathUpEvents   int `json:"bond_path_up_events"`
+	BondReorderLate    int `json:"bond_reorder_late"`
+	BondReorderForced  int `json:"bond_reorder_forced"`
 	// Per-path counters summed over runs AND paths: the campaign-level
 	// overhead ratio is BondPathSent / (BondPathDelivered - BondPathSuppressed).
-	BondPathSent, BondPathDelivered, BondPathLost, BondPathSuppressed int64
-	BondPathDownMs                                                    float64
+	BondPathSent       int64   `json:"bond_path_sent"`
+	BondPathDelivered  int64   `json:"bond_path_delivered"`
+	BondPathLost       int64   `json:"bond_path_lost"`
+	BondPathSuppressed int64   `json:"bond_path_suppressed"`
+	BondPathDownMs     float64 `json:"bond_path_down_ms"`
 
 	// SCReAM internals.
-	ScreamLosses       int
-	ScreamLossesInBand int
-	ScreamLossesWindow int
-	ScreamDiscards     int
+	ScreamLosses       int `json:"scream_losses"`
+	ScreamLossesInBand int `json:"scream_losses_in_band"`
+	ScreamLossesWindow int `json:"scream_losses_window"`
+	ScreamDiscards     int `json:"scream_discards"`
 
 	// Faults.
-	Outages           int
-	OutageTotal       time.Duration
-	StaleDrops        int
-	KeyframeRequests  int
-	PostOutageQueueMs float64
-	FaultEpisodes     []fault.Episode
+	Outages           int             `json:"outages"`
+	OutageTotal       time.Duration   `json:"outage_total"`
+	StaleDrops        int             `json:"stale_drops"`
+	KeyframeRequests  int             `json:"keyframe_requests"`
+	PostOutageQueueMs float64         `json:"post_outage_queue_ms"`
+	FaultEpisodes     []fault.Episode `json:"fault_episodes,omitempty"`
 
 	// Repair.
-	NacksSent                                                   int
-	PacketsRepaired                                             int
-	FramesRepaired                                              int
-	RepairLate                                                  int
-	RepairAbandoned                                             int
-	RepairDenied                                                int
-	RepairCacheMisses                                           int
-	RtxBytes                                                    int
-	RepairBudgetAccrued                                         float64
-	RtxSent, RtxDelivered, RtxLost, RtxStaleDrops, RtxOverflows int
+	NacksSent           int     `json:"nacks_sent"`
+	PacketsRepaired     int     `json:"packets_repaired"`
+	FramesRepaired      int     `json:"frames_repaired"`
+	RepairLate          int     `json:"repair_late"`
+	RepairAbandoned     int     `json:"repair_abandoned"`
+	RepairDenied        int     `json:"repair_denied"`
+	RepairCacheMisses   int     `json:"repair_cache_misses"`
+	RtxBytes            int     `json:"rtx_bytes"`
+	RepairBudgetAccrued float64 `json:"repair_budget_accrued"`
+	RtxSent             int     `json:"rtx_sent"`
+	RtxDelivered        int     `json:"rtx_delivered"`
+	RtxLost             int     `json:"rtx_lost"`
+	RtxStaleDrops       int     `json:"rtx_stale_drops"`
+	RtxOverflows        int     `json:"rtx_overflows"`
 
 	// samplesFolded counts the raw distribution samples folded in — the
 	// memory a Dist-based merge would have retained (×8 bytes).
 	samplesFolded int64
+}
+
+// summaryWire is Summary without its methods, so the codec below can hand
+// the struct to encoding/json's derived encoding without recursing.
+type summaryWire Summary
+
+// MarshalJSON renders the summary for the distributed-campaign shard
+// stream: the tagged fields in declaration order, then samplesFolded so the
+// aggregation-stats watermarks survive the hop. The output is canonical —
+// a pure function of the folded runs and their fold grouping — so two
+// summaries built from the same shards in the same order marshal to
+// identical bytes (the sharded == serial merge-equivalence guarantee).
+func (s *Summary) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		*summaryWire
+		SamplesFolded int64 `json:"samples_folded"`
+	}{(*summaryWire)(s), s.samplesFolded})
+}
+
+// UnmarshalJSON overwrites s with a summary marshaled by MarshalJSON.
+// Config comes back zero; the consumer restores it from the campaign spec.
+// Merging the result behaves exactly like merging the original.
+func (s *Summary) UnmarshalJSON(data []byte) error {
+	*s = Summary{}
+	return json.Unmarshal(data, &struct {
+		*summaryWire
+		SamplesFolded *int64 `json:"samples_folded"`
+	}{(*summaryWire)(s), &s.samplesFolded})
 }
 
 // AddResult folds one run into the summary. Call in run-index order for
@@ -362,81 +403,8 @@ func Summarize(results []*Result) *Summary {
 // at any parallelism. Per-run panics land in the error slice, indexed by
 // run, with that run simply missing from the aggregate.
 func RunCampaignSummary(cfg Config, runs int, opts CampaignOptions) (*Summary, []error) {
-	if runs <= 0 {
-		return &Summary{}, nil
-	}
 	sum := &Summary{}
-	errs := make([]error, runs)
-	start := time.Now()
-	var (
-		mu        sync.Mutex
-		pending   = make(map[int]*Result)
-		next      int
-		completed int
-		simSecs   float64
-	)
-	done := func(i int, r *Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		pending[i] = r // nil marks a failed run so index order can advance
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			sum.AddResult(r)
-			next++
-		}
-		completed++
-		if r != nil {
-			simSecs += r.Duration.Seconds()
-		}
-		if opts.Progress != nil {
-			p := CampaignProgress{Completed: completed, Total: runs, RunIndex: i, Err: errs[i], Wall: time.Since(start)}
-			if w := p.Wall.Seconds(); w > 0 {
-				p.SimRate = simSecs / w
-			}
-			opts.Progress(p)
-		}
-	}
-	runOne := func(i int) {
-		c := cfg
-		c.Seed = opts.runSeed(cfg.Seed, i)
-		res, err := runGuarded(fmt.Sprintf("campaign run %d", i), opts.RunTimeout, func() *Result { return Run(c) })
-		errs[i] = err
-		done(i, res)
-	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > runs {
-		workers = runs
-	}
-	if workers == 1 {
-		for i := 0; i < runs; i++ {
-			runOne(i)
-		}
-		return sum, errs
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
-		}()
-	}
-	for i := 0; i < runs; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	errs := opts.run(cfg, runs, func(_ int, r *Result) { sum.AddResult(r) })
 	return sum, errs
 }
 

@@ -19,49 +19,96 @@ func telemetryTestConfig() Config {
 	}
 }
 
-// TestCampaignStatusSink: a campaign drives the sink to a terminal snapshot
-// with runs_done == runs_total, and every run's latency histograms reach the
-// merged registry.
-func TestCampaignStatusSink(t *testing.T) {
-	tel := obs.NewTelemetry()
-	tel.SetLabels("campaign", "test")
-	const runs = 3
-	_, errs := RunCampaignWithOptions(telemetryTestConfig(), runs, CampaignOptions{StatusSink: tel})
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, ok := tel.Status()
-	if !ok {
-		t.Fatal("campaign published no status")
-	}
-	if st.RunsDone != runs || st.RunsTotal != runs || !st.Done {
-		t.Errorf("terminal snapshot %+v, want %d/%d done", st, runs, runs)
-	}
-	if st.Mode != "campaign" {
-		t.Errorf("mode %q, want campaign", st.Mode)
-	}
-	if st.RunErrors != 0 {
-		t.Errorf("run errors %d, want 0", st.RunErrors)
-	}
-	if st.WallSeconds <= 0 || st.SimRate <= 0 {
-		t.Errorf("timing fields not populated: wall=%g rate=%g", st.WallSeconds, st.SimRate)
-	}
+// countingSink counts what an engine publishes on its way to the hub.
+type countingSink struct {
+	*obs.Telemetry
+	observed, published int
+}
 
-	reg := tel.SnapshotRegistry()
-	if got := reg.Counter("packets_sent"); got <= 0 {
-		t.Errorf("merged packets_sent counter = %d, want > 0", got)
+func (c *countingSink) ObserveRun(r *obs.Registry) {
+	c.observed++
+	c.Telemetry.ObserveRun(r)
+}
+
+func (c *countingSink) PublishStatus(s obs.StatusSnapshot) {
+	c.published++
+	c.Telemetry.PublishStatus(s)
+}
+
+// TestCampaignStatusSink: every campaign entry point — per-run results and
+// the streaming summary alike — drives the sink once per run to a terminal
+// snapshot with runs_done == runs_total, every run's latency histograms
+// reach the merged registry, and failed runs are counted, not observed.
+func TestCampaignStatusSink(t *testing.T) {
+	const runs = 3
+	entries := []struct {
+		name string
+		run  func(Config, CampaignOptions) []error
+	}{
+		{"RunCampaignWithOptions", func(cfg Config, o CampaignOptions) []error {
+			_, errs := RunCampaignWithOptions(cfg, runs, o)
+			return errs
+		}},
+		{"RunCampaignSummary", func(cfg Config, o CampaignOptions) []error {
+			_, errs := RunCampaignSummary(cfg, runs, o)
+			return errs
+		}},
 	}
-	for _, name := range []string{TelemetryFrameDelay, TelemetryQueueDelay} {
-		if reg.LogHistogram(name).Count() == 0 {
-			t.Errorf("log histogram %s is empty after %d runs", name, runs)
-		}
-	}
-	// A clean urban run has handovers but no repair traffic, so the NACK
-	// RTT histogram exists and stays empty — presence is the contract.
-	if reg.LogHistogram(TelemetryNackRTT) == nil {
-		t.Error("nack RTT histogram missing")
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			sink := &countingSink{Telemetry: obs.NewTelemetry()}
+			sink.SetLabels("campaign", "test")
+			for _, err := range e.run(telemetryTestConfig(), CampaignOptions{StatusSink: sink}) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sink.observed != runs || sink.published != runs {
+				t.Errorf("sink saw %d runs and %d snapshots, want %d of each", sink.observed, sink.published, runs)
+			}
+			st, ok := sink.Status()
+			if !ok {
+				t.Fatal("campaign published no status")
+			}
+			if st.RunsDone != runs || st.RunsTotal != runs || !st.Done {
+				t.Errorf("terminal snapshot %+v, want %d/%d done", st, runs, runs)
+			}
+			if st.Mode != "campaign" {
+				t.Errorf("mode %q, want campaign", st.Mode)
+			}
+			if st.RunErrors != 0 {
+				t.Errorf("run errors %d, want 0", st.RunErrors)
+			}
+			if st.WallSeconds <= 0 || st.SimRate <= 0 {
+				t.Errorf("timing fields not populated: wall=%g rate=%g", st.WallSeconds, st.SimRate)
+			}
+
+			reg := sink.SnapshotRegistry()
+			if got := reg.Counter("packets_sent"); got <= 0 {
+				t.Errorf("merged packets_sent counter = %d, want > 0", got)
+			}
+			for _, name := range []string{TelemetryFrameDelay, TelemetryQueueDelay} {
+				if reg.LogHistogram(name).Count() == 0 {
+					t.Errorf("log histogram %s is empty after %d runs", name, runs)
+				}
+			}
+			// A clean urban run has handovers but no repair traffic, so the NACK
+			// RTT histogram exists and stays empty — presence is the contract.
+			if reg.LogHistogram(TelemetryNackRTT) == nil {
+				t.Error("nack RTT histogram missing")
+			}
+
+			// A negative SCReAM feedback interval makes every run panic.
+			bad := telemetryTestConfig()
+			bad.CC, bad.ScreamFeedbackInterval = CCSCReAM, -time.Millisecond
+			failing := &countingSink{Telemetry: obs.NewTelemetry()}
+			e.run(bad, CampaignOptions{StatusSink: failing})
+			st, _ = failing.Status()
+			if failing.observed != 0 || failing.published != runs || st.RunErrors != runs || !st.Done {
+				t.Errorf("failing campaign: %d observed, %d published, terminal %+v; want 0, %d and %d run errors",
+					failing.observed, failing.published, st, runs, runs)
+			}
+		})
 	}
 }
 

@@ -45,7 +45,7 @@ func TestBaselineGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := RunScenario(sc, 0, 0)
+			results, err := RunScenarioWithOptions(sc, ScenarioOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestFleetBaselineGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunFleetScenario(sc, 0, 0)
+	fr, err := RunFleetScenarioWithOptions(sc, ScenarioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

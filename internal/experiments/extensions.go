@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"rpivideo/internal/bond"
 	"rpivideo/internal/cell"
 	"rpivideo/internal/core"
 )
@@ -68,7 +69,7 @@ func ExtMultipath(o Options) *Report {
 	r := &Report{ID: "ext-mpath", Title: "Multipath duplication over both operators (§5 extension)"}
 	base := core.Config{Env: cell.Rural, Air: true, CC: core.CCStatic, Seed: o.Seed}
 	mp := base
-	mp.Multipath = true
+	mp.Bond = bond.Config{Policy: bond.PolicyDuplicate}
 	single := campaign(base, o)
 	dual := campaign(mp, o)
 	r.row("single path (P1):   <300ms %.0f%%  owd p99 %5.0f ms  skipped %3d  stalls %.2f/min",

@@ -28,7 +28,7 @@ func TestGoldenTraces(t *testing.T) {
 			if sc.Fleet > 0 {
 				// Fleet scenarios pin the cell event timeline (the fleet
 				// counterpart of the per-run trace) and the merged registry.
-				fr, err := RunFleetScenario(sc, 0, 0)
+				fr, err := RunFleetScenarioWithOptions(sc, ScenarioOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -39,7 +39,7 @@ func TestGoldenTraces(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				results, err := RunScenario(sc, 0, 0)
+				results, err := RunScenarioWithOptions(sc, ScenarioOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -30,7 +30,7 @@ type Scenario struct {
 	// Fleet, when positive, makes this a fleet scenario: Fleet UAVs run
 	// against one shared base-station map (core.RunFleet) instead of a
 	// campaign of independent runs. Sched selects the per-cell PRB
-	// scheduler. Fleet scenarios go through RunFleetScenario.
+	// scheduler. Fleet scenarios go through RunFleetScenarioWithOptions.
 	Fleet int
 	Sched cell.SchedulerKind
 }
@@ -152,7 +152,7 @@ func ScenarioByName(name string) (Scenario, error) {
 }
 
 // ScenarioOptions tunes scenario execution beyond the scenario's own
-// definition. The zero value reproduces the plain RunScenario behavior.
+// definition. The zero value runs the scenario exactly as pinned.
 type ScenarioOptions struct {
 	// Seed overrides the scenario's base seed when non-zero.
 	Seed int64
@@ -169,18 +169,12 @@ type ScenarioOptions struct {
 	StatusSink obs.StatusSink
 }
 
-// RunScenario executes the scenario's campaign with tracing enabled and
-// returns the per-run results in run-index order. seed overrides the
-// scenario's base seed when non-zero; workers is the campaign worker count
-// (0 = one per CPU). Results are identical at any worker count.
-func RunScenario(sc Scenario, seed int64, workers int) ([]*core.Result, error) {
-	return RunScenarioWithOptions(sc, ScenarioOptions{Seed: seed, Workers: workers})
-}
-
-// RunScenarioWithOptions is RunScenario with the full option set.
+// RunScenarioWithOptions executes the scenario's campaign with tracing
+// enabled and returns the per-run results in run-index order. Results are
+// identical at any worker count.
 func RunScenarioWithOptions(sc Scenario, o ScenarioOptions) ([]*core.Result, error) {
 	if sc.Fleet > 0 {
-		return nil, fmt.Errorf("scenario %s is a fleet scenario: use RunFleetScenario", sc.Name)
+		return nil, fmt.Errorf("scenario %s is a fleet scenario: use RunFleetScenarioWithOptions", sc.Name)
 	}
 	cfg := sc.Config
 	cfg.Trace = true
@@ -200,19 +194,12 @@ func RunScenarioWithOptions(sc Scenario, o ScenarioOptions) ([]*core.Result, err
 	return results, nil
 }
 
-// RunFleetScenario executes a fleet scenario: sc.Fleet UAVs on one shared
-// base-station map under sc.Sched, with the per-cell event timeline always
-// recorded (it is the fleet counterpart of the per-run trace). seed
-// overrides the scenario's base seed when non-zero; workers caps the
-// per-UAV phases (0 = one per CPU). The result is byte-identical at any
+// RunFleetScenarioWithOptions executes a fleet scenario: sc.Fleet UAVs on
+// one shared base-station map under sc.Sched, with the per-cell event
+// timeline always recorded (it is the fleet counterpart of the per-run
+// trace). ScenarioOptions.Runs is ignored: a fleet's size is the
+// scenario's, not a campaign length. The result is byte-identical at any
 // worker count.
-func RunFleetScenario(sc Scenario, seed int64, workers int) (*core.FleetResult, error) {
-	return RunFleetScenarioWithOptions(sc, ScenarioOptions{Seed: seed, Workers: workers})
-}
-
-// RunFleetScenarioWithOptions is RunFleetScenario with the full option set.
-// ScenarioOptions.Runs is ignored: a fleet's size is the scenario's, not a
-// campaign length.
 func RunFleetScenarioWithOptions(sc Scenario, o ScenarioOptions) (*core.FleetResult, error) {
 	if sc.Fleet <= 0 {
 		return nil, fmt.Errorf("scenario %s is not a fleet scenario", sc.Name)

@@ -122,10 +122,8 @@ func ParseFaultSchedule(spec string) ([]FaultWindow, error) { return fault.Parse
 
 // BondConfig arms dual-operator link bonding on a run via Config.Bond: a
 // second radio chain over the competing operator, a per-path health
-// monitor and a scheduling policy. The zero value disables bonding (the
-// legacy Config.Multipath flag remains as an alias for the duplicate
-// policy). See internal/bond for field docs and DESIGN.md §9 for the
-// model.
+// monitor and a scheduling policy. The zero value disables bonding. See
+// internal/bond for field docs and DESIGN.md §9 for the model.
 type BondConfig = bond.Config
 
 // BondPolicy selects the bonding scheduler.
