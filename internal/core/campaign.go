@@ -159,9 +159,11 @@ type executor struct {
 	unit     string        // names job i in its error: "campaign run 3"
 	progress func(CampaignProgress)
 	sink     obs.StatusSink
-	// decorate, when non-nil, stamps each status snapshot before it is
-	// published (the fleet adds its mode and cell table).
-	decorate func(*obs.StatusSnapshot)
+	// mode and cells are stamped on every published snapshot. Campaigns
+	// leave both zero (the sink labels the mode); a fleet sets "fleet" and
+	// its per-cell contention table.
+	mode  string
+	cells []obs.CellStatus
 }
 
 // run executes job(i) for every i in [0, len(errs)), filling errs[i]. A job
@@ -224,9 +226,7 @@ func (e executor) run(errs []error, job func(i int) *Result, fold func(i int, r 
 				e.sink.ObserveRun(reg)
 			}
 			s := campaignSnapshot(p, failed)
-			if e.decorate != nil {
-				e.decorate(&s)
-			}
+			s.Mode, s.Cells = e.mode, e.cells
 			e.sink.PublishStatus(s)
 		}
 	}

@@ -298,7 +298,7 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	// Phase 3: full runs with the shares installed, folded in UAV-index
 	// order. A UAV that failed phase 1 keeps its error and is not run.
 	exec.progress, exec.sink = fc.Progress, fc.StatusSink
-	exec.decorate = func(s *obs.StatusSnapshot) { s.Mode, s.Cells = "fleet", cellStatuses }
+	exec.mode, exec.cells = "fleet", cellStatuses
 	exec.run(errs, func(u int) *Result {
 		c := cfgs[u]
 		c.CapacityShare = shareLookup(ct.Shares[u], fc.Epoch)
