@@ -18,10 +18,11 @@ import (
 	"rpivideo/internal/repair"
 )
 
-// updateWire regenerates testdata/summary.wire.json instead of comparing:
+// updateWire regenerates the package's checked-in testdata
+// (summary.wire.json, resilient-75s.metrics.json) instead of comparing:
 //
 //	go test ./internal/core -run TestSummaryJSONRoundTrip -update
-var updateWire = flag.Bool("update", false, "rewrite testdata/summary.wire.json")
+var updateWire = flag.Bool("update", false, "rewrite the goldens under testdata/")
 
 // TestSummaryMatchesMerge: the sketch-based campaign aggregate must agree
 // with the sample-retaining Merge on every field the experiments consume —
