@@ -87,3 +87,28 @@ func BenchmarkRunUrbanGCCFaults(b *testing.B) {
 func BenchmarkRunRuralSCReAM(b *testing.B) {
 	benchRun(b, Config{Env: cell.Rural, Op: cell.P1, CC: CCSCReAM, Seed: 1, Duration: 30 * time.Second})
 }
+
+// BenchmarkDedup is one packet of a duplicate-policy bonded stream through
+// the deduplicator: the first copy, then the slower path's copy three
+// packets behind, the 16-bit sequence wrapping every 65 536 packets.
+// TestDedupMemoryHardBound pins its allocations at zero.
+func BenchmarkDedup(b *testing.B) {
+	d := newMultipathDedup()
+	for i := 0; i < 2*dedupHorizon; i++ { // past the horizon: the cursor is moving
+		d.Duplicate(uint16(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	fresh := 0
+	for i := 2 * dedupHorizon; i < 2*dedupHorizon+b.N; i++ {
+		if !d.Duplicate(uint16(i)) {
+			fresh++
+		}
+		if !d.Duplicate(uint16(i - 3)) {
+			fresh++
+		}
+	}
+	if fresh != b.N {
+		b.Fatalf("%d fresh packets of %d", fresh, b.N)
+	}
+}

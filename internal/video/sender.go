@@ -164,35 +164,44 @@ func (s *Sender) tick() {
 	s.Kick()
 }
 
-// frameInfo is one frame's encoder-side data needed by the SSIM model.
-type frameInfo struct {
-	rate       float64
-	complexity float64
+// frameRegistry remembers the encoder-side data of the last frameWindow
+// frames in a ring indexed by frame number: registering is one store, and a
+// lookup validates the stored number, so there is nothing to scan or delete.
+// A slot is overwritten frameSlots frames later; because frameSlots exceeds
+// frameWindow, a frame inside the window is never overwritten, and one
+// outside it is refused by the window check whether or not its slot has
+// been reused yet.
+type frameRegistry struct {
+	slots  [frameSlots]frameSlot
+	latest uint32 // the most recently registered frame number
 }
 
-type frameRegistry map[uint32]frameInfo
+type frameSlot struct {
+	num              uint32
+	set              bool
+	rate, complexity float64
+}
+
+const (
+	// frameWindow is how far behind the newest frame FrameEncoding still
+	// answers: ~40 s of video, far beyond any playout delay.
+	frameWindow = 1200
+	frameSlots  = 1 << 11
+)
 
 func (s *Sender) registerFrame(f Frame) {
-	if s.frames == nil {
-		s.frames = make(frameRegistry)
-	}
-	s.frames[f.Num] = frameInfo{rate: f.Rate, complexity: f.Complexity}
-	// Bound memory: drop entries older than ~40 s of video.
-	if len(s.frames) > 1200 {
-		cut := f.Num - 1200
-		for n := range s.frames {
-			if n < cut {
-				delete(s.frames, n)
-			}
-		}
-	}
+	s.frames.latest = f.Num
+	s.frames.slots[f.Num%frameSlots] = frameSlot{num: f.Num, set: true, rate: f.Rate, complexity: f.Complexity}
 }
 
 // FrameEncoding returns the encoder rate and complexity of a frame, with
 // ok=false when it is no longer tracked.
 func (s *Sender) FrameEncoding(num uint32) (rate, complexity float64, ok bool) {
-	fi, ok := s.frames[num]
-	return fi.rate, fi.complexity, ok
+	fs := &s.frames.slots[num%frameSlots]
+	if !fs.set || fs.num != num || s.frames.latest-num > frameWindow {
+		return 0, 0, false
+	}
+	return fs.rate, fs.complexity, true
 }
 
 // Kick restarts the drain loop; the session calls it when feedback arrives
