@@ -212,9 +212,21 @@ func (p *Player) OnRepairedPacket(pkt *rtp.Packet, at time.Duration) {
 }
 
 func (p *Player) ingest(pkt *rtp.Packet, at time.Duration, repaired bool) {
-	fs, err := p.depkt.Push(pkt, at)
+	meta, err := rtp.ParsePacketMeta(pkt.Payload)
 	if err != nil {
-		return // not a media packet, or a duplicate slot
+		return // not a media packet
+	}
+	// A packet of a frame already played or skipped (a late original, or an
+	// RTX landing after the skip) is counted below but gets no reassembly
+	// state: nothing would ever delete it.
+	if !p.started || meta.FrameNum >= p.nextPlay {
+		fs, err := p.depkt.Push(pkt, at)
+		if err != nil {
+			return // a duplicate slot
+		}
+		if repaired {
+			fs.Repaired = true
+		}
 	}
 	if p.cfg.KeyframeRecovery && p.haveKFRequest && at-p.lastArrivalAt > p.kfInterval() {
 		// The stream is resuming after a dead span longer than the limiter
@@ -225,7 +237,6 @@ func (p *Player) ingest(pkt *rtp.Packet, at time.Duration, repaired bool) {
 	}
 	p.lastArrivalAt = at
 	if repaired {
-		fs.Repaired = true
 		p.PacketsRepaired++
 	}
 	p.arrivals++
@@ -240,10 +251,10 @@ func (p *Player) ingest(pkt *rtp.Packet, at time.Duration, repaired bool) {
 	p.rateBins[sec%4] += pkt.MarshalSize()
 	if !p.started {
 		p.started = true
-		p.nextPlay = fs.Num
-		p.highestSeen = fs.Num
-	} else if fs.Num > p.highestSeen {
-		p.highestSeen = fs.Num
+		p.nextPlay = meta.FrameNum
+		p.highestSeen = meta.FrameNum
+	} else if meta.FrameNum > p.highestSeen {
+		p.highestSeen = meta.FrameNum
 	}
 }
 

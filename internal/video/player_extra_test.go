@@ -246,3 +246,39 @@ func TestKeyframeRequestLimiterResetsAfterBlackout(t *testing.T) {
 		t.Errorf("post-recovery request at %v, want immediately after the 700 ms resume", requests[1])
 	}
 }
+
+// TestPlayerLatePacketsLeaveNoState: a packet that arrives after its frame
+// was played or skipped (a late original, or an RTX landing after the skip)
+// is counted as received but must not leave reassembly state behind — the
+// depacketizer used to re-create a FrameState nothing ever deleted, one per
+// late frame for the rest of the flight.
+func TestPlayerLatePacketsLeaveNoState(t *testing.T) {
+	s := sim.New(7)
+	snd := NewSender(s, DefaultSenderConfig(), cc.NewStatic(8e6), s.Stream("enc"))
+	pl := NewPlayer(s, DefaultPlayerConfig(), DefaultSSIMModel(), snd.FrameEncoding)
+	sent, maxPending := 0, 0
+	snd.Transmit = func(p *rtp.Packet, size int) {
+		sent++
+		delay := 40 * time.Millisecond
+		if sent%50 == 0 {
+			delay = 2 * time.Second // far past the jitter buffer and the give-up grace
+		}
+		s.After(delay, func() {
+			pl.OnPacket(p, s.Now())
+			if n := pl.depkt.Pending(); n > maxPending {
+				maxPending = n
+			}
+		})
+	}
+	snd.Start()
+	s.RunUntil(60 * time.Second)
+	if len(pl.Frames) < 1700 || pl.PacketsReceived() < sent-200 {
+		t.Fatalf("%d frames, %d of %d packets received: the late packets must still count", len(pl.Frames), pl.PacketsReceived(), sent)
+	}
+	// In flight at once: ~40 ms of frames, the jitter buffer, and a partial
+	// frame or two waiting out its give-up grace.
+	if maxPending > 16 {
+		t.Errorf("depacketizer held up to %d frame states (%d at the end) over %d frames: late packets leak state",
+			maxPending, pl.depkt.Pending(), len(pl.Frames))
+	}
+}
