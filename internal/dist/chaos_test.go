@@ -110,27 +110,48 @@ func requireByteIdentical(t *testing.T, want [][]byte, out *Outcome) {
 	}
 }
 
-// runChaosCampaign executes a subprocess campaign, SIGKILLing the worker
-// processes listed in kills as chunk completions land, and returns the
-// outcome and metrics.
-func runChaosCampaign(t *testing.T, workers, runs, chunk int, seed uint64, kills []int) (*Outcome, *obs.Registry) {
+// runChaosCampaign executes a subprocess campaign, SIGKILLing kills worker
+// processes as chunk completions land, and returns the outcome and metrics.
+func runChaosCampaign(t *testing.T, workers, runs, chunk int, seed uint64, kills int) (*Outcome, *obs.Registry) {
 	t.Helper()
 	peers, pids := startChaosWorkers(t, workers)
 
-	// The chaos injector: each configured kill fires after one more chunk
-	// has been committed, so workers die mid-campaign with work in flight —
-	// SIGKILL straight to the pid, not through the coordinator's Peer.
+	// The chaos injector: each kill is armed by one more committed chunk and
+	// lands on a worker that holds a lease at that instant — the most
+	// recently granted one, or, when none holds one, the next to be granted —
+	// so every kill takes work in flight with it. A fixed victim could be
+	// idle between leases when its turn came, and then nothing was
+	// re-issued. SIGKILL goes straight to the pid, not through the
+	// coordinator's Peer.
 	var mu sync.Mutex
-	next := 0
-	events := func(e Event) {
-		if e.Kind != EvChunkDone {
-			return
+	fired, armed := 0, 0 // kills landed, kills waiting for a lease holder
+	var holders []int    // workers holding a lease, oldest grant first
+	release := func(w int) {
+		for i, h := range holders {
+			if h == w {
+				holders = append(holders[:i], holders[i+1:]...)
+				return
+			}
 		}
+	}
+	events := func(e Event) {
 		mu.Lock()
 		defer mu.Unlock()
-		if next < len(kills) {
-			syscall.Kill(pids[kills[next]], syscall.SIGKILL)
-			next++
+		switch e.Kind {
+		case EvGrant:
+			holders = append(holders, e.Worker)
+		case EvChunkDone, EvChunkDuplicate, EvWorkerLost:
+			release(e.Worker)
+			if e.Kind == EvChunkDone && fired+armed < kills {
+				armed++
+			}
+		}
+		if armed > 0 && len(holders) > 0 {
+			victim := holders[len(holders)-1]
+			release(victim)
+			syscall.Kill(pids[victim], syscall.SIGKILL)
+			fired++
+			armed--
 		}
 	}
 
@@ -145,10 +166,9 @@ func runChaosCampaign(t *testing.T, workers, runs, chunk int, seed uint64, kills
 		t.Fatalf("Run: %v", err)
 	}
 	mu.Lock()
-	fired := next
-	mu.Unlock()
-	if fired != len(kills) {
-		t.Fatalf("only %d of %d chaos kills fired — campaign too short for the injection plan", fired, len(kills))
+	defer mu.Unlock()
+	if fired != kills {
+		t.Fatalf("only %d of %d chaos kills fired — campaign too short for the injection plan", fired, kills)
 	}
 	return out, reg
 }
@@ -165,17 +185,17 @@ func TestChaosSIGKILLByteIdentical(t *testing.T) {
 		name                 string
 		workers, runs, chunk int
 		seed                 uint64
-		kills                []int
+		kills                int
 	}{
-		{name: "w4_c2_kill2", workers: 4, runs: 24, chunk: 2, seed: 0xc0ffee, kills: []int{1, 3}},
-		{name: "w3_c1_kill1", workers: 3, runs: 18, chunk: 1, seed: 0xdecade, kills: []int{0}},
+		{name: "w4_c2_kill2", workers: 4, runs: 24, chunk: 2, seed: 0xc0ffee, kills: 2},
+		{name: "w3_c1_kill1", workers: 3, runs: 18, chunk: 1, seed: 0xdecade, kills: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			out, reg := runChaosCampaign(t, tc.workers, tc.runs, tc.chunk, tc.seed, tc.kills)
 			requireByteIdentical(t, expectedShards(tc.seed, tc.runs), out)
-			if lost := reg.Counter("dist_workers_lost"); lost != int64(len(tc.kills)) {
-				t.Fatalf("dist_workers_lost = %d, want %d", lost, len(tc.kills))
+			if lost := reg.Counter("dist_workers_lost"); lost != int64(tc.kills) {
+				t.Fatalf("dist_workers_lost = %d, want %d", lost, tc.kills)
 			}
 			if n := reg.Counter("dist_leases_reissued"); n < 1 {
 				t.Fatalf("dist_leases_reissued = %d, want >= 1 after SIGKILLs", n)
@@ -193,7 +213,7 @@ func TestChaosCleanRunReissuesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
 	}
-	out, reg := runChaosCampaign(t, 3, 12, 2, 0xfeed, nil)
+	out, reg := runChaosCampaign(t, 3, 12, 2, 0xfeed, 0)
 	requireByteIdentical(t, expectedShards(0xfeed, 12), out)
 	for _, zero := range []string{"dist_leases_reissued", "dist_workers_lost", "dist_lease_expiries", "dist_stragglers_killed", "dist_chunks_failed"} {
 		if n := reg.Counter(zero); n != 0 {
