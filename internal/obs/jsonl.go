@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"time"
+	"unicode/utf8"
 )
 
 // RunMeta heads one run's section of a JSONL trace export.
@@ -33,7 +34,7 @@ func WriteJSONL(w io.Writer, meta RunMeta, events []Event) error {
 	buf := make([]byte, 0, 256)
 
 	buf = append(buf, `{"kind":"meta","label":`...)
-	buf = strconv.AppendQuote(buf, meta.Label)
+	buf = appendJSONString(buf, meta.Label)
 	buf = append(buf, `,"run":`...)
 	buf = strconv.AppendInt(buf, int64(meta.Run), 10)
 	buf = append(buf, `,"seed":`...)
@@ -56,6 +57,39 @@ func WriteJSONL(w io.Writer, meta RunMeta, events []Event) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// appendJSONString renders s as a JSON string. strconv.AppendQuote is not
+// a substitute: its \x7f, \a and \xff escapes are Go syntax that a JSON
+// reader rejects. Printable ASCII — every label Config.Label() produces —
+// renders the same either way; an invalid UTF-8 byte becomes U+FFFD, which
+// is what encoding/json would read it back as anyway.
+func appendJSONString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		switch {
+		case c == '"' || c == '\\':
+			buf = append(buf, '\\', c)
+			i++
+		case c < 0x20:
+			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			i++
+		case c < utf8.RuneSelf:
+			buf = append(buf, c)
+			i++
+		default:
+			r, n := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && n == 1 {
+				buf = append(buf, `\ufffd`...)
+			} else {
+				buf = append(buf, s[i:i+n]...)
+			}
+			i += n
+		}
+	}
+	return append(buf, '"')
 }
 
 // appendEventJSON renders one event line. Key order is fixed: t_us, kind,
