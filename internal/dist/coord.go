@@ -435,6 +435,11 @@ func (c *coord) handle(env envelope) error {
 	m := env.msg
 	switch m.T {
 	case MsgReady:
+		if m.Proto != ProtoVersion {
+			w.peer.Kill()
+			c.markDead(env.worker, fmt.Sprintf("protocol version mismatch: worker %d, coordinator %d", m.Proto, ProtoVersion))
+			return nil
+		}
 		if w.phase == wStarting {
 			w.phase = wIdle
 			c.count("dist_workers_ready", 1)
@@ -488,7 +493,7 @@ func (c *coord) shard(wi int, m *Msg) {
 	}
 	rec := shardRec{err: m.Err}
 	if m.Err == "" {
-		rec.payload = append([]byte(nil), m.Payload...)
+		rec.payload = m.Payload // the decoder read it into a buffer of its own
 	}
 	ck.recs(wi)[m.Run] = rec
 	c.count("dist_shards_received", 1)

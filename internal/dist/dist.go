@@ -1,6 +1,6 @@
 // Package dist is the fault-tolerant distributed campaign engine: a
 // coordinator hands out leased run-index chunks to workers, workers execute
-// runs and stream result shards back over a JSON-lines protocol, and the
+// runs and stream result shards back over a length-framed protocol, and the
 // coordinator folds the committed shards in run-index order — so a sharded
 // campaign reproduces the serial one byte for byte at any worker count and
 // chunk size.

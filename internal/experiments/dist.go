@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -27,18 +28,38 @@ type DistSpec struct {
 	RunTimeout time.Duration `json:"run_timeout,omitempty"`
 }
 
-// distShard is one run's wire payload: the three byte-stable exports the
-// serial scenario path derives from a Result. Shards are per run — never
-// pre-merged per chunk — so the coordinator's fold applies the identical
-// float-accumulation grouping a serial campaign would.
-type distShard struct {
-	// Registry is the run's obs registry export (Result.MetricsRegistry
-	// rendered by WriteJSON).
-	Registry json.RawMessage `json:"registry"`
-	// Summary is the run's single-run core.Summary in its wire form.
-	Summary json.RawMessage `json:"summary"`
-	// Trace is the run's JSONL trace (meta line + events), byte-exact.
-	Trace []byte `json:"trace,omitempty"`
+// A shard — one run's wire payload — is the three byte-stable exports the
+// serial scenario path derives from a Result, laid end to end behind their
+// lengths:
+//
+//	registry_len summary_len trace_len   three big-endian uint64
+//	registry                             Result.MetricsRegistry, WriteJSON
+//	summary                              the run's single-run core.Summary, JSON
+//	trace                                the run's JSONL trace, byte-exact
+//
+// The worker renders each export straight into the one buffer it ships and
+// the fold slices them back out, so no export is escaped, re-scanned or
+// copied between the two. Shards are per run — never pre-merged per chunk —
+// so the coordinator's fold applies the identical float-accumulation
+// grouping a serial campaign would.
+const shardHeaderLen = 3 * 8
+
+// splitShard slices a shard into its sections. The lengths come from a peer,
+// so they are checked against what is there without arithmetic that a huge
+// length could wrap.
+func splitShard(raw []byte) (registry, summary, trace []byte, err error) {
+	if len(raw) < shardHeaderLen {
+		return nil, nil, nil, fmt.Errorf("shard of %d bytes is shorter than its %d-byte header", len(raw), shardHeaderLen)
+	}
+	a := binary.BigEndian.Uint64(raw[0:])
+	b := binary.BigEndian.Uint64(raw[8:])
+	c := binary.BigEndian.Uint64(raw[16:])
+	body := raw[shardHeaderLen:]
+	rest := uint64(len(body))
+	if a > rest || b > rest-a || c != rest-a-b {
+		return nil, nil, nil, fmt.Errorf("shard sections of %d, %d and %d bytes do not add up to its %d-byte body", a, b, c, rest)
+	}
+	return body[:a], body[a : a+b], body[a+b:], nil
 }
 
 // resolveDistConfig resolves a spec to the run configuration the serial
@@ -83,23 +104,33 @@ func (DistRunner) Run(rawSpec json.RawMessage, run int) ([]byte, error) {
 		return nil, fmt.Errorf("scenario %s run %d: %w", spec.Scenario, run, err)
 	}
 
-	var sh distShard
-	var reg bytes.Buffer
-	if err := res.MetricsRegistry().WriteJSON(&reg); err != nil {
+	var events []obs.Event
+	if res.Trace != nil {
+		events = res.Trace.Events()
+	}
+	var buf bytes.Buffer
+	buf.Grow(shardHeaderLen + 16<<10 + 72*len(events)) // a trace line averages 65 bytes
+	buf.Write(make([]byte, shardHeaderLen))
+	if err := res.MetricsRegistry().WriteJSON(&buf); err != nil {
 		return nil, fmt.Errorf("run %d registry: %w", run, err)
 	}
-	sh.Registry = reg.Bytes()
-	if sh.Summary, err = json.Marshal(core.Summarize([]*core.Result{res})); err != nil {
+	regEnd := buf.Len()
+	sum, err := json.Marshal(core.Summarize([]*core.Result{res}))
+	if err != nil {
 		return nil, fmt.Errorf("run %d summary: %w", run, err)
 	}
+	buf.Write(sum)
+	sumEnd := buf.Len()
 	if res.Trace != nil {
-		var tr bytes.Buffer
-		if err := obs.WriteJSONL(&tr, core.TraceRunMeta(res, run), res.Trace.Events()); err != nil {
+		if err := obs.WriteJSONL(&buf, core.TraceRunMeta(res, run), events); err != nil {
 			return nil, fmt.Errorf("run %d trace: %w", run, err)
 		}
-		sh.Trace = tr.Bytes()
 	}
-	return json.Marshal(&sh)
+	shard := buf.Bytes()
+	binary.BigEndian.PutUint64(shard[0:], uint64(regEnd-shardHeaderLen))
+	binary.BigEndian.PutUint64(shard[8:], uint64(sumEnd-regEnd))
+	binary.BigEndian.PutUint64(shard[16:], uint64(len(shard)-sumEnd))
+	return shard, nil
 }
 
 // DistCampaign is a distributed campaign's folded output: the same three
@@ -134,25 +165,30 @@ func FoldDistShards(spec DistSpec, out *dist.Outcome) (*DistCampaign, error) {
 		RunErrs:  out.RunErrs,
 	}
 	var trace bytes.Buffer
+	total := 0
+	for _, raw := range out.Shards {
+		total += len(raw)
+	}
+	trace.Grow(total) // the traces are all but a few percent of the shards
 	for run, raw := range out.Shards {
 		if raw == nil {
 			continue
 		}
-		var sh distShard
-		if err := json.Unmarshal(raw, &sh); err != nil {
-			return nil, fmt.Errorf("run %d shard: %w", run, err)
+		regJSON, sumJSON, runTrace, err := splitShard(raw)
+		if err != nil {
+			return nil, fmt.Errorf("run %d: %w", run, err)
 		}
-		reg, err := obs.ReadRegistryJSON(bytes.NewReader(sh.Registry))
+		reg, err := obs.ReadRegistryJSON(bytes.NewReader(regJSON))
 		if err != nil {
 			return nil, fmt.Errorf("run %d registry: %w", run, err)
 		}
 		camp.Registry.Merge(reg)
 		var sum core.Summary
-		if err := json.Unmarshal(sh.Summary, &sum); err != nil {
+		if err := json.Unmarshal(sumJSON, &sum); err != nil {
 			return nil, fmt.Errorf("run %d summary: %w", run, err)
 		}
 		camp.Summary.Merge(&sum)
-		trace.Write(sh.Trace)
+		trace.Write(runTrace)
 	}
 	camp.Trace = trace.Bytes()
 	if camp.Summary.Runs > 0 {

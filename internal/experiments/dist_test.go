@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -207,5 +209,91 @@ func TestDistChaosScenario(t *testing.T) {
 				t.Fatalf("dist_leases_reissued = %d, want >= 1 after the SIGKILL", n)
 			}
 		})
+	}
+}
+
+// shardOf lays three sections out as a worker would.
+func shardOf(registry, summary, trace string) []byte {
+	raw := make([]byte, shardHeaderLen, shardHeaderLen+len(registry)+len(summary)+len(trace))
+	binary.BigEndian.PutUint64(raw[0:], uint64(len(registry)))
+	binary.BigEndian.PutUint64(raw[8:], uint64(len(summary)))
+	binary.BigEndian.PutUint64(raw[16:], uint64(len(trace)))
+	return append(append(append(raw, registry...), summary...), trace...)
+}
+
+// TestSplitShard: sections come back as slices of the shard, and lengths
+// that do not add up to the body — including ones chosen to wrap a sum —
+// are an error, never a panic or a mis-slice.
+func TestSplitShard(t *testing.T) {
+	raw := shardOf(`{"r":1}`, `{"s":2}`, "line\n")
+	reg, sum, tr, err := splitShard(raw)
+	if err != nil || string(reg) != `{"r":1}` || string(sum) != `{"s":2}` || string(tr) != "line\n" {
+		t.Fatalf("split = %q %q %q, %v", reg, sum, tr, err)
+	}
+	if &tr[0] != &raw[len(raw)-len(tr)] {
+		t.Error("the trace section is a copy, not a slice of the shard")
+	}
+	if _, _, tr, err = splitShard(shardOf("{}", "{}", "")); err != nil || len(tr) != 0 {
+		t.Errorf("an untraced run's shard: trace %q, err %v", tr, err)
+	}
+
+	lengths := func(a, b, c uint64) []byte {
+		bad := shardOf(`{"r":1}`, `{"s":2}`, "line\n")
+		binary.BigEndian.PutUint64(bad[0:], a)
+		binary.BigEndian.PutUint64(bad[8:], b)
+		binary.BigEndian.PutUint64(bad[16:], c)
+		return bad
+	}
+	const max = ^uint64(0)
+	for name, bad := range map[string][]byte{
+		"empty":                 nil,
+		"short header":          raw[:shardHeaderLen-1],
+		"truncated body":        raw[:len(raw)-1],
+		"trailing byte":         append(append([]byte(nil), raw...), 'x'),
+		"registry past the end": lengths(20, 0, 0),
+		"summary past the end":  lengths(7, 13, 0),
+		"trace too short":       lengths(7, 7, 4),
+		"a+b wraps to 19":       lengths(max-4, 24, 0),
+		"a+b+c wraps to 19":     lengths(19, max, 1),
+		"all max":               lengths(max, max, max),
+	} {
+		if _, _, _, err := splitShard(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := FoldDistShards(DistSpec{Scenario: "urban-gcc"}, &dist.Outcome{
+		Shards: [][]byte{lengths(max-4, 24, 0)}, RunErrs: make([]error, 1),
+	}); err == nil || !strings.Contains(err.Error(), "run 0") {
+		t.Errorf("fold of a corrupt shard: err = %v, want one naming run 0", err)
+	}
+}
+
+// BenchmarkFoldDistShards folds 48 shards of a recorded repair-blackout
+// run — the sweep the repository benchmark shards — into campaign exports.
+func BenchmarkFoldDistShards(b *testing.B) {
+	spec := DistSpec{Scenario: "repair-blackout"}
+	rawSpec, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := &dist.Outcome{Shards: make([][]byte, 48), RunErrs: make([]error, 48)}
+	var total int64
+	for run := range out.Shards {
+		if out.Shards[run], err = (DistRunner{}).Run(rawSpec, run%4); err != nil {
+			b.Fatal(err)
+		}
+		total += int64(len(out.Shards[run]))
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		camp, err := FoldDistShards(spec, out)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(camp.Trace) == 0 || camp.Summary.Runs != 48 {
+			b.Fatalf("fold lost data: %d trace bytes, %d runs", len(camp.Trace), camp.Summary.Runs)
+		}
 	}
 }
