@@ -104,13 +104,11 @@ func (DistRunner) Run(rawSpec json.RawMessage, run int) ([]byte, error) {
 		return nil, fmt.Errorf("scenario %s run %d: %w", spec.Scenario, run, err)
 	}
 
-	var events []obs.Event
-	if res.Trace != nil {
-		events = res.Trace.Events()
-	}
+	events := res.Trace.Events() // nil for an untraced run
 	var buf bytes.Buffer
 	buf.Grow(shardHeaderLen + 16<<10 + 72*len(events)) // a trace line averages 65 bytes
-	buf.Write(make([]byte, shardHeaderLen))
+	var lengths [shardHeaderLen]byte
+	buf.Write(lengths[:]) // filled in once the sections are written
 	if err := res.MetricsRegistry().WriteJSON(&buf); err != nil {
 		return nil, fmt.Errorf("run %d registry: %w", run, err)
 	}

@@ -67,26 +67,16 @@ func WriteJSONL(w io.Writer, meta RunMeta, events []Event) error {
 func appendJSONString(buf []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	buf = append(buf, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
+	for _, r := range s { // an invalid byte ranges as utf8.RuneError
 		switch {
-		case c == '"' || c == '\\':
-			buf = append(buf, '\\', c)
-			i++
-		case c < 0x20:
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-			i++
-		case c < utf8.RuneSelf:
-			buf = append(buf, c)
-			i++
+		case r == '"' || r == '\\':
+			buf = append(buf, '\\', byte(r))
+		case r < 0x20:
+			buf = append(buf, '\\', 'u', '0', '0', hex[r>>4], hex[r&0xf])
+		case r == utf8.RuneError:
+			buf = append(buf, `\ufffd`...)
 		default:
-			r, n := utf8.DecodeRuneInString(s[i:])
-			if r == utf8.RuneError && n == 1 {
-				buf = append(buf, `\ufffd`...)
-			} else {
-				buf = append(buf, s[i:i+n]...)
-			}
-			i += n
+			buf = utf8.AppendRune(buf, r)
 		}
 	}
 	return append(buf, '"')

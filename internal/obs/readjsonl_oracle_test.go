@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -216,7 +217,7 @@ func sameRuns(a, b []TraceRun) bool {
 		}
 		for j, x := range a[i].Events {
 			y := b[i].Events[j]
-			if fmt.Sprintf("%b", x.V) != fmt.Sprintf("%b", y.V) {
+			if math.Float64bits(x.V) != math.Float64bits(y.V) {
 				return false
 			}
 			x.V, y.V = 0, 0
