@@ -1,108 +1,51 @@
-// Command rprecv receives the rpsend RTP stream over UDP, reassembles
-// frames with the same depacketizer as the simulated campaigns, and returns
-// transport-wide congestion control feedback every 50 ms.
+// Command rprecv receives the rpsend stream over UDP on the receiving
+// endpoint the simulated campaigns run (internal/endpoint): jitter buffer
+// and player, receiver reports, NACKs for lost packets, keyframe requests,
+// and both congestion feedback formats (transport-wide for GCC, RFC 8888
+// for SCReAM), so it serves whichever controller the sender runs. Feedback
+// goes to the first address that sends it media, and only there.
 //
 //	rprecv -listen :5600
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"sync"
 	"time"
 
-	"rpivideo/internal/rtp"
+	"rpivideo/internal/endpoint"
+	"rpivideo/internal/repair"
+	"rpivideo/internal/sim"
+	"rpivideo/internal/video"
 )
 
 func main() {
 	listen := flag.String("listen", ":5600", "listen address")
 	flag.Parse()
 
-	addr, err := net.ResolveUDPAddr("udp", *listen)
-	if err != nil {
-		log.Fatalf("rprecv: resolve: %v", err)
-	}
-	conn, err := net.ListenUDP("udp", addr)
+	conn, err := net.ListenPacket("udp", *listen)
 	if err != nil {
 		log.Fatalf("rprecv: listen: %v", err)
 	}
 	defer conn.Close()
 	fmt.Println("rprecv: listening on", conn.LocalAddr())
 
-	var (
-		mu       sync.Mutex
-		rec      = rtp.NewTWCCRecorder(1, 0x1234)
-		depkt    = rtp.NewDepacketizer()
-		peer     *net.UDPAddr
-		packets  int
-		bytes    int
-		frames   int
-		lastSeen = map[uint32]bool{}
-	)
-	start := time.Now()
-
-	// Feedback loop.
-	go func() {
-		for range time.Tick(50 * time.Millisecond) {
-			mu.Lock()
-			fb := rec.Flush()
-			target := peer
-			mu.Unlock()
-			if fb == nil || target == nil {
-				continue
-			}
-			buf, err := fb.Marshal()
-			if err != nil {
-				continue
-			}
-			if _, err := conn.WriteToUDP(buf, target); err != nil {
-				return
-			}
-		}
-	}()
-
-	// Stats loop.
-	go func() {
-		for range time.Tick(time.Second) {
-			mu.Lock()
-			fmt.Printf("t=%4.0fs %7d pkts %8.2f MB %6d frames complete\n",
-				time.Since(start).Seconds(), packets, float64(bytes)/1e6, frames)
-			mu.Unlock()
-		}
-	}()
-
-	buf := make([]byte, 64<<10)
-	for {
-		n, from, err := conn.ReadFromUDP(buf)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			log.Fatalf("rprecv: read: %v", err)
-		}
-		var p rtp.Packet
-		if err := p.Unmarshal(buf[:n]); err != nil {
-			continue
-		}
-		at := time.Since(start)
-		mu.Lock()
-		peer = from
-		packets++
-		bytes += n
-		if tseq, ok := p.Header.TransportSeq(); ok {
-			rec.Record(tseq, at)
-		}
-		if fs, err := depkt.Push(&p, at); err == nil && fs.Complete() && !lastSeen[fs.Num] {
-			lastSeen[fs.Num] = true
-			frames++
-			depkt.Delete(fs.Num)
-			if len(lastSeen) > 10000 {
-				lastSeen = map[uint32]bool{}
-			}
-		}
-		mu.Unlock()
-	}
+	vcfg := video.DefaultSenderConfig()
+	pcfg := video.DefaultPlayerConfig()
+	pcfg.KeyframeRecovery = true
+	s := sim.New(1)
+	rcv := endpoint.NewReceiver(s, endpoint.ReceiverConfig{
+		SSRC: vcfg.SSRC, PayloadType: vcfg.PayloadType, Player: pcfg,
+		TWCC: true, CCFB: true, Repair: repair.DefaultConfig(),
+	})
+	rcv.StartRepair()
+	rcv.StartReports()
+	s.Every(time.Second, time.Second, func() {
+		pl := rcv.Player
+		fmt.Printf("t=%4.0fs %7d pkts %8.2f MB %6d frames %4d stalls %5d nacks\n", s.Now().Seconds(),
+			pl.PacketsReceived(), float64(pl.BytesReceived())/1e6, len(pl.Frames), len(pl.Stalls), rcv.NacksSent)
+	})
+	log.Fatalf("rprecv: %v", endpoint.ServeReceiver(s, rcv, conn, 0))
 }

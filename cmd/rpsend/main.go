@@ -1,7 +1,8 @@
-// Command rpsend streams the synthetic video workload over real UDP using
-// the same RTP packetization and congestion controllers as the simulated
-// campaigns. Pair it with rprecv, which returns transport-wide congestion
-// control feedback:
+// Command rpsend streams the synthetic video workload over real UDP from
+// the sending endpoint the simulated campaigns run (internal/endpoint):
+// encoder, RTP packetizer and pacer under the chosen congestion controller,
+// sender reports, and NACK-driven retransmission. Pair it with rprecv, which
+// answers whichever controller is picked here:
 //
 //	rprecv -listen :5600            # terminal 1
 //	rpsend -to 127.0.0.1:5600 -cc gcc -duration 30s
@@ -13,140 +14,49 @@ import (
 	"log"
 	"net"
 	"os"
-	"sync"
 	"time"
 
-	"rpivideo/internal/cc"
-	"rpivideo/internal/gcc"
-	"rpivideo/internal/rtp"
+	"rpivideo/internal/endpoint"
+	"rpivideo/internal/repair"
+	"rpivideo/internal/sim"
 	"rpivideo/internal/video"
-
-	"math/rand"
 )
 
 func main() {
 	to := flag.String("to", "127.0.0.1:5600", "receiver address")
-	ccName := flag.String("cc", "gcc", "rate control: static or gcc")
+	ccName := flag.String("cc", "gcc", "rate control: static, gcc or scream")
 	staticRate := flag.Float64("rate", 8e6, "static bitrate (bits/s)")
 	duration := flag.Duration("duration", 30*time.Second, "stream duration")
 	mtu := flag.Int("mtu", 1200, "MTU")
 	flag.Parse()
 
-	conn, err := net.Dial("udp", *to)
+	kind, err := endpoint.ParseCC(*ccName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rpsend:", err)
+		os.Exit(2)
+	}
+	raddr, err := net.ResolveUDPAddr("udp", *to)
+	if err != nil {
+		log.Fatalf("rpsend: resolve: %v", err)
+	}
+	conn, err := net.DialUDP("udp", nil, raddr)
 	if err != nil {
 		log.Fatalf("rpsend: dial: %v", err)
 	}
 	defer conn.Close()
 
-	var ctrl cc.Controller
-	switch *ccName {
-	case "static":
-		ctrl = cc.NewStatic(*staticRate)
-	case "gcc":
-		ctrl = gcc.New(gcc.Config{})
-	default:
-		fmt.Fprintf(os.Stderr, "rpsend: unknown cc %q\n", *ccName)
-		os.Exit(2)
+	vcfg := video.DefaultSenderConfig()
+	vcfg.MTU = *mtu
+	s := sim.New(1)
+	snd := endpoint.NewSender(s, endpoint.SenderConfig{Video: vcfg, CC: kind, StaticRate: *staticRate, Repair: repair.DefaultConfig()})
+	snd.StartReports()
+	s.Every(time.Second, time.Second, func() {
+		fmt.Printf("t=%4.0fs target %5.1f Mbps, sent %d pkts, %.1f MB retransmitted\n",
+			s.Now().Seconds(), snd.TargetBitrate(s.Now())/1e6, snd.Video.PacketsSent, float64(snd.RtxBytes)/1e6)
+	})
+	snd.Start()
+	if err := endpoint.ServeSender(s, snd, conn, *duration); err != nil {
+		log.Fatalf("rpsend: %v", err)
 	}
-
-	var (
-		mu    sync.Mutex
-		queue cc.SendQueue
-		pacer cc.Pacer
-		sent  = map[uint16]cc.SentPacket{} // by transport seq
-	)
-	start := time.Now()
-	now := func() time.Duration { return time.Since(start) }
-
-	enc := video.NewEncoder(video.DefaultEncoderConfig(), ctrl.TargetBitrate(0), rand.New(rand.NewSource(1)))
-	pkt := rtp.NewPacketizer(0x1234, 96, *mtu)
-
-	// Feedback listener.
-	go func() {
-		buf := make([]byte, 2048)
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				return
-			}
-			var fb rtp.TWCC
-			if err := fb.Unmarshal(buf[:n]); err != nil {
-				continue
-			}
-			mu.Lock()
-			acks := make([]cc.Ack, 0, len(fb.Packets))
-			for i, p := range fb.Packets {
-				tseq := fb.BaseSeq + uint16(i)
-				a := cc.Ack{TransportSeq: tseq, Received: p.Received, ArrivalTime: p.At}
-				if rec, ok := sent[tseq]; ok {
-					a.Size, a.SendTime = rec.Size, rec.SendTime
-					delete(sent, tseq)
-				}
-				acks = append(acks, a)
-			}
-			ctrl.OnFeedback(now(), acks)
-			mu.Unlock()
-		}
-	}()
-
-	// Encoder clock.
-	frameTicker := time.NewTicker(time.Second / 30)
-	defer frameTicker.Stop()
-	// Pacer clock.
-	sendTicker := time.NewTicker(time.Millisecond)
-	defer sendTicker.Stop()
-	// Stats clock.
-	statTicker := time.NewTicker(time.Second)
-	defer statTicker.Stop()
-
-	deadline := time.After(*duration)
-	bytesSent, pktsSent := 0, 0
-	for {
-		select {
-		case <-deadline:
-			fmt.Printf("done: %d packets, %.1f MB\n", pktsSent, float64(bytesSent)/1e6)
-			return
-		case <-frameTicker.C:
-			mu.Lock()
-			enc.SetTarget(ctrl.TargetBitrate(now()))
-			f := enc.NextFrame(now())
-			for _, p := range pkt.Packetize(rtp.FrameInfo{
-				Num: f.Num, EncodeTime: f.EncodeTime, Keyframe: f.Keyframe,
-				Size: f.Size, RTPTime: uint32(uint64(f.Num) * rtp.VideoClockRate / 30),
-			}) {
-				queue.Push(cc.Item{Data: p, Size: p.MarshalSize(), Enqueued: now(), FrameNum: f.Num})
-			}
-			mu.Unlock()
-		case <-sendTicker.C:
-			mu.Lock()
-			t := now()
-			for {
-				it, ok := queue.Peek()
-				if !ok || !ctrl.CanSend(t, it.Size) || !pacer.Idle(t) {
-					break
-				}
-				queue.Pop()
-				pacer.Next(t, it.Size, ctrl.PacingRate(t))
-				p := it.Data.(*rtp.Packet)
-				wire, err := p.Marshal()
-				if err != nil {
-					log.Printf("rpsend: marshal: %v", err)
-					continue
-				}
-				tseq, _ := p.Header.TransportSeq()
-				sent[tseq] = cc.SentPacket{TransportSeq: tseq, Size: it.Size, SendTime: t}
-				if _, err := conn.Write(wire); err != nil {
-					log.Fatalf("rpsend: write: %v", err)
-				}
-				bytesSent += len(wire)
-				pktsSent++
-			}
-			mu.Unlock()
-		case <-statTicker.C:
-			mu.Lock()
-			fmt.Printf("t=%4.0fs target %5.1f Mbps, queued %d pkts, sent %d\n",
-				now().Seconds(), ctrl.TargetBitrate(now())/1e6, queue.Len(), pktsSent)
-			mu.Unlock()
-		}
-	}
+	fmt.Printf("done: %d packets\n", snd.Video.PacketsSent)
 }

@@ -21,6 +21,7 @@ import (
 
 	"rpivideo/internal/cell"
 	"rpivideo/internal/core"
+	"rpivideo/internal/endpoint"
 	"rpivideo/internal/trace"
 )
 
@@ -59,15 +60,9 @@ func main() {
 	default:
 		fatalf("unknown operator %q", *op)
 	}
-	switch *ccName {
-	case "static":
-		cfg.CC = core.CCStatic
-	case "gcc":
-		cfg.CC = core.CCGCC
-	case "scream":
-		cfg.CC = core.CCSCReAM
-	default:
-		fatalf("unknown rate control %q", *ccName)
+	var err error
+	if cfg.CC, err = endpoint.ParseCC(*ccName); err != nil {
+		fatalf("%v", err)
 	}
 
 	recs := trace.FromResult(core.Run(cfg))

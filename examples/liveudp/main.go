@@ -1,200 +1,74 @@
-// Live UDP demo: an in-process sender/receiver pair streaming the synthetic
-// video over a real loopback socket, using the same RTP wire formats,
-// packetizer, encoder model and GCC controller as the simulated campaigns.
-// This is the single-binary version of cmd/rpsend + cmd/rprecv.
+// Live UDP demo: the sending and receiving endpoints of the simulated
+// campaigns (internal/endpoint) in one process, joined by a real loopback
+// socket instead of the simulated link. This is the single-binary version
+// of cmd/rpsend + cmd/rprecv; it exits non-zero unless frames played and
+// GCC raised its target, which is what CI's live smoke checks.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
-	"sync"
+	"os"
 	"time"
 
-	"rpivideo/internal/cc"
-	"rpivideo/internal/gcc"
-	"rpivideo/internal/rtp"
+	"rpivideo/internal/endpoint"
+	"rpivideo/internal/repair"
+	"rpivideo/internal/sim"
 	"rpivideo/internal/video"
 )
 
-const streamFor = 10 * time.Second
+const streamFor = 5 * time.Second
 
 func main() {
-	raddr, err := net.ResolveUDPAddr("udp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	recvConn, err := net.ListenUDP("udp", raddr)
+	recvConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer recvConn.Close()
-
-	sendConn, err := net.Dial("udp", recvConn.LocalAddr().String())
+	sendConn, err := net.DialUDP("udp", nil, recvConn.LocalAddr().(*net.UDPAddr))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sendConn.Close()
 
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); receiver(recvConn) }()
-	go func() { defer wg.Done(); sender(sendConn) }()
-	wg.Wait()
-}
+	// Each end has its own clock and its own goroutine, as two hosts would.
+	vcfg := video.DefaultSenderConfig()
+	pcfg := video.DefaultPlayerConfig()
+	pcfg.KeyframeRecovery = true
+	ss, rs := sim.New(1), sim.New(2)
+	snd := endpoint.NewSender(ss, endpoint.SenderConfig{Video: vcfg, CC: endpoint.CCGCC, Repair: repair.DefaultConfig()})
+	rcv := endpoint.NewReceiver(rs, endpoint.ReceiverConfig{
+		SSRC: vcfg.SSRC, PayloadType: vcfg.PayloadType, Player: pcfg, TWCC: true, Repair: repair.DefaultConfig(),
+	})
+	rcv.StartRepair()
+	snd.StartReports()
+	rcv.StartReports()
+	ss.Every(time.Second, time.Second, func() {
+		fmt.Printf("sender: t=%2.0fs target %.1f Mbps\n", ss.Now().Seconds(), snd.TargetBitrate(ss.Now())/1e6)
+	})
+	snd.Start()
+	startRate := snd.TargetBitrate(0)
 
-// receiver reassembles frames and returns TWCC feedback.
-func receiver(conn *net.UDPConn) {
-	rec := rtp.NewTWCCRecorder(1, 0x1234)
-	depkt := rtp.NewDepacketizer()
-	var mu sync.Mutex
-	var peer *net.UDPAddr
-	frames, packets := 0, 0
-	start := time.Now()
-
-	stop := time.After(streamFor + time.Second)
-	go func() {
-		ticker := time.NewTicker(50 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				conn.Close()
-				return
-			case <-ticker.C:
-				mu.Lock()
-				fb := rec.Flush()
-				target := peer
-				mu.Unlock()
-				if fb == nil || target == nil {
-					continue
-				}
-				if buf, err := fb.Marshal(); err == nil {
-					_, _ = conn.WriteToUDP(buf, target)
-				}
-			}
-		}
-	}()
-
-	buf := make([]byte, 64<<10)
-	for {
-		n, from, err := conn.ReadFromUDP(buf)
-		if err != nil {
-			fmt.Printf("receiver: %d packets, %d complete frames in %v\n",
-				packets, frames, time.Since(start).Round(time.Second))
-			return
-		}
-		var p rtp.Packet
-		if err := p.Unmarshal(buf[:n]); err != nil {
-			continue
-		}
-		mu.Lock()
-		peer = from
-		packets++
-		if tseq, ok := p.Header.TransportSeq(); ok {
-			rec.Record(tseq, time.Since(start))
-		}
-		if fs, err := depkt.Push(&p, time.Since(start)); err == nil && fs.Complete() {
-			frames++
-			depkt.Delete(fs.Num)
-		}
-		mu.Unlock()
+	received := make(chan error, 1)
+	go func() { received <- endpoint.ServeReceiver(rs, rcv, recvConn, streamFor+time.Second) }()
+	if err := endpoint.ServeSender(ss, snd, sendConn, streamFor); err != nil {
+		log.Fatal(err)
 	}
-}
+	if err := <-received; err != nil {
+		log.Fatal(err)
+	}
 
-// sender encodes, packetizes and paces under GCC.
-func sender(conn net.Conn) {
-	ctrl := gcc.New(gcc.Config{})
-	enc := video.NewEncoder(video.DefaultEncoderConfig(), ctrl.TargetBitrate(0), rand.New(rand.NewSource(1)))
-	pk := rtp.NewPacketizer(0x1234, 96, 1200)
-	var (
-		mu    sync.Mutex
-		queue cc.SendQueue
-		pacer cc.Pacer
-		sent  = map[uint16]cc.SentPacket{}
-	)
-	start := time.Now()
-	now := func() time.Duration { return time.Since(start) }
-
-	// Feedback reader.
-	go func() {
-		buf := make([]byte, 2048)
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				return
-			}
-			var fb rtp.TWCC
-			if err := fb.Unmarshal(buf[:n]); err != nil {
-				continue
-			}
-			mu.Lock()
-			acks := make([]cc.Ack, 0, len(fb.Packets))
-			for i, p := range fb.Packets {
-				tseq := fb.BaseSeq + uint16(i)
-				a := cc.Ack{TransportSeq: tseq, Received: p.Received, ArrivalTime: p.At}
-				if rec, ok := sent[tseq]; ok {
-					a.Size, a.SendTime = rec.Size, rec.SendTime
-					delete(sent, tseq)
-				}
-				acks = append(acks, a)
-			}
-			ctrl.OnFeedback(now(), acks)
-			mu.Unlock()
+	pl, played := rcv.Player, 0
+	for _, f := range pl.Frames {
+		if !f.Skipped {
+			played++
 		}
-	}()
-
-	frameTick := time.NewTicker(time.Second / 30)
-	defer frameTick.Stop()
-	paceTick := time.NewTicker(time.Millisecond)
-	defer paceTick.Stop()
-	statTick := time.NewTicker(time.Second)
-	defer statTick.Stop()
-	deadline := time.After(streamFor)
-	for {
-		select {
-		case <-deadline:
-			fmt.Println("sender: done")
-			return
-		case <-frameTick.C:
-			mu.Lock()
-			enc.SetTarget(ctrl.TargetBitrate(now()))
-			f := enc.NextFrame(now())
-			for _, p := range pk.Packetize(rtp.FrameInfo{
-				Num: f.Num, EncodeTime: f.EncodeTime, Keyframe: f.Keyframe,
-				Size: f.Size, RTPTime: uint32(uint64(f.Num) * rtp.VideoClockRate / 30),
-			}) {
-				queue.Push(cc.Item{Data: p, Size: p.MarshalSize(), Enqueued: now()})
-			}
-			mu.Unlock()
-		case <-paceTick.C:
-			mu.Lock()
-			t := now()
-			for {
-				it, ok := queue.Peek()
-				if !ok || !pacer.Idle(t) {
-					break
-				}
-				queue.Pop()
-				pacer.Next(t, it.Size, ctrl.PacingRate(t))
-				p := it.Data.(*rtp.Packet)
-				wire, err := p.Marshal()
-				if err != nil {
-					continue
-				}
-				tseq, _ := p.Header.TransportSeq()
-				sent[tseq] = cc.SentPacket{TransportSeq: tseq, Size: it.Size, SendTime: t}
-				if _, err := conn.Write(wire); err != nil {
-					mu.Unlock()
-					return
-				}
-			}
-			mu.Unlock()
-		case <-statTick.C:
-			mu.Lock()
-			fmt.Printf("sender: t=%2.0fs target %.1f Mbps\n", now().Seconds(), ctrl.TargetBitrate(now())/1e6)
-			mu.Unlock()
-		}
+	}
+	endRate := snd.TargetBitrate(ss.Now())
+	fmt.Printf("receiver: %d packets, %d frames played, %d stalls; sender: target %.1f -> %.1f Mbps\n",
+		pl.PacketsReceived(), played, len(pl.Stalls), startRate/1e6, endRate/1e6)
+	if played == 0 || endRate <= startRate {
+		os.Exit(1)
 	}
 }

@@ -1,0 +1,306 @@
+package core
+
+import (
+	"sort"
+	"time"
+
+	"rpivideo/internal/bond"
+	"rpivideo/internal/cell"
+	"rpivideo/internal/endpoint"
+	"rpivideo/internal/fault"
+	"rpivideo/internal/flight"
+	"rpivideo/internal/link"
+	"rpivideo/internal/metrics"
+	"rpivideo/internal/scream"
+)
+
+// flightLog is a video run's per-packet accounting: what Result reports
+// about the media path that neither endpoint knows — one-way delay (the
+// receiver never learns a send time), the altitude it was sent from,
+// goodput per second and which path's copies were suppressed.
+type flightLog struct {
+	res        *Result
+	stateAt    func(time.Duration) flight.State
+	keepSeries bool
+	// goodputBytes is indexed by arrival second (RunUntil guarantees
+	// at ≤ dur), not a map: the packet path pays an add, not a hash. With
+	// bonding, only the first copy of each packet counts; the duplicate is
+	// discarded at the receiver.
+	goodputBytes []int
+	owdPts       []metrics.Point
+	suppressed   [bond.NumPaths]int64
+}
+
+func newFlightLog(cfg Config, res *Result, stateAt func(time.Duration) flight.State, dur time.Duration) *flightLog {
+	return &flightLog{res: res, stateAt: stateAt, keepSeries: cfg.KeepSeries, goodputBytes: make([]int, int(dur/time.Second)+1)}
+}
+
+// delivered accounts one media-path delivery by the receiver's verdict.
+// Delay metrics stay at first-arrival time, whatever the reorder buffer
+// does with the packet afterwards.
+func (l *flightLog) delivered(v endpoint.Verdict, path, size int, sentAt, at time.Duration) {
+	switch v {
+	case endpoint.Duplicate:
+		l.suppressed[path]++
+		return
+	case endpoint.Fresh:
+		ms := float64(at-sentAt) / float64(time.Millisecond)
+		l.res.OWDms.Add(ms)
+		l.res.OWDByAlt[BucketFor(l.stateAt(sentAt).Alt)].Add(ms)
+		if l.keepSeries {
+			l.owdPts = append(l.owdPts, metrics.Point{T: at, V: ms})
+		}
+	case endpoint.Repaired:
+		// Goodput only: a retransmission's delay is not the path's.
+	default:
+		return
+	}
+	if sec := int(at / time.Second); sec >= 0 && sec < len(l.goodputBytes) {
+		l.goodputBytes[sec] += size
+	}
+}
+
+// dropped notes the send time of a media packet the primary uplink lost.
+func (l *flightLog) dropped(sentAt time.Duration) {
+	if l.keepSeries {
+		l.res.LossTimes = append(l.res.LossTimes, sentAt)
+	}
+}
+
+// fold closes the per-second goodput bins and the optional series.
+func (l *flightLog) fold() {
+	var gpPts []metrics.Point
+	for sec, bytes := range l.goodputBytes[:len(l.goodputBytes)-1] {
+		mbps := float64(bytes*8) / 1e6
+		l.res.Goodput.Add(mbps)
+		if l.keepSeries {
+			gpPts = append(gpPts, metrics.Point{T: time.Duration(sec) * time.Second, V: mbps})
+		}
+	}
+	if l.keepSeries {
+		l.res.OWDSeries = metrics.NewTimeSeriesFromPoints(l.owdPts)
+		l.res.GoodputSeries = metrics.NewTimeSeriesFromPoints(gpPts)
+	}
+}
+
+// recoveryTrack follows one outage episode until the target is back.
+type recoveryTrack struct {
+	ep        fault.Episode
+	preRate   float64
+	recovered bool
+}
+
+// targetSampler watches the sender's target rate every 100 ms: ramp-up
+// detection, the optional series, and — with faults armed — the per-episode
+// recovery and post-outage queue metrics. Everything fault-related is gated
+// on faultsOn: sampling QueueDelay advances the link's capacity process, so
+// touching it here would perturb the calibrated no-fault runs.
+type targetSampler struct {
+	res        *Result
+	machine    *cell.Machine
+	uplink     *link.Link
+	dur        time.Duration
+	keepSeries bool
+	faultsOn   bool
+
+	targetPts  []metrics.Point
+	episodes   []fault.Episode
+	tracks     []*recoveryTrack
+	scripted   []fault.Episode
+	scriptIdx  int
+	rlfSeen    int
+	lastTarget float64
+}
+
+func newTargetSampler(cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, dur time.Duration) *targetSampler {
+	t := &targetSampler{res: res, machine: machine, uplink: uplink, dur: dur, keepSeries: cfg.KeepSeries, faultsOn: cfg.Faults.Enabled()}
+	if !t.faultsOn {
+		return t
+	}
+	for _, w := range cfg.Faults.Windows {
+		if w.Start >= dur || w.Loss || w.Path == fault.PathSecondary {
+			// Loss fades erase packets without interrupting service, so
+			// they are not outage episodes and need no recovery tracking.
+			// Secondary-path windows stay off the episode timeline too: it
+			// is primary-centric, and a bonded run's whole point is that
+			// the stream does not treat a standby outage as its own.
+			continue
+		}
+		end := w.End()
+		if end > dur {
+			end = dur
+		}
+		t.scripted = append(t.scripted, fault.Episode{Start: w.Start, End: end, Kind: fault.KindScripted, Dir: w.Dir})
+	}
+	t.episodes = append(t.episodes, t.scripted...)
+	return t
+}
+
+// collectRLFs folds newly declared radio-link failures into the episode
+// timeline (and, while the run is live, into the recovery tracking).
+func (t *targetSampler) collectRLFs(track bool) {
+	evs := t.machine.RLFEvents()
+	for ; t.rlfSeen < len(evs); t.rlfSeen++ {
+		ev := evs[t.rlfSeen]
+		kind := fault.KindRLF
+		if ev.Cause == cell.RLFHandoverFailure {
+			kind = fault.KindHandoverFailure
+		}
+		end := ev.At + ev.Outage
+		if end > t.dur {
+			end = t.dur
+		}
+		ep := fault.Episode{Start: ev.At, End: end, Kind: kind}
+		t.episodes = append(t.episodes, ep)
+		if track {
+			t.tracks = append(t.tracks, &recoveryTrack{ep: ep, preRate: t.lastTarget})
+		}
+	}
+}
+
+// sample takes one reading of the target rate.
+func (t *targetSampler) sample(now time.Duration, target float64) {
+	res := t.res
+	if t.keepSeries {
+		t.targetPts = append(t.targetPts, metrics.Point{T: now, V: target / 1e6})
+	}
+	if res.RampUpTo25 == 0 && target >= 24.75e6 {
+		res.RampUpTo25 = now
+	}
+	if !t.faultsOn {
+		return
+	}
+	if t.lastTarget == 0 {
+		t.lastTarget = target
+	}
+	t.collectRLFs(true)
+	for t.scriptIdx < len(t.scripted) && now >= t.scripted[t.scriptIdx].Start {
+		t.tracks = append(t.tracks, &recoveryTrack{ep: t.scripted[t.scriptIdx], preRate: t.lastTarget})
+		t.scriptIdx++
+	}
+	var queueMs float64
+	queueSampled := false
+	for _, tr := range t.tracks {
+		if now < tr.ep.End {
+			continue
+		}
+		if now-tr.ep.End <= 5*time.Second {
+			if !queueSampled {
+				queueSampled = true
+				// The advancing variant: this probe is part of the
+				// simulated system, and sampling here has always stepped
+				// the capacity process — switching to the pure QueueDelay
+				// would change every fault campaign's realization (and
+				// golden trace).
+				queueMs = float64(t.uplink.SampleQueueDelay()) / float64(time.Millisecond)
+			}
+			if queueMs > res.PostOutageQueueMs {
+				res.PostOutageQueueMs = queueMs
+			}
+		}
+		if !tr.recovered && target >= 0.8*tr.preRate {
+			tr.recovered = true
+			res.RecoveryMs.Add(float64(now-tr.ep.End) / float64(time.Millisecond))
+		}
+	}
+	t.lastTarget = target
+}
+
+// fold closes the target series and the fault-episode timeline.
+func (t *targetSampler) fold() {
+	res := t.res
+	if t.keepSeries {
+		res.TargetSeries = metrics.NewTimeSeriesFromPoints(t.targetPts)
+	}
+	if !t.faultsOn {
+		return
+	}
+	t.collectRLFs(false)
+	sort.Slice(t.episodes, func(i, j int) bool {
+		if t.episodes[i].Start != t.episodes[j].Start {
+			return t.episodes[i].Start < t.episodes[j].Start
+		}
+		return t.episodes[i].Kind < t.episodes[j].Kind
+	})
+	res.FaultEpisodes = t.episodes
+	res.Outages = len(t.episodes)
+	for _, ep := range t.episodes {
+		res.OutageTotal += ep.Length()
+		res.OutageMs.Add(float64(ep.Length()) / float64(time.Millisecond))
+	}
+	for _, ev := range t.machine.RLFEvents() {
+		if ev.Cause == cell.RLFHandoverFailure {
+			res.HandoverFailures++
+		} else {
+			res.RLFs++
+		}
+	}
+	res.StaleDrops = t.uplink.StaleDrops
+}
+
+// foldEndpoints copies what the two endpoints, the bond manager and the
+// repair path counted into the result.
+func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.Receiver, uplink *link.Link, bp *bondPaths, log *flightLog, dur time.Duration) {
+	pl := rcv.Player
+	res.FPS = *pl.FPSDist(dur)
+	res.PlaybackMs = *pl.LatencyDist()
+	res.SSIM = *pl.SSIMDist()
+	res.Stalls = pl.Stalls
+	res.StallsPerMin = pl.StallsPerMinute(dur)
+	for _, f := range pl.Frames {
+		if f.Skipped {
+			res.FramesSkipped++
+		} else {
+			res.FramesPlayed++
+		}
+	}
+	if sc, ok := snd.Ctrl.(*scream.Controller); ok {
+		res.ScreamLosses = sc.Losses
+		res.ScreamLossesInBand = sc.LossesInBand
+		res.ScreamLossesWindow = sc.LossesWindow
+		res.ScreamDiscards = sc.QueueDiscards
+	}
+	if bp != nil {
+		res.BondPolicy = bp.mgr.Policy().String()
+		res.BondSwitches = bp.mgr.Switches
+		if reorder := rcv.Reorder; reorder != nil {
+			res.BondReorderLate = int(reorder.Late)
+			res.BondReorderForced = int(reorder.DeadlineReleases + reorder.CapReleases)
+		}
+		// Per-path accounting from the manager; MultipathDuplicates stays
+		// as the derived compat view (total copies suppressed at the
+		// receiver, the old field's meaning exactly).
+		for i := 0; i < bond.NumPaths; i++ {
+			st := bp.mgr.Stats(i, dur)
+			res.BondPaths = append(res.BondPaths, BondPathStats{
+				Sent:       st.Sent,
+				Delivered:  st.Delivered,
+				Lost:       st.Lost,
+				Suppressed: log.suppressed[i],
+				DownMs:     float64(st.DownFor) / float64(time.Millisecond),
+				Up:         st.Up,
+			})
+			res.MultipathDuplicates += int(log.suppressed[i])
+		}
+	}
+	if cfg.Faults.Enabled() {
+		res.KeyframeRequests = pl.KeyframeRequests
+	}
+	if cfg.Repair.Enabled {
+		det := rcv.Detector
+		res.NacksSent = rcv.NacksSent
+		res.RtxBytes = snd.RtxBytes
+		res.PacketsRepaired = pl.PacketsRepaired
+		res.FramesRepaired = pl.FramesRepaired
+		res.RepairLate = det.Late
+		res.RepairAbandoned = det.Abandoned
+		res.RepairDenied = snd.Budget.Denied
+		res.RepairCacheMisses = snd.Cache.Misses
+		res.RepairBudgetAccrued = snd.Budget.Accrued()
+		res.RtxSent = uplink.RtxSent
+		res.RtxDelivered = uplink.RtxDelivered
+		res.RtxLost = uplink.RtxLost
+		res.RtxStaleDrops = uplink.RtxStaleDrops
+		res.RtxOverflows = uplink.RtxOverflows
+	}
+}

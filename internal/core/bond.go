@@ -17,8 +17,8 @@ const bondTick = 50 * time.Millisecond
 
 // bondPaths is a bonded run's view of its radio chains: the bond manager,
 // the per-path uplinks (path 0 is the primary chain Run built) and the
-// receiver-side reorder buffer for striping policies (set by runVideo once
-// the player exists).
+// receiver-side reorder buffer for striping policies (set by newEndpoints once
+// the receiver exists).
 type bondPaths struct {
 	mgr     *bond.Manager
 	uplinks [bond.NumPaths]*link.Link

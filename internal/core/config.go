@@ -10,31 +10,22 @@ import (
 
 	"rpivideo/internal/bond"
 	"rpivideo/internal/cell"
+	"rpivideo/internal/endpoint"
 	"rpivideo/internal/fault"
 	"rpivideo/internal/repair"
 )
 
-// CCKind selects the rate-control regime (§3.2: static, GCC or SCReAM).
-type CCKind int
+// CCKind selects the rate-control regime (§3.2: static, GCC or SCReAM); the
+// type and its names belong to the sending endpoint that builds the
+// controller.
+type CCKind = endpoint.CC
 
 // Rate-control regimes.
 const (
-	CCStatic CCKind = iota
-	CCGCC
-	CCSCReAM
+	CCStatic = endpoint.CCStatic
+	CCGCC    = endpoint.CCGCC
+	CCSCReAM = endpoint.CCSCReAM
 )
-
-// String implements fmt.Stringer.
-func (k CCKind) String() string {
-	switch k {
-	case CCGCC:
-		return "gcc"
-	case CCSCReAM:
-		return "scream"
-	default:
-		return "static"
-	}
-}
 
 // Workload selects the traffic the experiment carries.
 type Workload int

@@ -2,33 +2,26 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 
 	"rpivideo/internal/bond"
-	"rpivideo/internal/cc"
 	"rpivideo/internal/cell"
+	"rpivideo/internal/endpoint"
 	"rpivideo/internal/fault"
 	"rpivideo/internal/flight"
-	"rpivideo/internal/gcc"
 	"rpivideo/internal/link"
-	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
-	"rpivideo/internal/repair"
 	"rpivideo/internal/rtp"
-	"rpivideo/internal/scream"
 	"rpivideo/internal/sim"
 	"rpivideo/internal/video"
 )
 
-// feedback cadences of the two implementations the paper used.
-const (
-	twccInterval = 50 * time.Millisecond
-	ccfbInterval = 10 * time.Millisecond
-)
-
 // Run executes one measurement run and returns its aggregated result.
-func Run(cfg Config) *Result {
+func Run(cfg Config) *Result { return run(cfg, false) }
+
+// run is Run with the differential test's switch: wire makes every media
+// packet cross the links as marshalled bytes (see connect).
+func run(cfg Config, wire bool) *Result {
 	runsExecuted.Add(1)
 	s := sim.New(cfg.Seed)
 
@@ -98,7 +91,7 @@ func Run(cfg Config) *Result {
 	case WorkloadPing:
 		runPing(s, cfg, res, uplink, downlink, stateAt, dur)
 	default:
-		runVideo(s, cfg, res, machine, uplink, bp, downlink, stateAt, dur)
+		stream(s, cfg, res, machine, uplink, bp, downlink, stateAt, dur, wire)
 	}
 
 	res.PacketsSent = uplink.Sent
@@ -172,52 +165,57 @@ func setupRadio(cfg Config, cellRng *rand.Rand) (*cell.Machine, cell.HandoverCon
 	return cell.NewMachine(model, hoCfg, cfg.Air, cellRng), hoCfg
 }
 
-// runVideo wires the RTP video pipeline and runs it to completion. bp is
-// the optional bonding state (second access link, health monitor, policy).
-func runVideo(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, stateAt func(time.Duration) flight.State, dur time.Duration) {
-	faultsOn := cfg.Faults.Enabled()
-	watchdog := faultsOn && cfg.Faults.Watchdog
-	var ctrl cc.Controller
-	switch cfg.CC {
-	case CCGCC:
-		gcfg := gcc.Config{UseTrendline: cfg.GCCTrendline}
-		if watchdog {
-			gcfg.FeedbackTimeout = cfg.watchdogTimeout()
-		}
-		ctrl = gcc.New(gcfg)
-	case CCSCReAM:
-		sccfg := scream.Config{}
-		if watchdog {
-			sccfg.FeedbackTimeout = cfg.watchdogTimeout()
-		}
-		ctrl = scream.New(sccfg)
-	default:
-		ctrl = cc.NewStatic(cfg.staticRate())
-	}
-	if res.Trace != nil {
-		if tc, ok := ctrl.(cc.Traceable); ok {
-			tc.SetTracer(res.Trace)
-		}
-	}
-	// rawCtrl is the concrete controller for the type-asserted extensions
-	// (RepairAware, the SCReAM counters); bonded runs wrap the rate queries
-	// so the encoder target also honors the aggregate path budget.
-	rawCtrl := ctrl
-	if bp != nil {
-		ctrl = cc.NewBonded(ctrl, bp.mgr.Budget)
-	}
+// stream runs the video workload: build the two endpoints, join them through
+// the links (and the bond router, when bp is set), attach the accounting,
+// run the clock and fold every counter into res. wire is the differential
+// test's switch (see connect).
+func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, stateAt func(time.Duration) flight.State, dur time.Duration, wire bool) {
+	snd, rcv := newEndpoints(s, cfg, res, bp)
+	log := newFlightLog(cfg, res, stateAt, dur)
+	connect(s, cfg, snd, rcv, uplink, downlink, bp, log, wire)
+	snd.OnRTT = func(rtt time.Duration) { res.RTCPRTTms.Add(float64(rtt) / float64(time.Millisecond)) }
+	rcv.OnReport = func(jitter time.Duration) { res.JitterMs.Add(float64(jitter) / float64(time.Millisecond)) }
+	sampler := newTargetSampler(cfg, res, machine, uplink, dur)
 
-	scfg := video.DefaultSenderConfig()
-	snd := video.NewSender(s, scfg, ctrl, s.Stream("encoder"))
+	// Registration order is part of the run's output: the contract is on
+	// endpoint.Sender.StartReports, and the target sampler keeps the slot
+	// it has always had, between the receiver's tickers and the frame clock.
+	rcv.StartRepair()
+	snd.StartReports()
+	rcv.StartReports()
+	s.Every(0, 100*time.Millisecond, func() { sampler.sample(s.Now(), snd.TargetBitrate(s.Now())) })
+	snd.Start()
+	s.RunUntil(dur)
+	snd.Stop()
+	rcv.Stop()
+
+	log.fold()
+	sampler.fold()
+	foldEndpoints(cfg, res, snd, rcv, uplink, bp, log, dur)
+}
+
+// newEndpoints translates a run's Config into the two endpoint configs and
+// builds the pair, sender first: the receiver's player scores frames from
+// the sender's frame registry.
+func newEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths) (*endpoint.Sender, *endpoint.Receiver) {
+	faultsOn := cfg.Faults.Enabled()
+	scfg := endpoint.SenderConfig{
+		Video:        video.DefaultSenderConfig(),
+		CC:           cfg.CC,
+		StaticRate:   cfg.staticRate(),
+		GCCTrendline: cfg.GCCTrendline,
+		Trace:        res.Trace,
+	}
+	if faultsOn && cfg.Faults.Watchdog {
+		scfg.FeedbackTimeout = cfg.watchdogTimeout()
+	}
 	pcfg := video.DefaultPlayerConfig()
 	if cfg.JitterBuffer > 0 {
 		pcfg.JitterBuffer = cfg.JitterBuffer
 	}
-	if cfg.CC == CCSCReAM {
-		// Reproduce the player pathology the paper observed with SCReAM at
-		// high bitrates (§4.2.2).
-		pcfg.LatchQuirk = true
-	}
+	// Reproduce the player pathology the paper observed with SCReAM at high
+	// bitrates (§4.2.2).
+	pcfg.LatchQuirk = cfg.CC == CCSCReAM
 	if cfg.DropOnLatency {
 		pcfg.DropOnLatency = true
 		pcfg.DropThreshold = cfg.DropThreshold
@@ -225,281 +223,113 @@ func runVideo(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, 
 			pcfg.DropThreshold = pcfg.JitterBuffer + 100*time.Millisecond
 		}
 	}
-	if faultsOn && cfg.Faults.KeyframeRecovery {
-		pcfg.KeyframeRecovery = true
+	pcfg.KeyframeRecovery = faultsOn && cfg.Faults.KeyframeRecovery
+	rcfg := endpoint.ReceiverConfig{
+		SSRC:         scfg.Video.SSRC,
+		PayloadType:  scfg.Video.PayloadType,
+		Player:       pcfg,
+		TWCC:         cfg.CC == CCGCC,
+		CCFB:         cfg.CC == CCSCReAM,
+		CCFBWindow:   cfg.ScreamAckWindow,
+		CCFBInterval: cfg.ScreamFeedbackInterval,
+		Trace:        res.Trace,
 	}
-	pl := video.NewPlayer(s, pcfg, video.DefaultSSIMModel(), snd.FrameEncoding)
-	pl.SetLatencyHist(res.Telemetry.LogHistogram(TelemetryFrameDelay))
-	if res.Trace != nil {
-		pl.SetTracer(res.Trace)
-	}
-	if pcfg.KeyframeRecovery {
-		// The receiver's PLI rides the feedback path: it reaches the sender
-		// only if the downlink is alive, as a real keyframe request would.
-		pl.KeyframeRequest = func() { downlink.Send(kfRequest{}, 40) }
-	}
-
-	// The NACK/RTX repair layer (internal/repair): receiver-side loss
-	// detector, sender-side retransmission cache and repair budget. All
-	// three are driven from this function's clock and callbacks; the
-	// package schedules nothing itself, so the disabled path leaves the
-	// calibrated runs untouched.
-	var (
-		det       *repair.Detector
-		rtxCache  *repair.Cache
-		rtxBudget *repair.Budget
-		rcfg      repair.Config
-		rtxSeq    uint16
-	)
 	if cfg.Repair.Enabled {
-		rcfg = cfg.Repair.WithDefaults()
-		det = repair.NewDetector(rcfg)
-		rtxCache = repair.NewCache(rcfg)
-		rtxBudget = repair.NewBudget(rcfg)
-		det.SetNackRTTHist(res.Telemetry.LogHistogram(TelemetryNackRTT))
-		if res.Trace != nil {
-			det.SetTracer(res.Trace)
-		}
-		// Account repair spend against the media target so media plus RTX
-		// together honor the congested rate (cc.RepairAware).
-		if ra, ok := rawCtrl.(cc.RepairAware); ok {
-			ra.SetRepairSpend(rtxBudget.SpendRate)
-		}
+		// Both halves of the NACK/RTX repair layer (internal/repair) are
+		// driven from the endpoints' clock and callbacks; the package
+		// schedules nothing itself, so the disabled path leaves the
+		// calibrated runs untouched.
+		scfg.Repair = cfg.Repair.WithDefaults()
+		rcfg.Repair = scfg.Repair
 	}
-
-	snd.Transmit = func(p *rtp.Packet, size int) {
-		if rtxCache != nil {
-			rtxCache.Store(p, s.Now())
-		}
-		if bp == nil {
-			uplink.Send(p, size)
-			return
-		}
-		set := bp.mgr.Route(s.Now(), size)
-		for i := 0; i < bond.NumPaths; i++ {
-			if set.Has(i) {
-				bp.uplinks[i].Send(p, size)
-			}
-		}
-	}
-
-	if det != nil {
-		// Receiver-side NACK scheduler: losses past the reorder tolerance
-		// whose (backed-off) retry timer has expired are batched into one
-		// RFC 4585 Generic NACK on the feedback path.
-		s.Every(rcfg.TickInterval, rcfg.TickInterval, func() {
-			seqs := det.Tick(s.Now())
-			if len(seqs) == 0 {
-				return
-			}
-			n := &rtp.NACK{SenderSSRC: 1, MediaSSRC: scfg.SSRC, Pairs: rtp.NackPairs(seqs)}
-			buf, err := n.Marshal()
-			if err != nil {
-				return
-			}
-			res.NacksSent++
-			if res.Trace != nil {
-				res.Trace.Emit(obs.Event{T: s.Now(), Kind: obs.KindNack, Dir: obs.DirDown,
-					Flags: obs.FlagCtrl, Seq: int64(seqs[0]), Aux: int64(len(seqs))})
-			}
-			downlink.Send(nackBuf(buf), len(buf))
-		})
-	}
-
-	// RFC 3550 sender/receiver reports, as the paper's pipeline logs them:
-	// the sender emits an SR once per second on the media path; the
-	// receiver answers with an RR carrying loss, extended-highest, the
-	// §A.8 interarrival jitter and the LSR/DLSR pair the sender turns into
-	// an RTT sample.
-	recStats := rtp.NewReceptionStats(scfg.SSRC, rtp.VideoClockRate)
-	var lastSRMid uint32
-	var lastSRAt time.Duration
-	s.Every(time.Second, time.Second, func() {
-		sr := &rtp.SenderReport{
-			SSRC:        scfg.SSRC,
-			NTPTime:     s.Now(),
-			RTPTime:     uint32(uint64(s.Now()) * rtp.VideoClockRate / uint64(time.Second)),
-			PacketCount: uint32(snd.PacketsSent),
-			OctetCount:  uint32(snd.BytesSent),
-		}
-		if buf, err := sr.Marshal(); err == nil {
-			// Control-plane send: the SR shares the media bearer (loss,
-			// queueing, serialization) but stays out of the media
-			// Sent/Lost/Overflows so res.PER remains media-only, matching
-			// the paper's §4.1 PER of 0.06–0.07%.
-			uplink.SendControl(buf, len(buf))
-		}
-	})
-	s.Every(1500*time.Millisecond, time.Second, func() {
-		block := recStats.Block()
-		if lastSRAt > 0 {
-			block.LastSR = lastSRMid
-			block.DelaySinceLastSR = uint32((s.Now() - lastSRAt) * 65536 / time.Second)
-		}
-		rr := &rtp.ReceiverReport{SSRC: 1, Blocks: []rtp.ReportBlock{block}}
-		res.JitterMs.Add(float64(recStats.Jitter()) / float64(time.Millisecond))
-		if buf, err := rr.Marshal(); err == nil {
-			downlink.Send(rtcpBuf(buf), len(buf))
-		}
-	})
-
-	// Receiver-side feedback generation.
-	var twccRec *rtp.TWCCRecorder
-	var ccfbGen *rtp.CCFBGenerator
-	switch cfg.CC {
-	case CCGCC:
-		twccRec = rtp.NewTWCCRecorder(1, scfg.SSRC)
-		s.Every(twccInterval, twccInterval, func() {
-			fb := twccRec.Flush()
-			if fb == nil {
-				return
-			}
-			buf, err := fb.Marshal()
-			if err != nil {
-				return // e.g. delta overflow across a very long outage
-			}
-			downlink.Send(buf, len(buf))
-		})
-	case CCSCReAM:
-		window := cfg.ScreamAckWindow
-		if window == 0 {
-			// The authors raised the Ericsson library's 64-packet window to
-			// 256 for the campaign (§4.2.1); 64 remains available for the
-			// ablation.
-			window = 256
-		}
-		ccfbGen = rtp.NewCCFBGenerator(1, scfg.SSRC, window)
-		interval := cfg.ScreamFeedbackInterval
-		if interval == 0 {
-			interval = ccfbInterval
-		}
-		s.Every(interval, interval, func() {
-			fb := ccfbGen.Report(s.Now())
-			if fb == nil {
-				return
-			}
-			buf, err := fb.Marshal()
-			if err != nil {
-				return
-			}
-			downlink.Send(buf, len(buf))
-		})
-	}
-
-	// Per-second goodput accounting and optional full series. The counter
-	// is a slice indexed by arrival second (RunUntil guarantees at ≤ dur),
-	// not a map: the packet path pays an add, not a hash. With multipath,
-	// only the first copy of each packet counts; the duplicate is
-	// discarded at the receiver.
-	goodputBytes := make([]int, int(dur/time.Second)+1)
-	addGoodput := func(at time.Duration, size int) {
-		if sec := int(at / time.Second); sec >= 0 && sec < len(goodputBytes) {
-			goodputBytes[sec] += size
-		}
-	}
-	var owdPts []metrics.Point
-	var seen *multipathDedup
-	var reorder *bond.Reorder
-	var suppressed [bond.NumPaths]int64
 	if bp != nil {
+		scfg.PathBudget = bp.mgr.Budget
 		// Deduplication is always on for bonded runs: the duplicate policy
 		// sends full copies, and every other policy still duplicates probe
 		// packets onto idle paths.
-		seen = newMultipathDedup()
-		if bp.mgr.Policy() != bond.PolicyDuplicate {
-			// Striping policies interleave paths of different latency; the
-			// bounded reorder buffer re-serializes for the player. The
-			// duplicate policy plays the first copy and needs none.
-			bcfg := bp.mgr.Config()
-			reorder = bond.NewReorder(bcfg.ReorderDeadline, bcfg.ReorderCap, func(meta interface{}, now time.Duration) {
-				pl.OnPacket(meta.(*rtp.Packet), now)
-			})
-			reorder.OnLate = func(ext int64, now time.Duration) {
-				if res.Trace != nil {
-					res.Trace.Emit(obs.Event{T: now, Kind: obs.KindReorderDrop, Seq: ext})
+		rcfg.Dedup = newMultipathDedup()
+		// Striping policies interleave paths of different latency; the
+		// bounded reorder buffer re-serializes for the player. The
+		// duplicate policy plays the first copy and needs none.
+		bcfg := bp.mgr.Config()
+		rcfg.Reorder = bp.mgr.Policy() != bond.PolicyDuplicate
+		rcfg.ReorderDeadline, rcfg.ReorderCap = bcfg.ReorderDeadline, bcfg.ReorderCap
+	}
+	snd := endpoint.NewSender(s, scfg)
+	rcfg.FrameEncoding = snd.Video.FrameEncoding
+	rcv := endpoint.NewReceiver(s, rcfg)
+	rcv.Player.SetLatencyHist(res.Telemetry.LogHistogram(TelemetryFrameDelay))
+	if det := rcv.Detector; det != nil {
+		det.SetNackRTTHist(res.Telemetry.LogHistogram(TelemetryNackRTT))
+	}
+	if bp != nil {
+		bp.reorder = rcv.Reorder
+	}
+	return snd, rcv
+}
+
+// connect joins the two endpoints through the simulated network: media, RTX
+// and sender reports up the access link (or, bonded, over the paths the
+// router picks), RTCP back down the feedback link, and every delivery and
+// drop reported to the flight log and the bond health monitor.
+//
+// The feedback direction always carries marshalled RTCP, parsed on arrival
+// by Sender.OnDatagram. The media direction carries *rtp.Packet pointers and
+// enters through Receiver.OnMedia — unless wire is set, when every packet
+// crosses as its marshalled bytes and is re-parsed by Receiver.OnDatagram,
+// which is exactly how the UDP tools join the same endpoints through a
+// socket. TestWireMatchesSim requires the two to be indistinguishable.
+func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.Receiver, uplink, downlink *link.Link, bp *bondPaths, log *flightLog, wire bool) {
+	media := uplink.Send
+	if bp != nil {
+		media = func(meta any, size int) {
+			set := bp.mgr.Route(s.Now(), size)
+			for i := 0; i < bond.NumPaths; i++ {
+				if set.Has(i) {
+					bp.uplinks[i].Send(meta, size)
 				}
 			}
-			bp.reorder = reorder
 		}
 	}
+	if wire {
+		snd.Media = endpoint.Marshalled(func(buf []byte) { media(buf, len(buf)) })
+		snd.RTX = endpoint.Marshalled(func(buf []byte) { uplink.SendRTX(buf, len(buf)) })
+	} else {
+		snd.Media = func(p *rtp.Packet, size int) { media(p, size) }
+		snd.RTX = func(p *rtp.Packet, size int) { uplink.SendRTX(p, size) }
+	}
+	// Control-plane send: the SR shares the media bearer (loss, queueing,
+	// serialization) but stays out of the media Sent/Lost/Overflows so
+	// res.PER remains media-only, matching the paper's §4.1 PER of
+	// 0.06–0.07%.
+	snd.Control = func(buf []byte) { uplink.SendControl(buf, len(buf)) }
+	rcv.Feedback = func(buf []byte, size int) { downlink.Send(buf, size) }
+	downlink.Deliver = func(meta any, _ int, _, at time.Duration) {
+		snd.OnDatagram(meta.([]byte), at)
+	}
+
 	deliver := func(path int, meta any, size int, sentAt, at time.Duration) {
-		if buf, ok := meta.([]byte); ok {
-			// A sender report on the media path.
-			var sr rtp.SenderReport
-			if err := sr.Unmarshal(buf); err == nil {
-				lastSRMid = uint32(sr.NTPTime * 65536 / time.Second)
-				lastSRAt = at
-			}
-			return
+		var v endpoint.Verdict
+		switch m := meta.(type) {
+		case *rtp.Packet:
+			v = rcv.OnMedia(m, at)
+		case []byte: // a sender report; with wire set, everything
+			v = rcv.OnDatagram(m, at)
 		}
-		p := meta.(*rtp.Packet)
-		if det != nil && p.Header.PayloadType == rcfg.RtxPayloadType {
-			// An RFC 4588 retransmission: restore the original packet and
-			// hand it to the player iff its loss is still open. RTX stays
-			// invisible to the congestion-control feedback (no TWCC/CCFB
-			// recording) — the budget already charged it to the target.
-			orig, osn, err := rtp.UnwrapRTX(p, scfg.SSRC, scfg.PayloadType)
-			if err != nil || !det.OnRepair(osn, at) {
-				return // malformed, duplicate, or already healed/abandoned
-			}
-			if seen != nil {
-				seen.Mark(osn)
-			}
-			addGoodput(at, size)
-			pl.OnRepairedPacket(orig, at)
-			return
-		}
-		if bp != nil {
-			// Per-path health observation (delivery RTT, loss decay, rate),
-			// fed pre-dedup so probe duplicates keep an idle path's
-			// estimate warm.
+		if bp != nil && (v == endpoint.Fresh || v == endpoint.Duplicate) {
+			// Per-path health observation (delivery RTT, loss decay, rate)
+			// of every media copy, duplicates included, so probe copies
+			// keep an idle path's estimate warm.
 			bp.mgr.ObserveDelivery(path, at-sentAt, size)
 		}
-		var ext int64
-		if seen != nil {
-			var dup bool
-			if ext, dup = seen.DuplicateExt(p.Header.SequenceNumber); dup {
-				suppressed[path]++
-				return
-			}
-		}
-		owd := at - sentAt
-		ms := float64(owd) / float64(time.Millisecond)
-		res.OWDms.Add(ms)
-		res.OWDByAlt[BucketFor(stateAt(sentAt).Alt)].Add(ms)
-		if cfg.KeepSeries {
-			owdPts = append(owdPts, metrics.Point{T: at, V: ms})
-		}
-		addGoodput(at, size)
-		recStats.Record(p.Header.SequenceNumber, p.Header.Timestamp, at)
-		if det != nil {
-			det.OnPacket(p.Header.SequenceNumber, at)
-		}
-		if reorder != nil {
-			// Striped paths interleave: the buffer re-serializes, releasing
-			// to the player in extended-sequence order under its deadline.
-			// Feedback and delay metrics above stay at first-arrival time.
-			reorder.Insert(ext, p, at)
-		} else {
-			pl.OnPacket(p, at)
-		}
-		switch cfg.CC {
-		case CCGCC:
-			if tseq, ok := p.Header.TransportSeq(); ok {
-				twccRec.Record(tseq, at)
-			}
-		case CCSCReAM:
-			ccfbGen.Record(p.Header.SequenceNumber, at)
-		}
+		log.delivered(v, path, size, sentAt, at)
 	}
 	uplink.Deliver = func(meta any, size int, sentAt, at time.Duration) {
 		deliver(0, meta, size, sentAt, at)
 	}
 	if cfg.KeepSeries || bp != nil {
-		uplink.OnDrop = func(meta any, size int, sentAt time.Duration, reason link.DropReason) {
-			if cfg.KeepSeries {
-				res.LossTimes = append(res.LossTimes, sentAt)
-			}
+		uplink.OnDrop = func(_ any, _ int, sentAt time.Duration, _ link.DropReason) {
+			log.dropped(sentAt)
 			if bp != nil {
 				bp.mgr.ObserveLoss(0)
 			}
@@ -516,324 +346,7 @@ func runVideo(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, 
 			}
 		}
 	}
-
-	// Sender-side feedback consumption. ackScratch and ccfb are reused across
-	// reports: no controller (nor cc.Bonded) keeps the acks slice past
-	// OnFeedback, and CCFB.Unmarshal refills the struct it is called on.
-	var ackScratch []cc.Ack
-	var ccfb rtp.CCFB
-	downlink.Deliver = func(meta any, size int, sentAt, at time.Duration) {
-		if _, ok := meta.(kfRequest); ok {
-			snd.ForceKeyframe()
-			return
-		}
-		if nb, ok := meta.(nackBuf); ok {
-			if rtxCache == nil {
-				return
-			}
-			var n rtp.NACK
-			if err := n.Unmarshal([]byte(nb)); err != nil {
-				return
-			}
-			for _, seq := range n.Seqs() {
-				orig := rtxCache.Lookup(seq, at)
-				if orig == nil {
-					continue // evicted, aged out, or resent to the cap
-				}
-				rtxSeq++
-				rtxPkt := rtp.WrapRTX(orig, rcfg.RtxSSRC, rcfg.RtxPayloadType, rtxSeq)
-				size := rtxPkt.MarshalSize()
-				if !rtxBudget.Allow(at, size, ctrl.TargetBitrate(at)) {
-					continue // budget empty: degrade to the PLI path
-				}
-				res.RtxBytes += size
-				if res.Trace != nil {
-					res.Trace.Emit(obs.Event{T: at, Kind: obs.KindRTX, Dir: obs.DirUp,
-						Flags: obs.FlagRTX, Seq: int64(seq), Aux: int64(size)})
-				}
-				uplink.SendRTX(rtxPkt, size)
-			}
-			return
-		}
-		if rb, ok := meta.(rtcpBuf); ok {
-			var rr rtp.ReceiverReport
-			if err := rr.Unmarshal([]byte(rb)); err == nil && len(rr.Blocks) == 1 {
-				b := rr.Blocks[0]
-				if b.LastSR != 0 {
-					lsr := time.Duration(b.LastSR) * time.Second / 65536
-					dlsr := time.Duration(b.DelaySinceLastSR) * time.Second / 65536
-					if rtt := at - lsr - dlsr; rtt > 0 {
-						res.RTCPRTTms.Add(float64(rtt) / float64(time.Millisecond))
-					}
-				}
-			}
-			return
-		}
-		buf := meta.([]byte)
-		switch cfg.CC {
-		case CCGCC:
-			var fb rtp.TWCC
-			if err := fb.Unmarshal(buf); err != nil {
-				return
-			}
-			acks := ackScratch[:0]
-			for i, p := range fb.Packets {
-				tseq := fb.BaseSeq + uint16(i)
-				a := cc.Ack{TransportSeq: tseq, Received: p.Received, ArrivalTime: p.At}
-				if rec, ok := snd.LookupTransport(tseq); ok {
-					a.Seq, a.Size, a.SendTime = rec.Seq, rec.Size, rec.SendTime
-				}
-				acks = append(acks, a)
-			}
-			ackScratch = acks
-			ctrl.OnFeedback(at, acks)
-		case CCSCReAM:
-			if err := ccfb.Unmarshal(buf); err != nil {
-				return
-			}
-			for _, rep := range ccfb.Reports {
-				acks := ackScratch[:0]
-				for i, m := range rep.Metrics {
-					seq := rep.BeginSeq + uint16(i)
-					a := cc.Ack{Seq: seq, Received: m.Received}
-					if m.Received {
-						a.ArrivalTime = ccfb.Timestamp - m.ArrivalOffset
-					}
-					if rec, ok := snd.LookupSeq(seq); ok {
-						a.TransportSeq, a.Size, a.SendTime = rec.TransportSeq, rec.Size, rec.SendTime
-					}
-					acks = append(acks, a)
-				}
-				ackScratch = acks
-				ctrl.OnFeedback(at, acks)
-			}
-		}
-		snd.Kick()
-	}
-
-	// Target-rate sampling: ramp-up detection, optional series, and — with
-	// faults armed — the per-episode recovery and post-outage queue metrics.
-	// Everything fault-related is gated on faultsOn: sampling QueueDelay
-	// advances the link's capacity process, so touching it here would
-	// perturb the calibrated no-fault runs.
-	var targetPts []metrics.Point
-	type recoveryTrack struct {
-		ep        fault.Episode
-		preRate   float64
-		recovered bool
-	}
-	var (
-		episodes   []fault.Episode
-		tracks     []*recoveryTrack
-		scripted   []fault.Episode
-		scriptIdx  int
-		rlfSeen    int
-		lastTarget float64
-	)
-	if faultsOn {
-		for _, w := range cfg.Faults.Windows {
-			if w.Start >= dur || w.Loss || w.Path == fault.PathSecondary {
-				// Loss fades erase packets without interrupting service, so
-				// they are not outage episodes and need no recovery
-				// tracking. Secondary-path windows stay off the episode
-				// timeline too: it is primary-centric, and a bonded run's
-				// whole point is that the stream does not treat a standby
-				// outage as its own.
-				continue
-			}
-			end := w.End()
-			if end > dur {
-				end = dur
-			}
-			scripted = append(scripted, fault.Episode{Start: w.Start, End: end, Kind: fault.KindScripted, Dir: w.Dir})
-		}
-		episodes = append(episodes, scripted...)
-	}
-	// collectRLFs folds newly declared radio-link failures into the episode
-	// timeline (and, while the run is live, into the recovery tracking).
-	collectRLFs := func(track bool) {
-		evs := machine.RLFEvents()
-		for ; rlfSeen < len(evs); rlfSeen++ {
-			ev := evs[rlfSeen]
-			kind := fault.KindRLF
-			if ev.Cause == cell.RLFHandoverFailure {
-				kind = fault.KindHandoverFailure
-			}
-			end := ev.At + ev.Outage
-			if end > dur {
-				end = dur
-			}
-			ep := fault.Episode{Start: ev.At, End: end, Kind: kind}
-			episodes = append(episodes, ep)
-			if track {
-				tracks = append(tracks, &recoveryTrack{ep: ep, preRate: lastTarget})
-			}
-		}
-	}
-	s.Every(0, 100*time.Millisecond, func() {
-		now := s.Now()
-		t := ctrl.TargetBitrate(now)
-		if cfg.KeepSeries {
-			targetPts = append(targetPts, metrics.Point{T: now, V: t / 1e6})
-		}
-		if res.RampUpTo25 == 0 && t >= 24.75e6 {
-			res.RampUpTo25 = now
-		}
-		if !faultsOn {
-			return
-		}
-		if lastTarget == 0 {
-			lastTarget = t
-		}
-		collectRLFs(true)
-		for scriptIdx < len(scripted) && now >= scripted[scriptIdx].Start {
-			tracks = append(tracks, &recoveryTrack{ep: scripted[scriptIdx], preRate: lastTarget})
-			scriptIdx++
-		}
-		var queueMs float64
-		queueSampled := false
-		for _, tr := range tracks {
-			if now < tr.ep.End {
-				continue
-			}
-			if now-tr.ep.End <= 5*time.Second {
-				if !queueSampled {
-					queueSampled = true
-					// The advancing variant: this probe is part of the
-					// simulated system, and sampling here has always stepped
-					// the capacity process — switching to the pure QueueDelay
-					// would change every fault campaign's realization (and
-					// golden trace).
-					queueMs = float64(uplink.SampleQueueDelay()) / float64(time.Millisecond)
-				}
-				if queueMs > res.PostOutageQueueMs {
-					res.PostOutageQueueMs = queueMs
-				}
-			}
-			if !tr.recovered && t >= 0.8*tr.preRate {
-				tr.recovered = true
-				res.RecoveryMs.Add(float64(now-tr.ep.End) / float64(time.Millisecond))
-			}
-		}
-		lastTarget = t
-	})
-
-	snd.Start()
-	s.RunUntil(dur)
-	if reorder != nil {
-		// Hand the player whatever the buffer still holds before the run's
-		// accounting closes.
-		reorder.Flush(dur)
-	}
-	snd.Stop()
-	pl.Stop()
-
-	// Fold the player's view into the result.
-	res.FPS = *pl.FPSDist(dur)
-	res.PlaybackMs = *pl.LatencyDist()
-	res.SSIM = *pl.SSIMDist()
-	res.Stalls = pl.Stalls
-	res.StallsPerMin = pl.StallsPerMinute(dur)
-	for _, f := range pl.Frames {
-		if f.Skipped {
-			res.FramesSkipped++
-		} else {
-			res.FramesPlayed++
-		}
-	}
-	secs := int(dur / time.Second)
-	var gpPts []metrics.Point
-	for sec := 0; sec < secs; sec++ {
-		mbps := float64(goodputBytes[sec]*8) / 1e6
-		res.Goodput.Add(mbps)
-		if cfg.KeepSeries {
-			gpPts = append(gpPts, metrics.Point{T: time.Duration(sec) * time.Second, V: mbps})
-		}
-	}
-	if cfg.KeepSeries {
-		res.OWDSeries = metrics.NewTimeSeriesFromPoints(owdPts)
-		res.TargetSeries = metrics.NewTimeSeriesFromPoints(targetPts)
-		res.GoodputSeries = metrics.NewTimeSeriesFromPoints(gpPts)
-	}
-	if sc, ok := rawCtrl.(*scream.Controller); ok {
-		res.ScreamLosses = sc.Losses
-		res.ScreamLossesInBand = sc.LossesInBand
-		res.ScreamLossesWindow = sc.LossesWindow
-		res.ScreamDiscards = sc.QueueDiscards
-	}
-	if bp != nil {
-		res.BondPolicy = bp.mgr.Policy().String()
-		res.BondSwitches = bp.mgr.Switches
-		if reorder != nil {
-			res.BondReorderLate = int(reorder.Late)
-			res.BondReorderForced = int(reorder.DeadlineReleases + reorder.CapReleases)
-		}
-		// Per-path accounting from the manager; MultipathDuplicates stays
-		// as the derived compat view (total copies suppressed at the
-		// receiver, the old field's meaning exactly).
-		for i := 0; i < bond.NumPaths; i++ {
-			st := bp.mgr.Stats(i, dur)
-			res.BondPaths = append(res.BondPaths, BondPathStats{
-				Sent:       st.Sent,
-				Delivered:  st.Delivered,
-				Lost:       st.Lost,
-				Suppressed: suppressed[i],
-				DownMs:     float64(st.DownFor) / float64(time.Millisecond),
-				Up:         st.Up,
-			})
-			res.MultipathDuplicates += int(suppressed[i])
-		}
-	}
-	if faultsOn {
-		collectRLFs(false)
-		sort.Slice(episodes, func(i, j int) bool {
-			if episodes[i].Start != episodes[j].Start {
-				return episodes[i].Start < episodes[j].Start
-			}
-			return episodes[i].Kind < episodes[j].Kind
-		})
-		res.FaultEpisodes = episodes
-		res.Outages = len(episodes)
-		for _, ep := range episodes {
-			res.OutageTotal += ep.Length()
-			res.OutageMs.Add(float64(ep.Length()) / float64(time.Millisecond))
-		}
-		for _, ev := range machine.RLFEvents() {
-			if ev.Cause == cell.RLFHandoverFailure {
-				res.HandoverFailures++
-			} else {
-				res.RLFs++
-			}
-		}
-		res.StaleDrops = uplink.StaleDrops
-		res.KeyframeRequests = pl.KeyframeRequests
-	}
-	if cfg.Repair.Enabled {
-		res.PacketsRepaired = pl.PacketsRepaired
-		res.FramesRepaired = pl.FramesRepaired
-		res.RepairLate = det.Late
-		res.RepairAbandoned = det.Abandoned
-		res.RepairDenied = rtxBudget.Denied
-		res.RepairCacheMisses = rtxCache.Misses
-		res.RepairBudgetAccrued = rtxBudget.Accrued()
-		res.RtxSent = uplink.RtxSent
-		res.RtxDelivered = uplink.RtxDelivered
-		res.RtxLost = uplink.RtxLost
-		res.RtxStaleDrops = uplink.RtxStaleDrops
-		res.RtxOverflows = uplink.RtxOverflows
-	}
 }
-
-// rtcpBuf marks receiver-report bytes on the downlink so they are not
-// mistaken for congestion-control feedback.
-type rtcpBuf []byte
-
-// kfRequest is the receiver's PLI-style keyframe request on the downlink.
-type kfRequest struct{}
-
-// nackBuf marks RFC 4585 Generic NACK bytes on the downlink so they are
-// not mistaken for congestion-control feedback.
-type nackBuf []byte
 
 // pingProbe is the meta carried by Fig. 13 probe packets.
 type pingProbe struct {

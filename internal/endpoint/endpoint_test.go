@@ -1,0 +1,466 @@
+package endpoint
+
+import (
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"rpivideo/internal/cc"
+	"rpivideo/internal/repair"
+	"rpivideo/internal/rtp"
+	"rpivideo/internal/sim"
+	"rpivideo/internal/video"
+)
+
+// pair is a GCC single-path sender and receiver on one clock, joined by a
+// lossless 20 ms pipe each way: media as typed packets (or, with wire set, as
+// marshalled bytes), feedback as bytes — core.Run's wiring without the link
+// model.
+type pair struct {
+	s   *sim.Simulator
+	snd *Sender
+	rcv *Receiver
+	// lastFeedback keeps the newest congestion feedback packet the receiver
+	// sent, for replay against the sender.
+	lastFeedback []byte
+}
+
+const pipeDelay = 20 * time.Millisecond
+
+func newPair(wire bool) *pair {
+	p := &pair{s: sim.New(1)}
+	vcfg := video.DefaultSenderConfig()
+	rcfg := repair.DefaultConfig()
+	pcfg := video.DefaultPlayerConfig()
+	pcfg.KeyframeRecovery = true
+	p.snd = NewSender(p.s, SenderConfig{Video: vcfg, CC: CCGCC, Repair: rcfg})
+	p.rcv = NewReceiver(p.s, ReceiverConfig{
+		SSRC: vcfg.SSRC, PayloadType: vcfg.PayloadType, Player: pcfg,
+		FrameEncoding: p.snd.Video.FrameEncoding, TWCC: true, Repair: rcfg,
+	})
+	up := func(pkt *rtp.Packet, _ int) {
+		p.s.After(pipeDelay, func() { p.rcv.OnMedia(pkt, p.s.Now()) })
+	}
+	upBytes := func(buf []byte) {
+		p.s.After(pipeDelay, func() { p.rcv.OnDatagram(buf, p.s.Now()) })
+	}
+	p.snd.Media, p.snd.RTX, p.snd.Control = up, up, upBytes
+	if wire {
+		p.snd.Media, p.snd.RTX = Marshalled(upBytes), Marshalled(upBytes)
+	}
+	p.rcv.Feedback = func(buf []byte, _ int) {
+		if _, format, _ := rtp.PeekRTCP(buf); format == rtp.FmtTWCC {
+			p.lastFeedback = buf
+		}
+		p.s.After(pipeDelay, func() { p.snd.OnDatagram(buf, p.s.Now()) })
+	}
+	p.rcv.StartRepair()
+	p.snd.StartReports()
+	p.rcv.StartReports()
+	p.snd.Start()
+	return p
+}
+
+// TestPairStreams drives the pair over both transports: frames must play,
+// GCC must leave its start rate, and the RR/SR exchange must yield RTT
+// samples of about two pipe delays.
+func TestPairStreams(t *testing.T) {
+	for _, wire := range []bool{false, true} {
+		p := newPair(wire)
+		var rtts []time.Duration
+		p.snd.OnRTT = func(rtt time.Duration) { rtts = append(rtts, rtt) }
+		start := p.snd.TargetBitrate(0)
+		p.s.RunUntil(5 * time.Second)
+		played := 0
+		for _, f := range p.rcv.Player.Frames {
+			if !f.Skipped {
+				played++
+			}
+		}
+		if played < 100 {
+			t.Errorf("wire=%v: %d frames played in 5 s, want ≥ 100", wire, played)
+		}
+		if end := p.snd.TargetBitrate(p.s.Now()); end <= start {
+			t.Errorf("wire=%v: GCC target %.1f Mbps never left its start %.1f Mbps", wire, end/1e6, start/1e6)
+		}
+		if len(rtts) == 0 {
+			t.Fatalf("wire=%v: no RTT sample from the SR/RR exchange", wire)
+		}
+		for _, rtt := range rtts {
+			if d := rtt - 2*pipeDelay; d < -time.Millisecond || d > time.Millisecond {
+				t.Errorf("wire=%v: RTT sample %v, want %v", wire, rtt, 2*pipeDelay)
+			}
+		}
+	}
+}
+
+// TestRepairAndKeyframeOverTheWire drops a burst of marshalled media: the
+// receiver must NACK, the sender retransmit and the player count repaired
+// packets; and a PLI must restart the GOP. Everything crosses as bytes.
+func TestRepairAndKeyframeOverTheWire(t *testing.T) {
+	p := newPair(true)
+	deliver := p.snd.Media
+	dropped := 0
+	p.snd.Media = func(pkt *rtp.Packet, size int) {
+		if now := p.s.Now(); now > 2*time.Second && now < 2*time.Second+15*time.Millisecond {
+			dropped++
+			return
+		}
+		deliver(pkt, size)
+	}
+	p.s.RunUntil(4 * time.Second)
+	if dropped == 0 || p.rcv.NacksSent == 0 || p.snd.RtxBytes == 0 || p.rcv.Player.PacketsRepaired == 0 {
+		t.Fatalf("dropped %d, NACKs %d, RTX bytes %d, packets repaired %d: the repair loop must close",
+			dropped, p.rcv.NacksSent, p.snd.RtxBytes, p.rcv.Player.PacketsRepaired)
+	}
+	pli, err := (&rtp.PLI{SenderSSRC: receiverSSRC, MediaSSRC: video.DefaultSenderConfig().SSRC}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := p.snd.OnDatagram(pli, p.s.Now()); v != Control {
+		t.Fatalf("PLI verdict %v, want Control", v)
+	}
+	keyframes := 0
+	p.snd.Media = func(pkt *rtp.Packet, _ int) {
+		if m, err := rtp.ParsePacketMeta(pkt.Payload); err == nil && m.Keyframe && m.Index == 0 {
+			keyframes++
+		}
+	}
+	p.s.RunUntil(p.s.Now() + 100*time.Millisecond)
+	if keyframes == 0 {
+		t.Error("no keyframe within 100 ms of a PLI")
+	}
+}
+
+// TestDatagramDemux pins what each end rejects at the wire edge.
+func TestDatagramDemux(t *testing.T) {
+	p := newPair(true)
+	var media []byte
+	send := p.snd.Media
+	p.snd.Media = func(pkt *rtp.Packet, size int) {
+		media, _ = pkt.Marshal()
+		send(pkt, size)
+	}
+	p.s.RunUntil(time.Second)
+	fb := p.lastFeedback
+	if media == nil || fb == nil {
+		t.Fatal("no media or no feedback after 1 s")
+	}
+	mutate := func(buf []byte, at int, v byte) []byte {
+		out := append([]byte(nil), buf...)
+		out[at] = v
+		return out
+	}
+	now := p.s.Now()
+	for name, c := range map[string]struct {
+		got  Verdict
+		want Verdict
+	}{
+		"receiver: media":             {p.rcv.OnDatagram(media, now), Fresh},
+		"receiver: truncated media":   {p.rcv.OnDatagram(media[:20], now), Rejected},
+		"receiver: foreign SSRC":      {p.rcv.OnDatagram(mutate(media, 11, 0xFF), now), Rejected},
+		"receiver: foreign payload":   {p.rcv.OnDatagram(mutate(media, 1, 111), now), Rejected},
+		"receiver: frame from future": {p.rcv.OnDatagram(mutate(media, 20, 0x7F), now), Rejected},
+		"receiver: feedback":          {p.rcv.OnDatagram(fb, now), Rejected},
+		"receiver: empty":             {p.rcv.OnDatagram(nil, now), Rejected},
+		"sender: feedback":            {p.snd.OnDatagram(fb, now), Control},
+		"sender: truncated feedback":  {p.snd.OnDatagram(fb[:len(fb)-4], now), Rejected},
+		"sender: other cc's format":   {p.snd.OnDatagram(mutate(fb, 0, 0x80|rtp.FmtCCFB), now), Rejected},
+		"sender: unknown rtcp type":   {p.snd.OnDatagram(mutate(fb, 1, 207), now), Rejected},
+		"sender: media":               {p.snd.OnDatagram(media, now), Rejected},
+		"sender: empty":               {p.snd.OnDatagram(nil, now), Rejected},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: verdict %d, want %d", name, c.got, c.want)
+		}
+	}
+}
+
+func TestParseCC(t *testing.T) {
+	for _, k := range []CC{CCStatic, CCGCC, CCSCReAM} {
+		if got, err := ParseCC(k.String()); err != nil || got != k {
+			t.Errorf("ParseCC(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	if _, err := ParseCC("bbr"); err == nil {
+		t.Error("ParseCC accepted an unknown controller")
+	}
+}
+
+// TestReceiverLatchesPeer runs ServeReceiver on a loopback socket with two
+// senders: the first to send media becomes the peer, and a later stray that
+// sends perfectly valid media of the same stream must neither receive the
+// feedback nor redirect it. A receiver answering the last-seen source (what
+// rprecv did) fails both checks.
+func TestReceiverLatchesPeer(t *testing.T) {
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback UDP: %v", err)
+	}
+	defer conn.Close()
+	dial := func() *net.UDPConn {
+		c, err := net.DialUDP("udp", nil, conn.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	peer, stray := dial(), dial()
+	defer peer.Close()
+	defer stray.Close()
+
+	vcfg := video.DefaultSenderConfig()
+	s := sim.New(1)
+	rcv := NewReceiver(s, ReceiverConfig{SSRC: vcfg.SSRC, PayloadType: vcfg.PayloadType, Player: video.DefaultPlayerConfig(), TWCC: true})
+	rcv.StartReports()
+	served := make(chan error, 1)
+	go func() { served <- ServeReceiver(s, rcv, conn, 0) }()
+
+	// One frame of valid media, sent packet by packet from either source.
+	pkts := rtp.NewPacketizer(vcfg.SSRC, vcfg.PayloadType, vcfg.MTU).Packetize(rtp.FrameInfo{Size: 6000})
+	sendFrom := func(c *net.UDPConn, pkt *rtp.Packet) {
+		buf, err := pkt.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitFeedback := func(c *net.UDPConn, wait time.Duration) bool {
+		buf := make([]byte, 2048)
+		_ = c.SetReadDeadline(time.Now().Add(wait))
+		for {
+			n, err := c.Read(buf)
+			if err != nil {
+				return false
+			}
+			if _, format, ok := rtp.PeekRTCP(buf[:n]); ok && format == rtp.FmtTWCC {
+				return true
+			}
+		}
+	}
+	sendFrom(peer, pkts[0])
+	if !awaitFeedback(peer, 5*time.Second) {
+		t.Fatal("the first sender never got feedback")
+	}
+	sendFrom(stray, pkts[1])
+	sendFrom(peer, pkts[2])
+	if !awaitFeedback(peer, 5*time.Second) {
+		t.Error("feedback stopped reaching the peer after a stray packet")
+	}
+	if awaitFeedback(stray, 300*time.Millisecond) {
+		t.Error("a stray source received the feedback stream")
+	}
+	conn.Close()
+	if err := <-served; err == nil {
+		t.Error("ServeReceiver returned nil after its socket was closed")
+	}
+	if got := rcv.Player.PacketsReceived(); got != 2 {
+		t.Errorf("%d packets reached the player, want the peer's 2 (the stray's was ignored)", got)
+	}
+}
+
+// receiverLoad feeds a single-path GCC receive chain an 8 Mbps stream, one
+// frame of ≈28 packets per step at 1 ms spacing, with the chain's tickers
+// and the player running: the steady state of core.Run's media path.
+type receiverLoad struct {
+	s       *sim.Simulator
+	onMedia func(p *rtp.Packet, at time.Duration)
+	pk      *rtp.Packetizer
+	frame   uint32
+}
+
+// warmReceiver runs the load for 10 s against the chain build returns.
+func warmReceiver(build func(s *sim.Simulator, vcfg video.SenderConfig) func(*rtp.Packet, time.Duration)) *receiverLoad {
+	vcfg := video.DefaultSenderConfig()
+	l := &receiverLoad{s: sim.New(1), pk: rtp.NewPacketizer(vcfg.SSRC, vcfg.PayloadType, vcfg.MTU)}
+	l.onMedia = build(l.s, vcfg)
+	for i := 0; i < 300; i++ {
+		l.step()
+	}
+	return l
+}
+
+func (l *receiverLoad) step() int {
+	t0 := time.Duration(l.frame) * time.Second / 30
+	pkts := l.pk.Packetize(rtp.FrameInfo{Num: l.frame, EncodeTime: t0, Size: 8_000_000 / 8 / 30, RTPTime: l.frame * 3000})
+	for i, p := range pkts {
+		at := t0 + time.Duration(i)*time.Millisecond
+		l.s.RunUntil(at)
+		l.onMedia(p, at)
+	}
+	l.frame++
+	return len(pkts)
+}
+
+// endpointChain is the chain under test: a Receiver.
+func endpointChain(s *sim.Simulator, vcfg video.SenderConfig) func(*rtp.Packet, time.Duration) {
+	rcv := NewReceiver(s, ReceiverConfig{SSRC: vcfg.SSRC, PayloadType: vcfg.PayloadType, Player: video.DefaultPlayerConfig(), TWCC: true})
+	rcv.Feedback = func([]byte, int) {}
+	rcv.StartReports()
+	return func(p *rtp.Packet, at time.Duration) { rcv.OnMedia(p, at) }
+}
+
+// closureChain is the oracle: the single-path GCC receive side as the
+// closures of core's runVideo wired it before this package existed — the same
+// components, called from the same places, with a link-shaped sink.
+func closureChain(s *sim.Simulator, vcfg video.SenderConfig) func(*rtp.Packet, time.Duration) {
+	send := func(meta any, size int) {}
+	pl := video.NewPlayer(s, video.DefaultPlayerConfig(), video.DefaultSSIMModel(), nil)
+	recStats := rtp.NewReceptionStats(vcfg.SSRC, rtp.VideoClockRate)
+	s.Every(1500*time.Millisecond, time.Second, func() {
+		rr := &rtp.ReceiverReport{SSRC: 1, Blocks: []rtp.ReportBlock{recStats.Block()}}
+		if buf, err := rr.Marshal(); err == nil {
+			send(buf, len(buf))
+		}
+	})
+	twccRec := rtp.NewTWCCRecorder(1, vcfg.SSRC)
+	s.Every(twccInterval, twccInterval, func() {
+		fb := twccRec.Flush()
+		if fb == nil {
+			return
+		}
+		if buf, err := fb.Marshal(); err == nil {
+			send(buf, len(buf))
+		}
+	})
+	return func(p *rtp.Packet, at time.Duration) {
+		recStats.Record(p.Header.SequenceNumber, p.Header.Timestamp, at)
+		pl.OnPacket(p, at)
+		if tseq, ok := p.Header.TransportSeq(); ok {
+			twccRec.Record(tseq, at)
+		}
+	}
+}
+
+// BenchmarkReceiverOnMedia is one media packet down the receive chain
+// (reception statistics, player ingest, TWCC record), the chain's tickers,
+// the player's pump and the load's packetizer included.
+func BenchmarkReceiverOnMedia(b *testing.B) {
+	l := warmReceiver(endpointChain)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; {
+		n += l.step()
+	}
+}
+
+// TestReceiverAllocationsMatchClosures pins a frame through the Receiver at
+// exactly what it cost through the closures: the frame's reassembly state,
+// the TWCC and receiver reports and the growth of the player's outputs are
+// the components' own and common to both; the chain around them (dispatch,
+// nil-checked stages, the verdict) must add nothing.
+func TestReceiverAllocationsMatchClosures(t *testing.T) {
+	got, want := warmReceiver(endpointChain), warmReceiver(closureChain)
+	g := testing.AllocsPerRun(300, func() { got.step() })
+	w := testing.AllocsPerRun(300, func() { want.step() })
+	if g != w || w == 0 {
+		t.Errorf("%.2f allocations per frame through the Receiver, %.2f through the closures it replaced", g, w)
+	}
+}
+
+// BenchmarkSenderOnFeedback is one TWCC report into a GCC sender in steady
+// state: parse, translate to acks against the sent-packet tables, run the
+// controller, kick the pacer.
+func BenchmarkSenderOnFeedback(b *testing.B) {
+	p := newPair(false)
+	p.s.RunUntil(10 * time.Second)
+	fb := p.lastFeedback
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p.snd.OnDatagram(fb, p.s.Now()) != Control {
+			b.Fatal("feedback rejected")
+		}
+	}
+}
+
+// TestSenderFeedbackAllocationsMatchClosure pins the feedback consumer at
+// what the closure it came from cost per TWCC report. The oracle below is
+// that closure: it parses into a fresh rtp.TWCC and translates into an ack
+// slice reused across reports. If Sender stopped reusing its scratch it
+// would allocate once more per report than the oracle and fail here.
+func TestSenderFeedbackAllocationsMatchClosure(t *testing.T) {
+	p := newPair(false)
+	p.s.RunUntil(10 * time.Second)
+	fb, now := p.lastFeedback, p.s.Now()
+	got := testing.AllocsPerRun(200, func() { p.snd.OnDatagram(fb, now) })
+
+	var ackScratch []cc.Ack
+	snd, ctrl := p.snd.Video, p.snd.Ctrl
+	closure := func(buf []byte, at time.Duration) {
+		var fb rtp.TWCC
+		if err := fb.Unmarshal(buf); err != nil {
+			return
+		}
+		acks := ackScratch[:0]
+		for i, pk := range fb.Packets {
+			tseq := fb.BaseSeq + uint16(i)
+			a := cc.Ack{TransportSeq: tseq, Received: pk.Received, ArrivalTime: pk.At}
+			if rec, ok := snd.LookupTransport(tseq); ok {
+				a.Seq, a.Size, a.SendTime = rec.Seq, rec.Size, rec.SendTime
+			}
+			acks = append(acks, a)
+		}
+		ackScratch = acks
+		ctrl.OnFeedback(at, acks)
+		snd.Kick()
+	}
+	want := testing.AllocsPerRun(200, func() { closure(fb, now) })
+	if got != want || want == 0 {
+		t.Errorf("%.2f allocations per TWCC report through Sender.OnDatagram, %.2f through the closure it replaced", got, want)
+	}
+}
+
+// FuzzEndpointDatagram throws arbitrary datagrams at both wire edges of a
+// pair that has been streaming for a second (so caches, tables and the
+// player hold state for a forged packet to hit), then lets the clock run on.
+// Neither end may panic or hang; a Rejected datagram must leave every
+// counter where it was; and no datagram may cost more memory than its size
+// and the 16-bit sequence space allow — a length field must never size an
+// allocation.
+func FuzzEndpointDatagram(f *testing.F) {
+	seedPair := newPair(true)
+	seedPair.snd.Media = Marshalled(func(buf []byte) { f.Add(buf, true) })
+	seedPair.rcv.Feedback = func(buf []byte, _ int) { f.Add(buf, false) }
+	seedPair.s.RunUntil(150 * time.Millisecond)
+	f.Add([]byte{0x81, 205, 0, 3, 0, 0, 0, 1, 0, 0, 0x12, 0x34, 0, 5, 0xFF, 0xFF}, false) // NACK for 17 packets
+	f.Add([]byte{0x81, 206, 0, 2, 0, 0, 0, 1, 0, 0, 0x12, 0x34}, false)                   // PLI
+
+	f.Fuzz(func(t *testing.T, data []byte, toReceiver bool) {
+		p := newPair(true)
+		p.s.RunUntil(time.Second)
+		type counters struct {
+			arrivals, nacks, kfRequests, rtxBytes, sent int
+			target                                      float64
+		}
+		read := func() counters {
+			return counters{p.rcv.Player.PacketsReceived(), p.rcv.NacksSent, p.rcv.Player.KeyframeRequests,
+				p.snd.RtxBytes, p.snd.Video.PacketsSent, p.snd.TargetBitrate(p.s.Now())}
+		}
+		before := read()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		var v Verdict
+		if toReceiver {
+			v = p.rcv.OnDatagram(data, p.s.Now())
+		} else {
+			v = p.snd.OnDatagram(data, p.s.Now())
+		}
+		runtime.ReadMemStats(&m1)
+		if v == Rejected && read() != before {
+			t.Fatalf("a rejected datagram moved the counters: %+v → %+v", before, read())
+		}
+		// The bound is the costliest honest path: one record in the loss
+		// detector per sequence number a media packet skips, at most 2^15 of
+		// them (it keeps MaxPending); and a NACK may name 17 packets per 4
+		// bytes, each retransmitted. Nothing else scales past the datagram,
+		// and nothing at all with a length field inside it.
+		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(4<<20+2048*len(data)); grew > bound {
+			t.Fatalf("%d bytes allocated for a %d-byte datagram (bound %d)", grew, len(data), bound)
+		}
+		p.s.RunUntil(p.s.Now() + 500*time.Millisecond)
+	})
+}

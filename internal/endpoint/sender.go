@@ -1,0 +1,287 @@
+package endpoint
+
+import (
+	"time"
+
+	"rpivideo/internal/cc"
+	"rpivideo/internal/gcc"
+	"rpivideo/internal/obs"
+	"rpivideo/internal/repair"
+	"rpivideo/internal/rtp"
+	"rpivideo/internal/scream"
+	"rpivideo/internal/sim"
+	"rpivideo/internal/video"
+)
+
+// SenderConfig parameterizes the sending end.
+type SenderConfig struct {
+	// Video is the encoder and RTP stream identity.
+	Video video.SenderConfig
+	// CC picks the controller; StaticRate is CCStatic's constant bitrate
+	// and GCCTrendline selects GCC's trendline delay estimator.
+	CC           CC
+	StaticRate   float64
+	GCCTrendline bool
+	// FeedbackTimeout arms the controller's feedback-starvation watchdog;
+	// zero leaves it off.
+	FeedbackTimeout time.Duration
+	// Repair, when Enabled, arms the retransmission cache and budget that
+	// answer NACKs. It should have passed WithDefaults.
+	Repair repair.Config
+	// PathBudget, when set, caps the controller's rate queries at the
+	// aggregate budget of the bonded paths below the sender.
+	PathBudget func() float64
+	// Trace receives the controller's rate decisions and every RTX sent.
+	Trace *obs.Tracer
+}
+
+// Sender is the sending end: video.Sender (encoder, packetizer, send queue
+// and pacer under the controller) plus what a stream needs beyond media —
+// the retransmission cache and repair budget, the RFC 3550 sender report
+// clock, and the consumer of everything the receiver sends back.
+type Sender struct {
+	sim *sim.Simulator
+	cfg SenderConfig
+
+	// Video is the media source, exposed for its counters and its frame
+	// registry (the simulator's out-of-band channel to the player's quality
+	// model). Its Transmit hook belongs to the Sender.
+	Video *video.Sender
+	// Ctrl is the concrete controller, for the type-asserted extensions
+	// (RepairAware, the SCReAM counters); ctrl is what the stream obeys —
+	// Ctrl itself, or Ctrl capped by the bonded path budget.
+	Ctrl cc.Controller
+	ctrl cc.Controller
+	// Cache and Budget are the repair layer's sending half, nil when repair
+	// is off.
+	Cache  *repair.Cache
+	Budget *repair.Budget
+
+	// Media, RTX and Control hand a departing packet to whatever joins the
+	// two ends; all three must be set before the clock runs. Control
+	// carries the sender reports, which share the media path.
+	Media   func(p *rtp.Packet, size int)
+	RTX     func(p *rtp.Packet, size int)
+	Control func(buf []byte)
+	// OnRTT, when set, observes each round-trip sample a receiver report's
+	// LSR/DLSR pair yields.
+	OnRTT func(rtt time.Duration)
+
+	rtxSeq uint16
+	// acks and ccfb are reused across reports: no controller (nor
+	// cc.Bonded) keeps the acks slice past OnFeedback, and CCFB.Unmarshal
+	// refills the struct it is called on.
+	acks []cc.Ack
+	ccfb rtp.CCFB
+
+	// RtxBytes counts retransmitted wire bytes.
+	RtxBytes int
+}
+
+// NewSender builds the sending end on clock s. It draws the encoder's
+// randomness from the "encoder" stream and schedules nothing until started.
+func NewSender(s *sim.Simulator, cfg SenderConfig) *Sender {
+	snd := &Sender{sim: s, cfg: cfg}
+	switch cfg.CC {
+	case CCGCC:
+		snd.Ctrl = gcc.New(gcc.Config{UseTrendline: cfg.GCCTrendline, FeedbackTimeout: cfg.FeedbackTimeout})
+	case CCSCReAM:
+		snd.Ctrl = scream.New(scream.Config{FeedbackTimeout: cfg.FeedbackTimeout})
+	default:
+		snd.Ctrl = cc.NewStatic(cfg.StaticRate)
+	}
+	if tc, ok := snd.Ctrl.(cc.Traceable); ok && cfg.Trace != nil {
+		tc.SetTracer(cfg.Trace)
+	}
+	snd.ctrl = snd.Ctrl
+	if cfg.PathBudget != nil {
+		// Bonded runs wrap the rate queries so the encoder target also
+		// honors the aggregate path budget.
+		snd.ctrl = cc.NewBonded(snd.Ctrl, cfg.PathBudget)
+	}
+	snd.Video = video.NewSender(s, cfg.Video, snd.ctrl, s.Stream("encoder"))
+	snd.Video.Transmit = snd.transmit
+	if cfg.Repair.Enabled {
+		snd.Cache = repair.NewCache(cfg.Repair)
+		snd.Budget = repair.NewBudget(cfg.Repair)
+		// Account repair spend against the media target so media plus RTX
+		// together honor the congested rate (cc.RepairAware).
+		if ra, ok := snd.Ctrl.(cc.RepairAware); ok {
+			ra.SetRepairSpend(snd.Budget.SpendRate)
+		}
+	}
+	return snd
+}
+
+// TargetBitrate is the rate the encoder is being driven at.
+func (s *Sender) TargetBitrate(now time.Duration) float64 { return s.ctrl.TargetBitrate(now) }
+
+// StartReports starts the sender-report clock: one SR per second on the
+// media path, as the paper's pipeline logs them.
+//
+// Timer-order contract. The simulator fires same-instant timers in the order
+// they were registered, and the four tickers of a stream do meet: the SR
+// clock, the NACK scheduler and the feedback responder all fire on whole
+// seconds, each sending a packet and so writing a trace line with that
+// timestamp. Their registration order is therefore part of a run's
+// byte-identical output, and it interleaves the two ends. Whoever wires a
+// pair must call, in this order:
+//
+//	Receiver.StartRepair, Sender.StartReports, Receiver.StartReports,
+//	(any observer tickers of its own,) Sender.Start
+//
+// core.Run does, and so do the UDP tools for the end they hold.
+func (s *Sender) StartReports() {
+	s.sim.Every(time.Second, time.Second, func() {
+		now := s.sim.Now()
+		sr := &rtp.SenderReport{
+			SSRC:        s.cfg.Video.SSRC,
+			NTPTime:     now,
+			RTPTime:     uint32(uint64(now) * rtp.VideoClockRate / uint64(time.Second)),
+			PacketCount: uint32(s.Video.PacketsSent),
+			OctetCount:  uint32(s.Video.BytesSent),
+		}
+		if buf, err := sr.Marshal(); err == nil {
+			s.Control(buf)
+		}
+	})
+}
+
+// Start begins the frame clock; the last call of the timer-order contract
+// on StartReports.
+func (s *Sender) Start() { s.Video.Start() }
+
+// Stop halts the frame clock.
+func (s *Sender) Stop() { s.Video.Stop() }
+
+// transmit takes a packet from the pacer: remember it for retransmission,
+// then send it.
+func (s *Sender) transmit(p *rtp.Packet, size int) {
+	if s.Cache != nil {
+		s.Cache.Store(p, s.sim.Now())
+	}
+	s.Media(p, size)
+}
+
+// OnDatagram consumes one datagram from the feedback path, routed by RTCP
+// packet type and format to the one parser that applies: PLI → keyframe,
+// NACK → retransmissions, RR → an RTT sample, and the congestion feedback of
+// the configured controller (TWCC for GCC, RFC 8888 for SCReAM) → acks.
+// Anything else — not RTCP, truncated, an unknown type, the other
+// controller's feedback, a foreign media SSRC — is Rejected untouched.
+func (s *Sender) OnDatagram(buf []byte, at time.Duration) Verdict {
+	pt, format, ok := rtp.PeekRTCP(buf)
+	if !ok {
+		return Rejected
+	}
+	switch {
+	case pt == rtp.TypePayloadFeedback && format == rtp.FmtPLI:
+		var pli rtp.PLI
+		if pli.Unmarshal(buf) != nil || pli.MediaSSRC != s.cfg.Video.SSRC {
+			return Rejected
+		}
+		s.Video.ForceKeyframe()
+		return Control
+	case pt == rtp.TypeTransportFeedback && format == rtp.FmtNACK:
+		return s.onNACK(buf, at)
+	case pt == rtp.TypeReceiverReport:
+		return s.onReceiverReport(buf, at)
+	case pt == rtp.TypeTransportFeedback && format == rtp.FmtTWCC && s.cfg.CC == CCGCC:
+		return s.onTWCC(buf, at)
+	case pt == rtp.TypeTransportFeedback && format == rtp.FmtCCFB && s.cfg.CC == CCSCReAM:
+		return s.onCCFB(buf, at)
+	}
+	return Rejected
+}
+
+// onNACK answers an RFC 4585 Generic NACK with RFC 4588 retransmissions, as
+// far as the cache still holds the packets and the budget allows.
+func (s *Sender) onNACK(buf []byte, at time.Duration) Verdict {
+	var n rtp.NACK
+	if s.Cache == nil || n.Unmarshal(buf) != nil || n.MediaSSRC != s.cfg.Video.SSRC {
+		return Rejected
+	}
+	rcfg := s.cfg.Repair
+	for _, seq := range n.Seqs() {
+		orig := s.Cache.Lookup(seq, at)
+		if orig == nil {
+			continue // evicted, aged out, or resent to the cap
+		}
+		s.rtxSeq++
+		rtx := rtp.WrapRTX(orig, rcfg.RtxSSRC, rcfg.RtxPayloadType, s.rtxSeq)
+		size := rtx.MarshalSize()
+		if !s.Budget.Allow(at, size, s.ctrl.TargetBitrate(at)) {
+			continue // budget empty: degrade to the PLI path
+		}
+		s.RtxBytes += size
+		if s.cfg.Trace != nil {
+			s.cfg.Trace.Emit(obs.Event{T: at, Kind: obs.KindRTX, Dir: obs.DirUp,
+				Flags: obs.FlagRTX, Seq: int64(seq), Aux: int64(size)})
+		}
+		s.RTX(rtx, size)
+	}
+	return Control
+}
+
+// onReceiverReport turns the report's LSR/DLSR pair into an RTT sample.
+func (s *Sender) onReceiverReport(buf []byte, at time.Duration) Verdict {
+	var rr rtp.ReceiverReport
+	if rr.Unmarshal(buf) != nil || len(rr.Blocks) != 1 || rr.Blocks[0].SSRC != s.cfg.Video.SSRC {
+		return Rejected
+	}
+	if b := rr.Blocks[0]; b.LastSR != 0 && s.OnRTT != nil {
+		lsr := time.Duration(b.LastSR) * time.Second / 65536
+		dlsr := time.Duration(b.DelaySinceLastSR) * time.Second / 65536
+		if rtt := at - lsr - dlsr; rtt > 0 {
+			s.OnRTT(rtt)
+		}
+	}
+	return Control
+}
+
+// onTWCC translates transport-wide feedback into acks for GCC.
+func (s *Sender) onTWCC(buf []byte, at time.Duration) Verdict {
+	var fb rtp.TWCC
+	if fb.Unmarshal(buf) != nil {
+		return Rejected
+	}
+	acks := s.acks[:0]
+	for i, p := range fb.Packets {
+		tseq := fb.BaseSeq + uint16(i)
+		a := cc.Ack{TransportSeq: tseq, Received: p.Received, ArrivalTime: p.At}
+		if rec, ok := s.Video.LookupTransport(tseq); ok {
+			a.Seq, a.Size, a.SendTime = rec.Seq, rec.Size, rec.SendTime
+		}
+		acks = append(acks, a)
+	}
+	s.acks = acks
+	s.ctrl.OnFeedback(at, acks)
+	s.Video.Kick()
+	return Control
+}
+
+// onCCFB translates RFC 8888 feedback into acks for SCReAM, one OnFeedback
+// per report block.
+func (s *Sender) onCCFB(buf []byte, at time.Duration) Verdict {
+	if s.ccfb.Unmarshal(buf) != nil {
+		return Rejected
+	}
+	for _, rep := range s.ccfb.Reports {
+		acks := s.acks[:0]
+		for i, m := range rep.Metrics {
+			seq := rep.BeginSeq + uint16(i)
+			a := cc.Ack{Seq: seq, Received: m.Received}
+			if m.Received {
+				a.ArrivalTime = s.ccfb.Timestamp - m.ArrivalOffset
+			}
+			if rec, ok := s.Video.LookupSeq(seq); ok {
+				a.TransportSeq, a.Size, a.SendTime = rec.TransportSeq, rec.Size, rec.SendTime
+			}
+			acks = append(acks, a)
+		}
+		s.acks = acks
+		s.ctrl.OnFeedback(at, acks)
+	}
+	s.Video.Kick()
+	return Control
+}
