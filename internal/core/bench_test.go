@@ -24,7 +24,7 @@ func benchResults(b *testing.B) []*Result {
 }
 
 // BenchmarkAggregateSketch folds a campaign into the O(buckets) Summary —
-// the path rpbench's BENCH_campaign.json numbers come from.
+// the path RunCampaignSummary, fleets and the dist coordinator aggregate on.
 func BenchmarkAggregateSketch(b *testing.B) {
 	results := benchResults(b)
 	b.ReportAllocs()
@@ -50,7 +50,7 @@ func BenchmarkAggregateMerge(b *testing.B) {
 
 // benchRun benchmarks one untraced run configuration and reports simulated
 // seconds per wall second as a custom metric — the number that bounds
-// campaign turnaround (rpbench -benchout gates the same metric in CI).
+// campaign turnaround (bench/ measures the same metric end to end).
 func benchRun(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	start := time.Now()
@@ -64,7 +64,7 @@ func benchRun(b *testing.B, cfg Config) {
 }
 
 // BenchmarkRunUrbanGCC is the headline packet-path benchmark: a 30 s urban
-// GCC run at steady state, the same horizon BENCH_run.json records.
+// GCC run at steady state.
 func BenchmarkRunUrbanGCC(b *testing.B) {
 	benchRun(b, Config{Env: cell.Urban, Op: cell.P1, CC: CCGCC, Seed: 1, Duration: 30 * time.Second})
 }

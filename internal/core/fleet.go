@@ -89,6 +89,10 @@ type FleetResult struct {
 	ShareHist      *obs.Histogram
 	// CellEvents is the attach/detach/overload timeline (Events=true).
 	CellEvents []obs.Event
+	// SimEvents sums the UAV runs' Result.SimEvents and SimTimerPeak is
+	// the largest Result.SimTimerPeak: the fleet's simulator cost.
+	SimEvents    uint64
+	SimTimerPeak int
 
 	metrics *obs.Registry
 }
@@ -314,6 +318,8 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 			fr.Summary.AddResult(r)
 			fr.metrics.Merge(r.MetricsRegistry())
 			fr.PerUAVGoodput.Add(r.Goodput.Mean())
+			fr.SimEvents += r.SimEvents
+			fr.SimTimerPeak = max(fr.SimTimerPeak, r.SimTimerPeak)
 		}
 	})
 

@@ -178,6 +178,13 @@ type Result struct {
 	// RTX plane counters from the uplink (conservation-checked in
 	// internal/link; surfaced here for experiment shape checks).
 	RtxSent, RtxDelivered, RtxLost, RtxStaleDrops, RtxOverflows int
+
+	// The run's simulator cost: events scheduled and the most pending at
+	// once. Both are pure functions of the config, so the cost pins of
+	// internal/experiments compare them exactly; they are deliberately not
+	// in MetricsRegistry, whose keys the checked-in baselines fix.
+	SimEvents    uint64
+	SimTimerPeak int
 }
 
 // BondPathStats is one bonded path's accounting: copies routed to it,

@@ -22,7 +22,6 @@ func Run(cfg Config) *Result { return run(cfg, false) }
 // run is Run with the differential test's switch: wire makes every media
 // packet cross the links as marshalled bytes (see connect).
 func run(cfg Config, wire bool) *Result {
-	runsExecuted.Add(1)
 	s := sim.New(cfg.Seed)
 
 	// Mobility.
@@ -120,6 +119,7 @@ func run(cfg Config, wire bool) *Result {
 	if res.PacketsSent > 0 {
 		res.PER = float64(res.PacketsLost) / float64(res.PacketsSent)
 	}
+	res.SimEvents, res.SimTimerPeak = s.Scheduled(), s.TimerHighWater()
 	return res
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"sync/atomic"
 	"time"
 
 	"rpivideo/internal/fault"
@@ -246,8 +245,6 @@ func (s *Summary) AddResult(r *Result) {
 	s.RtxLost += r.RtxLost
 	s.RtxStaleDrops += r.RtxStaleDrops
 	s.RtxOverflows += r.RtxOverflows
-
-	recordAggregation(s)
 }
 
 // Merge folds another summary into s — the distributed-campaign
@@ -351,7 +348,6 @@ func (s *Summary) Merge(o *Summary) {
 	s.RtxOverflows += o.RtxOverflows
 
 	s.samplesFolded += o.samplesFolded
-	recordAggregation(s)
 }
 
 // GoodputMean returns the mean per-second goodput in Mbps.
@@ -406,52 +402,4 @@ func RunCampaignSummary(cfg Config, runs int, opts CampaignOptions) (*Summary, [
 	sum := &Summary{}
 	errs := opts.run(cfg, runs, func(_ int, r *Result) { sum.AddResult(r) })
 	return sum, errs
-}
-
-// AggregationStats snapshots the process-wide campaign-aggregation
-// accounting: how many runs have executed, the largest single summary's
-// folded-sample count (what a Dist merge would have retained, ×8 bytes)
-// and its sketch footprint. rpbench surfaces these in BENCH_campaign.json.
-type AggregationStats struct {
-	RunsExecuted       int64 `json:"runs_executed"`
-	MaxCampaignSamples int64 `json:"max_campaign_samples"`
-	MaxSketchBytes     int64 `json:"max_sketch_bytes"`
-}
-
-var (
-	runsExecuted       atomic.Int64
-	maxCampaignSamples atomic.Int64
-	maxSketchBytes     atomic.Int64
-)
-
-// recordAggregation updates the process-wide watermarks after a fold.
-func recordAggregation(s *Summary) {
-	storeMax(&maxCampaignSamples, s.samplesFolded)
-	storeMax(&maxSketchBytes, int64(s.RetainedBytes()))
-}
-
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Stats returns the process-wide aggregation statistics.
-func Stats() AggregationStats {
-	return AggregationStats{
-		RunsExecuted:       runsExecuted.Load(),
-		MaxCampaignSamples: maxCampaignSamples.Load(),
-		MaxSketchBytes:     maxSketchBytes.Load(),
-	}
-}
-
-// ResetStats zeroes the process-wide aggregation statistics (benchmarks and
-// tests that want per-section numbers).
-func ResetStats() {
-	runsExecuted.Store(0)
-	maxCampaignSamples.Store(0)
-	maxSketchBytes.Store(0)
 }

@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"encoding/binary"
 	"net"
 	"runtime"
 	"testing"
@@ -423,7 +424,14 @@ func TestSenderFeedbackAllocationsMatchClosure(t *testing.T) {
 // allocation.
 func FuzzEndpointDatagram(f *testing.F) {
 	seedPair := newPair(true)
-	seedPair.snd.Media = Marshalled(func(buf []byte) { f.Add(buf, true) })
+	seedPair.snd.Media = Marshalled(func(buf []byte) {
+		f.Add(buf, true)
+		// The same packet some 20 000 sequence numbers ahead of where the
+		// fuzzed pair will be: the loss detector's costliest input.
+		far := append([]byte(nil), buf...)
+		binary.BigEndian.PutUint16(far[2:], binary.BigEndian.Uint16(far[2:])+22000)
+		f.Add(far, true)
+	})
 	seedPair.rcv.Feedback = func(buf []byte, _ int) { f.Add(buf, false) }
 	seedPair.s.RunUntil(150 * time.Millisecond)
 	f.Add([]byte{0x81, 205, 0, 3, 0, 0, 0, 1, 0, 0, 0x12, 0x34, 0, 5, 0xFF, 0xFF}, false) // NACK for 17 packets
@@ -453,12 +461,13 @@ func FuzzEndpointDatagram(f *testing.F) {
 		if v == Rejected && read() != before {
 			t.Fatalf("a rejected datagram moved the counters: %+v → %+v", before, read())
 		}
-		// The bound is the costliest honest path: one record in the loss
-		// detector per sequence number a media packet skips, at most 2^15 of
-		// them (it keeps MaxPending); and a NACK may name 17 packets per 4
-		// bytes, each retransmitted. Nothing else scales past the datagram,
-		// and nothing at all with a length field inside it.
-		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(4<<20+2048*len(data)); grew > bound {
+		// The bound is the costliest honest path: a media packet that skips
+		// more sequence numbers than the loss detector tracks opens
+		// MaxPending (8 192) records, about 1.3 MiB with their index, however
+		// far it jumps; and a NACK may name 17 packets per 4 bytes, each
+		// retransmitted. Nothing else scales past the datagram, and nothing
+		// at all with a length field inside it.
+		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(2<<20+2048*len(data)); grew > bound {
 			t.Fatalf("%d bytes allocated for a %d-byte datagram (bound %d)", grew, len(data), bound)
 		}
 		p.s.RunUntil(p.s.Now() + 500*time.Millisecond)

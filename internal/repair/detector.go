@@ -98,24 +98,29 @@ func (d *Detector) OnPacket(seq uint16, at time.Duration) {
 	case delta == 0:
 		// Duplicate of the newest packet; nothing to learn.
 	case delta < 0x8000:
-		if delta > 1 && d.cfg.OutageGuard > 0 && silence > d.cfg.OutageGuard {
-			// Dead span: the gap was revealed across an arrival silence
-			// longer than the useful repair window, so the missing packets
-			// predate the outage and their frames are past playout.
-			// Degrade the whole span to the PLI path instead of NACK-chasing
-			// it on the recovering link.
-			n := int(delta) - 1
-			d.Abandoned += n
+		first, n := d.highest+1, int(delta)-1
+		// Skipped sequence numbers that are not worth a record go to the
+		// PLI path at once, oldest first. Dead span: the gap was revealed
+		// across an arrival silence longer than the useful repair window,
+		// so the missing packets predate the outage and their frames are
+		// past playout — all n of them, instead of NACK-chasing them on the
+		// recovering link. Otherwise whatever exceeds MaxPending: add would
+		// open each record only to evict it again, up to 2^15 − 1 of them
+		// for one (possibly forged) packet.
+		dead := max(0, n-d.cfg.MaxPending)
+		if n > 0 && d.cfg.OutageGuard > 0 && silence > d.cfg.OutageGuard {
+			dead = n
+		}
+		if dead > 0 {
+			d.Abandoned += dead
 			if d.trace != nil {
 				// One summary event for the span (Aux = span length), not
 				// one per sequence number.
 				d.trace.Emit(obs.Event{T: at, Kind: obs.KindRepairAbandoned,
-					Seq: int64(d.highest + 1), Aux: int64(n)})
+					Seq: int64(first), Aux: int64(dead)})
 			}
-			d.highest = seq
-			break
 		}
-		for s := d.highest + 1; s != seq; s++ {
+		for s := first + uint16(dead); s != seq; s++ {
 			d.add(s, at)
 		}
 		d.highest = seq

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rpivideo/internal/obs"
 	"rpivideo/internal/rtp"
 )
 
@@ -154,6 +155,61 @@ func TestDetectorPendingBound(t *testing.T) {
 	got := d.Tick(ms(10))
 	if len(got) != 4 || got[0] != 7 || got[3] != 10 {
 		t.Fatalf("surviving NACKs %v, want [7 8 9 10]", got)
+	}
+}
+
+// TestDetectorGapBeyondPendingBound drives forward gaps larger than
+// MaxPending and compares with the loop OnPacket had before: one record per
+// skipped sequence number, each opened by add only to be evicted again. The
+// totals, the survivors and the evictions of older losses must be the
+// same; what changes is that the excess costs one counter bump and one
+// trace event instead of a record each.
+func TestDetectorGapBeyondPendingBound(t *testing.T) {
+	for _, delta := range []uint16{9001, 0x7fff} { // 9 000 skipped; the largest forward jump
+		prime := func(tr *obs.Tracer) *Detector {
+			d := NewDetector(DefaultConfig()) // MaxPending 8192
+			d.SetTracer(tr)
+			d.OnPacket(65000, 0)
+			d.OnPacket(65004, ms(1)) // three older losses for the gap to evict
+			return d
+		}
+		seq := uint16(65004) + delta // across the 16-bit wrap
+
+		tr := obs.New(0)
+		d := prime(tr)
+		d.OnPacket(seq, ms(2))
+
+		ref := prime(nil)
+		ref.arrivals++
+		for s := ref.highest + 1; s != seq; s++ {
+			ref.add(s, ms(2))
+		}
+		ref.highest = seq
+
+		skipped := int(delta) - 1
+		if d.Abandoned != ref.Abandoned || d.Abandoned != 3+skipped-8192 {
+			t.Fatalf("gap %d: abandoned %d, the per-sequence loop %d, want %d", skipped, d.Abandoned, ref.Abandoned, 3+skipped-8192)
+		}
+		if d.Pending() != 8192 || len(d.pending) != 8192 || ref.Pending() != 8192 {
+			t.Fatalf("gap %d: pending %d (%d records), the per-sequence loop %d, want 8192", skipped, d.Pending(), len(d.pending), ref.Pending())
+		}
+		d.OnPacket(seq+1, ms(3)) // the second arrival past the gap: NACK-eligible
+		ref.OnPacket(seq+1, ms(3))
+		got, want := d.Tick(ms(20)), ref.Tick(ms(20))
+		if len(got) != 8192 || got[0] != seq-8192 || got[8191] != seq-1 {
+			t.Fatalf("gap %d: %d survivors %d..%d, want the newest 8192 (%d..%d)", skipped, len(got), got[0], got[len(got)-1], seq-8192, seq-1)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("gap %d: survivor %d is %d, the per-sequence loop kept %d", skipped, i, got[i], want[i])
+			}
+		}
+		// One summary for the excess, then the three older losses evicted
+		// one by one as before.
+		evs := tr.Events()
+		if len(evs) != 4 || evs[0].Kind != obs.KindRepairAbandoned || evs[0].Seq != 65005 || evs[0].Aux != int64(skipped-8192) {
+			t.Fatalf("gap %d: %d trace events, first %+v; want a summary at 65005 for %d and 3 evictions", skipped, len(evs), evs[0], skipped-8192)
+		}
 	}
 }
 

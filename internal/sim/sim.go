@@ -317,6 +317,15 @@ func (s *Simulator) Stop() { s.stopped = true }
 // the heap immediately, so they are never counted.
 func (s *Simulator) Pending() int { return len(s.events) }
 
+// Scheduled returns how many events have been scheduled since New, fired,
+// stopped and still pending alike. It is a pure function of (Config, Seed),
+// which makes it the run cost a regression gate can pin exactly.
+func (s *Simulator) Scheduled() uint64 { return s.seq }
+
+// TimerHighWater returns the most events that were ever pending at once:
+// the registry only grows when the free list is empty.
+func (s *Simulator) TimerHighWater() int { return len(s.timers) }
+
 // step executes the next pending event; it reports false when none remain.
 func (s *Simulator) step(limit time.Duration, bounded bool) bool {
 	for len(s.events) > 0 {
