@@ -169,8 +169,9 @@ func (m *SignalModel) rsrp(i int, bs BS, st flight.State) float64 {
 	}
 	pLoS += (0.95 - pLoS) * airness
 
-	plLoS := 103.4 + 24.2*math.Log10(math.Max(dKm, 0.01))
-	plNLoS := 131.1 + 42.8*math.Log10(math.Max(dKm, 0.01))
+	logD := math.Log10(math.Max(dKm, 0.01))
+	plLoS := 103.4 + 24.2*logD
+	plNLoS := 131.1 + 42.8*logD
 	pl := pLoS*plLoS + (1-pLoS)*plNLoS
 
 	// Vertical antenna pattern: boresight is DownTiltDeg below the horizon.

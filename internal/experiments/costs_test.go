@@ -9,8 +9,13 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"rpivideo/internal/bond"
+	"rpivideo/internal/cell"
 	"rpivideo/internal/core"
+	"rpivideo/internal/fault"
+	"rpivideo/internal/repair"
 )
 
 // costsPath holds the per-run cost pins: what one execution of each
@@ -52,6 +57,31 @@ type costFile struct {
 	Go string `json:"go"`
 	// Rows is keyed by costKey.
 	Rows map[string]runCost `json:"rows"`
+}
+
+// longHorizon is the one pinned run that is not a scenario: the 75 s
+// bonded, repaired, faulted flight of core's TestResilientLongHorizonPinned
+// (its second seed). The scenarios last 3–8 s, which neither fills a
+// metrics.Dist past its first slice nor takes a link's rings round their
+// buffers more than a few times; this row holds those structures' steady
+// state to the same gate. Trace off only: the flight has no golden trace.
+var longHorizon = Scenario{
+	Name: "resilient-75s",
+	Runs: 1,
+	Config: core.Config{
+		Env: cell.Rural, Op: cell.P1, Air: true, CC: core.CCGCC, Seed: 7, Duration: 75 * time.Second,
+		Bond:   bond.Config{Policy: bond.PolicySpray},
+		Repair: repair.Config{Enabled: true},
+		Faults: fault.Config{
+			RLF: true, Watchdog: true, KeyframeRecovery: true,
+			Windows: []fault.Window{
+				{Start: 20 * time.Second, Duration: 2 * time.Second, Path: fault.PathPrimary},
+				{Start: 35 * time.Second, Duration: 200 * time.Millisecond, Loss: true},
+				{Start: 50 * time.Second, Duration: 3 * time.Second, Path: fault.PathSecondary},
+				{Start: 65 * time.Second, Duration: 100 * time.Millisecond, Loss: true},
+			},
+		},
+	},
 }
 
 func costKey(scenario string, trace bool) string {
@@ -155,9 +185,9 @@ func relDelta(want, got uint64) float64 {
 }
 
 // TestScenarioCosts is the performance regression gate: every scenario, with
-// tracing off and on, must cost exactly the pinned number of simulator
-// events, pending timers, trace events and trace bytes, and allocate within
-// 1 % of the pinned count and volume. The on/off pairs are also the measured
+// tracing off and on, and the long-horizon flight must cost exactly the
+// pinned number of simulator events, pending timers, trace events and trace
+// bytes, and allocate within 1 % of the pinned count and volume. The on/off pairs are also the measured
 // price of tracing. Wall-clock speed is bench/'s business, not this test's.
 func TestScenarioCosts(t *testing.T) {
 	allocs := !raceEnabled
@@ -177,8 +207,11 @@ func TestScenarioCosts(t *testing.T) {
 	sameGo := pins.Go == goMinor(runtime.Version())
 
 	now := costFile{Go: goMinor(runtime.Version()), Rows: map[string]runCost{}}
-	for _, sc := range Scenarios() {
+	for _, sc := range append(Scenarios(), longHorizon) {
 		for _, trace := range []bool{false, true} {
+			if trace && sc.Name == longHorizon.Name {
+				continue
+			}
 			key := costKey(sc.Name, trace)
 			// The smaller of two executions: the first one in a process also
 			// pays for whatever the packages build lazily.

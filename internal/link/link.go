@@ -115,15 +115,18 @@ type Link struct {
 
 	// Bottleneck queue (ring buffer: the hot path never reslices or
 	// reallocates in steady state).
-	queue      pktRing
+	queue      ring[queued]
 	queueBytes int
 	serving    bool
 
 	// inflight holds packets that finished serialization and await their
-	// arrival event. Arrivals are clamped monotonic per link (RLC in-order
-	// delivery), so this is strictly FIFO and one preallocated arrival
-	// callback can pop the head instead of a per-packet closure.
-	inflight pktRing
+	// arrival; arrivals holds, in step with it, when each arrives. Arrivals
+	// are clamped monotonic per link (RLC in-order delivery), so both are
+	// strictly FIFO and only the head needs a simulator event: arrive pops
+	// it and arms the next one under the sequence number deliver reserved,
+	// which is the order one timer per packet would fire in.
+	inflight ring[queued]
+	arrivals ring[arrivalSlot]
 
 	// Preallocated event callbacks: scheduling a method value through
 	// sim.At allocates a closure per call, so the three packet-path
@@ -220,22 +223,29 @@ type queued struct {
 
 func (q queued) ctrl() bool { return q.class == classCtrl }
 
-// pktRing is a FIFO ring buffer of queued packets with power-of-two
-// capacity. Push and pop are O(1) without reslicing, so the bottleneck
-// queue stops shedding its backing array one packet at a time.
-type pktRing struct {
-	buf  []queued
+// arrivalSlot is when an in-flight packet reaches the far end: its time and
+// the simulator sequence number reserved for it when it left the bottleneck.
+type arrivalSlot struct {
+	at  time.Duration
+	seq uint64
+}
+
+// ring is a FIFO ring buffer with power-of-two capacity. Push and pop are
+// O(1) without reslicing, so the bottleneck queue stops shedding its backing
+// array one packet at a time.
+type ring[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-func (r *pktRing) len() int { return r.n }
+func (r *ring[T]) len() int { return r.n }
 
 // at returns the i-th element from the head (0 = head) for in-place
 // iteration.
-func (r *pktRing) at(i int) *queued { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
 
-func (r *pktRing) push(q queued) {
+func (r *ring[T]) push(q T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
@@ -245,20 +255,21 @@ func (r *pktRing) push(q queued) {
 
 // pop removes and returns the head element, zeroing its slot so the ring
 // does not retain packet metas.
-func (r *pktRing) pop() queued {
+func (r *ring[T]) pop() T {
+	var zero T
 	q := r.buf[r.head]
-	r.buf[r.head] = queued{}
+	r.buf[r.head] = zero
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return q
 }
 
-func (r *pktRing) grow() {
+func (r *ring[T]) grow() {
 	cap := len(r.buf) * 2
 	if cap == 0 {
 		cap = 16
 	}
-	buf := make([]queued, cap)
+	buf := make([]T, cap)
 	for i := 0; i < r.n; i++ {
 		buf[i] = *r.at(i)
 	}
@@ -268,9 +279,10 @@ func (r *pktRing) grow() {
 
 // truncate keeps the first n elements, zeroing the rest (used by the stale
 // flush after in-place compaction).
-func (r *pktRing) truncate(n int) {
+func (r *ring[T]) truncate(n int) {
+	var zero T
 	for i := n; i < r.n; i++ {
-		*r.at(i) = queued{}
+		*r.at(i) = zero
 	}
 	r.n = n
 }
@@ -833,13 +845,11 @@ func (l *Link) dropStaleQueue(now time.Duration) {
 	l.queue.truncate(w) // releases dropped metas
 }
 
-// deliver schedules the packet's arrival after propagation delay and
-// per-packet jitter. Arrivals are clamped monotonic per link: RLC delivers
-// in order within the bearer, so jitter widens gaps but never reorders —
-// which also means in-flight packets form a strict FIFO, and the single
-// preallocated arrival callback can pop the inflight ring instead of every
-// packet carrying its own closure.
-func (l *Link) deliver(pkt queued) {
+// depart fixes when a packet leaving the bottleneck reaches the far end:
+// propagation delay plus per-packet jitter, clamped monotonic per link. RLC
+// delivers in order within the bearer, so jitter widens gaps but never
+// reorders — which also means in-flight packets form a strict FIFO.
+func (l *Link) depart(class packetClass) time.Duration {
 	delay := l.prof.BaseOWD
 	if l.prof.JitterSigma > 0 {
 		j := time.Duration(math.Abs(l.rng.NormFloat64()) * float64(l.prof.JitterSigma))
@@ -850,7 +860,7 @@ func (l *Link) deliver(pkt queued) {
 		at = l.lastArrival
 	}
 	l.lastArrival = at
-	switch pkt.class {
+	switch class {
 	case classCtrl:
 		l.ctrlInFlight++
 	case classRTX:
@@ -858,13 +868,37 @@ func (l *Link) deliver(pkt queued) {
 	default:
 		l.inFlight++
 	}
-	l.inflight.push(pkt)
-	l.sim.At(at, l.arriveFn)
+	return at
 }
 
-// arrive completes delivery of the oldest in-flight packet.
+// deliver puts the packet in flight. Its arrival's place among the
+// simulator's events is reserved now; the timer is armed now only when
+// nothing is ahead of it, otherwise by the arrival before it.
+func (l *Link) deliver(pkt queued) {
+	at := l.depart(pkt.class)
+	seq := l.sim.Reserve()
+	l.inflight.push(pkt)
+	l.arrivals.push(arrivalSlot{at: at, seq: seq})
+	if l.arrivals.len() == 1 {
+		l.sim.AtReserved(at, seq, l.arriveFn)
+	}
+}
+
+// arrive completes delivery of the oldest in-flight packet. The next
+// arrival is armed before Deliver runs, so whatever Deliver schedules for
+// this instant still fires after it only if it did before.
 func (l *Link) arrive() {
 	pkt := l.inflight.pop()
+	l.arrivals.pop()
+	if l.arrivals.len() > 0 {
+		next := l.arrivals.at(0)
+		l.sim.AtReserved(next.at, next.seq, l.arriveFn)
+	}
+	l.land(pkt)
+}
+
+// land hands an arrived packet to the far end.
+func (l *Link) land(pkt queued) {
 	switch pkt.class {
 	case classCtrl:
 		l.ctrlInFlight--

@@ -5,7 +5,7 @@ import "testing"
 // TestPktRingFIFO pushes and pops across several growth and wrap cycles,
 // checking strict FIFO order and slot reuse.
 func TestPktRingFIFO(t *testing.T) {
-	var r pktRing
+	var r ring[queued]
 	next, want := 0, 0
 	push := func(n int) {
 		for i := 0; i < n; i++ {
@@ -42,7 +42,7 @@ func TestPktRingFIFO(t *testing.T) {
 // TestPktRingTruncateAndAt exercises the in-place compaction pattern
 // dropStaleQueue uses: read via at(i), compact, truncate.
 func TestPktRingTruncateAndAt(t *testing.T) {
-	var r pktRing
+	var r ring[queued]
 	for i := 0; i < 10; i++ {
 		r.push(queued{size: i})
 	}

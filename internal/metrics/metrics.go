@@ -12,37 +12,70 @@ import (
 	"time"
 )
 
+// distChunk is the length at which Add stops regrowing the slice it appends
+// to and starts a fresh one. A per-packet Dist of a long flight holds several
+// hundred thousand samples; regrowing one slice that far copies every sample
+// about four times over and was a quarter of a flight's allocated bytes.
+const distChunk = 8192
+
 // Dist accumulates a sample distribution. The zero value is ready to use.
+//
+// Samples live in one slice until it has grown to distChunk; from there Add
+// sets full slices aside and the first read that needs them in one piece
+// (flat) concatenates them once, into a slice of exactly the right size. A
+// Dist that stays under distChunk never leaves the single slice.
 type Dist struct {
-	samples []float64
+	samples []float64   // the slice Add appends to; all samples when full is nil
+	full    [][]float64 // filled slices before samples, in insertion order
+	nFull   int         // samples held in full
 	sorted  bool
 	sum     float64
 }
 
 // Add appends one sample.
 func (d *Dist) Add(v float64) {
+	if len(d.samples) == cap(d.samples) && len(d.samples) >= distChunk {
+		d.full = append(d.full, d.samples)
+		d.nFull += len(d.samples)
+		d.samples = make([]float64, 0, distChunk)
+	}
 	d.samples = append(d.samples, v)
 	d.sorted = false
 	d.sum += v
 }
 
+// flat returns all samples as one slice, joining the filled slices first.
+// Callers may sort it: the filled slices are left as they were, so a copy of
+// the Dist made by value before the join still reads its own samples.
+func (d *Dist) flat() []float64 {
+	if d.full != nil {
+		all := make([]float64, 0, d.N())
+		for _, c := range d.full {
+			all = append(all, c...)
+		}
+		d.samples = append(all, d.samples...)
+		d.full, d.nFull = nil, 0
+	}
+	return d.samples
+}
+
 // AddAll appends every sample of o.
 func (d *Dist) AddAll(o *Dist) {
-	d.samples = append(d.samples, o.samples...)
+	d.samples = append(d.flat(), o.flat()...)
 	d.sorted = false
 	d.sum += o.sum
 }
 
 // N returns the number of samples.
-func (d *Dist) N() int { return len(d.samples) }
+func (d *Dist) N() int { return d.nFull + len(d.samples) }
 
 // Samples returns a copy of the raw samples in insertion order (sorted
 // ascending if a quantile query has run). The copy is the caller's: later
 // quantile queries — which sort the internal slice in place — cannot
 // reorder it, and mutating it cannot corrupt the distribution.
 func (d *Dist) Samples() []float64 {
-	out := make([]float64, len(d.samples))
-	copy(out, d.samples)
+	out := make([]float64, d.N())
+	copy(out, d.flat())
 	return out
 }
 
@@ -51,40 +84,43 @@ func (d *Dist) Sum() float64 { return d.sum }
 
 // Mean returns the sample mean, or 0 for an empty distribution.
 func (d *Dist) Mean() float64 {
-	if len(d.samples) == 0 {
+	if d.N() == 0 {
 		return 0
 	}
-	return d.sum / float64(len(d.samples))
+	return d.sum / float64(d.N())
 }
 
-func (d *Dist) sort() {
+// sort returns all samples in ascending order.
+func (d *Dist) sort() []float64 {
+	s := d.flat()
 	if !d.sorted {
-		sort.Float64s(d.samples)
+		sort.Float64s(s)
 		d.sorted = true
 	}
+	return s
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
 // between closest ranks. It returns 0 for an empty distribution.
 func (d *Dist) Quantile(q float64) float64 {
-	if len(d.samples) == 0 {
+	if d.N() == 0 {
 		return 0
 	}
-	d.sort()
+	s := d.sort()
 	if q <= 0 {
-		return d.samples[0]
+		return s[0]
 	}
 	if q >= 1 {
-		return d.samples[len(d.samples)-1]
+		return s[len(s)-1]
 	}
-	pos := q * float64(len(d.samples)-1)
+	pos := q * float64(len(s)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return d.samples[lo]
+		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return d.samples[lo]*(1-frac) + d.samples[hi]*frac
+	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // Min returns the smallest sample, or 0 when empty.
@@ -98,33 +134,32 @@ func (d *Dist) Median() float64 { return d.Quantile(0.5) }
 
 // Stddev returns the population standard deviation.
 func (d *Dist) Stddev() float64 {
-	n := len(d.samples)
-	if n == 0 {
+	s := d.flat()
+	if len(s) == 0 {
 		return 0
 	}
 	mean := d.Mean()
 	var ss float64
-	for _, v := range d.samples {
+	for _, v := range s {
 		dv := v - mean
 		ss += dv * dv
 	}
-	return math.Sqrt(ss / float64(n))
+	return math.Sqrt(ss / float64(len(s)))
 }
 
 // FracBelow returns the fraction of samples strictly below x.
 func (d *Dist) FracBelow(x float64) float64 {
-	if len(d.samples) == 0 {
+	if d.N() == 0 {
 		return 0
 	}
-	d.sort()
-	i := sort.SearchFloat64s(d.samples, x)
-	return float64(i) / float64(len(d.samples))
+	s := d.sort()
+	return float64(sort.SearchFloat64s(s, x)) / float64(len(s))
 }
 
 // FracAtOrAbove returns the fraction of samples ≥ x, or 0 for an empty
 // distribution (so threshold checks cannot pass vacuously on empty results).
 func (d *Dist) FracAtOrAbove(x float64) float64 {
-	if len(d.samples) == 0 {
+	if d.N() == 0 {
 		return 0
 	}
 	return 1 - d.FracBelow(x)
@@ -133,14 +168,14 @@ func (d *Dist) FracAtOrAbove(x float64) float64 {
 // CDF evaluates the empirical CDF at each of xs, returning P(X ≤ x).
 func (d *Dist) CDF(xs []float64) []float64 {
 	out := make([]float64, len(xs))
-	if len(d.samples) == 0 {
+	if d.N() == 0 {
 		return out
 	}
-	d.sort()
+	s := d.sort()
 	for i, x := range xs {
 		// Upper bound: first index with sample > x.
-		j := sort.Search(len(d.samples), func(k int) bool { return d.samples[k] > x })
-		out[i] = float64(j) / float64(len(d.samples))
+		j := sort.Search(len(s), func(k int) bool { return s[k] > x })
+		out[i] = float64(j) / float64(len(s))
 	}
 	return out
 }

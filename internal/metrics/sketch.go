@@ -138,7 +138,7 @@ func (s *Sketch) Add(v float64) {
 
 // AddDist folds every sample of a Dist into the sketch.
 func (s *Sketch) AddDist(d *Dist) {
-	for _, v := range d.samples {
+	for _, v := range d.flat() {
 		s.Add(v)
 	}
 }

@@ -102,15 +102,18 @@ func entryLess(a, b *heapEntry) bool {
 
 // Simulator owns virtual time and the pending event set.
 type Simulator struct {
-	now     time.Duration
-	events  []heapEntry // 4-ary min-heap ordered by entryLess
-	timers  []*Timer    // registry: timer id → timer, grows with peak concurrency
-	free    []*Timer    // recycled timers
-	seq     uint64
-	seed    int64
-	streams map[string]*rand.Rand
-	running bool
-	stopped bool
+	now    time.Duration
+	events []heapEntry // 4-ary min-heap ordered by entryLess
+	timers []*Timer    // registry: timer id → timer, grows with peak concurrency
+	free   []*Timer    // recycled timers
+	seq    uint64
+	// reserved holds the sequence numbers Reserve handed out that AtReserved
+	// has not scheduled yet.
+	reserved seqRing
+	seed     int64
+	streams  map[string]*rand.Rand
+	running  bool
+	stopped  bool
 }
 
 // New returns a Simulator at virtual time zero whose random streams derive
@@ -143,8 +146,32 @@ func (s *Simulator) Stream(name string) *rand.Rand {
 // (or present) runs the event at the current time, after already-pending
 // events for that time.
 func (s *Simulator) At(at time.Duration, fn func()) *Timer {
+	return s.AtReserved(at, s.Reserve(), fn)
+}
+
+// Reserve takes the next scheduling sequence number without scheduling
+// anything. An event later pushed under it with AtReserved ties with other
+// events of the same virtual time exactly as if At had been called where
+// Reserve was — so a source that knows its future events are FIFO (a link's
+// arrivals) can decide their order now and keep only the earliest one in the
+// event heap. Reserved numbers count toward Scheduled.
+func (s *Simulator) Reserve() uint64 {
+	seq := s.seq
+	s.seq++
+	s.reserved.push(seq)
+	return seq
+}
+
+// AtReserved schedules fn at virtual time at under a sequence number taken
+// earlier with Reserve; the clamp to the current time is At's. Each number
+// schedules one event: one that Reserve never returned, or that was already
+// used, panics.
+func (s *Simulator) AtReserved(at time.Duration, seq uint64, fn func()) *Timer {
 	if fn == nil {
-		panic("sim: At called with nil callback")
+		panic("sim: event scheduled with nil callback")
+	}
+	if !s.reserved.take(seq) {
+		panic(fmt.Sprintf("sim: AtReserved with sequence number %d, which is not an unused reservation", seq))
 	}
 	if at < s.now {
 		at = s.now
@@ -154,15 +181,64 @@ func (s *Simulator) At(at time.Duration, fn func()) *Timer {
 		t = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		t.at, t.seq, t.fn = at, s.seq, fn
+		t.at, t.seq, t.fn = at, seq, fn
 		t.stopped = false
 	} else {
-		t = &Timer{at: at, seq: s.seq, fn: fn, owner: s, id: int32(len(s.timers))}
+		t = &Timer{at: at, seq: seq, fn: fn, owner: s, id: int32(len(s.timers))}
 		s.timers = append(s.timers, t)
 	}
-	s.seq++
 	s.heapPush(t)
 	return t
+}
+
+// seqRing is the ascending set of sequence numbers reserved and not yet
+// scheduled, in a power-of-two ring. At reserves and takes back the newest
+// number (both ends O(1)); a FIFO holder takes its oldest, which sits within
+// a few slots of the head — take shifts only the entries older than the one
+// it removes.
+type seqRing struct {
+	buf  []uint64
+	head int
+	n    int
+}
+
+func (r *seqRing) push(seq uint64) {
+	if r.n == len(r.buf) {
+		buf := make([]uint64, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = seq
+	r.n++
+}
+
+// take removes seq and reports whether it was there.
+func (r *seqRing) take(seq uint64) bool {
+	if r.n == 0 {
+		return false
+	}
+	mask := len(r.buf) - 1
+	if r.buf[(r.head+r.n-1)&mask] == seq {
+		r.n--
+		return true
+	}
+	for i := 0; i < r.n-1; i++ {
+		v := r.buf[(r.head+i)&mask]
+		if v > seq {
+			return false
+		}
+		if v == seq {
+			for ; i > 0; i-- {
+				r.buf[(r.head+i)&mask] = r.buf[(r.head+i-1)&mask]
+			}
+			r.head = (r.head + 1) & mask
+			r.n--
+			return true
+		}
+	}
+	return false
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -317,13 +393,15 @@ func (s *Simulator) Stop() { s.stopped = true }
 // the heap immediately, so they are never counted.
 func (s *Simulator) Pending() int { return len(s.events) }
 
-// Scheduled returns how many events have been scheduled since New, fired,
-// stopped and still pending alike. It is a pure function of (Config, Seed),
-// which makes it the run cost a regression gate can pin exactly.
+// Scheduled returns how many events have been scheduled since New — fired,
+// stopped, still pending, and reserved but not yet pushed alike. It is a pure
+// function of (Config, Seed), which makes it the run cost a regression gate
+// can pin exactly.
 func (s *Simulator) Scheduled() uint64 { return s.seq }
 
-// TimerHighWater returns the most events that were ever pending at once:
-// the registry only grows when the free list is empty.
+// TimerHighWater returns the most timers that were ever live at once (pending
+// or being fired): the registry only grows when the free list is empty. A
+// reservation holds no timer until AtReserved pushes it.
 func (s *Simulator) TimerHighWater() int { return len(s.timers) }
 
 // step executes the next pending event; it reports false when none remain.
@@ -361,7 +439,9 @@ func (s *Simulator) Run() {
 }
 
 // RunUntil executes events with timestamps ≤ t, then advances the clock to
-// t. Events scheduled after t remain pending.
+// t. Events scheduled after t remain pending. When Stop halts it, events ≤ t
+// may remain too, so the clock stays at the last event run: the next Run or
+// RunUntil must not find pending events in its past.
 func (s *Simulator) RunUntil(t time.Duration) {
 	if s.running {
 		panic("sim: RunUntil re-entered")
@@ -371,7 +451,7 @@ func (s *Simulator) RunUntil(t time.Duration) {
 	s.stopped = false
 	for !s.stopped && s.step(t, true) {
 	}
-	if t > s.now {
+	if !s.stopped && t > s.now {
 		s.now = t
 	}
 }
