@@ -35,6 +35,11 @@ type Dist struct {
 // Add appends one sample.
 func (d *Dist) Add(v float64) {
 	if len(d.samples) == cap(d.samples) && len(d.samples) >= distChunk {
+		if d.full == nil {
+			// A Dist that has filled one slice is a per-packet one and
+			// will fill dozens: skip the list's first four regrowths.
+			d.full = make([][]float64, 0, 16)
+		}
 		d.full = append(d.full, d.samples)
 		d.nFull += len(d.samples)
 		d.samples = make([]float64, 0, distChunk)
