@@ -129,8 +129,9 @@ func (m *SignalModel) advance(now time.Duration, st flight.State) {
 	if rate > 1 {
 		rate = 1
 	}
+	kick := sigma * math.Sqrt(2*rate) // the same product, in the same order, for every cell
 	for i := range m.shadow {
-		m.shadow[i] += -m.shadow[i]*rate + sigma*math.Sqrt(2*rate)*m.rng.NormFloat64()
+		m.shadow[i] += -m.shadow[i]*rate + kick*m.rng.NormFloat64()
 	}
 }
 

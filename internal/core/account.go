@@ -19,8 +19,10 @@ import (
 // receiver never learns a send time), the altitude it was sent from,
 // goodput per second and which path's copies were suppressed.
 type flightLog struct {
-	res        *Result
-	stateAt    func(time.Duration) flight.State
+	res *Result
+	// above are the altitude band edges of BucketFor as step functions of
+	// the send time: a packet's band is the number of edges it was above.
+	above      [len(altBandEdges)]func(time.Duration) bool
 	keepSeries bool
 	// goodputBytes is indexed by arrival second (RunUntil guarantees
 	// at ≤ dur), not a map: the packet path pays an add, not a hash. With
@@ -31,8 +33,24 @@ type flightLog struct {
 	suppressed   [bond.NumPaths]int64
 }
 
-func newFlightLog(cfg Config, res *Result, stateAt func(time.Duration) flight.State, dur time.Duration) *flightLog {
-	return &flightLog{res: res, stateAt: stateAt, keepSeries: cfg.KeepSeries, goodputBytes: make([]int, int(dur/time.Second)+1)}
+func newFlightLog(cfg Config, res *Result, prof flight.Profile, dur time.Duration) *flightLog {
+	l := &flightLog{res: res, keepSeries: cfg.KeepSeries, goodputBytes: make([]int, int(dur/time.Second)+1)}
+	for i, edge := range altBandEdges {
+		l.above[i] = flight.Above(prof, edge)
+	}
+	return l
+}
+
+// bucketAt is BucketFor(profile.At(t).Alt) without the interpolation.
+func (l *flightLog) bucketAt(t time.Duration) AltBucket {
+	b := Alt0to20
+	for _, above := range l.above {
+		if !above(t) {
+			break
+		}
+		b++
+	}
+	return b
 }
 
 // delivered accounts one media-path delivery by the receiver's verdict.
@@ -46,7 +64,7 @@ func (l *flightLog) delivered(v endpoint.Verdict, path, size int, sentAt, at tim
 	case endpoint.Fresh:
 		ms := float64(at-sentAt) / float64(time.Millisecond)
 		l.res.OWDms.Add(ms)
-		l.res.OWDByAlt[BucketFor(l.stateAt(sentAt).Alt)].Add(ms)
+		l.res.OWDByAlt[l.bucketAt(sentAt)].Add(ms)
 		if l.keepSeries {
 			l.owdPts = append(l.owdPts, metrics.Point{T: at, V: ms})
 		}

@@ -33,7 +33,7 @@ type bondPaths struct {
 // (Config, Seed). Scripted faults scope per chain: @p1 windows silence
 // only the primary, @p2 only the secondary, unscoped windows (the vehicle
 // sitting in a coverage hole) silence both.
-func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, hoCfg cell.HandoverConfig, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
+func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, hoCfg cell.HandoverConfig, prof flight.Profile, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
 	if !cfg.Bond.Enabled() || cfg.Workload != WorkloadVideo {
 		return nil
 	}
@@ -53,7 +53,8 @@ func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, hoC
 	})
 	prof2 := link.ProfileFor(cfg.Env, op2)
 	prof2.AQM = cfg.AQM
-	uplink2 := link.New(s, prof2, machine2, stateAt, s.Stream("uplink2"))
+	uplink2 := link.New(s, prof2, machine2, nil, s.Stream("uplink2"))
+	uplink2.SetFlight(prof)
 	if res.Trace != nil {
 		machine2.SetTracer(res.Trace, obs.DirUp2)
 		uplink2.SetTracer(res.Trace, obs.DirUp2)

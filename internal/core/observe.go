@@ -10,8 +10,19 @@ import (
 // run-index order: one meta line per run followed by its events. Untraced
 // or failed (nil) runs are skipped. Because runs are pure functions of
 // (Config, Seed) and the export order is the run index, the output is
-// byte-identical at any campaign worker count.
+// byte-identical at any campaign worker count. A writer that can grow (a
+// bytes.Buffer) is sized once for the whole campaign instead of doubling
+// its way there.
 func WriteCampaignTrace(w io.Writer, results []*Result) error {
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		events := 0
+		for _, r := range results {
+			if r != nil && r.Trace != nil {
+				events += r.Trace.Len()
+			}
+		}
+		g.Grow(72 * events) // a trace line averages 65 bytes
+	}
 	for i, r := range results {
 		if r == nil || r.Trace == nil {
 			continue

@@ -159,3 +159,66 @@ func TestTraceCapRing(t *testing.T) {
 		t.Fatal("ring events not chronological")
 	}
 }
+
+// growCounter is a writer that can grow and remembers being asked to.
+type growCounter struct {
+	bytes.Buffer
+	grows  []int // the n of every Grow call
+	at     []int // the number of writes that preceded it
+	writes int
+}
+
+func (g *growCounter) Grow(n int) {
+	g.grows, g.at = append(g.grows, n), append(g.at, g.writes)
+	g.Buffer.Grow(n)
+}
+
+func (g *growCounter) Write(p []byte) (int, error) {
+	g.writes++
+	return g.Buffer.Write(p)
+}
+
+// plainWriter hides a buffer's Grow, as rpbench's file writer has none.
+type plainWriter struct{ buf *bytes.Buffer }
+
+func (w plainWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+
+// TestWriteCampaignTraceGrowsOnce: a writer with Grow is sized once, before
+// the first byte, for every retained event of the campaign (nil and
+// untraced results skipped), holds the whole export without regrowing, and
+// receives the bytes a writer without Grow does.
+func TestWriteCampaignTraceGrowsOnce(t *testing.T) {
+	cfg := traceTestConfig()
+	cfg.Duration = 2 * time.Second
+	results, errs := RunCampaignWithOptions(cfg, 3, CampaignOptions{Workers: 1})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	untraced := cfg
+	untraced.Trace = false
+	results = append(results, nil, Run(untraced))
+	events := 0
+	for _, r := range results[:3] {
+		events += r.Trace.Len()
+	}
+
+	var g growCounter
+	if err := WriteCampaignTrace(&g, results); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.grows) != 1 || g.grows[0] != 72*events || g.at[0] != 0 {
+		t.Fatalf("Grow calls %v after %v writes, want one of %d before the first write", g.grows, g.at, 72*events)
+	}
+	if g.Len() > 72*events {
+		t.Errorf("export is %d bytes for %d events: the 72 B per event no longer covers it", g.Len(), events)
+	}
+	var plain bytes.Buffer
+	if err := WriteCampaignTrace(plainWriter{&plain}, results); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), plain.Bytes()) || plain.Len() == 0 {
+		t.Error("a growing writer received different bytes")
+	}
+}

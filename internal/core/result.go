@@ -38,18 +38,20 @@ func (b AltBucket) String() string {
 	}
 }
 
+// altBandEdges are the inclusive upper edges (m) of every bucket but the
+// last.
+var altBandEdges = [...]float64{20, 60, 100}
+
 // BucketFor returns the altitude bucket for a height in metres.
 func BucketFor(alt float64) AltBucket {
-	switch {
-	case alt <= 20:
-		return Alt0to20
-	case alt <= 60:
-		return Alt21to60
-	case alt <= 100:
-		return Alt61to100
-	default:
-		return Alt101to140
+	b := Alt0to20
+	for _, edge := range altBandEdges {
+		if alt <= edge {
+			break
+		}
+		b++
 	}
+	return b
 }
 
 // Telemetry log-histogram names. These live in Result.Telemetry, not in

@@ -59,8 +59,10 @@ func run(cfg Config, wire bool) *Result {
 
 	upProfile := link.ProfileFor(cfg.Env, cfg.Op)
 	upProfile.AQM = cfg.AQM
-	uplink := link.New(s, upProfile, machine, stateAt, s.Stream("uplink"))
-	downlink := link.New(s, link.FeedbackProfile(), machine, stateAt, s.Stream("downlink"))
+	uplink := link.New(s, upProfile, machine, nil, s.Stream("uplink"))
+	downlink := link.New(s, link.FeedbackProfile(), machine, nil, s.Stream("downlink"))
+	uplink.SetFlight(prof)
+	downlink.SetFlight(prof)
 	uplink.SetQueueDelayHist(res.Telemetry.LogHistogram(TelemetryQueueDelay))
 	if cfg.CapacityShare != nil {
 		// The fleet scheduler's share scales the media uplink only: the
@@ -84,13 +86,13 @@ func run(cfg Config, wire bool) *Result {
 	// Dual-operator bonding (internal/bond): an independent second radio
 	// chain over the competing operator, a per-path health monitor and a
 	// scheduling policy. nil for single-path runs.
-	bp := setupBond(s, cfg, res, uplink, hoCfg, stateAt, flushStale)
+	bp := setupBond(s, cfg, res, uplink, hoCfg, prof, stateAt, flushStale)
 
 	switch cfg.Workload {
 	case WorkloadPing:
 		runPing(s, cfg, res, uplink, downlink, stateAt, dur)
 	default:
-		stream(s, cfg, res, machine, uplink, bp, downlink, stateAt, dur, wire)
+		stream(s, cfg, res, machine, uplink, bp, downlink, prof, dur, wire)
 	}
 
 	res.PacketsSent = uplink.Sent
@@ -169,9 +171,9 @@ func setupRadio(cfg Config, cellRng *rand.Rand) (*cell.Machine, cell.HandoverCon
 // the links (and the bond router, when bp is set), attach the accounting,
 // run the clock and fold every counter into res. wire is the differential
 // test's switch (see connect).
-func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, stateAt func(time.Duration) flight.State, dur time.Duration, wire bool) {
+func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool) {
 	snd, rcv := newEndpoints(s, cfg, res, bp)
-	log := newFlightLog(cfg, res, stateAt, dur)
+	log := newFlightLog(cfg, res, prof, dur)
 	connect(s, cfg, snd, rcv, uplink, downlink, bp, log, wire)
 	snd.OnRTT = func(rtt time.Duration) { res.RTCPRTTms.Add(float64(rtt) / float64(time.Millisecond)) }
 	rcv.OnReport = func(jitter time.Duration) { res.JitterMs.Add(float64(jitter) / float64(time.Millisecond)) }

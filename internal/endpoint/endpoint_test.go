@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rpivideo/internal/cc"
+	"rpivideo/internal/obs"
 	"rpivideo/internal/repair"
 	"rpivideo/internal/rtp"
 	"rpivideo/internal/sim"
@@ -378,11 +379,14 @@ func BenchmarkSenderOnFeedback(b *testing.B) {
 	}
 }
 
-// TestSenderFeedbackAllocationsMatchClosure pins the feedback consumer at
-// what the closure it came from cost per TWCC report. The oracle below is
-// that closure: it parses into a fresh rtp.TWCC and translates into an ack
-// slice reused across reports. If Sender stopped reusing its scratch it
-// would allocate once more per report than the oracle and fail here.
+// TestSenderFeedbackAllocationsMatchClosure pins the feedback consumer
+// against the closure it came from. The oracle below is that closure: it
+// parses into a fresh rtp.TWCC — two allocations per report, the status
+// symbols and the arrivals — and translates into an ack slice reused across
+// reports. The Sender parses into one rtp.TWCC it keeps, and GCC's receive
+// window no longer regrows, so a report costs it nothing: 0, and no more
+// than the oracle. If Sender stopped reusing either scratch it would fail
+// here.
 func TestSenderFeedbackAllocationsMatchClosure(t *testing.T) {
 	p := newPair(false)
 	p.s.RunUntil(10 * time.Second)
@@ -410,8 +414,91 @@ func TestSenderFeedbackAllocationsMatchClosure(t *testing.T) {
 		snd.Kick()
 	}
 	want := testing.AllocsPerRun(200, func() { closure(fb, now) })
-	if got != want || want == 0 {
-		t.Errorf("%.2f allocations per TWCC report through Sender.OnDatagram, %.2f through the closure it replaced", got, want)
+	if got != 0 || got > want {
+		t.Errorf("%.2f allocations per TWCC report through Sender.OnDatagram, want 0; %.2f through the closure it replaced", got, want)
+	}
+}
+
+// TestTWCCLoopAllocations pins the whole transport-wide feedback loop in
+// steady state — a reporting interval's arrivals recorded, flushed into the
+// recorder's packet, marshalled, parsed into the sender's packet, translated
+// to acks against the sent-packet table and run through GCC — at the one
+// allocation that has an owner elsewhere: the datagram the link carries.
+func TestTWCCLoopAllocations(t *testing.T) {
+	p := newPair(false)
+	p.s.RunUntil(10 * time.Second)
+	rec := rtp.NewTWCCRecorder(receiverSSRC, video.DefaultSenderConfig().SSRC)
+	const reports, perReport = 240, 26
+	tseq := uint16(p.snd.Video.PacketsSent - reports*perReport) // packets the sender still knows
+	if _, ok := p.snd.Video.LookupTransport(tseq); !ok {
+		t.Fatalf("transport seq %d is not in the sender's table", tseq)
+	}
+	now := p.s.Now()
+	report := func() {
+		for k := 0; k < perReport; k++ {
+			now += 400 * time.Microsecond
+			if tseq%29 != 0 {
+				rec.Record(tseq, now)
+			}
+			tseq++
+		}
+		buf, err := rec.Flush().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.snd.OnDatagram(buf, now) != Control {
+			t.Fatal("feedback rejected")
+		}
+	}
+	for i := 0; i < 60; i++ {
+		report()
+	}
+	if n := testing.AllocsPerRun(150, report); n != 1 {
+		t.Errorf("%.2f allocations per TWCC report around the loop, want 1 (the datagram)", n)
+	}
+}
+
+// TestSenderTWCCReuseAfterRejection: the sender parses every report into one
+// rtp.TWCC. A long report, then a datagram rejected halfway through its
+// deltas, then a short report: the controller must see exactly the short
+// report's packets, none left over from either predecessor.
+func TestSenderTWCCReuseAfterRejection(t *testing.T) {
+	tr := obs.New(1 << 10)
+	vcfg := video.DefaultSenderConfig()
+	snd := NewSender(sim.New(1), SenderConfig{Video: vcfg, CC: CCGCC, Trace: tr})
+	twcc := func(base uint16, n int) []byte {
+		fb := rtp.TWCC{SenderSSRC: receiverSSRC, MediaSSRC: vcfg.SSRC, BaseSeq: base}
+		for i := 0; i < n; i++ {
+			fb.Packets = append(fb.Packets, rtp.Arrival{Received: i%4 != 3, At: time.Second + time.Duration(i)*time.Millisecond})
+		}
+		buf, err := fb.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	long, short := twcc(0, 200), twcc(200, 3)
+	cut := append([]byte(nil), long[:len(long)-40]...)
+	cut[3] = byte(len(cut)/4 - 1) // a consistent length field, so the parser reads into the deltas
+	for _, c := range []struct {
+		buf  []byte
+		want Verdict
+		acks int64
+	}{{long, Control, 200}, {cut, Rejected, 0}, {short, Control, 3}} {
+		before := tr.Len()
+		if got := snd.OnDatagram(c.buf, 2*time.Second); got != c.want {
+			t.Fatalf("verdict %v, want %v", got, c.want)
+		}
+		evs := tr.Events()[before:]
+		if c.want == Rejected {
+			if len(evs) != 0 {
+				t.Fatalf("a rejected datagram reached the controller: %+v", evs)
+			}
+			continue
+		}
+		if len(evs) != 1 || evs[0].Kind != obs.KindCC || evs[0].Aux != c.acks {
+			t.Fatalf("controller saw %+v, want one decision over %d acks", evs, c.acks)
+		}
 	}
 }
 

@@ -68,10 +68,11 @@ type Sender struct {
 	OnRTT func(rtt time.Duration)
 
 	rtxSeq uint16
-	// acks and ccfb are reused across reports: no controller (nor
-	// cc.Bonded) keeps the acks slice past OnFeedback, and CCFB.Unmarshal
-	// refills the struct it is called on.
+	// acks, twcc and ccfb are reused across reports: no controller (nor
+	// cc.Bonded) keeps the acks slice past OnFeedback, and both Unmarshals
+	// refill the struct they are called on.
 	acks []cc.Ack
+	twcc rtp.TWCC
 	ccfb rtp.CCFB
 
 	// RtxBytes counts retransmitted wire bytes.
@@ -241,7 +242,7 @@ func (s *Sender) onReceiverReport(buf []byte, at time.Duration) Verdict {
 
 // onTWCC translates transport-wide feedback into acks for GCC.
 func (s *Sender) onTWCC(buf []byte, at time.Duration) Verdict {
-	var fb rtp.TWCC
+	fb := &s.twcc
 	if fb.Unmarshal(buf) != nil {
 		return Rejected
 	}

@@ -78,6 +78,44 @@ type recvSample struct {
 	bytes   int
 }
 
+// recvWindow is the sliding 500 ms window of acked packets behind the
+// receive-rate estimate R̂. Samples leave at the front and join at the
+// back; the front is an index, and the live samples move down only once
+// they are fewer than the dead ones before them, so the backing array stops
+// growing at about twice the window's peak and a report allocates nothing.
+type recvWindow struct {
+	samples []recvSample // samples[head:] are in the window
+	head    int
+	bytes   int // running byte sum over samples[head:]
+}
+
+func (w *recvWindow) add(arrival time.Duration, bytes int) {
+	w.samples = append(w.samples, recvSample{arrival: arrival, bytes: bytes})
+	w.bytes += bytes
+}
+
+func (w *recvWindow) reset() { w.samples, w.head, w.bytes = w.samples[:0], 0, 0 }
+
+// rate returns R̂ in bits/s over the trailing 500 ms of receiver time,
+// trimming the window as a side effect.
+func (w *recvWindow) rate(latestArrival time.Duration) float64 {
+	const window = 500 * time.Millisecond
+	cut := latestArrival - window
+	for w.head < len(w.samples) && w.samples[w.head].arrival < cut {
+		w.bytes -= w.samples[w.head].bytes
+		w.head++
+	}
+	live := len(w.samples) - w.head
+	if w.head > live {
+		copy(w.samples, w.samples[w.head:])
+		w.samples, w.head = w.samples[:live], 0
+	}
+	if live < 2 {
+		return 0
+	}
+	return float64(w.bytes*8) / window.Seconds()
+}
+
 // Controller implements cc.Controller with GCC.
 type Controller struct {
 	cfg    Config
@@ -89,8 +127,7 @@ type Controller struct {
 
 	prev, cur group
 
-	recv      []recvSample // sliding 500 ms receive-rate window
-	recvBytes int          // running byte sum over recv
+	recv recvWindow
 
 	rtt    time.Duration
 	target float64
@@ -190,23 +227,6 @@ func (c *Controller) DelayGradient() float64 {
 // Threshold returns the current adaptive detector threshold in ms.
 func (c *Controller) Threshold() float64 { return c.det.gamma }
 
-// receiveRate returns R̂ in bits/s over the trailing 500 ms of receiver
-// time, trimming the window as a side effect.
-func (c *Controller) receiveRate(latestArrival time.Duration) float64 {
-	const window = 500 * time.Millisecond
-	cut := latestArrival - window
-	i := 0
-	for i < len(c.recv) && c.recv[i].arrival < cut {
-		c.recvBytes -= c.recv[i].bytes
-		i++
-	}
-	c.recv = c.recv[i:]
-	if len(c.recv) < 2 {
-		return 0
-	}
-	return float64(c.recvBytes*8) / window.Seconds()
-}
-
 // OnFeedback implements cc.Controller: it ingests one TWCC report.
 func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	if c.wd.OnFeedback(now) {
@@ -217,8 +237,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 		c.loss.rate = c.cfg.MinRate
 		c.target = c.cfg.MinRate
 		c.prev, c.cur = group{}, group{}
-		c.recv = c.recv[:0]
-		c.recvBytes = 0
+		c.recv.reset()
 	}
 	if len(acks) == 0 {
 		return
@@ -242,8 +261,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 				c.rtt = (c.rtt*7 + s) / 8
 			}
 		}
-		c.recv = append(c.recv, recvSample{arrival: a.ArrivalTime, bytes: a.Size})
-		c.recvBytes += a.Size
+		c.recv.add(a.ArrivalTime, a.Size)
 		if a.ArrivalTime > latestArrival {
 			latestArrival = a.ArrivalTime
 		}
@@ -254,7 +272,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	}
 
 	c.aimd.setRTT(c.rtt)
-	recvRate := c.receiveRate(latestArrival)
+	recvRate := c.recv.rate(latestArrival)
 
 	if sawMeasurement {
 		c.lastSignal = signal

@@ -98,9 +98,10 @@ type Link struct {
 	// lastArrival enforces RLC in-order delivery: per-packet jitter never
 	// reorders arrivals within the bearer.
 	lastArrival time.Duration
-	// state supplies the vehicle state for altitude effects; nil means
-	// ground level.
-	state func(time.Duration) flight.State
+	// lossAbove and stallAbove report whether the vehicle is above the
+	// profile's AltLossAbove and AltOutlierAbove at an instant; nil means
+	// never (threshold disabled, or no mobility: ground level).
+	lossAbove, stallAbove func(time.Duration) bool
 
 	// Deliver is invoked when a packet exits the link. Must be set before
 	// the first Send.
@@ -287,16 +288,41 @@ func (r *ring[T]) truncate(n int) {
 	r.n = n
 }
 
-// New returns a link on the given simulator. machine and state may be nil.
+// New returns a link on the given simulator. machine and state may be nil;
+// state supplies the vehicle state for the altitude effects. A caller that
+// holds the flight.Profile passes nil here and calls SetFlight, which answers
+// the same comparisons without interpolating the trajectory per packet.
 func New(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.Duration) flight.State, rng *rand.Rand) *Link {
-	l := &Link{sim: s, prof: prof, rng: rng, machine: machine, state: state}
+	l := &Link{sim: s, prof: prof, rng: rng, machine: machine}
 	l.serveFn = l.serveNext
 	l.servedFn = l.served
 	l.arriveFn = l.arrive
 	if prof.AltOutlierRate > 0 {
 		l.outlierMean = time.Duration(float64(time.Second) / prof.AltOutlierRate)
 	}
+	if state != nil {
+		l.setAltitude(func(thr float64) func(time.Duration) bool {
+			return func(t time.Duration) bool { return state(t).Alt > thr }
+		})
+	}
 	return l
+}
+
+// SetFlight takes the altitude effects from the vehicle's profile: the two
+// thresholds become flight.Above step functions.
+func (l *Link) SetFlight(p flight.Profile) {
+	l.setAltitude(func(thr float64) func(time.Duration) bool { return flight.Above(p, thr) })
+}
+
+// setAltitude builds the threshold functions of the altitude effects the
+// profile enables.
+func (l *Link) setAltitude(above func(thr float64) func(time.Duration) bool) {
+	if l.prof.AltLossAbove > 0 {
+		l.lossAbove = above(l.prof.AltLossAbove)
+	}
+	if l.prof.AltOutlierAbove > 0 && l.prof.AltOutlierRate > 0 {
+		l.stallAbove = above(l.prof.AltOutlierAbove)
+	}
 }
 
 // SetFaults attaches a scripted outage line (may be nil) and the
@@ -395,14 +421,6 @@ func (l *Link) effectiveCapacity(now time.Duration) float64 {
 	return c
 }
 
-// vehicleState returns the current vehicle state (ground if no provider).
-func (l *Link) vehicleState(now time.Duration) flight.State {
-	if l.state == nil {
-		return flight.State{}
-	}
-	return l.state(now)
-}
-
 // lose decides radio loss for one packet using the Gilbert burst model,
 // with extra loss above the profile's altitude threshold. A scripted loss
 // fade (fault.Window with Loss set) erases every packet deterministically,
@@ -425,7 +443,7 @@ func (l *Link) lose(now time.Duration) bool {
 		return true
 	}
 	enter := l.prof.PER / burst / (1 - l.prof.PER)
-	if l.prof.AltLossAbove > 0 && l.vehicleState(now).Alt > l.prof.AltLossAbove {
+	if l.lossAbove != nil && l.lossAbove(now) {
 		enter *= l.prof.AltLossFactor
 	}
 	if l.rng.Float64() < enter {
@@ -791,10 +809,10 @@ func (l *Link) codel(now time.Duration) {
 // outlierStall decides whether a HARQ stall begins now, advancing the
 // Poisson exposure clock while the vehicle is above the altitude threshold.
 func (l *Link) outlierStall(now time.Duration) bool {
-	if l.prof.AltOutlierAbove <= 0 || l.prof.AltOutlierRate <= 0 {
+	if l.stallAbove == nil {
 		return false
 	}
-	if l.vehicleState(now).Alt <= l.prof.AltOutlierAbove {
+	if !l.stallAbove(now) {
 		l.lastOutlierAt = now
 		return false
 	}

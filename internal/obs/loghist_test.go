@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 
 	"rpivideo/internal/metrics"
@@ -165,5 +166,58 @@ func TestLogHistogramBucketResolution(t *testing.T) {
 	})
 	if i != len(samples) {
 		t.Errorf("walked %d buckets, want %d", i, len(samples))
+	}
+}
+
+// logFormCell is the cell Observe chose before metrics.BucketIndex became
+// table-driven: one math.Log per sample, clamped to the window. -1 stands
+// for the zero cell.
+func logFormCell(v float64) int {
+	if !(v > 0) {
+		return -1
+	}
+	if math.IsInf(v, 1) {
+		return logHistCells - 1
+	}
+	gamma := (1 + metrics.SketchAlpha) / (1 - metrics.SketchAlpha)
+	idx := int32(math.Ceil(math.Log(v) / math.Log(gamma)))
+	if idx < logHistMinIdx {
+		idx = logHistMinIdx
+	} else if idx > logHistMaxIdx {
+		idx = logHistMaxIdx
+	}
+	return int(idx) - logHistMinIdx
+}
+
+// TestLogHistogramObserveMatchesLogForm: every sample lands in the cell the
+// Log form puts it in — the non-values (zero, negatives, NaN, ±Inf),
+// subnormals, values beyond either end of the window, and 500 000
+// log-uniform delays between 1 µs and 3 h in milliseconds.
+func TestLogHistogramObserveMatchesLogForm(t *testing.T) {
+	samples := []float64{
+		0, math.Copysign(0, -1), -1, -1e-320, math.Inf(-1), math.NaN(), math.Inf(1),
+		math.SmallestNonzeroFloat64, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-9,
+		metrics.BucketUpper(logHistMinIdx), metrics.BucketUpper(logHistMinIdx - 1), metrics.BucketUpper(logHistMinIdx - 20),
+		metrics.BucketUpper(logHistMaxIdx), metrics.BucketUpper(logHistMaxIdx + 1), metrics.BucketUpper(logHistMaxIdx + 20),
+		1e9, 1e300, math.MaxFloat64,
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 500_000; i++ {
+		samples = append(samples, math.Exp(math.Log(1e-3)+rng.Float64()*math.Log(1e10)))
+	}
+	h := NewLogHistogram()
+	for _, v := range samples {
+		cell := &h.zero
+		if c := logFormCell(v); c >= 0 {
+			cell = &h.counts[c]
+		}
+		before := *cell
+		h.Observe(v)
+		if *cell != before+1 {
+			t.Fatalf("Observe(%g) did not count into cell %d, where the Log form puts it", v, logFormCell(v))
+		}
+	}
+	if h.Count() != int64(len(samples)) {
+		t.Errorf("Count = %d, want %d", h.Count(), len(samples))
 	}
 }

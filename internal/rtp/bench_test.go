@@ -98,6 +98,27 @@ func BenchmarkCCFBReportRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkTWCCRoundTrip is one reporting interval of the transport-wide
+// feedback path at the campaign's operating point (≈25 Mbps, 50 ms
+// reports): record the interval's arrivals, flush them into the recorder's
+// packet, marshal it, and parse it into a struct the sender reuses.
+func BenchmarkTWCCRoundTrip(b *testing.B) {
+	r := NewTWCCRecorder(1, 2)
+	var parsed TWCC
+	seq, now := uint16(0), time.Duration(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		twccInterval(r, &seq, &now)
+		buf, err := r.Flush().Marshal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := parsed.Unmarshal(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPacketize(b *testing.B) {
 	p := NewPacketizer(1, 96, 1200)
 	b.ReportAllocs()

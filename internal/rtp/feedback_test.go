@@ -1,7 +1,9 @@
 package rtp
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -451,6 +453,154 @@ func TestNTP32RoundTrip(t *testing.T) {
 		got := fromNTP32(ntp32(d))
 		if diff := got - d; diff < -time.Millisecond || diff > time.Millisecond {
 			t.Errorf("ntp32 round trip of %v = %v", d, got)
+		}
+	}
+}
+
+// twccInterval records one 50 ms reporting interval at ≈ 25 Mbps into r:
+// 104 packets 480 µs apart, every 37th missing.
+func twccInterval(r *TWCCRecorder, seq *uint16, now *time.Duration) {
+	for k := 0; k < 104; k++ {
+		*now += 480 * time.Microsecond
+		if *seq%37 != 0 {
+			r.Record(*seq, *now)
+		}
+		*seq++
+	}
+}
+
+// TestTWCCFeedbackPathAllocations pins the steady-state allocation count of
+// the transport-wide feedback path, as TestCCFBFeedbackPathAllocations does
+// for RFC 8888: Flush fills the recorder's own packet, Marshal keeps its
+// symbols, deltas and chunks on that packet and Unmarshal refills the
+// struct it is called on, so the only allocation of a report is the buffer
+// the link carries.
+func TestTWCCFeedbackPathAllocations(t *testing.T) {
+	r := NewTWCCRecorder(1, 2)
+	var parsed TWCC
+	seq, now := uint16(65000), time.Duration(0) // through the sequence wrap
+	report := func() {
+		twccInterval(r, &seq, &now)
+		buf, err := r.Flush().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := parsed.Unmarshal(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		report() // sizes every scratch slice
+	}
+	if n := testing.AllocsPerRun(100, report); n != 1 {
+		t.Errorf("Record → Flush → Marshal → Unmarshal allocates %.2f times per report, want 1 (Marshal's buffer)", n)
+	}
+	var fb *TWCC
+	if n := testing.AllocsPerRun(50, func() {
+		twccInterval(r, &seq, &now)
+		fb = r.Flush()
+	}); n != 0 {
+		t.Errorf("Record and Flush allocate %.2f times per report, want 0", n)
+	}
+	buf, err := fb.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := parsed.Unmarshal(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Unmarshal into a reused TWCC allocates %.0f times per call, want 0", n)
+	}
+	if len(parsed.Packets) != 104 || parsed.BaseSeq != fb.BaseSeq {
+		t.Errorf("reused TWCC parsed to %d packets from %d, want 104 from %d", len(parsed.Packets), parsed.BaseSeq, fb.BaseSeq)
+	}
+}
+
+// TestTWCCFlushPacketIsReused documents the lifetime contract: the packet
+// Flush returns is the recorder's, overwritten by the next Flush.
+func TestTWCCFlushPacketIsReused(t *testing.T) {
+	r := NewTWCCRecorder(1, 2)
+	r.Record(10, time.Millisecond)
+	r.Record(12, 2*time.Millisecond)
+	fb1 := r.Flush()
+	buf1, err := fb1.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Record(13, 3*time.Millisecond)
+	fb2 := r.Flush()
+	if fb1 != fb2 {
+		t.Fatal("Flush returned a second packet; the recorder owns one")
+	}
+	if fb2.BaseSeq != 13 || len(fb2.Packets) != 1 || fb2.FbPktCount != 1 {
+		t.Errorf("second flush = %+v", fb2)
+	}
+	var back TWCC
+	if err := back.Unmarshal(buf1); err != nil {
+		t.Fatal(err)
+	}
+	if back.BaseSeq != 10 || len(back.Packets) != 3 || back.Packets[1].Received {
+		t.Errorf("the first report's bytes changed with the second flush: %+v", back)
+	}
+}
+
+// TestTWCCReuseMatchesFresh: a TWCC that is marshalled and unmarshalled
+// into again and again — longer reports after shorter ones, large deltas
+// after small, a rejected packet in between — produces the bytes and the
+// packets a fresh struct does.
+func TestTWCCReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var src, dst TWCC
+	for round := 0; round < 2000; round++ {
+		n := 1 + rng.Intn(200)
+		pkts := make([]Arrival, n)
+		at := time.Duration(rng.Intn(1000)) * time.Millisecond
+		for i := range pkts {
+			if rng.Intn(6) == 0 {
+				continue
+			}
+			switch rng.Intn(12) {
+			case 0:
+				at += time.Duration(rng.Intn(4000)) * time.Millisecond // large delta
+			case 1:
+				at -= time.Duration(rng.Intn(20)) * time.Millisecond // reordered
+			default:
+				at += time.Duration(rng.Intn(3000)) * time.Microsecond
+			}
+			if at < 0 {
+				at = 0
+			}
+			pkts[i] = Arrival{Received: true, At: at}
+		}
+		src.BaseSeq, src.FbPktCount, src.Packets = uint16(rng.Intn(1<<16)), uint8(round), pkts
+		fresh := TWCC{BaseSeq: src.BaseSeq, FbPktCount: src.FbPktCount, Packets: pkts}
+		got, gotErr := src.Marshal()
+		want, wantErr := fresh.Marshal()
+		if (gotErr == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: reused Marshal %x (%v), fresh %x (%v)", round, got, gotErr, want, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		if round%5 == 0 {
+			if dst.Unmarshal(got[:len(got)-4]) == nil {
+				t.Fatalf("round %d: truncated packet accepted", round)
+			}
+			if len(dst.Packets) != 0 {
+				t.Fatalf("round %d: %d packets left after a rejected datagram", round, len(dst.Packets))
+			}
+		}
+		var clean TWCC
+		if err := dst.Unmarshal(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := clean.Unmarshal(got); err != nil {
+			t.Fatal(err)
+		}
+		if dst.BaseSeq != clean.BaseSeq || dst.FbPktCount != clean.FbPktCount || !reflect.DeepEqual(dst.Packets, clean.Packets) || len(dst.Packets) != n {
+			t.Fatalf("round %d: reused Unmarshal differs from a fresh one", round)
 		}
 	}
 }

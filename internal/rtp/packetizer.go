@@ -42,7 +42,24 @@ type Packetizer struct {
 
 	seq  uint16
 	tseq uint16
+
+	// bytes is the unused rest of the current block of payload bytes: each
+	// packet's frame meta and transport-seq payload are carved off it, and
+	// a new block replaces it when a frame does not fit. The blocks hold no
+	// pointers, so the collector never scans them.
+	bytes []byte
 }
+
+// packetSlot is one packet of a frame's arena: the packet and the one
+// extension descriptor its header points at.
+type packetSlot struct {
+	pkt Packet
+	ext [1]Extension
+}
+
+// payloadBlock is the size of a block of payload bytes: about 17 frames'
+// worth at 25 Mbps.
+const payloadBlock = 32 << 10
 
 // NewPacketizer returns a packetizer. The initial sequence numbers start at
 // zero for reproducibility.
@@ -72,17 +89,20 @@ func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 	if total > 0xFFFF {
 		total = 0xFFFF
 	}
-	// Arena allocation: one backing array each for the packets, the
-	// pointer slice, the extension descriptors and the payload/extension
-	// bytes, instead of ~5 small allocations per packet. The packets stay
+	// Arena allocation: one array of packet slots and the pointer slice per
+	// frame, the payload bytes carved from a block shared across frames,
+	// instead of ~5 small allocations per packet. The packets stay
 	// independently usable — slices only share backing storage, and the
 	// per-packet Extensions slice is capacity-clamped so appending an
 	// extension later copies out instead of clobbering a neighbor.
 	pkts := make([]*Packet, total)
-	backing := make([]Packet, total)
-	exts := make([]Extension, total)
+	slots := make([]packetSlot, total)
 	const perPkt = payloadMetaSize + 2 // frame meta + transport-seq payload
-	buf := make([]byte, total*perPkt)
+	if len(p.bytes) < total*perPkt {
+		p.bytes = make([]byte, max(payloadBlock, total*perPkt))
+	}
+	buf := p.bytes[:total*perPkt]
+	p.bytes = p.bytes[total*perPkt:]
 	remaining := size
 	for i := 0; i < total; i++ {
 		chunk := remaining / (total - i) // even split, deterministic
@@ -103,8 +123,9 @@ func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 		binary.BigEndian.PutUint64(meta[12:], uint64(f.EncodeTime))
 		tseqPayload := buf[i*perPkt+payloadMetaSize : (i+1)*perPkt : (i+1)*perPkt]
 		binary.BigEndian.PutUint16(tseqPayload, p.tseq)
-		exts[i] = Extension{ID: ExtensionIDTransportSeq, Payload: tseqPayload}
-		pkt := &backing[i]
+		slot := &slots[i]
+		slot.ext[0] = Extension{ID: ExtensionIDTransportSeq, Payload: tseqPayload}
+		pkt := &slot.pkt
 		*pkt = Packet{
 			Header: Header{
 				Marker:         i == total-1,
@@ -112,7 +133,7 @@ func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 				SequenceNumber: p.seq,
 				Timestamp:      f.RTPTime,
 				SSRC:           p.SSRC,
-				Extensions:     exts[i : i+1 : i+1],
+				Extensions:     slot.ext[:],
 			},
 			Payload:           meta,
 			VirtualPayloadLen: chunk - payloadMetaSize,

@@ -2,6 +2,8 @@ package rtp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -386,5 +388,115 @@ func TestDepacketizerRejectsNonMedia(t *testing.T) {
 	pkt := &Packet{Payload: []byte{1, 2, 3}}
 	if _, err := d.Push(pkt, 0); err != ErrNotMedia {
 		t.Errorf("err = %v, want ErrNotMedia", err)
+	}
+}
+
+// fourMakesPacketize is the arena layout Packetize had before the slots: a
+// backing array each for the packets, the pointers, the extension
+// descriptors and the payload bytes, per frame. It takes the sequence
+// numbers as arguments and returns what the packetizer would have produced.
+func fourMakesPacketize(p *Packetizer, seq, tseq uint16, f FrameInfo) []*Packet {
+	maxPayload := p.MTU - (HeaderSize + 8)
+	size := max(f.Size, payloadMetaSize)
+	total := min((size+maxPayload-1)/maxPayload, 0xFFFF)
+	pkts := make([]*Packet, total)
+	backing := make([]Packet, total)
+	exts := make([]Extension, total)
+	const perPkt = payloadMetaSize + 2
+	buf := make([]byte, total*perPkt)
+	remaining := size
+	for i := 0; i < total; i++ {
+		chunk := remaining / (total - i)
+		if i == total-1 {
+			chunk = remaining
+		}
+		remaining -= chunk
+		chunk = max(chunk, payloadMetaSize)
+		meta := buf[i*perPkt : i*perPkt+payloadMetaSize : i*perPkt+payloadMetaSize]
+		binary.BigEndian.PutUint32(meta[0:], f.Num)
+		binary.BigEndian.PutUint16(meta[4:], uint16(i))
+		binary.BigEndian.PutUint16(meta[6:], uint16(total))
+		if f.Keyframe {
+			meta[8] = flagKeyframe
+		}
+		binary.BigEndian.PutUint64(meta[12:], uint64(f.EncodeTime))
+		tseqPayload := buf[i*perPkt+payloadMetaSize : (i+1)*perPkt : (i+1)*perPkt]
+		binary.BigEndian.PutUint16(tseqPayload, tseq)
+		exts[i] = Extension{ID: ExtensionIDTransportSeq, Payload: tseqPayload}
+		backing[i] = Packet{
+			Header: Header{
+				Marker: i == total-1, PayloadType: p.PayloadType, SequenceNumber: seq,
+				Timestamp: f.RTPTime, SSRC: p.SSRC, Extensions: exts[i : i+1 : i+1],
+			},
+			Payload:           meta,
+			VirtualPayloadLen: chunk - payloadMetaSize,
+		}
+		seq++
+		tseq++
+		pkts[i] = &backing[i]
+	}
+	return pkts
+}
+
+// TestPacketizeMatchesFourMakesOracle packetizes 400 frames of mixed sizes —
+// several payload blocks' worth, all kept alive — and compares every packet,
+// marshalled, with the per-frame arenas' packet. Comparing at the end shows
+// that no later frame wrote into an earlier one's bytes.
+func TestPacketizeMatchesFourMakesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	p := NewPacketizer(7, 96, 1200)
+	var got, want [][]*Packet
+	var seq, tseq uint16
+	for n := 0; n < 400; n++ {
+		f := FrameInfo{Num: uint32(n), EncodeTime: time.Duration(n) * 33 * time.Millisecond, Keyframe: n%30 == 0,
+			Size: rng.Intn(150_000), RTPTime: uint32(n) * 3000}
+		if n%50 == 0 {
+			f.Size = 3_000_000 // larger than a payload block
+		}
+		got = append(got, p.Packetize(f))
+		want = append(want, fourMakesPacketize(p, seq, tseq, f))
+		seq += uint16(len(got[n]))
+		tseq += uint16(len(got[n]))
+	}
+	for n := range got {
+		if len(got[n]) != len(want[n]) {
+			t.Fatalf("frame %d: %d packets, oracle %d", n, len(got[n]), len(want[n]))
+		}
+		for i := range got[n] {
+			g, w := got[n][i], want[n][i]
+			gb, err := g.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, err := w.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb, wb) || g.VirtualPayloadLen != w.VirtualPayloadLen || g.MarshalSize() != w.MarshalSize() {
+				t.Fatalf("frame %d packet %d differs from the oracle's", n, i)
+			}
+			if cap(g.Header.Extensions) != 1 || cap(g.Payload) != payloadMetaSize || cap(g.Header.Extensions[0].Payload) != 2 {
+				t.Fatalf("frame %d packet %d: a slice is not capacity-clamped (%d, %d, %d)", n, i,
+					cap(g.Header.Extensions), cap(g.Payload), cap(g.Header.Extensions[0].Payload))
+			}
+		}
+	}
+}
+
+// TestPacketizeAllocations: a frame costs its slot arena and its pointer
+// slice, two allocations where there were four; the payload bytes come from
+// a block that lasts 17 frames at 25 Mbps, which is the 0.1 allowed on top.
+func TestPacketizeAllocations(t *testing.T) {
+	p := NewPacketizer(1, 96, 1200)
+	n := uint32(0)
+	const frames = 800
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < frames; i++ {
+			p.Packetize(FrameInfo{Num: n, Size: 104_000}) // a frame at 25 Mbps
+			n++
+		}
+	})
+	if perFrame := allocs / frames; perFrame > 2.1 {
+		t.Errorf("Packetize allocates %.3f times per frame, want 2 and a payload block every 17 frames", perFrame)
 	}
 }

@@ -26,12 +26,23 @@ type Arrival struct {
 // TWCC is a transport-wide congestion control feedback packet
 // (draft-holmer-rmcat-transport-wide-cc-extensions-01). Packets describes
 // consecutive transport sequence numbers starting at BaseSeq.
+//
+// Marshal and Unmarshal keep their working slices on the struct, and
+// Unmarshal refills Packets in place, so a TWCC that is marshalled or
+// unmarshalled into repeatedly stops allocating once it has seen its
+// largest packet (Marshal still makes the buffer it returns).
 type TWCC struct {
 	SenderSSRC uint32
 	MediaSSRC  uint32
 	BaseSeq    uint16
 	FbPktCount uint8
 	Packets    []Arrival
+
+	// Scratch of the last Marshal or Unmarshal: status symbols, receive
+	// deltas, status chunks.
+	syms   []uint8
+	deltas []int32
+	chunks []uint16
 }
 
 // Packet status symbols.
@@ -44,13 +55,17 @@ const (
 var errDeltaOverflow = errors.New("rtp: twcc receive delta exceeds 16-bit range; send feedback more often")
 
 // symbols computes the per-packet status symbols and receive deltas (in
-// 250 µs ticks) for the feedback, together with the reference time.
-func (f *TWCC) symbols() (refTime time.Duration, syms []uint8, deltas []int32, err error) {
-	syms = make([]uint8, len(f.Packets))
+// 250 µs ticks) for the feedback into f.syms and f.deltas, and returns the
+// reference time.
+func (f *TWCC) symbols() (refTime time.Duration, err error) {
+	if cap(f.syms) < len(f.Packets) {
+		f.syms = make([]uint8, len(f.Packets))
+	}
+	f.syms, f.deltas = f.syms[:len(f.Packets)], f.deltas[:0]
 	prev := time.Duration(-1)
 	for i, p := range f.Packets {
 		if !p.Received {
-			syms[i] = symNotReceived
+			f.syms[i] = symNotReceived
 			continue
 		}
 		if prev < 0 {
@@ -61,22 +76,21 @@ func (f *TWCC) symbols() (refTime time.Duration, syms []uint8, deltas []int32, e
 		delta := (p.At - prev) / deltaUnit
 		prev += delta * deltaUnit
 		if delta >= 0 && delta <= 255 {
-			syms[i] = symSmallDelta
+			f.syms[i] = symSmallDelta
 		} else if delta >= -32768 && delta <= 32767 {
-			syms[i] = symLargeDelta
+			f.syms[i] = symLargeDelta
 		} else {
-			return 0, nil, nil, errDeltaOverflow
+			return 0, errDeltaOverflow
 		}
-		deltas = append(deltas, int32(delta))
+		f.deltas = append(f.deltas, int32(delta))
 	}
-	return refTime, syms, deltas, nil
+	return refTime, nil
 }
 
-// encodeChunks packs status symbols into 16-bit packet status chunks using
+// appendChunks packs status symbols into 16-bit packet status chunks using
 // run-length chunks for uniform runs and two-bit status-vector chunks
-// otherwise.
-func encodeChunks(syms []uint8) []uint16 {
-	var chunks []uint16
+// otherwise, appending them to chunks.
+func appendChunks(chunks []uint16, syms []uint8) []uint16 {
 	for i := 0; i < len(syms); {
 		run := 1
 		for i+run < len(syms) && syms[i+run] == syms[i] && run < 8191 {
@@ -105,7 +119,7 @@ func encodeChunks(syms []uint8) []uint16 {
 	return chunks
 }
 
-// Marshal serializes the feedback packet.
+// Marshal serializes the feedback packet into a new buffer.
 func (f *TWCC) Marshal() ([]byte, error) {
 	if len(f.Packets) == 0 {
 		return nil, errors.New("rtp: twcc feedback with no packets")
@@ -113,29 +127,25 @@ func (f *TWCC) Marshal() ([]byte, error) {
 	if len(f.Packets) > 0xFFFF {
 		return nil, fmt.Errorf("rtp: twcc feedback covers %d packets, max 65535", len(f.Packets))
 	}
-	refTime, syms, deltas, err := f.symbols()
+	refTime, err := f.symbols()
 	if err != nil {
 		return nil, err
 	}
-	chunks := encodeChunks(syms)
+	f.chunks = appendChunks(f.chunks[:0], f.syms)
+	syms, deltas, chunks := f.syms, f.deltas, f.chunks
 
 	deltaBytes := 0
-	di := 0
 	for _, s := range syms {
 		switch s {
 		case symSmallDelta:
 			deltaBytes++
-			di++
 		case symLargeDelta:
 			deltaBytes += 2
-			di++
 		}
 	}
 	size := rtcpHeaderSize + 8 + 8 + 2*len(chunks) + deltaBytes
-	pad := 0
 	if rem := size % 4; rem != 0 {
-		pad = 4 - rem
-		size += pad
+		size += 4 - rem
 	}
 	buf := make([]byte, size)
 	hdr := rtcpHeader{Fmt: FmtTWCC, Type: TypeTransportFeedback, Length: wordLength(size)}
@@ -156,7 +166,7 @@ func (f *TWCC) Marshal() ([]byte, error) {
 		binary.BigEndian.PutUint16(buf[off:], c)
 		off += 2
 	}
-	di = 0
+	di := 0
 	for _, s := range syms {
 		switch s {
 		case symSmallDelta:
@@ -173,8 +183,11 @@ func (f *TWCC) Marshal() ([]byte, error) {
 }
 
 // Unmarshal parses a TWCC feedback packet, reconstructing per-packet arrival
-// times relative to the receiver epoch (quantized to 250 µs).
+// times relative to the receiver epoch (quantized to 250 µs). It refills f,
+// so f can be reused from packet to packet; after an error f.Packets is
+// empty, whatever it held before.
 func (f *TWCC) Unmarshal(buf []byte) error {
+	f.Packets = f.Packets[:0]
 	var hdr rtcpHeader
 	if err := hdr.unmarshal(buf); err != nil {
 		return err
@@ -199,7 +212,10 @@ func (f *TWCC) Unmarshal(buf []byte) error {
 	f.FbPktCount = buf[19]
 
 	// Decode status chunks.
-	syms := make([]uint8, 0, count)
+	if cap(f.syms) < count {
+		f.syms = make([]uint8, 0, count)
+	}
+	syms := f.syms[:0]
 	off := 20
 	for len(syms) < count {
 		if off+2 > len(buf) {
@@ -227,32 +243,32 @@ func (f *TWCC) Unmarshal(buf []byte) error {
 	// Decode deltas and reconstruct arrival times.
 	if cap(f.Packets) < count {
 		f.Packets = make([]Arrival, 0, count)
-	} else {
-		f.Packets = f.Packets[:0]
 	}
+	pkts := f.Packets[:0]
 	at := refTime
 	for _, s := range syms {
 		switch s {
 		case symNotReceived:
-			f.Packets = append(f.Packets, Arrival{})
+			pkts = append(pkts, Arrival{})
 		case symSmallDelta:
 			if off+1 > len(buf) {
 				return ErrShortPacket
 			}
 			at += time.Duration(buf[off]) * deltaUnit
 			off++
-			f.Packets = append(f.Packets, Arrival{Received: true, At: at})
+			pkts = append(pkts, Arrival{Received: true, At: at})
 		case symLargeDelta:
 			if off+2 > len(buf) {
 				return ErrShortPacket
 			}
 			at += time.Duration(int16(binary.BigEndian.Uint16(buf[off:]))) * deltaUnit
 			off += 2
-			f.Packets = append(f.Packets, Arrival{Received: true, At: at})
+			pkts = append(pkts, Arrival{Received: true, At: at})
 		default:
 			return fmt.Errorf("rtp: reserved twcc status symbol %d", s)
 		}
 	}
+	f.Packets = pkts
 	return nil
 }
 
@@ -275,6 +291,9 @@ type TWCCRecorder struct {
 	arrivals [1 << 16]time.Duration
 	have     [1 << 16 / 64]uint64
 	pending  int
+
+	// fb is the packet Flush fills and returns.
+	fb TWCC
 }
 
 // NewTWCCRecorder returns a recorder producing feedback with the given SSRCs.
@@ -311,7 +330,8 @@ func (r *TWCCRecorder) Record(seq uint16, at time.Duration) {
 }
 
 // Flush builds a feedback packet covering [nextSeq, lastSeq] and resets the
-// range. It returns nil when there is nothing to report.
+// range. It returns nil when there is nothing to report. The packet is owned
+// by the recorder and valid until the next call to Flush.
 func (r *TWCCRecorder) Flush() *TWCC {
 	if !r.started {
 		return nil
@@ -320,14 +340,13 @@ func (r *TWCCRecorder) Flush() *TWCC {
 	if n <= 0 || r.pending == 0 {
 		return nil
 	}
-	fb := &TWCC{
-		SenderSSRC: r.SenderSSRC,
-		MediaSSRC:  r.MediaSSRC,
-		BaseSeq:    r.nextSeq,
-		FbPktCount: r.fbCount,
-	}
+	fb := &r.fb
+	fb.SenderSSRC, fb.MediaSSRC, fb.BaseSeq, fb.FbPktCount = r.SenderSSRC, r.MediaSSRC, r.nextSeq, r.fbCount
 	r.fbCount++
-	fb.Packets = make([]Arrival, 0, n)
+	if cap(fb.Packets) < n {
+		fb.Packets = make([]Arrival, 0, n)
+	}
+	fb.Packets = fb.Packets[:0]
 	seq := r.nextSeq
 	for i := 0; i < n; i++ {
 		if w, b := seq/64, uint64(1)<<(seq%64); r.have[w]&b != 0 {
