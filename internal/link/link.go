@@ -301,27 +301,26 @@ func New(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.
 		l.outlierMean = time.Duration(float64(time.Second) / prof.AltOutlierRate)
 	}
 	if state != nil {
-		l.setAltitude(func(thr float64) func(time.Duration) bool {
-			return func(t time.Duration) bool { return state(t).Alt > thr }
-		})
+		l.SetFlight(stateProfile(state))
 	}
 	return l
 }
 
-// SetFlight takes the altitude effects from the vehicle's profile: the two
-// thresholds become flight.Above step functions.
-func (l *Link) SetFlight(p flight.Profile) {
-	l.setAltitude(func(thr float64) func(time.Duration) bool { return flight.Above(p, thr) })
-}
+// stateProfile is a bare state lookup as a flight.Profile; flight.Above
+// answers it by evaluating the lookup.
+type stateProfile func(time.Duration) flight.State
 
-// setAltitude builds the threshold functions of the altitude effects the
-// profile enables.
-func (l *Link) setAltitude(above func(thr float64) func(time.Duration) bool) {
+func (f stateProfile) At(t time.Duration) flight.State { return f(t) }
+func (stateProfile) Duration() time.Duration           { return 0 }
+
+// SetFlight takes the altitude effects from the vehicle's profile: each
+// threshold the link profile enables becomes a flight.Above function.
+func (l *Link) SetFlight(p flight.Profile) {
 	if l.prof.AltLossAbove > 0 {
-		l.lossAbove = above(l.prof.AltLossAbove)
+		l.lossAbove = flight.Above(p, l.prof.AltLossAbove)
 	}
 	if l.prof.AltOutlierAbove > 0 && l.prof.AltOutlierRate > 0 {
-		l.stallAbove = above(l.prof.AltOutlierAbove)
+		l.stallAbove = flight.Above(p, l.prof.AltOutlierAbove)
 	}
 }
 

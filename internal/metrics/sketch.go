@@ -47,12 +47,12 @@ func sketchIndexLog(v float64) int32 {
 // sample was 7 % of a flight. sketchEdges[j] is the largest float64 that
 // sketchIndexLog maps to index sketchTabMin-1+j or below, found at package
 // init by bisecting the floats around gamma^index with sketchIndexLog
-// itself (≈ 30 k Log calls, 0.6 ms); a value's index is then the first edge it does not exceed. The
-// lookup guesses that edge from the exponent and the top sketchMantBits
-// mantissa bits (a guess is off by at most one: a mantissa cell is 0.025
-// buckets wide) and settles it by comparing against the edges, so inside
-// the window the table and the Log form agree wherever the Log form is
-// monotone, and outside it the Log form answers.
+// itself (≈ 30 k Log calls, 0.6 ms); a value's index is then the first
+// edge it does not exceed. The lookup guesses that edge from the exponent
+// and the top sketchMantBits mantissa bits (a guess is off by at most one:
+// a mantissa cell is 0.025 buckets wide) and settles it by comparing
+// against the edges, so inside the window the table and the Log form agree
+// wherever the Log form is monotone, and outside it the Log form answers.
 const (
 	sketchTabMin   = -512
 	sketchTabMax   = 712
