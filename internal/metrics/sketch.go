@@ -47,7 +47,7 @@ func sketchIndexLog(v float64) int32 {
 // sample was 7 % of a flight. sketchEdges[j] is the largest float64 that
 // sketchIndexLog maps to index sketchTabMin-1+j or below, found at package
 // init by bisecting the floats around gamma^index with sketchIndexLog
-// itself (≈ 30 k Log calls, 0.6 ms); a value's index is then the first
+// itself (≈ 20 k Log calls, 0.6 ms); a value's index is then the first
 // edge it does not exceed. The lookup guesses that edge from the exponent
 // and the top sketchMantBits mantissa bits (a guess is off by at most one:
 // a mantissa cell is 0.025 buckets wide) and settles it by comparing
@@ -73,7 +73,7 @@ func init() {
 		// floats order like their bit patterns, so bisect those.
 		idx := int32(sketchTabMin - 1 + j)
 		v := math.Pow(sketchGamma, float64(idx))
-		lo, hi := math.Float64bits(v*(1-1e-9)), math.Float64bits(v*(1+1e-9))
+		lo, hi := math.Float64bits(v*(1-1e-12)), math.Float64bits(v*(1+1e-12))
 		n := sort.Search(int(hi-lo), func(k int) bool { return sketchIndexLog(math.Float64frombits(lo+uint64(k))) > idx })
 		sketchEdges[j] = math.Float64frombits(lo + uint64(n) - 1)
 	}
