@@ -110,7 +110,7 @@ func runDistScenario(c *cliConfig, sc experiments.Scenario, so experiments.Scena
 			}
 			return analyze.Trace(runsMeta), nil
 		},
-		line: campaignLine(sc.Name, camp.Summary),
+		line: campaignLine(sc.Name, runs, camp.Registry),
 	})
 }
 

@@ -157,7 +157,7 @@ func (c *cliConfig) validate() error {
 		return errors.New("-distchunk must not be negative")
 	}
 	if c.runTimeout != 0 && c.distWorkers == 0 {
-		return errors.New("-runtimeout requires -dist (serial scenario runs are watchdogged by the campaign engine)")
+		return errors.New("-runtimeout requires -dist (the per-run watchdog exists only inside -dist workers; serial scenario runs have none)")
 	}
 	if c.runTimeout < 0 {
 		return errors.New("-runtimeout must not be negative")

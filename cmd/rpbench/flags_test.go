@@ -85,7 +85,9 @@ func TestValidateRejectsIllegalCombos(t *testing.T) {
 		{"negative dist", []string{"-scenario", "urban-gcc", "-dist", "-1"}, "-dist"},
 		{"distchunk without dist", []string{"-scenario", "urban-gcc", "-distchunk", "2"}, "-distchunk requires -dist"},
 		{"negative distchunk", []string{"-scenario", "urban-gcc", "-dist", "2", "-distchunk", "-3"}, "-distchunk"},
-		{"runtimeout without dist", []string{"-scenario", "urban-gcc", "-runtimeout", "5s"}, "-runtimeout requires -dist"},
+		// Pinned whole: the text has to say where the watchdog is, and that serial runs have none.
+		{"runtimeout without dist", []string{"-scenario", "urban-gcc", "-runtimeout", "5s"},
+			"-runtimeout requires -dist (the per-run watchdog exists only inside -dist workers; serial scenario runs have none)"},
 		{"dist with fleet", []string{"-scenario", "urban-gcc", "-dist", "2", "-fleet", "10"}, "fleet"},
 		{"fleet with report", []string{"-scenario", "urban-gcc", "-fleet", "10", "-report", "out"}, "-report is not supported for fleet"},
 		{"worker with serve", []string{"-worker", "-serve", "127.0.0.1:0"}, "-worker"},

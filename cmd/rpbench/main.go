@@ -326,10 +326,12 @@ func (exp scenarioExports) write(out scenarioOutput) (drifted bool, err error) {
 	return drifted, nil
 }
 
-// campaignLine is the stdout summary the campaign and dist modes share.
-func campaignLine(name string, s *core.Summary) string {
+// campaignLine is the stdout summary the campaign and dist modes share: the
+// run count and four counters of the campaign registry.
+func campaignLine(name string, runs int, reg *obs.Registry) string {
 	return fmt.Sprintf("scenario %s: %d runs, %d packets sent, %d delivered, %d frames played, %d skipped",
-		name, s.Runs, s.PacketsSent, s.PacketsDelivered, s.FramesPlayed, s.FramesSkipped)
+		name, runs, reg.Counter("packets_sent"), reg.Counter("packets_delivered"),
+		reg.Counter("frames_played"), reg.Counter("frames_skipped"))
 }
 
 // runScenario executes one observability scenario in process and writes the
@@ -339,8 +341,9 @@ func runScenario(sc experiments.Scenario, so experiments.ScenarioOptions, exp sc
 	if err != nil {
 		return false, err
 	}
+	reg := core.CampaignMetrics(results)
 	return exp.write(scenarioOutput{
-		registry:   core.CampaignMetrics(results),
+		registry:   reg,
 		writeTrace: func(w io.Writer) error { return core.WriteCampaignTrace(w, results) },
 		analyses: func() ([]*analyze.RunAnalysis, error) {
 			var analyses []*analyze.RunAnalysis
@@ -349,7 +352,7 @@ func runScenario(sc experiments.Scenario, so experiments.ScenarioOptions, exp sc
 			}
 			return analyses, nil
 		},
-		line: campaignLine(sc.Name, core.Summarize(results)),
+		line: campaignLine(sc.Name, len(results), reg),
 	})
 }
 

@@ -17,9 +17,9 @@ func main() {
 	for _, op := range []rpivideo.Operator{rpivideo.P1, rpivideo.P2} {
 		for _, ccKind := range []rpivideo.CC{rpivideo.Static, rpivideo.SCReAM, rpivideo.GCC} {
 			// RunCampaign fans the three flights out across CPUs and
-			// merges them in run-index order, so this table is identical
-			// to the serial one.
-			m := rpivideo.Merge(rpivideo.RunCampaign(rpivideo.Config{
+			// Summarize folds them in run-index order, so this table is
+			// identical to the serial one.
+			m := rpivideo.Summarize(rpivideo.RunCampaign(rpivideo.Config{
 				Env:  rpivideo.Rural,
 				Op:   op,
 				Air:  true,

@@ -32,7 +32,7 @@ func main() {
 					os.Exit(1)
 				}
 			}
-			m := rpivideo.Merge(rs)
+			m := rpivideo.Summarize(rs)
 			fmt.Printf("%-16s %6.1fMb %9.0f%% %9.2f%% %9.2f %8.3f\n",
 				fmt.Sprintf("%v/%v", env, ccKind),
 				m.GoodputMean(),

@@ -8,9 +8,8 @@ import (
 	"rpivideo/internal/fault"
 )
 
-// benchResults runs one short campaign once and hands the per-run results
-// to both aggregation paths, so the benchmarks measure folding, not
-// simulation.
+// benchResults runs one short campaign once, so the aggregation benchmark
+// measures folding, not simulation.
 func benchResults(b *testing.B) []*Result {
 	b.Helper()
 	cfg := Config{Env: cell.Urban, Air: true, CC: CCGCC, Seed: 5, Duration: 20 * time.Second}
@@ -24,27 +23,15 @@ func benchResults(b *testing.B) []*Result {
 }
 
 // BenchmarkAggregateSketch folds a campaign into the O(buckets) Summary —
-// the path RunCampaignSummary, fleets and the dist coordinator aggregate on.
+// the path RunCampaignSummary and fleets aggregate on.
 func BenchmarkAggregateSketch(b *testing.B) {
 	results := benchResults(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum := Summarize(results)
-		b.SetBytes(int64(sum.RetainedBytes()))
-	}
-}
-
-// BenchmarkAggregateMerge folds the same campaign through the
-// sample-retaining Merge for comparison; its footprint grows with every
-// per-run sample where the sketch's stays fixed.
-func BenchmarkAggregateMerge(b *testing.B) {
-	results := benchResults(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := Merge(results)
-		b.SetBytes(8 * int64(len(m.OWDms.Samples())))
+		if Summarize(results).Runs != len(results) {
+			b.Fatal("a run was not folded")
+		}
 	}
 }
 

@@ -139,7 +139,7 @@ func TestMergeAggregates(t *testing.T) {
 	if len(rs) != 3 {
 		t.Fatalf("campaign returned %d results", len(rs))
 	}
-	m := Merge(rs)
+	m := Summarize(rs)
 	wantN := rs[0].OWDms.N() + rs[1].OWDms.N() + rs[2].OWDms.N()
 	if m.OWDms.N() != wantN {
 		t.Errorf("merged OWD samples = %d, want %d", m.OWDms.N(), wantN)
@@ -148,10 +148,10 @@ func TestMergeAggregates(t *testing.T) {
 		t.Errorf("merged duration = %v", m.Duration)
 	}
 	wantHO := len(rs[0].Handovers) + len(rs[1].Handovers) + len(rs[2].Handovers)
-	if len(m.Handovers) != wantHO {
-		t.Errorf("merged handovers = %d, want %d", len(m.Handovers), wantHO)
+	if m.Handovers != wantHO {
+		t.Errorf("merged handovers = %d, want %d", m.Handovers, wantHO)
 	}
-	if Merge(nil).OWDms.N() != 0 {
+	if Summarize(nil).OWDms.N() != 0 {
 		t.Error("empty merge should be empty")
 	}
 }
@@ -170,7 +170,7 @@ func TestCampaignSeedsDistinct(t *testing.T) {
 
 func merged(t *testing.T, cfg Config, runs int) *Result {
 	t.Helper()
-	return Merge(RunCampaign(cfg, runs))
+	return mergeRef(RunCampaign(cfg, runs))
 }
 
 func TestShapeFig6UrbanGoodputOrdering(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"time"
 
 	"rpivideo/internal/fault"
@@ -21,129 +20,94 @@ import (
 // order (Summarize and RunCampaignSummary do) so float accumulation order
 // — and therefore every exported byte — is independent of scheduling.
 type Summary struct {
-	// Config is the first folded run's config. It does not travel on the
-	// wire: the campaign spec, which both sides of a distributed campaign
-	// hold, identifies the configuration, and Config carries fields (the
-	// fleet CapacityShare hook in particular) that have no JSON form.
-	Config   Config        `json:"-"`
-	Runs     int           `json:"runs"`
-	Duration time.Duration `json:"duration"`
+	// Config is the first folded run's config.
+	Config   Config
+	Runs     int
+	Duration time.Duration
 
 	// Distribution aggregates, mirroring Result's Dist fields.
-	OWDms      metrics.Sketch             `json:"owd_ms"`
-	OWDByAlt   [altBuckets]metrics.Sketch `json:"owd_by_alt"`
-	Goodput    metrics.Sketch             `json:"goodput"`
-	FPS        metrics.Sketch             `json:"fps"`
-	PlaybackMs metrics.Sketch             `json:"playback_ms"`
-	SSIM       metrics.Sketch             `json:"ssim"`
-	RTTms      metrics.Sketch             `json:"rtt_ms"`
-	RTTByAlt   [altBuckets]metrics.Sketch `json:"rtt_by_alt"`
-	JitterMs   metrics.Sketch             `json:"jitter_ms"`
-	RTCPRTTms  metrics.Sketch             `json:"rtcp_rtt_ms"`
-	OutageMs   metrics.Sketch             `json:"outage_ms"`
-	RecoveryMs metrics.Sketch             `json:"recovery_ms"`
+	OWDms      metrics.Sketch
+	OWDByAlt   [altBuckets]metrics.Sketch
+	Goodput    metrics.Sketch
+	FPS        metrics.Sketch
+	PlaybackMs metrics.Sketch
+	SSIM       metrics.Sketch
+	RTTms      metrics.Sketch
+	RTTByAlt   [altBuckets]metrics.Sketch
+	JitterMs   metrics.Sketch
+	RTCPRTTms  metrics.Sketch
+	OutageMs   metrics.Sketch
+	RecoveryMs metrics.Sketch
 
 	// Packet accounting.
-	PER                  float64 `json:"per"`
-	PacketsSent          int     `json:"packets_sent"`
-	PacketsDelivered     int     `json:"packets_delivered"`
-	PacketsLost          int     `json:"packets_lost"`
-	Overflows            int     `json:"overflows"`
-	CtrlPacketsSent      int     `json:"ctrl_packets_sent"`
-	CtrlPacketsDelivered int     `json:"ctrl_packets_delivered"`
-	CtrlPacketsLost      int     `json:"ctrl_packets_lost"`
+	PER                  float64
+	PacketsSent          int
+	PacketsDelivered     int
+	PacketsLost          int
+	Overflows            int
+	CtrlPacketsSent      int
+	CtrlPacketsDelivered int
+	CtrlPacketsLost      int
 
 	// Radio events (counts; per-event detail stays in the per-run Results).
-	Handovers        int `json:"handovers"`
-	RLFs             int `json:"rlfs"`
-	HandoverFailures int `json:"handover_failures"`
+	Handovers        int
+	RLFs             int
+	HandoverFailures int
 
 	// Video.
-	Stalls        int     `json:"stalls"`
-	StallsPerMin  float64 `json:"stalls_per_min"`
-	FramesPlayed  int     `json:"frames_played"`
-	FramesSkipped int     `json:"frames_skipped"`
+	Stalls        int
+	StallsPerMin  float64
+	FramesPlayed  int
+	FramesSkipped int
 
 	// Extensions.
-	MultipathDuplicates int `json:"multipath_duplicates"`
-	AQMDrops            int `json:"aqm_drops"`
+	MultipathDuplicates int
+	AQMDrops            int
 
 	// Bonding (sums across runs; per-path detail collapses to totals so
 	// the summary footprint stays O(1) in the run count).
-	BondSwitches       int `json:"bond_switches"`
-	BondPathDownEvents int `json:"bond_path_down_events"`
-	BondPathUpEvents   int `json:"bond_path_up_events"`
-	BondReorderLate    int `json:"bond_reorder_late"`
-	BondReorderForced  int `json:"bond_reorder_forced"`
+	BondSwitches       int
+	BondPathDownEvents int
+	BondPathUpEvents   int
+	BondReorderLate    int
+	BondReorderForced  int
 	// Per-path counters summed over runs AND paths: the campaign-level
 	// overhead ratio is BondPathSent / (BondPathDelivered - BondPathSuppressed).
-	BondPathSent       int64   `json:"bond_path_sent"`
-	BondPathDelivered  int64   `json:"bond_path_delivered"`
-	BondPathLost       int64   `json:"bond_path_lost"`
-	BondPathSuppressed int64   `json:"bond_path_suppressed"`
-	BondPathDownMs     float64 `json:"bond_path_down_ms"`
+	BondPathSent       int64
+	BondPathDelivered  int64
+	BondPathLost       int64
+	BondPathSuppressed int64
+	BondPathDownMs     float64
 
 	// SCReAM internals.
-	ScreamLosses       int `json:"scream_losses"`
-	ScreamLossesInBand int `json:"scream_losses_in_band"`
-	ScreamLossesWindow int `json:"scream_losses_window"`
-	ScreamDiscards     int `json:"scream_discards"`
+	ScreamLosses       int
+	ScreamLossesInBand int
+	ScreamLossesWindow int
+	ScreamDiscards     int
 
 	// Faults.
-	Outages           int             `json:"outages"`
-	OutageTotal       time.Duration   `json:"outage_total"`
-	StaleDrops        int             `json:"stale_drops"`
-	KeyframeRequests  int             `json:"keyframe_requests"`
-	PostOutageQueueMs float64         `json:"post_outage_queue_ms"`
-	FaultEpisodes     []fault.Episode `json:"fault_episodes,omitempty"`
+	Outages           int
+	OutageTotal       time.Duration
+	StaleDrops        int
+	KeyframeRequests  int
+	PostOutageQueueMs float64
+	FaultEpisodes     []fault.Episode
 
 	// Repair.
-	NacksSent           int     `json:"nacks_sent"`
-	PacketsRepaired     int     `json:"packets_repaired"`
-	FramesRepaired      int     `json:"frames_repaired"`
-	RepairLate          int     `json:"repair_late"`
-	RepairAbandoned     int     `json:"repair_abandoned"`
-	RepairDenied        int     `json:"repair_denied"`
-	RepairCacheMisses   int     `json:"repair_cache_misses"`
-	RtxBytes            int     `json:"rtx_bytes"`
-	RepairBudgetAccrued float64 `json:"repair_budget_accrued"`
-	RtxSent             int     `json:"rtx_sent"`
-	RtxDelivered        int     `json:"rtx_delivered"`
-	RtxLost             int     `json:"rtx_lost"`
-	RtxStaleDrops       int     `json:"rtx_stale_drops"`
-	RtxOverflows        int     `json:"rtx_overflows"`
-
-	// samplesFolded counts the raw distribution samples folded in — the
-	// memory a Dist-based merge would have retained (×8 bytes).
-	samplesFolded int64
-}
-
-// summaryWire is Summary without its methods, so the codec below can hand
-// the struct to encoding/json's derived encoding without recursing.
-type summaryWire Summary
-
-// MarshalJSON renders the summary for the distributed-campaign shard
-// stream: the tagged fields in declaration order, then samplesFolded so the
-// aggregation-stats watermarks survive the hop. The output is canonical —
-// a pure function of the folded runs and their fold grouping — so two
-// summaries built from the same shards in the same order marshal to
-// identical bytes (the sharded == serial merge-equivalence guarantee).
-func (s *Summary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		*summaryWire
-		SamplesFolded int64 `json:"samples_folded"`
-	}{(*summaryWire)(s), s.samplesFolded})
-}
-
-// UnmarshalJSON overwrites s with a summary marshaled by MarshalJSON.
-// Config comes back zero; the consumer restores it from the campaign spec.
-// Merging the result behaves exactly like merging the original.
-func (s *Summary) UnmarshalJSON(data []byte) error {
-	*s = Summary{}
-	return json.Unmarshal(data, &struct {
-		*summaryWire
-		SamplesFolded *int64 `json:"samples_folded"`
-	}{(*summaryWire)(s), &s.samplesFolded})
+	NacksSent           int
+	PacketsRepaired     int
+	FramesRepaired      int
+	RepairLate          int
+	RepairAbandoned     int
+	RepairDenied        int
+	RepairCacheMisses   int
+	RtxBytes            int
+	RepairBudgetAccrued float64
+	RtxSent             int
+	RtxDelivered        int
+	RtxLost             int
+	RtxStaleDrops       int
+	RtxOverflows        int
 }
 
 // AddResult folds one run into the summary. Call in run-index order for
@@ -158,26 +122,22 @@ func (s *Summary) AddResult(r *Result) {
 	s.Runs++
 	s.Duration += r.Duration
 
-	fold := func(sk *metrics.Sketch, d *metrics.Dist) {
-		sk.AddDist(d)
-		s.samplesFolded += int64(d.N())
-	}
-	fold(&s.OWDms, &r.OWDms)
+	s.OWDms.AddDist(&r.OWDms)
 	for b := range r.OWDByAlt {
-		fold(&s.OWDByAlt[b], &r.OWDByAlt[b])
+		s.OWDByAlt[b].AddDist(&r.OWDByAlt[b])
 	}
-	fold(&s.Goodput, &r.Goodput)
-	fold(&s.FPS, &r.FPS)
-	fold(&s.PlaybackMs, &r.PlaybackMs)
-	fold(&s.SSIM, &r.SSIM)
-	fold(&s.RTTms, &r.RTTms)
+	s.Goodput.AddDist(&r.Goodput)
+	s.FPS.AddDist(&r.FPS)
+	s.PlaybackMs.AddDist(&r.PlaybackMs)
+	s.SSIM.AddDist(&r.SSIM)
+	s.RTTms.AddDist(&r.RTTms)
 	for b := range r.RTTByAlt {
-		fold(&s.RTTByAlt[b], &r.RTTByAlt[b])
+		s.RTTByAlt[b].AddDist(&r.RTTByAlt[b])
 	}
-	fold(&s.JitterMs, &r.JitterMs)
-	fold(&s.RTCPRTTms, &r.RTCPRTTms)
-	fold(&s.OutageMs, &r.OutageMs)
-	fold(&s.RecoveryMs, &r.RecoveryMs)
+	s.JitterMs.AddDist(&r.JitterMs)
+	s.RTCPRTTms.AddDist(&r.RTCPRTTms)
+	s.OutageMs.AddDist(&r.OutageMs)
+	s.RecoveryMs.AddDist(&r.RecoveryMs)
 
 	s.PacketsSent += r.PacketsSent
 	s.PacketsDelivered += r.PacketsDelivered
@@ -247,109 +207,6 @@ func (s *Summary) AddResult(r *Result) {
 	s.RtxOverflows += r.RtxOverflows
 }
 
-// Merge folds another summary into s — the distributed-campaign
-// counterpart of AddResult. Counters and durations sum, sketches merge,
-// watermarks take the maximum, and the derived ratios (PER, StallsPerMin)
-// are recomputed from the merged totals. Called in run-index order over
-// single-run summaries it reproduces, integer-for-integer and — because
-// the float folds group per run on both sides — byte-for-byte, the
-// summary a serial merge of the same shards would build. s.Config keeps
-// the receiver's (first non-empty) config.
-func (s *Summary) Merge(o *Summary) {
-	if o == nil || o.Runs == 0 {
-		return
-	}
-	if s.Runs == 0 {
-		s.Config = o.Config
-	}
-	s.Runs += o.Runs
-	s.Duration += o.Duration
-
-	s.OWDms.Merge(&o.OWDms)
-	for b := range o.OWDByAlt {
-		s.OWDByAlt[b].Merge(&o.OWDByAlt[b])
-	}
-	s.Goodput.Merge(&o.Goodput)
-	s.FPS.Merge(&o.FPS)
-	s.PlaybackMs.Merge(&o.PlaybackMs)
-	s.SSIM.Merge(&o.SSIM)
-	s.RTTms.Merge(&o.RTTms)
-	for b := range o.RTTByAlt {
-		s.RTTByAlt[b].Merge(&o.RTTByAlt[b])
-	}
-	s.JitterMs.Merge(&o.JitterMs)
-	s.RTCPRTTms.Merge(&o.RTCPRTTms)
-	s.OutageMs.Merge(&o.OutageMs)
-	s.RecoveryMs.Merge(&o.RecoveryMs)
-
-	s.PacketsSent += o.PacketsSent
-	s.PacketsDelivered += o.PacketsDelivered
-	s.PacketsLost += o.PacketsLost
-	s.Overflows += o.Overflows
-	s.CtrlPacketsSent += o.CtrlPacketsSent
-	s.CtrlPacketsDelivered += o.CtrlPacketsDelivered
-	s.CtrlPacketsLost += o.CtrlPacketsLost
-	if s.PacketsSent > 0 {
-		s.PER = float64(s.PacketsLost) / float64(s.PacketsSent)
-	}
-
-	s.Handovers += o.Handovers
-	s.RLFs += o.RLFs
-	s.HandoverFailures += o.HandoverFailures
-
-	s.Stalls += o.Stalls
-	s.FramesPlayed += o.FramesPlayed
-	s.FramesSkipped += o.FramesSkipped
-	if s.Duration > 0 {
-		s.StallsPerMin = float64(s.Stalls) / s.Duration.Minutes()
-	}
-
-	s.MultipathDuplicates += o.MultipathDuplicates
-	s.AQMDrops += o.AQMDrops
-
-	s.BondSwitches += o.BondSwitches
-	s.BondPathDownEvents += o.BondPathDownEvents
-	s.BondPathUpEvents += o.BondPathUpEvents
-	s.BondReorderLate += o.BondReorderLate
-	s.BondReorderForced += o.BondReorderForced
-	s.BondPathSent += o.BondPathSent
-	s.BondPathDelivered += o.BondPathDelivered
-	s.BondPathLost += o.BondPathLost
-	s.BondPathSuppressed += o.BondPathSuppressed
-	s.BondPathDownMs += o.BondPathDownMs
-
-	s.ScreamLosses += o.ScreamLosses
-	s.ScreamLossesInBand += o.ScreamLossesInBand
-	s.ScreamLossesWindow += o.ScreamLossesWindow
-	s.ScreamDiscards += o.ScreamDiscards
-
-	s.Outages += o.Outages
-	s.OutageTotal += o.OutageTotal
-	s.StaleDrops += o.StaleDrops
-	s.KeyframeRequests += o.KeyframeRequests
-	if o.PostOutageQueueMs > s.PostOutageQueueMs {
-		s.PostOutageQueueMs = o.PostOutageQueueMs
-	}
-	s.FaultEpisodes = append(s.FaultEpisodes, o.FaultEpisodes...)
-
-	s.NacksSent += o.NacksSent
-	s.PacketsRepaired += o.PacketsRepaired
-	s.FramesRepaired += o.FramesRepaired
-	s.RepairLate += o.RepairLate
-	s.RepairAbandoned += o.RepairAbandoned
-	s.RepairDenied += o.RepairDenied
-	s.RepairCacheMisses += o.RepairCacheMisses
-	s.RtxBytes += o.RtxBytes
-	s.RepairBudgetAccrued += o.RepairBudgetAccrued
-	s.RtxSent += o.RtxSent
-	s.RtxDelivered += o.RtxDelivered
-	s.RtxLost += o.RtxLost
-	s.RtxStaleDrops += o.RtxStaleDrops
-	s.RtxOverflows += o.RtxOverflows
-
-	s.samplesFolded += o.samplesFolded
-}
-
 // GoodputMean returns the mean per-second goodput in Mbps.
 func (s *Summary) GoodputMean() float64 { return s.Goodput.Mean() }
 
@@ -359,24 +216,6 @@ func (s *Summary) HandoverRate() float64 {
 		return 0
 	}
 	return float64(s.Handovers) / s.Duration.Seconds()
-}
-
-// SamplesFolded returns how many raw distribution samples have been folded
-// into the summary — the count a Dist-based merge would retain.
-func (s *Summary) SamplesFolded() int64 { return s.samplesFolded }
-
-// RetainedBytes estimates the summary's distribution payload: the sum of
-// its sketches' retained bytes.
-func (s *Summary) RetainedBytes() int {
-	total := s.OWDms.RetainedBytes() + s.Goodput.RetainedBytes() +
-		s.FPS.RetainedBytes() + s.PlaybackMs.RetainedBytes() +
-		s.SSIM.RetainedBytes() + s.RTTms.RetainedBytes() +
-		s.JitterMs.RetainedBytes() + s.RTCPRTTms.RetainedBytes() +
-		s.OutageMs.RetainedBytes() + s.RecoveryMs.RetainedBytes()
-	for b := range s.OWDByAlt {
-		total += s.OWDByAlt[b].RetainedBytes() + s.RTTByAlt[b].RetainedBytes()
-	}
-	return total
 }
 
 // Summarize folds per-run results (in slice order, which campaign engines

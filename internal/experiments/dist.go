@@ -28,38 +28,37 @@ type DistSpec struct {
 	RunTimeout time.Duration `json:"run_timeout,omitempty"`
 }
 
-// A shard — one run's wire payload — is the three byte-stable exports the
+// A shard — one run's wire payload — is the two byte-stable exports the
 // serial scenario path derives from a Result, laid end to end behind their
 // lengths:
 //
-//	registry_len summary_len trace_len   three big-endian uint64
-//	registry                             Result.MetricsRegistry, WriteJSON
-//	summary                              the run's single-run core.Summary, JSON
-//	trace                                the run's JSONL trace, byte-exact
+//	registry_len trace_len   two big-endian uint64
+//	registry                 Result.MetricsRegistry, WriteJSON
+//	trace                    the run's JSONL trace, byte-exact
 //
 // The worker renders each export straight into the one buffer it ships and
 // the fold slices them back out, so no export is escaped, re-scanned or
 // copied between the two. Shards are per run — never pre-merged per chunk —
 // so the coordinator's fold applies the identical float-accumulation
-// grouping a serial campaign would.
-const shardHeaderLen = 3 * 8
+// grouping a serial campaign would. Nothing else travels: what a campaign
+// prints about itself (rpbench's stdout line) is counters of the registry.
+const shardHeaderLen = 2 * 8
 
 // splitShard slices a shard into its sections. The lengths come from a peer,
 // so they are checked against what is there without arithmetic that a huge
 // length could wrap.
-func splitShard(raw []byte) (registry, summary, trace []byte, err error) {
+func splitShard(raw []byte) (registry, trace []byte, err error) {
 	if len(raw) < shardHeaderLen {
-		return nil, nil, nil, fmt.Errorf("shard of %d bytes is shorter than its %d-byte header", len(raw), shardHeaderLen)
+		return nil, nil, fmt.Errorf("shard of %d bytes is shorter than its %d-byte header", len(raw), shardHeaderLen)
 	}
 	a := binary.BigEndian.Uint64(raw[0:])
 	b := binary.BigEndian.Uint64(raw[8:])
-	c := binary.BigEndian.Uint64(raw[16:])
 	body := raw[shardHeaderLen:]
 	rest := uint64(len(body))
-	if a > rest || b > rest-a || c != rest-a-b {
-		return nil, nil, nil, fmt.Errorf("shard sections of %d, %d and %d bytes do not add up to its %d-byte body", a, b, c, rest)
+	if a > rest || b != rest-a {
+		return nil, nil, fmt.Errorf("shard sections of %d and %d bytes do not add up to its %d-byte body", a, b, rest)
 	}
-	return body[:a], body[a : a+b], body[a+b:], nil
+	return body[:a], body[a:], nil
 }
 
 // resolveDistConfig resolves a spec to the run configuration the serial
@@ -113,12 +112,6 @@ func (DistRunner) Run(rawSpec json.RawMessage, run int) ([]byte, error) {
 		return nil, fmt.Errorf("run %d registry: %w", run, err)
 	}
 	regEnd := buf.Len()
-	sum, err := json.Marshal(core.Summarize([]*core.Result{res}))
-	if err != nil {
-		return nil, fmt.Errorf("run %d summary: %w", run, err)
-	}
-	buf.Write(sum)
-	sumEnd := buf.Len()
 	if res.Trace != nil {
 		if err := obs.WriteJSONL(&buf, core.TraceRunMeta(res, run), events); err != nil {
 			return nil, fmt.Errorf("run %d trace: %w", run, err)
@@ -126,20 +119,17 @@ func (DistRunner) Run(rawSpec json.RawMessage, run int) ([]byte, error) {
 	}
 	shard := buf.Bytes()
 	binary.BigEndian.PutUint64(shard[0:], uint64(regEnd-shardHeaderLen))
-	binary.BigEndian.PutUint64(shard[8:], uint64(sumEnd-regEnd))
-	binary.BigEndian.PutUint64(shard[16:], uint64(len(shard)-sumEnd))
+	binary.BigEndian.PutUint64(shard[8:], uint64(len(shard)-regEnd))
 	return shard, nil
 }
 
-// DistCampaign is a distributed campaign's folded output: the same three
+// DistCampaign is a distributed campaign's folded output: the same two
 // exports the serial scenario path produces, rebuilt from per-run shards
 // in run-index order.
 type DistCampaign struct {
 	// Registry is the campaign metrics registry; its WriteJSON output is
 	// byte-identical to core.WriteCampaignMetrics over a serial campaign.
 	Registry *obs.Registry
-	// Summary is the campaign summary, merged per run in index order.
-	Summary *core.Summary
 	// Trace is the concatenated JSONL trace, byte-identical to
 	// core.WriteCampaignTrace over a serial campaign.
 	Trace []byte
@@ -150,18 +140,11 @@ type DistCampaign struct {
 
 // FoldDistShards rebuilds the campaign outputs from a coordinator outcome.
 // Failed or errored runs are skipped in every export, exactly as the serial
-// path skips nil results; their errors stay in RunErrs. The summary's
-// Config is restored from the spec (it does not travel with shards).
-func FoldDistShards(spec DistSpec, out *dist.Outcome) (*DistCampaign, error) {
-	cfg, err := resolveDistConfig(spec)
-	if err != nil {
-		return nil, err
-	}
-	camp := &DistCampaign{
-		Registry: obs.NewRegistry(),
-		Summary:  &core.Summary{},
-		RunErrs:  out.RunErrs,
-	}
+// path skips nil results; their errors stay in RunErrs. The shards carry
+// everything the fold needs; the spec parameter is what bench/ (frozen
+// outside benchmark PRs) still passes.
+func FoldDistShards(_ DistSpec, out *dist.Outcome) (*DistCampaign, error) {
+	camp := &DistCampaign{Registry: obs.NewRegistry(), RunErrs: out.RunErrs}
 	var trace bytes.Buffer
 	total := 0
 	for _, raw := range out.Shards {
@@ -172,7 +155,7 @@ func FoldDistShards(spec DistSpec, out *dist.Outcome) (*DistCampaign, error) {
 		if raw == nil {
 			continue
 		}
-		regJSON, sumJSON, runTrace, err := splitShard(raw)
+		regJSON, runTrace, err := splitShard(raw)
 		if err != nil {
 			return nil, fmt.Errorf("run %d: %w", run, err)
 		}
@@ -180,31 +163,11 @@ func FoldDistShards(spec DistSpec, out *dist.Outcome) (*DistCampaign, error) {
 		if err != nil {
 			return nil, fmt.Errorf("run %d registry: %w", run, err)
 		}
-		camp.Registry.Merge(reg)
-		var sum core.Summary
-		if err := json.Unmarshal(sumJSON, &sum); err != nil {
-			return nil, fmt.Errorf("run %d summary: %w", run, err)
+		if err := camp.Registry.MergeChecked(reg); err != nil {
+			return nil, fmt.Errorf("run %d registry: %w", run, err)
 		}
-		camp.Summary.Merge(&sum)
 		trace.Write(runTrace)
 	}
 	camp.Trace = trace.Bytes()
-	if camp.Summary.Runs > 0 {
-		// The wire form drops Config (it has no JSON shape); the first
-		// run's config under the campaign derivation is cfg with that
-		// run's derived seed, which is what Summarize would have kept.
-		cfg.Seed = core.DeriveSeed(cfg.Seed, firstRun(out))
-		camp.Summary.Config = cfg
-	}
 	return camp, nil
-}
-
-// firstRun returns the lowest run index with a committed shard.
-func firstRun(out *dist.Outcome) int {
-	for run, raw := range out.Shards {
-		if raw != nil {
-			return run
-		}
-	}
-	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -33,11 +34,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// lineFormat is the part of rpbench's stdout line that describes the
+// campaign: the run count and four totals.
+const lineFormat = "%d runs, %d packets sent, %d delivered, %d frames played, %d skipped"
+
 // serialReference computes the serial campaign exports for a spec: metrics
-// and trace exactly as rpbench's serial -scenario path writes them, plus
-// the shard-grouped summary reference (single-run summaries merged in
-// run-index order — the float grouping the distributed fold uses).
-func serialReference(t *testing.T, spec DistSpec, runs int) (metrics, trace, summary []byte) {
+// and trace exactly as rpbench's serial -scenario path writes them, and the
+// stdout line's numbers taken from the results themselves (core.Summarize),
+// not from the registry the fold reads them from.
+func serialReference(t *testing.T, spec DistSpec, runs int) (metrics, trace, line []byte) {
 	t.Helper()
 	cfg, err := resolveDistConfig(spec)
 	if err != nil {
@@ -56,19 +61,13 @@ func serialReference(t *testing.T, spec DistSpec, runs int) (metrics, trace, sum
 	if err := core.WriteCampaignTrace(&tr, results); err != nil {
 		t.Fatalf("serial trace: %v", err)
 	}
-	ref := &core.Summary{}
-	for _, r := range results {
-		ref.Merge(core.Summarize([]*core.Result{r}))
-	}
-	sum, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatalf("serial summary: %v", err)
-	}
-	return m.Bytes(), tr.Bytes(), sum
+	sum := core.Summarize(results)
+	return m.Bytes(), tr.Bytes(), []byte(fmt.Sprintf(lineFormat,
+		sum.Runs, sum.PacketsSent, sum.PacketsDelivered, sum.FramesPlayed, sum.FramesSkipped))
 }
 
-// foldOutcome runs FoldDistShards and renders the three comparable exports.
-func foldOutcome(t *testing.T, spec DistSpec, out *dist.Outcome) (metrics, trace, summary []byte) {
+// foldOutcome runs FoldDistShards and renders the three comparable outputs.
+func foldOutcome(t *testing.T, spec DistSpec, out *dist.Outcome) (metrics, trace, line []byte) {
 	t.Helper()
 	for run, err := range out.RunErrs {
 		if err != nil {
@@ -83,11 +82,9 @@ func foldOutcome(t *testing.T, spec DistSpec, out *dist.Outcome) (metrics, trace
 	if err := camp.Registry.WriteJSON(&m); err != nil {
 		t.Fatalf("fold metrics: %v", err)
 	}
-	sum, err := json.Marshal(camp.Summary)
-	if err != nil {
-		t.Fatalf("fold summary: %v", err)
-	}
-	return m.Bytes(), camp.Trace, sum
+	reg := camp.Registry
+	return m.Bytes(), camp.Trace, []byte(fmt.Sprintf(lineFormat, len(out.Shards), reg.Counter("packets_sent"),
+		reg.Counter("packets_delivered"), reg.Counter("frames_played"), reg.Counter("frames_skipped")))
 }
 
 func requireSameBytes(t *testing.T, what string, got, want []byte) {
@@ -105,7 +102,7 @@ func requireSameBytes(t *testing.T, what string, got, want []byte) {
 }
 
 // TestDistMergeEquivalence proves the headline identity with in-process
-// workers: a sharded campaign's metrics, trace and summary are
+// workers: a sharded campaign's metrics, trace and stdout line are
 // byte-identical to the serial campaign's, at multiple topologies.
 func TestDistMergeEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -114,7 +111,7 @@ func TestDistMergeEquivalence(t *testing.T) {
 	spec := DistSpec{Scenario: "urban-gcc", Seed: 99}
 	const runs = 5
 	rawSpec, _ := json.Marshal(spec)
-	wantMetrics, wantTrace, wantSummary := serialReference(t, spec, runs)
+	wantMetrics, wantTrace, wantLine := serialReference(t, spec, runs)
 
 	for _, tc := range []struct{ workers, chunk int }{{3, 1}, {2, 2}} {
 		t.Run(fmt.Sprintf("w%d_c%d", tc.workers, tc.chunk), func(t *testing.T) {
@@ -126,10 +123,10 @@ func TestDistMergeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dist.Run: %v", err)
 			}
-			gotMetrics, gotTrace, gotSummary := foldOutcome(t, spec, out)
+			gotMetrics, gotTrace, gotLine := foldOutcome(t, spec, out)
 			requireSameBytes(t, "metrics", gotMetrics, wantMetrics)
 			requireSameBytes(t, "trace", gotTrace, wantTrace)
-			requireSameBytes(t, "summary", gotSummary, wantSummary)
+			requireSameBytes(t, "stdout line", gotLine, wantLine)
 		})
 	}
 }
@@ -146,7 +143,7 @@ func TestDistChaosScenario(t *testing.T) {
 	spec := DistSpec{Scenario: "urban-gcc", Seed: 7}
 	const runs = 6
 	rawSpec, _ := json.Marshal(spec)
-	wantMetrics, wantTrace, wantSummary := serialReference(t, spec, runs)
+	wantMetrics, wantTrace, wantLine := serialReference(t, spec, runs)
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatalf("os.Executable: %v", err)
@@ -198,10 +195,10 @@ func TestDistChaosScenario(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dist.Run: %v", err)
 			}
-			gotMetrics, gotTrace, gotSummary := foldOutcome(t, spec, out)
+			gotMetrics, gotTrace, gotLine := foldOutcome(t, spec, out)
 			requireSameBytes(t, "metrics", gotMetrics, wantMetrics)
 			requireSameBytes(t, "trace", gotTrace, wantTrace)
-			requireSameBytes(t, "summary", gotSummary, wantSummary)
+			requireSameBytes(t, "stdout line", gotLine, wantLine)
 			if lost := reg.Counter("dist_workers_lost"); lost != 1 {
 				t.Fatalf("dist_workers_lost = %d, want 1", lost)
 			}
@@ -212,36 +209,41 @@ func TestDistChaosScenario(t *testing.T) {
 	}
 }
 
-// shardOf lays three sections out as a worker would.
-func shardOf(registry, summary, trace string) []byte {
-	raw := make([]byte, shardHeaderLen, shardHeaderLen+len(registry)+len(summary)+len(trace))
+// shardOf lays two sections out as a worker would.
+func shardOf(registry, trace string) []byte {
+	raw := make([]byte, shardHeaderLen, shardHeaderLen+len(registry)+len(trace))
 	binary.BigEndian.PutUint64(raw[0:], uint64(len(registry)))
-	binary.BigEndian.PutUint64(raw[8:], uint64(len(summary)))
-	binary.BigEndian.PutUint64(raw[16:], uint64(len(trace)))
-	return append(append(append(raw, registry...), summary...), trace...)
+	binary.BigEndian.PutUint64(raw[8:], uint64(len(trace)))
+	return append(append(raw, registry...), trace...)
 }
+
+// A registry section with one histogram, and the same histogram at another
+// layout: folding the second after the first used to panic in obs.
+const (
+	registryTwoEdges = `{"counters":{"packets_sent":3},"histograms":{"owd_ms":{"buckets":[1,2],"counts":[1,2],"overflow":0,"count":3,"sum":4}}}`
+	registryOneEdge  = `{"counters":{"packets_sent":1},"histograms":{"owd_ms":{"buckets":[1],"counts":[1],"overflow":0,"count":1,"sum":1}}}`
+)
 
 // TestSplitShard: sections come back as slices of the shard, and lengths
 // that do not add up to the body — including ones chosen to wrap a sum —
 // are an error, never a panic or a mis-slice.
 func TestSplitShard(t *testing.T) {
-	raw := shardOf(`{"r":1}`, `{"s":2}`, "line\n")
-	reg, sum, tr, err := splitShard(raw)
-	if err != nil || string(reg) != `{"r":1}` || string(sum) != `{"s":2}` || string(tr) != "line\n" {
-		t.Fatalf("split = %q %q %q, %v", reg, sum, tr, err)
+	raw := shardOf(`{"r":1}`, "line\n")
+	reg, tr, err := splitShard(raw)
+	if err != nil || string(reg) != `{"r":1}` || string(tr) != "line\n" {
+		t.Fatalf("split = %q %q, %v", reg, tr, err)
 	}
 	if &tr[0] != &raw[len(raw)-len(tr)] {
 		t.Error("the trace section is a copy, not a slice of the shard")
 	}
-	if _, _, tr, err = splitShard(shardOf("{}", "{}", "")); err != nil || len(tr) != 0 {
+	if _, tr, err = splitShard(shardOf("{}", "")); err != nil || len(tr) != 0 {
 		t.Errorf("an untraced run's shard: trace %q, err %v", tr, err)
 	}
 
-	lengths := func(a, b, c uint64) []byte {
-		bad := shardOf(`{"r":1}`, `{"s":2}`, "line\n")
+	lengths := func(a, b uint64) []byte {
+		bad := shardOf(`{"r":1}`, "line\n")
 		binary.BigEndian.PutUint64(bad[0:], a)
 		binary.BigEndian.PutUint64(bad[8:], b)
-		binary.BigEndian.PutUint64(bad[16:], c)
 		return bad
 	}
 	const max = ^uint64(0)
@@ -250,22 +252,69 @@ func TestSplitShard(t *testing.T) {
 		"short header":          raw[:shardHeaderLen-1],
 		"truncated body":        raw[:len(raw)-1],
 		"trailing byte":         append(append([]byte(nil), raw...), 'x'),
-		"registry past the end": lengths(20, 0, 0),
-		"summary past the end":  lengths(7, 13, 0),
-		"trace too short":       lengths(7, 7, 4),
-		"a+b wraps to 19":       lengths(max-4, 24, 0),
-		"a+b+c wraps to 19":     lengths(19, max, 1),
-		"all max":               lengths(max, max, max),
+		"registry past the end": lengths(13, 0),
+		"trace too short":       lengths(7, 4),
+		"trace too long":        lengths(7, 6),
+		"a+b wraps to 12":       lengths(max-3, 16),
+		"all max":               lengths(max, max),
 	} {
-		if _, _, _, err := splitShard(bad); err == nil {
+		if _, _, err := splitShard(bad); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := FoldDistShards(DistSpec{Scenario: "urban-gcc"}, &dist.Outcome{
-		Shards: [][]byte{lengths(max-4, 24, 0)}, RunErrs: make([]error, 1),
-	}); err == nil || !strings.Contains(err.Error(), "run 0") {
-		t.Errorf("fold of a corrupt shard: err = %v, want one naming run 0", err)
+	for want, shards := range map[string][][]byte{
+		"run 0: shard sections":                 {lengths(max-3, 16)},
+		"run 1 registry: obs: parsing":          {shardOf("{}", ""), shardOf("{", "")},
+		`run 2 registry: histogram "owd_ms": b`: {shardOf(registryTwoEdges, ""), nil, shardOf(registryOneEdge, "")},
+	} {
+		_, err := FoldDistShards(DistSpec{}, &dist.Outcome{Shards: shards, RunErrs: make([]error, len(shards))})
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("fold of a bad shard: err = %v, want one starting %q", err, want)
+		}
 	}
+}
+
+// FuzzFoldDistShards: a shard is bytes from a peer. Whatever one holds, the
+// fold returns an error or a campaign whose registry exports, before and
+// after a well-formed run's shard alike.
+func FuzzFoldDistShards(f *testing.F) {
+	spec := DistSpec{Scenario: "urban-gcc"}
+	rawSpec, err := json.Marshal(spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Two real runs, their traces cut to the meta line and one event: the
+	// fold does not look inside a trace, and the mutator works best on
+	// inputs that are mostly registry.
+	var real [2][]byte
+	for run := range real {
+		shard, err := (DistRunner{}).Run(rawSpec, run)
+		if err != nil {
+			f.Fatal(err)
+		}
+		reg, trace, err := splitShard(shard)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines := bytes.SplitAfterN(trace, []byte("\n"), 3)
+		real[run] = shardOf(string(reg), string(lines[0])+string(lines[1]))
+		f.Add(real[run])
+	}
+	f.Add(real[0][:len(real[0])/2])
+	f.Add(shardOf(registryOneEdge, "")) // real shards hold owd_ms at 13 edges
+	f.Add(shardOf(`{"histograms":{"x":null},"loghistograms":{"y":{"count":1,"sum":1,"buckets":{"700":1}}}}`, "{}\n"))
+
+	f.Fuzz(func(t *testing.T, shard []byte) {
+		for _, shards := range [][][]byte{{real[0], shard}, {shard, real[1]}} {
+			camp, err := FoldDistShards(spec, &dist.Outcome{Shards: shards, RunErrs: make([]error, len(shards))})
+			if err != nil {
+				continue
+			}
+			if err := camp.Registry.WriteJSON(io.Discard); err != nil {
+				t.Fatalf("a fold that was accepted does not export: %v", err)
+			}
+		}
+	})
 }
 
 // BenchmarkFoldDistShards folds 48 shards of a recorded repair-blackout
@@ -292,8 +341,8 @@ func BenchmarkFoldDistShards(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(camp.Trace) == 0 || camp.Summary.Runs != 48 {
-			b.Fatalf("fold lost data: %d trace bytes, %d runs", len(camp.Trace), camp.Summary.Runs)
+		if len(camp.Trace) == 0 || camp.Registry.Counter("packets_sent") == 0 {
+			b.Fatalf("fold lost data: %d trace bytes, %d packets sent", len(camp.Trace), camp.Registry.Counter("packets_sent"))
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -21,12 +21,6 @@ func (d *flatDist) add(v float64) {
 	d.samples = append(d.samples, v)
 	d.sorted = false
 	d.sum += v
-}
-
-func (d *flatDist) addAll(o *flatDist) {
-	d.samples = append(d.samples, o.samples...)
-	d.sorted = false
-	d.sum += o.sum
 }
 
 func (d *flatDist) sort() {
@@ -201,43 +195,21 @@ func TestChunkedDistMatchesFlatOracle(t *testing.T) {
 	checkReads(t, "query first", d, o)
 }
 
-// TestChunkedDistAddAllAndSketch: merging in either direction and folding
-// into a Sketch read the samples in insertion order wherever they sit.
-func TestChunkedDistAddAllAndSketch(t *testing.T) {
+// TestChunkedDistAddDist: folding into a Sketch reads the samples in
+// insertion order wherever they sit (the order shows in the float sum).
+func TestChunkedDistAddDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{distChunk - 1, 3*distChunk + 7} {
-		for _, m := range []int{5, 2*distChunk + 1} {
-			a, ao := distPair(rng, n)
-			b, bo := distPair(rng, m)
-			wantB := append([]float64(nil), bo.samples...)
-
-			var sk, skOracle Sketch
-			sk.AddDist(a)
-			for _, v := range ao.samples {
-				skOracle.Add(v)
-			}
-			got, err := json.Marshal(&sk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := json.Marshal(&skOracle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
-				t.Errorf("n=%d: Sketch.AddDist JSON differs from adding the samples in order", n)
-			}
-
-			a.AddAll(b)
-			ao.addAll(bo)
-			sameFloats(t, "a after a.AddAll(b)", a.Samples(), ao.samples)
-			sameFloats(t, "b after a.AddAll(b)", b.Samples(), wantB)
-			b.AddAll(a)
-			bo.addAll(ao)
-			sameFloats(t, "b after b.AddAll(a)", b.Samples(), bo.samples)
-			checkReads(t, "merged", b, bo)
-			checkReads(t, "merge source", a, ao)
+	for _, n := range []int{sketchExactCap - 1, distChunk - 1, 3*distChunk + 7} {
+		d, o := distPair(rng, n)
+		var sk, skOracle Sketch
+		sk.AddDist(d)
+		for _, v := range o.samples {
+			skOracle.Add(v)
 		}
+		if !reflect.DeepEqual(&sk, &skOracle) {
+			t.Errorf("n=%d: Sketch.AddDist differs from adding the samples in order", n)
+		}
+		checkReads(t, "fold source", d, o)
 	}
 }
 

@@ -64,13 +64,6 @@ func (d *Dist) flat() []float64 {
 	return d.samples
 }
 
-// AddAll appends every sample of o.
-func (d *Dist) AddAll(o *Dist) {
-	d.samples = append(d.flat(), o.flat()...)
-	d.sorted = false
-	d.sum += o.sum
-}
-
 // N returns the number of samples.
 func (d *Dist) N() int { return d.nFull + len(d.samples) }
 

@@ -94,16 +94,6 @@ func TestCDFIsInclusive(t *testing.T) {
 	}
 }
 
-func TestAddAll(t *testing.T) {
-	var a, b Dist
-	a.Add(1)
-	b.Add(3)
-	a.AddAll(&b)
-	if a.N() != 2 || !almost(a.Mean(), 2) {
-		t.Errorf("AddAll: n=%d mean=%v", a.N(), a.Mean())
-	}
-}
-
 func TestBoxSummary(t *testing.T) {
 	var d Dist
 	for i := 1; i <= 5; i++ {

@@ -1,11 +1,8 @@
 package metrics
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
-	"strconv"
 )
 
 // The sketch layout is a package-wide constant so every Sketch shares it:
@@ -467,106 +464,4 @@ func (s *Sketch) Buckets() int {
 		n++
 	}
 	return n
-}
-
-// RetainedBytes estimates the sketch's retained payload: 8 bytes per exact
-// sample, or 16 bytes (index + count) per occupied bucket. It deliberately
-// ignores fixed struct overhead — the point is how the footprint scales
-// with sample count.
-func (s *Sketch) RetainedBytes() int {
-	if !s.spilled() {
-		return 8 * len(s.exact)
-	}
-	return 16 * s.Buckets()
-}
-
-// sketchJSON is the wire shape of a Sketch: the exact samples (in insertion
-// order) while on the exact path, or the bucket maps once spilled. The
-// layout is a package constant, so no gamma/alpha negotiation travels with
-// the payload. encoding/json writes map keys sorted and formats floats with
-// the shortest round-tripping representation, so marshaling is byte-stable
-// and unmarshal reconstructs the identical sketch state.
-type sketchJSON struct {
-	Exact   []float64        `json:"exact,omitempty"`
-	Spilled bool             `json:"spilled,omitempty"`
-	Zero    int64            `json:"zero,omitempty"`
-	Pos     map[string]int64 `json:"pos,omitempty"`
-	Neg     map[string]int64 `json:"neg,omitempty"`
-	N       int64            `json:"n"`
-	Sum     float64          `json:"sum"`
-	Min     float64          `json:"min"`
-	Max     float64          `json:"max"`
-}
-
-// MarshalJSON renders the sketch for transport (the distributed-campaign
-// shard stream). The wire form is canonical — a pure function of the
-// sample multiset and the accumulated sum: exact samples serialize in
-// ascending order (a sorted copy; rank queries sort the stored slice in
-// place, so insertion order is not stable state) and bucket maps serialize
-// with sorted keys. Two sketches holding the same samples with the same
-// fold grouping therefore marshal to identical bytes.
-func (s *Sketch) MarshalJSON() ([]byte, error) {
-	out := sketchJSON{N: s.n, Sum: s.sum, Min: s.min, Max: s.max}
-	if s.spilled() {
-		out.Spilled = true
-		out.Zero = s.zero
-		out.Pos = bucketKeys(s.pos)
-		out.Neg = bucketKeys(s.neg)
-	} else if len(s.exact) > 0 {
-		sorted := make([]float64, len(s.exact))
-		copy(sorted, s.exact)
-		sort.Float64s(sorted)
-		out.Exact = sorted
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON reconstructs a sketch marshaled by MarshalJSON. The
-// receiver is overwritten. Merging the result behaves exactly like merging
-// the original: counts, extremes and sums survive the round trip bit-for-
-// bit (JSON floats use the shortest round-tripping form).
-func (s *Sketch) UnmarshalJSON(data []byte) error {
-	var in sketchJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*s = Sketch{n: in.N, sum: in.Sum, min: in.Min, max: in.Max}
-	if !in.Spilled {
-		if int64(len(in.Exact)) != in.N {
-			return fmt.Errorf("metrics: sketch JSON holds %d exact samples for n=%d", len(in.Exact), in.N)
-		}
-		s.exact = in.Exact
-		return nil
-	}
-	s.pos = make(map[int32]int64, len(in.Pos))
-	s.neg = make(map[int32]int64, len(in.Neg))
-	s.zero = in.Zero
-	if err := bucketIndexes(s.pos, in.Pos); err != nil {
-		return err
-	}
-	return bucketIndexes(s.neg, in.Neg)
-}
-
-// bucketKeys converts a bucket map to its string-keyed wire form.
-func bucketKeys(m map[int32]int64) map[string]int64 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(m))
-	for idx, c := range m {
-		out[strconv.FormatInt(int64(idx), 10)] = c
-	}
-	return out
-}
-
-// bucketIndexes parses a wire bucket map back into dst.
-func bucketIndexes(dst map[int32]int64, m map[string]int64) error {
-	for k, c := range m {
-		idx, err := strconv.ParseInt(k, 10, 32)
-		if err != nil {
-			return fmt.Errorf("metrics: sketch JSON bucket key %q: %w", k, err)
-		}
-		dst[int32(idx)] = c
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,83 @@ func TestReadRegistryJSONErrors(t *testing.T) {
 	if _, err := ReadRegistryJSON(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "counts") {
 		t.Errorf("count/bucket mismatch not rejected: %v", err)
 	}
+}
+
+// TestMergeCheckedLayoutMismatch: two registries read from outside that hold
+// one histogram at different layouts. Merge panics, as it does for in-process
+// callers; MergeChecked names the histogram and folds nothing.
+func TestMergeCheckedLayoutMismatch(t *testing.T) {
+	read := func(doc string) *Registry {
+		t.Helper()
+		r, err := ReadRegistryJSON(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	const two = `{"counters":{"n":3},"histograms":{"owd_ms":{"buckets":[1,2],"counts":[1,2],"overflow":0,"count":3,"sum":4}}}`
+	const one = `{"counters":{"n":1},"histograms":{"owd_ms":{"buckets":[1],"counts":[1],"overflow":0,"count":1,"sum":1}}}`
+	const moved = `{"counters":{"n":1},"histograms":{"owd_ms":{"buckets":[1,3],"counts":[1,0],"overflow":0,"count":1,"sum":1}}}`
+
+	for doc, want := range map[string]string{
+		one:   `histogram "owd_ms": bucket layout mismatch (2 vs 1 edges)`,
+		moved: `histogram "owd_ms": bucket 1 mismatch (2 vs 3)`,
+	} {
+		r := read(two)
+		if err := r.MergeChecked(read(doc)); err == nil || err.Error() != want {
+			t.Errorf("MergeChecked = %v, want %q", err, want)
+		}
+		if r.Counter("n") != 3 || r.hists["owd_ms"].Count != 3 {
+			t.Errorf("a rejected registry was partly folded: n=%d count=%d", r.Counter("n"), r.hists["owd_ms"].Count)
+		}
+	}
+	r := read(two)
+	if err := r.MergeChecked(read(two)); err != nil || r.Counter("n") != 6 || r.hists["owd_ms"].Counts[1] != 4 {
+		t.Errorf("matching layouts: err %v, n=%d", err, r.Counter("n"))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Merge of mismatched layouts did not panic")
+		}
+	}()
+	r.Merge(read(one))
+}
+
+// FuzzReadRegistryJSON: a registry file is outside input (-compare baselines,
+// dist shards). Whatever is accepted exports, reads back to the same bytes
+// and merges, or is refused, without a panic.
+func FuzzReadRegistryJSON(f *testing.F) {
+	var seed bytes.Buffer
+	if err := testRegistry().WriteJSON(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(`{"histograms":{"owd_ms":{"buckets":[1],"counts":[1],"count":1,"sum":1},"x":null}}`))
+	f.Add([]byte(`{"gauges":{"g":-1e308},"loghistograms":{"y":{"count":2,"sum":1,"zero":1,"buckets":{"-500":1,"700":-1}},"z":null}}`))
+	f.Add([]byte(`{"loghistograms":{"y":{"buckets":{"701":1}}}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reg, err := ReadRegistryJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var a, b bytes.Buffer
+		if err := reg.WriteJSON(&a); err != nil {
+			t.Fatalf("accepted, but does not export: %v", err)
+		}
+		back, err := ReadRegistryJSON(bytes.NewReader(a.Bytes()))
+		if err != nil {
+			t.Fatalf("own export refused: %v", err)
+		}
+		if err := back.WriteJSON(&b); err != nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("export not stable (%v):\n%s\n%s", err, a.Bytes(), b.Bytes())
+		}
+		into := testRegistry()
+		if err := into.MergeChecked(reg); err == nil {
+			if err := into.WriteJSON(io.Discard); err != nil {
+				t.Fatalf("merged, but does not export: %v", err)
+			}
+		}
+	})
 }
 
 // TestCompareRegistriesGate covers the regression gate's verdicts: identical

@@ -65,16 +65,31 @@ func (h *Histogram) Observe(v float64) {
 // panics otherwise, like Registry.Merge).
 func (h *Histogram) Merge(o *Histogram) { h.merge("histogram", o) }
 
-// merge folds o into h. The layouts must match.
-func (h *Histogram) merge(name string, o *Histogram) {
+// sameLayout says how o's bucket layout differs from h's, or nil.
+func (h *Histogram) sameLayout(o *Histogram) error {
 	if len(h.Buckets) != len(o.Buckets) {
-		panic(fmt.Sprintf("obs: histogram %q bucket layout mismatch (%d vs %d edges)", name, len(h.Buckets), len(o.Buckets)))
+		return fmt.Errorf("bucket layout mismatch (%d vs %d edges)", len(h.Buckets), len(o.Buckets))
 	}
 	for i, edge := range h.Buckets {
 		if edge != o.Buckets[i] {
-			panic(fmt.Sprintf("obs: histogram %q bucket %d mismatch (%g vs %g)", name, i, edge, o.Buckets[i]))
+			return fmt.Errorf("bucket %d mismatch (%g vs %g)", i, edge, o.Buckets[i])
 		}
-		h.Counts[i] += o.Counts[i]
+	}
+	return nil
+}
+
+// merge folds o into h. The layouts must match.
+func (h *Histogram) merge(name string, o *Histogram) {
+	if err := h.sameLayout(o); err != nil {
+		panic(fmt.Sprintf("obs: histogram %q: %v", name, err))
+	}
+	h.add(o)
+}
+
+// add folds o, whose layout the caller has checked, into h.
+func (h *Histogram) add(o *Histogram) {
+	for i, c := range o.Counts {
+		h.Counts[i] += c
 	}
 	h.Overflow += o.Overflow
 	h.Count += o.Count
@@ -154,31 +169,42 @@ func (r *Registry) LogHistogram(name string) *LogHistogram {
 // engine always merges per-run registries flat, in run-index order, which
 // is independent of the worker count.
 func (r *Registry) Merge(o *Registry) {
-	for name, v := range o.counters {
-		r.counters[name] += v
+	if err := r.MergeChecked(o); err != nil {
+		panic("obs: " + err.Error())
 	}
-	for name, v := range o.gauges {
-		r.SetGauge(name, v)
-	}
-	// Deterministic histogram creation order is irrelevant for the maps
-	// themselves, but iterate sorted anyway so any layout-mismatch panic
-	// names the same histogram every time.
+}
+
+// MergeChecked is Merge for a registry that came from outside the process
+// (ReadRegistryJSON): a histogram whose layout differs from r's is an error
+// naming it, returned before anything is folded.
+func (r *Registry) MergeChecked(o *Registry) error {
+	// Sorted, so a mismatch names the same histogram every time.
 	names := make([]string, 0, len(o.hists))
 	for name := range o.hists {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		oh := o.hists[name]
-		h, ok := r.hists[name]
-		if !ok {
-			h = r.Histogram(name, oh.Buckets)
+		if h, ok := r.hists[name]; ok {
+			if err := h.sameLayout(o.hists[name]); err != nil {
+				return fmt.Errorf("histogram %q: %w", name, err)
+			}
 		}
-		h.merge(name, oh)
+	}
+	for name, v := range o.counters {
+		r.counters[name] += v
+	}
+	for name, v := range o.gauges {
+		r.SetGauge(name, v)
+	}
+	for _, name := range names {
+		oh := o.hists[name]
+		r.Histogram(name, oh.Buckets).add(oh)
 	}
 	for name, oh := range o.logs {
 		r.LogHistogram(name).Merge(oh)
 	}
+	return nil
 }
 
 // Clone returns a deep copy of the registry — the snapshot the telemetry

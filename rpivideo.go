@@ -200,11 +200,6 @@ func RunCampaignWithOptions(cfg Config, runs int, opts CampaignOptions) ([]*Resu
 // sweeps can reproduce individual campaign runs.
 func DeriveSeed(base int64, run int) int64 { return core.DeriveSeed(base, run) }
 
-// Merge folds several results into combined distributions by concatenating
-// samples. For large campaigns prefer Summarize or RunCampaignSummary, whose
-// sketch-based aggregation keeps memory independent of the run count.
-func Merge(results []*Result) *Result { return core.Merge(results) }
-
 // Summary is a campaign-level aggregate built on mergeable quantile
 // sketches: counters sum exactly, distribution queries answer within
 // metrics.SketchAlpha relative error, and memory is O(buckets) regardless

@@ -32,7 +32,7 @@ func TestPublicAPICampaign(t *testing.T) {
 		Seed:     2,
 		Duration: 20 * time.Second,
 	}, 2)
-	m := rpivideo.Merge(rs)
+	m := rpivideo.Summarize(rs)
 	if m.Duration != 40*time.Second {
 		t.Errorf("merged duration = %v", m.Duration)
 	}
