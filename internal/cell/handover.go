@@ -85,7 +85,11 @@ type Machine struct {
 	rlfs           []RLFEvent
 
 	events []Event
-	rsrps  []float64
+
+	// The last measurement: the strongest cell (next search's hint) and
+	// the serving cell's received power.
+	best  int
+	servV float64
 
 	// Tracing (nil = disabled). Purely observational — see internal/obs.
 	trace    *obs.Tracer
@@ -100,7 +104,7 @@ type Machine struct {
 // selects the aerial HET outlier distribution (§4.1: the excessive outliers
 // up to 4 s occur almost exclusively in the air).
 func NewMachine(model *SignalModel, cfg HandoverConfig, air bool, rng *rand.Rand) *Machine {
-	return &Machine{cfg: cfg, model: model, rng: rng, midair: air, serving: -1, prevServing: -1}
+	return &Machine{cfg: cfg, model: model, rng: rng, midair: air, serving: -1, prevServing: -1, best: -1}
 }
 
 // SetTracer attaches an event tracer (nil disables tracing). dir labels the
@@ -177,27 +181,28 @@ func (m *Machine) RadioDegradation(now time.Duration) float64 {
 
 // ServingRSRP returns the most recent serving-cell received power.
 func (m *Machine) ServingRSRP() float64 {
-	if m.serving < 0 || m.serving >= len(m.rsrps) {
+	if m.serving < 0 {
 		return math.Inf(-1)
 	}
-	return m.rsrps[m.serving]
+	return m.servV
 }
 
 // Step performs one RRC measurement at time now and UE state st, returning
 // a non-nil Event when a handover triggers.
 func (m *Machine) Step(now time.Duration, st flight.State) *Event {
-	m.rsrps = m.model.RSRPAll(now, st, m.rsrps)
-	if len(m.rsrps) == 0 {
+	best, bestV, servV := m.model.Best(now, st, m.serving, m.best)
+	return m.decide(now, st, best, bestV, servV)
+}
+
+// decide runs the state machine on one measurement's outcome: the strongest
+// cell, its received power and the serving cell's.
+func (m *Machine) decide(now time.Duration, st flight.State, best int, bestV, servV float64) *Event {
+	if best < 0 {
 		return nil
 	}
-	best := 0
-	for i, v := range m.rsrps {
-		if v > m.rsrps[best] {
-			best = i
-		}
-	}
+	m.best, m.servV = best, servV
 	if m.serving < 0 {
-		m.serving = best
+		m.serving, m.servV = best, bestV
 		return nil
 	}
 	if m.reestablishing {
@@ -210,7 +215,7 @@ func (m *Machine) Step(now time.Duration, st flight.State) *Event {
 		// and HET statistics stay clean-handover-only.
 		m.reestablishing = false
 		m.prevServing = m.serving
-		m.serving = best
+		m.serving, m.servV = best, bestV
 		m.lastHOAt = now
 		m.rlfs[len(m.rlfs)-1].To = m.model.CellID(best)
 	}
@@ -222,7 +227,7 @@ func (m *Machine) Step(now time.Duration, st flight.State) *Event {
 	if m.cfg.RLF.Enabled && m.monitorRLF(now) {
 		return nil
 	}
-	if best == m.serving || m.rsrps[best] <= m.rsrps[m.serving]+m.cfg.HysteresisDB {
+	if best == m.serving || bestV <= m.servV+m.cfg.HysteresisDB {
 		m.haveCandidate = false
 		return nil
 	}
@@ -261,7 +266,7 @@ func (m *Machine) Step(now time.Duration, st flight.State) *Event {
 		PingPong: best == m.prevServing && m.haveLastHO && now-m.lastHOAt < m.cfg.PingPongWindow,
 	}
 	m.prevServing = m.serving
-	m.serving = best
+	m.serving, m.servV = best, bestV
 	m.lastHOAt = now
 	m.haveLastHO = true
 	m.busyUntil = now + het

@@ -98,7 +98,7 @@ func (m *Machine) RLFEvents() []RLFEvent { return m.rlfs }
 // failure was declared now.
 func (m *Machine) monitorRLF(now time.Duration) bool {
 	cfg := m.cfg.RLF
-	rsrp := m.rsrps[m.serving]
+	rsrp := m.servV
 	switch {
 	case rsrp < cfg.QoutDBm:
 		if !m.t310Running {

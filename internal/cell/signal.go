@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -65,6 +66,19 @@ func DefaultSignalConfigFor(env Environment) SignalConfig {
 	return cfg
 }
 
+// The path-loss model of rsrp: a line-of-sight and an obstructed log-distance
+// law (dB at 1 km, dB per decade) mixed by a line-of-sight probability that
+// rises linearly from its ground value to pLoSAir at airnessAltM. Named
+// because the slope of Best's bound is derived from the same numbers.
+const (
+	plLoSAt1Km, plLoSPerDecade   = 103.4, 24.2
+	plNLoSAt1Km, plNLoSPerDecade = 131.1, 42.8
+	pLoSGroundUrban              = 0.15
+	pLoSGroundRural              = 0.5
+	pLoSAir                      = 0.95
+	airnessAltM                  = 120
+)
+
 // SignalModel computes per-cell received power for a moving UE.
 type SignalModel struct {
 	cfg SignalConfig
@@ -75,22 +89,46 @@ type SignalModel struct {
 	rng    *rand.Rand
 	last   time.Duration
 	init   bool
+
+	// Best's bound (see there): per-cell cache, the two slope factors that
+	// depend only on the configuration, and the count of exact evaluations.
+	bounds     []cellBound
+	geoSlope   float64 // distance and elevation terms: dB per metre, times d
+	losPerAltM float64 // line-of-sight probability per metre of altitude
+	evals      uint64
 }
 
-// NewSignalModel returns a model over the given deployment.
+// NewSignalModel returns a model over the given deployment. It panics on a
+// non-positive VerticalHPBWDeg or DecorrDistanceM: both are divisors, and a
+// zero yields NaN or infinite powers that no comparison ever selects.
 func NewSignalModel(env Environment, bss []BS, cfg SignalConfig, rng *rand.Rand) *SignalModel {
-	m := &SignalModel{cfg: cfg, env: env, bss: bss, rng: rng, shadow: make([]float64, len(bss))}
+	if !(cfg.VerticalHPBWDeg > 0) || !(cfg.DecorrDistanceM > 0) {
+		panic(fmt.Sprintf("cell: VerticalHPBWDeg (%v) and DecorrDistanceM (%v) must be positive", cfg.VerticalHPBWDeg, cfg.DecorrDistanceM))
+	}
+	m := &SignalModel{cfg: cfg, env: env, bss: bss, rng: rng, shadow: make([]float64, len(bss)), bounds: make([]cellBound, len(bss))}
 	for i := range m.shadow {
 		m.shadow[i] = rng.NormFloat64() * cfg.ShadowSigmaGroundDB
 	}
+	attPerDeg := 24 * math.Sqrt(math.Max(cfg.SideLobeFloorDB, 0)/12) / cfg.VerticalHPBWDeg
+	m.geoSlope = plNLoSPerDecade/math.Ln10 + attPerDeg*180/math.Pi
+	m.losPerAltM = (pLoSAir - m.pLoSGround()) / airnessAltM
 	return m
+}
+
+// pLoSGround is the line-of-sight probability at ground level: the urban
+// ground is mostly obstructed, the rural ground often open.
+func (m *SignalModel) pLoSGround() float64 {
+	if m.env == Rural {
+		return pLoSGroundRural
+	}
+	return pLoSGroundUrban
 }
 
 // Cells returns the deployment.
 func (m *SignalModel) Cells() []BS { return m.bss }
 
 // CellID maps a deployment index — what Machine tracks internally and what
-// RSRPAll's slice positions mean — to the base station's ID. The two
+// Best returns — to the base station's ID. The two
 // coincide for Deployment-generated maps, but injected shared maps may
 // carry arbitrary IDs, so anything user-facing (handover and RLF events,
 // traces) must go through this mapping rather than reporting raw indices.
@@ -114,7 +152,7 @@ func (m *SignalModel) advance(now time.Duration, st flight.State) {
 		return
 	}
 	m.last = now
-	airness := st.Alt / 120
+	airness := st.Alt / airnessAltM
 	if airness > 1 {
 		airness = 1
 	}
@@ -135,44 +173,109 @@ func (m *SignalModel) advance(now time.Duration, st flight.State) {
 	}
 }
 
-// RSRPAll advances the fading state to now and returns the received power
-// (dBm) from every cell at the given UE state. The returned slice is reused
-// across calls.
-func (m *SignalModel) RSRPAll(now time.Duration, st flight.State, out []float64) []float64 {
-	m.advance(now, st)
-	out = out[:0]
-	for i, bs := range m.bss {
-		out = append(out, m.rsrp(i, bs, st))
-	}
-	return out
+// cellBound is what Best remembers of one cell's last exact evaluation.
+type cellBound struct {
+	x, y, alt float64 // UE position of the evaluation
+	det       float64 // the deterministic power there (dBm)
+	slope     float64 // how fast det can rise, dB per metre of L1 displacement
+	reach     float64 // displacement below which slope holds (m)
 }
 
-// rsrp computes one cell's received power.
-func (m *SignalModel) rsrp(i int, bs BS, st flight.State) float64 {
+// boundSlack covers the floating-point error of det and of the bound's own
+// arithmetic (≈ 1e-12 dB at these magnitudes) many times over.
+const boundSlack = 1e-6
+
+// Best advances the fading state to now and returns the index and received
+// power (dBm) of the strongest cell at the given UE state — the lowest index
+// among equals, as an ascending scan with > finds it — and the power of the
+// serving cell (of cell 0 while serving is -1). hint is the caller's guess
+// at the winner, typically the last one. It returns -1 on an empty map. The
+// state must be finite and high enough for the line-of-sight mix to be a
+// probability (anywhere above ground is).
+//
+// Only cells that can win are evaluated. A cell's power is det + shadow[i];
+// shadow is current for every cell after advance, and det, a function of
+// the UE position alone, was cached with a Lipschitz slope where the cell
+// was last evaluated (see eval). While the UE stays within reach of that
+// position, det + slope·displacement + shadow[i] bounds the cell's power
+// from above, and a cell whose bound is below the running best can neither
+// win nor tie. The serving cell and the hint go first so that the running
+// best starts high.
+func (m *SignalModel) Best(now time.Duration, st flight.State, serving, hint int) (best int, bestV, servV float64) {
+	m.advance(now, st)
+	n := len(m.bss)
+	if n == 0 {
+		return -1, math.Inf(-1), math.Inf(-1)
+	}
+	if serving < 0 || serving >= n {
+		serving = 0
+	}
+	servV = m.eval(serving, st)
+	best, bestV = serving, servV
+	if hint >= 0 && hint < n && hint != serving {
+		if v := m.eval(hint, st); v > bestV || v == bestV && hint < best {
+			best, bestV = hint, v
+		}
+	}
+	for i := range m.bounds {
+		if i == serving || i == hint {
+			continue
+		}
+		c := &m.bounds[i]
+		disp := math.Abs(st.X-c.x) + math.Abs(st.Y-c.y) + math.Abs(st.Alt-c.alt)
+		if disp < c.reach && c.det+c.slope*disp+m.shadow[i]+boundSlack < bestV {
+			continue
+		}
+		if v := m.eval(i, st); v > bestV || v == bestV && i < best {
+			best, bestV = i, v
+		}
+	}
+	return best, bestV, servV
+}
+
+// eval computes one cell's received power and caches its deterministic part
+// with the slope of Best's bound. With d the 3-D distance to the site, det
+// changes through three quantities, each 1-Lipschitz or better in the UE's
+// Euclidean — hence also L1 — displacement: the distance itself, at most
+// plNLoSPerDecade/(ln10·d) dB/m whatever the line-of-sight mix; the
+// elevation angle, at most 1/d rad/m, times the steepest the antenna
+// pattern gets before the side-lobe floor caps it; and the line-of-sight
+// probability, losPerAltM per metre of altitude, times the gap between the
+// two path-loss laws at the cached distance. The first two are taken at d/2,
+// the closest the UE can get within a reach of d/2.
+func (m *SignalModel) eval(i int, st flight.State) float64 {
+	m.evals++
+	det, d3, logD := m.det(m.bss[i], st)
+	gap := math.Abs((plNLoSAt1Km - plLoSAt1Km) + (plNLoSPerDecade-plLoSPerDecade)*logD)
+	reach := d3 / 2
+	m.bounds[i] = cellBound{x: st.X, y: st.Y, alt: st.Alt, det: det, slope: m.geoSlope/reach + gap*m.losPerAltM, reach: reach}
+	return det + m.shadow[i]
+}
+
+// det computes the deterministic part of a site's received power — transmit
+// power less path loss and antenna attenuation — and, for eval, the 3-D
+// distance (m) and the path-loss laws' log10 distance (km).
+func (m *SignalModel) det(bs BS, st flight.State) (det, d3, logD float64) {
 	dx, dy := st.X-bs.X, st.Y-bs.Y
 	d2 := math.Hypot(dx, dy)
 	if d2 < 10 {
 		d2 = 10
 	}
 	dz := st.Alt - bs.Height
-	d3 := math.Hypot(d2, dz)
+	d3 = math.Hypot(d2, dz)
 	dKm := d3 / 1000
 
-	// Line-of-sight probability rises with altitude; the urban ground is
-	// mostly obstructed, the rural ground often open.
-	pLoS := 0.15
-	if m.env == Rural {
-		pLoS = 0.5
-	}
-	airness := st.Alt / 120
+	// Line-of-sight probability rises with altitude.
+	pLoS := m.pLoSGround()
+	airness := st.Alt / airnessAltM
 	if airness > 1 {
 		airness = 1
 	}
-	pLoS += (0.95 - pLoS) * airness
+	pLoS += (pLoSAir - pLoS) * airness
 
-	logD := math.Log10(math.Max(dKm, 0.01))
-	plLoS := 103.4 + 24.2*logD
-	plNLoS := 131.1 + 42.8*logD
+	logD = math.Log10(math.Max(dKm, 0.01))
+	plLoS := plLoSAt1Km + plLoSPerDecade*logD
+	plNLoS := plNLoSAt1Km + plNLoSPerDecade*logD
 	pl := pLoS*plLoS + (1-pLoS)*plNLoS
 
 	// Vertical antenna pattern: boresight is DownTiltDeg below the horizon.
@@ -183,5 +286,5 @@ func (m *SignalModel) rsrp(i int, bs BS, st flight.State) float64 {
 		att = m.cfg.SideLobeFloorDB
 	}
 
-	return m.cfg.TxPowerDBm - pl - att + m.shadow[i]
+	return m.cfg.TxPowerDBm - pl - att, d3, logD
 }

@@ -88,7 +88,7 @@ func cruisingMachine(env Environment) (step func()) {
 }
 
 // BenchmarkMachineStep is one RRC measurement of a run: the shadowing of
-// every cell advanced, every cell's RSRP computed, the A3 condition and the
+// every cell advanced, the strongest cell found, the A3 condition and the
 // handover state machine.
 func BenchmarkMachineStep(b *testing.B) {
 	for _, env := range []Environment{Urban, Rural} {
@@ -103,9 +103,9 @@ func BenchmarkMachineStep(b *testing.B) {
 	}
 }
 
-// TestMachineStepAllocatesNothing: a measurement reuses the machine's RSRP
-// slice; only a handover's event record ever allocates, amortized to
-// nothing over the steps between handovers.
+// TestMachineStepAllocatesNothing: a measurement writes only the model's
+// per-cell state; only a handover's event record ever allocates, amortized
+// to nothing over the steps between handovers.
 func TestMachineStepAllocatesNothing(t *testing.T) {
 	for _, env := range []Environment{Urban, Rural} {
 		step := cruisingMachine(env)

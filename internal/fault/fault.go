@@ -153,6 +153,9 @@ func ParseSchedule(spec string) ([]Window, error) {
 		if w.Start < 0 || w.Duration <= 0 {
 			return nil, fmt.Errorf("fault: window %q must have start ≥ 0 and duration > 0", field)
 		}
+		if w.End() < 0 {
+			return nil, fmt.Errorf("fault: window %q ends beyond the representable time", field)
+		}
 		out = append(out, w)
 	}
 	if out == nil && strings.TrimSpace(spec) != "" {

@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -34,6 +37,8 @@ func TestParseScheduleErrors(t *testing.T) {
 		"-1s+2s",       // negative start
 		"45s+0s",       // zero duration
 		"45s+2s,45s+w", // error in second element
+		// The end overflows a Duration: the window would never be in force.
+		"2562047h+2562047h",
 	} {
 		if _, err := ParseSchedule(spec); err == nil {
 			t.Errorf("ParseSchedule(%q) succeeded, want error", spec)
@@ -322,4 +327,61 @@ func TestEpisodeLength(t *testing.T) {
 			t.Errorf("Direction(%d).String() = %q, want %q", d, d.String(), want)
 		}
 	}
+}
+
+// FuzzParseSchedule: the parser must never panic, every accepted schedule
+// holds the Window invariants the link layer relies on, and it re-parses to
+// the same windows through a canonical spelling (seeds: the outage, fade,
+// direction and @p1/@p2 forms of the tests above, and their rejects).
+func FuzzParseSchedule(f *testing.F) {
+	for _, seed := range []string{
+		"45s+2s, 90s+500ms/down ,120s+1s/up", "20s~60ms, 45s+2s ,70s~80ms/up",
+		"45s+2s@p1, 60s+1s/up@p2 ,75s+1s@p1/down, 90s~80ms@p2", "1m30s+1.5s/both",
+		"", ",", " , ", "45s", "45s+", "+2s", "20s~0s", "-1s+2s", "45s+2s/sideways", "45s+2s@p3",
+		"45s+2s/up/down", "45s+2s@p1@p2", "45s+2s~1s", "9999999h+1s", "2562047h+2562047h",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ws, err := ParseSchedule(spec)
+		if err != nil {
+			return
+		}
+		var canon []string
+		for _, w := range ws {
+			if w.Start < 0 || w.Duration <= 0 || w.End() < 0 || w.Dir < Both || w.Dir > Downlink || w.Path < PathAll || w.Path > PathSecondary {
+				t.Fatalf("ParseSchedule(%q) accepted window %+v", spec, w)
+			}
+			sep, scope := "+", ""
+			if w.Loss {
+				sep = "~"
+			}
+			if w.Path != PathAll {
+				scope = fmt.Sprintf("@p%d", w.Path)
+			}
+			canon = append(canon, fmt.Sprintf("%v%s%v/%v%s", w.Start, sep, w.Duration, w.Dir, scope))
+		}
+		again, err := ParseSchedule(strings.Join(canon, ","))
+		if err != nil || !reflect.DeepEqual(again, ws) {
+			t.Fatalf("ParseSchedule(%q) = %+v; canonical %q re-parses to %+v, %v", spec, ws, canon, again, err)
+		}
+		// Each link's view of an accepted schedule has every window that
+		// applies to it in force at its start.
+		for _, dir := range []Direction{Uplink, Downlink} {
+			for _, path := range []int{PathPrimary, PathSecondary} {
+				l := NewPathLine(ws, dir, path)
+				for _, w := range ws {
+					if (w.Dir != Both && w.Dir != dir) || (w.Path != PathAll && w.Path != path) {
+						continue
+					}
+					if _, blocked := l.Blocked(w.Start); !w.Loss && !blocked {
+						t.Fatalf("ParseSchedule(%q): %v path %d not blocked at the start of %+v", spec, dir, path, w)
+					}
+					if w.Loss && !l.Lossy(w.Start) {
+						t.Fatalf("ParseSchedule(%q): %v path %d not lossy at the start of %+v", spec, dir, path, w)
+					}
+				}
+			}
+		}
+	})
 }
