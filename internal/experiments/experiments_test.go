@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,32 @@ func TestAllExperimentsSatisfyShapeChecks(t *testing.T) {
 			if !rep.OK() {
 				t.Errorf("shape checks failed: %v", rep.FailedChecks())
 			}
+		})
+	}
+}
+
+// TestFig8Fig9MatchRecord byte-compares the two handover figures' rendered
+// reports, at the EXPERIMENTS.md record's setting, against
+// testdata/paper/fig{8,9}.txt. The files were written from the per-packet
+// series path before it was deleted, so they pin that the trace-analyzer path
+// reproduces it exactly; -update regenerates them.
+func TestFig8Fig9MatchRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full campaign")
+	}
+	o := Options{Runs: 2, Seed: 1}
+	for _, e := range []struct {
+		name string
+		run  func(Options) *Report
+	}{{"fig8", Fig8HandoverTimeline}, {"fig9", Fig9LatencyRatio}} {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			t.Parallel()
+			var buf bytes.Buffer
+			if _, err := e.run(o).WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, filepath.Join("testdata", "paper", e.name+".txt"), buf.Bytes())
 		})
 	}
 }
