@@ -10,7 +10,6 @@ import (
 	"rpivideo/internal/fault"
 	"rpivideo/internal/flight"
 	"rpivideo/internal/link"
-	"rpivideo/internal/metrics"
 	"rpivideo/internal/scream"
 )
 
@@ -22,19 +21,17 @@ type flightLog struct {
 	res *Result
 	// above are the altitude band edges of BucketFor as step functions of
 	// the send time: a packet's band is the number of edges it was above.
-	above      [len(altBandEdges)]func(time.Duration) bool
-	keepSeries bool
+	above [len(altBandEdges)]func(time.Duration) bool
 	// goodputBytes is indexed by arrival second (RunUntil guarantees
 	// at ≤ dur), not a map: the packet path pays an add, not a hash. With
 	// bonding, only the first copy of each packet counts; the duplicate is
 	// discarded at the receiver.
 	goodputBytes []int
-	owdPts       []metrics.Point
 	suppressed   [bond.NumPaths]int64
 }
 
-func newFlightLog(cfg Config, res *Result, prof flight.Profile, dur time.Duration) *flightLog {
-	l := &flightLog{res: res, keepSeries: cfg.KeepSeries, goodputBytes: make([]int, int(dur/time.Second)+1)}
+func newFlightLog(res *Result, prof flight.Profile, dur time.Duration) *flightLog {
+	l := &flightLog{res: res, goodputBytes: make([]int, int(dur/time.Second)+1)}
 	for i, edge := range altBandEdges {
 		l.above[i] = flight.Above(prof, edge)
 	}
@@ -65,9 +62,6 @@ func (l *flightLog) delivered(v endpoint.Verdict, path, size int, sentAt, at tim
 		ms := float64(at-sentAt) / float64(time.Millisecond)
 		l.res.OWDms.Add(ms)
 		l.res.OWDByAlt[l.bucketAt(sentAt)].Add(ms)
-		if l.keepSeries {
-			l.owdPts = append(l.owdPts, metrics.Point{T: at, V: ms})
-		}
 	case endpoint.Repaired:
 		// Goodput only: a retransmission's delay is not the path's.
 	default:
@@ -78,26 +72,10 @@ func (l *flightLog) delivered(v endpoint.Verdict, path, size int, sentAt, at tim
 	}
 }
 
-// dropped notes the send time of a media packet the primary uplink lost.
-func (l *flightLog) dropped(sentAt time.Duration) {
-	if l.keepSeries {
-		l.res.LossTimes = append(l.res.LossTimes, sentAt)
-	}
-}
-
-// fold closes the per-second goodput bins and the optional series.
+// fold closes the per-second goodput bins.
 func (l *flightLog) fold() {
-	var gpPts []metrics.Point
-	for sec, bytes := range l.goodputBytes[:len(l.goodputBytes)-1] {
-		mbps := float64(bytes*8) / 1e6
-		l.res.Goodput.Add(mbps)
-		if l.keepSeries {
-			gpPts = append(gpPts, metrics.Point{T: time.Duration(sec) * time.Second, V: mbps})
-		}
-	}
-	if l.keepSeries {
-		l.res.OWDSeries = metrics.NewTimeSeriesFromPoints(l.owdPts)
-		l.res.GoodputSeries = metrics.NewTimeSeriesFromPoints(gpPts)
+	for _, bytes := range l.goodputBytes[:len(l.goodputBytes)-1] {
+		l.res.Goodput.Add(float64(bytes*8) / 1e6)
 	}
 }
 
@@ -109,19 +87,17 @@ type recoveryTrack struct {
 }
 
 // targetSampler watches the sender's target rate every 100 ms: ramp-up
-// detection, the optional series, and — with faults armed — the per-episode
+// detection and — with faults armed — the per-episode
 // recovery and post-outage queue metrics. Everything fault-related is gated
 // on faultsOn: sampling QueueDelay advances the link's capacity process, so
 // touching it here would perturb the calibrated no-fault runs.
 type targetSampler struct {
-	res        *Result
-	machine    *cell.Machine
-	uplink     *link.Link
-	dur        time.Duration
-	keepSeries bool
-	faultsOn   bool
+	res      *Result
+	machine  *cell.Machine
+	uplink   *link.Link
+	dur      time.Duration
+	faultsOn bool
 
-	targetPts  []metrics.Point
 	episodes   []fault.Episode
 	tracks     []*recoveryTrack
 	scripted   []fault.Episode
@@ -131,7 +107,7 @@ type targetSampler struct {
 }
 
 func newTargetSampler(cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, dur time.Duration) *targetSampler {
-	t := &targetSampler{res: res, machine: machine, uplink: uplink, dur: dur, keepSeries: cfg.KeepSeries, faultsOn: cfg.Faults.Enabled()}
+	t := &targetSampler{res: res, machine: machine, uplink: uplink, dur: dur, faultsOn: cfg.Faults.Enabled()}
 	if !t.faultsOn {
 		return t
 	}
@@ -179,9 +155,6 @@ func (t *targetSampler) collectRLFs(track bool) {
 // sample takes one reading of the target rate.
 func (t *targetSampler) sample(now time.Duration, target float64) {
 	res := t.res
-	if t.keepSeries {
-		t.targetPts = append(t.targetPts, metrics.Point{T: now, V: target / 1e6})
-	}
 	if res.RampUpTo25 == 0 && target >= 24.75e6 {
 		res.RampUpTo25 = now
 	}
@@ -224,12 +197,9 @@ func (t *targetSampler) sample(now time.Duration, target float64) {
 	t.lastTarget = target
 }
 
-// fold closes the target series and the fault-episode timeline.
+// fold closes the fault-episode timeline.
 func (t *targetSampler) fold() {
 	res := t.res
-	if t.keepSeries {
-		res.TargetSeries = metrics.NewTimeSeriesFromPoints(t.targetPts)
-	}
 	if !t.faultsOn {
 		return
 	}

@@ -120,29 +120,36 @@ func RunCampaignWithOptions(cfg Config, runs int, opts CampaignOptions) ([]*Resu
 		return nil, nil
 	}
 	results := make([]*Result, runs)
-	errs := opts.run(cfg, runs, func(i int, r *Result) { results[i] = r })
+	errs := RunCampaignFold(cfg, runs, opts, func(i int, r *Result) { results[i] = r })
 	return results, errs
 }
 
-// run executes the campaign's runs on the executor, handing each result to
-// fold in run-index order.
-func (o CampaignOptions) run(cfg Config, runs int, fold func(i int, r *Result)) []error {
+// RunCampaignFold executes a campaign and hands each run's result to fold
+// as soon as its turn in run-index order comes — the body of both
+// RunCampaignWithOptions (fold stores results[i]) and RunCampaignSummary
+// (fold is Summary.AddResult), for callers inside the module that reduce a
+// run to something else (Fig. 9 keeps a traced run's epoch windows, not its
+// trace). fold calls are serialized and in strict index order at any worker
+// count; a run that failed is folded as nil and reported in the returned
+// per-run errors. Nothing is retained once fold returns, so peak memory is
+// the in-flight runs plus whatever completed ahead of its turn.
+func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int, r *Result)) []error {
 	if runs <= 0 {
 		return nil
 	}
 	errs := make([]error, runs)
-	e := executor{workers: o.Workers, timeout: o.RunTimeout, unit: "campaign run", progress: o.Progress, sink: o.StatusSink}
+	e := executor{workers: opts.Workers, timeout: opts.RunTimeout, unit: "campaign run", progress: opts.Progress, sink: opts.StatusSink}
 	e.run(errs, func(i int) *Result {
 		c := cfg
-		c.Seed = o.runSeed(cfg.Seed, i)
+		c.Seed = opts.runSeed(cfg.Seed, i)
 		return Run(c)
 	}, fold)
 	return errs
 }
 
 // executor is the one engine every in-process campaign entry point runs on:
-// RunCampaignWithOptions (fold stores results[i]), RunCampaignSummary (fold
-// is Summary.AddResult) and both per-UAV phases of RunFleet. It keeps three
+// RunCampaignFold (and through it RunCampaignWithOptions and
+// RunCampaignSummary) and both per-UAV phases of RunFleet. It keeps three
 // contracts:
 //
 //   - every job runs under runGuarded, so a panic or a watchdog expiry

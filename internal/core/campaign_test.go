@@ -36,12 +36,21 @@ func resultFingerprint(r *Result) string {
 // TestCampaignParallelMatchesSerial is the determinism lock the worker pool
 // depends on: a parallel campaign must produce results identical to the
 // serial path for the same (Config, Seed), field by field and in run-index
-// order.
+// order — through RunCampaignWithOptions and through the RunCampaignFold it
+// is built on.
 func TestCampaignParallelMatchesSerial(t *testing.T) {
 	cfg := Config{Env: cell.Urban, Air: true, CC: CCGCC, Seed: 21, Duration: 30 * time.Second}
 	const runs = 6
 	serial, serr := RunCampaignWithOptions(cfg, runs, CampaignOptions{Workers: 1})
-	par, perr := RunCampaignWithOptions(cfg, runs, CampaignOptions{Workers: 4})
+	// The parallel half goes through RunCampaignFold directly: the fold must
+	// see every run, in index order, whatever order the workers finish in.
+	var par []*Result
+	perr := RunCampaignFold(cfg, runs, CampaignOptions{Workers: 4}, func(i int, r *Result) {
+		if i != len(par) {
+			t.Errorf("fold saw run %d at position %d", i, len(par))
+		}
+		par = append(par, r)
+	})
 	if len(serial) != runs || len(par) != runs {
 		t.Fatalf("campaign sizes: serial %d, parallel %d", len(serial), len(par))
 	}

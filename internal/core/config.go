@@ -78,13 +78,11 @@ type Config struct {
 	DropOnLatency bool
 	DropThreshold time.Duration
 
-	// KeepSeries retains full per-packet time series in the result (needed
-	// for Fig. 8/9-style window analyses; memory-heavy for campaigns).
-	KeepSeries bool
-
 	// Trace enables per-run event tracing (internal/obs): every packet
 	// send/receive/drop, outage window, handover, RLF, congestion-control
-	// decision and frame-play lands in Result.Trace. Tracing is strictly
+	// decision and frame-play lands in Result.Trace — the one per-packet
+	// recording of a run, which internal/obs/analyze turns into the Fig. 8/9
+	// window analyses and the per-second series. Tracing is strictly
 	// observational — it draws no randomness and schedules no events — so a
 	// traced run's Result is identical to the untraced one. Off by default;
 	// the disabled path costs one nil check per event site.

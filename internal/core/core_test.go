@@ -60,31 +60,6 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestKeepSeries(t *testing.T) {
-	r := Run(Config{Env: cell.Urban, Air: true, CC: CCGCC, Seed: 3, Duration: 30 * time.Second, KeepSeries: true})
-	if r.OWDSeries == nil || r.OWDSeries.Len() == 0 {
-		t.Fatal("KeepSeries did not populate OWDSeries")
-	}
-	if r.TargetSeries == nil || r.TargetSeries.Len() == 0 {
-		t.Fatal("KeepSeries did not populate TargetSeries")
-	}
-	if r.GoodputSeries == nil || r.GoodputSeries.Len() == 0 {
-		t.Fatal("KeepSeries did not populate GoodputSeries")
-	}
-	// Series must be time-ordered for window queries.
-	pts := r.OWDSeries.Points()
-	for i := 1; i < len(pts); i++ {
-		if pts[i].T < pts[i-1].T {
-			t.Fatal("OWDSeries not sorted")
-		}
-	}
-	// Without KeepSeries the series stay nil.
-	r2 := Run(Config{Env: cell.Urban, Air: true, CC: CCGCC, Seed: 3, Duration: 30 * time.Second})
-	if r2.OWDSeries != nil {
-		t.Error("OWDSeries populated without KeepSeries")
-	}
-}
-
 func TestPingWorkload(t *testing.T) {
 	r := Run(Config{Env: cell.Urban, Air: true, Workload: WorkloadPing, Seed: 5})
 	if r.RTTms.N() == 0 {

@@ -86,12 +86,6 @@ type Result struct {
 	// kept apart from the media counters so PER stays media-only.
 	CtrlPacketsSent, CtrlPacketsDelivered, CtrlPacketsLost int
 
-	// Full series, populated when Config.KeepSeries is set.
-	OWDSeries     *metrics.TimeSeries // (arrival time, OWD ms)
-	TargetSeries  *metrics.TimeSeries // (time, target Mbps)
-	GoodputSeries *metrics.TimeSeries // (second, Mbps)
-	LossTimes     []time.Duration     // radio-loss instants
-
 	// Video metrics (video workloads only).
 	FPS           metrics.Dist // frames played per second samples
 	PlaybackMs    metrics.Dist // playback latency per played frame (ms)

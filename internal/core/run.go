@@ -173,7 +173,7 @@ func setupRadio(cfg Config, cellRng *rand.Rand) (*cell.Machine, cell.HandoverCon
 // test's switch (see connect).
 func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool) {
 	snd, rcv := newEndpoints(s, cfg, res, bp)
-	log := newFlightLog(cfg, res, prof, dur)
+	log := newFlightLog(res, prof, dur)
 	connect(s, cfg, snd, rcv, uplink, downlink, bp, log, wire)
 	snd.OnRTT = func(rtt time.Duration) { res.RTCPRTTms.Add(float64(rtt) / float64(time.Millisecond)) }
 	rcv.OnReport = func(jitter time.Duration) { res.JitterMs.Add(float64(jitter) / float64(time.Millisecond)) }
@@ -329,15 +329,10 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 	uplink.Deliver = func(meta any, size int, sentAt, at time.Duration) {
 		deliver(0, meta, size, sentAt, at)
 	}
-	if cfg.KeepSeries || bp != nil {
-		uplink.OnDrop = func(_ any, _ int, sentAt time.Duration, _ link.DropReason) {
-			log.dropped(sentAt)
-			if bp != nil {
-				bp.mgr.ObserveLoss(0)
-			}
-		}
-	}
 	if bp != nil {
+		uplink.OnDrop = func(any, int, time.Duration, link.DropReason) {
+			bp.mgr.ObserveLoss(0)
+		}
 		for i := 1; i < bond.NumPaths; i++ {
 			i := i
 			bp.uplinks[i].Deliver = func(meta any, size int, sentAt, at time.Duration) {

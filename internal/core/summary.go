@@ -239,6 +239,6 @@ func Summarize(results []*Result) *Summary {
 // run, with that run simply missing from the aggregate.
 func RunCampaignSummary(cfg Config, runs int, opts CampaignOptions) (*Summary, []error) {
 	sum := &Summary{}
-	errs := opts.run(cfg, runs, func(_ int, r *Result) { sum.AddResult(r) })
+	errs := RunCampaignFold(cfg, runs, opts, func(_ int, r *Result) { sum.AddResult(r) })
 	return sum, errs
 }

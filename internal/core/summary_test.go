@@ -93,7 +93,6 @@ func TestSummaryMatchesMerge(t *testing.T) {
 	}
 	// Result fields that describe one run and have no campaign aggregate.
 	perRun := map[string]bool{
-		"OWDSeries": true, "TargetSeries": true, "GoodputSeries": true, "LossTimes": true,
 		"BondPolicy": true, "BondPaths": true, "RampUpTo25": true,
 		"Trace": true, "Telemetry": true, "SimEvents": true, "SimTimerPeak": true,
 	}

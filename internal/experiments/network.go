@@ -6,6 +6,7 @@ import (
 	"rpivideo/internal/cell"
 	"rpivideo/internal/core"
 	"rpivideo/internal/metrics"
+	"rpivideo/internal/obs/analyze"
 )
 
 // mobilityConfigs enumerates the four air/ground × urban/rural corners the
@@ -109,82 +110,100 @@ func Fig5OneWayLatency(o Options) *Report {
 	return r
 }
 
+// traceAnalysis runs the trace analyzer over one traced run, exactly as
+// rpbench -report does live and rpbench -analyze does from the JSONL export.
+func traceAnalysis(res *core.Result, run int) *analyze.RunAnalysis {
+	return analyze.Run(core.TraceRunMeta(res, run), res.Trace.Events())
+}
+
+// handoverEpochs returns the analysis' handover windows (RLF epochs dropped).
+func handoverEpochs(a *analyze.RunAnalysis) []analyze.Epoch {
+	var out []analyze.Epoch
+	for _, e := range a.Epochs {
+		if e.Kind == "handover" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // Fig8HandoverTimeline reproduces Fig. 8: one flight's network latency,
 // playback latency proxy, packet losses and handovers on a common timeline,
-// demonstrating that latency spikes precede handovers.
+// demonstrating that latency spikes precede handovers. It reads the flight's
+// event trace through the analyzer.
 func Fig8HandoverTimeline(o Options) *Report {
 	o.defaults()
 	r := &Report{ID: "fig8", Title: "Handover timeline: latency spikes around HOs (single rural GCC flight)"}
-	res := core.Run(core.Config{Env: cell.Rural, Air: true, CC: core.CCGCC, Seed: o.Seed, KeepSeries: true})
-	if res.OWDSeries == nil || res.OWDSeries.Len() == 0 {
+	res := core.Run(core.Config{Env: cell.Rural, Air: true, CC: core.CCGCC, Seed: o.Seed, Trace: true})
+	if res.OWDms.N() == 0 {
 		r.check("flight produced packets", false, "empty OWD series")
 		return r
 	}
+	a := traceAnalysis(res, 0)
+	handovers := handoverEpochs(a)
 	// Print a 5-second-bin timeline: median OWD per bin, HO markers.
-	const bin = 5 * time.Second
-	hoInBin := func(lo, hi time.Duration) int {
-		n := 0
-		for _, ev := range res.Handovers {
-			if ev.At >= lo && ev.At < hi {
-				n++
-			}
+	const (
+		usPerSecond = int64(time.Second / time.Microsecond)
+		binUs       = 5 * usPerSecond
+	)
+	for lo := int64(0); lo < res.Duration.Microseconds(); lo += binUs {
+		var d metrics.Dist
+		for _, s := range a.OWDWindow(lo, lo+binUs) {
+			d.Add(s.Ms)
 		}
-		return n
-	}
-	for lo := time.Duration(0); lo < res.Duration; lo += bin {
-		pts := res.OWDSeries.Window(lo, lo+bin)
-		if len(pts) == 0 {
+		if d.N() == 0 {
 			continue
 		}
-		var d metrics.Dist
-		for _, p := range pts {
-			d.Add(p.V)
-		}
 		marker := ""
-		for i := 0; i < hoInBin(lo, lo+bin); i++ {
-			marker += " HO"
+		for _, e := range handovers {
+			if e.AtUs >= lo && e.AtUs < lo+binUs {
+				marker += " HO"
+			}
 		}
-		r.row("t=%3ds owd p50=%5.0fms p95=%6.0fms%s", int(lo/time.Second), d.Median(), d.Quantile(0.95), marker)
+		r.row("t=%3ds owd p50=%5.0fms p95=%6.0fms%s", lo/usPerSecond, d.Median(), d.Quantile(0.95), marker)
 	}
 	// Shape: the peak OWD in the window around each HO (the pre-HO
 	// degradation through the execution gap) should far exceed the
 	// flight's median OWD.
 	med := res.OWDms.Median()
 	spiked := 0
-	for _, ev := range res.Handovers {
-		pts := res.OWDSeries.Window(ev.At-time.Second, ev.At+ev.HET+500*time.Millisecond)
-		for _, p := range pts {
-			if p.V > 2.5*med {
+	for _, e := range handovers {
+		for _, s := range a.OWDWindow(e.AtUs-usPerSecond, e.AtUs+e.GapUs+usPerSecond/2) {
+			if s.Ms > 2.5*med {
 				spiked++
 				break
 			}
 		}
 	}
-	r.check("handovers present", len(res.Handovers) > 0, "%d handovers", len(res.Handovers))
-	r.check("latency spikes accompany handovers", len(res.Handovers) > 0 && spiked*2 >= len(res.Handovers),
-		"%d of %d HOs with >2.5×median OWD in the surrounding window", spiked, len(res.Handovers))
+	r.check("handovers present", len(handovers) > 0, "%d handovers", len(handovers))
+	r.check("latency spikes accompany handovers", len(handovers) > 0 && spiked*2 >= len(handovers),
+		"%d of %d HOs with >2.5×median OWD in the surrounding window", spiked, len(handovers))
 	return r
 }
 
 // Fig9LatencyRatio reproduces Fig. 9: max/min network latency ratio in the
-// 1-second windows before and after each aerial handover.
+// 1-second windows before and after each aerial handover — the analyzer's
+// epoch windows. Each traced run is reduced to its epochs when its turn in
+// the campaign fold comes, so memory stays flat in Options.Runs.
 func Fig9LatencyRatio(o Options) *Report {
 	o.defaults()
 	r := &Report{ID: "fig9", Title: "Max/min latency ratio around aerial handovers"}
 	var before, after metrics.Dist
 	for _, env := range []cell.Environment{cell.Urban, cell.Rural} {
-		cfg := core.Config{Env: env, Air: true, CC: core.CCStatic, Seed: o.Seed, KeepSeries: true}
-		for _, res := range seededCampaign(cfg, o) {
-			for _, ev := range res.Handovers {
-				if b, ok := res.OWDSeries.WindowMaxMinRatio(ev.At-time.Second, ev.At); ok {
-					before.Add(b)
+		cfg := core.Config{Env: env, Air: true, CC: core.CCStatic, Seed: o.Seed, Trace: true}
+		mustRun(core.RunCampaignFold(cfg, o.Runs, experimentOptions(o), func(i int, res *core.Result) {
+			if res == nil {
+				return
+			}
+			for _, e := range handoverEpochs(traceAnalysis(res, i)) {
+				if e.PreOK {
+					before.Add(e.PreRatio)
 				}
-				end := ev.At + ev.HET
-				if a, ok := res.OWDSeries.WindowMaxMinRatio(end, end+time.Second); ok {
-					after.Add(a)
+				if e.PostOK {
+					after.Add(e.PostRatio)
 				}
 			}
-		}
+		}))
 	}
 	r.row("before HO: %s", before.Box())
 	r.row("after HO:  %s", after.Box())

@@ -122,7 +122,7 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 // campaigns; Figs. 4a, 4b and 5 share the mobility sweep), and results are
 // pure functions of (Config, Runs). Two caches exist because figures consume
 // campaigns at two granularities: per-run results (handover event lists,
-// per-run time series) and campaign summaries. Only the few figures that
+// per-run rates) and campaign summaries. Only the few figures that
 // need per-run detail pay for retained samples; aggregate-only figures go
 // through the sketch-based summary path, whose memory is O(buckets)
 // regardless of the run count.
@@ -171,6 +171,16 @@ func experimentOptions(o Options) core.CampaignOptions {
 	return core.CampaignOptions{Workers: o.Workers, LegacySeeds: true, StatusSink: o.StatusSink}
 }
 
+// mustRun panics on the first per-run error of a campaign: a figure with a
+// run missing is not the figure.
+func mustRun(errs []error) {
+	for _, err := range errs {
+		if err != nil {
+			panic(err)
+		}
+	}
+}
+
 // seededCampaign returns the memoized per-run results for a configuration.
 // Callers must not mutate the returned results. Figures that only need the
 // campaign aggregate should use campaign instead — this path retains every
@@ -181,11 +191,7 @@ func seededCampaign(cfg core.Config, o Options) []*core.Result {
 	ent := e.(*campaignEntry)
 	ent.once.Do(func() {
 		res, errs := core.RunCampaignWithOptions(cfg, o.Runs, experimentOptions(o))
-		for _, err := range errs {
-			if err != nil {
-				panic(err)
-			}
-		}
+		mustRun(errs)
 		ent.res = res
 		ent.done.Store(true)
 	})
@@ -210,11 +216,7 @@ func campaign(cfg core.Config, o Options) *core.Summary {
 			}
 		}
 		sum, errs := core.RunCampaignSummary(cfg, o.Runs, experimentOptions(o))
-		for _, err := range errs {
-			if err != nil {
-				panic(err)
-			}
-		}
+		mustRun(errs)
 		ent.sum = sum
 	})
 	return ent.sum

@@ -7,6 +7,8 @@ import (
 	"rpivideo/internal/cell"
 	"rpivideo/internal/flight"
 	"rpivideo/internal/metrics"
+	"rpivideo/internal/obs"
+	"rpivideo/internal/obs/analyze"
 	"rpivideo/internal/sim"
 )
 
@@ -198,10 +200,12 @@ func flightLinkFixture(seed int64) (*sim.Simulator, *Link, *cell.Machine, flight
 
 func TestHandoverCausesLatencySpikes(t *testing.T) {
 	s, l, machine, prof := flightLinkFixture(5)
-	var owds metrics.TimeSeries
-	l.Deliver = func(meta any, size int, sentAt, at time.Duration) {
-		owds.Add(at, float64(at-sentAt)/float64(time.Millisecond))
-	}
+	// Link and machine write one trace; the analyzer's handover epochs are
+	// the Fig. 9 windows.
+	tr := obs.New(0)
+	l.SetTracer(tr, obs.DirUp)
+	machine.SetTracer(tr, obs.DirUp)
+	l.Deliver = func(any, int, time.Duration, time.Duration) {}
 	// Steady 25 Mbps stream (the urban static workload): pre-handover
 	// degradation must back it up into the buffer.
 	s.Every(0, 400*time.Microsecond, func() {
@@ -209,14 +213,14 @@ func TestHandoverCausesLatencySpikes(t *testing.T) {
 	})
 	s.RunUntil(prof.Duration())
 
-	evs := machine.Events()
-	if len(evs) == 0 {
+	a := analyze.Run(obs.RunMeta{Duration: prof.Duration()}, tr.Events())
+	if len(a.Epochs) == 0 {
 		t.Fatal("no handovers in an urban flight")
 	}
 	var ratios metrics.Dist
-	for _, ev := range evs {
-		if r, ok := owds.WindowMaxMinRatio(ev.At-time.Second, ev.At); ok {
-			ratios.Add(r)
+	for _, e := range a.Epochs {
+		if e.Kind == "handover" && e.PreOK {
+			ratios.Add(e.PreRatio)
 		}
 	}
 	if ratios.N() == 0 {

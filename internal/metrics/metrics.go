@@ -1,15 +1,14 @@
 // Package metrics provides the statistical aggregates used throughout the
 // reproduction: sample distributions with quantiles and CDFs (the paper's
-// box plots and CDF figures), time series with windowed queries (the
-// pre/post-handover latency-ratio analysis of Fig. 9), and per-interval rate
-// counters (handovers/s, goodput/s, stalls/min).
+// box plots and CDF figures) and the mergeable sketch campaigns fold them
+// into. Time-windowed queries over a run (the pre/post-handover latency-ratio
+// analysis of Fig. 9) live in internal/obs/analyze, over the run's trace.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // distChunk is the length at which Add stops regrowing the slice it appends
@@ -202,122 +201,4 @@ func (d *Dist) Box() Box {
 func (b Box) String() string {
 	return fmt.Sprintf("n=%d min=%.3g q1=%.3g med=%.3g q3=%.3g max=%.3g mean=%.3g",
 		b.N, b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean)
-}
-
-// Point is one timestamped sample of a time series.
-type Point struct {
-	T time.Duration
-	V float64
-}
-
-// TimeSeries is an append-only series of timestamped samples. Points must be
-// appended in non-decreasing time order.
-type TimeSeries struct {
-	points []Point
-}
-
-// Add appends a point; it panics if time order is violated, since windowed
-// queries rely on sortedness.
-func (ts *TimeSeries) Add(t time.Duration, v float64) {
-	if n := len(ts.points); n > 0 && t < ts.points[n-1].T {
-		panic(fmt.Sprintf("metrics: TimeSeries.Add out of order: %v after %v", t, ts.points[n-1].T))
-	}
-	ts.points = append(ts.points, Point{t, v})
-}
-
-// Len returns the number of points.
-func (ts *TimeSeries) Len() int { return len(ts.points) }
-
-// Points returns the underlying points. The caller must not mutate them.
-func (ts *TimeSeries) Points() []Point { return ts.points }
-
-// NewTimeSeriesFromPoints builds a series from possibly-unordered points
-// (e.g. packet arrivals reordered by jitter), sorting them by time.
-func NewTimeSeriesFromPoints(pts []Point) *TimeSeries {
-	sorted := append([]Point(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].T < sorted[j].T })
-	return &TimeSeries{points: sorted}
-}
-
-// Window returns the points with from ≤ T < to.
-func (ts *TimeSeries) Window(from, to time.Duration) []Point {
-	lo := sort.Search(len(ts.points), func(i int) bool { return ts.points[i].T >= from })
-	hi := sort.Search(len(ts.points), func(i int) bool { return ts.points[i].T >= to })
-	return ts.points[lo:hi]
-}
-
-// WindowMaxMinRatio returns max/min over the window [from, to) and true, or
-// 0 and false when the window has no points or a non-positive minimum. This
-// is the paper's Fig. 9 statistic (latency spike magnitude around handovers).
-func (ts *TimeSeries) WindowMaxMinRatio(from, to time.Duration) (float64, bool) {
-	pts := ts.Window(from, to)
-	if len(pts) == 0 {
-		return 0, false
-	}
-	min, max := pts[0].V, pts[0].V
-	for _, p := range pts[1:] {
-		if p.V < min {
-			min = p.V
-		}
-		if p.V > max {
-			max = p.V
-		}
-	}
-	if min <= 0 {
-		return 0, false
-	}
-	return max / min, true
-}
-
-// Dist converts the series values to a distribution (timestamps dropped).
-func (ts *TimeSeries) Dist() *Dist {
-	var d Dist
-	for _, p := range ts.points {
-		d.Add(p.V)
-	}
-	return &d
-}
-
-// RateCounter counts events and converts them into a per-interval rate.
-type RateCounter struct {
-	events []time.Duration
-}
-
-// Mark records one event at time t.
-func (rc *RateCounter) Mark(t time.Duration) { rc.events = append(rc.events, t) }
-
-// Count returns the total number of events.
-func (rc *RateCounter) Count() int { return len(rc.events) }
-
-// Events returns the recorded event times.
-func (rc *RateCounter) Events() []time.Duration { return rc.events }
-
-// PerSecond returns events/second over the observation span.
-func (rc *RateCounter) PerSecond(span time.Duration) float64 {
-	if span <= 0 {
-		return 0
-	}
-	return float64(len(rc.events)) / span.Seconds()
-}
-
-// PerMinute returns events/minute over the observation span.
-func (rc *RateCounter) PerMinute(span time.Duration) float64 {
-	return rc.PerSecond(span) * 60
-}
-
-// Binned returns the per-bin event counts over [0, span) with the given bin
-// width. Events outside the span are ignored.
-func (rc *RateCounter) Binned(span, bin time.Duration) []int {
-	if bin <= 0 || span <= 0 {
-		return nil
-	}
-	n := int((span + bin - 1) / bin)
-	out := make([]int, n)
-	for _, e := range rc.events {
-		if e < 0 || e >= span {
-			continue
-		}
-		out[int(e/bin)]++
-	}
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -106,100 +105,6 @@ func TestBoxSummary(t *testing.T) {
 	}
 	if b.String() == "" {
 		t.Error("Box.String empty")
-	}
-}
-
-func TestTimeSeriesWindow(t *testing.T) {
-	var ts TimeSeries
-	for i := 0; i < 10; i++ {
-		ts.Add(time.Duration(i)*time.Second, float64(i))
-	}
-	pts := ts.Window(2*time.Second, 5*time.Second)
-	if len(pts) != 3 || pts[0].V != 2 || pts[2].V != 4 {
-		t.Errorf("Window = %v", pts)
-	}
-	if got := ts.Window(20*time.Second, 30*time.Second); len(got) != 0 {
-		t.Errorf("out-of-range window = %v", got)
-	}
-}
-
-func TestTimeSeriesOutOfOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on out-of-order Add")
-		}
-	}()
-	var ts TimeSeries
-	ts.Add(2*time.Second, 1)
-	ts.Add(1*time.Second, 1)
-}
-
-func TestWindowMaxMinRatio(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(0, 50)
-	ts.Add(200*time.Millisecond, 400)
-	ts.Add(800*time.Millisecond, 100)
-	r, ok := ts.WindowMaxMinRatio(0, time.Second)
-	if !ok || !almost(r, 8) {
-		t.Errorf("ratio = %v ok=%v, want 8 true", r, ok)
-	}
-	if _, ok := ts.WindowMaxMinRatio(5*time.Second, 6*time.Second); ok {
-		t.Error("empty window should report ok=false")
-	}
-	var zs TimeSeries
-	zs.Add(0, 0)
-	if _, ok := zs.WindowMaxMinRatio(0, time.Second); ok {
-		t.Error("zero minimum should report ok=false")
-	}
-}
-
-func TestTimeSeriesDist(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(0, 1)
-	ts.Add(time.Second, 3)
-	d := ts.Dist()
-	if d.N() != 2 || !almost(d.Mean(), 2) {
-		t.Errorf("Dist: n=%d mean=%v", d.N(), d.Mean())
-	}
-}
-
-func TestRateCounter(t *testing.T) {
-	var rc RateCounter
-	for i := 0; i < 6; i++ {
-		rc.Mark(time.Duration(i) * 10 * time.Second)
-	}
-	if rc.Count() != 6 {
-		t.Errorf("Count = %d", rc.Count())
-	}
-	if got := rc.PerSecond(60 * time.Second); !almost(got, 0.1) {
-		t.Errorf("PerSecond = %v", got)
-	}
-	if got := rc.PerMinute(60 * time.Second); !almost(got, 6) {
-		t.Errorf("PerMinute = %v", got)
-	}
-	if got := rc.PerSecond(0); got != 0 {
-		t.Errorf("PerSecond(0) = %v", got)
-	}
-}
-
-func TestRateCounterBinned(t *testing.T) {
-	var rc RateCounter
-	rc.Mark(1 * time.Second)
-	rc.Mark(1500 * time.Millisecond)
-	rc.Mark(2500 * time.Millisecond)
-	rc.Mark(10 * time.Second) // outside span
-	bins := rc.Binned(3*time.Second, time.Second)
-	want := []int{0, 2, 1}
-	if len(bins) != 3 {
-		t.Fatalf("bins = %v", bins)
-	}
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Errorf("bins = %v, want %v", bins, want)
-		}
-	}
-	if rc.Binned(0, time.Second) != nil || rc.Binned(time.Second, 0) != nil {
-		t.Error("degenerate Binned args should return nil")
 	}
 }
 

@@ -14,6 +14,7 @@ package analyze
 
 import (
 	"math"
+	"sort"
 	"time"
 
 	"rpivideo/internal/obs"
@@ -124,14 +125,16 @@ type RunAnalysis struct {
 	Outages []Outage
 	Repair  RepairSummary
 
-	// owd keeps the media OWD samples at microsecond timestamps for the
-	// epoch-window queries; it is not exported with the bundle.
-	owd []owdSample
+	// owd keeps the media OWD samples in time order for the window queries
+	// (OWDWindow); it is not exported with the bundle.
+	owd []OWDSample
 }
 
-type owdSample struct {
-	tUs int64
-	ms  float64
+// OWDSample is one delivered media packet's one-way delay at its arrival
+// time, quantized to microseconds like every time in the package.
+type OWDSample struct {
+	TUs int64
+	Ms  float64
 }
 
 // mediaOWD reports whether ev carries a one-way-delay sample of the media
@@ -144,9 +147,11 @@ func mediaOWD(ev *obs.Event) bool {
 // integer microseconds.
 func msToUs(ms float64) int64 { return int64(math.Round(ms * 1000)) }
 
-// Run analyzes one run's events under its meta header. Events must be in
-// emission order (simulation-time order), which both the tracer and the
-// JSONL reader guarantee.
+// Run analyzes one run's events under its meta header. Events are expected in
+// emission order (simulation-time order), which the tracer guarantees. The
+// JSONL reader does not enforce it, so a trace edited by hand may go back in
+// time: its per-second bins do not care, and the OWD samples are put back in
+// time order once so the window queries can search them.
 func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
 	a := &RunAnalysis{Meta: meta}
 	durUs := meta.Duration.Microseconds()
@@ -173,6 +178,7 @@ func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
 	}
 
 	open := make(map[obs.Dir]int64) // outage start per direction
+	ordered := true
 
 	for i := range events {
 		ev := &events[i]
@@ -195,7 +201,10 @@ func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
 				if b.OWDSamples == 1 || ev.V > b.OWDMaxMs {
 					b.OWDMaxMs = ev.V
 				}
-				a.owd = append(a.owd, owdSample{tUs: tUs, ms: ev.V})
+				if n := len(a.owd); n > 0 && tUs < a.owd[n-1].TUs {
+					ordered = false
+				}
+				a.owd = append(a.owd, OWDSample{TUs: tUs, Ms: ev.V})
 			}
 		case obs.KindDrop:
 			if ev.Flags == 0 && ev.Dir == obs.DirUp {
@@ -270,6 +279,11 @@ func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
 		a.Repair.HealMeanMs = a.Repair.healSumMs / float64(n)
 	}
 
+	// The window queries search the samples by time; a trace that went back
+	// in time gets them put in order here, once.
+	if !ordered {
+		sort.SliceStable(a.owd, func(i, j int) bool { return a.owd[i].TUs < a.owd[j].TUs })
+	}
 	// Fill the epoch windows now that all OWD samples are collected.
 	for i := range a.Epochs {
 		e := &a.Epochs[i]
@@ -280,27 +294,38 @@ func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
 	return a
 }
 
-// windowRatio computes max/min OWD over samples with from ≤ t < to. It
-// mirrors metrics.TimeSeries.WindowMaxMinRatio: no samples or a
-// non-positive minimum yields ok=false.
+// OWDWindow returns the media OWD samples with fromUs ≤ t < toUs, in time
+// order. The slice aliases the analysis; callers must not modify it.
+func (a *RunAnalysis) OWDWindow(fromUs, toUs int64) []OWDSample {
+	lo := sort.Search(len(a.owd), func(i int) bool { return a.owd[i].TUs >= fromUs })
+	hi := sort.Search(len(a.owd), func(i int) bool { return a.owd[i].TUs >= toUs })
+	if hi < lo {
+		return nil
+	}
+	return a.owd[lo:hi]
+}
+
+// windowRatio computes max/min OWD over the window [fromUs, toUs): the
+// paper's Fig. 9 statistic. No samples or a non-positive minimum yields
+// ok=false.
 func (a *RunAnalysis) windowRatio(fromUs, toUs int64) (ratio float64, n int64, ok bool) {
-	var min, max float64
-	for _, s := range a.owd {
-		if s.tUs < fromUs || s.tUs >= toUs {
-			continue
-		}
-		if n == 0 || s.ms < min {
-			min = s.ms
-		}
-		if n == 0 || s.ms > max {
-			max = s.ms
-		}
-		n++
+	w := a.OWDWindow(fromUs, toUs)
+	if len(w) == 0 {
+		return 0, 0, false
 	}
-	if n == 0 || min <= 0 {
-		return 0, n, false
+	min, max := w[0].Ms, w[0].Ms
+	for _, s := range w[1:] {
+		if s.Ms < min {
+			min = s.Ms
+		}
+		if s.Ms > max {
+			max = s.Ms
+		}
 	}
-	return max / min, n, true
+	if min <= 0 {
+		return 0, int64(len(w)), false
+	}
+	return max / min, int64(len(w)), true
 }
 
 // Trace analyzes every run of a parsed JSONL trace.

@@ -3,6 +3,7 @@ package analyze
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -192,5 +193,120 @@ func TestLiveVsReplayBitIdentical(t *testing.T) {
 	}
 	if math.IsNaN(pre.Mean) || math.IsNaN(post.Mean) {
 		t.Errorf("Fig9 means NaN: %g / %g", pre.Mean, post.Mean)
+	}
+}
+
+// linearWindowRatio is windowRatio as it was before OWDWindow: one pass over
+// every sample per window. Kept as the oracle for the binary search.
+func linearWindowRatio(a *RunAnalysis, fromUs, toUs int64) (ratio float64, n int64, ok bool) {
+	var min, max float64
+	for _, s := range a.owd {
+		if s.TUs < fromUs || s.TUs >= toUs {
+			continue
+		}
+		if n == 0 || s.Ms < min {
+			min = s.Ms
+		}
+		if n == 0 || s.Ms > max {
+			max = s.Ms
+		}
+		n++
+	}
+	if n == 0 || min <= 0 {
+		return 0, n, false
+	}
+	return max / min, n, true
+}
+
+// TestOWDWindowMatchesLinearScan holds the searched window to the linear
+// scan on random windows and on the edges a search gets wrong first: empty,
+// before the first sample, after the last, zero-length, reversed bounds, and
+// runs of samples sharing one timestamp.
+func TestOWDWindowMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := &RunAnalysis{}
+	tUs := int64(1_000_000)
+	for i := 0; i < 5000; i++ {
+		if rng.Intn(4) != 0 { // a quarter of the samples share a timestamp
+			tUs += rng.Int63n(2000)
+		}
+		ms := 20 + 400*rng.Float64()
+		if rng.Intn(500) == 0 {
+			ms = 0 // a non-positive minimum invalidates its windows
+		}
+		a.owd = append(a.owd, OWDSample{TUs: tUs, Ms: ms})
+	}
+	first, last := a.owd[0].TUs, tUs
+	windows := [][2]int64{
+		{0, 0}, {0, first}, {0, first + 1}, {first, first}, {first, first + 1},
+		{last, last + 1}, {last + 1, last + 2_000_000}, {last, last},
+		{-5_000_000, -1}, {first, last + 1}, {math.MinInt64, math.MaxInt64},
+		{last, first}, {first + 3_000_000, first + 1_000_000}, // from > to
+	}
+	for i := 0; i < 2000; i++ {
+		from := first - 500_000 + rng.Int63n(last-first+1_000_000)
+		windows = append(windows, [2]int64{from, from + rng.Int63n(1_500_000) - 100_000})
+	}
+	for _, w := range windows {
+		from, to := w[0], w[1]
+		gr, gn, gok := a.windowRatio(from, to)
+		wr, wn, wok := linearWindowRatio(a, from, to)
+		if gr != wr || gn != wn || gok != wok {
+			t.Fatalf("window [%d,%d): ratio %g n %d ok %v, linear scan %g %d %v", from, to, gr, gn, gok, wr, wn, wok)
+		}
+		got := a.OWDWindow(from, to)
+		if int64(len(got)) != wn {
+			t.Fatalf("OWDWindow [%d,%d) holds %d samples, linear scan %d", from, to, len(got), wn)
+		}
+		for _, s := range got {
+			if s.TUs < from || s.TUs >= to {
+				t.Fatalf("OWDWindow [%d,%d) returned a sample at %d", from, to, s.TUs)
+			}
+		}
+	}
+}
+
+// TestAnalyzeOutOfOrderTrace: obs.ReadJSONL does not enforce time order, so
+// a trace edited by hand can hand Run recv events that go back in time. The
+// window search needs sorted samples; Run restores the order itself, and
+// since a window's max/min is a property of the set, the epochs come out as
+// for the in-order trace.
+func TestAnalyzeOutOfOrderTrace(t *testing.T) {
+	r := core.Run(core.Config{Env: cell.Urban, Air: true, CC: core.CCGCC, Seed: 11, Duration: 30 * time.Second, Trace: true})
+	meta, events := core.TraceRunMeta(r, 0), r.Trace.Events()
+	want := Run(meta, events)
+	if len(want.Epochs) == 0 || len(want.owd) == 0 {
+		t.Fatalf("vacuous: %d epochs, %d OWD samples", len(want.Epochs), len(want.owd))
+	}
+	// A tracer's own feed is time-ordered: the fast path takes no sort.
+	for i := 1; i < len(want.owd); i++ {
+		if want.owd[i].TUs < want.owd[i-1].TUs {
+			t.Fatalf("live trace's OWD samples go back in time at %d", i)
+		}
+	}
+
+	var recv []int
+	for i := range events {
+		if events[i].Kind == obs.KindRecv {
+			recv = append(recv, i)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	rng.Shuffle(len(recv), func(i, j int) {
+		events[recv[i]], events[recv[j]] = events[recv[j]], events[recv[i]]
+	})
+	got := Run(meta, events) // must not panic
+	if len(got.Epochs) != len(want.Epochs) {
+		t.Fatalf("%d epochs from the shuffled trace, %d in order", len(got.Epochs), len(want.Epochs))
+	}
+	for i := range want.Epochs {
+		if got.Epochs[i] != want.Epochs[i] {
+			t.Errorf("epoch %d: shuffled %+v, in order %+v", i, got.Epochs[i], want.Epochs[i])
+		}
+	}
+	for i := 1; i < len(got.owd); i++ {
+		if got.owd[i].TUs < got.owd[i-1].TUs {
+			t.Fatalf("OWD samples left unsorted at %d", i)
+		}
 	}
 }
