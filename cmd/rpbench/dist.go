@@ -24,7 +24,7 @@ func runWorker() error {
 // subprocesses (each re-exec'd with -worker) and writes the same exports as
 // the serial path, byte-identically. The campaign size is the scenario's own
 // Runs unless -runs was given explicitly. so.StatusSink, when non-nil,
-// receives the coordinator's live lease/straggler status and, after the
+// receives the coordinator's live lease status and, after the
 // fold, the merged campaign registry.
 func runDistScenario(c *cliConfig, sc experiments.Scenario, so experiments.ScenarioOptions, exp scenarioExports) (drifted bool, err error) {
 	sink := so.StatusSink
@@ -118,7 +118,7 @@ func runDistScenario(c *cliConfig, sc experiments.Scenario, so experiments.Scena
 // on stderr; routine grants and completions stay quiet.
 func logDistEvent(e dist.Event) {
 	switch e.Kind {
-	case dist.EvWorkerLost, dist.EvLeaseExpired, dist.EvStragglerKilled, dist.EvChunkFailed, dist.EvRunError, dist.EvChunkDuplicate:
+	case dist.EvWorkerLost, dist.EvLeaseExpired, dist.EvStragglerKilled, dist.EvChunkFailed, dist.EvRunError:
 		fmt.Fprintf(os.Stderr, "rpbench: dist: %s\n", e)
 	}
 }

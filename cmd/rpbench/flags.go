@@ -7,6 +7,8 @@ import (
 	"os"
 	"runtime"
 	"time"
+
+	"rpivideo/internal/dist"
 )
 
 // cliConfig is every rpbench flag, parsed into one struct so the legal
@@ -74,7 +76,7 @@ func parseFlags(args []string) (*cliConfig, error) {
 	fs.DurationVar(&c.serveGrace, "servegrace", 0, "keep the -serve ops server up this long after the workload completes, so a scraper can collect the terminal /status and /metrics (0 = shut down immediately)")
 	fs.IntVar(&c.distWorkers, "dist", 0, "shard the scenario campaign across N local worker subprocesses with leased chunks and crash recovery (requires -scenario; campaign size is the scenario's runs unless -runs is given)")
 	fs.IntVar(&c.distChunk, "distchunk", 0, "runs per leased chunk for -dist (0 = auto: runs/(4·workers), at least 1)")
-	fs.DurationVar(&c.runTimeout, "runtimeout", 0, "per-run wall-clock watchdog inside -dist workers: a run exceeding this becomes that run's recorded error (0 = off)")
+	fs.DurationVar(&c.runTimeout, "runtimeout", 0, fmt.Sprintf("per-run wall-clock watchdog inside -dist workers: a run exceeding this becomes that run's recorded error; must be below the %v lease (0 = off)", dist.DefaultLease))
 	fs.BoolVar(&c.worker, "worker", false, "run as a distributed campaign worker speaking the dist protocol on stdin/stdout (internal: rpbench -dist spawns these)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -161,6 +163,9 @@ func (c *cliConfig) validate() error {
 	}
 	if c.runTimeout < 0 {
 		return errors.New("-runtimeout must not be negative")
+	}
+	if c.runTimeout >= dist.DefaultLease {
+		return fmt.Errorf("-runtimeout %v must be below the %v -dist lease (a run that ships nothing for a lease is killed with its worker before the watchdog could fire)", c.runTimeout, dist.DefaultLease)
 	}
 	if c.distWorkers > 0 && c.fleetSpec != "" {
 		return errors.New("-dist cannot shard a fleet (a fleet shares one cell map; chunks are independent runs)")

@@ -88,6 +88,8 @@ func TestValidateRejectsIllegalCombos(t *testing.T) {
 		// Pinned whole: the text has to say where the watchdog is, and that serial runs have none.
 		{"runtimeout without dist", []string{"-scenario", "urban-gcc", "-runtimeout", "5s"},
 			"-runtimeout requires -dist (the per-run watchdog exists only inside -dist workers; serial scenario runs have none)"},
+		{"runtimeout at the lease", []string{"-scenario", "urban-gcc", "-dist", "4", "-runtimeout", "15s"},
+			"-runtimeout 15s must be below the 15s -dist lease"},
 		{"dist with fleet", []string{"-scenario", "urban-gcc", "-dist", "2", "-fleet", "10"}, "fleet"},
 		{"fleet with report", []string{"-scenario", "urban-gcc", "-fleet", "10", "-report", "out"}, "-report is not supported for fleet"},
 		{"worker with serve", []string{"-worker", "-serve", "127.0.0.1:0"}, "-worker"},
@@ -122,7 +124,7 @@ func TestValidateAcceptsLegalCombos(t *testing.T) {
 		{"-scenario", "urban-gcc", "-fleet", "10/pf", "-metrics", "m.json"},
 		{"-analyze", "t.jsonl", "-report", "out"},
 		{"-scenario", "urban-gcc", "-dist", "4"},
-		{"-scenario", "urban-gcc", "-dist", "4", "-distchunk", "2", "-runs", "32", "-runtimeout", "30s"},
+		{"-scenario", "urban-gcc", "-dist", "4", "-distchunk", "2", "-runs", "32", "-runtimeout", "10s"},
 		{"-scenario", "urban-gcc", "-dist", "4", "-trace", "t.jsonl", "-metrics", "m.json", "-report", "out", "-compare", "b.json"},
 		{"-scenario", "urban-gcc", "-serve", "127.0.0.1:0"},
 		{"-scenario", "urban-gcc", "-serve", "127.0.0.1:0", "-servegrace", "30s"},

@@ -28,15 +28,6 @@ type CampaignOptions struct {
 	// its own, but it must not block for long: it runs on the campaign's
 	// critical path.
 	Progress func(CampaignProgress)
-	// RunTimeout, when positive, arms a per-run wall-clock watchdog: a
-	// run that has not returned within the deadline is abandoned and
-	// recorded as that run's error instead of stalling the whole
-	// campaign. This is the same conversion the distributed coordinator
-	// applies to a wedged worker — a hang becomes a bounded, reported
-	// failure. The abandoned run's goroutine is left to finish (or hang)
-	// on its own; its result, if it ever materializes, is discarded.
-	// Zero disables the watchdog and runs jobs inline.
-	RunTimeout time.Duration
 	// StatusSink, when non-nil, receives live telemetry: a progress
 	// snapshot after every completed run plus each run's merged metrics +
 	// telemetry registry. It is called under the engine's progress lock
@@ -138,7 +129,7 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 		return nil
 	}
 	errs := make([]error, runs)
-	e := executor{workers: opts.Workers, timeout: opts.RunTimeout, unit: "campaign run", progress: opts.Progress, sink: opts.StatusSink}
+	e := executor{workers: opts.Workers, unit: "campaign run", progress: opts.Progress, sink: opts.StatusSink}
 	e.run(errs, func(i int) *Result {
 		c := cfg
 		c.Seed = opts.runSeed(cfg.Seed, i)
@@ -152,8 +143,8 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 // RunCampaignSummary) and both per-UAV phases of RunFleet. It keeps three
 // contracts:
 //
-//   - every job runs under runGuarded, so a panic or a watchdog expiry
-//     becomes that job's error and its result is nil;
+//   - every job runs under runGuarded, so a panic becomes that job's error
+//     and its result is nil;
 //   - the observer (Progress, StatusSink) is serialized and sees jobs in
 //     completion order;
 //   - fold is serialized and sees jobs in strict index order whatever order
@@ -161,9 +152,8 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 //     makes every export byte-identical at any worker count. Results that
 //     complete ahead of their turn wait in a pending map and nowhere else.
 type executor struct {
-	workers  int           // <= 0 selects GOMAXPROCS
-	timeout  time.Duration // per-job watchdog; 0 runs jobs inline
-	unit     string        // names job i in its error: "campaign run 3"
+	workers  int    // <= 0 selects GOMAXPROCS
+	unit     string // names job i in its error: "campaign run 3"
 	progress func(CampaignProgress)
 	sink     obs.StatusSink
 	// mode and cells are stamped on every published snapshot. Campaigns
@@ -240,7 +230,7 @@ func (e executor) run(errs []error, job func(i int) *Result, fold func(i int, r 
 	runOne := func(i int) {
 		var res *Result
 		if errs[i] == nil {
-			res, errs[i] = runGuarded(fmt.Sprintf("%s %d", e.unit, i), e.timeout, func() *Result { return job(i) })
+			res, errs[i] = runGuarded(fmt.Sprintf("%s %d", e.unit, i), 0, func() *Result { return job(i) })
 		}
 		finish(i, res)
 	}
@@ -293,9 +283,11 @@ func campaignSnapshot(p CampaignProgress, failed int) obs.StatusSnapshot {
 // positive, the wall-clock watchdog: a job that neither returns nor panics
 // within the deadline is abandoned and converted into an error. The
 // abandoned goroutine keeps running detached — Run has no cancellation
-// point, so the watchdog trades a leaked goroutine for a campaign that
-// cannot be wedged by one hung run (the leak is bounded by the number of
-// timed-out runs). name labels the error messages ("campaign run 3").
+// point, so the watchdog trades a leaked goroutine for a reported failure
+// instead of a wedged caller (the leak is bounded by the number of
+// timed-out runs). The campaign executor passes 0; RunWithTimeout, inside
+// -dist workers, is the one caller that arms it. name labels the error
+// messages ("campaign run 3").
 func runGuarded(name string, timeout time.Duration, job func() *Result) (*Result, error) {
 	if timeout <= 0 {
 		var res *Result
@@ -338,10 +330,10 @@ func runGuarded(name string, timeout time.Duration, job func() *Result) (*Result
 
 // RunWithTimeout executes one run under the per-run watchdog: panics are
 // recovered into the error and a run that outlives the deadline is
-// abandoned with a timeout error (see CampaignOptions.RunTimeout). A zero
-// timeout disables the watchdog but keeps the panic recovery — the shape
-// distributed workers need to turn any single-run failure into a reported
-// shard error rather than a dead process.
+// abandoned with a timeout error — a hang becomes a bounded, reported
+// failure. A zero timeout disables the watchdog but keeps the panic
+// recovery — the shape distributed workers need to turn any single-run
+// failure into a reported shard error rather than a dead process.
 func RunWithTimeout(cfg Config, timeout time.Duration) (*Result, error) {
 	return runGuarded("run", timeout, func() *Result { return Run(cfg) })
 }

@@ -135,29 +135,27 @@ func TestCampaignErrorAggregation(t *testing.T) {
 	}
 }
 
-// TestCampaignWatchdogAbandonsHungRun: a run that neither returns nor
-// panics is abandoned at the RunTimeout deadline with an error naming the
-// run and the watchdog, while every other run completes normally.
+// TestCampaignWatchdogAbandonsHungRun: runGuarded, the watchdog under
+// RunWithTimeout, abandons a run that neither returns nor panics at the
+// deadline with an error naming the run and the watchdog, and passes a run
+// that returns in time through untouched.
 func TestCampaignWatchdogAbandonsHungRun(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release) // unblock the abandoned goroutine on the way out
-	results, errs := execJobs(5, executor{workers: 3, timeout: 30 * time.Millisecond}, func(i int) *Result {
-		if i == 2 {
-			<-release
-		}
-		return &Result{Duration: time.Duration(i) * time.Second}
+	res, err := runGuarded("campaign run 2", 30*time.Millisecond, func() *Result {
+		<-release
+		return &Result{}
 	})
-	if errs[2] == nil || !strings.Contains(errs[2].Error(), "run 2") ||
-		!strings.Contains(errs[2].Error(), "watchdog deadline") {
-		t.Fatalf("hung run not abandoned: %v", errs[2])
+	if err == nil || !strings.Contains(err.Error(), "run 2") ||
+		!strings.Contains(err.Error(), "watchdog deadline") {
+		t.Fatalf("hung run not abandoned: %v", err)
 	}
-	if results[2] != nil {
+	if res != nil {
 		t.Error("abandoned run left a result")
 	}
-	for _, i := range []int{0, 1, 3, 4} {
-		if errs[i] != nil || results[i] == nil || results[i].Duration != time.Duration(i)*time.Second {
-			t.Errorf("run %d lost alongside the hung run: res=%v err=%v", i, results[i], errs[i])
-		}
+	res, err = runGuarded("campaign run 3", time.Minute, func() *Result { return &Result{Duration: 3 * time.Second} })
+	if err != nil || res == nil || res.Duration != 3*time.Second {
+		t.Errorf("prompt run lost under the watchdog: res=%v err=%v", res, err)
 	}
 }
 

@@ -140,7 +140,7 @@ func runChaosCampaign(t *testing.T, workers, runs, chunk int, seed uint64, kills
 		switch e.Kind {
 		case EvGrant:
 			holders = append(holders, e.Worker)
-		case EvChunkDone, EvChunkDuplicate, EvWorkerLost:
+		case EvChunkDone, EvWorkerLost:
 			release(e.Worker)
 			if e.Kind == EvChunkDone && fired+armed < kills {
 				armed++
@@ -159,8 +159,7 @@ func runChaosCampaign(t *testing.T, workers, runs, chunk int, seed uint64, kills
 	spec, _ := json.Marshal(chaosSpec{Seed: seed})
 	out, err := Run(spec, Config{
 		Runs: runs, ChunkSize: chunk,
-		Lease: 5 * time.Second, Backoff: 2 * time.Millisecond, BackoffMax: 10 * time.Millisecond,
-		RetryCap: 6, Metrics: reg, Events: events,
+		Lease: 5 * time.Second, RetryCap: 6, Metrics: reg, Events: events,
 	}, peers)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -164,8 +164,7 @@ func TestWorkerCrashReissuesChunk(t *testing.T) {
 	reg := obs.NewRegistry()
 	out, err := Run(spec, Config{
 		Runs: runs, ChunkSize: 2,
-		Lease: 2 * time.Second, Backoff: time.Millisecond, BackoffMax: 5 * time.Millisecond,
-		Metrics: reg,
+		Lease: 2 * time.Second, Metrics: reg,
 	}, peers)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -217,8 +216,7 @@ func TestHungWorkerLosesLeaseAndIsKilled(t *testing.T) {
 	reg := obs.NewRegistry()
 	out, err := Run(spec, Config{
 		Runs: runs, ChunkSize: 2,
-		Lease: 80 * time.Millisecond, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-		Metrics: reg,
+		Lease: 80 * time.Millisecond, Metrics: reg,
 		Events: func(e Event) {
 			mu.Lock()
 			kinds = append(kinds, e.Kind)
@@ -325,8 +323,7 @@ func TestRetryBudgetExhaustionFailsChunk(t *testing.T) {
 	reg := obs.NewRegistry()
 	out, err := Run(json.RawMessage(`"doom"`), Config{
 		Runs: 1, ChunkSize: 1,
-		Lease: 20 * time.Millisecond, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-		RetryCap: 2, Metrics: reg,
+		Lease: 20 * time.Millisecond, RetryCap: 2, Metrics: reg,
 	}, peers)
 	if err == nil {
 		t.Fatal("expected a campaign error")
@@ -355,7 +352,7 @@ func TestRetryBudgetExhaustionFailsChunk(t *testing.T) {
 
 func TestAllWorkersDeadFailsRemainingChunks(t *testing.T) {
 	// Every worker dies on its first grant; once the last one is gone the
-	// remaining chunks fail immediately instead of spinning on backoff.
+	// remaining chunks fail immediately instead of waiting for a worker.
 	var peers []Peer
 	for i := 0; i < 2; i++ {
 		p := newFakePeer(fmt.Sprintf("fragile-%d", i))
@@ -380,8 +377,7 @@ func TestAllWorkersDeadFailsRemainingChunks(t *testing.T) {
 	reg := obs.NewRegistry()
 	out, err := Run(json.RawMessage(`"mortal"`), Config{
 		Runs: 4, ChunkSize: 1,
-		Lease: time.Second, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-		Metrics: reg,
+		Lease: time.Second, Metrics: reg,
 	}, peers)
 	if err == nil {
 		t.Fatal("expected a campaign error")
@@ -441,8 +437,7 @@ func TestDegradesToSingleSurvivor(t *testing.T) {
 	reg := obs.NewRegistry()
 	out, err := Run(spec, Config{
 		Runs: runs, ChunkSize: 2,
-		Lease: 2 * time.Second, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-		Metrics: reg,
+		Lease: 2 * time.Second, Metrics: reg,
 	}, peers)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -456,115 +451,233 @@ func TestDegradesToSingleSurvivor(t *testing.T) {
 	}
 }
 
-// reconcileHarness builds a coordinator mid-flight for white-box tests of
-// the duplicate reconciliation rules.
-func reconcileHarness(workers int) (*coord, *obs.Registry) {
+// runWithin runs a campaign and fails the test if Run has not returned
+// within limit, so a coordinator that hangs fails instead of wedging the
+// suite.
+func runWithin(t *testing.T, limit time.Duration, spec json.RawMessage, cfg Config, peers []Peer) (*Outcome, error) {
+	t.Helper()
+	type result struct {
+		out *Outcome
+		err error
+	}
+	done := make(chan result, 1)
+	start := time.Now()
+	go func() {
+		out, err := Run(spec, cfg, peers)
+		done <- result{out, err}
+	}()
+	select {
+	case r := <-done:
+		t.Logf("Run returned after %v", time.Since(start).Round(time.Millisecond))
+		return r.out, r.err
+	case <-time.After(limit):
+		t.Fatalf("Run still blocked after %v", limit)
+		return nil, nil
+	}
+}
+
+// TestSilentHandshakeFailsCampaign: a worker that never answers hello is
+// killed one Lease after Run began, alone or beside a good worker.
+func TestSilentHandshakeFailsCampaign(t *testing.T) {
+	const lease = 50 * time.Millisecond
+	t.Run("mute alone", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		out, err := runWithin(t, lease+time.Second, json.RawMessage(`"mute"`), Config{
+			Runs: 3, ChunkSize: 1, Lease: lease, Metrics: reg,
+		}, []Peer{newFakePeer("mute")}) // its buffered inbox swallows everything
+		if err == nil {
+			t.Fatal("a campaign over a mute worker succeeded")
+		}
+		if len(out.Failed) != 3 {
+			t.Fatalf("Failed = %v, want all 3 chunks", out.Failed)
+		}
+		for _, ce := range out.Failed {
+			if !strings.Contains(ce.Reason, "no live workers left") {
+				t.Fatalf("chunk %d reason = %q, want no live workers left", ce.Chunk, ce.Reason)
+			}
+		}
+		if n := reg.Counter("dist_workers_lost"); n != 1 {
+			t.Fatalf("dist_workers_lost = %d, want 1", n)
+		}
+	})
+	t.Run("mute beside a good worker", func(t *testing.T) {
+		// Twenty 20 ms runs outlast the 250 ms handshake deadline, so the
+		// mute peer is written off while the good one is still working.
+		spec := json.RawMessage(`"mute+good"`)
+		const runs = 20
+		good := StartPipe("good", RunnerFunc(func(spec json.RawMessage, run int) ([]byte, error) {
+			time.Sleep(20 * time.Millisecond)
+			return testPayload(spec, run), nil
+		}))
+		var mu sync.Mutex
+		var lost []Event
+		reg := obs.NewRegistry()
+		out, err := runWithin(t, 10*time.Second, spec, Config{
+			Runs: runs, ChunkSize: 1, Lease: 250 * time.Millisecond, Metrics: reg,
+			Events: func(e Event) {
+				if e.Kind == EvWorkerLost {
+					mu.Lock()
+					lost = append(lost, e)
+					mu.Unlock()
+				}
+			},
+		}, []Peer{newFakePeer("mute"), good})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		requireSerialEquivalence(t, spec, runs, out)
+		if n := reg.Counter("dist_workers_lost"); n != 1 {
+			t.Fatalf("dist_workers_lost = %d, want 1", n)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(lost) != 1 || lost[0].Worker != 0 || !strings.Contains(lost[0].Err, "no ready") {
+			t.Fatalf("worker-lost events = %v, want the mute worker 0 missing its ready", lost)
+		}
+	})
+}
+
+// beatingWorker answers the handshake as a v3 worker, then answers its
+// grant with the heartbeats a v2 worker sent — done = 1, 2, 3 … every 5 ms
+// — written as raw lines, and never a shard.
+type beatingWorker struct {
+	r    *io.PipeReader
+	w    *io.PipeWriter
+	dec  *decoder
+	once sync.Once
+}
+
+func newBeatingWorker() *beatingWorker {
+	r, w := io.Pipe()
+	return &beatingWorker{r: r, w: w, dec: newDecoder(r)}
+}
+
+func (p *beatingWorker) Send(m *Msg) error {
+	switch m.T {
+	case MsgHello:
+		go fmt.Fprintf(p.w, `{"t":"ready","proto":%d}`+"\n", ProtoVersion)
+	case MsgGrant:
+		go func() {
+			for done := 1; ; done++ {
+				if _, err := fmt.Fprintf(p.w, `{"t":"beat","chunk":%d,"done":%d}`+"\n", m.Chunk, done); err != nil {
+					return
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}()
+	}
+	return nil
+}
+
+func (p *beatingWorker) Recv() (*Msg, error) { return p.dec.next() }
+func (p *beatingWorker) Kill() error {
+	p.once.Do(func() {
+		p.w.CloseWithError(errKilled)
+		p.r.CloseWithError(errKilled)
+	})
+	return nil
+}
+func (p *beatingWorker) Close() error   { return p.Kill() }
+func (p *beatingWorker) String() string { return "beating" }
+
+// TestOnlyShardsExtendTheLease: heartbeats that claim ever more runs done
+// keep nothing alive — the lease expires on time and the worker is killed.
+func TestOnlyShardsExtendTheLease(t *testing.T) {
+	const lease = 50 * time.Millisecond
+	reg := obs.NewRegistry()
+	out, err := runWithin(t, lease+time.Second, json.RawMessage(`"beats"`), Config{
+		Runs: 1, Lease: lease, Metrics: reg,
+	}, []Peer{newBeatingWorker()})
+	if err == nil || len(out.Failed) != 1 {
+		t.Fatalf("Run = %v, Failed %v; want the one chunk failed", err, out.Failed)
+	}
+	for _, name := range []string{"dist_lease_expiries", "dist_stragglers_killed", "dist_workers_lost"} {
+		if n := reg.Counter(name); n != 1 {
+			t.Fatalf("%s = %d, want 1", name, n)
+		}
+	}
+}
+
+// leaseHarness builds a coordinator mid-flight: chunk 0 (runs [0,2))
+// leased to worker 0, chunk 1 (runs [2,4)) pending, worker 1 idle.
+func leaseHarness() (*coord, *obs.Registry) {
 	reg := obs.NewRegistry()
 	c := &coord{
-		cfg: Config{Runs: 2, Metrics: reg}.withDefaults(),
+		cfg: Config{Runs: 4, Metrics: reg}.withDefaults(),
 		now: time.Now,
 	}
-	c.chunks = []*chunk{{id: 0, start: 0, count: 2, worker: -1}}
-	for i := 0; i < workers; i++ {
-		c.workers = append(c.workers, &wstate{peer: newFakePeer(fmt.Sprintf("w%d", i)), phase: wBusy, chunk: 0})
+	c.chunks = []*chunk{
+		{id: 0, start: 0, count: 2, phase: chunkLeased, worker: 0, attempts: 1, got: make([]shardRec, 2)},
+		{id: 1, start: 2, count: 2, worker: -1},
+	}
+	c.workers = []*wstate{
+		{peer: newFakePeer("w0"), phase: wBusy, chunk: 0},
+		{peer: newFakePeer("w1"), phase: wIdle, chunk: -1},
 	}
 	return c, reg
 }
 
-func deliver(c *coord, worker int, payloads map[int]string) {
-	for run, body := range payloads {
-		c.shard(worker, &Msg{T: MsgShard, Chunk: 0, Run: run, Payload: json.RawMessage(body)})
-	}
+func shardFrom(c *coord, worker, chunk, run int) {
+	c.handle(envelope{worker: worker, msg: &Msg{T: MsgShard, Chunk: chunk, Run: run, Payload: []byte(fmt.Sprintf(`{"run":%d}`, run))}})
 }
 
-func TestDuplicateChunkReconcilesIdempotently(t *testing.T) {
-	c, reg := reconcileHarness(2)
-	c.chunks[0].phase = chunkLeased
-	c.chunks[0].worker = 0
-
-	set := map[int]string{0: `{"v":1}`, 1: `{"v":2}`}
-	deliver(c, 0, set)
-	if err := c.chunkDone(0, 0); err != nil {
-		t.Fatalf("first commit: %v", err)
+func TestShardOutsideLeaseIsAProtocolFault(t *testing.T) {
+	cases := []struct {
+		name  string
+		ships [][2]int // (chunk, run) pairs worker 0 sends
+	}{
+		{"chunk it does not hold", [][2]int{{1, 2}}},
+		{"repeated run", [][2]int{{0, 0}, {0, 0}}},
+		{"run outside the chunk", [][2]int{{0, 2}}},
 	}
-	if c.chunks[0].phase != chunkDone || c.chunks[0].worker != 0 {
-		t.Fatalf("chunk not committed to worker 0: %+v", c.chunks[0])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, reg := leaseHarness()
+			for _, s := range tc.ships {
+				shardFrom(c, 0, s[0], s[1])
+			}
+			if c.workers[0].phase != wDead {
+				t.Fatal("faulting worker must be cut off")
+			}
+			select {
+			case <-c.workers[0].peer.(*fakePeer).dead:
+			default:
+				t.Fatal("faulting worker was not killed")
+			}
+			if ck := c.chunks[0]; ck.phase != chunkPending || ck.progress != 0 || ck.got != nil {
+				t.Fatalf("chunk 0 must return to pending with its shards discarded, got %+v", ck)
+			}
+			if n := reg.Counter("dist_workers_lost"); n != 1 {
+				t.Fatalf("dist_workers_lost = %d, want 1", n)
+			}
+		})
 	}
-
-	deliver(c, 1, set) // byte-identical duplicate
-	if err := c.chunkDone(1, 0); err != nil {
-		t.Fatalf("duplicate must reconcile cleanly: %v", err)
-	}
-	if c.chunks[0].worker != 0 {
-		t.Fatal("duplicate must not displace the committed set")
-	}
-	if n := reg.Counter("dist_duplicate_chunks"); n != 1 {
-		t.Fatalf("dist_duplicate_chunks = %d, want 1", n)
-	}
-}
-
-func TestDivergentDuplicateIsAHardError(t *testing.T) {
-	c, _ := reconcileHarness(2)
-	c.chunks[0].phase = chunkLeased
-	c.chunks[0].worker = 0
-
-	deliver(c, 0, map[int]string{0: `{"v":1}`, 1: `{"v":2}`})
-	if err := c.chunkDone(0, 0); err != nil {
-		t.Fatalf("first commit: %v", err)
-	}
-	deliver(c, 1, map[int]string{0: `{"v":1}`, 1: `{"v":666}`})
-	err := c.chunkDone(1, 0)
-	if !errors.Is(err, ErrDivergence) {
-		t.Fatalf("divergent duplicate returned %v, want ErrDivergence", err)
-	}
-}
-
-func TestLateStragglerRescuesFailedChunk(t *testing.T) {
-	c, reg := reconcileHarness(1)
-	c.fail(c.chunks[0], "retry budget exhausted")
-	if n := reg.Counter("dist_chunks_failed"); n != 1 {
-		t.Fatalf("dist_chunks_failed = %d, want 1", n)
-	}
-	deliver(c, 0, map[int]string{0: `{"v":1}`, 1: `{"v":2}`})
-	if err := c.chunkDone(0, 0); err != nil {
-		t.Fatalf("rescue commit: %v", err)
-	}
-	if c.chunks[0].phase != chunkDone {
-		t.Fatalf("chunk phase = %v, want done", c.chunks[0].phase)
-	}
-	if n := reg.Counter("dist_chunks_failed"); n != 0 {
-		t.Fatalf("dist_chunks_failed = %d after rescue, want 0", n)
-	}
-	out := c.outcome()
-	if out.Err() != nil || len(out.Failed) != 0 {
-		t.Fatalf("rescued campaign still failing: %v", out.Err())
-	}
-}
-
-func TestPrematureChunkDoneIsAProtocolFault(t *testing.T) {
-	c, reg := reconcileHarness(2)
-	c.chunks[0].phase = chunkLeased
-	c.chunks[0].worker = 0
-	c.chunks[0].attempts = 1
-	deliver(c, 0, map[int]string{0: `{"v":1}`}) // one of two shards
-	if err := c.chunkDone(0, 0); err != nil {
-		t.Fatalf("premature chunk_done must not abort the campaign: %v", err)
-	}
-	if c.workers[0].phase != wDead {
-		t.Fatal("lying worker must be cut off")
-	}
-	if c.chunks[0].phase != chunkPending {
-		t.Fatalf("chunk must return to pending, got %v", c.chunks[0].phase)
-	}
-	if n := reg.Counter("dist_workers_lost"); n != 1 {
-		t.Fatalf("dist_workers_lost = %d, want 1", n)
-	}
+	t.Run("leaseholder commits on its last shard", func(t *testing.T) {
+		c, reg := leaseHarness()
+		shardFrom(c, 0, 0, 1) // any order within the chunk
+		shardFrom(c, 0, 0, 0)
+		if ck := c.chunks[0]; ck.phase != chunkDone {
+			t.Fatalf("chunk 0 phase = %v, want done", ck.phase)
+		}
+		if w := c.workers[0]; w.phase != wIdle || w.chunk != -1 {
+			t.Fatalf("worker 0 = %+v, want idle", w)
+		}
+		if n := reg.Counter("dist_workers_lost"); n != 0 {
+			t.Fatalf("dist_workers_lost = %d, want 0", n)
+		}
+		c.chunks[1].phase = chunkFailed // outcome reads terminal chunks only
+		out := c.outcome()
+		for run := 0; run < 2; run++ {
+			if want := fmt.Sprintf(`{"run":%d}`, run); string(out.Shards[run]) != want {
+				t.Fatalf("run %d folded %q, want %q", run, out.Shards[run], want)
+			}
+		}
+	})
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{Runs: 100}.withDefaults()
-	if c.Lease != 15*time.Second || c.Backoff != 100*time.Millisecond ||
-		c.BackoffMax != 2*time.Second || c.RetryCap != 4 {
+	if c.Lease != DefaultLease || DefaultLease != 15*time.Second || c.RetryCap != 4 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if got := c.chunkSize(4); got != 6 { // 100/(4*4)

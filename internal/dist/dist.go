@@ -6,20 +6,18 @@
 // chunk size.
 //
 // Robustness is the point of the layer. Runs are pure functions of
-// (spec, run index), which buys three properties cheaply:
+// (spec, run index), which buys two properties cheaply:
 //
-//   - A worker that crashes, hangs past its lease, or straggles simply
-//     loses its chunk: the chunk is re-issued to another worker with
-//     exponential backoff and a retry cap, and the campaign degrades
-//     gracefully down to a single surviving worker.
-//   - Duplicate results (a straggler finishing after its lease was
-//     re-issued) reconcile idempotently: the first completed shard set per
-//     chunk wins, a byte-identical duplicate is dropped, and a divergent
-//     duplicate is a hard error — determinism means divergence can only be
-//     corruption.
-//   - Progress, not liveness, extends a lease: a wedged worker that still
-//     heartbeats but completes no runs is indistinguishable from a hung
-//     one and loses its chunk the same way.
+//   - A worker that crashes, hangs past its lease, or breaks the protocol
+//     is killed and loses its chunk: the chunk is re-issued to another live
+//     worker under a retry cap, and the campaign degrades gracefully down to
+//     a single surviving worker. A lost lease is a dead worker, so a
+//     chunk's shards all come from one lease and no late result can follow.
+//   - A shard is the only progress: each one extends its lease, and nothing
+//     else does, so a wedged worker that still talks but ships no run result
+//     is indistinguishable from a hung one and loses its chunk the same way.
+//     A worker that never answers the handshake is killed one lease after
+//     the campaign began.
 //
 // The package is workload- and transport-agnostic: the campaign spec is
 // opaque bytes a Runner interprets, and a worker is anything that speaks
@@ -40,9 +38,9 @@ import (
 
 // Runner executes one run of a campaign on the worker side. Implementations
 // must be deterministic: the returned payload must be a pure function of
-// (spec, run) — the coordinator treats payload divergence between duplicate
-// executions of the same run as corruption. An error return becomes the
-// run's recorded error (a per-run failure, not a worker failure).
+// (spec, run), which is what lets a re-issued chunk's shards stand in for
+// the ones its dead worker never shipped. An error return becomes the run's
+// recorded error (a per-run failure, not a worker failure).
 type Runner interface {
 	Run(spec json.RawMessage, run int) ([]byte, error)
 }
@@ -82,24 +80,15 @@ type Config struct {
 	// runs/(4·workers), clamped to [1, runs] — small enough that losing a
 	// worker forfeits little work, large enough to amortize the protocol.
 	ChunkSize int
-	// Lease is the progress deadline: a leaseholder that completes no run
-	// for this long loses the chunk. Completed shards and progress
-	// heartbeats extend it; idle heartbeats do not (a wedged worker must
-	// not keep its lease alive). Default 15 s.
+	// Lease is the progress deadline: a leaseholder that ships no shard for
+	// this long after its grant or its last shard is killed and loses the
+	// chunk, and a worker that has not answered hello this long after Run
+	// began is killed. Default DefaultLease.
 	Lease time.Duration
-	// Backoff is the base delay before a forfeited chunk is re-issued; it
-	// doubles per attempt up to BackoffMax. Defaults 100 ms and 2 s.
-	Backoff    time.Duration
-	BackoffMax time.Duration
 	// RetryCap bounds re-issues per chunk: a chunk granted 1+RetryCap
 	// times without completing is failed permanently and reported in the
 	// campaign error. Default 4.
 	RetryCap int
-	// KeepStragglers leaves an expired leaseholder alive (its late result
-	// can still win or reconcile as a duplicate); a second silent lease
-	// interval kills it anyway. The default (false) kills stragglers at
-	// first expiry — a worker that stopped making progress is suspect.
-	KeepStragglers bool
 	// Metrics, when non-nil, receives the dist_* counters (leases
 	// re-issued, stragglers killed, workers lost, …). Keep this registry
 	// separate from the campaign's own: distribution accounting is
@@ -110,22 +99,21 @@ type Config struct {
 	Events func(Event)
 	// Status, when non-nil, receives live progress snapshots: runs done
 	// (committed chunks plus live-lease progress), per-worker lease state,
-	// and retry/straggler detail. SimRate stays zero — shard payloads are
-	// opaque bytes, so the coordinator cannot know simulated time. Called
+	// and retry detail. SimRate stays zero — shard payloads are opaque
+	// bytes, so the coordinator cannot know simulated time. Called
 	// synchronously from the coordinator loop; do not block.
 	Status obs.StatusSink
 }
 
+// DefaultLease is Config.Lease's default. A per-run watchdog inside a
+// worker must be shorter to ever fire: a run that ships nothing for a lease
+// is killed with its worker first.
+const DefaultLease = 15 * time.Second
+
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() Config {
 	if c.Lease <= 0 {
-		c.Lease = 15 * time.Second
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
+		c.Lease = DefaultLease
 	}
 	if c.RetryCap <= 0 {
 		c.RetryCap = 4
@@ -155,22 +143,20 @@ type EventKind int
 const (
 	// EvWorkerReady: a worker completed the hello handshake.
 	EvWorkerReady EventKind = iota
-	// EvWorkerLost: a worker's stream ended (crash, kill, or protocol
-	// fault). Chunk identifies the lease it held, -1 for none.
+	// EvWorkerLost: a worker's stream ended or it was killed (crash,
+	// expired lease, missed handshake deadline, protocol fault). Chunk
+	// identifies the lease it held, -1 for none.
 	EvWorkerLost
 	// EvGrant: a chunk was leased to a worker. Attempt counts grants of
 	// this chunk, starting at 1.
 	EvGrant
-	// EvLeaseExpired: a leaseholder made no progress within the lease and
-	// forfeited the chunk.
+	// EvLeaseExpired: a leaseholder shipped no shard within the lease.
 	EvLeaseExpired
-	// EvStragglerKilled: an expired leaseholder was hard-stopped.
+	// EvStragglerKilled: the expired leaseholder was hard-stopped; its
+	// chunk returns to the pending pool.
 	EvStragglerKilled
-	// EvChunkDone: a chunk's first complete shard set was committed.
+	// EvChunkDone: a chunk's last shard arrived and the chunk committed.
 	EvChunkDone
-	// EvChunkDuplicate: a straggler delivered a byte-identical duplicate
-	// of an already-committed chunk; it was dropped idempotently.
-	EvChunkDuplicate
 	// EvChunkFailed: a chunk exhausted its retry budget (or lost all
 	// workers) and was failed permanently.
 	EvChunkFailed
@@ -193,8 +179,6 @@ func (k EventKind) String() string {
 		return "straggler-killed"
 	case EvChunkDone:
 		return "chunk-done"
-	case EvChunkDuplicate:
-		return "chunk-duplicate"
 	case EvChunkFailed:
 		return "chunk-failed"
 	case EvRunError:

@@ -11,8 +11,10 @@ import (
 // ProtoVersion is the wire protocol version. The hello/ready handshake
 // pins it on both sides; a mismatch is a hard error, never a silent
 // reinterpretation of run indices. Version 1 carried a shard's payload
-// inline in the JSON line; version 2 frames it as raw bytes after the line.
-const ProtoVersion = 2
+// inline in the JSON line; version 2 frames it as raw bytes after the line;
+// version 3 drops the beat and chunk_done messages, so a worker answers a
+// grant with one shard per run and nothing else.
+const ProtoVersion = 3
 
 // Stream bounds. A header is a handful of small fields (the largest is a
 // campaign spec or a run's error text); a payload is one traced run's
@@ -38,17 +40,10 @@ const (
 	// MsgGrant (coordinator → worker) leases one chunk: runs
 	// [Start, Start+Count) under chunk id Chunk.
 	MsgGrant = "grant"
-	// MsgBeat (worker → coordinator) is a heartbeat for Chunk with Done
-	// runs completed so far. Only beats that advance Done extend the
-	// lease — a wedged worker's idle heartbeats do not keep its chunk.
-	MsgBeat = "beat"
 	// MsgShard (worker → coordinator) carries one run's result: Payload
-	// on success, Err on a per-run failure. A shard is also progress and
-	// extends the lease.
+	// on success, Err on a per-run failure. A shard is the only progress:
+	// it extends the lease, and the chunk's last one commits it.
 	MsgShard = "shard"
-	// MsgChunkDone (worker → coordinator) closes a chunk: every run in it
-	// has been shipped as a shard.
-	MsgChunkDone = "chunk_done"
 	// MsgShutdown (coordinator → worker) ends the session; the worker's
 	// Serve loop returns cleanly.
 	MsgShutdown = "shutdown"
@@ -63,13 +58,10 @@ type Msg struct {
 	Proto int             `json:"proto,omitempty"`
 	Spec  json.RawMessage `json:"spec,omitempty"`
 
-	// Chunk identification (grant, beat, shard, chunk_done).
+	// Chunk identification (grant, shard).
 	Chunk int `json:"chunk,omitempty"`
 	Start int `json:"start,omitempty"`
 	Count int `json:"count,omitempty"`
-
-	// Beat progress.
-	Done int `json:"done,omitempty"`
 
 	// Shard body. Payload travels as raw bytes after the header line, so
 	// it is never escaped, scanned or copied on its way through; a decoded

@@ -15,12 +15,10 @@ func TestProtoRoundTrip(t *testing.T) {
 		{T: MsgHello, Proto: ProtoVersion, Spec: json.RawMessage(`{"scenario":"urban-gcc"}`)},
 		{T: MsgReady, Proto: ProtoVersion},
 		{T: MsgGrant, Chunk: 3, Start: 12, Count: 4},
-		{T: MsgBeat, Chunk: 3, Done: 2},
 		// A payload is opaque bytes: newlines, quotes and invalid UTF-8
 		// travel as they are.
 		{T: MsgShard, Chunk: 3, Run: 13, Payload: []byte("{\"v\":1.5}\n\x00\xff\n{\"t\":\"shutdown\"}\n")},
 		{T: MsgShard, Chunk: 3, Run: 14, Err: "run 14 panicked: boom"},
-		{T: MsgChunkDone, Chunk: 3},
 		{T: MsgShutdown},
 	}
 	var buf bytes.Buffer
@@ -45,7 +43,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProtoShardFrame pins the v2 frame's bytes: one JSON header line with
+// TestProtoShardFrame pins the shard frame's bytes: one JSON header line with
 // payload_len, then exactly that many raw bytes.
 func TestProtoShardFrame(t *testing.T) {
 	var buf bytes.Buffer
@@ -114,7 +112,7 @@ func TestProtoEncodeBounds(t *testing.T) {
 // payload is within the bound, and whatever it accepts re-encodes to a frame
 // that decodes to the same message and encodes to the same bytes again.
 func FuzzDecoder(f *testing.F) {
-	f.Add([]byte(`{"t":"hello","proto":2,"spec":{"scenario":"urban-gcc"}}` + "\n"))
+	f.Add([]byte(`{"t":"hello","proto":3,"spec":{"scenario":"urban-gcc"}}` + "\n"))
 	f.Add([]byte(`{"t":"shard","chunk":1,"run":2,"payload_len":3}` + "\na\nb" + `{"t":"chunk_done","chunk":1}` + "\n"))
 	f.Add([]byte(`{"t":"shard","run":1,"payload":{"registry":{}}}` + "\n")) // a v1 shard
 	f.Add([]byte(`{"t":"shard","payload_len":-1}` + "\n"))
@@ -227,31 +225,17 @@ func TestServeExecutesGrant(t *testing.T) {
 		t.Fatalf("grant: %v", err)
 	}
 
+	// A grant's whole answer is one shard per run, in run order.
 	var shards []*Msg
-	beats := 0
-	for {
+	for i := 0; i < 3; i++ {
 		m, err := dec.next()
 		if err != nil {
 			t.Fatalf("next: %v", err)
 		}
-		if m.T == MsgChunkDone {
-			if m.Chunk != 2 {
-				t.Fatalf("chunk_done for %d, want 2", m.Chunk)
-			}
-			break
+		if m.T != MsgShard || m.Chunk != 2 || m.Run != 5+i {
+			t.Fatalf("message %d = %+v, want the shard of chunk 2 run %d", i, m, 5+i)
 		}
-		switch m.T {
-		case MsgBeat:
-			beats++
-		case MsgShard:
-			shards = append(shards, m)
-		}
-	}
-	if len(shards) != 3 {
-		t.Fatalf("got %d shards, want 3", len(shards))
-	}
-	if beats != 4 { // lease ack + one per run
-		t.Fatalf("got %d beats, want 4", beats)
+		shards = append(shards, m)
 	}
 	if string(shards[0].Payload) != `{"spec":"s","run":5}` {
 		t.Fatalf("run 5 payload: %s", shards[0].Payload)
@@ -269,6 +253,9 @@ func TestServeExecutesGrant(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
+	if m, err := dec.next(); err != io.EOF {
+		t.Fatalf("worker sent %+v after its shards, want nothing (err %v)", m, err)
+	}
 }
 
 func TestServeRejectsVersionMismatch(t *testing.T) {
@@ -282,43 +269,43 @@ func TestServeRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestServeRefusesV1Coordinator: a v1 coordinator's hello, byte for byte as
+// TestServeRefusesV2Coordinator: a v2 coordinator's hello, byte for byte as
 // that version wrote it, is refused with both versions in the error before
 // any grant is read.
-func TestServeRefusesV1Coordinator(t *testing.T) {
-	v1 := `{"t":"hello","proto":1,"spec":{"scenario":"urban-gcc"}}` + "\n" +
+func TestServeRefusesV2Coordinator(t *testing.T) {
+	v2 := `{"t":"hello","proto":2,"spec":{"scenario":"urban-gcc"}}` + "\n" +
 		`{"t":"grant","chunk":0,"start":0,"count":1}` + "\n"
 	var out bytes.Buffer
-	err := Serve(strings.NewReader(v1), &out, RunnerFunc(func(json.RawMessage, int) ([]byte, error) {
+	err := Serve(strings.NewReader(v2), &out, RunnerFunc(func(json.RawMessage, int) ([]byte, error) {
 		t.Error("a run executed under a mismatched protocol")
 		return nil, nil
 	}))
-	if err == nil || !strings.Contains(err.Error(), "version mismatch: coordinator 1, worker 2") {
-		t.Fatalf("got %v, want a version mismatch naming 1 and 2", err)
+	if err == nil || !strings.Contains(err.Error(), "version mismatch: coordinator 2, worker 3") {
+		t.Fatalf("got %v, want a version mismatch naming 2 and 3", err)
 	}
 	if out.Len() != 0 {
-		t.Fatalf("worker answered a v1 hello: %q", out.Bytes())
+		t.Fatalf("worker answered a v2 hello: %q", out.Bytes())
 	}
 }
 
-// v1Worker is a peer that answers as a version 1 worker did: ready with
-// proto 1, then shards whose payload sits inline in the JSON line.
-type v1Worker struct {
+// v2Worker is a peer that answers as a version 2 worker did: ready with
+// proto 2, then a beat, a framed shard, a progress beat and chunk_done.
+type v2Worker struct {
 	dec *decoder
 }
 
-func (p *v1Worker) Send(*Msg) error     { return nil }
-func (p *v1Worker) Recv() (*Msg, error) { return p.dec.next() }
-func (p *v1Worker) Kill() error         { return nil }
-func (p *v1Worker) Close() error        { return nil }
-func (p *v1Worker) String() string      { return "v1" }
+func (p *v2Worker) Send(*Msg) error     { return nil }
+func (p *v2Worker) Recv() (*Msg, error) { return p.dec.next() }
+func (p *v2Worker) Kill() error         { return nil }
+func (p *v2Worker) Close() error        { return nil }
+func (p *v2Worker) String() string      { return "v2" }
 
-// TestCoordinatorRefusesV1Worker: the handshake, not a misparse of inline
-// payloads as empty shards, is what stops a v1 worker.
-func TestCoordinatorRefusesV1Worker(t *testing.T) {
-	stream := `{"t":"ready","proto":1}` + "\n" +
+// TestCoordinatorRefusesV2Worker: the handshake, not a shard that happens to
+// parse, is what stops a v2 worker.
+func TestCoordinatorRefusesV2Worker(t *testing.T) {
+	stream := `{"t":"ready","proto":2}` + "\n" +
 		`{"t":"beat","chunk":0}` + "\n" +
-		`{"t":"shard","chunk":0,"run":0,"payload":{"registry":{}}}` + "\n" +
+		`{"t":"shard","chunk":0,"run":0,"payload_len":2}` + "\n{}" +
 		`{"t":"beat","chunk":0,"done":1}` + "\n" +
 		`{"t":"chunk_done","chunk":0}` + "\n"
 	var lost []string
@@ -326,12 +313,12 @@ func TestCoordinatorRefusesV1Worker(t *testing.T) {
 		if e.Kind == EvWorkerLost {
 			lost = append(lost, e.Err)
 		}
-	}}, []Peer{&v1Worker{dec: newDecoder(strings.NewReader(stream))}})
+	}}, []Peer{&v2Worker{dec: newDecoder(strings.NewReader(stream))}})
 	if err == nil {
-		t.Fatal("a campaign over a v1 worker succeeded")
+		t.Fatal("a campaign over a v2 worker succeeded")
 	}
-	if len(lost) != 1 || !strings.Contains(lost[0], "version mismatch: worker 1, coordinator 2") {
-		t.Fatalf("worker-lost reasons = %q, want one version mismatch naming 1 and 2", lost)
+	if len(lost) != 1 || !strings.Contains(lost[0], "version mismatch: worker 2, coordinator 3") {
+		t.Fatalf("worker-lost reasons = %q, want one version mismatch naming 2 and 3", lost)
 	}
 	if out.Shards[0] != nil || out.RunErrs[0] == nil {
 		t.Fatalf("run 0 must be failed, not folded: shard %q, err %v", out.Shards[0], out.RunErrs[0])

@@ -65,7 +65,7 @@ func TestCoordinatorStatusSink(t *testing.T) {
 	if last.RunErrors != 0 {
 		t.Errorf("terminal run errors %d, want 0", last.RunErrors)
 	}
-	validStates := map[string]bool{"starting": true, "idle": true, "busy": true, "straggler": true, "dead": true}
+	validStates := map[string]bool{"starting": true, "idle": true, "busy": true, "dead": true}
 	for _, s := range snaps {
 		if s.Mode != "dist" {
 			t.Fatalf("snapshot mode %q, want dist", s.Mode)

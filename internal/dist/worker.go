@@ -10,8 +10,8 @@ import (
 // then a grant-execute-stream loop until shutdown or EOF. Each granted run
 // executes through the Runner with panic recovery — a failing run becomes
 // an error shard, not a dead worker — and every completed run is streamed
-// immediately, so the coordinator sees progress (and can extend the lease)
-// run by run, not chunk by chunk.
+// immediately as the grant's only answer: the coordinator extends the lease
+// shard by shard and commits the chunk on its last one.
 //
 // Serve returns nil on a clean shutdown (MsgShutdown or EOF) and an error
 // on a protocol violation or a broken stream. It never writes anything to
@@ -52,10 +52,6 @@ func Serve(r io.Reader, w io.Writer, runner Runner) error {
 			if m.Count <= 0 {
 				return fmt.Errorf("dist: grant for chunk %d with count %d", m.Chunk, m.Count)
 			}
-			// Acknowledge the lease before the first (possibly long) run.
-			if err := enc.send(&Msg{T: MsgBeat, Chunk: m.Chunk}); err != nil {
-				return err
-			}
 			for i := 0; i < m.Count; i++ {
 				run := m.Start + i
 				payload, runErr := runOne(runner, spec, run)
@@ -67,12 +63,6 @@ func Serve(r io.Reader, w io.Writer, runner Runner) error {
 				if err := enc.send(shard); err != nil {
 					return err
 				}
-				if err := enc.send(&Msg{T: MsgBeat, Chunk: m.Chunk, Done: i + 1}); err != nil {
-					return err
-				}
-			}
-			if err := enc.send(&Msg{T: MsgChunkDone, Chunk: m.Chunk}); err != nil {
-				return err
 			}
 		case MsgShutdown:
 			return nil

@@ -181,8 +181,7 @@ func TestDistChaosScenario(t *testing.T) {
 			reg := obs.NewRegistry()
 			out, err := dist.Run(rawSpec, dist.Config{
 				Runs: runs, ChunkSize: tc.chunk,
-				Lease: 10 * time.Second, Backoff: 2 * time.Millisecond, BackoffMax: 10 * time.Millisecond,
-				Metrics: reg,
+				Lease: 10 * time.Second, Metrics: reg,
 				Events: func(e dist.Event) {
 					if e.Kind == dist.EvGrant && e.Attempt == 1 {
 						grants++

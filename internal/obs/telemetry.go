@@ -38,7 +38,8 @@ type StatusSnapshot struct {
 type WorkerStatus struct {
 	Worker int `json:"worker"`
 	// State is the lease state machine phase: "starting", "idle", "busy",
-	// "straggler" (lease revoked, second strike armed), or "dead".
+	// or "dead" (a worker that loses its lease is killed, so there is no
+	// phase between busy and dead).
 	State string `json:"state"`
 	// Chunk is the chunk the worker is executing (-1 when none), Attempt
 	// how many times that chunk has been granted (retries show as
