@@ -16,14 +16,15 @@ type Bonded struct {
 	// Budget returns the bond manager's current aggregate budget in
 	// bits/s; non-positive values leave the inner rate uncapped.
 	Budget func() float64
-	// PacingHeadroom multiplies the budget for the pacing cap (1.5 when
-	// zero) so the pacer can drain bursts the encoder target admitted.
-	PacingHeadroom float64
 }
+
+// pacingHeadroom multiplies the budget for the pacing cap so the pacer can
+// drain bursts the encoder target admitted.
+const pacingHeadroom = 1.5
 
 // NewBonded wraps inner with the bond budget cap.
 func NewBonded(inner Controller, budget func() float64) *Bonded {
-	return &Bonded{Inner: inner, Budget: budget, PacingHeadroom: 1.5}
+	return &Bonded{Inner: inner, Budget: budget}
 }
 
 // OnPacketSent implements Controller.
@@ -46,12 +47,8 @@ func (b *Bonded) TargetBitrate(now time.Duration) float64 {
 // bonded budget plus headroom.
 func (b *Bonded) PacingRate(now time.Duration) float64 {
 	r := b.Inner.PacingRate(now)
-	h := b.PacingHeadroom
-	if h <= 0 {
-		h = 1.5
-	}
-	if cap := b.Budget(); cap > 0 && r > cap*h {
-		return cap * h
+	if cap := b.Budget(); cap > 0 && r > cap*pacingHeadroom {
+		return cap * pacingHeadroom
 	}
 	return r
 }

@@ -45,7 +45,16 @@ type Controller interface {
 	// OnPacketSent informs the controller that a packet entered the network.
 	OnPacketSent(p SentPacket)
 	// OnFeedback delivers a feedback report. now is the sender-clock time
-	// the report arrived; acks are in transport sequence order.
+	// the report arrived; acks are in sequence order.
+	//
+	// An RFC 8888 report (keyed by Seq) may arrive with repeats left out: a
+	// received ack whose packet an earlier report already acknowledged as
+	// received since it was last sent (OnPacketSent) need not be listed,
+	// except the report's first and last ack and its highest received one.
+	// A controller must act on such a list exactly as on the full one. So
+	// acks[0].Seq is the report's begin_seq, the list is empty only for an
+	// empty report, and the report covers last.Seq − acks[0].Seq + 1
+	// sequence numbers, which may exceed len(acks).
 	OnFeedback(now time.Duration, acks []Ack)
 	// TargetBitrate returns the bitrate (bits/s) the encoder should aim for.
 	TargetBitrate(now time.Duration) float64

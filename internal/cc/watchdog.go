@@ -18,13 +18,6 @@ import "time"
 type Watchdog struct {
 	// Timeout is the feedback silence that declares starvation.
 	Timeout time.Duration
-	// BackoffBase is the first post-recovery hold (500 ms if zero);
-	// BackoffMax caps the doubling (8 s if zero).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// HealthyReset forgets past episodes after this much time without a
-	// new starvation (30 s if zero).
-	HealthyReset time.Duration
 
 	haveFB       bool
 	lastFB       time.Duration
@@ -34,8 +27,18 @@ type Watchdog struct {
 	backoffUntil time.Duration
 }
 
-// NewWatchdog returns a watchdog with the given starvation timeout and
-// default backoff parameters.
+// Backoff timing, the same for every watchdog.
+const (
+	// backoffBase is the first post-recovery hold; backoffMax caps the
+	// doubling.
+	backoffBase = 500 * time.Millisecond
+	backoffMax  = 8 * time.Second
+	// healthyReset forgets past episodes after this much time without a
+	// new starvation.
+	healthyReset = 30 * time.Second
+)
+
+// NewWatchdog returns a watchdog with the given starvation timeout.
 func NewWatchdog(timeout time.Duration) *Watchdog {
 	return &Watchdog{Timeout: timeout}
 }
@@ -51,14 +54,8 @@ func (w *Watchdog) Starved(now time.Duration) bool {
 	}
 	if !w.starved && now-w.lastFB > w.Timeout {
 		w.starved = true
-		if w.episodes > 0 {
-			reset := w.HealthyReset
-			if reset == 0 {
-				reset = 30 * time.Second
-			}
-			if now-w.lastStarve > reset {
-				w.episodes = 0
-			}
+		if w.episodes > 0 && now-w.lastStarve > healthyReset {
+			w.episodes = 0
 		}
 		w.episodes++
 		w.lastStarve = now
@@ -68,7 +65,7 @@ func (w *Watchdog) Starved(now time.Duration) bool {
 
 // OnFeedback records a feedback arrival at now and reports whether it ends
 // a starvation episode. On recovery the backoff window opens:
-// BackoffBase·2^(episodes−1), capped at BackoffMax.
+// backoffBase·2^(episodes−1), capped at backoffMax.
 func (w *Watchdog) OnFeedback(now time.Duration) (recovered bool) {
 	if w == nil {
 		return false
@@ -80,19 +77,8 @@ func (w *Watchdog) OnFeedback(now time.Duration) (recovered bool) {
 		return false
 	}
 	w.starved = false
-	base := w.BackoffBase
-	if base == 0 {
-		base = 500 * time.Millisecond
-	}
-	maxHold := w.BackoffMax
-	if maxHold == 0 {
-		maxHold = 8 * time.Second
-	}
-	hold := base << uint(min(w.episodes-1, 10))
-	if hold > maxHold {
-		hold = maxHold
-	}
-	w.backoffUntil = now + hold
+	hold := backoffBase << uint(min(w.episodes-1, 10))
+	w.backoffUntil = now + min(hold, backoffMax)
 	return true
 }
 

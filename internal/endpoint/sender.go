@@ -263,19 +263,43 @@ func (s *Sender) onTWCC(buf []byte, at time.Duration) Verdict {
 
 // onCCFB translates RFC 8888 feedback into acks for SCReAM, one OnFeedback
 // per report block.
+//
+// A report re-acknowledges its whole window, so most of its metric blocks
+// repeat what an earlier report said. Those are left out: a received packet
+// that a previous report already acknowledged since it was last sent, unless
+// it is the block's first or last metric or its highest received one. SCReAM
+// acted on the first acknowledgement by removing the packet from its
+// in-flight table, and only a new send puts it back, which also clears the
+// mark (video.Sender.AckSeq); so it would skip the repeat. What it reads from
+// the list as a whole — begin_seq, the highest received sequence number, the
+// span — comes from the three metrics always kept (cc.Controller.OnFeedback).
 func (s *Sender) onCCFB(buf []byte, at time.Duration) Verdict {
 	if s.ccfb.Unmarshal(buf) != nil {
 		return Rejected
 	}
 	for _, rep := range s.ccfb.Reports {
+		last := len(rep.Metrics) - 1
+		top := last // the highest received metric (the first if none is)
+		for top > 0 && !rep.Metrics[top].Received {
+			top--
+		}
 		acks := s.acks[:0]
 		for i, m := range rep.Metrics {
 			seq := rep.BeginSeq + uint16(i)
+			var rec video.SentRecord
+			var known, again bool
+			if m.Received {
+				if rec, known, again = s.Video.AckSeq(seq); again && i != 0 && i != top && i != last {
+					continue
+				}
+			} else {
+				rec, known = s.Video.LookupSeq(seq)
+			}
 			a := cc.Ack{Seq: seq, Received: m.Received}
 			if m.Received {
 				a.ArrivalTime = s.ccfb.Timestamp - m.ArrivalOffset
 			}
-			if rec, ok := s.Video.LookupSeq(seq); ok {
+			if known {
 				a.TransportSeq, a.Size, a.SendTime = rec.TransportSeq, rec.Size, rec.SendTime
 			}
 			acks = append(acks, a)

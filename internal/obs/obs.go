@@ -44,7 +44,8 @@ const (
 	KindRLF
 	// KindCC is a congestion-controller rate decision. Seq: controller
 	// detail (GCC: over-use signal; SCReAM: congestion window in bytes);
-	// Aux: acks in the feedback report; V: target bitrate in bits/s.
+	// Aux: acks in the feedback report (SCReAM: the sequence numbers the
+	// report covers, repeats left out or not); V: target bitrate in bits/s.
 	KindCC
 	// KindFramePlay is a frame that reached the screen. Seq: frame
 	// number; Aux: playback latency in microseconds; V: SSIM score.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -40,6 +41,11 @@ type CCFB struct {
 	Timestamp time.Duration
 }
 
+// maxCCFBMetrics is RFC 8888's bound on the metric blocks of one report
+// block (§3.1): a quarter of the 16-bit sequence space, so the sequence
+// numbers one block covers are in serial-number order.
+const maxCCFBMetrics = 1 << 14
+
 // Marshal serializes the feedback packet.
 func (f *CCFB) Marshal() ([]byte, error) {
 	size := rtcpHeaderSize + 4 // header + sender ssrc
@@ -47,14 +53,10 @@ func (f *CCFB) Marshal() ([]byte, error) {
 		if len(r.Metrics) == 0 {
 			return nil, errors.New("rtp: ccfb report with no metric blocks")
 		}
-		if len(r.Metrics) > 16384 {
+		if len(r.Metrics) > maxCCFBMetrics {
 			return nil, fmt.Errorf("rtp: ccfb report with %d metric blocks exceeds maximum", len(r.Metrics))
 		}
-		n := len(r.Metrics)
-		if n%2 == 1 {
-			n++ // pad to 32-bit boundary
-		}
-		size += 8 + 2*n
+		size += 8 + 2*(len(r.Metrics)+len(r.Metrics)%2) // padded to 32 bits
 	}
 	size += 4 // report timestamp
 	buf := make([]byte, size)
@@ -70,25 +72,13 @@ func (f *CCFB) Marshal() ([]byte, error) {
 		binary.BigEndian.PutUint16(buf[off+6:], uint16(len(r.Metrics)))
 		off += 8
 		for _, m := range r.Metrics {
-			var w uint16
 			if m.Received {
-				w |= 1 << 15
-				w |= uint16(m.ECN&0x3) << 13
-				ato := m.ArrivalOffset / atoUnit
-				if ato < 0 {
-					ato = 0
-				}
-				if ato > atoMax {
-					ato = atoMax
-				}
-				w |= uint16(ato)
+				ato := min(max(m.ArrivalOffset/atoUnit, 0), atoMax)
+				binary.BigEndian.PutUint16(buf[off:], 1<<15|uint16(m.ECN&0x3)<<13|uint16(ato))
 			}
-			binary.BigEndian.PutUint16(buf[off:], w)
 			off += 2
 		}
-		if len(r.Metrics)%2 == 1 {
-			off += 2 // zero padding block
-		}
+		off += 2 * (len(r.Metrics) % 2) // zero padding block
 	}
 	binary.BigEndian.PutUint32(buf[off:], ntp32(f.Timestamp))
 	return buf, nil
@@ -127,25 +117,25 @@ func (f *CCFB) Unmarshal(buf []byte) error {
 			r.Metrics = f.Reports[:k+1][k].Metrics[:0] // the slot's previous backing
 		}
 		n := int(binary.BigEndian.Uint16(body[off+6:]))
-		off += 8
-		padded := n
-		if padded%2 == 1 {
-			padded++
+		if n > maxCCFBMetrics {
+			return fmt.Errorf("rtp: ccfb report with %d metric blocks exceeds maximum", n)
 		}
-		if off+2*padded > len(body) {
+		off += 8
+		words := 2 * (n + n%2) // padded to 32 bits
+		if off+words > len(body) {
 			return ErrShortPacket
 		}
-		for i := 0; i < n; i++ {
+		r.Metrics = slices.Grow(r.Metrics, n)[:n]
+		for i := range r.Metrics {
 			w := binary.BigEndian.Uint16(body[off+2*i:])
-			m := CCFBMetric{}
-			if w>>15 == 1 {
-				m.Received = true
-				m.ECN = uint8(w >> 13 & 0x3)
-				m.ArrivalOffset = time.Duration(w&atoMax) * atoUnit
+			if w>>15 == 0 {
+				r.Metrics[i] = CCFBMetric{}
+				continue
 			}
-			r.Metrics = append(r.Metrics, m)
+			r.Metrics[i] = CCFBMetric{Received: true, ECN: uint8(w >> 13 & 0x3),
+				ArrivalOffset: time.Duration(w&atoMax) * atoUnit}
 		}
-		off += 2 * padded
+		off += words
 		f.Reports = append(f.Reports, r)
 	}
 	return nil
@@ -189,13 +179,17 @@ const DefaultCCFBWindow = 64
 const noArrival = time.Duration(math.MinInt64)
 
 // NewCCFBGenerator returns a generator with the given ack window (0 means
-// DefaultCCFBWindow).
+// DefaultCCFBWindow). It panics on a window above the 16 384 metric blocks
+// one report can carry: no report from it could be marshalled.
 func NewCCFBGenerator(senderSSRC, mediaSSRC uint32, window int) *CCFBGenerator {
 	if window <= 0 {
 		window = DefaultCCFBWindow
 	}
+	if window > maxCCFBMetrics {
+		panic(fmt.Sprintf("rtp: ccfb window %d exceeds the %d metric blocks of a report", window, maxCCFBMetrics))
+	}
 	size := 1
-	for size < window && size < 1<<16 {
+	for size < window {
 		size <<= 1
 	}
 	g := &CCFBGenerator{
@@ -246,16 +240,13 @@ func (g *CCFBGenerator) Report(now time.Duration) *CCFB {
 	mask := len(g.ring) - 1
 	begin := g.highest - uint16(g.Window-1)
 	rep := &g.fb.Reports[0]
-	rep.SSRC, rep.BeginSeq, rep.Metrics = g.MediaSSRC, begin, rep.Metrics[:0]
-	for i := 0; i < g.Window; i++ {
-		m := CCFBMetric{}
+	rep.SSRC, rep.BeginSeq, rep.Metrics = g.MediaSSRC, begin, rep.Metrics[:g.Window]
+	for i := range rep.Metrics {
 		if at := g.ring[int(begin+uint16(i))&mask]; at != noArrival {
-			m.Received = true
-			if off := now - at; off > 0 {
-				m.ArrivalOffset = off
-			}
+			rep.Metrics[i] = CCFBMetric{Received: true, ArrivalOffset: max(now-at, 0)}
+		} else {
+			rep.Metrics[i] = CCFBMetric{}
 		}
-		rep.Metrics = append(rep.Metrics, m)
 	}
 	g.fb.SenderSSRC, g.fb.Timestamp = g.SenderSSRC, now
 	return &g.fb

@@ -94,6 +94,8 @@ func FuzzCCFBUnmarshal(f *testing.F) {
 	if buf, err := two.Marshal(); err == nil {
 		fuzzSeed(f, buf)
 	}
+	fuzzSeed(f, ccfbWithBlock(0))   // an empty report block: parsed, not marshalled
+	f.Add(ccfbWithBlock(1<<14 + 1)) // one metric block past RFC 8888's bound: refused
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fb CCFB

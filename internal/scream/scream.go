@@ -366,8 +366,10 @@ func (c *Controller) updateOWD(now time.Duration, sendTime, arrival time.Duratio
 }
 
 // OnFeedback implements cc.Controller: it ingests one RFC 8888 report,
-// translated by the transport into acks covering the report's sequence
-// range (acks[0].Seq is the report's begin_seq).
+// translated by the transport into acks over the report's sequence range
+// (acks[0].Seq is the report's begin_seq), repeats possibly left out as the
+// cc.Controller contract allows: a repeat finds no in-flight record in the
+// first loop and is not a hole in the second.
 func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	if c.wd.OnFeedback(now) {
 		// Feedback returned after an outage. The blackout consumed whatever
@@ -466,8 +468,10 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	}
 	c.manageQueue(now)
 	if c.trace != nil {
+		// The span, not len(acks): the transport may leave repeats out.
+		span := int64(acks[len(acks)-1].Seq-acks[0].Seq) + 1
 		c.trace.Emit(obs.Event{T: now, Kind: obs.KindCC,
-			Seq: int64(c.cwnd), Aux: int64(len(acks)), V: c.target})
+			Seq: int64(c.cwnd), Aux: span, V: c.target})
 	}
 }
 

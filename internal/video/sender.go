@@ -34,8 +34,12 @@ func DefaultSenderConfig() SenderConfig {
 type SentRecord struct {
 	Seq          uint16
 	TransportSeq uint16
-	Size         int
-	SendTime     time.Duration
+	// acked is set once a receiver has reported the packet received (see
+	// AckSeq); sending the sequence number again stores a fresh record. It
+	// sits in what would be padding, so the record stays 24 bytes.
+	acked    bool
+	Size     int
+	SendTime time.Duration
 }
 
 // Sender encodes, packetizes and paces the video stream under a congestion
@@ -273,4 +277,22 @@ func (s *Sender) LookupSeq(seq uint16) (SentRecord, bool) {
 		return SentRecord{}, false
 	}
 	return rec, true
+}
+
+// AckSeq is LookupSeq for a packet a receiver reports as received. It marks
+// the record acknowledged, and again reports whether it already was: whether
+// an earlier report acknowledged seq since seq was last sent.
+func (s *Sender) AckSeq(seq uint16) (rec SentRecord, ok, again bool) {
+	r := &s.bySeq.recs[seq&sentMask]
+	if r.Size == 0 || r.Seq != seq {
+		return SentRecord{}, false, false
+	}
+	if r.acked {
+		return *r, true, true
+	}
+	// Copied before the mark is written: reading the record back right
+	// after a one-byte store into it would stall on store forwarding.
+	rec = *r
+	r.acked = true
+	return rec, true, false
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"rpivideo/internal/cc"
 	"rpivideo/internal/rtp"
@@ -383,6 +384,35 @@ func TestSenderRecordsLookup(t *testing.T) {
 			t.Fatalf("seq lookup failed for %d", p.Header.SequenceNumber)
 		}
 	}
+}
+
+// TestSenderAckSeqMarksUntilResent: AckSeq reports a sequence number as
+// acknowledged again from its second call until the number is sent anew —
+// here after the 16-bit space wraps — and the mark costs the record no size.
+func TestSenderAckSeqMarksUntilResent(t *testing.T) {
+	if size := unsafe.Sizeof(SentRecord{}); size != 24 {
+		t.Errorf("SentRecord is %d bytes, want 24", size)
+	}
+	s := sim.New(8)
+	snd := NewSender(s, DefaultSenderConfig(), cc.NewStatic(25e6), s.Stream("enc"))
+	var newest uint16
+	snd.Transmit = func(p *rtp.Packet, size int) { newest = p.Header.SequenceNumber }
+	snd.Start()
+	s.RunUntil(time.Second)
+	ack := func(seq uint16, wantOK, wantAgain bool) {
+		t.Helper()
+		rec, ok, again := snd.AckSeq(seq)
+		if ok != wantOK || again != wantAgain || ok && rec.Seq != seq {
+			t.Fatalf("AckSeq(%d) = %+v, %v, %v; want ok %v, again %v", seq, rec, ok, again, wantOK, wantAgain)
+		}
+	}
+	ack(10, true, false)
+	ack(10, true, true)
+	ack(newest+1, false, false)      // not sent yet
+	for snd.PacketsSent < 1<<16+11 { // sequence numbers start at 0: 10 is sent again
+		s.RunUntil(s.Now() + time.Second)
+	}
+	ack(10, true, false)
 }
 
 func TestSenderHonorsWindowLimit(t *testing.T) {
