@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"runtime"
 
 	"rpivideo"
@@ -16,16 +17,22 @@ func main() {
 	fmt.Printf("%-18s %8s %9s %10s %8s\n", "operator/method", "goodput", "<300ms", "ssim<0.5", "HO/s")
 	for _, op := range []rpivideo.Operator{rpivideo.P1, rpivideo.P2} {
 		for _, ccKind := range []rpivideo.CC{rpivideo.Static, rpivideo.SCReAM, rpivideo.GCC} {
-			// RunCampaign fans the three flights out across CPUs and
-			// Summarize folds them in run-index order, so this table is
-			// identical to the serial one.
-			m := rpivideo.Summarize(rpivideo.RunCampaign(rpivideo.Config{
+			// RunCampaignWithOptions fans the three flights out across
+			// CPUs and Summarize folds them in run-index order, so this
+			// table is identical to the serial one.
+			rs, errs := rpivideo.RunCampaignWithOptions(rpivideo.Config{
 				Env:  rpivideo.Rural,
 				Op:   op,
 				Air:  true,
 				CC:   ccKind,
 				Seed: 2,
-			}, 3))
+			}, 3, rpivideo.CampaignOptions{})
+			for _, err := range errs {
+				if err != nil {
+					log.Fatal(err)
+				}
+			}
+			m := rpivideo.Summarize(rs)
 			fmt.Printf("%-18s %6.1fMb %8.0f%% %9.2f%% %8.3f\n",
 				fmt.Sprintf("%v/%v", op, ccKind),
 				m.GoodputMean(),

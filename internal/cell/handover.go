@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rpivideo/internal/flight"
+	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
 )
 
@@ -97,7 +98,7 @@ type Machine struct {
 
 	// hetHist, when non-nil, records each committed handover's execution
 	// time (interruption) in milliseconds.
-	hetHist *obs.LogHistogram
+	hetHist *metrics.Sketch
 }
 
 // NewMachine returns a handover machine attached to a signal model. air
@@ -118,7 +119,7 @@ func (m *Machine) SetTracer(tr *obs.Tracer, dir obs.Dir) {
 // handover's execution time in milliseconds. Nil disables recording.
 // Handover failures that degrade into RLF never commit, so they are not
 // recorded here — they surface through the RLF counters instead.
-func (m *Machine) SetInterruptionHist(h *obs.LogHistogram) { m.hetHist = h }
+func (m *Machine) SetInterruptionHist(h *metrics.Sketch) { m.hetHist = h }
 
 // Serving returns the current serving cell's *deployment index* (-1 before
 // the first measurement) — the position in the SignalModel's cell slice,
@@ -277,7 +278,7 @@ func (m *Machine) decide(now time.Duration, st flight.State, best int, bestV, se
 			Seq: int64(ev.From), Aux: int64(ev.To), V: float64(het) / float64(time.Millisecond)})
 	}
 	if m.hetHist != nil {
-		m.hetHist.Observe(float64(het) / float64(time.Millisecond))
+		m.hetHist.Add(float64(het) / float64(time.Millisecond))
 	}
 	return &m.events[len(m.events)-1]
 }

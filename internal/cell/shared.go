@@ -3,6 +3,7 @@ package cell
 import (
 	"time"
 
+	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
 )
 
@@ -68,7 +69,7 @@ type Contention struct {
 	// epoch (1 when no cell ever had two users).
 	MinShare float64
 	// ShareHist is the distribution of granted shares over user-epochs.
-	ShareHist *obs.Histogram
+	ShareHist metrics.Sketch
 	// Events is the per-cell observability timeline (attach/detach per UE,
 	// overload start/end per cell), populated only when requested.
 	Events []obs.Event
@@ -98,10 +99,6 @@ func Contend(timelines [][]AttachSample, cells []BS, kind SchedulerKind, overloa
 		Shares:   make([][]float64, nUE),
 		Cells:    make([]CellStats, len(cells)),
 		MinShare: 1,
-		ShareHist: &obs.Histogram{
-			Buckets: obs.ShareBuckets,
-			Counts:  make([]int64, len(obs.ShareBuckets)),
-		},
 	}
 	for i := range ct.Cells {
 		ct.Cells[i].Cell = cells[i].ID
@@ -198,7 +195,7 @@ func Contend(timelines [][]AttachSample, cells []BS, kind SchedulerKind, overloa
 				sh := shares[i]
 				ct.Shares[u][k] = sh
 				cs.ShareSum += sh
-				ct.ShareHist.Observe(sh)
+				ct.ShareHist.Add(sh)
 				if sh < minShare {
 					minShare = sh
 				}

@@ -100,8 +100,8 @@ func TestContendStatsAndEvents(t *testing.T) {
 			t.Errorf("event %d = %+v, want %+v", i, ev, w)
 		}
 	}
-	if ct.ShareHist.Count != 7 { // 7 attached user-epochs
-		t.Errorf("share hist count = %d, want 7", ct.ShareHist.Count)
+	if ct.ShareHist.N() != 7 { // 7 attached user-epochs
+		t.Errorf("share hist count = %d, want 7", ct.ShareHist.N())
 	}
 }
 

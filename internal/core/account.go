@@ -60,8 +60,8 @@ func (l *flightLog) delivered(v endpoint.Verdict, path, size int, sentAt, at tim
 		return
 	case endpoint.Fresh:
 		ms := float64(at-sentAt) / float64(time.Millisecond)
-		l.res.OWDms.Add(ms)
-		l.res.OWDByAlt[l.bucketAt(sentAt)].Add(ms)
+		record(&l.res.OWDms, ms)
+		record(&l.res.OWDByAlt[l.bucketAt(sentAt)], ms)
 	case endpoint.Repaired:
 		// Goodput only: a retransmission's delay is not the path's.
 	default:
@@ -75,7 +75,7 @@ func (l *flightLog) delivered(v endpoint.Verdict, path, size int, sentAt, at tim
 // fold closes the per-second goodput bins.
 func (l *flightLog) fold() {
 	for _, bytes := range l.goodputBytes[:len(l.goodputBytes)-1] {
-		l.res.Goodput.Add(float64(bytes*8) / 1e6)
+		record(&l.res.Goodput, float64(bytes*8)/1e6)
 	}
 }
 
@@ -191,7 +191,7 @@ func (t *targetSampler) sample(now time.Duration, target float64) {
 		}
 		if !tr.recovered && target >= 0.8*tr.preRate {
 			tr.recovered = true
-			res.RecoveryMs.Add(float64(now-tr.ep.End) / float64(time.Millisecond))
+			record(&res.RecoveryMs, float64(now-tr.ep.End)/float64(time.Millisecond))
 		}
 	}
 	t.lastTarget = target
@@ -214,7 +214,7 @@ func (t *targetSampler) fold() {
 	res.Outages = len(t.episodes)
 	for _, ep := range t.episodes {
 		res.OutageTotal += ep.Length()
-		res.OutageMs.Add(float64(ep.Length()) / float64(time.Millisecond))
+		record(&res.OutageMs, float64(ep.Length())/float64(time.Millisecond))
 	}
 	for _, ev := range t.machine.RLFEvents() {
 		if ev.Cause == cell.RLFHandoverFailure {
@@ -229,10 +229,15 @@ func (t *targetSampler) fold() {
 // foldEndpoints copies what the two endpoints, the bond manager and the
 // repair path counted into the result.
 func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.Receiver, uplink *link.Link, bp *bondPaths, log *flightLog, dur time.Duration) {
+	// The player has stopped: its sketches are final and the Result may
+	// take them over.
 	pl := rcv.Player
-	res.FPS = *pl.FPSDist(dur)
-	res.PlaybackMs = *pl.LatencyDist()
-	res.SSIM = *pl.SSIMDist()
+	res.FPS = *pl.FPSSketch(dur)
+	res.PlaybackMs = *pl.LatencySketch()
+	res.SSIM = *pl.SSIMSketch()
+	if framesTap != nil {
+		framesTap(res, pl.Frames)
+	}
 	res.Stalls = pl.Stalls
 	res.StallsPerMin = pl.StallsPerMinute(dur)
 	for _, f := range pl.Frames {

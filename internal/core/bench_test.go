@@ -23,7 +23,7 @@ func benchResults(b *testing.B) []*Result {
 }
 
 // BenchmarkAggregateSketch folds a campaign into the O(buckets) Summary —
-// the path RunCampaignSummary and fleets aggregate on.
+// the path the experiment suite's campaigns and fleets aggregate on.
 func BenchmarkAggregateSketch(b *testing.B) {
 	results := benchResults(b)
 	b.ReportAllocs()

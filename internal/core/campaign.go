@@ -83,22 +83,6 @@ func (o CampaignOptions) runSeed(base int64, run int) int64 {
 	return DeriveSeed(base, run)
 }
 
-// RunCampaign executes a campaign: the given number of independent
-// repetitions of cfg, each seeded by DeriveSeed(cfg.Seed, runIndex) and
-// fanned out across runtime.GOMAXPROCS(0) workers. The per-run results
-// come back in run-index order. It re-panics the first per-run panic
-// after all runs finish; use RunCampaignWithOptions to keep the surviving
-// runs' results instead.
-func RunCampaign(cfg Config, runs int) []*Result {
-	out, errs := RunCampaignWithOptions(cfg, runs, CampaignOptions{})
-	for _, err := range errs {
-		if err != nil {
-			panic(err)
-		}
-	}
-	return out
-}
-
 // RunCampaignWithOptions executes a campaign of runs independent
 // repetitions of cfg on a worker pool and returns per-run results and
 // per-run errors, both indexed by run. A run that panics is recovered into
@@ -116,11 +100,11 @@ func RunCampaignWithOptions(cfg Config, runs int, opts CampaignOptions) ([]*Resu
 }
 
 // RunCampaignFold executes a campaign and hands each run's result to fold
-// as soon as its turn in run-index order comes — the body of both
-// RunCampaignWithOptions (fold stores results[i]) and RunCampaignSummary
-// (fold is Summary.AddResult), for callers inside the module that reduce a
-// run to something else (Fig. 9 keeps a traced run's epoch windows, not its
-// trace). fold calls are serialized and in strict index order at any worker
+// as soon as its turn in run-index order comes — the body of
+// RunCampaignWithOptions (fold stores results[i]), and the streaming path
+// for callers inside the module that reduce a run to something else (a
+// campaign summary folds Summary.AddResult; Fig. 9 keeps a traced run's
+// epoch windows, not its trace). fold calls are serialized and in strict index order at any worker
 // count; a run that failed is folded as nil and reported in the returned
 // per-run errors. Nothing is retained once fold returns, so peak memory is
 // the in-flight runs plus whatever completed ahead of its turn.
@@ -139,8 +123,8 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 }
 
 // executor is the one engine every in-process campaign entry point runs on:
-// RunCampaignFold (and through it RunCampaignWithOptions and
-// RunCampaignSummary) and both per-UAV phases of RunFleet. It keeps three
+// RunCampaignFold (and through it RunCampaignWithOptions) and both per-UAV
+// phases of RunFleet. It keeps three
 // contracts:
 //
 //   - every job runs under runGuarded, so a panic becomes that job's error

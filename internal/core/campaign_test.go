@@ -172,19 +172,6 @@ func TestRunWithTimeoutKeepsPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestRunCampaignRepanics: the compatibility wrapper keeps the historical
-// contract that a failing run fails the campaign.
-func TestRunCampaignRepanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("RunCampaign swallowed a run panic")
-		}
-	}()
-	// A negative SCReAM feedback interval makes sim.Every panic inside Run.
-	RunCampaign(Config{Env: cell.Urban, CC: CCSCReAM, Seed: 1,
-		Duration: time.Second, ScreamFeedbackInterval: -time.Millisecond}, 2)
-}
-
 // TestCampaignProgress: the hook sees every run exactly once and a
 // monotonically complete campaign.
 func TestCampaignProgress(t *testing.T) {

@@ -74,9 +74,9 @@ type Config struct {
 	// JitterBuffer overrides the player jitter buffer (150 ms when zero).
 	JitterBuffer time.Duration
 	// DropOnLatency enables the rtpjitterbuffer drop-on-latency behaviour
-	// (Appendix A.4 ablation) with the given threshold.
+	// (Appendix A.4 ablation): frames older than the jitter buffer plus
+	// dropMargin are dropped instead of played late.
 	DropOnLatency bool
-	DropThreshold time.Duration
 
 	// Trace enables per-run event tracing (internal/obs): every packet
 	// send/receive/drop, outage window, handover, RLF, congestion-control
@@ -147,6 +147,10 @@ func (c Config) watchdogTimeout() time.Duration {
 	}
 	return 750 * time.Millisecond
 }
+
+// dropMargin is how far past the jitter buffer a frame may be before the
+// drop-on-latency player drops it.
+const dropMargin = 100 * time.Millisecond
 
 // staticRate resolves the constant bitrate for this config.
 func (c Config) staticRate() float64 {

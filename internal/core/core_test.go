@@ -110,7 +110,7 @@ func TestConfigLabelsAndDefaults(t *testing.T) {
 
 func TestMergeAggregates(t *testing.T) {
 	cfg := Config{Env: cell.Urban, Air: true, CC: CCStatic, Seed: 7, Duration: 30 * time.Second}
-	rs := RunCampaign(cfg, 3)
+	rs := campaign(t, cfg, 3)
 	if len(rs) != 3 {
 		t.Fatalf("campaign returned %d results", len(rs))
 	}
@@ -133,7 +133,7 @@ func TestMergeAggregates(t *testing.T) {
 
 func TestCampaignSeedsDistinct(t *testing.T) {
 	cfg := Config{Env: cell.Rural, Air: true, CC: CCStatic, Seed: 9, Duration: 20 * time.Second}
-	rs := RunCampaign(cfg, 2)
+	rs := campaign(t, cfg, 2)
 	if rs[0].PacketsSent == rs[1].PacketsSent && rs[0].OWDms.Mean() == rs[1].OWDms.Mean() {
 		t.Error("campaign runs look identical; seeds not derived")
 	}
@@ -143,9 +143,21 @@ func TestCampaignSeedsDistinct(t *testing.T) {
 // full-length flights with a handful of seeds; see EXPERIMENTS.md for the
 // full paper-vs-measured record.
 
-func merged(t *testing.T, cfg Config, runs int) *Result {
+// campaign runs a campaign and fails the test on any run's error.
+func campaign(t *testing.T, cfg Config, runs int) []*Result {
 	t.Helper()
-	return mergeRef(RunCampaign(cfg, runs))
+	rs, errs := RunCampaignWithOptions(cfg, runs, CampaignOptions{})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rs
+}
+
+func merged(t *testing.T, cfg Config, runs int) *Summary {
+	t.Helper()
+	return Summarize(campaign(t, cfg, runs))
 }
 
 func TestShapeFig6UrbanGoodputOrdering(t *testing.T) {

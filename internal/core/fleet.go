@@ -51,9 +51,6 @@ type FleetConfig struct {
 	// the result. Off by default: a 500-UAV urban fleet generates tens of
 	// thousands of events.
 	Events bool
-	// Progress, when non-nil, is invoked once per completed UAV run
-	// (phase 3), serialized by the engine.
-	Progress func(CampaignProgress)
 	// StatusSink, when non-nil, receives live telemetry: a per-cell
 	// snapshot after the phase-2 scheduling fold, then a progress snapshot
 	// (with the cell table attached) after every completed UAV run. Purely
@@ -74,9 +71,9 @@ type FleetResult struct {
 	// Summary folds every UAV's Result in UAV-index order — the same
 	// streaming fold campaigns use, so memory stays O(1) in fleet size.
 	Summary *Summary
-	// PerUAVGoodput holds one sample per UAV: its mean goodput in Mbps.
-	// The median of this distribution is the contention-monotonicity
-	// metric (non-increasing in fleet size).
+	// PerUAVGoodput holds one sample per UAV, kept exactly: its mean
+	// goodput in Mbps. The median of this distribution is the
+	// contention-monotonicity metric (non-increasing in fleet size).
 	PerUAVGoodput metrics.Dist
 	// Cells, Attaches, Detaches, OverloadEpochs, PeakCellUsers, MinShare
 	// and ShareHist summarize the scheduling fold (see cell.Contention).
@@ -86,7 +83,7 @@ type FleetResult struct {
 	OverloadEpochs int
 	PeakCellUsers  int
 	MinShare       float64
-	ShareHist      *obs.Histogram
+	ShareHist      metrics.Sketch
 	// CellEvents is the attach/detach/overload timeline (Events=true).
 	CellEvents []obs.Event
 	// SimEvents sums the UAV runs' Result.SimEvents and SimTimerPeak is
@@ -301,7 +298,7 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 
 	// Phase 3: full runs with the shares installed, folded in UAV-index
 	// order. A UAV that failed phase 1 keeps its error and is not run.
-	exec.progress, exec.sink = fc.Progress, fc.StatusSink
+	exec.sink = fc.StatusSink
 	exec.mode, exec.cells = "fleet", cellStatuses
 	exec.run(errs, func(u int) *Result {
 		c := cfgs[u]
@@ -362,9 +359,12 @@ func (fr *FleetResult) finishMetrics() {
 	// A single watermark write, so the max-merge semantics of gauges
 	// cannot invert this minimum.
 	reg.SetGauge("fleet_min_share", fr.MinShare)
+	reg.LogHistogram("fleet_share").Merge(&fr.ShareHist)
+	goodput := reg.LogHistogram("fleet_uav_goodput_mbps")
+	for _, v := range fr.PerUAVGoodput.Samples() {
+		goodput.Add(v)
+	}
 	reg.SetGauge("fleet_median_uav_goodput_mbps", fr.PerUAVGoodput.Median())
-	reg.Histogram("fleet_share", obs.ShareBuckets).Merge(fr.ShareHist)
-	observeSorted(reg.Histogram("fleet_uav_goodput_mbps", obs.RateMbpsBuckets), &fr.PerUAVGoodput)
 }
 
 // MetricsRegistry returns the fleet's metrics: every UAV's run registry

@@ -2,31 +2,28 @@ package core
 
 import "rpivideo/internal/metrics"
 
-// addAll appends every sample of o to d, in o's insertion order.
-func addAll(d, o *metrics.Dist) {
-	for _, v := range o.Samples() {
-		d.Add(v)
-	}
-}
-
 // mergeRef is the sample-retaining campaign fold: Result + Result, every
 // distribution keeping every sample of every run. It is the reference
-// Summary.AddResult is held to (TestSummaryMatchesMerge) and what the
-// calibration tests read exact cross-run quantiles from. Series are not
-// merged.
-func mergeRef(results []*Result) *Result {
+// Summary.AddResult is held to (TestSummaryMatchesMerge). The scalars sum
+// into a Result; the distributions come back as exact Dists by sketch name
+// (see ResultSketches), built from the raw samples tp saw the runs record.
+func mergeRef(results []*Result, tp *Tap) (*Result, map[string]*metrics.Dist) {
+	dists := map[string]*metrics.Dist{}
 	if len(results) == 0 {
-		return &Result{}
+		return &Result{}, dists
 	}
 	out := &Result{Config: results[0].Config}
 	var lostSum, sentSum int
 	for _, r := range results {
-		out.Duration += r.Duration
-		addAll(&out.OWDms, &r.OWDms)
-		for b := range r.OWDByAlt {
-			addAll(&out.OWDByAlt[b], &r.OWDByAlt[b])
+		for name, d := range ResultSketches(r) {
+			if dists[name] == nil {
+				dists[name] = &metrics.Dist{}
+			}
+			for _, v := range tp.Samples(r, d) {
+				dists[name].Add(v)
+			}
 		}
-		addAll(&out.Goodput, &r.Goodput)
+		out.Duration += r.Duration
 		out.Handovers = append(out.Handovers, r.Handovers...)
 		out.PacketsSent += r.PacketsSent
 		out.PacketsDelivered += r.PacketsDelivered
@@ -37,18 +34,9 @@ func mergeRef(results []*Result) *Result {
 		out.CtrlPacketsLost += r.CtrlPacketsLost
 		lostSum += r.PacketsLost
 		sentSum += r.PacketsSent
-		addAll(&out.FPS, &r.FPS)
-		addAll(&out.PlaybackMs, &r.PlaybackMs)
-		addAll(&out.SSIM, &r.SSIM)
 		out.Stalls = append(out.Stalls, r.Stalls...)
 		out.FramesPlayed += r.FramesPlayed
 		out.FramesSkipped += r.FramesSkipped
-		addAll(&out.RTTms, &r.RTTms)
-		for b := range r.RTTByAlt {
-			addAll(&out.RTTByAlt[b], &r.RTTByAlt[b])
-		}
-		addAll(&out.JitterMs, &r.JitterMs)
-		addAll(&out.RTCPRTTms, &r.RTCPRTTms)
 		out.MultipathDuplicates += r.MultipathDuplicates
 		if r.BondPolicy != "" {
 			out.BondPolicy = r.BondPolicy
@@ -77,12 +65,10 @@ func mergeRef(results []*Result) *Result {
 		out.ScreamDiscards += r.ScreamDiscards
 		out.Outages += r.Outages
 		out.OutageTotal += r.OutageTotal
-		addAll(&out.OutageMs, &r.OutageMs)
 		out.RLFs += r.RLFs
 		out.HandoverFailures += r.HandoverFailures
 		out.StaleDrops += r.StaleDrops
 		out.KeyframeRequests += r.KeyframeRequests
-		addAll(&out.RecoveryMs, &r.RecoveryMs)
 		if r.PostOutageQueueMs > out.PostOutageQueueMs {
 			out.PostOutageQueueMs = r.PostOutageQueueMs
 		}
@@ -108,5 +94,5 @@ func mergeRef(results []*Result) *Result {
 	if out.Duration > 0 {
 		out.StallsPerMin = float64(len(out.Stalls)) / out.Duration.Minutes()
 	}
-	return out
+	return out, dists
 }

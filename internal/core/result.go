@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"rpivideo/internal/cell"
@@ -74,11 +73,12 @@ type Result struct {
 	Config   Config
 	Duration time.Duration
 
-	// Network-level metrics.
-	OWDms                                                 metrics.Dist // one-way delay of delivered media packets (ms)
-	OWDByAlt                                              [altBuckets]metrics.Dist
-	Goodput                                               metrics.Dist // per-second delivered Mbps
-	PER                                                   float64      // radio loss fraction
+	// Network-level metrics. Every distribution of a Result is a
+	// metrics.Sketch, filled as its samples arrive.
+	OWDms                                                 metrics.Sketch // one-way delay of delivered media packets (ms)
+	OWDByAlt                                              [altBuckets]metrics.Sketch
+	Goodput                                               metrics.Sketch // per-second delivered Mbps
+	PER                                                   float64        // radio loss fraction
 	Handovers                                             []cell.Event
 	PacketsSent, PacketsDelivered, PacketsLost, Overflows int
 
@@ -87,23 +87,23 @@ type Result struct {
 	CtrlPacketsSent, CtrlPacketsDelivered, CtrlPacketsLost int
 
 	// Video metrics (video workloads only).
-	FPS           metrics.Dist // frames played per second samples
-	PlaybackMs    metrics.Dist // playback latency per played frame (ms)
-	SSIM          metrics.Dist // per-frame SSIM incl. zeros for skipped
+	FPS           metrics.Sketch // frames played per second samples
+	PlaybackMs    metrics.Sketch // playback latency per played frame (ms)
+	SSIM          metrics.Sketch // per-frame SSIM incl. zeros for skipped
 	Stalls        []video.Stall
 	StallsPerMin  float64
 	FramesPlayed  int
 	FramesSkipped int
 
 	// Ping metrics (ping workloads only): RTT in ms bucketed by altitude.
-	RTTByAlt [altBuckets]metrics.Dist
-	RTTms    metrics.Dist
+	RTTByAlt [altBuckets]metrics.Sketch
+	RTTms    metrics.Sketch
 
 	// RTCP-derived metrics (video workloads): RFC 3550 interarrival jitter
 	// sampled at each receiver report, and the sender-side RTT computed
 	// from the LSR/DLSR fields.
-	JitterMs  metrics.Dist
-	RTCPRTTms metrics.Dist
+	JitterMs  metrics.Sketch
+	RTCPRTTms metrics.Sketch
 
 	// MultipathDuplicates counts packets whose duplicate copy arrived after
 	// the first (bonded runs only). It is derived: the sum of the per-path
@@ -150,12 +150,12 @@ type Result struct {
 	// Fault-injection metrics (video workloads with Config.Faults armed).
 	Outages           int             // realized outage episodes
 	OutageTotal       time.Duration   // summed episode length
-	OutageMs          metrics.Dist    // per-episode length (ms)
+	OutageMs          metrics.Sketch  // per-episode length (ms)
 	RLFs              int             // T310-expiry radio-link failures
 	HandoverFailures  int             // handovers failed into re-establishment
 	StaleDrops        int             // media packets flushed at re-establishment
 	KeyframeRequests  int             // PLI-style requests the player issued
-	RecoveryMs        metrics.Dist    // per-episode time for the target rate to return to ≥80% of its pre-outage value (ms)
+	RecoveryMs        metrics.Sketch  // per-episode time for the target rate to return to ≥80% of its pre-outage value (ms)
 	PostOutageQueueMs float64         // worst uplink queue delay within 5 s after an episode (ms)
 	FaultEpisodes     []fault.Episode // the run's outage timeline
 
@@ -198,23 +198,27 @@ type BondPathStats struct {
 // GoodputMean returns the mean per-second goodput in Mbps.
 func (r *Result) GoodputMean() float64 { return r.Goodput.Mean() }
 
-// observeSorted folds a distribution's samples into a registry histogram in
-// ascending order. Sorting first makes the histogram's float Sum a pure
-// function of the sample multiset, so per-run registries are byte-identical
-// however the run was scheduled. Samples() hands back a fresh copy, so the
-// in-place sort is safe.
-func observeSorted(h *obs.Histogram, d *metrics.Dist) {
-	sorted := d.Samples()
-	sort.Float64s(sorted)
-	for _, v := range sorted {
-		h.Observe(v)
+// Test hooks, nil outside tests: sampleTap sees every sample a run records
+// into one of its Result's sketches, and framesTap the player's frame list
+// the FPS, PlaybackMs and SSIM sketches were built from. They let a test
+// rebuild each sketch from the raw samples.
+var (
+	sampleTap func(d *metrics.Sketch, v float64)
+	framesTap func(r *Result, frames []video.PlayedFrame)
+)
+
+// record adds one sample to one of a Result's sketches.
+func record(d *metrics.Sketch, v float64) {
+	d.Add(v)
+	if sampleTap != nil {
+		sampleTap(d, v)
 	}
 }
 
 // MetricsRegistry renders the run's aggregates as an obs.Registry: counters
-// for packet/frame/fault tallies, gauges for worst-case watermarks, and
-// fixed-layout histograms for every distribution. Registries from the runs
-// of one campaign merge with (*obs.Registry).Merge in run-index order.
+// for packet/frame/fault tallies, gauges for worst-case watermarks, and a
+// copy of every distribution's sketch. Registries from the runs of one
+// campaign merge with (*obs.Registry).Merge in run-index order.
 func (r *Result) MetricsRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	reg.Add("packets_sent", int64(r.PacketsSent))
@@ -269,16 +273,16 @@ func (r *Result) MetricsRegistry() *obs.Registry {
 	reg.SetGauge("post_outage_queue_ms_max", r.PostOutageQueueMs)
 	reg.SetGauge("ramp_up_ms_max", float64(r.RampUpTo25)/float64(time.Millisecond))
 
-	observeSorted(reg.Histogram("owd_ms", obs.LatencyMsBuckets), &r.OWDms)
-	observeSorted(reg.Histogram("playback_ms", obs.LatencyMsBuckets), &r.PlaybackMs)
-	observeSorted(reg.Histogram("jitter_ms", obs.LatencyMsBuckets), &r.JitterMs)
-	observeSorted(reg.Histogram("rtcp_rtt_ms", obs.LatencyMsBuckets), &r.RTCPRTTms)
-	observeSorted(reg.Histogram("rtt_ms", obs.LatencyMsBuckets), &r.RTTms)
-	observeSorted(reg.Histogram("outage_ms", obs.LatencyMsBuckets), &r.OutageMs)
-	observeSorted(reg.Histogram("recovery_ms", obs.LatencyMsBuckets), &r.RecoveryMs)
-	observeSorted(reg.Histogram("goodput_mbps", obs.RateMbpsBuckets), &r.Goodput)
-	observeSorted(reg.Histogram("ssim", obs.SSIMBuckets), &r.SSIM)
-	observeSorted(reg.Histogram("fps", obs.FPSBuckets), &r.FPS)
+	reg.LogHistogram("owd_ms").Merge(&r.OWDms)
+	reg.LogHistogram("playback_ms").Merge(&r.PlaybackMs)
+	reg.LogHistogram("jitter_ms").Merge(&r.JitterMs)
+	reg.LogHistogram("rtcp_rtt_ms").Merge(&r.RTCPRTTms)
+	reg.LogHistogram("rtt_ms").Merge(&r.RTTms)
+	reg.LogHistogram("outage_ms").Merge(&r.OutageMs)
+	reg.LogHistogram("recovery_ms").Merge(&r.RecoveryMs)
+	reg.LogHistogram("goodput_mbps").Merge(&r.Goodput)
+	reg.LogHistogram("ssim").Merge(&r.SSIM)
+	reg.LogHistogram("fps").Merge(&r.FPS)
 	return reg
 }
 

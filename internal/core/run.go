@@ -175,8 +175,8 @@ func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, up
 	snd, rcv := newEndpoints(s, cfg, res, bp)
 	log := newFlightLog(res, prof, dur)
 	connect(s, cfg, snd, rcv, uplink, downlink, bp, log, wire)
-	snd.OnRTT = func(rtt time.Duration) { res.RTCPRTTms.Add(float64(rtt) / float64(time.Millisecond)) }
-	rcv.OnReport = func(jitter time.Duration) { res.JitterMs.Add(float64(jitter) / float64(time.Millisecond)) }
+	snd.OnRTT = func(rtt time.Duration) { record(&res.RTCPRTTms, float64(rtt)/float64(time.Millisecond)) }
+	rcv.OnReport = func(jitter time.Duration) { record(&res.JitterMs, float64(jitter)/float64(time.Millisecond)) }
 	sampler := newTargetSampler(cfg, res, machine, uplink, dur)
 
 	// Registration order is part of the run's output: the contract is on
@@ -220,10 +220,7 @@ func newEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths) (*en
 	pcfg.LatchQuirk = cfg.CC == CCSCReAM
 	if cfg.DropOnLatency {
 		pcfg.DropOnLatency = true
-		pcfg.DropThreshold = cfg.DropThreshold
-		if pcfg.DropThreshold == 0 {
-			pcfg.DropThreshold = pcfg.JitterBuffer + 100*time.Millisecond
-		}
+		pcfg.DropThreshold = pcfg.JitterBuffer + dropMargin
 	}
 	pcfg.KeyframeRecovery = faultsOn && cfg.Faults.KeyframeRecovery
 	rcfg := endpoint.ReceiverConfig{
@@ -362,8 +359,8 @@ func runPing(s *sim.Simulator, cfg Config, res *Result, uplink, downlink *link.L
 		probe := meta.(pingProbe)
 		rtt := at - probe.sentAt
 		ms := float64(rtt) / float64(time.Millisecond)
-		res.RTTms.Add(ms)
-		res.RTTByAlt[BucketFor(probe.alt)].Add(ms)
+		record(&res.RTTms, ms)
+		record(&res.RTTByAlt[BucketFor(probe.alt)], ms)
 	}
 	s.Every(0, 50*time.Millisecond, func() {
 		uplink.Send(pingProbe{sentAt: s.Now(), alt: stateAt(s.Now()).Alt}, probeSize)

@@ -7,25 +7,26 @@ import (
 	"rpivideo/internal/metrics"
 )
 
-// Summary is the campaign-level aggregate of many runs' Results, built on
-// metrics.Sketch instead of raw-sample concatenation: folding a run is
-// O(samples of that run), but the retained state is O(buckets) — the
-// footprint no longer grows with the run count, which is what lets a
-// million-run campaign aggregate in constant memory (ROADMAP north star).
-// Scalar counters sum, watermarks take the maximum, and the distributions
-// answer the same quantile/CDF/fraction queries a merged Dist did, within
-// metrics.SketchAlpha relative error (exactly, below the small-N cap).
+// Summary is the campaign-level aggregate of many runs' Results: scalar
+// counters sum, watermarks take the maximum, and each distribution is the
+// merge of the runs' sketches. Folding a run is O(buckets of that run) and
+// the retained state is O(buckets) — the footprint does not grow with the
+// run count, which is what lets a million-run campaign aggregate in
+// constant memory. The distributions answer quantile/CDF/fraction queries
+// within metrics.SketchAlpha relative error (exactly, below the small-N
+// cap).
 //
 // The zero value is ready to use; fold runs with AddResult in run-index
-// order (Summarize and RunCampaignSummary do) so float accumulation order
-// — and therefore every exported byte — is independent of scheduling.
+// order (Summarize does, and so does a RunCampaignFold whose fold is
+// AddResult) so float accumulation order — and therefore every exported
+// byte — is independent of scheduling.
 type Summary struct {
 	// Config is the first folded run's config.
 	Config   Config
 	Runs     int
 	Duration time.Duration
 
-	// Distribution aggregates, mirroring Result's Dist fields.
+	// Distribution aggregates, mirroring Result's sketches.
 	OWDms      metrics.Sketch
 	OWDByAlt   [altBuckets]metrics.Sketch
 	Goodput    metrics.Sketch
@@ -122,22 +123,22 @@ func (s *Summary) AddResult(r *Result) {
 	s.Runs++
 	s.Duration += r.Duration
 
-	s.OWDms.AddDist(&r.OWDms)
+	s.OWDms.Merge(&r.OWDms)
 	for b := range r.OWDByAlt {
-		s.OWDByAlt[b].AddDist(&r.OWDByAlt[b])
+		s.OWDByAlt[b].Merge(&r.OWDByAlt[b])
 	}
-	s.Goodput.AddDist(&r.Goodput)
-	s.FPS.AddDist(&r.FPS)
-	s.PlaybackMs.AddDist(&r.PlaybackMs)
-	s.SSIM.AddDist(&r.SSIM)
-	s.RTTms.AddDist(&r.RTTms)
+	s.Goodput.Merge(&r.Goodput)
+	s.FPS.Merge(&r.FPS)
+	s.PlaybackMs.Merge(&r.PlaybackMs)
+	s.SSIM.Merge(&r.SSIM)
+	s.RTTms.Merge(&r.RTTms)
 	for b := range r.RTTByAlt {
-		s.RTTByAlt[b].AddDist(&r.RTTByAlt[b])
+		s.RTTByAlt[b].Merge(&r.RTTByAlt[b])
 	}
-	s.JitterMs.AddDist(&r.JitterMs)
-	s.RTCPRTTms.AddDist(&r.RTCPRTTms)
-	s.OutageMs.AddDist(&r.OutageMs)
-	s.RecoveryMs.AddDist(&r.RecoveryMs)
+	s.JitterMs.Merge(&r.JitterMs)
+	s.RTCPRTTms.Merge(&r.RTCPRTTms)
+	s.OutageMs.Merge(&r.OutageMs)
+	s.RecoveryMs.Merge(&r.RecoveryMs)
 
 	s.PacketsSent += r.PacketsSent
 	s.PacketsDelivered += r.PacketsDelivered
@@ -227,18 +228,4 @@ func Summarize(results []*Result) *Summary {
 		s.AddResult(r)
 	}
 	return s
-}
-
-// RunCampaignSummary executes a campaign like RunCampaignWithOptions but
-// folds each run into a Summary as soon as its turn in run-index order
-// comes, discarding the per-run Result immediately: peak memory holds the
-// summary, the in-flight runs, and whatever completed out of order — not
-// the whole campaign. The fold order is the run index regardless of worker
-// count, so the summary (and anything exported from it) is byte-identical
-// at any parallelism. Per-run panics land in the error slice, indexed by
-// run, with that run simply missing from the aggregate.
-func RunCampaignSummary(cfg Config, runs int, opts CampaignOptions) (*Summary, []error) {
-	sum := &Summary{}
-	errs := RunCampaignFold(cfg, runs, opts, func(_ int, r *Result) { sum.AddResult(r) })
-	return sum, errs
 }

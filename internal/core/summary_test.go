@@ -56,11 +56,13 @@ func sketches(s *Summary) (out []*metrics.Sketch) {
 // sample-retaining reference fold of merge_ref_test.go on every exported
 // field of Summary, found by reflection: numbers exactly (floats to the
 // last few ulps), distribution queries within the sketch's relative-error
-// guarantee. A field added to Result has to be folded into a Summary field
-// of its name, and move off zero there, or be listed below as per-run.
+// guarantee of the runs' raw samples. A field added to Result has to be
+// folded into a Summary field of its name, and move off zero there, or be
+// listed below as per-run.
 func TestSummaryMatchesMerge(t *testing.T) {
+	tp := InstallTap(t)
 	results := wireCampaign(t)
-	ref := mergeRef(results)
+	ref, dists := mergeRef(results, tp)
 	sum := Summarize(results)
 
 	// What a Summary holds under a name the reference does not: lengths of
@@ -110,18 +112,17 @@ func TestSummaryMatchesMerge(t *testing.T) {
 				t.Errorf("FaultEpisodes = %v, want %v", *got, ref.FaultEpisodes)
 			}
 		case *metrics.Sketch:
-			d := rv.FieldByName(name).Addr().Interface().(*metrics.Dist)
-			if d.N() == 0 {
+			if dists[name].N() == 0 {
 				t.Errorf("%s: the reference holds no samples", name)
 			}
-			matchSketch(t, name, got, d)
+			matchSketch(t, name, got, dists[name])
 		case *[altBuckets]metrics.Sketch:
-			ds := rv.FieldByName(name).Addr().Interface().(*[altBuckets]metrics.Dist)
-			if ds[0].N() == 0 {
+			if dists[name+"[0]"].N() == 0 {
 				t.Errorf("%s: the reference holds no samples", name)
 			}
 			for b := range got {
-				matchSketch(t, fmt.Sprintf("%s[%d]", name, b), &got[b], &ds[b])
+				key := fmt.Sprintf("%s[%d]", name, b)
+				matchSketch(t, key, &got[b], dists[key])
 			}
 		default:
 			g, ok := number(f)
@@ -233,6 +234,15 @@ func wireCampaign(t *testing.T) []*Result {
 	return append(results, Run(ping))
 }
 
+// runCampaignSummary runs a campaign straight into a Summary, folding each
+// run as its turn comes and dropping it — what the experiment suite's
+// campaign() does through RunCampaignFold.
+func runCampaignSummary(cfg Config, runs int, opts CampaignOptions) (*Summary, []error) {
+	sum := &Summary{}
+	errs := RunCampaignFold(cfg, runs, opts, func(_ int, r *Result) { sum.AddResult(r) })
+	return sum, errs
+}
+
 // TestRunCampaignSummaryDeterministic: the streaming fold must equal the
 // batch fold, at any worker count, field for field — this is the byte-
 // stability contract the report bundles build on.
@@ -248,8 +258,8 @@ func TestRunCampaignSummaryDeterministic(t *testing.T) {
 	}
 	batch := Summarize(batchRes)
 
-	serial, serrs := RunCampaignSummary(cfg, runs, CampaignOptions{Workers: 1})
-	par, perrs := RunCampaignSummary(cfg, runs, CampaignOptions{Workers: 4})
+	serial, serrs := runCampaignSummary(cfg, runs, CampaignOptions{Workers: 1})
+	par, perrs := runCampaignSummary(cfg, runs, CampaignOptions{Workers: 4})
 	for i := 0; i < runs; i++ {
 		if serrs[i] != nil || perrs[i] != nil {
 			t.Fatalf("run %d errored: serial %v, parallel %v", i, serrs[i], perrs[i])
@@ -269,7 +279,7 @@ func TestRunCampaignSummaryPanic(t *testing.T) {
 	// A negative SCReAM feedback interval makes sim.Every panic inside Run.
 	cfg := Config{Env: cell.Urban, CC: CCSCReAM, Seed: 1,
 		Duration: time.Second, ScreamFeedbackInterval: -time.Millisecond}
-	sum, errs := RunCampaignSummary(cfg, 3, CampaignOptions{Workers: 2})
+	sum, errs := runCampaignSummary(cfg, 3, CampaignOptions{Workers: 2})
 	for i, err := range errs {
 		if err == nil {
 			t.Errorf("run %d: expected panic error", i)
@@ -288,13 +298,13 @@ func TestSummaryMemoryBounded(t *testing.T) {
 		t.Skip("multi-config campaign")
 	}
 	cfg := Config{Env: cell.Urban, Air: true, CC: CCGCC, Seed: 5, Duration: 30 * time.Second}
-	small, errs := RunCampaignSummary(cfg, 2, CampaignOptions{})
+	small, errs := runCampaignSummary(cfg, 2, CampaignOptions{})
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	large, errs := RunCampaignSummary(cfg, 8, CampaignOptions{})
+	large, errs := runCampaignSummary(cfg, 8, CampaignOptions{})
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -317,8 +327,8 @@ func TestSummaryMemoryBounded(t *testing.T) {
 	if largeCells > 2*smallCells {
 		t.Errorf("retained cells grew with run count: %d for 8 runs vs %d for 2", largeCells, smallCells)
 	}
-	// And both are far below what the raw samples would occupy (16 bytes a
-	// cell against 8 a sample).
+	// And both are far below what the raw samples would occupy (8 bytes a
+	// cell, as a sample).
 	if 20*largeCells > largeN {
 		t.Errorf("%d sketch cells not ≪ %d raw samples", largeCells, largeN)
 	}

@@ -36,7 +36,7 @@ func (c *countingSink) PublishStatus(s obs.StatusSnapshot) {
 }
 
 // TestCampaignStatusSink: every campaign entry point — per-run results and
-// the streaming summary alike — drives the sink once per run to a terminal
+// a fold straight into a Summary alike — drives the sink once per run to a terminal
 // snapshot with runs_done == runs_total, every run's latency histograms
 // reach the merged registry, and failed runs are counted, not observed.
 func TestCampaignStatusSink(t *testing.T) {
@@ -50,7 +50,7 @@ func TestCampaignStatusSink(t *testing.T) {
 			return errs
 		}},
 		{"RunCampaignSummary", func(cfg Config, o CampaignOptions) []error {
-			_, errs := RunCampaignSummary(cfg, runs, o)
+			_, errs := runCampaignSummary(cfg, runs, o)
 			return errs
 		}},
 	}
@@ -88,7 +88,7 @@ func TestCampaignStatusSink(t *testing.T) {
 				t.Errorf("merged packets_sent counter = %d, want > 0", got)
 			}
 			for _, name := range []string{TelemetryFrameDelay, TelemetryQueueDelay} {
-				if reg.LogHistogram(name).Count() == 0 {
+				if reg.LogHistogram(name).N() == 0 {
 					t.Errorf("log histogram %s is empty after %d runs", name, runs)
 				}
 			}
@@ -146,7 +146,7 @@ func TestFleetStatusSink(t *testing.T) {
 	if attaches < size {
 		t.Errorf("cell table shows %d attaches for a fleet of %d", attaches, size)
 	}
-	if reg := tel.SnapshotRegistry(); reg.LogHistogram(TelemetryFrameDelay).Count() == 0 {
+	if reg := tel.SnapshotRegistry(); reg.LogHistogram(TelemetryFrameDelay).N() == 0 {
 		t.Error("fleet runs recorded no frame delays")
 	}
 }
@@ -160,21 +160,23 @@ func TestRunTelemetryHistograms(t *testing.T) {
 		t.Fatal("Result.Telemetry not populated")
 	}
 	fd := res.Telemetry.LogHistogram(TelemetryFrameDelay)
-	if fd.Count() == 0 {
+	if fd.N() == 0 {
 		t.Error("frame delay histogram empty")
 	}
-	if int(fd.Count()) != res.FramesPlayed {
-		t.Errorf("frame delay count %d != frames played %d", fd.Count(), res.FramesPlayed)
+	if fd.N() != res.FramesPlayed {
+		t.Errorf("frame delay count %d != frames played %d", fd.N(), res.FramesPlayed)
 	}
-	if res.Telemetry.LogHistogram(TelemetryQueueDelay).Count() == 0 {
+	if res.Telemetry.LogHistogram(TelemetryQueueDelay).N() == 0 {
 		t.Error("queue delay histogram empty")
 	}
 	// The live histograms must NOT leak into the baseline-compared
 	// registry: checked-in baselines predate them.
 	drifts := obs.CompareRegistries(obs.NewRegistry(), res.MetricsRegistry(), obs.Tolerance{})
 	for _, d := range drifts {
-		if strings.HasPrefix(d.Metric, "loghistogram") {
-			t.Errorf("telemetry histogram leaked into MetricsRegistry: %s", d)
+		for _, name := range []string{TelemetryFrameDelay, TelemetryQueueDelay, TelemetryNackRTT, TelemetryHandoverInterruption} {
+			if strings.HasPrefix(d.Metric, "histogram/"+name) {
+				t.Errorf("telemetry histogram leaked into MetricsRegistry: %s", d)
+			}
 		}
 	}
 }

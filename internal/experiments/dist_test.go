@@ -216,11 +216,12 @@ func shardOf(registry, trace string) []byte {
 	return append(append(raw, registry...), trace...)
 }
 
-// A registry section with one histogram, and the same histogram at another
-// layout: folding the second after the first used to panic in obs.
+// Registry sections whose histogram counts cannot be a sketch's — a
+// negative bucket, buckets short of the count — and a sound one.
 const (
-	registryTwoEdges = `{"counters":{"packets_sent":3},"histograms":{"owd_ms":{"buckets":[1,2],"counts":[1,2],"overflow":0,"count":3,"sum":4}}}`
-	registryOneEdge  = `{"counters":{"packets_sent":1},"histograms":{"owd_ms":{"buckets":[1],"counts":[1],"overflow":0,"count":1,"sum":1}}}`
+	registryNegativeBucket = `{"counters":{"packets_sent":3},"histograms":{"owd_ms":{"count":3,"sum":4,"buckets":{"0":4,"35":-1}}}}`
+	registryShortBuckets   = `{"counters":{"packets_sent":1},"histograms":{"owd_ms":{"count":2,"sum":1,"buckets":{"0":1}}}}`
+	registrySound          = `{"counters":{"packets_sent":3},"histograms":{"owd_ms":{"count":3,"sum":4,"min":1,"max":2,"buckets":{"0":1,"35":2}}}}`
 )
 
 // TestSplitShard: sections come back as slices of the shard, and lengths
@@ -262,9 +263,10 @@ func TestSplitShard(t *testing.T) {
 		}
 	}
 	for want, shards := range map[string][][]byte{
-		"run 0: shard sections":                 {lengths(max-3, 16)},
-		"run 1 registry: obs: parsing":          {shardOf("{}", ""), shardOf("{", "")},
-		`run 2 registry: histogram "owd_ms": b`: {shardOf(registryTwoEdges, ""), nil, shardOf(registryOneEdge, "")},
+		"run 0: shard sections":        {lengths(max-3, 16)},
+		"run 1 registry: obs: parsing": {shardOf("{}", ""), shardOf("{", "")},
+		"run 2 registry: obs: parsing": {shardOf(registrySound, ""), nil, shardOf(registryShortBuckets, "")},
+		"run 0 registry: obs: parsing": {shardOf(registryNegativeBucket, ""), shardOf(registrySound, "")},
 	} {
 		_, err := FoldDistShards(DistSpec{}, &dist.Outcome{Shards: shards, RunErrs: make([]error, len(shards))})
 		if err == nil || !strings.HasPrefix(err.Error(), want) {
@@ -300,8 +302,8 @@ func FuzzFoldDistShards(f *testing.F) {
 		f.Add(real[run])
 	}
 	f.Add(real[0][:len(real[0])/2])
-	f.Add(shardOf(registryOneEdge, "")) // real shards hold owd_ms at 13 edges
-	f.Add(shardOf(`{"histograms":{"x":null},"loghistograms":{"y":{"count":1,"sum":1,"buckets":{"700":1}}}}`, "{}\n"))
+	f.Add(shardOf(registryNegativeBucket, ""))
+	f.Add(shardOf(`{"histograms":{"x":null,"y":{"count":1,"sum":1,"buckets":{"700":1}}}}`, "{}\n"))
 
 	f.Fuzz(func(t *testing.T, shard []byte) {
 		for _, shards := range [][][]byte{{real[0], shard}, {shard, real[1]}} {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"time"
 
 	"rpivideo/internal/cell"
@@ -164,8 +165,13 @@ func Fig8HandoverTimeline(o Options) *Report {
 	}
 	// Shape: the peak OWD in the window around each HO (the pre-HO
 	// degradation through the execution gap) should far exceed the
-	// flight's median OWD.
-	med := res.OWDms.Median()
+	// flight's median OWD — the exact median, from every sample the trace
+	// holds (the Result keeps a sketch).
+	var all metrics.Dist
+	for _, s := range a.OWDWindow(0, math.MaxInt64) {
+		all.Add(s.Ms)
+	}
+	med := all.Median()
 	spiked := 0
 	for _, e := range handovers {
 		for _, s := range a.OWDWindow(e.AtUs-usPerSecond, e.AtUs+e.GapUs+usPerSecond/2) {

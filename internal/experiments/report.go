@@ -201,9 +201,9 @@ func seededCampaign(cfg core.Config, o Options) []*core.Result {
 // campaign returns the memoized sketch-based summary for a configuration.
 // When another figure has already materialized the per-run results (the
 // mobility configs feed both granularities), those are folded rather than
-// re-run; otherwise the campaign streams through core.RunCampaignSummary,
-// never holding more than the in-flight runs. Either path folds in
-// run-index order, so the summary is identical.
+// re-run; otherwise the campaign streams through core.RunCampaignFold into
+// Summary.AddResult, never holding more than the in-flight runs. Either path
+// folds in run-index order, so the summary is identical.
 func campaign(cfg core.Config, o Options) *core.Summary {
 	key := campaignKey(cfg, o)
 	e, _ := summaryCache.LoadOrStore(key, &summaryEntry{})
@@ -215,8 +215,8 @@ func campaign(cfg core.Config, o Options) *core.Summary {
 				return
 			}
 		}
-		sum, errs := core.RunCampaignSummary(cfg, o.Runs, experimentOptions(o))
-		mustRun(errs)
+		sum := &core.Summary{}
+		mustRun(core.RunCampaignFold(cfg, o.Runs, experimentOptions(o), func(_ int, r *core.Result) { sum.AddResult(r) }))
 		ent.sum = sum
 	})
 	return ent.sum

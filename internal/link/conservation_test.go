@@ -52,8 +52,6 @@ func TestAQMBoundsSojourn(t *testing.T) {
 	s := sim.New(4)
 	p := cleanProfile() // 10 Mbps deterministic
 	p.AQM = true
-	p.AQMTarget = 50 * time.Millisecond
-	p.AQMInterval = 100 * time.Millisecond
 	l := New(s, p, nil, nil, s.Stream("link"))
 	got := collect(l)
 	// Offer 13 Mbps (1.3×) for 20 s: without AQM the sojourn would grow to

@@ -14,6 +14,7 @@ import (
 	"rpivideo/internal/cell"
 	"rpivideo/internal/fault"
 	"rpivideo/internal/flight"
+	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
 	"rpivideo/internal/sim"
 )
@@ -211,7 +212,7 @@ type Link struct {
 	// (enqueue to end of serialization) in milliseconds. Like tracing it is
 	// strictly observational: one nil-check branch on the service path and
 	// no allocation.
-	queueHist *obs.LogHistogram
+	queueHist *metrics.Sketch
 }
 
 type queued struct {
@@ -347,7 +348,7 @@ func (l *Link) SetTracer(tr *obs.Tracer, dir obs.Dir) {
 
 // SetQueueDelayHist attaches a histogram that records each served packet's
 // queueing delay in milliseconds. Nil disables recording.
-func (l *Link) SetQueueDelayHist(h *obs.LogHistogram) { l.queueHist = h }
+func (l *Link) SetQueueDelayHist(h *metrics.Sketch) { l.queueHist = h }
 
 // Capacity returns the link capacity in bits/s as of the most recently
 // advanced point of the fluctuation process (before handover degradation).
@@ -726,11 +727,18 @@ func (l *Link) serveNext() {
 func (l *Link) served() {
 	pkt := l.dequeueHead()
 	if l.queueHist != nil {
-		l.queueHist.Observe(float64(l.sim.Now()-pkt.sentAt) / float64(time.Millisecond))
+		l.queueHist.Add(float64(l.sim.Now()-pkt.sentAt) / float64(time.Millisecond))
 	}
 	l.deliver(pkt)
 	l.serveNext()
 }
+
+// CoDel's parameters: the acceptable standing sojourn time and the
+// interval it may be exceeded for.
+const (
+	codelTarget   = 50 * time.Millisecond
+	codelInterval = 100 * time.Millisecond
+)
 
 // codel applies the CoDel control law at dequeue time: once the head-of-
 // queue sojourn has exceeded the target for a whole interval, head packets
@@ -740,14 +748,6 @@ func (l *Link) codel(now time.Duration) {
 	if !l.prof.AQM {
 		return
 	}
-	target := l.prof.AQMTarget
-	if target == 0 {
-		target = 50 * time.Millisecond
-	}
-	interval := l.prof.AQMInterval
-	if interval == 0 {
-		interval = 100 * time.Millisecond
-	}
 	sojourn := func() (time.Duration, bool) {
 		if l.queue.len() == 0 {
 			return 0, false
@@ -755,13 +755,13 @@ func (l *Link) codel(now time.Duration) {
 		return now - l.queue.at(0).sentAt, true
 	}
 	s, ok := sojourn()
-	if !ok || s < target {
+	if !ok || s < codelTarget {
 		l.codelFirstAbove = 0
 		l.codelDropping = false
 		return
 	}
 	if l.codelFirstAbove == 0 {
-		l.codelFirstAbove = now + interval
+		l.codelFirstAbove = now + codelInterval
 		return
 	}
 	if !l.codelDropping {
@@ -771,7 +771,7 @@ func (l *Link) codel(now time.Duration) {
 		// Enter the dropping state. Resume near the previous drop rate if
 		// we were dropping recently (CoDel's hysteresis).
 		l.codelDropping = true
-		if l.codelCount > 2 && now-l.codelDropNext < 8*interval {
+		if l.codelCount > 2 && now-l.codelDropNext < 8*codelInterval {
 			l.codelCount -= 2
 		} else {
 			l.codelCount = 1
@@ -780,7 +780,7 @@ func (l *Link) codel(now time.Duration) {
 	}
 	for l.codelDropping && now >= l.codelDropNext {
 		s, ok := sojourn()
-		if !ok || s < target {
+		if !ok || s < codelTarget {
 			l.codelDropping = false
 			l.codelFirstAbove = 0
 			return
@@ -801,7 +801,7 @@ func (l *Link) codel(now time.Duration) {
 			}
 		}
 		l.codelCount++
-		l.codelDropNext = now + time.Duration(float64(interval)/math.Sqrt(float64(l.codelCount)))
+		l.codelDropNext = now + time.Duration(float64(codelInterval)/math.Sqrt(float64(l.codelCount)))
 	}
 }
 

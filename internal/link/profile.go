@@ -51,12 +51,8 @@ type Profile struct {
 
 	// AQM enables a CoDel-style active queue manager on the bottleneck
 	// buffer — the §5 bufferbloat mitigation ("optimizing deep network
-	// queues for video traffic"). AQMTarget is the acceptable standing
-	// sojourn time (50 ms when zero), AQMInterval the CoDel interval
-	// (100 ms when zero).
-	AQM         bool
-	AQMTarget   time.Duration
-	AQMInterval time.Duration
+	// queues for video traffic") — with codelTarget and codelInterval.
+	AQM bool
 
 	// AltOutlierAbove enables rare link stalls (HARQ/RLC retransmission
 	// pile-ups) above this altitude (m): Fig. 13 shows the proportion of

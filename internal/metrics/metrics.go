@@ -1,7 +1,8 @@
 // Package metrics provides the statistical aggregates used throughout the
-// reproduction: sample distributions with quantiles and CDFs (the paper's
-// box plots and CDF figures) and the mergeable sketch campaigns fold them
-// into. Time-windowed queries over a run (the pre/post-handover latency-ratio
+// reproduction: the mergeable log-bucketed Sketch every run and campaign
+// records its distributions in (the paper's box plots and CDF figures), and
+// the exact Dist for small collections a figure assembles itself.
+// Time-windowed queries over a run (the pre/post-handover latency-ratio
 // analysis of Fig. 9) live in internal/obs/analyze, over the run's trace.
 package metrics
 
@@ -11,69 +12,32 @@ import (
 	"sort"
 )
 
-// distChunk is the length at which Add stops regrowing the slice it appends
-// to and starts a fresh one. A per-packet Dist of a long flight holds several
-// hundred thousand samples; regrowing one slice that far copies every sample
-// about four times over and was a quarter of a flight's allocated bytes.
-const distChunk = 8192
-
-// Dist accumulates a sample distribution. The zero value is ready to use.
-//
-// Samples live in one slice until it has grown to distChunk; from there Add
-// sets full slices aside and the first read that needs them in one piece
-// (flat) concatenates them once, into a slice of exactly the right size. A
-// Dist that stays under distChunk never leaves the single slice.
+// Dist keeps every sample of a distribution and answers exactly. It is for
+// the figures' own small collections (per-run rates, per-handover ratios,
+// per-UAV goodputs); what a run records goes into a Sketch. The zero value
+// is ready to use.
 type Dist struct {
-	samples []float64   // the slice Add appends to; all samples when full is nil
-	full    [][]float64 // filled slices before samples, in insertion order
-	nFull   int         // samples held in full
+	samples []float64
 	sorted  bool
 	sum     float64
 }
 
 // Add appends one sample.
 func (d *Dist) Add(v float64) {
-	if len(d.samples) == cap(d.samples) && len(d.samples) >= distChunk {
-		if d.full == nil {
-			// A Dist that has filled one slice is a per-packet one and
-			// will fill dozens: skip the list's first four regrowths.
-			d.full = make([][]float64, 0, 16)
-		}
-		d.full = append(d.full, d.samples)
-		d.nFull += len(d.samples)
-		d.samples = make([]float64, 0, distChunk)
-	}
 	d.samples = append(d.samples, v)
 	d.sorted = false
 	d.sum += v
 }
 
-// flat returns all samples as one slice, joining the filled slices first.
-// Callers may sort it: the filled slices are left as they were, so a copy of
-// the Dist made by value before the join still reads its own samples.
-func (d *Dist) flat() []float64 {
-	if d.full != nil {
-		all := make([]float64, 0, d.N())
-		for _, c := range d.full {
-			all = append(all, c...)
-		}
-		d.samples = append(all, d.samples...)
-		d.full, d.nFull = nil, 0
-	}
-	return d.samples
-}
-
 // N returns the number of samples.
-func (d *Dist) N() int { return d.nFull + len(d.samples) }
+func (d *Dist) N() int { return len(d.samples) }
 
 // Samples returns a copy of the raw samples in insertion order (sorted
 // ascending if a quantile query has run). The copy is the caller's: later
 // quantile queries — which sort the internal slice in place — cannot
 // reorder it, and mutating it cannot corrupt the distribution.
 func (d *Dist) Samples() []float64 {
-	out := make([]float64, d.N())
-	copy(out, d.flat())
-	return out
+	return append([]float64(nil), d.samples...)
 }
 
 // Sum returns the sum of all samples.
@@ -89,12 +53,11 @@ func (d *Dist) Mean() float64 {
 
 // sort returns all samples in ascending order.
 func (d *Dist) sort() []float64 {
-	s := d.flat()
 	if !d.sorted {
-		sort.Float64s(s)
+		sort.Float64s(d.samples)
 		d.sorted = true
 	}
-	return s
+	return d.samples
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
@@ -131,7 +94,7 @@ func (d *Dist) Median() float64 { return d.Quantile(0.5) }
 
 // Stddev returns the population standard deviation.
 func (d *Dist) Stddev() float64 {
-	s := d.flat()
+	s := d.samples
 	if len(s) == 0 {
 		return 0
 	}

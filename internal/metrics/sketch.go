@@ -39,17 +39,17 @@ func sketchIndexLog(v float64) int32 {
 }
 
 // The table-driven index. Every sample a run records — delays in ms, rates,
-// frame rates — falls in a window of indices a little wider than the obs
-// LogHistogram's [-500, 700] (3.6e-5 … 1.5e6), and there one math.Log per
-// sample was 7 % of a flight. sketchEdges[j] is the largest float64 that
-// sketchIndexLog maps to index sketchTabMin-1+j or below, found at package
-// init by bisecting the floats around gamma^index with sketchIndexLog
-// itself (≈ 20 k Log calls, 0.6 ms); a value's index is then the first
-// edge it does not exceed. The lookup guesses that edge from the exponent
-// and the top sketchMantBits mantissa bits (a guess is off by at most one:
-// a mantissa cell is 0.025 buckets wide) and settles it by comparing
-// against the edges, so inside the window the table and the Log form agree
-// wherever the Log form is monotone, and outside it the Log form answers.
+// frame rates — falls in the index window [-512, 712] (3.6e-5 … 1.5e6), and
+// there one math.Log per sample was 7 % of a flight. sketchEdges[j] is the
+// largest float64 that sketchIndexLog maps to index sketchTabMin-1+j or
+// below, found at package init by bisecting the floats around gamma^index
+// with sketchIndexLog itself (≈ 20 k Log calls, 0.6 ms); a value's index is
+// then the first edge it does not exceed. The lookup guesses that edge from
+// the exponent and the top sketchMantBits mantissa bits (a guess is off by
+// at most one: a mantissa cell is 0.025 buckets wide) and settles it by
+// comparing against the edges, so inside the window the table and the Log
+// form agree wherever the Log form is monotone, and outside it the Log form
+// answers.
 const (
 	sketchTabMin   = -512
 	sketchTabMax   = 712
@@ -81,10 +81,21 @@ func init() {
 
 // sketchIndex maps a positive value to its log-bucket index.
 func sketchIndex(v float64) int32 {
-	const last = len(sketchEdges) - 1
-	if !(v > sketchEdges[0] && v <= sketchEdges[last]) {
+	if !inTable(v) {
 		return sketchIndexLog(v) // also NaN
 	}
+	return int32(sketchEdge(v) + sketchTabMin - 1)
+}
+
+// inTable reports whether v lies inside the table's window.
+func inTable(v float64) bool {
+	return v > sketchEdges[0] && v <= sketchEdges[len(sketchEdges)-1]
+}
+
+// sketchEdge returns the j with sketchEdges[j-1] < v ≤ sketchEdges[j] for a
+// v inside the table's window: the bucket of index sketchTabMin-1+j.
+func sketchEdge(v float64) int {
+	const last = len(sketchEdges) - 1
 	bits := math.Float64bits(v) // positive and normal: the window says so
 	exp := int(bits>>52) - 1023
 	mant := bits >> (52 - sketchMantBits) & (1<<sketchMantBits - 1)
@@ -102,13 +113,13 @@ func sketchIndex(v float64) int32 {
 	for v <= sketchEdges[j-1] {
 		j--
 	}
-	return int32(j + sketchTabMin - 1)
+	return j
 }
 
 // BucketIndex exposes the package bucketing scheme: the log-bucket index of
 // a positive value, where bucket i covers (gamma^(i-1), gamma^i] with
-// gamma = (1+SketchAlpha)/(1-SketchAlpha). Consumers that want to share the
-// Sketch layout (the obs LogHistogram) call this instead of re-deriving it.
+// gamma = (1+SketchAlpha)/(1-SketchAlpha). It is the layout of every Sketch
+// and of the registry's histogram wire format.
 func BucketIndex(v float64) int32 { return sketchIndex(v) }
 
 // BucketUpper returns bucket idx's upper edge gamma^idx — the inverse of
@@ -120,59 +131,114 @@ func sketchRep(idx int32) float64 {
 	return math.Pow(sketchGamma, float64(idx)) * sketchRepFactor
 }
 
-// Sketch is a mergeable, fixed-layout, log-bucketed distribution summary:
-// the campaign-scale replacement for Dist. Adding a sample is O(1), memory
-// is O(distinct buckets) — bounded by the value range, not the sample
-// count — and quantile/CDF queries come back within SketchAlpha relative
-// error. Up to sketchExactCap samples the sketch keeps the raw values and
-// answers exactly, so small distributions behave like a Dist.
+// The bucket indices a finite non-zero magnitude can have: a wire sketch
+// naming any other index is not one this package wrote.
+var (
+	sketchMinIndex = sketchIndexLog(math.SmallestNonzeroFloat64)
+	sketchMaxIndex = sketchIndexLog(math.MaxFloat64)
+)
+
+// Sketch is the one recorded distribution: every per-run and campaign
+// distribution — delays, rates, frame rates, SSIM, fleet shares, the live
+// telemetry histograms — is a Sketch. It is mergeable and log-bucketed with a
+// fixed layout: adding a sample is one table lookup and one increment,
+// memory is O(buckets) — bounded by the value range, not the sample count —
+// and quantile/CDF queries come back within SketchAlpha relative error. Up
+// to sketchExactCap samples the sketch keeps the raw values and answers
+// exactly, so small distributions behave like a Dist.
 //
 // Merge is deterministic: the merged sketch's query answers are a pure
 // function of the combined sample multiset, independent of merge order or
 // grouping (the float Sum accumulates in fold order, so Mean may differ in
-// the last ulps across orders — bucket counts, N, Min, Max and quantiles
+// the last ulps across groupings — bucket counts, N, Min, Max and quantiles
 // do not). The zero value is ready to use.
 type Sketch struct {
-	// exact holds the raw samples while n ≤ sketchExactCap; nil once the
-	// sketch has spilled into buckets.
-	exact  []float64
-	sorted bool
-	// pos and neg are the log-bucket counts for positive and negative
-	// samples (neg indexed by the bucket of -v); zero counts exact zeros.
-	pos, neg map[int32]int64
+	// exact holds the raw samples until the sketch spills: past
+	// sketchExactCap samples, or when a bucketed sketch is merged in.
+	exact   []float64
+	sorted  bool
+	spilled bool
+	// pos and neg count positive samples and negative ones (neg by the
+	// bucket of -v); zero counts exact zeros.
+	pos, neg cells
 	zero     int64
+	// (lastLo, lastHi] are the edges of the positive bucket lastIdx the
+	// latest table lookup found. Consecutive samples of a run (one frame's
+	// packets, one second's rates) mostly share a bucket, and those skip
+	// the lookup.
+	lastLo, lastHi float64
+	lastIdx        int32
 
 	n        int64
 	sum      float64
 	min, max float64
 }
 
-// spilled reports whether the sketch has left the exact path.
-func (s *Sketch) spilled() bool { return s.pos != nil }
-
-// spill folds the exact samples into log buckets and drops them.
-func (s *Sketch) spill() {
-	if s.spilled() {
-		return
-	}
-	s.pos = make(map[int32]int64)
-	s.neg = make(map[int32]int64)
-	for _, v := range s.exact {
-		s.bucketAdd(v, 1)
-	}
-	s.exact = nil
-	s.sorted = false
+// cells is a dense window of bucket counters: counts[j] counts bucket
+// base+j. It widens on demand, so it spans the buckets the samples reached
+// (plus slack), whatever their unit.
+type cells struct {
+	base   int32
+	counts []int64
 }
 
-// bucketAdd counts one value (with multiplicity) into the bucket maps.
-func (s *Sketch) bucketAdd(v float64, count int64) {
-	switch {
-	case v > 0:
-		s.pos[sketchIndex(v)] += count
-	case v < 0:
-		s.neg[sketchIndex(-v)] += count
-	default:
-		s.zero += count
+// cellSlack is the extra width a window takes on the side it grows.
+const cellSlack = 4
+
+// add counts c samples into bucket idx.
+func (w *cells) add(idx int32, c int64) {
+	if j := uint32(idx - w.base); j < uint32(len(w.counts)) {
+		w.counts[j] += c
+		return
+	}
+	w.cover(idx, idx)
+	w.counts[idx-w.base] += c
+}
+
+// cover widens the window to hold buckets lo..hi. The side that grows takes
+// a quarter of the current width (plus cellSlack) as slack, so a drifting
+// sample range copies the window a logarithmic number of times and the
+// slack stays near a fifth of the width.
+func (w *cells) cover(lo, hi int32) {
+	if len(w.counts) == 0 {
+		w.base, w.counts = lo-cellSlack, make([]int64, hi-lo+1+2*cellSlack)
+		return
+	}
+	top := w.base + int32(len(w.counts)) - 1
+	if lo >= w.base && hi <= top {
+		return
+	}
+	pad := int32(len(w.counts))/4 + cellSlack
+	newLo, newHi := w.base, top
+	if lo < newLo {
+		newLo = lo - pad
+	}
+	if hi > newHi {
+		newHi = hi + pad
+	}
+	grown := make([]int64, newHi-newLo+1)
+	copy(grown[w.base-newLo:], w.counts)
+	w.base, w.counts = newLo, grown
+}
+
+// merge adds o's counts into w.
+func (w *cells) merge(o *cells) {
+	first, last := -1, -1
+	for j, c := range o.counts {
+		if c != 0 {
+			if first < 0 {
+				first = j
+			}
+			last = j
+		}
+	}
+	if first < 0 {
+		return
+	}
+	w.cover(o.base+int32(first), o.base+int32(last))
+	off := o.base - w.base
+	for j := first; j <= last; j++ {
+		w.counts[int32(j)+off] += o.counts[j]
 	}
 }
 
@@ -180,38 +246,64 @@ func (s *Sketch) bucketAdd(v float64, count int64) {
 // ranked, an infinity has no bucket, and one pathological sample must not
 // poison a campaign aggregate).
 func (s *Sketch) Add(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
+	if v-v != 0 { // NaN or ±Inf
 		return
 	}
-	if s.n == 0 || v < s.min {
+	if s.n == 0 {
+		s.min, s.max = v, v
+	} else if v < s.min {
 		s.min = v
-	}
-	if s.n == 0 || v > s.max {
+	} else if v > s.max {
 		s.max = v
 	}
 	s.n++
 	s.sum += v
-	if !s.spilled() {
-		if s.n <= sketchExactCap {
-			s.exact = append(s.exact, v)
-			s.sorted = false
-			return
-		}
+	switch {
+	case v > s.lastLo && v <= s.lastHi:
+		s.pos.counts[s.lastIdx-s.pos.base]++
+	case s.spilled:
+		s.count(v)
+	case s.n <= sketchExactCap:
+		s.exact = append(s.exact, v)
+		s.sorted = false
+	default:
 		s.spill()
-	}
-	s.bucketAdd(v, 1)
-}
-
-// AddDist folds every sample of a Dist into the sketch.
-func (s *Sketch) AddDist(d *Dist) {
-	for _, v := range d.flat() {
-		s.Add(v)
+		s.count(v)
 	}
 }
 
-// Merge folds o into s. o is not modified. The result's bucket counts (and
-// therefore its quantiles, CDF and fractions) depend only on the combined
-// sample multiset, not on the order or grouping of merges.
+// count files one sample into its bucket on the bucketed path.
+func (s *Sketch) count(v float64) {
+	switch {
+	case v > 0 && inTable(v):
+		j := sketchEdge(v)
+		s.lastLo, s.lastHi, s.lastIdx = sketchEdges[j-1], sketchEdges[j], int32(j+sketchTabMin-1)
+		s.pos.add(s.lastIdx, 1)
+	case v > 0:
+		s.pos.add(sketchIndexLog(v), 1)
+	case v < 0:
+		s.neg.add(sketchIndex(-v), 1)
+	default:
+		s.zero++
+	}
+}
+
+// spill folds the exact samples into buckets and drops them.
+func (s *Sketch) spill() {
+	if s.spilled {
+		return
+	}
+	s.spilled = true
+	for _, v := range s.exact {
+		s.count(v)
+	}
+	s.exact, s.sorted = nil, false
+}
+
+// Merge folds o into s. o is not modified, and s shares no storage with it
+// afterwards. The result's bucket counts (and therefore its quantiles, CDF
+// and fractions) depend only on the combined sample multiset, not on the
+// order or grouping of merges.
 func (s *Sketch) Merge(o *Sketch) {
 	if o.n == 0 {
 		return
@@ -224,25 +316,21 @@ func (s *Sketch) Merge(o *Sketch) {
 	}
 	s.n += o.n
 	s.sum += o.sum
-	if !s.spilled() && !o.spilled() && s.n <= sketchExactCap {
+	if !s.spilled && !o.spilled && s.n <= sketchExactCap {
 		s.exact = append(s.exact, o.exact...)
 		s.sorted = false
 		return
 	}
 	s.spill()
-	if o.spilled() {
-		for idx, c := range o.pos {
-			s.pos[idx] += c
+	if !o.spilled {
+		for _, v := range o.exact {
+			s.count(v)
 		}
-		for idx, c := range o.neg {
-			s.neg[idx] += c
-		}
-		s.zero += o.zero
 		return
 	}
-	for _, v := range o.exact {
-		s.bucketAdd(v, 1)
-	}
+	s.pos.merge(&o.pos)
+	s.neg.merge(&o.neg)
+	s.zero += o.zero
 }
 
 // N returns the number of samples.
@@ -283,64 +371,42 @@ func (s *Sketch) sortExact() {
 	}
 }
 
-// atom is one value/count cell of the bucketed distribution, used for rank
-// walks in ascending value order.
-type atom struct {
-	v float64
-	c int64
+// walk hands fn every occupied bucket in ascending value order — its
+// index, the sign of its samples (-1, 0 for the zero cell, +1) and its
+// count — until fn returns false.
+func (s *Sketch) walk(fn func(idx int32, sign int, c int64) bool) {
+	for j := len(s.neg.counts) - 1; j >= 0; j-- {
+		if c := s.neg.counts[j]; c != 0 && !fn(s.neg.base+int32(j), -1, c) {
+			return
+		}
+	}
+	if s.zero != 0 && !fn(0, 0, s.zero) {
+		return
+	}
+	for j, c := range s.pos.counts {
+		if c != 0 && !fn(s.pos.base+int32(j), 1, c) {
+			return
+		}
+	}
 }
 
-// atoms returns the bucket cells in ascending value order.
-func (s *Sketch) atoms() []atom {
-	out := make([]atom, 0, len(s.neg)+len(s.pos)+1)
-	negIdx := make([]int32, 0, len(s.neg))
-	for idx := range s.neg {
-		negIdx = append(negIdx, idx)
-	}
-	// Larger |v| first for negatives → ascending value order.
-	sort.Slice(negIdx, func(i, j int) bool { return negIdx[i] > negIdx[j] })
-	for _, idx := range negIdx {
-		out = append(out, atom{v: -sketchRep(idx), c: s.neg[idx]})
-	}
-	if s.zero > 0 {
-		out = append(out, atom{v: 0, c: s.zero})
-	}
-	posIdx := make([]int32, 0, len(s.pos))
-	for idx := range s.pos {
-		posIdx = append(posIdx, idx)
-	}
-	sort.Slice(posIdx, func(i, j int) bool { return posIdx[i] < posIdx[j] })
-	for _, idx := range posIdx {
-		out = append(out, atom{v: sketchRep(idx), c: s.pos[idx]})
-	}
-	return out
+// rep is a bucket's representative value.
+func rep(idx int32, sign int) float64 {
+	return float64(sign) * sketchRep(idx)
 }
 
 // orderStat returns the k-th smallest sample's representative (0-indexed)
-// from the bucketed path.
-func orderStat(atoms []atom, k int64) float64 {
-	var cum int64
-	for _, a := range atoms {
-		cum += a.c
-		if cum > k {
-			return a.v
+// from the bucketed path, clamped to the exactly-tracked extremes.
+func (s *Sketch) orderStat(k int64) float64 {
+	v := s.max
+	s.walk(func(idx int32, sign int, c int64) bool {
+		if k -= c; k < 0 {
+			v = rep(idx, sign)
+			return false
 		}
-	}
-	if len(atoms) == 0 {
-		return 0
-	}
-	return atoms[len(atoms)-1].v
-}
-
-// clamp bounds a representative by the exactly-tracked extremes.
-func (s *Sketch) clamp(v float64) float64 {
-	if v < s.min {
-		return s.min
-	}
-	if v > s.max {
-		return s.max
-	}
-	return v
+		return true
+	})
+	return math.Min(math.Max(v, s.min), s.max)
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) with linear interpolation
@@ -360,7 +426,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 	pos := q * float64(s.n-1)
 	lo := int64(math.Floor(pos))
 	hi := int64(math.Ceil(pos))
-	if !s.spilled() {
+	if !s.spilled {
 		s.sortExact()
 		if lo == hi {
 			return s.exact[lo]
@@ -368,18 +434,31 @@ func (s *Sketch) Quantile(q float64) float64 {
 		frac := pos - float64(lo)
 		return s.exact[lo]*(1-frac) + s.exact[hi]*frac
 	}
-	atoms := s.atoms()
-	vlo := s.clamp(orderStat(atoms, lo))
+	vlo := s.orderStat(lo)
 	if lo == hi {
 		return vlo
 	}
-	vhi := s.clamp(orderStat(atoms, hi))
+	vhi := s.orderStat(hi)
 	frac := pos - float64(lo)
 	return vlo*(1-frac) + vhi*frac
 }
 
 // Median returns the 0.5-quantile.
 func (s *Sketch) Median() float64 { return s.Quantile(0.5) }
+
+// countWhere counts the samples whose bucket representative passes keep,
+// walking until it fails (keep is monotone: true, then false).
+func (s *Sketch) countWhere(keep func(v float64) bool) int64 {
+	var n int64
+	s.walk(func(idx int32, sign int, c int64) bool {
+		if !keep(rep(idx, sign)) {
+			return false
+		}
+		n += c
+		return true
+	})
+	return n
+}
 
 // FracBelow returns the fraction of samples strictly below x. On the
 // bucketed path a bucket counts as below x iff its representative is, so
@@ -388,18 +467,12 @@ func (s *Sketch) FracBelow(x float64) float64 {
 	if s.n == 0 {
 		return 0
 	}
-	if !s.spilled() {
+	if !s.spilled {
 		s.sortExact()
 		i := sort.SearchFloat64s(s.exact, x)
 		return float64(i) / float64(s.n)
 	}
-	var below int64
-	for _, a := range s.atoms() {
-		if a.v < x {
-			below += a.c
-		}
-	}
-	return float64(below) / float64(s.n)
+	return float64(s.countWhere(func(v float64) bool { return v < x })) / float64(s.n)
 }
 
 // FracAtOrAbove returns the fraction of samples ≥ x, or 0 when empty (so
@@ -418,21 +491,15 @@ func (s *Sketch) CDF(xs []float64) []float64 {
 	if s.n == 0 {
 		return out
 	}
-	if !s.spilled() {
+	if !s.spilled {
 		s.sortExact()
-		for i, x := range xs {
-			j := sort.Search(len(s.exact), func(k int) bool { return s.exact[k] > x })
-			out[i] = float64(j) / float64(s.n)
-		}
-		return out
 	}
-	atoms := s.atoms()
 	for i, x := range xs {
 		var le int64
-		for _, a := range atoms {
-			if a.v <= x {
-				le += a.c
-			}
+		if s.spilled {
+			le = s.countWhere(func(v float64) bool { return v <= x })
+		} else {
+			le = int64(sort.Search(len(s.exact), func(k int) bool { return s.exact[k] > x }))
 		}
 		out[i] = float64(le) / float64(s.n)
 	}
@@ -452,16 +519,41 @@ func (s *Sketch) Box() Box {
 	}
 }
 
-// Buckets returns the number of occupied cells: raw samples on the exact
-// path, distinct log buckets (plus the zero cell) once spilled. This is
-// the sketch's memory footprint driver.
+// Buckets returns the number of cells the sketch retains: raw samples on
+// the exact path, the width of its bucket windows once spilled. This is
+// the sketch's memory footprint, 8 bytes a cell.
 func (s *Sketch) Buckets() int {
-	if !s.spilled() {
-		return len(s.exact)
+	return len(s.exact) + len(s.pos.counts) + len(s.neg.counts)
+}
+
+// bucketed returns s, or a copy of s moved onto the bucketed path if s
+// still holds its samples exactly.
+func (s *Sketch) bucketed() *Sketch {
+	if s.spilled {
+		return s
 	}
-	n := len(s.pos) + len(s.neg)
-	if s.zero > 0 {
-		n++
+	b := &Sketch{spilled: true, n: s.n, sum: s.sum, min: s.min, max: s.max}
+	for _, v := range s.exact {
+		b.count(v)
 	}
-	return n
+	return b
+}
+
+// EachBucket hands fn every occupied bucket in ascending value order with
+// its upper edge and count: -gamma^(i-1) for negative bucket i, 0 for the
+// zero cell, gamma^i for positive bucket i — the cumulative layout of a
+// Prometheus histogram. A sketch on the exact path reports the buckets its
+// samples fall in.
+func (s *Sketch) EachBucket(fn func(upper float64, count int64)) {
+	s.bucketed().walk(func(idx int32, sign int, c int64) bool {
+		switch sign {
+		case -1:
+			fn(-BucketUpper(idx-1), c)
+		case 0:
+			fn(0, c)
+		default:
+			fn(BucketUpper(idx), c)
+		}
+		return true
+	})
 }

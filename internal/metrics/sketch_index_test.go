@@ -70,8 +70,8 @@ func TestSketchIndexAtEveryEdge(t *testing.T) {
 }
 
 // TestSketchIndexOutsideWindow: values the table does not cover, and the
-// non-values Sketch.Add and LogHistogram.Observe filter before asking, get
-// whatever the Log form gives.
+// non-values Sketch.Add filters before asking, get whatever the Log form
+// gives.
 func TestSketchIndexOutsideWindow(t *testing.T) {
 	for _, v := range []float64{
 		math.SmallestNonzeroFloat64, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-6,

@@ -1,8 +1,12 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -225,24 +229,24 @@ func TestSketchMergeSpillBoundary(t *testing.T) {
 		return &s
 	}
 	small := mk(sketchExactCap/2, 1)
-	if small.spilled() {
+	if small.spilled {
 		t.Fatal("small sketch spilled early")
 	}
 	// Exact + exact staying under the cap stays exact.
 	var a Sketch
 	a.Merge(mk(10, 1))
 	a.Merge(mk(10, 100))
-	if a.spilled() {
+	if a.spilled {
 		t.Error("20-sample merge spilled")
 	}
 	// Crossing the cap spills, and the source is untouched.
 	var b Sketch
 	b.Merge(small)
 	b.Merge(mk(sketchExactCap, 1000))
-	if !b.spilled() {
+	if !b.spilled {
 		t.Error("over-cap merge did not spill")
 	}
-	if small.spilled() {
+	if small.spilled {
 		t.Error("Merge mutated its argument")
 	}
 	if b.N() != sketchExactCap/2+sketchExactCap {
@@ -250,18 +254,229 @@ func TestSketchMergeSpillBoundary(t *testing.T) {
 	}
 }
 
-func TestSketchAddDist(t *testing.T) {
-	var d Dist
-	for i := 1; i <= 1000; i++ {
-		d.Add(float64(i))
+// TestSketchMergeMatchesAdd: a sketch merged from batches holds what one
+// sketch that saw every sample holds — the same exact samples below the cap,
+// the same buckets, N and extremes above it — at sizes on both sides of the
+// cap and with the halves on either path. Only the float Sum is grouped
+// differently.
+func TestSketchMergeMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range [][2]int{{0, 3}, {40, 60}, {100, 28}, {100, 29}, {3, 500}, {500, 3}, {900, 1100}} {
+		var whole, a, b Sketch
+		for i := 0; i < n[0]+n[1]; i++ {
+			v := math.Round(rng.ExpFloat64()*4000) / 100
+			if rng.Intn(50) == 0 {
+				v = -v
+			}
+			whole.Add(v)
+			if i < n[0] {
+				a.Add(v)
+			} else {
+				b.Add(v)
+			}
+		}
+		var merged Sketch
+		merged.Merge(&a)
+		merged.Merge(&b)
+		if !reflect.DeepEqual(contents(&merged), contents(&whole)) {
+			t.Errorf("%d+%d samples: merged sketch differs from adding them all", n[0], n[1])
+		}
 	}
+}
+
+// sketchContents is what a sketch holds, whatever shape its windows grew to.
+type sketchContents struct {
+	exact    []float64
+	spilled  bool
+	pos, neg map[int32]int64
+	zero, n  int64
+	min, max float64
+}
+
+func contents(s *Sketch) sketchContents {
+	occupied := func(w cells) map[int32]int64 {
+		m := map[int32]int64{}
+		for j, c := range w.counts {
+			if c != 0 {
+				m[w.base+int32(j)] = c
+			}
+		}
+		return m
+	}
+	return sketchContents{s.exact, s.spilled, occupied(s.pos), occupied(s.neg), s.zero, s.n, s.min, s.max}
+}
+
+// TestSketchCellsMatchMapOracle holds the dense bucket windows to the
+// sparse form they replaced: a map from bucket index to count, filled with
+// the same index. Samples span the whole float range on both signs, so the
+// windows grow in both directions and far past the index table.
+func TestSketchCellsMatchMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 50; trial++ {
+		var s Sketch
+		pos, neg := map[int32]int64{}, map[int32]int64{}
+		var zero int64
+		span := 1 + rng.Float64()*700
+		for i := rng.Intn(3000); i > 0; i-- {
+			v := math.Exp((rng.Float64() - 0.5) * span)
+			switch rng.Intn(8) {
+			case 0:
+				v = -v
+			case 1:
+				v = 0
+			}
+			s.Add(v)
+			switch {
+			case v > 0:
+				pos[sketchIndexLog(v)]++
+			case v < 0:
+				neg[sketchIndexLog(-v)]++
+			default:
+				zero++
+			}
+		}
+		got := contents(s.bucketed())
+		if !reflect.DeepEqual(got.pos, pos) || !reflect.DeepEqual(got.neg, neg) || got.zero != zero {
+			t.Fatalf("trial %d: windows hold %v / %v / %d, oracle %v / %v / %d", trial, got.pos, got.neg, got.zero, pos, neg, zero)
+		}
+	}
+}
+
+// TestSketchJSONRoundTrip: the wire shape reads back to the same bytes, a
+// sketch on the exact path writes what its spilled twin writes, and what
+// comes back answers bucketed queries like the original.
+func TestSketchJSONRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{0, 1, 5, sketchExactCap, 5000} {
+		var s Sketch
+		for i := 0; i < n; i++ {
+			v := rng.NormFloat64() * 1e3
+			if i%7 == 0 {
+				v = 0
+			}
+			s.Add(v)
+		}
+		a, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Sketch
+		if err := json.Unmarshal(a, &back); err != nil {
+			t.Fatalf("n=%d: own export refused: %v\n%s", n, err, a)
+		}
+		b, _ := json.Marshal(&back)
+		if !bytes.Equal(a, b) {
+			t.Errorf("n=%d: round trip not byte-identical:\n%s\n%s", n, a, b)
+		}
+		if spilled, _ := json.Marshal(s.bucketed()); !bytes.Equal(a, spilled) {
+			t.Errorf("n=%d: exact and bucketed forms write different bytes", n)
+		}
+		want := s.bucketed()
+		if back.N() != s.N() || back.Min() != s.Min() || back.Max() != s.Max() || back.Sum() != s.Sum() ||
+			back.Quantile(0.3) != want.Quantile(0.3) || back.FracBelow(1) != want.FracBelow(1) {
+			t.Errorf("n=%d: the sketch read back answers differently", n)
+		}
+	}
+}
+
+// TestSketchJSONRejects: counts that cannot be a sketch's are an error.
+func TestSketchJSONRejects(t *testing.T) {
+	for _, bad := range []string{
+		`{"count":-1,"sum":0}`,
+		`{"count":1,"sum":1,"zero":-1,"buckets":{"5":2}}`,
+		`{"count":1,"sum":1,"buckets":{"5":-1,"6":2}}`,
+		`{"count":3,"sum":1,"buckets":{"5":1}}`,
+		`{"count":1,"sum":1,"buckets":{"5":1},"neg":{"5":1}}`,
+		`{"count":1,"sum":1,"zero":2}`,
+		`{"count":2,"sum":1,"buckets":{"5":9223372036854775807,"6":9223372036854775807},"neg":{"1":2}}`,
+		`{"count":1,"sum":1,"buckets":{"x":1}}`,
+		`{"count":1,"sum":1,"buckets":{"99999":1}}`,
+		`{"count":1,"sum":1,"min":2,"max":1,"buckets":{"5":1}}`,
+		`{"count":1,"buckets":[1]}`,
+	} {
+		var s Sketch
+		if err := json.Unmarshal([]byte(bad), &s); err == nil {
+			t.Errorf("Unmarshal(%s) accepted", bad)
+		}
+	}
+}
+
+// benchAdds is the size of a long flight's per-packet distributions.
+const benchAdds = 1_000_000
+
+// BenchmarkSketchAdd is one sample into the distribution every run records,
+// on its way to a million: the samples are the counts 0 … 999 999 as they
+// climb.
+func BenchmarkSketchAdd(b *testing.B) {
+	b.ReportAllocs()
 	var s Sketch
-	s.AddDist(&d)
-	if s.N() != 1000 {
-		t.Fatalf("N = %d", s.N())
+	for i := 0; i < b.N; i++ {
+		k := i % benchAdds
+		if k == 0 {
+			s = Sketch{}
+		}
+		s.Add(float64(k))
 	}
-	med := s.Median()
-	if rel := math.Abs(med-d.Median()) / d.Median(); rel > SketchAlpha {
-		t.Errorf("median %g vs %g, rel %g", med, d.Median(), rel)
+}
+
+// TestSketchAddSteadyStateAllocations: once the windows span the samples'
+// range, Add allocates nothing.
+func TestSketchAddSteadyStateAllocations(t *testing.T) {
+	var s Sketch
+	vals := make([]float64, 4096)
+	rng := rand.New(rand.NewSource(30))
+	for i := range vals {
+		vals[i] = math.Exp(rng.Float64()*math.Log(1e4)) - 50
+		s.Add(vals[i])
 	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100_000, func() {
+		s.Add(vals[i&4095])
+		i++
+	}); allocs != 0 {
+		t.Errorf("Sketch.Add allocates %v per sample in steady state", allocs)
+	}
+}
+
+// FuzzScanCells holds the in-place bucket reader to encoding/json: any
+// valid JSON it accepts, it reads as the same index → count pairs a map
+// decode gives, and whatever it declines goes to that decode instead.
+func FuzzScanCells(f *testing.F) {
+	for _, seed := range []string{
+		`{}`, ` { "1" : 2 ,
+		"3":4 } `, `{"-5":1,"0":2,"7":3}`, `{"-5":-1}`,
+		`{"5":1,"5":2}`, `{"6":1,"5":2}`, `{"05":1}`, `{"-0":1}`, `{"+5":1}`,
+		`{"1":1.0}`, `{"1":1e2}`, `{"1":1}`, `{"1":99999999999999999999}`,
+		`{"1":123456789012345678}`, `{"1":1234567890123456789}`, `[1]`, `null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if !json.Valid(raw) {
+			return
+		}
+		ok, _ := scanCells(raw, nil)
+		if !ok {
+			return
+		}
+		got := map[int64]int64{}
+		if _, err := scanCells(raw, func(idx, c int64) error { got[idx] += c; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]int64
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatalf("read %q in place, which encoding/json refuses: %v", raw, err)
+		}
+		want := map[int64]int64{}
+		for k, c := range m {
+			idx, err := strconv.ParseInt(k, 10, 64)
+			if err != nil {
+				t.Fatalf("read key %q in place: %v", k, err)
+			}
+			want[idx] = c
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: in place %v, encoding/json %v", raw, got, want)
+		}
+	})
 }

@@ -9,8 +9,10 @@ import (
 )
 
 // ReadRegistryJSON parses a registry previously exported by WriteJSON. It
-// is the read side of the regression gate: a checked-in baseline export is
-// read back and compared against a freshly computed registry.
+// is the read side of the regression gate (a checked-in baseline export is
+// read back and compared against a freshly computed registry) and of the
+// dist fold (each shard carries its run's registry). A histogram whose
+// counts cannot be a sketch's is an error (see metrics.Sketch.UnmarshalJSON).
 func ReadRegistryJSON(r io.Reader) (*Registry, error) {
 	var in registryJSON
 	dec := json.NewDecoder(r)
@@ -25,40 +27,19 @@ func ReadRegistryJSON(r io.Reader) (*Registry, error) {
 		reg.gauges[name] = v
 	}
 	for name, h := range in.Histograms {
-		if h == nil {
-			continue
-		}
-		if len(h.Counts) != len(h.Buckets) {
-			return nil, fmt.Errorf("obs: registry histogram %q: %d counts for %d buckets", name, len(h.Counts), len(h.Buckets))
-		}
-		reg.hists[name] = h
-	}
-	for name, h := range in.LogHistograms {
 		if h != nil {
-			reg.logs[name] = h
+			reg.hists[name] = h
 		}
 	}
 	return reg, nil
 }
 
-// Tolerance configures the regression gate's per-metric drift allowance.
-// Relative drift is |cur-base| / max(|base|, 1) — the max(…, 1) floor keeps
+// Tolerance configures the regression gate's drift allowance. Relative
+// drift is |cur-base| / max(|base|, 1) — the max(…, 1) floor keeps
 // near-zero baselines from turning one stray packet into infinite drift.
 type Tolerance struct {
-	// Default applies to every metric without a specific entry. Zero means
-	// exact equality.
+	// Default applies to every metric. Zero means exact equality.
 	Default float64
-	// PerMetric overrides the default for specific metric names. Histogram
-	// facets use the exported drift names ("histogram/<name>/count" etc.).
-	PerMetric map[string]float64
-}
-
-// allowed returns the tolerance for one metric name.
-func (t Tolerance) allowed(name string) float64 {
-	if v, ok := t.PerMetric[name]; ok {
-		return v
-	}
-	return t.Default
 }
 
 // Drift is one metric that moved beyond its tolerance, or appeared or
@@ -92,9 +73,8 @@ func relDrift(base, cur float64) float64 {
 
 // CompareRegistries diffs cur against base under the tolerance and returns
 // every drifted metric, sorted by name. Counters and gauges compare by
-// value; histograms compare their count, sum and overflow facets (bucket-by-
-// bucket comparison would re-litigate the layout, which the baseline file
-// already pins). An empty result means the gate passes.
+// value; histograms compare their count and sum facets. An empty result
+// means the gate passes.
 func CompareRegistries(base, cur *Registry, tol Tolerance) []Drift {
 	var out []Drift
 	num := func(name string, b, c float64, bOK, cOK bool) {
@@ -104,8 +84,8 @@ func CompareRegistries(base, cur *Registry, tol Tolerance) []Drift {
 		case !bOK && cOK:
 			out = append(out, Drift{Metric: name, Cur: c, Missing: "base"})
 		case bOK && cOK:
-			if rel := relDrift(b, c); rel > tol.allowed(name) {
-				out = append(out, Drift{Metric: name, Base: b, Cur: c, Rel: rel, Allowed: tol.allowed(name)})
+			if rel := relDrift(b, c); rel > tol.Default {
+				out = append(out, Drift{Metric: name, Base: b, Cur: c, Rel: rel, Allowed: tol.Default})
 			}
 		}
 	}
@@ -131,23 +111,8 @@ func CompareRegistries(base, cur *Registry, tol Tolerance) []Drift {
 			out = append(out, Drift{Metric: "histogram/" + name, Missing: side})
 			continue
 		}
-		num("histogram/"+name+"/count", float64(bh.Count), float64(ch.Count), true, true)
-		num("histogram/"+name+"/sum", bh.Sum, ch.Sum, true, true)
-		num("histogram/"+name+"/overflow", float64(bh.Overflow), float64(ch.Overflow), true, true)
-	}
-	for _, name := range unionKeys(keysOf(base.logs), keysOf(cur.logs)) {
-		bh, bOK := base.logs[name]
-		ch, cOK := cur.logs[name]
-		if !bOK || !cOK {
-			side := "cur"
-			if !bOK {
-				side = "base"
-			}
-			out = append(out, Drift{Metric: "loghistogram/" + name, Missing: side})
-			continue
-		}
-		num("loghistogram/"+name+"/count", float64(bh.Count()), float64(ch.Count()), true, true)
-		num("loghistogram/"+name+"/sum", bh.Sum(), ch.Sum(), true, true)
+		num("histogram/"+name+"/count", float64(bh.N()), float64(ch.N()), true, true)
+		num("histogram/"+name+"/sum", bh.Sum(), ch.Sum(), true, true)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Metric < out[j].Metric })
 	return out

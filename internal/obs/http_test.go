@@ -162,7 +162,7 @@ func serveTestHub(t *testing.T) (*Server, *Telemetry) {
 	reg.SetGauge("goodput_mbps", 17.5)
 	h := reg.LogHistogram("frame_delay_ms")
 	for _, v := range []float64{0, 1.5, 33, 33.1, 250, -2} {
-		h.Observe(v)
+		h.Add(v)
 	}
 	tel.ObserveRun(reg)
 	tel.PublishStatus(StatusSnapshot{

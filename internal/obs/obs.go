@@ -1,9 +1,9 @@
 // Package obs is the observability layer of the simulator: a
 // zero-allocation-on-hot-path event tracer for per-run time-series
 // observables (the per-packet and per-frame signals the paper's analysis
-// rests on), a campaign-level metrics registry with fixed histogram bucket
-// layouts, a byte-stable JSONL/JSON export format, and a pprof/runtime-
-// metrics HTTP endpoint.
+// rests on), a campaign-level metrics registry whose histograms are
+// metrics.Sketch (one log-bucket layout for all), a byte-stable JSONL/JSON
+// export format, and a pprof/runtime-metrics HTTP endpoint.
 //
 // Determinism contract: tracing never draws randomness, never schedules
 // simulator events and never perturbs the run it observes — a run with
@@ -48,12 +48,12 @@ const (
 	// report covers, repeats left out or not); V: target bitrate in bits/s.
 	KindCC
 	// KindFramePlay is a frame that reached the screen. Seq: frame
-	// number; Aux: playback latency in microseconds; V: SSIM score.
+	// number; Aux: playback latency in whole milliseconds; V: SSIM score.
 	KindFramePlay
 	// KindFrameSkip is a frame abandoned undecoded. Seq: frame number.
 	KindFrameSkip
 	// KindStall is a playback interruption, emitted when playback
-	// resumes. Aux: gap length in microseconds.
+	// resumes. V: gap length in milliseconds.
 	KindStall
 	// KindNack is a Generic NACK feedback message leaving the receiver.
 	// Seq: first sequence number requested; Aux: sequence count.

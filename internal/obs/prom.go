@@ -14,16 +14,17 @@ const PromNamespace = "rpivideo"
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4), hand-rolled so the repo takes no client_golang
 // dependency. The output is deterministic: families are grouped by kind
-// (counters, then gauges, then fixed-bucket histograms, then log-bucketed
-// histograms), sorted by name within each kind, and the only label (`le`)
-// ascends — two snapshots of equal registries are byte-identical.
+// (counters, then gauges, then histograms), sorted by name within each
+// kind, and the only label (`le`) ascends — two snapshots of equal
+// registries are byte-identical.
 //
 // Mapping:
 //   - counter <name>  → rpivideo_<name>_total
 //   - gauge <name>    → rpivideo_<name>
-//   - histogram       → rpivideo_<name>_bucket{le="…"} cumulative series
-//     (fixed-bucket overflow and log-histogram tails land in le="+Inf"),
-//     plus rpivideo_<name>_sum and rpivideo_<name>_count
+//   - histogram       → rpivideo_<name>_bucket{le="…"} cumulative series,
+//     one per occupied log bucket at its upper edge (the zero cell at
+//     le="0"), then le="+Inf", plus rpivideo_<name>_sum and
+//     rpivideo_<name>_count
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 
@@ -42,28 +43,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fq := PromNamespace + "_" + sanitizeMetricName(name)
 		writeHeader(bw, fq, "histogram")
 		var cum int64
-		for i, edge := range h.Buckets {
-			cum += h.Counts[i]
-			writeSample(bw, fq+"_bucket", `le="`+formatFloat(edge)+`"`, float64(cum))
-		}
-		writeSample(bw, fq+"_bucket", `le="+Inf"`, float64(h.Count))
-		writeSample(bw, fq+"_sum", "", h.Sum)
-		writeSample(bw, fq+"_count", "", float64(h.Count))
-	}
-	for _, name := range sortedKeys(r.logs) {
-		h := r.logs[name]
-		fq := PromNamespace + "_" + sanitizeMetricName(name)
-		writeHeader(bw, fq, "histogram")
-		// The zero cell (non-positive samples) is below every positive
-		// edge, so it seeds the cumulative count.
-		cum := h.zero
-		h.each(func(_ int32, upper float64, count int64) {
+		h.EachBucket(func(upper float64, count int64) {
 			cum += count
 			writeSample(bw, fq+"_bucket", `le="`+formatFloat(upper)+`"`, float64(cum))
 		})
-		writeSample(bw, fq+"_bucket", `le="+Inf"`, float64(h.count))
-		writeSample(bw, fq+"_sum", "", h.sum)
-		writeSample(bw, fq+"_count", "", float64(h.count))
+		writeSample(bw, fq+"_bucket", `le="+Inf"`, float64(h.N()))
+		writeSample(bw, fq+"_sum", "", h.Sum())
+		writeSample(bw, fq+"_count", "", float64(h.N()))
 	}
 	return bw.Flush()
 }

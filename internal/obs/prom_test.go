@@ -11,13 +11,13 @@ func promTestRegistry() *Registry {
 	r.Add("packets_sent", 120)
 	r.Add("packets_delivered", 118)
 	r.SetGauge("peak_queue_ms", 41.5)
-	h := r.Histogram("owl_ms", LatencyMsBuckets)
+	h := r.LogHistogram("owl_ms")
 	for _, v := range []float64{3, 18, 18, 90, 20000} {
-		h.Observe(v)
+		h.Add(v)
 	}
 	lh := r.LogHistogram("frame_delay_ms")
 	for _, v := range []float64{0, 12, 12.04, 55, 700} {
-		lh.Observe(v)
+		lh.Add(v)
 	}
 	return r
 }
@@ -56,9 +56,11 @@ func TestWritePrometheusMapping(t *testing.T) {
 		"# TYPE rpivideo_peak_queue_ms gauge",
 		"rpivideo_peak_queue_ms 41.5",
 		"# TYPE rpivideo_owl_ms histogram",
-		`rpivideo_owl_ms_bucket{le="1"} 0`,
+		`rpivideo_owl_ms_bucket{le="18.175902393839202"} 3`,
 		`rpivideo_owl_ms_bucket{le="+Inf"} 5`,
+		"rpivideo_owl_ms_sum 20129",
 		"rpivideo_owl_ms_count 5",
+		`rpivideo_frame_delay_ms_bucket{le="0"} 1`,
 		"# TYPE rpivideo_frame_delay_ms histogram",
 		`rpivideo_frame_delay_ms_bucket{le="+Inf"} 5`,
 		"rpivideo_frame_delay_ms_count 5",
@@ -67,8 +69,8 @@ func TestWritePrometheusMapping(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// The log histogram's zero cell seeds the cumulative counts: the first
-	// emitted bucket already includes the v=0 observation.
+	// The zero cell is the first bucket: no bucket line leaves out the
+	// v=0 observation.
 	lines := strings.Split(text, "\n")
 	for _, line := range lines {
 		if strings.HasPrefix(line, "rpivideo_frame_delay_ms_bucket") {
@@ -97,8 +99,8 @@ func TestWritePrometheusOrdering(t *testing.T) {
 		"rpivideo_packets_delivered_total",
 		"rpivideo_packets_sent_total",
 		"rpivideo_peak_queue_ms",
-		"rpivideo_owl_ms",
 		"rpivideo_frame_delay_ms",
+		"rpivideo_owl_ms",
 	}
 	if len(families) != len(want) {
 		t.Fatalf("family order %v, want %v", families, want)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -20,40 +21,27 @@ func TestRegistryBasics(t *testing.T) {
 	if r.Gauge("queue_ms") != 25 {
 		t.Fatalf("gauge = %g, want 25", r.Gauge("queue_ms"))
 	}
-	h := r.Histogram("owd_ms", LatencyMsBuckets)
-	h.Observe(3)
-	h.Observe(30)
-	h.Observe(1e9) // overflow
-	if h.Count != 3 || h.Overflow != 1 {
-		t.Fatalf("count=%d overflow=%d, want 3/1", h.Count, h.Overflow)
+	h := r.LogHistogram("owd_ms")
+	h.Add(3)
+	h.Add(30)
+	h.Add(1e9)
+	if h.N() != 3 || h.Max() != 1e9 {
+		t.Fatalf("count=%d max=%g, want 3/1e9", h.N(), h.Max())
 	}
-	if again := r.Histogram("owd_ms", LatencyMsBuckets); again != h {
-		t.Fatal("re-registering the same layout must return the same histogram")
+	if again := r.LogHistogram("owd_ms"); again != h {
+		t.Fatal("asking for the same name must return the same histogram")
 	}
-}
-
-func TestHistogramLayoutMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("h", LatencyMsBuckets)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on layout mismatch")
-		}
-	}()
-	r.Histogram("h", RateMbpsBuckets)
 }
 
 // TestHistogramCountInvariant is the property test: for arbitrary
-// observation streams (including infinities and NaN) across every fixed
-// layout, the bucket counts plus overflow always sum to the observation
-// count.
+// observation streams (including infinities and NaN) on either side of the
+// exact cap, the exported bucket counts sum to the histogram's count, which
+// counts exactly the finite observations.
 func TestHistogramCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	layouts := [][]float64{LatencyMsBuckets, RateMbpsBuckets, SSIMBuckets, FPSBuckets}
 	for trial := 0; trial < 200; trial++ {
-		layout := layouts[trial%len(layouts)]
-		h := &Histogram{Buckets: layout, Counts: make([]int64, len(layout))}
-		n := rng.Intn(500)
+		h := NewRegistry().LogHistogram("h")
+		n, finite := rng.Intn(500), 0
 		for i := 0; i < n; i++ {
 			var v float64
 			switch rng.Intn(10) {
@@ -65,19 +53,17 @@ func TestHistogramCountInvariant(t *testing.T) {
 				v = math.NaN()
 			default:
 				v = (rng.Float64() - 0.2) * 3000
+				finite++
 			}
-			h.Observe(v)
+			h.Add(v)
 		}
 		var sum int64
-		for _, c := range h.Counts {
-			sum += c
+		h.EachBucket(func(_ float64, c int64) { sum += c })
+		if sum != int64(h.N()) || h.N() != finite {
+			t.Fatalf("trial %d: bucket sum %d, count %d, finite observations %d", trial, sum, h.N(), finite)
 		}
-		sum += h.Overflow
-		if sum != h.Count || h.Count != int64(n) {
-			t.Fatalf("trial %d: bucket sum %d + overflow, count %d, observed %d", trial, sum, h.Count, n)
-		}
-		if math.IsNaN(h.Sum) {
-			t.Fatalf("trial %d: NaN observation poisoned Sum", trial)
+		if math.IsNaN(h.Sum()) || math.IsInf(h.Sum(), 0) {
+			t.Fatalf("trial %d: a non-finite observation poisoned Sum", trial)
 		}
 	}
 }
@@ -102,9 +88,9 @@ func TestMergePartitionInvariant(t *testing.T) {
 			r.Add("packets_sent", sent)
 			wantSent += sent
 			r.SetGauge("queue_ms", rng.Float64()*100)
-			h := r.Histogram("owd_ms", LatencyMsBuckets)
+			h := r.LogHistogram("owd_ms")
 			for j := rng.Intn(200); j > 0; j-- {
-				h.Observe(rng.Float64() * 4000)
+				h.Add(rng.Float64() * 4000)
 			}
 			perRun[i] = r
 		}
@@ -150,23 +136,28 @@ func TestMergePartitionInvariant(t *testing.T) {
 			t.Fatalf("trial %d: gauge max diverges: flat %g chunked %g",
 				trial, flat.Gauge("queue_ms"), chunked.Gauge("queue_ms"))
 		}
-		fh := flat.Histogram("owd_ms", LatencyMsBuckets)
-		ch := chunked.Histogram("owd_ms", LatencyMsBuckets)
-		if fh.Count != ch.Count || fh.Overflow != ch.Overflow {
-			t.Fatalf("trial %d: histogram totals diverge: flat %d/%d chunked %d/%d",
-				trial, fh.Count, fh.Overflow, ch.Count, ch.Overflow)
+		fh := flat.LogHistogram("owd_ms")
+		ch := chunked.LogHistogram("owd_ms")
+		if fh.N() != ch.N() || fh.Min() != ch.Min() || fh.Max() != ch.Max() {
+			t.Fatalf("trial %d: histogram totals diverge: flat %d [%g,%g] chunked %d [%g,%g]",
+				trial, fh.N(), fh.Min(), fh.Max(), ch.N(), ch.Min(), ch.Max())
 		}
-		for i := range fh.Counts {
-			if fh.Counts[i] != ch.Counts[i] {
-				t.Fatalf("trial %d: bucket %d diverges: flat %d chunked %d", trial, i, fh.Counts[i], ch.Counts[i])
-			}
+		if fb, cb := bucketList(fh), bucketList(ch); !reflect.DeepEqual(fb, cb) {
+			t.Fatalf("trial %d: buckets diverge: flat %v chunked %v", trial, fb, cb)
 		}
 		// Float Sum is associative only up to rounding; it must still agree
 		// to within a sliver of the magnitude involved.
-		if diff := math.Abs(fh.Sum - ch.Sum); diff > 1e-6*math.Max(1, math.Abs(fh.Sum)) {
-			t.Fatalf("trial %d: histogram Sum diverges beyond rounding: flat %g chunked %g", trial, fh.Sum, ch.Sum)
+		if diff := math.Abs(fh.Sum() - ch.Sum()); diff > 1e-6*math.Max(1, math.Abs(fh.Sum())) {
+			t.Fatalf("trial %d: histogram Sum diverges beyond rounding: flat %g chunked %g", trial, fh.Sum(), ch.Sum())
 		}
 	}
+}
+
+// bucketList is a histogram's occupied buckets as (upper edge, count) pairs.
+func bucketList(h *LogHistogram) [][2]float64 {
+	var out [][2]float64
+	h.EachBucket(func(upper float64, c int64) { out = append(out, [2]float64{upper, float64(c)}) })
+	return out
 }
 
 func TestWriteJSONStable(t *testing.T) {
@@ -175,8 +166,7 @@ func TestWriteJSONStable(t *testing.T) {
 		r.Add("b_counter", 2)
 		r.Add("a_counter", 1)
 		r.SetGauge("g", 1.25)
-		h := r.Histogram("owd_ms", LatencyMsBuckets)
-		h.Observe(3.5)
+		r.LogHistogram("owd_ms").Add(3.5)
 		return r
 	}
 	var a, b bytes.Buffer

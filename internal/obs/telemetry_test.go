@@ -30,7 +30,7 @@ func TestTelemetryObserveRunIsolation(t *testing.T) {
 	tel := NewTelemetry()
 	reg := NewRegistry()
 	reg.Add("runs", 1)
-	reg.LogHistogram("frame_delay_ms").Observe(20)
+	reg.LogHistogram("frame_delay_ms").Add(20)
 	tel.ObserveRun(reg)
 	tel.ObserveRun(nil) // no-op, not a panic
 
@@ -40,14 +40,14 @@ func TestTelemetryObserveRunIsolation(t *testing.T) {
 	}
 	// Mutating the snapshot must not reach the hub.
 	snap.Add("runs", 100)
-	snap.LogHistogram("frame_delay_ms").Observe(1)
+	snap.LogHistogram("frame_delay_ms").Add(1)
 	again := tel.SnapshotRegistry()
 	if again.Counter("runs") != 1 {
 		t.Errorf("snapshot mutation leaked into the hub: runs = %d", again.Counter("runs"))
 	}
-	if again.LogHistogram("frame_delay_ms").Count() != 1 {
+	if again.LogHistogram("frame_delay_ms").N() != 1 {
 		t.Errorf("snapshot mutation leaked into the hub histogram: count = %d",
-			again.LogHistogram("frame_delay_ms").Count())
+			again.LogHistogram("frame_delay_ms").N())
 	}
 }
 

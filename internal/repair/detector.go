@@ -3,6 +3,7 @@ package repair
 import (
 	"time"
 
+	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
 )
 
@@ -46,7 +47,7 @@ type Detector struct {
 
 	// rttHist, when non-nil, records each retransmission heal's realized
 	// loss-to-repair time in milliseconds (see SetNackRTTHist).
-	rttHist *obs.LogHistogram
+	rttHist *metrics.Sketch
 
 	// Repaired counts losses healed by a retransmission, Late those healed
 	// by the original arriving after its gap was noticed, and Abandoned
@@ -73,7 +74,7 @@ func (d *Detector) SetTracer(tr *obs.Tracer) { d.trace = tr }
 // heal's loss-to-repair time in milliseconds (the realized NACK RTT). Nil
 // disables recording. Late original arrivals are not recorded — they say
 // nothing about the repair path.
-func (d *Detector) SetNackRTTHist(h *obs.LogHistogram) { d.rttHist = h }
+func (d *Detector) SetNackRTTHist(h *metrics.Sketch) { d.rttHist = h }
 
 // RTT returns the smoothed NACK→repair round-trip estimate.
 func (d *Detector) RTT() time.Duration { return d.srtt }
@@ -234,7 +235,7 @@ func (d *Detector) heal(e *pendingLoss, at time.Duration, rtx bool) {
 		aux = 1
 		d.Repaired++
 		if d.rttHist != nil {
-			d.rttHist.Observe(float64(at-e.missedAt) / float64(time.Millisecond))
+			d.rttHist.Add(float64(at-e.missedAt) / float64(time.Millisecond))
 		}
 	} else {
 		d.Late++

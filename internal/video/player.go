@@ -55,10 +55,10 @@ type PlayerConfig struct {
 	// semantics) so the sender can cut the propagation short. Off by
 	// default to leave the calibrated campaign results untouched.
 	KeyframeRecovery bool
-	// KeyframeRequestInterval rate-limits KeyframeRequest (500 ms if
-	// zero).
-	KeyframeRequestInterval time.Duration
 }
+
+// keyframeRequestInterval rate-limits KeyframeRequest.
+const keyframeRequestInterval = 500 * time.Millisecond
 
 // errorPropagationSSIM scales decoded-frame SSIM while the decoder's
 // reference is stale (after a skip, before the next keyframe).
@@ -130,11 +130,15 @@ type Player struct {
 	playClock    time.Duration // earliest time the next frame may play
 
 	// Outputs.
-	Frames    []PlayedFrame
-	Stalls    []Stall
-	fpsBins   map[int]int
-	arrivals  int
-	bytesRecv int
+	Frames  []PlayedFrame
+	Stalls  []Stall
+	fpsBins map[int]int
+	// latencies and scores are the playback-latency (ms, played frames)
+	// and SSIM (every frame, skipped ones scoring the skip score)
+	// distributions, filled as frames are recorded.
+	latencies, scores metrics.Sketch
+	arrivals          int
+	bytesRecv         int
 	// PacketsRepaired counts retransmitted packets ingested into frames;
 	// FramesRepaired counts played frames that needed at least one.
 	PacketsRepaired int
@@ -155,7 +159,7 @@ type Player struct {
 
 	// delayHist, when non-nil, records each played frame's glass-to-glass
 	// latency in milliseconds.
-	delayHist *obs.LogHistogram
+	delayHist *metrics.Sketch
 
 	task *sim.Task
 }
@@ -184,7 +188,7 @@ func (p *Player) SetTracer(tr *obs.Tracer) { p.trace = tr }
 // SetLatencyHist attaches a histogram that records each played frame's
 // encode-to-play latency in milliseconds. Nil disables recording. Skipped
 // frames are not recorded — they have no play time.
-func (p *Player) SetLatencyHist(h *obs.LogHistogram) { p.delayHist = h }
+func (p *Player) SetLatencyHist(h *metrics.Sketch) { p.delayHist = h }
 
 // Stop halts the playback loop.
 func (p *Player) Stop() {
@@ -228,7 +232,7 @@ func (p *Player) ingest(pkt *rtp.Packet, at time.Duration, repaired bool) {
 			fs.Repaired = true
 		}
 	}
-	if p.cfg.KeyframeRecovery && p.haveKFRequest && at-p.lastArrivalAt > p.kfInterval() {
+	if p.cfg.KeyframeRecovery && p.haveKFRequest && at-p.lastArrivalAt > keyframeRequestInterval {
 		// The stream is resuming after a dead span longer than the limiter
 		// window. Any request issued into that blackout was flushed with
 		// the downlink backlog, so a stale limiter must not delay the
@@ -401,21 +405,13 @@ func (p *Player) skip(now time.Duration, _ string) {
 	p.nextPlay++
 }
 
-// kfInterval returns the keyframe-request rate-limit interval.
-func (p *Player) kfInterval() time.Duration {
-	if p.cfg.KeyframeRequestInterval > 0 {
-		return p.cfg.KeyframeRequestInterval
-	}
-	return 500 * time.Millisecond
-}
-
 // maybeRequestKeyframe fires the KeyframeRequest hook, rate-limited so a
 // burst of skips (one outage) yields one request per interval.
 func (p *Player) maybeRequestKeyframe(now time.Duration) {
 	if p.KeyframeRequest == nil {
 		return
 	}
-	if p.haveKFRequest && now-p.lastKFRequest < p.kfInterval() {
+	if p.haveKFRequest && now-p.lastKFRequest < keyframeRequestInterval {
 		return
 	}
 	p.haveKFRequest = true
@@ -427,6 +423,7 @@ func (p *Player) maybeRequestKeyframe(now time.Duration) {
 // record appends the frame sample and the stall/FPS bookkeeping.
 func (p *Player) record(pf PlayedFrame, now time.Duration) {
 	p.Frames = append(p.Frames, pf)
+	p.scores.Add(pf.SSIM)
 	if pf.Skipped {
 		if p.trace != nil {
 			p.trace.Emit(obs.Event{T: now, Kind: obs.KindFrameSkip, Seq: int64(pf.Num)})
@@ -445,12 +442,13 @@ func (p *Player) record(pf PlayedFrame, now time.Duration) {
 	p.everPlayed = true
 	p.lastPlayedAt = now
 	p.fpsBins[int(now/time.Second)]++
+	p.latencies.Add(float64(pf.Latency) / float64(time.Millisecond))
 	if p.trace != nil {
 		p.trace.Emit(obs.Event{T: now, Kind: obs.KindFramePlay, Seq: int64(pf.Num),
 			Aux: int64(pf.Latency / time.Millisecond), V: pf.SSIM})
 	}
 	if p.delayHist != nil {
-		p.delayHist.Observe(float64(pf.Latency) / float64(time.Millisecond))
+		p.delayHist.Add(float64(pf.Latency) / float64(time.Millisecond))
 	}
 }
 
@@ -488,10 +486,10 @@ func (p *Player) latched() bool {
 	return float64(bytes)*8/4 > p.cfg.LatchRate
 }
 
-// FPSDist returns the distribution of frames played per second over the
+// FPSSketch returns the distribution of frames played per second over the
 // given span (Fig. 7a's metric).
-func (p *Player) FPSDist(span time.Duration) *metrics.Dist {
-	var d metrics.Dist
+func (p *Player) FPSSketch(span time.Duration) *metrics.Sketch {
+	var d metrics.Sketch
 	secs := int(span / time.Second)
 	for s := 0; s < secs; s++ {
 		d.Add(float64(p.fpsBins[s]))
@@ -499,27 +497,15 @@ func (p *Player) FPSDist(span time.Duration) *metrics.Dist {
 	return &d
 }
 
-// LatencyDist returns the playback-latency distribution over played frames
-// in milliseconds (Fig. 7c's metric).
-func (p *Player) LatencyDist() *metrics.Dist {
-	var d metrics.Dist
-	for _, f := range p.Frames {
-		if !f.Skipped {
-			d.Add(float64(f.Latency) / float64(time.Millisecond))
-		}
-	}
-	return &d
-}
+// LatencySketch returns the playback-latency distribution over played
+// frames in milliseconds (Fig. 7c's metric). It is the player's own, still
+// filling while the player runs.
+func (p *Player) LatencySketch() *metrics.Sketch { return &p.latencies }
 
-// SSIMDist returns the SSIM distribution over all frames, skipped ones
-// scoring 0 (Fig. 7b's metric).
-func (p *Player) SSIMDist() *metrics.Dist {
-	var d metrics.Dist
-	for _, f := range p.Frames {
-		d.Add(f.SSIM)
-	}
-	return &d
-}
+// SSIMSketch returns the SSIM distribution over all frames, skipped ones
+// scoring 0 (Fig. 7b's metric). It is the player's own, still filling while
+// the player runs.
+func (p *Player) SSIMSketch() *metrics.Sketch { return &p.scores }
 
 // StallsPerMinute returns the stall rate over the given span (§4.2.1).
 func (p *Player) StallsPerMinute(span time.Duration) float64 {

@@ -16,7 +16,7 @@ func TestPlayerFPSDistCountsPerSecond(t *testing.T) {
 	snd, pl := pipe(s, ctrl, 40*time.Millisecond, nil)
 	snd.Start()
 	s.RunUntil(10 * time.Second)
-	d := pl.FPSDist(10 * time.Second)
+	d := pl.FPSSketch(10 * time.Second)
 	if d.N() != 10 {
 		t.Fatalf("FPS samples = %d, want one per second", d.N())
 	}

@@ -176,11 +176,11 @@ func TestEndToEndCleanPath(t *testing.T) {
 	snd.Stop()
 	pl.Stop()
 
-	fps := pl.FPSDist(span)
+	fps := pl.FPSSketch(span)
 	if fps.Median() < 29 || fps.Median() > 31 {
 		t.Errorf("median FPS = %v, want 30", fps.Median())
 	}
-	lat := pl.LatencyDist()
+	lat := pl.LatencySketch()
 	// 50 ms path + 150 ms jitter buffer + pacing slack.
 	if lat.Median() < 180 || lat.Median() > 300 {
 		t.Errorf("median playback latency = %.0f ms, want ≈200–250", lat.Median())
@@ -188,7 +188,7 @@ func TestEndToEndCleanPath(t *testing.T) {
 	if got := pl.StallsPerMinute(span); got != 0 {
 		t.Errorf("stall rate on a clean path = %v/min", got)
 	}
-	ssim := pl.SSIMDist()
+	ssim := pl.SSIMSketch()
 	if ssim.Quantile(0.05) < 0.80 {
 		t.Errorf("P5 SSIM = %v on a clean 8 Mbps path", ssim.Quantile(0.05))
 	}
@@ -235,7 +235,7 @@ func TestPacketLossDamagesOrSkipsFrames(t *testing.T) {
 	if drops == 0 {
 		t.Fatal("filter dropped nothing")
 	}
-	ssim := pl.SSIMDist()
+	ssim := pl.SSIMSketch()
 	clean := DefaultSSIMModel().Score(8e6, 1, 0, true)
 	if ssim.Quantile(0.25) >= clean {
 		t.Errorf("Q1 SSIM %v shows no loss damage (clean = %v)", ssim.Quantile(0.25), clean)

@@ -166,7 +166,7 @@ type Tracer = obs.Tracer
 type TraceEvent = obs.Event
 
 // MetricsRegistry is a campaign metrics snapshot: counters, gauges and
-// fixed-bucket histograms with byte-stable JSON export.
+// log-bucketed histograms (metrics sketches) with byte-stable JSON export.
 type MetricsRegistry = obs.Registry
 
 // WriteCampaignTrace renders every traced run of a campaign as JSONL in
@@ -184,14 +184,12 @@ func WriteCampaignMetrics(w io.Writer, results []*Result) error {
 // Run executes one measurement run.
 func Run(cfg Config) *Result { return core.Run(cfg) }
 
-// RunCampaign executes runs repetitions of cfg under seeds derived by
-// DeriveSeed, fanned out across one worker per logical CPU. Results come
-// back in run-index order, so the output is identical at any parallelism.
-func RunCampaign(cfg Config, runs int) []*Result { return core.RunCampaign(cfg, runs) }
-
-// RunCampaignWithOptions is RunCampaign with explicit worker count, seed
-// derivation and progress reporting; per-run panics come back as per-run
-// errors instead of failing the whole campaign.
+// RunCampaignWithOptions executes runs repetitions of cfg under seeds
+// derived by DeriveSeed (or the legacy derivation), fanned out across
+// opts.Workers workers (one per logical CPU when zero). Results and per-run
+// errors come back indexed by run, so the output is identical at any
+// parallelism; a run that panics comes back as its error without failing
+// the others.
 func RunCampaignWithOptions(cfg Config, runs int, opts CampaignOptions) ([]*Result, []error) {
 	return core.RunCampaignWithOptions(cfg, runs, opts)
 }
@@ -208,14 +206,6 @@ type Summary = core.Summary
 
 // Summarize folds per-run results into a sketch-based campaign summary.
 func Summarize(results []*Result) *Summary { return core.Summarize(results) }
-
-// RunCampaignSummary executes a campaign and folds each run into a Summary
-// in run-index order, discarding per-run results as it goes: the memory
-// high-water mark no longer grows with the campaign size. The summary is
-// byte-identical at any worker count.
-func RunCampaignSummary(cfg Config, runs int, opts CampaignOptions) (*Summary, []error) {
-	return core.RunCampaignSummary(cfg, runs, opts)
-}
 
 // FleetConfig runs N UAVs in one process against one shared base-station
 // map with per-cell PRB schedulers, so every UAV attached to a cell

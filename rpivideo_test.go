@@ -24,14 +24,19 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPICampaign(t *testing.T) {
-	rs := rpivideo.RunCampaign(rpivideo.Config{
+	rs, errs := rpivideo.RunCampaignWithOptions(rpivideo.Config{
 		Env:      rpivideo.Rural,
 		Op:       rpivideo.P2,
 		Air:      true,
 		CC:       rpivideo.Static,
 		Seed:     2,
 		Duration: 20 * time.Second,
-	}, 2)
+	}, 2, rpivideo.CampaignOptions{})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	m := rpivideo.Summarize(rs)
 	if m.Duration != 40*time.Second {
 		t.Errorf("merged duration = %v", m.Duration)
