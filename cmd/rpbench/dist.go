@@ -61,17 +61,17 @@ func runDistScenario(c *cliConfig, sc experiments.Scenario, so experiments.Scena
 		return false, err
 	}
 	fmt.Fprintf(os.Stderr,
-		"rpbench: dist %d workers: %d chunks, %d leases granted (%d reissued), %d shards, %d workers lost, %d stragglers killed, %d chunks failed\n",
+		"rpbench: dist %d workers: %d chunks, %d leases granted (%d reissued), %d shards, %d workers lost, %d leases expired, %d chunks failed\n",
 		c.distWorkers, reg.Counter("dist_chunks"), reg.Counter("dist_leases_granted"),
 		reg.Counter("dist_leases_reissued"), reg.Counter("dist_shards_received"),
-		reg.Counter("dist_workers_lost"), reg.Counter("dist_stragglers_killed"),
+		reg.Counter("dist_workers_lost"), reg.Counter("dist_lease_expiries"),
 		reg.Counter("dist_chunks_failed"))
 	if err := out.Err(); err != nil {
 		return false, err
 	}
 	if sink != nil {
 		// The coordinator's own fault-handling counters (leases, reissues,
-		// stragglers) join the live surface alongside the campaign fold.
+		// expiries) join the live surface alongside the campaign fold.
 		sink.ObserveRun(reg)
 	}
 	failed := 0
@@ -118,7 +118,7 @@ func runDistScenario(c *cliConfig, sc experiments.Scenario, so experiments.Scena
 // on stderr; routine grants and completions stay quiet.
 func logDistEvent(e dist.Event) {
 	switch e.Kind {
-	case dist.EvWorkerLost, dist.EvLeaseExpired, dist.EvStragglerKilled, dist.EvChunkFailed, dist.EvRunError:
+	case dist.EvWorkerLost, dist.EvLeaseExpired, dist.EvChunkFailed, dist.EvRunError:
 		fmt.Fprintf(os.Stderr, "rpbench: dist: %s\n", e)
 	}
 }

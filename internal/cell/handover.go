@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rpivideo/internal/flight"
-	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
 )
 
@@ -95,10 +94,6 @@ type Machine struct {
 	// Tracing (nil = disabled). Purely observational — see internal/obs.
 	trace    *obs.Tracer
 	traceDir obs.Dir
-
-	// hetHist, when non-nil, records each committed handover's execution
-	// time (interruption) in milliseconds.
-	hetHist *metrics.Sketch
 }
 
 // NewMachine returns a handover machine attached to a signal model. air
@@ -114,12 +109,6 @@ func (m *Machine) SetTracer(tr *obs.Tracer, dir obs.Dir) {
 	m.trace = tr
 	m.traceDir = dir
 }
-
-// SetInterruptionHist attaches a histogram that records each committed
-// handover's execution time in milliseconds. Nil disables recording.
-// Handover failures that degrade into RLF never commit, so they are not
-// recorded here — they surface through the RLF counters instead.
-func (m *Machine) SetInterruptionHist(h *metrics.Sketch) { m.hetHist = h }
 
 // Serving returns the current serving cell's *deployment index* (-1 before
 // the first measurement) — the position in the SignalModel's cell slice,
@@ -276,9 +265,6 @@ func (m *Machine) decide(now time.Duration, st flight.State, best int, bestV, se
 	if m.trace != nil {
 		m.trace.Emit(obs.Event{T: now, Kind: obs.KindHandover, Dir: m.traceDir,
 			Seq: int64(ev.From), Aux: int64(ev.To), V: float64(het) / float64(time.Millisecond)})
-	}
-	if m.hetHist != nil {
-		m.hetHist.Add(float64(het) / float64(time.Millisecond))
 	}
 	return &m.events[len(m.events)-1]
 }

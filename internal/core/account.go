@@ -223,12 +223,11 @@ func (t *targetSampler) fold() {
 			res.RLFs++
 		}
 	}
-	res.StaleDrops = t.uplink.StaleDrops
 }
 
 // foldEndpoints copies what the two endpoints, the bond manager and the
 // repair path counted into the result.
-func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.Receiver, uplink *link.Link, bp *bondPaths, log *flightLog, dur time.Duration) {
+func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.Receiver, bp *bondPaths, log *flightLog, dur time.Duration) {
 	// The player has stopped: its sketches are final and the Result may
 	// take them over.
 	pl := rcv.Player
@@ -290,10 +289,5 @@ func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.
 		res.RepairDenied = snd.Budget.Denied
 		res.RepairCacheMisses = snd.Cache.Misses
 		res.RepairBudgetAccrued = snd.Budget.Accrued()
-		res.RtxSent = uplink.RtxSent
-		res.RtxDelivered = uplink.RtxDelivered
-		res.RtxLost = uplink.RtxLost
-		res.RtxStaleDrops = uplink.RtxStaleDrops
-		res.RtxOverflows = uplink.RtxOverflows
 	}
 }

@@ -27,13 +27,13 @@ type bondPaths struct {
 
 // setupBond builds the second radio chain over the competing operator and
 // the bond manager driving both, or returns nil when the run is not
-// bonded. The chain mirrors the primary's construction — same deployment,
-// signal model and handover config family, its own named rng streams
-// ("cell2", "uplink2") — so a bonded run stays a pure function of
-// (Config, Seed). Scripted faults scope per chain: @p1 windows silence
-// only the primary, @p2 only the secondary, unscoped windows (the vehicle
-// sitting in a coverage hole) silence both.
-func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, hoCfg cell.HandoverConfig, prof flight.Profile, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
+// bonded. The chain is built as the primary is (setupRadio), over the
+// competing operator and from its own named rng streams ("cell2",
+// "uplink2"), so a bonded run stays a pure function of (Config, Seed).
+// Scripted faults scope per chain: @p1 windows silence only the primary,
+// @p2 only the secondary, unscoped windows (the vehicle sitting in a
+// coverage hole) silence both.
+func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, prof flight.Profile, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
 	if !cfg.Bond.Enabled() || cfg.Workload != WorkloadVideo {
 		return nil
 	}
@@ -41,13 +41,7 @@ func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, hoC
 	if cfg.Op == cell.P2 {
 		op2 = cell.P1
 	}
-	rng2 := s.Stream("cell2")
-	bss2 := cell.Deployment(cfg.Env, op2, rng2)
-	model2 := cell.NewSignalModel(cfg.Env, bss2, cell.DefaultSignalConfigFor(cfg.Env), rng2)
-	hoCfg2 := cell.DefaultHandoverConfigFor(cfg.Env)
-	hoCfg2.DAPS = cfg.DAPS
-	hoCfg2.RLF = hoCfg.RLF
-	machine2 := cell.NewMachine(model2, hoCfg2, cfg.Air, rng2)
+	machine2, hoCfg2 := setupRadio(cfg, op2, s.Stream("cell2"))
 	s.Every(0, hoCfg2.MeasurementInterval, func() {
 		machine2.Step(s.Now(), stateAt(s.Now()))
 	})

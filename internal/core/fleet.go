@@ -158,7 +158,7 @@ func fleetDuration(cfg Config) time.Duration {
 func attachTimeline(cfg Config, dur, epoch time.Duration, nEpochs int) []cell.AttachSample {
 	s := sim.New(cfg.Seed)
 	_, stateAt := setupMobility(cfg, s)
-	machine, hoCfg := setupRadio(cfg, s.Stream("cell"))
+	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"))
 	samples := make([]cell.AttachSample, 0, nEpochs)
 	measT := time.Duration(0)
 	for k := 0; k < nEpochs; k++ {

@@ -12,6 +12,28 @@ import (
 	"rpivideo/internal/repair"
 )
 
+// Resilient75s is the configuration (Seed unset) of the flight
+// TestResilientLongHorizonPinned pins, and Resilient75sSeeds the seeds its
+// file holds, one registry each.
+func Resilient75s() Config {
+	return Config{
+		Env: cell.Rural, Op: cell.P1, Air: true, CC: CCGCC, Duration: 75 * time.Second,
+		Bond:   bond.Config{Policy: bond.PolicySpray},
+		Repair: repair.Config{Enabled: true},
+		Faults: fault.Config{
+			RLF: true, Watchdog: true, KeyframeRecovery: true,
+			Windows: []fault.Window{
+				{Start: 20 * time.Second, Duration: 2 * time.Second, Path: fault.PathPrimary},
+				{Start: 35 * time.Second, Duration: 200 * time.Millisecond, Loss: true},
+				{Start: 50 * time.Second, Duration: 3 * time.Second, Path: fault.PathSecondary},
+				{Start: 65 * time.Second, Duration: 100 * time.Millisecond, Loss: true},
+			},
+		},
+	}
+}
+
+func Resilient75sSeeds() []int64 { return []int64{1, DeriveSeed(7, 0)} }
+
 // TestResilientLongHorizonPinned pins the metrics of a bonded, repaired,
 // faulted flight long enough to reach what no golden or baseline (all ≤ 8 s,
 // 240 frames) does: the sender's frame registry past its 1 200-frame window,
@@ -26,24 +48,11 @@ import (
 // only for an intentional behaviour change; a speed-only change to any of
 // those structures must leave the file byte-identical.
 func TestResilientLongHorizonPinned(t *testing.T) {
-	cfg := Config{
-		Env: cell.Rural, Op: cell.P1, Air: true, CC: CCGCC, Duration: 75 * time.Second,
-		Bond:   bond.Config{Policy: bond.PolicySpray},
-		Repair: repair.Config{Enabled: true},
-		Faults: fault.Config{
-			RLF: true, Watchdog: true, KeyframeRecovery: true,
-			Windows: []fault.Window{
-				{Start: 20 * time.Second, Duration: 2 * time.Second, Path: fault.PathPrimary},
-				{Start: 35 * time.Second, Duration: 200 * time.Millisecond, Loss: true},
-				{Start: 50 * time.Second, Duration: 3 * time.Second, Path: fault.PathSecondary},
-				{Start: 65 * time.Second, Duration: 100 * time.Millisecond, Loss: true},
-			},
-		},
-	}
+	cfg := Resilient75s()
 	// One JSON array, one registry per seed.
 	var got bytes.Buffer
 	got.WriteString("[\n")
-	for i, seed := range []int64{1, DeriveSeed(7, 0)} {
+	for i, seed := range Resilient75sSeeds() {
 		if i > 0 {
 			got.WriteString(",\n")
 		}

@@ -57,14 +57,15 @@ func BucketFor(alt float64) AltBucket {
 // MetricsRegistry(), and surface on the live /metrics endpoint as
 // rpivideo_<name>_bucket series.
 const (
-	// TelemetryFrameDelay is each played frame's encode-to-play latency (ms).
+	// TelemetryFrameDelay is each played frame's encode-to-play latency (ms):
+	// PlaybackMs, merged in when the run ends.
 	TelemetryFrameDelay = "frame_delay_ms"
 	// TelemetryQueueDelay is each served uplink packet's queueing delay (ms).
 	TelemetryQueueDelay = "queue_delay_ms"
 	// TelemetryNackRTT is each retransmission heal's loss-to-repair time (ms).
 	TelemetryNackRTT = "nack_rtt_ms"
 	// TelemetryHandoverInterruption is each committed handover's execution
-	// time (ms).
+	// time (ms): one sample per Handovers[i].HET, added when the run ends.
 	TelemetryHandoverInterruption = "handover_interruption_ms"
 )
 
@@ -82,8 +83,10 @@ type Result struct {
 	Handovers                                             []cell.Event
 	PacketsSent, PacketsDelivered, PacketsLost, Overflows int
 
-	// Control-plane (RTCP sender report) counters on the media uplink,
+	// Control-plane (RTCP sender report) counters on the primary uplink,
 	// kept apart from the media counters so PER stays media-only.
+	// CtrlPacketsLost counts drops for any reason. The media counters
+	// (Packets*, Overflows, AQMDrops, StaleDrops) sum every uplink path.
 	CtrlPacketsSent, CtrlPacketsDelivered, CtrlPacketsLost int
 
 	// Video metrics (video workloads only).
@@ -171,8 +174,9 @@ type Result struct {
 	// RepairBudgetAccrued is the cumulative byte allowance the budget
 	// granted; RtxBytes ≤ RepairBudgetAccrued is the layer's hard bound.
 	RepairBudgetAccrued float64
-	// RTX plane counters from the uplink (conservation-checked in
-	// internal/link; surfaced here for experiment shape checks).
+	// RTX plane counters from the primary uplink's RTX ledger (RtxLost is
+	// radio loss; conservation-checked in internal/link; surfaced here for
+	// experiment shape checks).
 	RtxSent, RtxDelivered, RtxLost, RtxStaleDrops, RtxOverflows int
 
 	// The run's simulator cost: events scheduled and the most pending at

@@ -33,7 +33,7 @@ func run(cfg Config, wire bool) *Result {
 
 	// Radio access. A fleet run injects its shared deployment via
 	// cfg.Cells; solo runs draw a private map from the "cell" stream.
-	machine, hoCfg := setupRadio(cfg, s.Stream("cell"))
+	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"))
 
 	res := &Result{Config: cfg, Duration: dur}
 	// Live-telemetry histograms (internal/obs). These are deliberately a
@@ -41,12 +41,13 @@ func run(cfg Config, wire bool) *Result {
 	// metric present on only one side as drift, so folding new series into
 	// the campaign surface would invalidate every checked-in baseline. All
 	// four are created up front so a /metrics scrape always exposes the
-	// series, even before the first observation.
+	// series, even before the first observation. Two are recorded as the
+	// run goes (queue delay, NACK RTT); frame delay and handover
+	// interruption repeat Result distributions and are filled at the end.
 	res.Telemetry = obs.NewRegistry()
-	res.Telemetry.LogHistogram(TelemetryFrameDelay)
-	res.Telemetry.LogHistogram(TelemetryNackRTT)
-	res.Telemetry.LogHistogram(TelemetryQueueDelay)
-	machine.SetInterruptionHist(res.Telemetry.LogHistogram(TelemetryHandoverInterruption))
+	for _, name := range []string{TelemetryFrameDelay, TelemetryNackRTT, TelemetryQueueDelay, TelemetryHandoverInterruption} {
+		res.Telemetry.LogHistogram(name)
+	}
 	if cfg.Trace {
 		res.Trace = obs.New(cfg.TraceCap)
 		machine.SetTracer(res.Trace, obs.DirUp)
@@ -86,7 +87,7 @@ func run(cfg Config, wire bool) *Result {
 	// Dual-operator bonding (internal/bond): an independent second radio
 	// chain over the competing operator, a per-path health monitor and a
 	// scheduling policy. nil for single-path runs.
-	bp := setupBond(s, cfg, res, uplink, hoCfg, prof, stateAt, flushStale)
+	bp := setupBond(s, cfg, res, uplink, prof, stateAt, flushStale)
 
 	switch cfg.Workload {
 	case WorkloadPing:
@@ -95,29 +96,33 @@ func run(cfg Config, wire bool) *Result {
 		stream(s, cfg, res, machine, uplink, bp, downlink, prof, dur, wire)
 	}
 
-	res.PacketsSent = uplink.Sent
-	res.PacketsDelivered = uplink.Delivered
-	res.PacketsLost = uplink.Lost
-	res.Overflows = uplink.Overflows
-	res.AQMDrops = uplink.AQMDrops
+	// The media counters sum every path's ledger, so a bonded run's count
+	// all the copies on the air (duplicate ≈ 2× the unique stream); the
+	// unique view is in BondPaths (per-path Delivered − Suppressed). Control
+	// and RTX ride the primary chain only. The two telemetry histograms that
+	// repeat a Result distribution are derived from it here.
+	paths := []*link.Link{uplink}
 	if bp != nil {
-		// Bonded runs: the radio-level counters sum every path's link, so
-		// sent/delivered/lost and PER describe all the copies on the air
-		// (duplicate ≈ 2× the unique stream). The unique view is in
-		// BondPaths: per-path Delivered − Suppressed. Feedback stays on the
-		// primary chain, so the Ctrl counters below are primary-only.
-		for i := 1; i < bond.NumPaths; i++ {
-			l := bp.uplinks[i]
-			res.PacketsSent += l.Sent
-			res.PacketsDelivered += l.Delivered
-			res.PacketsLost += l.Lost
-			res.Overflows += l.Overflows
-			res.AQMDrops += l.AQMDrops
-		}
+		paths = bp.uplinks[:]
 	}
-	res.CtrlPacketsSent = uplink.CtrlSent
-	res.CtrlPacketsDelivered = uplink.CtrlDelivered
-	res.CtrlPacketsLost = uplink.CtrlLost
+	for _, l := range paths {
+		m := l.Count(link.Media)
+		res.PacketsSent += m.Sent
+		res.PacketsDelivered += m.Delivered
+		res.PacketsLost += m.Dropped[link.DropLoss]
+		res.Overflows += m.Dropped[link.DropOverflow]
+		res.AQMDrops += m.Dropped[link.DropAQM]
+		res.StaleDrops += m.Dropped[link.DropStale]
+	}
+	ctrl, rtx := uplink.Count(link.Control), uplink.Count(link.RTX)
+	res.CtrlPacketsSent, res.CtrlPacketsDelivered, res.CtrlPacketsLost = ctrl.Sent, ctrl.Delivered, ctrl.Drops()
+	res.RtxSent, res.RtxDelivered = rtx.Sent, rtx.Delivered
+	res.RtxLost, res.RtxOverflows, res.RtxStaleDrops = rtx.Dropped[link.DropLoss], rtx.Dropped[link.DropOverflow], rtx.Dropped[link.DropStale]
+	res.Telemetry.LogHistogram(TelemetryFrameDelay).Merge(&res.PlaybackMs)
+	het := res.Telemetry.LogHistogram(TelemetryHandoverInterruption)
+	for _, ev := range res.Handovers {
+		het.Add(float64(ev.HET) / float64(time.Millisecond))
+	}
 	if res.PacketsSent > 0 {
 		res.PER = float64(res.PacketsLost) / float64(res.PacketsSent)
 	}
@@ -148,15 +153,16 @@ func setupMobility(cfg Config, s *sim.Simulator) (flight.Profile, func(time.Dura
 	return prof, stateAt
 }
 
-// setupRadio builds the deployment (unless cfg.Cells injects a shared one),
-// signal model and handover machine, drawing only from cellRng. RunFleet's
-// attachment precompute calls this with an identically derived stream so
-// its offline handover replay consumes exactly the randomness the live run
-// does — the basis of the fleet's share determinism.
-func setupRadio(cfg Config, cellRng *rand.Rand) (*cell.Machine, cell.HandoverConfig) {
+// setupRadio builds operator op's deployment (unless cfg.Cells injects a
+// shared one), signal model and handover machine, drawing only from
+// cellRng. RunFleet's attachment precompute calls this with an identically
+// derived stream so its offline handover replay consumes exactly the
+// randomness the live run does — the basis of the fleet's share
+// determinism; setupBond builds the second chain with it.
+func setupRadio(cfg Config, op cell.Operator, cellRng *rand.Rand) (*cell.Machine, cell.HandoverConfig) {
 	bss := cfg.Cells
 	if bss == nil {
-		bss = cell.Deployment(cfg.Env, cfg.Op, cellRng)
+		bss = cell.Deployment(cfg.Env, op, cellRng)
 	}
 	model := cell.NewSignalModel(cfg.Env, bss, cell.DefaultSignalConfigFor(cfg.Env), cellRng)
 	hoCfg := cell.DefaultHandoverConfigFor(cfg.Env)
@@ -193,7 +199,7 @@ func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, up
 
 	log.fold()
 	sampler.fold()
-	foldEndpoints(cfg, res, snd, rcv, uplink, bp, log, dur)
+	foldEndpoints(cfg, res, snd, rcv, bp, log, dur)
 }
 
 // newEndpoints translates a run's Config into the two endpoint configs and
@@ -257,7 +263,6 @@ func newEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths) (*en
 	snd := endpoint.NewSender(s, scfg)
 	rcfg.FrameEncoding = snd.Video.FrameEncoding
 	rcv := endpoint.NewReceiver(s, rcfg)
-	rcv.Player.SetLatencyHist(res.Telemetry.LogHistogram(TelemetryFrameDelay))
 	if det := rcv.Detector; det != nil {
 		det.SetNackRTTHist(res.Telemetry.LogHistogram(TelemetryNackRTT))
 	}
@@ -298,7 +303,7 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 		snd.RTX = func(p *rtp.Packet, size int) { uplink.SendRTX(p, size) }
 	}
 	// Control-plane send: the SR shares the media bearer (loss, queueing,
-	// serialization) but stays out of the media Sent/Lost/Overflows so
+	// serialization) but stays out of the media ledger so
 	// res.PER remains media-only, matching the paper's §4.1 PER of
 	// 0.06–0.07%.
 	snd.Control = func(buf []byte) { uplink.SendControl(buf, len(buf)) }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"rpivideo/internal/cell"
+	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
 )
 
@@ -148,6 +150,42 @@ func TestFleetStatusSink(t *testing.T) {
 	}
 	if reg := tel.SnapshotRegistry(); reg.LogHistogram(TelemetryFrameDelay).N() == 0 {
 		t.Error("fleet runs recorded no frame delays")
+	}
+}
+
+// TestTelemetryRepeatsResult: the two live histograms derived from a Result
+// hold exactly its samples — frame delay those of PlaybackMs, handover
+// interruption one per Handovers[i].HET — down to count, sum, extremes and
+// every bucket.
+func TestTelemetryRepeatsResult(t *testing.T) {
+	cfg := telemetryTestConfig()
+	cfg.Air, cfg.Duration = true, 40*time.Second
+	res := Run(cfg)
+	var het metrics.Sketch
+	for _, ev := range res.Handovers {
+		het.Add(float64(ev.HET) / float64(time.Millisecond))
+	}
+	buckets := func(s *metrics.Sketch) (out [][2]float64) {
+		s.EachBucket(func(upper float64, n int64) { out = append(out, [2]float64{upper, float64(n)}) })
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		want *metrics.Sketch
+		minN int
+	}{
+		{TelemetryFrameDelay, &res.PlaybackMs, 200}, // past the exact window
+		{TelemetryHandoverInterruption, &het, 1},
+	} {
+		got := res.Telemetry.LogHistogram(c.name)
+		if got.N() < c.minN {
+			t.Errorf("%s: %d samples, want at least %d", c.name, got.N(), c.minN)
+		}
+		if got.N() != c.want.N() || got.Sum() != c.want.Sum() || got.Min() != c.want.Min() || got.Max() != c.want.Max() ||
+			!reflect.DeepEqual(buckets(got), buckets(c.want)) {
+			t.Errorf("%s (N %d, sum %g, [%g, %g]) does not hold the Result's samples (N %d, sum %g, [%g, %g])",
+				c.name, got.N(), got.Sum(), got.Min(), got.Max(), c.want.N(), c.want.Sum(), c.want.Min(), c.want.Max())
+		}
 	}
 }
 

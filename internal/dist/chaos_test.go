@@ -214,7 +214,7 @@ func TestChaosCleanRunReissuesNothing(t *testing.T) {
 	}
 	out, reg := runChaosCampaign(t, 3, 12, 2, 0xfeed, 0)
 	requireByteIdentical(t, expectedShards(0xfeed, 12), out)
-	for _, zero := range []string{"dist_leases_reissued", "dist_workers_lost", "dist_lease_expiries", "dist_stragglers_killed", "dist_chunks_failed"} {
+	for _, zero := range []string{"dist_leases_reissued", "dist_workers_lost", "dist_lease_expiries", "dist_chunks_failed"} {
 		if n := reg.Counter(zero); n != 0 {
 			t.Fatalf("%s = %d, want 0 in a clean run", zero, n)
 		}

@@ -254,8 +254,6 @@ func (c *coord) expire(now time.Time) {
 		wi := ck.worker
 		c.count("dist_lease_expiries", 1)
 		c.event(Event{Kind: EvLeaseExpired, Worker: wi, Chunk: ck.id, Start: ck.start, Count: ck.count, Attempt: ck.attempts, Run: -1})
-		c.count("dist_stragglers_killed", 1)
-		c.event(Event{Kind: EvStragglerKilled, Worker: wi, Chunk: ck.id, Run: -1})
 		c.kill(wi, fmt.Sprintf("lease on chunk %d expired", ck.id))
 	}
 }

@@ -230,8 +230,8 @@ func TestHungWorkerLosesLeaseAndIsKilled(t *testing.T) {
 	if n := reg.Counter("dist_lease_expiries"); n != 1 {
 		t.Fatalf("dist_lease_expiries = %d, want 1", n)
 	}
-	if n := reg.Counter("dist_stragglers_killed"); n != 1 {
-		t.Fatalf("dist_stragglers_killed = %d, want 1", n)
+	if n := reg.Counter("dist_workers_lost"); n != 1 {
+		t.Fatalf("dist_workers_lost = %d, want 1", n)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -239,7 +239,7 @@ func TestHungWorkerLosesLeaseAndIsKilled(t *testing.T) {
 	for _, k := range kinds {
 		seen[k] = true
 	}
-	for _, want := range []EventKind{EvLeaseExpired, EvStragglerKilled, EvGrant, EvChunkDone} {
+	for _, want := range []EventKind{EvLeaseExpired, EvWorkerLost, EvGrant, EvChunkDone} {
 		if !seen[want] {
 			t.Fatalf("event %v never fired (saw %v)", want, kinds)
 		}
@@ -345,8 +345,8 @@ func TestRetryBudgetExhaustionFailsChunk(t *testing.T) {
 	if n := reg.Counter("dist_chunks_failed"); n != 1 {
 		t.Fatalf("dist_chunks_failed = %d, want 1", n)
 	}
-	if n := reg.Counter("dist_stragglers_killed"); n != 3 {
-		t.Fatalf("dist_stragglers_killed = %d, want 3", n)
+	if n := reg.Counter("dist_lease_expiries"); n != 3 {
+		t.Fatalf("dist_lease_expiries = %d, want 3", n)
 	}
 }
 
@@ -591,7 +591,7 @@ func TestOnlyShardsExtendTheLease(t *testing.T) {
 	if err == nil || len(out.Failed) != 1 {
 		t.Fatalf("Run = %v, Failed %v; want the one chunk failed", err, out.Failed)
 	}
-	for _, name := range []string{"dist_lease_expiries", "dist_stragglers_killed", "dist_workers_lost"} {
+	for _, name := range []string{"dist_lease_expiries", "dist_workers_lost"} {
 		if n := reg.Counter(name); n != 1 {
 			t.Fatalf("%s = %d, want 1", name, n)
 		}

@@ -90,7 +90,7 @@ type Config struct {
 	// campaign error. Default 4.
 	RetryCap int
 	// Metrics, when non-nil, receives the dist_* counters (leases
-	// re-issued, stragglers killed, workers lost, …). Keep this registry
+	// re-issued, leases expired, workers lost, …). Keep this registry
 	// separate from the campaign's own: distribution accounting is
 	// nondeterministic by nature and must not touch byte-stable exports.
 	Metrics *obs.Registry
@@ -150,11 +150,10 @@ const (
 	// EvGrant: a chunk was leased to a worker. Attempt counts grants of
 	// this chunk, starting at 1.
 	EvGrant
-	// EvLeaseExpired: a leaseholder shipped no shard within the lease.
+	// EvLeaseExpired: a leaseholder shipped no shard within the lease. It
+	// is killed (EvWorkerLost follows) and its chunk returns to the pending
+	// pool.
 	EvLeaseExpired
-	// EvStragglerKilled: the expired leaseholder was hard-stopped; its
-	// chunk returns to the pending pool.
-	EvStragglerKilled
 	// EvChunkDone: a chunk's last shard arrived and the chunk committed.
 	EvChunkDone
 	// EvChunkFailed: a chunk exhausted its retry budget (or lost all
@@ -175,8 +174,6 @@ func (k EventKind) String() string {
 		return "grant"
 	case EvLeaseExpired:
 		return "lease-expired"
-	case EvStragglerKilled:
-		return "straggler-killed"
 	case EvChunkDone:
 		return "chunk-done"
 	case EvChunkFailed:

@@ -14,8 +14,8 @@ import (
 // flightTrace runs a 3 Mbps stream over one whole standard flight through a
 // link whose altitude effects are built by wire, with the loss and stall
 // rates raised so that both effects fire hundreds of times. It returns the
-// trace (every send, drop and arrival with its time) and the counters.
-func flightTrace(wire func(s *sim.Simulator, p Profile, prof flight.Profile) *Link) (*obs.Tracer, [3]int) {
+// trace (every send, drop and arrival with its time) and the media ledger.
+func flightTrace(wire func(s *sim.Simulator, p Profile, prof flight.Profile) *Link) (*obs.Tracer, Counts) {
 	s := sim.New(5)
 	prof := flight.StandardFlight()
 	p := ProfileFor(cell.Urban, cell.P1)
@@ -34,7 +34,7 @@ func flightTrace(wire func(s *sim.Simulator, p Profile, prof flight.Profile) *Li
 	}
 	s.After(0, send)
 	s.Run()
-	return tr, [3]int{l.Sent, l.Delivered, l.Lost}
+	return tr, l.Count(Media)
 }
 
 // TestSetFlightMatchesStateClosure: a link given the profile (step
@@ -55,10 +55,10 @@ func TestSetFlightMatchesStateClosure(t *testing.T) {
 		return New(s, p, nil, nil, s.Stream("link"))
 	})
 	if gotN != wantN || !reflect.DeepEqual(got.Events(), want.Events()) {
-		t.Errorf("SetFlight: sent/delivered/lost %v, state closure %v; traces equal: %v",
+		t.Errorf("SetFlight: media ledger %+v, state closure %+v; traces equal: %v",
 			gotN, wantN, reflect.DeepEqual(got.Events(), want.Events()))
 	}
-	if groundN[2] >= wantN[2] || reflect.DeepEqual(ground.Events(), want.Events()) {
-		t.Errorf("the altitude effects did not fire: lost %d on the ground, %d in flight", groundN[2], wantN[2])
+	if lost, wantLost := groundN.Dropped[DropLoss], wantN.Dropped[DropLoss]; lost >= wantLost || reflect.DeepEqual(ground.Events(), want.Events()) {
+		t.Errorf("the altitude effects did not fire: lost %d on the ground, %d in flight", lost, wantLost)
 	}
 }

@@ -18,7 +18,7 @@ import (
 func perPacketTimers(l *Link) {
 	l.servedFn = func() {
 		pkt := l.dequeueHead()
-		at := l.depart(pkt.class)
+		at := l.depart()
 		l.sim.At(at, func() { l.land(pkt) })
 		l.serveNext()
 	}
@@ -109,26 +109,28 @@ func TestArrivalRingMatchesPerPacketTimers(t *testing.T) {
 	if !reflect.DeepEqual(tr.Events(), otr.Events()) {
 		t.Error("trace differs from the oracle's")
 	}
-	for _, c := range []struct {
-		name      string
-		got, want int
-	}{
-		{"Delivered", l.Delivered, ol.Delivered}, {"Lost", l.Lost, ol.Lost},
-		{"Overflows", l.Overflows, ol.Overflows}, {"StaleDrops", l.StaleDrops, ol.StaleDrops},
-		{"CtrlDelivered", l.CtrlDelivered, ol.CtrlDelivered}, {"CtrlLost", l.CtrlLost, ol.CtrlLost},
-		{"RtxDelivered", l.RtxDelivered, ol.RtxDelivered}, {"RtxStaleDrops", l.RtxStaleDrops, ol.RtxStaleDrops},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s = %d, oracle %d", c.name, c.got, c.want)
+	for c := Media; c < numClasses; c++ {
+		if got, want := l.Count(c), ol.Count(c); got != want {
+			t.Errorf("class %d ledger %+v, oracle %+v", c, got, want)
 		}
-		if c.got == 0 {
+	}
+	m, ctrl, rtx := l.Count(Media), l.Count(Control), l.Count(RTX)
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"media delivered", m.Delivered}, {"media lost", m.Dropped[DropLoss]},
+		{"media overflows", m.Dropped[DropOverflow]}, {"media stale", m.Dropped[DropStale]},
+		{"control delivered", ctrl.Delivered}, {"control dropped", ctrl.Drops()},
+		{"rtx delivered", rtx.Delivered}, {"rtx stale", rtx.Dropped[DropStale]},
+	} {
+		if c.n == 0 {
 			t.Errorf("%s = 0: the schedule does not exercise it", c.name)
 		}
 	}
 	checkConservation(t, l, "drained")
-	if fm, fc := l.InFlightPackets(); fm+fc+l.RtxInFlight() != 0 || l.inflight.len() != 0 || l.arrivals.len() != 0 {
-		t.Errorf("drained link still has packets in flight: %d media, %d ctrl, %d rtx, rings %d/%d",
-			fm, fc, l.RtxInFlight(), l.inflight.len(), l.arrivals.len())
+	if l.inflight.len() != 0 || l.arrivals.len() != 0 {
+		t.Errorf("drained link still has packets in flight: rings %d/%d", l.inflight.len(), l.arrivals.len())
 	}
 
 	// As a packet lands the simulator holds at most the sender, the
@@ -185,7 +187,7 @@ func TestLinkPacketSteadyStateAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(5000, pl.step); n != 0 {
 		t.Errorf("a packet allocates %.3f times, want 0", n)
 	}
-	if fm, _ := pl.l.InFlightPackets(); fm < 40 || pl.s.Pending() > 3 || pl.s.TimerHighWater() > 4 {
+	if fm := pl.l.inflight.len(); fm < 40 || pl.s.Pending() > 3 || pl.s.TimerHighWater() > 4 {
 		// The fourth timer is the arrival being fired while it arms the next.
 		t.Errorf("%d packets in flight on %d pending events (%d timers ever), want ≥ 40 on ≤ 3 (4)",
 			fm, pl.s.Pending(), pl.s.TimerHighWater())

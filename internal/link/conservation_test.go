@@ -39,9 +39,9 @@ func TestPropertyLinkConservation(t *testing.T) {
 		if l.QueueBytes() > 0 {
 			inQueue = l.QueueBytes() / 1250
 		}
+		m := l.Count(Media)
 		return delivered+dropped+inQueue == offered &&
-			l.Delivered == delivered &&
-			l.Lost+l.Overflows+l.AQMDrops == dropped
+			m.Delivered == delivered && m.Drops() == dropped
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -61,7 +61,7 @@ func TestAQMBoundsSojourn(t *testing.T) {
 		s.At(at, func() { l.Send(nil, 1250) })
 	}
 	s.Run()
-	if l.AQMDrops == 0 {
+	if l.Count(Media).Dropped[DropAQM] == 0 {
 		t.Fatal("CoDel never dropped under sustained 1.3× overload")
 	}
 	// Steady-state (the sqrt control law needs ≈10 s to ramp against a

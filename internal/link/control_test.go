@@ -23,18 +23,18 @@ func TestControlPacketsExcludedFromMediaCounters(t *testing.T) {
 		})
 	}
 	s.Run()
-	if l.Sent != 100 || l.Delivered != 100 {
-		t.Errorf("media counters: sent=%d delivered=%d, want 100/100", l.Sent, l.Delivered)
+	if m := l.Count(Media); m.Sent != 100 || m.Delivered != 100 {
+		t.Errorf("media ledger: sent=%d delivered=%d, want 100/100", m.Sent, m.Delivered)
 	}
-	if l.CtrlSent != 10 || l.CtrlDelivered != 10 {
-		t.Errorf("control counters: sent=%d delivered=%d, want 10/10", l.CtrlSent, l.CtrlDelivered)
+	if c := l.Count(Control); c.Sent != 10 || c.Delivered != 10 {
+		t.Errorf("control ledger: sent=%d delivered=%d, want 10/10", c.Sent, c.Delivered)
 	}
 	if l.QueueBytes() != 0 {
 		t.Errorf("queue not drained: %d bytes", l.QueueBytes())
 	}
 }
 
-// Control losses land in CtrlLost, leaving the media PER untouched.
+// Control losses land in the control ledger, leaving the media PER untouched.
 func TestControlLossesSeparatelyCounted(t *testing.T) {
 	s := sim.New(7)
 	p := cleanProfile()
@@ -50,16 +50,15 @@ func TestControlLossesSeparatelyCounted(t *testing.T) {
 		}
 	})
 	s.Run()
-	if l.CtrlLost == 0 {
+	c := l.Count(Control)
+	if c.Dropped[DropLoss] == 0 {
 		t.Fatal("lossy link never lost a control packet")
 	}
-	if l.Sent != 0 || l.Lost != 0 || l.Overflows != 0 {
-		t.Errorf("control traffic leaked into media counters: sent=%d lost=%d overflows=%d",
-			l.Sent, l.Lost, l.Overflows)
+	if m := l.Count(Media); m != (Counts{}) {
+		t.Errorf("control traffic leaked into the media ledger: %+v", m)
 	}
-	if l.CtrlSent != n || l.CtrlDelivered+l.CtrlLost != n {
-		t.Errorf("control conservation: sent=%d delivered=%d lost=%d",
-			l.CtrlSent, l.CtrlDelivered, l.CtrlLost)
+	if c.Sent != n || c.Delivered+c.Drops() != n {
+		t.Errorf("control conservation: %+v", c)
 	}
 }
 
@@ -79,10 +78,10 @@ func TestControlBytesDoNotOccupyMediaBuffer(t *testing.T) {
 		l.Send(nil, 1250)      // media tail drop, not caused by the SR
 	})
 	s.Run()
-	if l.Overflows != 1 {
-		t.Errorf("media overflows = %d, want exactly the burst's 9th packet", l.Overflows)
+	if n := l.Count(Media).Dropped[DropOverflow]; n != 1 {
+		t.Errorf("media overflows = %d, want exactly the burst's 9th packet", n)
 	}
-	if l.CtrlDelivered != 1 || l.CtrlLost != 0 {
-		t.Errorf("control packet not delivered: delivered=%d lost=%d", l.CtrlDelivered, l.CtrlLost)
+	if c := l.Count(Control); c.Delivered != 1 || c.Drops() != 0 {
+		t.Errorf("control packet not delivered: %+v", c)
 	}
 }

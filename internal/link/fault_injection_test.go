@@ -1,6 +1,7 @@
 package link
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,25 +9,39 @@ import (
 	"rpivideo/internal/sim"
 )
 
-// checkConservation asserts the packet-conservation invariant for both
-// planes: every offered packet is exactly one of delivered, lost, overflowed,
-// AQM-dropped, stale-flushed, still queued, or in flight.
+// checkConservation asserts the packet-conservation identity for every
+// class: each offered packet is exactly one of delivered, dropped (for any
+// of the four reasons), still queued, or in flight.
 func checkConservation(t *testing.T, l *Link, label string) {
 	t.Helper()
-	qm, qc := l.QueuedPackets()
-	fm, fc := l.InFlightPackets()
-	if got := l.Delivered + l.Lost + l.Overflows + l.AQMDrops + l.StaleDrops + qm + fm; got != l.Sent {
-		t.Errorf("%s: media conservation broken: sent=%d but delivered=%d lost=%d overflow=%d aqm=%d stale=%d queued=%d inflight=%d (sum %d)",
-			label, l.Sent, l.Delivered, l.Lost, l.Overflows, l.AQMDrops, l.StaleDrops, qm, fm, got)
+	if err := ledgerBalances(l); err != nil {
+		t.Errorf("%s: %v", label, err)
 	}
-	if got := l.CtrlDelivered + l.CtrlLost + qc + fc; got != l.CtrlSent {
-		t.Errorf("%s: control conservation broken: sent=%d but delivered=%d lost=%d queued=%d inflight=%d (sum %d)",
-			label, l.CtrlSent, l.CtrlDelivered, l.CtrlLost, qc, fc, got)
+}
+
+// ledgerBalances checks Sent == Delivered + Drops() + queued + in flight per
+// class, counting the queued and in-flight packets by walking the two rings,
+// independently of the ledger.
+func ledgerBalances(l *Link) error {
+	queued, inFlight := held(l)
+	for c := Media; c < numClasses; c++ {
+		n := l.Count(c)
+		if got := n.Delivered + n.Drops() + queued[c] + inFlight[c]; got != n.Sent {
+			return fmt.Errorf("class %d conservation broken: %+v, queued=%d inflight=%d (sum %d)", c, n, queued[c], inFlight[c], got)
+		}
 	}
-	if got := l.RtxDelivered + l.RtxLost + l.RtxOverflows + l.RtxAQMDrops + l.RtxStaleDrops + l.RtxQueued() + l.RtxInFlight(); got != l.RtxSent {
-		t.Errorf("%s: rtx conservation broken: sent=%d but delivered=%d lost=%d overflow=%d aqm=%d stale=%d queued=%d inflight=%d (sum %d)",
-			label, l.RtxSent, l.RtxDelivered, l.RtxLost, l.RtxOverflows, l.RtxAQMDrops, l.RtxStaleDrops, l.RtxQueued(), l.RtxInFlight(), got)
+	return nil
+}
+
+// held counts each class's packets in the bottleneck queue and in flight.
+func held(l *Link) (queued, inFlight [numClasses]int) {
+	for i := 0; i < l.queue.len(); i++ {
+		queued[l.queue.at(i).class]++
 	}
+	for i := 0; i < l.inflight.len(); i++ {
+		inFlight[l.inflight.at(i).class]++
+	}
+	return queued, inFlight
 }
 
 // faultSchedules are the scripted outage shapes the conservation test sweeps.
@@ -74,7 +89,7 @@ func TestConservationUnderFaults(t *testing.T) {
 			s.RunUntil(5 * time.Second)
 			checkConservation(t, l, label)
 			if name == "unfinished" {
-				if qm, _ := l.QueuedPackets(); qm == 0 {
+				if queued, _ := held(l); queued[Media] == 0 {
 					t.Errorf("%s: expected packets stranded in the queue at termination", label)
 				}
 			}
@@ -83,8 +98,8 @@ func TestConservationUnderFaults(t *testing.T) {
 			if name != "unfinished" {
 				s.Run()
 				checkConservation(t, l, label+"/drained")
-				if qm, qc := l.QueuedPackets(); qm != 0 || qc != 0 || l.RtxQueued() != 0 {
-					t.Errorf("%s: queue not drained: media=%d ctrl=%d rtx=%d", label, qm, qc, l.RtxQueued())
+				if queued, _ := held(l); queued != [numClasses]int{} {
+					t.Errorf("%s: queue not drained: %v by class", label, queued)
 				}
 			}
 		}
@@ -111,8 +126,8 @@ func TestNoBusyPollDuringOutage(t *testing.T) {
 	if pending != 1 {
 		t.Fatalf("pending events mid-outage = %d, want exactly 1 (the resume event)", pending)
 	}
-	if l.Delivered != 0 && l.StaleDrops != 1 {
-		t.Fatalf("packet neither held nor flushed: delivered=%d stale=%d", l.Delivered, l.StaleDrops)
+	if m := l.Count(Media); m.Delivered != 0 && m.Dropped[DropStale] != 1 {
+		t.Fatalf("packet neither held nor flushed: %+v", m)
 	}
 }
 
@@ -131,7 +146,8 @@ func TestStaleFlushOnResume(t *testing.T) {
 			s.At(at, func() { l.Send(nil, 1200) })
 		}
 		s.Run()
-		return l.Delivered, l.StaleDrops
+		m := l.Count(Media)
+		return m.Delivered, m.Dropped[DropStale]
 	}
 	if delivered, stale := run(true); stale != 20 || delivered != 0 {
 		t.Errorf("flush: delivered=%d stale=%d, want 0/20", delivered, stale)
@@ -206,11 +222,12 @@ func TestRTXStaleFlushAndOrdering(t *testing.T) {
 		})
 	}
 	s.Run()
-	if l.RtxStaleDrops != 20 || l.StaleDrops != 20 {
-		t.Errorf("stale flush: rtx=%d media=%d, want 20/20", l.RtxStaleDrops, l.StaleDrops)
+	m, rtx := l.Count(Media), l.Count(RTX)
+	if rtx.Dropped[DropStale] != 20 || m.Dropped[DropStale] != 20 {
+		t.Errorf("stale flush: rtx=%d media=%d, want 20/20", rtx.Dropped[DropStale], m.Dropped[DropStale])
 	}
-	if l.RtxDelivered != 10 || l.Delivered != 10 {
-		t.Errorf("survivors: rtx=%d media=%d, want 10/10", l.RtxDelivered, l.Delivered)
+	if rtx.Delivered != 10 || m.Delivered != 10 {
+		t.Errorf("survivors: rtx=%d media=%d, want 10/10", rtx.Delivered, m.Delivered)
 	}
 	for i := 1; i < len(arrivals); i++ {
 		if arrivals[i] < arrivals[i-1] {

@@ -34,6 +34,8 @@ const (
 	// outage: RRC re-establishment discards the stale RLC/PDCP backlog
 	// rather than replaying dead video.
 	DropStale
+	// numDropReasons sizes Counts.Dropped.
+	numDropReasons
 )
 
 // String implements fmt.Stringer.
@@ -50,29 +52,51 @@ func (r DropReason) String() string {
 	}
 }
 
-// packetClass separates the three kinds of traffic sharing the bearer:
-// media, control (RTCP) and RTX (RFC 4588 retransmissions). RTX rides the
-// media bottleneck — it competes for the same buffer bytes and suffers the
-// same loss, AQM, stale-flush and in-order delivery — but is tallied in its
-// own counters so media-only statistics (the paper's §4.1 PER) stay clean.
-type packetClass uint8
+// Class separates the three kinds of traffic sharing the bearer: media,
+// control (RTCP) and RTX (RFC 4588 retransmissions). RTX rides the media
+// bottleneck — it competes for the same buffer bytes and suffers the same
+// loss, AQM, stale-flush and in-order delivery — but keeps its own ledger so
+// media-only statistics (the paper's §4.1 PER) stay clean.
+type Class uint8
 
+// Traffic classes.
 const (
-	classMedia packetClass = iota
-	classCtrl
-	classRTX
+	// Media is the video stream (Send).
+	Media Class = iota
+	// Control is RTCP sharing the media bearer (SendControl).
+	Control
+	// RTX is retransmitted media (SendRTX).
+	RTX
+	numClasses
 )
 
 // flags returns the trace flag bits for the class.
-func (c packetClass) flags() uint8 {
+func (c Class) flags() uint8 {
 	switch c {
-	case classCtrl:
+	case Control:
 		return obs.FlagCtrl
-	case classRTX:
+	case RTX:
 		return obs.FlagRTX
 	default:
 		return 0
 	}
+}
+
+// Counts is one class's ledger. Every packet offered is counted in Sent and
+// then, at any instant, is in exactly one of Delivered, a Dropped reason,
+// the bottleneck queue or the propagation stage.
+type Counts struct {
+	Sent, Delivered int
+	Dropped         [numDropReasons]int
+}
+
+// Drops returns the packets dropped for any reason.
+func (c Counts) Drops() int {
+	n := 0
+	for _, d := range c.Dropped {
+		n += d
+	}
+	return n
 }
 
 // Link is one emulated direction of the access link.
@@ -107,7 +131,7 @@ type Link struct {
 	// Deliver is invoked when a packet exits the link. Must be set before
 	// the first Send.
 	Deliver func(meta any, size int, sentAt, deliveredAt time.Duration)
-	// OnDrop, if set, is invoked when the link drops a packet.
+	// OnDrop, if set, is invoked when the link drops a media packet.
 	OnDrop func(meta any, size int, sentAt time.Duration, reason DropReason)
 
 	// Capacity fluctuation (Ornstein–Uhlenbeck around MeanCapacity).
@@ -155,42 +179,10 @@ type Link struct {
 	codelDropping   bool
 	codelCount      int
 
-	// AQMDrops counts CoDel head drops of media packets.
-	AQMDrops int
-
-	// StaleDrops counts media packets flushed at re-establishment (stale
-	// control packets fold into CtrlLost).
-	StaleDrops int
-
-	// In-flight packets: serialized, propagation delay pending.
-	inFlight     int
-	ctrlInFlight int
-	rtxInFlight  int
-
-	// Media counters. Only packets offered via Send count here, so PER and
-	// overflow statistics derived from them are media-only (the paper's
-	// §4.1 PER excludes RTCP).
-	Sent      int
-	Delivered int
-	Lost      int
-	Overflows int
-
-	// Control-plane counters for SendControl traffic (RTCP on the media
-	// bearer). CtrlLost folds radio losses and the rare CoDel head drop of
-	// a control packet together.
-	CtrlSent      int
-	CtrlDelivered int
-	CtrlLost      int
-
-	// Retransmission counters for SendRTX traffic. RTX occupies media
-	// buffer space (it is media, re-sent) but is excluded from the media
-	// counters so PER and overflow statistics stay media-only.
-	RtxSent       int
-	RtxDelivered  int
-	RtxLost       int
-	RtxOverflows  int
-	RtxAQMDrops   int
-	RtxStaleDrops int
+	// ledger is each class's Counts. A packet leaves the link only through
+	// land or drop, so the packets a ledger has not closed are exactly
+	// those in queue and inflight.
+	ledger [numClasses]Counts
 
 	// ctrlQueueBytes tracks queued control bytes separately from the media
 	// queueBytes so control packets do not occupy media buffer space in
@@ -219,11 +211,9 @@ type queued struct {
 	meta   any
 	size   int
 	sentAt time.Duration
-	class  packetClass
+	class  Class
 	id     int64
 }
-
-func (q queued) ctrl() bool { return q.class == classCtrl }
 
 // arrivalSlot is when an in-flight packet reaches the far end: its time and
 // the simulator sequence number reserved for it when it left the bottleneck.
@@ -454,116 +444,74 @@ func (l *Link) lose(now time.Duration) bool {
 }
 
 // Send puts one media packet onto the link at the current simulation time.
-func (l *Link) Send(meta any, size int) { l.send(meta, size, classMedia) }
+func (l *Link) Send(meta any, size int) { l.send(meta, size, Media) }
 
 // SendControl puts one control-plane packet (e.g. an RTCP sender report
 // sharing the media bearer) onto the link. It traverses the same radio —
-// loss model, queue and serialization — but is tallied in the Ctrl*
-// counters, and its bytes do not count against the media buffer in the
+// loss model, queue and serialization — but is counted in the Control
+// ledger, and its bytes do not count against the media buffer in the
 // overflow check: RTCP's share of the bearer is bounded (RFC 3550 §6.2
 // allots it 5% of session bandwidth; here it is one small report per
 // second), so it is never tail-dropped.
-func (l *Link) SendControl(meta any, size int) { l.send(meta, size, classCtrl) }
+func (l *Link) SendControl(meta any, size int) { l.send(meta, size, Control) }
 
 // SendRTX puts one retransmitted media packet onto the link. RTX is media
 // for the bottleneck — it occupies media buffer bytes, competes in the
 // overflow admission and suffers AQM, stale flush and in-order delivery —
-// but is tallied in the Rtx* counters.
-func (l *Link) SendRTX(meta any, size int) { l.send(meta, size, classRTX) }
+// but is counted in the RTX ledger.
+func (l *Link) SendRTX(meta any, size int) { l.send(meta, size, RTX) }
 
-func (l *Link) send(meta any, size int, class packetClass) {
+// Count returns class c's ledger.
+func (l *Link) Count(c Class) Counts { return l.ledger[c] }
+
+func (l *Link) send(meta any, size int, class Class) {
 	now := l.sim.Now()
-	id := l.nextID
+	pkt := queued{meta: meta, size: size, sentAt: now, class: class, id: l.nextID}
 	l.nextID++
-	flags := class.flags()
-	switch class {
-	case classCtrl:
-		l.CtrlSent++
-	case classRTX:
-		l.RtxSent++
-	default:
-		l.Sent++
-	}
+	l.ledger[class].Sent++
 	if l.trace != nil {
-		l.trace.Emit(obs.Event{T: now, Kind: obs.KindSend, Dir: l.traceDir, Flags: flags, Seq: id, Aux: int64(size)})
+		l.trace.Emit(obs.Event{T: now, Kind: obs.KindSend, Dir: l.traceDir, Flags: class.flags(), Seq: pkt.id, Aux: int64(size)})
 	}
-	if l.lose(now) {
-		if l.trace != nil {
-			l.trace.Emit(obs.Event{T: now, Kind: obs.KindDrop, Dir: l.traceDir, Flags: flags, Seq: id, Aux: int64(DropLoss)})
+	switch {
+	case l.lose(now):
+		l.drop(pkt, now, DropLoss)
+	case class != Control && l.queueBytes+size > l.prof.BufferBytes:
+		l.drop(pkt, now, DropOverflow)
+	default:
+		l.queue.push(pkt)
+		l.occupy(class, size)
+		if !l.serving {
+			l.serveNext()
 		}
-		switch class {
-		case classCtrl:
-			l.CtrlLost++
-		case classRTX:
-			l.RtxLost++
-		default:
-			l.Lost++
-			if l.OnDrop != nil {
-				l.OnDrop(meta, size, now, DropLoss)
-			}
-		}
-		return
 	}
-	if class != classCtrl && l.queueBytes+size > l.prof.BufferBytes {
-		if class == classRTX {
-			l.RtxOverflows++
-		} else {
-			l.Overflows++
-		}
-		if l.trace != nil {
-			l.trace.Emit(obs.Event{T: now, Kind: obs.KindDrop, Dir: l.traceDir, Flags: flags, Seq: id, Aux: int64(DropOverflow)})
-		}
-		if class == classMedia && l.OnDrop != nil {
-			l.OnDrop(meta, size, now, DropOverflow)
-		}
-		return
-	}
-	l.queue.push(queued{meta: meta, size: size, sentAt: now, class: class, id: id})
-	if class == classCtrl {
-		l.ctrlQueueBytes += size
+}
+
+// occupy adds n queued bytes of class c (n < 0 removes them). Control bytes
+// are kept apart so they never take media admission space.
+func (l *Link) occupy(c Class, n int) {
+	if c == Control {
+		l.ctrlQueueBytes += n
 	} else {
-		l.queueBytes += size
+		l.queueBytes += n
 	}
-	if !l.serving {
-		l.serveNext()
+}
+
+// drop ends a packet's life on the link for reason r at now: the trace line,
+// the ledger entry, then — for media — OnDrop. With land it is the only way
+// out of the link.
+func (l *Link) drop(pkt queued, now time.Duration, r DropReason) {
+	if l.trace != nil {
+		l.trace.Emit(obs.Event{T: now, Kind: obs.KindDrop, Dir: l.traceDir, Flags: pkt.class.flags(), Seq: pkt.id, Aux: int64(r)})
+	}
+	l.ledger[pkt.class].Dropped[r]++
+	if pkt.class == Media && l.OnDrop != nil {
+		l.OnDrop(pkt.meta, pkt.size, pkt.sentAt, r)
 	}
 }
 
 // QueueBytes returns the bytes waiting in the bottleneck buffer (media and
 // control).
 func (l *Link) QueueBytes() int { return l.queueBytes + l.ctrlQueueBytes }
-
-// QueuedPackets returns the packets waiting in the bottleneck queue,
-// media and control planes separately (RTX is reported by RtxQueued).
-func (l *Link) QueuedPackets() (media, ctrl int) {
-	for i := 0; i < l.queue.len(); i++ {
-		switch l.queue.at(i).class {
-		case classCtrl:
-			ctrl++
-		case classMedia:
-			media++
-		}
-	}
-	return media, ctrl
-}
-
-// RtxQueued returns the retransmissions waiting in the bottleneck queue.
-func (l *Link) RtxQueued() int {
-	n := 0
-	for i := 0; i < l.queue.len(); i++ {
-		if l.queue.at(i).class == classRTX {
-			n++
-		}
-	}
-	return n
-}
-
-// InFlightPackets returns the packets that finished serialization but have
-// not yet been delivered (propagation delay pending), per plane.
-func (l *Link) InFlightPackets() (media, ctrl int) { return l.inFlight, l.ctrlInFlight }
-
-// RtxInFlight returns the retransmissions serialized but not yet delivered.
-func (l *Link) RtxInFlight() int { return l.rtxInFlight }
 
 // QueueDelay estimates the buffer drain time at the current effective
 // capacity, handover/degradation windows included. The capacity is floored
@@ -615,11 +563,7 @@ func (l *Link) queueDelayAt(c float64) time.Duration {
 // byte accounting straight.
 func (l *Link) dequeueHead() queued {
 	head := l.queue.pop()
-	if head.ctrl() {
-		l.ctrlQueueBytes -= head.size
-	} else {
-		l.queueBytes -= head.size
-	}
+	l.occupy(head.class, -head.size)
 	return head
 }
 
@@ -785,21 +729,7 @@ func (l *Link) codel(now time.Duration) {
 			l.codelFirstAbove = 0
 			return
 		}
-		head := l.dequeueHead()
-		if l.trace != nil {
-			l.trace.Emit(obs.Event{T: now, Kind: obs.KindDrop, Dir: l.traceDir, Flags: head.class.flags(), Seq: head.id, Aux: int64(DropAQM)})
-		}
-		switch head.class {
-		case classCtrl:
-			l.CtrlLost++
-		case classRTX:
-			l.RtxAQMDrops++
-		default:
-			l.AQMDrops++
-			if l.OnDrop != nil {
-				l.OnDrop(head.meta, head.size, head.sentAt, DropAQM)
-			}
-		}
+		l.drop(l.dequeueHead(), now, DropAQM)
 		l.codelCount++
 		l.codelDropNext = now + time.Duration(float64(codelInterval)/math.Sqrt(float64(l.codelCount)))
 	}
@@ -827,33 +757,16 @@ func (l *Link) outlierStall(now time.Duration) bool {
 	return false
 }
 
-// dropStaleQueue drops queued packets older than staleAfter. Stale media
-// counts in StaleDrops (reported as DropStale); stale control folds into
-// CtrlLost like other control-plane losses.
+// dropStaleQueue drops queued packets of every class older than staleAfter
+// as DropStale: an RTX or a report that outlived the outage is as dead as
+// stale media.
 func (l *Link) dropStaleQueue(now time.Duration) {
 	w := 0
 	for i := 0; i < l.queue.len(); i++ {
 		pkt := *l.queue.at(i)
 		if now-pkt.sentAt > l.staleAfter {
-			if l.trace != nil {
-				l.trace.Emit(obs.Event{T: now, Kind: obs.KindDrop, Dir: l.traceDir, Flags: pkt.class.flags(), Seq: pkt.id, Aux: int64(DropStale)})
-			}
-			switch pkt.class {
-			case classCtrl:
-				l.ctrlQueueBytes -= pkt.size
-				l.CtrlLost++
-			case classRTX:
-				// An RTX that outlived the outage is as dead as stale
-				// media: same flush, own counter.
-				l.queueBytes -= pkt.size
-				l.RtxStaleDrops++
-			default:
-				l.queueBytes -= pkt.size
-				l.StaleDrops++
-				if l.OnDrop != nil {
-					l.OnDrop(pkt.meta, pkt.size, pkt.sentAt, DropStale)
-				}
-			}
+			l.occupy(pkt.class, -pkt.size)
+			l.drop(pkt, now, DropStale)
 			continue
 		}
 		*l.queue.at(w) = pkt
@@ -866,7 +779,7 @@ func (l *Link) dropStaleQueue(now time.Duration) {
 // propagation delay plus per-packet jitter, clamped monotonic per link. RLC
 // delivers in order within the bearer, so jitter widens gaps but never
 // reorders — which also means in-flight packets form a strict FIFO.
-func (l *Link) depart(class packetClass) time.Duration {
+func (l *Link) depart() time.Duration {
 	delay := l.prof.BaseOWD
 	if l.prof.JitterSigma > 0 {
 		j := time.Duration(math.Abs(l.rng.NormFloat64()) * float64(l.prof.JitterSigma))
@@ -877,14 +790,6 @@ func (l *Link) depart(class packetClass) time.Duration {
 		at = l.lastArrival
 	}
 	l.lastArrival = at
-	switch class {
-	case classCtrl:
-		l.ctrlInFlight++
-	case classRTX:
-		l.rtxInFlight++
-	default:
-		l.inFlight++
-	}
 	return at
 }
 
@@ -892,7 +797,7 @@ func (l *Link) depart(class packetClass) time.Duration {
 // simulator's events is reserved now; the timer is armed now only when
 // nothing is ahead of it, otherwise by the arrival before it.
 func (l *Link) deliver(pkt queued) {
-	at := l.depart(pkt.class)
+	at := l.depart()
 	seq := l.sim.Reserve()
 	l.inflight.push(pkt)
 	l.arrivals.push(arrivalSlot{at: at, seq: seq})
@@ -916,17 +821,7 @@ func (l *Link) arrive() {
 
 // land hands an arrived packet to the far end.
 func (l *Link) land(pkt queued) {
-	switch pkt.class {
-	case classCtrl:
-		l.ctrlInFlight--
-		l.CtrlDelivered++
-	case classRTX:
-		l.rtxInFlight--
-		l.RtxDelivered++
-	default:
-		l.inFlight--
-		l.Delivered++
-	}
+	l.ledger[pkt.class].Delivered++
 	now := l.sim.Now()
 	if l.trace != nil {
 		l.trace.Emit(obs.Event{T: now, Kind: obs.KindRecv, Dir: l.traceDir, Flags: pkt.class.flags(),

@@ -93,8 +93,8 @@ func TestBufferbloatDelayNotLoss(t *testing.T) {
 		s.At(at, func() { l.Send(nil, 1250) })
 	}
 	s.Run()
-	if l.Overflows != 0 || l.Lost != 0 {
-		t.Errorf("drops under mild overload: %d overflow, %d loss", l.Overflows, l.Lost)
+	if m := l.Count(Media); m.Drops() != 0 {
+		t.Errorf("drops under mild overload: %v", m.Dropped)
 	}
 	last := (*got)[len(*got)-1]
 	if last.owd < 100*time.Millisecond {
@@ -124,8 +124,8 @@ func TestBufferOverflow(t *testing.T) {
 	if drops == 0 {
 		t.Error("no overflow drops for a burst exceeding the buffer")
 	}
-	if l.Delivered+drops != 20 {
-		t.Errorf("conservation: delivered %d + dropped %d != 20", l.Delivered, drops)
+	if delivered := l.Count(Media).Delivered; delivered+drops != 20 {
+		t.Errorf("conservation: delivered %d + dropped %d != 20", delivered, drops)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestResidualLossRate(t *testing.T) {
 		}
 	})
 	s.Run()
-	per := float64(l.Lost) / float64(n)
+	per := float64(l.Count(Media).Dropped[DropLoss]) / float64(n)
 	if per < 0.0003 || per > 0.0012 {
 		t.Errorf("PER = %.5f, want ≈0.0007 (paper: 0.06–0.07 %%)", per)
 	}

@@ -106,8 +106,8 @@ func TestTraceOutageEvents(t *testing.T) {
 	if stales == 0 {
 		t.Error("no stale-drop events despite a flushed backlog")
 	}
-	if stales != l.StaleDrops {
-		t.Errorf("stale-drop events %d != StaleDrops counter %d", stales, l.StaleDrops)
+	if n := l.Count(Media).Dropped[DropStale]; stales != n {
+		t.Errorf("stale-drop events %d != media ledger's stale drops %d", stales, n)
 	}
 }
 

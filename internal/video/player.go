@@ -157,10 +157,6 @@ type Player struct {
 	// purely observational).
 	trace *obs.Tracer
 
-	// delayHist, when non-nil, records each played frame's glass-to-glass
-	// latency in milliseconds.
-	delayHist *metrics.Sketch
-
 	task *sim.Task
 }
 
@@ -184,11 +180,6 @@ func NewPlayer(s *sim.Simulator, cfg PlayerConfig, ssim *SSIMModel, encoding fun
 
 // SetTracer attaches an event tracer (nil disables tracing).
 func (p *Player) SetTracer(tr *obs.Tracer) { p.trace = tr }
-
-// SetLatencyHist attaches a histogram that records each played frame's
-// encode-to-play latency in milliseconds. Nil disables recording. Skipped
-// frames are not recorded — they have no play time.
-func (p *Player) SetLatencyHist(h *metrics.Sketch) { p.delayHist = h }
 
 // Stop halts the playback loop.
 func (p *Player) Stop() {
@@ -446,9 +437,6 @@ func (p *Player) record(pf PlayedFrame, now time.Duration) {
 	if p.trace != nil {
 		p.trace.Emit(obs.Event{T: now, Kind: obs.KindFramePlay, Seq: int64(pf.Num),
 			Aux: int64(pf.Latency / time.Millisecond), V: pf.SSIM})
-	}
-	if p.delayHist != nil {
-		p.delayHist.Add(float64(pf.Latency) / float64(time.Millisecond))
 	}
 }
 
