@@ -13,11 +13,9 @@ func main() {
 	fmt.Println("method × environment, 3 flights each (campaigns fan out across CPUs):")
 	fmt.Printf("%-16s %8s %10s %10s %9s %8s\n",
 		"configuration", "goodput", "<300ms", "ssim<0.5", "stalls/m", "HO/s")
-	// The progress hook makes long sweeps observable: one line per
-	// completed flight with the aggregate simulation speed.
-	opts := rpivideo.CampaignOptions{Progress: func(p rpivideo.CampaignProgress) {
-		fmt.Fprintf(os.Stderr, "  run %d/%d done (%.0f sim-s/s)\n", p.Completed, p.Total, p.SimRate)
-	}}
+	// A status sink makes long sweeps observable: one line per completed
+	// flight with the aggregate simulation speed.
+	opts := rpivideo.CampaignOptions{StatusSink: progressLine{}}
 	for _, env := range []rpivideo.Environment{rpivideo.Urban, rpivideo.Rural} {
 		for _, ccKind := range []rpivideo.CC{rpivideo.Static, rpivideo.SCReAM, rpivideo.GCC} {
 			rs, errs := rpivideo.RunCampaignWithOptions(rpivideo.Config{
@@ -45,3 +43,13 @@ func main() {
 	fmt.Println("\npaper (Fig. 6/7): urban goodput 25 > 21 > 19 Mbps;")
 	fmt.Println("SCReAM wins rural goodput but collapses on urban playback latency.")
 }
+
+// progressLine prints each status snapshot to stderr and ignores the runs'
+// metrics.
+type progressLine struct{}
+
+func (progressLine) PublishStatus(s rpivideo.StatusSnapshot) {
+	fmt.Fprintf(os.Stderr, "  run %d/%d done (%.0f sim-s/s)\n", s.RunsDone, s.RunsTotal, s.SimRate)
+}
+
+func (progressLine) ObserveRun(*rpivideo.MetricsRegistry) {}

@@ -23,34 +23,12 @@ type CampaignOptions struct {
 	// EXPERIMENTS.md record in particular — can be regenerated exactly.
 	// The default is DeriveSeed.
 	LegacySeeds bool
-	// Progress, when non-nil, is invoked once per completed run. Calls
-	// are serialized by the engine, so the callback needs no locking of
-	// its own, but it must not block for long: it runs on the campaign's
-	// critical path.
-	Progress func(CampaignProgress)
 	// StatusSink, when non-nil, receives live telemetry: a progress
-	// snapshot after every completed run plus each run's merged metrics +
-	// telemetry registry. It is called under the engine's progress lock
-	// (serialized, like Progress) and feeds the -serve ops endpoints; it
-	// has no effect on results.
+	// snapshot after every completed run plus each run's metrics +
+	// telemetry registry. Calls are serialized by the engine, in completion
+	// order, and run on the campaign's critical path. It feeds the -serve
+	// ops endpoints and has no effect on results.
 	StatusSink obs.StatusSink
-}
-
-// CampaignProgress is one campaign status sample, emitted as each run
-// completes (in completion order, which under parallelism is not run-index
-// order).
-type CampaignProgress struct {
-	// Completed and Total count finished runs against the campaign size.
-	Completed, Total int
-	// RunIndex identifies the run that just finished.
-	RunIndex int
-	// Err is non-nil when that run panicked; its result slot is nil.
-	Err error
-	// Wall is the wall-clock time since the campaign started.
-	Wall time.Duration
-	// SimRate is the aggregate simulation speed so far, in simulated
-	// seconds per wall-clock second across all completed runs.
-	SimRate float64
 }
 
 // DeriveSeed mixes a campaign base seed and a run index into the run's
@@ -113,7 +91,7 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 		return nil
 	}
 	errs := make([]error, runs)
-	e := executor{workers: opts.Workers, unit: "campaign run", progress: opts.Progress, sink: opts.StatusSink}
+	e := executor{workers: opts.Workers, unit: "campaign run", sink: opts.StatusSink}
 	e.run(errs, func(i int) *Result {
 		c := cfg
 		c.Seed = opts.runSeed(cfg.Seed, i)
@@ -129,20 +107,20 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 //
 //   - every job runs under runGuarded, so a panic becomes that job's error
 //     and its result is nil;
-//   - the observer (Progress, StatusSink) is serialized and sees jobs in
+//   - the observer, a StatusSink, is serialized and sees jobs in
 //     completion order;
 //   - fold is serialized and sees jobs in strict index order whatever order
 //     they complete in — a nil result still takes its turn — which is what
 //     makes every export byte-identical at any worker count. Results that
 //     complete ahead of their turn wait in a pending map and nowhere else.
 type executor struct {
-	workers  int    // <= 0 selects GOMAXPROCS
-	unit     string // names job i in its error: "campaign run 3"
-	progress func(CampaignProgress)
-	sink     obs.StatusSink
+	workers int    // <= 0 selects GOMAXPROCS
+	unit    string // names job i in its error: "campaign run 3"
+	sink    obs.StatusSink
 	// mode and cells are stamped on every published snapshot. Campaigns
-	// leave both zero (the sink labels the mode); a fleet sets "fleet" and
-	// its per-cell contention table.
+	// leave both zero (the sink labels the mode: the engine can't tell a
+	// plain campaign from one run on behalf of an experiment figure); a
+	// fleet sets "fleet" and its per-cell contention table.
 	mode  string
 	cells []obs.CellStatus
 }
@@ -188,28 +166,28 @@ func (e executor) run(errs []error, job func(i int) *Result, fold func(i int, r 
 		if res != nil {
 			simSecs += res.Duration.Seconds()
 		}
-		if e.progress == nil && e.sink == nil {
+		if e.sink == nil {
 			return
 		}
-		p := CampaignProgress{Completed: completed, Total: n, RunIndex: i, Err: errs[i], Wall: time.Since(start)}
-		if w := p.Wall.Seconds(); w > 0 {
-			p.SimRate = simSecs / w
-		}
-		if e.progress != nil {
-			e.progress(p)
-		}
-		if e.sink != nil {
-			if res != nil {
-				reg := res.MetricsRegistry()
-				if res.Telemetry != nil {
-					reg.Merge(res.Telemetry)
-				}
-				e.sink.ObserveRun(reg)
+		if res != nil {
+			reg := res.MetricsRegistry()
+			if res.Telemetry != nil {
+				reg.Merge(res.Telemetry)
 			}
-			s := campaignSnapshot(p, failed)
-			s.Mode, s.Cells = e.mode, e.cells
-			e.sink.PublishStatus(s)
+			e.sink.ObserveRun(reg)
 		}
+		// The ETA extrapolates linearly from the jobs completed so far: a
+		// heuristic for operators, not a promise.
+		wall := time.Since(start).Seconds()
+		st := obs.StatusSnapshot{Mode: e.mode, RunsDone: completed, RunsTotal: n, RunErrors: failed,
+			WallSeconds: wall, Done: completed == n, Cells: e.cells}
+		if wall > 0 {
+			st.SimRate = simSecs / wall
+		}
+		if completed < n {
+			st.ETASeconds = wall / float64(completed) * float64(n-completed)
+		}
+		e.sink.PublishStatus(st)
 	}
 	runOne := func(i int) {
 		var res *Result
@@ -241,26 +219,6 @@ func (e executor) run(errs []error, job func(i int) *Result, fold func(i int, r 
 	}
 	close(idx)
 	wg.Wait()
-}
-
-// campaignSnapshot converts one progress sample into the live status shape.
-// The ETA extrapolates linearly from runs completed so far; it is a
-// heuristic for operators, not a promise. Mode is left empty for the sink
-// to stamp (the Telemetry hub's SetLabels): the engine can't tell a plain
-// campaign from one run on behalf of an experiment figure.
-func campaignSnapshot(p CampaignProgress, failed int) obs.StatusSnapshot {
-	s := obs.StatusSnapshot{
-		RunsDone:    p.Completed,
-		RunsTotal:   p.Total,
-		RunErrors:   failed,
-		WallSeconds: p.Wall.Seconds(),
-		SimRate:     p.SimRate,
-		Done:        p.Completed >= p.Total,
-	}
-	if p.Completed > 0 && p.Completed < p.Total {
-		s.ETASeconds = p.Wall.Seconds() / float64(p.Completed) * float64(p.Total-p.Completed)
-	}
-	return s
 }
 
 // runGuarded executes one job with panic recovery and, when timeout is

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rpivideo/internal/cell"
+	"rpivideo/internal/obs"
 )
 
 // resultFingerprint renders every result field the experiments package
@@ -172,30 +173,54 @@ func TestRunWithTimeoutKeepsPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestCampaignProgress: the hook sees every run exactly once and a
-// monotonically complete campaign.
+// recordingSink keeps what the executor publishes, in call order. The
+// executor serializes its calls, so it needs no lock of its own; status,
+// when set, runs after each snapshot is kept.
+type recordingSink struct {
+	snaps  []obs.StatusSnapshot
+	runs   []*obs.Registry
+	status func(obs.StatusSnapshot)
+}
+
+func (s *recordingSink) ObserveRun(reg *obs.Registry) { s.runs = append(s.runs, reg) }
+
+func (s *recordingSink) PublishStatus(st obs.StatusSnapshot) {
+	s.snaps = append(s.snaps, st)
+	if s.status != nil {
+		s.status(st)
+	}
+}
+
+// TestCampaignProgress: the sink gets one snapshot per completed job,
+// RunsDone counting 1…n towards a terminal Done, and one registry per
+// job that returned a result.
 func TestCampaignProgress(t *testing.T) {
-	seen := make(map[int]int)
-	last := 0
-	_, errs := execJobs(7, executor{workers: 4, progress: func(p CampaignProgress) {
-		seen[p.RunIndex]++
-		if p.Total != 7 || p.Completed != last+1 {
-			t.Errorf("progress out of order: %+v after completed=%d", p, last)
+	const n, bad = 7, 4
+	sink := &recordingSink{}
+	_, errs := execJobs(n, executor{workers: 4, sink: sink}, func(i int) *Result {
+		if i == bad {
+			panic("no result")
 		}
-		last = p.Completed
-	}}, func(i int) *Result { return &Result{Duration: time.Second} })
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+		return &Result{Duration: time.Second}
+	})
+	for i, err := range errs {
+		if (err != nil) != (i == bad) {
+			t.Errorf("errs[%d] = %v", i, err)
 		}
 	}
-	if last != 7 || len(seen) != 7 {
-		t.Errorf("progress coverage: completed=%d distinct=%d", last, len(seen))
+	if len(sink.snaps) != n {
+		t.Fatalf("%d snapshots for %d jobs", len(sink.snaps), n)
 	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Errorf("run %d reported %d times", i, n)
+	for k, st := range sink.snaps {
+		if st.RunsDone != k+1 || st.RunsTotal != n || st.Done != (k == n-1) {
+			t.Errorf("snapshot %d = %+v, want %d/%d done=%v", k, st, k+1, n, k == n-1)
 		}
+	}
+	if last := sink.snaps[n-1]; last.RunErrors != 1 || last.SimRate <= 0 || last.ETASeconds != 0 {
+		t.Errorf("terminal snapshot %+v, want 1 run error, a sim rate and no ETA", last)
+	}
+	if len(sink.runs) != n-1 {
+		t.Errorf("%d registries observed, want one per result (%d)", len(sink.runs), n-1)
 	}
 }
 
@@ -203,7 +228,8 @@ func TestCampaignProgress(t *testing.T) {
 // jobs gated to complete in reverse order, the fold must still see indices
 // 0..n-1 in order — so nothing folds until job 0 lands — and a job without
 // a result (here a panic) takes its turn as nil instead of stalling the
-// ones behind it.
+// ones behind it. Each job's result carries its index in FramesPlayed, so
+// the sink sees which job completed: the k-th completion is job n−k.
 func TestExecutorFoldsInIndexOrder(t *testing.T) {
 	const n, bad = 6, 3
 	gates := make([]chan struct{}, n)
@@ -217,23 +243,30 @@ func TestExecutorFoldsInIndexOrder(t *testing.T) {
 	}
 	var order []folded
 	errs := make([]error, n)
-	e := executor{workers: n, unit: "job", progress: func(p CampaignProgress) {
-		if want := n - p.Completed; p.RunIndex != want {
-			t.Errorf("completion %d was job %d, want %d (reverse order)", p.Completed, p.RunIndex, want)
+	sink, observed := &recordingSink{}, 0
+	sink.status = func(st obs.StatusSnapshot) {
+		job := bad // a completion that brought no registry is the panic
+		if len(sink.runs) > observed {
+			observed = len(sink.runs)
+			job = int(sink.runs[observed-1].Counter("frames_played"))
 		}
-		if p.RunIndex > 0 {
+		if want := n - st.RunsDone; job != want {
+			t.Errorf("completion %d was job %d, want %d (reverse order)", st.RunsDone, job, want)
+		}
+		if job > 0 {
 			if len(order) != 0 {
 				t.Errorf("folded %v before job 0 completed", order)
 			}
-			close(gates[p.RunIndex-1]) // release the next-lower job
+			close(gates[job-1]) // release the next-lower job
 		}
-	}}
+	}
+	e := executor{workers: n, unit: "job", sink: sink}
 	e.run(errs, func(i int) *Result {
 		<-gates[i]
 		if i == bad {
 			panic("no result")
 		}
-		return &Result{Duration: time.Duration(i) * time.Second}
+		return &Result{Duration: time.Duration(i) * time.Second, Tally: Tally{FramesPlayed: i}}
 	}, func(i int, r *Result) {
 		if r != nil && r.Duration != time.Duration(i)*time.Second {
 			t.Errorf("fold(%d) got job %v's result", i, r.Duration)
@@ -273,12 +306,8 @@ func TestExecutorKeepsEarlierFailure(t *testing.T) {
 		}, func(int, *Result) {})
 
 		var folded []int
-		failedSeen := 0
-		e.progress = func(p CampaignProgress) {
-			if p.Err != nil {
-				failedSeen++
-			}
-		}
+		sink := &recordingSink{}
+		e.sink = sink
 		e.run(errs, func(u int) *Result {
 			switch u {
 			case 1:
@@ -300,8 +329,8 @@ func TestExecutorKeepsEarlierFailure(t *testing.T) {
 				t.Errorf("workers=%d: errs[%d] = %v, want %q", workers, u, errs[u], want)
 			}
 		}
-		if failedSeen != 2 {
-			t.Errorf("workers=%d: observer saw %d failed UAVs, want 2", workers, failedSeen)
+		if last := sink.snaps[len(sink.snaps)-1]; last.RunErrors != 2 || !last.Done {
+			t.Errorf("workers=%d: terminal snapshot %+v, want 2 run errors", workers, last)
 		}
 	}
 }

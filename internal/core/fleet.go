@@ -284,7 +284,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 		MinShare:       ct.MinShare,
 		ShareHist:      ct.ShareHist,
 		CellEvents:     ct.Events,
-		metrics:        obs.NewRegistry(),
 	}
 
 	// The live status view of the shared cells is available as soon as the
@@ -313,7 +312,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	}, func(_ int, r *Result) {
 		if r != nil {
 			fr.Summary.AddResult(r)
-			fr.metrics.Merge(r.MetricsRegistry())
 			fr.PerUAVGoodput.Add(r.Goodput.Mean())
 			fr.SimEvents += r.SimEvents
 			fr.SimTimerPeak = max(fr.SimTimerPeak, r.SimTimerPeak)
@@ -344,11 +342,13 @@ func cellStatusTable(cells []cell.CellStats) []obs.CellStatus {
 	return out
 }
 
-// finishMetrics layers the fleet-level keys over the merged per-UAV
-// registry. Fleet keys are namespaced fleet_* so a fleet export can never
-// be mistaken for (or pollute) a solo campaign baseline.
+// finishMetrics renders the fleet's registry: the Summary's, with the
+// fleet-level keys layered over it. Fleet keys are namespaced fleet_* so a
+// fleet export can never be mistaken for (or pollute) a solo campaign
+// baseline.
 func (fr *FleetResult) finishMetrics() {
-	reg := fr.metrics
+	reg := fr.Summary.MetricsRegistry()
+	fr.metrics = reg
 	reg.Add("fleet_size", int64(fr.Size))
 	reg.Add("fleet_cells", int64(len(fr.Deployment)))
 	reg.Add("fleet_attaches", int64(fr.Attaches))
@@ -367,9 +367,8 @@ func (fr *FleetResult) finishMetrics() {
 	reg.SetGauge("fleet_median_uav_goodput_mbps", fr.PerUAVGoodput.Median())
 }
 
-// MetricsRegistry returns the fleet's metrics: every UAV's run registry
-// merged in UAV-index order plus the fleet_* contention keys. Byte-stable
-// at any worker count.
+// MetricsRegistry returns the fleet's metrics: the registry of the UAVs'
+// Summary plus the fleet_* contention keys. Byte-stable at any worker count.
 func (fr *FleetResult) MetricsRegistry() *obs.Registry { return fr.metrics }
 
 // WriteMetrics writes the fleet metrics registry as canonical JSON.

@@ -5,8 +5,10 @@ import "rpivideo/internal/metrics"
 // mergeRef is the sample-retaining campaign fold: Result + Result, every
 // distribution keeping every sample of every run. It is the reference
 // Summary.AddResult is held to (TestSummaryMatchesMerge). The scalars sum
-// into a Result; the distributions come back as exact Dists by sketch name
-// (see ResultSketches), built from the raw samples tp saw the runs record.
+// into a Result, except the watermarks (PostOutageQueueMs, RampUpTo25 and
+// each bonded path's DownMs), which keep the worst run's. The distributions
+// come back as exact Dists by sketch name (see ResultSketches), built from
+// the raw samples tp saw the runs record.
 func mergeRef(results []*Result, tp *Tap) (*Result, map[string]*metrics.Dist) {
 	dists := map[string]*metrics.Dist{}
 	if len(results) == 0 {
@@ -55,7 +57,7 @@ func mergeRef(results []*Result, tp *Tap) (*Result, map[string]*metrics.Dist) {
 			o.Delivered += p.Delivered
 			o.Lost += p.Lost
 			o.Suppressed += p.Suppressed
-			o.DownMs += p.DownMs
+			o.DownMs = max(o.DownMs, p.DownMs)
 			o.Up = p.Up
 		}
 		out.AQMDrops += r.AQMDrops
@@ -69,9 +71,8 @@ func mergeRef(results []*Result, tp *Tap) (*Result, map[string]*metrics.Dist) {
 		out.HandoverFailures += r.HandoverFailures
 		out.StaleDrops += r.StaleDrops
 		out.KeyframeRequests += r.KeyframeRequests
-		if r.PostOutageQueueMs > out.PostOutageQueueMs {
-			out.PostOutageQueueMs = r.PostOutageQueueMs
-		}
+		out.PostOutageQueueMs = max(out.PostOutageQueueMs, r.PostOutageQueueMs)
+		out.RampUpTo25 = max(out.RampUpTo25, r.RampUpTo25)
 		out.FaultEpisodes = append(out.FaultEpisodes, r.FaultEpisodes...)
 		out.NacksSent += r.NacksSent
 		out.PacketsRepaired += r.PacketsRepaired

@@ -49,8 +49,8 @@ func TraceRunMeta(r *Result, runIndex int) obs.RunMeta {
 	}
 }
 
-// WriteCampaignMetrics merges the per-run registries in run-index order and
-// renders the campaign registry as indented JSON.
+// WriteCampaignMetrics renders the campaign registry (CampaignMetrics) as
+// indented JSON.
 func WriteCampaignMetrics(w io.Writer, results []*Result) error {
 	return CampaignMetrics(results).WriteJSON(w)
 }

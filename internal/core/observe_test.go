@@ -54,8 +54,8 @@ func TestTraceSerialParallelByteIdentical(t *testing.T) {
 }
 
 // TestCampaignMetricsWorkerInvariant is the metrics half of the same
-// contract: the merged campaign registry is byte-identical at any worker
-// count, because the engine folds per-run registries in run-index order.
+// contract: the campaign registry is byte-identical at any worker count,
+// because the Summary it is rendered from folds the runs in run-index order.
 func TestCampaignMetricsWorkerInvariant(t *testing.T) {
 	cfg := traceTestConfig()
 	cfg.Trace = false // metrics need no trace

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"rpivideo/internal/cell"
@@ -69,72 +68,31 @@ const (
 	TelemetryHandoverInterruption = "handover_interruption_ms"
 )
 
-// Result aggregates one run's measurements.
+// Result aggregates one run's measurements: the Tally a campaign adds up,
+// and what describes this run alone.
 type Result struct {
 	Config   Config
 	Duration time.Duration
+	Tally
 
-	// Network-level metrics. Every distribution of a Result is a
-	// metrics.Sketch, filled as its samples arrive.
-	OWDms                                                 metrics.Sketch // one-way delay of delivered media packets (ms)
-	OWDByAlt                                              [altBuckets]metrics.Sketch
-	Goodput                                               metrics.Sketch // per-second delivered Mbps
-	PER                                                   float64        // radio loss fraction
-	Handovers                                             []cell.Event
-	PacketsSent, PacketsDelivered, PacketsLost, Overflows int
+	PER       float64      // radio loss fraction
+	Handovers []cell.Event // committed handovers, with their execution times
 
-	// Control-plane (RTCP sender report) counters on the primary uplink,
-	// kept apart from the media counters so PER stays media-only.
-	// CtrlPacketsLost counts drops for any reason. The media counters
-	// (Packets*, Overflows, AQMDrops, StaleDrops) sum every uplink path.
-	CtrlPacketsSent, CtrlPacketsDelivered, CtrlPacketsLost int
+	// Video (video workloads only).
+	Stalls       []video.Stall
+	StallsPerMin float64
 
-	// Video metrics (video workloads only).
-	FPS           metrics.Sketch // frames played per second samples
-	PlaybackMs    metrics.Sketch // playback latency per played frame (ms)
-	SSIM          metrics.Sketch // per-frame SSIM incl. zeros for skipped
-	Stalls        []video.Stall
-	StallsPerMin  float64
-	FramesPlayed  int
-	FramesSkipped int
-
-	// Ping metrics (ping workloads only): RTT in ms bucketed by altitude.
-	RTTByAlt [altBuckets]metrics.Sketch
-	RTTms    metrics.Sketch
-
-	// RTCP-derived metrics (video workloads): RFC 3550 interarrival jitter
-	// sampled at each receiver report, and the sender-side RTT computed
-	// from the LSR/DLSR fields.
-	JitterMs  metrics.Sketch
-	RTCPRTTms metrics.Sketch
-
-	// MultipathDuplicates counts packets whose duplicate copy arrived after
-	// the first (bonded runs only). It is derived: the sum of the per-path
-	// Suppressed counters in BondPaths.
-	MultipathDuplicates int
-
-	// Bonding metrics (bonded runs only; see internal/bond).
-	BondPolicy   string          // scheduling policy name
-	BondPaths    []BondPathStats // per-path accounting, path 0 = primary
-	BondSwitches int             // active-path changes (failover/cheapest)
-	// Health-monitor transitions past the hysteresis.
-	BondPathDownEvents, BondPathUpEvents int
-	// Reorder-buffer outcomes (striping policies only): packets dropped as
-	// too late, and forced releases (deadline or cap) past a gap.
-	BondReorderLate   int
-	BondReorderForced int
-	// AQMDrops counts CoDel head drops on the uplink (AQM runs only).
-	AQMDrops int
-
-	// SCReAM-internal counters (zero for other controllers).
-	ScreamLosses       int
-	ScreamLossesInBand int
-	ScreamLossesWindow int
-	ScreamDiscards     int
+	// Bonding (bonded runs only; see internal/bond).
+	BondPolicy string          // scheduling policy name
+	BondPaths  []BondPathStats // per-path accounting, path 0 = primary
 
 	// Ramp-up: first time the controller target reached 99% of MaxRate
 	// (zero if never).
 	RampUpTo25 time.Duration
+
+	// Fault injection (video workloads with Config.Faults armed).
+	PostOutageQueueMs float64         // worst uplink queue delay within 5 s after an episode (ms)
+	FaultEpisodes     []fault.Episode // the run's outage timeline
 
 	// Trace holds the run's event trace when Config.Trace is set; nil
 	// otherwise. Runs are single-goroutine, so the trace is complete and
@@ -150,17 +108,78 @@ type Result struct {
 	// cannot perturb distributed byte-identity.
 	Telemetry *obs.Registry
 
+	// The run's simulator cost: events scheduled and the most pending at
+	// once. Both are pure functions of the config, so the cost pins of
+	// internal/experiments compare them exactly; they are deliberately not
+	// in MetricsRegistry, whose keys the checked-in baselines fix.
+	SimEvents    uint64
+	SimTimerPeak int
+}
+
+// Tally is what a campaign adds up over its runs: every distribution (a
+// metrics.Sketch, filled as its samples arrive) and every count. Result and
+// Summary both embed it, and add is the one fold.
+type Tally struct {
+	// Network level.
+	OWDms                                                 metrics.Sketch // one-way delay of delivered media packets (ms)
+	OWDByAlt                                              [altBuckets]metrics.Sketch
+	Goodput                                               metrics.Sketch // per-second delivered Mbps
+	PacketsSent, PacketsDelivered, PacketsLost, Overflows int
+
+	// Control-plane (RTCP sender report) counters on the primary uplink,
+	// kept apart from the media counters so PER stays media-only.
+	// CtrlPacketsLost counts drops for any reason. The media counters
+	// (Packets*, Overflows, AQMDrops, StaleDrops) sum every uplink path.
+	CtrlPacketsSent, CtrlPacketsDelivered, CtrlPacketsLost int
+
+	// Video metrics (video workloads only).
+	FPS           metrics.Sketch // frames played per second samples
+	PlaybackMs    metrics.Sketch // playback latency per played frame (ms)
+	SSIM          metrics.Sketch // per-frame SSIM incl. zeros for skipped
+	FramesPlayed  int
+	FramesSkipped int
+
+	// Ping metrics (ping workloads only): RTT in ms bucketed by altitude.
+	RTTByAlt [altBuckets]metrics.Sketch
+	RTTms    metrics.Sketch
+
+	// RTCP-derived metrics (video workloads): RFC 3550 interarrival jitter
+	// sampled at each receiver report, and the sender-side RTT computed
+	// from the LSR/DLSR fields.
+	JitterMs  metrics.Sketch
+	RTCPRTTms metrics.Sketch
+
+	// MultipathDuplicates counts packets whose duplicate copy arrived after
+	// the first (bonded runs only). It is derived: the sum of the per-path
+	// Suppressed counters in Result.BondPaths.
+	MultipathDuplicates int
+
+	// Bonding: active-path changes (failover/cheapest), health-monitor
+	// transitions past the hysteresis, and reorder-buffer outcomes
+	// (striping policies only): packets dropped as too late, and forced
+	// releases (deadline or cap) past a gap.
+	BondSwitches                         int
+	BondPathDownEvents, BondPathUpEvents int
+	BondReorderLate                      int
+	BondReorderForced                    int
+	// AQMDrops counts CoDel head drops on the uplink (AQM runs only).
+	AQMDrops int
+
+	// SCReAM-internal counters (zero for other controllers).
+	ScreamLosses       int
+	ScreamLossesInBand int
+	ScreamLossesWindow int
+	ScreamDiscards     int
+
 	// Fault-injection metrics (video workloads with Config.Faults armed).
-	Outages           int             // realized outage episodes
-	OutageTotal       time.Duration   // summed episode length
-	OutageMs          metrics.Sketch  // per-episode length (ms)
-	RLFs              int             // T310-expiry radio-link failures
-	HandoverFailures  int             // handovers failed into re-establishment
-	StaleDrops        int             // media packets flushed at re-establishment
-	KeyframeRequests  int             // PLI-style requests the player issued
-	RecoveryMs        metrics.Sketch  // per-episode time for the target rate to return to ≥80% of its pre-outage value (ms)
-	PostOutageQueueMs float64         // worst uplink queue delay within 5 s after an episode (ms)
-	FaultEpisodes     []fault.Episode // the run's outage timeline
+	Outages          int            // realized outage episodes
+	OutageTotal      time.Duration  // summed episode length
+	OutageMs         metrics.Sketch // per-episode length (ms)
+	RLFs             int            // T310-expiry radio-link failures
+	HandoverFailures int            // handovers failed into re-establishment
+	StaleDrops       int            // media packets flushed at re-establishment
+	KeyframeRequests int            // PLI-style requests the player issued
+	RecoveryMs       metrics.Sketch // per-episode time for the target rate to return to ≥80% of its pre-outage value (ms)
 
 	// Repair-layer metrics (video workloads with Config.Repair enabled).
 	NacksSent         int // NACK feedback packets the receiver emitted
@@ -178,13 +197,67 @@ type Result struct {
 	// radio loss; conservation-checked in internal/link; surfaced here for
 	// experiment shape checks).
 	RtxSent, RtxDelivered, RtxLost, RtxStaleDrops, RtxOverflows int
+}
 
-	// The run's simulator cost: events scheduled and the most pending at
-	// once. Both are pure functions of the config, so the cost pins of
-	// internal/experiments compare them exactly; they are deliberately not
-	// in MetricsRegistry, whose keys the checked-in baselines fix.
-	SimEvents    uint64
-	SimTimerPeak int
+// add folds o into t: distributions merge, counts sum.
+func (t *Tally) add(o *Tally) {
+	t.OWDms.Merge(&o.OWDms)
+	for b := range o.OWDByAlt {
+		t.OWDByAlt[b].Merge(&o.OWDByAlt[b])
+	}
+	t.Goodput.Merge(&o.Goodput)
+	t.FPS.Merge(&o.FPS)
+	t.PlaybackMs.Merge(&o.PlaybackMs)
+	t.SSIM.Merge(&o.SSIM)
+	t.RTTms.Merge(&o.RTTms)
+	for b := range o.RTTByAlt {
+		t.RTTByAlt[b].Merge(&o.RTTByAlt[b])
+	}
+	t.JitterMs.Merge(&o.JitterMs)
+	t.RTCPRTTms.Merge(&o.RTCPRTTms)
+	t.OutageMs.Merge(&o.OutageMs)
+	t.RecoveryMs.Merge(&o.RecoveryMs)
+
+	t.PacketsSent += o.PacketsSent
+	t.PacketsDelivered += o.PacketsDelivered
+	t.PacketsLost += o.PacketsLost
+	t.Overflows += o.Overflows
+	t.CtrlPacketsSent += o.CtrlPacketsSent
+	t.CtrlPacketsDelivered += o.CtrlPacketsDelivered
+	t.CtrlPacketsLost += o.CtrlPacketsLost
+	t.FramesPlayed += o.FramesPlayed
+	t.FramesSkipped += o.FramesSkipped
+	t.MultipathDuplicates += o.MultipathDuplicates
+	t.BondSwitches += o.BondSwitches
+	t.BondPathDownEvents += o.BondPathDownEvents
+	t.BondPathUpEvents += o.BondPathUpEvents
+	t.BondReorderLate += o.BondReorderLate
+	t.BondReorderForced += o.BondReorderForced
+	t.AQMDrops += o.AQMDrops
+	t.ScreamLosses += o.ScreamLosses
+	t.ScreamLossesInBand += o.ScreamLossesInBand
+	t.ScreamLossesWindow += o.ScreamLossesWindow
+	t.ScreamDiscards += o.ScreamDiscards
+	t.Outages += o.Outages
+	t.OutageTotal += o.OutageTotal
+	t.RLFs += o.RLFs
+	t.HandoverFailures += o.HandoverFailures
+	t.StaleDrops += o.StaleDrops
+	t.KeyframeRequests += o.KeyframeRequests
+	t.NacksSent += o.NacksSent
+	t.PacketsRepaired += o.PacketsRepaired
+	t.FramesRepaired += o.FramesRepaired
+	t.RepairLate += o.RepairLate
+	t.RepairAbandoned += o.RepairAbandoned
+	t.RepairDenied += o.RepairDenied
+	t.RepairCacheMisses += o.RepairCacheMisses
+	t.RtxBytes += o.RtxBytes
+	t.RepairBudgetAccrued += o.RepairBudgetAccrued
+	t.RtxSent += o.RtxSent
+	t.RtxDelivered += o.RtxDelivered
+	t.RtxLost += o.RtxLost
+	t.RtxStaleDrops += o.RtxStaleDrops
+	t.RtxOverflows += o.RtxOverflows
 }
 
 // BondPathStats is one bonded path's accounting: copies routed to it,
@@ -219,89 +292,14 @@ func record(d *metrics.Sketch, v float64) {
 	}
 }
 
-// MetricsRegistry renders the run's aggregates as an obs.Registry: counters
-// for packet/frame/fault tallies, gauges for worst-case watermarks, and a
-// copy of every distribution's sketch. Registries from the runs of one
-// campaign merge with (*obs.Registry).Merge in run-index order.
+// MetricsRegistry renders the run's aggregates as an obs.Registry: the
+// registry of a one-run Summary. The registries of a campaign's runs,
+// merged with (*obs.Registry).Merge in run-index order, equal the campaign
+// Summary's.
 func (r *Result) MetricsRegistry() *obs.Registry {
-	reg := obs.NewRegistry()
-	reg.Add("packets_sent", int64(r.PacketsSent))
-	reg.Add("packets_delivered", int64(r.PacketsDelivered))
-	reg.Add("packets_lost", int64(r.PacketsLost))
-	reg.Add("packets_overflow", int64(r.Overflows))
-	reg.Add("aqm_drops", int64(r.AQMDrops))
-	reg.Add("stale_drops", int64(r.StaleDrops))
-	reg.Add("ctrl_packets_sent", int64(r.CtrlPacketsSent))
-	reg.Add("ctrl_packets_delivered", int64(r.CtrlPacketsDelivered))
-	reg.Add("ctrl_packets_lost", int64(r.CtrlPacketsLost))
-	reg.Add("handovers", int64(len(r.Handovers)))
-	reg.Add("rlfs", int64(r.RLFs))
-	reg.Add("handover_failures", int64(r.HandoverFailures))
-	reg.Add("outages", int64(r.Outages))
-	reg.Add("frames_played", int64(r.FramesPlayed))
-	reg.Add("frames_skipped", int64(r.FramesSkipped))
-	reg.Add("stalls", int64(len(r.Stalls)))
-	reg.Add("keyframe_requests", int64(r.KeyframeRequests))
-	reg.Add("multipath_duplicates", int64(r.MultipathDuplicates))
-	reg.Add("nacks_sent", int64(r.NacksSent))
-	reg.Add("packets_repaired", int64(r.PacketsRepaired))
-	reg.Add("frames_repaired", int64(r.FramesRepaired))
-	reg.Add("repair_late", int64(r.RepairLate))
-	reg.Add("repair_abandoned", int64(r.RepairAbandoned))
-	reg.Add("repair_denied", int64(r.RepairDenied))
-	reg.Add("repair_cache_misses", int64(r.RepairCacheMisses))
-	reg.Add("rtx_bytes", int64(r.RtxBytes))
-	reg.Add("rtx_sent", int64(r.RtxSent))
-	reg.Add("rtx_delivered", int64(r.RtxDelivered))
-	reg.Add("rtx_lost", int64(r.RtxLost))
-	reg.Add("rtx_stale_drops", int64(r.RtxStaleDrops))
-	reg.Add("rtx_overflows", int64(r.RtxOverflows))
-	if len(r.BondPaths) > 0 {
-		// Bond keys exist only for bonded runs so single-path campaign
-		// metrics exports stay byte-identical to the calibrated baselines.
-		reg.Add("bond_switches", int64(r.BondSwitches))
-		reg.Add("bond_path_down_events", int64(r.BondPathDownEvents))
-		reg.Add("bond_path_up_events", int64(r.BondPathUpEvents))
-		reg.Add("bond_reorder_late", int64(r.BondReorderLate))
-		reg.Add("bond_reorder_forced", int64(r.BondReorderForced))
-		for i, p := range r.BondPaths {
-			prefix := fmt.Sprintf("bond_path%d_", i)
-			reg.Add(prefix+"sent", p.Sent)
-			reg.Add(prefix+"delivered", p.Delivered)
-			reg.Add(prefix+"lost", p.Lost)
-			reg.Add(prefix+"suppressed", p.Suppressed)
-			reg.SetGauge(prefix+"down_ms", p.DownMs)
-		}
-	}
-
-	reg.SetGauge("post_outage_queue_ms_max", r.PostOutageQueueMs)
-	reg.SetGauge("ramp_up_ms_max", float64(r.RampUpTo25)/float64(time.Millisecond))
-
-	reg.LogHistogram("owd_ms").Merge(&r.OWDms)
-	reg.LogHistogram("playback_ms").Merge(&r.PlaybackMs)
-	reg.LogHistogram("jitter_ms").Merge(&r.JitterMs)
-	reg.LogHistogram("rtcp_rtt_ms").Merge(&r.RTCPRTTms)
-	reg.LogHistogram("rtt_ms").Merge(&r.RTTms)
-	reg.LogHistogram("outage_ms").Merge(&r.OutageMs)
-	reg.LogHistogram("recovery_ms").Merge(&r.RecoveryMs)
-	reg.LogHistogram("goodput_mbps").Merge(&r.Goodput)
-	reg.LogHistogram("ssim").Merge(&r.SSIM)
-	reg.LogHistogram("fps").Merge(&r.FPS)
-	return reg
-}
-
-// CampaignMetrics merges the per-run registries of a campaign in run-index
-// order — the fixed fold order that makes the export byte-identical at any
-// worker count.
-func CampaignMetrics(results []*Result) *obs.Registry {
-	out := obs.NewRegistry()
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		out.Merge(r.MetricsRegistry())
-	}
-	return out
+	var s Summary
+	s.AddResult(r)
+	return s.MetricsRegistry()
 }
 
 // HandoverRate returns handovers per second.

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"rpivideo/internal/fault"
-	"rpivideo/internal/metrics"
+	"rpivideo/internal/obs"
 )
 
 // Summary is the campaign-level aggregate of many runs' Results: scalar
@@ -25,90 +26,19 @@ type Summary struct {
 	Config   Config
 	Runs     int
 	Duration time.Duration
+	Tally
 
-	// Distribution aggregates, mirroring Result's sketches.
-	OWDms      metrics.Sketch
-	OWDByAlt   [altBuckets]metrics.Sketch
-	Goodput    metrics.Sketch
-	FPS        metrics.Sketch
-	PlaybackMs metrics.Sketch
-	SSIM       metrics.Sketch
-	RTTms      metrics.Sketch
-	RTTByAlt   [altBuckets]metrics.Sketch
-	JitterMs   metrics.Sketch
-	RTCPRTTms  metrics.Sketch
-	OutageMs   metrics.Sketch
-	RecoveryMs metrics.Sketch
-
-	// Packet accounting.
-	PER                  float64
-	PacketsSent          int
-	PacketsDelivered     int
-	PacketsLost          int
-	Overflows            int
-	CtrlPacketsSent      int
-	CtrlPacketsDelivered int
-	CtrlPacketsLost      int
-
-	// Radio events (counts; per-event detail stays in the per-run Results).
-	Handovers        int
-	RLFs             int
-	HandoverFailures int
-
-	// Video.
-	Stalls        int
-	StallsPerMin  float64
-	FramesPlayed  int
-	FramesSkipped int
-
-	// Extensions.
-	MultipathDuplicates int
-	AQMDrops            int
-
-	// Bonding (sums across runs; per-path detail collapses to totals so
-	// the summary footprint stays O(1) in the run count).
-	BondSwitches       int
-	BondPathDownEvents int
-	BondPathUpEvents   int
-	BondReorderLate    int
-	BondReorderForced  int
-	// Per-path counters summed over runs AND paths: the campaign-level
-	// overhead ratio is BondPathSent / (BondPathDelivered - BondPathSuppressed).
-	BondPathSent       int64
-	BondPathDelivered  int64
-	BondPathLost       int64
-	BondPathSuppressed int64
-	BondPathDownMs     float64
-
-	// SCReAM internals.
-	ScreamLosses       int
-	ScreamLossesInBand int
-	ScreamLossesWindow int
-	ScreamDiscards     int
-
-	// Faults.
-	Outages           int
-	OutageTotal       time.Duration
-	StaleDrops        int
-	KeyframeRequests  int
-	PostOutageQueueMs float64
+	// What is not a plain sum of the runs' Tally: the two rates, the
+	// per-run event lists as counts, the bonded paths by index, the
+	// watermarks and the outage timelines end to end.
+	PER               float64
+	StallsPerMin      float64
+	Handovers         int
+	Stalls            int
+	BondPaths         []BondPathStats // counts summed, DownMs the worst run's, Up the last run's
+	RampUpMax         time.Duration   // the slowest run's RampUpTo25
+	PostOutageQueueMs float64         // the worst run's
 	FaultEpisodes     []fault.Episode
-
-	// Repair.
-	NacksSent           int
-	PacketsRepaired     int
-	FramesRepaired      int
-	RepairLate          int
-	RepairAbandoned     int
-	RepairDenied        int
-	RepairCacheMisses   int
-	RtxBytes            int
-	RepairBudgetAccrued float64
-	RtxSent             int
-	RtxDelivered        int
-	RtxLost             int
-	RtxStaleDrops       int
-	RtxOverflows        int
 }
 
 // AddResult folds one run into the summary. Call in run-index order for
@@ -122,90 +52,113 @@ func (s *Summary) AddResult(r *Result) {
 	}
 	s.Runs++
 	s.Duration += r.Duration
-
-	s.OWDms.Merge(&r.OWDms)
-	for b := range r.OWDByAlt {
-		s.OWDByAlt[b].Merge(&r.OWDByAlt[b])
-	}
-	s.Goodput.Merge(&r.Goodput)
-	s.FPS.Merge(&r.FPS)
-	s.PlaybackMs.Merge(&r.PlaybackMs)
-	s.SSIM.Merge(&r.SSIM)
-	s.RTTms.Merge(&r.RTTms)
-	for b := range r.RTTByAlt {
-		s.RTTByAlt[b].Merge(&r.RTTByAlt[b])
-	}
-	s.JitterMs.Merge(&r.JitterMs)
-	s.RTCPRTTms.Merge(&r.RTCPRTTms)
-	s.OutageMs.Merge(&r.OutageMs)
-	s.RecoveryMs.Merge(&r.RecoveryMs)
-
-	s.PacketsSent += r.PacketsSent
-	s.PacketsDelivered += r.PacketsDelivered
-	s.PacketsLost += r.PacketsLost
-	s.Overflows += r.Overflows
-	s.CtrlPacketsSent += r.CtrlPacketsSent
-	s.CtrlPacketsDelivered += r.CtrlPacketsDelivered
-	s.CtrlPacketsLost += r.CtrlPacketsLost
+	s.Tally.add(&r.Tally)
 	if s.PacketsSent > 0 {
 		s.PER = float64(s.PacketsLost) / float64(s.PacketsSent)
 	}
-
 	s.Handovers += len(r.Handovers)
-	s.RLFs += r.RLFs
-	s.HandoverFailures += r.HandoverFailures
-
 	s.Stalls += len(r.Stalls)
-	s.FramesPlayed += r.FramesPlayed
-	s.FramesSkipped += r.FramesSkipped
 	if s.Duration > 0 {
 		s.StallsPerMin = float64(s.Stalls) / s.Duration.Minutes()
 	}
-
-	s.MultipathDuplicates += r.MultipathDuplicates
-	s.AQMDrops += r.AQMDrops
-
-	s.BondSwitches += r.BondSwitches
-	s.BondPathDownEvents += r.BondPathDownEvents
-	s.BondPathUpEvents += r.BondPathUpEvents
-	s.BondReorderLate += r.BondReorderLate
-	s.BondReorderForced += r.BondReorderForced
-	for _, p := range r.BondPaths {
-		s.BondPathSent += p.Sent
-		s.BondPathDelivered += p.Delivered
-		s.BondPathLost += p.Lost
-		s.BondPathSuppressed += p.Suppressed
-		s.BondPathDownMs += p.DownMs
+	for i, p := range r.BondPaths {
+		if i == len(s.BondPaths) {
+			s.BondPaths = append(s.BondPaths, BondPathStats{})
+		}
+		sp := &s.BondPaths[i]
+		sp.Sent += p.Sent
+		sp.Delivered += p.Delivered
+		sp.Lost += p.Lost
+		sp.Suppressed += p.Suppressed
+		sp.DownMs = max(sp.DownMs, p.DownMs)
+		sp.Up = p.Up
 	}
-
-	s.ScreamLosses += r.ScreamLosses
-	s.ScreamLossesInBand += r.ScreamLossesInBand
-	s.ScreamLossesWindow += r.ScreamLossesWindow
-	s.ScreamDiscards += r.ScreamDiscards
-
-	s.Outages += r.Outages
-	s.OutageTotal += r.OutageTotal
-	s.StaleDrops += r.StaleDrops
-	s.KeyframeRequests += r.KeyframeRequests
-	if r.PostOutageQueueMs > s.PostOutageQueueMs {
-		s.PostOutageQueueMs = r.PostOutageQueueMs
-	}
+	s.RampUpMax = max(s.RampUpMax, r.RampUpTo25)
+	s.PostOutageQueueMs = max(s.PostOutageQueueMs, r.PostOutageQueueMs)
 	s.FaultEpisodes = append(s.FaultEpisodes, r.FaultEpisodes...)
+}
 
-	s.NacksSent += r.NacksSent
-	s.PacketsRepaired += r.PacketsRepaired
-	s.FramesRepaired += r.FramesRepaired
-	s.RepairLate += r.RepairLate
-	s.RepairAbandoned += r.RepairAbandoned
-	s.RepairDenied += r.RepairDenied
-	s.RepairCacheMisses += r.RepairCacheMisses
-	s.RtxBytes += r.RtxBytes
-	s.RepairBudgetAccrued += r.RepairBudgetAccrued
-	s.RtxSent += r.RtxSent
-	s.RtxDelivered += r.RtxDelivered
-	s.RtxLost += r.RtxLost
-	s.RtxStaleDrops += r.RtxStaleDrops
-	s.RtxOverflows += r.RtxOverflows
+// MetricsRegistry renders the campaign as an obs.Registry: counters for the
+// packet/frame/fault tallies, gauges for the worst-case watermarks, and a
+// copy of every distribution's sketch. Counters sum and gauges take the
+// maximum here as in (*obs.Registry).Merge, so this is the run-index-order
+// merge of the runs' own registries, which is what -dist rebuilds from its
+// shards. An empty campaign renders an empty registry.
+func (s *Summary) MetricsRegistry() *obs.Registry {
+	reg := obs.NewRegistry()
+	if s.Runs == 0 {
+		return reg
+	}
+	reg.Add("packets_sent", int64(s.PacketsSent))
+	reg.Add("packets_delivered", int64(s.PacketsDelivered))
+	reg.Add("packets_lost", int64(s.PacketsLost))
+	reg.Add("packets_overflow", int64(s.Overflows))
+	reg.Add("aqm_drops", int64(s.AQMDrops))
+	reg.Add("stale_drops", int64(s.StaleDrops))
+	reg.Add("ctrl_packets_sent", int64(s.CtrlPacketsSent))
+	reg.Add("ctrl_packets_delivered", int64(s.CtrlPacketsDelivered))
+	reg.Add("ctrl_packets_lost", int64(s.CtrlPacketsLost))
+	reg.Add("handovers", int64(s.Handovers))
+	reg.Add("rlfs", int64(s.RLFs))
+	reg.Add("handover_failures", int64(s.HandoverFailures))
+	reg.Add("outages", int64(s.Outages))
+	reg.Add("frames_played", int64(s.FramesPlayed))
+	reg.Add("frames_skipped", int64(s.FramesSkipped))
+	reg.Add("stalls", int64(s.Stalls))
+	reg.Add("keyframe_requests", int64(s.KeyframeRequests))
+	reg.Add("multipath_duplicates", int64(s.MultipathDuplicates))
+	reg.Add("nacks_sent", int64(s.NacksSent))
+	reg.Add("packets_repaired", int64(s.PacketsRepaired))
+	reg.Add("frames_repaired", int64(s.FramesRepaired))
+	reg.Add("repair_late", int64(s.RepairLate))
+	reg.Add("repair_abandoned", int64(s.RepairAbandoned))
+	reg.Add("repair_denied", int64(s.RepairDenied))
+	reg.Add("repair_cache_misses", int64(s.RepairCacheMisses))
+	reg.Add("rtx_bytes", int64(s.RtxBytes))
+	reg.Add("rtx_sent", int64(s.RtxSent))
+	reg.Add("rtx_delivered", int64(s.RtxDelivered))
+	reg.Add("rtx_lost", int64(s.RtxLost))
+	reg.Add("rtx_stale_drops", int64(s.RtxStaleDrops))
+	reg.Add("rtx_overflows", int64(s.RtxOverflows))
+	if len(s.BondPaths) > 0 {
+		// Bond keys exist only for bonded campaigns so single-path campaign
+		// metrics exports stay byte-identical to the calibrated baselines.
+		reg.Add("bond_switches", int64(s.BondSwitches))
+		reg.Add("bond_path_down_events", int64(s.BondPathDownEvents))
+		reg.Add("bond_path_up_events", int64(s.BondPathUpEvents))
+		reg.Add("bond_reorder_late", int64(s.BondReorderLate))
+		reg.Add("bond_reorder_forced", int64(s.BondReorderForced))
+		for i, p := range s.BondPaths {
+			prefix := fmt.Sprintf("bond_path%d_", i)
+			reg.Add(prefix+"sent", p.Sent)
+			reg.Add(prefix+"delivered", p.Delivered)
+			reg.Add(prefix+"lost", p.Lost)
+			reg.Add(prefix+"suppressed", p.Suppressed)
+			reg.SetGauge(prefix+"down_ms", p.DownMs)
+		}
+	}
+
+	reg.SetGauge("post_outage_queue_ms_max", s.PostOutageQueueMs)
+	reg.SetGauge("ramp_up_ms_max", float64(s.RampUpMax)/float64(time.Millisecond))
+
+	reg.LogHistogram("owd_ms").Merge(&s.OWDms)
+	reg.LogHistogram("playback_ms").Merge(&s.PlaybackMs)
+	reg.LogHistogram("jitter_ms").Merge(&s.JitterMs)
+	reg.LogHistogram("rtcp_rtt_ms").Merge(&s.RTCPRTTms)
+	reg.LogHistogram("rtt_ms").Merge(&s.RTTms)
+	reg.LogHistogram("outage_ms").Merge(&s.OutageMs)
+	reg.LogHistogram("recovery_ms").Merge(&s.RecoveryMs)
+	reg.LogHistogram("goodput_mbps").Merge(&s.Goodput)
+	reg.LogHistogram("ssim").Merge(&s.SSIM)
+	reg.LogHistogram("fps").Merge(&s.FPS)
+	return reg
+}
+
+// CampaignMetrics renders a campaign's registry from its Summary; failed
+// (nil) runs are skipped. The runs fold in slice order, the fixed order that
+// makes the export byte-identical at any worker count.
+func CampaignMetrics(results []*Result) *obs.Registry {
+	return Summarize(results).MetricsRegistry()
 }
 
 // GoodputMean returns the mean per-second goodput in Mbps.

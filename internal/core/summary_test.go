@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"rpivideo/internal/cell"
 	"rpivideo/internal/fault"
 	"rpivideo/internal/metrics"
+	"rpivideo/internal/obs"
 	"rpivideo/internal/repair"
 )
 
@@ -36,22 +38,6 @@ func number(v reflect.Value) (float64, bool) {
 	return 0, false
 }
 
-// sketches lists every distribution of a Summary.
-func sketches(s *Summary) (out []*metrics.Sketch) {
-	v := reflect.ValueOf(s).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		switch f := v.Field(i).Addr().Interface().(type) {
-		case *metrics.Sketch:
-			out = append(out, f)
-		case *[altBuckets]metrics.Sketch:
-			for b := range f {
-				out = append(out, &f[b])
-			}
-		}
-	}
-	return out
-}
-
 // TestSummaryMatchesMerge holds AddResult, the one campaign fold, to the
 // sample-retaining reference fold of merge_ref_test.go on every exported
 // field of Summary, found by reflection: numbers exactly (floats to the
@@ -66,24 +52,12 @@ func TestSummaryMatchesMerge(t *testing.T) {
 	sum := Summarize(results)
 
 	// What a Summary holds under a name the reference does not: lengths of
-	// the per-event lists and the per-path counters summed over paths.
-	var paths BondPathStats
-	for _, p := range ref.BondPaths {
-		paths.Sent += p.Sent
-		paths.Delivered += p.Delivered
-		paths.Lost += p.Lost
-		paths.Suppressed += p.Suppressed
-		paths.DownMs += p.DownMs
-	}
+	// the per-event lists and the slowest ramp-up.
 	derived := map[string]float64{
-		"Runs":               float64(len(results)),
-		"Handovers":          float64(len(ref.Handovers)),
-		"Stalls":             float64(len(ref.Stalls)),
-		"BondPathSent":       float64(paths.Sent),
-		"BondPathDelivered":  float64(paths.Delivered),
-		"BondPathLost":       float64(paths.Lost),
-		"BondPathSuppressed": float64(paths.Suppressed),
-		"BondPathDownMs":     paths.DownMs,
+		"Runs":      float64(len(results)),
+		"Handovers": float64(len(ref.Handovers)),
+		"Stalls":    float64(len(ref.Stalls)),
+		"RampUpMax": float64(ref.RampUpTo25),
 	}
 	// Counters these three flights leave at zero. Any other number that is
 	// zero in the reference is a field mergeRef does not fold either, which
@@ -91,17 +65,21 @@ func TestSummaryMatchesMerge(t *testing.T) {
 	zero := map[string]bool{
 		"Overflows": true, "RLFs": true, "HandoverFailures": true, "BondSwitches": true,
 		"ScreamLossesWindow": true, "ScreamDiscards": true,
-		"RtxLost": true, "RtxStaleDrops": true, "RtxOverflows": true,
+		"RtxLost": true, "RtxStaleDrops": true, "RtxOverflows": true, "RampUpMax": true,
 	}
-	// Result fields that describe one run and have no campaign aggregate.
+	// Result fields that describe one run and have no campaign aggregate of
+	// their name.
 	perRun := map[string]bool{
-		"BondPolicy": true, "BondPaths": true, "RampUpTo25": true,
+		"BondPolicy": true, "RampUpTo25": true,
 		"Trace": true, "Telemetry": true, "SimEvents": true, "SimTimerPeak": true,
 	}
 
 	sv, rv := reflect.ValueOf(sum).Elem(), reflect.ValueOf(ref).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		name, f := sv.Type().Field(i).Name, sv.Field(i)
+	for _, sf := range reflect.VisibleFields(sv.Type()) {
+		if sf.Anonymous {
+			continue // the embedded Tally: its fields are visited one by one
+		}
+		name, f := sf.Name, sv.FieldByIndex(sf.Index)
 		switch got := f.Addr().Interface().(type) {
 		case *Config:
 			if !reflect.DeepEqual(*got, results[0].Config) {
@@ -110,6 +88,10 @@ func TestSummaryMatchesMerge(t *testing.T) {
 		case *[]fault.Episode:
 			if len(*got) == 0 || !reflect.DeepEqual(*got, ref.FaultEpisodes) {
 				t.Errorf("FaultEpisodes = %v, want %v", *got, ref.FaultEpisodes)
+			}
+		case *[]BondPathStats:
+			if len(*got) == 0 || !reflect.DeepEqual(*got, ref.BondPaths) {
+				t.Errorf("BondPaths = %+v, want %+v", *got, ref.BondPaths)
 			}
 		case *metrics.Sketch:
 			if dists[name].N() == 0 {
@@ -147,14 +129,55 @@ func TestSummaryMatchesMerge(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < rv.NumField(); i++ {
-		name := rv.Type().Field(i).Name
-		if _, ok := sv.Type().FieldByName(name); !ok && !perRun[name] {
-			t.Errorf("Result.%s is neither folded into a Summary field of that name nor listed as per-run", name)
+	for _, rf := range reflect.VisibleFields(rv.Type()) {
+		if _, ok := sv.Type().FieldByName(rf.Name); !ok && !rf.Anonymous && !perRun[rf.Name] {
+			t.Errorf("Result.%s is neither folded into a Summary field of that name nor listed as per-run", rf.Name)
 		}
 	}
 	if sum.HandoverRate() != ref.HandoverRate() {
 		t.Errorf("HandoverRate = %v, want %v", sum.HandoverRate(), ref.HandoverRate())
+	}
+}
+
+// TestCampaignRegistryIsMergeOfRuns: the campaign registry, rendered from
+// the Summary, writes the same bytes as the runs' own registries merged in
+// run-index order, which is the registry -dist rebuilds from its shards. A
+// failed (nil) run is skipped by both, and an empty campaign renders an
+// empty registry.
+func TestCampaignRegistryIsMergeOfRuns(t *testing.T) {
+	results := wireCampaign(t)
+	// Gauges are where a fold could part from the merge, which keeps their
+	// maximum: with two runs carrying each, a sum would show.
+	downs, queues := 0, 0
+	for _, r := range results {
+		if len(r.BondPaths) > 0 && r.BondPaths[0].DownMs > 0 {
+			downs++
+		}
+		if r.PostOutageQueueMs > 0 {
+			queues++
+		}
+	}
+	if downs < 2 || queues < 2 {
+		t.Fatalf("%d runs with bond_path0_down_ms and %d with post_outage_queue_ms_max, want 2 each", downs, queues)
+	}
+	failed := []*Result{results[0], nil, results[1], results[2]}
+	for name, rs := range map[string][]*Result{"wireCampaign": results, "failed run": failed, "empty": nil} {
+		merged := obs.NewRegistry()
+		for _, r := range rs {
+			if r != nil {
+				merged.Merge(r.MetricsRegistry())
+			}
+		}
+		var want, got bytes.Buffer
+		if err := merged.WriteJSON(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := CampaignMetrics(rs).WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: CampaignMetrics is not the merge of the runs' registries:\n%s\nwant\n%s", name, got.Bytes(), want.Bytes())
+		}
 	}
 }
 
@@ -311,7 +334,7 @@ func TestSummaryMemoryBounded(t *testing.T) {
 		}
 	}
 	count := func(s *Summary) (samples, cells int) {
-		for _, sk := range sketches(s) {
+		for _, sk := range tallySketches(&s.Tally) {
 			samples += sk.N()
 			cells += sk.Buckets()
 		}

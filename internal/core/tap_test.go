@@ -85,9 +85,12 @@ func (tp *Tap) Results() []*Result {
 
 // ResultSketches lists every sketch of a Result by field name, the altitude
 // arrays as Name[i].
-func ResultSketches(r *Result) map[string]*metrics.Sketch {
+func ResultSketches(r *Result) map[string]*metrics.Sketch { return tallySketches(&r.Tally) }
+
+// tallySketches lists every sketch of a Tally, which holds them all.
+func tallySketches(tl *Tally) map[string]*metrics.Sketch {
 	out := map[string]*metrics.Sketch{}
-	v := reflect.ValueOf(r).Elem()
+	v := reflect.ValueOf(tl).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
 		switch f := v.Field(i).Addr().Interface().(type) {

@@ -236,33 +236,3 @@ func cdfRow(name string, d cdfer, xs []float64) string {
 	}
 	return fmt.Sprintf("%-22s %s", name, strings.Join(parts, "  "))
 }
-
-// All runs every experiment in figure order.
-func All(o Options) []*Report {
-	return []*Report{
-		Fig4aHandoverFrequency(o),
-		Fig4bHandoverExecutionTime(o),
-		Fig5OneWayLatency(o),
-		Fig6Goodput(o),
-		Fig7aFPS(o),
-		Fig7bSSIM(o),
-		Fig7cPlaybackLatency(o),
-		Fig8HandoverTimeline(o),
-		Fig9LatencyRatio(o),
-		Fig10OperatorCapacity(o),
-		TableStallRates(o),
-		TableRampUp(o),
-		Fig12OperatorVideo(o),
-		Fig13RTTByAltitude(o),
-		AblationScreamAckWindow(o),
-		AblationJitterBuffer(o),
-		AblationEstimator(o),
-		ExtDAPS(o),
-		ExtAQM(o),
-		ExtMultipath(o),
-		Robustness(o),
-		Repair(o),
-		Bond(o),
-		Fleet(o),
-	}
-}

@@ -12,9 +12,9 @@ import (
 type LogHistogram = metrics.Sketch
 
 // Registry is a named collection of counters, gauges and histograms — the
-// campaign-level metrics surface. It is not safe for concurrent use; the
-// campaign engine builds one registry per run and merges them in run-index
-// order.
+// campaign-level metrics surface. It is not safe for concurrent use. A
+// campaign's registry is the run-index-order merge of its runs' registries,
+// which is how -dist folds its shards.
 type Registry struct {
 	counters map[string]int64
 	gauges   map[string]float64
@@ -63,8 +63,8 @@ func (r *Registry) LogHistogram(name string) *metrics.Sketch {
 // Merge folds o into r: counters sum, gauges take the maximum, histograms
 // merge bucket by bucket. Integer fields merge associatively; a histogram's
 // Sum is a float, so byte-identical exports require a fixed merge order —
-// the campaign engine always merges per-run registries flat, in run-index
-// order, which is independent of the worker count.
+// per-run registries merge flat, in run-index order, which is independent
+// of the worker count.
 func (r *Registry) Merge(o *Registry) {
 	for name, v := range o.counters {
 		r.counters[name] += v

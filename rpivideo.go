@@ -95,11 +95,17 @@ type Result = core.Result
 type Handover = cell.Event
 
 // CampaignOptions tunes campaign execution: worker count, seed derivation
-// and the progress hook. See core.CampaignOptions for field docs.
+// and the live status sink. See core.CampaignOptions for field docs.
 type CampaignOptions = core.CampaignOptions
 
-// CampaignProgress is one per-completed-run campaign status sample.
-type CampaignProgress = core.CampaignProgress
+// StatusSink observes a running campaign or fleet (CampaignOptions and
+// FleetConfig take one): a StatusSnapshot after every completed run, and
+// each run's metrics registry. Calls are serialized, in completion order.
+type StatusSink = obs.StatusSink
+
+// StatusSnapshot is one live progress sample: runs done, failed and total,
+// wall time, simulation speed and ETA.
+type StatusSnapshot = obs.StatusSnapshot
 
 // FaultConfig arms deterministic fault injection on a run via
 // Config.Faults: scripted coverage outages, the T310/T311 radio-link-
@@ -175,8 +181,8 @@ func WriteCampaignTrace(w io.Writer, results []*Result) error {
 	return core.WriteCampaignTrace(w, results)
 }
 
-// WriteCampaignMetrics merges the per-run metric registries in run-index
-// order and writes the campaign registry as indented JSON.
+// WriteCampaignMetrics writes the campaign registry, rendered from the
+// runs' Summary, as indented JSON.
 func WriteCampaignMetrics(w io.Writer, results []*Result) error {
 	return core.WriteCampaignMetrics(w, results)
 }
