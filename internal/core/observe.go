@@ -27,7 +27,7 @@ func WriteCampaignTrace(w io.Writer, results []*Result) error {
 		if r == nil || r.Trace == nil {
 			continue
 		}
-		if err := obs.WriteJSONL(w, TraceRunMeta(r, i), r.Trace.Events()); err != nil {
+		if err := obs.WriteJSONL(w, TraceRunMeta(r, i), r.Trace.Chunks()...); err != nil {
 			return err
 		}
 	}

@@ -135,7 +135,7 @@ func measureCost(sc Scenario, trace bool) (runCost, error) {
 		for _, r := range results {
 			c.Events += r.SimEvents
 			c.TimerPeak = max(c.TimerPeak, r.SimTimerPeak)
-			c.TraceEvents += len(r.Trace.Events())
+			c.TraceEvents += r.Trace.Len()
 		}
 		export = func(w io.Writer) error { return core.WriteCampaignTrace(w, results) }
 	}

@@ -103,9 +103,8 @@ func (DistRunner) Run(rawSpec json.RawMessage, run int) ([]byte, error) {
 		return nil, fmt.Errorf("scenario %s run %d: %w", spec.Scenario, run, err)
 	}
 
-	events := res.Trace.Events() // nil for an untraced run
 	var buf bytes.Buffer
-	buf.Grow(shardHeaderLen + 16<<10 + 72*len(events)) // a trace line averages 65 bytes
+	buf.Grow(shardHeaderLen + 16<<10 + 72*res.Trace.Len()) // a trace line averages 65 bytes
 	var lengths [shardHeaderLen]byte
 	buf.Write(lengths[:]) // filled in once the sections are written
 	if err := res.MetricsRegistry().WriteJSON(&buf); err != nil {
@@ -113,7 +112,7 @@ func (DistRunner) Run(rawSpec json.RawMessage, run int) ([]byte, error) {
 	}
 	regEnd := buf.Len()
 	if res.Trace != nil {
-		if err := obs.WriteJSONL(&buf, core.TraceRunMeta(res, run), events); err != nil {
+		if err := obs.WriteJSONL(&buf, core.TraceRunMeta(res, run), res.Trace.Chunks()...); err != nil {
 			return nil, fmt.Errorf("run %d trace: %w", run, err)
 		}
 	}

@@ -25,11 +25,13 @@ type RunMeta struct {
 }
 
 // WriteJSONL writes one run's trace: a meta line followed by one line per
-// event, in emission order. The rendering is hand-built with a fixed key
-// order and strconv formatting, so the bytes are a pure function of the
-// values — the property the golden-trace suite and the serial-vs-parallel
-// determinism check rely on.
-func WriteJSONL(w io.Writer, meta RunMeta, events []Event) error {
+// event, in emission order — the events of each chunk in turn, so a plain
+// slice is one chunk and a tracer's Chunks() are written without being
+// gathered first. The rendering is hand-built with a fixed key order and
+// strconv formatting, so the bytes are a pure function of the values — the
+// property the golden-trace suite and the serial-vs-parallel determinism
+// check rely on.
+func WriteJSONL(w io.Writer, meta RunMeta, chunks ...[]Event) error {
 	bw := bufio.NewWriter(w)
 	buf := make([]byte, 0, 256)
 
@@ -50,10 +52,12 @@ func WriteJSONL(w io.Writer, meta RunMeta, events []Event) error {
 		return err
 	}
 
-	for i := range events {
-		buf = appendEventJSON(buf[:0], &events[i])
-		if _, err := bw.Write(buf); err != nil {
-			return err
+	for _, events := range chunks {
+		for i := range events {
+			buf = appendEventJSON(buf[:0], &events[i])
+			if _, err := bw.Write(buf); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

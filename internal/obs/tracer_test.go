@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 )
@@ -84,6 +86,87 @@ func TestEmitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTracerChunks: an unbounded tracer keeps its events in chunks of
+// chunkEvents that concatenate to Events() — at the chunk edges too — and
+// WriteJSONL writes the chunks to the bytes it writes for the one slice.
+func TestTracerChunks(t *testing.T) {
+	for _, n := range []int{0, 1, chunkEvents - 1, chunkEvents, chunkEvents + 1, 3 * chunkEvents} {
+		tr := New(0)
+		for i := 0; i < n; i++ {
+			tr.Emit(ev(i))
+		}
+		if tr.Len() != n || tr.Emitted() != int64(n) || tr.Dropped() != 0 {
+			t.Fatalf("n=%d: len=%d emitted=%d dropped=%d", n, tr.Len(), tr.Emitted(), tr.Dropped())
+		}
+		chunks := tr.Chunks()
+		if want := (n + chunkEvents - 1) / chunkEvents; len(chunks) != want {
+			t.Fatalf("n=%d: %d chunks, want %d", n, len(chunks), want)
+		}
+		var joined []Event
+		for i, c := range chunks {
+			if i < len(chunks)-1 && len(c) != chunkEvents {
+				t.Fatalf("n=%d: chunk %d holds %d events, want %d", n, i, len(c), chunkEvents)
+			}
+			joined = append(joined, c...)
+		}
+		evs := tr.Events()
+		if !slices.Equal(joined, evs) || len(evs) != n {
+			t.Fatalf("n=%d: chunks joined to %d events, Events() has %d", n, len(joined), len(evs))
+		}
+		for i, e := range evs {
+			if e.Seq != int64(i) {
+				t.Fatalf("n=%d: event %d has seq %d", n, i, e.Seq)
+			}
+		}
+		meta := RunMeta{Label: "chunks", Run: 1, Duration: time.Second, Events: tr.Emitted()}
+		var whole, chunked bytes.Buffer
+		if err := WriteJSONL(&whole, meta, tr.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteJSONL(&chunked, meta, tr.Chunks()...); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(whole.Bytes(), chunked.Bytes()) {
+			t.Fatalf("n=%d: WriteJSONL of the chunks differs from WriteJSONL of Events()", n)
+		}
+	}
+}
+
+// TestTracerRingChunks: a ring's chunks are its one or two segments, in
+// emission order, and join to Events().
+func TestTracerRingChunks(t *testing.T) {
+	for _, n := range []int{0, 5, 8, 13, 16, 100} {
+		tr := New(8)
+		for i := 0; i < n; i++ {
+			tr.Emit(ev(i))
+		}
+		var joined []Event
+		for _, c := range tr.Chunks() {
+			joined = append(joined, c...)
+		}
+		if evs := tr.Events(); !slices.Equal(joined, evs) || len(evs) != min(n, 8) {
+			t.Fatalf("n=%d: ring chunks joined to %v, Events() %v", n, joined, evs)
+		}
+	}
+}
+
+// TestEmitUnboundedAllocations pins the unbounded tracer at one allocation
+// per chunk: events are appended into place and a full chunk is never
+// copied.
+func TestEmitUnboundedAllocations(t *testing.T) {
+	tr := New(0)
+	i := 0
+	perChunk := testing.AllocsPerRun(50, func() {
+		for k := 0; k < chunkEvents; k++ {
+			tr.Emit(ev(i))
+			i++
+		}
+	})
+	if perChunk > 1 {
+		t.Errorf("Emit allocates %.2f times per %d events, want at most 1", perChunk, chunkEvents)
+	}
+}
+
 func BenchmarkEmitDisabled(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()
@@ -94,6 +177,14 @@ func BenchmarkEmitDisabled(b *testing.B) {
 
 func BenchmarkEmitRing(b *testing.B) {
 	tr := New(1 << 16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Emit(Event{Kind: KindSend, Seq: int64(i), Aux: 1200})
+	}
+}
+
+func BenchmarkEmitUnbounded(b *testing.B) {
+	tr := New(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(Event{Kind: KindSend, Seq: int64(i), Aux: 1200})

@@ -306,6 +306,29 @@ func TestPacketizerSequencesIncrease(t *testing.T) {
 	}
 }
 
+// TestPacketizerSeqsAdvanceTogether pins the lockstep video.Sender's one
+// sent table relies on: every packet's transport sequence number equals its
+// RTP sequence number (both start at 0 and step together), across frames of
+// any size and through the 16-bit wrap.
+func TestPacketizerSeqsAdvanceTogether(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	p := NewPacketizer(1, 96, 1200)
+	want, sent := uint16(0), 0
+	for num := uint32(0); sent < 3<<16; num++ {
+		for _, pkt := range p.Packetize(FrameInfo{Num: num, Size: rng.Intn(60_000)}) {
+			tseq, ok := pkt.Header.TransportSeq()
+			if !ok || pkt.Header.SequenceNumber != want || tseq != want {
+				t.Fatalf("packet %d: seq %d, transport seq %d (%v), want both %d", sent, pkt.Header.SequenceNumber, tseq, ok, want)
+			}
+			want++
+			sent++
+		}
+		if p.NextTransportSeq() != want {
+			t.Fatalf("after frame %d NextTransportSeq is %d, want %d", num, p.NextTransportSeq(), want)
+		}
+	}
+}
+
 // Property: packetizer conserves frame size and stays under MTU for any size.
 func TestPropertyPacketizeConservation(t *testing.T) {
 	f := func(size uint32) bool {

@@ -284,12 +284,15 @@ type TWCCRecorder struct {
 	lastSeq uint16 // highest sequence number seen (unwrapped ordering)
 	fbCount uint8
 
-	// arrivals is a direct-indexed table over the full 16-bit sequence
-	// space with an occupancy bitset, replacing a map on the per-packet
-	// path. Slots are cleared as ranges flush, so a sequence number reused
-	// after wrap always lands on an empty slot. pending counts set bits.
-	arrivals [1 << 16]time.Duration
-	have     [1 << 16 / 64]uint64
+	// arrivals is a power-of-two ring over the open range with an
+	// occupancy bitset: slot seq&(len−1) holds seq's arrival time when its
+	// bit in have is set. Every set bit lies fewer than len(arrivals)
+	// numbers past nextSeq — an arrival further out grows the ring first —
+	// so no two recorded numbers share a slot, and Flush clears the slots
+	// of the range it reports. A run holds about one feedback interval of
+	// slots, not the 16-bit space. pending counts set bits.
+	arrivals []time.Duration
+	have     []uint64
 	pending  int
 
 	// fb is the packet Flush fills and returns.
@@ -322,11 +325,38 @@ func (r *TWCCRecorder) Record(seq uint16, at time.Duration) {
 	} else if seqLess(r.lastSeq, seq) {
 		r.lastSeq = seq
 	}
-	if w, b := seq/64, uint64(1)<<(seq%64); r.have[w]&b == 0 {
+	if off := int(seq - r.nextSeq); off >= len(r.arrivals) {
+		r.grow(off)
+	}
+	i := uint(seq) & uint(len(r.arrivals)-1)
+	if w, b := i/64, uint64(1)<<(i%64); r.have[w]&b == 0 {
 		r.have[w] |= b
-		r.arrivals[seq] = at
+		r.arrivals[i] = at
 		r.pending++
 	}
+}
+
+// twccMinSlots is the ring's smallest size: one bitset word.
+const twccMinSlots = 64
+
+// grow resizes the ring to the smallest power of two, at least
+// twccMinSlots, that reaches off numbers past nextSeq, and re-places the
+// set bits — all of them lie in the len(arrivals) numbers from nextSeq.
+func (r *TWCCRecorder) grow(off int) {
+	n := twccMinSlots
+	for n <= off {
+		n *= 2
+	}
+	arrivals, have := make([]time.Duration, n), make([]uint64, n/64)
+	oldMask, mask := uint(len(r.arrivals)-1), uint(n-1)
+	for k, seq := 0, r.nextSeq; k < len(r.arrivals); k, seq = k+1, seq+1 {
+		if o := uint(seq) & oldMask; r.have[o/64]&(1<<(o%64)) != 0 {
+			i := uint(seq) & mask
+			have[i/64] |= 1 << (i % 64)
+			arrivals[i] = r.arrivals[o]
+		}
+	}
+	r.arrivals, r.have = arrivals, have
 }
 
 // Flush builds a feedback packet covering [nextSeq, lastSeq] and resets the
@@ -347,10 +377,13 @@ func (r *TWCCRecorder) Flush() *TWCC {
 		fb.Packets = make([]Arrival, 0, n)
 	}
 	fb.Packets = fb.Packets[:0]
-	seq := r.nextSeq
-	for i := 0; i < n; i++ {
-		if w, b := seq/64, uint64(1)<<(seq%64); r.have[w]&b != 0 {
-			fb.Packets = append(fb.Packets, Arrival{Received: true, At: r.arrivals[seq]})
+	// A range longer than the ring (only an empty one reads as all 65 536
+	// numbers) finds every bit cleared after its first len(arrivals) steps.
+	seq, mask := r.nextSeq, uint(len(r.arrivals)-1)
+	for k := 0; k < n; k++ {
+		i := uint(seq) & mask
+		if w, b := i/64, uint64(1)<<(i%64); r.have[w]&b != 0 {
+			fb.Packets = append(fb.Packets, Arrival{Received: true, At: r.arrivals[i]})
 			r.have[w] &^= b
 			r.pending--
 		} else {

@@ -58,15 +58,14 @@ type Sender struct {
 	Transmit func(p *rtp.Packet, size int)
 
 	// sent records in-flight packets for feedback translation, keyed by
-	// both sequence spaces. Each table is a direct-mapped window over the
-	// last sentWindow sequence numbers: slot seq&sentMask holds the record
-	// whose key matches, newer sequences overwrite slots one full window
-	// later, and lookups validate the stored key. This keeps the
-	// per-packet cost at two array stores (no map hashing, no amortized
-	// trim scans) with the same effect as the old bounded maps: feedback
-	// older than the window misses.
-	byTransport sentTable
-	bySeq       sentTable
+	// RTP sequence number (see sentTable). The packetizer advances the RTP
+	// and transport sequence numbers together, so tseqDelta (TransportSeq −
+	// Seq, noted at each send) is a constant and a transport sequence
+	// number finds its record in the slot of tseq − tseqDelta; the lookup
+	// still checks the stored TransportSeq, so a delta that changed could
+	// only miss, never answer wrongly.
+	sent      sentTable
+	tseqDelta uint16
 
 	draining bool
 	drainFn  func() // preallocated s.drain closure for pacer wakeups
@@ -95,6 +94,7 @@ func NewSender(s *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand
 		ctrl: ctrl,
 		enc:  NewEncoder(cfg.Encoder, ctrl.TargetBitrate(0), rng),
 		pkt:  rtp.NewPacketizer(cfg.SSRC, cfg.PayloadType, cfg.MTU),
+		sent: sentTable{recs: make([]SentRecord, sentMinSlots)},
 	}
 	snd.drainFn = snd.drain
 	if qa, ok := ctrl.(cc.QueueAware); ok {
@@ -103,21 +103,50 @@ func NewSender(s *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand
 	return snd
 }
 
-// sentTable is a direct-mapped record window (see the Sender field comment).
-// A zero Size marks an empty slot: every sent packet has Size > 0.
+// sentTable is a direct-mapped window over the last sentWindow sequence
+// numbers: slot Seq&(len−1) holds the record whose Seq matches, a newer
+// number overwrites the slot of the one sentWindow before it, and lookups
+// validate the stored key. A zero Size marks an empty slot: every sent
+// packet has Size > 0.
+//
+// The slots grow with the traffic instead of starting at sentWindow: from
+// sentMinSlots, 4× at a time, and only on a live collision — a store into
+// an occupied slot whose record a sentWindow-slot table would keep (its Seq
+// differs from the new one modulo sentWindow). So a record is overwritten
+// exactly when the full window would overwrite it, and every lookup
+// answers as that table does.
 type sentTable struct {
-	recs [sentWindow]SentRecord
+	recs []SentRecord
 }
 
 // sentWindow bounds how far back feedback can reference a sent packet —
 // two full windows of the old map implementation's prune threshold.
 const (
-	sentWindow = 1 << 14
-	sentMask   = sentWindow - 1
+	sentWindow   = 1 << 14
+	sentMask     = sentWindow - 1
+	sentMinSlots = 1 << 8
 )
 
-func (t *sentTable) store(key uint16, rec SentRecord) {
-	t.recs[key&sentMask] = rec
+func (t *sentTable) slot(seq uint16) *SentRecord {
+	return &t.recs[int(seq)&(len(t.recs)-1)]
+}
+
+func (t *sentTable) store(rec SentRecord) {
+	r := t.slot(rec.Seq)
+	for r.Size != 0 && (r.Seq^rec.Seq)&sentMask != 0 {
+		// At sentWindow slots a shared slot means an equal Seq modulo
+		// sentWindow, so growth stops there. Re-placing cannot collide:
+		// distinct slots keep distinct low bits.
+		recs := make([]SentRecord, 4*len(t.recs))
+		for _, old := range t.recs {
+			if old.Size != 0 {
+				recs[int(old.Seq)&(len(recs)-1)] = old
+			}
+		}
+		t.recs = recs
+		r = t.slot(rec.Seq)
+	}
+	*r = rec
 }
 
 // Encoder exposes the encoder (for traces).
@@ -246,8 +275,7 @@ func (s *Sender) drain() {
 			Size:         it.Size,
 			SendTime:     now,
 		}
-		s.byTransport.store(tseq, rec)
-		s.bySeq.store(rec.Seq, rec)
+		s.remember(rec)
 		s.ctrl.OnPacketSent(cc.SentPacket{
 			TransportSeq: tseq,
 			Seq:          rec.Seq,
@@ -260,10 +288,16 @@ func (s *Sender) drain() {
 	}
 }
 
+// remember stores the record of a packet being sent.
+func (s *Sender) remember(rec SentRecord) {
+	s.tseqDelta = rec.TransportSeq - rec.Seq
+	s.sent.store(rec)
+}
+
 // LookupTransport translates a transport sequence number into its sent
 // record.
 func (s *Sender) LookupTransport(tseq uint16) (SentRecord, bool) {
-	rec := s.byTransport.recs[tseq&sentMask]
+	rec := *s.sent.slot(tseq - s.tseqDelta)
 	if rec.Size == 0 || rec.TransportSeq != tseq {
 		return SentRecord{}, false
 	}
@@ -272,7 +306,7 @@ func (s *Sender) LookupTransport(tseq uint16) (SentRecord, bool) {
 
 // LookupSeq translates an RTP sequence number into its sent record.
 func (s *Sender) LookupSeq(seq uint16) (SentRecord, bool) {
-	rec := s.bySeq.recs[seq&sentMask]
+	rec := *s.sent.slot(seq)
 	if rec.Size == 0 || rec.Seq != seq {
 		return SentRecord{}, false
 	}
@@ -283,7 +317,7 @@ func (s *Sender) LookupSeq(seq uint16) (SentRecord, bool) {
 // the record acknowledged, and again reports whether it already was: whether
 // an earlier report acknowledged seq since seq was last sent.
 func (s *Sender) AckSeq(seq uint16) (rec SentRecord, ok, again bool) {
-	r := &s.bySeq.recs[seq&sentMask]
+	r := s.sent.slot(seq)
 	if r.Size == 0 || r.Seq != seq {
 		return SentRecord{}, false, false
 	}
