@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rpivideo/internal/dist"
+	"rpivideo/internal/fault"
 )
 
 // cliConfig is every rpbench flag, parsed into one struct so the legal
@@ -16,14 +17,13 @@ import (
 // scattered through the mode dispatch.
 type cliConfig struct {
 	// Experiment mode.
-	fig        string
-	runs       int
-	runsSet    bool // -runs was given explicitly (matters for -dist)
-	seed       int64
-	workers    int
-	faults     string
-	bondPolicy string
-	list       bool
+	fig     string
+	runs    int
+	runsSet bool // -runs was given explicitly (matters for -dist)
+	seed    int64
+	workers int
+	faults  string
+	list    bool
 
 	// Scenario / observability mode.
 	scenario  string
@@ -61,8 +61,6 @@ func parseFlags(args []string) (*cliConfig, error) {
 		"concurrent campaign runs (results are identical at any setting)")
 	fs.StringVar(&c.faults, "faults", "",
 		"scripted fault schedule for the robust/repair/bond experiments: \"start+dur\" outages, \"start~dur\" loss fades, @p1/@p2 path scopes, e.g. \"45s+2s,70s~80ms/up\" or \"45s+2s@p1\"")
-	fs.StringVar(&c.bondPolicy, "bond", "",
-		"restrict the bond experiment to one scheduler policy (duplicate, failover, cheapest, spray); empty compares all four")
 	fs.BoolVar(&c.list, "list", false, "list experiment and scenario IDs and exit")
 	fs.StringVar(&c.scenario, "scenario", "", "run a named observability scenario instead of experiments")
 	fs.StringVar(&c.fleetSpec, "fleet", "", "run the scenario as a fleet of N UAVs on one shared cell map: \"N\" or \"N/rr|pf\" (requires -scenario; overrides the scenario's own fleet setting)")
@@ -119,6 +117,21 @@ func (c *cliConfig) validate() error {
 	}
 	if c.serveGrace != 0 && c.serve == "" {
 		return errors.New("-servegrace requires -serve (there is no server to hold open)")
+	}
+	if c.faults != "" {
+		switch {
+		case c.scenario != "" || c.analyze != "":
+			return errors.New("-faults scripts the robust, repair and bond experiments and cannot be combined with -scenario or -analyze")
+		case c.fig != "all" && c.fig != "robust" && c.fig != "repair" && c.fig != "bond":
+			return fmt.Errorf("-faults applies to -fig robust, repair, bond or all; -fig %s ignores it", c.fig)
+		}
+		ws, err := fault.ParseSchedule(c.faults)
+		if err != nil {
+			return fmt.Errorf("-faults: %w", err)
+		}
+		if len(ws) == 0 {
+			return fmt.Errorf("-faults %q schedules no window", c.faults)
+		}
 	}
 
 	if c.analyze != "" {

@@ -95,6 +95,13 @@ func TestValidateRejectsIllegalCombos(t *testing.T) {
 		{"worker with serve", []string{"-worker", "-serve", "127.0.0.1:0"}, "-worker"},
 		{"negative servegrace", []string{"-serve", "127.0.0.1:0", "-servegrace", "-1s"}, "-servegrace"},
 		{"servegrace without serve", []string{"-servegrace", "5s"}, "-servegrace requires -serve"},
+		// A malformed -faults fails here, before any campaign runs, with the
+		// parser's own message.
+		{"malformed faults", []string{"-fig", "robust", "-faults", "45s+2s@p3"}, "-faults: fault: bad path scope"},
+		{"faults of separators only", []string{"-faults", ","}, "-faults: fault: schedule \",\" contains no windows"},
+		{"faults of blanks only", []string{"-faults", " "}, "schedules no window"},
+		{"faults with a fig that ignores them", []string{"-fig", "fig6", "-faults", "45s+2s"}, "-fig fig6 ignores it"},
+		{"faults with scenario", []string{"-scenario", "urban-gcc", "-faults", "45s+2s"}, "-faults"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,6 +136,10 @@ func TestValidateAcceptsLegalCombos(t *testing.T) {
 		{"-scenario", "urban-gcc", "-serve", "127.0.0.1:0"},
 		{"-scenario", "urban-gcc", "-serve", "127.0.0.1:0", "-servegrace", "30s"},
 		{"-scenario", "urban-gcc", "-dist", "4", "-serve", "127.0.0.1:0"}, // ops server on the coordinator
+		{"-faults", "45s+2s,70s~80ms/up"},
+		{"-fig", "robust", "-faults", "30s+1s"},
+		{"-fig", "repair", "-faults", "20s~60ms"},
+		{"-fig", "bond", "-faults", "45s+2s@p1"},
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

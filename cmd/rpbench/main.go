@@ -63,37 +63,6 @@ import (
 	"rpivideo/internal/obs/analyze"
 )
 
-var registry = []struct {
-	id   string
-	desc string
-	run  func(experiments.Options) *experiments.Report
-}{
-	{"fig4a", "handover frequency air vs ground", experiments.Fig4aHandoverFrequency},
-	{"fig4b", "handover execution time", experiments.Fig4bHandoverExecutionTime},
-	{"fig5", "one-way latency CDFs", experiments.Fig5OneWayLatency},
-	{"fig6", "goodput per delivery method", experiments.Fig6Goodput},
-	{"fig7a", "FPS CDFs", experiments.Fig7aFPS},
-	{"fig7b", "SSIM CDFs", experiments.Fig7bSSIM},
-	{"fig7c", "playback latency CDFs", experiments.Fig7cPlaybackLatency},
-	{"fig8", "handover timeline (single flight)", experiments.Fig8HandoverTimeline},
-	{"fig9", "latency ratio around handovers", experiments.Fig9LatencyRatio},
-	{"fig10", "operator capacity comparison", experiments.Fig10OperatorCapacity},
-	{"tbl-stall", "stall rates", experiments.TableStallRates},
-	{"tbl-rampup", "CC ramp-up times", experiments.TableRampUp},
-	{"fig12", "operator video comparison", experiments.Fig12OperatorVideo},
-	{"fig13", "RTT by altitude", experiments.Fig13RTTByAltitude},
-	{"abl-ack", "SCReAM ack-window ablation", experiments.AblationScreamAckWindow},
-	{"abl-jb", "jitter buffer ablation", experiments.AblationJitterBuffer},
-	{"abl-est", "GCC estimator ablation (Kalman vs trendline)", experiments.AblationEstimator},
-	{"ext-daps", "DAPS make-before-break handover (§5)", experiments.ExtDAPS},
-	{"ext-aqm", "CoDel AQM on the bottleneck (§5)", experiments.ExtAQM},
-	{"ext-mpath", "multipath duplication (§5)", experiments.ExtMultipath},
-	{"robust", "fault injection: outages and graceful degradation", experiments.Robustness},
-	{"repair", "packet-loss repair: NACK/RTX vs PLI-only", experiments.Repair},
-	{"bond", "dual-operator bonding: policies through a primary-path blackout", experiments.Bond},
-	{"fleet", "fleet-scale cell contention: shared cells under PRB scheduling", experiments.Fleet},
-}
-
 func main() {
 	c, err := parseFlags(os.Args[1:])
 	if err != nil {
@@ -117,8 +86,8 @@ func main() {
 	}
 
 	if c.list {
-		for _, e := range registry {
-			fmt.Printf("%-10s %s\n", e.id, e.desc)
+		for _, e := range experiments.Experiments() {
+			fmt.Printf("%-10s %s\n", e.ID, e.Desc)
 		}
 		for _, sc := range experiments.Scenarios() {
 			fmt.Printf("%-16s [scenario] %s\n", sc.Name, sc.Desc)
@@ -223,15 +192,15 @@ func main() {
 	if tel != nil {
 		tel.SetLabels("experiments", c.fig)
 	}
-	o := experiments.Options{Runs: c.runs, Seed: c.seed, Workers: c.workers, FaultSpec: c.faults, BondPolicy: c.bondPolicy, StatusSink: sink}
+	o := experiments.Options{Runs: c.runs, Seed: c.seed, Workers: c.workers, FaultSpec: c.faults, StatusSink: sink}
 	failed := 0
 	ran := 0
-	for _, e := range registry {
-		if c.fig != "all" && c.fig != e.id {
+	for _, e := range experiments.Experiments() {
+		if c.fig != "all" && c.fig != e.ID {
 			continue
 		}
 		ran++
-		rep := e.run(o)
+		rep := e.Run(o)
 		if _, err := rep.WriteTo(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "rpbench:", err)
 			os.Exit(1)

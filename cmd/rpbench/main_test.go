@@ -10,26 +10,26 @@ import (
 
 	"rpivideo/internal/cell"
 	"rpivideo/internal/core"
+	"rpivideo/internal/experiments"
 	"rpivideo/internal/obs"
 	"rpivideo/internal/obs/analyze"
 )
 
 func TestRegistryConsistent(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range registry {
-		if e.id == "" || e.desc == "" || e.run == nil {
-			t.Errorf("incomplete registry entry %+v", e.id)
+	list := experiments.Experiments()
+	for _, e := range list {
+		if e.ID == "" || e.Desc == "" || e.Title == "" {
+			t.Errorf("incomplete experiment entry %q", e.ID)
 		}
-		if seen[e.id] {
-			t.Errorf("duplicate experiment id %q", e.id)
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment id %q", e.ID)
 		}
-		seen[e.id] = true
+		seen[e.ID] = true
 	}
-	// Every experiment must be reachable from the CLI: the registry holds
-	// exactly the experiments the package defines.
 	const wantExperiments = 24 // 14 figures/tables + 3 ablations + 3 extensions + robustness + repair + bond + fleet
-	if len(registry) != wantExperiments {
-		t.Errorf("registry has %d experiments, want %d", len(registry), wantExperiments)
+	if len(list) != wantExperiments {
+		t.Errorf("the experiment list has %d entries, want %d", len(list), wantExperiments)
 	}
 }
 

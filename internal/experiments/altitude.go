@@ -5,34 +5,17 @@ import (
 	"rpivideo/internal/core"
 )
 
-// Fig13RTTByAltitude reproduces Fig. 13 (Appendix): ICMP-style RTTs at
-// different altitudes, without cross traffic, in both environments.
-func Fig13RTTByAltitude(o Options) *Report {
-	o.defaults()
-	r := &Report{ID: "fig13", Title: "RTT by altitude, no cross traffic (ms)"}
+// fig13 reproduces Fig. 13 (Appendix): ICMP-style RTTs at different
+// altitudes, without cross traffic, in both environments.
+func fig13(o Options, r *Report) {
 	grid := []float64{50, 100, 500}
-	type key struct {
-		env    cell.Environment
-		bucket core.AltBucket
-	}
-	frac100 := map[key]float64{}
-	n := map[key]int{}
 	for _, env := range []cell.Environment{cell.Urban, cell.Rural} {
 		res := campaign(core.Config{Env: env, Air: true, Workload: core.WorkloadPing, Seed: o.Seed}, o)
 		for b := core.Alt0to20; b <= core.Alt101to140; b++ {
-			d := res.RTTByAlt[b]
-			k := key{env, b}
-			frac100[k] = d.FracAtOrAbove(100)
-			n[k] = d.N()
-			r.Lines = append(r.Lines, cdfRow(env.String()+" "+b.String(), &d, grid))
+			d := &res.RTTByAlt[b]
+			name := env.String() + " " + b.String()
+			r.Lines = append(r.Lines, cdfRow(name, d, grid))
+			r.stat(name+".rtt≥100", d, d.FracAtOrAbove(100))
 		}
 	}
-	for _, env := range []cell.Environment{cell.Urban, cell.Rural} {
-		low := frac100[key{env, core.Alt21to60}]
-		high := frac100[key{env, core.Alt101to140}]
-		r.check("outliers grow above 100 m ("+env.String()+")",
-			n[key{env, core.Alt101to140}] > 0 && high > low,
-			"≥100ms RTT: %.2f%% at 101–140 m vs %.2f%% at 21–60 m", 100*high, 100*low)
-	}
-	return r
 }

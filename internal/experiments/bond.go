@@ -9,53 +9,7 @@ import (
 	"rpivideo/internal/fault"
 )
 
-// bondAgg aggregates one bonded configuration's campaign for the degradation
-// comparison: playback damage (stall time, skipped frames), the redundancy
-// bill (radio sends per uniquely delivered packet) and the health timeline.
-type bondAgg struct {
-	name       string
-	stallMs    float64
-	skipped    int
-	delivered  int64
-	pathSent   int64 // radio transmissions summed over paths (single: = sent)
-	switches   int
-	downEvents int
-	reorderLF  int // late + forced reorder releases
-}
-
-// overhead is the redundancy bill: radio transmissions per uniquely
-// delivered packet. Duplication pays ≈2×; the selective policies pay only
-// the keep-alive probes.
-func (a bondAgg) overhead() float64 {
-	if a.delivered == 0 {
-		return 0
-	}
-	return float64(a.pathSent) / float64(a.delivered)
-}
-
-func aggBond(name string, res []*core.Result) bondAgg {
-	a := bondAgg{name: name}
-	for _, r := range res {
-		for _, s := range r.Stalls {
-			a.stallMs += float64(s.Duration) / float64(time.Millisecond)
-		}
-		a.skipped += r.FramesSkipped
-		if len(r.BondPaths) == 0 {
-			a.pathSent += int64(r.PacketsSent)
-			a.delivered += int64(r.PacketsDelivered)
-		}
-		for _, p := range r.BondPaths {
-			a.pathSent += p.Sent
-			a.delivered += p.Delivered - p.Suppressed // unique first copies
-		}
-		a.switches += r.BondSwitches
-		a.downEvents += r.BondPathDownEvents
-		a.reorderLF += r.BondReorderLate + r.BondReorderForced
-	}
-	return a
-}
-
-// Bond runs the dual-operator link-bonding comparison: a single-operator
+// bondExp runs the dual-operator link-bonding comparison: a single-operator
 // baseline and each scheduler policy fly the same urban ground GCC campaign
 // through the same primary-operator blackout (default: 2 s at t=45 s on the
 // primary bonded path; override with Options.FaultSpec) with RLF and the
@@ -64,29 +18,8 @@ func aggBond(name string, res []*core.Result) bondAgg {
 // frame loss than the single-operator run — while duplication pays the
 // highest redundancy bill (≈2 radio sends per delivered packet) and the
 // selective policies pay only the keep-alive probes.
-func Bond(o Options) *Report {
-	o.defaults()
-	r := &Report{ID: "bond", Title: "dual-operator bonding: scheduler policies through a primary-path blackout"}
-
-	spec := o.FaultSpec
-	if spec == "" {
-		spec = "45s+2s@p1"
-	}
-	ws, err := fault.ParseSchedule(spec)
-	if err != nil || len(ws) == 0 {
-		r.check("fault schedule parses", false, "%q: %v", spec, err)
-		return r
-	}
-
-	policies := bond.Policies()
-	if o.BondPolicy != "" {
-		p, err := bond.ParsePolicy(o.BondPolicy)
-		if err != nil {
-			r.check("bond policy parses", false, "%v", err)
-			return r
-		}
-		policies = []bond.Policy{p}
-	}
+func bondExp(o Options, r *Report) {
+	spec, ws := o.schedule("45s+2s@p1")
 	r.row("schedule %q, RLF + watchdog + keyframe recovery armed", spec)
 
 	base := core.Config{
@@ -98,54 +31,33 @@ func Bond(o Options) *Report {
 			KeyframeRecovery: true,
 		},
 	}
-
-	single := aggBond("single", seededCampaign(base, o))
-	aggs := []bondAgg{single}
-	byPolicy := make(map[bond.Policy]bondAgg, len(policies))
-	for _, p := range policies {
+	names, cfgs := []string{"single"}, []core.Config{base}
+	for _, p := range bond.Policies() {
 		cfg := base
 		cfg.Bond = bond.Config{Policy: p}
-		a := aggBond(p.String(), seededCampaign(cfg, o))
-		aggs = append(aggs, a)
-		byPolicy[p] = a
+		names, cfgs = append(names, p.String()), append(cfgs, cfg)
 	}
-
-	for _, a := range aggs {
-		r.row("%-9s stall %7.0f ms  skipped %4d  overhead %.3f sends/delivered  switches %3d  path-down %3d  reorder late+forced %3d",
-			a.name, a.stallMs, a.skipped, a.overhead(), a.switches, a.downEvents, a.reorderLF)
-	}
-
-	if fo, ok := byPolicy[bond.PolicyFailover]; ok {
-		r.check("failover stalls strictly less than single-operator",
-			fo.stallMs < single.stallMs,
-			"failover %.0f ms vs single %.0f ms", fo.stallMs, single.stallMs)
-		r.check("failover loses strictly fewer frames than single-operator",
-			fo.skipped < single.skipped,
-			"failover %d vs single %d skipped", fo.skipped, single.skipped)
-		r.check("failover switched off the dying primary",
-			fo.switches >= o.Runs,
-			"%d switches over %d runs", fo.switches, o.Runs)
-	}
-	if dup, ok := byPolicy[bond.PolicyDuplicate]; ok {
-		r.check("duplication sends roughly every packet twice",
-			dup.overhead() > 1.8,
-			"%.3f sends per delivered packet", dup.overhead())
-		for _, p := range policies {
-			if p == bond.PolicyDuplicate {
-				continue
+	r.set("runs", float64(o.Runs))
+	for i, cfg := range cfgs {
+		f := campaign(cfg, o)
+		// The redundancy bill: radio transmissions per uniquely delivered
+		// packet. Duplication pays ≈2×; the selective policies pay only the
+		// keep-alive probes.
+		sent, delivered := int64(f.PacketsSent), int64(f.PacketsDelivered)
+		if len(f.BondPaths) > 0 {
+			sent, delivered = 0, 0
+			for _, p := range f.BondPaths {
+				sent += p.Sent
+				delivered += p.Delivered - p.Suppressed // unique first copies
 			}
-			a := byPolicy[p]
-			r.check("duplicate pays more redundancy than "+p.String(),
-				dup.overhead() > a.overhead(),
-				"duplicate %.3f vs %s %.3f", dup.overhead(), p.String(), a.overhead())
 		}
+		overhead := float64(sent) / float64(delivered)
+		r.row("%-9s stall %7.0f ms  skipped %4d  overhead %.3f sends/delivered  switches %3d  path-down %3d  reorder late+forced %3d",
+			names[i], f.stallMs, f.FramesSkipped, overhead, f.BondSwitches, f.BondPathDownEvents, f.BondReorderLate+f.BondReorderForced)
+		r.set(names[i]+".stall_ms", f.stallMs)
+		r.set(names[i]+".frames_skipped", float64(f.FramesSkipped))
+		r.set(names[i]+".overhead", overhead)
+		r.set(names[i]+".switches", float64(f.BondSwitches))
+		r.set(names[i]+".path_down", float64(f.BondPathDownEvents))
 	}
-	// Every bonded policy must at least observe the scripted primary outage.
-	for _, p := range policies {
-		a := byPolicy[p]
-		r.check(p.String()+" health monitor saw the primary go down",
-			a.downEvents >= o.Runs,
-			"%d path-down events over %d runs", a.downEvents, o.Runs)
-	}
-	return r
 }

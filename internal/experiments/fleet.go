@@ -1,96 +1,42 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"rpivideo/internal/cell"
 	"rpivideo/internal/core"
 )
 
-// fleetPoint is one fleet size's contention aggregate.
-type fleetPoint struct {
-	size int
-	fr   *core.FleetResult
-}
-
-func runFleetPoint(o Options, size int, sched cell.SchedulerKind) (fleetPoint, error) {
-	cfg := core.Config{
-		Env: cell.Urban, Op: cell.P1, Air: true, CC: core.CCStatic,
-		Seed: o.Seed, Duration: 8 * time.Second,
-	}
-	fr, errs := core.RunFleet(core.FleetConfig{
-		Config: cfg, Size: size, Sched: sched, Workers: o.Workers,
-	})
-	for _, err := range errs {
-		if err != nil {
-			return fleetPoint{}, err
-		}
-	}
-	return fleetPoint{size: size, fr: fr}, nil
-}
-
-// Fleet runs the fleet-scale cell contention experiment: 1, 50 and 500 UAVs
-// fly the same urban aerial mission against one shared base-station map, so
-// every UAV on a cell splits its PRBs. The shape claims: a lone UAV keeps
-// the whole cell (share exactly 1, no overload); the median per-UAV goodput
-// degrades monotonically with fleet size and collapses below half the solo
-// rate at 500 UAVs; overload epochs and peak cell occupancy grow with the
-// fleet; and at 500 UAVs proportional-fair squeezes the cell-edge UAV
-// harder than round-robin without starving it outright.
-func Fleet(o Options) *Report {
-	o.defaults()
-	r := &Report{ID: "fleet", Title: "fleet-scale cell contention: shared base stations under PRB scheduling"}
-
-	sizes := []int{1, 50, 500}
-	points := make([]fleetPoint, 0, len(sizes))
-	for _, size := range sizes {
-		p, err := runFleetPoint(o, size, cell.SchedRR)
-		if err != nil {
-			r.check("fleet campaign completes", false, "size %d: %v", size, err)
-			return r
-		}
-		points = append(points, p)
-	}
-	pf500, err := runFleetPoint(o, 500, cell.SchedPF)
-	if err != nil {
-		r.check("fleet campaign completes", false, "size 500/pf: %v", err)
-		return r
-	}
-
+// fleetExp runs the fleet-scale cell contention experiment: 1, 50 and 500
+// UAVs fly the same urban aerial mission against one shared base-station
+// map, so every UAV on a cell splits its PRBs. The shape claims: a lone UAV
+// keeps the whole cell (share exactly 1, no overload); the median per-UAV
+// goodput degrades monotonically with fleet size and collapses below half
+// the solo rate at 500 UAVs; overload epochs and peak cell occupancy grow
+// with the fleet; and at 500 UAVs proportional-fair squeezes the cell-edge
+// UAV harder than round-robin without starving it outright.
+func fleetExp(o Options, r *Report) {
 	r.row("urban aerial static-rate mission, 8 s, shared deployment, seed %d", o.Seed)
-	row := func(sched string, p fleetPoint) {
+	for _, pt := range []struct {
+		size  int
+		sched cell.SchedulerKind
+	}{{1, cell.SchedRR}, {50, cell.SchedRR}, {500, cell.SchedRR}, {500, cell.SchedPF}} {
+		fr, errs := core.RunFleet(core.FleetConfig{
+			Config: core.Config{
+				Env: cell.Urban, Op: cell.P1, Air: true, CC: core.CCStatic,
+				Seed: o.Seed, Duration: 8 * time.Second,
+			},
+			Size: pt.size, Sched: pt.sched, Workers: o.Workers,
+		})
+		mustRun(errs)
 		r.row("%4d UAVs %-3s median goodput %6.2f Mbps  min share %.4f  overload epochs %5d  peak cell users %3d  handovers %4d",
-			p.size, sched, p.fr.MedianUAVGoodput(), p.fr.MinShare, p.fr.OverloadEpochs, p.fr.PeakCellUsers, p.fr.Summary.Handovers)
+			pt.size, pt.sched, fr.MedianUAVGoodput(), fr.MinShare, fr.OverloadEpochs, fr.PeakCellUsers, fr.Summary.Handovers)
+		name := fmt.Sprintf("%s%d", pt.sched, pt.size)
+		r.set(name+".median_goodput", fr.MedianUAVGoodput())
+		r.set(name+".min_share", fr.MinShare)
+		r.set(name+".overload_epochs", float64(fr.OverloadEpochs))
+		r.set(name+".peak_cell_users", float64(fr.PeakCellUsers))
+		r.set(name+".handovers", float64(fr.Summary.Handovers))
 	}
-	for _, p := range points {
-		row("rr", p)
-	}
-	row("pf", pf500)
-
-	solo, p50, p500 := points[0], points[1], points[2]
-	r.check("lone UAV keeps the whole cell",
-		solo.fr.MinShare == 1 && solo.fr.OverloadEpochs == 0,
-		"min share %v, overload epochs %d", solo.fr.MinShare, solo.fr.OverloadEpochs)
-
-	meds := []float64{solo.fr.MedianUAVGoodput(), p50.fr.MedianUAVGoodput(), p500.fr.MedianUAVGoodput()}
-	const eps = 0.02 // relative tolerance for sampling noise
-	mono := meds[1] <= meds[0]*(1+eps) && meds[2] <= meds[1]*(1+eps)
-	r.check("median per-UAV goodput non-increasing in fleet size",
-		mono, "%.2f → %.2f → %.2f Mbps at 1/50/500", meds[0], meds[1], meds[2])
-	r.check("500-UAV contention collapses the median below half the solo rate",
-		meds[2] < 0.5*meds[0], "%.2f vs solo %.2f Mbps", meds[2], meds[0])
-
-	r.check("500-UAV fleet overloads cells",
-		p500.fr.OverloadEpochs > 0, "%d overload epochs", p500.fr.OverloadEpochs)
-	r.check("peak cell occupancy grows with the fleet",
-		p500.fr.PeakCellUsers > p50.fr.PeakCellUsers && p50.fr.PeakCellUsers > 1,
-		"peak users %d at 500 vs %d at 50", p500.fr.PeakCellUsers, p50.fr.PeakCellUsers)
-	r.check("a larger fleet executes more handovers",
-		p500.fr.Summary.Handovers > p50.fr.Summary.Handovers,
-		"%d at 500 vs %d at 50", p500.fr.Summary.Handovers, p50.fr.Summary.Handovers)
-
-	r.check("proportional-fair squeezes the cell edge harder than round-robin",
-		pf500.fr.MinShare <= p500.fr.MinShare && pf500.fr.MinShare > 0,
-		"pf min share %.4f vs rr %.4f", pf500.fr.MinShare, p500.fr.MinShare)
-	return r
 }

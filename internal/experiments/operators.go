@@ -5,57 +5,30 @@ import (
 	"rpivideo/internal/core"
 )
 
-// Fig10OperatorCapacity reproduces Fig. 10: the achievable throughput and
-// handover frequency of the two operators in the rural region.
-func Fig10OperatorCapacity(o Options) *Report {
-	o.defaults()
-	r := &Report{ID: "fig10", Title: "Operators P1 vs P2 in the rural region"}
-	// Achievable throughput: stream at the urban static rate (25 Mbps) so
-	// the link, not the source, is the bottleneck.
-	type row struct {
-		label string
-		gp    float64
-		hoAir float64
-	}
-	var rows []row
+// fig10 reproduces Fig. 10: the achievable throughput and handover
+// frequency of the two operators in the rural region.
+func fig10(o Options, r *Report) {
 	for _, op := range []cell.Operator{cell.P1, cell.P2} {
+		// Achievable throughput: stream at the urban static rate (25 Mbps)
+		// so the link, not the source, is the bottleneck.
 		probe := campaign(core.Config{Env: cell.Rural, Op: op, Air: true, CC: core.CCStatic, StaticRate: 25e6, Seed: o.Seed}, o)
-		rows = append(rows, row{label: op.String(), gp: probe.GoodputMean(), hoAir: probe.HandoverRate()})
+		r.measure(op.String(), &probe.Summary)
 		r.row("%-3s achievable throughput %s", op, probe.Goodput.Box())
 		r.row("%-3s air HO rate %.3f/s", op, probe.HandoverRate())
 	}
-	r.check("P2 offers more rural capacity", rows[1].gp > rows[0].gp,
-		"P2 %.1f vs P1 %.1f Mbps", rows[1].gp, rows[0].gp)
-	r.check("P2 hands over more (denser rural deployment)", rows[1].hoAir > rows[0].hoAir,
-		"P2 %.3f vs P1 %.3f HO/s", rows[1].hoAir, rows[0].hoAir)
-	return r
 }
 
-// Fig12OperatorVideo reproduces Fig. 12 (Appendix A.3): the video delivery
-// performance over both operators in the rural environment, per method.
-func Fig12OperatorVideo(o Options) *Report {
-	o.defaults()
-	r := &Report{ID: "fig12", Title: "Video delivery per operator, rural (Appendix A.3)"}
-	res := map[string]*core.Summary{}
+// fig12 reproduces Fig. 12 (Appendix A.3): the video delivery performance
+// over both operators in the rural environment, per method.
+func fig12(o Options, r *Report) {
 	for _, op := range []cell.Operator{cell.P1, cell.P2} {
-		for _, ccKind := range []core.CCKind{core.CCStatic, core.CCSCReAM, core.CCGCC} {
-			cfg := core.Config{Env: cell.Rural, Op: op, Air: true, CC: ccKind, Seed: o.Seed}
+		for _, cc := range []core.CCKind{core.CCStatic, core.CCSCReAM, core.CCGCC} {
+			cfg := core.Config{Env: cell.Rural, Op: op, Air: true, CC: cc, Seed: o.Seed}
 			m := campaign(cfg, o)
-			res[cfg.Label()] = m
+			r.measure(cfg.Label(), &m.Summary)
 			r.row("%-24s goodput %.1f Mbps  fps@29 %.0f%%  <300ms %.0f%%  ssim<0.5 %.2f%%",
 				cfg.Label(), m.GoodputMean(), 100*m.FPS.FracAtOrAbove(29),
 				100*m.PlaybackMs.FracBelow(300), 100*m.SSIM.FracBelow(0.5))
 		}
 	}
-	p1s, p2s := res["rural-P1-air-scream"], res["rural-P2-air-scream"]
-	p1g, p2g := res["rural-P1-air-gcc"], res["rural-P2-air-gcc"]
-	r.check("P2's capacity lifts goodput (SCReAM)", p2s.GoodputMean() > p1s.GoodputMean(),
-		"%.1f vs %.1f Mbps", p2s.GoodputMean(), p1s.GoodputMean())
-	r.check("P2's capacity lifts goodput (GCC)", p2g.GoodputMean() > p1g.GoodputMean(),
-		"%.1f vs %.1f Mbps", p2g.GoodputMean(), p1g.GoodputMean())
-	r.check("larger capacity does not fix SCReAM's playback latency",
-		p2s.PlaybackMs.FracBelow(300) < p1s.PlaybackMs.FracBelow(300)+0.05,
-		"P2 %.0f%% vs P1 %.0f%% below 300 ms (paper: P2 worse at higher rates)",
-		100*p2s.PlaybackMs.FracBelow(300), 100*p1s.PlaybackMs.FracBelow(300))
-	return r
 }

@@ -9,7 +9,7 @@ import (
 	"rpivideo/internal/repair"
 )
 
-// Repair runs the packet-loss repair evaluation: the same urban ground
+// repairExp runs the packet-loss repair evaluation: the same urban ground
 // campaign through the same scripted loss-fade schedule (§4.3 loss bursts;
 // default "20s~60ms,40s~60ms,60s~60ms,75s~60ms", override with
 // Options.FaultSpec) under three receivers — PLI-only recovery (the PR 2
@@ -29,19 +29,8 @@ import (
 // overspending. Multi-second blackouts are deliberately absent here: the
 // detector's outage guard hands those straight to the PLI path (see the
 // robust experiment and the repair-blackout scenario).
-func Repair(o Options) *Report {
-	o.defaults()
-	r := &Report{ID: "repair", Title: "packet-loss repair: NACK/RTX vs PLI-only recovery"}
-
-	spec := o.FaultSpec
-	if spec == "" {
-		spec = "20s~60ms,40s~60ms,60s~60ms,75s~60ms"
-	}
-	ws, err := fault.ParseSchedule(spec)
-	if err != nil || len(ws) == 0 {
-		r.check("fault schedule parses", false, "%q: %v", spec, err)
-		return r
-	}
+func repairExp(o Options, r *Report) {
+	spec, ws := o.schedule("20s~60ms,40s~60ms,60s~60ms,75s~60ms")
 	r.row("schedule %q, urban ground GCC, PLI recovery armed in every arm", spec)
 
 	base := core.Config{
@@ -53,51 +42,20 @@ func Repair(o Options) *Report {
 			KeyframeRecovery: true,
 		},
 	}
-
-	pliOnly := campaign(base, o)
-
 	repaired := base
 	repaired.Repair = repair.Config{Enabled: true}
-	rep := campaign(repaired, o)
-
 	starved := base
 	starved.Repair = repair.Config{Enabled: true, BudgetFraction: 1e-4, BudgetBurst: 1}
-	stv := campaign(starved, o)
 
-	arms := []struct {
+	for _, arm := range []struct {
 		name string
-		m    *core.Summary
-	}{{"pli-only", pliOnly}, {"nack/rtx", rep}, {"starved", stv}}
-	for _, a := range arms {
-		m := a.m
+		cfg  core.Config
+	}{{"pli-only", base}, {"nack/rtx", repaired}, {"starved", starved}} {
+		m := campaign(arm.cfg, o)
+		r.measure(arm.name, &m.Summary)
 		r.row("%-8s skipped %4d  stalls %.2f/min  nacks %4d  repaired %4d pkts / %3d frames  denied %5d  abandoned %5d  kf-req %2d  rtx %5.1f kB of %6.1f kB budget",
-			a.name, m.FramesSkipped, m.StallsPerMin, m.NacksSent,
+			arm.name, m.FramesSkipped, m.StallsPerMin, m.NacksSent,
 			m.PacketsRepaired, m.FramesRepaired, m.RepairDenied, m.RepairAbandoned,
 			m.KeyframeRequests, float64(m.RtxBytes)/1e3, m.RepairBudgetAccrued/1e3)
 	}
-
-	r.check("repair layer active", rep.NacksSent > 0 && rep.PacketsRepaired > 0 && rep.FramesRepaired > 0,
-		"nacks %d, packets %d, frames %d", rep.NacksSent, rep.PacketsRepaired, rep.FramesRepaired)
-	r.check("repair skips fewer frames than pli-only", rep.FramesSkipped < pliOnly.FramesSkipped,
-		"skipped: repair %d vs pli-only %d", rep.FramesSkipped, pliOnly.FramesSkipped)
-	r.check("repair stalls no more than pli-only", rep.StallsPerMin <= pliOnly.StallsPerMin,
-		"stalls/min: repair %.2f vs pli-only %.2f", rep.StallsPerMin, pliOnly.StallsPerMin)
-	r.check("repair avoids keyframe recoveries", rep.KeyframeRequests < pliOnly.KeyframeRequests,
-		"kf-req: repair %d vs pli-only %d", rep.KeyframeRequests, pliOnly.KeyframeRequests)
-	r.check("repair traffic within budget",
-		float64(rep.RtxBytes) <= rep.RepairBudgetAccrued && float64(stv.RtxBytes) <= stv.RepairBudgetAccrued,
-		"rtx/accrued: repair %d/%.0f, starved %d/%.0f",
-		rep.RtxBytes, rep.RepairBudgetAccrued, stv.RtxBytes, stv.RepairBudgetAccrued)
-	r.check("budget paces the repair burst", rep.RepairDenied > 0 && rep.PacketsRepaired > 0,
-		"denied %d then repaired %d under retry", rep.RepairDenied, rep.PacketsRepaired)
-	r.check("starved budget denies and degrades to the PLI path",
-		stv.RepairDenied > rep.RepairDenied && stv.RepairAbandoned > 0 && stv.KeyframeRequests > rep.KeyframeRequests,
-		"denied: starved %d vs repair %d; abandoned %d; kf-req starved %d vs repair %d",
-		stv.RepairDenied, rep.RepairDenied, stv.RepairAbandoned, stv.KeyframeRequests, rep.KeyframeRequests)
-	r.check("starved budget repairs less", stv.PacketsRepaired < rep.PacketsRepaired,
-		"repaired: starved %d vs full %d", stv.PacketsRepaired, rep.PacketsRepaired)
-	r.check("degradation ordered: starved falls back toward pli-only",
-		stv.FramesSkipped >= rep.FramesSkipped,
-		"skipped starved %d ≥ repair %d", stv.FramesSkipped, rep.FramesSkipped)
-	return r
 }

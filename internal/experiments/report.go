@@ -1,19 +1,23 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4, §5, Appendix A) from the simulation pipeline. Each
-// experiment returns a Report containing the same rows/series the paper
-// plots plus explicit shape checks — the qualitative claims that must hold
-// (who wins, by roughly what factor, where crossovers fall). cmd/rpbench
-// prints the reports; bench_test.go asserts the checks.
+// experiment of the ordered list (Experiments) runs its named configuration
+// variants, prints the rows/series the paper plots and records named
+// quantities; the rows of the targets table (targets.go) — the qualitative
+// claims that must hold (who wins, by roughly what factor, where crossovers
+// fall) — are evaluated against those quantities by one function. cmd/rpbench
+// prints the reports; TestAllExperimentsSatisfyShapeChecks asserts the checks.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"rpivideo/internal/core"
+	"rpivideo/internal/fault"
 	"rpivideo/internal/obs"
 )
 
@@ -25,17 +29,16 @@ type Options struct {
 	// Seed is the base seed (1 if zero).
 	Seed int64
 	// Workers caps per-campaign parallelism: 0 means one worker per
-	// logical CPU, 1 forces serial execution. Results are identical at
-	// any setting (campaigns merge in run-index order), so Workers is
+	// logical CPU, 1 forces serial execution. Results are identical at any
+	// setting (campaigns merge in run-index order), so Workers is
 	// deliberately not part of the campaign memoization key.
 	Workers int
-	// FaultSpec overrides the robustness experiment's scripted outage
-	// schedule (fault.ParseSchedule syntax, e.g. "45s+2s,70s+500ms/up").
-	// Empty selects the default single 2 s blackout.
+	// FaultSpec overrides the robust, repair and bond experiments' scripted
+	// fault schedule (fault.ParseSchedule syntax, e.g.
+	// "45s+2s,70s+500ms/up"). Empty selects each experiment's default. The
+	// caller validates it: an experiment panics on a spec that does not
+	// parse into at least one window.
 	FaultSpec string
-	// BondPolicy restricts the bond experiment to one scheduler policy
-	// (duplicate, failover, cheapest or spray). Empty compares all four.
-	BondPolicy string
 	// StatusSink, when non-nil, receives live campaign progress and per-run
 	// metrics for the -serve ops endpoints. Like Workers it is excluded
 	// from the memoization key: it observes execution without affecting
@@ -53,19 +56,35 @@ func (o *Options) defaults() {
 	}
 }
 
-// Check is one shape assertion derived from the paper's claims.
+// schedule parses the experiment's fault schedule: Options.FaultSpec, or
+// def when it is empty.
+func (o Options) schedule(def string) (string, []fault.Window) {
+	spec := o.FaultSpec
+	if spec == "" {
+		spec = def
+	}
+	ws, err := fault.ParseSchedule(spec)
+	if err != nil || len(ws) == 0 {
+		panic(fmt.Sprintf("fault schedule %q has no window: %v", spec, err))
+	}
+	return spec, ws
+}
+
+// Check is one evaluated row of the targets table.
 type Check struct {
 	Name   string
 	OK     bool
 	Detail string
 }
 
-// Report is the output of one experiment.
+// Report is the output of one experiment: its rendered rows, the named
+// quantities it measured, and its targets rows evaluated on them.
 type Report struct {
-	ID     string
-	Title  string
-	Lines  []string
-	Checks []Check
+	ID         string
+	Title      string
+	Lines      []string
+	Quantities map[string]float64
+	Checks     []Check
 }
 
 // row appends one formatted output row.
@@ -73,9 +92,43 @@ func (r *Report) row(format string, args ...any) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
 }
 
-// check records one shape assertion.
-func (r *Report) check(name string, ok bool, format string, args ...any) {
-	r.Checks = append(r.Checks, Check{Name: name, OK: ok, Detail: fmt.Sprintf(format, args...)})
+// set records one named quantity.
+func (r *Report) set(name string, v float64) {
+	r.Quantities[name] = v
+}
+
+// stat records a statistic of a sample. An empty sample has no statistic:
+// the quantity is NaN, so no row can pass on it.
+func (r *Report) stat(name string, sample interface{ N() int }, v float64) {
+	if sample.N() == 0 {
+		v = math.NaN()
+	}
+	r.set(name, v)
+}
+
+// measure records, under prefix, the campaign quantities several
+// experiments' rows read.
+func (r *Report) measure(prefix string, s *core.Summary) {
+	r.stat(prefix+".goodput", &s.Goodput, s.GoodputMean())
+	r.stat(prefix+".playback<300", &s.PlaybackMs, s.PlaybackMs.FracBelow(300))
+	r.stat(prefix+".owd_p95", &s.OWDms, s.OWDms.Quantile(0.95))
+	r.stat(prefix+".owd_p99", &s.OWDms, s.OWDms.Quantile(0.99))
+	r.stat(prefix+".recovery_max", &s.RecoveryMs, s.RecoveryMs.Max())
+	r.set(prefix+".stalls_per_min", s.StallsPerMin)
+	r.set(prefix+".handover_rate", s.HandoverRate())
+	r.set(prefix+".post_outage_queue_ms", s.PostOutageQueueMs)
+	r.set(prefix+".rtx_bytes", float64(s.RtxBytes))
+	r.set(prefix+".repair_budget", s.RepairBudgetAccrued)
+	for name, n := range map[string]int{
+		"recoveries": s.RecoveryMs.N(), "outages": s.Outages, "overflows": s.Overflows,
+		"overflow+stale": s.Overflows + s.StaleDrops, "frames_skipped": s.FramesSkipped,
+		"keyframe_requests": s.KeyframeRequests, "aqm_drops": s.AQMDrops,
+		"multipath_duplicates": s.MultipathDuplicates, "nacks_sent": s.NacksSent,
+		"packets_repaired": s.PacketsRepaired, "frames_repaired": s.FramesRepaired,
+		"repair_denied": s.RepairDenied, "repair_abandoned": s.RepairAbandoned,
+	} {
+		r.set(prefix+"."+name, float64(n))
+	}
 }
 
 // OK reports whether every check passed.
@@ -117,42 +170,26 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// campaignCache memoizes seeded campaigns: several figures consume the same
-// configuration (Figs. 6 and 7a–c all need the six method×environment
-// campaigns; Figs. 4a, 4b and 5 share the mobility sweep), and results are
-// pure functions of (Config, Runs). Two caches exist because figures consume
-// campaigns at two granularities: per-run results (handover event lists,
-// per-run rates) and campaign summaries. Only the few figures that
-// need per-run detail pay for retained samples; aggregate-only figures go
-// through the sketch-based summary path, whose memory is O(buckets)
-// regardless of the run count.
-var (
-	campaignCache sync.Map // string → *campaignEntry
-	summaryCache  sync.Map // string → *summaryEntry
-)
-
-type campaignEntry struct {
-	once sync.Once
-	res  []*core.Result
-	done atomic.Bool // res published (set inside once)
+// fold is one memoized campaign: its Summary and, next to it, the only
+// per-run facts a figure reads that a Summary does not keep, each added in
+// run-index order.
+type fold struct {
+	core.Summary
+	hoRates []float64 // each run's handover rate (HO/s)
+	hetMs   []float64 // every handover's execution time (ms)
+	stallMs float64   // total stall time (ms)
 }
 
-type summaryEntry struct {
-	once sync.Once
-	sum  *core.Summary
-}
+// campaigns memoizes folds: several figures consume the same configuration
+// (Figs. 6 and 7a–c all need the six method×environment campaigns; Figs.
+// 4a, 4b and 5 share the mobility sweep), and a fold is a pure function of
+// (Config, Runs). A campaign streams through core.RunCampaignFold, never
+// holding more than the in-flight runs.
+var campaigns sync.Map // campaignKey → *campaignOnce
 
-// ResetCache clears the campaign memoization. Benchmarks call it between
-// iterations so every iteration measures a full regeneration.
-func ResetCache() {
-	campaignCache.Range(func(k, _ any) bool {
-		campaignCache.Delete(k)
-		return true
-	})
-	summaryCache.Range(func(k, _ any) bool {
-		summaryCache.Delete(k)
-		return true
-	})
+type campaignOnce struct {
+	once sync.Once
+	f    *fold
 }
 
 // campaignKey is the memoization key: results are pure functions of
@@ -181,45 +218,29 @@ func mustRun(errs []error) {
 	}
 }
 
-// seededCampaign returns the memoized per-run results for a configuration.
-// Callers must not mutate the returned results. Figures that only need the
-// campaign aggregate should use campaign instead — this path retains every
-// run's samples.
-func seededCampaign(cfg core.Config, o Options) []*core.Result {
-	key := campaignKey(cfg, o)
-	e, _ := campaignCache.LoadOrStore(key, &campaignEntry{})
-	ent := e.(*campaignEntry)
-	ent.once.Do(func() {
-		res, errs := core.RunCampaignWithOptions(cfg, o.Runs, experimentOptions(o))
-		mustRun(errs)
-		ent.res = res
-		ent.done.Store(true)
-	})
-	return ent.res
-}
-
-// campaign returns the memoized sketch-based summary for a configuration.
-// When another figure has already materialized the per-run results (the
-// mobility configs feed both granularities), those are folded rather than
-// re-run; otherwise the campaign streams through core.RunCampaignFold into
-// Summary.AddResult, never holding more than the in-flight runs. Either path
-// folds in run-index order, so the summary is identical.
-func campaign(cfg core.Config, o Options) *core.Summary {
-	key := campaignKey(cfg, o)
-	e, _ := summaryCache.LoadOrStore(key, &summaryEntry{})
-	ent := e.(*summaryEntry)
-	ent.once.Do(func() {
-		if pr, ok := campaignCache.Load(key); ok {
-			if pe := pr.(*campaignEntry); pe.done.Load() {
-				ent.sum = core.Summarize(pe.res)
+// campaign returns the memoized fold of a configuration's campaign. Callers
+// must not mutate it.
+func campaign(cfg core.Config, o Options) *fold {
+	e, _ := campaigns.LoadOrStore(campaignKey(cfg, o), &campaignOnce{})
+	c := e.(*campaignOnce)
+	c.once.Do(func() {
+		f := &fold{}
+		mustRun(core.RunCampaignFold(cfg, o.Runs, experimentOptions(o), func(_ int, r *core.Result) {
+			if r == nil {
 				return
 			}
-		}
-		sum := &core.Summary{}
-		mustRun(core.RunCampaignFold(cfg, o.Runs, experimentOptions(o), func(_ int, r *core.Result) { sum.AddResult(r) }))
-		ent.sum = sum
+			f.AddResult(r)
+			f.hoRates = append(f.hoRates, r.HandoverRate())
+			for _, ev := range r.Handovers {
+				f.hetMs = append(f.hetMs, float64(ev.HET)/float64(time.Millisecond))
+			}
+			for _, s := range r.Stalls {
+				f.stallMs += float64(s.Duration) / float64(time.Millisecond)
+			}
+		}))
+		c.f = f
 	})
-	return ent.sum
+	return c.f
 }
 
 // cdfer is the CDF query both Dist and Sketch answer.
