@@ -58,8 +58,10 @@ func (r *Reorder) Next() int64 { return r.next }
 
 // Insert offers one arrived packet. In-order packets (and any run they
 // complete) release immediately; out-of-order packets buffer until the gap
-// fills, the deadline passes or the cap forces them out.
-func (r *Reorder) Insert(ext int64, meta interface{}, now time.Duration) {
+// fills, the deadline passes or the cap forces them out. Insert reports
+// whether it took the packet: false for a late packet or a copy of a
+// buffered one, which Emit will never see.
+func (r *Reorder) Insert(ext int64, meta interface{}, now time.Duration) bool {
 	if !r.started {
 		r.started, r.next = true, ext
 	}
@@ -68,12 +70,12 @@ func (r *Reorder) Insert(ext int64, meta interface{}, now time.Duration) {
 		if r.OnLate != nil {
 			r.OnLate(ext, now)
 		}
-		return
+		return false
 	}
 	i := sort.Search(len(r.buf), func(i int) bool { return r.buf[i].ext >= ext })
 	if i < len(r.buf) && r.buf[i].ext == ext {
 		r.Dups++
-		return
+		return false
 	}
 	r.buf = append(r.buf, pending{})
 	copy(r.buf[i+1:], r.buf[i:])
@@ -83,6 +85,7 @@ func (r *Reorder) Insert(ext int64, meta interface{}, now time.Duration) {
 		r.CapReleases++
 		r.advance(now)
 	}
+	return true
 }
 
 // Tick releases every buffered run whose head has waited past the

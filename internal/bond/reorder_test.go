@@ -108,7 +108,9 @@ func TestReorderDupAndFlush(t *testing.T) {
 
 // FuzzReorderInsert feeds arbitrary byte-derived sequences of inserts and
 // ticks and checks the buffer's invariants: releases strictly increase,
-// the cap holds, and nothing is both released and still buffered.
+// the cap holds, nothing is both released and still buffered, and Emit sees
+// exactly the packets Insert reported taking — the count a holder's
+// reference rides on.
 func FuzzReorderInsert(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{5, 4, 3, 2, 1, 0})
@@ -119,6 +121,7 @@ func FuzzReorderInsert(f *testing.F) {
 			released = append(released, meta.(int64))
 		})
 		now := time.Duration(0)
+		taken := 0
 		for i, b := range data {
 			switch {
 			case b >= 250: // occasional clock jump past the deadline
@@ -131,7 +134,9 @@ func FuzzReorderInsert(f *testing.F) {
 				if ext < 0 {
 					ext = -ext
 				}
-				r.Insert(ext, ext, now)
+				if r.Insert(ext, ext, now) {
+					taken++
+				}
 			}
 			if r.Len() > 16 {
 				t.Fatalf("cap breached: %d", r.Len())
@@ -140,6 +145,9 @@ func FuzzReorderInsert(f *testing.F) {
 		r.Flush(now)
 		if r.Len() != 0 {
 			t.Fatalf("flush left %d buffered", r.Len())
+		}
+		if len(released) != taken {
+			t.Fatalf("%d packets taken, %d emitted", taken, len(released))
 		}
 		seen := make(map[int64]bool, len(released))
 		for i, v := range released {

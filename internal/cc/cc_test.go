@@ -122,24 +122,6 @@ func TestSendQueueDelay(t *testing.T) {
 	}
 }
 
-func TestSendQueueDiscardOlderThan(t *testing.T) {
-	var q SendQueue
-	for i := 0; i < 10; i++ {
-		q.Push(Item{Size: 10, Enqueued: time.Duration(i) * 10 * time.Millisecond})
-	}
-	n := q.DiscardOlderThan(45 * time.Millisecond)
-	if n != 5 {
-		t.Errorf("discarded %d, want 5", n)
-	}
-	it, _ := q.Peek()
-	if it.Enqueued != 50*time.Millisecond {
-		t.Errorf("head enqueued at %v, want 50ms", it.Enqueued)
-	}
-	if q.Bytes() != 50 {
-		t.Errorf("Bytes = %d, want 50", q.Bytes())
-	}
-}
-
 func TestSendQueueClear(t *testing.T) {
 	var q SendQueue
 	q.Push(Item{Size: 7})
@@ -149,6 +131,37 @@ func TestSendQueueClear(t *testing.T) {
 	}
 	if q.Len() != 0 || q.Bytes() != 0 {
 		t.Errorf("after Clear: Len=%d Bytes=%d", q.Len(), q.Bytes())
+	}
+}
+
+// TestSendQueueClearKeepsNothing: a cleared queue's backing array holds no
+// reference to a discarded packet, as a popped slot holds none.
+func TestSendQueueClearKeepsNothing(t *testing.T) {
+	var q SendQueue
+	for i := 0; i < 10; i++ {
+		q.Push(Item{Data: new(int), Size: 10})
+	}
+	q.Pop()
+	q.Clear()
+	for i, it := range q.items[:cap(q.items)] {
+		if it.Data != nil {
+			t.Fatalf("slot %d still holds a discarded item's data", i)
+		}
+	}
+}
+
+// TestSendQueueClearDiscards: Clear hands every item it drops, in queue
+// order, to Discard — and none that Pop already returned.
+func TestSendQueueClearDiscards(t *testing.T) {
+	var q SendQueue
+	var got []uint32
+	q.Discard = func(it Item) { got = append(got, it.FrameNum) }
+	for i := uint32(0); i < 5; i++ {
+		q.Push(Item{Size: 1, FrameNum: i})
+	}
+	q.Pop()
+	if n := q.Clear(); n != 4 || len(got) != 4 || got[0] != 1 || got[3] != 4 {
+		t.Fatalf("Clear dropped %d and discarded %v, want 4: frames 1..4", n, got)
 	}
 }
 

@@ -20,6 +20,10 @@ type Item struct {
 // beyond its age limit (§4.2.1); GCC and static senders drain it by pacing
 // alone.
 type SendQueue struct {
+	// Discard, when set, takes each item Clear drops: the sender releases
+	// the packet there.
+	Discard func(Item)
+
 	items []Item
 	head  int
 	bytes int
@@ -74,25 +78,18 @@ func (q *SendQueue) Delay(now time.Duration) time.Duration {
 	return d
 }
 
-// DiscardOlderThan drops every queued packet enqueued before cutoff,
-// returning the number of packets dropped. This is SCReAM's queue-reset
-// behaviour, which the paper notes causes large jumps in the highest RTP
-// sequence number seen by the feedback generator.
-func (q *SendQueue) DiscardOlderThan(cutoff time.Duration) int {
-	n := 0
-	for {
-		it, ok := q.Peek()
-		if !ok || it.Enqueued >= cutoff {
-			return n
-		}
-		q.Pop()
-		n++
-	}
-}
-
-// Clear empties the queue, returning the number of packets dropped.
+// Clear empties the queue, returning the number of packets dropped: SCReAM's
+// queue reset, which the paper notes causes large jumps in the highest RTP
+// sequence number seen by the feedback generator. Each dropped item goes to
+// Discard, when set, and its slot is zeroed so the queue keeps nothing of it.
 func (q *SendQueue) Clear() int {
 	n := q.Len()
+	for i := q.head; i < len(q.items); i++ {
+		if q.Discard != nil {
+			q.Discard(q.items[i])
+		}
+		q.items[i] = Item{}
+	}
 	q.items = q.items[:0]
 	q.head = 0
 	q.bytes = 0

@@ -237,6 +237,9 @@ func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.
 	if framesTap != nil {
 		framesTap(res, pl.Frames)
 	}
+	if poolTap != nil {
+		poolTap(res, snd.Video.PacketPool())
+	}
 	res.Stalls = pl.Stalls
 	res.StallsPerMin = pl.StallsPerMinute(dur)
 	for _, f := range pl.Frames {

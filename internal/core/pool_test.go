@@ -1,0 +1,51 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"rpivideo/internal/cell"
+	"rpivideo/internal/rtp"
+)
+
+// TestFlightPacketPoolStaysLiveSized flies the paper's 360 s urban GCC
+// flight at 25 Mbps and the bonded, repaired, faulted rural flight (its 75 s
+// pin stretched to 360 s), then each at twice the length. Every packet a run
+// makes comes back through the reference rule, so the sender's pool holds
+// no more slots than its peak of live packets plus the block that peak
+// opened, whatever the traffic. The urban flight's doubled length does not
+// grow its pool; the rural one's may, by as much as its live peak rises in
+// the second half.
+func TestFlightPacketPoolStaysLiveSized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four full flights")
+	}
+	var pool rtp.PoolStats
+	poolTap = func(_ *Result, st rtp.PoolStats) { pool = st }
+	t.Cleanup(func() { poolTap = nil })
+	resilient := Resilient75s()
+	resilient.Seed = 7
+	for _, c := range []struct {
+		cfg     Config
+		doubles bool // doubling the flight must leave the pool as it was
+	}{
+		{Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: CCGCC, Seed: 7}, true},
+		{resilient, false},
+	} {
+		var slots [2]int
+		for i, dur := range []time.Duration{360 * time.Second, 720 * time.Second} {
+			cfg := c.cfg
+			cfg.Duration = dur
+			res := Run(cfg)
+			if pool.Slots > pool.PeakLive+rtp.PoolBlock {
+				t.Errorf("%s %v: %d packets sent; pool %+v holds more than its peak plus one block of %d",
+					cfg.Env, dur, res.PacketsSent, pool, rtp.PoolBlock)
+			}
+			t.Logf("%s %v: %d packets sent, pool %+v", cfg.Env, dur, res.PacketsSent, pool)
+			slots[i] = pool.Slots
+		}
+		if c.doubles && slots[1] != slots[0] {
+			t.Errorf("%s: the pool went from %d to %d slots when the flight doubled", c.cfg.Env, slots[0], slots[1])
+		}
+	}
+}

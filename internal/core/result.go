@@ -7,6 +7,7 @@ import (
 	"rpivideo/internal/fault"
 	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
+	"rpivideo/internal/rtp"
 	"rpivideo/internal/video"
 )
 
@@ -278,10 +279,12 @@ func (r *Result) GoodputMean() float64 { return r.Goodput.Mean() }
 // Test hooks, nil outside tests: sampleTap sees every sample a run records
 // into one of its Result's sketches, and framesTap the player's frame list
 // the FPS, PlaybackMs and SSIM sketches were built from. They let a test
-// rebuild each sketch from the raw samples.
+// rebuild each sketch from the raw samples. poolTap sees a video run's
+// packet pool once the run has ended.
 var (
 	sampleTap func(d *metrics.Sketch, v float64)
 	framesTap func(r *Result, frames []video.PlayedFrame)
+	poolTap   func(r *Result, pool rtp.PoolStats)
 )
 
 // record adds one sample to one of a Result's sketches.

@@ -283,11 +283,26 @@ func newEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths) (*en
 // crosses as its marshalled bytes and is re-parsed by Receiver.OnDatagram,
 // which is exactly how the UDP tools join the same endpoints through a
 // socket. TestWireMatchesSim requires the two to be indistinguishable.
+//
+// A media packet's reference (see rtp's pool.go) travels with its link copy:
+// the sender hands it to media, a bonded fan-out takes one more per extra
+// path (or releases it when the router picks none), and each copy's
+// reference ends at the link's two exits — after OnMedia returns for a
+// landed copy, in OnDrop for a dropped one. link and bond never see it.
 func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.Receiver, uplink, downlink *link.Link, bp *bondPaths, log *flightLog, wire bool) {
 	media := uplink.Send
 	if bp != nil {
 		media = func(meta any, size int) {
 			set := bp.mgr.Route(s.Now(), size)
+			// Every reference is taken before the first send: a copy can be
+			// dropped, and released, inside Send.
+			n := set.Count()
+			if n == 0 {
+				release(meta)
+			}
+			for i := 1; i < n; i++ {
+				retain(meta)
+			}
 			for i := 0; i < bond.NumPaths; i++ {
 				if set.Has(i) {
 					bp.uplinks[i].Send(meta, size)
@@ -317,6 +332,7 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 		switch m := meta.(type) {
 		case *rtp.Packet:
 			v = rcv.OnMedia(m, at)
+			m.Release()
 		case []byte: // a sender report; with wire set, everything
 			v = rcv.OnDatagram(m, at)
 		}
@@ -331,19 +347,37 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 	uplink.Deliver = func(meta any, size int, sentAt, at time.Duration) {
 		deliver(0, meta, size, sentAt, at)
 	}
-	if bp != nil {
-		uplink.OnDrop = func(any, int, time.Duration, link.DropReason) {
+	uplink.OnDrop = func(meta any, _ int, _ time.Duration, _ link.DropReason) {
+		if bp != nil {
 			bp.mgr.ObserveLoss(0)
 		}
+		release(meta)
+	}
+	if bp != nil {
 		for i := 1; i < bond.NumPaths; i++ {
 			i := i
 			bp.uplinks[i].Deliver = func(meta any, size int, sentAt, at time.Duration) {
 				deliver(i, meta, size, sentAt, at)
 			}
-			bp.uplinks[i].OnDrop = func(any, int, time.Duration, link.DropReason) {
+			bp.uplinks[i].OnDrop = func(meta any, _ int, _ time.Duration, _ link.DropReason) {
 				bp.mgr.ObserveLoss(i)
+				release(meta)
 			}
 		}
+	}
+}
+
+// retain and release apply rtp's reference rule to a link copy's meta; the
+// marshalled bytes of a wire run carry no reference.
+func retain(meta any) {
+	if p, ok := meta.(*rtp.Packet); ok {
+		p.Retain()
+	}
+}
+
+func release(meta any) {
+	if p, ok := meta.(*rtp.Packet); ok {
+		p.Release()
 	}
 }
 

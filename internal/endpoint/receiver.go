@@ -116,7 +116,9 @@ func NewReceiver(s *sim.Simulator, cfg ReceiverConfig) *Receiver {
 	}
 	if cfg.Reorder {
 		r.Reorder = bond.NewReorder(cfg.ReorderDeadline, cfg.ReorderCap, func(meta interface{}, now time.Duration) {
-			r.Player.OnPacket(meta.(*rtp.Packet), now)
+			p := meta.(*rtp.Packet)
+			r.Player.OnPacket(p, now)
+			p.Release() // the buffer's reference, taken in OnMedia
 		})
 		if cfg.Trace != nil {
 			r.Reorder.OnLate = func(ext int64, now time.Duration) {
@@ -229,7 +231,10 @@ func (r *Receiver) Stop() {
 }
 
 // OnMedia takes one packet of the media path, typed as the simulator
-// carries it, down the receive chain.
+// carries it, down the receive chain. The packet is lent for the call: the
+// caller keeps its reference and may release it once OnMedia returns. A
+// packet the reorder buffer holds past the call has a reference of its own
+// (see rtp's pool.go).
 func (r *Receiver) OnMedia(p *rtp.Packet, at time.Duration) Verdict {
 	if r.Detector != nil && p.Header.PayloadType == r.cfg.Repair.RtxPayloadType {
 		// An RFC 4588 retransmission: restore the original packet and hand
@@ -265,7 +270,12 @@ func (r *Receiver) OnMedia(p *rtp.Packet, at time.Duration) Verdict {
 		// Striped paths interleave: the buffer re-serializes, releasing to
 		// the player in extended-sequence order under its deadline.
 		// Feedback below stays at first-arrival time.
-		r.Reorder.Insert(ext, p, at)
+		// The buffer's reference ends when it emits the packet to the
+		// player, or here if it turns the packet away as late or a copy.
+		p.Retain()
+		if !r.Reorder.Insert(ext, p, at) {
+			p.Release()
+		}
 	} else {
 		r.Player.OnPacket(p, at)
 	}

@@ -59,7 +59,11 @@ type Sender struct {
 
 	// Media, RTX and Control hand a departing packet to whatever joins the
 	// two ends; all three must be set before the clock runs. Control
-	// carries the sender reports, which share the media path.
+	// carries the sender reports, which share the media path. Media and RTX
+	// hand over the packet's reference with it: the callee owns it and
+	// releases it once the packet has left its hands — marshalled, landed
+	// or dropped (see rtp's pool.go). A callee that never releases is
+	// correct too; its packets are garbage-collected instead of recycled.
 	Media   func(p *rtp.Packet, size int)
 	RTX     func(p *rtp.Packet, size int)
 	Control func(buf []byte)
@@ -155,8 +159,8 @@ func (s *Sender) Start() { s.Video.Start() }
 // Stop halts the frame clock.
 func (s *Sender) Stop() { s.Video.Stop() }
 
-// transmit takes a packet from the pacer: remember it for retransmission,
-// then send it.
+// transmit takes a packet and its reference from the pacer: remember it for
+// retransmission (the cache takes a reference of its own), then hand it on.
 func (s *Sender) transmit(p *rtp.Packet, size int) {
 	if s.Cache != nil {
 		s.Cache.Store(p, s.sim.Now())

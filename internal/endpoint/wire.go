@@ -11,11 +11,14 @@ import (
 )
 
 // Marshalled adapts a byte sink to a Sender's Media and RTX outputs: the
-// packet crosses as its wire bytes. A packet that cannot be marshalled is
+// packet crosses as its wire bytes, and the reference handed over with it is
+// released once they are written. A packet that cannot be marshalled is
 // dropped, as the network would drop it.
 func Marshalled(write func(buf []byte)) func(p *rtp.Packet, size int) {
 	return func(p *rtp.Packet, _ int) {
-		if buf, err := p.Marshal(); err == nil {
+		buf, err := p.Marshal()
+		p.Release()
+		if err == nil {
 			write(buf)
 		}
 	}

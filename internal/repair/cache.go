@@ -68,7 +68,9 @@ func (c *Cache) slot(seq uint16) *cacheEntry {
 }
 
 // Store remembers a just-sent media packet for possible retransmission and
-// evicts whatever the byte and age bounds no longer cover.
+// evicts whatever the byte and age bounds no longer cover. The cache takes a
+// reference of its own and releases it when the entry goes (see rtp's
+// pool.go); Lookup's packet is lent until the next Store.
 func (c *Cache) Store(pkt *rtp.Packet, now time.Duration) {
 	seq := pkt.Header.SequenceNumber
 	e := c.slot(seq)
@@ -83,10 +85,12 @@ func (c *Cache) Store(pkt *rtp.Packet, now time.Duration) {
 	}
 	if e.live {
 		// Sequence number reuse (wrap): the old entry is long stale.
+		e.pkt.Release()
 		c.bytes -= e.size
 		c.Evicted++
 		c.live--
 	}
+	pkt.Retain()
 	size := pkt.MarshalSize()
 	*e = cacheEntry{pkt: pkt, seq: seq, live: true, size: size, storedAt: now}
 	c.live++
@@ -121,7 +125,8 @@ func (c *Cache) evict(now time.Duration) {
 			break
 		}
 		c.bytes -= e.size
-		*e = cacheEntry{} // drops the packet reference with the entry
+		e.pkt.Release()
+		*e = cacheEntry{}
 		c.live--
 		c.Evicted++
 		c.head++

@@ -43,23 +43,10 @@ type Packetizer struct {
 	seq  uint16
 	tseq uint16
 
-	// bytes is the unused rest of the current block of payload bytes: each
-	// packet's frame meta and transport-seq payload are carved off it, and
-	// a new block replaces it when a frame does not fit. The blocks hold no
-	// pointers, so the collector never scans them.
-	bytes []byte
+	// out is the slice Packetize returns, reused by the next call.
+	out  []*Packet
+	pool packetPool
 }
-
-// packetSlot is one packet of a frame's arena: the packet and the one
-// extension descriptor its header points at.
-type packetSlot struct {
-	pkt Packet
-	ext [1]Extension
-}
-
-// payloadBlock is the size of a block of payload bytes: about 17 frames'
-// worth at 25 Mbps.
-const payloadBlock = 32 << 10
 
 // NewPacketizer returns a packetizer. The initial sequence numbers start at
 // zero for reproducibility.
@@ -74,8 +61,13 @@ func NewPacketizer(ssrc uint32, payloadType uint8, mtu int) *Packetizer {
 // produced packet will carry.
 func (p *Packetizer) NextTransportSeq() uint16 { return p.tseq }
 
+// PoolStats reports the packetizer's recycled slots (see pool.go).
+func (p *Packetizer) PoolStats() PoolStats { return p.pool.stats }
+
 // Packetize converts one encoded frame into RTP packets. The marker bit is
-// set on the final packet of the frame.
+// set on the final packet of the frame. Each packet carries one reference,
+// its caller's (see pool.go). The returned slice is the packetizer's own and
+// valid until the next Packetize; the packets outlive it.
 func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 	// Account for the worst-case header: fixed header plus the one-byte
 	// extension block carrying the 2-byte transport sequence (4 header + 3
@@ -89,20 +81,10 @@ func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 	if total > 0xFFFF {
 		total = 0xFFFF
 	}
-	// Arena allocation: one array of packet slots and the pointer slice per
-	// frame, the payload bytes carved from a block shared across frames,
-	// instead of ~5 small allocations per packet. The packets stay
-	// independently usable — slices only share backing storage, and the
-	// per-packet Extensions slice is capacity-clamped so appending an
-	// extension later copies out instead of clobbering a neighbor.
-	pkts := make([]*Packet, total)
-	slots := make([]packetSlot, total)
-	const perPkt = payloadMetaSize + 2 // frame meta + transport-seq payload
-	if len(p.bytes) < total*perPkt {
-		p.bytes = make([]byte, max(payloadBlock, total*perPkt))
-	}
-	buf := p.bytes[:total*perPkt]
-	p.bytes = p.bytes[total*perPkt:]
+	// Every slice of a packet points into its own slot and is
+	// capacity-clamped, so appending an extension later copies out instead
+	// of writing into the slot.
+	p.out = p.out[:0]
 	remaining := size
 	for i := 0; i < total; i++ {
 		chunk := remaining / (total - i) // even split, deterministic
@@ -113,7 +95,9 @@ func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 		if chunk < payloadMetaSize {
 			chunk = payloadMetaSize
 		}
-		meta := buf[i*perPkt : i*perPkt+payloadMetaSize : i*perPkt+payloadMetaSize]
+		s := p.pool.get()
+		s.bytes = [len(s.bytes)]byte{}
+		meta := s.bytes[:payloadMetaSize:payloadMetaSize]
 		binary.BigEndian.PutUint32(meta[0:], f.Num)
 		binary.BigEndian.PutUint16(meta[4:], uint16(i))
 		binary.BigEndian.PutUint16(meta[6:], uint16(total))
@@ -121,28 +105,27 @@ func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 			meta[8] = flagKeyframe
 		}
 		binary.BigEndian.PutUint64(meta[12:], uint64(f.EncodeTime))
-		tseqPayload := buf[i*perPkt+payloadMetaSize : (i+1)*perPkt : (i+1)*perPkt]
+		tseqPayload := s.bytes[payloadMetaSize:]
 		binary.BigEndian.PutUint16(tseqPayload, p.tseq)
-		slot := &slots[i]
-		slot.ext[0] = Extension{ID: ExtensionIDTransportSeq, Payload: tseqPayload}
-		pkt := &slot.pkt
-		*pkt = Packet{
+		s.ext[0] = Extension{ID: ExtensionIDTransportSeq, Payload: tseqPayload}
+		s.pkt = Packet{
 			Header: Header{
 				Marker:         i == total-1,
 				PayloadType:    p.PayloadType,
 				SequenceNumber: p.seq,
 				Timestamp:      f.RTPTime,
 				SSRC:           p.SSRC,
-				Extensions:     slot.ext[:],
+				Extensions:     s.ext[:],
 			},
 			Payload:           meta,
 			VirtualPayloadLen: chunk - payloadMetaSize,
+			slot:              s,
 		}
 		p.seq++
 		p.tseq++
-		pkts[i] = pkt
+		p.out = append(p.out, &s.pkt)
 	}
-	return pkts
+	return p.out
 }
 
 // PacketMeta is the decoded payload header of a media packet.
@@ -188,8 +171,11 @@ type FrameState struct {
 
 	// got tracks which packet indices have arrived (a bitset sized from
 	// Total, grown only for malformed indices), so retransmissions
-	// answering a spurious NACK cannot double-count toward Complete.
+	// answering a spurious NACK cannot double-count toward Complete. Its
+	// backing array stays with the Depacketizer's slot across frames.
 	got []uint64
+	// used marks a Depacketizer slot holding a frame.
+	used bool
 }
 
 // seen reports whether index i has arrived.
@@ -226,13 +212,28 @@ func (f *FrameState) LossFraction() float64 {
 // Depacketizer reassembles frames from incoming media packets. It performs
 // no timing decisions; the jitter buffer above it decides when to release or
 // abandon frames.
+//
+// Frames live in a ring indexed by frame number: slot Num&(len−1) holds the
+// frame whose stored Num matches, checked on every lookup. The ring doubles
+// only on a live collision — a new frame whose slot holds another frame
+// still pending — so a stream playing frames in order reuses its slots, and
+// their bitsets, forever. Past depMaxSlots (frame numbers far apart that
+// only a forged or broken stream sends) a colliding frame waits in the
+// spill map instead.
 type Depacketizer struct {
-	frames map[uint32]*FrameState
+	ring  []FrameState // len is a power of two
+	live  int          // ring slots in use
+	spill map[uint32]*FrameState
 }
+
+const (
+	depMinSlots = 1 << 6 // two seconds of frames at 30 fps
+	depMaxSlots = 1 << 12
+)
 
 // NewDepacketizer returns an empty reassembler.
 func NewDepacketizer() *Depacketizer {
-	return &Depacketizer{frames: make(map[uint32]*FrameState)}
+	return &Depacketizer{ring: make([]FrameState, depMinSlots)}
 }
 
 // ErrDuplicate reports a packet whose (frame, index) slot has already been
@@ -242,23 +243,25 @@ var ErrDuplicate = errors.New("rtp: duplicate packet within frame")
 
 // Push records an arrived media packet and returns the (possibly updated)
 // state of its frame. A packet whose (frame, index) slot is already filled
-// returns ErrDuplicate and changes nothing.
+// returns ErrDuplicate and changes nothing. The state is the Depacketizer's:
+// valid until the next Push, or until its frame is deleted.
 func (d *Depacketizer) Push(pkt *Packet, at time.Duration) (*FrameState, error) {
 	meta, err := ParsePacketMeta(pkt.Payload)
 	if err != nil {
 		return nil, err
 	}
-	fs, ok := d.frames[meta.FrameNum]
-	if !ok {
-		fs = &FrameState{
+	fs := d.Frame(meta.FrameNum)
+	if fs == nil {
+		fs = d.add(meta.FrameNum)
+		*fs = FrameState{
 			Num:          meta.FrameNum,
 			EncodeTime:   meta.EncodeTime,
 			Keyframe:     meta.Keyframe,
 			Total:        int(meta.Total),
 			FirstArrival: at,
-			got:          make([]uint64, (int(meta.Total)+63)/64),
+			got:          zeroed(fs.got, (int(meta.Total)+63)/64),
+			used:         true,
 		}
-		d.frames[meta.FrameNum] = fs
 	}
 	if fs.seen(meta.Index) {
 		return fs, ErrDuplicate
@@ -272,11 +275,68 @@ func (d *Depacketizer) Push(pkt *Packet, at time.Duration) (*FrameState, error) 
 	return fs, nil
 }
 
-// Frame returns the reassembly state for a frame number, or nil.
-func (d *Depacketizer) Frame(num uint32) *FrameState { return d.frames[num] }
+// zeroed returns n zero words, in got's backing array when it is large
+// enough.
+func zeroed(got []uint64, n int) []uint64 {
+	if cap(got) < n {
+		return make([]uint64, n)
+	}
+	got = got[:n]
+	clear(got)
+	return got
+}
+
+// slot returns the one ring slot frame num can occupy.
+func (d *Depacketizer) slot(num uint32) *FrameState {
+	return &d.ring[num&uint32(len(d.ring)-1)]
+}
+
+// add returns the place for a frame that has none: its ring slot, after
+// doubling the ring while another pending frame holds it, or a spill entry.
+func (d *Depacketizer) add(num uint32) *FrameState {
+	fs := d.slot(num)
+	for fs.used && len(d.ring) < depMaxSlots {
+		// Frames in distinct slots differ in their low bits, so re-placing
+		// them in the doubled ring cannot collide.
+		old := d.ring
+		d.ring = make([]FrameState, 2*len(old))
+		for i := range old {
+			if old[i].used {
+				*d.slot(old[i].Num) = old[i]
+			}
+		}
+		fs = d.slot(num)
+	}
+	if fs.used {
+		if d.spill == nil {
+			d.spill = make(map[uint32]*FrameState)
+		}
+		fs = new(FrameState)
+		d.spill[num] = fs
+		return fs
+	}
+	d.live++
+	return fs
+}
+
+// Frame returns the reassembly state for a frame number, or nil. Like
+// Push's, it is valid until the next Push, or until its frame is deleted.
+func (d *Depacketizer) Frame(num uint32) *FrameState {
+	if fs := d.slot(num); fs.used && fs.Num == num {
+		return fs
+	}
+	return d.spill[num]
+}
 
 // Delete discards the reassembly state of a frame (played or abandoned).
-func (d *Depacketizer) Delete(num uint32) { delete(d.frames, num) }
+func (d *Depacketizer) Delete(num uint32) {
+	if fs := d.slot(num); fs.used && fs.Num == num {
+		*fs = FrameState{got: fs.got[:0]}
+		d.live--
+		return
+	}
+	delete(d.spill, num)
+}
 
 // Pending returns the number of frames with reassembly state.
-func (d *Depacketizer) Pending() int { return len(d.frames) }
+func (d *Depacketizer) Pending() int { return d.live + len(d.spill) }

@@ -238,11 +238,18 @@ func (h *Header) TransportSeq() (uint16, bool) {
 // simulator moves multi-megabit video without materializing it, while
 // Marshal writes that many zero filler bytes for the live UDP mode. After
 // Unmarshal, former virtual bytes appear as real payload bytes.
+//
+// A Packetizer's packets are recycled under a reference count: see Retain,
+// Release and pool.go.
 type Packet struct {
 	Header            Header
 	Payload           []byte
 	VirtualPayloadLen int
 	PadLen            int
+
+	// slot is the recycled slot holding the packet; nil when no packetizer
+	// made it.
+	slot *packetSlot
 }
 
 // MarshalSize returns the wire size of the packet.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -293,7 +294,7 @@ func TestPacketizeLargeFrame(t *testing.T) {
 
 func TestPacketizerSequencesIncrease(t *testing.T) {
 	p := NewPacketizer(1, 96, 1200)
-	a := p.Packetize(FrameInfo{Num: 1, Size: 5000})
+	a := slices.Clone(p.Packetize(FrameInfo{Num: 1, Size: 5000}))
 	b := p.Packetize(FrameInfo{Num: 2, Size: 5000})
 	lastSeq := a[len(a)-1].Header.SequenceNumber
 	if b[0].Header.SequenceNumber != lastSeq+1 {
@@ -462,9 +463,10 @@ func fourMakesPacketize(p *Packetizer, seq, tseq uint16, f FrameInfo) []*Packet 
 }
 
 // TestPacketizeMatchesFourMakesOracle packetizes 400 frames of mixed sizes —
-// several payload blocks' worth, all kept alive — and compares every packet,
+// many pool blocks' worth, all kept alive — and compares every packet,
 // marshalled, with the per-frame arenas' packet. Comparing at the end shows
-// that no later frame wrote into an earlier one's bytes.
+// that no later frame wrote into an earlier one's bytes. (FuzzPacketPool
+// covers packets that are released and their slots reused.)
 func TestPacketizeMatchesFourMakesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := NewPacketizer(7, 96, 1200)
@@ -476,7 +478,7 @@ func TestPacketizeMatchesFourMakesOracle(t *testing.T) {
 		if n%50 == 0 {
 			f.Size = 3_000_000 // larger than a payload block
 		}
-		got = append(got, p.Packetize(f))
+		got = append(got, slices.Clone(p.Packetize(f)))
 		want = append(want, fourMakesPacketize(p, seq, tseq, f))
 		seq += uint16(len(got[n]))
 		tseq += uint16(len(got[n]))
@@ -506,20 +508,31 @@ func TestPacketizeMatchesFourMakesOracle(t *testing.T) {
 	}
 }
 
-// TestPacketizeAllocations: a frame costs its slot arena and its pointer
-// slice, two allocations where there were four; the payload bytes come from
-// a block that lasts 17 frames at 25 Mbps, which is the 0.1 allowed on top.
+// TestPacketizeAllocations: once its pool has warmed up, a packetizer whose
+// packets are released makes frames without allocating.
 func TestPacketizeAllocations(t *testing.T) {
+	if poisonReleased {
+		t.Skip("rtppoison never reuses a released packet")
+	}
 	p := NewPacketizer(1, 96, 1200)
 	n := uint32(0)
+	frame := func() {
+		for _, pkt := range p.Packetize(FrameInfo{Num: n, Size: 104_000}) { // a frame at 25 Mbps
+			pkt.Release()
+		}
+		n++
+	}
+	frame()
 	const frames = 800
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < frames; i++ {
-			p.Packetize(FrameInfo{Num: n, Size: 104_000}) // a frame at 25 Mbps
-			n++
+			frame()
 		}
 	})
-	if perFrame := allocs / frames; perFrame > 2.1 {
-		t.Errorf("Packetize allocates %.3f times per frame, want 2 and a payload block every 17 frames", perFrame)
+	if allocs != 0 {
+		t.Errorf("Packetize allocates %.3f times per frame once warm, want 0", allocs/frames)
+	}
+	if st := p.PoolStats(); st.Live != 0 || st.Slots > st.PeakLive+PoolBlock {
+		t.Errorf("pool %+v: want no live packet and at most the peak plus one block of slots", st)
 	}
 }

@@ -24,7 +24,7 @@ type senderLoad struct {
 func warmSender() *senderLoad {
 	l := &senderLoad{s: sim.New(1)}
 	l.snd = NewSender(l.s, DefaultSenderConfig(), cc.NewStatic(8e6), l.s.Stream("enc"))
-	l.snd.Transmit = func(*rtp.Packet, int) {}
+	l.snd.Transmit = func(p *rtp.Packet, _ int) { p.Release() }
 	l.snd.Start()
 	l.s.RunUntil(45 * time.Second)
 	return l
@@ -51,15 +51,15 @@ func BenchmarkSenderTick(b *testing.B) {
 }
 
 // TestSenderTickSteadyStateAllocations pins what a frame costs in
-// allocations once warm: the packetizer's four per-frame arenas (packets,
-// pointers, extensions, payload bytes) and nothing from the frame registry,
-// the send queue or the pacer.
+// allocations once warm, with a Transmit that releases every packet:
+// nothing — the packetizer recycles its packets, and neither the frame
+// registry, the send queue nor the pacer allocates.
 func TestSenderTickSteadyStateAllocations(t *testing.T) {
 	l := warmSender()
 	if l.snd.FramesEncoded <= frameWindow {
 		t.Fatalf("only %d frames encoded: warm-up must pass the registry window", l.snd.FramesEncoded)
 	}
-	if n := testing.AllocsPerRun(300, l.step); n > 4 {
-		t.Errorf("%.2f allocations per frame interval, want at most the packetizer's 4", n)
+	if n := testing.AllocsPerRun(300, l.step); n != 0 {
+		t.Errorf("%.2f allocations per frame interval, want 0", n)
 	}
 }

@@ -194,7 +194,9 @@ func (p *Player) BytesReceived() int { return p.bytesRecv }
 // PacketsReceived returns the media packets received so far.
 func (p *Player) PacketsReceived() int { return p.arrivals }
 
-// OnPacket ingests one media packet from the downstream of the link.
+// OnPacket ingests one media packet from the downstream of the link. The
+// packet is lent for the call: the player keeps nothing of it, and the
+// caller may release it once OnPacket returns.
 func (p *Player) OnPacket(pkt *rtp.Packet, at time.Duration) {
 	p.ingest(pkt, at, false)
 }

@@ -54,7 +54,11 @@ type Sender struct {
 	queue cc.SendQueue
 	pacer cc.Pacer
 
-	// Transmit hands a packet to the uplink. Must be set before Start.
+	// Transmit hands a departing packet to the uplink, and with it the
+	// packet's reference: the callee owns it and releases it when done (see
+	// rtp's pool.go). A callee that never releases is correct too; the
+	// packet is then garbage-collected instead of recycled. Must be set
+	// before Start.
 	Transmit func(p *rtp.Packet, size int)
 
 	// sent records in-flight packets for feedback translation, keyed by
@@ -97,6 +101,9 @@ func NewSender(s *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand
 		sent: sentTable{recs: make([]SentRecord, sentMinSlots)},
 	}
 	snd.drainFn = snd.drain
+	// Packetize's reference is the queue's until drain hands it to
+	// Transmit; a queue discard ends it.
+	snd.queue.Discard = func(it cc.Item) { it.Data.(*rtp.Packet).Release() }
 	if qa, ok := ctrl.(cc.QueueAware); ok {
 		qa.SetQueue(&snd.queue)
 	}
@@ -148,6 +155,9 @@ func (t *sentTable) store(rec SentRecord) {
 	}
 	*r = rec
 }
+
+// PacketPool reports the packetizer's recycled packet slots.
+func (s *Sender) PacketPool() rtp.PoolStats { return s.pkt.PoolStats() }
 
 // Encoder exposes the encoder (for traces).
 func (s *Sender) Encoder() *Encoder { return s.enc }
