@@ -244,3 +244,38 @@ func TestRepairAwareAdjustsTarget(t *testing.T) {
 		t.Fatalf("target after detach: %v", got)
 	}
 }
+
+// TestSendQueueReuse: a queue that takes over a Buffers starts empty on the
+// array its predecessor grew, zeroed — none of the predecessor's packets
+// stay reachable through it — and queues as a fresh one does.
+func TestSendQueueReuse(t *testing.T) {
+	var b Buffers
+	var first SendQueue
+	first.Reuse(&b)
+	for i := 0; i < 1000; i++ {
+		first.Push(Item{Data: i, Size: 100})
+	}
+	first.Pop()
+	grown := cap(b.items)
+	if grown < 1000 {
+		t.Fatalf("the grown array was not recorded: cap %d", grown)
+	}
+	var next SendQueue
+	next.Reuse(&b)
+	if next.Len() != 0 || next.Bytes() != 0 || cap(next.items) != grown {
+		t.Fatalf("after Reuse: %d queued, %d bytes, cap %d (predecessor's %d)", next.Len(), next.Bytes(), cap(next.items), grown)
+	}
+	for _, it := range b.items[:cap(b.items)] {
+		if it.Data != nil {
+			t.Fatal("the reused array still holds a packet of the queue before")
+		}
+	}
+	for i := 0; i < 10; i++ {
+		next.Push(Item{Data: i, Size: 10 + i})
+	}
+	for i := 0; i < 10; i++ {
+		if it, ok := next.Pop(); !ok || it.Data != i || it.Size != 10+i {
+			t.Fatalf("pop %d: %+v, %v", i, it, ok)
+		}
+	}
+}

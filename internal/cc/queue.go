@@ -1,6 +1,9 @@
 package cc
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Item is one packet waiting in the send queue.
 type Item struct {
@@ -27,10 +30,33 @@ type SendQueue struct {
 	items []Item
 	head  int
 	bytes int
+	// keep, when set, is the Buffers the backing array is recorded in (see
+	// Reuse).
+	keep *Buffers
+}
+
+// Buffers is the backing array one run's SendQueue leaves to the next run's
+// on the same worker. The zero value is empty.
+type Buffers struct {
+	items []Item
+}
+
+// Reuse makes q queue in the array b holds, zeroed, and record there the
+// array it grows to. Call it on an empty queue; the queue that used b
+// before must be finished.
+func (q *SendQueue) Reuse(b *Buffers) {
+	clear(b.items[:cap(b.items)])
+	q.items, q.keep = b.items[:0], b
 }
 
 // Push appends a packet to the tail.
 func (q *SendQueue) Push(it Item) {
+	if len(q.items) == cap(q.items) {
+		q.items = slices.Grow(q.items, 1)
+		if q.keep != nil {
+			q.keep.items = q.items
+		}
+	}
 	q.items = append(q.items, it)
 	q.bytes += it.Size
 }

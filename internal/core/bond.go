@@ -32,8 +32,8 @@ type bondPaths struct {
 // "uplink2"), so a bonded run stays a pure function of (Config, Seed).
 // Scripted faults scope per chain: @p1 windows silence only the primary,
 // @p2 only the secondary, unscoped windows (the vehicle sitting in a
-// coverage hole) silence both.
-func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, prof flight.Profile, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
+// coverage hole) silence both. The second uplink keeps its rings in lb.
+func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, lb *link.Buffers, prof flight.Profile, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
 	if !cfg.Bond.Enabled() || cfg.Workload != WorkloadVideo {
 		return nil
 	}
@@ -48,6 +48,7 @@ func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, pro
 	prof2 := link.ProfileFor(cfg.Env, op2)
 	prof2.AQM = cfg.AQM
 	uplink2 := link.New(s, prof2, machine2, nil, s.Stream("uplink2"))
+	uplink2.Reuse(lb)
 	uplink2.SetFlight(prof)
 	if res.Trace != nil {
 		machine2.SetTracer(res.Trace, obs.DirUp2)

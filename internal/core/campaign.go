@@ -92,10 +92,10 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 	}
 	errs := make([]error, runs)
 	e := executor{workers: opts.Workers, unit: "campaign run", sink: opts.StatusSink}
-	e.run(errs, func(i int) *Result {
+	e.run(errs, func(i int, b *runBuffers) *Result {
 		c := cfg
 		c.Seed = opts.runSeed(cfg.Seed, i)
-		return Run(c)
+		return b.run(c, false)
 	}, fold)
 	return errs
 }
@@ -112,7 +112,11 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 //   - fold is serialized and sees jobs in strict index order whatever order
 //     they complete in — a nil result still takes its turn — which is what
 //     makes every export byte-identical at any worker count. Results that
-//     complete ahead of their turn wait in a pending map and nowhere else.
+//     complete ahead of their turn wait in a pending map and nowhere else;
+//   - each worker hands its jobs one runBuffers, the same from job to job and
+//     from one run call to the next on the same executor (RunFleet's two
+//     phases), except after a job that panicked: that worker starts over
+//     with an empty set.
 type executor struct {
 	workers int    // <= 0 selects GOMAXPROCS
 	unit    string // names job i in its error: "campaign run 3"
@@ -123,12 +127,15 @@ type executor struct {
 	// fleet sets "fleet" and its per-cell contention table.
 	mode  string
 	cells []obs.CellStatus
+	// bufs holds worker w's buffers at index w, kept across run calls.
+	bufs []*runBuffers
 }
 
-// run executes job(i) for every i in [0, len(errs)), filling errs[i]. A job
-// whose errs[i] is already set (a fleet UAV that failed an earlier phase)
-// is not run: it is observed and folded as the failure it already is.
-func (e executor) run(errs []error, job func(i int) *Result, fold func(i int, r *Result)) {
+// run executes job(i, b) for every i in [0, len(errs)), filling errs[i]; b
+// is the buffers of the worker running it. A job whose errs[i] is already
+// set (a fleet UAV that failed an earlier phase) is not run: it is observed
+// and folded as the failure it already is.
+func (e *executor) run(errs []error, job func(i int, b *runBuffers) *Result, fold func(i int, r *Result)) {
 	n := len(errs)
 	workers := e.workers
 	if workers <= 0 {
@@ -136,6 +143,9 @@ func (e executor) run(errs []error, job func(i int) *Result, fold func(i int, r 
 	}
 	if workers > n {
 		workers = n
+	}
+	for len(e.bufs) < max(workers, 1) {
+		e.bufs = append(e.bufs, new(runBuffers))
 	}
 	start := time.Now()
 	var (
@@ -189,17 +199,21 @@ func (e executor) run(errs []error, job func(i int) *Result, fold func(i int, r 
 		}
 		e.sink.PublishStatus(st)
 	}
-	runOne := func(i int) {
+	runOne := func(i, w int) {
 		var res *Result
 		if errs[i] == nil {
-			res, errs[i] = runGuarded(fmt.Sprintf("%s %d", e.unit, i), 0, func() *Result { return job(i) })
+			b := e.bufs[w]
+			res, errs[i] = runGuarded(fmt.Sprintf("%s %d", e.unit, i), 0, func() *Result { return job(i, b) })
+			if errs[i] != nil {
+				e.bufs[w] = new(runBuffers) // the panic may have left b half-written
+			}
 		}
 		finish(i, res)
 	}
 
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			runOne(i)
+			runOne(i, 0)
 		}
 		return
 	}
@@ -210,7 +224,7 @@ func (e executor) run(errs []error, job func(i int) *Result, fold func(i int, r 
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				runOne(i)
+				runOne(i, w)
 			}
 		}()
 	}

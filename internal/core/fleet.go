@@ -154,9 +154,9 @@ func fleetDuration(cfg Config) time.Duration {
 // timeline recorded here is exactly the attachment sequence phase 3
 // realizes. Attachment is RSRP-driven (load-independent), which is what
 // makes this precompute legal: contention changes a UAV's capacity, never
-// its serving cell.
-func attachTimeline(cfg Config, dur, epoch time.Duration, nEpochs int) []cell.AttachSample {
-	s := sim.New(cfg.Seed)
+// its serving cell. The replay runs on b's simulator.
+func attachTimeline(cfg Config, dur, epoch time.Duration, nEpochs int, b *runBuffers) []cell.AttachSample {
+	s := b.simulator(cfg.Seed)
 	_, stateAt := setupMobility(cfg, s)
 	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"))
 	samples := make([]cell.AttachSample, 0, nEpochs)
@@ -219,7 +219,10 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	if base.Bond.Enabled() {
 		return nil, []error{errors.New("fleet: bonded configs are not supported (contention models the single-operator chain)")}
 	}
-	cells := cell.Deployment(base.Env, base.Op, sim.New(base.Seed).Stream("fleet-deploy"))
+	// One simulator draws the deployment and then, reset per UAV, each
+	// UAV's origin.
+	draw := sim.New(base.Seed)
+	cells := cell.Deployment(base.Env, base.Op, draw.Stream("fleet-deploy"))
 	dur := fleetDuration(base)
 	nEpochs := int((dur + fc.Epoch - 1) / fc.Epoch)
 	if nEpochs < 1 {
@@ -242,7 +245,8 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 		// Per-UAV traces stay off in fleets: the fleet-level surface is
 		// the cell event timeline plus the folded summary.
 		c.Trace = false
-		org := sim.New(c.Seed).Stream("fleet-origin")
+		draw.Reset(c.Seed)
+		org := draw.Stream("fleet-origin")
 		r := spread * math.Sqrt(org.Float64())
 		theta := 2 * math.Pi * org.Float64()
 		c.OffsetX += r * math.Cos(theta)
@@ -253,11 +257,12 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	errs := make([]error, fc.Size)
 	exec := executor{workers: fc.Workers, unit: "fleet uav"}
 
-	// Phase 1: attachment timelines. Nothing is published yet: the status
-	// view starts with the cell table phase 2 produces.
+	// Phase 1: attachment timelines, on the workers' buffers, which phase 3
+	// reuses. Nothing is published yet: the status view starts with the
+	// cell table phase 2 produces.
 	timelines := make([][]cell.AttachSample, fc.Size)
-	exec.run(errs, func(u int) *Result {
-		timelines[u] = attachTimeline(cfgs[u], dur, fc.Epoch, nEpochs)
+	exec.run(errs, func(u int, b *runBuffers) *Result {
+		timelines[u] = attachTimeline(cfgs[u], dur, fc.Epoch, nEpochs, b)
 		return nil
 	}, func(u int, _ *Result) {
 		if timelines[u] == nil {
@@ -299,10 +304,10 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	// order. A UAV that failed phase 1 keeps its error and is not run.
 	exec.sink = fc.StatusSink
 	exec.mode, exec.cells = "fleet", cellStatuses
-	exec.run(errs, func(u int) *Result {
+	exec.run(errs, func(u int, b *runBuffers) *Result {
 		c := cfgs[u]
 		c.CapacityShare = shareLookup(ct.Shares[u], fc.Epoch)
-		r := Run(c)
+		r := b.run(c, false)
 		// Scrub the injected fields before folding: the summary's Config
 		// must stay comparable (func fields defeat DeepEqual) and free of
 		// the 500-way-shared deployment slice.

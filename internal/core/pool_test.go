@@ -16,6 +16,12 @@ import (
 // opened, whatever the traffic. The urban flight's doubled length does not
 // grow its pool; the rural one's may, by as much as its live peak rises in
 // the second half.
+//
+// Then one worker flies the urban GCC flight, the rural one and an urban
+// SCReAM flight back to back. A run's pool starts with every slot the runs
+// before it on the worker left (runBuffers), so its Slots are inherited
+// while Live and PeakLive count its own packets: the slots never exceed the
+// largest PeakLive of any run so far plus one block.
 func TestFlightPacketPoolStaysLiveSized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full flights")
@@ -46,6 +52,25 @@ func TestFlightPacketPoolStaysLiveSized(t *testing.T) {
 		}
 		if c.doubles && slots[1] != slots[0] {
 			t.Errorf("%s: the pool went from %d to %d slots when the flight doubled", c.cfg.Env, slots[0], slots[1])
+		}
+	}
+
+	urban := Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: CCGCC, Seed: 7, Duration: 360 * time.Second}
+	resilient.Duration = 360 * time.Second
+	scream := Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: CCSCReAM, Seed: 7, Duration: 30 * time.Second}
+	jobs := []WorkerJob{{Config: urban}, {Config: resilient}, {Config: scream}}
+	peak := 0
+	errs := RunOnOneWorker(jobs, func(i int, res *Result) {
+		peak = max(peak, pool.PeakLive)
+		if pool.Slots > peak+rtp.PoolBlock {
+			t.Errorf("serial run %d (%s %s): pool %+v holds more than the largest peak so far (%d) plus one block of %d",
+				i, jobs[i].Config.Env, jobs[i].Config.CC, pool, peak, rtp.PoolBlock)
+		}
+		t.Logf("serial run %d (%s %s): %d packets sent, pool %+v", i, jobs[i].Config.Env, jobs[i].Config.CC, res.PacketsSent, pool)
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("serial run %d: %v", i, err)
 		}
 	}
 }

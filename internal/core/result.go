@@ -280,7 +280,9 @@ func (r *Result) GoodputMean() float64 { return r.Goodput.Mean() }
 // into one of its Result's sketches, and framesTap the player's frame list
 // the FPS, PlaybackMs and SSIM sketches were built from. They let a test
 // rebuild each sketch from the raw samples. poolTap sees a video run's
-// packet pool once the run has ended.
+// packet pool once the run has ended: its Live and PeakLive count that run's
+// packets alone, while its Slots include those inherited from the runs
+// before it on the same worker (runBuffers).
 var (
 	sampleTap func(d *metrics.Sketch, v float64)
 	framesTap func(r *Result, frames []video.PlayedFrame)

@@ -16,13 +16,46 @@ import (
 	"rpivideo/internal/video"
 )
 
-// Run executes one measurement run and returns its aggregated result.
-func Run(cfg Config) *Result { return run(cfg, false) }
+// Run executes one measurement run and returns its aggregated result. It is
+// a worker's run with nothing before it: every buffer starts empty.
+func Run(cfg Config) *Result { return new(runBuffers).run(cfg, false) }
 
-// run is Run with the differential test's switch: wire makes every media
-// packet cross the links as marshalled bytes (see connect).
-func run(cfg Config, wire bool) *Result {
-	s := sim.New(cfg.Seed)
+// runBuffers is the storage one executor worker hands from each run to the
+// next: the simulator (its event heap and random streams), the links'
+// rings, and the media path's sent table, frame registry, packet slots,
+// send queue and depacketizer ring. A run takes each buffer emptied and
+// records there whatever it grows, so a worker's runs allocate their
+// traffic-sized storage once between them, not once each. The runBuffers
+// decides every such buffer's lifetime; the packages only say how to take
+// one over (their Reuse methods).
+//
+// What a run keeps — its Result — never points into runBuffers: the
+// sketches, Stalls, Handovers, BondPaths and the trace are allocated per run,
+// so the next run cannot change a Result it did not make. A run that
+// panicked may have left any buffer half-written; its worker throws the
+// whole set away (executor.run). RunWithTimeout never uses one: an abandoned
+// run keeps running detached, on whatever it was given.
+type runBuffers struct {
+	sim   *sim.Simulator
+	links [3]link.Buffers // uplink, feedback downlink, bonded second uplink
+	video video.Buffers
+}
+
+// simulator returns the worker's simulator, reset to seed.
+func (b *runBuffers) simulator(seed int64) *sim.Simulator {
+	if b.sim == nil {
+		b.sim = sim.New(seed)
+	} else {
+		b.sim.Reset(seed)
+	}
+	return b.sim
+}
+
+// run executes one run on b's buffers. wire is the differential test's
+// switch: it makes every media packet cross the links as marshalled bytes
+// (see connect).
+func (b *runBuffers) run(cfg Config, wire bool) *Result {
+	s := b.simulator(cfg.Seed)
 
 	// Mobility.
 	prof, stateAt := setupMobility(cfg, s)
@@ -62,6 +95,8 @@ func run(cfg Config, wire bool) *Result {
 	upProfile.AQM = cfg.AQM
 	uplink := link.New(s, upProfile, machine, nil, s.Stream("uplink"))
 	downlink := link.New(s, link.FeedbackProfile(), machine, nil, s.Stream("downlink"))
+	uplink.Reuse(&b.links[0])
+	downlink.Reuse(&b.links[1])
 	uplink.SetFlight(prof)
 	downlink.SetFlight(prof)
 	uplink.SetQueueDelayHist(res.Telemetry.LogHistogram(TelemetryQueueDelay))
@@ -87,13 +122,13 @@ func run(cfg Config, wire bool) *Result {
 	// Dual-operator bonding (internal/bond): an independent second radio
 	// chain over the competing operator, a per-path health monitor and a
 	// scheduling policy. nil for single-path runs.
-	bp := setupBond(s, cfg, res, uplink, prof, stateAt, flushStale)
+	bp := setupBond(s, cfg, res, uplink, &b.links[2], prof, stateAt, flushStale)
 
 	switch cfg.Workload {
 	case WorkloadPing:
 		runPing(s, cfg, res, uplink, downlink, stateAt, dur)
 	default:
-		stream(s, cfg, res, machine, uplink, bp, downlink, prof, dur, wire)
+		stream(s, cfg, res, machine, uplink, bp, downlink, prof, dur, wire, &b.video)
 	}
 
 	// The media counters sum every path's ledger, so a bonded run's count
@@ -173,12 +208,14 @@ func setupRadio(cfg Config, op cell.Operator, cellRng *rand.Rand) (*cell.Machine
 	return cell.NewMachine(model, hoCfg, cfg.Air, cellRng), hoCfg
 }
 
-// stream runs the video workload: build the two endpoints, join them through
-// the links (and the bond router, when bp is set), attach the accounting,
-// run the clock and fold every counter into res. wire is the differential
-// test's switch (see connect).
-func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool) {
+// stream runs the video workload: build the two endpoints on vb's buffers,
+// join them through the links (and the bond router, when bp is set), attach
+// the accounting, run the clock and fold every counter into res. wire is the
+// differential test's switch (see connect).
+func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool, vb *video.Buffers) {
 	snd, rcv := newEndpoints(s, cfg, res, bp)
+	snd.Video.Reuse(vb)
+	rcv.Player.Reuse(vb)
 	log := newFlightLog(res, prof, dur)
 	connect(s, cfg, snd, rcv, uplink, downlink, bp, log, wire)
 	snd.OnRTT = func(rtt time.Duration) { record(&res.RTCPRTTms, float64(rtt)/float64(time.Millisecond)) }

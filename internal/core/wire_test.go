@@ -55,7 +55,7 @@ func TestWireMatchesSim(t *testing.T) {
 	}
 	for name, cfg := range flights {
 		cfg.Trace = true
-		simRes, wireRes := run(cfg, false), run(cfg, true)
+		simRes, wireRes := new(runBuffers).run(cfg, false), new(runBuffers).run(cfg, true)
 		simTrace, simMetrics := export(simRes)
 		wireTrace, wireMetrics := export(wireRes)
 		if !bytes.Equal(simTrace, wireTrace) {

@@ -84,6 +84,21 @@ var longHorizon = Scenario{
 	},
 }
 
+// campaignReuse is the serial multi-run row: repair-blackout four times
+// through RunCampaignWithOptions on one worker, so runs 1–3 each start on
+// the buffers the run before left (core's runBuffers). Every other row is
+// one run, or a fleet; a change that stops a campaign's runs reusing their
+// predecessor's buffers moves this row's allocations far past the
+// tolerance. Trace off: a trace is what a run keeps, not what it reuses.
+func campaignReuse() Scenario {
+	sc, err := ScenarioByName("repair-blackout")
+	if err != nil {
+		panic(err)
+	}
+	sc.Name, sc.Runs = "repair-blackout-x4", 4
+	return sc
+}
+
 func costKey(scenario string, trace bool) string {
 	if trace {
 		return scenario + " trace=on"
@@ -185,7 +200,8 @@ func relDelta(want, got uint64) float64 {
 }
 
 // TestScenarioCosts is the performance regression gate: every scenario, with
-// tracing off and on, and the long-horizon flight must cost exactly the
+// tracing off and on, the long-horizon flight and the serial four-run
+// campaign (campaignReuse) must cost exactly the
 // pinned number of simulator events, pending timers, trace events and trace
 // bytes, and allocate within 1 % of the pinned count and volume. The on/off pairs are also the measured
 // price of tracing. Wall-clock speed is bench/'s business, not this test's.
@@ -207,9 +223,10 @@ func TestScenarioCosts(t *testing.T) {
 	sameGo := pins.Go == goMinor(runtime.Version())
 
 	now := costFile{Go: goMinor(runtime.Version()), Rows: map[string]runCost{}}
-	for _, sc := range append(Scenarios(), longHorizon) {
+	reuse := campaignReuse()
+	for _, sc := range append(Scenarios(), longHorizon, reuse) {
 		for _, trace := range []bool{false, true} {
-			if trace && sc.Name == longHorizon.Name {
+			if trace && (sc.Name == longHorizon.Name || sc.Name == reuse.Name) {
 				continue
 			}
 			key := costKey(sc.Name, trace)

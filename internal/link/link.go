@@ -229,6 +229,16 @@ type ring[T any] struct {
 	buf  []T
 	head int
 	n    int
+	// keep, when set, is where the grown buffer is recorded for the next
+	// link (see Reuse).
+	keep *[]T
+}
+
+// reuse makes r an empty ring over buf, zeroed, and has it record in buf
+// the buffer it grows to.
+func (r *ring[T]) reuse(buf *[]T) {
+	clear(*buf)
+	r.buf, r.head, r.n, r.keep = *buf, 0, 0, buf
 }
 
 func (r *ring[T]) len() int { return r.n }
@@ -267,6 +277,9 @@ func (r *ring[T]) grow() {
 	}
 	r.buf = buf
 	r.head = 0
+	if r.keep != nil {
+		*r.keep = buf
+	}
 }
 
 // truncate keeps the first n elements, zeroing the rest (used by the stale
@@ -295,6 +308,23 @@ func New(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.
 		l.SetFlight(stateProfile(state))
 	}
 	return l
+}
+
+// Buffers is the storage one run's Link leaves to the next run's on the same
+// worker: its bottleneck queue and in-flight rings. The zero value is empty.
+// One Buffers serves one link at a time.
+type Buffers struct {
+	queue, inflight []queued
+	arrivals        []arrivalSlot
+}
+
+// Reuse makes l keep its rings in the storage b holds, emptied and zeroed,
+// and record there every ring it grows. Call it on a new link, before its
+// first Send; the link that used b before must be finished.
+func (l *Link) Reuse(b *Buffers) {
+	l.queue.reuse(&b.queue)
+	l.inflight.reuse(&b.inflight)
+	l.arrivals.reuse(&b.arrivals)
 }
 
 // stateProfile is a bare state lookup as a flight.Profile; flight.Above

@@ -71,3 +71,42 @@ func TestPktRingTruncateAndAt(t *testing.T) {
 		}
 	}
 }
+
+// TestRingReuse: a ring that takes over a buffer starts empty on the one
+// its predecessor grew to, zeroed, records every growth of its own there,
+// and stays FIFO.
+func TestRingReuse(t *testing.T) {
+	var buf []queued
+	var first ring[queued]
+	first.reuse(&buf)
+	for i := 0; i < 100; i++ {
+		first.push(queued{meta: i, size: i})
+	}
+	first.pop()
+	if len(buf) != len(first.buf) || len(buf) < 100 {
+		t.Fatalf("recorded %d slots, the ring has %d", len(buf), len(first.buf))
+	}
+	var next ring[queued]
+	next.reuse(&buf)
+	if next.len() != 0 || len(next.buf) != len(buf) {
+		t.Fatalf("after reuse: %d queued in %d slots", next.len(), len(next.buf))
+	}
+	for _, q := range buf {
+		if q.meta != nil {
+			t.Fatal("the reused buffer still holds a packet of the ring before")
+		}
+	}
+	for i := 0; i < 3*len(buf); i++ {
+		next.push(queued{size: i})
+		if q := next.pop(); q.size != i {
+			t.Fatalf("pop = %d, want %d", q.size, i)
+		}
+	}
+	n := len(buf)
+	for i := 0; i <= n; i++ {
+		next.push(queued{size: i})
+	}
+	if len(buf) != 2*n || &buf[0] != &next.buf[0] {
+		t.Fatalf("a growth past %d slots was not recorded: %d", n, len(buf))
+	}
+}

@@ -224,6 +224,8 @@ type Depacketizer struct {
 	ring  []FrameState // len is a power of two
 	live  int          // ring slots in use
 	spill map[uint32]*FrameState
+	// keep, when set, is the Buffers the ring is recorded in (see Reuse).
+	keep *Buffers
 }
 
 const (
@@ -231,9 +233,29 @@ const (
 	depMaxSlots = 1 << 12
 )
 
-// NewDepacketizer returns an empty reassembler.
+// noFrames is the ring of a depacketizer that has held no frame yet: one
+// empty slot, so a lookup finds nothing without a length check. add replaces
+// it before storing anything, so it is only ever read.
+var noFrames = make([]FrameState, 1)
+
+// NewDepacketizer returns an empty reassembler. Its ring is allocated with
+// the first frame, unless Reuse hands it one first.
 func NewDepacketizer() *Depacketizer {
-	return &Depacketizer{ring: make([]FrameState, depMinSlots)}
+	return &Depacketizer{ring: noFrames}
+}
+
+// Reuse makes d reassemble in the frame ring b holds, emptied, keeping each
+// slot's bitset, and record there the ring it grows to. Call it on a new
+// depacketizer, before its first Push; the depacketizer that used b before
+// must be finished.
+func (d *Depacketizer) Reuse(b *Buffers) {
+	d.keep = b
+	for i := range b.frames {
+		b.frames[i] = FrameState{got: b.frames[i].got[:0]}
+	}
+	if len(b.frames) > 0 {
+		d.ring = b.frames
+	}
 }
 
 // ErrDuplicate reports a packet whose (frame, index) slot has already been
@@ -294,12 +316,15 @@ func (d *Depacketizer) slot(num uint32) *FrameState {
 // add returns the place for a frame that has none: its ring slot, after
 // doubling the ring while another pending frame holds it, or a spill entry.
 func (d *Depacketizer) add(num uint32) *FrameState {
+	if len(d.ring) < depMinSlots {
+		d.setRing(make([]FrameState, depMinSlots))
+	}
 	fs := d.slot(num)
 	for fs.used && len(d.ring) < depMaxSlots {
 		// Frames in distinct slots differ in their low bits, so re-placing
 		// them in the doubled ring cannot collide.
 		old := d.ring
-		d.ring = make([]FrameState, 2*len(old))
+		d.setRing(make([]FrameState, 2*len(old)))
 		for i := range old {
 			if old[i].used {
 				*d.slot(old[i].Num) = old[i]
@@ -317,6 +342,14 @@ func (d *Depacketizer) add(num uint32) *FrameState {
 	}
 	d.live++
 	return fs
+}
+
+// setRing installs a new ring, and records it for the next depacketizer.
+func (d *Depacketizer) setRing(ring []FrameState) {
+	d.ring = ring
+	if d.keep != nil {
+		d.keep.frames = ring
+	}
 }
 
 // Frame returns the reassembly state for a frame number, or nil. Like

@@ -15,7 +15,10 @@ package rtp
 // packetizer's free list.
 //
 // A holder that never releases keeps a garbage-collected packet: its slot
-// is simply never reused. Only an early Release is a bug, and the two
+// is simply never reused by that packetizer. (A packetizer that takes over
+// another's Buffers reclaims every slot at once, so by then every holder of
+// the old packetizer's packets must be finished; see Reuse.) Only an early
+// Release is a bug, and the two
 // guards catch the common ones in every build: Retain on a released packet
 // and a Release below zero panic. Built with the rtppoison tag, a released
 // packet is overwritten with implausible values and never reused, so a
@@ -45,12 +48,59 @@ type packetSlot struct {
 type packetPool struct {
 	free  []*packetSlot
 	stats PoolStats
+	// keep, when set, is the Buffers the pool's blocks are recorded in for
+	// the next packetizer to reclaim (see Reuse).
+	keep *Buffers
 }
 
-// PoolStats describes a packetizer's slots: how many it has allocated, how
-// many hold a referenced packet now, and the most that ever did at once.
+// PoolStats describes a packetizer's slots: how many it holds, how many
+// hold a referenced packet now, and the most that ever did at once. Live
+// and PeakLive count this packetizer's packets alone; Slots includes the
+// slots it reclaimed through Reuse from the packetizers before it.
 type PoolStats struct {
 	Slots, Live, PeakLive int
+}
+
+// Buffers is the storage one run's Packetizer and Depacketizer leave to the
+// next run's on the same worker: the packet slot blocks and the frame ring.
+// The zero value is empty. One Buffers serves one packetizer and one
+// depacketizer at a time.
+type Buffers struct {
+	blocks [][]packetSlot
+	free   []*packetSlot
+	frames []FrameState
+}
+
+// Reuse makes p take its packet slots from b and record there every block
+// it allocates. Call it on a new packetizer, before its first Packetize:
+// every slot of the packetizers that used b before is reclaimed with its
+// count reset, so their packets must all be dead — whatever still holds
+// one is finished and will neither read nor release it. Built with the
+// rtppoison tag, the reclaimed slots are poisoned and dropped instead, as
+// Release treats a packet's last reference.
+func (p *Packetizer) Reuse(b *Buffers) {
+	pool := &p.pool
+	pool.keep = b
+	if poisonReleased {
+		for _, block := range b.blocks {
+			for i := range block {
+				block[i].refs = 0
+				block[i].poison()
+			}
+		}
+		b.blocks = nil
+		return
+	}
+	pool.free = b.free[:0]
+	for _, block := range b.blocks {
+		for i := range block {
+			s := &block[i]
+			s.refs, s.pool = 0, pool
+			pool.free = append(pool.free, s)
+		}
+	}
+	b.free = pool.free
+	pool.stats.Slots = len(pool.free)
 }
 
 // get takes a slot off the free list with one reference, allocating a block
@@ -63,6 +113,9 @@ func (p *packetPool) get() *packetSlot {
 			p.free = append(p.free, &block[i])
 		}
 		p.stats.Slots += PoolBlock
+		if p.keep != nil {
+			p.keep.blocks = append(p.keep.blocks, block)
+		}
 	}
 	s := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]

@@ -112,14 +112,43 @@ type Simulator struct {
 	reserved seqRing
 	seed     int64
 	streams  map[string]*rand.Rand
-	running  bool
-	stopped  bool
+	// spare holds the streams of the runs before the last Reset, re-seeded
+	// by Stream for new names instead of allocating a source each.
+	spare   []*rand.Rand
+	running bool
+	stopped bool
 }
 
 // New returns a Simulator at virtual time zero whose random streams derive
 // from seed.
 func New(seed int64) *Simulator {
 	return &Simulator{seed: seed, streams: make(map[string]*rand.Rand)}
+}
+
+// Reset returns s to the state New(seed) creates — virtual time zero, no
+// events, no reservations, no streams — keeping its storage: the event heap,
+// the timer registry's backing array and every random stream's source. A
+// worker that runs one simulation after another resets one Simulator instead
+// of building a new one each time. Timers and Tasks of the runs before are
+// dropped, not recycled: a handle kept across Reset goes stale, and stopping
+// it is a no-op. Reset panics inside Run.
+func (s *Simulator) Reset(seed int64) {
+	if s.running {
+		panic("sim: Reset inside Run")
+	}
+	for _, t := range s.timers {
+		t.fn, t.index = nil, timerFree
+	}
+	clear(s.timers)
+	clear(s.free)
+	s.now, s.seq, s.seed = 0, 0, seed
+	s.events, s.timers, s.free = s.events[:0], s.timers[:0], s.free[:0]
+	s.reserved.head, s.reserved.n = 0, 0
+	for _, r := range s.streams {
+		s.spare = append(s.spare, r)
+	}
+	clear(s.streams)
+	s.stopped = false
 }
 
 // Now returns the current virtual time.
@@ -137,7 +166,17 @@ func (s *Simulator) Stream(name string) *rand.Rand {
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s", s.seed, name)
-	r := rand.New(rand.NewSource(int64(h.Sum64())))
+	seed := int64(h.Sum64())
+	var r *rand.Rand
+	if n := len(s.spare); n > 0 {
+		// Seed restarts a stream exactly where rand.New(rand.NewSource(seed))
+		// starts, a partial Read's leftover bytes dropped too.
+		r = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		r.Seed(seed)
+	} else {
+		r = rand.New(rand.NewSource(seed))
+	}
 	s.streams[name] = r
 	return r
 }

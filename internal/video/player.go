@@ -178,6 +178,10 @@ func NewPlayer(s *sim.Simulator, cfg PlayerConfig, ssim *SSIMModel, encoding fun
 	return p
 }
 
+// Reuse makes p reassemble frames in the ring b holds (see Buffers). Call
+// it on a new player, before its first packet.
+func (p *Player) Reuse(b *Buffers) { p.depkt.Reuse(&b.rtp) }
+
 // SetTracer attaches an event tracer (nil disables tracing).
 func (p *Player) SetTracer(tr *obs.Tracer) { p.trace = tr }
 

@@ -98,7 +98,7 @@ func NewSender(s *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand
 		ctrl: ctrl,
 		enc:  NewEncoder(cfg.Encoder, ctrl.TargetBitrate(0), rng),
 		pkt:  rtp.NewPacketizer(cfg.SSRC, cfg.PayloadType, cfg.MTU),
-		sent: sentTable{recs: make([]SentRecord, sentMinSlots)},
+		sent: sentTable{recs: noSent},
 	}
 	snd.drainFn = snd.drain
 	// Packetize's reference is the queue's until drain hands it to
@@ -108,6 +108,39 @@ func NewSender(s *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand
 		qa.SetQueue(&snd.queue)
 	}
 	return snd
+}
+
+// Buffers is the storage one run's Sender and Player leave to the next run's
+// on the same worker: the sent table, the frame registry, the packet slots,
+// the send queue's array and the depacketizer's ring. The zero value is
+// empty. One Buffers serves one sender and one player at a time.
+type Buffers struct {
+	sent   []SentRecord
+	frames *[frameSlots]frameSlot
+	rtp    rtp.Buffers
+	queue  cc.Buffers
+}
+
+// Reuse makes s keep its traffic-sized state in the storage b holds,
+// emptied, and record there whatever of it grows. Call it on a new sender,
+// before Start; the sender that used b before must be finished and its
+// packets dead (see rtp's Packetizer.Reuse). A sent table reused at its
+// grown size answers every lookup as a fresh one does: any size from
+// sentMinSlots up keeps exactly the records the full window keeps.
+func (s *Sender) Reuse(b *Buffers) {
+	if b.frames == nil {
+		b.frames = new([frameSlots]frameSlot)
+	} else {
+		clear(b.frames[:])
+	}
+	s.frames.slots = b.frames
+	clear(b.sent)
+	if len(b.sent) > 0 {
+		s.sent.recs = b.sent
+	}
+	s.sent.keep = &b.sent
+	s.pkt.Reuse(&b.rtp)
+	s.queue.Reuse(&b.queue)
 }
 
 // sentTable is a direct-mapped window over the last sentWindow sequence
@@ -124,6 +157,9 @@ func NewSender(s *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand
 // answers as that table does.
 type sentTable struct {
 	recs []SentRecord
+	// keep, when set, is where a grown table is recorded for the next
+	// sender (see Reuse).
+	keep *[]SentRecord
 }
 
 // sentWindow bounds how far back feedback can reference a sent packet —
@@ -134,26 +170,42 @@ const (
 	sentMinSlots = 1 << 8
 )
 
+// noSent is the table of a sender that has sent nothing yet: one empty
+// slot, so a lookup misses without a length check. store replaces it before
+// writing, so it is only ever read.
+var noSent = make([]SentRecord, 1)
+
 func (t *sentTable) slot(seq uint16) *SentRecord {
 	return &t.recs[int(seq)&(len(t.recs)-1)]
 }
 
 func (t *sentTable) store(rec SentRecord) {
+	if len(t.recs) < sentMinSlots {
+		t.grow(sentMinSlots)
+	}
 	r := t.slot(rec.Seq)
 	for r.Size != 0 && (r.Seq^rec.Seq)&sentMask != 0 {
 		// At sentWindow slots a shared slot means an equal Seq modulo
 		// sentWindow, so growth stops there. Re-placing cannot collide:
 		// distinct slots keep distinct low bits.
-		recs := make([]SentRecord, 4*len(t.recs))
-		for _, old := range t.recs {
-			if old.Size != 0 {
-				recs[int(old.Seq)&(len(recs)-1)] = old
-			}
-		}
-		t.recs = recs
+		t.grow(4 * len(t.recs))
 		r = t.slot(rec.Seq)
 	}
 	*r = rec
+}
+
+// grow re-places every record in a table of n slots.
+func (t *sentTable) grow(n int) {
+	recs := make([]SentRecord, n)
+	for _, old := range t.recs {
+		if old.Size != 0 {
+			recs[int(old.Seq)&(n-1)] = old
+		}
+	}
+	t.recs = recs
+	if t.keep != nil {
+		*t.keep = recs
+	}
 }
 
 // PacketPool reports the packetizer's recycled packet slots.
@@ -215,8 +267,8 @@ func (s *Sender) tick() {
 // outside it is refused by the window check whether or not its slot has
 // been reused yet.
 type frameRegistry struct {
-	slots  [frameSlots]frameSlot
-	latest uint32 // the most recently registered frame number
+	slots  *[frameSlots]frameSlot // allocated with the first frame, unless Reuse hands it
+	latest uint32                 // the most recently registered frame number
 }
 
 type frameSlot struct {
@@ -233,6 +285,9 @@ const (
 )
 
 func (s *Sender) registerFrame(f Frame) {
+	if s.frames.slots == nil {
+		s.frames.slots = new([frameSlots]frameSlot)
+	}
 	s.frames.latest = f.Num
 	s.frames.slots[f.Num%frameSlots] = frameSlot{num: f.Num, set: true, rate: f.Rate, complexity: f.Complexity}
 }
@@ -240,6 +295,9 @@ func (s *Sender) registerFrame(f Frame) {
 // FrameEncoding returns the encoder rate and complexity of a frame, with
 // ok=false when it is no longer tracked.
 func (s *Sender) FrameEncoding(num uint32) (rate, complexity float64, ok bool) {
+	if s.frames.slots == nil {
+		return 0, 0, false
+	}
 	fs := &s.frames.slots[num%frameSlots]
 	if !fs.set || fs.num != num || s.frames.latest-num > frameWindow {
 		return 0, 0, false

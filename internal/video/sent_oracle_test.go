@@ -219,3 +219,33 @@ func TestSentTableTransportMismatchMisses(t *testing.T) {
 		}
 	}
 }
+
+// TestSentTableReusedMatchesFixedWindows: senders that take over one
+// Buffers in turn — the first grows the table to its full size, the next
+// ones start there, emptied — answer every lookup as a fresh pair of fixed
+// windows does, a short run as well as a long one: any table size from
+// sentMinSlots up keeps exactly the records the full window keeps.
+func TestSentTableReusedMatchesFixedWindows(t *testing.T) {
+	var b Buffers
+	for i, run := range []struct {
+		start, delta uint16
+		sends, every int
+	}{
+		{65530, 0, 40_000, 1},
+		{100, 0x9e37, 200, 1},
+		{65000, 7, 20_000, 3},
+		{0, 0, 5_000, 1},
+	} {
+		d := newSentDriver(t, int64(20+i))
+		d.snd.Reuse(&b)
+		seq := run.start
+		for n := 0; n < run.sends; n++ {
+			d.send(seq, seq+run.delta)
+			d.probe(seq, run.delta)
+			seq += uint16(1 + d.rng.Intn(run.every))
+		}
+		if got := len(d.snd.sent.recs); got != sentWindow {
+			t.Errorf("run %d: %d slots, want the %d the first run grew", i, got, sentWindow)
+		}
+	}
+}
