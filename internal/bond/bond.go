@@ -13,8 +13,8 @@
 //     loss (fed TWCC-style from per-packet delivery/loss outcomes), outage
 //     detection fed by the radio chain's RLF/handover/scripted-fault
 //     signals, and an up/down hysteresis state machine so paths do not
-//     flap (DownAfterTicks consecutive unhealthy ticks to go down, a
-//     ProbationTicks clean streak to come back).
+//     flap (downAfterTicks consecutive unhealthy ticks to go down, a
+//     probationTicks clean streak to come back).
 //
 //   - Scheduler: the routing policy. Four are provided — duplicate (every
 //     packet on every live path), failover (primary plus hot standby,
@@ -33,10 +33,7 @@
 // byte-identical at any worker count.
 package bond
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // NumPaths is the number of bonded radio chains (the paper's two
 // operators).
@@ -81,61 +78,16 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy maps a CLI policy name to its Policy.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range []Policy{PolicyNone, PolicyDuplicate, PolicyFailover, PolicyCheapest, PolicySpray} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return PolicyNone, fmt.Errorf("bond: unknown policy %q (want duplicate, failover, cheapest or spray)", s)
-}
-
 // Policies lists the four active scheduling policies in comparison order.
 func Policies() []Policy {
 	return []Policy{PolicyDuplicate, PolicyFailover, PolicyCheapest, PolicySpray}
 }
 
-// HealthConfig tunes the per-path health monitor. The zero value selects
-// the defaults noted per field (WithDefaults resolves them).
-type HealthConfig struct {
-	// Alpha is the EWMA weight of each new delivery-RTT/loss observation
-	// (0.05 when zero).
-	Alpha float64
-	// LossDown is the loss-EWMA fraction above which a path counts as
-	// unhealthy (0.12 when zero).
-	LossDown float64
-	// LossUp is the loss-EWMA fraction below which a down path counts as
-	// healthy again — lower than LossDown so the state machine has
-	// hysteresis (0.05 when zero).
-	LossUp float64
-	// DownAfterTicks is how many consecutive unhealthy ticks declare the
-	// path down (2 when zero).
-	DownAfterTicks int
-	// ProbationTicks is the clean streak a down path must show before it
-	// is readmitted (10 when zero; at the 50 ms tick that is 500 ms).
-	ProbationTicks int
-	// RateAlpha is the EWMA weight of each tick's delivered-rate sample
-	// (0.3 when zero).
-	RateAlpha float64
-	// RateHeadroom multiplies the delivered-rate EWMA into the path's send
-	// budget (1.25 when zero): the bonded target may exceed what the path
-	// has recently proven by this factor, which is what lets the rate ramp.
-	RateHeadroom float64
-	// MinPathBudget floors a live path's budget in bits/s (1.5e6 when
-	// zero) so an idle standby still admits a restart after failover.
-	MinPathBudget float64
-}
-
-// Config arms link bonding. The zero value disables it.
+// Config arms link bonding. The zero value disables it. The health
+// monitor's parameters and the probe cadence are the constants below.
 type Config struct {
 	// Policy selects the scheduler; PolicyNone disables bonding.
 	Policy Policy
-	// ProbeEvery duplicates every N-th media packet onto each path the
-	// scheduler is not currently using, keeping the idle paths' health
-	// estimates warm at bounded (1/N) overhead. 16 when zero; failover,
-	// cheapest and spray use it, duplicate has no idle paths.
-	ProbeEvery int
 	// ReorderDeadline bounds how long the receiver's reorder buffer holds
 	// a packet waiting for a gap to fill before releasing past it (60 ms
 	// when zero). The duplicate policy delivers first-copy and skips the
@@ -144,8 +96,6 @@ type Config struct {
 	// ReorderCap bounds the reorder buffer in packets (256 when zero);
 	// overflow force-releases the oldest run.
 	ReorderCap int
-	// Health tunes the path-health monitor.
-	Health HealthConfig
 }
 
 // Enabled reports whether bonding is armed.
@@ -153,42 +103,47 @@ func (c Config) Enabled() bool { return c.Policy != PolicyNone }
 
 // WithDefaults resolves zero fields to the calibrated defaults.
 func (c Config) WithDefaults() Config {
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 16
-	}
 	if c.ReorderDeadline <= 0 {
 		c.ReorderDeadline = 60 * time.Millisecond
 	}
 	if c.ReorderCap <= 0 {
 		c.ReorderCap = 256
 	}
-	h := &c.Health
-	if h.Alpha <= 0 {
-		h.Alpha = 0.05
-	}
-	if h.LossDown <= 0 {
-		h.LossDown = 0.12
-	}
-	if h.LossUp <= 0 {
-		h.LossUp = 0.05
-	}
-	if h.DownAfterTicks <= 0 {
-		h.DownAfterTicks = 2
-	}
-	if h.ProbationTicks <= 0 {
-		h.ProbationTicks = 10
-	}
-	if h.RateAlpha <= 0 {
-		h.RateAlpha = 0.3
-	}
-	if h.RateHeadroom <= 0 {
-		h.RateHeadroom = 1.25
-	}
-	if h.MinPathBudget <= 0 {
-		h.MinPathBudget = 1.5e6
-	}
 	return c
 }
+
+const (
+	// probeEvery duplicates every N-th media packet onto each path the
+	// scheduler is not currently using, keeping the idle paths' health
+	// estimates warm at bounded (1/N) overhead. Failover, cheapest and
+	// spray use it; duplicate has no idle paths.
+	probeEvery = 16
+	// healthAlpha is the EWMA weight of each new delivery-RTT/loss
+	// observation.
+	healthAlpha = 0.05
+	// lossDown is the loss-EWMA fraction above which a path counts as
+	// unhealthy.
+	lossDown = 0.12
+	// lossUp is the loss-EWMA fraction below which a down path counts as
+	// healthy again — lower than lossDown so the state machine has
+	// hysteresis.
+	lossUp = 0.05
+	// downAfterTicks is how many consecutive unhealthy ticks declare the
+	// path down.
+	downAfterTicks = 2
+	// probationTicks is the clean streak a down path must show before it
+	// is readmitted (at the 50 ms tick, 500 ms).
+	probationTicks = 10
+	// rateAlpha is the EWMA weight of each tick's delivered-rate sample.
+	rateAlpha = 0.3
+	// rateHeadroom multiplies the delivered-rate EWMA into the path's send
+	// budget: the bonded target may exceed what the path has recently
+	// proven by this factor, which is what lets the rate ramp.
+	rateHeadroom = 1.25
+	// minPathBudget floors a live path's budget in bits/s so an idle
+	// standby still admits a restart after failover.
+	minPathBudget = 1.5e6
+)
 
 // PathSet is a bitmask of path indices a packet is routed to.
 type PathSet uint8

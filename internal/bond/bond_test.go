@@ -5,16 +5,23 @@ import (
 	"time"
 )
 
-// TestParsePolicyRoundTrip pins the CLI names as inverses of String.
-func TestParsePolicyRoundTrip(t *testing.T) {
+// TestPolicyNames pins the five policies' names: distinct, and the four
+// active ones never the name of an unknown value.
+func TestPolicyNames(t *testing.T) {
+	want := map[Policy]string{PolicyNone: "none", PolicyDuplicate: "duplicate",
+		PolicyFailover: "failover", PolicyCheapest: "cheapest", PolicySpray: "spray"}
+	seen := map[string]Policy{}
 	for _, p := range append(Policies(), PolicyNone) {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		if p.String() != want[p] {
+			t.Errorf("Policy(%d).String() = %q, want %q", int(p), p.String(), want[p])
 		}
+		if q, dup := seen[p.String()]; dup {
+			t.Errorf("policies %d and %d share the name %q", int(q), int(p), p.String())
+		}
+		seen[p.String()] = p
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("ParsePolicy must reject unknown names")
+	if bogus := Policy(99).String(); bogus != "none" {
+		t.Errorf("an unknown policy is named %q, want none", bogus)
 	}
 }
 
@@ -22,17 +29,16 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 // and explicit values survive.
 func TestWithDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.ProbeEvery != 16 || c.ReorderDeadline != 60*time.Millisecond || c.ReorderCap != 256 {
-		t.Errorf("schedule defaults wrong: %+v", c)
+	if probeEvery != 16 || c.ReorderDeadline != 60*time.Millisecond || c.ReorderCap != 256 {
+		t.Errorf("schedule defaults wrong: probe every %d, %+v", probeEvery, c)
 	}
-	h := c.Health
-	if h.Alpha != 0.05 || h.LossDown != 0.12 || h.LossUp != 0.05 ||
-		h.DownAfterTicks != 2 || h.ProbationTicks != 10 ||
-		h.RateAlpha != 0.3 || h.RateHeadroom != 1.25 || h.MinPathBudget != 1.5e6 {
-		t.Errorf("health defaults wrong: %+v", h)
+	if healthAlpha != 0.05 || lossDown != 0.12 || lossUp != 0.05 ||
+		downAfterTicks != 2 || probationTicks != 10 ||
+		rateAlpha != 0.3 || rateHeadroom != 1.25 || minPathBudget != 1.5e6 {
+		t.Error("health constants wrong")
 	}
-	c2 := Config{ProbeEvery: 4, Health: HealthConfig{ProbationTicks: 3}}.WithDefaults()
-	if c2.ProbeEvery != 4 || c2.Health.ProbationTicks != 3 {
+	c2 := Config{ReorderDeadline: 5 * time.Millisecond, ReorderCap: 3}.WithDefaults()
+	if c2.ReorderDeadline != 5*time.Millisecond || c2.ReorderCap != 3 {
 		t.Errorf("explicit values clobbered: %+v", c2)
 	}
 	if (Config{}).Enabled() || !(Config{Policy: PolicySpray}).Enabled() {
@@ -95,7 +101,7 @@ func TestFailoverHysteresis(t *testing.T) {
 		t.Fatalf("events wrong: %+v", events)
 	}
 
-	// Outage clears: probation must hold for ProbationTicks before the
+	// Outage clears: probation must hold for probationTicks before the
 	// path is readmitted and the stream switches back.
 	outage = false
 	tick(m, &now, 9)
@@ -167,7 +173,8 @@ func TestRouteDuplicate(t *testing.T) {
 
 // TestRouteFailoverProbes: the standby sees exactly the probe cadence.
 func TestRouteFailoverProbes(t *testing.T) {
-	m := NewManager(Config{Policy: PolicyFailover, ProbeEvery: 8})
+	m := NewManager(Config{Policy: PolicyFailover})
+	m.probeEvery = 8
 	onStandby := 0
 	for i := 0; i < 64; i++ {
 		set := m.Route(0, 1200)
@@ -179,7 +186,7 @@ func TestRouteFailoverProbes(t *testing.T) {
 		}
 	}
 	if onStandby != 8 {
-		t.Fatalf("standby carried %d of 64, want 8 (ProbeEvery=8)", onStandby)
+		t.Fatalf("standby carried %d of 64, want 8 (probe every 8th)", onStandby)
 	}
 	if st := m.Stats(1, 0); st.Sent != 8 {
 		t.Fatalf("standby Sent = %d, want 8", st.Sent)
@@ -189,7 +196,8 @@ func TestRouteFailoverProbes(t *testing.T) {
 // TestRouteSprayWeights: striping follows the delivered-rate weights and
 // interleaves smoothly rather than in bursts.
 func TestRouteSprayWeights(t *testing.T) {
-	m := NewManager(Config{Policy: PolicySpray, ProbeEvery: 1 << 30})
+	m := NewManager(Config{Policy: PolicySpray})
+	m.probeEvery = 1 << 30
 	var now time.Duration
 	// Feed path 0 three times the delivered bytes of path 1 over a few
 	// ticks so the rate EWMAs settle near a 3:1 ratio.
@@ -311,7 +319,7 @@ func TestBudgets(t *testing.T) {
 	m2.SetOutageProbe(1, func(time.Duration) bool { return true })
 	var n2 time.Duration
 	tick(m2, &n2, 3)
-	if b := m2.Budget(); b != m2.Config().Health.MinPathBudget {
+	if b := m2.Budget(); b != minPathBudget {
 		t.Errorf("all-down budget = %.0f, want the floor", b)
 	}
 }

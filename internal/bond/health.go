@@ -47,7 +47,10 @@ type PathStats struct {
 type Manager struct {
 	cfg   Config
 	sched Scheduler
-	paths [NumPaths]pathState
+	// probeEvery is the probe cadence (the constant probeEvery; a test may
+	// change it).
+	probeEvery int
+	paths      [NumPaths]pathState
 	// outage probes report whether each path's radio chain is currently in
 	// a service interruption (handover execution, RLF re-establishment or
 	// a scripted window). Installed by the harness.
@@ -70,7 +73,7 @@ type Manager struct {
 // NewManager builds a Manager for cfg (zero fields resolved to defaults).
 // Paths start up, path 0 active.
 func NewManager(cfg Config) *Manager {
-	m := &Manager{cfg: cfg.WithDefaults()}
+	m := &Manager{cfg: cfg.WithDefaults(), probeEvery: probeEvery}
 	m.sched = newScheduler(m.cfg.Policy)
 	for i := range m.paths {
 		m.paths[i].up = true
@@ -110,14 +113,13 @@ func (m *Manager) Stats(path int, now time.Duration) PathStats {
 // send-to-delivery delay, size the wire size in bytes.
 func (m *Manager) ObserveDelivery(path int, rtt time.Duration, size int) {
 	p := &m.paths[path]
-	a := m.cfg.Health.Alpha
 	ms := float64(rtt) / float64(time.Millisecond)
 	if !p.haveRTT {
 		p.rttEwma, p.haveRTT = ms, true
 	} else {
-		p.rttEwma += a * (ms - p.rttEwma)
+		p.rttEwma += healthAlpha * (ms - p.rttEwma)
 	}
-	p.lossEwma += a * (0 - p.lossEwma)
+	p.lossEwma += healthAlpha * (0 - p.lossEwma)
 	p.bytesAcc += size
 	p.delivered++
 }
@@ -125,7 +127,7 @@ func (m *Manager) ObserveDelivery(path int, rtt time.Duration, size int) {
 // ObserveLoss feeds one media packet dropped by path's links.
 func (m *Manager) ObserveLoss(path int) {
 	p := &m.paths[path]
-	p.lossEwma += m.cfg.Health.Alpha * (1 - p.lossEwma)
+	p.lossEwma += healthAlpha * (1 - p.lossEwma)
 	p.lost++
 }
 
@@ -144,24 +146,23 @@ func (m *Manager) observeSent(set PathSet) {
 // react to the resulting transitions. The harness calls it on a fixed
 // cadence (50 ms).
 func (m *Manager) Tick(now time.Duration) {
-	h := m.cfg.Health
 	dt := now - m.lastTick
 	for i := range m.paths {
 		p := &m.paths[i]
 		if m.haveTick && dt > 0 {
 			inst := float64(p.bytesAcc*8) / dt.Seconds()
-			p.rateEwma += h.RateAlpha * (inst - p.rateEwma)
+			p.rateEwma += rateAlpha * (inst - p.rateEwma)
 		}
 		p.bytesAcc = 0
 		inOutage := m.outage[i] != nil && m.outage[i](now)
-		unhealthy := inOutage || p.lossEwma > h.LossDown
+		unhealthy := inOutage || p.lossEwma > lossDown
 		if p.up {
 			if unhealthy {
 				p.breach++
 			} else {
 				p.breach = 0
 			}
-			if p.breach >= h.DownAfterTicks {
+			if p.breach >= downAfterTicks {
 				p.up, p.breach, p.healthy = false, 0, 0
 				p.downSince = now
 				cause := CauseLoss
@@ -171,12 +172,12 @@ func (m *Manager) Tick(now time.Duration) {
 				m.emit(Event{At: now, Kind: EventPathDown, Path: i, Cause: cause})
 			}
 		} else {
-			if !inOutage && p.lossEwma < h.LossUp {
+			if !inOutage && p.lossEwma < lossUp {
 				p.healthy++
 			} else {
 				p.healthy = 0
 			}
-			if p.healthy >= h.ProbationTicks {
+			if p.healthy >= probationTicks {
 				p.up, p.breach, p.healthy = true, 0, 0
 				p.downFor += now - p.downSince
 				m.emit(Event{At: now, Kind: EventPathUp, Path: i, DownFor: now - p.downSince})
@@ -215,9 +216,9 @@ func (m *Manager) pathBudget(i int) float64 {
 	if !p.up {
 		return 0
 	}
-	b := p.rateEwma * m.cfg.Health.RateHeadroom
-	if b < m.cfg.Health.MinPathBudget {
-		b = m.cfg.Health.MinPathBudget
+	b := p.rateEwma * rateHeadroom
+	if b < minPathBudget {
+		b = minPathBudget
 	}
 	return b
 }
@@ -239,8 +240,8 @@ func (m *Manager) emit(ev Event) {
 }
 
 // probeDue reports whether the current packet is a probe slot: every
-// ProbeEvery-th packet is duplicated onto the paths the scheduler is not
+// probeEvery-th packet is duplicated onto the paths the scheduler is not
 // using so their health estimates stay warm.
 func (m *Manager) probeDue() bool {
-	return m.pktCount%int64(m.cfg.ProbeEvery) == 0
+	return m.pktCount%int64(m.probeEvery) == 0
 }

@@ -8,13 +8,12 @@ import (
 
 // oracle is an independent re-statement of the failover hysteresis state
 // machine, written directly from the spec in the package doc: per-path
-// loss EWMA, outage-or-loss breach counting, DownAfterTicks to go down, a
-// ProbationTicks clean streak to come back, active = first live path with
+// loss EWMA, outage-or-loss breach counting, downAfterTicks to go down, a
+// probationTicks clean streak to come back, active = first live path with
 // switch-back to the lowest live index. The randomized test drives the
 // real Manager and this oracle with the same observation stream and
 // requires them to agree at every tick.
 type oracle struct {
-	h        HealthConfig
 	loss     [NumPaths]float64
 	up       [NumPaths]bool
 	breach   [NumPaths]int
@@ -23,36 +22,36 @@ type oracle struct {
 	switches int
 }
 
-func newOracle(h HealthConfig) *oracle {
-	o := &oracle{h: h}
+func newOracle() *oracle {
+	o := &oracle{}
 	for i := range o.up {
 		o.up[i] = true
 	}
 	return o
 }
 
-func (o *oracle) observeDelivery(path int) { o.loss[path] += o.h.Alpha * (0 - o.loss[path]) }
-func (o *oracle) observeLoss(path int)     { o.loss[path] += o.h.Alpha * (1 - o.loss[path]) }
+func (o *oracle) observeDelivery(path int) { o.loss[path] += healthAlpha * (0 - o.loss[path]) }
+func (o *oracle) observeLoss(path int)     { o.loss[path] += healthAlpha * (1 - o.loss[path]) }
 
 func (o *oracle) tick(outage [NumPaths]bool) {
 	for i := 0; i < NumPaths; i++ {
-		unhealthy := outage[i] || o.loss[i] > o.h.LossDown
+		unhealthy := outage[i] || o.loss[i] > lossDown
 		if o.up[i] {
 			if unhealthy {
 				o.breach[i]++
 			} else {
 				o.breach[i] = 0
 			}
-			if o.breach[i] >= o.h.DownAfterTicks {
+			if o.breach[i] >= downAfterTicks {
 				o.up[i], o.breach[i], o.healthy[i] = false, 0, 0
 			}
 		} else {
-			if !outage[i] && o.loss[i] < o.h.LossUp {
+			if !outage[i] && o.loss[i] < lossUp {
 				o.healthy[i]++
 			} else {
 				o.healthy[i] = 0
 			}
-			if o.healthy[i] >= o.h.ProbationTicks {
+			if o.healthy[i] >= probationTicks {
 				o.up[i], o.breach[i], o.healthy[i] = true, 0, 0
 			}
 		}
@@ -84,7 +83,7 @@ func TestFailoverMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewManager(Config{Policy: PolicyFailover})
-		o := newOracle(m.Config().Health)
+		o := newOracle()
 		var outage [NumPaths]bool
 		for i := 0; i < NumPaths; i++ {
 			i := i

@@ -83,7 +83,7 @@ func (duplicateSched) Budget(m *Manager) float64 {
 		}
 	}
 	if !any {
-		return m.cfg.Health.MinPathBudget
+		return minPathBudget
 	}
 	return min
 }
@@ -109,7 +109,7 @@ func (failoverSched) Tick(m *Manager, now time.Duration) {
 		return // every path down: hold position, packets queue
 	}
 	// Switch back once a preferred (lower-index) path has cleared its
-	// probation; the ProbationTicks streak is the switch-back damper.
+	// probation; the probationTicks streak is the switch-back damper.
 	for i := 0; i < m.active; i++ {
 		if m.paths[i].up {
 			m.switchActive(now, i)
@@ -133,7 +133,7 @@ func (failoverSched) Budget(m *Manager) float64 {
 	if b := m.pathBudget(m.active); b > 0 {
 		return b
 	}
-	return m.cfg.Health.MinPathBudget
+	return minPathBudget
 }
 
 // cheapestSched sends on the currently best live path by health score and
@@ -184,7 +184,7 @@ func (cheapestSched) Budget(m *Manager) float64 {
 	if b := m.pathBudget(m.active); b > 0 {
 		return b
 	}
-	return m.cfg.Health.MinPathBudget
+	return minPathBudget
 }
 
 // spraySched stripes packets across the live paths, weighted by each
@@ -240,7 +240,7 @@ func (spraySched) Budget(m *Manager) float64 {
 		sum += m.pathBudget(i)
 	}
 	if sum <= 0 {
-		return m.cfg.Health.MinPathBudget
+		return minPathBudget
 	}
 	return sum
 }

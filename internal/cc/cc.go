@@ -10,6 +10,15 @@ import (
 	"rpivideo/internal/obs"
 )
 
+// MinRate and MaxRate are the paper's encoder range in bits/s (§3.2): the
+// x264 target never leaves [2, 25] Mbps, so GCC and SCReAM clamp their
+// targets to it, start at its floor, and the encoder clamps what it is
+// asked for.
+const (
+	MinRate = 2e6
+	MaxRate = 25e6
+)
+
 // SentPacket describes one media packet entering the network.
 type SentPacket struct {
 	// TransportSeq is the transport-wide sequence number (GCC feedback key).
@@ -90,10 +99,10 @@ type RepairAware interface {
 	SetRepairSpend(func(now time.Duration) float64)
 }
 
-// repairAdjust subtracts the repair spend from a media target, floored at
+// RepairAdjust subtracts the repair spend from a media target, floored at
 // min: even a busy repair path must not starve the encoder below its
 // operating floor.
-func repairAdjust(target float64, spend func(time.Duration) float64, now time.Duration, min float64) float64 {
+func RepairAdjust(target float64, spend func(time.Duration) float64, now time.Duration, min float64) float64 {
 	if spend == nil {
 		return target
 	}
@@ -102,11 +111,6 @@ func repairAdjust(target float64, spend func(time.Duration) float64, now time.Du
 		return min
 	}
 	return target
-}
-
-// RepairAdjust is repairAdjust for controllers outside this package.
-func RepairAdjust(target float64, spend func(time.Duration) float64, now time.Duration, min float64) float64 {
-	return repairAdjust(target, spend, now, min)
 }
 
 // Static is the paper's baseline: a constant bitrate chosen per environment
@@ -136,7 +140,7 @@ func (s *Static) OnFeedback(time.Duration, []Ack) {}
 // constant rate (floored at half, the static regime's de facto minimum) so
 // the wire never carries more than the provisioned bitrate.
 func (s *Static) TargetBitrate(now time.Duration) float64 {
-	return repairAdjust(s.Rate, s.repairSpend, now, s.Rate/2)
+	return RepairAdjust(s.Rate, s.repairSpend, now, s.Rate/2)
 }
 
 // SetRepairSpend implements RepairAware.

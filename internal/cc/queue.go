@@ -121,9 +121,3 @@ func (q *SendQueue) Clear() int {
 	q.bytes = 0
 	return n
 }
-
-// QueueAware is implemented by controllers that steer on send-queue state
-// (SCReAM). The sender calls SetQueue once during wiring.
-type QueueAware interface {
-	SetQueue(q *SendQueue)
-}

@@ -333,7 +333,7 @@ func TestNewSignalModelRejectsNonPositive(t *testing.T) {
 		"negative decorrelaton": func(c *SignalConfig) { c.DecorrDistanceM = -150 },
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := DefaultSignalConfig()
+			cfg := DefaultSignalConfigFor(Urban)
 			mutate(&cfg)
 			defer func() {
 				if recover() == nil {

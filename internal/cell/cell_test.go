@@ -17,14 +17,14 @@ func runMobility(t *testing.T, env Environment, op Operator, air bool, seed int6
 	rng := rand.New(rand.NewSource(seed))
 	bss := Deployment(env, op, rng)
 	model := NewSignalModel(env, bss, DefaultSignalConfigFor(env), rng)
-	m := NewMachine(model, DefaultHandoverConfig(), air, rng)
+	m := NewMachine(model, DefaultHandoverConfigFor(Urban), air, rng)
 	var prof flight.Profile
 	if air {
 		prof = flight.StandardFlight()
 	} else {
 		prof = flight.GroundProfile(6*time.Minute, rng)
 	}
-	step := DefaultHandoverConfig().MeasurementInterval
+	step := DefaultHandoverConfigFor(Urban).MeasurementInterval
 	for now := time.Duration(0); now < prof.Duration(); now += step {
 		m.Step(now, prof.At(now))
 	}
@@ -86,7 +86,7 @@ func hyp(x, y float64) float64 {
 func TestSignalDistanceMonotonicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	bss := []BS{{ID: 0, X: 0, Y: 0, Height: 30}}
-	cfg := DefaultSignalConfig()
+	cfg := DefaultSignalConfigFor(Urban)
 	cfg.ShadowSigmaGroundDB = 0
 	cfg.ShadowSigmaAirDB = 0
 	m := NewSignalModel(Urban, bss, cfg, rng)
@@ -100,7 +100,7 @@ func TestSignalDistanceMonotonicity(t *testing.T) {
 func TestAltitudeEntersSideLobe(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	bss := []BS{{ID: 0, X: 0, Y: 0, Height: 30}}
-	cfg := DefaultSignalConfig()
+	cfg := DefaultSignalConfigFor(Urban)
 	cfg.ShadowSigmaGroundDB = 0
 	cfg.ShadowSigmaAirDB = 0
 	m := NewSignalModel(Urban, bss, cfg, rng)
@@ -197,8 +197,8 @@ func TestP2MoreRuralHandovers(t *testing.T) {
 func TestMachineBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	bss := Deployment(Urban, P1, rng)
-	model := NewSignalModel(Urban, bss, DefaultSignalConfig(), rng)
-	m := NewMachine(model, DefaultHandoverConfig(), true, rng)
+	model := NewSignalModel(Urban, bss, DefaultSignalConfigFor(Urban), rng)
+	m := NewMachine(model, DefaultHandoverConfigFor(Urban), true, rng)
 	if m.Serving() != -1 {
 		t.Errorf("serving before first step = %d", m.Serving())
 	}
@@ -215,8 +215,8 @@ func TestHandoverInterruptsLink(t *testing.T) {
 	// Drive until a handover happens, then verify the busy window.
 	rng := rand.New(rand.NewSource(11))
 	bss := Deployment(Urban, P1, rng)
-	model := NewSignalModel(Urban, bss, DefaultSignalConfig(), rng)
-	m := NewMachine(model, DefaultHandoverConfig(), true, rng)
+	model := NewSignalModel(Urban, bss, DefaultSignalConfigFor(Urban), rng)
+	m := NewMachine(model, DefaultHandoverConfigFor(Urban), true, rng)
 	prof := flight.StandardFlight()
 	step := 40 * time.Millisecond
 	for now := time.Duration(0); now < prof.Duration(); now += step {

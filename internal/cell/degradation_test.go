@@ -55,8 +55,8 @@ func TestEnvDegradationDefaults(t *testing.T) {
 	if u.PostHOFactor >= r.PostHOFactor {
 		t.Errorf("urban post-HO degradation (%v) must be deeper than rural (%v)", u.PostHOFactor, r.PostHOFactor)
 	}
-	if DefaultHandoverConfig() != u {
-		t.Error("DefaultHandoverConfig should be the urban calibration")
+	if DefaultHandoverConfigFor(Urban) != u {
+		t.Error("the urban calibration should be one value")
 	}
 }
 

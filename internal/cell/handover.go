@@ -37,9 +37,6 @@ type HandoverConfig struct {
 	RLF RLFConfig
 }
 
-// DefaultHandoverConfig returns LTE-typical parameters (urban calibration).
-func DefaultHandoverConfig() HandoverConfig { return DefaultHandoverConfigFor(Urban) }
-
 // DefaultHandoverConfigFor returns the calibrated parameters for an
 // environment. The urban radio deteriorates more sharply around handovers
 // (dense interference); the open rural environment degrades more mildly.

@@ -13,7 +13,7 @@ func rlfMachine(seed int64, rlf RLFConfig) *Machine {
 	rng := rand.New(rand.NewSource(seed))
 	bss := Deployment(Urban, 0, rng)
 	model := NewSignalModel(Urban, bss, DefaultSignalConfigFor(Urban), rng)
-	cfg := DefaultHandoverConfig()
+	cfg := DefaultHandoverConfigFor(Urban)
 	cfg.RLF = rlf
 	return NewMachine(model, cfg, false, rng)
 }

@@ -209,7 +209,7 @@ func TestContendConservationRandomized(t *testing.T) {
 // zeroShadowConfig strips all randomness from the signal model so handover
 // geometry is exactly the path-loss geometry.
 func zeroShadowConfig() SignalConfig {
-	cfg := DefaultSignalConfig()
+	cfg := DefaultSignalConfigFor(Urban)
 	cfg.ShadowSigmaGroundDB = 0
 	cfg.ShadowSigmaAirDB = 0
 	return cfg
@@ -224,7 +224,7 @@ func TestHandoverEventsReportCellIDs(t *testing.T) {
 	bss := twoCells()
 	rng := rand.New(rand.NewSource(5))
 	model := NewSignalModel(Urban, bss, zeroShadowConfig(), rng)
-	m := NewMachine(model, DefaultHandoverConfig(), false, rng)
+	m := NewMachine(model, DefaultHandoverConfigFor(Urban), false, rng)
 
 	// Teleport the UE from on top of cell index 0 (ID 7) to on top of cell
 	// index 1 (ID 42): the A3 condition holds immediately and fires after
@@ -259,7 +259,7 @@ func TestRLFEventsReportCellIDs(t *testing.T) {
 	bss := twoCells()
 	rng := rand.New(rand.NewSource(5))
 	model := NewSignalModel(Urban, bss, zeroShadowConfig(), rng)
-	cfg := DefaultHandoverConfig()
+	cfg := DefaultHandoverConfigFor(Urban)
 	cfg.RLF = DefaultRLFConfig()
 	cfg.RLF.QoutDBm = 200 // always out-of-sync
 	cfg.RLF.QinDBm = 201

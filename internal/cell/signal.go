@@ -39,9 +39,6 @@ type SignalConfig struct {
 	DecorrDistanceM float64
 }
 
-// DefaultSignalConfig returns the calibrated urban model parameters.
-func DefaultSignalConfig() SignalConfig { return DefaultSignalConfigFor(Urban) }
-
 // DefaultSignalConfigFor returns the calibrated model parameters for an
 // environment. The aerial fluctuation is strongest in the urban area (many
 // line-of-sight cells, reflections and interference around tall buildings),

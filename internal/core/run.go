@@ -114,7 +114,7 @@ func (b *runBuffers) run(cfg Config, wire bool) *Result {
 	if cfg.Faults.Enabled() {
 		// The primary chain takes PathAll and @p1-scoped windows; a bonded
 		// run's secondary chain takes PathAll and @p2 (setupBond). With no
-		// path-scoped windows this is exactly the old NewLine behaviour.
+		// path-scoped windows both take every window.
 		uplink.SetFaults(fault.NewPathLine(cfg.Faults.Windows, fault.Uplink, fault.PathPrimary), flushStale, cfg.Faults.StaleAfter)
 		downlink.SetFaults(fault.NewPathLine(cfg.Faults.Windows, fault.Downlink, fault.PathPrimary), flushStale, cfg.Faults.StaleAfter)
 	}

@@ -106,8 +106,8 @@ func (f screamFlight) fly(full bool) flightLog {
 	vcfg := video.DefaultSenderConfig()
 	scfg := SenderConfig{Video: vcfg, CC: CCSCReAM, Trace: tr}
 	if len(f.faults) > 0 {
-		up.SetFaults(fault.NewLine(f.faults, fault.Uplink), true, 0)
-		down.SetFaults(fault.NewLine(f.faults, fault.Downlink), true, 0)
+		up.SetFaults(fault.NewPathLine(f.faults, fault.Uplink, fault.PathAll), true, 0)
+		down.SetFaults(fault.NewPathLine(f.faults, fault.Downlink, fault.PathAll), true, 0)
 		scfg.FeedbackTimeout = 750 * time.Millisecond
 	}
 	snd := NewSender(s, scfg)
@@ -354,6 +354,44 @@ func newScreamTwin() *screamTwin {
 	w.snd.Media = func(p *rtp.Packet, _ int) { w.newest = p.Header.SequenceNumber }
 	w.snd.Start()
 	return w
+}
+
+// TestBondedSCReAMSteersOnItsSendQueue starves a SCReAM sender of
+// acknowledgements, plain and bonded (a path budget wraps its rate queries
+// in cc.Bonded): the window fills, the send queue ages past SCReAM's
+// discard age, and the next report must discard the queue in both: the
+// controller gets the queue (§4.2.1) whatever wraps its rate queries.
+func TestBondedSCReAMSteersOnItsSendQueue(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		budget func() float64
+	}{{"plain", nil}, {"bonded", func() float64 { return 0 }}} {
+		t.Run(c.name, func(t *testing.T) {
+			s := sim.New(1)
+			snd := NewSender(s, SenderConfig{Video: video.DefaultSenderConfig(), CC: CCSCReAM, PathBudget: c.budget})
+			var first uint16
+			sent := 0
+			snd.Media = func(p *rtp.Packet, _ int) {
+				if sent == 0 {
+					first = p.Header.SequenceNumber
+				}
+				sent++
+				p.Release()
+			}
+			snd.Start()
+			s.RunUntil(time.Second)
+			if d := snd.Video.QueueDelay(); sent == 0 || d <= 100*time.Millisecond {
+				t.Fatalf("%d packets sent, queue delay %v: the window never filled", sent, d)
+			}
+			snd.OnDatagram(ccfbDatagram(time.Second, ccfbBlock{begin: first, words: []uint16{receivedWord(0)}}), time.Second)
+			if n := snd.Ctrl.(*scream.Controller).QueueDiscards; n != 1 {
+				t.Errorf("%d queue discards, want 1", n)
+			}
+			if d := snd.Video.QueueDelay(); d != 0 {
+				t.Errorf("queue delay %v after the discard, want 0", d)
+			}
+		})
+	}
 }
 
 // FuzzCCFBAckFilter drives twin SCReAM senders, one consuming RFC 8888

@@ -236,7 +236,7 @@ func (r *Receiver) Stop() {
 // packet the reorder buffer holds past the call has a reference of its own
 // (see rtp's pool.go).
 func (r *Receiver) OnMedia(p *rtp.Packet, at time.Duration) Verdict {
-	if r.Detector != nil && p.Header.PayloadType == r.cfg.Repair.RtxPayloadType {
+	if r.Detector != nil && p.Header.PayloadType == repair.RtxPayloadType {
 		// An RFC 4588 retransmission: restore the original packet and hand
 		// it to the player iff its loss is still open. RTX stays invisible
 		// to the congestion-control feedback (no TWCC/CCFB recording) — the
@@ -312,7 +312,7 @@ func (r *Receiver) OnDatagram(buf []byte, at time.Duration) Verdict {
 	frame := p.Payload
 	switch h := &p.Header; {
 	case h.SSRC == r.cfg.SSRC && h.PayloadType == r.cfg.PayloadType:
-	case r.Detector != nil && h.SSRC == r.cfg.Repair.RtxSSRC && h.PayloadType == r.cfg.Repair.RtxPayloadType && len(frame) >= 2:
+	case r.Detector != nil && h.SSRC == repair.RtxSSRC && h.PayloadType == repair.RtxPayloadType && len(frame) >= 2:
 		frame = frame[2:] // past the original sequence number
 	default:
 		return Rejected

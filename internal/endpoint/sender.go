@@ -87,11 +87,13 @@ type Sender struct {
 // randomness from the "encoder" stream and schedules nothing until started.
 func NewSender(s *sim.Simulator, cfg SenderConfig) *Sender {
 	snd := &Sender{sim: s, cfg: cfg}
+	var sc *scream.Controller
 	switch cfg.CC {
 	case CCGCC:
 		snd.Ctrl = gcc.New(gcc.Config{UseTrendline: cfg.GCCTrendline, FeedbackTimeout: cfg.FeedbackTimeout})
 	case CCSCReAM:
-		snd.Ctrl = scream.New(scream.Config{FeedbackTimeout: cfg.FeedbackTimeout})
+		sc = scream.New(scream.Config{FeedbackTimeout: cfg.FeedbackTimeout})
+		snd.Ctrl = sc
 	default:
 		snd.Ctrl = cc.NewStatic(cfg.StaticRate)
 	}
@@ -105,6 +107,11 @@ func NewSender(s *sim.Simulator, cfg SenderConfig) *Sender {
 		snd.ctrl = cc.NewBonded(snd.Ctrl, cfg.PathBudget)
 	}
 	snd.Video = video.NewSender(s, cfg.Video, snd.ctrl, s.Stream("encoder"))
+	if sc != nil {
+		// SCReAM steers on the send queue and discards it (§4.2.1), bonded
+		// or not: the queue goes to the controller, not to the wrapper.
+		sc.SetQueue(snd.Video.Queue())
+	}
 	snd.Video.Transmit = snd.transmit
 	if cfg.Repair.Enabled {
 		snd.Cache = repair.NewCache(cfg.Repair)
@@ -206,14 +213,13 @@ func (s *Sender) onNACK(buf []byte, at time.Duration) Verdict {
 	if s.Cache == nil || n.Unmarshal(buf) != nil || n.MediaSSRC != s.cfg.Video.SSRC {
 		return Rejected
 	}
-	rcfg := s.cfg.Repair
 	for _, seq := range n.Seqs() {
 		orig := s.Cache.Lookup(seq, at)
 		if orig == nil {
 			continue // evicted, aged out, or resent to the cap
 		}
 		s.rtxSeq++
-		rtx := rtp.WrapRTX(orig, rcfg.RtxSSRC, rcfg.RtxPayloadType, s.rtxSeq)
+		rtx := rtp.WrapRTX(orig, repair.RtxSSRC, repair.RtxPayloadType, s.rtxSeq)
 		size := rtx.MarshalSize()
 		if !s.Budget.Allow(at, size, s.ctrl.TargetBitrate(at)) {
 			continue // budget empty: degrade to the PLI path

@@ -230,16 +230,11 @@ func mergeSpans(spans []span) []span {
 	return merged
 }
 
-// NewLine filters the windows that apply to dir regardless of path scope,
-// sorts and merges them. It returns nil when none apply, which Blocked and
-// Lossy treat as never blocked and never lossy.
-func NewLine(ws []Window, dir Direction) *Line {
-	return NewPathLine(ws, dir, PathAll)
-}
-
-// NewPathLine is NewLine restricted to the windows that apply to one bonded
-// radio chain: PathAll windows silence every chain, path-scoped windows only
-// their own. Passing PathAll as path includes every window.
+// NewPathLine filters the windows that apply to dir on one bonded radio
+// chain, sorts and merges them: PathAll windows silence every chain,
+// path-scoped windows only their own, and passing PathAll as path includes
+// every window. It returns nil when none apply, which Blocked and Lossy
+// treat as never blocked and never lossy.
 func NewPathLine(ws []Window, dir Direction, path int) *Line {
 	var outages, fades []span
 	for _, w := range ws {

@@ -81,7 +81,7 @@ func TestParseScheduleEdgeCases(t *testing.T) {
 		{name: "empty direction suffix", spec: "5s+1s/", wantErr: true},
 		{name: "missing plus", spec: "5s2s", wantErr: true},
 		{
-			// Overlapping windows parse fine; NewLine merges them at
+			// Overlapping windows parse fine; NewPathLine merges them at
 			// activation time (TestLineMergesOverlaps).
 			name: "overlapping windows",
 			spec: "10s+5s,12s+5s",
@@ -192,8 +192,8 @@ func TestLineDirectionFiltering(t *testing.T) {
 		{Start: 20 * time.Second, Duration: time.Second, Dir: Uplink},
 		{Start: 30 * time.Second, Duration: time.Second, Dir: Downlink},
 	}
-	up := NewLine(ws, Uplink)
-	down := NewLine(ws, Downlink)
+	up := NewPathLine(ws, Uplink, PathAll)
+	down := NewPathLine(ws, Downlink, PathAll)
 
 	check := func(l *Line, at time.Duration, wantBlocked bool, name string) {
 		t.Helper()
@@ -217,7 +217,7 @@ func TestLineMergesOverlaps(t *testing.T) {
 		{Start: 11 * time.Second, Duration: 3 * time.Second}, // overlaps → [10,14)
 		{Start: 20 * time.Second, Duration: time.Second},
 	}
-	l := NewLine(ws, Uplink)
+	l := NewPathLine(ws, Uplink, PathAll)
 	until, blocked := l.Blocked(11 * time.Second)
 	if !blocked || until != 14*time.Second {
 		t.Errorf("Blocked(11s) = (%v, %v), want (14s, true)", until, blocked)
@@ -235,11 +235,11 @@ func TestLineNilAndEmpty(t *testing.T) {
 	if _, blocked := l.Blocked(time.Second); blocked {
 		t.Error("nil line reports blocked")
 	}
-	if NewLine(nil, Uplink) != nil {
-		t.Error("NewLine with no windows should return nil")
+	if NewPathLine(nil, Uplink, PathAll) != nil {
+		t.Error("NewPathLine with no windows should return nil")
 	}
-	if NewLine([]Window{{Start: 1, Duration: 1, Dir: Downlink}}, Uplink) != nil {
-		t.Error("NewLine with no applicable windows should return nil")
+	if NewPathLine([]Window{{Start: 1, Duration: 1, Dir: Downlink}}, Uplink, PathAll) != nil {
+		t.Error("NewPathLine with no applicable windows should return nil")
 	}
 }
 
@@ -272,7 +272,7 @@ func TestLineLossyIndependentOfBlocked(t *testing.T) {
 		{Start: 20 * time.Second, Duration: time.Second, Loss: true},         // fade
 		{Start: 20500 * time.Millisecond, Duration: time.Second, Loss: true}, // overlapping fade → [20, 21.5)
 	}
-	l := NewLine(ws, Uplink)
+	l := NewPathLine(ws, Uplink, PathAll)
 	if !l.Lossy(20500 * time.Millisecond) {
 		t.Error("inside fade not lossy")
 	}
@@ -295,8 +295,8 @@ func TestLineLossyIndependentOfBlocked(t *testing.T) {
 	if nilLine.Lossy(time.Second) {
 		t.Error("nil line reports lossy")
 	}
-	if NewLine([]Window{{Start: 1, Duration: 1, Loss: true}}, Uplink) == nil {
-		t.Error("NewLine with only fades should not be nil")
+	if NewPathLine([]Window{{Start: 1, Duration: 1, Loss: true}}, Uplink, PathAll) == nil {
+		t.Error("NewPathLine with only fades should not be nil")
 	}
 }
 

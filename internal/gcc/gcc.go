@@ -17,51 +17,31 @@ import (
 	"rpivideo/internal/obs"
 )
 
-// Config parameterizes the controller.
+// Config parameterizes the controller. The rate range is the paper's
+// encoder range (cc.MinRate to cc.MaxRate), and the controller starts at
+// its floor.
 type Config struct {
-	// InitialRate is the starting target in bits/s (the paper's encoder
-	// floor of 2 Mbps if zero).
-	InitialRate float64
-	// MinRate and MaxRate clamp the target (2 and 25 Mbps if zero,
-	// matching the paper's encoder range).
-	MinRate float64
-	MaxRate float64
-	// BurstInterval groups packets sent within it into one arrival-filter
-	// group (5 ms if zero).
-	BurstInterval time.Duration
-	// PacingFactor scales the target into the pacing rate (1.25 if zero).
-	PacingFactor float64
 	// UseTrendline selects the linear-regression trendline estimator
 	// (modern WebRTC) instead of the Kalman filter of the paper-era GCC.
 	UseTrendline bool
 	// FeedbackTimeout arms the feedback-starvation watchdog: after this
-	// long without TWCC the target freezes at MinRate and probing stops;
+	// long without TWCC the target freezes at cc.MinRate and probing stops;
 	// when feedback returns the controller restarts from the floor under
 	// exponential probe backoff. Zero disables the watchdog (the
 	// pre-fault-injection behaviour: probe blindly through an outage).
 	FeedbackTimeout time.Duration
 }
 
-func (c *Config) defaults() {
-	if c.MinRate == 0 {
-		c.MinRate = 2e6
-	}
-	if c.MaxRate == 0 {
-		c.MaxRate = 25e6
-	}
-	if c.InitialRate == 0 {
-		c.InitialRate = c.MinRate
-	}
-	if c.BurstInterval == 0 {
-		c.BurstInterval = 5 * time.Millisecond
-	}
-	if c.PacingFactor == 0 {
-		// Near-target pacing, as in the paper's pipeline: after a sharp
-		// target decrease, already-encoded frames drain at the reduced
-		// rate and starve the player (§4.2.1's FPS-dip mechanism).
-		c.PacingFactor = 1.15
-	}
-}
+const (
+	// burstInterval groups packets sent within it into one arrival-filter
+	// group.
+	burstInterval = 5 * time.Millisecond
+	// pacingFactor scales the target into the pacing rate. Near-target
+	// pacing, as in the paper's pipeline: after a sharp target decrease,
+	// already-encoded frames drain at the reduced rate and starve the
+	// player (§4.2.1's FPS-dip mechanism).
+	pacingFactor = 1.15
+)
 
 // group accumulates the packets of one send burst.
 type group struct {
@@ -118,7 +98,6 @@ func (w *recvWindow) rate(latestArrival time.Duration) float64 {
 
 // Controller implements cc.Controller with GCC.
 type Controller struct {
-	cfg    Config
 	filter *kalman
 	trend  *trendline // non-nil when cfg.UseTrendline
 	det    *detector
@@ -158,14 +137,12 @@ func (c *Controller) SetTracer(tr *obs.Tracer) { c.trace = tr }
 
 // New returns a GCC controller.
 func New(cfg Config) *Controller {
-	cfg.defaults()
 	c := &Controller{
-		cfg:    cfg,
 		filter: newKalman(),
 		det:    newDetector(),
-		aimd:   newAIMD(cfg.InitialRate, cfg.MinRate, cfg.MaxRate),
-		loss:   newLossController(cfg.MaxRate, cfg.MinRate, cfg.MaxRate),
-		target: cfg.InitialRate,
+		aimd:   newAIMD(cc.MinRate, cc.MinRate, cc.MaxRate),
+		loss:   newLossController(cc.MaxRate, cc.MinRate, cc.MaxRate),
+		target: cc.MinRate,
 		rtt:    100 * time.Millisecond,
 	}
 	if cfg.UseTrendline {
@@ -187,13 +164,13 @@ func (c *Controller) OnPacketSent(cc.SentPacket) {}
 // TargetBitrate implements cc.Controller. A starved feedback path (link
 // outage) freezes the target at the floor: probing blindly into a dead
 // link only deepens the backlog the re-established radio must drain.
-// Repair spend is subtracted (floored at MinRate) so media plus RTX
+// Repair spend is subtracted (floored at cc.MinRate) so media plus RTX
 // together honor the congested rate.
 func (c *Controller) TargetBitrate(now time.Duration) float64 {
 	if c.wd.Starved(now) {
-		return c.cfg.MinRate
+		return cc.MinRate
 	}
-	return cc.RepairAdjust(c.target, c.repairSpend, now, c.cfg.MinRate)
+	return cc.RepairAdjust(c.target, c.repairSpend, now, cc.MinRate)
 }
 
 // SetRepairSpend implements cc.RepairAware.
@@ -201,7 +178,7 @@ func (c *Controller) SetRepairSpend(f func(time.Duration) float64) { c.repairSpe
 
 // PacingRate implements cc.Controller.
 func (c *Controller) PacingRate(now time.Duration) float64 {
-	return c.TargetBitrate(now) * c.cfg.PacingFactor
+	return c.TargetBitrate(now) * pacingFactor
 }
 
 // CanSend implements cc.Controller: GCC is purely rate-based.
@@ -233,9 +210,9 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 		// Feedback returned after a starvation episode: whatever the
 		// estimators believed about the pre-outage path is stale. Restart
 		// from the floor; the backoff clamp below holds it there.
-		c.aimd.resetTo(c.cfg.MinRate, now)
-		c.loss.rate = c.cfg.MinRate
-		c.target = c.cfg.MinRate
+		c.aimd.resetTo(cc.MinRate, now)
+		c.loss.rate = cc.MinRate
+		c.target = cc.MinRate
 		c.prev, c.cur = group{}, group{}
 		c.recv.reset()
 	}
@@ -287,18 +264,18 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	}
 
 	c.target = min(delayRate, lossRate)
-	if c.target < c.cfg.MinRate {
-		c.target = c.cfg.MinRate
-	} else if c.target > c.cfg.MaxRate {
-		c.target = c.cfg.MaxRate
+	if c.target < cc.MinRate {
+		c.target = cc.MinRate
+	} else if c.target > cc.MaxRate {
+		c.target = cc.MaxRate
 	}
 
 	if c.wd.InBackoff(now) {
 		// Post-recovery probe hold: pin both estimators to the floor until
 		// the backoff window ends, then ramp normally.
-		c.aimd.resetTo(c.cfg.MinRate, now)
-		c.loss.rate = c.cfg.MinRate
-		c.target = c.cfg.MinRate
+		c.aimd.resetTo(cc.MinRate, now)
+		c.loss.rate = cc.MinRate
+		c.target = cc.MinRate
 	}
 	if c.trace != nil {
 		c.trace.Emit(obs.Event{T: now, Kind: obs.KindCC,
@@ -330,7 +307,7 @@ func (c *Controller) addToGroup(a cc.Ack) (Signal, bool) {
 	if a.SendTime < c.cur.firstSend {
 		return 0, false
 	}
-	if a.SendTime-c.cur.firstSend <= c.cfg.BurstInterval {
+	if a.SendTime-c.cur.firstSend <= burstInterval {
 		// Same burst.
 		if a.SendTime > c.cur.lastSend {
 			c.cur.lastSend = a.SendTime

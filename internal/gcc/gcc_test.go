@@ -207,7 +207,7 @@ func ackStream(ctrl *Controller, start time.Duration, seconds float64, owd func(
 }
 
 func TestGCCRampsUpOnCleanLink(t *testing.T) {
-	ctrl := New(Config{InitialRate: 2e6, MinRate: 2e6, MaxRate: 25e6})
+	ctrl := New(Config{})
 	rng := rand.New(rand.NewSource(1))
 	owd := func(t time.Duration) time.Duration {
 		return 50*time.Millisecond + time.Duration(rng.Intn(2))*time.Millisecond
@@ -219,7 +219,7 @@ func TestGCCRampsUpOnCleanLink(t *testing.T) {
 }
 
 func TestGCCBacksOffOnQueueBuildup(t *testing.T) {
-	ctrl := New(Config{InitialRate: 20e6, MinRate: 2e6, MaxRate: 25e6})
+	ctrl := startAt(Config{}, 20e6)
 	rng := rand.New(rand.NewSource(2))
 	// Steadily growing one-way delay: a filling bottleneck queue.
 	owd := func(at time.Duration) time.Duration {
@@ -244,7 +244,7 @@ func TestGCCBacksOffOnQueueBuildup(t *testing.T) {
 }
 
 func TestGCCReducesUnderHeavyLoss(t *testing.T) {
-	ctrl := New(Config{InitialRate: 20e6, MinRate: 2e6, MaxRate: 25e6})
+	ctrl := startAt(Config{}, 20e6)
 	rng := rand.New(rand.NewSource(3))
 	owd := func(time.Duration) time.Duration { return 50 * time.Millisecond }
 	ackStream(ctrl, 0, 5, owd, 0.25, rng)
@@ -255,7 +255,7 @@ func TestGCCReducesUnderHeavyLoss(t *testing.T) {
 
 func TestGCCRampUpTimeMatchesPaper(t *testing.T) {
 	// The paper reports ≈12 s for GCC to reach 25 Mbps in the urban cell.
-	ctrl := New(Config{InitialRate: 2e6, MinRate: 2e6, MaxRate: 25e6})
+	ctrl := New(Config{})
 	owd := func(time.Duration) time.Duration { return 50 * time.Millisecond }
 
 	const fbEvery = 50 * time.Millisecond
@@ -301,22 +301,28 @@ func TestGCCInterface(t *testing.T) {
 }
 
 func TestGCCDefaults(t *testing.T) {
-	cfg := Config{}
-	cfg.defaults()
-	if cfg.MinRate != 2e6 || cfg.MaxRate != 25e6 || cfg.InitialRate != 2e6 {
-		t.Errorf("defaults = %+v", cfg)
+	if cc.MinRate != 2e6 || cc.MaxRate != 25e6 || New(Config{}).TargetBitrate(0) != 2e6 {
+		t.Errorf("rate range [%v, %v], start %v", cc.MinRate, cc.MaxRate, New(Config{}).TargetBitrate(0))
 	}
-	if cfg.BurstInterval != 5*time.Millisecond || cfg.PacingFactor != 1.15 {
-		t.Errorf("defaults = %+v", cfg)
+	if burstInterval != 5*time.Millisecond || pacingFactor != 1.15 {
+		t.Errorf("burst interval %v, pacing factor %v", burstInterval, pacingFactor)
 	}
 }
 
-// Property: target bitrate always stays within [MinRate, MaxRate] and is
+// startAt returns a controller built from cfg whose estimate starts at rate
+// instead of the encoder floor.
+func startAt(cfg Config, rate float64) *Controller {
+	c := New(cfg)
+	c.aimd.rate, c.target = rate, rate
+	return c
+}
+
+// Property: target bitrate always stays within [cc.MinRate, cc.MaxRate] and is
 // never NaN, for arbitrary feedback.
 func TestPropertyTargetBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ctrl := New(Config{MinRate: 2e6, MaxRate: 25e6})
+		ctrl := New(Config{})
 		now := time.Duration(0)
 		seq := uint16(0)
 		for round := 0; round < 50; round++ {

@@ -74,7 +74,7 @@ func TestTrendlineNoiseRobust(t *testing.T) {
 }
 
 func TestGCCTrendlineVariantWorks(t *testing.T) {
-	ctrl := New(Config{InitialRate: 2e6, MinRate: 2e6, MaxRate: 25e6, UseTrendline: true})
+	ctrl := New(Config{UseTrendline: true})
 	rng := rand.New(rand.NewSource(2))
 	owd := func(time.Duration) time.Duration { return 50 * time.Millisecond }
 	ackStream(ctrl, 0, 30, owd, 0, rng)
@@ -84,7 +84,7 @@ func TestGCCTrendlineVariantWorks(t *testing.T) {
 }
 
 func TestGCCTrendlineBacksOff(t *testing.T) {
-	ctrl := New(Config{InitialRate: 20e6, MinRate: 2e6, MaxRate: 25e6, UseTrendline: true})
+	ctrl := startAt(Config{UseTrendline: true}, 20e6)
 	rng := rand.New(rand.NewSource(3))
 	owd := func(at time.Duration) time.Duration {
 		return 50*time.Millisecond + time.Duration(at.Seconds()*40)*time.Millisecond

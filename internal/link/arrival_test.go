@@ -47,10 +47,10 @@ func arrivalSchedule(oracle bool) (l *Link, got []landed, drops []landed, tr *ob
 	}
 	tr = obs.New(0)
 	l.SetTracer(tr, obs.DirUp)
-	l.SetFaults(fault.NewLine([]fault.Window{
+	l.SetFaults(fault.NewPathLine([]fault.Window{
 		{Start: 2 * time.Second, Duration: 900 * time.Millisecond, Dir: fault.Both},
 		{Start: 3500 * time.Millisecond, Duration: 40 * time.Millisecond, Dir: fault.Both, Loss: true},
-	}, fault.Uplink), true, 0)
+	}, fault.Uplink, fault.PathAll), true, 0)
 	l.Deliver = func(meta any, size int, sentAt, at time.Duration) {
 		got = append(got, landed{meta, size, sentAt, at})
 		if n := s.Pending(); n > maxPending {

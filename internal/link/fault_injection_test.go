@@ -72,7 +72,7 @@ func TestConservationUnderFaults(t *testing.T) {
 			p.BufferBytes = 100_000 // small: overflows during the outage
 			l := New(s, p, nil, nil, s.Stream("link"))
 			l.Deliver = func(any, int, time.Duration, time.Duration) {}
-			l.SetFaults(fault.NewLine(ws, fault.Uplink), !freeze, 0)
+			l.SetFaults(fault.NewPathLine(ws, fault.Uplink, fault.PathAll), !freeze, 0)
 			for at := time.Duration(0); at < 5*time.Second; at += 3 * time.Millisecond {
 				at := at
 				s.At(at, func() {
@@ -113,9 +113,9 @@ func TestNoBusyPollDuringOutage(t *testing.T) {
 	s := sim.New(1)
 	l := New(s, cleanProfile(), nil, nil, s.Stream("link"))
 	l.Deliver = func(any, int, time.Duration, time.Duration) {}
-	l.SetFaults(fault.NewLine([]fault.Window{
+	l.SetFaults(fault.NewPathLine([]fault.Window{
 		{Start: 0, Duration: 3 * time.Second, Dir: fault.Both},
-	}, fault.Uplink), true, 0)
+	}, fault.Uplink, fault.PathAll), true, 0)
 
 	s.At(500*time.Millisecond, func() { l.Send(nil, 1200) })
 	pending := -1
@@ -138,9 +138,9 @@ func TestStaleFlushOnResume(t *testing.T) {
 		s := sim.New(3)
 		l := New(s, cleanProfile(), nil, nil, s.Stream("link"))
 		l.Deliver = func(any, int, time.Duration, time.Duration) {}
-		l.SetFaults(fault.NewLine([]fault.Window{
+		l.SetFaults(fault.NewPathLine([]fault.Window{
 			{Start: 100 * time.Millisecond, Duration: 2 * time.Second, Dir: fault.Both},
-		}, fault.Uplink), flush, 600*time.Millisecond)
+		}, fault.Uplink, fault.PathAll), flush, 600*time.Millisecond)
 		for i := 0; i < 20; i++ {
 			at := 150*time.Millisecond + time.Duration(i)*10*time.Millisecond
 			s.At(at, func() { l.Send(nil, 1200) })
@@ -201,9 +201,9 @@ func TestRTXStaleFlushAndOrdering(t *testing.T) {
 	l.Deliver = func(meta any, size int, sentAt, at time.Duration) {
 		arrivals = append(arrivals, at)
 	}
-	l.SetFaults(fault.NewLine([]fault.Window{
+	l.SetFaults(fault.NewPathLine([]fault.Window{
 		{Start: 100 * time.Millisecond, Duration: 2 * time.Second, Dir: fault.Both},
-	}, fault.Uplink), true, 600*time.Millisecond)
+	}, fault.Uplink, fault.PathAll), true, 600*time.Millisecond)
 	// RTX and media interleaved into the blackout: everything queued before
 	// ≈1.5 s is older than 600 ms at the 2.1 s resume and must flush.
 	for i := 0; i < 20; i++ {
@@ -246,8 +246,8 @@ func TestDirectionalOutage(t *testing.T) {
 	down := New(s, cleanProfile(), nil, nil, s.Stream("down"))
 	up.Deliver = func(any, int, time.Duration, time.Duration) {}
 	down.Deliver = func(any, int, time.Duration, time.Duration) {}
-	up.SetFaults(fault.NewLine(ws, fault.Uplink), false, 0)
-	down.SetFaults(fault.NewLine(ws, fault.Downlink), false, 0)
+	up.SetFaults(fault.NewPathLine(ws, fault.Uplink, fault.PathAll), false, 0)
+	down.SetFaults(fault.NewPathLine(ws, fault.Downlink, fault.PathAll), false, 0)
 	s.At(100*time.Millisecond, func() {
 		up.Send(nil, 1200)
 		down.Send(nil, 1200)

@@ -73,7 +73,7 @@ func ledgerRun(t *testing.T, data []byte) *Link {
 	s := sim.New(1)
 	l := New(s, p, nil, nil, s.Stream("link"))
 	l.Deliver = func(any, int, time.Duration, time.Duration) {}
-	l.SetFaults(fault.NewLine(ws, fault.Uplink), mode&2 != 0, 100*time.Millisecond)
+	l.SetFaults(fault.NewPathLine(ws, fault.Uplink, fault.PathAll), mode&2 != 0, 100*time.Millisecond)
 	tr := obs.New(0)
 	l.SetTracer(tr, obs.DirUp)
 

@@ -188,7 +188,7 @@ func flightLinkFixture(seed int64) (*sim.Simulator, *Link, *cell.Machine, flight
 	rng := s.Stream("cell")
 	bss := cell.Deployment(cell.Urban, cell.P1, rng)
 	model := cell.NewSignalModel(cell.Urban, bss, cell.DefaultSignalConfigFor(cell.Urban), rng)
-	machine := cell.NewMachine(model, cell.DefaultHandoverConfig(), true, rng)
+	machine := cell.NewMachine(model, cell.DefaultHandoverConfigFor(cell.Urban), true, rng)
 	prof := flight.StandardFlight()
 	stateAt := func(at time.Duration) flight.State { return prof.At(at) }
 	l := New(s, ProfileFor(cell.Urban, cell.P1), machine, stateAt, s.Stream("link"))

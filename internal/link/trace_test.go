@@ -68,7 +68,7 @@ func TestTraceOutageEvents(t *testing.T) {
 	l := New(s, cleanProfile(), nil, nil, s.Stream("link"))
 	tr := obs.New(0)
 	l.SetTracer(tr, obs.DirUp)
-	line := fault.NewLine([]fault.Window{{Start: 100 * time.Millisecond, Duration: 2 * time.Second, Dir: fault.Both}}, fault.Uplink)
+	line := fault.NewPathLine([]fault.Window{{Start: 100 * time.Millisecond, Duration: 2 * time.Second, Dir: fault.Both}}, fault.Uplink, fault.PathAll)
 	l.SetFaults(line, true, 600*time.Millisecond)
 	collect(l)
 	s.Every(0, 50*time.Millisecond, func() {

@@ -33,12 +33,15 @@ type fifoRef struct {
 // a heap object per packet. The FIFO keeps store order for eviction; a ref
 // whose (seq, storedAt) no longer matches its slot is a husk.
 type Cache struct {
-	cfg   Config
-	slots []cacheEntry // len is a power of two
-	live  int
-	fifo  []fifoRef
-	head  int
-	bytes int
+	// maxBytes and maxAge bound the store (the constants cacheBytes and
+	// cacheAge; a test may lower them).
+	maxBytes int
+	maxAge   time.Duration
+	slots    []cacheEntry // len is a power of two
+	live     int
+	fifo     []fifoRef
+	head     int
+	bytes    int
 
 	// Stored and Evicted count packets in and out; Misses counts lookups
 	// that found nothing fresh enough to resend.
@@ -51,9 +54,10 @@ type Cache struct {
 // faster stream doubles the table a few times in its first second.
 const cacheInitSlots = 1 << 8
 
-// NewCache returns an empty cache; cfg should have passed WithDefaults.
-func NewCache(cfg Config) *Cache {
-	return &Cache{cfg: cfg, slots: make([]cacheEntry, cacheInitSlots)}
+// NewCache returns an empty cache. Its bounds are the package's constants;
+// the Config is not read.
+func NewCache(Config) *Cache {
+	return &Cache{maxBytes: cacheBytes, maxAge: cacheAge, slots: make([]cacheEntry, cacheInitSlots)}
 }
 
 // Bytes returns the bytes currently held.
@@ -105,7 +109,7 @@ func (c *Cache) Store(pkt *rtp.Packet, now time.Duration) {
 // cap. A hit counts one resend against the entry.
 func (c *Cache) Lookup(seq uint16, now time.Duration) *rtp.Packet {
 	e := c.slot(seq)
-	if !e.live || e.seq != seq || now-e.storedAt > c.cfg.CacheAge || e.resends >= c.cfg.MaxRetries {
+	if !e.live || e.seq != seq || now-e.storedAt > c.maxAge || e.resends >= maxRetries {
 		c.Misses++
 		return nil
 	}
@@ -121,7 +125,7 @@ func (c *Cache) evict(now time.Duration) {
 			c.head++ // entry already replaced or gone; ref is a husk
 			continue
 		}
-		if c.bytes <= c.cfg.CacheBytes && now-e.storedAt <= c.cfg.CacheAge {
+		if c.bytes <= c.maxBytes && now-e.storedAt <= c.maxAge {
 			break
 		}
 		c.bytes -= e.size

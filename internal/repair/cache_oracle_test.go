@@ -12,11 +12,12 @@ import (
 // table: one heap entry per packet in a map keyed by the 16-bit sequence,
 // eviction probing the map once per FIFO ref.
 type mapCache struct {
-	cfg     Config
-	entries map[uint16]*mapCacheEntry
-	fifo    []fifoRef
-	head    int
-	bytes   int
+	maxBytes int
+	maxAge   time.Duration
+	entries  map[uint16]*mapCacheEntry
+	fifo     []fifoRef
+	head     int
+	bytes    int
 
 	Stored, Evicted, Misses int
 }
@@ -28,8 +29,8 @@ type mapCacheEntry struct {
 	resends  int
 }
 
-func newMapCache(cfg Config) *mapCache {
-	return &mapCache{cfg: cfg, entries: make(map[uint16]*mapCacheEntry)}
+func newMapCache(maxBytes int, maxAge time.Duration) *mapCache {
+	return &mapCache{maxBytes: maxBytes, maxAge: maxAge, entries: make(map[uint16]*mapCacheEntry)}
 }
 
 func (c *mapCache) Store(pkt *rtp.Packet, now time.Duration) {
@@ -48,7 +49,7 @@ func (c *mapCache) Store(pkt *rtp.Packet, now time.Duration) {
 
 func (c *mapCache) Lookup(seq uint16, now time.Duration) *rtp.Packet {
 	e, ok := c.entries[seq]
-	if !ok || now-e.storedAt > c.cfg.CacheAge || e.resends >= c.cfg.MaxRetries {
+	if !ok || now-e.storedAt > c.maxAge || e.resends >= maxRetries {
 		c.Misses++
 		return nil
 	}
@@ -64,7 +65,7 @@ func (c *mapCache) evict(now time.Duration) {
 			c.head++
 			continue
 		}
-		if c.bytes <= c.cfg.CacheBytes && now-e.storedAt <= c.cfg.CacheAge {
+		if c.bytes <= c.maxBytes && now-e.storedAt <= c.maxAge {
 			break
 		}
 		c.bytes -= e.size
@@ -94,9 +95,8 @@ func TestCacheMatchesMapOracle(t *testing.T) {
 		"mixed":      {300_000, 150 * time.Millisecond},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.CacheBytes, cfg.CacheAge = bound.bytes, bound.age
-			got, ref := NewCache(cfg), newMapCache(cfg)
+			got, ref := NewCache(DefaultConfig()), newMapCache(bound.bytes, bound.age)
+			got.maxBytes, got.maxAge = bound.bytes, bound.age
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			seq := uint16(65536 - 3000) // the first wrap comes early
 			var now time.Duration

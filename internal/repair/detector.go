@@ -13,12 +13,12 @@ type pendingLoss struct {
 	// missedAt is when the gap was first observed.
 	missedAt time.Duration
 	// arrivalsAtMiss snapshots the detector's arrival counter at creation;
-	// the loss becomes NACK-eligible once ReorderTolerance further packets
+	// the loss becomes NACK-eligible once reorderTolerance further packets
 	// have arrived.
 	arrivalsAtMiss int
 	// retries counts NACKs sent for this loss so far.
 	retries int
-	// nextNackAt gates the next NACK (first: missedAt+NackDelay, then the
+	// nextNackAt gates the next NACK (first: missedAt+nackDelay, then the
 	// backed-off retry timer).
 	nextNackAt time.Duration
 	// lastNackAt timestamps the most recent NACK, for RTT sampling.
@@ -30,7 +30,9 @@ type pendingLoss struct {
 // driven entirely by the caller: OnPacket/OnRepair at packet arrivals and
 // Tick at the NACK cadence. It never schedules simulator events itself.
 type Detector struct {
-	cfg Config
+	// maxPending is the bound on tracked losses (the constant maxPending;
+	// a test may lower it).
+	maxPending int
 
 	started     bool
 	highest     uint16 // highest sequence number seen (mod 2^16 order)
@@ -58,12 +60,13 @@ type Detector struct {
 	Abandoned int
 }
 
-// NewDetector returns a detector; cfg should have passed WithDefaults.
-func NewDetector(cfg Config) *Detector {
+// NewDetector returns a detector. Its parameters are the package's
+// constants; the Config is not read.
+func NewDetector(Config) *Detector {
 	return &Detector{
-		cfg:   cfg,
-		index: make(map[uint16]*pendingLoss),
-		srtt:  cfg.InitialRTT,
+		maxPending: maxPending,
+		index:      make(map[uint16]*pendingLoss),
+		srtt:       initialRTT,
 	}
 }
 
@@ -105,11 +108,11 @@ func (d *Detector) OnPacket(seq uint16, at time.Duration) {
 		// across an arrival silence longer than the useful repair window,
 		// so the missing packets predate the outage and their frames are
 		// past playout — all n of them, instead of NACK-chasing them on the
-		// recovering link. Otherwise whatever exceeds MaxPending: add would
+		// recovering link. Otherwise whatever exceeds maxPending: add would
 		// open each record only to evict it again, up to 2^15 − 1 of them
 		// for one (possibly forged) packet.
-		dead := max(0, n-d.cfg.MaxPending)
-		if n > 0 && d.cfg.OutageGuard > 0 && silence > d.cfg.OutageGuard {
+		dead := max(0, n-d.maxPending)
+		if n > 0 && silence > outageGuard {
 			dead = n
 		}
 		if dead > 0 {
@@ -159,11 +162,11 @@ func (d *Detector) Tick(now time.Duration) []uint16 {
 		if e.done {
 			continue
 		}
-		if d.arrivals-e.arrivalsAtMiss < d.cfg.ReorderTolerance || now < e.nextNackAt {
+		if d.arrivals-e.arrivalsAtMiss < reorderTolerance || now < e.nextNackAt {
 			keep = append(keep, e)
 			continue
 		}
-		if e.retries >= d.cfg.MaxRetries {
+		if e.retries >= maxRetries {
 			d.abandon(e, now)
 			continue
 		}
@@ -185,7 +188,7 @@ func (d *Detector) add(seq uint16, at time.Duration) {
 	if _, ok := d.index[seq]; ok {
 		return
 	}
-	for len(d.index) >= d.cfg.MaxPending && len(d.pending) > 0 {
+	for len(d.index) >= d.maxPending && len(d.pending) > 0 {
 		if e := d.pending[0]; !e.done {
 			d.abandon(e, at)
 		}
@@ -198,19 +201,19 @@ func (d *Detector) add(seq uint16, at time.Duration) {
 		// The packet revealing the gap is itself the first arrival past
 		// the missing one, so it counts toward the reorder tolerance.
 		arrivalsAtMiss: d.arrivals - 1,
-		nextNackAt:     at + d.cfg.NackDelay,
+		nextNackAt:     at + nackDelay,
 	}
 	d.pending = append(d.pending, e)
 	d.index[seq] = e
 }
 
 // rto returns the wait after the k-th NACK (k ≥ 1): the smoothed RTT
-// scaled by RetryRTTFactor and doubled per further retry, floored at
-// MinRTO.
+// scaled by retryRTTFactor and doubled per further retry, floored at
+// minRTO.
 func (d *Detector) rto(k int) time.Duration {
-	base := time.Duration(float64(d.srtt) * d.cfg.RetryRTTFactor)
-	if base < d.cfg.MinRTO {
-		base = d.cfg.MinRTO
+	base := time.Duration(float64(d.srtt) * retryRTTFactor)
+	if base < minRTO {
+		base = minRTO
 	}
 	return base << (k - 1)
 }

@@ -31,50 +31,64 @@ import "time"
 
 // Config parameterizes the repair layer. The zero value is disabled; use
 // DefaultConfig (or WithDefaults on a partially filled value) for the
-// calibrated constants.
+// calibrated values. The detector's and the cache's parameters are the
+// constants below.
 type Config struct {
 	// Enabled arms the layer. Off by default so existing calibrated
 	// campaigns are untouched.
 	Enabled bool
-	// RtxSSRC and RtxPayloadType identify the RFC 4588 retransmission
-	// stream (own SSRC and sequence space, distinct payload type).
-	RtxSSRC        uint32
-	RtxPayloadType uint8
-	// ReorderTolerance is how many later packets must arrive after a gap
-	// before the missing packet is considered lost rather than reordered.
-	ReorderTolerance int
-	// NackDelay is the wait between declaring a loss and the first NACK,
-	// absorbing short-scale jitter.
-	NackDelay time.Duration
 	// TickInterval is the receiver's NACK-scheduler cadence.
 	TickInterval time.Duration
-	// InitialRTT seeds the smoothed repair RTT before any NACK→RTX sample.
-	InitialRTT time.Duration
-	// MinRTO floors the retry timer.
-	MinRTO time.Duration
-	// RetryRTTFactor scales the smoothed RTT into the base retry timeout;
-	// each further retry doubles it.
-	RetryRTTFactor float64
-	// MaxRetries is the hard cap on NACKs per lost packet; when the last
-	// retry timer expires unanswered the loss is abandoned.
-	MaxRetries int
-	// MaxPending bounds tracked losses; beyond it the oldest are abandoned
-	// (an outage long enough to overflow this is keyframe territory).
-	MaxPending int
-	// OutageGuard is the dead-span cutoff: a gap revealed after an arrival
-	// silence longer than this is an outage, not a loss burst — the missing
-	// packets predate the silence, their cache entries at the sender have
-	// aged out, and the frames they belong to are past playout. Such gaps
-	// are abandoned wholesale to the PLI path instead of NACK-chased.
-	OutageGuard time.Duration
-	// CacheBytes and CacheAge bound the sender's retransmission store.
-	CacheBytes int
-	CacheAge   time.Duration
 	// BudgetFraction is the share of the congestion controller's target
 	// rate the repair budget accrues; BudgetBurst caps the bucket (bytes).
 	BudgetFraction float64
 	BudgetBurst    int
 }
+
+// RtxSSRC and RtxPayloadType identify the RFC 4588 retransmission stream
+// (own SSRC and sequence space, distinct payload type).
+const (
+	RtxSSRC        = 0x525458 // "RTX"
+	RtxPayloadType = 97
+)
+
+const (
+	// reorderTolerance is how many later packets must arrive after a gap
+	// before the missing packet is considered lost rather than reordered.
+	reorderTolerance = 2
+	// nackDelay is the wait between declaring a loss and the first NACK,
+	// absorbing short-scale jitter.
+	nackDelay = 10 * time.Millisecond
+	// initialRTT seeds the smoothed repair RTT before any NACK→RTX sample.
+	initialRTT = 80 * time.Millisecond
+	// minRTO floors the retry timer.
+	minRTO = 20 * time.Millisecond
+	// retryRTTFactor scales the smoothed RTT into the base retry timeout;
+	// each further retry doubles it.
+	retryRTTFactor = 1.5
+	// maxRetries is the hard cap on NACKs per lost packet; when the last
+	// retry timer expires unanswered the loss is abandoned.
+	maxRetries = 3
+	// maxPending bounds tracked losses; beyond it the oldest are abandoned
+	// (an outage long enough to overflow this is keyframe territory).
+	maxPending = 8192
+	// cacheBytes bounds the sender's retransmission store.
+	cacheBytes = 4 << 20
+	// cacheAge is the player's useful repair window: jitter buffer
+	// (150 ms) plus frame give-up slack (250 ms). A packet older than that
+	// heals a frame the player has already skipped, so resending it only
+	// taxes the recovering link; the cache forgets it.
+	cacheAge = 400 * time.Millisecond
+	// outageGuard is the dead-span cutoff: a gap revealed after an arrival
+	// silence longer than this is an outage, not a loss burst — the
+	// missing packets predate the silence, their cache entries at the
+	// sender have aged out, and the frames they belong to are past
+	// playout. Such gaps are abandoned wholesale to the PLI path instead
+	// of NACK-chased. It matches the cache age: if the link was dead
+	// longer than the sender keeps packets, chasing the span can only
+	// waste NACK and RTX bytes on the recovering link.
+	outageGuard = cacheAge
+)
 
 // DefaultConfig returns the calibrated repair parameters, enabled.
 func DefaultConfig() Config {
@@ -84,59 +98,16 @@ func DefaultConfig() Config {
 // WithDefaults fills every zero field with its calibrated default and
 // returns the result. Enabled is left as-is.
 func (c Config) WithDefaults() Config {
-	if c.RtxSSRC == 0 {
-		c.RtxSSRC = 0x525458 // "RTX"
-	}
-	if c.RtxPayloadType == 0 {
-		c.RtxPayloadType = 97
-	}
-	if c.ReorderTolerance == 0 {
-		c.ReorderTolerance = 2
-	}
-	if c.NackDelay == 0 {
-		c.NackDelay = 10 * time.Millisecond
-	}
 	if c.TickInterval == 0 {
 		c.TickInterval = 10 * time.Millisecond
-	}
-	if c.InitialRTT == 0 {
-		c.InitialRTT = 80 * time.Millisecond
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 20 * time.Millisecond
-	}
-	if c.RetryRTTFactor == 0 {
-		c.RetryRTTFactor = 1.5
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.MaxPending == 0 {
-		c.MaxPending = 8192
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 4 << 20
-	}
-	if c.CacheAge == 0 {
-		// The player's useful repair window: jitter buffer (150 ms) plus
-		// frame give-up slack (250 ms). A packet older than that heals a
-		// frame the player has already skipped, so resending it only taxes
-		// the recovering link.
-		c.CacheAge = 400 * time.Millisecond
-	}
-	if c.OutageGuard == 0 {
-		// Match the cache age: if the link was dead longer than the sender
-		// keeps packets, chasing the span can only waste NACK and RTX bytes
-		// on the recovering link.
-		c.OutageGuard = c.CacheAge
 	}
 	if c.BudgetFraction == 0 {
 		c.BudgetFraction = 0.15
 	}
 	if c.BudgetBurst == 0 {
 		// Sized to repair a full short fade in one burst: ≈80 ms of a
-		// 25 Mbps stream. The OutageGuard keeps longer dead spans from ever
-		// reaching the budget, so a generous burst cannot flood a
+		// 25 Mbps stream. The outage guard keeps longer dead spans from
+		// ever reaching the budget, so a generous burst cannot flood a
 		// recovering link.
 		c.BudgetBurst = 256 << 10
 	}

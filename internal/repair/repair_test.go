@@ -45,7 +45,7 @@ func TestDetectorIgnoresReorderBelowTolerance(t *testing.T) {
 }
 
 func TestDetectorBackoffSequence(t *testing.T) {
-	// Defaults: NackDelay 10ms, InitialRTT 80ms, factor 1.5, MaxRetries 3.
+	// Constants: nackDelay 10ms, initialRTT 80ms, factor 1.5, maxRetries 3.
 	// Expected NACKs: 10ms, then +120ms, then +240ms; abandon 480ms after
 	// the last (850ms) when the final timer expires unanswered.
 	d := NewDetector(DefaultConfig())
@@ -121,7 +121,7 @@ func TestDetectorWrapAroundGap(t *testing.T) {
 }
 
 func TestDetectorOutageGuardAbandonsDeadSpan(t *testing.T) {
-	d := NewDetector(DefaultConfig()) // OutageGuard = CacheAge = 400ms
+	d := NewDetector(DefaultConfig()) // outageGuard = cacheAge = 400ms
 	d.OnPacket(0, 0)
 	d.OnPacket(1, ms(10))
 	// The link goes dead; the next arrival reveals a 100-packet span a
@@ -142,9 +142,8 @@ func TestDetectorOutageGuardAbandonsDeadSpan(t *testing.T) {
 }
 
 func TestDetectorPendingBound(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxPending = 4
-	d := NewDetector(cfg)
+	d := NewDetector(DefaultConfig())
+	d.maxPending = 4
 	d.OnPacket(0, 0)
 	d.OnPacket(11, 0) // seqs 1..10 missing
 	if d.Pending() != 4 || d.Abandoned != 6 {
@@ -159,7 +158,7 @@ func TestDetectorPendingBound(t *testing.T) {
 }
 
 // TestDetectorGapBeyondPendingBound drives forward gaps larger than
-// MaxPending and compares with the loop OnPacket had before: one record per
+// maxPending and compares with the loop OnPacket had before: one record per
 // skipped sequence number, each opened by add only to be evicted again. The
 // totals, the survivors and the evictions of older losses must be the
 // same; what changes is that the excess costs one counter bump and one
@@ -167,7 +166,7 @@ func TestDetectorPendingBound(t *testing.T) {
 func TestDetectorGapBeyondPendingBound(t *testing.T) {
 	for _, delta := range []uint16{9001, 0x7fff} { // 9 000 skipped; the largest forward jump
 		prime := func(tr *obs.Tracer) *Detector {
-			d := NewDetector(DefaultConfig()) // MaxPending 8192
+			d := NewDetector(DefaultConfig()) // maxPending 8192
 			d.SetTracer(tr)
 			d.OnPacket(65000, 0)
 			d.OnPacket(65004, ms(1)) // three older losses for the gap to evict
@@ -224,14 +223,13 @@ func mkPackets(n int) []*rtp.Packet {
 
 func TestCacheEvictionByBytes(t *testing.T) {
 	pkts := mkPackets(6)
-	cfg := DefaultConfig()
-	cfg.CacheBytes = 3 * pkts[0].MarshalSize()
-	c := NewCache(cfg)
+	c := NewCache(DefaultConfig())
+	c.maxBytes = 3 * pkts[0].MarshalSize()
 	for _, p := range pkts {
 		c.Store(p, 0)
 	}
-	if c.Bytes() > cfg.CacheBytes {
-		t.Fatalf("cache holds %d bytes, bound %d", c.Bytes(), cfg.CacheBytes)
+	if c.Bytes() > c.maxBytes {
+		t.Fatalf("cache holds %d bytes, bound %d", c.Bytes(), c.maxBytes)
 	}
 	if c.Lookup(pkts[0].Header.SequenceNumber, 0) != nil {
 		t.Fatal("oldest packet survived byte eviction")
@@ -246,9 +244,8 @@ func TestCacheEvictionByBytes(t *testing.T) {
 
 func TestCacheEvictionByAge(t *testing.T) {
 	pkts := mkPackets(3)
-	cfg := DefaultConfig()
-	cfg.CacheAge = time.Second
-	c := NewCache(cfg)
+	c := NewCache(DefaultConfig())
+	c.maxAge = time.Second
 	c.Store(pkts[0], 0)
 	c.Store(pkts[1], ms(800))
 	// Lookup past the age bound fails even before eviction runs.
@@ -267,11 +264,10 @@ func TestCacheEvictionByAge(t *testing.T) {
 
 func TestCacheResendCap(t *testing.T) {
 	pkts := mkPackets(1)
-	cfg := DefaultConfig() // MaxRetries 3
-	c := NewCache(cfg)
+	c := NewCache(DefaultConfig()) // maxRetries 3
 	c.Store(pkts[0], 0)
 	seq := pkts[0].Header.SequenceNumber
-	for i := 0; i < cfg.MaxRetries; i++ {
+	for i := 0; i < maxRetries; i++ {
 		if c.Lookup(seq, 0) == nil {
 			t.Fatalf("lookup %d denied below the cap", i+1)
 		}

@@ -54,11 +54,11 @@ func (c *refController) OnFeedback(now time.Duration, acks []cc.Ack) {
 	if c.wd.OnFeedback(now) {
 		c.inflight = make(map[uint16]inflightPkt)
 		c.bytesInFlight = 0
-		c.cwnd = c.cfg.MinRate / 8 * c.boundedSRTT().Seconds()
-		if c.cwnd < float64(2*c.cfg.MSS) {
-			c.cwnd = float64(2 * c.cfg.MSS)
+		c.cwnd = cc.MinRate / 8 * c.boundedSRTT().Seconds()
+		if c.cwnd < float64(2*mss) {
+			c.cwnd = float64(2 * mss)
 		}
-		c.target = c.cfg.MinRate
+		c.target = cc.MinRate
 		c.qdelay = 0
 		c.baseWindow = c.baseWindow[:0]
 		c.lastLossAt = now
@@ -127,7 +127,7 @@ func (c *refController) OnFeedback(now time.Duration, acks []cc.Ack) {
 	lossReacted := c.updateCWND(now, bytesAcked, lossDetected)
 	c.adjustRate(now, lossReacted)
 	if c.wd.InBackoff(now) {
-		c.target = c.cfg.MinRate
+		c.target = cc.MinRate
 	}
 	c.manageQueue(now)
 }

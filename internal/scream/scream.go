@@ -23,28 +23,12 @@ import (
 	"rpivideo/internal/obs"
 )
 
-// Config parameterizes the controller.
+// Config parameterizes the controller. The rate range is the paper's
+// encoder range (cc.MinRate to cc.MaxRate), and the controller starts at
+// its floor.
 type Config struct {
-	// InitialRate, MinRate, MaxRate bound the media target in bits/s
-	// (defaults 2, 2 and 25 Mbps — the paper's encoder range).
-	InitialRate float64
-	MinRate     float64
-	MaxRate     float64
-	// QDelayTarget is the queuing-delay setpoint (60 ms if zero).
-	QDelayTarget time.Duration
-	// RampUpSpeed limits additive rate increase in bits/s per second
-	// (1 Mbps/s if zero — yielding the paper's ≈25 s ramp to 25 Mbps).
-	RampUpSpeed float64
-	// QueueDiscardAge is the RTP send-queue age beyond which the queue is
-	// discarded (100 ms if zero, per §4.2.1).
-	QueueDiscardAge time.Duration
-	// QueueGrowthLimit is the send-queue delay above which the congestion
-	// window stops growing (300 ms if zero, per the paper's description).
-	QueueGrowthLimit time.Duration
-	// MSS is the maximum segment size in bytes (1200 if zero).
-	MSS int
 	// FeedbackTimeout arms the feedback-starvation watchdog: after this
-	// long without CCFB the target freezes at MinRate and sending stops
+	// long without CCFB the target freezes at cc.MinRate and sending stops
 	// (the self-clock has no acks anyway); when feedback returns the
 	// controller restarts the window from the floor under exponential
 	// probe backoff, without counting the blackout as window losses. Zero
@@ -52,32 +36,21 @@ type Config struct {
 	FeedbackTimeout time.Duration
 }
 
-func (c *Config) defaults() {
-	if c.MinRate == 0 {
-		c.MinRate = 2e6
-	}
-	if c.MaxRate == 0 {
-		c.MaxRate = 25e6
-	}
-	if c.InitialRate == 0 {
-		c.InitialRate = c.MinRate
-	}
-	if c.QDelayTarget == 0 {
-		c.QDelayTarget = 60 * time.Millisecond
-	}
-	if c.RampUpSpeed == 0 {
-		c.RampUpSpeed = 1e6
-	}
-	if c.QueueDiscardAge == 0 {
-		c.QueueDiscardAge = 100 * time.Millisecond
-	}
-	if c.QueueGrowthLimit == 0 {
-		c.QueueGrowthLimit = 300 * time.Millisecond
-	}
-	if c.MSS == 0 {
-		c.MSS = 1200
-	}
-}
+const (
+	// qDelayTarget is the queuing-delay setpoint (§4.2.1).
+	qDelayTarget = 60 * time.Millisecond
+	// rampUpSpeed limits additive rate increase in bits/s per second,
+	// yielding the paper's ≈25 s ramp to 25 Mbps.
+	rampUpSpeed = 1e6
+	// queueDiscardAge is the RTP send-queue age beyond which the queue is
+	// discarded (§4.2.1).
+	queueDiscardAge = 100 * time.Millisecond
+	// queueGrowthLimit is the send-queue delay above which the congestion
+	// window stops growing, per the paper's description.
+	queueGrowthLimit = 300 * time.Millisecond
+	// mss is the maximum segment size in bytes.
+	mss = 1200
+)
 
 // gain constants (RFC 8298 §4.1.2 flavour).
 const (
@@ -207,8 +180,6 @@ func (b *baseDelay) reset() { b.q, b.head = b.q[:0], 0 }
 
 // Controller implements cc.Controller with SCReAM.
 type Controller struct {
-	cfg Config
-
 	cwnd          float64 // bytes
 	bytesInFlight int
 	inflight      inflightTable
@@ -245,7 +216,6 @@ type Controller struct {
 }
 
 var _ cc.Controller = (*Controller)(nil)
-var _ cc.QueueAware = (*Controller)(nil)
 var _ cc.Traceable = (*Controller)(nil)
 var _ cc.RepairAware = (*Controller)(nil)
 
@@ -254,20 +224,18 @@ func (c *Controller) SetTracer(tr *obs.Tracer) { c.trace = tr }
 
 // New returns a SCReAM controller.
 func New(cfg Config) *Controller {
-	cfg.defaults()
 	srtt := 100 * time.Millisecond
 	c := &Controller{
-		cfg:      cfg,
 		inflight: inflightTable{slots: make([]inflightPkt, inflightInitSlots)},
 		srtt:     srtt,
-		target:   cfg.InitialRate,
+		target:   cc.MinRate,
 		qdelay:   0,
 	}
 	// Initial window sized so the initial rate is sendable at the assumed
 	// RTT.
-	c.cwnd = cfg.InitialRate / 8 * srtt.Seconds()
-	if c.cwnd < float64(2*cfg.MSS) {
-		c.cwnd = float64(2 * cfg.MSS)
+	c.cwnd = cc.MinRate / 8 * srtt.Seconds()
+	if c.cwnd < float64(2*mss) {
+		c.cwnd = float64(2 * mss)
 	}
 	if cfg.FeedbackTimeout > 0 {
 		c.wd = cc.NewWatchdog(cfg.FeedbackTimeout)
@@ -278,18 +246,20 @@ func New(cfg Config) *Controller {
 // Name implements cc.Controller.
 func (c *Controller) Name() string { return "scream" }
 
-// SetQueue implements cc.QueueAware.
+// SetQueue attaches the RTP send queue the controller steers on and
+// discards (§4.2.1). The sender wiring calls it once, on the controller
+// itself: a wrapper such as cc.Bonded does not pass it through.
 func (c *Controller) SetQueue(q *cc.SendQueue) { c.queue = q }
 
 // TargetBitrate implements cc.Controller. A starved feedback path (link
 // outage) freezes the target at the floor until feedback returns. Repair
-// spend is subtracted (floored at MinRate): the RTX stream is invisible to
+// spend is subtracted (floored at cc.MinRate): the RTX stream is invisible to
 // the in-flight window, so the encoder budget is where it is accounted.
 func (c *Controller) TargetBitrate(now time.Duration) float64 {
 	if c.wd.Starved(now) {
-		return c.cfg.MinRate
+		return cc.MinRate
 	}
-	return cc.RepairAdjust(c.target, c.repairSpend, now, c.cfg.MinRate)
+	return cc.RepairAdjust(c.target, c.repairSpend, now, cc.MinRate)
 }
 
 // SetRepairSpend implements cc.RepairAware.
@@ -306,7 +276,7 @@ func (c *Controller) PacingRate(time.Duration) float64 {
 		r = cwndRate
 	}
 	r *= pacingHead
-	if max := 1.5 * c.cfg.MaxRate; r > max {
+	if max := 1.5 * cc.MaxRate; r > max {
 		r = max
 	}
 	return r
@@ -378,11 +348,11 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 		// floor without counting it as window losses.
 		c.inflight.reset()
 		c.bytesInFlight = 0
-		c.cwnd = c.cfg.MinRate / 8 * c.boundedSRTT().Seconds()
-		if c.cwnd < float64(2*c.cfg.MSS) {
-			c.cwnd = float64(2 * c.cfg.MSS)
+		c.cwnd = cc.MinRate / 8 * c.boundedSRTT().Seconds()
+		if c.cwnd < float64(2*mss) {
+			c.cwnd = float64(2 * mss)
 		}
-		c.target = c.cfg.MinRate
+		c.target = cc.MinRate
 		c.qdelay = 0
 		c.base.reset()
 		c.lastLossAt = now
@@ -464,7 +434,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	if c.wd.InBackoff(now) {
 		// Post-recovery probe hold: keep the target at the floor until the
 		// backoff window ends, then ramp normally.
-		c.target = c.cfg.MinRate
+		c.target = cc.MinRate
 	}
 	c.manageQueue(now)
 	if c.trace != nil {
@@ -486,7 +456,7 @@ func (c *Controller) updateCWND(now time.Duration, bytesAcked int, lossDetected 
 			c.lastLossAt = now
 			lossReacted = true
 		}
-	} else if c.qdelay > 5*c.cfg.QDelayTarget/2 {
+	} else if c.qdelay > 5*qDelayTarget/2 {
 		// Sustained queuing-delay overshoot is treated as a congestion
 		// event (RFC 8298 §4.1.2.1): a multiplicative cut, at most once
 		// per RTT, so the window tracks deep capacity dips fast enough
@@ -496,7 +466,7 @@ func (c *Controller) updateCWND(now time.Duration, bytesAcked int, lossDetected 
 			c.lastLossAt = now
 		}
 	} else if bytesAcked > 0 {
-		offTarget := float64(c.cfg.QDelayTarget-c.qdelay) / float64(c.cfg.QDelayTarget)
+		offTarget := float64(qDelayTarget-c.qdelay) / float64(qDelayTarget)
 		if offTarget > 1 {
 			offTarget = 1
 		} else if offTarget < -1 {
@@ -504,19 +474,19 @@ func (c *Controller) updateCWND(now time.Duration, bytesAcked int, lossDetected 
 		}
 		// The paper: the window grows only while the RTP queue is shorter
 		// than the growth limit.
-		queueOK := c.queue == nil || c.queue.Delay(now) < c.cfg.QueueGrowthLimit
+		queueOK := c.queue == nil || c.queue.Delay(now) < queueGrowthLimit
 		if offTarget > 0 && queueOK {
-			c.cwnd += gainUp * offTarget * float64(bytesAcked) * float64(c.cfg.MSS) / c.cwnd
+			c.cwnd += gainUp * offTarget * float64(bytesAcked) * float64(mss) / c.cwnd
 		} else if offTarget < 0 {
-			c.cwnd += 2 * gainUp * offTarget * float64(bytesAcked) * float64(c.cfg.MSS) / c.cwnd
+			c.cwnd += 2 * gainUp * offTarget * float64(bytesAcked) * float64(mss) / c.cwnd
 		}
 	}
 	// Clamps: never below two segments, never far beyond what the max rate
 	// requires at the current RTT.
-	if c.cwnd < float64(2*c.cfg.MSS) {
-		c.cwnd = float64(2 * c.cfg.MSS)
+	if c.cwnd < float64(2*mss) {
+		c.cwnd = float64(2 * mss)
 	}
-	maxCwnd := c.cfg.MaxRate / 8 * c.boundedSRTT().Seconds() * 2
+	maxCwnd := cc.MaxRate / 8 * c.boundedSRTT().Seconds() * 2
 	if c.cwnd > maxCwnd {
 		c.cwnd = maxCwnd
 	}
@@ -547,7 +517,7 @@ func (c *Controller) adjustRate(now time.Duration, lossDetected bool) {
 		queueDelay = c.queue.Delay(now)
 	}
 	switch {
-	case queueDelay > c.cfg.QueueDiscardAge/2:
+	case queueDelay > queueDiscardAge/2:
 		// The window cannot push the media out: scale the rate down.
 		c.target *= queueBeta
 	case c.target < cwndRate:
@@ -555,8 +525,8 @@ func (c *Controller) adjustRate(now time.Duration, lossDetected bool) {
 		// scales with the rate so recovery from a dip at high rates does
 		// not take the whole flight, and widens further when the window
 		// clearly sustains more (SCReAM's fast-increase mode).
-		ramp := c.cfg.RampUpSpeed * dt
-		if scaled := c.target / 10e6 * c.cfg.RampUpSpeed * dt; scaled > ramp {
+		ramp := rampUpSpeed * dt
+		if scaled := c.target / 10e6 * rampUpSpeed * dt; scaled > ramp {
 			ramp = scaled
 		}
 		if c.target < 0.7*cwndRate {
@@ -574,21 +544,21 @@ func (c *Controller) adjustRate(now time.Duration, lossDetected bool) {
 }
 
 func (c *Controller) clampTarget() {
-	if c.target < c.cfg.MinRate {
-		c.target = c.cfg.MinRate
-	} else if c.target > c.cfg.MaxRate {
-		c.target = c.cfg.MaxRate
+	if c.target < cc.MinRate {
+		c.target = cc.MinRate
+	} else if c.target > cc.MaxRate {
+		c.target = cc.MaxRate
 	}
 }
 
 // manageQueue enforces the RTP queue age limit: when the head-of-queue age
-// exceeds QueueDiscardAge, the whole queue is discarded (SCReAM's
+// exceeds queueDiscardAge, the whole queue is discarded (SCReAM's
 // quick-recovery behaviour, §4.2.1) and the target is pulled down.
 func (c *Controller) manageQueue(now time.Duration) {
 	if c.queue == nil {
 		return
 	}
-	if c.queue.Delay(now) > c.cfg.QueueDiscardAge {
+	if c.queue.Delay(now) > queueDiscardAge {
 		c.queue.Clear()
 		c.QueueDiscards++
 		c.target *= queueBeta

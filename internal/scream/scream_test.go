@@ -11,14 +11,13 @@ import (
 )
 
 func TestDefaults(t *testing.T) {
-	cfg := Config{}
-	cfg.defaults()
-	if cfg.MinRate != 2e6 || cfg.MaxRate != 25e6 || cfg.InitialRate != 2e6 {
-		t.Errorf("rate defaults = %+v", cfg)
+	if cc.MinRate != 2e6 || cc.MaxRate != 25e6 || New(Config{}).TargetBitrate(0) != 2e6 {
+		t.Errorf("rate range [%v, %v], start %v", cc.MinRate, cc.MaxRate, New(Config{}).TargetBitrate(0))
 	}
-	if cfg.QDelayTarget != 60*time.Millisecond || cfg.QueueDiscardAge != 100*time.Millisecond ||
-		cfg.QueueGrowthLimit != 300*time.Millisecond || cfg.MSS != 1200 {
-		t.Errorf("defaults = %+v", cfg)
+	if qDelayTarget != 60*time.Millisecond || queueDiscardAge != 100*time.Millisecond ||
+		queueGrowthLimit != 300*time.Millisecond || mss != 1200 {
+		t.Errorf("delay target %v, discard age %v, growth limit %v, MSS %v",
+			qDelayTarget, queueDiscardAge, queueGrowthLimit, mss)
 	}
 }
 
@@ -191,8 +190,7 @@ func TestQDelayEstimateSubtractsBase(t *testing.T) {
 }
 
 func TestQueueDiscard(t *testing.T) {
-	cfg := Config{QueueDiscardAge: 100 * time.Millisecond}
-	c := New(cfg)
+	c := New(Config{})
 	var q cc.SendQueue
 	c.SetQueue(&q)
 	q.Push(cc.Item{Size: 1200, Enqueued: 0})
@@ -347,7 +345,7 @@ func TestBacksOffUnderLoss(t *testing.T) {
 	}
 }
 
-// Property: the target stays within [MinRate, MaxRate], cwnd stays above the
+// Property: the target stays within [cc.MinRate, cc.MaxRate], cwnd stays above the
 // floor and bytes-in-flight never goes negative, under arbitrary feedback.
 func TestPropertyInvariants(t *testing.T) {
 	f := func(seed int64) bool {

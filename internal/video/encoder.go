@@ -10,42 +10,39 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"rpivideo/internal/cc"
 )
 
-// EncoderConfig parameterizes the encoder model.
+// EncoderConfig parameterizes the encoder model. The target is clamped to
+// the paper's encoder range, cc.MinRate to cc.MaxRate.
 type EncoderConfig struct {
 	// FPS is the source frame rate (30 in the campaign).
 	FPS int
-	// GOP is the keyframe interval in frames (one I-frame per second at 30).
-	GOP int
-	// IFrameRatio is the size of an I-frame relative to a P-frame.
-	IFrameRatio float64
-	// MinRate and MaxRate clamp the applied encoder target (2–25 Mbps).
-	MinRate, MaxRate float64
-	// ComplexitySigma is the log-normal frame-size noise from scene detail
-	// and motion (the source video "contains considerable detail and
-	// motion").
-	ComplexitySigma float64
-	// RateTau is how quickly the encoder's effective rate tracks the
-	// requested target. The campaign's x264 wrapper applied rate changes
-	// with noticeable latency — the mechanism behind §4.2.1's FPS dips:
-	// frames already encoded (and still being encoded) at the old bitrate
-	// must drain at the decreased send rate.
-	RateTau time.Duration
 }
 
 // DefaultEncoderConfig returns the campaign encoder parameters.
 func DefaultEncoderConfig() EncoderConfig {
-	return EncoderConfig{
-		FPS:             30,
-		GOP:             30,
-		IFrameRatio:     4,
-		MinRate:         2e6,
-		MaxRate:         25e6,
-		ComplexitySigma: 0.18,
-		RateTau:         500 * time.Millisecond,
-	}
+	return EncoderConfig{FPS: 30}
 }
+
+const (
+	// gopFrames is the keyframe interval in frames (one I-frame per second
+	// at 30 FPS).
+	gopFrames = 30
+	// iFrameRatio is the size of an I-frame relative to a P-frame.
+	iFrameRatio = 4
+	// complexitySigma is the log-normal frame-size noise from scene detail
+	// and motion (the source video "contains considerable detail and
+	// motion").
+	complexitySigma = 0.18
+	// rateTau is how quickly the encoder's effective rate tracks the
+	// requested target. The campaign's x264 wrapper applied rate changes
+	// with noticeable latency — the mechanism behind §4.2.1's FPS dips:
+	// frames already encoded (and still being encoded) at the old bitrate
+	// must drain at the decreased send rate.
+	rateTau = 500 * time.Millisecond
+)
 
 // Frame is one encoded video frame.
 type Frame struct {
@@ -81,15 +78,15 @@ func NewEncoder(cfg EncoderConfig, initialRate float64, rng *rand.Rand) *Encoder
 }
 
 func (e *Encoder) clamp() {
-	if e.target < e.cfg.MinRate {
-		e.target = e.cfg.MinRate
-	} else if e.target > e.cfg.MaxRate {
-		e.target = e.cfg.MaxRate
+	if e.target < cc.MinRate {
+		e.target = cc.MinRate
+	} else if e.target > cc.MaxRate {
+		e.target = cc.MaxRate
 	}
 }
 
 // SetTarget requests a new encoder bitrate; the effective rate converges
-// within RateTau.
+// within rateTau.
 func (e *Encoder) SetTarget(bitsPerSecond float64) {
 	e.target = bitsPerSecond
 	e.clamp()
@@ -112,16 +109,11 @@ func (e *Encoder) NextFrame(now time.Duration) Frame {
 	// Track the target with a first-order lag.
 	dt := (now - e.lastTick).Seconds()
 	e.lastTick = now
-	tau := e.cfg.RateTau.Seconds()
-	if tau <= 0 {
-		e.rate = e.target
-	} else {
-		a := dt / tau
-		if a > 1 {
-			a = 1
-		}
-		e.rate += (e.target - e.rate) * a
+	a := dt / rateTau.Seconds()
+	if a > 1 {
+		a = 1
 	}
+	e.rate += (e.target - e.rate) * a
 
 	if e.forceKey {
 		e.forceKey = false
@@ -129,19 +121,18 @@ func (e *Encoder) NextFrame(now time.Duration) Frame {
 	}
 	key := e.gopPos == 0
 	e.gopPos++
-	if e.gopPos >= e.cfg.GOP {
+	if e.gopPos >= gopFrames {
 		e.gopPos = 0
 	}
 	// Per-frame byte budget: the GOP average equals rate/FPS/8 bytes, with
-	// I-frames IFrameRatio× the size of P-frames.
-	gop := float64(e.cfg.GOP)
+	// I-frames iFrameRatio× the size of P-frames.
 	avg := e.rate / float64(e.cfg.FPS) / 8
-	pSize := avg * gop / (gop - 1 + e.cfg.IFrameRatio)
+	pSize := avg * gopFrames / (gopFrames - 1 + iFrameRatio)
 	size := pSize
 	if key {
-		size = pSize * e.cfg.IFrameRatio
+		size = pSize * iFrameRatio
 	}
-	complexity := math.Exp(e.rng.NormFloat64() * e.cfg.ComplexitySigma)
+	complexity := math.Exp(e.rng.NormFloat64() * complexitySigma)
 	size *= complexity
 
 	f := Frame{

@@ -18,36 +18,19 @@ type PlayerConfig struct {
 	// JitterBuffer is the rtpjitterbuffer latency: a frame becomes due
 	// this long after its first packet arrives (150 ms in the campaign).
 	JitterBuffer time.Duration
-	// StallThreshold classifies an inter-frame playback gap as a stall
-	// (≈300 ms, the RP latency requirement).
-	StallThreshold time.Duration
-	// MaxFrameLoss is the largest fraction of a frame's packets the
-	// decoder conceals; beyond it the frame is not decodable and is
-	// skipped.
-	MaxFrameLoss float64
-	// SlowdownFactor stretches playback when the buffer runs low (the
-	// proactive rate reduction of Appendix A.4); 1 disables.
-	SlowdownFactor float64
-	// CatchupFactor compresses playback when the buffer is comfortable
-	// again, cutting elevated playback latency back down.
-	CatchupFactor float64
 	// DropOnLatency, when set, drops buffered frames older than
 	// DropThreshold instead of playing them late (the rtpjitterbuffer
 	// "drop-on-latency" property, Appendix A.4).
 	DropOnLatency bool
 	DropThreshold time.Duration
-	// GiveUpAfter abandons a frame whose remaining packets have not
-	// arrived this long after it became due.
-	GiveUpAfter time.Duration
 	// LatchQuirk reproduces the playback-latency plateaus the paper
 	// observed with SCReAM in the well-provisioned urban cell (§4.2.2):
-	// above LatchRate incoming bits/s the buffer's catch-up stops engaging
+	// above latchRate incoming bits/s the buffer's catch-up stops engaging
 	// and elevated latency latches until frame skips cut it down. The
 	// paper suspected the rtpjitterbuffer and could not isolate the root
 	// cause; this reproduces the symptom under the same conditions
 	// (SCReAM, high bitrate) and is off by default.
 	LatchQuirk bool
-	LatchRate  float64
 	// KeyframeRecovery arms the §5 error-concealment recovery model:
 	// skipped frames leave the decoder predicting from a stale reference,
 	// so decoded frames score a reduced SSIM until the next keyframe
@@ -56,6 +39,28 @@ type PlayerConfig struct {
 	// default to leave the calibrated campaign results untouched.
 	KeyframeRecovery bool
 }
+
+const (
+	// stallThreshold classifies an inter-frame playback gap as a stall
+	// (≈300 ms, the RP latency requirement).
+	stallThreshold = 300 * time.Millisecond
+	// maxFrameLoss is the largest fraction of a frame's packets the
+	// decoder conceals; beyond it the frame is not decodable and is
+	// skipped.
+	maxFrameLoss = 0.5
+	// slowdownFactor stretches playback when the buffer runs low (the
+	// proactive rate reduction of Appendix A.4).
+	slowdownFactor = 1.25
+	// catchupFactor compresses playback when the buffer is comfortable
+	// again, cutting elevated playback latency back down.
+	catchupFactor = 0.75
+	// giveUpAfter abandons a frame whose remaining packets have not
+	// arrived this long after it became due.
+	giveUpAfter = 250 * time.Millisecond
+	// latchRate is the incoming rate in bits/s above which LatchQuirk
+	// suppresses catch-up.
+	latchRate = 12e6
+)
 
 // keyframeRequestInterval rate-limits KeyframeRequest.
 const keyframeRequestInterval = 500 * time.Millisecond
@@ -67,14 +72,8 @@ const errorPropagationSSIM = 0.6
 // DefaultPlayerConfig returns the campaign player parameters.
 func DefaultPlayerConfig() PlayerConfig {
 	return PlayerConfig{
-		FPS:            30,
-		JitterBuffer:   150 * time.Millisecond,
-		StallThreshold: 300 * time.Millisecond,
-		MaxFrameLoss:   0.5,
-		SlowdownFactor: 1.25,
-		CatchupFactor:  0.75,
-		GiveUpAfter:    250 * time.Millisecond,
-		LatchRate:      12e6,
+		FPS:          30,
+		JitterBuffer: 150 * time.Millisecond,
 	}
 }
 
@@ -297,7 +296,7 @@ func (p *Player) pump() {
 		case fs != nil:
 			// Partial frame: wait until due + grace, then decode damaged
 			// or skip.
-			deadline := fs.FirstArrival + p.cfg.JitterBuffer + p.cfg.GiveUpAfter
+			deadline := fs.FirstArrival + p.cfg.JitterBuffer + giveUpAfter
 			if now < deadline {
 				if p.frameAbandoned(fs) {
 					// A later frame is complete; this one's missing
@@ -340,7 +339,7 @@ func (p *Player) frameAbandoned(fs *rtp.FrameState) bool {
 // decodePartial plays a damaged frame if the decoder can conceal the loss,
 // otherwise skips it.
 func (p *Player) decodePartial(now time.Duration, fs *rtp.FrameState) {
-	if fs.LossFraction() <= p.cfg.MaxFrameLoss {
+	if fs.LossFraction() <= maxFrameLoss {
 		p.play(now, fs)
 		return
 	}
@@ -428,7 +427,7 @@ func (p *Player) record(pf PlayedFrame, now time.Duration) {
 		return
 	}
 	if p.everPlayed {
-		if gap := now - p.lastPlayedAt; gap > p.cfg.StallThreshold {
+		if gap := now - p.lastPlayedAt; gap > stallThreshold {
 			p.Stalls = append(p.Stalls, Stall{At: p.lastPlayedAt, Duration: gap})
 			if p.trace != nil {
 				p.trace.Emit(obs.Event{T: now, Kind: obs.KindStall,
@@ -454,14 +453,14 @@ func (p *Player) advance(now time.Duration) {
 	ahead := p.bufferedAhead()
 	factor := 1.0
 	switch {
-	case ahead == 0 && p.cfg.SlowdownFactor > 1:
-		factor = p.cfg.SlowdownFactor
-	case ahead >= 2 && p.cfg.CatchupFactor > 0 && p.cfg.CatchupFactor < 1:
-		factor = p.cfg.CatchupFactor
+	case ahead == 0:
+		factor = slowdownFactor
+	case ahead >= 2:
+		factor = catchupFactor
 		if p.latched() {
 			// The latched buffer barely recovers: elevated latency decays
 			// an order of magnitude slower than normal catch-up.
-			factor = 1 - (1-p.cfg.CatchupFactor)/10
+			factor = 1 - (1-catchupFactor)/10
 		}
 	}
 	p.playClock = now + time.Duration(float64(interval)*factor)
@@ -470,14 +469,14 @@ func (p *Player) advance(now time.Duration) {
 // latched reports whether the latch quirk suppresses catch-up: active only
 // when enabled and the incoming rate exceeds the latch threshold.
 func (p *Player) latched() bool {
-	if !p.cfg.LatchQuirk || p.cfg.LatchRate <= 0 {
+	if !p.cfg.LatchQuirk {
 		return false
 	}
 	bytes := 0
 	for _, b := range p.rateBins {
 		bytes += b
 	}
-	return float64(bytes)*8/4 > p.cfg.LatchRate
+	return float64(bytes)*8/4 > latchRate
 }
 
 // FPSSketch returns the distribution of frames played per second over the

@@ -75,7 +75,6 @@ func TestPlayerLatchQuirkRateGate(t *testing.T) {
 	s := sim.New(4)
 	cfg := DefaultPlayerConfig()
 	cfg.LatchQuirk = true
-	cfg.LatchRate = 12e6
 	pl := NewPlayer(s, cfg, nil, nil)
 	// Below the gate: not latched.
 	pk := rtp.NewPacketizer(1, 96, 1200)

@@ -104,9 +104,6 @@ func NewSender(s *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand
 	// Packetize's reference is the queue's until drain hands it to
 	// Transmit; a queue discard ends it.
 	snd.queue.Discard = func(it cc.Item) { it.Data.(*rtp.Packet).Release() }
-	if qa, ok := ctrl.(cc.QueueAware); ok {
-		qa.SetQueue(&snd.queue)
-	}
 	return snd
 }
 
@@ -217,6 +214,10 @@ func (s *Sender) Encoder() *Encoder { return s.enc }
 // ForceKeyframe asks the encoder to restart the GOP with an I-frame on the
 // next tick — the sender's handling of a receiver keyframe request.
 func (s *Sender) ForceKeyframe() { s.enc.ForceKeyframe() }
+
+// Queue returns the RTP send queue between the encoder and the pacer, for a
+// controller that steers on it (SCReAM's SetQueue).
+func (s *Sender) Queue() *cc.SendQueue { return &s.queue }
 
 // QueueDelay returns the current send-queue head age.
 func (s *Sender) QueueDelay() time.Duration { return s.queue.Delay(s.sim.Now()) }

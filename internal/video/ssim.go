@@ -17,34 +17,30 @@ import "math"
 //
 // A frame that is never played scores 0, as in the paper.
 type SSIMModel struct {
-	// RateScale is the exponential quality constant (bits/s). Calibrated
-	// so full-HD at 25 Mbps scores ≈0.96–0.99, 8 Mbps ≈0.89 and the 2 Mbps
-	// floor ≈0.74, consistent with Fig. 7b's urban/rural bands.
-	RateScale float64
-	// QualityFloor and QualityCeiling bound the loss-free score.
-	QualityFloor   float64
-	QualityCeiling float64
-	// ArtifactGain scales how strongly intra-frame packet loss corrupts
-	// the frame.
-	ArtifactGain float64
-	// ConcealmentDecay is the per-frame decay of propagated reference
-	// damage (error concealment recovers slowly until a keyframe resets
-	// it).
-	ConcealmentDecay float64
-
 	damage float64 // current propagated reference damage in [0, 1]
 }
 
+// The calibrated model's constants.
+const (
+	// ssimRateScale is the exponential quality constant (bits/s).
+	// Calibrated so full-HD at 25 Mbps scores ≈0.96–0.99, 8 Mbps ≈0.89
+	// and the 2 Mbps floor ≈0.74, consistent with Fig. 7b's urban/rural
+	// bands.
+	ssimRateScale = 7e6
+	// ssimFloor and ssimCeiling bound the loss-free score.
+	ssimFloor   = 0.10
+	ssimCeiling = 0.999
+	// artifactGain scales how strongly intra-frame packet loss corrupts
+	// the frame.
+	artifactGain = 3.5
+	// concealmentDecay is the per-frame decay of propagated reference
+	// damage (error concealment recovers slowly until a keyframe resets
+	// it).
+	concealmentDecay = 0.97
+)
+
 // DefaultSSIMModel returns the calibrated model.
-func DefaultSSIMModel() *SSIMModel {
-	return &SSIMModel{
-		RateScale:        7e6,
-		QualityFloor:     0.10,
-		QualityCeiling:   0.999,
-		ArtifactGain:     3.5,
-		ConcealmentDecay: 0.97,
-	}
-}
+func DefaultSSIMModel() *SSIMModel { return &SSIMModel{} }
 
 // base returns the loss-free quality ceiling for a frame encoded at the
 // given rate and complexity multiplier.
@@ -52,9 +48,9 @@ func (m *SSIMModel) base(rate, complexity float64) float64 {
 	if complexity <= 0 {
 		complexity = 1
 	}
-	q := m.QualityCeiling - 0.35*math.Exp(-rate/complexity/m.RateScale)
-	if q < m.QualityFloor {
-		q = m.QualityFloor
+	q := ssimCeiling - 0.35*math.Exp(-rate/complexity/ssimRateScale)
+	if q < ssimFloor {
+		q = ssimFloor
 	}
 	return q
 }
@@ -66,10 +62,10 @@ func (m *SSIMModel) Score(rate, complexity, lossFrac float64, keyframe bool) flo
 	if keyframe {
 		m.damage = 0
 	} else {
-		m.damage *= m.ConcealmentDecay
+		m.damage *= concealmentDecay
 	}
 	if lossFrac > 0 {
-		d := m.ArtifactGain * lossFrac
+		d := artifactGain * lossFrac
 		if d > 1 {
 			d = 1
 		}

@@ -30,19 +30,20 @@ func TestEncoderMeetsTargetBitrate(t *testing.T) {
 
 func TestEncoderGOPStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	cfg := DefaultEncoderConfig()
-	cfg.ComplexitySigma = 0 // deterministic sizes
-	e := NewEncoder(cfg, 8e6, rng)
+	e := NewEncoder(DefaultEncoderConfig(), 8e6, rng)
 	var iSizes, pSizes []int
 	for i := 0; i < 120; i++ {
 		f := e.NextFrame(time.Duration(i) * 33333 * time.Microsecond)
 		if f.Keyframe != (i%30 == 0) {
 			t.Fatalf("frame %d keyframe = %v", i, f.Keyframe)
 		}
+		// The frame's complexity multiplier divided out: its size before
+		// scene-detail noise.
+		size := int(float64(f.Size) / f.Complexity)
 		if f.Keyframe {
-			iSizes = append(iSizes, f.Size)
+			iSizes = append(iSizes, size)
 		} else {
-			pSizes = append(pSizes, f.Size)
+			pSizes = append(pSizes, size)
 		}
 	}
 	meanI, meanP := mean(iSizes), mean(pSizes)
@@ -302,8 +303,8 @@ func TestPlaybackRateAdaptation(t *testing.T) {
 	pl.nextPlay = 100
 	pl.highestSeen = 100
 	pl.advance(s.Now())
-	if got := pl.playClock - s.Now(); got != time.Duration(float64(interval)*cfg.SlowdownFactor) {
-		t.Errorf("starved playback interval = %v, want %v × %v", got, interval, cfg.SlowdownFactor)
+	if got := pl.playClock - s.Now(); got != time.Duration(float64(interval)*slowdownFactor) {
+		t.Errorf("starved playback interval = %v, want %v × %v", got, interval, slowdownFactor)
 	}
 
 	// Comfortable buffer (3 complete frames ahead): catch-up.
@@ -315,8 +316,8 @@ func TestPlaybackRateAdaptation(t *testing.T) {
 	}
 	pl.nextPlay = 100
 	pl.advance(s.Now())
-	if got := pl.playClock - s.Now(); got != time.Duration(float64(interval)*cfg.CatchupFactor) {
-		t.Errorf("comfortable playback interval = %v, want %v × %v", got, interval, cfg.CatchupFactor)
+	if got := pl.playClock - s.Now(); got != time.Duration(float64(interval)*catchupFactor) {
+		t.Errorf("comfortable playback interval = %v, want %v × %v", got, interval, catchupFactor)
 	}
 }
 
