@@ -147,9 +147,6 @@ func main() {
 			compare: c.compare, tolerance: c.tolerance,
 		}
 		so := experiments.ScenarioOptions{Seed: c.seed, Workers: c.workers, StatusSink: sink}
-		if so.Seed == 1 {
-			so.Seed = 0 // default flag value: keep the scenario's pinned seed, so goldens regenerate exactly
-		}
 		if c.runsSet {
 			so.Runs = c.runs
 		}

@@ -118,16 +118,17 @@ func RepairAdjust(target float64, spend func(time.Duration) float64, now time.Du
 type Static struct {
 	// Rate is the constant target bitrate in bits/s.
 	Rate float64
-	// PacingFactor multiplies Rate for the pacer to absorb encoder
-	// burstiness; 1.0 if zero.
-	PacingFactor float64
 
 	repairSpend func(time.Duration) float64
 }
 
+// staticPacingFactor multiplies Static's rate for the pacer to absorb
+// encoder burstiness.
+const staticPacingFactor = 1.5
+
 // NewStatic returns a constant-bitrate controller.
 func NewStatic(bitsPerSecond float64) *Static {
-	return &Static{Rate: bitsPerSecond, PacingFactor: 1.5}
+	return &Static{Rate: bitsPerSecond}
 }
 
 // OnPacketSent implements Controller.
@@ -148,11 +149,7 @@ func (s *Static) SetRepairSpend(f func(time.Duration) float64) { s.repairSpend =
 
 // PacingRate implements Controller.
 func (s *Static) PacingRate(time.Duration) float64 {
-	f := s.PacingFactor
-	if f <= 0 {
-		f = 1
-	}
-	return s.Rate * f
+	return s.Rate * staticPacingFactor
 }
 
 // CanSend implements Controller.

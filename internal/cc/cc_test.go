@@ -22,10 +22,6 @@ func TestStaticController(t *testing.T) {
 	}
 	s.OnPacketSent(SentPacket{})   // must not panic
 	s.OnFeedback(time.Second, nil) // must not panic
-	s.PacingFactor = 0             // zero factor falls back to 1
-	if got := s.PacingRate(0); got != 25e6 {
-		t.Errorf("PacingRate with zero factor = %v", got)
-	}
 }
 
 func TestPacerSpacing(t *testing.T) {

@@ -10,7 +10,8 @@ import (
 )
 
 // CampaignOptions tunes how a campaign executes. The zero value gives the
-// defaults: one worker per logical CPU and the splitmix seed derivation.
+// default: one worker per logical CPU. Run i of a campaign always runs at
+// DeriveSeed(cfg.Seed, i).
 type CampaignOptions struct {
 	// Workers is the number of runs executed concurrently. Zero (or
 	// negative) selects runtime.GOMAXPROCS(0); 1 executes serially.
@@ -18,11 +19,6 @@ type CampaignOptions struct {
 	// (Config, Seed) and are merged back in run-index order, so the
 	// output is byte-identical regardless of scheduling.
 	Workers int
-	// LegacySeeds selects the pre-campaign-engine seed derivation
-	// (cfg.Seed*1_000_003 + runIndex) so historical numbers — the
-	// EXPERIMENTS.md record in particular — can be regenerated exactly.
-	// The default is DeriveSeed.
-	LegacySeeds bool
 	// StatusSink, when non-nil, receives live telemetry: a progress
 	// snapshot after every completed run plus each run's metrics +
 	// telemetry registry. Calls are serialized by the engine, in completion
@@ -32,11 +28,12 @@ type CampaignOptions struct {
 }
 
 // DeriveSeed mixes a campaign base seed and a run index into the run's
-// seed using a splitmix64-style finalizer. Unlike the legacy affine scheme
+// seed using a splitmix64-style finalizer. Unlike an affine scheme
 // (base*1_000_003 + run), which collides trivially across campaigns
 // (base+1 at run 0 equals base at run 1_000_003, and nearby bases yield
 // overlapping arithmetic progressions), the multiply–xorshift finalizer
-// decorrelates every (base, run) pair.
+// decorrelates every (base, run) pair. It is the only run-seed rule: every
+// campaign, fleet and sharded sweep uses it.
 func DeriveSeed(base int64, run int) int64 {
 	z := uint64(base) + 0x9e3779b97f4a7c15*uint64(run+1)
 	z ^= z >> 30
@@ -47,27 +44,12 @@ func DeriveSeed(base int64, run int) int64 {
 	return int64(z)
 }
 
-// legacySeed is the pre-campaign-engine derivation, kept behind
-// CampaignOptions.LegacySeeds for reproducing historical results.
-func legacySeed(base int64, run int) int64 {
-	return base*1_000_003 + int64(run)
-}
-
-// runSeed resolves the seed for one run under the selected derivation.
-func (o CampaignOptions) runSeed(base int64, run int) int64 {
-	if o.LegacySeeds {
-		return legacySeed(base, run)
-	}
-	return DeriveSeed(base, run)
-}
-
 // RunCampaignWithOptions executes a campaign of runs independent
 // repetitions of cfg on a worker pool and returns per-run results and
 // per-run errors, both indexed by run. A run that panics is recovered into
 // its error slot (with its result slot nil) without disturbing the other
 // runs. Results are merged back in run-index order, so for a given
-// (cfg, runs, seed derivation) the output is byte-identical at any worker
-// count.
+// (cfg, runs) the output is byte-identical at any worker count.
 func RunCampaignWithOptions(cfg Config, runs int, opts CampaignOptions) ([]*Result, []error) {
 	if runs <= 0 {
 		return nil, nil
@@ -94,7 +76,7 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 	e := executor{workers: opts.Workers, unit: "campaign run", sink: opts.StatusSink}
 	e.run(errs, func(i int, b *runBuffers) *Result {
 		c := cfg
-		c.Seed = opts.runSeed(cfg.Seed, i)
+		c.Seed = DeriveSeed(cfg.Seed, i)
 		return b.run(c, false)
 	}, fold)
 	return errs

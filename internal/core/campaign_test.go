@@ -371,15 +371,12 @@ func TestExecutorKeepsEarlierFailure(t *testing.T) {
 	}
 }
 
-// TestSeedDerivation pins both derivations: the splitmix default must
-// decorrelate (base, run) pairs the legacy affine scheme collides on, and
-// the legacy switch must reproduce the historical seeds exactly.
+// TestSeedDerivation pins the one run-seed rule: DeriveSeed must decorrelate
+// the (base, run) pairs an affine scheme collides on, and a campaign's run i
+// must run at DeriveSeed(base, i).
 func TestSeedDerivation(t *testing.T) {
-	if legacySeed(1, 1_000_003) != legacySeed(2, 0) {
-		t.Error("legacy derivation changed; the compatibility switch no longer reproduces history")
-	}
 	if DeriveSeed(1, 1_000_003) == DeriveSeed(2, 0) {
-		t.Error("splitmix derivation inherited the legacy cross-campaign collision")
+		t.Error("splitmix derivation inherited the affine cross-campaign collision")
 	}
 	seen := make(map[int64]bool)
 	for base := int64(0); base < 32; base++ {
@@ -391,9 +388,12 @@ func TestSeedDerivation(t *testing.T) {
 			seen[s] = true
 		}
 	}
-	opts := CampaignOptions{LegacySeeds: true}
-	if got, want := opts.runSeed(9, 1), int64(9*1_000_003+1); got != want {
-		t.Errorf("legacy runSeed = %d, want %d", got, want)
+	cfg := Config{Env: cell.Urban, Air: true, CC: CCStatic, Seed: 9, Duration: 10 * time.Second}
+	results, _ := RunCampaignWithOptions(cfg, 2, CampaignOptions{Workers: 1})
+	single := cfg
+	single.Seed = DeriveSeed(9, 1)
+	if got, want := resultFingerprint(results[1]), resultFingerprint(Run(single)); got != want {
+		t.Errorf("campaign run 1 differs from Run at DeriveSeed(9, 1):\n%s\nvs\n%s", got, want)
 	}
 }
 

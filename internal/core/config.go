@@ -61,7 +61,8 @@ type Config struct {
 	Duration time.Duration
 
 	// ScreamAckWindow overrides the RFC 8888 feedback window (§4.2.1
-	// ablation); zero keeps the library default of 64.
+	// ablation); zero gives the campaign's 256, the window the authors
+	// raised the library's 64 to. The ablation sets 64.
 	ScreamAckWindow int
 	// ScreamFeedbackInterval overrides the RFC 8888 report cadence (10 ms
 	// when zero). The §4.2.1 defect arithmetic — more packets arriving

@@ -9,8 +9,11 @@ import (
 )
 
 // TestAllExperimentsSatisfyShapeChecks runs every experiment of the list at
-// a reduced repetition count and asserts every targets row against the
-// paper holds. This is the repository's main end-to-end regression.
+// the EXPERIMENTS.md record's setting, byte-compares each rendered report
+// against testdata/paper/<id>.txt and asserts every targets row against the
+// paper holds. This is the repository's main end-to-end regression: the
+// pinned reports are the measured record, so any drift in a figure shows up
+// as a diff; -update regenerates them.
 func TestAllExperimentsSatisfyShapeChecks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
@@ -21,11 +24,11 @@ func TestAllExperimentsSatisfyShapeChecks(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			rep := e.Run(o)
-			var sb strings.Builder
-			if _, err := rep.WriteTo(&sb); err != nil {
+			var buf bytes.Buffer
+			if _, err := rep.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			t.Log("\n" + sb.String())
+			compareGolden(t, filepath.Join("testdata", "paper", e.ID+".txt"), buf.Bytes())
 			if !rep.OK() {
 				t.Errorf("shape checks failed: %v", rep.FailedChecks())
 			}

@@ -158,7 +158,7 @@ func fig9(o Options, r *Report) {
 	var before, after metrics.Dist
 	for _, env := range []cell.Environment{cell.Urban, cell.Rural} {
 		cfg := core.Config{Env: env, Air: true, CC: core.CCStatic, Seed: o.Seed, Trace: true}
-		mustRun(core.RunCampaignFold(cfg, o.Runs, experimentOptions(o), func(i int, res *core.Result) {
+		mustRun(core.RunCampaignFold(cfg, o.Runs, o.campaignOptions(), func(i int, res *core.Result) {
 			if res == nil {
 				return
 			}

@@ -176,6 +176,7 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 type fold struct {
 	core.Summary
 	hoRates []float64 // each run's handover rate (HO/s)
+	rampUpS []float64 // each run's time to reach 25 Mbps (s), if it did
 	hetMs   []float64 // every handover's execution time (ms)
 	stallMs float64   // total stall time (ms)
 }
@@ -198,14 +199,10 @@ func campaignKey(cfg core.Config, o Options) string {
 	return fmt.Sprintf("%+v|%d", cfg, o.Runs)
 }
 
-// experimentOptions pins the suite's campaign options. The experiment suite
-// is the paper-vs-measured record: its shape thresholds and the
-// EXPERIMENTS.md tables were calibrated under the legacy seed derivation, so
-// campaigns here pin LegacySeeds to keep that record comparable across
-// engine changes. Campaigns run through the public API default to the
-// collision-resistant derivation.
-func experimentOptions(o Options) core.CampaignOptions {
-	return core.CampaignOptions{Workers: o.Workers, LegacySeeds: true, StatusSink: o.StatusSink}
+// campaignOptions is how the suite's campaigns execute: Workers and
+// StatusSink only, neither of which affects a result.
+func (o Options) campaignOptions() core.CampaignOptions {
+	return core.CampaignOptions{Workers: o.Workers, StatusSink: o.StatusSink}
 }
 
 // mustRun panics on the first per-run error of a campaign: a figure with a
@@ -225,12 +222,15 @@ func campaign(cfg core.Config, o Options) *fold {
 	c := e.(*campaignOnce)
 	c.once.Do(func() {
 		f := &fold{}
-		mustRun(core.RunCampaignFold(cfg, o.Runs, experimentOptions(o), func(_ int, r *core.Result) {
+		mustRun(core.RunCampaignFold(cfg, o.Runs, o.campaignOptions(), func(_ int, r *core.Result) {
 			if r == nil {
 				return
 			}
 			f.AddResult(r)
 			f.hoRates = append(f.hoRates, r.HandoverRate())
+			if r.RampUpTo25 > 0 {
+				f.rampUpS = append(f.rampUpS, r.RampUpTo25.Seconds())
+			}
 			for _, ev := range r.Handovers {
 				f.hetMs = append(f.hetMs, float64(ev.HET)/float64(time.Millisecond))
 			}

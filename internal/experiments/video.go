@@ -95,23 +95,20 @@ func tblStall(o Options, r *Report) {
 // tblRampUp reproduces the §4.2.1 ramp-up comparison: the time each CC
 // needs to reach the 25 Mbps target on a well-provisioned link.
 func tblRampUp(o Options, r *Report) {
-	var gccUp, scrUp metrics.Dist
 	// A 90 s window is ample: the paper's slowest ramp is ≈25 s.
 	const window = 90 * time.Second
-	for i := 0; i < o.Runs; i++ {
-		g := core.Run(core.Config{Env: cell.Urban, Air: false, CC: core.CCGCC, Seed: o.Seed + int64(i), Duration: window})
-		s := core.Run(core.Config{Env: cell.Urban, Air: false, CC: core.CCSCReAM, Seed: o.Seed + int64(i), Duration: window})
-		if g.RampUpTo25 > 0 {
-			gccUp.Add(g.RampUpTo25.Seconds())
+	up := map[string]*metrics.Dist{}
+	for _, cc := range []core.CCKind{core.CCGCC, core.CCSCReAM} {
+		d := &metrics.Dist{}
+		for _, s := range campaign(core.Config{Env: cell.Urban, Air: false, CC: cc, Seed: o.Seed, Duration: window}, o).rampUpS {
+			d.Add(s)
 		}
-		if s.RampUpTo25 > 0 {
-			scrUp.Add(s.RampUpTo25.Seconds())
-		}
+		up[cc.String()] = d
 	}
-	r.row("GCC:    mean %.1f s (paper ≈12 s)", gccUp.Mean())
-	r.row("SCReAM: mean %.1f s (paper ≈25 s)", scrUp.Mean())
+	r.row("GCC:    mean %.1f s (paper ≈12 s)", up["gcc"].Mean())
+	r.row("SCReAM: mean %.1f s (paper ≈25 s)", up["scream"].Mean())
 	r.set("runs", float64(o.Runs))
-	for name, d := range map[string]*metrics.Dist{"gcc": &gccUp, "scream": &scrUp} {
+	for name, d := range up {
 		r.set(name+".reached", float64(d.N()))
 		r.stat(name+".rampup_s", d, d.Mean())
 	}

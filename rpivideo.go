@@ -94,8 +94,8 @@ type Result = core.Result
 // Handover is one handover event with its execution time.
 type Handover = cell.Event
 
-// CampaignOptions tunes campaign execution: worker count, seed derivation
-// and the live status sink. See core.CampaignOptions for field docs.
+// CampaignOptions tunes campaign execution: worker count and the live
+// status sink. See core.CampaignOptions for field docs.
 type CampaignOptions = core.CampaignOptions
 
 // StatusSink observes a running campaign or fleet (CampaignOptions and
@@ -191,7 +191,7 @@ func WriteCampaignMetrics(w io.Writer, results []*Result) error {
 func Run(cfg Config) *Result { return core.Run(cfg) }
 
 // RunCampaignWithOptions executes runs repetitions of cfg under seeds
-// derived by DeriveSeed (or the legacy derivation), fanned out across
+// derived by DeriveSeed, fanned out across
 // opts.Workers workers (one per logical CPU when zero). Results and per-run
 // errors come back indexed by run, so the output is identical at any
 // parallelism; a run that panics comes back as its error without failing
