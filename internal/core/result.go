@@ -282,11 +282,15 @@ func (r *Result) GoodputMean() float64 { return r.Goodput.Mean() }
 // rebuild each sketch from the raw samples. poolTap sees a video run's
 // packet pool once the run has ended: its Live and PeakLive count that run's
 // packets alone, while its Slots include those inherited from the runs
-// before it on the same worker (runBuffers).
+// before it on the same worker (runBuffers). datagramTap sees a video run's
+// two datagram pools once the run has ended, with the datagrams each one's
+// link still carries: the sender reports queued or in flight on the uplink,
+// the feedback on the downlink.
 var (
-	sampleTap func(d *metrics.Sketch, v float64)
-	framesTap func(r *Result, frames []video.PlayedFrame)
-	poolTap   func(r *Result, pool rtp.PoolStats)
+	sampleTap   func(d *metrics.Sketch, v float64)
+	framesTap   func(r *Result, frames []video.PlayedFrame)
+	poolTap     func(r *Result, pool rtp.PoolStats)
+	datagramTap func(r *Result, snd, rcv rtp.PoolStats, upCarried, downCarried int)
 )
 
 // record adds one sample to one of a Result's sketches.

@@ -237,6 +237,10 @@ func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, up
 	log.fold()
 	sampler.fold()
 	foldEndpoints(cfg, res, snd, rcv, bp, log, dur)
+	if datagramTap != nil {
+		carried := func(c link.Counts) int { return c.Sent - c.Delivered - c.Drops() }
+		datagramTap(res, snd.Datagrams(), rcv.Datagrams(), carried(uplink.Count(link.Control)), carried(downlink.Count(link.Media)))
+	}
 }
 
 // newEndpoints translates a run's Config into the two endpoint configs and
@@ -314,18 +318,21 @@ func newEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths) (*en
 // router picks), RTCP back down the feedback link, and every delivery and
 // drop reported to the flight log and the bond health monitor.
 //
-// The feedback direction always carries marshalled RTCP, parsed on arrival
-// by Sender.OnDatagram. The media direction carries *rtp.Packet pointers and
-// enters through Receiver.OnMedia — unless wire is set, when every packet
-// crosses as its marshalled bytes and is re-parsed by Receiver.OnDatagram,
-// which is exactly how the UDP tools join the same endpoints through a
-// socket. TestWireMatchesSim requires the two to be indistinguishable.
+// RTCP always crosses as marshalled bytes in an *rtp.Datagram, parsed on
+// arrival by Sender.OnDatagram (feedback) or Receiver.OnDatagram (sender
+// reports). The media direction carries *rtp.Packet pointers and enters
+// through Receiver.OnMedia — unless wire is set, when every packet crosses
+// as its marshalled bytes and is re-parsed by Receiver.OnDatagram, which is
+// exactly how the UDP tools join the same endpoints through a socket.
+// TestWireMatchesSim requires the two to be indistinguishable.
 //
 // A media packet's reference (see rtp's pool.go) travels with its link copy:
 // the sender hands it to media, a bonded fan-out takes one more per extra
 // path (or releases it when the router picks none), and each copy's
 // reference ends at the link's two exits — after OnMedia returns for a
-// landed copy, in OnDrop for a dropped one. link and bond never see it.
+// landed copy, in OnDrop for a dropped one. A datagram (rtp's datagram.go)
+// has one holder and ends at the same two exits: after OnDatagram returns,
+// or in OnDrop. link and bond never see either.
 func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.Receiver, uplink, downlink *link.Link, bp *bondPaths, log *flightLog, wire bool) {
 	media := uplink.Send
 	if bp != nil {
@@ -358,10 +365,15 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 	// serialization) but stays out of the media ledger so
 	// res.PER remains media-only, matching the paper's §4.1 PER of
 	// 0.06–0.07%.
-	snd.Control = func(buf []byte) { uplink.SendControl(buf, len(buf)) }
-	rcv.Feedback = func(buf []byte, size int) { downlink.Send(buf, size) }
+	snd.Control = func(d *rtp.Datagram) { uplink.SendControl(d, len(d.B)) }
+	rcv.Feedback = func(d *rtp.Datagram, size int) { downlink.Send(d, size) }
 	downlink.Deliver = func(meta any, _ int, _, at time.Duration) {
-		snd.OnDatagram(meta.([]byte), at)
+		d := meta.(*rtp.Datagram)
+		snd.OnDatagram(d.B, at)
+		d.Release()
+	}
+	downlink.OnDrop = func(meta any, _ int, _ time.Duration, _ link.Class, _ link.DropReason) {
+		release(meta)
 	}
 
 	deliver := func(path int, meta any, size int, sentAt, at time.Duration) {
@@ -370,7 +382,10 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 		case *rtp.Packet:
 			v = rcv.OnMedia(m, at)
 			m.Release()
-		case []byte: // a sender report; with wire set, everything
+		case *rtp.Datagram: // a sender report
+			v = rcv.OnDatagram(m.B, at)
+			m.Release()
+		case []byte: // with wire set, a media packet
 			v = rcv.OnDatagram(m, at)
 		}
 		if bp != nil && (v == endpoint.Fresh || v == endpoint.Duplicate) {
@@ -384,8 +399,8 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 	uplink.Deliver = func(meta any, size int, sentAt, at time.Duration) {
 		deliver(0, meta, size, sentAt, at)
 	}
-	uplink.OnDrop = func(meta any, _ int, _ time.Duration, _ link.DropReason) {
-		if bp != nil {
+	uplink.OnDrop = func(meta any, _ int, _ time.Duration, c link.Class, _ link.DropReason) {
+		if bp != nil && c == link.Media {
 			bp.mgr.ObserveLoss(0)
 		}
 		release(meta)
@@ -396,8 +411,10 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 			bp.uplinks[i].Deliver = func(meta any, size int, sentAt, at time.Duration) {
 				deliver(i, meta, size, sentAt, at)
 			}
-			bp.uplinks[i].OnDrop = func(meta any, _ int, _ time.Duration, _ link.DropReason) {
-				bp.mgr.ObserveLoss(i)
+			bp.uplinks[i].OnDrop = func(meta any, _ int, _ time.Duration, c link.Class, _ link.DropReason) {
+				if c == link.Media {
+					bp.mgr.ObserveLoss(i)
+				}
 				release(meta)
 			}
 		}
@@ -405,7 +422,8 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 }
 
 // retain and release apply rtp's reference rule to a link copy's meta; the
-// marshalled bytes of a wire run carry no reference.
+// marshalled bytes of a wire run carry no reference. A datagram is never
+// retained: it has one holder.
 func retain(meta any) {
 	if p, ok := meta.(*rtp.Packet); ok {
 		p.Retain()
@@ -413,8 +431,11 @@ func retain(meta any) {
 }
 
 func release(meta any) {
-	if p, ok := meta.(*rtp.Packet); ok {
-		p.Release()
+	switch m := meta.(type) {
+	case *rtp.Packet:
+		m.Release()
+	case *rtp.Datagram:
+		m.Release()
 	}
 }
 

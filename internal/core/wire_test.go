@@ -21,7 +21,40 @@ import (
 // be indistinguishable: the same trace, event for event, and the same
 // metrics registry, byte for byte.
 func TestWireMatchesSim(t *testing.T) {
-	flights := map[string]Config{
+	export := func(res *Result) (trace, metrics []byte) {
+		var tb, mb bytes.Buffer
+		if err := WriteCampaignTrace(&tb, []*Result{res}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteCampaignMetrics(&mb, []*Result{res}); err != nil {
+			t.Fatal(err)
+		}
+		return tb.Bytes(), mb.Bytes()
+	}
+	for name, cfg := range wireFlights() {
+		cfg.Trace = true
+		simRes, wireRes := new(runBuffers).run(cfg, false), new(runBuffers).run(cfg, true)
+		simTrace, simMetrics := export(simRes)
+		wireTrace, wireMetrics := export(wireRes)
+		if !bytes.Equal(simTrace, wireTrace) {
+			t.Errorf("%s: trace differs between pointer and wire transport (%d vs %d bytes)", name, len(simTrace), len(wireTrace))
+		}
+		if !bytes.Equal(simMetrics, wireMetrics) {
+			t.Errorf("%s: metrics registry differs between pointer and wire transport:\n%s\nvs\n%s", name, simMetrics, wireMetrics)
+		}
+		if simRes.FramesPlayed == 0 {
+			t.Errorf("%s: no frames played", name)
+		}
+		if name == "bonded-repair" && (simRes.PacketsRepaired == 0 || simRes.MultipathDuplicates == 0 || simRes.KeyframeRequests == 0) {
+			t.Errorf("%s: repaired %d, duplicates %d, keyframe requests %d: every stage must do work",
+				name, simRes.PacketsRepaired, simRes.MultipathDuplicates, simRes.KeyframeRequests)
+		}
+	}
+}
+
+// wireFlights are the flights TestWireMatchesSim runs both ways.
+func wireFlights() map[string]Config {
+	return map[string]Config{
 		// The urban-gcc and urban-scream golden scenarios.
 		"urban-gcc":    {Env: cell.Urban, Op: cell.P1, CC: CCGCC, Seed: 1, Duration: 3 * time.Second},
 		"urban-scream": {Env: cell.Urban, Op: cell.P1, Air: true, CC: CCSCReAM, Seed: 1, Duration: 4 * time.Second},
@@ -42,34 +75,5 @@ func TestWireMatchesSim(t *testing.T) {
 				},
 			},
 		},
-	}
-	export := func(res *Result) (trace, metrics []byte) {
-		var tb, mb bytes.Buffer
-		if err := WriteCampaignTrace(&tb, []*Result{res}); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteCampaignMetrics(&mb, []*Result{res}); err != nil {
-			t.Fatal(err)
-		}
-		return tb.Bytes(), mb.Bytes()
-	}
-	for name, cfg := range flights {
-		cfg.Trace = true
-		simRes, wireRes := new(runBuffers).run(cfg, false), new(runBuffers).run(cfg, true)
-		simTrace, simMetrics := export(simRes)
-		wireTrace, wireMetrics := export(wireRes)
-		if !bytes.Equal(simTrace, wireTrace) {
-			t.Errorf("%s: trace differs between pointer and wire transport (%d vs %d bytes)", name, len(simTrace), len(wireTrace))
-		}
-		if !bytes.Equal(simMetrics, wireMetrics) {
-			t.Errorf("%s: metrics registry differs between pointer and wire transport:\n%s\nvs\n%s", name, simMetrics, wireMetrics)
-		}
-		if simRes.FramesPlayed == 0 {
-			t.Errorf("%s: no frames played", name)
-		}
-		if name == "bonded-repair" && (simRes.PacketsRepaired == 0 || simRes.MultipathDuplicates == 0 || simRes.KeyframeRequests == 0) {
-			t.Errorf("%s: repaired %d, duplicates %d, keyframe requests %d: every stage must do work",
-				name, simRes.PacketsRepaired, simRes.MultipathDuplicates, simRes.KeyframeRequests)
-		}
 	}
 }

@@ -116,19 +116,22 @@ func (f screamFlight) fly(full bool) flightLog {
 	rcv := NewReceiver(s, ReceiverConfig{SSRC: vcfg.SSRC, PayloadType: vcfg.PayloadType, Player: pcfg,
 		FrameEncoding: snd.Video.FrameEncoding, CCFB: true, CCFBWindow: f.window})
 	snd.Media = func(p *rtp.Packet, size int) { up.Send(p, size) }
-	snd.Control = func(buf []byte) { up.SendControl(buf, len(buf)) }
-	rcv.Feedback = func(buf []byte, size int) { down.Send(buf, size) }
+	snd.Control = func(d *rtp.Datagram) { up.SendControl(d, len(d.B)) }
+	rcv.Feedback = func(d *rtp.Datagram, size int) { down.Send(d, size) }
 	up.Deliver = func(meta any, _ int, _, at time.Duration) {
 		switch m := meta.(type) {
 		case *rtp.Packet:
 			rcv.OnMedia(m, at)
-		case []byte:
-			rcv.OnDatagram(m, at)
+		case *rtp.Datagram:
+			rcv.OnDatagram(m.B, at)
+			m.Release()
 		}
 	}
 	var log flightLog
 	down.Deliver = func(meta any, _ int, _, at time.Duration) {
-		buf := meta.([]byte)
+		d := meta.(*rtp.Datagram)
+		defer d.Release()
+		buf := d.B
 		if !isCCFB(buf) {
 			snd.OnDatagram(buf, at)
 			return

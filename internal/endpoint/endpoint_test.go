@@ -47,15 +47,24 @@ func newPair(wire bool) *pair {
 	upBytes := func(buf []byte) {
 		p.s.After(pipeDelay, func() { p.rcv.OnDatagram(buf, p.s.Now()) })
 	}
-	p.snd.Media, p.snd.RTX, p.snd.Control = up, up, upBytes
+	p.snd.Media, p.snd.RTX = up, up
+	p.snd.Control = func(d *rtp.Datagram) {
+		p.s.After(pipeDelay, func() {
+			p.rcv.OnDatagram(d.B, p.s.Now())
+			d.Release()
+		})
+	}
 	if wire {
 		p.snd.Media, p.snd.RTX = Marshalled(upBytes), Marshalled(upBytes)
 	}
-	p.rcv.Feedback = func(buf []byte, _ int) {
-		if _, format, _ := rtp.PeekRTCP(buf); format == rtp.FmtTWCC {
-			p.lastFeedback = buf
+	p.rcv.Feedback = func(d *rtp.Datagram, _ int) {
+		if _, format, _ := rtp.PeekRTCP(d.B); format == rtp.FmtTWCC {
+			p.lastFeedback = append(p.lastFeedback[:0], d.B...)
 		}
-		p.s.After(pipeDelay, func() { p.snd.OnDatagram(buf, p.s.Now()) })
+		p.s.After(pipeDelay, func() {
+			p.snd.OnDatagram(d.B, p.s.Now())
+			d.Release()
+		})
 	}
 	p.rcv.StartRepair()
 	p.snd.StartReports()
@@ -272,13 +281,19 @@ type receiverLoad struct {
 	onMedia func(p *rtp.Packet, at time.Duration)
 	pk      *rtp.Packetizer
 	frame   uint32
+	// reports counts the RTCP packets the chain sent.
+	reports int
 }
 
+// chainBuilder builds a receive chain on s that counts each RTCP packet it
+// sends in *reports, and returns its media input.
+type chainBuilder func(s *sim.Simulator, vcfg video.SenderConfig, reports *int) func(*rtp.Packet, time.Duration)
+
 // warmReceiver runs the load for 10 s against the chain build returns.
-func warmReceiver(build func(s *sim.Simulator, vcfg video.SenderConfig) func(*rtp.Packet, time.Duration)) *receiverLoad {
+func warmReceiver(build chainBuilder) *receiverLoad {
 	vcfg := video.DefaultSenderConfig()
 	l := &receiverLoad{s: sim.New(1), pk: rtp.NewPacketizer(vcfg.SSRC, vcfg.PayloadType, vcfg.MTU)}
-	l.onMedia = build(l.s, vcfg)
+	l.onMedia = build(l.s, vcfg, &l.reports)
 	for i := 0; i < 300; i++ {
 		l.step()
 	}
@@ -297,25 +312,39 @@ func (l *receiverLoad) step() int {
 	return len(pkts)
 }
 
-// endpointChain is the chain under test: a Receiver.
-func endpointChain(s *sim.Simulator, vcfg video.SenderConfig) func(*rtp.Packet, time.Duration) {
+// endpointChain is the chain under test: a Receiver, whose feedback sink
+// releases each datagram as a link exit does.
+func endpointChain(s *sim.Simulator, vcfg video.SenderConfig, reports *int) func(*rtp.Packet, time.Duration) {
 	rcv := NewReceiver(s, ReceiverConfig{SSRC: vcfg.SSRC, PayloadType: vcfg.PayloadType, Player: video.DefaultPlayerConfig(), TWCC: true})
-	rcv.Feedback = func([]byte, int) {}
+	rcv.Feedback = func(d *rtp.Datagram, _ int) {
+		*reports++
+		d.Release()
+	}
 	rcv.StartReports()
 	return func(p *rtp.Packet, at time.Duration) { rcv.OnMedia(p, at) }
 }
 
 // closureChain is the oracle: the single-path GCC receive side as the
 // closures of core's runVideo wired it before this package existed — the same
-// components, called from the same places, with a link-shaped sink.
-func closureChain(s *sim.Simulator, vcfg video.SenderConfig) func(*rtp.Packet, time.Duration) {
-	send := func(meta any, size int) {}
+// components, called from the same places, with a link-shaped sink. Its
+// reports take the codec's recycled shape: each is appended into a datagram
+// slot the sink releases, the receiver report from one struct kept across
+// reports.
+func closureChain(s *sim.Simulator, vcfg video.SenderConfig, reports *int) func(*rtp.Packet, time.Duration) {
+	var slots rtp.DatagramPool
+	send := func(meta any, size int) {
+		*reports++
+		meta.(*rtp.Datagram).Release()
+	}
 	pl := video.NewPlayer(s, video.DefaultPlayerConfig(), video.DefaultSSIMModel(), nil)
 	recStats := rtp.NewReceptionStats(vcfg.SSRC, rtp.VideoClockRate)
+	rr := &rtp.ReceiverReport{SSRC: 1, Blocks: make([]rtp.ReportBlock, 1)}
 	s.Every(1500*time.Millisecond, time.Second, func() {
-		rr := &rtp.ReceiverReport{SSRC: 1, Blocks: []rtp.ReportBlock{recStats.Block()}}
-		if buf, err := rr.Marshal(); err == nil {
-			send(buf, len(buf))
+		rr.Blocks[0] = recStats.Block()
+		d := slots.Get()
+		var err error
+		if d.B, err = rr.AppendTo(d.B); err == nil {
+			send(d, len(d.B))
 		}
 	})
 	twccRec := rtp.NewTWCCRecorder(1, vcfg.SSRC)
@@ -324,8 +353,10 @@ func closureChain(s *sim.Simulator, vcfg video.SenderConfig) func(*rtp.Packet, t
 		if fb == nil {
 			return
 		}
-		if buf, err := fb.Marshal(); err == nil {
-			send(buf, len(buf))
+		d := slots.Get()
+		var err error
+		if d.B, err = fb.AppendTo(d.B); err == nil {
+			send(d, len(d.B))
 		}
 	})
 	return func(p *rtp.Packet, at time.Duration) {
@@ -353,13 +384,16 @@ func BenchmarkReceiverOnMedia(b *testing.B) {
 // exactly what it cost through the closures: the frame's reassembly state,
 // the TWCC and receiver reports and the growth of the player's outputs are
 // the components' own and common to both; the chain around them (dispatch,
-// nil-checked stages, the verdict) must add nothing.
+// nil-checked stages, the verdict) must add nothing. With recycled packets
+// and datagram slots both cost nothing in steady state, so the load must be
+// seen to run: both chains send the same reports, and some.
 func TestReceiverAllocationsMatchClosures(t *testing.T) {
 	got, want := warmReceiver(endpointChain), warmReceiver(closureChain)
 	g := testing.AllocsPerRun(300, func() { got.step() })
 	w := testing.AllocsPerRun(300, func() { want.step() })
-	if g != w || w == 0 {
-		t.Errorf("%.2f allocations per frame through the Receiver, %.2f through the closures it replaced", g, w)
+	if g != w || got.reports == 0 || got.reports != want.reports {
+		t.Errorf("%.2f allocations per frame and %d reports through the Receiver, %.2f and %d through the closures it replaced",
+			g, got.reports, w, want.reports)
 	}
 }
 
@@ -421,9 +455,10 @@ func TestSenderFeedbackAllocationsMatchClosure(t *testing.T) {
 
 // TestTWCCLoopAllocations pins the whole transport-wide feedback loop in
 // steady state — a reporting interval's arrivals recorded, flushed into the
-// recorder's packet, marshalled, parsed into the sender's packet, translated
-// to acks against the sent-packet table and run through GCC — at the one
-// allocation that has an owner elsewhere: the datagram the link carries.
+// recorder's packet, appended into a recycled datagram slot, parsed into the
+// sender's packet, translated to acks against the sent-packet table and run
+// through GCC, the slot released — at zero allocations (outside the
+// rtppoison build, whose released slots are never reused).
 func TestTWCCLoopAllocations(t *testing.T) {
 	p := newPair(false)
 	p.s.RunUntil(10 * time.Second)
@@ -434,6 +469,7 @@ func TestTWCCLoopAllocations(t *testing.T) {
 		t.Fatalf("transport seq %d is not in the sender's table", tseq)
 	}
 	now := p.s.Now()
+	var slots rtp.DatagramPool
 	report := func() {
 		for k := 0; k < perReport; k++ {
 			now += 400 * time.Microsecond
@@ -442,19 +478,21 @@ func TestTWCCLoopAllocations(t *testing.T) {
 			}
 			tseq++
 		}
-		buf, err := rec.Flush().Marshal()
-		if err != nil {
+		d := slots.Get()
+		var err error
+		if d.B, err = rec.Flush().AppendTo(d.B); err != nil {
 			t.Fatal(err)
 		}
-		if p.snd.OnDatagram(buf, now) != Control {
+		if p.snd.OnDatagram(d.B, now) != Control {
 			t.Fatal("feedback rejected")
 		}
+		d.Release()
 	}
 	for i := 0; i < 60; i++ {
 		report()
 	}
-	if n := testing.AllocsPerRun(150, report); n != 1 {
-		t.Errorf("%.2f allocations per TWCC report around the loop, want 1 (the datagram)", n)
+	if n := testing.AllocsPerRun(150, report); n != 0 && slotsRecycle() {
+		t.Errorf("%.2f allocations per TWCC report around the loop, want 0", n)
 	}
 }
 
@@ -519,7 +557,10 @@ func FuzzEndpointDatagram(f *testing.F) {
 		binary.BigEndian.PutUint16(far[2:], binary.BigEndian.Uint16(far[2:])+22000)
 		f.Add(far, true)
 	})
-	seedPair.rcv.Feedback = func(buf []byte, _ int) { f.Add(buf, false) }
+	seedPair.rcv.Feedback = func(d *rtp.Datagram, _ int) {
+		f.Add(append([]byte(nil), d.B...), false)
+		d.Release()
+	}
 	seedPair.s.RunUntil(150 * time.Millisecond)
 	f.Add([]byte{0x81, 205, 0, 3, 0, 0, 0, 1, 0, 0, 0x12, 0x34, 0, 5, 0xFF, 0xFF}, false) // NACK for 17 packets
 	f.Add([]byte{0x81, 206, 0, 2, 0, 0, 0, 1, 0, 0, 0x12, 0x34}, false)                   // PLI

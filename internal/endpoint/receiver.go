@@ -65,8 +65,10 @@ type Receiver struct {
 
 	// Feedback hands a departing RTCP packet to whatever joins the two
 	// ends; it must be set before the first Start call. size is what the
-	// packet costs on the air (see pliAirSize); a socket ignores it.
-	Feedback func(buf []byte, size int)
+	// packet costs on the air (see pliAirSize); a socket ignores it. The
+	// datagram is handed over: the callee releases it once the bytes are
+	// written, landed or dropped (see rtp's datagram.go).
+	Feedback func(d *rtp.Datagram, size int)
 	// OnReport, when set, observes the interarrival jitter each receiver
 	// report carries.
 	OnReport func(jitter time.Duration)
@@ -81,7 +83,14 @@ type Receiver struct {
 	stats *rtp.ReceptionStats
 	twcc  *rtp.TWCCRecorder
 	ccfb  *rtp.CCFBGenerator
-	pli   []byte // the keyframe request, marshalled once
+
+	// dgrams holds the feedback's slots; the packets below are written
+	// into them and reused from report to report, as are seqs.
+	dgrams rtp.DatagramPool
+	pli    rtp.PLI
+	rr     rtp.ReceiverReport
+	nack   rtp.NACK
+	seqs   []uint16
 
 	// The newest sender report, echoed in receiver reports as LSR/DLSR.
 	lastSRMid uint32
@@ -106,9 +115,15 @@ func NewReceiver(s *sim.Simulator, cfg ReceiverConfig) *Receiver {
 	if cfg.Player.KeyframeRecovery {
 		// The receiver's PLI rides the feedback path: it reaches the sender
 		// only if that path is alive, as a real keyframe request would.
-		r.pli, _ = (&rtp.PLI{SenderSSRC: receiverSSRC, MediaSSRC: cfg.SSRC}).Marshal() // cannot fail: fixed layout
-		r.Player.KeyframeRequest = func() { r.Feedback(r.pli, pliAirSize) }
+		r.pli = rtp.PLI{SenderSSRC: receiverSSRC, MediaSSRC: cfg.SSRC}
+		r.Player.KeyframeRequest = func() {
+			if d := r.fill(&r.pli); d != nil {
+				r.Feedback(d, pliAirSize)
+			}
+		}
 	}
+	r.rr = rtp.ReceiverReport{SSRC: receiverSSRC, Blocks: make([]rtp.ReportBlock, 1)}
+	r.nack = rtp.NACK{SenderSSRC: receiverSSRC, MediaSSRC: cfg.SSRC}
 	r.stats = rtp.NewReceptionStats(cfg.SSRC, rtp.VideoClockRate)
 	if cfg.Repair.Enabled {
 		r.Detector = repair.NewDetector(cfg.Repair)
@@ -153,13 +168,14 @@ func (r *Receiver) StartRepair() {
 	tick := r.cfg.Repair.TickInterval
 	r.sim.Every(tick, tick, func() {
 		now := r.sim.Now()
-		seqs := r.Detector.Tick(now)
+		seqs := r.Detector.AppendTick(r.seqs[:0], now)
+		r.seqs = seqs
 		if len(seqs) == 0 {
 			return
 		}
-		n := &rtp.NACK{SenderSSRC: receiverSSRC, MediaSSRC: r.cfg.SSRC, Pairs: rtp.NackPairs(seqs)}
-		buf, err := n.Marshal()
-		if err != nil {
+		r.nack.Pairs = rtp.AppendNackPairs(r.nack.Pairs[:0], seqs)
+		d := r.fill(&r.nack)
+		if d == nil {
 			return
 		}
 		r.NacksSent++
@@ -167,9 +183,37 @@ func (r *Receiver) StartRepair() {
 			r.cfg.Trace.Emit(obs.Event{T: now, Kind: obs.KindNack, Dir: obs.DirDown,
 				Flags: obs.FlagCtrl, Seq: int64(seqs[0]), Aux: int64(len(seqs))})
 		}
-		r.Feedback(buf, len(buf))
+		r.Feedback(d, len(d.B))
 	})
 }
+
+// appender is an RTCP packet that serializes into a caller's buffer.
+type appender interface {
+	AppendTo(dst []byte) ([]byte, error)
+}
+
+// fill writes pkt into a datagram slot for Feedback. A packet that cannot
+// be serialized — a TWCC report whose receive delta overflows across a very
+// long outage — is skipped: fill puts its slot back and returns nil.
+func (r *Receiver) fill(pkt appender) *rtp.Datagram {
+	d := r.dgrams.Get()
+	var err error
+	if d.B, err = pkt.AppendTo(d.B); err != nil {
+		d.Release()
+		return nil
+	}
+	return d
+}
+
+// send fills a slot with pkt and hands it to Feedback at its own length.
+func (r *Receiver) send(pkt appender) {
+	if d := r.fill(pkt); d != nil {
+		r.Feedback(d, len(d.B))
+	}
+}
+
+// Datagrams reports the receiver's datagram slots.
+func (r *Receiver) Datagrams() rtp.PoolStats { return r.dgrams.Stats() }
 
 // StartReports starts the receiver-report clock and then the congestion
 // feedback responders — the third call of the timer-order contract on
@@ -186,21 +230,13 @@ func (r *Receiver) StartReports() {
 		if r.OnReport != nil {
 			r.OnReport(r.stats.Jitter())
 		}
-		rr := &rtp.ReceiverReport{SSRC: receiverSSRC, Blocks: []rtp.ReportBlock{block}}
-		if buf, err := rr.Marshal(); err == nil {
-			r.Feedback(buf, len(buf))
-		}
+		r.rr.Blocks[0] = block
+		r.send(&r.rr)
 	})
 	if r.twcc != nil {
 		r.sim.Every(twccInterval, twccInterval, func() {
-			fb := r.twcc.Flush()
-			if fb == nil {
-				return
-			}
-			// Marshal fails on e.g. a delta overflow across a very long
-			// outage; that report is skipped.
-			if buf, err := fb.Marshal(); err == nil {
-				r.Feedback(buf, len(buf))
+			if fb := r.twcc.Flush(); fb != nil {
+				r.send(fb)
 			}
 		})
 	}
@@ -210,12 +246,8 @@ func (r *Receiver) StartReports() {
 			interval = ccfbInterval
 		}
 		r.sim.Every(interval, interval, func() {
-			fb := r.ccfb.Report(r.sim.Now())
-			if fb == nil {
-				return
-			}
-			if buf, err := fb.Marshal(); err == nil {
-				r.Feedback(buf, len(buf))
+			if fb := r.ccfb.Report(r.sim.Now()); fb != nil {
+				r.send(fb)
 			}
 		})
 	}
@@ -295,6 +327,8 @@ func (r *Receiver) OnMedia(p *rtp.Packet, at time.Duration) Verdict {
 // boundary of the receive chain — everything past it trusts its input — so
 // it rejects what is not RTP or an SR of the configured stream, what is
 // truncated, and media whose frame header is inconsistent or implausible.
+// OnDatagram borrows buf for the call: a media packet is parsed into
+// storage of its own.
 func (r *Receiver) OnDatagram(buf []byte, at time.Duration) Verdict {
 	if pt, _, ok := rtp.PeekRTCP(buf); ok {
 		var sr rtp.SenderReport

@@ -64,20 +64,29 @@ type Sender struct {
 	// releases it once the packet has left its hands — marshalled, landed
 	// or dropped (see rtp's pool.go). A callee that never releases is
 	// correct too; its packets are garbage-collected instead of recycled.
+	// Control hands over the datagram, the sender's one slot of it: the
+	// callee releases it once the bytes are written, landed or dropped
+	// (see rtp's datagram.go); one never released is garbage-collected.
 	Media   func(p *rtp.Packet, size int)
 	RTX     func(p *rtp.Packet, size int)
-	Control func(buf []byte)
+	Control func(d *rtp.Datagram)
 	// OnRTT, when set, observes each round-trip sample a receiver report's
 	// LSR/DLSR pair yields.
 	OnRTT func(rtt time.Duration)
 
 	rtxSeq uint16
-	// acks, twcc and ccfb are reused across reports: no controller (nor
-	// cc.Bonded) keeps the acks slice past OnFeedback, and both Unmarshals
-	// refill the struct they are called on.
+	// dgrams holds the sender reports' slots.
+	dgrams rtp.DatagramPool
+	// acks, seqs and the parsed packets are reused across reports: no
+	// controller (nor cc.Bonded) keeps the acks slice past OnFeedback, and
+	// every Unmarshal refills the struct it is called on.
 	acks []cc.Ack
+	seqs []uint16
 	twcc rtp.TWCC
 	ccfb rtp.CCFB
+	rr   rtp.ReceiverReport
+	nack rtp.NACK
+	pli  rtp.PLI
 
 	// RtxBytes counts retransmitted wire bytes.
 	RtxBytes int
@@ -153,11 +162,14 @@ func (s *Sender) StartReports() {
 			PacketCount: uint32(s.Video.PacketsSent),
 			OctetCount:  uint32(s.Video.BytesSent),
 		}
-		if buf, err := sr.Marshal(); err == nil {
-			s.Control(buf)
-		}
+		d := s.dgrams.Get()
+		d.B, _ = sr.AppendTo(d.B) // cannot fail: fixed layout
+		s.Control(d)
 	})
 }
+
+// Datagrams reports the sender's datagram slots.
+func (s *Sender) Datagrams() rtp.PoolStats { return s.dgrams.Stats() }
 
 // Start begins the frame clock; the last call of the timer-order contract
 // on StartReports.
@@ -181,6 +193,7 @@ func (s *Sender) transmit(p *rtp.Packet, size int) {
 // the configured controller (TWCC for GCC, RFC 8888 for SCReAM) → acks.
 // Anything else — not RTCP, truncated, an unknown type, the other
 // controller's feedback, a foreign media SSRC — is Rejected untouched.
+// OnDatagram borrows buf for the call: everything it keeps is parsed out.
 func (s *Sender) OnDatagram(buf []byte, at time.Duration) Verdict {
 	pt, format, ok := rtp.PeekRTCP(buf)
 	if !ok {
@@ -188,8 +201,7 @@ func (s *Sender) OnDatagram(buf []byte, at time.Duration) Verdict {
 	}
 	switch {
 	case pt == rtp.TypePayloadFeedback && format == rtp.FmtPLI:
-		var pli rtp.PLI
-		if pli.Unmarshal(buf) != nil || pli.MediaSSRC != s.cfg.Video.SSRC {
+		if s.pli.Unmarshal(buf) != nil || s.pli.MediaSSRC != s.cfg.Video.SSRC {
 			return Rejected
 		}
 		s.Video.ForceKeyframe()
@@ -209,11 +221,12 @@ func (s *Sender) OnDatagram(buf []byte, at time.Duration) Verdict {
 // onNACK answers an RFC 4585 Generic NACK with RFC 4588 retransmissions, as
 // far as the cache still holds the packets and the budget allows.
 func (s *Sender) onNACK(buf []byte, at time.Duration) Verdict {
-	var n rtp.NACK
+	n := &s.nack
 	if s.Cache == nil || n.Unmarshal(buf) != nil || n.MediaSSRC != s.cfg.Video.SSRC {
 		return Rejected
 	}
-	for _, seq := range n.Seqs() {
+	s.seqs = n.AppendSeqs(s.seqs[:0])
+	for _, seq := range s.seqs {
 		orig := s.Cache.Lookup(seq, at)
 		if orig == nil {
 			continue // evicted, aged out, or resent to the cap
@@ -236,7 +249,7 @@ func (s *Sender) onNACK(buf []byte, at time.Duration) Verdict {
 
 // onReceiverReport turns the report's LSR/DLSR pair into an RTT sample.
 func (s *Sender) onReceiverReport(buf []byte, at time.Duration) Verdict {
-	var rr rtp.ReceiverReport
+	rr := &s.rr
 	if rr.Unmarshal(buf) != nil || len(rr.Blocks) != 1 || rr.Blocks[0].SSRC != s.cfg.Video.SSRC {
 		return Rejected
 	}

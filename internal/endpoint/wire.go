@@ -52,10 +52,16 @@ func runLive(s *sim.Simulator, conn net.PacketConn, dur time.Duration, handle fu
 // for dur: packets out as wire bytes, feedback in through OnDatagram. The
 // caller starts snd's tickers first. A failed write is a lost packet; a
 // receiver that is gone surfaces as the next read's error (the connected
-// socket reports the ICMP refusal there) and ends the stream.
+// socket reports the ICMP refusal there) and ends the stream. A sender
+// report's slot is released once its bytes are written, as the simulated
+// link releases it once they land.
 func ServeSender(s *sim.Simulator, snd *Sender, conn *net.UDPConn, dur time.Duration) error {
 	write := func(buf []byte) { _, _ = conn.Write(buf) }
-	snd.Media, snd.RTX, snd.Control = Marshalled(write), Marshalled(write), write
+	snd.Media, snd.RTX = Marshalled(write), Marshalled(write)
+	snd.Control = func(d *rtp.Datagram) {
+		write(d.B)
+		d.Release()
+	}
 	return runLive(s, conn, dur, func(buf []byte, _ net.Addr) {
 		snd.OnDatagram(buf, s.Now())
 	})
@@ -65,13 +71,15 @@ func ServeSender(s *sim.Simulator, snd *Sender, conn *net.UDPConn, dur time.Dura
 // for dur. The sender is whoever sent the first datagram rcv accepts as
 // media of its stream: feedback goes there and nowhere else, and datagrams
 // from any other address are ignored from then on, so a stray or forged
-// packet cannot redirect the feedback stream.
+// packet cannot redirect the feedback stream. Each feedback slot is
+// released once written, or at once while there is no peer yet.
 func ServeReceiver(s *sim.Simulator, rcv *Receiver, conn net.PacketConn, dur time.Duration) error {
 	var peer net.Addr
-	rcv.Feedback = func(buf []byte, _ int) {
+	rcv.Feedback = func(d *rtp.Datagram, _ int) {
 		if peer != nil {
-			_, _ = conn.WriteTo(buf, peer) // a lost report; the next one supersedes it
+			_, _ = conn.WriteTo(d.B, peer) // a lost report; the next one supersedes it
 		}
+		d.Release()
 	}
 	return runLive(s, conn, dur, func(buf []byte, from net.Addr) {
 		if peer != nil && from.String() != peer.String() {

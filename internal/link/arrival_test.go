@@ -57,7 +57,7 @@ func arrivalSchedule(oracle bool) (l *Link, got []landed, drops []landed, tr *ob
 			maxPending = n
 		}
 	}
-	l.OnDrop = func(meta any, size int, sentAt time.Duration, _ DropReason) {
+	l.OnDrop = func(meta any, size int, sentAt time.Duration, _ Class, _ DropReason) {
 		drops = append(drops, landed{meta, size, sentAt, s.Now()})
 	}
 	// One self-rescheduling sender: 500 pkt/s, 3 000 pkt/s in the bursts

@@ -21,7 +21,7 @@ func TestPropertyLinkConservation(t *testing.T) {
 		delivered := 0
 		l.Deliver = func(any, int, time.Duration, time.Duration) { delivered++ }
 		dropped := 0
-		l.OnDrop = func(any, int, time.Duration, DropReason) { dropped++ }
+		l.OnDrop = func(any, int, time.Duration, Class, DropReason) { dropped++ }
 
 		offered := 0
 		burst := int(burstiness)%20 + 1

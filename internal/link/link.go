@@ -131,8 +131,9 @@ type Link struct {
 	// Deliver is invoked when a packet exits the link. Must be set before
 	// the first Send.
 	Deliver func(meta any, size int, sentAt, deliveredAt time.Duration)
-	// OnDrop, if set, is invoked when the link drops a media packet.
-	OnDrop func(meta any, size int, sentAt time.Duration, reason DropReason)
+	// OnDrop, if set, is invoked when the link drops a packet of any
+	// class c.
+	OnDrop func(meta any, size int, sentAt time.Duration, c Class, reason DropReason)
 
 	// Capacity fluctuation (Ornstein–Uhlenbeck around MeanCapacity).
 	capDev  float64 // relative deviation
@@ -527,15 +528,15 @@ func (l *Link) occupy(c Class, n int) {
 }
 
 // drop ends a packet's life on the link for reason r at now: the trace line,
-// the ledger entry, then — for media — OnDrop. With land it is the only way
+// the ledger entry, then OnDrop. With land it is the only way
 // out of the link.
 func (l *Link) drop(pkt queued, now time.Duration, r DropReason) {
 	if l.trace != nil {
 		l.trace.Emit(obs.Event{T: now, Kind: obs.KindDrop, Dir: l.traceDir, Flags: pkt.class.flags(), Seq: pkt.id, Aux: int64(r)})
 	}
 	l.ledger[pkt.class].Dropped[r]++
-	if pkt.class == Media && l.OnDrop != nil {
-		l.OnDrop(pkt.meta, pkt.size, pkt.sentAt, r)
+	if l.OnDrop != nil {
+		l.OnDrop(pkt.meta, pkt.size, pkt.sentAt, pkt.class, r)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestBufferOverflow(t *testing.T) {
 	l := New(s, p, nil, nil, s.Stream("link"))
 	collect(l)
 	drops := 0
-	l.OnDrop = func(meta any, size int, sentAt time.Duration, r DropReason) {
+	l.OnDrop = func(meta any, size int, sentAt time.Duration, _ Class, r DropReason) {
 		if r != DropOverflow {
 			t.Errorf("drop reason = %v, want overflow", r)
 		}
@@ -159,7 +159,7 @@ func TestLossesAreBursty(t *testing.T) {
 	collect(l)
 	lossIdx := []int{}
 	idx := 0
-	l.OnDrop = func(any, int, time.Duration, DropReason) { lossIdx = append(lossIdx, idx) }
+	l.OnDrop = func(any, int, time.Duration, Class, DropReason) { lossIdx = append(lossIdx, idx) }
 	s.At(0, func() {
 		for i := 0; i < 200_000; i++ {
 			idx = i

@@ -152,11 +152,14 @@ func (d *Detector) OnRepair(seq uint16, at time.Duration) bool {
 	return true
 }
 
-// Tick runs the NACK scheduler: it returns the sequence numbers to NACK
-// now (ascending wrapping order, ready for rtp.NackPairs) and abandons
-// losses whose final retry timer expired unanswered.
-func (d *Detector) Tick(now time.Duration) []uint16 {
-	var out []uint16
+// Tick runs the NACK scheduler into a new slice; see AppendTick.
+func (d *Detector) Tick(now time.Duration) []uint16 { return d.AppendTick(nil, now) }
+
+// AppendTick runs the NACK scheduler: it appends the sequence numbers to
+// NACK now to out (ascending wrapping order, ready for
+// rtp.AppendNackPairs) and abandons losses whose final retry timer expired
+// unanswered.
+func (d *Detector) AppendTick(out []uint16, now time.Duration) []uint16 {
 	keep := d.pending[:0]
 	for _, e := range d.pending {
 		if e.done {

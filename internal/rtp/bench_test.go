@@ -75,11 +75,13 @@ func BenchmarkTWCCUnmarshal(b *testing.B) {
 
 // BenchmarkCCFBReportRoundTrip is one reporting interval of the RFC 8888
 // path at the campaign's operating point (≈25 Mbps, 256-packet window,
-// 10 ms reports): record the interval's arrivals, build the report, marshal
-// it, and parse it into a struct the sender reuses.
+// 10 ms reports): record the interval's arrivals, build the report, append
+// it into a reused buffer (a datagram slot's), and parse it into a struct
+// the sender reuses.
 func BenchmarkCCFBReportRoundTrip(b *testing.B) {
 	g := NewCCFBGenerator(1, 2, 256)
 	var parsed CCFB
+	var buf []byte
 	seq, now := uint16(0), time.Duration(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -88,8 +90,8 @@ func BenchmarkCCFBReportRoundTrip(b *testing.B) {
 			g.Record(seq, now)
 			seq++
 		}
-		buf, err := g.Report(now).Marshal()
-		if err != nil {
+		var err error
+		if buf, err = g.Report(now).AppendTo(buf[:0]); err != nil {
 			b.Fatal(err)
 		}
 		if err := parsed.Unmarshal(buf); err != nil {
@@ -101,16 +103,18 @@ func BenchmarkCCFBReportRoundTrip(b *testing.B) {
 // BenchmarkTWCCRoundTrip is one reporting interval of the transport-wide
 // feedback path at the campaign's operating point (≈25 Mbps, 50 ms
 // reports): record the interval's arrivals, flush them into the recorder's
-// packet, marshal it, and parse it into a struct the sender reuses.
+// packet, append it into a reused buffer (a datagram slot's), and parse it
+// into a struct the sender reuses.
 func BenchmarkTWCCRoundTrip(b *testing.B) {
 	r := NewTWCCRecorder(1, 2)
 	var parsed TWCC
+	var buf []byte
 	seq, now := uint16(0), time.Duration(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		twccInterval(r, &seq, &now)
-		buf, err := r.Flush().Marshal()
-		if err != nil {
+		var err error
+		if buf, err = r.Flush().AppendTo(buf[:0]); err != nil {
 			b.Fatal(err)
 		}
 		if err := parsed.Unmarshal(buf); err != nil {

@@ -46,23 +46,23 @@ type CCFB struct {
 // numbers one block covers are in serial-number order.
 const maxCCFBMetrics = 1 << 14
 
-// Marshal serializes the feedback packet.
-func (f *CCFB) Marshal() ([]byte, error) {
+// AppendTo appends the serialized feedback packet to dst.
+func (f *CCFB) AppendTo(dst []byte) ([]byte, error) {
 	size := rtcpHeaderSize + 4 // header + sender ssrc
 	for _, r := range f.Reports {
 		if len(r.Metrics) == 0 {
-			return nil, errors.New("rtp: ccfb report with no metric blocks")
+			return dst, errors.New("rtp: ccfb report with no metric blocks")
 		}
 		if len(r.Metrics) > maxCCFBMetrics {
-			return nil, fmt.Errorf("rtp: ccfb report with %d metric blocks exceeds maximum", len(r.Metrics))
+			return dst, fmt.Errorf("rtp: ccfb report with %d metric blocks exceeds maximum", len(r.Metrics))
 		}
 		size += 8 + 2*(len(r.Metrics)+len(r.Metrics)%2) // padded to 32 bits
 	}
 	size += 4 // report timestamp
-	buf := make([]byte, size)
+	out, buf := appendZeros(dst, size)
 	hdr := rtcpHeader{Fmt: FmtCCFB, Type: TypeTransportFeedback, Length: wordLength(size)}
 	if err := hdr.marshalTo(buf); err != nil {
-		return nil, err
+		return dst, err
 	}
 	binary.BigEndian.PutUint32(buf[4:], f.SenderSSRC)
 	off := 8
@@ -81,8 +81,11 @@ func (f *CCFB) Marshal() ([]byte, error) {
 		off += 2 * (len(r.Metrics) % 2) // zero padding block
 	}
 	binary.BigEndian.PutUint32(buf[off:], ntp32(f.Timestamp))
-	return buf, nil
+	return out, nil
 }
+
+// Marshal serializes the feedback packet into a new buffer.
+func (f *CCFB) Marshal() ([]byte, error) { return f.AppendTo(nil) }
 
 // Unmarshal parses an RFC 8888 feedback packet. It reuses the Reports and
 // Metrics backing arrays of f, so a CCFB that is unmarshalled into
@@ -95,11 +98,11 @@ func (f *CCFB) Unmarshal(buf []byte) error {
 	if hdr.Type != TypeTransportFeedback || hdr.Fmt != FmtCCFB {
 		return fmt.Errorf("rtp: not a ccfb packet (pt=%d fmt=%d)", hdr.Type, hdr.Fmt)
 	}
-	want := (int(hdr.Length) + 1) * 4
-	if len(buf) < want || want < rtcpHeaderSize+8 {
-		return ErrShortPacket
+	size, err := declaredSize(hdr, buf, rtcpHeaderSize+8)
+	if err != nil {
+		return err
 	}
-	buf = buf[:want]
+	buf = buf[:size]
 	f.SenderSSRC = binary.BigEndian.Uint32(buf[4:])
 	f.Timestamp = fromNTP32(binary.BigEndian.Uint32(buf[len(buf)-4:]))
 	body := buf[8 : len(buf)-4]

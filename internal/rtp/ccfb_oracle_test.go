@@ -178,9 +178,9 @@ func TestCCFBGeneratorWrapReusedSeqNotReceived(t *testing.T) {
 }
 
 // TestCCFBFeedbackPathAllocations pins the steady-state allocation count of
-// the RFC 8888 path: Report fills the generator's own packet and Unmarshal
-// refills the struct it is called on, so neither allocates; Marshal makes
-// the one buffer the link carries.
+// the RFC 8888 path: Report fills the generator's own packet, AppendTo
+// writes into a buffer that has held a report before (a datagram slot's),
+// and Unmarshal refills the struct it is called on, so none allocates.
 func TestCCFBFeedbackPathAllocations(t *testing.T) {
 	g := NewCCFBGenerator(1, 2, 256)
 	for i := 0; i < 300; i++ {
@@ -193,6 +193,9 @@ func TestCCFBFeedbackPathAllocations(t *testing.T) {
 	buf, err := fb.Marshal()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf, _ = fb.AppendTo(buf[:0]) }); n != 0 {
+		t.Errorf("AppendTo into a used buffer allocates %.0f per call, want 0", n)
 	}
 	var parsed CCFB
 	if err := parsed.Unmarshal(buf); err != nil { // sizes parsed's backing

@@ -471,29 +471,30 @@ func twccInterval(r *TWCCRecorder, seq *uint16, now *time.Duration) {
 
 // TestTWCCFeedbackPathAllocations pins the steady-state allocation count of
 // the transport-wide feedback path, as TestCCFBFeedbackPathAllocations does
-// for RFC 8888: Flush fills the recorder's own packet, Marshal keeps its
-// symbols, deltas and chunks on that packet and Unmarshal refills the
-// struct it is called on, so the only allocation of a report is the buffer
-// the link carries.
+// for RFC 8888: Flush fills the recorder's own packet, AppendTo keeps its
+// symbols, deltas and chunks on that packet and writes into a buffer that
+// has held a report before (a datagram slot's), and Unmarshal refills the
+// struct it is called on, so a report allocates nothing.
 func TestTWCCFeedbackPathAllocations(t *testing.T) {
 	r := NewTWCCRecorder(1, 2)
 	var parsed TWCC
+	var wire []byte
 	seq, now := uint16(65000), time.Duration(0) // through the sequence wrap
 	report := func() {
 		twccInterval(r, &seq, &now)
-		buf, err := r.Flush().Marshal()
-		if err != nil {
+		var err error
+		if wire, err = r.Flush().AppendTo(wire[:0]); err != nil {
 			t.Fatal(err)
 		}
-		if err := parsed.Unmarshal(buf); err != nil {
+		if err := parsed.Unmarshal(wire); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
 		report() // sizes every scratch slice
 	}
-	if n := testing.AllocsPerRun(100, report); n != 1 {
-		t.Errorf("Record → Flush → Marshal → Unmarshal allocates %.2f times per report, want 1 (Marshal's buffer)", n)
+	if n := testing.AllocsPerRun(100, report); n != 0 {
+		t.Errorf("Record → Flush → AppendTo → Unmarshal allocates %.2f times per report, want 0", n)
 	}
 	var fb *TWCC
 	if n := testing.AllocsPerRun(50, func() {

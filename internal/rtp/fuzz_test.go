@@ -1,6 +1,8 @@
 package rtp
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -16,8 +18,55 @@ func fuzzSeed(f *testing.F, buf []byte) {
 	}
 }
 
+// codec is the serializing half of an RTCP packet type.
+type codec interface {
+	AppendTo(dst []byte) ([]byte, error)
+	Marshal() ([]byte, error)
+}
+
+// checkAppendTo holds a parsed packet's AppendTo to its Marshal. Appended
+// after a prefix into a buffer whose spare capacity holds stale bytes (a
+// recycled datagram slot), it leaves the prefix as it was and writes exactly
+// Marshal's bytes, and it allocates nothing; a packet Marshal refuses,
+// AppendTo refuses too and returns its dst unchanged. It returns Marshal's
+// bytes, nil for a refused packet.
+func checkAppendTo(t *testing.T, pkt codec) []byte {
+	t.Helper()
+	want, err := pkt.Marshal()
+	prefix := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x5A}
+	dst := make([]byte, len(prefix), len(prefix)+len(want)+16)
+	copy(dst, prefix)
+	stale := dst[len(prefix):cap(dst)]
+	for i := range stale {
+		stale[i] = 0xFF
+	}
+	got, appendErr := pkt.AppendTo(dst)
+	if (err == nil) != (appendErr == nil) {
+		t.Fatalf("Marshal error %v, AppendTo error %v", err, appendErr)
+	}
+	if err != nil {
+		if !bytes.Equal(got, prefix) {
+			t.Fatalf("a failed AppendTo returned % x, not its dst", got)
+		}
+		return nil
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("AppendTo after a %d-byte prefix wrote\n% x\nMarshal wrote\n% x", len(prefix), got, want)
+	}
+	if n := testing.AllocsPerRun(1, func() { got, _ = pkt.AppendTo(got[:len(prefix)]) }); n != 0 {
+		t.Fatalf("AppendTo into spare capacity: %.0f allocations, want 0", n)
+	}
+	return want
+}
+
+// declaredLen is the packet size an RTCP header claims.
+func declaredLen(buf []byte) int {
+	return 4 * (int(buf[2])<<8 | int(buf[3]) + 1)
+}
+
 // FuzzTWCCUnmarshal feeds arbitrary bytes to the TWCC parser: it must never
-// panic, and whatever it accepts must survive a marshal→unmarshal roundtrip.
+// panic, whatever it accepts must survive a marshal→unmarshal roundtrip, and
+// its AppendTo must agree with Marshal (checkAppendTo).
 func FuzzTWCCUnmarshal(f *testing.F) {
 	valid := &TWCC{
 		SenderSSRC: 0x1234, MediaSSRC: 0x5678, BaseSeq: 100, FbPktCount: 3,
@@ -48,8 +97,8 @@ func FuzzTWCCUnmarshal(f *testing.F) {
 		}
 		// Accepted input: the parsed packet must re-marshal and parse back
 		// to the same reception pattern.
-		out, err := fb.Marshal()
-		if err != nil {
+		out := checkAppendTo(t, &fb)
+		if out == nil {
 			// Some accepted packets are unmarshalable only because of delta
 			// overflow limits; that is fine as long as parsing didn't panic.
 			return
@@ -70,7 +119,8 @@ func FuzzTWCCUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzCCFBUnmarshal feeds arbitrary bytes to the RFC 8888 parser.
+// FuzzCCFBUnmarshal feeds arbitrary bytes to the RFC 8888 parser: no panics,
+// accepted packets roundtrip, and AppendTo agrees with Marshal.
 func FuzzCCFBUnmarshal(f *testing.F) {
 	valid := &CCFB{
 		SenderSSRC: 0xABCD,
@@ -102,8 +152,8 @@ func FuzzCCFBUnmarshal(f *testing.F) {
 		if err := fb.Unmarshal(data); err != nil {
 			return
 		}
-		out, err := fb.Marshal()
-		if err != nil {
+		out := checkAppendTo(t, &fb)
+		if out == nil {
 			return
 		}
 		var fb2 CCFB
@@ -123,14 +173,15 @@ func FuzzCCFBUnmarshal(f *testing.F) {
 }
 
 // FuzzNACKUnmarshal feeds arbitrary bytes to the RFC 4585 Generic NACK
-// parser: no panics, and accepted packets must roundtrip.
+// parser: no panics, accepted packets must roundtrip, and AppendTo agrees
+// with Marshal.
 func FuzzNACKUnmarshal(f *testing.F) {
-	one := &NACK{SenderSSRC: 1, MediaSSRC: 0x1234, Pairs: NackPairs([]uint16{7})}
+	one := &NACK{SenderSSRC: 1, MediaSSRC: 0x1234, Pairs: AppendNackPairs(nil, []uint16{7})}
 	if buf, err := one.Marshal(); err == nil {
 		fuzzSeed(f, buf)
 	}
 	many := &NACK{SenderSSRC: 0xABCD, MediaSSRC: 2,
-		Pairs: NackPairs([]uint16{100, 101, 105, 116, 400, 65535, 0})}
+		Pairs: AppendNackPairs(nil, []uint16{100, 101, 105, 116, 400, 65535, 0})}
 	if buf, err := many.Marshal(); err == nil {
 		fuzzSeed(f, buf)
 	}
@@ -140,9 +191,9 @@ func FuzzNACKUnmarshal(f *testing.F) {
 		if err := n.Unmarshal(data); err != nil {
 			return
 		}
-		out, err := n.Marshal()
-		if err != nil {
-			t.Fatalf("accepted NACK fails to marshal: %v", err)
+		out := checkAppendTo(t, &n)
+		if out == nil {
+			t.Fatal("accepted NACK fails to marshal")
 		}
 		var n2 NACK
 		if err := n2.Unmarshal(out); err != nil {
@@ -195,7 +246,10 @@ func FuzzRTXUnwrap(f *testing.F) {
 	})
 }
 
-// FuzzRTCPReports feeds arbitrary bytes to the SR and RR parsers.
+// FuzzRTCPReports feeds arbitrary bytes to the SR, RR and PLI parsers. For
+// each, an accepted packet roundtrips, AppendTo agrees with Marshal, and the
+// bytes past the length its header declares never change the parse: the
+// packet cut at its declared end, or followed by junk, parses the same.
 func FuzzRTCPReports(f *testing.F) {
 	sr := &SenderReport{SSRC: 0x1234, NTPTime: 90 * time.Second, RTPTime: 81000,
 		PacketCount: 1000, OctetCount: 1_200_000}
@@ -208,14 +262,20 @@ func FuzzRTCPReports(f *testing.F) {
 	}}}
 	if buf, err := rr.Marshal(); err == nil {
 		fuzzSeed(f, buf)
+		f.Add(append(bytes.Clone(buf), 0xAA, 0xBB, 0xCC, 0xDD))
 	}
+	pli := &PLI{SenderSSRC: 1, MediaSSRC: 0x1234}
+	if buf, err := pli.Marshal(); err == nil {
+		fuzzSeed(f, buf)
+	}
+	f.Add(rrDeclaring(1, 1)) // one block announced, none declared
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s SenderReport
 		if err := s.Unmarshal(data); err == nil {
-			out, err := s.Marshal()
-			if err != nil {
-				t.Fatalf("accepted SR fails to marshal: %v", err)
+			out := checkAppendTo(t, &s)
+			if out == nil {
+				t.Fatal("accepted SR fails to marshal")
 			}
 			var s2 SenderReport
 			if err := s2.Unmarshal(out); err != nil {
@@ -225,12 +285,19 @@ func FuzzRTCPReports(f *testing.F) {
 				s2.PacketCount != s.PacketCount || s2.OctetCount != s.OctetCount {
 				t.Fatal("SR roundtrip changed fields")
 			}
+			checkDeclaredEnd(t, data, &s, func(buf []byte) any {
+				var x SenderReport
+				if x.Unmarshal(buf) != nil {
+					return nil
+				}
+				return &x
+			})
 		}
 		var r ReceiverReport
 		if err := r.Unmarshal(data); err == nil {
-			out, err := r.Marshal()
-			if err != nil {
-				t.Fatalf("accepted RR fails to marshal: %v", err)
+			out := checkAppendTo(t, &r)
+			if out == nil {
+				t.Fatal("accepted RR fails to marshal")
 			}
 			var r2 ReceiverReport
 			if err := r2.Unmarshal(out); err != nil {
@@ -239,6 +306,44 @@ func FuzzRTCPReports(f *testing.F) {
 			if r2.SSRC != r.SSRC || len(r2.Blocks) != len(r.Blocks) {
 				t.Fatal("RR roundtrip changed shape")
 			}
+			checkDeclaredEnd(t, data, &r, func(buf []byte) any {
+				var x ReceiverReport
+				if x.Unmarshal(buf) != nil {
+					return nil
+				}
+				return &x
+			})
+		}
+		var p PLI
+		if err := p.Unmarshal(data); err == nil {
+			out := checkAppendTo(t, &p)
+			if out == nil {
+				t.Fatal("accepted PLI fails to marshal")
+			}
+			var p2 PLI
+			if err := p2.Unmarshal(out); err != nil || p2 != p {
+				t.Fatalf("PLI roundtrip: %+v, %v; want %+v", p2, err, p)
+			}
+			checkDeclaredEnd(t, data, &p, func(buf []byte) any {
+				var x PLI
+				if x.Unmarshal(buf) != nil {
+					return nil
+				}
+				return &x
+			})
 		}
 	})
+}
+
+// checkDeclaredEnd holds an accepted packet's parse to the bytes its header
+// declares: cut at the declared end, or with junk after it, data must parse
+// to want again.
+func checkDeclaredEnd(t *testing.T, data []byte, want any, parse func([]byte) any) {
+	t.Helper()
+	end := declaredLen(data)
+	for _, buf := range [][]byte{data[:end], append(bytes.Clone(data[:end]), 0x80, 0xC8, 0xFF, 0xFF)} {
+		if got := parse(buf); !reflect.DeepEqual(got, want) {
+			t.Fatalf("the %d bytes past the declared %d changed the parse: %+v, want %+v", len(buf)-end, end, got, want)
+		}
+	}
 }

@@ -19,22 +19,21 @@ type NackPair struct {
 	BLP uint16
 }
 
-// Seqs expands the pair into the sequence numbers it reports.
-func (p NackPair) Seqs() []uint16 {
-	out := []uint16{p.PID}
+// AppendSeqs appends the sequence numbers the pair reports to dst.
+func (p NackPair) AppendSeqs(dst []uint16) []uint16 {
+	dst = append(dst, p.PID)
 	for i := 0; i < 16; i++ {
 		if p.BLP&(1<<i) != 0 {
-			out = append(out, p.PID+uint16(i)+1)
+			dst = append(dst, p.PID+uint16(i)+1)
 		}
 	}
-	return out
+	return dst
 }
 
-// NackPairs packs an ascending run of lost sequence numbers into the
-// minimal set of FCI pairs. The input must be in (wrapping) ascending
-// order, as the loss detector produces it.
-func NackPairs(seqs []uint16) []NackPair {
-	var out []NackPair
+// AppendNackPairs packs an ascending run of lost sequence numbers into the
+// minimal set of FCI pairs and appends them to dst. The input must be in
+// (wrapping) ascending order, as the loss detector produces it.
+func AppendNackPairs(dst []NackPair, seqs []uint16) []NackPair {
 	for i := 0; i < len(seqs); {
 		pair := NackPair{PID: seqs[i]}
 		i++
@@ -46,9 +45,9 @@ func NackPairs(seqs []uint16) []NackPair {
 			pair.BLP |= 1 << (d - 1)
 			i++
 		}
-		out = append(out, pair)
+		dst = append(dst, pair)
 	}
-	return out
+	return dst
 }
 
 // NACK is an RFC 4585 Generic NACK feedback packet.
@@ -58,13 +57,13 @@ type NACK struct {
 	Pairs      []NackPair
 }
 
-// Seqs expands every FCI pair into the full list of NACKed sequence numbers.
-func (n *NACK) Seqs() []uint16 {
-	var out []uint16
+// AppendSeqs expands every FCI pair and appends the NACKed sequence
+// numbers to dst.
+func (n *NACK) AppendSeqs(dst []uint16) []uint16 {
 	for _, p := range n.Pairs {
-		out = append(out, p.Seqs()...)
+		dst = p.AppendSeqs(dst)
 	}
-	return out
+	return dst
 }
 
 // MarshalSize returns the wire size of the packet.
@@ -72,16 +71,16 @@ func (n *NACK) MarshalSize() int {
 	return rtcpHeaderSize + 8 + 4*len(n.Pairs)
 }
 
-// Marshal serializes the packet.
-func (n *NACK) Marshal() ([]byte, error) {
-	size := n.MarshalSize()
+// AppendTo appends the serialized packet to dst.
+func (n *NACK) AppendTo(dst []byte) ([]byte, error) {
 	if len(n.Pairs) > 0xFFFF-2 {
-		return nil, fmt.Errorf("rtp: %d nack pairs exceed the RTCP length field", len(n.Pairs))
+		return dst, fmt.Errorf("rtp: %d nack pairs exceed the RTCP length field", len(n.Pairs))
 	}
-	buf := make([]byte, size)
+	size := n.MarshalSize()
+	out, buf := appendZeros(dst, size)
 	h := rtcpHeader{Fmt: FmtNACK, Type: TypeTransportFeedback, Length: wordLength(size)}
 	if err := h.marshalTo(buf); err != nil {
-		return nil, err
+		return dst, err
 	}
 	binary.BigEndian.PutUint32(buf[4:], n.SenderSSRC)
 	binary.BigEndian.PutUint32(buf[8:], n.MediaSSRC)
@@ -89,10 +88,14 @@ func (n *NACK) Marshal() ([]byte, error) {
 		binary.BigEndian.PutUint16(buf[12+4*i:], p.PID)
 		binary.BigEndian.PutUint16(buf[14+4*i:], p.BLP)
 	}
-	return buf, nil
+	return out, nil
 }
 
-// Unmarshal parses a Generic NACK feedback packet.
+// Marshal serializes the packet into a new buffer.
+func (n *NACK) Marshal() ([]byte, error) { return n.AppendTo(nil) }
+
+// Unmarshal parses a Generic NACK feedback packet. It refills Pairs in
+// place, so a NACK unmarshalled into repeatedly stops allocating.
 func (n *NACK) Unmarshal(buf []byte) error {
 	var h rtcpHeader
 	if err := h.unmarshal(buf); err != nil {
@@ -101,9 +104,9 @@ func (n *NACK) Unmarshal(buf []byte) error {
 	if h.Type != TypeTransportFeedback || h.Fmt != FmtNACK {
 		return fmt.Errorf("rtp: not a generic nack (pt %d fmt %d)", h.Type, h.Fmt)
 	}
-	size := 4 * (int(h.Length) + 1)
-	if size < rtcpHeaderSize+8 || len(buf) < size {
-		return ErrShortPacket
+	size, err := declaredSize(h, buf, rtcpHeaderSize+8)
+	if err != nil {
+		return err
 	}
 	n.SenderSSRC = binary.BigEndian.Uint32(buf[4:])
 	n.MediaSSRC = binary.BigEndian.Uint32(buf[8:])

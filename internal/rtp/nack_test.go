@@ -15,19 +15,19 @@ func TestNackPairsPackAndExpand(t *testing.T) {
 		{65534, 65535, 0, 1}, // wraparound run
 	}
 	for _, seqs := range cases {
-		pairs := NackPairs(seqs)
+		pairs := AppendNackPairs(nil, seqs)
 		var got []uint16
 		for _, p := range pairs {
-			got = append(got, p.Seqs()...)
+			got = p.AppendSeqs(got)
 		}
 		if !reflect.DeepEqual(got, seqs) {
-			t.Errorf("NackPairs(%v) expanded to %v", seqs, got)
+			t.Errorf("AppendNackPairs(%v) expanded to %v", seqs, got)
 		}
 	}
-	if pairs := NackPairs([]uint16{5, 21}); len(pairs) != 1 {
+	if pairs := AppendNackPairs(nil, []uint16{5, 21}); len(pairs) != 1 {
 		t.Errorf("seqs 16 apart should pack into one pair, got %d", len(pairs))
 	}
-	if pairs := NackPairs([]uint16{5, 22}); len(pairs) != 2 {
+	if pairs := AppendNackPairs(nil, []uint16{5, 22}); len(pairs) != 2 {
 		t.Errorf("seqs 17 apart need two pairs, got %d", len(pairs))
 	}
 }
@@ -36,7 +36,7 @@ func TestNACKRoundTrip(t *testing.T) {
 	n := &NACK{
 		SenderSSRC: 0x11223344,
 		MediaSSRC:  0x1234,
-		Pairs:      NackPairs([]uint16{10, 11, 13, 40}),
+		Pairs:      AppendNackPairs(nil, []uint16{10, 11, 13, 40}),
 	}
 	buf, err := n.Marshal()
 	if err != nil {
@@ -52,8 +52,8 @@ func TestNACKRoundTrip(t *testing.T) {
 	if got.SenderSSRC != n.SenderSSRC || got.MediaSSRC != n.MediaSSRC {
 		t.Fatalf("SSRCs changed: %+v vs %+v", got, n)
 	}
-	if !reflect.DeepEqual(got.Seqs(), []uint16{10, 11, 13, 40}) {
-		t.Fatalf("seqs after roundtrip: %v", got.Seqs())
+	if seqs := got.AppendSeqs(nil); !reflect.DeepEqual(seqs, []uint16{10, 11, 13, 40}) {
+		t.Fatalf("seqs after roundtrip: %v", seqs)
 	}
 }
 

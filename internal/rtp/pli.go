@@ -20,17 +20,20 @@ type PLI struct {
 	MediaSSRC  uint32
 }
 
-// Marshal serializes the packet.
-func (p *PLI) Marshal() ([]byte, error) {
-	buf := make([]byte, pliSize)
+// AppendTo appends the serialized packet to dst.
+func (p *PLI) AppendTo(dst []byte) ([]byte, error) {
+	out, buf := appendZeros(dst, pliSize)
 	h := rtcpHeader{Fmt: FmtPLI, Type: TypePayloadFeedback, Length: wordLength(pliSize)}
 	if err := h.marshalTo(buf); err != nil {
-		return nil, err
+		return dst, err
 	}
 	binary.BigEndian.PutUint32(buf[4:], p.SenderSSRC)
 	binary.BigEndian.PutUint32(buf[8:], p.MediaSSRC)
-	return buf, nil
+	return out, nil
 }
+
+// Marshal serializes the packet into a new buffer.
+func (p *PLI) Marshal() ([]byte, error) { return p.AppendTo(nil) }
 
 // Unmarshal parses a picture loss indication.
 func (p *PLI) Unmarshal(buf []byte) error {
@@ -41,8 +44,8 @@ func (p *PLI) Unmarshal(buf []byte) error {
 	if h.Type != TypePayloadFeedback || h.Fmt != FmtPLI {
 		return fmt.Errorf("rtp: not a picture loss indication (pt %d fmt %d)", h.Type, h.Fmt)
 	}
-	if len(buf) < pliSize {
-		return ErrShortPacket
+	if _, err := declaredSize(h, buf, pliSize); err != nil {
+		return err
 	}
 	p.SenderSSRC = binary.BigEndian.Uint32(buf[4:])
 	p.MediaSSRC = binary.BigEndian.Uint32(buf[8:])

@@ -21,6 +21,26 @@ func TestPLIRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPLIRespectsItsLength: a PLI whose header declares fewer than its 12
+// bytes is refused even when the bytes arrived; one followed by junk past
+// its declared end parses as the PLI alone.
+func TestPLIRespectsItsLength(t *testing.T) {
+	in := PLI{SenderSSRC: 1, MediaSSRC: 0x1234}
+	buf, err := in.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out PLI
+	for _, words := range []uint16{0, 1} {
+		if err := out.Unmarshal(withLength(buf, words, FmtPLI)); err == nil {
+			t.Errorf("a PLI declaring %d bytes accepted: %+v", 4*(words+1), out)
+		}
+	}
+	if err := out.Unmarshal(append(buf, 0x80, 0xC8, 0, 6)); err != nil || out != in {
+		t.Errorf("a PLI followed by junk: %+v, %v; want %+v", out, err, in)
+	}
+}
+
 // TestPeekRTCP: every RTCP packet this package marshals must pass the peek
 // with its own type and format (so their length fields are exact), and RTP,
 // truncations and garbage must not.

@@ -53,10 +53,11 @@ type packetPool struct {
 	keep *Buffers
 }
 
-// PoolStats describes a packetizer's slots: how many it holds, how many
-// hold a referenced packet now, and the most that ever did at once. Live
-// and PeakLive count this packetizer's packets alone; Slots includes the
-// slots it reclaimed through Reuse from the packetizers before it.
+// PoolStats describes a packetizer's or a DatagramPool's slots: how many it
+// holds, how many hold a referenced packet now, and the most that ever did
+// at once. For a packetizer, Live and PeakLive count its own packets alone,
+// while Slots includes the slots it reclaimed through Reuse from the
+// packetizers before it.
 type PoolStats struct {
 	Slots, Live, PeakLive int
 }

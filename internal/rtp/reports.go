@@ -28,12 +28,12 @@ type SenderReport struct {
 
 const senderReportSize = rtcpHeaderSize + 24
 
-// Marshal serializes the report.
-func (sr *SenderReport) Marshal() ([]byte, error) {
-	buf := make([]byte, senderReportSize)
+// AppendTo appends the serialized report to dst.
+func (sr *SenderReport) AppendTo(dst []byte) ([]byte, error) {
+	out, buf := appendZeros(dst, senderReportSize)
 	hdr := rtcpHeader{Fmt: 0, Type: TypeSenderReport, Length: wordLength(senderReportSize)}
 	if err := hdr.marshalTo(buf); err != nil {
-		return nil, err
+		return dst, err
 	}
 	binary.BigEndian.PutUint32(buf[4:], sr.SSRC)
 	secs := uint64(sr.NTPTime / time.Second)
@@ -43,10 +43,15 @@ func (sr *SenderReport) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint32(buf[16:], sr.RTPTime)
 	binary.BigEndian.PutUint32(buf[20:], sr.PacketCount)
 	binary.BigEndian.PutUint32(buf[24:], sr.OctetCount)
-	return buf, nil
+	return out, nil
 }
 
-// Unmarshal parses a sender report.
+// Marshal serializes the report into a new buffer.
+func (sr *SenderReport) Marshal() ([]byte, error) { return sr.AppendTo(nil) }
+
+// Unmarshal parses a sender report. The length its header declares must
+// hold the sender info and the report blocks its count announces (which
+// are skipped).
 func (sr *SenderReport) Unmarshal(buf []byte) error {
 	var hdr rtcpHeader
 	if err := hdr.unmarshal(buf); err != nil {
@@ -55,8 +60,8 @@ func (sr *SenderReport) Unmarshal(buf []byte) error {
 	if hdr.Type != TypeSenderReport {
 		return fmt.Errorf("rtp: not a sender report (pt=%d)", hdr.Type)
 	}
-	if len(buf) < senderReportSize {
-		return ErrShortPacket
+	if _, err := declaredSize(hdr, buf, senderReportSize+24*int(hdr.Fmt)); err != nil {
+		return err
 	}
 	sr.SSRC = binary.BigEndian.Uint32(buf[4:])
 	secs := time.Duration(binary.BigEndian.Uint32(buf[8:])) * time.Second
@@ -93,16 +98,16 @@ type ReceiverReport struct {
 	Blocks []ReportBlock
 }
 
-// Marshal serializes the report.
-func (rr *ReceiverReport) Marshal() ([]byte, error) {
+// AppendTo appends the serialized report to dst.
+func (rr *ReceiverReport) AppendTo(dst []byte) ([]byte, error) {
 	if len(rr.Blocks) > 31 {
-		return nil, fmt.Errorf("rtp: %d report blocks exceeds the 5-bit count", len(rr.Blocks))
+		return dst, fmt.Errorf("rtp: %d report blocks exceeds the 5-bit count", len(rr.Blocks))
 	}
 	size := rtcpHeaderSize + 4 + 24*len(rr.Blocks)
-	buf := make([]byte, size)
+	out, buf := appendZeros(dst, size)
 	hdr := rtcpHeader{Fmt: uint8(len(rr.Blocks)), Type: TypeReceiverReport, Length: wordLength(size)}
 	if err := hdr.marshalTo(buf); err != nil {
-		return nil, err
+		return dst, err
 	}
 	binary.BigEndian.PutUint32(buf[4:], rr.SSRC)
 	off := 8
@@ -118,10 +123,15 @@ func (rr *ReceiverReport) Marshal() ([]byte, error) {
 		binary.BigEndian.PutUint32(buf[off+20:], b.DelaySinceLastSR)
 		off += 24
 	}
-	return buf, nil
+	return out, nil
 }
 
-// Unmarshal parses a receiver report.
+// Marshal serializes the report into a new buffer.
+func (rr *ReceiverReport) Marshal() ([]byte, error) { return rr.AppendTo(nil) }
+
+// Unmarshal parses a receiver report. The length its header declares must
+// hold the report blocks its count announces. It refills Blocks in place,
+// so a ReceiverReport unmarshalled into repeatedly stops allocating.
 func (rr *ReceiverReport) Unmarshal(buf []byte) error {
 	var hdr rtcpHeader
 	if err := hdr.unmarshal(buf); err != nil {
@@ -131,9 +141,8 @@ func (rr *ReceiverReport) Unmarshal(buf []byte) error {
 		return fmt.Errorf("rtp: not a receiver report (pt=%d)", hdr.Type)
 	}
 	count := int(hdr.Fmt)
-	want := rtcpHeaderSize + 4 + 24*count
-	if len(buf) < want {
-		return ErrShortPacket
+	if _, err := declaredSize(hdr, buf, rtcpHeaderSize+4+24*count); err != nil {
+		return err
 	}
 	rr.SSRC = binary.BigEndian.Uint32(buf[4:])
 	rr.Blocks = rr.Blocks[:0]

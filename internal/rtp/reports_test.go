@@ -72,6 +72,66 @@ func TestReceiverReportRoundTrip(t *testing.T) {
 	}
 }
 
+// withLength returns a copy of an RTCP packet with its length field (in
+// 32-bit words minus one) and count field overwritten.
+func withLength(buf []byte, words uint16, count uint8) []byte {
+	out := append([]byte(nil), buf...)
+	out[0] = out[0]&^0x1F | count
+	out[2], out[3] = byte(words>>8), byte(words)
+	return out
+}
+
+// rrDeclaring is a receiver report whose count field announces count
+// blocks and whose length field declares words+1 words, followed by the
+// bytes of count whole blocks whatever the length says.
+func rrDeclaring(count uint8, words uint16) []byte {
+	rr := &ReceiverReport{SSRC: 5, Blocks: make([]ReportBlock, count)}
+	for i := range rr.Blocks {
+		rr.Blocks[i] = ReportBlock{SSRC: uint32(i + 1), HighestSeq: 100}
+	}
+	buf, _ := rr.Marshal()
+	return withLength(buf, words, count)
+}
+
+// TestReportsRespectTheirLength: the SR and RR parsers read within the
+// 4*(Length+1) bytes the header declares. A body the count field needs
+// beyond that is refused, even when the datagram carries its bytes; bytes
+// past a sufficient declared length are ignored.
+func TestReportsRespectTheirLength(t *testing.T) {
+	var rr ReceiverReport
+	if err := rr.Unmarshal(rrDeclaring(1, 1)); err == nil {
+		t.Errorf("an RR declaring 8 bytes was parsed with its 24-byte block: %+v", rr)
+	}
+	if err := rr.Unmarshal(rrDeclaring(2, 7)); err == nil {
+		t.Error("an RR declaring one block's length was parsed with two")
+	}
+	if err := rr.Unmarshal(rrDeclaring(1, 7)); err != nil || len(rr.Blocks) != 1 {
+		t.Errorf("an exact one-block RR: %v, %d blocks", err, len(rr.Blocks))
+	}
+	if err := rr.Unmarshal(append(rrDeclaring(1, 7), 0xFF, 0xFF, 0xFF, 0xFF)); err != nil || len(rr.Blocks) != 1 {
+		t.Errorf("a one-block RR followed by junk: %v, %d blocks", err, len(rr.Blocks))
+	}
+
+	srBuf, err := (&SenderReport{SSRC: 9, PacketCount: 3}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr SenderReport
+	for name, buf := range map[string][]byte{
+		"length 0":                    withLength(srBuf, 0, 0),
+		"length 5":                    withLength(srBuf, 5, 0),
+		"one block announced, absent": withLength(append(srBuf, make([]byte, 24)...), 6, 1),
+	} {
+		if err := sr.Unmarshal(buf); err == nil {
+			t.Errorf("SR %s accepted: %+v", name, sr)
+		}
+	}
+	withBlock := withLength(append(srBuf, make([]byte, 24)...), 12, 1)
+	if err := sr.Unmarshal(withBlock); err != nil || sr.SSRC != 9 || sr.PacketCount != 3 {
+		t.Errorf("an SR with one report block: %v, %+v", err, sr)
+	}
+}
+
 func TestReceiverReportBlockLimit(t *testing.T) {
 	rr := &ReceiverReport{Blocks: make([]ReportBlock, 32)}
 	if _, err := rr.Marshal(); err == nil {

@@ -3,6 +3,7 @@ package rtp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -51,6 +52,29 @@ func (h *rtcpHeader) unmarshal(buf []byte) error {
 	h.Type = buf[1]
 	h.Length = binary.BigEndian.Uint16(buf[2:])
 	return nil
+}
+
+// appendZeros extends dst by n zero bytes, reusing its spare capacity, and
+// returns the extended slice and its n new bytes. Every RTCP AppendTo
+// writes its packet into those bytes; an AppendTo that fails returns dst as
+// it was.
+func appendZeros(dst []byte, n int) (out, b []byte) {
+	out = slices.Grow(dst, n)[:len(dst)+n]
+	b = out[len(dst):]
+	clear(b)
+	return out, b
+}
+
+// declaredSize checks that buf holds the whole packet its header declares,
+// 4*(Length+1) bytes and at least need, and returns that size. Parsers read
+// within it alone: whatever follows is the next packet of a compound
+// datagram, or junk.
+func declaredSize(h rtcpHeader, buf []byte, need int) (int, error) {
+	size := 4 * (int(h.Length) + 1)
+	if size < need || len(buf) < size {
+		return 0, ErrShortPacket
+	}
+	return size, nil
 }
 
 // wordLength converts a byte length (which must be a multiple of 4 and

@@ -27,8 +27,8 @@ type Arrival struct {
 // (draft-holmer-rmcat-transport-wide-cc-extensions-01). Packets describes
 // consecutive transport sequence numbers starting at BaseSeq.
 //
-// Marshal and Unmarshal keep their working slices on the struct, and
-// Unmarshal refills Packets in place, so a TWCC that is marshalled or
+// AppendTo and Unmarshal keep their working slices on the struct, and
+// Unmarshal refills Packets in place, so a TWCC that is appended or
 // unmarshalled into repeatedly stops allocating once it has seen its
 // largest packet (Marshal still makes the buffer it returns).
 type TWCC struct {
@@ -119,17 +119,17 @@ func appendChunks(chunks []uint16, syms []uint8) []uint16 {
 	return chunks
 }
 
-// Marshal serializes the feedback packet into a new buffer.
-func (f *TWCC) Marshal() ([]byte, error) {
+// AppendTo appends the serialized feedback packet to dst.
+func (f *TWCC) AppendTo(dst []byte) ([]byte, error) {
 	if len(f.Packets) == 0 {
-		return nil, errors.New("rtp: twcc feedback with no packets")
+		return dst, errors.New("rtp: twcc feedback with no packets")
 	}
 	if len(f.Packets) > 0xFFFF {
-		return nil, fmt.Errorf("rtp: twcc feedback covers %d packets, max 65535", len(f.Packets))
+		return dst, fmt.Errorf("rtp: twcc feedback covers %d packets, max 65535", len(f.Packets))
 	}
 	refTime, err := f.symbols()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	f.chunks = appendChunks(f.chunks[:0], f.syms)
 	syms, deltas, chunks := f.syms, f.deltas, f.chunks
@@ -147,10 +147,10 @@ func (f *TWCC) Marshal() ([]byte, error) {
 	if rem := size % 4; rem != 0 {
 		size += 4 - rem
 	}
-	buf := make([]byte, size)
+	out, buf := appendZeros(dst, size)
 	hdr := rtcpHeader{Fmt: FmtTWCC, Type: TypeTransportFeedback, Length: wordLength(size)}
 	if err := hdr.marshalTo(buf); err != nil {
-		return nil, err
+		return dst, err
 	}
 	binary.BigEndian.PutUint32(buf[4:], f.SenderSSRC)
 	binary.BigEndian.PutUint32(buf[8:], f.MediaSSRC)
@@ -179,8 +179,11 @@ func (f *TWCC) Marshal() ([]byte, error) {
 			di++
 		}
 	}
-	return buf, nil
+	return out, nil
 }
+
+// Marshal serializes the feedback packet into a new buffer.
+func (f *TWCC) Marshal() ([]byte, error) { return f.AppendTo(nil) }
 
 // Unmarshal parses a TWCC feedback packet, reconstructing per-packet arrival
 // times relative to the receiver epoch (quantized to 250 µs). It refills f,
@@ -195,14 +198,11 @@ func (f *TWCC) Unmarshal(buf []byte) error {
 	if hdr.Type != TypeTransportFeedback || hdr.Fmt != FmtTWCC {
 		return fmt.Errorf("rtp: not a twcc packet (pt=%d fmt=%d)", hdr.Type, hdr.Fmt)
 	}
-	want := (int(hdr.Length) + 1) * 4
-	if len(buf) < want {
-		return ErrShortPacket
+	size, err := declaredSize(hdr, buf, 20)
+	if err != nil {
+		return err
 	}
-	buf = buf[:want]
-	if len(buf) < 20 {
-		return ErrShortPacket
-	}
+	buf = buf[:size]
 	f.SenderSSRC = binary.BigEndian.Uint32(buf[4:])
 	f.MediaSSRC = binary.BigEndian.Uint32(buf[8:])
 	f.BaseSeq = binary.BigEndian.Uint16(buf[12:])
