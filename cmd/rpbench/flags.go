@@ -4,11 +4,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
 
-	"rpivideo/internal/dist"
 	"rpivideo/internal/fault"
 )
 
@@ -19,7 +19,7 @@ type cliConfig struct {
 	// Experiment mode.
 	fig     string
 	runs    int
-	runsSet bool // -runs was given explicitly (matters for -dist)
+	runsSet bool // -runs was given explicitly (overrides a scenario's own)
 	seed    int64
 	workers int
 	faults  string
@@ -40,12 +40,6 @@ type cliConfig struct {
 	// status.
 	serve      string
 	serveGrace time.Duration
-
-	// Distributed campaigns.
-	distWorkers int
-	distChunk   int
-	runTimeout  time.Duration
-	worker      bool
 }
 
 // parseFlags parses args (not including the program name) into a cliConfig.
@@ -72,10 +66,6 @@ func parseFlags(args []string) (*cliConfig, error) {
 	fs.Float64Var(&c.tolerance, "tolerance", 0, "default relative drift tolerance for -compare (campaigns are deterministic, so 0 = exact is the expected gate)")
 	fs.StringVar(&c.serve, "serve", "", "serve the live ops endpoints on this address while running: Prometheus /metrics, /status JSON, /events SSE, plus pprof and /debug/runtime-metrics (use 127.0.0.1:0 for an ephemeral port; the bound address is printed)")
 	fs.DurationVar(&c.serveGrace, "servegrace", 0, "keep the -serve ops server up this long after the workload completes, so a scraper can collect the terminal /status and /metrics (0 = shut down immediately)")
-	fs.IntVar(&c.distWorkers, "dist", 0, "shard the scenario campaign across N local worker subprocesses with leased chunks and crash recovery (requires -scenario; campaign size is the scenario's runs unless -runs is given)")
-	fs.IntVar(&c.distChunk, "distchunk", 0, "runs per leased chunk for -dist (0 = auto: runs/(4·workers), at least 1)")
-	fs.DurationVar(&c.runTimeout, "runtimeout", 0, fmt.Sprintf("per-run wall-clock watchdog inside -dist workers: a run exceeding this becomes that run's recorded error; must be below the %v lease (0 = off)", dist.DefaultLease))
-	fs.BoolVar(&c.worker, "worker", false, "run as a distributed campaign worker speaking the dist protocol on stdin/stdout (internal: rpbench -dist spawns these)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -93,24 +83,11 @@ func parseFlags(args []string) (*cliConfig, error) {
 // validate rejects illegal flag combinations. Every rule lives here — the
 // mode dispatch in main assumes a validated config and never re-checks.
 func (c *cliConfig) validate() error {
-	if c.worker {
-		// The worker owns stdin/stdout for the protocol; any other mode
-		// flag indicates a confused invocation, not a tolerable extra. The
-		// ops server belongs on the coordinator — workers are spawned
-		// subprocesses whose addresses nobody knows.
-		switch {
-		case c.scenario != "", c.distWorkers != 0, c.analyze != "", c.list,
-			c.fleetSpec != "", c.trace != "", c.metrics != "", c.report != "",
-			c.compare != "", c.fig != "all", c.serve != "":
-			return errors.New("-worker is the distributed-campaign subprocess entrypoint and takes no other mode flags")
-		}
-		return nil
-	}
 	if c.runs < 1 {
 		return errors.New("-runs must be at least 1")
 	}
-	if c.tolerance < 0 {
-		return errors.New("-tolerance must not be negative")
+	if c.tolerance < 0 || math.IsNaN(c.tolerance) || math.IsInf(c.tolerance, 0) {
+		return errors.New("-tolerance must be a finite, non-negative number")
 	}
 	if c.serveGrace < 0 {
 		return errors.New("-servegrace must not be negative")
@@ -144,9 +121,6 @@ func (c *cliConfig) validate() error {
 		if c.trace != "" || c.metrics != "" || c.compare != "" {
 			return errors.New("-analyze supports only -report (the other exports need a live scenario run)")
 		}
-		if c.distWorkers != 0 {
-			return errors.New("-dist shards live scenario campaigns and cannot be combined with -analyze")
-		}
 		return nil
 	}
 
@@ -157,32 +131,8 @@ func (c *cliConfig) validate() error {
 		if c.trace != "" || c.metrics != "" || c.report != "" || c.compare != "" {
 			return errors.New("-trace/-metrics/-report/-compare require -scenario (use -list for scenario IDs)")
 		}
-		if c.distWorkers != 0 {
-			return errors.New("-dist requires -scenario (use -list for scenario IDs)")
-		}
 	}
 
-	if c.distWorkers < 0 {
-		return errors.New("-dist needs a positive worker count")
-	}
-	if c.distChunk != 0 && c.distWorkers == 0 {
-		return errors.New("-distchunk requires -dist")
-	}
-	if c.distChunk < 0 {
-		return errors.New("-distchunk must not be negative")
-	}
-	if c.runTimeout != 0 && c.distWorkers == 0 {
-		return errors.New("-runtimeout requires -dist (the per-run watchdog exists only inside -dist workers; serial scenario runs have none)")
-	}
-	if c.runTimeout < 0 {
-		return errors.New("-runtimeout must not be negative")
-	}
-	if c.runTimeout >= dist.DefaultLease {
-		return fmt.Errorf("-runtimeout %v must be below the %v -dist lease (a run that ships nothing for a lease is killed with its worker before the watchdog could fire)", c.runTimeout, dist.DefaultLease)
-	}
-	if c.distWorkers > 0 && c.fleetSpec != "" {
-		return errors.New("-dist cannot shard a fleet (a fleet shares one cell map; chunks are independent runs)")
-	}
 	if c.fleetSpec != "" && c.report != "" {
 		return errors.New("-report is not supported for fleet runs (the analyzer consumes per-run traces)")
 	}

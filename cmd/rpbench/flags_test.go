@@ -3,7 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // mustParse parses a legal command line or fails the test.
@@ -24,9 +23,6 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if c.runsSet {
 		t.Fatal("runsSet should be false when -runs is not given")
 	}
-	if c.distWorkers != 0 || c.distChunk != 0 || c.worker {
-		t.Fatalf("dist flags should default off: dist=%d distchunk=%d worker=%v", c.distWorkers, c.distChunk, c.worker)
-	}
 	if err := c.validate(); err != nil {
 		t.Fatalf("defaults should validate: %v", err)
 	}
@@ -45,15 +41,20 @@ func TestParseFlagsRejectsPositionalArgs(t *testing.T) {
 	}
 }
 
-// TestParseFlagsRejectsRetiredBenchFlags: rpbench no longer measures speed
-// (bench/ does), and a script still passing one of the old flags must hear
-// about it rather than run without its measurement.
+// TestParseFlagsRejectsRetiredBenchFlags: a script still passing a retired
+// flag must hear about it rather than run without it. rpbench no longer
+// measures speed (bench/ does), and campaigns run on one engine per host
+// (-workers), so the subprocess flags are gone too.
 func TestParseFlagsRejectsRetiredBenchFlags(t *testing.T) {
+	retired := [][]string{{"-dist", "4"}, {"-distchunk", "2"}, {"-runtimeout", "1s"}, {"-worker"}}
 	for _, suffix := range []string{"out", "compare", "tolerance", "seconds", "dur"} {
-		name := "bench" + suffix // spelled apart so a grep for the old flags finds nothing
-		_, err := parseFlags([]string{"-scenario", "urban-gcc", "-" + name, "x"})
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
-			t.Errorf("-%s: parseFlags = %v, want \"flag provided but not defined\"", name, err)
+		// spelled apart so a grep for the old flags finds nothing
+		retired = append(retired, []string{"-bench" + suffix, "x"})
+	}
+	for _, flagArgs := range retired {
+		_, err := parseFlags(append([]string{"-scenario", "urban-gcc"}, flagArgs...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flagArgs[0]) {
+			t.Errorf("%s: parseFlags = %v, want \"flag provided but not defined\"", flagArgs[0], err)
 		}
 	}
 }
@@ -66,33 +67,19 @@ func TestValidateRejectsIllegalCombos(t *testing.T) {
 		args []string
 		want string // substring of the error
 	}{
-		{"worker with scenario", []string{"-worker", "-scenario", "urban-gcc"}, "-worker"},
-		{"worker with dist", []string{"-worker", "-dist", "2"}, "-worker"},
-		{"worker with fig", []string{"-worker", "-fig", "fig6"}, "-worker"},
-		{"worker with list", []string{"-worker", "-list"}, "-worker"},
 		{"zero runs", []string{"-runs", "0"}, "-runs"},
 		{"negative tolerance", []string{"-tolerance", "-0.1"}, "-tolerance"},
+		// Every comparison with NaN is false, so a NaN tolerance gates nothing.
+		{"NaN tolerance", []string{"-scenario", "urban-gcc", "-compare", "b.json", "-tolerance", "NaN"}, "-tolerance must be a finite"},
 		{"analyze without report", []string{"-analyze", "t.jsonl"}, "-report"},
 		{"analyze with scenario", []string{"-analyze", "t.jsonl", "-report", "out", "-scenario", "urban-gcc"}, "-scenario"},
 		{"analyze with metrics", []string{"-analyze", "t.jsonl", "-report", "out", "-metrics", "m.json"}, "live scenario"},
-		{"analyze with dist", []string{"-analyze", "t.jsonl", "-report", "out", "-dist", "2"}, "-dist"},
 		{"fleet without scenario", []string{"-fleet", "10"}, "-fleet requires -scenario"},
 		{"trace without scenario", []string{"-trace", "t.jsonl"}, "require -scenario"},
 		{"metrics without scenario", []string{"-metrics", "m.json"}, "require -scenario"},
 		{"report without scenario", []string{"-report", "out"}, "require -scenario"},
 		{"compare without scenario", []string{"-compare", "b.json"}, "require -scenario"},
-		{"dist without scenario", []string{"-dist", "4"}, "-dist requires -scenario"},
-		{"negative dist", []string{"-scenario", "urban-gcc", "-dist", "-1"}, "-dist"},
-		{"distchunk without dist", []string{"-scenario", "urban-gcc", "-distchunk", "2"}, "-distchunk requires -dist"},
-		{"negative distchunk", []string{"-scenario", "urban-gcc", "-dist", "2", "-distchunk", "-3"}, "-distchunk"},
-		// Pinned whole: the text has to say where the watchdog is, and that serial runs have none.
-		{"runtimeout without dist", []string{"-scenario", "urban-gcc", "-runtimeout", "5s"},
-			"-runtimeout requires -dist (the per-run watchdog exists only inside -dist workers; serial scenario runs have none)"},
-		{"runtimeout at the lease", []string{"-scenario", "urban-gcc", "-dist", "4", "-runtimeout", "15s"},
-			"-runtimeout 15s must be below the 15s -dist lease"},
-		{"dist with fleet", []string{"-scenario", "urban-gcc", "-dist", "2", "-fleet", "10"}, "fleet"},
 		{"fleet with report", []string{"-scenario", "urban-gcc", "-fleet", "10", "-report", "out"}, "-report is not supported for fleet"},
-		{"worker with serve", []string{"-worker", "-serve", "127.0.0.1:0"}, "-worker"},
 		{"negative servegrace", []string{"-serve", "127.0.0.1:0", "-servegrace", "-1s"}, "-servegrace"},
 		{"servegrace without serve", []string{"-servegrace", "5s"}, "-servegrace requires -serve"},
 		// A malformed -faults fails here, before any campaign runs, with the
@@ -125,17 +112,11 @@ func TestValidateAcceptsLegalCombos(t *testing.T) {
 	cases := [][]string{
 		{"-list"},
 		{"-fig", "fig6", "-runs", "5", "-seed", "7"},
-		{"-worker"},
-		{"-worker", "-runs", "0"}, // worker mode ignores campaign knobs entirely
 		{"-scenario", "urban-gcc", "-trace", "t.jsonl", "-metrics", "m.json", "-report", "out", "-compare", "b.json"},
 		{"-scenario", "urban-gcc", "-fleet", "10/pf", "-metrics", "m.json"},
 		{"-analyze", "t.jsonl", "-report", "out"},
-		{"-scenario", "urban-gcc", "-dist", "4"},
-		{"-scenario", "urban-gcc", "-dist", "4", "-distchunk", "2", "-runs", "32", "-runtimeout", "10s"},
-		{"-scenario", "urban-gcc", "-dist", "4", "-trace", "t.jsonl", "-metrics", "m.json", "-report", "out", "-compare", "b.json"},
 		{"-scenario", "urban-gcc", "-serve", "127.0.0.1:0"},
 		{"-scenario", "urban-gcc", "-serve", "127.0.0.1:0", "-servegrace", "30s"},
-		{"-scenario", "urban-gcc", "-dist", "4", "-serve", "127.0.0.1:0"}, // ops server on the coordinator
 		{"-faults", "45s+2s,70s~80ms/up"},
 		{"-fig", "robust", "-faults", "30s+1s"},
 		{"-fig", "repair", "-faults", "20s~60ms"},
@@ -147,13 +128,5 @@ func TestValidateAcceptsLegalCombos(t *testing.T) {
 				t.Fatalf("validate(%v): %v", args, err)
 			}
 		})
-	}
-}
-
-func TestValidateRunTimeoutBounds(t *testing.T) {
-	c := mustParse(t, "-scenario", "urban-gcc", "-dist", "2")
-	c.runTimeout = -time.Second
-	if err := c.validate(); err == nil {
-		t.Fatal("negative -runtimeout should be rejected")
 	}
 }

@@ -29,16 +29,6 @@
 // JSONL trace byte for byte. The -serve layer is purely observational:
 // every export is unchanged with or without it.
 //
-// Distributed campaigns:
-//
-//	rpbench -scenario urban-gcc -dist 4 -metrics out.json  # shard across 4 worker subprocesses
-//	rpbench -scenario urban-gcc -dist 4 -runs 32 -distchunk 2 -trace out.jsonl
-//
-// -dist shards the campaign's run indices into leased chunks across N
-// rpbench subprocesses (re-exec'd with the internal -worker flag); crashed,
-// hung or straggling workers lose their leases and the chunks are re-issued,
-// and every export stays byte-identical to the serial -scenario path.
-//
 // Regression gate:
 //
 //	rpbench -scenario urban-gcc -compare baseline.json  # exit 1 on drift
@@ -75,14 +65,6 @@ func main() {
 	if err := c.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "rpbench:", err)
 		os.Exit(2)
-	}
-
-	if c.worker {
-		if err := runWorker(); err != nil {
-			fmt.Fprintln(os.Stderr, "rpbench worker:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if c.list {
@@ -152,15 +134,6 @@ func main() {
 		}
 		var drifted bool
 		switch {
-		case c.distWorkers > 0:
-			if tel != nil {
-				tel.SetLabels("dist", sc.Name)
-			}
-			drifted, err = runDistScenario(c, sc, so, exports)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rpbench:", err)
-				os.Exit(1)
-			}
 		case sc.Fleet > 0:
 			if tel != nil {
 				tel.SetLabels("fleet", sc.Name)
@@ -226,8 +199,8 @@ type scenarioExports struct {
 	tolerance float64
 }
 
-// scenarioOutput is what a finished scenario mode — campaign, fleet or
-// dist — hands to scenarioExports.write: everything the exports consume and
+// scenarioOutput is what a finished scenario mode — campaign or fleet —
+// hands to scenarioExports.write: everything the exports consume and
 // nothing about how it was produced.
 type scenarioOutput struct {
 	// registry is the campaign metrics registry (-metrics, -compare).
@@ -292,8 +265,8 @@ func (exp scenarioExports) write(out scenarioOutput) (drifted bool, err error) {
 	return drifted, nil
 }
 
-// campaignLine is the stdout summary the campaign and dist modes share: the
-// run count and four counters of the campaign registry.
+// campaignLine is the campaign mode's stdout summary: the run count and
+// four counters of the campaign registry.
 func campaignLine(name string, runs int, reg *obs.Registry) string {
 	return fmt.Sprintf("scenario %s: %d runs, %d packets sent, %d delivered, %d frames played, %d skipped",
 		name, runs, reg.Counter("packets_sent"), reg.Counter("packets_delivered"),

@@ -33,8 +33,8 @@ func TestRegistryConsistent(t *testing.T) {
 	}
 }
 
-// TestCampaignLine pins the stdout line the serial and -dist modes print,
-// which CI compares between the two.
+// TestCampaignLine pins the stdout line a scenario campaign prints, which
+// CI compares between -workers 1 and -workers 4.
 func TestCampaignLine(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Add("packets_sent", 120)

@@ -223,9 +223,9 @@ func (e *executor) run(errs []error, job func(i int, b *runBuffers) *Result, fol
 // abandoned goroutine keeps running detached — Run has no cancellation
 // point, so the watchdog trades a leaked goroutine for a reported failure
 // instead of a wedged caller (the leak is bounded by the number of
-// timed-out runs). The campaign executor passes 0; RunWithTimeout, inside
-// -dist workers, is the one caller that arms it. name labels the error
-// messages ("campaign run 3").
+// timed-out runs). The campaign executor passes 0; RunWithTimeout is the
+// one entry point that can arm it. name labels the error messages
+// ("campaign run 3").
 func runGuarded(name string, timeout time.Duration, job func() *Result) (*Result, error) {
 	if timeout <= 0 {
 		var res *Result
@@ -270,8 +270,9 @@ func runGuarded(name string, timeout time.Duration, job func() *Result) (*Result
 // recovered into the error and a run that outlives the deadline is
 // abandoned with a timeout error — a hang becomes a bounded, reported
 // failure. A zero timeout disables the watchdog but keeps the panic
-// recovery — the shape distributed workers need to turn any single-run
-// failure into a reported shard error rather than a dead process.
+// recovery, which is how a caller outside the campaign executor (the
+// sharded fold's experiments.DistRunner, bench/) turns a run's panic into
+// that run's error rather than a dead process.
 func RunWithTimeout(cfg Config, timeout time.Duration) (*Result, error) {
 	return runGuarded("run", timeout, func() *Result { return Run(cfg) })
 }

@@ -104,9 +104,9 @@ type Result struct {
 	// delay, NACK RTT, handover interruption). It is kept separate from
 	// MetricsRegistry(): the campaign surface is pinned by checked-in
 	// baselines and the regression gate flags any new metric as drift, while
-	// this registry feeds only the live /metrics exposition. It never rides
-	// the dist wire (shards serialize MetricsRegistry only), so adding it
-	// cannot perturb distributed byte-identity.
+	// this registry feeds only the live /metrics exposition. It is never in
+	// a shard (shards serialize MetricsRegistry only), so adding it cannot
+	// perturb the sharded fold's byte-identity.
 	Telemetry *obs.Registry
 
 	// The run's simulator cost: events scheduled and the most pending at

@@ -82,8 +82,9 @@ func (s *Summary) AddResult(r *Result) {
 // packet/frame/fault tallies, gauges for the worst-case watermarks, and a
 // copy of every distribution's sketch. Counters sum and gauges take the
 // maximum here as in (*obs.Registry).Merge, so this is the run-index-order
-// merge of the runs' own registries, which is what -dist rebuilds from its
-// shards. An empty campaign renders an empty registry.
+// merge of the runs' own registries, which is what
+// experiments.FoldDistShards rebuilds from shards. An empty campaign
+// renders an empty registry.
 func (s *Summary) MetricsRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	if s.Runs == 0 {

@@ -141,7 +141,7 @@ func TestSummaryMatchesMerge(t *testing.T) {
 
 // TestCampaignRegistryIsMergeOfRuns: the campaign registry, rendered from
 // the Summary, writes the same bytes as the runs' own registries merged in
-// run-index order, which is the registry -dist rebuilds from its shards. A
+// run-index order, which is the registry FoldDistShards rebuilds from shards. A
 // failed (nil) run is skipped by both, and an empty campaign renders an
 // empty registry.
 func TestCampaignRegistryIsMergeOfRuns(t *testing.T) {

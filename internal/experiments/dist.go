@@ -5,30 +5,25 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"rpivideo/internal/core"
 	"rpivideo/internal/dist"
 	"rpivideo/internal/obs"
 )
 
-// DistSpec is the campaign spec a distributed scenario campaign ships to
-// its workers: the scenario name plus the same overrides the serial
-// -scenario path applies. Both sides resolve the scenario from their own
-// binary, so the wire form stays tiny and core.Config (which carries
-// non-serializable hooks) never travels.
+// DistSpec is the campaign spec a sharded scenario campaign hands its
+// peers: the scenario name plus the seed override the serial -scenario path
+// applies. The scenario is resolved from its name, so the spec stays tiny
+// and core.Config (which carries non-serializable hooks) is never encoded.
 type DistSpec struct {
 	// Scenario is the experiments scenario name (fleet scenarios are
 	// rejected: a fleet shares one cell map and cannot shard by run).
 	Scenario string `json:"scenario"`
 	// Seed overrides the scenario's pinned base seed when non-zero.
 	Seed int64 `json:"seed,omitempty"`
-	// RunTimeout, when positive, arms core.RunWithTimeout's per-run
-	// watchdog inside each worker.
-	RunTimeout time.Duration `json:"run_timeout,omitempty"`
 }
 
-// A shard — one run's wire payload — is the two byte-stable exports the
+// A shard — one run's payload — is the two byte-stable exports the
 // serial scenario path derives from a Result, laid end to end behind their
 // lengths:
 //
@@ -36,16 +31,17 @@ type DistSpec struct {
 //	registry                 Result.MetricsRegistry, WriteJSON
 //	trace                    the run's JSONL trace, byte-exact
 //
-// The worker renders each export straight into the one buffer it ships and
-// the fold slices them back out, so no export is escaped, re-scanned or
-// copied between the two. Shards are per run — never pre-merged per chunk —
-// so the coordinator's fold applies the identical float-accumulation
-// grouping a serial campaign would. Nothing else travels: what a campaign
-// prints about itself (rpbench's stdout line) is counters of the registry.
+// The runner renders each export straight into the one buffer it returns
+// and the fold slices them back out, so no export is escaped, re-scanned or
+// copied between the two. Shards are per run — never pre-merged — so the
+// fold applies the identical float-accumulation grouping a serial campaign
+// would. Nothing else is kept: what a campaign prints about itself
+// (rpbench's stdout line) is counters of the registry. The format is what a
+// transport between hosts would carry.
 const shardHeaderLen = 2 * 8
 
-// splitShard slices a shard into its sections. The lengths come from a peer,
-// so they are checked against what is there without arithmetic that a huge
+// splitShard slices a shard into its sections. The lengths are the shard's
+// own, so they are checked against what is there without arithmetic that a huge
 // length could wrap.
 func splitShard(raw []byte) (registry, trace []byte, err error) {
 	if len(raw) < shardHeaderLen {
@@ -80,8 +76,8 @@ func resolveDistConfig(spec DistSpec) (core.Config, error) {
 	return cfg, nil
 }
 
-// DistRunner executes scenario runs on the worker side of a distributed
-// campaign. Run index r maps to the same derived seed the serial campaign
+// DistRunner executes the runs of a sharded scenario campaign. Run index r
+// maps to the same derived seed the serial campaign
 // engine uses — core.DeriveSeed(base, r) — so a shard is byte-identical to
 // what the serial path would have produced for that run.
 type DistRunner struct{}
@@ -98,7 +94,7 @@ func (DistRunner) Run(rawSpec json.RawMessage, run int) ([]byte, error) {
 	}
 	c := cfg
 	c.Seed = core.DeriveSeed(cfg.Seed, run)
-	res, err := core.RunWithTimeout(c, spec.RunTimeout)
+	res, err := core.RunWithTimeout(c, 0) // recovers a run's panic into err
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s run %d: %w", spec.Scenario, run, err)
 	}
@@ -122,7 +118,7 @@ func (DistRunner) Run(rawSpec json.RawMessage, run int) ([]byte, error) {
 	return shard, nil
 }
 
-// DistCampaign is a distributed campaign's folded output: the same two
+// DistCampaign is a sharded campaign's folded output: the same two
 // exports the serial scenario path produces, rebuilt from per-run shards
 // in run-index order.
 type DistCampaign struct {
@@ -132,12 +128,11 @@ type DistCampaign struct {
 	// Trace is the concatenated JSONL trace, byte-identical to
 	// core.WriteCampaignTrace over a serial campaign.
 	Trace []byte
-	// RunErrs holds per-run errors (worker-reported failures and failed
-	// chunks), indexed by run; nil entries succeeded.
+	// RunErrs holds per-run errors, indexed by run; nil entries succeeded.
 	RunErrs []error
 }
 
-// FoldDistShards rebuilds the campaign outputs from a coordinator outcome.
+// FoldDistShards rebuilds the campaign outputs from a dist.Run outcome.
 // Failed or errored runs are skipped in every export, exactly as the serial
 // path skips nil results; their errors stay in RunErrs. The shards carry
 // everything the fold needs; the spec parameter is what bench/ (frozen

@@ -6,33 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"os/exec"
 	"strings"
-	"sync"
-	"syscall"
 	"testing"
-	"time"
 
 	"rpivideo/internal/core"
 	"rpivideo/internal/dist"
-	"rpivideo/internal/obs"
 )
-
-// distWorkerEnv gates the TestMain re-exec that turns the test binary into
-// a real campaign worker subprocess.
-const distWorkerEnv = "RPIVIDEO_EXPERIMENTS_DIST_WORKER"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(distWorkerEnv) == "1" {
-		if err := dist.Serve(os.Stdin, os.Stdout, DistRunner{}); err != nil {
-			fmt.Fprintln(os.Stderr, "dist worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 // lineFormat is the part of rpbench's stdout line that describes the
 // campaign: the run count and four totals.
@@ -101,108 +80,41 @@ func requireSameBytes(t *testing.T, what string, got, want []byte) {
 	}
 }
 
-// TestDistMergeEquivalence proves the headline identity with in-process
-// workers: a sharded campaign's metrics, trace and stdout line are
-// byte-identical to the serial campaign's, at multiple topologies.
+// TestDistMergeEquivalence proves the headline identity of the shard
+// format: a campaign sharded over in-process peers and folded from its
+// shards writes the metrics, trace and stdout line of the serial campaign
+// byte for byte, at every peer count. bond-rlf and repair-blackout carry
+// the max-merged gauges (bond_pathN_down_ms, post_outage_queue_ms_max,
+// ramp_up_ms_max): the serial registry is rendered from the campaign
+// Summary, the folded one merged from shards, and both must keep each
+// gauge's maximum.
 func TestDistMergeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run scenario campaigns skipped in -short mode")
 	}
-	spec := DistSpec{Scenario: "urban-gcc", Seed: 99}
-	const runs = 5
-	rawSpec, _ := json.Marshal(spec)
-	wantMetrics, wantTrace, wantLine := serialReference(t, spec, runs)
-
-	for _, tc := range []struct{ workers, chunk int }{{3, 1}, {2, 2}} {
-		t.Run(fmt.Sprintf("w%d_c%d", tc.workers, tc.chunk), func(t *testing.T) {
-			peers := make([]dist.Peer, tc.workers)
-			for i := range peers {
-				peers[i] = dist.StartPipe(fmt.Sprintf("w%d", i), DistRunner{})
-			}
-			out, err := dist.Run(rawSpec, dist.Config{Runs: runs, ChunkSize: tc.chunk}, peers)
-			if err != nil {
-				t.Fatalf("dist.Run: %v", err)
-			}
-			gotMetrics, gotTrace, gotLine := foldOutcome(t, spec, out)
-			requireSameBytes(t, "metrics", gotMetrics, wantMetrics)
-			requireSameBytes(t, "trace", gotTrace, wantTrace)
-			requireSameBytes(t, "stdout line", gotLine, wantLine)
-		})
-	}
-}
-
-// TestDistChaosScenario is the end-to-end robustness proof on the real
-// simulation: subprocess workers run the urban-gcc scenario, one is
-// SIGKILLed mid-campaign, and the full report bundle must still come out
-// byte-identical to the serial reference — at two (workers, chunk-size)
-// topologies.
-func TestDistChaosScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess chaos campaigns skipped in -short mode")
-	}
-	spec := DistSpec{Scenario: "urban-gcc", Seed: 7}
-	const runs = 6
-	rawSpec, _ := json.Marshal(spec)
-	wantMetrics, wantTrace, wantLine := serialReference(t, spec, runs)
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatalf("os.Executable: %v", err)
-	}
-
-	for _, tc := range []struct{ workers, chunk int }{{4, 2}, {3, 1}} {
-		t.Run(fmt.Sprintf("w%d_c%d", tc.workers, tc.chunk), func(t *testing.T) {
-			peers, err := dist.StartProcs(tc.workers, func(i int) *exec.Cmd {
-				cmd := exec.Command(exe)
-				cmd.Env = append(os.Environ(), distWorkerEnv+"=1")
-				return cmd
-			})
-			if err != nil {
-				t.Fatalf("StartProcs: %v", err)
-			}
-			pids := make([]int, len(peers))
-			for i, p := range peers {
-				pids[i] = p.(*dist.ProcPeer).Pid()
-			}
-			t.Cleanup(func() {
-				for _, p := range peers {
-					p.Kill()
-					p.Close()
-				}
-			})
-
-			// SIGKILL the worker that just received the second first-attempt
-			// grant: it provably holds an uncommitted lease (the grant is
-			// microseconds old; a scenario run takes milliseconds), so the
-			// campaign cannot finish without the coordinator observing the
-			// death and re-issuing the chunk. Killing an idle worker instead
-			// would race campaign completion against EOF detection.
-			var once sync.Once
-			grants := 0
-			reg := obs.NewRegistry()
-			out, err := dist.Run(rawSpec, dist.Config{
-				Runs: runs, ChunkSize: tc.chunk,
-				Lease: 10 * time.Second, Metrics: reg,
-				Events: func(e dist.Event) {
-					if e.Kind == dist.EvGrant && e.Attempt == 1 {
-						grants++
-						if grants == 2 {
-							once.Do(func() { syscall.Kill(pids[e.Worker], syscall.SIGKILL) })
-						}
+	for _, tc := range []struct {
+		scenario string
+		runs     int
+	}{{"urban-gcc", 1}, {"urban-gcc", 16}, {"bond-rlf", 8}, {"repair-blackout", 8}} {
+		t.Run(fmt.Sprintf("%s_r%d", tc.scenario, tc.runs), func(t *testing.T) {
+			spec := DistSpec{Scenario: tc.scenario}
+			rawSpec, _ := json.Marshal(spec)
+			wantMetrics, wantTrace, wantLine := serialReference(t, spec, tc.runs)
+			for _, n := range []int{1, 2, 3} {
+				t.Run(fmt.Sprintf("p%d", n), func(t *testing.T) {
+					peers := make([]dist.Peer, n)
+					for i := range peers {
+						peers[i] = dist.StartPipe(fmt.Sprintf("p%d", i), DistRunner{})
 					}
-				},
-			}, peers)
-			if err != nil {
-				t.Fatalf("dist.Run: %v", err)
-			}
-			gotMetrics, gotTrace, gotLine := foldOutcome(t, spec, out)
-			requireSameBytes(t, "metrics", gotMetrics, wantMetrics)
-			requireSameBytes(t, "trace", gotTrace, wantTrace)
-			requireSameBytes(t, "stdout line", gotLine, wantLine)
-			if lost := reg.Counter("dist_workers_lost"); lost != 1 {
-				t.Fatalf("dist_workers_lost = %d, want 1", lost)
-			}
-			if n := reg.Counter("dist_leases_reissued"); n < 1 {
-				t.Fatalf("dist_leases_reissued = %d, want >= 1 after the SIGKILL", n)
+					out, err := dist.Run(rawSpec, dist.Config{Runs: tc.runs}, peers)
+					if err != nil {
+						t.Fatalf("dist.Run: %v", err)
+					}
+					gotMetrics, gotTrace, gotLine := foldOutcome(t, spec, out)
+					requireSameBytes(t, "metrics", gotMetrics, wantMetrics)
+					requireSameBytes(t, "trace", gotTrace, wantTrace)
+					requireSameBytes(t, "stdout line", gotLine, wantLine)
+				})
 			}
 		})
 	}

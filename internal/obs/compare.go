@@ -84,7 +84,9 @@ func CompareRegistries(base, cur *Registry, tol Tolerance) []Drift {
 		case !bOK && cOK:
 			out = append(out, Drift{Metric: name, Cur: c, Missing: "base"})
 		case bOK && cOK:
-			if rel := relDrift(b, c); rel > tol.Default {
+			// Written so that a NaN drift or tolerance fails the gate:
+			// rel > NaN would pass everything.
+			if rel := relDrift(b, c); !(rel <= tol.Default) {
 				out = append(out, Drift{Metric: name, Base: b, Cur: c, Rel: rel, Allowed: tol.Default})
 			}
 		}

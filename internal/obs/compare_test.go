@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -108,6 +109,16 @@ func TestCompareRegistriesGate(t *testing.T) {
 	}
 	if got := CompareRegistries(base, cur, Tolerance{Default: 0.05}); len(got) != 0 {
 		t.Errorf("2%% drift failed a 5%% tolerance: %v", got)
+	}
+	// A NaN tolerance or a NaN value fails the gate, never passes it.
+	if got := CompareRegistries(base, cur, Tolerance{Default: math.NaN()}); len(got) == 0 {
+		t.Error("2% drift passed a NaN tolerance")
+	}
+	nan, nanCur := NewRegistry(), NewRegistry()
+	nan.SetGauge("g", 1)
+	nanCur.SetGauge("g", math.NaN())
+	if got := CompareRegistries(nan, nanCur, Tolerance{Default: 0.05}); len(got) != 1 {
+		t.Errorf("NaN gauge passed the gate: %v", got)
 	}
 
 	// Histogram drift: one more sample moves the count and the sum.

@@ -14,7 +14,7 @@ type LogHistogram = metrics.Sketch
 // Registry is a named collection of counters, gauges and histograms — the
 // campaign-level metrics surface. It is not safe for concurrent use. A
 // campaign's registry is the run-index-order merge of its runs' registries,
-// which is how -dist folds its shards.
+// which is how a sharded campaign folds its shards.
 type Registry struct {
 	counters map[string]int64
 	gauges   map[string]float64

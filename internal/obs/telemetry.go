@@ -2,13 +2,12 @@ package obs
 
 import "sync"
 
-// StatusSnapshot is one live progress sample of a running campaign, fleet,
-// or distributed coordinator — the payload of the /status endpoint and the
-// /events SSE stream. Producers fill the fields they know; zero values mean
-// "not applicable" (a solo campaign has no Workers, a campaign has no
-// Cells).
+// StatusSnapshot is one live progress sample of a running campaign or
+// fleet — the payload of the /status endpoint and the /events SSE stream.
+// Producers fill the fields they know; zero values mean "not applicable" (a
+// campaign has no Cells).
 type StatusSnapshot struct {
-	// Mode names the producer: "campaign", "fleet", "dist", "experiments".
+	// Mode names the producer: "campaign", "fleet", "experiments".
 	Mode string `json:"mode"`
 	// Label identifies the workload (scenario name, experiment ID).
 	Label string `json:"label,omitempty"`
@@ -20,34 +19,15 @@ type StatusSnapshot struct {
 	// WallSeconds is the wall-clock time since the workload started.
 	WallSeconds float64 `json:"wall_seconds"`
 	// SimRate is the aggregate simulation speed so far in simulated
-	// seconds per wall second (zero when unknown, e.g. dist coordinators,
-	// whose shard payloads are opaque).
+	// seconds per wall second (zero until the first run completes).
 	SimRate float64 `json:"sim_rate"`
 	// ETASeconds extrapolates the remaining wall time from progress so
 	// far (zero until the first run completes).
 	ETASeconds float64 `json:"eta_seconds"`
 	// Done is set on the terminal snapshot.
 	Done bool `json:"done"`
-	// Workers is the per-worker lease state (dist mode only).
-	Workers []WorkerStatus `json:"workers,omitempty"`
 	// Cells is the per-cell contention fold (fleet mode only).
 	Cells []CellStatus `json:"cells,omitempty"`
-}
-
-// WorkerStatus is one distributed worker's coordinator-side state.
-type WorkerStatus struct {
-	Worker int `json:"worker"`
-	// State is the lease state machine phase: "starting", "idle", "busy",
-	// or "dead" (a worker that loses its lease is killed, so there is no
-	// phase between busy and dead).
-	State string `json:"state"`
-	// Chunk is the chunk the worker is executing (-1 when none), Attempt
-	// how many times that chunk has been granted (retries show as
-	// attempt > 1), and Progress the shards received under the current
-	// lease.
-	Chunk    int `json:"chunk"`
-	Attempt  int `json:"attempt,omitempty"`
-	Progress int `json:"progress,omitempty"`
 }
 
 // CellStatus is one shared cell's attach/overload accounting, published by
@@ -63,7 +43,7 @@ type CellStatus struct {
 // snapshots and completed runs' metric registries. Implementations must be
 // safe for concurrent use — campaign workers publish from many goroutines.
 // The Telemetry hub is the standard implementation; the interface keeps
-// core/dist decoupled from the HTTP layer.
+// core decoupled from the HTTP layer.
 type StatusSink interface {
 	// PublishStatus replaces the current status snapshot. The sink takes
 	// ownership of the snapshot's slices; publishers must not mutate them
@@ -96,8 +76,8 @@ func NewTelemetry() *Telemetry {
 }
 
 // SetLabels sets default Mode/Label values stamped onto published
-// snapshots that leave them empty — the workload engines (core, dist)
-// don't know what the CLI called them.
+// snapshots that leave them empty — the workload engines in core don't
+// know what the CLI called them.
 func (t *Telemetry) SetLabels(mode, label string) {
 	t.mu.Lock()
 	t.mode, t.label = mode, label

@@ -17,8 +17,8 @@ func TestTelemetryLabelStamping(t *testing.T) {
 	if st.Mode != "campaign" || st.Label != "urban-gcc" {
 		t.Errorf("defaults not stamped: %+v", st)
 	}
-	tel.PublishStatus(StatusSnapshot{Mode: "dist", Label: "other"})
-	if st, _ := tel.Status(); st.Mode != "dist" || st.Label != "other" {
+	tel.PublishStatus(StatusSnapshot{Mode: "fleet", Label: "other"})
+	if st, _ := tel.Status(); st.Mode != "fleet" || st.Label != "other" {
 		t.Errorf("producer labels overridden: %+v", st)
 	}
 }

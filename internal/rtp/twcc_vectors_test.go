@@ -77,6 +77,27 @@ var twccVectors = []struct {
 		}},
 	},
 	{
+		// The recorder's cycle rule across the 16-bit wrap: 0x0000 and
+		// 0x0001 come after 0xffff (a reference responder writes it as
+		// "sn < 0x0fff && last > 0xf000 starts a new cycle"), and 0xffff,
+		// recorded after 0x0000, still takes its place in the range. Five
+		// packets from 0xfffd, 1 ms apart in recording order, 40 ms past
+		// the 64 ms grid: small deltas of 160, 4 and 8 ticks, −4 (large:
+		// 0xffff arrived a millisecond after 0x0000), then 8.
+		name: "cycle across the wrap, reordered",
+		wire: "8fcd0006 00000001 00000002 fffd0005 00000f00 d590a004 08fffc08",
+		build: func() *TWCC {
+			r := NewTWCCRecorder(1, 2)
+			for i, seq := range []uint16{0xfffd, 0xfffe, 0x0000, 0xffff, 0x0001} {
+				r.Record(seq, time.Second+time.Duration(i)*time.Millisecond)
+			}
+			return r.Flush()
+		},
+		parsed: TWCC{SenderSSRC: 1, MediaSSRC: 2, BaseSeq: 0xfffd, Packets: arrivalsAt(
+			1000*time.Millisecond, 1001*time.Millisecond, 1003*time.Millisecond, 1002*time.Millisecond,
+			1004*time.Millisecond)},
+	},
+	{
 		// The delta bounds: 255 ticks (the largest small delta), 256 (the
 		// smallest large one), −1 and 32 767 (the largest large one).
 		name: "delta bounds",

@@ -32,8 +32,7 @@ var unsetFields = map[string]string{
 	"fault.Config.WatchdogTimeout":   "read by bench/; goes with ROADMAP item 4",
 	"repair.Config.TickInterval":     "read by bench/; goes with ROADMAP item 4",
 	"video.SenderConfig.Encoder":     "read by bench/; goes with ROADMAP item 4",
-	"dist.Config.Lease":              "defaulted by withDefaults; goes with ROADMAP item 12",
-	"dist.Config.RetryCap":           "defaulted by withDefaults; goes with ROADMAP item 12",
+	"experiments.DistSpec.Scenario":  "set by bench/; goes with ROADMAP item 4",
 	"core.FleetResult.PerUAVGoodput": "filled by its pointer-receiver Add in RunFleet",
 	"metrics.sketchJSON.Buckets":     "written by encoding/json",
 	"metrics.sketchJSON.Neg":         "written by encoding/json",
