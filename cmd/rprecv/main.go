@@ -45,7 +45,7 @@ func main() {
 	s.Every(time.Second, time.Second, func() {
 		pl := rcv.Player
 		fmt.Printf("t=%4.0fs %7d pkts %8.2f MB %6d frames %4d stalls %5d nacks\n", s.Now().Seconds(),
-			pl.PacketsReceived(), float64(pl.BytesReceived())/1e6, len(pl.Frames), len(pl.Stalls), rcv.NacksSent)
+			pl.PacketsReceived(), float64(pl.BytesReceived())/1e6, pl.FramesPlayed+pl.FramesSkipped, len(pl.Stalls), rcv.NacksSent)
 	})
 	log.Fatalf("rprecv: %v", endpoint.ServeReceiver(s, rcv, conn, 0))
 }

@@ -59,12 +59,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	pl, played := rcv.Player, 0
-	for _, f := range pl.Frames {
-		if !f.Skipped {
-			played++
-		}
-	}
+	pl := rcv.Player
+	played := pl.FramesPlayed
 	endRate := snd.TargetBitrate(ss.Now())
 	fmt.Printf("receiver: %d packets, %d frames played, %d stalls; sender: target %.1f -> %.1f Mbps\n",
 		pl.PacketsReceived(), played, len(pl.Stalls), startRate/1e6, endRate/1e6)

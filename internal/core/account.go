@@ -234,21 +234,10 @@ func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.
 	res.FPS = *pl.FPSSketch(dur)
 	res.PlaybackMs = *pl.LatencySketch()
 	res.SSIM = *pl.SSIMSketch()
-	if framesTap != nil {
-		framesTap(res, pl.Frames)
-	}
-	if poolTap != nil {
-		poolTap(res, snd.Video.PacketPool())
-	}
 	res.Stalls = pl.Stalls
 	res.StallsPerMin = pl.StallsPerMinute(dur)
-	for _, f := range pl.Frames {
-		if f.Skipped {
-			res.FramesSkipped++
-		} else {
-			res.FramesPlayed++
-		}
-	}
+	res.FramesPlayed = pl.FramesPlayed
+	res.FramesSkipped = pl.FramesSkipped
 	if sc, ok := snd.Ctrl.(*scream.Controller); ok {
 		res.ScreamLosses = sc.Losses
 		res.ScreamLossesInBand = sc.LossesInBand

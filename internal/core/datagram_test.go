@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"rpivideo/internal/core"
@@ -10,13 +11,12 @@ import (
 )
 
 // TestDatagramSlotsConserved is the datagram half of the released-exactly-
-// once identity. Every golden scenario runs (the fleet one through its
-// UAVs), and every flight of TestWireMatchesSim runs once more in wire mode.
-// When a run ends, each endpoint still holds exactly the datagrams its link
-// still carries — the sender's reports queued or in flight on the uplink,
-// the receiver's feedback on the downlink — so every other datagram it sent
-// came back through one of the link's two exits; a second Release would
-// have panicked. And no pool holds more slots than its peak of held
+// once identity, on the runs conservedRuns makes. When a run ends, each
+// endpoint still holds exactly the datagrams its link still carries — the
+// sender's reports queued or in flight on the uplink, the receiver's
+// feedback on the downlink — so every other datagram it sent came back
+// through one of the link's two exits; a second Release would have
+// panicked. And no pool holds more slots than its peak of held
 // datagrams plus the one block that peak opened — outside the rtppoison
 // build, which never reuses a released slot.
 func TestDatagramSlotsConserved(t *testing.T) {
@@ -47,10 +47,18 @@ func TestDatagramSlotsConserved(t *testing.T) {
 		}
 		t.Logf("%s: %d runs, first %+v", name, len(runs), runs[0])
 	}
+	conservedRuns(t, check)
+}
+
+// conservedRuns hands check, by name, every run set the conservation tests
+// hold: each golden scenario (the fleet one through its UAVs, on one worker
+// so that a tap appends from the run's goroutine), the bonded, repaired,
+// faulted resilient-75s flight, and each flight of TestWireMatchesSim once
+// more in wire mode.
+func conservedRuns(t *testing.T, check func(name string, run func())) {
 	for _, sc := range experiments.Scenarios() {
 		if sc.Fleet > 0 {
 			check(sc.Name, func() {
-				// One worker: the tap appends from the run's goroutine.
 				if _, err := experiments.RunFleetScenarioWithOptions(sc, experiments.ScenarioOptions{Workers: 1}); err != nil {
 					t.Fatal(err)
 				}
@@ -59,6 +67,9 @@ func TestDatagramSlotsConserved(t *testing.T) {
 		}
 		check(sc.Name, func() { core.Run(sc.Config) })
 	}
+	resilient := core.Resilient75s()
+	resilient.Seed = 7
+	check("resilient-75s", func() { core.Run(resilient) })
 	flights := core.WireFlights()
 	names := make([]string, 0, len(flights))
 	for name := range flights {
@@ -70,4 +81,45 @@ func TestDatagramSlotsConserved(t *testing.T) {
 			core.RunOnOneWorker([]core.WorkerJob{{Config: flights[name], Wire: true}}, func(int, *core.Result) {})
 		})
 	}
+}
+
+// TestPacketSlotsConserved is the packet half of the same identity, with
+// the retransmissions in it, on the same runs. When a run ends, its
+// sender's pool carries exactly the references still held —
+// one per packet in the send queue, per packet in the retransmission cache,
+// per media copy and per retransmission still on the uplinks. So every
+// retransmission's one reference came back through one of the link's two
+// exits, once: what the run still holds of them is what its uplink
+// carries, none in the runs here. The repaired runs must have sent
+// retransmissions for this to say anything.
+func TestPacketSlotsConserved(t *testing.T) {
+	var runs []core.PacketSlots
+	var results []*core.Result
+	restore := core.SetPacketTap(func(r *core.Result, s core.PacketSlots) {
+		runs, results = append(runs, s), append(results, r)
+	})
+	defer restore()
+	check := func(name string, fn func()) {
+		runs, results = runs[:0], results[:0]
+		fn()
+		if len(runs) == 0 {
+			t.Fatalf("%s: no video run reported its packet slots", name)
+		}
+		rtx := 0
+		for i, s := range runs {
+			media := s.Queued + s.Cached + s.MediaCarried
+			if s.Pool.Refs != media+s.RTXCarried {
+				t.Errorf("%s run %d: pool %+v, with %d queued, %d cached, %d media copies and %d retransmissions on the uplinks: %d retransmission references held, %d carried",
+					name, i, s.Pool, s.Queued, s.Cached, s.MediaCarried, s.RTXCarried, s.Pool.Refs-media, s.RTXCarried)
+			}
+			rtx += results[i].RtxBytes
+		}
+		t.Logf("%s: %d runs, %d RTX bytes, first %+v", name, len(runs), rtx, runs[0])
+		if strings.Contains(name, "repair") || strings.Contains(name, "resilient") {
+			if rtx == 0 {
+				t.Errorf("%s: no retransmission sent", name)
+			}
+		}
+	}
+	conservedRuns(t, check)
 }

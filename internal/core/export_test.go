@@ -1,6 +1,10 @@
 package core
 
-import "rpivideo/internal/rtp"
+import (
+	"rpivideo/internal/endpoint"
+	"rpivideo/internal/link"
+	"rpivideo/internal/rtp"
+)
 
 // WorkerJob is one job of RunOnOneWorker: a run of Config, with every media
 // packet crossing the links as marshalled bytes when Wire is set.
@@ -40,3 +44,33 @@ func SetDatagramTap(fn func(r *Result, s DatagramSlots)) (restore func()) {
 // WireFlights are TestWireMatchesSim's flights, for the tests outside the
 // package that run them in wire mode.
 var WireFlights = wireFlights
+
+// PacketSlots is a video run's packet pool once the run has ended, next to
+// the references its holders still have then: Queued packets in the send
+// queue, Cached ones in the retransmission cache, and the media copies and
+// retransmissions the uplinks still carry (none in a wire run, whose link
+// copies are bytes).
+type PacketSlots struct {
+	Pool                                     rtp.PoolStats
+	Queued, Cached, MediaCarried, RTXCarried int
+}
+
+// SetPacketTap has fn see every video run's PacketSlots from now until the
+// returned restore is called.
+func SetPacketTap(fn func(r *Result, s PacketSlots)) (restore func()) {
+	poolTap = func(r *Result, snd *endpoint.Sender, uplinks []*link.Link, wire bool) {
+		s := PacketSlots{Pool: snd.Video.PacketPool(), Queued: snd.Video.Queue().Len()}
+		if snd.Cache != nil {
+			s.Cached = snd.Cache.Len()
+		}
+		if !wire { // a wire run's link copies are bytes, their references ended at Marshalled
+			carried := func(c link.Counts) int { return c.Sent - c.Delivered - c.Drops() }
+			for _, l := range uplinks {
+				s.MediaCarried += carried(l.Count(link.Media))
+			}
+			s.RTXCarried = carried(uplinks[0].Count(link.RTX))
+		}
+		fn(r, s)
+	}
+	return func() { poolTap = nil }
+}

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"rpivideo/internal/cell"
+	"rpivideo/internal/endpoint"
+	"rpivideo/internal/link"
 	"rpivideo/internal/rtp"
 )
 
@@ -27,7 +29,7 @@ func TestFlightPacketPoolStaysLiveSized(t *testing.T) {
 		t.Skip("four full flights")
 	}
 	var pool rtp.PoolStats
-	poolTap = func(_ *Result, st rtp.PoolStats) { pool = st }
+	poolTap = func(_ *Result, snd *endpoint.Sender, _ []*link.Link, _ bool) { pool = snd.Video.PacketPool() }
 	t.Cleanup(func() { poolTap = nil })
 	resilient := Resilient75s()
 	resilient.Seed = 7

@@ -4,7 +4,9 @@ import (
 	"time"
 
 	"rpivideo/internal/cell"
+	"rpivideo/internal/endpoint"
 	"rpivideo/internal/fault"
+	"rpivideo/internal/link"
 	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
 	"rpivideo/internal/rtp"
@@ -279,17 +281,20 @@ func (r *Result) GoodputMean() float64 { return r.Goodput.Mean() }
 // Test hooks, nil outside tests: sampleTap sees every sample a run records
 // into one of its Result's sketches, and framesTap the player's frame list
 // the FPS, PlaybackMs and SSIM sketches were built from. They let a test
-// rebuild each sketch from the raw samples. poolTap sees a video run's
-// packet pool once the run has ended: its Live and PeakLive count that run's
-// packets alone, while its Slots include those inherited from the runs
-// before it on the same worker (runBuffers). datagramTap sees a video run's
-// two datagram pools once the run has ended, with the datagrams each one's
-// link still carries: the sender reports queued or in flight on the uplink,
-// the feedback on the downlink.
+// rebuild each sketch from the raw samples; the player records frames for
+// it only while it is set. poolTap sees a video run's sender once the run
+// has ended, with its uplinks (the primary first) and whether its media
+// crossed as bytes: the sender's packet pool counts that run's packets and
+// retransmissions alone in Live, PeakLive and Refs, while its Slots include
+// those inherited from the runs before it on the same worker (runBuffers).
+// datagramTap sees a video run's two datagram pools once the
+// run has ended, with the datagrams each one's link still carries: the
+// sender reports queued or in flight on the uplink, the feedback on the
+// downlink.
 var (
 	sampleTap   func(d *metrics.Sketch, v float64)
 	framesTap   func(r *Result, frames []video.PlayedFrame)
-	poolTap     func(r *Result, pool rtp.PoolStats)
+	poolTap     func(r *Result, snd *endpoint.Sender, uplinks []*link.Link, wire bool)
 	datagramTap func(r *Result, snd, rcv rtp.PoolStats, upCarried, downCarried int)
 )
 

@@ -216,6 +216,12 @@ func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, up
 	snd, rcv := newEndpoints(s, cfg, res, bp)
 	snd.Video.Reuse(vb)
 	rcv.Player.Reuse(vb)
+	var tapFrames func()
+	if framesTap != nil {
+		var frames []video.PlayedFrame
+		rcv.Player.OnFrame = func(f video.PlayedFrame) { frames = append(frames, f) }
+		tapFrames = func() { framesTap(res, frames) }
+	}
 	log := newFlightLog(res, prof, dur)
 	connect(s, cfg, snd, rcv, uplink, downlink, bp, log, wire)
 	snd.OnRTT = func(rtt time.Duration) { record(&res.RTCPRTTms, float64(rtt)/float64(time.Millisecond)) }
@@ -237,6 +243,16 @@ func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, up
 	log.fold()
 	sampler.fold()
 	foldEndpoints(cfg, res, snd, rcv, bp, log, dur)
+	if tapFrames != nil {
+		tapFrames()
+	}
+	if poolTap != nil {
+		uplinks := []*link.Link{uplink}
+		if bp != nil {
+			uplinks = bp.uplinks[:]
+		}
+		poolTap(res, snd, uplinks, wire)
+	}
 	if datagramTap != nil {
 		carried := func(c link.Counts) int { return c.Sent - c.Delivered - c.Drops() }
 		datagramTap(res, snd.Datagrams(), rcv.Datagrams(), carried(uplink.Count(link.Control)), carried(downlink.Count(link.Media)))

@@ -83,13 +83,7 @@ func TestPairStreams(t *testing.T) {
 		p.snd.OnRTT = func(rtt time.Duration) { rtts = append(rtts, rtt) }
 		start := p.snd.TargetBitrate(0)
 		p.s.RunUntil(5 * time.Second)
-		played := 0
-		for _, f := range p.rcv.Player.Frames {
-			if !f.Skipped {
-				played++
-			}
-		}
-		if played < 100 {
+		if played := p.rcv.Player.FramesPlayed; played < 100 {
 			t.Errorf("wire=%v: %d frames played in 5 s, want ≥ 100", wire, played)
 		}
 		if end := p.snd.TargetBitrate(p.s.Now()); end <= start {
@@ -591,8 +585,8 @@ func FuzzEndpointDatagram(f *testing.F) {
 		}
 		// The bound is the costliest honest path: a media packet that skips
 		// more sequence numbers than the loss detector tracks opens
-		// MaxPending (8 192) records, about 1.3 MiB with their index, however
-		// far it jumps; and a NACK may name 17 packets per 4 bytes, each
+		// MaxPending (8 192) records, about 1.2 MiB with the table and the
+		// order slice they grow, however far it jumps; and a NACK may name 17 packets per 4 bytes, each
 		// retransmitted. Nothing else scales past the datagram, and nothing
 		// at all with a length field inside it.
 		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(2<<20+2048*len(data)); grew > bound {

@@ -91,6 +91,9 @@ type Receiver struct {
 	rr     rtp.ReceiverReport
 	nack   rtp.NACK
 	seqs   []uint16
+	// rtx is the media packet the latest retransmission restores, lent to
+	// the player for one call; its payload is the retransmission's.
+	rtx rtp.Packet
 
 	// The newest sender report, echoed in receiver reports as LSR/DLSR.
 	lastSRMid uint32
@@ -273,8 +276,9 @@ func (r *Receiver) OnMedia(p *rtp.Packet, at time.Duration) Verdict {
 		// it to the player iff its loss is still open. RTX stays invisible
 		// to the congestion-control feedback (no TWCC/CCFB recording) — the
 		// budget already charged it to the target.
-		orig, osn, err := rtp.UnwrapRTX(p, r.cfg.SSRC, r.cfg.PayloadType)
-		if err != nil {
+		var osn uint16
+		var err error
+		if r.rtx, osn, err = rtp.UnwrapRTX(p, r.cfg.SSRC, r.cfg.PayloadType); err != nil {
 			return Rejected
 		}
 		if !r.Detector.OnRepair(osn, at) {
@@ -283,7 +287,7 @@ func (r *Receiver) OnMedia(p *rtp.Packet, at time.Duration) Verdict {
 		if r.cfg.Dedup != nil {
 			r.cfg.Dedup.Mark(osn)
 		}
-		r.Player.OnRepairedPacket(orig, at)
+		r.Player.OnRepairedPacket(&r.rtx, at)
 		return Repaired
 	}
 	seq := p.Header.SequenceNumber

@@ -219,7 +219,10 @@ func (s *Sender) OnDatagram(buf []byte, at time.Duration) Verdict {
 }
 
 // onNACK answers an RFC 4585 Generic NACK with RFC 4588 retransmissions, as
-// far as the cache still holds the packets and the budget allows.
+// far as the cache still holds the packets and the budget allows. A
+// retransmission is numbered on the RTX stream, and built in a slot of the
+// packetizer's pool, only once the budget has granted its size: a denied
+// one costs neither a sequence number nor a slot.
 func (s *Sender) onNACK(buf []byte, at time.Duration) Verdict {
 	n := &s.nack
 	if s.Cache == nil || n.Unmarshal(buf) != nil || n.MediaSSRC != s.cfg.Video.SSRC {
@@ -231,12 +234,12 @@ func (s *Sender) onNACK(buf []byte, at time.Duration) Verdict {
 		if orig == nil {
 			continue // evicted, aged out, or resent to the cap
 		}
-		s.rtxSeq++
-		rtx := rtp.WrapRTX(orig, repair.RtxSSRC, repair.RtxPayloadType, s.rtxSeq)
-		size := rtx.MarshalSize()
+		size := rtp.RTXSize(orig)
 		if !s.Budget.Allow(at, size, s.ctrl.TargetBitrate(at)) {
 			continue // budget empty: degrade to the PLI path
 		}
+		s.rtxSeq++
+		rtx := s.Video.WrapRTX(orig, repair.RtxSSRC, repair.RtxPayloadType, s.rtxSeq)
 		s.RtxBytes += size
 		if s.cfg.Trace != nil {
 			s.cfg.Trace.Emit(obs.Event{T: at, Kind: obs.KindRTX, Dir: obs.DirUp,

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rpivideo/internal/metrics"
 	"rpivideo/internal/rtp"
 )
 
@@ -64,5 +65,76 @@ func TestCacheSteadyStateAllocations(t *testing.T) {
 	if l.c.Len() != 401 || l.hits != 750 || l.c.Misses != 0 || len(l.c.slots) != 512 {
 		t.Errorf("load is not the steady state it claims: %d live in %d slots, %d hits, %d misses",
 			l.c.Len(), len(l.c.slots), l.hits, l.c.Misses)
+	}
+}
+
+// detectorLoad is the receiver side of a steady 1 kpkt/s stream that loses
+// one packet in fifty: every arrival goes through OnPacket, the scheduler
+// ticks every 10 ms, and the retransmission of each NACKed loss arrives at
+// the next tick.
+type detectorLoad struct {
+	d      *Detector
+	seq    uint16
+	now    time.Duration
+	nacked []uint16
+}
+
+// warmDetector runs 70 s of load: past a 16-bit wrap, with the table and
+// the order slice at their steady sizes.
+func warmDetector() *detectorLoad {
+	l := &detectorLoad{d: NewDetector(DefaultConfig())}
+	l.d.SetNackRTTHist(new(metrics.Sketch))
+	for i := 0; i < 70_000; i++ {
+		l.step()
+	}
+	return l
+}
+
+func (l *detectorLoad) step() {
+	l.now += time.Millisecond
+	l.seq++
+	if l.seq%50 == 0 {
+		l.seq++ // lost
+	}
+	l.d.OnPacket(l.seq, l.now)
+	if l.now%(10*time.Millisecond) == 0 {
+		for _, s := range l.nacked {
+			l.d.OnRepair(s, l.now)
+		}
+		l.nacked = l.d.AppendTick(l.nacked[:0], l.now)
+	}
+}
+
+// BenchmarkDetectorCycle is one packet through the loss detector: an
+// OnPacket, and a tenth of a tick with its repairs.
+func BenchmarkDetectorCycle(b *testing.B) {
+	l := warmDetector()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.step()
+	}
+}
+
+// TestDetectorSteadyStateAllocations pins the detector at zero allocations
+// per packet once warm, losses, NACKs and repairs included: loss records
+// live in the table by value and each tick compacts the order in place.
+func TestDetectorSteadyStateAllocations(t *testing.T) {
+	l := warmDetector()
+	repaired := l.d.Repaired
+	// One unmeasured call, then every allocation of 5 000 packets: growth
+	// amortized over many packets counts too.
+	n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 5000; i++ {
+			l.step()
+		}
+	})
+	if n != 0 {
+		t.Errorf("OnPacket+AppendTick+OnRepair allocate %.0f times in 5 000 packets, want 0", n)
+	}
+	// Every loss is NACKed once and healed by its retransmission.
+	if l.d.Repaired-repaired < 180 || l.d.Abandoned != 0 || l.d.Late != 0 || l.d.Pending() > 1 {
+		t.Errorf("load is not the steady state it claims: %d repaired, %d abandoned, %d late, %d pending",
+			l.d.Repaired-repaired, l.d.Abandoned, l.d.Late, l.d.Pending())
 	}
 }

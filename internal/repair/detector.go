@@ -7,28 +7,45 @@ import (
 	"rpivideo/internal/obs"
 )
 
-// pendingLoss is one missing media sequence number under repair.
-type pendingLoss struct {
-	seq uint16
-	// missedAt is when the gap was first observed.
-	missedAt time.Duration
+// loss is one missing media sequence number under repair, held by value in
+// its table slot.
+type loss struct {
+	seq  uint16
+	live bool
+	// retries counts NACKs sent for this loss so far.
+	retries int
 	// arrivalsAtMiss snapshots the detector's arrival counter at creation;
 	// the loss becomes NACK-eligible once reorderTolerance further packets
 	// have arrived.
 	arrivalsAtMiss int
-	// retries counts NACKs sent for this loss so far.
-	retries int
+	// missedAt is when the gap was first observed.
+	missedAt time.Duration
 	// nextNackAt gates the next NACK (first: missedAt+nackDelay, then the
 	// backed-off retry timer).
 	nextNackAt time.Duration
 	// lastNackAt timestamps the most recent NACK, for RTT sampling.
 	lastNackAt time.Duration
-	done       bool
+}
+
+// lossRef is a loss's place in NACK order. The pair names one record for
+// good: a sequence number can only be opened again by a later OnPacket
+// call, whose arrival count differs. A ref whose pair no longer matches its
+// slot is a husk.
+type lossRef struct {
+	arrivalsAtMiss int
+	seq            uint16
 }
 
 // Detector is the receiver-side loss detector and NACK scheduler. It is
 // driven entirely by the caller: OnPacket/OnRepair at packet arrivals and
 // Tick at the NACK cadence. It never schedules simulator events itself.
+//
+// Losses live by value in a direct-mapped, key-validated table, as the
+// Cache's entries do: slot seq&mask holds the live loss whose seq matches,
+// and the table doubles when two live losses would share a slot (at 1<<16
+// slots none can). The order slice keeps NACK-eligibility order — ascending
+// (wrapping) seq, the order gaps are opened in — and every tick compacts it
+// in place, so once warm a loss costs no allocation.
 type Detector struct {
 	// maxPending is the bound on tracked losses (the constant maxPending;
 	// a test may lower it).
@@ -39,8 +56,10 @@ type Detector struct {
 	arrivals    int
 	lastArrival time.Duration
 
-	pending []*pendingLoss // NACK-eligibility order: ascending (wrapping) seq
-	index   map[uint16]*pendingLoss
+	slots []loss // len is a power of two
+	live  int
+	order []lossRef
+	head  int // order[:head] are refs the pending bound has taken
 
 	srtt    time.Duration
 	haveRTT bool
@@ -60,12 +79,16 @@ type Detector struct {
 	Abandoned int
 }
 
+// detectorInitSlots covers a loss burst of a few hundred packets; an
+// outage's span doubles the table a few times, once.
+const detectorInitSlots = 1 << 8
+
 // NewDetector returns a detector. Its parameters are the package's
 // constants; the Config is not read.
 func NewDetector(Config) *Detector {
 	return &Detector{
 		maxPending: maxPending,
-		index:      make(map[uint16]*pendingLoss),
+		slots:      make([]loss, detectorInitSlots),
 		srtt:       initialRTT,
 	}
 }
@@ -83,7 +106,28 @@ func (d *Detector) SetNackRTTHist(h *metrics.Sketch) { d.rttHist = h }
 func (d *Detector) RTT() time.Duration { return d.srtt }
 
 // Pending returns the number of losses currently tracked.
-func (d *Detector) Pending() int { return len(d.index) }
+func (d *Detector) Pending() int { return d.live }
+
+// slot returns the one slot seq can occupy.
+func (d *Detector) slot(seq uint16) *loss {
+	return &d.slots[int(seq)&(len(d.slots)-1)]
+}
+
+// find returns the live loss of seq, or nil.
+func (d *Detector) find(seq uint16) *loss {
+	if e := d.slot(seq); e.live && e.seq == seq {
+		return e
+	}
+	return nil
+}
+
+// named returns the live loss r names, or nil when r is a husk.
+func (d *Detector) named(r lossRef) *loss {
+	if e := d.find(r.seq); e != nil && e.arrivalsAtMiss == r.arrivalsAtMiss {
+		return e
+	}
+	return nil
+}
 
 // OnPacket records an in-stream media packet arrival. A forward jump opens
 // pending losses for the skipped sequence numbers; an arrival that fills a
@@ -130,7 +174,7 @@ func (d *Detector) OnPacket(seq uint16, at time.Duration) {
 		d.highest = seq
 	default:
 		// Reordered (old) packet: heal its gap if we were tracking one.
-		if e := d.index[seq]; e != nil {
+		if e := d.find(seq); e != nil {
 			d.heal(e, at, false)
 		}
 	}
@@ -141,7 +185,7 @@ func (d *Detector) OnPacket(seq uint16, at time.Duration) {
 // the RTX is spurious (the original already arrived, or the loss was
 // abandoned) and the caller should discard it.
 func (d *Detector) OnRepair(seq uint16, at time.Duration) bool {
-	e := d.index[seq]
+	e := d.find(seq)
 	if e == nil {
 		return false
 	}
@@ -160,13 +204,14 @@ func (d *Detector) Tick(now time.Duration) []uint16 { return d.AppendTick(nil, n
 // rtp.AppendNackPairs) and abandons losses whose final retry timer expired
 // unanswered.
 func (d *Detector) AppendTick(out []uint16, now time.Duration) []uint16 {
-	keep := d.pending[:0]
-	for _, e := range d.pending {
-		if e.done {
-			continue
+	keep := d.order[:0]
+	for _, r := range d.order[d.head:] {
+		e := d.named(r)
+		if e == nil {
+			continue // healed or abandoned since
 		}
 		if d.arrivals-e.arrivalsAtMiss < reorderTolerance || now < e.nextNackAt {
-			keep = append(keep, e)
+			keep = append(keep, r)
 			continue
 		}
 		if e.retries >= maxRetries {
@@ -177,37 +222,49 @@ func (d *Detector) AppendTick(out []uint16, now time.Duration) []uint16 {
 		e.lastNackAt = now
 		e.nextNackAt = now + d.rto(e.retries)
 		out = append(out, e.seq)
-		keep = append(keep, e)
+		keep = append(keep, r)
 	}
-	for i := len(keep); i < len(d.pending); i++ {
-		d.pending[i] = nil
-	}
-	d.pending = keep
+	d.order, d.head = keep, 0
 	return out
 }
 
 // add opens a pending loss, abandoning the oldest if the bound is hit.
 func (d *Detector) add(seq uint16, at time.Duration) {
-	if _, ok := d.index[seq]; ok {
+	if d.find(seq) != nil {
 		return
 	}
-	for len(d.index) >= d.maxPending && len(d.pending) > 0 {
-		if e := d.pending[0]; !e.done {
+	for d.live >= d.maxPending && d.head < len(d.order) {
+		if e := d.named(d.order[d.head]); e != nil {
 			d.abandon(e, at)
 		}
-		d.pending[0] = nil
-		d.pending = d.pending[1:]
+		d.head++
 	}
-	e := &pendingLoss{
-		seq:      seq,
-		missedAt: at,
-		// The packet revealing the gap is itself the first arrival past
-		// the missing one, so it counts toward the reorder tolerance.
-		arrivalsAtMiss: d.arrivals - 1,
-		nextNackAt:     at + nackDelay,
+	e := d.slot(seq)
+	for e.live {
+		d.grow()
+		e = d.slot(seq)
 	}
-	d.pending = append(d.pending, e)
-	d.index[seq] = e
+	// The packet revealing the gap is itself the first arrival past the
+	// missing one, so it counts toward the reorder tolerance.
+	*e = loss{seq: seq, live: true, arrivalsAtMiss: d.arrivals - 1, missedAt: at, nextNackAt: at + nackDelay}
+	d.live++
+	if d.head > 0 && len(d.order) == cap(d.order) {
+		// Slide the live refs down rather than let append regrow the array.
+		d.order, d.head = d.order[:copy(d.order, d.order[d.head:])], 0
+	}
+	d.order = append(d.order, lossRef{arrivalsAtMiss: e.arrivalsAtMiss, seq: seq})
+}
+
+// grow doubles the table. Live losses in distinct slots differ in their low
+// bits, so re-placing them cannot collide.
+func (d *Detector) grow() {
+	old := d.slots
+	d.slots = make([]loss, 2*len(old))
+	for i := range old {
+		if old[i].live {
+			*d.slot(old[i].seq) = old[i]
+		}
+	}
 }
 
 // rto returns the wait after the k-th NACK (k ≥ 1): the smoothed RTT
@@ -233,9 +290,9 @@ func (d *Detector) sampleRTT(s time.Duration) {
 	d.srtt += (s - d.srtt) / 8
 }
 
-func (d *Detector) heal(e *pendingLoss, at time.Duration, rtx bool) {
-	e.done = true
-	delete(d.index, e.seq)
+func (d *Detector) heal(e *loss, at time.Duration, rtx bool) {
+	e.live = false
+	d.live--
 	aux := int64(0)
 	if rtx {
 		aux = 1
@@ -252,9 +309,9 @@ func (d *Detector) heal(e *pendingLoss, at time.Duration, rtx bool) {
 	}
 }
 
-func (d *Detector) abandon(e *pendingLoss, at time.Duration) {
-	e.done = true
-	delete(d.index, e.seq)
+func (d *Detector) abandon(e *loss, at time.Duration) {
+	e.live = false
+	d.live--
 	d.Abandoned++
 	if d.trace != nil {
 		d.trace.Emit(obs.Event{T: at, Kind: obs.KindRepairAbandoned,

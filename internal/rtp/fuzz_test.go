@@ -217,10 +217,11 @@ func FuzzNACKUnmarshal(f *testing.F) {
 func FuzzRTXUnwrap(f *testing.F) {
 	pk := NewPacketizer(0x1234, 96, 1200)
 	for _, p := range pk.Packetize(FrameInfo{Num: 3, Size: 2600, Keyframe: true}) {
-		rtx := WrapRTX(p, 0x5243, 97, 11)
+		rtx := pk.WrapRTX(p, 0x5243, 97, 11)
 		if buf, err := rtx.Marshal(); err == nil {
 			fuzzSeed(f, buf)
 		}
+		rtx.Release()
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -235,7 +236,8 @@ func FuzzRTXUnwrap(f *testing.F) {
 		if orig.Header.SequenceNumber != osn {
 			t.Fatalf("unwrapped seq %d != osn %d", orig.Header.SequenceNumber, osn)
 		}
-		re := WrapRTX(orig, p.Header.SSRC, p.Header.PayloadType, p.Header.SequenceNumber)
+		re := pk.WrapRTX(&orig, p.Header.SSRC, p.Header.PayloadType, p.Header.SequenceNumber)
+		defer re.Release()
 		back, osn2, err := UnwrapRTX(re, 0x1234, 96)
 		if err != nil {
 			t.Fatalf("rewrap not unwrappable: %v", err)

@@ -75,13 +75,14 @@ func TestNACKRejectsOtherFeedback(t *testing.T) {
 
 func TestRTXWrapUnwrapRoundTrip(t *testing.T) {
 	pk := NewPacketizer(0x1234, 96, 1200)
-	orig := pk.Packetize(FrameInfo{Num: 7, Keyframe: true, Size: 3000, RTPTime: 21000})[1]
-	rtx := WrapRTX(orig, 0x5243, 97, 400)
+	frame := pk.Packetize(FrameInfo{Num: 7, Keyframe: true, Size: 3000, RTPTime: 21000})
+	orig := frame[1]
+	rtx := pk.WrapRTX(orig, 0x5243, 97, 400)
 	if rtx.Header.SSRC != 0x5243 || rtx.Header.PayloadType != 97 || rtx.Header.SequenceNumber != 400 {
 		t.Fatalf("rtx stream identity wrong: %+v", rtx.Header)
 	}
-	if got, want := rtx.MarshalSize(), orig.MarshalSize()+RTXOverhead-orig.Header.extensionWireLen(); got != want {
-		t.Fatalf("rtx wire size %d, want %d", got, want)
+	if got, want := rtx.MarshalSize(), orig.MarshalSize()+RTXOverhead-orig.Header.extensionWireLen(); got != want || RTXSize(orig) != want {
+		t.Fatalf("rtx wire size %d, RTXSize %d, want %d", got, RTXSize(orig), want)
 	}
 	back, osn, err := UnwrapRTX(rtx, 0x1234, 96)
 	if err != nil {
@@ -102,6 +103,51 @@ func TestRTXWrapUnwrapRoundTrip(t *testing.T) {
 	if err != nil || meta.FrameNum != 7 || !meta.Keyframe {
 		t.Fatalf("unwrapped payload meta %+v err %v", meta, err)
 	}
+	// The retransmission holds a slot of its own until released.
+	if st := pk.PoolStats(); st.Live != len(frame)+1 {
+		t.Fatalf("pool %+v: want the frame's %d packets and the RTX live", st, len(frame))
+	}
+	rtx.Release()
+	if st := pk.PoolStats(); st.Live != len(frame) {
+		t.Fatalf("pool %+v after the RTX's one Release", st)
+	}
+}
+
+// TestPooledRTXRoundTripAllocations pins a retransmission built in a
+// recycled slot, unwrapped and released, at zero allocations once the pool
+// is warm; a payload too long for the slot still wraps, on the heap.
+func TestPooledRTXRoundTripAllocations(t *testing.T) {
+	pk := NewPacketizer(0x1234, 96, 1200)
+	orig := pk.Packetize(FrameInfo{Num: 7, Size: 1000})[0]
+	var osn uint16
+	roundTrip := func() {
+		rtx := pk.WrapRTX(orig, 0x5243, 97, 400)
+		back, n, err := UnwrapRTX(rtx, 0x1234, 96)
+		if err != nil || len(back.Payload) != len(orig.Payload) {
+			t.Fatalf("unwrap: %v", err)
+		}
+		osn = n
+		rtx.Release()
+	}
+	// One unmeasured call, then every allocation of 1 000 round trips.
+	n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			roundTrip()
+		}
+	})
+	if n != 0 && !poisonReleased {
+		t.Errorf("1 000 pooled RTX round trips allocate %.0f times, want 0", n)
+	}
+	if osn != orig.Header.SequenceNumber {
+		t.Fatalf("osn %d, want %d", osn, orig.Header.SequenceNumber)
+	}
+	long := &Packet{Header: Header{SequenceNumber: 9}, Payload: make([]byte, 100)}
+	long.Payload[99] = 7
+	rtx := pk.WrapRTX(long, 0x5243, 97, 401)
+	if back, osn, err := UnwrapRTX(rtx, 0x1234, 96); err != nil || osn != 9 || !reflect.DeepEqual(back.Payload, long.Payload) {
+		t.Fatalf("long payload: osn %d, err %v, payload equal %v", osn, err, reflect.DeepEqual(back.Payload, long.Payload))
+	}
+	rtx.Release()
 }
 
 func TestRTXUnwrapShortPayload(t *testing.T) {

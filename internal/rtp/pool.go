@@ -25,9 +25,15 @@ package rtp
 // holder that reads a packet after its last Release corrupts the run's
 // output instead of silently reading the next frame's packet.
 //
-// Retain and Release do nothing on packets no packetizer made: Unmarshal's,
-// WrapRTX's and UnwrapRTX's, and literals. Nor on a copy of a pooled Packet
-// value: only the slot's own packet carries its count.
+// A retransmission built by Packetizer.WrapRTX takes a slot from the same
+// free list and follows the same rule: the sender hands its one reference
+// on, and the holder that takes it releases it once.
+//
+// Retain and Release do nothing on packets no packetizer made: Unmarshal's
+// and literals. Nor on a copy of a pooled Packet value: only the slot's own
+// packet carries its count. UnwrapRTX's packet is such a value; it borrows
+// its retransmission's payload, so it is read only while the
+// retransmission is held.
 
 // PoolBlock is how many packet slots a packetizer allocates at a time, when
 // its free list is empty.
@@ -57,9 +63,11 @@ type packetPool struct {
 // holds, how many hold a referenced packet now, and the most that ever did
 // at once. For a packetizer, Live and PeakLive count its own packets alone,
 // while Slots includes the slots it reclaimed through Reuse from the
-// packetizers before it.
+// packetizers before it, and Refs counts the references its live packets
+// carry, one per holder (a DatagramPool leaves it zero: a datagram has one
+// holder, so Live says it).
 type PoolStats struct {
-	Slots, Live, PeakLive int
+	Slots, Live, PeakLive, Refs int
 }
 
 // Buffers is the storage one run's Packetizer and Depacketizer leave to the
@@ -122,6 +130,7 @@ func (p *packetPool) get() *packetSlot {
 	p.free = p.free[:len(p.free)-1]
 	s.refs = 1
 	p.stats.Live++
+	p.stats.Refs++
 	p.stats.PeakLive = max(p.stats.PeakLive, p.stats.Live)
 	return s
 }
@@ -146,6 +155,7 @@ func (p *Packet) Retain() {
 		panic("rtp: Retain of a released packet")
 	}
 	s.refs++
+	s.pool.stats.Refs++
 }
 
 // Release drops one reference to a packet from a Packetizer; the last
@@ -159,6 +169,7 @@ func (p *Packet) Release() {
 	if s.refs <= 0 {
 		panic("rtp: Release of a packet with no references left")
 	}
+	s.pool.stats.Refs--
 	if s.refs--; s.refs > 0 {
 		return
 	}

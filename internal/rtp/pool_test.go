@@ -47,13 +47,14 @@ func TestRetainReleaseIgnoreUnpooledPackets(t *testing.T) {
 	if err := parsed.Unmarshal(buf); err != nil {
 		t.Fatal(err)
 	}
-	rtx := WrapRTX(pooled, 2, 97, 1)
+	rtx := p.WrapRTX(pooled, 2, 97, 1)
 	orig, _, err := UnwrapRTX(rtx, 1, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rtx.Release()
 	copied := *pooled
-	for _, q := range []*Packet{{Payload: []byte{1}}, parsed, rtx, orig, &copied} {
+	for _, q := range []*Packet{{Payload: []byte{1}}, parsed, &orig, &copied} {
 		for i := 0; i < 3; i++ {
 			q.Release()
 			q.Retain()
@@ -150,8 +151,9 @@ func FuzzPacketPool(f *testing.F) {
 					hs[h] = append(hs[h][:i], hs[h][i+1:]...)
 				}
 			}
-			live := map[*Packet]bool{}
+			live, refs := map[*Packet]bool{}, 0
 			for h := range hs {
+				refs += len(hs[h])
 				for _, x := range hs[h] {
 					live[x.pkt] = true
 					b, err := x.pkt.Marshal()
@@ -161,8 +163,8 @@ func FuzzPacketPool(f *testing.F) {
 					}
 				}
 			}
-			if st := p.PoolStats(); st.Live != len(live) || !poisonReleased && st.Slots > st.PeakLive+PoolBlock {
-				t.Fatalf("pool %+v with %d packets held", st, len(live))
+			if st := p.PoolStats(); st.Live != len(live) || st.Refs != refs || !poisonReleased && st.Slots > st.PeakLive+PoolBlock {
+				t.Fatalf("pool %+v with %d packets held by %d references", st, len(live), refs)
 			}
 		}
 	})

@@ -128,10 +128,14 @@ type Player struct {
 	everPlayed   bool
 	playClock    time.Duration // earliest time the next frame may play
 
-	// Outputs.
-	Frames  []PlayedFrame
-	Stalls  []Stall
-	fpsBins map[int]int
+	// Outputs. FramesPlayed and FramesSkipped count the frames recorded;
+	// OnFrame, when set, observes each one as it is recorded (nil by
+	// default: the player keeps no per-frame list).
+	FramesPlayed  int
+	FramesSkipped int
+	OnFrame       func(PlayedFrame)
+	Stalls        []Stall
+	fpsBins       map[int]int
 	// latencies and scores are the playback-latency (ms, played frames)
 	// and SSIM (every frame, skipped ones scoring the skip score)
 	// distributions, filled as frames are recorded.
@@ -416,11 +420,14 @@ func (p *Player) maybeRequestKeyframe(now time.Duration) {
 	p.KeyframeRequest()
 }
 
-// record appends the frame sample and the stall/FPS bookkeeping.
+// record counts the frame and does the sketch and stall/FPS bookkeeping.
 func (p *Player) record(pf PlayedFrame, now time.Duration) {
-	p.Frames = append(p.Frames, pf)
+	if p.OnFrame != nil {
+		p.OnFrame(pf)
+	}
 	p.scores.Add(pf.SSIM)
 	if pf.Skipped {
+		p.FramesSkipped++
 		if p.trace != nil {
 			p.trace.Emit(obs.Event{T: now, Kind: obs.KindFrameSkip, Seq: int64(pf.Num)})
 		}
@@ -435,6 +442,7 @@ func (p *Player) record(pf PlayedFrame, now time.Duration) {
 			}
 		}
 	}
+	p.FramesPlayed++
 	p.everPlayed = true
 	p.lastPlayedAt = now
 	p.fpsBins[int(now/time.Second)]++

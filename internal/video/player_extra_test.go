@@ -57,14 +57,9 @@ func TestPlayerOutOfOrderPacketsWithinFrame(t *testing.T) {
 	}
 	snd.Start()
 	s.RunUntil(5 * time.Second)
-	skipped := 0
-	for _, f := range pl.Frames {
-		if f.Skipped {
-			skipped++
-		}
-	}
-	if len(pl.Frames) < 100 {
-		t.Fatalf("only %d frames", len(pl.Frames))
+	skipped := pl.FramesSkipped
+	if n := pl.FramesPlayed + skipped; n < 100 {
+		t.Fatalf("only %d frames", n)
 	}
 	if skipped > 0 {
 		t.Errorf("%d frames skipped under in-frame reordering", skipped)
@@ -160,6 +155,7 @@ func TestSenderFrameEncodingRegistry(t *testing.T) {
 func TestOnRepairedPacketAccounting(t *testing.T) {
 	s := sim.New(7)
 	pl := NewPlayer(s, DefaultPlayerConfig(), nil, nil)
+	frames := recordFrames(pl)
 	pk := rtp.NewPacketizer(1, 96, 1200)
 	for num := uint32(0); num < 10; num++ {
 		num := num
@@ -189,9 +185,9 @@ func TestOnRepairedPacketAccounting(t *testing.T) {
 		t.Errorf("FramesRepaired = %d, want 1", pl.FramesRepaired)
 	}
 	var frame4 *PlayedFrame
-	for i := range pl.Frames {
-		if pl.Frames[i].Num == 4 {
-			frame4 = &pl.Frames[i]
+	for i := range *frames {
+		if (*frames)[i].Num == 4 {
+			frame4 = &(*frames)[i]
 		}
 	}
 	if frame4 == nil {
@@ -271,13 +267,53 @@ func TestPlayerLatePacketsLeaveNoState(t *testing.T) {
 	}
 	snd.Start()
 	s.RunUntil(60 * time.Second)
-	if len(pl.Frames) < 1700 || pl.PacketsReceived() < sent-200 {
-		t.Fatalf("%d frames, %d of %d packets received: the late packets must still count", len(pl.Frames), pl.PacketsReceived(), sent)
+	frames := pl.FramesPlayed + pl.FramesSkipped
+	if frames < 1700 || pl.PacketsReceived() < sent-200 {
+		t.Fatalf("%d frames, %d of %d packets received: the late packets must still count", frames, pl.PacketsReceived(), sent)
 	}
 	// In flight at once: ~40 ms of frames, the jitter buffer, and a partial
 	// frame or two waiting out its give-up grace.
 	if maxPending > 16 {
 		t.Errorf("depacketizer held up to %d frame states (%d at the end) over %d frames: late packets leak state",
-			maxPending, pl.depkt.Pending(), len(pl.Frames))
+			maxPending, pl.depkt.Pending(), frames)
+	}
+}
+
+// TestPlayerRecordAllocations pins Player.record at zero allocations once
+// the player has played through the seconds it records in: a frame is
+// counted, added to the latency and SSIM sketches and its second's FPS bin,
+// and kept in no list. With OnFrame set, the observer sees every frame.
+func TestPlayerRecordAllocations(t *testing.T) {
+	pl := NewPlayer(sim.New(1), DefaultPlayerConfig(), nil, nil)
+	const minute = 30 * 60 // frames
+	n, observed := 0, 0
+	record := func() {
+		pf := PlayedFrame{Num: uint32(n), PlayedAt: time.Duration(n%minute) * time.Second / 30,
+			Latency: 200*time.Millisecond + time.Duration(n%7)*time.Millisecond, SSIM: 0.9}
+		if n%50 == 0 {
+			pf = PlayedFrame{Num: pf.Num, PlayedAt: pf.PlayedAt, SSIM: pl.ssim.Skip(), Skipped: true}
+		}
+		pl.record(pf, pf.PlayedAt)
+		n++
+	}
+	// AllocsPerRun(1, …) makes one unmeasured call, then returns every
+	// allocation of the measured one: a minute of frames each, so growth
+	// amortized over many frames counts too.
+	minuteOfFrames := func() {
+		for i := 0; i < minute; i++ {
+			record()
+		}
+	}
+	if a := testing.AllocsPerRun(1, minuteOfFrames); a != 0 {
+		t.Errorf("record allocates %.0f times in %d frames, want 0", a, minute)
+	}
+	pl.OnFrame = func(PlayedFrame) { observed++ }
+	if a := testing.AllocsPerRun(1, minuteOfFrames); a != 0 {
+		t.Errorf("record with an observer allocates %.0f times in %d frames, want 0", a, minute)
+	}
+	skipped := (n + 49) / 50
+	if pl.FramesSkipped != skipped || pl.FramesPlayed != n-skipped || observed != 2*minute || len(pl.Stalls) != 0 {
+		t.Errorf("%d frames recorded: %d played, %d skipped, %d observed, %d stalls; want %d skipped, %d observed, no stall",
+			n, pl.FramesPlayed, pl.FramesSkipped, observed, len(pl.Stalls), skipped, 2*minute)
 	}
 }

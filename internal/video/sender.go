@@ -208,6 +208,13 @@ func (t *sentTable) grow(n int) {
 // PacketPool reports the packetizer's recycled packet slots.
 func (s *Sender) PacketPool() rtp.PoolStats { return s.pkt.PoolStats() }
 
+// WrapRTX builds the RFC 4588 retransmission of one of the sender's packets
+// in a slot of its packetizer's pool, with one reference, the caller's (see
+// rtp.Packetizer.WrapRTX).
+func (s *Sender) WrapRTX(orig *rtp.Packet, ssrc uint32, payloadType uint8, seq uint16) *rtp.Packet {
+	return s.pkt.WrapRTX(orig, ssrc, payloadType, seq)
+}
+
 // Encoder exposes the encoder (for traces).
 func (s *Sender) Encoder() *Encoder { return s.enc }
 

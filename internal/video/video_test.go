@@ -167,6 +167,14 @@ func pipe(s *sim.Simulator, ctrl cc.Controller, delay time.Duration, filter func
 	return snd, pl
 }
 
+// recordFrames has pl keep every frame it records, in order, and returns
+// that list.
+func recordFrames(pl *Player) *[]PlayedFrame {
+	frames := new([]PlayedFrame)
+	pl.OnFrame = func(f PlayedFrame) { *frames = append(*frames, f) }
+	return frames
+}
+
 func TestEndToEndCleanPath(t *testing.T) {
 	s := sim.New(1)
 	ctrl := cc.NewStatic(8e6)
@@ -203,12 +211,13 @@ func TestJitterBufferDelaysPlayback(t *testing.T) {
 	s := sim.New(2)
 	ctrl := cc.NewStatic(8e6)
 	snd, pl := pipe(s, ctrl, 10*time.Millisecond, nil)
+	frames := recordFrames(pl)
 	snd.Start()
 	s.RunUntil(5 * time.Second)
-	if len(pl.Frames) == 0 {
+	if len(*frames) == 0 {
 		t.Fatal("no frames played")
 	}
-	for _, f := range pl.Frames[:10] {
+	for _, f := range (*frames)[:10] {
 		if f.Skipped {
 			continue
 		}
@@ -251,13 +260,19 @@ func TestBurstLossSkipsFrames(t *testing.T) {
 	snd, pl := pipe(s, ctrl, 50*time.Millisecond, func(*rtp.Packet) bool {
 		return s.Now()%(2*time.Second) > 200*time.Millisecond
 	})
+	frames := recordFrames(pl)
 	snd.Start()
 	s.RunUntil(20 * time.Second)
 	skipped := 0
-	for _, f := range pl.Frames {
+	for _, f := range *frames {
 		if f.Skipped {
 			skipped++
 		}
+	}
+	// The counts are the observed frames'.
+	if pl.FramesSkipped != skipped || pl.FramesPlayed != len(*frames)-skipped {
+		t.Errorf("counted %d played and %d skipped; %d frames observed, %d of them skipped",
+			pl.FramesPlayed, pl.FramesSkipped, len(*frames), skipped)
 	}
 	if skipped < 10 {
 		t.Errorf("only %d frames skipped under periodic 200 ms outages", skipped)
@@ -329,6 +344,7 @@ func TestDropOnLatencySkipsStaleFrames(t *testing.T) {
 	cfg.DropOnLatency = true
 	cfg.DropThreshold = 200 * time.Millisecond
 	pl := NewPlayer(s, cfg, DefaultSSIMModel(), snd.FrameEncoding)
+	frames := recordFrames(pl)
 	held := []*rtp.Packet{}
 	holding := false
 	snd.Transmit = func(p *rtp.Packet, size int) {
@@ -351,7 +367,7 @@ func TestDropOnLatencySkipsStaleFrames(t *testing.T) {
 	})
 	s.RunUntil(12 * time.Second)
 	skipped := 0
-	for _, f := range pl.Frames {
+	for _, f := range *frames {
 		if f.Skipped && f.PlayedAt > 6*time.Second && f.PlayedAt < 8*time.Second {
 			skipped++
 		}
