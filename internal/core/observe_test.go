@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -220,5 +222,98 @@ func TestWriteCampaignTraceGrowsOnce(t *testing.T) {
 	}
 	if !bytes.Equal(g.Bytes(), plain.Bytes()) || plain.Len() == 0 {
 		t.Error("a growing writer received different bytes")
+	}
+}
+
+// serialTrace is a campaign export as the serial loop writes it: each
+// traced run's obs.WriteJSONL in turn.
+func serialTrace(t *testing.T, results []*Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for i, r := range results {
+		if r != nil && r.Trace != nil {
+			if err := obs.WriteJSONL(&buf, TraceRunMeta(r, i), r.Trace.Chunks()...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// mixedCampaign is a campaign whose traced runs — one of several pieces,
+// a ring's two segments, one with no events at all — sit between nil and
+// untraced results.
+func mixedCampaign(t *testing.T) []*Result {
+	t.Helper()
+	cfg := traceTestConfig()
+	ring := cfg
+	ring.TraceCap = 3000
+	untraced := cfg
+	untraced.Trace = false
+	empty := Run(untraced)
+	empty.Trace = obs.New(0)
+	results := []*Result{nil, Run(cfg), Run(untraced), nil, Run(ring), empty, nil, Run(untraced)}
+	if n := results[1].Trace.Len(); n <= 2*2048 {
+		t.Fatalf("the traced run has %d events, too few to span pieces", n)
+	}
+	if c := results[4].Trace.Chunks(); len(c) != 2 {
+		t.Fatalf("the ring run hands out %d segments, want 2", len(c))
+	}
+	return results
+}
+
+// TestWriteCampaignTraceMatchesSerial: the pieced export writes the serial
+// loop's bytes at any GOMAXPROCS, nil and untraced runs skipped between the
+// traced ones.
+func TestWriteCampaignTraceMatchesSerial(t *testing.T) {
+	results := mixedCampaign(t)
+	want := serialTrace(t, results)
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		var got bytes.Buffer
+		err := WriteCampaignTrace(&got, results)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("GOMAXPROCS %d: export differs from the serial loop's (%d vs %d bytes)", procs, got.Len(), len(want))
+		}
+	}
+}
+
+// failingWriter takes limit bytes and then fails every write.
+type failingWriter struct{ n, limit int }
+
+var errWriterFull = errors.New("writer full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.n+len(p) > w.limit {
+		return 0, errWriterFull
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestWriteCampaignTraceWriterFails: a writer failing mid-stream stops the
+// export with its error, and every goroutine the export started is gone
+// when it returns.
+func TestWriteCampaignTraceWriterFails(t *testing.T) {
+	results := mixedCampaign(t)
+	total := len(serialTrace(t, results))
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		before := runtime.NumGoroutine()
+		w := &failingWriter{limit: total / 3}
+		err := WriteCampaignTrace(w, results)
+		runtime.GOMAXPROCS(prev)
+		if !errors.Is(err, errWriterFull) {
+			t.Fatalf("GOMAXPROCS %d: err = %v, want %v", procs, err, errWriterFull)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("GOMAXPROCS %d: %d goroutines after the export, %d before", procs, runtime.NumGoroutine(), before)
+			}
+		}
 	}
 }

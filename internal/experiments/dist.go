@@ -100,7 +100,7 @@ func (DistRunner) Run(rawSpec json.RawMessage, run int) ([]byte, error) {
 	}
 
 	var buf bytes.Buffer
-	buf.Grow(shardHeaderLen + 16<<10 + 72*res.Trace.Len()) // a trace line averages 65 bytes
+	buf.Grow(shardHeaderLen + 16<<10 + 72*res.Trace.Len()) // a trace line averages 69 bytes
 	var lengths [shardHeaderLen]byte
 	buf.Write(lengths[:]) // filled in once the sections are written
 	if err := res.MetricsRegistry().WriteJSON(&buf); err != nil {
@@ -137,29 +137,38 @@ type DistCampaign struct {
 // path skips nil results; their errors stay in RunErrs. The shards carry
 // everything the fold needs; the spec parameter is what bench/ (frozen
 // outside benchmark PRs) still passes.
+//
+// The registries are decoded on the available cores and merged in run
+// order (obs.MergeRegistriesJSON), so the first bad shard in run order is
+// the error — a section that does not parse ahead of a shard that does not
+// split, as a serial fold would meet them.
 func FoldDistShards(_ DistSpec, out *dist.Outcome) (*DistCampaign, error) {
 	camp := &DistCampaign{Registry: obs.NewRegistry(), RunErrs: out.RunErrs}
-	var trace bytes.Buffer
+	registries := make([][]byte, len(out.Shards))
+	traces := make([][]byte, len(out.Shards))
+	var splitErr error
 	total := 0
-	for _, raw := range out.Shards {
-		total += len(raw)
-	}
-	trace.Grow(total) // the traces are all but a few percent of the shards
 	for run, raw := range out.Shards {
 		if raw == nil {
 			continue
 		}
-		regJSON, runTrace, err := splitShard(raw)
+		reg, trace, err := splitShard(raw)
 		if err != nil {
-			return nil, fmt.Errorf("run %d: %w", run, err)
+			splitErr = fmt.Errorf("run %d: %w", run, err)
+			break
 		}
-		reg, err := obs.ReadRegistryJSON(bytes.NewReader(regJSON))
-		if err != nil {
-			return nil, fmt.Errorf("run %d registry: %w", run, err)
-		}
-		camp.Registry.Merge(reg)
-		trace.Write(runTrace)
+		registries[run], traces[run] = reg, trace
+		total += len(trace)
 	}
-	camp.Trace = trace.Bytes()
+	if run, err := obs.MergeRegistriesJSON(camp.Registry, registries); err != nil {
+		return nil, fmt.Errorf("run %d registry: %w", run, err)
+	}
+	if splitErr != nil {
+		return nil, splitErr
+	}
+	camp.Trace = make([]byte, 0, total)
+	for _, trace := range traces {
+		camp.Trace = append(camp.Trace, trace...)
+	}
 	return camp, nil
 }

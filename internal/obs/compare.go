@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,6 +33,44 @@ func ReadRegistryJSON(r io.Reader) (*Registry, error) {
 		}
 	}
 	return reg, nil
+}
+
+// MergeRegistriesJSON merges the registries that sections hold — each a
+// ReadRegistryJSON input; nil ones are skipped — into dst in index order,
+// so dst ends as merging them one after another leaves it: a histogram's
+// float Sum depends on the order. The sections are decoded on the
+// available cores and merged from the caller's goroutine. On a section that
+// does not parse it stops and returns that section's index with
+// ReadRegistryJSON's error, the sections before it merged.
+func MergeRegistriesJSON(dst *Registry, sections [][]byte) (int, error) {
+	type piece struct {
+		i   int
+		reg *Registry
+		err error
+	}
+	next := 0
+	produce := func(p *piece) bool {
+		for next < len(sections) && sections[next] == nil {
+			next++
+		}
+		if next == len(sections) {
+			return false
+		}
+		p.i = next
+		next++
+		return true
+	}
+	decode := func(p *piece) { p.reg, p.err = ReadRegistryJSON(bytes.NewReader(sections[p.i])) }
+	bad := -1
+	merge := func(p *piece) error {
+		if p.err != nil {
+			bad = p.i
+			return p.err
+		}
+		dst.Merge(p.reg)
+		return nil
+	}
+	return bad, ordered(produce, decode, merge)
 }
 
 // Tolerance configures the regression gate's drift allowance. Relative

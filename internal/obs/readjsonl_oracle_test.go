@@ -125,8 +125,11 @@ var readerCases = []readerCase{
 	{name: "seq exponent", line: `{"t_us":1,"kind":"send","seq":1e3,"aux":0}`},
 	{name: "seq minus zero", line: `{"t_us":1,"kind":"send","seq":-0,"aux":0}`},
 	{name: "leading zero", line: `{"t_us":01,"kind":"send","seq":0,"aux":0}`},
-	{name: "19-digit int", line: `{"t_us":1,"kind":"send","seq":1234567890123456789,"aux":0}`},
+	{name: "19-digit int", line: `{"t_us":1,"kind":"send","seq":1234567890123456789,"aux":0}`, fast: true},
+	{name: "int64 extremes", line: `{"t_us":1,"kind":"send","seq":-9223372036854775808,"aux":9223372036854775807}`, fast: true},
+	{name: "20-digit int", line: `{"t_us":1,"kind":"send","seq":12345678901234567890,"aux":0}`},
 	{name: "int64 overflow", line: `{"t_us":1,"kind":"send","seq":9223372036854775808,"aux":0}`},
+	{name: "int64 underflow", line: `{"t_us":1,"kind":"send","seq":-9223372036854775809,"aux":0}`},
 	{name: "hex float v", line: `{"t_us":1,"kind":"recv","seq":0,"aux":0,"v":0x1p-2}`},
 	{name: "inf v", line: `{"t_us":1,"kind":"recv","seq":0,"aux":0,"v":inf}`},
 	{name: "underscore v", line: `{"t_us":1,"kind":"recv","seq":0,"aux":0,"v":1_0}`},
@@ -161,9 +164,29 @@ func (c *readerCase) input() string {
 	return oracleMeta + c.line + "\n"
 }
 
+// readBlocks are the block sizes the reader is tested at: pieces of one
+// byte, lines spanning several blocks, and the shipped size.
+var readBlocks = []int{1, 7, 64, readBlock}
+
+// sameAsOracle runs readJSONL at every block size and the oracle on in, and
+// fails unless each agrees with the oracle on the runs and the error text.
+func sameAsOracle(t *testing.T, in []byte) {
+	t.Helper()
+	want, wantErr := readJSONLOracle(bytes.NewReader(in))
+	for _, block := range readBlocks {
+		got, gotErr := readJSONL(bytes.NewReader(in), block)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("block %d: error differs:\n got %v\nwant %v", block, gotErr, wantErr)
+		}
+		if !sameRuns(got, want) {
+			t.Fatalf("block %d: result differs:\n got %+v\nwant %+v", block, got, want)
+		}
+	}
+}
+
 // TestReadJSONLRoutes: every canonical form takes the scanner, every
 // near-miss falls through to the generic route, and either way the result —
-// runs or error text — is the oracle's.
+// runs or error text — is the oracle's at every block size.
 func TestReadJSONLRoutes(t *testing.T) {
 	for i := range readerCases {
 		tc := &readerCases[i]
@@ -171,38 +194,54 @@ func TestReadJSONLRoutes(t *testing.T) {
 			if _, ok := scanEvent([]byte(tc.line)); ok != tc.fast {
 				t.Errorf("scanEvent ok = %v, want %v", ok, tc.fast)
 			}
-			got, gotErr := ReadJSONL(strings.NewReader(tc.input()))
-			want, wantErr := readJSONLOracle(strings.NewReader(tc.input()))
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("error differs:\n got %v\nwant %v", gotErr, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("result differs:\n got %+v\nwant %+v", got, want)
-			}
+			sameAsOracle(t, []byte(tc.input()))
 		})
 	}
 }
 
-// FuzzReadJSONL: on arbitrary bytes the shipped reader and the
-// encoding/json-only oracle agree on the runs and on whether it is an error.
+// TestReadJSONLBlocks: inputs whose lines fall across block boundaries in
+// every way — a recorded trace, CRLF endings, blank lines, no final
+// newline, an error several blocks in, lines at and past the 16 MiB cap —
+// read as the oracle reads them at every block size.
+func TestReadJSONLBlocks(t *testing.T) {
+	golden := goldenTrace(t)
+	lines := bytes.SplitAfter(golden[:4096], []byte("\n"))
+	head := bytes.Join(lines[:len(lines)-1], nil) // whole lines only
+	event := `{"t_us":1,"kind":"send","seq":0,"aux":0}`
+	long := func(n int) string {
+		return `{"t_us":1,"kind":"send","seq":0,"aux":0,"pad":"` + strings.Repeat("x", n) + `"}`
+	}
+	pad := len(long(0))
+	for name, in := range map[string]string{
+		"golden head":              string(head),
+		"CRLF":                     strings.ReplaceAll(string(head), "\n", "\r\n"),
+		"blank lines":              strings.ReplaceAll(string(head), "\n", "\n\n\r\n"),
+		"no final newline":         strings.TrimSuffix(string(head), "\n"),
+		"bare CR at the end":       string(head) + "\r",
+		"error in a later block":   string(head) + `{"t_us":1,"kind":"warp","seq":0,"aux":0}` + "\n" + string(head),
+		"broken line later":        string(head) + "{\n" + string(head),
+		"meta after events":        string(head) + oracleMeta + event + "\n",
+		"events before meta":       event + "\n" + event + "\n" + oracleMeta,
+		"blank then orphan":        "\n\n\r\n" + `{"t_us":1,"kind":"warp","seq":0,"aux":0}` + "\n",
+		"longest line":             oracleMeta + long(maxLine-1-pad) + "\n" + event + "\n",
+		"longest last line":        oracleMeta + long(maxLine-1-pad),
+		"line at the cap":          oracleMeta + event + "\n" + long(maxLine-pad) + "\n" + event + "\n",
+		"last line at the cap":     oracleMeta + event + "\n" + long(maxLine-pad),
+		"error before a long line": oracleMeta + "{\n" + long(maxLine-pad) + "\n",
+	} {
+		t.Run(name, func(t *testing.T) { sameAsOracle(t, []byte(in)) })
+	}
+}
+
+// FuzzReadJSONL: on arbitrary bytes the shipped reader, at every block
+// size, and the encoding/json-only oracle agree on the runs and on the
+// error text.
 func FuzzReadJSONL(f *testing.F) {
 	for i := range readerCases {
 		f.Add([]byte(readerCases[i].input()))
 	}
 	f.Add([]byte(oracleMeta + `{"t_us":1,"kind":"send","seq":0,"aux":0}` + "\r\n\r\n" + oracleMeta))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		got, gotErr := ReadJSONL(bytes.NewReader(in))
-		want, wantErr := readJSONLOracle(bytes.NewReader(in))
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("error differs: got %v, oracle %v", gotErr, wantErr)
-		}
-		if gotErr != nil && gotErr.Error() != wantErr.Error() {
-			t.Fatalf("error text differs:\n got %v\nwant %v", gotErr, wantErr)
-		}
-		if !sameRuns(got, want) {
-			t.Fatalf("result differs:\n got %+v\nwant %+v", got, want)
-		}
-	})
+	f.Fuzz(sameAsOracle)
 }
 
 // sameRuns compares run lists with V by bit pattern, so a NaN or a signed

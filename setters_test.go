@@ -39,6 +39,7 @@ var unsetFields = map[string]string{
 	"metrics.sketchJSON.Sum":         "written by encoding/json",
 	"metrics.sketchJSON.Zero":        "written by encoding/json",
 	"obs.jsonlLine.DurationUs":       "written by encoding/json",
+	"obs.jsonlLine.Kind":             "written by encoding/json",
 	"obs.jsonlLine.Rtx":              "written by encoding/json",
 	"obs.jsonlLine.Run":              "written by encoding/json",
 	"obs.jsonlLine.TUs":              "written by encoding/json",
