@@ -58,7 +58,7 @@ func BenchmarkRunUrbanGCC(b *testing.B) {
 
 // BenchmarkRunUrbanGCCFaults covers the fault path — outage windows, queue
 // flushing, repair timers and their cancellation — which stresses the
-// timer-pool Stop/remove machinery the heap rework changed.
+// timer-pool Stop/remove machinery of the event loop.
 func BenchmarkRunUrbanGCCFaults(b *testing.B) {
 	benchRun(b, Config{
 		Env: cell.Urban, Op: cell.P1, CC: CCGCC, Seed: 1, Duration: 30 * time.Second,

@@ -21,7 +21,7 @@ import (
 func Run(cfg Config) *Result { return new(runBuffers).run(cfg, false) }
 
 // runBuffers is the storage one executor worker hands from each run to the
-// next: the simulator (its event heap and random streams), the links'
+// next: the simulator (its pending set and random streams), the links'
 // rings, and the media path's sent table, frame registry, packet slots,
 // send queue and depacketizer ring. A run takes each buffer emptied and
 // records there whatever it grows, so a worker's runs allocate their

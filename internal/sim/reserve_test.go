@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ type fifoSource struct {
 	s        *Simulator
 	reserved bool
 	lastAt   time.Duration
-	pending  [512]fifoEvent // ring: n events from head, room for any test here
+	pending  []fifoEvent // ring: n events from head
 	head, n  int
 	fireFn   func()
 }
@@ -26,8 +27,8 @@ type fifoEvent struct {
 	fn  func()
 }
 
-func newFifoSource(s *Simulator, reserved bool) *fifoSource {
-	f := &fifoSource{s: s, reserved: reserved}
+func newFifoSource(s *Simulator, reserved bool, size int) *fifoSource {
+	f := &fifoSource{s: s, reserved: reserved, pending: make([]fifoEvent, size)}
 	f.fireFn = f.fire
 	return f
 }
@@ -79,7 +80,7 @@ func randomProgram(t *testing.T, seed int64, reserved bool) (fired []firing, sch
 	t.Helper()
 	s := New(seed)
 	rng := rand.New(rand.NewSource(seed))
-	sources := []*fifoSource{newFifoSource(s, reserved), newFifoSource(s, reserved), newFifoSource(s, reserved)}
+	sources := []*fifoSource{newFifoSource(s, reserved, 512), newFifoSource(s, reserved, 512), newFifoSource(s, reserved, 512)}
 	live := map[int]*Timer{} // plain timers that have neither fired nor been stopped
 	var order []int          // their ids, oldest first, for a seeded pick
 	nextID, budget := 0, 400
@@ -235,7 +236,7 @@ func TestSeqRingAgainstSet(t *testing.T) {
 			r.push(next)
 			want[next] = true
 			next++
-		case k < 7: // the newest: At's take
+		case k < 7: // the newest: a holder arming its only event
 			if next > 0 {
 				if got := r.take(next - 1); got != want[next-1] {
 					t.Fatalf("step %d: take(newest %d) = %v, want %v", step, next-1, got, want[next-1])
@@ -275,9 +276,9 @@ func TestRunUntilStoppedKeepsClock(t *testing.T) {
 
 // arrivalLoad is the event mix of a flight: 16 periodic sources (radio step,
 // frame clock, pacer, reports) and one packet stream of 2 000 pkt/s whose
-// arrivals are 50 ms out, so 100 are in flight. reserved selects how the
-// arrivals are held: one armed timer and a FIFO of reserved numbers, or one
-// timer each.
+// arrivals are inflight × 0.5 ms out, so inflight of them are on the way.
+// reserved selects how the arrivals are held: one armed timer and a FIFO of
+// reserved numbers, or one timer each.
 type arrivalLoad struct {
 	s        *Simulator
 	arrivals *fifoSource
@@ -286,15 +287,15 @@ type arrivalLoad struct {
 	arriveFn func()
 }
 
-func newArrivalLoad(reserved bool) *arrivalLoad {
+func newArrivalLoad(reserved bool, inflight int) *arrivalLoad {
 	l := &arrivalLoad{s: New(1)}
-	l.arrivals = newFifoSource(l.s, reserved)
+	l.arrivals = newFifoSource(l.s, reserved, 2*inflight)
 	l.arriveFn = func() { l.arrived++ }
 	for i := 0; i < 16; i++ {
 		l.s.Every(0, time.Duration(i+1)*time.Millisecond, func() { l.ticks++ })
 	}
 	l.s.Every(0, 500*time.Microsecond, func() {
-		l.arrivals.schedule(l.s.Now()+50*time.Millisecond, l.arriveFn)
+		l.arrivals.schedule(l.s.Now()+time.Duration(inflight)*500*time.Microsecond, l.arriveFn)
 	})
 	l.s.RunUntil(time.Second)
 	return l
@@ -306,19 +307,23 @@ func (l *arrivalLoad) run(n int) {
 }
 
 // BenchmarkEventLoop is one packet interval of a flight's event mix (one
-// send tick, one arrival, about two periodic firings), with the hundred
-// in-flight arrivals held as reserved numbers or as a hundred timers.
+// send tick, one arrival, about two periodic firings), with 16, 128 or
+// 1 024 arrivals in flight held as reserved numbers — 18 events pending
+// whatever the count — or as one timer each, which makes the pending set
+// 17 + inflight and shows what an insertion's shift costs as it grows.
 func BenchmarkEventLoop(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
 		reserved bool
 	}{{"reserved", true}, {"timers", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			l := newArrivalLoad(mode.reserved)
-			b.ReportAllocs()
-			b.ResetTimer()
-			l.run(b.N)
-		})
+		for _, inflight := range []int{16, 128, 1024} {
+			b.Run(fmt.Sprintf("%s/inflight=%d", mode.name, inflight), func(b *testing.B) {
+				l := newArrivalLoad(mode.reserved, inflight)
+				b.ReportAllocs()
+				b.ResetTimer()
+				l.run(b.N)
+			})
+		}
 	}
 }
 
@@ -326,7 +331,7 @@ func BenchmarkEventLoop(b *testing.B) {
 // allocations per packet, and the pending set at what each form claims.
 func TestArrivalLoadSteadyState(t *testing.T) {
 	for _, reserved := range []bool{true, false} {
-		l := newArrivalLoad(reserved)
+		l := newArrivalLoad(reserved, 100)
 		if n := testing.AllocsPerRun(100, func() { l.run(10) }); n != 0 {
 			t.Errorf("reserved=%v: %.2f allocations per ten packets, want 0", reserved, n)
 		}

@@ -8,10 +8,12 @@
 //
 // The event loop is the hot path of every campaign, so it avoids steady-state
 // allocation: fired and stopped timers are recycled through a free list, and
-// the pending set is a hand-rolled binary heap (no container/heap interface
-// dispatch). Because (at, seq) is a total order over timers, the pop sequence
-// is the sorted order regardless of heap internals — the pooling and the
-// custom heap cannot change event ordering.
+// the pending set is one slice kept sorted latest first, so the next event is
+// its last element. The pending set holds one entry per event source (a link
+// keeps one arrival in it however many packets are in flight), a dozen or two
+// entries, where an insertion's shift of the few earlier entries costs less
+// than a heap's sifting. Because (at, seq) is a total order over timers, the
+// firing order is the sorted order whatever structure holds it.
 package sim
 
 import (
@@ -21,12 +23,13 @@ import (
 	"time"
 )
 
-// Timer index sentinels: a non-negative index means the timer sits in the
-// event heap; timerFiring marks a popped timer whose callback is pending or
-// running; timerFree marks a recycled timer waiting on the free list.
+// Timer states: timerPending marks a timer in the pending set; timerFiring a
+// popped timer whose callback is running; timerFree a recycled timer waiting
+// on the free list.
 const (
-	timerFiring = -1
-	timerFree   = -2
+	timerPending = iota
+	timerFiring
+	timerFree
 )
 
 // Timer is a handle to a scheduled event. Stopping a Timer prevents its
@@ -41,32 +44,26 @@ const (
 // its handle on every firing).
 type Timer struct {
 	at      time.Duration
-	seq     uint64
 	fn      func()
 	owner   *Simulator
 	stopped bool
-	index   int   // heap index; timerFiring once popped, timerFree once recycled
+	state   uint8 // timerPending, timerFiring or timerFree
 	id      int32 // slot in the owner's timer registry, fixed for life
 }
 
 // Stop cancels the timer. It is safe to call multiple times and after the
 // timer has fired (as long as the handle has not been recycled, see the type
-// comment). A pending timer is removed from the event heap immediately, so
-// cancelled events neither occupy heap space nor count toward Pending.
+// comment). A pending timer leaves the pending set immediately, so cancelled
+// events neither occupy it nor count toward Pending; a timer stopped from
+// its own callback reads as Stopped until it is recycled.
 func (t *Timer) Stop() {
-	if t == nil {
+	if t == nil || t.state == timerFree {
 		return
 	}
-	if t.index >= 0 {
-		t.stopped = true
-		t.owner.removeTimer(t)
+	t.stopped = true
+	if t.state == timerPending {
+		t.owner.remove(t.id)
 		t.owner.release(t)
-		return
-	}
-	if t.index == timerFiring {
-		// Popped but not yet executed (or mid-callback): mark it so the
-		// event loop discards it without firing.
-		t.stopped = true
 	}
 }
 
@@ -76,24 +73,21 @@ func (t *Timer) Stopped() bool { return t != nil && t.stopped }
 // When returns the virtual time the timer is scheduled for.
 func (t *Timer) When() time.Duration { return t.at }
 
-// heapEntry is one pending event in the heap. The ordering key (at, seq)
-// is stored inline so comparisons touch only the contiguous heap slice —
-// no pointer chase into the Timer — and the timer is referenced by its
-// registry id rather than a pointer, so the heap slice is pointer-free:
-// sifting moves entries without GC write barriers and the collector never
-// scans the event set. Both matter on a loop that runs millions of
-// push/pop cycles per wall second.
-type heapEntry struct {
+// entry is one pending event. The ordering key (at, seq) is stored inline
+// so comparisons touch only the contiguous pending slice — no pointer chase
+// into the Timer — and the timer is referenced by its registry id rather
+// than a pointer, so the slice is pointer-free: shifting moves entries
+// without GC write barriers and the collector never scans the event set.
+type entry struct {
 	at  time.Duration
 	seq uint64
 	id  int32
 }
 
-// entryLess orders events by firing time, tie-broken by scheduling
-// sequence. seq is unique per event, so this is a total order — and a
-// total order means any correct heap pops the identical sequence, so the
-// heap layout below (4-ary, hole-based sifting) cannot affect determinism.
-func entryLess(a, b *heapEntry) bool {
+// before orders events by firing time, tie-broken by scheduling sequence.
+// seq is unique per event, so this is a total order, and the firing order
+// is fixed whatever structure holds the pending set.
+func (a *entry) before(b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -103,9 +97,9 @@ func entryLess(a, b *heapEntry) bool {
 // Simulator owns virtual time and the pending event set.
 type Simulator struct {
 	now    time.Duration
-	events []heapEntry // 4-ary min-heap ordered by entryLess
-	timers []*Timer    // registry: timer id → timer, grows with peak concurrency
-	free   []*Timer    // recycled timers
+	events []entry  // pending set, latest first: the next event is the last
+	timers []*Timer // registry: timer id → timer, grows with peak concurrency
+	free   []*Timer // recycled timers
 	seq    uint64
 	// reserved holds the sequence numbers Reserve handed out that AtReserved
 	// has not scheduled yet.
@@ -126,7 +120,7 @@ func New(seed int64) *Simulator {
 }
 
 // Reset returns s to the state New(seed) creates — virtual time zero, no
-// events, no reservations, no streams — keeping its storage: the event heap,
+// events, no reservations, no streams — keeping its storage: the pending set,
 // the timer registry's backing array and every random stream's source. A
 // worker that runs one simulation after another resets one Simulator instead
 // of building a new one each time. Timers and Tasks of the runs before are
@@ -137,7 +131,7 @@ func (s *Simulator) Reset(seed int64) {
 		panic("sim: Reset inside Run")
 	}
 	for _, t := range s.timers {
-		t.fn, t.index = nil, timerFree
+		t.fn, t.state = nil, timerFree
 	}
 	clear(s.timers)
 	clear(s.free)
@@ -185,7 +179,8 @@ func (s *Simulator) Stream(name string) *rand.Rand {
 // (or present) runs the event at the current time, after already-pending
 // events for that time.
 func (s *Simulator) At(at time.Duration, fn func()) *Timer {
-	return s.AtReserved(at, s.Reserve(), fn)
+	s.seq++
+	return s.schedule(at, s.seq-1, fn)
 }
 
 // Reserve takes the next scheduling sequence number without scheduling
@@ -193,7 +188,7 @@ func (s *Simulator) At(at time.Duration, fn func()) *Timer {
 // events of the same virtual time exactly as if At had been called where
 // Reserve was — so a source that knows its future events are FIFO (a link's
 // arrivals) can decide their order now and keep only the earliest one in the
-// event heap. Reserved numbers count toward Scheduled.
+// pending set. Reserved numbers count toward Scheduled.
 func (s *Simulator) Reserve() uint64 {
 	seq := s.seq
 	s.seq++
@@ -206,11 +201,18 @@ func (s *Simulator) Reserve() uint64 {
 // schedules one event: one that Reserve never returned, or that was already
 // used, panics.
 func (s *Simulator) AtReserved(at time.Duration, seq uint64, fn func()) *Timer {
+	// A nil callback panics in schedule, with the reservation still open.
+	if fn != nil && !s.reserved.take(seq) {
+		panic(fmt.Sprintf("sim: AtReserved with sequence number %d, which is not an unused reservation", seq))
+	}
+	return s.schedule(at, seq, fn)
+}
+
+// schedule puts fn in the pending set under (max(at, now), seq), in a
+// recycled timer when there is one.
+func (s *Simulator) schedule(at time.Duration, seq uint64, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: event scheduled with nil callback")
-	}
-	if !s.reserved.take(seq) {
-		panic(fmt.Sprintf("sim: AtReserved with sequence number %d, which is not an unused reservation", seq))
 	}
 	if at < s.now {
 		at = s.now
@@ -220,21 +222,28 @@ func (s *Simulator) AtReserved(at time.Duration, seq uint64, fn func()) *Timer {
 		t = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		t.at, t.seq, t.fn = at, seq, fn
-		t.stopped = false
+		t.at, t.fn, t.state, t.stopped = at, fn, timerPending, false
 	} else {
-		t = &Timer{at: at, seq: seq, fn: fn, owner: s, id: int32(len(s.timers))}
+		t = &Timer{at: at, fn: fn, owner: s, id: int32(len(s.timers))}
 		s.timers = append(s.timers, t)
 	}
-	s.heapPush(t)
+	// Shift the entries that fire before the new one up a slot, from the
+	// tail, and seat it in the hole.
+	e := entry{at: at, seq: seq, id: t.id}
+	ev := append(s.events, e)
+	i := len(ev) - 1
+	for ; i > 0 && ev[i-1].before(&e); i-- {
+		ev[i] = ev[i-1]
+	}
+	ev[i] = e
+	s.events = ev
 	return t
 }
 
 // seqRing is the ascending set of sequence numbers reserved and not yet
-// scheduled, in a power-of-two ring. At reserves and takes back the newest
-// number (both ends O(1)); a FIFO holder takes its oldest, which sits within
-// a few slots of the head — take shifts only the entries older than the one
-// it removes.
+// scheduled, in a power-of-two ring. A FIFO holder takes its oldest number,
+// which sits within a few slots of the head, or, arming its only event, the
+// newest; take shifts only the entries older than the one it removes.
 type seqRing struct {
 	buf  []uint64
 	head int
@@ -286,101 +295,23 @@ func (s *Simulator) After(d time.Duration, fn func()) *Timer {
 }
 
 // release returns a timer to the free list. The caller must have detached it
-// from the heap already. The stopped flag survives until the handle is
-// reused, so Stopped() keeps answering truthfully on a stale handle.
+// from the pending set already. The stopped flag survives until the handle
+// is reused, so Stopped() keeps answering truthfully on a stale handle.
 func (s *Simulator) release(t *Timer) {
 	t.fn = nil
-	t.index = timerFree
+	t.state = timerFree
 	s.free = append(s.free, t)
 }
 
-// The heap is 4-ary: children of i are 4i+1..4i+4. Half the depth of a
-// binary heap, and the four children share cache lines, which wins for the
-// pop-heavy workload of a discrete-event loop.
-const heapArity = 4
-
-// heapPush inserts t's entry into the event heap (sift-up with a hole).
-func (s *Simulator) heapPush(t *Timer) {
-	s.events = append(s.events, heapEntry{})
-	s.siftUp(heapEntry{at: t.at, seq: t.seq, id: t.id}, len(s.events)-1)
-}
-
-// heapPop removes and returns the earliest timer.
-func (s *Simulator) heapPop() *Timer {
-	h := s.events
-	top := s.timers[h[0].id]
-	top.index = timerFiring
-	n := len(h) - 1
-	last := h[n]
-	s.events = h[:n]
-	if n > 0 {
-		s.siftDown(last, 0)
-	}
-	return top
-}
-
-// removeTimer deletes a pending timer from an arbitrary heap position.
-func (s *Simulator) removeTimer(t *Timer) {
-	i := t.index
-	t.index = timerFiring
-	h := s.events
-	n := len(h) - 1
-	last := h[n]
-	s.events = h[:n]
-	if i == n {
-		return
-	}
-	// Re-seat the displaced last element: it may need to move either way.
-	s.siftDown(last, i)
-	if s.timers[last.id].index == i {
-		s.siftUp(last, i)
-	}
-}
-
-// siftDown seats e at or below position i, maintaining the heap order.
-func (s *Simulator) siftDown(e heapEntry, i int) {
-	h := s.events
-	n := len(h)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
+// remove deletes the pending entry of timer id. The pending set holds one
+// entry per event source, so a scan finds it.
+func (s *Simulator) remove(id int32) {
+	for i := range s.events {
+		if s.events[i].id == id {
+			s.events = append(s.events[:i], s.events[i+1:]...)
+			return
 		}
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		c := first
-		for j := first + 1; j < end; j++ {
-			if entryLess(&h[j], &h[c]) {
-				c = j
-			}
-		}
-		if !entryLess(&h[c], &e) {
-			break
-		}
-		h[i] = h[c]
-		s.timers[h[i].id].index = i
-		i = c
 	}
-	h[i] = e
-	s.timers[e.id].index = i
-}
-
-// siftUp seats e at or above position i, maintaining the heap order.
-func (s *Simulator) siftUp(e heapEntry, i int) {
-	h := s.events
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !entryLess(&e, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		s.timers[h[i].id].index = i
-		i = p
-	}
-	h[i] = e
-	s.timers[e.id].index = i
 }
 
 // Task is a handle to a periodic task.
@@ -429,7 +360,7 @@ func (s *Simulator) Every(start, interval time.Duration, fn func()) *Task {
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Pending returns the number of live scheduled events. Stopped timers leave
-// the heap immediately, so they are never counted.
+// the pending set immediately, so they are never counted.
 func (s *Simulator) Pending() int { return len(s.events) }
 
 // Scheduled returns how many events have been scheduled since New — fired,
@@ -443,26 +374,21 @@ func (s *Simulator) Scheduled() uint64 { return s.seq }
 // reservation holds no timer until AtReserved pushes it.
 func (s *Simulator) TimerHighWater() int { return len(s.timers) }
 
-// step executes the next pending event; it reports false when none remain.
+// step executes the next pending event; it reports false when none remain
+// or, bounded, when the next one is later than limit.
 func (s *Simulator) step(limit time.Duration, bounded bool) bool {
-	for len(s.events) > 0 {
-		if bounded && s.events[0].at > limit {
-			return false
-		}
-		next := s.heapPop()
-		if next.stopped {
-			// Stopped between pop and execution (only possible from within
-			// the currently running callback chain).
-			s.release(next)
-			continue
-		}
-		s.now = next.at
-		fn := next.fn
-		fn()
-		s.release(next)
-		return true
+	n := len(s.events) - 1
+	if n < 0 || bounded && s.events[n].at > limit {
+		return false
 	}
-	return false
+	e := s.events[n]
+	s.events = s.events[:n]
+	t := s.timers[e.id]
+	t.state = timerFiring
+	s.now = e.at
+	t.fn()
+	s.release(t)
+	return true
 }
 
 // Run executes events until none remain or Stop is called.
