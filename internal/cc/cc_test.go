@@ -139,8 +139,8 @@ func TestSendQueueClearKeepsNothing(t *testing.T) {
 	}
 	q.Pop()
 	q.Clear()
-	for i, it := range q.items[:cap(q.items)] {
-		if it.Data != nil {
+	for i := 0; i < q.items.Cap(); i++ {
+		if q.items.At(i).Data != nil {
 			t.Fatalf("slot %d still holds a discarded item's data", i)
 		}
 	}
@@ -241,27 +241,27 @@ func TestRepairAwareAdjustsTarget(t *testing.T) {
 	}
 }
 
-// TestSendQueueReuse: a queue that takes over a Buffers starts empty on the
+// TestSendQueueReuse: a queue that takes over an array starts empty on the
 // array its predecessor grew, zeroed — none of the predecessor's packets
 // stay reachable through it — and queues as a fresh one does.
 func TestSendQueueReuse(t *testing.T) {
-	var b Buffers
+	var b []Item
 	var first SendQueue
 	first.Reuse(&b)
 	for i := 0; i < 1000; i++ {
 		first.Push(Item{Data: i, Size: 100})
 	}
 	first.Pop()
-	grown := cap(b.items)
+	grown := len(b)
 	if grown < 1000 {
-		t.Fatalf("the grown array was not recorded: cap %d", grown)
+		t.Fatalf("the grown array was not recorded: %d slots", grown)
 	}
 	var next SendQueue
 	next.Reuse(&b)
-	if next.Len() != 0 || next.Bytes() != 0 || cap(next.items) != grown {
-		t.Fatalf("after Reuse: %d queued, %d bytes, cap %d (predecessor's %d)", next.Len(), next.Bytes(), cap(next.items), grown)
+	if next.Len() != 0 || next.Bytes() != 0 || next.items.Cap() != grown {
+		t.Fatalf("after Reuse: %d queued, %d bytes, %d slots (predecessor's %d)", next.Len(), next.Bytes(), next.items.Cap(), grown)
 	}
-	for _, it := range b.items[:cap(b.items)] {
+	for _, it := range b {
 		if it.Data != nil {
 			t.Fatal("the reused array still holds a packet of the queue before")
 		}

@@ -1,8 +1,9 @@
 package cc
 
 import (
-	"slices"
 	"time"
+
+	"rpivideo/internal/ring"
 )
 
 // Item is one packet waiting in the send queue.
@@ -27,67 +28,42 @@ type SendQueue struct {
 	// the packet there.
 	Discard func(Item)
 
-	items []Item
-	head  int
+	items ring.Queue[Item]
 	bytes int
-	// keep, when set, is the Buffers the backing array is recorded in (see
-	// Reuse).
-	keep *Buffers
 }
 
-// Buffers is the backing array one run's SendQueue leaves to the next run's
-// on the same worker. The zero value is empty.
-type Buffers struct {
-	items []Item
-}
-
-// Reuse makes q queue in the array b holds, zeroed, and record there the
-// array it grows to. Call it on an empty queue; the queue that used b
+// Reuse makes q queue in the array buf holds, zeroed, and record there the
+// array it grows to. Call it on an empty queue; the queue that used buf
 // before must be finished.
-func (q *SendQueue) Reuse(b *Buffers) {
-	clear(b.items[:cap(b.items)])
-	q.items, q.keep = b.items[:0], b
-}
+func (q *SendQueue) Reuse(buf *[]Item) { q.items.Reuse(buf) }
 
 // Push appends a packet to the tail.
 func (q *SendQueue) Push(it Item) {
-	if len(q.items) == cap(q.items) {
-		q.items = slices.Grow(q.items, 1)
-		if q.keep != nil {
-			q.keep.items = q.items
-		}
-	}
-	q.items = append(q.items, it)
+	q.items.Push(it)
 	q.bytes += it.Size
 }
 
 // Len returns the number of queued packets.
-func (q *SendQueue) Len() int { return len(q.items) - q.head }
+func (q *SendQueue) Len() int { return q.items.Len() }
 
 // Bytes returns the queued wire bytes.
 func (q *SendQueue) Bytes() int { return q.bytes }
 
 // Peek returns the head item without removing it; ok is false when empty.
 func (q *SendQueue) Peek() (Item, bool) {
-	if q.head >= len(q.items) {
+	if q.items.Len() == 0 {
 		return Item{}, false
 	}
-	return q.items[q.head], true
+	return *q.items.At(0), true
 }
 
 // Pop removes and returns the head item; ok is false when empty.
 func (q *SendQueue) Pop() (Item, bool) {
-	it, ok := q.Peek()
-	if !ok {
+	if q.items.Len() == 0 {
 		return Item{}, false
 	}
-	q.items[q.head] = Item{} // release for GC
-	q.head++
+	it := q.items.Pop()
 	q.bytes -= it.Size
-	if q.head > 256 && q.head*2 >= len(q.items) {
-		q.items = append(q.items[:0], q.items[q.head:]...)
-		q.head = 0
-	}
 	return it, true
 }
 
@@ -107,17 +83,14 @@ func (q *SendQueue) Delay(now time.Duration) time.Duration {
 // Clear empties the queue, returning the number of packets dropped: SCReAM's
 // queue reset, which the paper notes causes large jumps in the highest RTP
 // sequence number seen by the feedback generator. Each dropped item goes to
-// Discard, when set, and its slot is zeroed so the queue keeps nothing of it.
+// Discard, when set, in queue order, and the queue keeps nothing of it.
 func (q *SendQueue) Clear() int {
-	n := q.Len()
-	for i := q.head; i < len(q.items); i++ {
-		if q.Discard != nil {
-			q.Discard(q.items[i])
+	n := q.items.Len()
+	for q.items.Len() > 0 {
+		if it := q.items.Pop(); q.Discard != nil {
+			q.Discard(it)
 		}
-		q.items[i] = Item{}
 	}
-	q.items = q.items[:0]
-	q.head = 0
 	q.bytes = 0
 	return n
 }

@@ -15,6 +15,7 @@ import (
 
 	"rpivideo/internal/cc"
 	"rpivideo/internal/obs"
+	"rpivideo/internal/ring"
 )
 
 // Config parameterizes the controller. The rate range is the paper's
@@ -59,38 +60,33 @@ type recvSample struct {
 }
 
 // recvWindow is the sliding 500 ms window of acked packets behind the
-// receive-rate estimate R̂. Samples leave at the front and join at the
-// back; the front is an index, and the live samples move down only once
-// they are fewer than the dead ones before them, so the backing array stops
-// growing at about twice the window's peak and a report allocates nothing.
+// receive-rate estimate R̂: samples join at the tail of a ring and leave at
+// its head, so a report allocates nothing once the ring has grown to the
+// window's peak.
 type recvWindow struct {
-	samples []recvSample // samples[head:] are in the window
-	head    int
-	bytes   int // running byte sum over samples[head:]
+	samples ring.Queue[recvSample]
+	bytes   int // running byte sum over samples
 }
 
 func (w *recvWindow) add(arrival time.Duration, bytes int) {
-	w.samples = append(w.samples, recvSample{arrival: arrival, bytes: bytes})
+	w.samples.Push(recvSample{arrival: arrival, bytes: bytes})
 	w.bytes += bytes
 }
 
-func (w *recvWindow) reset() { w.samples, w.head, w.bytes = w.samples[:0], 0, 0 }
+func (w *recvWindow) reset() {
+	w.samples.Truncate(0)
+	w.bytes = 0
+}
 
 // rate returns R̂ in bits/s over the trailing 500 ms of receiver time,
 // trimming the window as a side effect.
 func (w *recvWindow) rate(latestArrival time.Duration) float64 {
 	const window = 500 * time.Millisecond
 	cut := latestArrival - window
-	for w.head < len(w.samples) && w.samples[w.head].arrival < cut {
-		w.bytes -= w.samples[w.head].bytes
-		w.head++
+	for w.samples.Len() > 0 && w.samples.At(0).arrival < cut {
+		w.bytes -= w.samples.Pop().bytes
 	}
-	live := len(w.samples) - w.head
-	if w.head > live {
-		copy(w.samples, w.samples[w.head:])
-		w.samples, w.head = w.samples[:live], 0
-	}
-	if live < 2 {
+	if w.samples.Len() < 2 {
 		return 0
 	}
 	return float64(w.bytes*8) / window.Seconds()

@@ -49,8 +49,10 @@ type aimd struct {
 const (
 	beta = 0.85
 	// etaPerResponse is the multiplicative increase factor applied once per
-	// response time. Combined with the ~250 ms response time below this
-	// yields the paper's ≈12 s ramp-up from 2 to 25 Mbps.
+	// response time (setRTT: RTT + 100 ms, at least 150 ms), not per second
+	// as the draft's η is. It ramps 2 to 25 Mbps in 5.8 s (tbl-rampup at
+	// three runs; the paper reports ≈12 s): EXPERIMENTS.md deviation 6,
+	// ROADMAP item 19.
 	etaPerResponse = 1.08
 	// convergenceTTL is how long the near-convergence region stays valid
 	// without fresh over-use evidence.

@@ -1,5 +1,7 @@
 package gcc
 
+import "rpivideo/internal/ring"
+
 // trendline is the delay-gradient estimator modern WebRTC uses instead of
 // the Kalman filter the paper-era GCC shipped: a least-squares slope of the
 // smoothed accumulated delay over arrival time, across a sliding window of
@@ -18,10 +20,11 @@ type trendline struct {
 	firstSet    bool
 	firstMs     float64
 
-	// ring of (arrival-ms-since-first, smoothed-delay) samples
-	times  []float64
-	delays []float64
+	// the last window (arrival-ms-since-first, smoothed-delay) samples
+	samples ring.Queue[trendSample]
 }
+
+type trendSample struct{ t, d float64 }
 
 // trendlineGain scales the fitted slope before threshold comparison, as in
 // the reference implementation.
@@ -42,13 +45,11 @@ func (t *trendline) update(d, arrivalMs float64) float64 {
 	t.accumulated += d
 	t.smoothed = t.smoothing*t.smoothed + (1-t.smoothing)*t.accumulated
 
-	t.times = append(t.times, arrivalMs-t.firstMs)
-	t.delays = append(t.delays, t.smoothed)
-	if len(t.times) > t.window {
-		t.times = t.times[1:]
-		t.delays = t.delays[1:]
+	t.samples.Push(trendSample{t: arrivalMs - t.firstMs, d: t.smoothed})
+	if t.samples.Len() > t.window {
+		t.samples.Pop()
 	}
-	if len(t.times) < t.window {
+	if t.samples.Len() < t.window {
 		return 0
 	}
 	return t.slope() * trendlineGain
@@ -56,17 +57,19 @@ func (t *trendline) update(d, arrivalMs float64) float64 {
 
 // slope returns the least-squares slope of delay over time.
 func (t *trendline) slope() float64 {
-	n := float64(len(t.times))
+	n := t.samples.Len()
 	var sumX, sumY float64
-	for i := range t.times {
-		sumX += t.times[i]
-		sumY += t.delays[i]
+	for i := 0; i < n; i++ {
+		s := t.samples.At(i)
+		sumX += s.t
+		sumY += s.d
 	}
-	meanX, meanY := sumX/n, sumY/n
+	meanX, meanY := sumX/float64(n), sumY/float64(n)
 	var num, den float64
-	for i := range t.times {
-		dx := t.times[i] - meanX
-		num += dx * (t.delays[i] - meanY)
+	for i := 0; i < n; i++ {
+		s := t.samples.At(i)
+		dx := s.t - meanX
+		num += dx * (s.d - meanY)
 		den += dx * dx
 	}
 	if den == 0 {

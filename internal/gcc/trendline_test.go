@@ -104,3 +104,27 @@ func TestGCCTrendlineBacksOff(t *testing.T) {
 		t.Error("trendline variant never signalled over-use under buildup")
 	}
 }
+
+// TestTrendlineSteadyStateAllocations: once its window is full, the
+// estimator allocates nothing per sample. Counted over a whole stretch of
+// calls, so a backing array regrown every few dozen samples counts too.
+func TestTrendlineSteadyStateAllocations(t *testing.T) {
+	tl := newTrendline()
+	rng := rand.New(rand.NewSource(4))
+	ms := 0.0
+	step := func() {
+		ms += 5
+		tl.update(rng.NormFloat64(), ms)
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 10_000; i++ {
+			step()
+		}
+	})
+	if n != 0 {
+		t.Errorf("trendline.update allocates %.0f times in 10 000 samples, want 0", n)
+	}
+}

@@ -106,7 +106,10 @@ func TestRecvWindowMatchesReslicedOracle(t *testing.T) {
 		}
 		peak = max(peak, len(want.recv))
 
-		got := c.recv.samples[c.recv.head:]
+		got := make([]recvSample, c.recv.samples.Len())
+		for i := range got {
+			got[i] = *c.recv.samples.At(i)
+		}
 		if len(got) != len(want.recv) || c.recv.bytes != want.recvBytes {
 			t.Fatalf("report %d: %d samples / %d bytes, oracle %d / %d", reports, len(got), c.recv.bytes, len(want.recv), want.recvBytes)
 		}
@@ -122,8 +125,8 @@ func TestRecvWindowMatchesReslicedOracle(t *testing.T) {
 	if resets < 20 || emptied < 100 {
 		t.Errorf("stream too tame: %d watchdog resets, %d reports that emptied the window", resets, emptied)
 	}
-	if limit := 4 * peak; cap(c.recv.samples) > limit {
-		t.Errorf("window holds %d samples at its peak but its array grew to %d", peak, cap(c.recv.samples))
+	if limit := 4 * peak; c.recv.samples.Cap() > limit {
+		t.Errorf("window holds %d samples at its peak but its array grew to %d", peak, c.recv.samples.Cap())
 	}
 }
 

@@ -129,8 +129,8 @@ func TestArrivalRingMatchesPerPacketTimers(t *testing.T) {
 		}
 	}
 	checkConservation(t, l, "drained")
-	if l.inflight.len() != 0 || l.arrivals.len() != 0 {
-		t.Errorf("drained link still has packets in flight: rings %d/%d", l.inflight.len(), l.arrivals.len())
+	if l.inflight.Len() != 0 || l.arrivals.Len() != 0 {
+		t.Errorf("drained link still has packets in flight: rings %d/%d", l.inflight.Len(), l.arrivals.Len())
 	}
 
 	// As a packet lands the simulator holds at most the sender, the
@@ -141,9 +141,9 @@ func TestArrivalRingMatchesPerPacketTimers(t *testing.T) {
 	if oracleMaxPending < 100 {
 		t.Errorf("oracle peaked at %d pending events: the bursts do not fill the link", oracleMaxPending)
 	}
-	if len(l.arrivals.buf) < 128 || len(l.arrivals.buf) != len(l.inflight.buf) {
+	if l.arrivals.Cap() < 128 || l.arrivals.Cap() != l.inflight.Cap() {
 		t.Errorf("arrival ring has %d slots beside %d packet slots, want both grown to ≥ 128",
-			len(l.arrivals.buf), len(l.inflight.buf))
+			l.arrivals.Cap(), l.inflight.Cap())
 	}
 }
 
@@ -187,7 +187,7 @@ func TestLinkPacketSteadyStateAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(5000, pl.step); n != 0 {
 		t.Errorf("a packet allocates %.3f times, want 0", n)
 	}
-	if fm := pl.l.inflight.len(); fm < 40 || pl.s.Pending() > 3 || pl.s.TimerHighWater() > 4 {
+	if fm := pl.l.inflight.Len(); fm < 40 || pl.s.Pending() > 3 || pl.s.TimerHighWater() > 4 {
 		// The fourth timer is the arrival being fired while it arms the next.
 		t.Errorf("%d packets in flight on %d pending events (%d timers ever), want ≥ 40 on ≤ 3 (4)",
 			fm, pl.s.Pending(), pl.s.TimerHighWater())

@@ -35,11 +35,11 @@ func ledgerBalances(l *Link) error {
 
 // held counts each class's packets in the bottleneck queue and in flight.
 func held(l *Link) (queued, inFlight [numClasses]int) {
-	for i := 0; i < l.queue.len(); i++ {
-		queued[l.queue.at(i).class]++
+	for i := 0; i < l.queue.Len(); i++ {
+		queued[l.queue.At(i).class]++
 	}
-	for i := 0; i < l.inflight.len(); i++ {
-		inFlight[l.inflight.at(i).class]++
+	for i := 0; i < l.inflight.Len(); i++ {
+		inFlight[l.inflight.At(i).class]++
 	}
 	return queued, inFlight
 }

@@ -114,8 +114,8 @@ func ledgerRun(t *testing.T, data []byte) *Link {
 	}
 	s.Run()
 	check(-1)
-	if l.queue.len() != 0 || l.inflight.len() != 0 {
-		t.Fatalf("drained link holds %d queued and %d in-flight packets", l.queue.len(), l.inflight.len())
+	if l.queue.Len() != 0 || l.inflight.Len() != 0 {
+		t.Fatalf("drained link holds %d queued and %d in-flight packets", l.queue.Len(), l.inflight.Len())
 	}
 	return l
 }

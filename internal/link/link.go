@@ -16,6 +16,7 @@ import (
 	"rpivideo/internal/flight"
 	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
+	"rpivideo/internal/ring"
 	"rpivideo/internal/sim"
 )
 
@@ -142,7 +143,7 @@ type Link struct {
 
 	// Bottleneck queue (ring buffer: the hot path never reslices or
 	// reallocates in steady state).
-	queue      ring[queued]
+	queue      ring.Queue[queued]
 	queueBytes int
 	serving    bool
 
@@ -152,8 +153,8 @@ type Link struct {
 	// strictly FIFO and only the head needs a simulator event: arrive pops
 	// it and arms the next one under the sequence number deliver reserved,
 	// which is the order one timer per packet would fire in.
-	inflight ring[queued]
-	arrivals ring[arrivalSlot]
+	inflight ring.Queue[queued]
+	arrivals ring.Queue[arrivalSlot]
 
 	// Preallocated event callbacks: scheduling a method value through
 	// sim.At allocates a closure per call, so the three packet-path
@@ -223,76 +224,6 @@ type arrivalSlot struct {
 	seq uint64
 }
 
-// ring is a FIFO ring buffer with power-of-two capacity. Push and pop are
-// O(1) without reslicing, so the bottleneck queue stops shedding its backing
-// array one packet at a time.
-type ring[T any] struct {
-	buf  []T
-	head int
-	n    int
-	// keep, when set, is where the grown buffer is recorded for the next
-	// link (see Reuse).
-	keep *[]T
-}
-
-// reuse makes r an empty ring over buf, zeroed, and has it record in buf
-// the buffer it grows to.
-func (r *ring[T]) reuse(buf *[]T) {
-	clear(*buf)
-	r.buf, r.head, r.n, r.keep = *buf, 0, 0, buf
-}
-
-func (r *ring[T]) len() int { return r.n }
-
-// at returns the i-th element from the head (0 = head) for in-place
-// iteration.
-func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-func (r *ring[T]) push(q T) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = q
-	r.n++
-}
-
-// pop removes and returns the head element, zeroing its slot so the ring
-// does not retain packet metas.
-func (r *ring[T]) pop() T {
-	var zero T
-	q := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return q
-}
-
-func (r *ring[T]) grow() {
-	cap := len(r.buf) * 2
-	if cap == 0 {
-		cap = 16
-	}
-	buf := make([]T, cap)
-	for i := 0; i < r.n; i++ {
-		buf[i] = *r.at(i)
-	}
-	r.buf = buf
-	r.head = 0
-	if r.keep != nil {
-		*r.keep = buf
-	}
-}
-
-// truncate keeps the first n elements, zeroing the rest (used by the stale
-// flush after in-place compaction).
-func (r *ring[T]) truncate(n int) {
-	var zero T
-	for i := n; i < r.n; i++ {
-		*r.at(i) = zero
-	}
-	r.n = n
-}
-
 // New returns a link on the given simulator. machine and state may be nil;
 // state supplies the vehicle state for the altitude effects. A caller that
 // holds the flight.Profile passes nil here and calls SetFlight, which answers
@@ -323,9 +254,9 @@ type Buffers struct {
 // and record there every ring it grows. Call it on a new link, before its
 // first Send; the link that used b before must be finished.
 func (l *Link) Reuse(b *Buffers) {
-	l.queue.reuse(&b.queue)
-	l.inflight.reuse(&b.inflight)
-	l.arrivals.reuse(&b.arrivals)
+	l.queue.Reuse(&b.queue)
+	l.inflight.Reuse(&b.inflight)
+	l.arrivals.Reuse(&b.arrivals)
 }
 
 // stateProfile is a bare state lookup as a flight.Profile; flight.Above
@@ -509,7 +440,7 @@ func (l *Link) send(meta any, size int, class Class) {
 	case class != Control && l.queueBytes+size > l.prof.BufferBytes:
 		l.drop(pkt, now, DropOverflow)
 	default:
-		l.queue.push(pkt)
+		l.queue.Push(pkt)
 		l.occupy(class, size)
 		if !l.serving {
 			l.serveNext()
@@ -593,7 +524,7 @@ func (l *Link) queueDelayAt(c float64) time.Duration {
 // dequeueHead removes the head packet and returns it, keeping the per-plane
 // byte accounting straight.
 func (l *Link) dequeueHead() queued {
-	head := l.queue.pop()
+	head := l.queue.Pop()
 	l.occupy(head.class, -head.size)
 	return head
 }
@@ -635,7 +566,7 @@ func (l *Link) interruption(now time.Duration) (resume time.Duration, down bool)
 // interrupted link schedules exactly one resume event at the end of the
 // interruption — no polling while the radio is dead.
 func (l *Link) serveNext() {
-	if l.queue.len() == 0 {
+	if l.queue.Len() == 0 {
 		l.serving = false
 		return
 	}
@@ -666,7 +597,7 @@ func (l *Link) serveNext() {
 		// before serving (see SetFaults).
 		l.pendingFlush = false
 		l.dropStaleQueue(now)
-		if l.queue.len() == 0 {
+		if l.queue.Len() == 0 {
 			l.serving = false
 			return
 		}
@@ -680,11 +611,11 @@ func (l *Link) serveNext() {
 		return
 	}
 	l.codel(now)
-	if l.queue.len() == 0 {
+	if l.queue.Len() == 0 {
 		l.serving = false
 		return
 	}
-	pkt := l.queue.at(0)
+	pkt := l.queue.At(0)
 	ser := time.Duration(float64(pkt.size*8) / c * float64(time.Second))
 	// HARQ/RLC retransmission pile-up at altitude: the radio stalls for a
 	// while, and RLC's in-order delivery stalls everything behind it too
@@ -724,10 +655,10 @@ func (l *Link) codel(now time.Duration) {
 		return
 	}
 	sojourn := func() (time.Duration, bool) {
-		if l.queue.len() == 0 {
+		if l.queue.Len() == 0 {
 			return 0, false
 		}
-		return now - l.queue.at(0).sentAt, true
+		return now - l.queue.At(0).sentAt, true
 	}
 	s, ok := sojourn()
 	if !ok || s < codelTarget {
@@ -793,17 +724,17 @@ func (l *Link) outlierStall(now time.Duration) bool {
 // stale media.
 func (l *Link) dropStaleQueue(now time.Duration) {
 	w := 0
-	for i := 0; i < l.queue.len(); i++ {
-		pkt := *l.queue.at(i)
+	for i := 0; i < l.queue.Len(); i++ {
+		pkt := *l.queue.At(i)
 		if now-pkt.sentAt > l.staleAfter {
 			l.occupy(pkt.class, -pkt.size)
 			l.drop(pkt, now, DropStale)
 			continue
 		}
-		*l.queue.at(w) = pkt
+		*l.queue.At(w) = pkt
 		w++
 	}
-	l.queue.truncate(w) // releases dropped metas
+	l.queue.Truncate(w) // releases dropped metas
 }
 
 // depart fixes when a packet leaving the bottleneck reaches the far end:
@@ -830,9 +761,9 @@ func (l *Link) depart() time.Duration {
 func (l *Link) deliver(pkt queued) {
 	at := l.depart()
 	seq := l.sim.Reserve()
-	l.inflight.push(pkt)
-	l.arrivals.push(arrivalSlot{at: at, seq: seq})
-	if l.arrivals.len() == 1 {
+	l.inflight.Push(pkt)
+	l.arrivals.Push(arrivalSlot{at: at, seq: seq})
+	if l.arrivals.Len() == 1 {
 		l.sim.AtReserved(at, seq, l.arriveFn)
 	}
 }
@@ -841,10 +772,10 @@ func (l *Link) deliver(pkt queued) {
 // arrival is armed before Deliver runs, so whatever Deliver schedules for
 // this instant still fires after it only if it did before.
 func (l *Link) arrive() {
-	pkt := l.inflight.pop()
-	l.arrivals.pop()
-	if l.arrivals.len() > 0 {
-		next := l.arrivals.at(0)
+	pkt := l.inflight.Pop()
+	l.arrivals.Pop()
+	if l.arrivals.Len() > 0 {
+		next := l.arrivals.At(0)
 		l.sim.AtReserved(next.at, next.seq, l.arriveFn)
 	}
 	l.land(pkt)

@@ -62,9 +62,9 @@ func TestCacheSteadyStateAllocations(t *testing.T) {
 		t.Errorf("Store+Lookup allocate %.3f times per packet, want 0", n)
 	}
 	// 400 ms of a 1 kpkt/s stream is live, every NACK hit, nothing missed.
-	if l.c.Len() != 401 || l.hits != 750 || l.c.Misses != 0 || len(l.c.slots) != 512 {
+	if l.c.Len() != 401 || l.hits != 750 || l.c.Misses != 0 || l.c.slots.Cap() != 512 {
 		t.Errorf("load is not the steady state it claims: %d live in %d slots, %d hits, %d misses",
-			l.c.Len(), len(l.c.slots), l.hits, l.c.Misses)
+			l.c.Len(), l.c.slots.Cap(), l.hits, l.c.Misses)
 	}
 }
 

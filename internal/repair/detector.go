@@ -5,13 +5,12 @@ import (
 
 	"rpivideo/internal/metrics"
 	"rpivideo/internal/obs"
+	"rpivideo/internal/ring"
 )
 
 // loss is one missing media sequence number under repair, held by value in
 // its table slot.
 type loss struct {
-	seq  uint16
-	live bool
 	// retries counts NACKs sent for this loss so far.
 	retries int
 	// arrivalsAtMiss snapshots the detector's arrival counter at creation;
@@ -40,12 +39,10 @@ type lossRef struct {
 // driven entirely by the caller: OnPacket/OnRepair at packet arrivals and
 // Tick at the NACK cadence. It never schedules simulator events itself.
 //
-// Losses live by value in a direct-mapped, key-validated table, as the
-// Cache's entries do: slot seq&mask holds the live loss whose seq matches,
-// and the table doubles when two live losses would share a slot (at 1<<16
-// slots none can). The order slice keeps NACK-eligibility order — ascending
-// (wrapping) seq, the order gaps are opened in — and every tick compacts it
-// in place, so once warm a loss costs no allocation.
+// Losses live by value in a ring.SeqTable, as the Cache's entries do. The
+// order queue keeps NACK-eligibility order — ascending (wrapping) seq, the
+// order gaps are opened in — and every tick passes it once, head to tail,
+// keeping the refs of open losses, so once warm a loss costs no allocation.
 type Detector struct {
 	// maxPending is the bound on tracked losses (the constant maxPending;
 	// a test may lower it).
@@ -56,10 +53,8 @@ type Detector struct {
 	arrivals    int
 	lastArrival time.Duration
 
-	slots []loss // len is a power of two
-	live  int
-	order []lossRef
-	head  int // order[:head] are refs the pending bound has taken
+	slots ring.SeqTable[loss]
+	order ring.Queue[lossRef]
 
 	srtt    time.Duration
 	haveRTT bool
@@ -88,7 +83,7 @@ const detectorInitSlots = 1 << 8
 func NewDetector(Config) *Detector {
 	return &Detector{
 		maxPending: maxPending,
-		slots:      make([]loss, detectorInitSlots),
+		slots:      ring.MakeSeqTable[loss](detectorInitSlots),
 		srtt:       initialRTT,
 	}
 }
@@ -106,24 +101,11 @@ func (d *Detector) SetNackRTTHist(h *metrics.Sketch) { d.rttHist = h }
 func (d *Detector) RTT() time.Duration { return d.srtt }
 
 // Pending returns the number of losses currently tracked.
-func (d *Detector) Pending() int { return d.live }
-
-// slot returns the one slot seq can occupy.
-func (d *Detector) slot(seq uint16) *loss {
-	return &d.slots[int(seq)&(len(d.slots)-1)]
-}
-
-// find returns the live loss of seq, or nil.
-func (d *Detector) find(seq uint16) *loss {
-	if e := d.slot(seq); e.live && e.seq == seq {
-		return e
-	}
-	return nil
-}
+func (d *Detector) Pending() int { return d.slots.Len() }
 
 // named returns the live loss r names, or nil when r is a husk.
 func (d *Detector) named(r lossRef) *loss {
-	if e := d.find(r.seq); e != nil && e.arrivalsAtMiss == r.arrivalsAtMiss {
+	if e := d.slots.Get(r.seq); e != nil && e.arrivalsAtMiss == r.arrivalsAtMiss {
 		return e
 	}
 	return nil
@@ -174,8 +156,8 @@ func (d *Detector) OnPacket(seq uint16, at time.Duration) {
 		d.highest = seq
 	default:
 		// Reordered (old) packet: heal its gap if we were tracking one.
-		if e := d.find(seq); e != nil {
-			d.heal(e, at, false)
+		if e, ok := d.slots.Delete(seq); ok {
+			d.heal(seq, e, at, false)
 		}
 	}
 }
@@ -185,14 +167,14 @@ func (d *Detector) OnPacket(seq uint16, at time.Duration) {
 // the RTX is spurious (the original already arrived, or the loss was
 // abandoned) and the caller should discard it.
 func (d *Detector) OnRepair(seq uint16, at time.Duration) bool {
-	e := d.find(seq)
-	if e == nil {
+	e, ok := d.slots.Delete(seq)
+	if !ok {
 		return false
 	}
 	if e.retries > 0 {
 		d.sampleRTT(at - e.lastNackAt)
 	}
-	d.heal(e, at, true)
+	d.heal(seq, e, at, true)
 	return true
 }
 
@@ -204,67 +186,43 @@ func (d *Detector) Tick(now time.Duration) []uint16 { return d.AppendTick(nil, n
 // rtp.AppendNackPairs) and abandons losses whose final retry timer expired
 // unanswered.
 func (d *Detector) AppendTick(out []uint16, now time.Duration) []uint16 {
-	keep := d.order[:0]
-	for _, r := range d.order[d.head:] {
+	// Each ref leaves the head and, while its loss stays open, rejoins at
+	// the tail: after one pass the queue holds the open losses in order.
+	for n := d.order.Len(); n > 0; n-- {
+		r := d.order.Pop()
 		e := d.named(r)
 		if e == nil {
 			continue // healed or abandoned since
 		}
-		if d.arrivals-e.arrivalsAtMiss < reorderTolerance || now < e.nextNackAt {
-			keep = append(keep, r)
-			continue
+		if d.arrivals-e.arrivalsAtMiss >= reorderTolerance && now >= e.nextNackAt {
+			if e.retries >= maxRetries {
+				d.abandon(r.seq, now)
+				continue
+			}
+			e.retries++
+			e.lastNackAt = now
+			e.nextNackAt = now + d.rto(e.retries)
+			out = append(out, r.seq)
 		}
-		if e.retries >= maxRetries {
-			d.abandon(e, now)
-			continue
-		}
-		e.retries++
-		e.lastNackAt = now
-		e.nextNackAt = now + d.rto(e.retries)
-		out = append(out, e.seq)
-		keep = append(keep, r)
+		d.order.Push(r)
 	}
-	d.order, d.head = keep, 0
 	return out
 }
 
 // add opens a pending loss, abandoning the oldest if the bound is hit.
 func (d *Detector) add(seq uint16, at time.Duration) {
-	if d.find(seq) != nil {
+	if d.slots.Get(seq) != nil {
 		return
 	}
-	for d.live >= d.maxPending && d.head < len(d.order) {
-		if e := d.named(d.order[d.head]); e != nil {
-			d.abandon(e, at)
+	for d.slots.Len() >= d.maxPending && d.order.Len() > 0 {
+		if r := d.order.Pop(); d.named(r) != nil {
+			d.abandon(r.seq, at)
 		}
-		d.head++
-	}
-	e := d.slot(seq)
-	for e.live {
-		d.grow()
-		e = d.slot(seq)
 	}
 	// The packet revealing the gap is itself the first arrival past the
 	// missing one, so it counts toward the reorder tolerance.
-	*e = loss{seq: seq, live: true, arrivalsAtMiss: d.arrivals - 1, missedAt: at, nextNackAt: at + nackDelay}
-	d.live++
-	if d.head > 0 && len(d.order) == cap(d.order) {
-		// Slide the live refs down rather than let append regrow the array.
-		d.order, d.head = d.order[:copy(d.order, d.order[d.head:])], 0
-	}
-	d.order = append(d.order, lossRef{arrivalsAtMiss: e.arrivalsAtMiss, seq: seq})
-}
-
-// grow doubles the table. Live losses in distinct slots differ in their low
-// bits, so re-placing them cannot collide.
-func (d *Detector) grow() {
-	old := d.slots
-	d.slots = make([]loss, 2*len(old))
-	for i := range old {
-		if old[i].live {
-			*d.slot(old[i].seq) = old[i]
-		}
-	}
+	d.slots.Put(seq, loss{arrivalsAtMiss: d.arrivals - 1, missedAt: at, nextNackAt: at + nackDelay})
+	d.order.Push(lossRef{arrivalsAtMiss: d.arrivals - 1, seq: seq})
 }
 
 // rto returns the wait after the k-th NACK (k ≥ 1): the smoothed RTT
@@ -290,9 +248,8 @@ func (d *Detector) sampleRTT(s time.Duration) {
 	d.srtt += (s - d.srtt) / 8
 }
 
-func (d *Detector) heal(e *loss, at time.Duration, rtx bool) {
-	e.live = false
-	d.live--
+// heal counts seq's loss e, just deleted, as healed.
+func (d *Detector) heal(seq uint16, e loss, at time.Duration, rtx bool) {
 	aux := int64(0)
 	if rtx {
 		aux = 1
@@ -304,17 +261,17 @@ func (d *Detector) heal(e *loss, at time.Duration, rtx bool) {
 		d.Late++
 	}
 	if d.trace != nil {
-		d.trace.Emit(obs.Event{T: at, Kind: obs.KindRepairOK, Seq: int64(e.seq),
+		d.trace.Emit(obs.Event{T: at, Kind: obs.KindRepairOK, Seq: int64(seq),
 			Aux: aux, V: float64(at-e.missedAt) / float64(time.Millisecond)})
 	}
 }
 
-func (d *Detector) abandon(e *loss, at time.Duration) {
-	e.live = false
-	d.live--
+// abandon gives up seq's loss.
+func (d *Detector) abandon(seq uint16, at time.Duration) {
+	e, _ := d.slots.Delete(seq)
 	d.Abandoned++
 	if d.trace != nil {
 		d.trace.Emit(obs.Event{T: at, Kind: obs.KindRepairAbandoned,
-			Seq: int64(e.seq), Aux: int64(e.retries)})
+			Seq: int64(seq), Aux: int64(e.retries)})
 	}
 }

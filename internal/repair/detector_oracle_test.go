@@ -328,7 +328,7 @@ func TestDetectorMatchesMapOracle(t *testing.T) {
 					got.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps)
 			}
 			t.Logf("%d repaired, %d late, %d abandoned, %d NACKs in %d ticks, %d wraps (%d laps), %d slots, RTT %v",
-				got.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps, len(got.slots), got.RTT())
+				got.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps, got.slots.Cap(), got.RTT())
 		})
 	}
 }

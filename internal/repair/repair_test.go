@@ -189,8 +189,8 @@ func TestDetectorGapBeyondPendingBound(t *testing.T) {
 		if d.Abandoned != ref.Abandoned || d.Abandoned != 3+skipped-8192 {
 			t.Fatalf("gap %d: abandoned %d, the per-sequence loop %d, want %d", skipped, d.Abandoned, ref.Abandoned, 3+skipped-8192)
 		}
-		if d.Pending() != 8192 || len(d.order)-d.head != 8192 || ref.Pending() != 8192 {
-			t.Fatalf("gap %d: pending %d (%d records), the per-sequence loop %d, want 8192", skipped, d.Pending(), len(d.order)-d.head, ref.Pending())
+		if d.Pending() != 8192 || d.order.Len() != 8192 || ref.Pending() != 8192 {
+			t.Fatalf("gap %d: pending %d (%d records), the per-sequence loop %d, want 8192", skipped, d.Pending(), d.order.Len(), ref.Pending())
 		}
 		d.OnPacket(seq+1, ms(3)) // the second arrival past the gap: NACK-eligible
 		ref.OnPacket(seq+1, ms(3))

@@ -25,7 +25,7 @@ func newRef(cfg Config) *refController {
 }
 
 func (c *refController) OnPacketSent(p cc.SentPacket) {
-	c.inflight[p.Seq] = inflightPkt{seq: p.Seq, size: p.Size, sendTime: p.SendTime}
+	c.inflight[p.Seq] = inflightPkt{size: p.Size, sendTime: p.SendTime}
 	c.bytesInFlight += p.Size
 }
 
@@ -199,16 +199,17 @@ func (p *pair) check(now time.Duration, table bool) {
 	if !table {
 		return
 	}
-	sum, live := 0, 0
-	for _, s := range c.inflight.slots {
-		if s.live {
-			sum += s.size
-			live++
+	sum := 0
+	for seq, want := range p.ref.inflight {
+		got := c.inflight.Get(seq)
+		if got == nil || *got != want {
+			p.t.Fatalf("call %d at %v: table holds %+v for seq %d, reference map %+v", p.calls, now, got, seq, want)
 		}
+		sum += got.size
 	}
-	if live != c.inflight.live || live != len(p.ref.inflight) {
-		p.t.Fatalf("call %d at %v: table holds %d live records, counts %d, reference map holds %d",
-			p.calls, now, live, c.inflight.live, len(p.ref.inflight))
+	if c.inflight.Len() != len(p.ref.inflight) {
+		p.t.Fatalf("call %d at %v: table holds %d records, reference map %d",
+			p.calls, now, c.inflight.Len(), len(p.ref.inflight))
 	}
 	if sum != c.bytesInFlight {
 		p.t.Fatalf("call %d at %v: bytesInFlight=%d but in-flight sizes sum to %d", p.calls, now, c.bytesInFlight, sum)
@@ -335,7 +336,7 @@ func TestOnFeedbackMatchesReferenceClosedLoop(t *testing.T) {
 			}
 			c := p.c
 			t.Logf("%d packets, %d feedbacks, losses in-band %d / window %d, %d queue discards, %d restarts, table %d slots",
-				len(pk), feedbacks, c.LossesInBand, c.LossesWindow, c.QueueDiscards, p.resets, len(c.inflight.slots))
+				len(pk), feedbacks, c.LossesInBand, c.LossesWindow, c.QueueDiscards, p.resets, c.inflight.Cap())
 			if len(pk) < 20_000 {
 				t.Errorf("only %d packets sent: the flow stalled", len(pk))
 			}
@@ -405,7 +406,7 @@ func TestOnFeedbackMatchesReferenceOpenLoop(t *testing.T) {
 				if rng.Float64() < recvP {
 					acks[i].Received = true
 					acks[i].ArrivalTime = now - time.Duration(rng.Intn(20))*time.Millisecond
-					if rec := p.c.inflight.get(acks[i].Seq); rec != nil {
+					if rec := p.c.inflight.Get(acks[i].Seq); rec != nil {
 						acks[i].ArrivalTime = rec.sendTime + owds[rng.Intn(len(owds))]*time.Millisecond
 					}
 				}
@@ -415,8 +416,8 @@ func TestOnFeedbackMatchesReferenceOpenLoop(t *testing.T) {
 				first = begin
 			}
 		}
-		if len(p.c.inflight.slots) <= inflightInitSlots {
-			t.Errorf("seed %d: the in-flight table never grew (%d slots)", seed, len(p.c.inflight.slots))
+		if p.c.inflight.Cap() <= inflightInitSlots {
+			t.Errorf("seed %d: the in-flight table never grew (%d slots)", seed, p.c.inflight.Cap())
 		}
 	}
 }
@@ -472,11 +473,11 @@ func TestBaseDelayMatchesRescan(t *testing.T) {
 		if got := b.update(now, owd); got != want {
 			t.Fatalf("sample %d at %v: deque minimum %v, rescan minimum %v (window %d samples)", i, now, got, want, len(window))
 		}
-		if live := len(b.q) - b.head; live > len(window) {
+		if live := b.q.Len(); live > len(window) {
 			t.Fatalf("sample %d: deque holds %d samples, window only %d", i, live, len(window))
 		}
 	}
-	if cap(b.q) > 1<<12 {
-		t.Errorf("deque backing grew to %d entries", cap(b.q))
+	if b.q.Cap() > 1<<12 {
+		t.Errorf("deque backing grew to %d entries", b.q.Cap())
 	}
 }

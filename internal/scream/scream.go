@@ -21,6 +21,7 @@ import (
 
 	"rpivideo/internal/cc"
 	"rpivideo/internal/obs"
+	"rpivideo/internal/ring"
 )
 
 // Config parameterizes the controller. The rate range is the paper's
@@ -39,8 +40,10 @@ type Config struct {
 const (
 	// qDelayTarget is the queuing-delay setpoint (§4.2.1).
 	qDelayTarget = 60 * time.Millisecond
-	// rampUpSpeed limits additive rate increase in bits/s per second,
-	// yielding the paper's ≈25 s ramp to 25 Mbps.
+	// rampUpSpeed limits additive rate increase in bits/s per second. With
+	// the rate-scaled and fast-increase widening in adjustRate it ramps to
+	// 25 Mbps in 11.1 s (tbl-rampup at three runs; the paper reports
+	// ≈25 s): EXPERIMENTS.md deviation 6, ROADMAP item 19.
 	rampUpSpeed = 1e6
 	// queueDiscardAge is the RTP send-queue age beyond which the queue is
 	// discarded (§4.2.1).
@@ -67,75 +70,13 @@ const (
 
 // inflightPkt is the sender-side record of an unacknowledged packet.
 type inflightPkt struct {
-	seq      uint16
-	live     bool
 	size     int
 	sendTime time.Duration
-}
-
-// inflightTable is the set of unacknowledged packets as a direct-mapped,
-// key-validated window: slot seq&mask holds the live record whose seq
-// matches. It doubles when two live sequence numbers would share a slot
-// (at 1<<16 slots none can), so it answers exactly as a map keyed by seq
-// would, without hashing. No live record precedes oldest in serial-number
-// order, which turns "everything below begin_seq is lost" into a walk of
-// that cursor — each sent packet is stepped over once — instead of a scan
-// of the whole set per report.
-type inflightTable struct {
-	slots  []inflightPkt // len is a power of two
-	live   int
-	oldest uint16
 }
 
 // inflightInitSlots covers the in-flight span of a 25 Mbps stream of
 // 1200-byte packets across ≈400 ms of round trip and queue.
 const inflightInitSlots = 1 << 10
-
-// slot returns the one slot seq can occupy.
-func (t *inflightTable) slot(seq uint16) *inflightPkt {
-	return &t.slots[int(seq)&(len(t.slots)-1)]
-}
-
-func (t *inflightTable) get(seq uint16) *inflightPkt {
-	if p := t.slot(seq); p.live && p.seq == seq {
-		return p
-	}
-	return nil
-}
-
-// put stores p. A live record with the same seq is overwritten, as a map
-// entry would be.
-func (t *inflightTable) put(p inflightPkt) {
-	if t.live == 0 || seqLess(p.seq, t.oldest) {
-		t.oldest = p.seq
-	}
-	for s := t.slot(p.seq); s.live && s.seq != p.seq; s = t.slot(p.seq) {
-		old := t.slots
-		t.slots = make([]inflightPkt, 2*len(old))
-		for _, q := range old {
-			if q.live {
-				*t.slot(q.seq) = q
-			}
-		}
-	}
-	s := t.slot(p.seq)
-	if !s.live {
-		t.live++
-	}
-	*s = p
-}
-
-// drop removes a record returned by get; its fields stay readable until
-// the next put.
-func (t *inflightTable) drop(p *inflightPkt) {
-	p.live = false
-	t.live--
-}
-
-func (t *inflightTable) reset() {
-	clear(t.slots)
-	t.live = 0
-}
 
 // owdSample is one one-way-delay observation.
 type owdSample struct {
@@ -147,42 +88,43 @@ type owdSample struct {
 const baseWindowLen = 10 * time.Second
 
 // baseDelay is the minimum one-way delay over the last baseWindowLen as an
-// ascending-minima deque: q[head:] holds, oldest first, exactly the samples
-// that no later sample undercuts or ties, so the window minimum is q[head]
-// and each sample is pushed and popped once. head indexes into q rather
-// than re-slicing it, so the backing array is reused instead of leaking
-// its expired prefix.
+// ascending-minima deque: q holds, oldest first, exactly the samples that no
+// later sample undercuts or ties, so the window minimum is its head and each
+// sample is pushed and popped once — undercut samples leave at the tail,
+// expired ones at the head.
 type baseDelay struct {
-	q    []owdSample
-	head int
+	q ring.Queue[owdSample]
 }
 
 // update folds in the sample (now, owd) and returns the window minimum.
 func (b *baseDelay) update(now, owd time.Duration) time.Duration {
-	n := len(b.q)
-	for n > b.head && b.q[n-1].owd >= owd {
+	n := b.q.Len()
+	for n > 0 && b.q.At(n-1).owd >= owd {
 		n--
 	}
-	if n == b.head {
-		n, b.head = 0, 0
-	} else if n == cap(b.q) && b.head > n/2 {
-		n, b.head = copy(b.q, b.q[b.head:n]), 0
+	b.q.Truncate(n)
+	b.q.Push(owdSample{at: now, owd: owd})
+	// The sample just pushed has age zero, so the head stops at it at the
+	// latest.
+	for now-b.q.At(0).at > baseWindowLen {
+		b.q.Pop()
 	}
-	b.q = append(b.q[:n], owdSample{at: now, owd: owd})
-	// The sample just pushed has age zero, so head stops at it at the latest.
-	for now-b.q[b.head].at > baseWindowLen {
-		b.head++
-	}
-	return b.q[b.head].owd
+	return b.q.At(0).owd
 }
 
-func (b *baseDelay) reset() { b.q, b.head = b.q[:0], 0 }
+func (b *baseDelay) reset() { b.q.Truncate(0) }
 
 // Controller implements cc.Controller with SCReAM.
 type Controller struct {
 	cwnd          float64 // bytes
 	bytesInFlight int
-	inflight      inflightTable
+	// inflight holds the unacknowledged packets by sequence number. No
+	// record precedes oldest in serial-number order, which turns
+	// "everything below begin_seq is lost" into a walk of that cursor —
+	// each sent packet is stepped over once — instead of a scan of the
+	// whole set per report.
+	inflight ring.SeqTable[inflightPkt]
+	oldest   uint16
 
 	// One-way-delay tracking. The raw OWD includes the unknown clock
 	// offset; the queuing delay is its excess over the windowed minimum.
@@ -226,7 +168,7 @@ func (c *Controller) SetTracer(tr *obs.Tracer) { c.trace = tr }
 func New(cfg Config) *Controller {
 	srtt := 100 * time.Millisecond
 	c := &Controller{
-		inflight: inflightTable{slots: make([]inflightPkt, inflightInitSlots)},
+		inflight: ring.MakeSeqTable[inflightPkt](inflightInitSlots),
 		srtt:     srtt,
 		target:   cc.MinRate,
 		qdelay:   0,
@@ -318,7 +260,10 @@ func (c *Controller) SRTT() time.Duration { return c.srtt }
 
 // OnPacketSent implements cc.Controller.
 func (c *Controller) OnPacketSent(p cc.SentPacket) {
-	c.inflight.put(inflightPkt{seq: p.Seq, live: true, size: p.Size, sendTime: p.SendTime})
+	if c.inflight.Len() == 0 || seqLess(p.Seq, c.oldest) {
+		c.oldest = p.Seq
+	}
+	c.inflight.Put(p.Seq, inflightPkt{size: p.Size, sendTime: p.SendTime})
 	c.bytesInFlight += p.Size
 }
 
@@ -346,7 +291,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 		// was in flight — the stale backlog was flushed at re-establishment,
 		// not dropped by congestion — so restart the self-clock from the
 		// floor without counting it as window losses.
-		c.inflight.reset()
+		c.inflight.Clear()
 		c.bytesInFlight = 0
 		c.cwnd = cc.MinRate / 8 * c.boundedSRTT().Seconds()
 		if c.cwnd < float64(2*mss) {
@@ -374,11 +319,10 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 			highestAcked = a.Seq
 			haveHighest = true
 		}
-		pkt := c.inflight.get(a.Seq)
-		if pkt == nil {
+		pkt, ok := c.inflight.Delete(a.Seq)
+		if !ok {
 			continue // already acked in an earlier overlapping report
 		}
-		c.inflight.drop(pkt)
 		c.bytesInFlight -= pkt.size
 		bytesAcked += pkt.size
 		// RTT sample: feedback arrival minus packet departure.
@@ -402,9 +346,9 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 			// well past the feedback round trip before a hole below the
 			// highest ack means anything.
 			lossAge := c.srtt*3/2 + 20*time.Millisecond
-			if pkt := c.inflight.get(a.Seq); pkt != nil && now-pkt.sendTime > lossAge {
-				c.inflight.drop(pkt)
+			if pkt := c.inflight.Get(a.Seq); pkt != nil && now-pkt.sendTime > lossAge {
 				c.bytesInFlight -= pkt.size
+				c.inflight.Delete(a.Seq)
 				c.Losses++
 				c.LossesInBand++
 				lossDetected = true
@@ -416,9 +360,8 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	// be acknowledged again — the ack-window defect manufactures losses
 	// here at high rates.
 	begin := acks[0].Seq
-	for t := &c.inflight; t.live > 0 && seqLess(t.oldest, begin); t.oldest++ {
-		if pkt := t.get(t.oldest); pkt != nil {
-			t.drop(pkt)
+	for ; c.inflight.Len() > 0 && seqLess(c.oldest, begin); c.oldest++ {
+		if pkt, ok := c.inflight.Delete(c.oldest); ok {
 			c.bytesInFlight -= pkt.size
 			c.Losses++
 			c.LossesWindow++

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"rpivideo/internal/ring"
 )
 
 // fifoSource is a producer of events whose times never decrease, the shape
@@ -227,31 +229,31 @@ func TestAtReservedRejectsBadNumbers(t *testing.T) {
 // removals at every position against a map.
 func TestSeqRingAgainstSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var r seqRing
+	var r ring.Queue[uint64]
 	want := map[uint64]bool{}
 	var next uint64
 	for step := 0; step < 20_000; step++ {
 		switch k := rng.Intn(10); {
 		case k < 5:
-			r.push(next)
+			r.Push(next)
 			want[next] = true
 			next++
 		case k < 7: // the newest: a holder arming its only event
 			if next > 0 {
-				if got := r.take(next - 1); got != want[next-1] {
+				if got := take(&r, next-1); got != want[next-1] {
 					t.Fatalf("step %d: take(newest %d) = %v, want %v", step, next-1, got, want[next-1])
 				}
 				delete(want, next-1)
 			}
 		default: // any number ever pushed, or one not yet
 			seq := uint64(rng.Int63n(int64(next) + 2))
-			if got := r.take(seq); got != want[seq] {
+			if got := take(&r, seq); got != want[seq] {
 				t.Fatalf("step %d: take(%d) = %v, want %v", step, seq, got, want[seq])
 			}
 			delete(want, seq)
 		}
-		if r.n != len(want) {
-			t.Fatalf("step %d: ring holds %d, set %d", step, r.n, len(want))
+		if r.Len() != len(want) {
+			t.Fatalf("step %d: ring holds %d, set %d", step, r.Len(), len(want))
 		}
 	}
 }

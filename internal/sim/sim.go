@@ -21,6 +21,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"time"
+
+	"rpivideo/internal/ring"
 )
 
 // Timer states: timerPending marks a timer in the pending set; timerFiring a
@@ -103,7 +105,7 @@ type Simulator struct {
 	seq    uint64
 	// reserved holds the sequence numbers Reserve handed out that AtReserved
 	// has not scheduled yet.
-	reserved seqRing
+	reserved ring.Queue[uint64]
 	seed     int64
 	streams  map[string]*rand.Rand
 	// spare holds the streams of the runs before the last Reset, re-seeded
@@ -137,7 +139,7 @@ func (s *Simulator) Reset(seed int64) {
 	clear(s.free)
 	s.now, s.seq, s.seed = 0, 0, seed
 	s.events, s.timers, s.free = s.events[:0], s.timers[:0], s.free[:0]
-	s.reserved.head, s.reserved.n = 0, 0
+	s.reserved.Truncate(0)
 	for _, r := range s.streams {
 		s.spare = append(s.spare, r)
 	}
@@ -192,7 +194,7 @@ func (s *Simulator) At(at time.Duration, fn func()) *Timer {
 func (s *Simulator) Reserve() uint64 {
 	seq := s.seq
 	s.seq++
-	s.reserved.push(seq)
+	s.reserved.Push(seq)
 	return seq
 }
 
@@ -202,7 +204,7 @@ func (s *Simulator) Reserve() uint64 {
 // used, panics.
 func (s *Simulator) AtReserved(at time.Duration, seq uint64, fn func()) *Timer {
 	// A nil callback panics in schedule, with the reservation still open.
-	if fn != nil && !s.reserved.take(seq) {
+	if fn != nil && !take(&s.reserved, seq) {
 		panic(fmt.Sprintf("sim: AtReserved with sequence number %d, which is not an unused reservation", seq))
 	}
 	return s.schedule(at, seq, fn)
@@ -240,49 +242,30 @@ func (s *Simulator) schedule(at time.Duration, seq uint64, fn func()) *Timer {
 	return t
 }
 
-// seqRing is the ascending set of sequence numbers reserved and not yet
-// scheduled, in a power-of-two ring. A FIFO holder takes its oldest number,
-// which sits within a few slots of the head, or, arming its only event, the
-// newest; take shifts only the entries older than the one it removes.
-type seqRing struct {
-	buf  []uint64
-	head int
-	n    int
-}
-
-func (r *seqRing) push(seq uint64) {
-	if r.n == len(r.buf) {
-		buf := make([]uint64, max(16, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf, r.head = buf, 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = seq
-	r.n++
-}
-
-// take removes seq and reports whether it was there.
-func (r *seqRing) take(seq uint64) bool {
-	if r.n == 0 {
+// take removes seq from r, the ascending queue of sequence numbers reserved
+// and not yet scheduled, and reports whether it was there. A FIFO holder
+// takes its oldest number, which sits within a few slots of the head, or,
+// arming its only event, the newest; take shifts only the entries older
+// than the one it removes.
+func take(r *ring.Queue[uint64], seq uint64) bool {
+	n := r.Len()
+	if n == 0 {
 		return false
 	}
-	mask := len(r.buf) - 1
-	if r.buf[(r.head+r.n-1)&mask] == seq {
-		r.n--
+	if *r.At(n - 1) == seq {
+		r.Truncate(n - 1)
 		return true
 	}
-	for i := 0; i < r.n-1; i++ {
-		v := r.buf[(r.head+i)&mask]
+	for i := 0; i < n-1; i++ {
+		v := *r.At(i)
 		if v > seq {
 			return false
 		}
 		if v == seq {
 			for ; i > 0; i-- {
-				r.buf[(r.head+i)&mask] = r.buf[(r.head+i-1)&mask]
+				*r.At(i) = *r.At(i - 1)
 			}
-			r.head = (r.head + 1) & mask
-			r.n--
+			r.Pop()
 			return true
 		}
 	}

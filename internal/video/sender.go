@@ -115,7 +115,7 @@ type Buffers struct {
 	sent   []SentRecord
 	frames *[frameSlots]frameSlot
 	rtp    rtp.Buffers
-	queue  cc.Buffers
+	queue  []cc.Item
 }
 
 // Reuse makes s keep its traffic-sized state in the storage b holds,
