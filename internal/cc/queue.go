@@ -29,7 +29,6 @@ type SendQueue struct {
 	Discard func(Item)
 
 	items ring.Queue[Item]
-	bytes int
 }
 
 // Reuse makes q queue in the array buf holds, zeroed, and record there the
@@ -38,16 +37,20 @@ type SendQueue struct {
 func (q *SendQueue) Reuse(buf *[]Item) { q.items.Reuse(buf) }
 
 // Push appends a packet to the tail.
-func (q *SendQueue) Push(it Item) {
-	q.items.Push(it)
-	q.bytes += it.Size
-}
+func (q *SendQueue) Push(it Item) { q.items.Push(it) }
 
 // Len returns the number of queued packets.
 func (q *SendQueue) Len() int { return q.items.Len() }
 
-// Bytes returns the queued wire bytes.
-func (q *SendQueue) Bytes() int { return q.bytes }
+// Bytes returns the queued wire bytes. It walks the queue: the packet path
+// never asks, so Push keeps no running sum.
+func (q *SendQueue) Bytes() int {
+	n := 0
+	for i := 0; i < q.items.Len(); i++ {
+		n += q.items.At(i).Size
+	}
+	return n
+}
 
 // Peek returns the head item without removing it; ok is false when empty.
 func (q *SendQueue) Peek() (Item, bool) {
@@ -62,9 +65,7 @@ func (q *SendQueue) Pop() (Item, bool) {
 	if q.items.Len() == 0 {
 		return Item{}, false
 	}
-	it := q.items.Pop()
-	q.bytes -= it.Size
-	return it, true
+	return q.items.Pop(), true
 }
 
 // Delay returns how long the head packet has been queued, or 0 when empty.
@@ -91,6 +92,5 @@ func (q *SendQueue) Clear() int {
 			q.Discard(it)
 		}
 	}
-	q.bytes = 0
 	return n
 }

@@ -74,10 +74,10 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 	}
 	errs := make([]error, runs)
 	e := executor{workers: opts.Workers, unit: "campaign run", sink: opts.StatusSink}
-	e.run(errs, func(i int, b *runBuffers) *Result {
+	e.run(errs, func(i int) *Result {
 		c := cfg
 		c.Seed = DeriveSeed(cfg.Seed, i)
-		return b.run(c, false)
+		return Run(c)
 	}, fold)
 	return errs
 }
@@ -94,11 +94,10 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 //   - fold is serialized and sees jobs in strict index order whatever order
 //     they complete in — a nil result still takes its turn — which is what
 //     makes every export byte-identical at any worker count. Results that
-//     complete ahead of their turn wait in a pending map and nowhere else;
-//   - each worker hands its jobs one runBuffers, the same from job to job and
-//     from one run call to the next on the same executor (RunFleet's two
-//     phases), except after a job that panicked: that worker starts over
-//     with an empty set.
+//     complete ahead of their turn wait in a pending map and nowhere else.
+//
+// It owns no run buffers: a job takes its set from the process's pool
+// (withBuffers).
 type executor struct {
 	workers int    // <= 0 selects GOMAXPROCS
 	unit    string // names job i in its error: "campaign run 3"
@@ -109,15 +108,12 @@ type executor struct {
 	// fleet sets "fleet" and its per-cell contention table.
 	mode  string
 	cells []obs.CellStatus
-	// bufs holds worker w's buffers at index w, kept across run calls.
-	bufs []*runBuffers
 }
 
-// run executes job(i, b) for every i in [0, len(errs)), filling errs[i]; b
-// is the buffers of the worker running it. A job whose errs[i] is already
-// set (a fleet UAV that failed an earlier phase) is not run: it is observed
-// and folded as the failure it already is.
-func (e *executor) run(errs []error, job func(i int, b *runBuffers) *Result, fold func(i int, r *Result)) {
+// run executes job(i) for every i in [0, len(errs)), filling errs[i]. A job
+// whose errs[i] is already set (a fleet UAV that failed an earlier phase)
+// is not run: it is observed and folded as the failure it already is.
+func (e *executor) run(errs []error, job func(i int) *Result, fold func(i int, r *Result)) {
 	n := len(errs)
 	workers := e.workers
 	if workers <= 0 {
@@ -125,9 +121,6 @@ func (e *executor) run(errs []error, job func(i int, b *runBuffers) *Result, fol
 	}
 	if workers > n {
 		workers = n
-	}
-	for len(e.bufs) < max(workers, 1) {
-		e.bufs = append(e.bufs, new(runBuffers))
 	}
 	start := time.Now()
 	var (
@@ -181,21 +174,17 @@ func (e *executor) run(errs []error, job func(i int, b *runBuffers) *Result, fol
 		}
 		e.sink.PublishStatus(st)
 	}
-	runOne := func(i, w int) {
+	runOne := func(i int) {
 		var res *Result
 		if errs[i] == nil {
-			b := e.bufs[w]
-			res, errs[i] = runGuarded(fmt.Sprintf("%s %d", e.unit, i), 0, func() *Result { return job(i, b) })
-			if errs[i] != nil {
-				e.bufs[w] = new(runBuffers) // the panic may have left b half-written
-			}
+			res, errs[i] = runGuarded(fmt.Sprintf("%s %d", e.unit, i), 0, func() *Result { return job(i) })
 		}
 		finish(i, res)
 	}
 
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			runOne(i, 0)
+			runOne(i)
 		}
 		return
 	}
@@ -206,7 +195,7 @@ func (e *executor) run(errs []error, job func(i int, b *runBuffers) *Result, fol
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				runOne(i, w)
+				runOne(i)
 			}
 		}()
 	}
@@ -223,9 +212,10 @@ func (e *executor) run(errs []error, job func(i int, b *runBuffers) *Result, fol
 // abandoned goroutine keeps running detached — Run has no cancellation
 // point, so the watchdog trades a leaked goroutine for a reported failure
 // instead of a wedged caller (the leak is bounded by the number of
-// timed-out runs). The campaign executor passes 0; RunWithTimeout is the
-// one entry point that can arm it. name labels the error messages
-// ("campaign run 3").
+// timed-out runs). It keeps its pooled buffers until it ends, so no other
+// run is handed them while it still writes there. The campaign executor
+// passes 0; RunWithTimeout is the one entry point that can arm it. name
+// labels the error messages ("campaign run 3").
 func runGuarded(name string, timeout time.Duration, job func() *Result) (*Result, error) {
 	if timeout <= 0 {
 		var res *Result

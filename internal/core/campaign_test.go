@@ -72,7 +72,7 @@ func execJobs(n int, e executor, job func(i int) *Result) ([]*Result, []error) {
 	results := make([]*Result, n)
 	errs := make([]error, n)
 	e.unit = "campaign run"
-	e.run(errs, func(i int, _ *runBuffers) *Result { return job(i) }, func(i int, r *Result) { results[i] = r })
+	e.run(errs, job, func(i int, r *Result) { results[i] = r })
 	return results, errs
 }
 
@@ -261,7 +261,7 @@ func TestExecutorFoldsInIndexOrder(t *testing.T) {
 		}
 	}
 	e := executor{workers: n, unit: "job", sink: sink}
-	e.run(errs, func(i int, _ *runBuffers) *Result {
+	e.run(errs, func(i int) *Result {
 		<-gates[i]
 		if i == bad {
 			panic("no result")
@@ -288,42 +288,6 @@ func TestExecutorFoldsInIndexOrder(t *testing.T) {
 	}
 }
 
-// TestExecutorBuffersPerWorker: a worker hands its jobs one runBuffers,
-// the same from job to job and across run calls on one executor, and a
-// fresh one after a job that panicked; two workers never share one.
-func TestExecutorBuffersPerWorker(t *testing.T) {
-	e := executor{workers: 1, unit: "job"}
-	var used []*runBuffers
-	job := func(i int, b *runBuffers) *Result {
-		used = append(used, b)
-		if i == 1 {
-			panic("mid-job")
-		}
-		return nil
-	}
-	e.run(make([]error, 3), job, func(int, *Result) {})
-	e.run(make([]error, 1), job, func(int, *Result) {})
-	if used[0] != used[1] || used[2] == used[1] || used[3] != used[2] {
-		t.Errorf("buffers by job %p: want one set for jobs 0-1, a new one from job 2 on (after job 1 panicked)", used)
-	}
-
-	const n = 40
-	byJob := make([]*runBuffers, n)
-	par := executor{workers: 4, unit: "job"}
-	par.run(make([]error, n), func(i int, b *runBuffers) *Result {
-		byJob[i] = b
-		b.sim = nil // written by the one worker that owns b
-		return nil
-	}, func(int, *Result) {})
-	distinct := map[*runBuffers]bool{}
-	for _, b := range byJob {
-		distinct[b] = true
-	}
-	if len(distinct) > 4 || len(par.bufs) != 4 {
-		t.Errorf("%d distinct buffer sets over %d jobs, %d kept; want at most one per worker (4)", len(distinct), n, len(par.bufs))
-	}
-}
-
 // TestExecutorKeepsEarlierFailure is RunFleet's two-phase shape: both
 // phases share one errs slice, so a UAV that panicked in phase 1 must not
 // run in phase 3 — it is folded as nil and counted as failed, keeping its
@@ -334,7 +298,7 @@ func TestExecutorKeepsEarlierFailure(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		errs := make([]error, n)
 		e := executor{workers: workers, unit: "fleet uav"}
-		e.run(errs, func(u int, _ *runBuffers) *Result {
+		e.run(errs, func(u int) *Result {
 			if u == 1 {
 				panic("phase 1")
 			}
@@ -344,7 +308,7 @@ func TestExecutorKeepsEarlierFailure(t *testing.T) {
 		var folded []int
 		sink := &recordingSink{}
 		e.sink = sink
-		e.run(errs, func(u int, _ *runBuffers) *Result {
+		e.run(errs, func(u int) *Result {
 			switch u {
 			case 1:
 				t.Errorf("workers=%d: uav 1 ran in phase 3 after failing phase 1", workers)

@@ -13,15 +13,28 @@ type WorkerJob struct {
 	Wire   bool
 }
 
-// RunOnOneWorker runs jobs back to back on one executor worker, each on the
-// buffers the job before it left, and hands fold each result in order (nil
-// for a job that panicked, whose error is in the returned slice).
+// RunOnOneWorker runs jobs back to back on one private buffer set that
+// starts empty, each on the buffers the job before it left, and hands fold
+// each result in order (nil for a job that panicked, whose error is in the
+// returned slice; the job after it starts on an empty set again). The
+// process's pool is not touched, so what the jobs inherit does not depend
+// on the runs before them.
 func RunOnOneWorker(jobs []WorkerJob, fold func(i int, r *Result)) []error {
 	errs := make([]error, len(jobs))
+	var b *runBuffers
 	e := executor{workers: 1, unit: "job"}
-	e.run(errs, func(i int, b *runBuffers) *Result { return b.run(jobs[i].Config, jobs[i].Wire) }, fold)
+	e.run(errs, func(i int) *Result {
+		if b == nil || errs[i-1] != nil { // the first job, or the one after a panic
+			b = new(runBuffers)
+		}
+		return b.run(jobs[i].Config, jobs[i].Wire)
+	}, fold)
 	return errs
 }
+
+// RunFresh runs job on a private, empty buffer set: the run the first Run
+// of a process makes, whatever ran before it.
+func RunFresh(job WorkerJob) *Result { return new(runBuffers).run(job.Config, job.Wire) }
 
 // DatagramSlots is what a video run's two endpoints hold in datagram slots
 // once the run has ended, next to the datagrams their links still carry:

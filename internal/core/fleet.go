@@ -257,12 +257,14 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	errs := make([]error, fc.Size)
 	exec := executor{workers: fc.Workers, unit: "fleet uav"}
 
-	// Phase 1: attachment timelines, on the workers' buffers, which phase 3
-	// reuses. Nothing is published yet: the status view starts with the
-	// cell table phase 2 produces.
+	// Phase 1: attachment timelines, each replayed on a simulator from the
+	// pool. Nothing is published yet: the status view starts with the cell
+	// table phase 2 produces.
 	timelines := make([][]cell.AttachSample, fc.Size)
-	exec.run(errs, func(u int, b *runBuffers) *Result {
-		timelines[u] = attachTimeline(cfgs[u], dur, fc.Epoch, nEpochs, b)
+	exec.run(errs, func(u int) *Result {
+		timelines[u] = withBuffers(func(b *runBuffers) []cell.AttachSample {
+			return attachTimeline(cfgs[u], dur, fc.Epoch, nEpochs, b)
+		})
 		return nil
 	}, func(u int, _ *Result) {
 		if timelines[u] == nil {
@@ -304,10 +306,10 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	// order. A UAV that failed phase 1 keeps its error and is not run.
 	exec.sink = fc.StatusSink
 	exec.mode, exec.cells = "fleet", cellStatuses
-	exec.run(errs, func(u int, b *runBuffers) *Result {
+	exec.run(errs, func(u int) *Result {
 		c := cfgs[u]
 		c.CapacityShare = shareLookup(ct.Shares[u], fc.Epoch)
-		r := b.run(c, false)
+		r := Run(c)
 		// Scrub the injected fields before folding: the summary's Config
 		// must stay comparable (func fields defeat DeepEqual) and free of
 		// the 500-way-shared deployment slice.

@@ -19,11 +19,15 @@ import (
 // grow its pool; the rural one's may, by as much as its live peak rises in
 // the second half.
 //
+// Each flight runs on a private empty buffer set (RunFresh): a pooled set
+// would bring the slots of whatever ran before it in the process.
+//
 // Then one worker flies the urban GCC flight, the rural one and an urban
-// SCReAM flight back to back. A run's pool starts with every slot the runs
-// before it on the worker left (runBuffers), so its Slots are inherited
-// while Live and PeakLive count its own packets: the slots never exceed the
-// largest PeakLive of any run so far plus one block.
+// SCReAM flight back to back on one set that starts empty. A run's pool
+// starts with every slot the runs before it on the set left (runBuffers),
+// so its Slots are inherited while Live and PeakLive count its own packets:
+// the slots never exceed the largest PeakLive of any run so far plus one
+// block.
 func TestFlightPacketPoolStaysLiveSized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full flights")
@@ -44,7 +48,7 @@ func TestFlightPacketPoolStaysLiveSized(t *testing.T) {
 		for i, dur := range []time.Duration{360 * time.Second, 720 * time.Second} {
 			cfg := c.cfg
 			cfg.Duration = dur
-			res := Run(cfg)
+			res := RunFresh(WorkerJob{Config: cfg})
 			if pool.Slots > pool.PeakLive+rtp.PoolBlock {
 				t.Errorf("%s %v: %d packets sent; pool %+v holds more than its peak plus one block of %d",
 					cfg.Env, dur, res.PacketsSent, pool, rtp.PoolBlock)

@@ -286,7 +286,7 @@ func (r *Result) GoodputMean() float64 { return r.Goodput.Mean() }
 // has ended, with its uplinks (the primary first) and whether its media
 // crossed as bytes: the sender's packet pool counts that run's packets and
 // retransmissions alone in Live, PeakLive and Refs, while its Slots include
-// those inherited from the runs before it on the same worker (runBuffers).
+// those inherited from the runs before it on the same buffer set (runBuffers).
 // datagramTap sees a video run's two datagram pools once the
 // run has ended, with the datagrams each one's link still carries: the
 // sender reports queued or in flight on the uplink, the feedback on the

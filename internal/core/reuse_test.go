@@ -13,16 +13,17 @@ import (
 	"rpivideo/internal/experiments"
 )
 
-// TestRunIndependentOfPredecessor: a run on a worker's recycled buffers is
-// the run a fresh Run makes. Every golden scenario's configuration, traced
-// and untraced, runs fresh and then, on one worker, right after each of five
-// predecessors that leave the buffers in different states — grown by a
-// SCReAM flight, by the bonded, repaired, faulted 75 s flight, by a fleet
-// UAV under a capacity share, by a wire-mode run, or abandoned by a run that
-// panicked mid-flight. Its simulator cost, metrics registry, telemetry
-// registry and trace must be byte-identical to the fresh run's, and the predecessor's Result
-// must read the same after its successor ran as before: no Result may point
-// into storage the next run reuses.
+// TestRunIndependentOfPredecessor: a run on recycled buffers is the run an
+// empty set makes. Every golden scenario's configuration, traced and
+// untraced, runs on a private empty set (RunFresh) and then, on one worker,
+// right after each of five predecessors that leave the buffers in different
+// states — grown by a SCReAM flight, by the bonded, repaired, faulted 75 s
+// flight, by a fleet UAV under a capacity share, by a wire-mode run, or
+// abandoned by a run that panicked mid-flight. Its simulator cost, metrics
+// registry, telemetry registry and trace must be byte-identical to the
+// fresh run's, and the predecessor's Result must read the same after its
+// successor ran as before: no Result may point into storage the next run
+// reuses.
 func TestRunIndependentOfPredecessor(t *testing.T) {
 	scream := core.Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: core.CCSCReAM, Seed: 3, Duration: 10 * time.Second, Trace: true}
 	resilient := core.Resilient75s()
@@ -52,7 +53,7 @@ func TestRunIndependentOfPredecessor(t *testing.T) {
 		for _, trace := range []bool{false, true} {
 			cfg := sc.Config
 			cfg.Trace = trace
-			want := exportRun(t, core.Run(cfg))
+			want := exportRun(t, core.RunFresh(core.WorkerJob{Config: cfg}))
 			for _, p := range preds {
 				var pred *core.Result
 				var before, got string

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"time"
 
 	"rpivideo/internal/bond"
@@ -16,32 +18,92 @@ import (
 	"rpivideo/internal/video"
 )
 
-// Run executes one measurement run and returns its aggregated result. It is
-// a worker's run with nothing before it: every buffer starts empty.
-func Run(cfg Config) *Result { return new(runBuffers).run(cfg, false) }
+// Run executes one measurement run and returns its aggregated result, on a
+// buffer set from the process's pool (runBuffers).
+func Run(cfg Config) *Result {
+	return withBuffers(func(b *runBuffers) *Result { return b.run(cfg, false) })
+}
 
-// runBuffers is the storage one executor worker hands from each run to the
-// next: the simulator (its pending set and random streams), the links'
-// rings, and the media path's sent table, frame registry, packet slots,
-// send queue and depacketizer ring. A run takes each buffer emptied and
-// records there whatever it grows, so a worker's runs allocate their
-// traffic-sized storage once between them, not once each. The runBuffers
-// decides every such buffer's lifetime; the packages only say how to take
-// one over (their Reuse methods).
+// runBuffers is the storage a finished run hands to the next one: the
+// simulator (its pending set and random streams), the links' rings, the
+// media path's sent table, frame registry, packet slots, send queue and
+// depacketizer ring, and the feedback path's acks, decoded reports, GCC
+// receive window and TWCC recorder (endpoint.Buffers). A run takes each
+// buffer emptied and records there whatever it grows, so the runs of a
+// process allocate their traffic-sized storage once between them, not once
+// each. The pool (runPool) decides every such buffer's lifetime; the
+// packages only say how to take one over (their Reuse methods).
 //
 // What a run keeps — its Result — never points into runBuffers: the
 // sketches, Stalls, Handovers, BondPaths and the trace are allocated per run,
 // so the next run cannot change a Result it did not make. A run that
-// panicked may have left any buffer half-written; its worker throws the
-// whole set away (executor.run). RunWithTimeout never uses one: an abandoned
-// run keeps running detached, on whatever it was given.
+// panicked may have left any buffer half-written: its set never goes back
+// (withBuffers).
 type runBuffers struct {
 	sim   *sim.Simulator
 	links [3]link.Buffers // uplink, feedback downlink, bonded second uplink
-	video video.Buffers
+	ends  endpoint.Buffers
 }
 
-// simulator returns the worker's simulator, reset to seed.
+// bufferPool is a bounded free list of buffer sets, one per process
+// (runPool). take hands out a set no live run holds; put gives a finished
+// run's set back and keeps at most GOMAXPROCS of them — as many as can run
+// at once — letting the rest go. A mutex and a slice, not a sync.Pool: its
+// hits do not depend on when the GC runs, and a kept set is live before and
+// after a round alike.
+type bufferPool struct {
+	mu   sync.Mutex
+	free []*runBuffers
+}
+
+// runPool is the pool every run takes its buffers from: Run (and so
+// RunWithTimeout and the sharded fold's DistRunner), every campaign run and
+// both per-UAV phases of RunFleet.
+var runPool bufferPool
+
+func (p *bufferPool) take() *runBuffers {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(runBuffers)
+	}
+	b := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return b
+}
+
+func (p *bufferPool) put(b *runBuffers) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < runtime.GOMAXPROCS(0) {
+		p.free = append(p.free, b)
+	}
+}
+
+// withBuffers runs job on a set from runPool and gives the set back once
+// job has returned. A job that panics never gives its set back; a job a
+// watchdog abandoned holds its set until it actually ends.
+func withBuffers[T any](job func(b *runBuffers) T) T {
+	b := runPool.take()
+	out := job(b)
+	runPool.put(b)
+	return out
+}
+
+// DropPooledBuffers lets go of every buffer set the pool keeps, so the next
+// run starts on empty storage as the first run of a process does. The cost
+// pins call it before each measurement: what a run allocates then does not
+// depend on the runs before it.
+func DropPooledBuffers() {
+	runPool.mu.Lock()
+	defer runPool.mu.Unlock()
+	clear(runPool.free)
+	runPool.free = runPool.free[:0]
+}
+
+// simulator returns the set's simulator, reset to seed.
 func (b *runBuffers) simulator(seed int64) *sim.Simulator {
 	if b.sim == nil {
 		b.sim = sim.New(seed)
@@ -128,7 +190,7 @@ func (b *runBuffers) run(cfg Config, wire bool) *Result {
 	case WorkloadPing:
 		runPing(s, cfg, res, uplink, downlink, stateAt, dur)
 	default:
-		stream(s, cfg, res, machine, uplink, bp, downlink, prof, dur, wire, &b.video)
+		stream(s, cfg, res, machine, uplink, bp, downlink, prof, dur, wire, &b.ends)
 	}
 
 	// The media counters sum every path's ledger, so a bonded run's count
@@ -208,14 +270,14 @@ func setupRadio(cfg Config, op cell.Operator, cellRng *rand.Rand) (*cell.Machine
 	return cell.NewMachine(model, hoCfg, cfg.Air, cellRng), hoCfg
 }
 
-// stream runs the video workload: build the two endpoints on vb's buffers,
+// stream runs the video workload: build the two endpoints on eb's buffers,
 // join them through the links (and the bond router, when bp is set), attach
 // the accounting, run the clock and fold every counter into res. wire is the
 // differential test's switch (see connect).
-func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool, vb *video.Buffers) {
+func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool, eb *endpoint.Buffers) {
 	snd, rcv := newEndpoints(s, cfg, res, bp)
-	snd.Video.Reuse(vb)
-	rcv.Player.Reuse(vb)
+	snd.Reuse(eb)
+	rcv.Reuse(eb)
 	var tapFrames func()
 	if framesTap != nil {
 		var frames []video.PlayedFrame

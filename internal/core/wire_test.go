@@ -33,7 +33,7 @@ func TestWireMatchesSim(t *testing.T) {
 	}
 	for name, cfg := range wireFlights() {
 		cfg.Trace = true
-		simRes, wireRes := new(runBuffers).run(cfg, false), new(runBuffers).run(cfg, true)
+		simRes, wireRes := RunFresh(WorkerJob{Config: cfg}), RunFresh(WorkerJob{Config: cfg, Wire: true})
 		simTrace, simMetrics := export(simRes)
 		wireTrace, wireMetrics := export(wireRes)
 		if !bytes.Equal(simTrace, wireTrace) {

@@ -21,6 +21,11 @@ package endpoint
 import (
 	"fmt"
 	"time"
+
+	"rpivideo/internal/cc"
+	"rpivideo/internal/gcc"
+	"rpivideo/internal/rtp"
+	"rpivideo/internal/video"
 )
 
 // CC names a rate-control regime (§3.2: static, GCC or SCReAM).
@@ -87,3 +92,52 @@ const receiverSSRC = 1
 // campaigns were calibrated with. Every other packet is charged its RTP or
 // RTCP length alone.
 const pliAirSize = 40
+
+// Buffers is the storage one run's Sender and Receiver leave to the next
+// run's: the media path's (video.Buffers) and the congestion feedback's —
+// the sender's decoded reports and acks, GCC's receive-rate window and the
+// receiver's TWCC recorder. The zero value is empty. One Buffers serves one
+// sender and one receiver at a time.
+type Buffers struct {
+	video    video.Buffers
+	fb       feedback
+	gcc      gcc.Buffers
+	recorder *rtp.TWCCRecorder // the first TWCC receiver's own, handed on
+}
+
+// feedback is where a sender decodes congestion feedback: the parsed TWCC
+// report (made at the first one: only a GCC sender needs it) or RFC 8888
+// report, and the acks it becomes.
+type feedback struct {
+	acks []cc.Ack
+	twcc *rtp.TWCC
+	ccfb rtp.CCFB
+}
+
+// Reuse makes s keep its media path in b (video.Sender.Reuse), decode
+// feedback into b's reports and acks and, under GCC, keep its receive-rate
+// window there. Call it on a new sender, before Start; the sender that used
+// b before must be finished.
+func (s *Sender) Reuse(b *Buffers) {
+	s.Video.Reuse(&b.video)
+	s.fb = &b.fb
+	if g, ok := s.Ctrl.(*gcc.Controller); ok {
+		g.Reuse(&b.gcc)
+	}
+}
+
+// Reuse makes r reassemble frames in b's ring (video.Player.Reuse) and,
+// when it answers with TWCC, record arrivals in b's recorder, emptied; the
+// first such receiver leaves b its own. Call it on a new receiver, before
+// its first packet; the receiver that used b before must be finished.
+func (r *Receiver) Reuse(b *Buffers) {
+	r.Player.Reuse(&b.video)
+	switch {
+	case r.twcc == nil:
+	case b.recorder == nil:
+		b.recorder = r.twcc
+	default:
+		b.recorder.Reset(r.twcc.SenderSSRC, r.twcc.MediaSSRC)
+		r.twcc = b.recorder
+	}
+}

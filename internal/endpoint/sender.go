@@ -77,16 +77,15 @@ type Sender struct {
 	rtxSeq uint16
 	// dgrams holds the sender reports' slots.
 	dgrams rtp.DatagramPool
-	// acks, seqs and the parsed packets are reused across reports: no
-	// controller (nor cc.Bonded) keeps the acks slice past OnFeedback, and
-	// every Unmarshal refills the struct it is called on.
-	acks []cc.Ack
+	// seqs, the parsed packets and fb's acks and reports are reused across
+	// reports: no controller (nor cc.Bonded) keeps the acks slice past
+	// OnFeedback, and every Unmarshal refills the struct it is called on.
+	// fb is a Buffers' (Reuse), or nil until the first report (feedback).
 	seqs []uint16
-	twcc rtp.TWCC
-	ccfb rtp.CCFB
 	rr   rtp.ReceiverReport
 	nack rtp.NACK
 	pli  rtp.PLI
+	fb   *feedback
 
 	// RtxBytes counts retransmitted wire bytes.
 	RtxBytes int
@@ -266,22 +265,35 @@ func (s *Sender) onReceiverReport(buf []byte, at time.Duration) Verdict {
 	return Control
 }
 
+// feedback returns where s decodes a report: the Buffers' it was given
+// (Reuse), or its own, made at its first report.
+func (s *Sender) feedback() *feedback {
+	if s.fb == nil {
+		s.fb = new(feedback)
+	}
+	return s.fb
+}
+
 // onTWCC translates transport-wide feedback into acks for GCC.
 func (s *Sender) onTWCC(buf []byte, at time.Duration) Verdict {
-	fb := &s.twcc
-	if fb.Unmarshal(buf) != nil {
+	fb := s.feedback()
+	if fb.twcc == nil {
+		fb.twcc = new(rtp.TWCC)
+	}
+	tw := fb.twcc
+	if tw.Unmarshal(buf) != nil {
 		return Rejected
 	}
-	acks := s.acks[:0]
-	for i, p := range fb.Packets {
-		tseq := fb.BaseSeq + uint16(i)
+	acks := fb.acks[:0]
+	for i, p := range tw.Packets {
+		tseq := tw.BaseSeq + uint16(i)
 		a := cc.Ack{TransportSeq: tseq, Received: p.Received, ArrivalTime: p.At}
 		if rec, ok := s.Video.LookupTransport(tseq); ok {
 			a.Seq, a.Size, a.SendTime = rec.Seq, rec.Size, rec.SendTime
 		}
 		acks = append(acks, a)
 	}
-	s.acks = acks
+	fb.acks = acks
 	s.ctrl.OnFeedback(at, acks)
 	s.Video.Kick()
 	return Control
@@ -300,16 +312,18 @@ func (s *Sender) onTWCC(buf []byte, at time.Duration) Verdict {
 // the list as a whole — begin_seq, the highest received sequence number, the
 // span — comes from the three metrics always kept (cc.Controller.OnFeedback).
 func (s *Sender) onCCFB(buf []byte, at time.Duration) Verdict {
-	if s.ccfb.Unmarshal(buf) != nil {
+	fb := s.feedback()
+	ccfb := &fb.ccfb
+	if ccfb.Unmarshal(buf) != nil {
 		return Rejected
 	}
-	for _, rep := range s.ccfb.Reports {
+	for _, rep := range ccfb.Reports {
 		last := len(rep.Metrics) - 1
 		top := last // the highest received metric (the first if none is)
 		for top > 0 && !rep.Metrics[top].Received {
 			top--
 		}
-		acks := s.acks[:0]
+		acks := fb.acks[:0]
 		for i, m := range rep.Metrics {
 			seq := rep.BeginSeq + uint16(i)
 			var rec video.SentRecord
@@ -323,14 +337,14 @@ func (s *Sender) onCCFB(buf []byte, at time.Duration) Verdict {
 			}
 			a := cc.Ack{Seq: seq, Received: m.Received}
 			if m.Received {
-				a.ArrivalTime = s.ccfb.Timestamp - m.ArrivalOffset
+				a.ArrivalTime = ccfb.Timestamp - m.ArrivalOffset
 			}
 			if known {
 				a.TransportSeq, a.Size, a.SendTime = rec.TransportSeq, rec.Size, rec.SendTime
 			}
 			acks = append(acks, a)
 		}
-		s.acks = acks
+		fb.acks = acks
 		s.ctrl.OnFeedback(at, acks)
 	}
 	s.Video.Kick()

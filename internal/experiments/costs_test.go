@@ -86,7 +86,7 @@ var longHorizon = Scenario{
 
 // campaignReuse is the serial multi-run row: repair-blackout four times
 // through RunCampaignWithOptions on one worker, so runs 1–3 each start on
-// the buffers the run before left (core's runBuffers). Every other row is
+// the buffers the run before left (core's buffer pool). Every other row is
 // one run, or a fleet; a change that stops a campaign's runs reusing their
 // predecessor's buffers moves this row's allocations far past the
 // tolerance. Trace off: a trace is what a run keeps, not what it reuses.
@@ -120,6 +120,8 @@ func goMinor(v string) string {
 
 // measureCost executes sc once, serially, and reads off its cost. trace
 // turns on what -trace exports: per-run tracing, or a fleet's cell events.
+// The execution starts on an empty buffer pool, so its first run allocates
+// its buffers as the first run of a process does, whatever ran before.
 func measureCost(sc Scenario, trace bool) (runCost, error) {
 	var (
 		c             runCost
@@ -128,6 +130,7 @@ func measureCost(sc Scenario, trace bool) (runCost, error) {
 	)
 	cfg := sc.Config
 	cfg.Trace = trace
+	core.DropPooledBuffers()
 	runtime.ReadMemStats(&before)
 	if sc.Fleet > 0 {
 		fr, errs := core.RunFleet(core.FleetConfig{Config: cfg, Size: sc.Fleet, Sched: sc.Sched, Workers: 1, Events: trace})

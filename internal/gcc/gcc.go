@@ -62,35 +62,54 @@ type recvSample struct {
 // recvWindow is the sliding 500 ms window of acked packets behind the
 // receive-rate estimate R̂: samples join at the tail of a ring and leave at
 // its head, so a report allocates nothing once the ring has grown to the
-// window's peak.
+// window's peak. add only queues a sample, so the per-ack call stays one
+// inlined ring push; rate adds the bytes of the samples queued since its
+// last call to the running sum before it trims.
 type recvWindow struct {
 	samples ring.Queue[recvSample]
-	bytes   int // running byte sum over samples
+	bytes   int // byte sum over the first summed samples
+	summed  int
 }
 
 func (w *recvWindow) add(arrival time.Duration, bytes int) {
 	w.samples.Push(recvSample{arrival: arrival, bytes: bytes})
-	w.bytes += bytes
 }
 
 func (w *recvWindow) reset() {
 	w.samples.Truncate(0)
-	w.bytes = 0
+	w.bytes, w.summed = 0, 0
 }
 
 // rate returns R̂ in bits/s over the trailing 500 ms of receiver time,
 // trimming the window as a side effect.
 func (w *recvWindow) rate(latestArrival time.Duration) float64 {
 	const window = 500 * time.Millisecond
+	for ; w.summed < w.samples.Len(); w.summed++ {
+		w.bytes += w.samples.At(w.summed).bytes
+	}
 	cut := latestArrival - window
 	for w.samples.Len() > 0 && w.samples.At(0).arrival < cut {
 		w.bytes -= w.samples.Pop().bytes
 	}
-	if w.samples.Len() < 2 {
+	w.summed = w.samples.Len()
+	if w.summed < 2 {
 		return 0
 	}
 	return float64(w.bytes*8) / window.Seconds()
 }
+
+// Buffers is the storage one run's Controller leaves to the next run's: its
+// receive-rate window. The zero value is empty. One Buffers serves one
+// controller at a time.
+type Buffers struct {
+	recv []recvSample
+}
+
+// Reuse makes c keep its receive-rate window in the array b holds, emptied,
+// and record there the array it grows to. Call it on a new controller,
+// before its first feedback; the controller that used b before must be
+// finished.
+func (c *Controller) Reuse(b *Buffers) { c.recv.samples.Reuse(&b.recv) }
 
 // Controller implements cc.Controller with GCC.
 type Controller struct {

@@ -155,3 +155,40 @@ func TestOnFeedbackSteadyStateAllocatesNothing(t *testing.T) {
 		t.Errorf("OnFeedback allocates %.2f times per report in steady state, want 0", n)
 	}
 }
+
+// TestControllerReuseMatchesFresh: a controller that keeps its window in a
+// Buffers another controller grew decides exactly as a new one does, and
+// starts on the grown array instead of regrowing it.
+func TestControllerReuseMatchesFresh(t *testing.T) {
+	feed := func(c *Controller, seed int64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		var tseq uint16
+		now := time.Duration(0)
+		var targets []float64
+		for i := 0; i < 300; i++ {
+			now += 50 * time.Millisecond
+			c.OnFeedback(now, randomReport(rng, now, 50*time.Millisecond, &tseq))
+			targets = append(targets, c.TargetBitrate(now))
+		}
+		return targets
+	}
+	var b Buffers
+	first := New(Config{})
+	first.Reuse(&b)
+	feed(first, 1)
+	grown := len(b.recv)
+	if grown == 0 || grown != first.recv.samples.Cap() {
+		t.Fatalf("the Buffers kept %d slots, the controller grew to %d", grown, first.recv.samples.Cap())
+	}
+	next := New(Config{})
+	next.Reuse(&b)
+	if next.recv.samples.Len() != 0 || next.recv.samples.Cap() != grown {
+		t.Fatalf("after Reuse: %d samples on %d slots, want 0 on the predecessor's %d", next.recv.samples.Len(), next.recv.samples.Cap(), grown)
+	}
+	got, want := feed(next, 2), feed(New(Config{}), 2)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("report %d: reused controller targets %v, a new one %v", i, got[i], want[i])
+		}
+	}
+}

@@ -242,8 +242,8 @@ func New(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.
 	return l
 }
 
-// Buffers is the storage one run's Link leaves to the next run's on the same
-// worker: its bottleneck queue and in-flight rings. The zero value is empty.
+// Buffers is the storage one run's Link leaves to the next run's: its
+// bottleneck queue and in-flight rings. The zero value is empty.
 // One Buffers serves one link at a time.
 type Buffers struct {
 	queue, inflight []queued

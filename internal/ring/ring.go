@@ -35,10 +35,17 @@ func (q *Queue[T]) Cap() int { return len(q.buf) }
 // in-place reading and writing.
 func (q *Queue[T]) At(i int) *T { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
-// Push appends v at the tail.
+// Push appends v at the tail, doubling a full queue first. The doubling is
+// written out here, not called: a call would cost Push the inlining budget
+// of the holders that wrap it (cc.SendQueue.Push, GCC's recvWindow.add).
 func (q *Queue[T]) Push(v T) {
 	if q.n == len(q.buf) {
-		q.grow()
+		buf := make([]T, max(16, 2*q.n))
+		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+		if q.keep != nil {
+			*q.keep = buf
+		}
 	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
@@ -68,16 +75,6 @@ func (q *Queue[T]) Truncate(n int) {
 	}
 	if q.n = n; n == 0 {
 		q.head = 0
-	}
-}
-
-// grow doubles a full queue, whose elements are buf[head:] then buf[:head].
-func (q *Queue[T]) grow() {
-	buf := make([]T, max(16, 2*len(q.buf)))
-	copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
-	q.buf, q.head = buf, 0
-	if q.keep != nil {
-		*q.keep = buf
 	}
 }
 

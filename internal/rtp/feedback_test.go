@@ -2,6 +2,7 @@ package rtp
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -544,6 +545,72 @@ func TestTWCCFlushPacketIsReused(t *testing.T) {
 	}
 	if back.BaseSeq != 10 || len(back.Packets) != 3 || back.Packets[1].Received {
 		t.Errorf("the first report's bytes changed with the second flush: %+v", back)
+	}
+}
+
+// TestTWCCFlushGrowsReportGeometrically: reports that cover a steadily
+// rising range — every one longer than any before — grow the recorder's
+// report slice geometrically, so the whole run allocates O(log n) times,
+// not once per new longest report.
+func TestTWCCFlushGrowsReportGeometrically(t *testing.T) {
+	const reports = 2000
+	allocs := testing.AllocsPerRun(1, func() {
+		r := NewTWCCRecorder(1, 2)
+		seq, at := uint16(0), time.Duration(0)
+		for n := 1; n <= reports; n++ {
+			for k := 0; k < n; k++ {
+				r.Record(seq, at)
+				seq, at = seq+1, at+time.Microsecond
+			}
+			if fb := r.Flush(); fb == nil || len(fb.Packets) != n {
+				t.Fatalf("report %d: %+v", n, fb)
+			}
+		}
+	})
+	// The ring doubles from 64 to 2 048 slots (two arrays each time); the
+	// report's slice grows by append's factor.
+	if limit := 4 * bits.Len(reports); allocs > float64(limit) {
+		t.Errorf("%d reports of rising length allocate %.0f times, want at most %d", reports, allocs, limit)
+	}
+}
+
+// TestTWCCRecorderResetMatchesNew: a recorder Reset after a stream —
+// whatever it left in its ring, unflushed arrivals included — reports a new
+// stream exactly as a new recorder does.
+func TestTWCCRecorderResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	used := NewTWCCRecorder(9, 9)
+	for seq := uint16(100); seq < 3100; seq += uint16(1 + rng.Intn(2)) {
+		used.Record(seq, time.Duration(seq)*time.Millisecond)
+		if rng.Intn(250) == 0 {
+			used.Flush()
+		}
+	}
+	if used.pending == 0 {
+		t.Fatal("the used recorder holds no unflushed arrival")
+	}
+	used.Reset(1, 2)
+	fresh := NewTWCCRecorder(1, 2)
+	seq, now := uint16(40000), time.Duration(0)
+	for round := 0; round < 200; round++ {
+		for k := rng.Intn(300); k > 0; k-- {
+			seq += uint16(1 + rng.Intn(3))
+			now += time.Duration(rng.Intn(500)) * time.Microsecond
+			used.Record(seq, now)
+			fresh.Record(seq, now)
+		}
+		got, want := used.Flush(), fresh.Flush()
+		if (got == nil) != (want == nil) {
+			t.Fatalf("round %d: reset recorder reported %v, new one %v", round, got, want)
+		}
+		if got == nil {
+			continue
+		}
+		gotWire, err1 := got.Marshal()
+		wantWire, err2 := want.Marshal()
+		if err1 != nil || err2 != nil || !bytes.Equal(gotWire, wantWire) {
+			t.Fatalf("round %d: reset recorder's report differs from a new one's (%v, %v)", round, err1, err2)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ type PoolStats struct {
 }
 
 // Buffers is the storage one run's Packetizer and Depacketizer leave to the
-// next run's on the same worker: the packet slot blocks and the frame ring.
+// next run's: the packet slot blocks and the frame ring.
 // The zero value is empty. One Buffers serves one packetizer and one
 // depacketizer at a time.
 type Buffers struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -307,6 +308,13 @@ func NewTWCCRecorder(senderSSRC, mediaSSRC uint32) *TWCCRecorder {
 	}
 }
 
+// Reset makes r the recorder NewTWCCRecorder(senderSSRC, mediaSSRC)
+// returns, on the storage r grew: its ring, emptied, and its report.
+func (r *TWCCRecorder) Reset(senderSSRC, mediaSSRC uint32) {
+	clear(r.have)
+	*r = TWCCRecorder{SenderSSRC: senderSSRC, MediaSSRC: mediaSSRC, arrivals: r.arrivals, have: r.have, fb: r.fb}
+}
+
 // seqLess reports whether a precedes b in RFC 1982 serial-number order.
 func seqLess(a, b uint16) bool {
 	return a != b && b-a < 0x8000
@@ -373,10 +381,7 @@ func (r *TWCCRecorder) Flush() *TWCC {
 	fb := &r.fb
 	fb.SenderSSRC, fb.MediaSSRC, fb.BaseSeq, fb.FbPktCount = r.SenderSSRC, r.MediaSSRC, r.nextSeq, r.fbCount
 	r.fbCount++
-	if cap(fb.Packets) < n {
-		fb.Packets = make([]Arrival, 0, n)
-	}
-	fb.Packets = fb.Packets[:0]
+	fb.Packets = slices.Grow(fb.Packets[:0], n)
 	// A range longer than the ring (only an empty one reads as all 65 536
 	// numbers) finds every bit cleared after its first len(arrivals) steps.
 	seq, mask := r.nextSeq, uint(len(r.arrivals)-1)

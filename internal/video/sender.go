@@ -107,10 +107,10 @@ func NewSender(s *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand
 	return snd
 }
 
-// Buffers is the storage one run's Sender and Player leave to the next run's
-// on the same worker: the sent table, the frame registry, the packet slots,
-// the send queue's array and the depacketizer's ring. The zero value is
-// empty. One Buffers serves one sender and one player at a time.
+// Buffers is the storage one run's Sender and Player leave to the next run's:
+// the sent table, the frame registry, the packet slots, the send queue's
+// array and the depacketizer's ring. The zero value is empty. One Buffers
+// serves one sender and one player at a time.
 type Buffers struct {
 	sent   []SentRecord
 	frames *[frameSlots]frameSlot
