@@ -483,6 +483,7 @@ type ccfbLoad struct {
 	gen        *rtp.CCFBGenerator
 	pipe       [1 << 12]pipeArrival // a ring of packets sent, not yet arrived
 	head, tail int
+	wire       []byte // the report, rewritten in place as a datagram slot is
 }
 
 type pipeArrival struct {
@@ -515,15 +516,11 @@ func (l *ccfbLoad) next() ([]byte, time.Duration) {
 	for ; l.head < l.tail && l.pipe[l.head%len(l.pipe)].at <= now; l.head++ {
 		l.gen.Record(l.pipe[l.head%len(l.pipe)].seq, l.pipe[l.head%len(l.pipe)].at)
 	}
-	fb := l.gen.Report(now)
-	if fb == nil {
+	var ok bool
+	if l.wire, ok = l.gen.AppendReport(l.wire[:0], now); !ok {
 		return nil, now
 	}
-	buf, err := fb.Marshal()
-	if err != nil {
-		panic(err)
-	}
-	return buf, now
+	return l.wire, now
 }
 
 // BenchmarkSenderOnCCFB is one steady-state RFC 8888 report into a SCReAM

@@ -25,6 +25,7 @@ import (
 	"rpivideo/internal/cc"
 	"rpivideo/internal/gcc"
 	"rpivideo/internal/rtp"
+	"rpivideo/internal/scream"
 	"rpivideo/internal/video"
 )
 
@@ -95,34 +96,38 @@ const pliAirSize = 40
 
 // Buffers is the storage one run's Sender and Receiver leave to the next
 // run's: the media path's (video.Buffers) and the congestion feedback's —
-// the sender's decoded reports and acks, GCC's receive-rate window and the
-// receiver's TWCC recorder. The zero value is empty. One Buffers serves one
-// sender and one receiver at a time.
+// the sender's decoded TWCC reports and acks, GCC's receive-rate window,
+// SCReAM's in-flight table and the receiver's TWCC recorder. The zero value
+// is empty. One Buffers serves one sender and one receiver at a time.
 type Buffers struct {
 	video    video.Buffers
 	fb       feedback
 	gcc      gcc.Buffers
+	scream   scream.Buffers
 	recorder *rtp.TWCCRecorder // the first TWCC receiver's own, handed on
 }
 
 // feedback is where a sender decodes congestion feedback: the parsed TWCC
-// report (made at the first one: only a GCC sender needs it) or RFC 8888
-// report, and the acks it becomes.
+// report (made at the first one: only a GCC sender needs it), and the acks
+// a report becomes. RFC 8888 reports are read in place (rtp.ParseCCFB).
 type feedback struct {
 	acks []cc.Ack
 	twcc *rtp.TWCC
-	ccfb rtp.CCFB
 }
 
 // Reuse makes s keep its media path in b (video.Sender.Reuse), decode
-// feedback into b's reports and acks and, under GCC, keep its receive-rate
-// window there. Call it on a new sender, before Start; the sender that used
-// b before must be finished.
+// feedback into b's reports and acks and keep its controller's state
+// there: GCC's receive-rate window, SCReAM's in-flight table. Call it on a
+// new sender, before Start; the sender that used b before must be
+// finished.
 func (s *Sender) Reuse(b *Buffers) {
 	s.Video.Reuse(&b.video)
 	s.fb = &b.fb
-	if g, ok := s.Ctrl.(*gcc.Controller); ok {
-		g.Reuse(&b.gcc)
+	switch c := s.Ctrl.(type) {
+	case *gcc.Controller:
+		c.Reuse(&b.gcc)
+	case *scream.Controller:
+		c.Reuse(&b.scream)
 	}
 }
 

@@ -249,9 +249,13 @@ func (r *Receiver) StartReports() {
 			interval = ccfbInterval
 		}
 		r.sim.Every(interval, interval, func() {
-			if fb := r.ccfb.Report(r.sim.Now()); fb != nil {
-				r.send(fb)
+			d := r.dgrams.Get()
+			var ok bool
+			if d.B, ok = r.ccfb.AppendReport(d.B, r.sim.Now()); !ok {
+				d.Release()
+				return
 			}
+			r.Feedback(d, len(d.B))
 		})
 	}
 }

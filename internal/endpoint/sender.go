@@ -308,36 +308,41 @@ func (s *Sender) onTWCC(buf []byte, at time.Duration) Verdict {
 // it is the block's first or last metric or its highest received one. SCReAM
 // acted on the first acknowledgement by removing the packet from its
 // in-flight table, and only a new send puts it back, which also clears the
-// mark (video.Sender.AckSeq); so it would skip the repeat. What it reads from
+// mark (video.Sender.Acked, set by AckSeq); so it would skip the repeat. What it reads from
 // the list as a whole — begin_seq, the highest received sequence number, the
 // span — comes from the three metrics always kept (cc.Controller.OnFeedback).
+//
+// The report is read in place: each metric word is decoded where it lies in
+// buf, and only the acks kept are written out.
 func (s *Sender) onCCFB(buf []byte, at time.Duration) Verdict {
-	fb := s.feedback()
-	ccfb := &fb.ccfb
-	if ccfb.Unmarshal(buf) != nil {
+	v, err := rtp.ParseCCFB(buf)
+	if err != nil {
 		return Rejected
 	}
-	for _, rep := range ccfb.Reports {
-		last := len(rep.Metrics) - 1
+	fb := s.feedback()
+	for b, ok := v.Next(); ok; b, ok = v.Next() {
+		last := b.Len() - 1
 		top := last // the highest received metric (the first if none is)
-		for top > 0 && !rep.Metrics[top].Received {
-			top--
+		for ; top > 0; top-- {
+			if received, _, _ := rtp.DecodeCCFBWord(b.Word(top)); received {
+				break
+			}
 		}
 		acks := fb.acks[:0]
-		for i, m := range rep.Metrics {
-			seq := rep.BeginSeq + uint16(i)
+		for i := 0; i <= last; i++ {
+			seq := b.BeginSeq + uint16(i)
+			received, _, offset := rtp.DecodeCCFBWord(b.Word(i))
+			if received && i != 0 && i != top && i != last && s.Video.Acked(seq) {
+				continue
+			}
+			a := cc.Ack{Seq: seq, Received: received}
 			var rec video.SentRecord
-			var known, again bool
-			if m.Received {
-				if rec, known, again = s.Video.AckSeq(seq); again && i != 0 && i != top && i != last {
-					continue
-				}
+			var known bool
+			if received {
+				a.ArrivalTime = v.Timestamp - offset
+				rec, known = s.Video.AckSeq(seq)
 			} else {
 				rec, known = s.Video.LookupSeq(seq)
-			}
-			a := cc.Ack{Seq: seq, Received: m.Received}
-			if m.Received {
-				a.ArrivalTime = ccfb.Timestamp - m.ArrivalOffset
 			}
 			if known {
 				a.TransportSeq, a.Size, a.SendTime = rec.TransportSeq, rec.Size, rec.SendTime

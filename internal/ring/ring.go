@@ -88,6 +88,12 @@ func (q *Queue[T]) Truncate(n int) {
 type SeqTable[V any] struct {
 	slots []seqSlot[V] // len is a power of two, or zero
 	n     int
+	// first is how many slots the table takes when it has none: 16, or
+	// MakeSeqTable's size.
+	first int
+	// keep, when set, is where the slots the table takes are recorded for
+	// the next table (see Reuse).
+	keep *SeqSlots[V]
 }
 
 type seqSlot[V any] struct {
@@ -96,13 +102,31 @@ type seqSlot[V any] struct {
 	val  V
 }
 
-// MakeSeqTable returns an empty table of the given number of slots, a power
-// of two: the size the holder expects its live window to fit in.
+// SeqSlots is the storage of a SeqTable, which a holder hands from one
+// table to the next (see Reuse). The zero value holds none.
+type SeqSlots[V any] struct {
+	slots []seqSlot[V]
+}
+
+// MakeSeqTable returns an empty table that takes the given number of
+// slots, a power of two, at its first Put: the size the holder expects its
+// live window to fit in. A table that is handed storage before then (Reuse)
+// never allocates them.
 func MakeSeqTable[V any](slots int) SeqTable[V] {
 	if slots <= 0 || slots&(slots-1) != 0 {
 		panic("ring: SeqTable size is not a power of two")
 	}
-	return SeqTable[V]{slots: make([]seqSlot[V], slots)}
+	return SeqTable[V]{first: slots}
+}
+
+// Reuse makes t an empty table over the slots buf holds, cleared, and has
+// it record in buf the slots it takes when it grows, so the next holder
+// starts at the size this one reached. A buf that holds none leaves t to
+// take its first slots at its first Put. The table that used buf before
+// must be finished.
+func (t *SeqTable[V]) Reuse(buf *SeqSlots[V]) {
+	clear(buf.slots)
+	t.slots, t.n, t.keep = buf.slots, 0, buf
 }
 
 // Len returns the number of records.
@@ -165,14 +189,18 @@ func (t *SeqTable[V]) slot(k uint16) *seqSlot[V] {
 	return &t.slots[int(k)&(len(t.slots)-1)]
 }
 
-// grow doubles the table. Live records in distinct slots differ in their
-// low bits, so re-placing them cannot collide.
+// grow doubles the table, or gives an empty one its first slots. Live
+// records in distinct slots differ in their low bits, so re-placing them
+// cannot collide.
 func (t *SeqTable[V]) grow() {
 	old := t.slots
-	t.slots = make([]seqSlot[V], max(16, 2*len(old)))
+	t.slots = make([]seqSlot[V], max(16, t.first, 2*len(old)))
 	for i := range old {
 		if old[i].live {
 			*t.slot(old[i].key) = old[i]
 		}
+	}
+	if t.keep != nil {
+		t.keep.slots = t.slots
 	}
 }

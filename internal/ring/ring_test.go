@@ -337,6 +337,44 @@ func TestSeqTableMatchesMap(t *testing.T) {
 	}
 }
 
+// TestSeqTableReuse: MakeSeqTable allocates nothing until the first Put,
+// and then its size; a table that takes over a SeqSlots starts empty on
+// the slots its predecessor grew to, never allocates them, records every
+// growth of its own there, and answers as a map does.
+func TestSeqTableReuse(t *testing.T) {
+	var first SeqTable[rec]
+	if n := testing.AllocsPerRun(10, func() { first = MakeSeqTable[rec](256) }); n != 0 || first.Cap() != 0 {
+		t.Fatalf("MakeSeqTable allocated %.0f times, took %d slots before a Put", n, first.Cap())
+	}
+	var buf SeqSlots[rec]
+	first.Reuse(&buf)
+	for k := 0; k < 2000; k++ { // 0 and 256 share a slot of 256: the table grows
+		first.Put(uint16(k), rec{seq: uint16(k)})
+	}
+	if first.Cap() < 2048 || len(buf.slots) != first.Cap() || &buf.slots[0] != &first.slots[0] {
+		t.Fatalf("recorded %d slots, the table has %d", len(buf.slots), first.Cap())
+	}
+	grown := first.Cap()
+	next := MakeSeqTable[rec](256)
+	if n := testing.AllocsPerRun(1, func() { next.Reuse(&buf); next.Put(7, rec{seq: 7}) }); n != 0 {
+		t.Fatalf("a table on its predecessor's slots allocated %.0f times at its first Put", n)
+	}
+	next.Reuse(&buf)
+	if next.Len() != 0 || next.Cap() != grown {
+		t.Fatalf("after Reuse: %d records in %d slots, want 0 in %d", next.Len(), next.Cap(), grown)
+	}
+	want := map[uint16]rec{}
+	tableMatches(t, &next, want)
+	rng := rand.New(rand.NewSource(1))
+	for op := 0; op < 20_000; op++ {
+		tableOracle(t, &next, want, byte(rng.Intn(4)), uint16(rng.Intn(1<<16)), op)
+	}
+	tableMatches(t, &next, want)
+	if next.Cap() <= grown || len(buf.slots) != next.Cap() {
+		t.Fatalf("a growth past %d slots was not recorded: the table has %d, the SeqSlots %d", grown, next.Cap(), len(buf.slots))
+	}
+}
+
 func FuzzSeqTable(f *testing.F) {
 	f.Add([]byte{0, 0xff, 0xfa, 0, 0x00, 0x05, 2, 0xff, 0xfa, 3, 0x00, 0x05})
 	f.Add([]byte{0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 2, 0, 1, 3, 1, 1})

@@ -75,10 +75,44 @@ func BenchmarkTWCCUnmarshal(b *testing.B) {
 
 // BenchmarkCCFBReportRoundTrip is one reporting interval of the RFC 8888
 // path at the campaign's operating point (≈25 Mbps, 256-packet window,
-// 10 ms reports): record the interval's arrivals, build the report, append
-// it into a reused buffer (a datagram slot's), and parse it into a struct
-// the sender reuses.
+// 10 ms reports) as a run takes it: record the interval's arrivals, write
+// the report straight into a reused buffer (a datagram slot's), and read
+// every metric word of it in place, as the sender does.
 func BenchmarkCCFBReportRoundTrip(b *testing.B) {
+	g := NewCCFBGenerator(1, 2, 256)
+	var buf []byte
+	seq, now := uint16(0), time.Duration(0)
+	received := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 26; k++ {
+			now += 385 * time.Microsecond
+			g.Record(seq, now)
+			seq++
+		}
+		buf, _ = g.AppendReport(buf[:0], now)
+		v, err := ParseCCFB(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for blk, ok := v.Next(); ok; blk, ok = v.Next() {
+			for k := range blk.Len() {
+				if r, _, _ := DecodeCCFBWord(blk.Word(k)); r {
+					received++
+				}
+			}
+		}
+	}
+	if received == 0 {
+		b.Fatal("no packet reported received")
+	}
+}
+
+// BenchmarkCCFBReportDecoded is the same interval through the decoded
+// types: Report (an AppendReport decoded), AppendTo, then Unmarshal into a
+// struct reused across reports. It is what a tool that wants CCFB values
+// pays.
+func BenchmarkCCFBReportDecoded(b *testing.B) {
 	g := NewCCFBGenerator(1, 2, 256)
 	var parsed CCFB
 	var buf []byte

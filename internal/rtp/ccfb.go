@@ -46,9 +46,53 @@ type CCFB struct {
 // numbers one block covers are in serial-number order.
 const maxCCFBMetrics = 1 << 14
 
+// ccfbFixed is the wire size of an RFC 8888 packet without its report
+// blocks: the header, the sender SSRC and the report timestamp.
+const ccfbFixed = rtcpHeaderSize + 8
+
+// ccfbBlockSize is the wire size of a report block of n metric blocks,
+// padded to 32 bits.
+func ccfbBlockSize(n int) int { return 8 + 2*(n+n%2) }
+
+// putCCFB writes the fixed fields of the RFC 8888 packet that fills buf:
+// the header with buf's length, the sender SSRC and the report timestamp.
+func putCCFB(buf []byte, senderSSRC uint32, ts time.Duration) {
+	hdr := rtcpHeader{Fmt: FmtCCFB, Type: TypeTransportFeedback, Length: wordLength(len(buf))}
+	_ = hdr.marshalTo(buf) // cannot fail: buf holds the fixed fields, FmtCCFB fits its 5 bits
+	binary.BigEndian.PutUint32(buf[4:], senderSSRC)
+	binary.BigEndian.PutUint32(buf[len(buf)-4:], ntp32(ts))
+}
+
+// putCCFBBlock writes a report block's head at the start of buf and
+// returns the 2n bytes of its metric words, which the caller fills (a lost
+// packet's word stays zero).
+func putCCFBBlock(buf []byte, ssrc uint32, begin uint16, n int) []byte {
+	binary.BigEndian.PutUint32(buf, ssrc)
+	binary.BigEndian.PutUint16(buf[4:], begin)
+	binary.BigEndian.PutUint16(buf[6:], uint16(n))
+	return buf[8 : 8+2*n]
+}
+
+// ccfbWord is the metric word of a packet received offset before the
+// report timestamp, with the given ECN bits; the offset saturates at the
+// 13-bit field.
+func ccfbWord(ecn uint8, offset time.Duration) uint16 {
+	ato := min(uint64(max(offset, 0))/uint64(atoUnit), atoMax)
+	return 1<<15 | uint16(ecn&0x3)<<13 | uint16(ato)
+}
+
+// DecodeCCFBWord is ccfbWord's inverse: it reads one metric word. A lost
+// packet reads as zero ECN and offset, whatever else its word holds.
+func DecodeCCFBWord(w uint16) (received bool, ecn uint8, offset time.Duration) {
+	if w>>15 == 0 {
+		return false, 0, 0
+	}
+	return true, uint8(w >> 13 & 0x3), time.Duration(w&atoMax) * atoUnit
+}
+
 // AppendTo appends the serialized feedback packet to dst.
 func (f *CCFB) AppendTo(dst []byte) ([]byte, error) {
-	size := rtcpHeaderSize + 4 // header + sender ssrc
+	size := ccfbFixed
 	for _, r := range f.Reports {
 		if len(r.Metrics) == 0 {
 			return dst, errors.New("rtp: ccfb report with no metric blocks")
@@ -56,89 +100,123 @@ func (f *CCFB) AppendTo(dst []byte) ([]byte, error) {
 		if len(r.Metrics) > maxCCFBMetrics {
 			return dst, fmt.Errorf("rtp: ccfb report with %d metric blocks exceeds maximum", len(r.Metrics))
 		}
-		size += 8 + 2*(len(r.Metrics)+len(r.Metrics)%2) // padded to 32 bits
+		size += ccfbBlockSize(len(r.Metrics))
 	}
-	size += 4 // report timestamp
 	out, buf := appendZeros(dst, size)
-	hdr := rtcpHeader{Fmt: FmtCCFB, Type: TypeTransportFeedback, Length: wordLength(size)}
-	if err := hdr.marshalTo(buf); err != nil {
-		return dst, err
-	}
-	binary.BigEndian.PutUint32(buf[4:], f.SenderSSRC)
+	putCCFB(buf, f.SenderSSRC, f.Timestamp)
 	off := 8
 	for _, r := range f.Reports {
-		binary.BigEndian.PutUint32(buf[off:], r.SSRC)
-		binary.BigEndian.PutUint16(buf[off+4:], r.BeginSeq)
-		binary.BigEndian.PutUint16(buf[off+6:], uint16(len(r.Metrics)))
-		off += 8
-		for _, m := range r.Metrics {
+		words := putCCFBBlock(buf[off:], r.SSRC, r.BeginSeq, len(r.Metrics))
+		for i, m := range r.Metrics {
 			if m.Received {
-				ato := min(max(m.ArrivalOffset/atoUnit, 0), atoMax)
-				binary.BigEndian.PutUint16(buf[off:], 1<<15|uint16(m.ECN&0x3)<<13|uint16(ato))
+				binary.BigEndian.PutUint16(words[2*i:], ccfbWord(m.ECN, m.ArrivalOffset))
 			}
-			off += 2
 		}
-		off += 2 * (len(r.Metrics) % 2) // zero padding block
+		off += ccfbBlockSize(len(r.Metrics))
 	}
-	binary.BigEndian.PutUint32(buf[off:], ntp32(f.Timestamp))
 	return out, nil
 }
 
 // Marshal serializes the feedback packet into a new buffer.
 func (f *CCFB) Marshal() ([]byte, error) { return f.AppendTo(nil) }
 
-// Unmarshal parses an RFC 8888 feedback packet. It reuses the Reports and
-// Metrics backing arrays of f, so a CCFB that is unmarshalled into
-// repeatedly stops allocating once it has seen its largest packet.
-func (f *CCFB) Unmarshal(buf []byte) error {
+// CCFBView is an RFC 8888 packet that ParseCCFB has validated, read in
+// place: its report blocks come off it one at a time (Next), each with its
+// metric words as the bytes of the packet. It borrows the packet's buffer.
+type CCFBView struct {
+	SenderSSRC uint32
+	// Timestamp is the report timestamp, modulo 65536 s.
+	Timestamp time.Duration
+	blocks    []byte // the report blocks not yet taken
+}
+
+// CCFBBlock is one report block of a CCFBView: the metric words of the
+// consecutive sequence numbers [BeginSeq, BeginSeq+Len()-1].
+type CCFBBlock struct {
+	SSRC     uint32
+	BeginSeq uint16
+	words    []byte // 2 bytes per metric block, without the padding
+}
+
+// Len returns the number of metric blocks.
+func (b CCFBBlock) Len() int { return len(b.words) / 2 }
+
+// Word returns the metric word of sequence number BeginSeq+i, which
+// DecodeCCFBWord reads.
+func (b CCFBBlock) Word(i int) uint16 { return binary.BigEndian.Uint16(b.words[2*i:]) }
+
+// ParseCCFB validates an RFC 8888 packet once — header, type and format,
+// declared length, every report block's bound and padding — and returns the
+// view that reads it in place. Nothing past the declared length is read.
+func ParseCCFB(buf []byte) (CCFBView, error) {
 	var hdr rtcpHeader
 	if err := hdr.unmarshal(buf); err != nil {
-		return err
+		return CCFBView{}, err
 	}
 	if hdr.Type != TypeTransportFeedback || hdr.Fmt != FmtCCFB {
-		return fmt.Errorf("rtp: not a ccfb packet (pt=%d fmt=%d)", hdr.Type, hdr.Fmt)
+		return CCFBView{}, fmt.Errorf("rtp: not a ccfb packet (pt=%d fmt=%d)", hdr.Type, hdr.Fmt)
 	}
-	size, err := declaredSize(hdr, buf, rtcpHeaderSize+8)
+	size, err := declaredSize(hdr, buf, ccfbFixed)
 	if err != nil {
-		return err
+		return CCFBView{}, err
 	}
 	buf = buf[:size]
-	f.SenderSSRC = binary.BigEndian.Uint32(buf[4:])
-	f.Timestamp = fromNTP32(binary.BigEndian.Uint32(buf[len(buf)-4:]))
 	body := buf[8 : len(buf)-4]
-	f.Reports = f.Reports[:0]
-	off := 0
-	for off < len(body) {
+	for off := 0; off < len(body); {
 		if off+8 > len(body) {
-			return ErrShortPacket
-		}
-		r := CCFBReport{
-			SSRC:     binary.BigEndian.Uint32(body[off:]),
-			BeginSeq: binary.BigEndian.Uint16(body[off+4:]),
-		}
-		if k := len(f.Reports); k < cap(f.Reports) {
-			r.Metrics = f.Reports[:k+1][k].Metrics[:0] // the slot's previous backing
+			return CCFBView{}, ErrShortPacket
 		}
 		n := int(binary.BigEndian.Uint16(body[off+6:]))
 		if n > maxCCFBMetrics {
-			return fmt.Errorf("rtp: ccfb report with %d metric blocks exceeds maximum", n)
+			return CCFBView{}, fmt.Errorf("rtp: ccfb report with %d metric blocks exceeds maximum", n)
 		}
-		off += 8
-		words := 2 * (n + n%2) // padded to 32 bits
-		if off+words > len(body) {
-			return ErrShortPacket
+		if off += ccfbBlockSize(n); off > len(body) {
+			return CCFBView{}, ErrShortPacket
 		}
-		r.Metrics = slices.Grow(r.Metrics, n)[:n]
+	}
+	return CCFBView{
+		SenderSSRC: binary.BigEndian.Uint32(buf[4:]),
+		Timestamp:  fromNTP32(binary.BigEndian.Uint32(buf[len(buf)-4:])),
+		blocks:     body,
+	}, nil
+}
+
+// Next takes the view's next report block; ok is false once all are taken.
+func (v *CCFBView) Next() (b CCFBBlock, ok bool) {
+	if len(v.blocks) == 0 {
+		return CCFBBlock{}, false
+	}
+	n := int(binary.BigEndian.Uint16(v.blocks[6:]))
+	b = CCFBBlock{
+		SSRC:     binary.BigEndian.Uint32(v.blocks),
+		BeginSeq: binary.BigEndian.Uint16(v.blocks[4:]),
+		words:    v.blocks[8 : 8+2*n],
+	}
+	v.blocks = v.blocks[ccfbBlockSize(n):]
+	return b, true
+}
+
+// Unmarshal parses an RFC 8888 feedback packet (ParseCCFB) into f. It
+// reuses the Reports and Metrics backing arrays of f, so a CCFB that is
+// unmarshalled into repeatedly stops allocating once it has seen its
+// largest packet.
+func (f *CCFB) Unmarshal(buf []byte) error {
+	v, err := ParseCCFB(buf)
+	if err != nil {
+		return err
+	}
+	f.SenderSSRC, f.Timestamp = v.SenderSSRC, v.Timestamp
+	f.Reports = f.Reports[:0]
+	for b, ok := v.Next(); ok; b, ok = v.Next() {
+		r := CCFBReport{SSRC: b.SSRC, BeginSeq: b.BeginSeq}
+		if k := len(f.Reports); k < cap(f.Reports) {
+			r.Metrics = f.Reports[:k+1][k].Metrics[:0] // the slot's previous backing
+		}
+		r.Metrics = slices.Grow(r.Metrics, b.Len())[:b.Len()]
 		for i := range r.Metrics {
-			w := binary.BigEndian.Uint16(body[off+2*i:])
-			if w>>15 == 0 {
-				r.Metrics[i] = CCFBMetric{}
-				continue
-			}
-			r.Metrics[i] = CCFBMetric{Received: true, ECN: uint8(w >> 13 & 0x3),
-				ArrivalOffset: time.Duration(w&atoMax) * atoUnit}
+			m := &r.Metrics[i]
+			m.Received, m.ECN, m.ArrivalOffset = DecodeCCFBWord(b.Word(i))
 		}
-		off += words
 		f.Reports = append(f.Reports, r)
 	}
 	return nil
@@ -171,8 +249,10 @@ type CCFBGenerator struct {
 	// as received, and arrivals older than the ring (which no report can
 	// cover any more) are not stored.
 	ring []time.Duration
-	// fb is the packet Report fills and returns.
-	fb CCFB
+	// buf and fb are what Report encodes into and decodes back, made at
+	// its first call: the run path writes reports with AppendReport alone.
+	buf []byte
+	fb  CCFB
 }
 
 // DefaultCCFBWindow is the ack window of the SCReAM library the paper used.
@@ -204,7 +284,6 @@ func NewCCFBGenerator(senderSSRC, mediaSSRC uint32, window int) *CCFBGenerator {
 	for i := range g.ring {
 		g.ring[i] = noArrival
 	}
-	g.fb.Reports = []CCFBReport{{Metrics: make([]CCFBMetric, 0, window)}}
 	return g
 }
 
@@ -233,24 +312,46 @@ func (g *CCFBGenerator) Record(seq uint16, at time.Duration) {
 	}
 }
 
-// Report builds the feedback packet for the current reporting instant, or
-// returns nil when no packet has been received yet. The packet is owned by
-// the generator and valid until the next call to Report.
-func (g *CCFBGenerator) Report(now time.Duration) *CCFB {
+// AppendReport appends the feedback packet for the current reporting
+// instant to dst, in one pass from the arrival ring: the header, the one
+// report block and a metric word per sequence number of the window. ok is
+// false, and dst returned as it was, when no packet has been received yet.
+func (g *CCFBGenerator) AppendReport(dst []byte, now time.Duration) (out []byte, ok bool) {
 	if !g.started {
+		return dst, false
+	}
+	out, buf := appendZeros(dst, ccfbFixed+ccfbBlockSize(g.Window))
+	putCCFB(buf, g.SenderSSRC, now)
+	begin := g.highest - uint16(g.Window-1)
+	words := putCCFBBlock(buf[8:], g.MediaSSRC, begin, g.Window)
+	// The window is at most two runs of the ring: from begin's slot to the
+	// ring's end, then from its start.
+	start := int(begin) & (len(g.ring) - 1)
+	for len(words) > 0 {
+		run := g.ring[start:min(len(g.ring), start+len(words)/2)]
+		for i, at := range run {
+			if at != noArrival {
+				binary.BigEndian.PutUint16(words[2*i:], ccfbWord(0, now-at))
+			}
+		}
+		words, start = words[2*len(run):], 0
+	}
+	return out, true
+}
+
+// Report returns the feedback packet AppendReport writes for the current
+// reporting instant, decoded, or nil when no packet has been received yet.
+// Its Timestamp is now itself, which the wire carries only to 1/65536 s.
+// The packet is owned by the generator and valid until the next call to
+// Report.
+func (g *CCFBGenerator) Report(now time.Duration) *CCFB {
+	var ok bool
+	if g.buf, ok = g.AppendReport(g.buf[:0], now); !ok {
 		return nil
 	}
-	mask := len(g.ring) - 1
-	begin := g.highest - uint16(g.Window-1)
-	rep := &g.fb.Reports[0]
-	rep.SSRC, rep.BeginSeq, rep.Metrics = g.MediaSSRC, begin, rep.Metrics[:g.Window]
-	for i := range rep.Metrics {
-		if at := g.ring[int(begin+uint16(i))&mask]; at != noArrival {
-			rep.Metrics[i] = CCFBMetric{Received: true, ArrivalOffset: max(now-at, 0)}
-		} else {
-			rep.Metrics[i] = CCFBMetric{}
-		}
+	if err := g.fb.Unmarshal(g.buf); err != nil {
+		panic(err) // AppendReport wrote it
 	}
-	g.fb.SenderSSRC, g.fb.Timestamp = g.SenderSSRC, now
+	g.fb.Timestamp = now
 	return &g.fb
 }

@@ -3,6 +3,7 @@ package rtp
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -120,7 +121,10 @@ func FuzzTWCCUnmarshal(f *testing.F) {
 }
 
 // FuzzCCFBUnmarshal feeds arbitrary bytes to the RFC 8888 parser: no panics,
-// accepted packets roundtrip, and AppendTo agrees with Marshal.
+// ParseCCFB and Unmarshal accept exactly what the one-pass parser they
+// replaced (refUnmarshalCCFB) accepts and read what it reads — Unmarshal's
+// metrics, and the view's words decoded in place — accepted packets
+// roundtrip, and AppendTo agrees with Marshal.
 func FuzzCCFBUnmarshal(f *testing.F) {
 	valid := &CCFB{
 		SenderSSRC: 0xABCD,
@@ -148,9 +152,34 @@ func FuzzCCFBUnmarshal(f *testing.F) {
 	f.Add(ccfbWithBlock(1<<14 + 1)) // one metric block past RFC 8888's bound: refused
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var fb CCFB
-		if err := fb.Unmarshal(data); err != nil {
+		var fb, ref CCFB
+		err, refErr := fb.Unmarshal(data), refUnmarshalCCFB(&ref, data)
+		v, viewErr := ParseCCFB(data)
+		if (err == nil) != (refErr == nil) || (viewErr == nil) != (refErr == nil) {
+			t.Fatalf("Unmarshal: %v, ParseCCFB: %v, the one-pass parser: %v", err, viewErr, refErr)
+		}
+		if err != nil {
 			return
+		}
+		if fb.SenderSSRC != ref.SenderSSRC || fb.Timestamp != ref.Timestamp || len(fb.Reports) != len(ref.Reports) ||
+			v.SenderSSRC != ref.SenderSSRC || v.Timestamp != ref.Timestamp {
+			t.Fatalf("parsed %+v and a view of %#x at %v, the one-pass parser %+v", fb, v.SenderSSRC, v.Timestamp, ref)
+		}
+		for i, r := range ref.Reports {
+			got := fb.Reports[i]
+			b, ok := v.Next()
+			if !ok || got.SSRC != r.SSRC || got.BeginSeq != r.BeginSeq || !slices.Equal(got.Metrics, r.Metrics) ||
+				b.SSRC != r.SSRC || b.BeginSeq != r.BeginSeq || b.Len() != len(r.Metrics) {
+				t.Fatalf("report %d: parsed %+v, view %+v, the one-pass parser %+v", i, got, b, r)
+			}
+			for k, m := range r.Metrics {
+				if received, ecn, offset := DecodeCCFBWord(b.Word(k)); (CCFBMetric{received, ecn, offset}) != m {
+					t.Fatalf("report %d metric %d: the view reads %v %d %v, the one-pass parser %+v", i, k, received, ecn, offset, m)
+				}
+			}
+		}
+		if _, more := v.Next(); more {
+			t.Fatalf("the view has more than %d report blocks", len(ref.Reports))
 		}
 		out := checkAppendTo(t, &fb)
 		if out == nil {

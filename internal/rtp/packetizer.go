@@ -95,35 +95,40 @@ func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 		if chunk < payloadMetaSize {
 			chunk = payloadMetaSize
 		}
+		// The packet is built in its slot field by field, every field and
+		// byte written: the slot held another packet before. A field added
+		// to Packet or Header must be written here too
+		// (TestPacketizeOverwritesEveryField).
 		s := p.pool.get()
-		s.bytes = [len(s.bytes)]byte{}
 		meta := s.bytes[:payloadMetaSize:payloadMetaSize]
 		binary.BigEndian.PutUint32(meta[0:], f.Num)
 		binary.BigEndian.PutUint16(meta[4:], uint16(i))
 		binary.BigEndian.PutUint16(meta[6:], uint16(total))
+		flags := uint32(0)
 		if f.Keyframe {
-			meta[8] = flagKeyframe
+			flags = flagKeyframe << 24
 		}
+		binary.BigEndian.PutUint32(meta[8:], flags) // meta[8], then three reserved bytes
 		binary.BigEndian.PutUint64(meta[12:], uint64(f.EncodeTime))
 		tseqPayload := s.bytes[payloadMetaSize:]
 		binary.BigEndian.PutUint16(tseqPayload, p.tseq)
 		s.ext[0] = Extension{ID: ExtensionIDTransportSeq, Payload: tseqPayload}
-		s.pkt = Packet{
-			Header: Header{
-				Marker:         i == total-1,
-				PayloadType:    p.PayloadType,
-				SequenceNumber: p.seq,
-				Timestamp:      f.RTPTime,
-				SSRC:           p.SSRC,
-				Extensions:     s.ext[:],
-			},
-			Payload:           meta,
-			VirtualPayloadLen: chunk - payloadMetaSize,
-			slot:              s,
-		}
+		pkt, h := &s.pkt, &s.pkt.Header
+		h.Padding = false
+		h.Marker = i == total-1
+		h.PayloadType = p.PayloadType
+		h.SequenceNumber = p.seq
+		h.Timestamp = f.RTPTime
+		h.SSRC = p.SSRC
+		h.CSRC = nil
+		h.Extensions = s.ext[:]
+		pkt.Payload = meta
+		pkt.VirtualPayloadLen = chunk - payloadMetaSize
+		pkt.PadLen = 0
+		pkt.slot = s
 		p.seq++
 		p.tseq++
-		p.out = append(p.out, &s.pkt)
+		p.out = append(p.out, pkt)
 	}
 	return p.out
 }

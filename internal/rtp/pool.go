@@ -1,5 +1,7 @@
 package rtp
 
+import "slices"
+
 // Recycled media packets. A Packetizer makes its packets in slots it
 // allocates a block at a time and takes back through Release, so a stream in
 // steady state allocates no packets at all.
@@ -117,13 +119,18 @@ func (p *Packetizer) Reuse(b *Buffers) {
 func (p *packetPool) get() *packetSlot {
 	if len(p.free) == 0 {
 		block := make([]packetSlot, PoolBlock)
+		p.stats.Slots += PoolBlock
+		// The list can then hold every slot at once, so Release never
+		// grows it: this is the one place it does, and the grown list is
+		// recorded with the block for the next packetizer.
+		p.free = slices.Grow(p.free, p.stats.Slots)
 		for i := range block {
 			block[i].pool = p
 			p.free = append(p.free, &block[i])
 		}
-		p.stats.Slots += PoolBlock
 		if p.keep != nil {
 			p.keep.blocks = append(p.keep.blocks, block)
+			p.keep.free = p.free
 		}
 	}
 	s := p.free[len(p.free)-1]

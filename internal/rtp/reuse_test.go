@@ -2,6 +2,8 @@ package rtp
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -104,5 +106,117 @@ func TestDepacketizerReuseStartsEmpty(t *testing.T) {
 	}
 	if next.Pending() != fresh.Pending() {
 		t.Errorf("%d pending, fresh %d", next.Pending(), fresh.Pending())
+	}
+}
+
+// TestPacketizerReuseKeepsGrownFreeList: the free list a packetizer grows
+// mid-run, as its pool gains blocks, is the one the next packetizer on the
+// same Buffers starts with, so a second run of the same traffic allocates
+// nothing at all: no block, no free list. Built with rtppoison nothing is
+// reclaimed, so there is nothing to pin.
+func TestPacketizerReuseKeepsGrownFreeList(t *testing.T) {
+	if poisonReleased {
+		t.Skip("a poisoned pool never reuses a slot")
+	}
+	// One run: 40 frames of 8 packets, two thirds of them held to the end,
+	// so the pool grows block by block while packets come and go.
+	run := func(p *Packetizer) {
+		var held []*Packet
+		for n := uint32(0); n < 40; n++ {
+			for i, pkt := range p.Packetize(FrameInfo{Num: n, Size: 9000}) {
+				if i%3 != 0 {
+					held = append(held, pkt)
+					continue
+				}
+				pkt.Release()
+			}
+		}
+		for _, pkt := range held {
+			pkt.Release()
+		}
+	}
+	var b Buffers
+	first := NewPacketizer(1, 96, 1200)
+	first.Reuse(&b)
+	run(first)
+	if st := first.PoolStats(); st.Slots <= 2*PoolBlock || cap(b.free) < st.Slots {
+		t.Fatalf("the first run's pool %+v, its free list recorded with room for %d slots", st, cap(b.free))
+	}
+
+	next := NewPacketizer(1, 96, 1200)
+	next.out = make([]*Packet, 0, 16) // the packetizer's own, not the Buffers'
+	held := make([]*Packet, 0, 256)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	next.Reuse(&b)
+	for n := uint32(0); n < 40; n++ {
+		for i, pkt := range next.Packetize(FrameInfo{Num: n, Size: 9000}) {
+			if i%3 != 0 {
+				held = append(held, pkt)
+				continue
+			}
+			pkt.Release()
+		}
+	}
+	for _, pkt := range held {
+		pkt.Release()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("a second run on the same Buffers allocated %d times, want 0", n)
+	}
+	if st := next.PoolStats(); st.Slots != first.PoolStats().Slots {
+		t.Errorf("the second run's pool %+v grew past the first's %d slots", st, first.PoolStats().Slots)
+	}
+}
+
+// TestPacketizeOverwritesEveryField: Packetize builds a packet in a slot
+// that held another, field by field; every field of Packet must come out
+// as a fresh packetizer's, however the slot's last packet was left — all
+// of it set, through reflection, so a field added to Packet or Header
+// that Packetize does not write fails here.
+func TestPacketizeOverwritesEveryField(t *testing.T) {
+	if poisonReleased {
+		t.Skip("a poisoned pool never reuses a slot")
+	}
+	var dirty func(v reflect.Value)
+	dirty = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Field(i); f.CanSet() {
+					dirty(f)
+				}
+			}
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(-7)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(7)
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+			dirty(v.Index(0))
+		}
+	}
+	used, fresh := NewPacketizer(1, 96, 1200), NewPacketizer(1, 96, 1200)
+	for _, pkt := range used.Packetize(FrameInfo{Num: 1, Size: 3000, Keyframe: true}) {
+		dirty(reflect.ValueOf(&pkt.Header).Elem())
+		pkt.Payload, pkt.VirtualPayloadLen, pkt.PadLen = []byte{1, 2, 3}, -1, 9
+		for i := range pkt.slot.bytes {
+			pkt.slot.bytes[i] = 0xEE
+		}
+		pkt.Release()
+	}
+	fresh.Packetize(FrameInfo{Num: 1, Size: 3000, Keyframe: true})
+	f := FrameInfo{Num: 2, Size: 2000, EncodeTime: time.Second, RTPTime: 90000}
+	got, want := used.Packetize(f), fresh.Packetize(f)
+	for i := range want {
+		g, w := *got[i], *want[i]
+		g.slot, w.slot = nil, nil
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("packet %d built in a used slot:\n%+v\na fresh packetizer's:\n%+v", i, g, w)
+		}
 	}
 }

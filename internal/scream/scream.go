@@ -114,6 +114,19 @@ func (b *baseDelay) update(now, owd time.Duration) time.Duration {
 
 func (b *baseDelay) reset() { b.q.Truncate(0) }
 
+// Buffers is the storage one run's Controller leaves to the next run's: its
+// in-flight table. The zero value is empty. One Buffers serves one
+// controller at a time.
+type Buffers struct {
+	inflight ring.SeqSlots[inflightPkt]
+}
+
+// Reuse makes c keep its in-flight table in the slots b holds, emptied,
+// and record there the slots it grows to. Call it on a new controller,
+// before its first packet; the controller that used b before must be
+// finished.
+func (c *Controller) Reuse(b *Buffers) { c.inflight.Reuse(&b.inflight) }
+
 // Controller implements cc.Controller with SCReAM.
 type Controller struct {
 	cwnd          float64 // bytes

@@ -1,6 +1,7 @@
 package scream
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -124,5 +125,75 @@ func rngRun(c *Controller, t *testing.T) {
 			}
 			c.OnFeedback(now+40*time.Millisecond, feedbackFor(begin, int(seq-begin), sendTimes, 35*time.Millisecond))
 		}
+	}
+}
+
+// TestControllerReuseMatchesFresh: a controller that keeps its in-flight
+// table in a Buffers another controller grew — and left holding records
+// never acknowledged — decides exactly as a new one does, and starts on
+// the grown slots instead of taking its own.
+func TestControllerReuseMatchesFresh(t *testing.T) {
+	// feed runs 3 000 reporting intervals of 26 sends and one report over
+	// the 256 numbers ending at the newest, through the sequence wrap,
+	// with random losses and delay, and returns the state after each.
+	type state struct {
+		cwnd, target        float64
+		inFlight, losses    int
+		window, inBand, len int
+	}
+	feed := func(c *Controller, seed int64) []state {
+		rng := rand.New(rand.NewSource(seed))
+		sends := map[uint16]cc.Ack{} // what the report will say of each
+		seq, now := uint16(60000), time.Duration(0)
+		acks := make([]cc.Ack, 256)
+		var out []state
+		for i := 0; i < 3000; i++ {
+			for k := 0; k < 26; k++ {
+				now += 385 * time.Microsecond
+				c.OnPacketSent(cc.SentPacket{Seq: seq, Size: 1200, SendTime: now})
+				sends[seq] = cc.Ack{Seq: seq}
+				if rng.Intn(50) != 0 {
+					sends[seq] = cc.Ack{Seq: seq, Received: true, Size: 1200, SendTime: now,
+						ArrivalTime: now + 40*time.Millisecond + time.Duration(rng.Intn(30))*time.Millisecond}
+				}
+				seq++
+			}
+			for j := range acks {
+				s := seq - 256 + uint16(j)
+				if a, ok := sends[s]; ok {
+					acks[j] = a
+				} else {
+					acks[j] = cc.Ack{Seq: s} // before the first send
+				}
+			}
+			c.OnFeedback(now+60*time.Millisecond, acks)
+			out = append(out, state{c.CWND(), c.TargetBitrate(now), c.BytesInFlight(), c.Losses,
+				c.LossesWindow, c.LossesInBand, c.inflight.Len()})
+		}
+		return out
+	}
+	var b Buffers
+	first := New(Config{})
+	first.Reuse(&b)
+	for s := 0; s < 3000; s++ { // never acknowledged: numbers 1 024 apart collide
+		first.OnPacketSent(cc.SentPacket{Seq: uint16(s), Size: 1200})
+	}
+	grown := first.inflight.Cap()
+	if grown <= inflightInitSlots {
+		t.Fatalf("the in-flight table never grew: %d slots", grown)
+	}
+	next := New(Config{})
+	next.Reuse(&b)
+	if next.inflight.Len() != 0 || next.inflight.Cap() != grown {
+		t.Fatalf("after Reuse: %d records on %d slots, want 0 on the predecessor's %d", next.inflight.Len(), next.inflight.Cap(), grown)
+	}
+	got, want := feed(next, 2), feed(New(Config{}), 2)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("report %d: reused controller %+v, a new one %+v", i, got[i], want[i])
+		}
+	}
+	if last := want[len(want)-1]; last.losses == 0 {
+		t.Errorf("no loss in 3 000 reports: the comparison never left the clean path: %+v", last)
 	}
 }

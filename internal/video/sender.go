@@ -389,20 +389,24 @@ func (s *Sender) LookupSeq(seq uint16) (SentRecord, bool) {
 	return rec, true
 }
 
-// AckSeq is LookupSeq for a packet a receiver reports as received. It marks
-// the record acknowledged, and again reports whether it already was: whether
-// an earlier report acknowledged seq since seq was last sent.
-func (s *Sender) AckSeq(seq uint16) (rec SentRecord, ok, again bool) {
+// Acked reports whether an earlier report acknowledged seq since seq was
+// last sent: whether AckSeq has marked its record, which a send stores
+// anew, unmarked.
+func (s *Sender) Acked(seq uint16) bool {
+	r := s.sent.slot(seq)
+	return r.acked && r.Seq == seq // only a stored record is ever marked
+}
+
+// AckSeq is LookupSeq for a packet a receiver reports as received: it also
+// marks the record acknowledged (see Acked).
+func (s *Sender) AckSeq(seq uint16) (rec SentRecord, ok bool) {
 	r := s.sent.slot(seq)
 	if r.Size == 0 || r.Seq != seq {
-		return SentRecord{}, false, false
-	}
-	if r.acked {
-		return *r, true, true
+		return SentRecord{}, false
 	}
 	// Copied before the mark is written: reading the record back right
 	// after a one-byte store into it would stall on store forwarding.
 	rec = *r
 	r.acked = true
-	return rec, true, false
+	return rec, true
 }

@@ -37,17 +37,14 @@ func (o *sentOracle) lookupSeq(seq uint16) (SentRecord, bool) {
 	return rec, true
 }
 
-func (o *sentOracle) ackSeq(seq uint16) (SentRecord, bool, bool) {
+func (o *sentOracle) ackSeq(seq uint16) (rec SentRecord, ok, again bool) {
 	r := &o.bySeq[seq&sentMask]
 	if r.Size == 0 || r.Seq != seq {
 		return SentRecord{}, false, false
 	}
-	if r.acked {
-		return *r, true, true
-	}
-	rec := *r
+	rec, again = *r, r.acked
 	r.acked = true
-	return rec, true, false
+	return rec, true, again
 }
 
 // sentView is what a caller outside the package sees of a record: the
@@ -86,7 +83,8 @@ func (d *sentDriver) send(seq, tseq uint16) {
 }
 
 // check compares the three lookups for seq, and LookupTransport for tseq.
-// With ack set, AckSeq is called on both (it marks the record).
+// With ack set, Acked and then AckSeq (which marks the record) are called,
+// against the oracle's ackSeq and whether it found the record marked.
 func (d *sentDriver) check(seq, tseq uint16, ack bool) {
 	d.t.Helper()
 	got, ok := d.snd.LookupTransport(tseq)
@@ -100,10 +98,11 @@ func (d *sentDriver) check(seq, tseq uint16, ack bool) {
 		d.t.Fatalf("LookupSeq(%d) = %+v, %v; oracle %+v, %v", seq, got, ok, want, wok)
 	}
 	if ack {
-		got, ok, again := d.snd.AckSeq(seq)
+		again := d.snd.Acked(seq)
+		got, ok := d.snd.AckSeq(seq)
 		want, wok, wagain := d.o.ackSeq(seq)
 		if ok != wok || again != wagain || got != want {
-			d.t.Fatalf("AckSeq(%d) = %+v, %v, %v; oracle %+v, %v, %v", seq, got, ok, again, want, wok, wagain)
+			d.t.Fatalf("Acked(%d) = %v, AckSeq = %+v, %v; oracle %+v, %v, again %v", seq, again, got, ok, want, wok, wagain)
 		}
 	}
 }

@@ -403,8 +403,8 @@ func TestSenderRecordsLookup(t *testing.T) {
 	}
 }
 
-// TestSenderAckSeqMarksUntilResent: AckSeq reports a sequence number as
-// acknowledged again from its second call until the number is sent anew —
+// TestSenderAckSeqMarksUntilResent: Acked reports a sequence number as
+// acknowledged from AckSeq's first call until the number is sent anew —
 // here after the 16-bit space wraps — and the mark costs the record no size.
 func TestSenderAckSeqMarksUntilResent(t *testing.T) {
 	if size := unsafe.Sizeof(SentRecord{}); size != 24 {
@@ -418,9 +418,10 @@ func TestSenderAckSeqMarksUntilResent(t *testing.T) {
 	s.RunUntil(time.Second)
 	ack := func(seq uint16, wantOK, wantAgain bool) {
 		t.Helper()
-		rec, ok, again := snd.AckSeq(seq)
+		again := snd.Acked(seq)
+		rec, ok := snd.AckSeq(seq)
 		if ok != wantOK || again != wantAgain || ok && rec.Seq != seq {
-			t.Fatalf("AckSeq(%d) = %+v, %v, %v; want ok %v, again %v", seq, rec, ok, again, wantOK, wantAgain)
+			t.Fatalf("Acked(%d) = %v, AckSeq = %+v, %v; want ok %v, again %v", seq, again, rec, ok, wantOK, wantAgain)
 		}
 	}
 	ack(10, true, false)
