@@ -107,7 +107,7 @@ type targetSampler struct {
 }
 
 func newTargetSampler(cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, dur time.Duration) *targetSampler {
-	t := &targetSampler{res: res, machine: machine, uplink: uplink, dur: dur, faultsOn: cfg.Faults.Enabled()}
+	t := &targetSampler{res: res, machine: machine, uplink: uplink, dur: dur, faultsOn: cfg.Faults.Enabled(), episodes: res.FaultEpisodes}
 	if !t.faultsOn {
 		return t
 	}
@@ -228,12 +228,10 @@ func (t *targetSampler) fold() {
 // foldEndpoints copies what the two endpoints, the bond manager and the
 // repair path counted into the result.
 func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.Receiver, bp *bondPaths, log *flightLog, dur time.Duration) {
-	// The player has stopped: its sketches are final and the Result may
-	// take them over.
+	// The player has stopped: PlaybackMs, SSIM and Stalls, which it filled
+	// in place (stream), are final.
 	pl := rcv.Player
-	res.FPS = *pl.FPSSketch(dur)
-	res.PlaybackMs = *pl.LatencySketch()
-	res.SSIM = *pl.SSIMSketch()
+	pl.AddFPS(&res.FPS, dur)
 	res.Stalls = pl.Stalls
 	res.StallsPerMin = pl.StallsPerMinute(dur)
 	res.FramesPlayed = pl.FramesPlayed

@@ -97,11 +97,14 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 //     complete ahead of their turn wait in a pending map and nowhere else.
 //
 // It owns no run buffers: a job takes its set from the process's pool
-// (withBuffers).
+// (withBuffers). With recycle set it gives each Result back to that pool
+// (putResult) once it is done with it — folded, and observed when there is
+// a sink — for a fold that keeps nothing of a Result.
 type executor struct {
 	workers int    // <= 0 selects GOMAXPROCS
 	unit    string // names job i in its error: "campaign run 3"
 	sink    obs.StatusSink
+	recycle bool
 	// mode and cells are stamped on every published snapshot. Campaigns
 	// leave both zero (the sink labels the mode: the engine can't tell a
 	// plain campaign from one run on behalf of an experiment figure); a
@@ -142,6 +145,10 @@ func (e *executor) run(errs []error, job func(i int) *Result, fold func(i int, r
 			}
 			delete(pending, next)
 			fold(next, r)
+			if e.recycle && next != i {
+				// Job next's own call observed it when it completed.
+				runPool.putResult(r)
+			}
 			next++
 		}
 		completed++
@@ -151,28 +158,12 @@ func (e *executor) run(errs []error, job func(i int) *Result, fold func(i int, r
 		if res != nil {
 			simSecs += res.Duration.Seconds()
 		}
-		if e.sink == nil {
-			return
+		if e.sink != nil {
+			e.publish(res, obs.StatusSnapshot{RunsDone: completed, RunsTotal: n, RunErrors: failed}, start, simSecs)
 		}
-		if res != nil {
-			reg := res.MetricsRegistry()
-			if res.Telemetry != nil {
-				reg.Merge(res.Telemetry)
-			}
-			e.sink.ObserveRun(reg)
+		if e.recycle && next > i {
+			runPool.putResult(res)
 		}
-		// The ETA extrapolates linearly from the jobs completed so far: a
-		// heuristic for operators, not a promise.
-		wall := time.Since(start).Seconds()
-		st := obs.StatusSnapshot{Mode: e.mode, RunsDone: completed, RunsTotal: n, RunErrors: failed,
-			WallSeconds: wall, Done: completed == n, Cells: e.cells}
-		if wall > 0 {
-			st.SimRate = simSecs / wall
-		}
-		if completed < n {
-			st.ETASeconds = wall / float64(completed) * float64(n-completed)
-		}
-		e.sink.PublishStatus(st)
 	}
 	runOne := func(i int) {
 		var res *Result
@@ -204,6 +195,31 @@ func (e *executor) run(errs []error, job func(i int) *Result, fold func(i int, r
 	}
 	close(idx)
 	wg.Wait()
+}
+
+// publish hands the sink a completed job's registries, when it has a
+// Result, and then the progress snapshot st, stamped with the wall and
+// simulated time since start.
+func (e *executor) publish(res *Result, st obs.StatusSnapshot, start time.Time, simSecs float64) {
+	if res != nil {
+		reg := res.MetricsRegistry()
+		if res.Telemetry != nil {
+			reg.Merge(res.Telemetry)
+		}
+		e.sink.ObserveRun(reg)
+	}
+	// The ETA extrapolates linearly from the jobs completed so far: a
+	// heuristic for operators, not a promise.
+	wall := time.Since(start).Seconds()
+	st.Mode, st.Cells = e.mode, e.cells
+	st.WallSeconds, st.Done = wall, st.RunsDone == st.RunsTotal
+	if wall > 0 {
+		st.SimRate = simSecs / wall
+	}
+	if st.RunsDone < st.RunsTotal {
+		st.ETASeconds = wall / float64(st.RunsDone) * float64(st.RunsTotal-st.RunsDone)
+	}
+	e.sink.PublishStatus(st)
 }
 
 // runGuarded executes one job with panic recovery and, when timeout is

@@ -71,6 +71,9 @@ const (
 	TelemetryHandoverInterruption = "handover_interruption_ms"
 )
 
+// telemetryHists names every histogram of a run's Telemetry.
+var telemetryHists = [...]string{TelemetryFrameDelay, TelemetryNackRTT, TelemetryQueueDelay, TelemetryHandoverInterruption}
+
 // Result aggregates one run's measurements: the Tally a campaign adds up,
 // and what describes this run alone.
 type Result struct {
@@ -202,24 +205,25 @@ type Tally struct {
 	RtxSent, RtxDelivered, RtxLost, RtxStaleDrops, RtxOverflows int
 }
 
+// numTallySketches is how many distributions a Tally holds.
+const numTallySketches = 10 + 2*int(altBuckets)
+
+// sketches lists every distribution of t.
+func (t *Tally) sketches() [numTallySketches]*metrics.Sketch {
+	return [...]*metrics.Sketch{
+		&t.OWDms, &t.OWDByAlt[0], &t.OWDByAlt[1], &t.OWDByAlt[2], &t.OWDByAlt[3],
+		&t.Goodput, &t.FPS, &t.PlaybackMs, &t.SSIM,
+		&t.RTTByAlt[0], &t.RTTByAlt[1], &t.RTTByAlt[2], &t.RTTByAlt[3], &t.RTTms,
+		&t.JitterMs, &t.RTCPRTTms, &t.OutageMs, &t.RecoveryMs,
+	}
+}
+
 // add folds o into t: distributions merge, counts sum.
 func (t *Tally) add(o *Tally) {
-	t.OWDms.Merge(&o.OWDms)
-	for b := range o.OWDByAlt {
-		t.OWDByAlt[b].Merge(&o.OWDByAlt[b])
+	os := o.sketches()
+	for i, d := range t.sketches() {
+		d.Merge(os[i])
 	}
-	t.Goodput.Merge(&o.Goodput)
-	t.FPS.Merge(&o.FPS)
-	t.PlaybackMs.Merge(&o.PlaybackMs)
-	t.SSIM.Merge(&o.SSIM)
-	t.RTTms.Merge(&o.RTTms)
-	for b := range o.RTTByAlt {
-		t.RTTByAlt[b].Merge(&o.RTTByAlt[b])
-	}
-	t.JitterMs.Merge(&o.JitterMs)
-	t.RTCPRTTms.Merge(&o.RTCPRTTms)
-	t.OutageMs.Merge(&o.OutageMs)
-	t.RecoveryMs.Merge(&o.RecoveryMs)
 
 	t.PacketsSent += o.PacketsSent
 	t.PacketsDelivered += o.PacketsDelivered
@@ -261,6 +265,48 @@ func (t *Tally) add(o *Tally) {
 	t.RtxLost += o.RtxLost
 	t.RtxStaleDrops += o.RtxStaleDrops
 	t.RtxOverflows += o.RtxOverflows
+}
+
+// reuse empties r for the next run in place: what a new Result holds, but
+// with the storage r's distributions, event lists and telemetry histograms
+// grew kept.
+func (r *Result) reuse() {
+	old := *r
+	*r = Result{
+		Handovers:     old.Handovers[:0],
+		Stalls:        old.Stalls[:0],
+		BondPaths:     old.BondPaths[:0],
+		FaultEpisodes: old.FaultEpisodes[:0],
+		Telemetry:     old.Telemetry,
+	}
+	grown := old.Tally.sketches()
+	for i, d := range r.Tally.sketches() {
+		*d = *grown[i]
+		d.Reset()
+	}
+	if r.Telemetry != nil {
+		for _, name := range telemetryHists {
+			r.Telemetry.LogHistogram(name).Reset()
+		}
+	}
+}
+
+// poison overwrites a spent Result with what no run records: a negative
+// duration, negative packet and frame counts, and a sample of -1 in every
+// distribution and telemetry histogram.
+func (r *Result) poison() {
+	r.reuse()
+	r.Duration = -time.Hour
+	r.PacketsSent, r.PacketsDelivered, r.PacketsLost = -1, -1, -1
+	r.FramesPlayed, r.FramesSkipped = -1, -1
+	for _, d := range r.Tally.sketches() {
+		d.Add(-1)
+	}
+	if r.Telemetry != nil {
+		for _, name := range telemetryHists {
+			r.Telemetry.LogHistogram(name).Add(-1)
+		}
+	}
 }
 
 // BondPathStats is one bonded path's accounting: copies routed to it,

@@ -1,0 +1,135 @@
+package metrics
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// sketchStates are sample sets that leave a sketch in each of its states:
+// empty, exact, spilled, with negative samples (exact and spilled), with zeros, and
+// fed non-finite samples it skips.
+func sketchStates() map[string][]float64 {
+	rng := rand.New(rand.NewSource(44))
+	draw := func(n int, f func(i int) float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	return map[string][]float64{
+		"empty":          nil,
+		"exact":          draw(40, func(int) float64 { return 1 + 100*rng.Float64() }),
+		"spilled":        draw(3000, func(int) float64 { return math.Exp(rng.NormFloat64() * 3) }),
+		"negative-exact": draw(60, func(int) float64 { return -math.Exp(rng.NormFloat64()) }),
+		"negative-spilled": draw(2000, func(i int) float64 {
+			return float64(1-2*(i%2)) * math.Exp(rng.NormFloat64()*2)
+		}),
+		"zero": draw(500, func(i int) float64 { return float64(i%3) * rng.Float64() }),
+		"non-finite": draw(300, func(i int) float64 {
+			switch i % 4 {
+			case 0:
+				return math.NaN()
+			case 1:
+				return math.Inf(1 - 2*(i%8/4))
+			}
+			return rng.Float64() * 10
+		}),
+	}
+}
+
+// answers renders every query a sketch answers, and its JSON.
+func answers(s *Sketch) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "n=%d sum=%v mean=%v min=%v max=%v box=%+v\n", s.N(), s.Sum(), s.Mean(), s.Min(), s.Max(), s.Box())
+	for _, q := range []float64{0, 0.01, 0.1, 0.33, 0.5, 0.9, 0.99, 1} {
+		fmt.Fprintf(&b, "q%v=%v ", q, s.Quantile(q))
+	}
+	xs := []float64{-100, -1, 0, 0.5, 1, 7, 1e3}
+	for _, x := range xs {
+		fmt.Fprintf(&b, "below%v=%v above%v=%v ", x, s.FracBelow(x), x, s.FracAtOrAbove(x))
+	}
+	fmt.Fprintf(&b, "\ncdf=%v\n", s.CDF(xs))
+	s.EachBucket(func(upper float64, c int64) { fmt.Fprintf(&b, "[%v]=%d ", upper, c) })
+	js, err := s.MarshalJSON()
+	fmt.Fprintf(&b, "\njson=%s err=%v", js, err)
+	return b.String()
+}
+
+func addAll(s *Sketch, samples []float64) {
+	for _, v := range samples {
+		s.Add(v)
+	}
+}
+
+// TestSketchResetMatchesZero: a sketch Reset from any state answers every
+// query, and marshals, as the zero value does, and after any samples are
+// added to both the two still agree, down to what they hold.
+func TestSketchResetMatchesZero(t *testing.T) {
+	states := sketchStates()
+	var zero Sketch
+	want := answers(&zero)
+	for from, a := range states {
+		for refill, b := range states {
+			var s Sketch
+			addAll(&s, a)
+			s.Reset()
+			if got := answers(&s); got != want {
+				t.Fatalf("reset from %s:\n%s\nwant the zero value's\n%s", from, got, want)
+			}
+			var fresh Sketch
+			addAll(&s, b)
+			addAll(&fresh, b)
+			if got, want := answers(&s), answers(&fresh); got != want {
+				t.Errorf("reset from %s, refilled as %s:\n%s\nwant\n%s", from, refill, got, want)
+			}
+			if got, want := contents(&s), contents(&fresh); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("reset from %s, refilled as %s: holds %v, a new sketch %v", from, refill, got, want)
+			}
+		}
+	}
+}
+
+// TestSketchResetKeepsStorage: refilling a Reset sketch with the samples
+// it held allocates nothing on the exact path and, once spilled, only the
+// exact buffer the spill let go of (in growExact's two steps): the bucket
+// windows are the ones already grown.
+func TestSketchResetKeepsStorage(t *testing.T) {
+	for name, limit := range map[string]float64{"exact": 0, "negative-exact": 0, "spilled": 2, "negative-spilled": 2} {
+		samples := sketchStates()[name]
+		var s Sketch
+		addAll(&s, samples)
+		cells := s.Buckets()
+		allocs := testing.AllocsPerRun(20, func() {
+			s.Reset()
+			addAll(&s, samples)
+		})
+		if allocs > limit || s.Buckets() != cells {
+			t.Errorf("%s: a refill allocated %v times (at most %v) and keeps %d cells, %d before", name, allocs, limit, s.Buckets(), cells)
+		}
+	}
+}
+
+// TestSketchMergeNeverAliases: once s.Merge(o) returns, nothing done to o —
+// a Reset and a refill, or more samples — changes s.
+func TestSketchMergeNeverAliases(t *testing.T) {
+	states := sketchStates()
+	for into, a := range states {
+		for from, b := range states {
+			var s, o Sketch
+			addAll(&s, a)
+			addAll(&o, b)
+			s.Merge(&o)
+			before := answers(&s)
+			o.Reset()
+			addAll(&o, states["negative-spilled"])
+			addAll(&o, a)
+			if got := answers(&s); got != before {
+				t.Errorf("%s merged with %s changed when the argument was reset and refilled", into, from)
+			}
+		}
+	}
+}

@@ -264,12 +264,32 @@ func (s *Sketch) Add(v float64) {
 	case s.spilled:
 		s.count(v)
 	case s.n <= sketchExactCap:
+		if len(s.exact) == cap(s.exact) {
+			s.growExact()
+		}
 		s.exact = append(s.exact, v)
 		s.sorted = false
 	default:
 		s.spill()
 		s.count(v)
 	}
+}
+
+// sketchExactFirst is the exact buffer's first capacity. Most per-run
+// distributions that stay exact hold a handful of samples; one that grows
+// past this goes straight to sketchExactCap, so filling the buffer takes two
+// allocations, not one per doubling.
+const sketchExactFirst = 16
+
+// growExact makes room for one more exact sample.
+func (s *Sketch) growExact() {
+	n := sketchExactFirst
+	if cap(s.exact) >= sketchExactFirst {
+		n = sketchExactCap
+	}
+	grown := make([]float64, len(s.exact), n)
+	copy(grown, s.exact)
+	s.exact = grown
 }
 
 // count files one sample into its bucket on the bucketed path.
@@ -288,16 +308,50 @@ func (s *Sketch) count(v float64) {
 	}
 }
 
-// spill folds the exact samples into buckets and drops them.
+// spill folds the exact samples into buckets and drops them. Each window
+// is first widened once to the range the samples span, so filling it does
+// not regrow it sample by sample.
 func (s *Sketch) spill() {
 	if s.spilled {
 		return
 	}
 	s.spilled = true
+	// The least and the greatest magnitude of each sign; 0 when none.
+	var pos, neg [2]float64
+	for _, v := range s.exact {
+		r := &pos
+		if v < 0 {
+			r = &neg
+		} else if v == 0 {
+			continue
+		}
+		m := math.Abs(v)
+		if r[0] == 0 || m < r[0] {
+			r[0] = m
+		}
+		r[1] = max(r[1], m)
+	}
+	if pos[1] > 0 {
+		s.pos.cover(sketchIndex(pos[0]), sketchIndex(pos[1]))
+	}
+	if neg[1] > 0 {
+		s.neg.cover(sketchIndex(neg[0]), sketchIndex(neg[1]))
+	}
 	for _, v := range s.exact {
 		s.count(v)
 	}
 	s.exact, s.sorted = nil, false
+}
+
+// Reset empties s: it answers every query, and marshals, as the zero value
+// does. It keeps the storage s grew — an exact buffer not yet spilled and
+// the bucket windows — so a sketch reused run after run fills storage that
+// is already there. Buckets, which reports that storage, is the one method
+// a reset sketch answers differently from a new one.
+func (s *Sketch) Reset() {
+	clear(s.pos.counts)
+	clear(s.neg.counts)
+	*s = Sketch{exact: s.exact[:0], pos: s.pos, neg: s.neg}
 }
 
 // Merge folds o into s. o is not modified, and s shares no storage with it

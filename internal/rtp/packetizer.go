@@ -43,7 +43,8 @@ type Packetizer struct {
 	seq  uint16
 	tseq uint16
 
-	// out is the slice Packetize returns, reused by the next call.
+	// out is the slice Packetize returns, reused by the next call and, once
+	// grown, recorded in the pool's Buffers for the next packetizer.
 	out  []*Packet
 	pool packetPool
 }
@@ -129,6 +130,9 @@ func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 		p.seq++
 		p.tseq++
 		p.out = append(p.out, pkt)
+	}
+	if k := p.pool.keep; k != nil && cap(p.out) > cap(k.out) {
+		k.out = p.out
 	}
 	return p.out
 }

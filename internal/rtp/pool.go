@@ -73,12 +73,13 @@ type PoolStats struct {
 }
 
 // Buffers is the storage one run's Packetizer and Depacketizer leave to the
-// next run's: the packet slot blocks and the frame ring.
-// The zero value is empty. One Buffers serves one packetizer and one
-// depacketizer at a time.
+// next run's: the packet slot blocks, the packetizer's per-frame list and
+// the frame ring. The zero value is empty. One Buffers serves one
+// packetizer and one depacketizer at a time.
 type Buffers struct {
 	blocks [][]packetSlot
 	free   []*packetSlot
+	out    []*Packet
 	frames []FrameState
 }
 
@@ -90,6 +91,7 @@ type Buffers struct {
 // rtppoison tag, the reclaimed slots are poisoned and dropped instead, as
 // Release treats a packet's last reference.
 func (p *Packetizer) Reuse(b *Buffers) {
+	p.out = b.out[:0]
 	pool := &p.pool
 	pool.keep = b
 	if poisonReleased {

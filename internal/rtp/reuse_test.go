@@ -111,9 +111,10 @@ func TestDepacketizerReuseStartsEmpty(t *testing.T) {
 
 // TestPacketizerReuseKeepsGrownFreeList: the free list a packetizer grows
 // mid-run, as its pool gains blocks, is the one the next packetizer on the
-// same Buffers starts with, so a second run of the same traffic allocates
-// nothing at all: no block, no free list. Built with rtppoison nothing is
-// reclaimed, so there is nothing to pin.
+// same Buffers starts with, and so is the per-frame list Packetize returns,
+// so a second run of the same traffic allocates nothing at all: no block,
+// no free list, no frame list. Built with rtppoison nothing is reclaimed,
+// so there is nothing to pin.
 func TestPacketizerReuseKeepsGrownFreeList(t *testing.T) {
 	if poisonReleased {
 		t.Skip("a poisoned pool never reuses a slot")
@@ -139,12 +140,11 @@ func TestPacketizerReuseKeepsGrownFreeList(t *testing.T) {
 	first := NewPacketizer(1, 96, 1200)
 	first.Reuse(&b)
 	run(first)
-	if st := first.PoolStats(); st.Slots <= 2*PoolBlock || cap(b.free) < st.Slots {
-		t.Fatalf("the first run's pool %+v, its free list recorded with room for %d slots", st, cap(b.free))
+	if st := first.PoolStats(); st.Slots <= 2*PoolBlock || cap(b.free) < st.Slots || cap(b.out) < 8 {
+		t.Fatalf("the first run's pool %+v, its free list recorded with room for %d slots, its frame list for %d packets", st, cap(b.free), cap(b.out))
 	}
 
 	next := NewPacketizer(1, 96, 1200)
-	next.out = make([]*Packet, 0, 16) // the packetizer's own, not the Buffers'
 	held := make([]*Packet, 0, 256)
 	var before, after runtime.MemStats
 	runtime.GC()

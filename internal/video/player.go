@@ -138,8 +138,10 @@ type Player struct {
 	fpsBins       map[int]int
 	// latencies and scores are the playback-latency (ms, played frames)
 	// and SSIM (every frame, skipped ones scoring the skip score)
-	// distributions, filled as frames are recorded.
-	latencies, scores metrics.Sketch
+	// distributions, filled as frames are recorded: the player's own
+	// (sketches) unless RecordInto points them elsewhere.
+	latencies, scores *metrics.Sketch
+	sketches          [2]metrics.Sketch
 	arrivals          int
 	bytesRecv         int
 	// PacketsRepaired counts retransmitted packets ingested into frames;
@@ -177,6 +179,7 @@ func NewPlayer(s *sim.Simulator, cfg PlayerConfig, ssim *SSIMModel, encoding fun
 		depkt:    rtp.NewDepacketizer(),
 		fpsBins:  make(map[int]int),
 	}
+	p.latencies, p.scores = &p.sketches[0], &p.sketches[1]
 	p.task = s.Every(0, 5*time.Millisecond, p.pump)
 	return p
 }
@@ -184,6 +187,13 @@ func NewPlayer(s *sim.Simulator, cfg PlayerConfig, ssim *SSIMModel, encoding fun
 // Reuse makes p reassemble frames in the ring b holds (see Buffers). Call
 // it on a new player, before its first packet.
 func (p *Player) Reuse(b *Buffers) { p.depkt.Reuse(&b.rtp) }
+
+// RecordInto has the player fill latency and ssim, in place of sketches
+// of its own, with the distributions LatencySketch and SSIMSketch return.
+// Call it on a new player, before its first packet.
+func (p *Player) RecordInto(latency, ssim *metrics.Sketch) {
+	p.latencies, p.scores = latency, ssim
+}
 
 // SetTracer attaches an event tracer (nil disables tracing).
 func (p *Player) SetTracer(tr *obs.Tracer) { p.trace = tr }
@@ -487,26 +497,24 @@ func (p *Player) latched() bool {
 	return float64(bytes)*8/4 > latchRate
 }
 
-// FPSSketch returns the distribution of frames played per second over the
-// given span (Fig. 7a's metric).
-func (p *Player) FPSSketch(span time.Duration) *metrics.Sketch {
-	var d metrics.Sketch
+// AddFPS adds to d the distribution of frames played per second over the
+// given span (Fig. 7a's metric): one sample per second.
+func (p *Player) AddFPS(d *metrics.Sketch, span time.Duration) {
 	secs := int(span / time.Second)
 	for s := 0; s < secs; s++ {
 		d.Add(float64(p.fpsBins[s]))
 	}
-	return &d
 }
 
 // LatencySketch returns the playback-latency distribution over played
-// frames in milliseconds (Fig. 7c's metric). It is the player's own, still
-// filling while the player runs.
-func (p *Player) LatencySketch() *metrics.Sketch { return &p.latencies }
+// frames in milliseconds (Fig. 7c's metric): the player's own, or the one
+// RecordInto named, still filling while the player runs.
+func (p *Player) LatencySketch() *metrics.Sketch { return p.latencies }
 
 // SSIMSketch returns the SSIM distribution over all frames, skipped ones
-// scoring 0 (Fig. 7b's metric). It is the player's own, still filling while
-// the player runs.
-func (p *Player) SSIMSketch() *metrics.Sketch { return &p.scores }
+// scoring 0 (Fig. 7b's metric): the player's own, or the one RecordInto
+// named, still filling while the player runs.
+func (p *Player) SSIMSketch() *metrics.Sketch { return p.scores }
 
 // StallsPerMinute returns the stall rate over the given span (§4.2.1).
 func (p *Player) StallsPerMinute(span time.Duration) float64 {

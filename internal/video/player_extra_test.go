@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rpivideo/internal/cc"
+	"rpivideo/internal/metrics"
 	"rpivideo/internal/rtp"
 	"rpivideo/internal/sim"
 )
@@ -16,7 +17,8 @@ func TestPlayerFPSDistCountsPerSecond(t *testing.T) {
 	snd, pl := pipe(s, ctrl, 40*time.Millisecond, nil)
 	snd.Start()
 	s.RunUntil(10 * time.Second)
-	d := pl.FPSSketch(10 * time.Second)
+	var d metrics.Sketch
+	pl.AddFPS(&d, 10*time.Second)
 	if d.N() != 10 {
 		t.Fatalf("FPS samples = %d, want one per second", d.N())
 	}

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"rpivideo/internal/cc"
+	"rpivideo/internal/metrics"
 	"rpivideo/internal/rtp"
 	"rpivideo/internal/sim"
 )
@@ -185,7 +186,8 @@ func TestEndToEndCleanPath(t *testing.T) {
 	snd.Stop()
 	pl.Stop()
 
-	fps := pl.FPSSketch(span)
+	var fps metrics.Sketch
+	pl.AddFPS(&fps, span)
 	if fps.Median() < 29 || fps.Median() > 31 {
 		t.Errorf("median FPS = %v, want 30", fps.Median())
 	}
