@@ -67,7 +67,7 @@ func TestRunBufferPoolNeverShares(t *testing.T) {
 					got = withBuffers(func(b *runBuffers) *Result {
 						hold(b, true)
 						defer hold(b, false)
-						return b.run(flights[i], false)
+						return b.run(new(Result), flights[i], false)
 					})
 				} else {
 					got = Run(flights[i])

@@ -27,14 +27,16 @@ func RunOnOneWorker(jobs []WorkerJob, fold func(i int, r *Result)) []error {
 		if b == nil || errs[i-1] != nil { // the first job, or the one after a panic
 			b = new(runBuffers)
 		}
-		return b.run(jobs[i].Config, jobs[i].Wire)
+		return b.run(new(Result), jobs[i].Config, jobs[i].Wire)
 	}, fold)
 	return errs
 }
 
-// RunFresh runs job on a private, empty buffer set: the run the first Run
-// of a process makes, whatever ran before it.
-func RunFresh(job WorkerJob) *Result { return new(runBuffers).run(job.Config, job.Wire) }
+// RunFresh runs job on a private, empty buffer set and a new Result: the
+// run the first Run of a process makes, whatever ran before it.
+func RunFresh(job WorkerJob) *Result {
+	return new(runBuffers).run(new(Result), job.Config, job.Wire)
+}
 
 // DatagramSlots is what a video run's two endpoints hold in datagram slots
 // once the run has ended, next to the datagrams their links still carry:
