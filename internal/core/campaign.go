@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rpivideo/internal/obs"
@@ -96,15 +98,13 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 //     makes every export byte-identical at any worker count. Results that
 //     complete ahead of their turn wait in a pending map and nowhere else.
 //
-// It owns no run buffers: a job takes its set from the process's pool
-// (withBuffers). With recycle set it gives each Result back to that pool
-// (putResult) once it is done with it — folded, and observed when there is
-// a sink — for a fold that keeps nothing of a Result.
+// A job is observed before it waits for its turn, so a fold is handed only
+// observed Results and is their one owner. The executor owns no run
+// buffers: a job takes its set from the process's pool (withBuffers).
 type executor struct {
 	workers int    // <= 0 selects GOMAXPROCS
 	unit    string // names job i in its error: "campaign run 3"
 	sink    obs.StatusSink
-	recycle bool
 	// mode and cells are stamped on every published snapshot. Campaigns
 	// leave both zero (the sink labels the mode: the engine can't tell a
 	// plain campaign from one run on behalf of an experiment figure); a
@@ -137,20 +137,6 @@ func (e *executor) run(errs []error, job func(i int) *Result, fold func(i int, r
 	finish := func(i int, res *Result) {
 		mu.Lock()
 		defer mu.Unlock()
-		pending[i] = res
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			fold(next, r)
-			if e.recycle && next != i {
-				// Job next's own call observed it when it completed.
-				runPool.putResult(r)
-			}
-			next++
-		}
 		completed++
 		if errs[i] != nil {
 			failed++
@@ -161,39 +147,38 @@ func (e *executor) run(errs []error, job func(i int) *Result, fold func(i int, r
 		if e.sink != nil {
 			e.publish(res, obs.StatusSnapshot{RunsDone: completed, RunsTotal: n, RunErrors: failed}, start, simSecs)
 		}
-		if e.recycle && next > i {
-			runPool.putResult(res)
+		pending[i] = res
+		for {
+			r, ok := pending[next]
+			if !ok {
+				break
+			}
+			delete(pending, next)
+			fold(next, r)
+			next++
 		}
 	}
-	runOne := func(i int) {
-		var res *Result
-		if errs[i] == nil {
-			res, errs[i] = runGuarded(fmt.Sprintf("%s %d", e.unit, i), 0, func() *Result { return job(i) })
+	// Each worker claims the next job until none is left. The caller is one
+	// of them, so a single worker runs every job on the caller's goroutine.
+	var claimed atomic.Int64
+	work := func() {
+		for i := int(claimed.Add(1) - 1); i < n; i = int(claimed.Add(1) - 1) {
+			var res *Result
+			if errs[i] == nil {
+				res, errs[i] = runGuarded(e.unit, i, 0, job)
+			}
+			finish(i, res)
 		}
-		finish(i, res)
-	}
-
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			runOne(i)
-		}
-		return
 	}
 	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 }
 
@@ -202,11 +187,7 @@ func (e *executor) run(errs []error, job func(i int) *Result, fold func(i int, r
 // simulated time since start.
 func (e *executor) publish(res *Result, st obs.StatusSnapshot, start time.Time, simSecs float64) {
 	if res != nil {
-		reg := res.MetricsRegistry()
-		if res.Telemetry != nil {
-			reg.Merge(res.Telemetry)
-		}
-		e.sink.ObserveRun(reg)
+		e.sink.ObserveRun(res.observedRegistry())
 	}
 	// The ETA extrapolates linearly from the jobs completed so far: a
 	// heuristic for operators, not a promise.
@@ -230,18 +211,18 @@ func (e *executor) publish(res *Result, st obs.StatusSnapshot, start time.Time, 
 // instead of a wedged caller (the leak is bounded by the number of
 // timed-out runs). It keeps its pooled buffers until it ends, so no other
 // run is handed them while it still writes there. The campaign executor
-// passes 0; RunWithTimeout is the one entry point that can arm it. name
-// labels the error messages ("campaign run 3").
-func runGuarded(name string, timeout time.Duration, job func() *Result) (*Result, error) {
+// passes 0; RunWithTimeout is the one entry point that can arm it. Its
+// errors name the job by jobName(unit, i), formatted only once one is built.
+func runGuarded(unit string, i int, timeout time.Duration, job func(i int) *Result) (*Result, error) {
 	if timeout <= 0 {
 		var res *Result
 		err := func() (err error) {
 			defer func() {
 				if r := recover(); r != nil {
-					err = fmt.Errorf("%s panicked: %v", name, r)
+					err = fmt.Errorf("%s panicked: %v", jobName(unit, i), r)
 				}
 			}()
-			res = job()
+			res = job(i)
 			return nil
 		}()
 		if err != nil {
@@ -257,10 +238,10 @@ func runGuarded(name string, timeout time.Duration, job func() *Result) (*Result
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				done <- outcome{nil, fmt.Errorf("%s panicked: %v", name, r)}
+				done <- outcome{nil, fmt.Errorf("%s panicked: %v", jobName(unit, i), r)}
 			}
 		}()
-		done <- outcome{job(), nil}
+		done <- outcome{job(i), nil}
 	}()
 	watchdog := time.NewTimer(timeout)
 	defer watchdog.Stop()
@@ -268,8 +249,16 @@ func runGuarded(name string, timeout time.Duration, job func() *Result) (*Result
 	case o := <-done:
 		return o.res, o.err
 	case <-watchdog.C:
-		return nil, fmt.Errorf("%s exceeded the %v watchdog deadline and was abandoned", name, timeout)
+		return nil, fmt.Errorf("%s exceeded the %v watchdog deadline and was abandoned", jobName(unit, i), timeout)
 	}
+}
+
+// jobName names job i of unit ("campaign run 3"), or unit alone for i < 0.
+func jobName(unit string, i int) string {
+	if i < 0 {
+		return unit
+	}
+	return unit + " " + strconv.Itoa(i)
 }
 
 // RunWithTimeout executes one run under the per-run watchdog: panics are
@@ -280,5 +269,5 @@ func runGuarded(name string, timeout time.Duration, job func() *Result) (*Result
 // sharded fold's experiments.DistRunner, bench/) turns a run's panic into
 // that run's error rather than a dead process.
 func RunWithTimeout(cfg Config, timeout time.Duration) (*Result, error) {
-	return runGuarded("run", timeout, func() *Result { return Run(cfg) })
+	return runGuarded("run", -1, timeout, func(int) *Result { return Run(cfg) })
 }

@@ -143,7 +143,7 @@ func TestCampaignErrorAggregation(t *testing.T) {
 func TestCampaignWatchdogAbandonsHungRun(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release) // unblock the abandoned goroutine on the way out
-	res, err := runGuarded("campaign run 2", 30*time.Millisecond, func() *Result {
+	res, err := runGuarded("campaign run", 2, 30*time.Millisecond, func(int) *Result {
 		<-release
 		return &Result{}
 	})
@@ -154,7 +154,7 @@ func TestCampaignWatchdogAbandonsHungRun(t *testing.T) {
 	if res != nil {
 		t.Error("abandoned run left a result")
 	}
-	res, err = runGuarded("campaign run 3", time.Minute, func() *Result { return &Result{Duration: 3 * time.Second} })
+	res, err = runGuarded("campaign run", 3, time.Minute, func(i int) *Result { return &Result{Duration: time.Duration(i) * time.Second} })
 	if err != nil || res == nil || res.Duration != 3*time.Second {
 		t.Errorf("prompt run lost under the watchdog: res=%v err=%v", res, err)
 	}
@@ -284,6 +284,32 @@ func TestExecutorFoldsInIndexOrder(t *testing.T) {
 	for i, err := range errs {
 		if (err != nil) != (i == bad) {
 			t.Errorf("errs[%d] = %v", i, err)
+		}
+	}
+}
+
+// TestExecutorObservesBeforeFold: the executor observes a job's Result
+// before any fold is handed it, so a fold may spoil what it is handed — as
+// RunFleet's does when it gives a Result back to the pool — without a sink
+// ever seeing it. The fold here poisons every Result; the sink must observe
+// each one with the counts its job recorded, at one worker and at two.
+func TestExecutorObservesBeforeFold(t *testing.T) {
+	const n = 6
+	for _, workers := range []int{1, 2} {
+		sink := &recordingSink{}
+		e := executor{workers: workers, unit: "job", sink: sink}
+		e.run(make([]error, n), func(i int) *Result {
+			return &Result{Duration: time.Second, Tally: Tally{PacketsSent: 10 + i, PacketsDelivered: 9, FramesPlayed: 25}}
+		}, func(_ int, r *Result) { r.poison() })
+		if len(sink.runs) != n {
+			t.Fatalf("workers=%d: %d registries observed, want %d", workers, len(sink.runs), n)
+		}
+		for k, reg := range sink.runs {
+			for _, name := range []string{"packets_sent", "packets_delivered", "packets_lost", "frames_played", "frames_skipped"} {
+				if v := reg.Counter(name); v < 0 {
+					t.Errorf("workers=%d: registry %d has %s = %d: the sink observed a Result its fold had poisoned", workers, k, name, v)
+				}
+			}
 		}
 	}
 }

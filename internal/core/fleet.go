@@ -304,11 +304,10 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 
 	// Phase 3: full runs with the shares installed, folded in UAV-index
 	// order. A UAV that failed phase 1 keeps its error and is not run. The
-	// fold keeps nothing of a Result, so each goes back to the pool for the
-	// UAVs after it to build theirs on.
+	// fold keeps nothing of a Result, so it gives each back to the pool for
+	// the UAVs after it to build theirs on.
 	exec.sink = fc.StatusSink
 	exec.mode, exec.cells = "fleet", cellStatuses
-	exec.recycle = true
 	exec.run(errs, func(u int) *Result {
 		c := cfgs[u]
 		c.CapacityShare = shareLookup(ct.Shares[u], fc.Epoch)
@@ -325,6 +324,7 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 			fr.PerUAVGoodput.Add(r.Goodput.Mean())
 			fr.SimEvents += r.SimEvents
 			fr.SimTimerPeak = max(fr.SimTimerPeak, r.SimTimerPeak)
+			runPool.putResult(r)
 		}
 	})
 

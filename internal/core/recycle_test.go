@@ -48,10 +48,11 @@ func (s *registrySink) sorted() []string {
 // TestFleetRecycledResultsMatchFresh: a fleet whose phase-3 Results are
 // recycled — each built on one an earlier UAV's fold was done with — exports
 // the bytes of a fleet whose every UAV builds a new Result, at one worker
-// and at two. The StatusSink, which the executor calls after the fold,
-// observes exactly the registries of the fresh runs: a Result is recycled
-// only once it has been observed. The faulted, handing-over fleet fills
-// every event list a Result recycles but BondPaths (fleets are not bonded).
+// and at two. The StatusSink, which the executor calls before the fold,
+// observes exactly the registries of the fresh runs: the fold, which gives
+// each Result back, is handed it only once it has been observed. The
+// faulted, handing-over fleet fills every event list a Result recycles but
+// BondPaths (fleets are not bonded).
 func TestFleetRecycledResultsMatchFresh(t *testing.T) {
 	cfg := fleetTestConfig()
 	cfg.Duration = 15 * time.Second

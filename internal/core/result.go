@@ -55,24 +55,25 @@ func BucketFor(alt float64) AltBucket {
 	return b
 }
 
-// Telemetry log-histogram names. These live in Result.Telemetry, not in
-// MetricsRegistry(), and surface on the live /metrics endpoint as
-// rpivideo_<name>_bucket series.
+// Telemetry log-histogram names. None is in MetricsRegistry(); all four
+// are in the registry a StatusSink observes (observedRegistry) and surface
+// on the live /metrics endpoint as rpivideo_<name>_bucket series.
 const (
 	// TelemetryFrameDelay is each played frame's encode-to-play latency (ms):
-	// PlaybackMs, merged in when the run ends.
+	// PlaybackMs.
 	TelemetryFrameDelay = "frame_delay_ms"
 	// TelemetryQueueDelay is each served uplink packet's queueing delay (ms).
 	TelemetryQueueDelay = "queue_delay_ms"
 	// TelemetryNackRTT is each retransmission heal's loss-to-repair time (ms).
 	TelemetryNackRTT = "nack_rtt_ms"
 	// TelemetryHandoverInterruption is each committed handover's execution
-	// time (ms): one sample per Handovers[i].HET, added when the run ends.
+	// time (ms): one sample per Handovers[i].HET.
 	TelemetryHandoverInterruption = "handover_interruption_ms"
 )
 
-// telemetryHists names every histogram of a run's Telemetry.
-var telemetryHists = [...]string{TelemetryFrameDelay, TelemetryNackRTT, TelemetryQueueDelay, TelemetryHandoverInterruption}
+// telemetryHists names every histogram of a run's Telemetry: the two the
+// run records nowhere else.
+var telemetryHists = [...]string{TelemetryNackRTT, TelemetryQueueDelay}
 
 // Result aggregates one run's measurements: the Tally a campaign adds up,
 // and what describes this run alone.
@@ -105,8 +106,8 @@ type Result struct {
 	// time-ordered when Run returns.
 	Trace *obs.Tracer
 
-	// Telemetry holds the run's live-ops log histograms (frame delay, queue
-	// delay, NACK RTT, handover interruption). It is kept separate from
+	// Telemetry holds the live-ops log histograms the run records nowhere
+	// else (queue delay, NACK RTT). It is kept separate from
 	// MetricsRegistry(): the campaign surface is pinned by checked-in
 	// baselines and the regression gate flags any new metric as drift, while
 	// this registry feeds only the live /metrics exposition. It is never in
@@ -360,6 +361,22 @@ func (r *Result) MetricsRegistry() *obs.Registry {
 	var s Summary
 	s.AddResult(r)
 	return s.MetricsRegistry()
+}
+
+// observedRegistry renders the registry a StatusSink observes for the run:
+// MetricsRegistry(), Telemetry, and the two live histograms that repeat a
+// Result distribution, which the Result holds only once.
+func (r *Result) observedRegistry() *obs.Registry {
+	reg := r.MetricsRegistry()
+	if r.Telemetry != nil {
+		reg.Merge(r.Telemetry)
+	}
+	reg.LogHistogram(TelemetryFrameDelay).Merge(&r.PlaybackMs)
+	het := reg.LogHistogram(TelemetryHandoverInterruption)
+	for _, ev := range r.Handovers {
+		het.Add(float64(ev.HET) / float64(time.Millisecond))
+	}
+	return reg
 }
 
 // HandoverRate returns handovers per second.

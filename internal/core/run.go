@@ -111,11 +111,10 @@ func DropPooledBuffers() {
 
 // putResult gives the pool a Result its fold is done with: no caller holds
 // it and nothing reads it again, so a later run may empty it and build its
-// own there (result). The executor calls it for a fold that keeps nothing
-// (executor.recycle); RunFleet's phase 3 is that fold, and its runs alone
-// take such a Result. A Result a test tap may hold is never kept, and with
-// the rtppoison tag none is: it is poisoned and dropped instead, so a reader
-// that held it past its fold reads values no run records.
+// own there (result). RunFleet's phase-3 fold is the one caller, and its
+// runs alone take such a Result. A Result a test tap may hold is never kept,
+// and with the rtppoison tag none is: it is poisoned and dropped instead, so
+// a reader that held it past its fold reads values no run records.
 func (p *bufferPool) putResult(r *Result) {
 	if r == nil || sampleTap != nil || framesTap != nil || poolTap != nil || datagramTap != nil {
 		return
@@ -177,14 +176,12 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"))
 
 	res.Config, res.Duration = cfg, dur
-	// Live-telemetry histograms (internal/obs). These are deliberately a
-	// separate registry from MetricsRegistry(): the regression gate treats a
-	// metric present on only one side as drift, so folding new series into
-	// the campaign surface would invalidate every checked-in baseline. All
-	// four are created up front so a /metrics scrape always exposes the
-	// series, even before the first observation. Two are recorded as the
-	// run goes (queue delay, NACK RTT); frame delay and handover
-	// interruption repeat Result distributions and are filled at the end.
+	// Live-telemetry histograms (internal/obs): queue delay and NACK RTT,
+	// recorded as the run goes. These are deliberately a separate registry
+	// from MetricsRegistry(): the regression gate treats a metric present on
+	// only one side as drift, so folding new series into the campaign
+	// surface would invalidate every checked-in baseline. Both are created
+	// up front so a /metrics scrape always exposes the series.
 	if res.Telemetry == nil {
 		res.Telemetry = obs.NewRegistry()
 		for _, name := range telemetryHists {
@@ -244,8 +241,7 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 	// The media counters sum every path's ledger, so a bonded run's count
 	// all the copies on the air (duplicate ≈ 2× the unique stream); the
 	// unique view is in BondPaths (per-path Delivered − Suppressed). Control
-	// and RTX ride the primary chain only. The two telemetry histograms that
-	// repeat a Result distribution are derived from it here.
+	// and RTX ride the primary chain only.
 	paths := []*link.Link{uplink}
 	if bp != nil {
 		paths = bp.uplinks[:]
@@ -263,11 +259,6 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 	res.CtrlPacketsSent, res.CtrlPacketsDelivered, res.CtrlPacketsLost = ctrl.Sent, ctrl.Delivered, ctrl.Drops()
 	res.RtxSent, res.RtxDelivered = rtx.Sent, rtx.Delivered
 	res.RtxLost, res.RtxOverflows, res.RtxStaleDrops = rtx.Dropped[link.DropLoss], rtx.Dropped[link.DropOverflow], rtx.Dropped[link.DropStale]
-	res.Telemetry.LogHistogram(TelemetryFrameDelay).Merge(&res.PlaybackMs)
-	het := res.Telemetry.LogHistogram(TelemetryHandoverInterruption)
-	for _, ev := range res.Handovers {
-		het.Add(float64(ev.HET) / float64(time.Millisecond))
-	}
 	if res.PacketsSent > 0 {
 		res.PER = float64(res.PacketsLost) / float64(res.PacketsSent)
 	}
@@ -287,11 +278,13 @@ func setupMobility(cfg Config, s *sim.Simulator) (flight.Profile, func(time.Dura
 		prof = flight.GroundProfile(6*time.Minute, s.Stream("ground"))
 	}
 	stateAt := func(at time.Duration) flight.State { return prof.At(at) }
-	if cfg.OffsetX != 0 || cfg.OffsetY != 0 {
+	// The closure captures the offsets, not cfg, which would move the whole
+	// Config to the heap for every run.
+	if dx, dy := cfg.OffsetX, cfg.OffsetY; dx != 0 || dy != 0 {
 		stateAt = func(at time.Duration) flight.State {
 			st := prof.At(at)
-			st.X += cfg.OffsetX
-			st.Y += cfg.OffsetY
+			st.X += dx
+			st.Y += dy
 			return st
 		}
 	}

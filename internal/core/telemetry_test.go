@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -153,14 +156,29 @@ func TestFleetStatusSink(t *testing.T) {
 	}
 }
 
-// TestTelemetryRepeatsResult: the two live histograms derived from a Result
-// hold exactly its samples — frame delay those of PlaybackMs, handover
-// interruption one per Handovers[i].HET — down to count, sum, extremes and
-// every bucket.
+// observedRun runs cfg as a one-run campaign and returns its Result with
+// the registry the campaign's StatusSink observed for it.
+func observedRun(t *testing.T, cfg Config) (*Result, *obs.Registry) {
+	t.Helper()
+	sink := &recordingSink{}
+	results, errs := RunCampaignWithOptions(cfg, 1, CampaignOptions{StatusSink: sink})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if len(sink.runs) != 1 {
+		t.Fatalf("the sink observed %d registries, want 1", len(sink.runs))
+	}
+	return results[0], sink.runs[0]
+}
+
+// TestTelemetryRepeatsResult: the two live histograms rendered from a
+// Result into the registry a sink observes hold exactly its samples — frame
+// delay those of PlaybackMs, handover interruption one per Handovers[i].HET
+// — down to count, sum, extremes and every bucket.
 func TestTelemetryRepeatsResult(t *testing.T) {
 	cfg := telemetryTestConfig()
 	cfg.Air, cfg.Duration = true, 40*time.Second
-	res := Run(cfg)
+	res, reg := observedRun(t, cfg)
 	var het metrics.Sketch
 	for _, ev := range res.Handovers {
 		het.Add(float64(ev.HET) / float64(time.Millisecond))
@@ -177,7 +195,7 @@ func TestTelemetryRepeatsResult(t *testing.T) {
 		{TelemetryFrameDelay, &res.PlaybackMs, 200}, // past the exact window
 		{TelemetryHandoverInterruption, &het, 1},
 	} {
-		got := res.Telemetry.LogHistogram(c.name)
+		got := reg.LogHistogram(c.name)
 		if got.N() < c.minN {
 			t.Errorf("%s: %d samples, want at least %d", c.name, got.N(), c.minN)
 		}
@@ -187,34 +205,70 @@ func TestTelemetryRepeatsResult(t *testing.T) {
 				c.name, got.N(), got.Sum(), got.Min(), got.Max(), c.want.N(), c.want.Sum(), c.want.Min(), c.want.Max())
 		}
 	}
+	if n := reg.LogHistogram(TelemetryFrameDelay).N(); n != res.FramesPlayed {
+		t.Errorf("frame delay count %d != frames played %d", n, res.FramesPlayed)
+	}
 }
 
-// TestRunTelemetryHistograms: one run's Result carries the live-telemetry
-// registry with the wired delay histograms, separate from the byte-stable
-// MetricsRegistry surface.
+// TestRunTelemetryHistograms: one run's Result.Telemetry holds the two
+// histograms the run records nowhere else (queue delay, NACK RTT), and none
+// of the four live histograms leaks into the byte-stable MetricsRegistry
+// surface. A ping run's observed registry still carries all four series,
+// empty ones included, so a /metrics scrape always exposes them.
 func TestRunTelemetryHistograms(t *testing.T) {
 	res := Run(telemetryTestConfig())
 	if res.Telemetry == nil {
 		t.Fatal("Result.Telemetry not populated")
 	}
-	fd := res.Telemetry.LogHistogram(TelemetryFrameDelay)
-	if fd.N() == 0 {
-		t.Error("frame delay histogram empty")
-	}
-	if fd.N() != res.FramesPlayed {
-		t.Errorf("frame delay count %d != frames played %d", fd.N(), res.FramesPlayed)
-	}
 	if res.Telemetry.LogHistogram(TelemetryQueueDelay).N() == 0 {
 		t.Error("queue delay histogram empty")
+	}
+	names := []string{TelemetryFrameDelay, TelemetryQueueDelay, TelemetryNackRTT, TelemetryHandoverInterruption}
+	if got := histogramNames(t, res.Telemetry); !reflect.DeepEqual(got, []string{TelemetryNackRTT, TelemetryQueueDelay}) {
+		t.Errorf("Result.Telemetry holds %v, want only the NACK RTT and queue delay histograms", got)
 	}
 	// The live histograms must NOT leak into the baseline-compared
 	// registry: checked-in baselines predate them.
 	drifts := obs.CompareRegistries(obs.NewRegistry(), res.MetricsRegistry(), obs.Tolerance{})
 	for _, d := range drifts {
-		for _, name := range []string{TelemetryFrameDelay, TelemetryQueueDelay, TelemetryNackRTT, TelemetryHandoverInterruption} {
+		for _, name := range names {
 			if strings.HasPrefix(d.Metric, "histogram/"+name) {
 				t.Errorf("telemetry histogram leaked into MetricsRegistry: %s", d)
 			}
 		}
 	}
+
+	ping := telemetryTestConfig()
+	ping.Workload = WorkloadPing
+	_, reg := observedRun(t, ping)
+	got := histogramNames(t, reg)
+	for _, name := range names {
+		if !slices.Contains(got, name) {
+			t.Errorf("a ping run's observed registry lacks the %s series (has %v)", name, got)
+		}
+	}
+	if n := reg.LogHistogram(TelemetryFrameDelay).N(); n != 0 {
+		t.Errorf("a ping run's frame delay histogram holds %d samples, want 0", n)
+	}
+}
+
+// histogramNames lists the histograms reg exports, in sorted order.
+func histogramNames(t *testing.T, reg *obs.Registry) []string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := reg.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Histograms map[string]json.RawMessage `json:"histograms"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range out.Histograms {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

@@ -150,8 +150,17 @@ func dist3(dx, dy, dz float64) float64 {
 // StandardFlight returns the campaign trajectory of Fig. 11: lift off,
 // climb to 40 m, a ≈200 m horizontal leap, repeat at 80 m and 120 m, then a
 // straight descent. The median speed is ≈3.6 m/s (13 km/h) and the total
-// air time ≈6 min, matching the published numbers.
+// air time ≈6 min, matching the published numbers. The waypoints and
+// segments are built once per process and shared; each call returns a new
+// path over them, because At's hint belongs to each holder.
 func StandardFlight() Profile {
+	return &path{wps: standard.wps, segs: standard.segs}
+}
+
+// standard is the one build of StandardFlight's trajectory.
+var standard = standardPath()
+
+func standardPath() *path {
 	const (
 		climbSpeed  = 2.0 // m/s
 		cruiseSpeed = 3.6 // m/s, 13 km/h

@@ -86,6 +86,37 @@ func TestStandardFlightSpeeds(t *testing.T) {
 	}
 }
 
+// TestStandardFlightSharedBuild: every StandardFlight is its own path over
+// the one shared build, so two profiles queried in interleaved order — one
+// forwards, one backwards, each moving its own hint — answer exactly as a
+// fresh build does at every waypoint and every segment midpoint.
+func TestStandardFlightSharedBuild(t *testing.T) {
+	fresh := standardPath()
+	var at []time.Duration
+	for i, w := range fresh.wps {
+		at = append(at, w.at)
+		if i > 0 {
+			at = append(at, (fresh.wps[i-1].at+w.at)/2)
+		}
+	}
+	a, b := StandardFlight(), StandardFlight()
+	if a == b {
+		t.Fatal("two StandardFlight calls share one path, and so one hint")
+	}
+	for k := range at {
+		fwd, back := at[k], at[len(at)-1-k]
+		if got, want := a.At(fwd), fresh.At(fwd); got != want {
+			t.Errorf("At(%v) = %+v, a fresh build says %+v", fwd, got, want)
+		}
+		if got, want := b.At(back), fresh.At(back); got != want {
+			t.Errorf("At(%v) = %+v, a fresh build says %+v", back, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { a = StandardFlight() }); n != 1 {
+		t.Errorf("StandardFlight allocates %v times, want 1 (its path)", n)
+	}
+}
+
 func TestStandardFlightClampsOutsideRange(t *testing.T) {
 	p := StandardFlight()
 	before := p.At(-time.Second)
