@@ -97,7 +97,18 @@ type Machine struct {
 // selects the aerial HET outlier distribution (§4.1: the excessive outliers
 // up to 4 s occur almost exclusively in the air).
 func NewMachine(model *SignalModel, cfg HandoverConfig, air bool, rng *rand.Rand) *Machine {
-	return &Machine{cfg: cfg, model: model, rng: rng, midair: air, serving: -1, prevServing: -1, best: -1}
+	m := new(Machine)
+	m.Reset(model, cfg, air, rng)
+	return m
+}
+
+// Reset makes m the machine NewMachine builds from the same arguments, with
+// no handover or radio-link failure recorded and no tracer, and keeps the
+// storage its event lists grew. The run that used m before must be
+// finished, and nothing may hold what Events or RLFEvents returned.
+func (m *Machine) Reset(model *SignalModel, cfg HandoverConfig, air bool, rng *rand.Rand) {
+	*m = Machine{cfg: cfg, model: model, rng: rng, midair: air, serving: -1, prevServing: -1, best: -1,
+		events: m.events[:0], rlfs: m.rlfs[:0]}
 }
 
 // SetTracer attaches an event tracer (nil disables tracing). dir labels the

@@ -99,17 +99,34 @@ type SignalModel struct {
 // non-positive VerticalHPBWDeg or DecorrDistanceM: both are divisors, and a
 // zero yields NaN or infinite powers that no comparison ever selects.
 func NewSignalModel(env Environment, bss []BS, cfg SignalConfig, rng *rand.Rand) *SignalModel {
+	m := new(SignalModel)
+	m.Reset(env, bss, cfg, rng)
+	return m
+}
+
+// Reset makes m the model NewSignalModel builds from the same arguments,
+// drawing the same numbers from rng, and keeps the per-cell storage m grew
+// for the next deployment that fits in it. The run that used m before must
+// be finished.
+func (m *SignalModel) Reset(env Environment, bss []BS, cfg SignalConfig, rng *rand.Rand) {
 	if !(cfg.VerticalHPBWDeg > 0) || !(cfg.DecorrDistanceM > 0) {
 		panic(fmt.Sprintf("cell: VerticalHPBWDeg (%v) and DecorrDistanceM (%v) must be positive", cfg.VerticalHPBWDeg, cfg.DecorrDistanceM))
 	}
-	m := &SignalModel{cfg: cfg, env: env, bss: bss, rng: rng, shadow: make([]float64, len(bss)), bounds: make([]cellBound, len(bss))}
+	shadow, bounds := m.shadow, m.bounds
+	if cap(shadow) < len(bss) || cap(bounds) < len(bss) {
+		shadow, bounds = make([]float64, len(bss)), make([]cellBound, len(bss))
+	}
+	// A bound another map's cells left would let Best skip a cell of this
+	// one; a zero bound has no reach, so every cell is evaluated first.
+	shadow, bounds = shadow[:len(bss)], bounds[:len(bss)]
+	clear(bounds)
+	*m = SignalModel{cfg: cfg, env: env, bss: bss, rng: rng, shadow: shadow, bounds: bounds}
 	for i := range m.shadow {
 		m.shadow[i] = rng.NormFloat64() * cfg.ShadowSigmaGroundDB
 	}
 	attPerDeg := 24 * math.Sqrt(math.Max(cfg.SideLobeFloorDB, 0)/12) / cfg.VerticalHPBWDeg
 	m.geoSlope = plNLoSPerDecade/math.Ln10 + attPerDeg*180/math.Pi
 	m.losPerAltM = (pLoSAir - m.pLoSGround()) / airnessAltM
-	return m
 }
 
 // pLoSGround is the line-of-sight probability at ground level: the urban

@@ -21,7 +21,7 @@ type flightLog struct {
 	res *Result
 	// above are the altitude band edges of BucketFor as step functions of
 	// the send time: a packet's band is the number of edges it was above.
-	above [len(altBandEdges)]func(time.Duration) bool
+	above [len(altBandEdges)]flight.Step
 	// goodputBytes is indexed by arrival second (RunUntil guarantees
 	// at ≤ dur), not a map: the packet path pays an add, not a hash. With
 	// bonding, only the first copy of each packet counts; the duplicate is
@@ -41,8 +41,8 @@ func newFlightLog(res *Result, prof flight.Profile, dur time.Duration) *flightLo
 // bucketAt is BucketFor(profile.At(t).Alt) without the interpolation.
 func (l *flightLog) bucketAt(t time.Duration) AltBucket {
 	b := Alt0to20
-	for _, above := range l.above {
-		if !above(t) {
+	for i := range l.above {
+		if !l.above[i].At(t) {
 			break
 		}
 		b++

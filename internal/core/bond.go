@@ -32,8 +32,9 @@ type bondPaths struct {
 // "uplink2"), so a bonded run stays a pure function of (Config, Seed).
 // Scripted faults scope per chain: @p1 windows silence only the primary,
 // @p2 only the secondary, unscoped windows (the vehicle sitting in a
-// coverage hole) silence both. The second uplink keeps its rings in lb.
-func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, lb *link.Buffers, prof flight.Profile, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
+// coverage hole) silence both. The second chain is built on b's second
+// chain, which the first bonded run on b makes.
+func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, b *runBuffers, prof flight.Profile, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
 	if !cfg.Bond.Enabled() || cfg.Workload != WorkloadVideo {
 		return nil
 	}
@@ -41,14 +42,16 @@ func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, lb 
 	if cfg.Op == cell.P2 {
 		op2 = cell.P1
 	}
-	machine2, hoCfg2 := setupRadio(cfg, op2, s.Stream("cell2"))
+	if b.second == nil {
+		b.second = new(chain)
+	}
+	machine2, hoCfg2 := setupRadio(cfg, op2, s.Stream("cell2"), b.second)
 	s.Every(0, hoCfg2.MeasurementInterval, func() {
 		machine2.Step(s.Now(), stateAt(s.Now()))
 	})
 	prof2 := link.ProfileFor(cfg.Env, op2)
 	prof2.AQM = cfg.AQM
-	uplink2 := link.New(s, prof2, machine2, nil, s.Stream("uplink2"))
-	uplink2.Reuse(lb)
+	uplink2 := b.second.uplink.Link(s, prof2, machine2, nil, s.Stream("uplink2"))
 	uplink2.SetFlight(prof)
 	if res.Trace != nil {
 		machine2.SetTracer(res.Trace, obs.DirUp2)

@@ -32,10 +32,13 @@ func pooled() []*runBuffers {
 }
 
 // TestRunBufferPoolNeverShares: runs that overlap in time never hold the
-// same buffer set, and each makes the run an empty set makes. Goroutines
-// take sets through withBuffers, the path Run takes, and mark each one held
-// while their run writes there; concurrent Run calls go through the real
-// entry point. Under -race a shared set is also a data race.
+// same buffer set, nor any piece of one — its simulator, either radio
+// chain, the downlink — and each makes the run an empty set makes.
+// Goroutines take sets through withBuffers, the path Run takes, and mark
+// each one held while their run writes there; concurrent Run calls go
+// through the real entry point. The bonded flight flies its second chain
+// on the set's own, made by the first bonded run the set serves. Under
+// -race a shared set is also a data race.
 func TestRunBufferPoolNeverShares(t *testing.T) {
 	flights := poolFlights()
 	want := make([]string, len(flights))
@@ -44,16 +47,25 @@ func TestRunBufferPoolNeverShares(t *testing.T) {
 	}
 	var (
 		mu   sync.Mutex
-		held = map[*runBuffers]bool{}
+		held = map[any]bool{}
 		wg   sync.WaitGroup
 	)
 	hold := func(b *runBuffers, on bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if on && held[b] {
-			t.Error("two live runs hold one buffer set")
+		pieces := []any{b, &b.primary, &b.downlink}
+		if b.sim != nil {
+			pieces = append(pieces, b.sim)
 		}
-		held[b] = on
+		if b.second != nil {
+			pieces = append(pieces, b.second)
+		}
+		for _, p := range pieces {
+			if on && held[p] {
+				t.Errorf("two live runs hold one buffer set's %T", p)
+			}
+			held[p] = on
+		}
 	}
 	const goroutines = 4
 	for g := 0; g < goroutines; g++ {
@@ -67,7 +79,16 @@ func TestRunBufferPoolNeverShares(t *testing.T) {
 					got = withBuffers(func(b *runBuffers) *Result {
 						hold(b, true)
 						defer hold(b, false)
-						return b.run(new(Result), flights[i], false)
+						second := b.second
+						if bonded := flights[i].Bond.Enabled(); bonded && second != nil {
+							*second = chain{}
+						}
+						r := b.run(new(Result), flights[i], false)
+						if flights[i].Bond.Enabled() && (second != nil && b.second != second ||
+							len(b.second.model.Cells()) == 0 || b.second.machine.Serving() < 0) {
+							t.Errorf("flight %d is bonded, but its second chain did not fly on the set's second chain", i)
+						}
+						return r
 					})
 				} else {
 					got = Run(flights[i])

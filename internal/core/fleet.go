@@ -154,11 +154,13 @@ func fleetDuration(cfg Config) time.Duration {
 // timeline recorded here is exactly the attachment sequence phase 3
 // realizes. Attachment is RSRP-driven (load-independent), which is what
 // makes this precompute legal: contention changes a UAV's capacity, never
-// its serving cell. The replay runs on b's simulator.
+// its serving cell (TestFleetReplayMatchesLiveRadio holds the replay's
+// handovers and radio-link failures to the live run's). The replay runs on
+// b's simulator and primary chain.
 func attachTimeline(cfg Config, dur, epoch time.Duration, nEpochs int, b *runBuffers) []cell.AttachSample {
 	s := b.simulator(cfg.Seed)
 	_, stateAt := setupMobility(cfg, s)
-	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"))
+	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"), &b.primary)
 	samples := make([]cell.AttachSample, 0, nEpochs)
 	measT := time.Duration(0)
 	for k := 0; k < nEpochs; k++ {

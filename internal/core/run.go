@@ -25,14 +25,16 @@ func Run(cfg Config) *Result {
 }
 
 // runBuffers is the storage a finished run hands to the next one: the
-// simulator (its pending set and random streams), the links' rings, the
-// media path's sent table, frame registry, packet slots, send queue and
-// depacketizer ring, and the feedback path's acks, decoded reports, GCC
-// receive window and TWCC recorder (endpoint.Buffers). A run takes each
-// buffer emptied and records there whatever it grows, so the runs of a
-// process allocate their traffic-sized storage once between them, not once
-// each. The pool (runPool) decides every such buffer's lifetime; the
-// packages only say how to take one over (their Reuse methods).
+// simulator (its pending set and random streams), each radio chain's signal
+// model and handover machine, the links and their rings, the media path's
+// sent table, frame registry, packet slots, send queue and depacketizer
+// ring, and the feedback path's acks, decoded reports, GCC receive window
+// and TWCC recorder (endpoint.Buffers). A run takes each piece emptied, as
+// its package's constructor would build it, and records there whatever it
+// grows, so the runs of a process allocate their radio, links and
+// traffic-sized storage once between them, not once each. The pool
+// (runPool) decides every such piece's lifetime; the packages only say how
+// to take one over (their Reset, Reuse and Buffers.Link methods).
 //
 // What a run keeps — its Result — never points into runBuffers, so the next
 // run cannot change a Result it did not make. A fleet's phase-3 run builds
@@ -40,9 +42,21 @@ func Run(cfg Config) *Result {
 // pool holds one; every other run builds a new one. A run that panicked may
 // have left any buffer half-written: its set never goes back (withBuffers).
 type runBuffers struct {
-	sim   *sim.Simulator
-	links [3]link.Buffers // uplink, feedback downlink, bonded second uplink
-	ends  endpoint.Buffers
+	sim      *sim.Simulator
+	primary  chain
+	downlink link.Buffers // the feedback downlink
+	// second is the bonded second chain, made by the first bonded run the
+	// set serves: a run without bonding never pays for it.
+	second *chain
+	ends   endpoint.Buffers
+}
+
+// chain is one radio chain's storage: its signal model, the handover
+// machine over it (setupRadio) and its uplink.
+type chain struct {
+	model   cell.SignalModel
+	machine cell.Machine
+	uplink  link.Buffers
 }
 
 // bufferPool is a bounded free list of buffer sets, one per process
@@ -173,7 +187,7 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 
 	// Radio access. A fleet run injects its shared deployment via
 	// cfg.Cells; solo runs draw a private map from the "cell" stream.
-	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"))
+	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"), &b.primary)
 
 	res.Config, res.Duration = cfg, dur
 	// Live-telemetry histograms (internal/obs): queue delay and NACK RTT,
@@ -200,10 +214,8 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 
 	upProfile := link.ProfileFor(cfg.Env, cfg.Op)
 	upProfile.AQM = cfg.AQM
-	uplink := link.New(s, upProfile, machine, nil, s.Stream("uplink"))
-	downlink := link.New(s, link.FeedbackProfile(), machine, nil, s.Stream("downlink"))
-	uplink.Reuse(&b.links[0])
-	downlink.Reuse(&b.links[1])
+	uplink := b.primary.uplink.Link(s, upProfile, machine, nil, s.Stream("uplink"))
+	downlink := b.downlink.Link(s, link.FeedbackProfile(), machine, nil, s.Stream("downlink"))
 	uplink.SetFlight(prof)
 	downlink.SetFlight(prof)
 	uplink.SetQueueDelayHist(res.Telemetry.LogHistogram(TelemetryQueueDelay))
@@ -229,7 +241,7 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 	// Dual-operator bonding (internal/bond): an independent second radio
 	// chain over the competing operator, a per-path health monitor and a
 	// scheduling policy. nil for single-path runs.
-	bp := setupBond(s, cfg, res, uplink, &b.links[2], prof, stateAt, flushStale)
+	bp := setupBond(s, cfg, res, uplink, b, prof, stateAt, flushStale)
 
 	switch cfg.Workload {
 	case WorkloadPing:
@@ -292,23 +304,25 @@ func setupMobility(cfg Config, s *sim.Simulator) (flight.Profile, func(time.Dura
 }
 
 // setupRadio builds operator op's deployment (unless cfg.Cells injects a
-// shared one), signal model and handover machine, drawing only from
-// cellRng. RunFleet's attachment precompute calls this with an identically
-// derived stream so its offline handover replay consumes exactly the
-// randomness the live run does — the basis of the fleet's share
-// determinism; setupBond builds the second chain with it.
-func setupRadio(cfg Config, op cell.Operator, cellRng *rand.Rand) (*cell.Machine, cell.HandoverConfig) {
+// shared one), signal model and handover machine on c's storage, drawing
+// only from cellRng. RunFleet's attachment precompute calls this with an
+// identically derived stream so its offline handover replay consumes
+// exactly the randomness the live run does — the basis of the fleet's share
+// determinism (TestFleetReplayMatchesLiveRadio); setupBond builds the
+// second chain with it.
+func setupRadio(cfg Config, op cell.Operator, cellRng *rand.Rand, c *chain) (*cell.Machine, cell.HandoverConfig) {
 	bss := cfg.Cells
 	if bss == nil {
 		bss = cell.Deployment(cfg.Env, op, cellRng)
 	}
-	model := cell.NewSignalModel(cfg.Env, bss, cell.DefaultSignalConfigFor(cfg.Env), cellRng)
+	c.model.Reset(cfg.Env, bss, cell.DefaultSignalConfigFor(cfg.Env), cellRng)
 	hoCfg := cell.DefaultHandoverConfigFor(cfg.Env)
 	hoCfg.DAPS = cfg.DAPS
 	if cfg.Faults.RLF {
 		hoCfg.RLF = cell.DefaultRLFConfig()
 	}
-	return cell.NewMachine(model, hoCfg, cfg.Air, cellRng), hoCfg
+	c.machine.Reset(&c.model, hoCfg, cfg.Air, cellRng)
+	return &c.machine, hoCfg
 }
 
 // stream runs the video workload: build the two endpoints on eb's buffers,

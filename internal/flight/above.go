@@ -3,13 +3,60 @@ package flight
 import (
 	"math"
 	"sort"
+	"sync"
 	"time"
 )
 
-// Above returns the step function t ↦ p.At(t).Alt > thr. The altitude
-// effects of the paper are threshold comparisons (loss above 80 m, stalls
-// above 100 m, delay by altitude band), so a per-packet caller needs the
-// side of the threshold, not the interpolated state.
+// Step is the step function t ↦ p.At(t).Alt > thr that Above builds. The
+// altitude effects of the paper are threshold comparisons (loss above
+// 80 m, stalls above 100 m, delay by altitude band), so a per-packet caller
+// needs the side of the threshold, not the interpolated state.
+//
+// The zero value is never above. A Step remembers where its last query
+// fell and is not safe for concurrent use; its copies share the flip list
+// and nothing else.
+type Step struct {
+	// p and thr answer a Profile that is not one of the package's paths:
+	// every query evaluates p.At. p is nil otherwise.
+	p   Profile
+	thr float64
+	// flips are the sorted instants at which the comparison flips, and
+	// first its value before the first of them. Read only: the shared
+	// standard build's lists are shared by every Step over it.
+	flips []time.Duration
+	first bool
+	// The last answer and the interval [from, to) it holds on: queries
+	// advance with simulated time, so all but a few dozen of a flight's
+	// stay inside it.
+	val      bool
+	from, to time.Duration
+}
+
+// At reports whether the altitude at t is above the threshold.
+func (s *Step) At(t time.Duration) bool {
+	if t >= s.from && t < s.to {
+		return s.val
+	}
+	return s.seek(t)
+}
+
+// seek answers a query outside the last interval and moves there.
+func (s *Step) seek(t time.Duration) bool {
+	if s.p != nil {
+		return s.p.At(t).Alt > s.thr
+	}
+	n := sort.Search(len(s.flips), func(k int) bool { return s.flips[k] > t })
+	s.val, s.from, s.to = s.first != (n&1 == 1), math.MinInt64, math.MaxInt64
+	if n > 0 {
+		s.from = s.flips[n-1]
+	}
+	if n < len(s.flips) {
+		s.to = s.flips[n]
+	}
+	return s.val
+}
+
+// Above returns the step function t ↦ p.At(t).Alt > thr.
 //
 // For the package's own piecewise-linear profiles the function is held as
 // the sorted instants at which the comparison flips, found on p's own At:
@@ -21,15 +68,24 @@ import (
 // comparison at every t, not approximately. Any other Profile is answered
 // by evaluating At.
 //
-// Like a path's At, the returned function remembers where its last query
-// fell and is not safe for concurrent use.
-func Above(p Profile, thr float64) func(time.Duration) bool {
+// Over StandardFlight the flips of each threshold are found once per
+// process and shared (flipCache), so a Step over it allocates nothing.
+func Above(p Profile, thr float64) Step {
 	pp, ok := p.(*path)
 	if !ok || len(pp.wps) == 0 {
-		return func(t time.Duration) bool { return p.At(t).Alt > thr }
+		return Step{p: p, thr: thr}
 	}
-	above := func(t time.Duration) bool { return pp.At(t).Alt > thr }
-	wps := pp.wps
+	if pp.flips != nil {
+		return pp.flips.get(pp, thr)
+	}
+	return scanFlips(pp, thr)
+}
+
+// scanFlips returns the step of p's comparison against thr, built from
+// where it flips (see Above). It moves p's hint.
+func scanFlips(p *path, thr float64) Step {
+	above := func(t time.Duration) bool { return p.At(t).Alt > thr }
+	wps := p.wps
 	first := above(wps[0].at) // holds for every t up to the first waypoint
 	cur := first
 	var flips []time.Duration
@@ -52,21 +108,30 @@ func Above(p Profile, thr float64) func(time.Duration) bool {
 		}
 		visit(wps[i].at) // the segment end; for the last one, the clamp
 	}
-	// The last answer and the interval [from, to) it holds on: queries
-	// advance with simulated time, so all but a few dozen of a flight's
-	// stay inside it.
-	val, from, to := false, time.Duration(0), time.Duration(0)
-	return func(t time.Duration) bool {
-		if t < from || t >= to {
-			n := sort.Search(len(flips), func(k int) bool { return flips[k] > t })
-			val, from, to = first != (n&1 == 1), math.MinInt64, math.MaxInt64
-			if n > 0 {
-				from = flips[n-1]
-			}
-			if n < len(flips) {
-				to = flips[n]
-			}
+	return Step{flips: flips, first: first}
+}
+
+// flipCache holds the shared standard build's step of every threshold
+// Above was asked for, keyed by the threshold's bits, before any query:
+// each copy handed out shares its flip list. Each is found on a path of
+// the cache's own, so neither it nor any holder's hint depends on which
+// run asked first.
+type flipCache struct {
+	mu    sync.Mutex
+	byThr map[uint64]Step
+}
+
+func (c *flipCache) get(p *path, thr float64) Step {
+	key := math.Float64bits(thr)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, ok := c.byThr[key]
+	if !ok {
+		st = scanFlips(&path{wps: p.wps, segs: p.segs}, thr)
+		if c.byThr == nil {
+			c.byThr = make(map[uint64]Step)
 		}
-		return val
+		c.byThr[key] = st
 	}
+	return st
 }

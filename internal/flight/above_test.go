@@ -13,6 +13,12 @@ func aboveOracle(p Profile, thr float64) func(time.Duration) bool {
 	return func(t time.Duration) bool { return p.At(t).Alt > thr }
 }
 
+// aboveFn is Above's step as a function value.
+func aboveFn(p Profile, thr float64) func(time.Duration) bool {
+	s := Above(p, thr)
+	return s.At
+}
+
 // aboveThresholds are the thresholds the simulator uses (link profiles:
 // 80, 100; altitude bands: 20, 60, 100), the edges of the trajectory (0,
 // 120) and one a rounding error below a cruise level, where the comparison
@@ -34,7 +40,7 @@ func aboveProfiles() map[string]Profile {
 func TestAboveMatchesInterpolation(t *testing.T) {
 	for name, p := range aboveProfiles() {
 		for _, thr := range aboveThresholds {
-			got, want := Above(p, thr), aboveOracle(p, thr)
+			got, want := aboveFn(p, thr), aboveOracle(p, thr)
 			check := func(at time.Duration) {
 				t.Helper()
 				if g, w := got(at), want(at); g != w {
@@ -78,7 +84,7 @@ func TestAboveMatchesInterpolation(t *testing.T) {
 func TestAboveSegmentEnds(t *testing.T) {
 	for name, p := range aboveProfiles() {
 		for _, thr := range aboveThresholds {
-			got, want := Above(p, thr), aboveOracle(p, thr)
+			got, want := aboveFn(p, thr), aboveOracle(p, thr)
 			for _, w := range p.(*path).wps {
 				for d := time.Duration(-3); d <= 3; d++ {
 					if at := w.at + d; got(at) != want(at) {
@@ -100,7 +106,7 @@ func (hillProfile) At(t time.Duration) State {
 }
 
 func TestAboveForeignProfileEvaluatesAt(t *testing.T) {
-	got, want := Above(hillProfile{}, 50), aboveOracle(hillProfile{}, 50)
+	got, want := aboveFn(hillProfile{}, 50), aboveOracle(hillProfile{}, 50)
 	ups := 0
 	for at := -time.Second; at < 62*time.Second; at += 7 * time.Millisecond {
 		if got(at) != want(at) {
@@ -117,7 +123,7 @@ func TestAboveForeignProfileEvaluatesAt(t *testing.T) {
 
 // TestAboveEmptyPath: a path without waypoints is at ground level forever.
 func TestAboveEmptyPath(t *testing.T) {
-	if Above(newPath(nil), -1)(time.Second) != true || Above(newPath(nil), 0)(time.Second) {
+	if aboveFn(newPath(nil), -1)(time.Second) != true || aboveFn(newPath(nil), 0)(time.Second) {
 		t.Error("empty path: want altitude 0 at every instant")
 	}
 }
@@ -132,7 +138,7 @@ func BenchmarkAbove(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		fn   func(time.Duration) bool
-	}{{"step", Above(p, 80)}, {"interpolated", aboveOracle(p, 80)}} {
+	}{{"step", aboveFn(p, 80)}, {"interpolated", aboveOracle(p, 80)}} {
 		b.Run(c.name, func(b *testing.B) {
 			dur := p.Duration()
 			at := time.Duration(0)
@@ -143,5 +149,43 @@ func BenchmarkAbove(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestAboveSharedFlipsMatchScan: a Step over StandardFlight takes its flip
+// list from the shared build's cache. For each threshold, asked in two
+// orders, it must answer as the scan of a path outside the cache at every
+// waypoint and every flip ±1 ns, hand every holder the same list, and cost
+// no allocation once the list is built.
+func TestAboveSharedFlipsMatchScan(t *testing.T) {
+	uncached := &path{wps: standard.wps, segs: standard.segs}
+	orders := [][]float64{aboveThresholds, nil}
+	for i := len(aboveThresholds) - 1; i >= 0; i-- {
+		orders[1] = append(orders[1], aboveThresholds[i])
+	}
+	for _, order := range orders {
+		for _, thr := range order {
+			cached, want := Above(StandardFlight(), thr), scanFlips(uncached, thr)
+			probes := []time.Duration{}
+			for _, w := range standard.wps {
+				probes = append(probes, w.at)
+			}
+			probes = append(probes, want.flips...)
+			for _, at := range probes {
+				for d := time.Duration(-1); d <= 1; d++ {
+					if g, w := cached.At(at+d), want.At(at+d); g != w {
+						t.Fatalf("thr %v: cached Above(%v%+d ns) = %v, the scan says %v", thr, at, d, g, w)
+					}
+				}
+			}
+			again := Above(StandardFlight(), thr)
+			if len(again.flips) != len(want.flips) || len(want.flips) > 0 && &again.flips[0] != &cached.flips[0] {
+				t.Errorf("thr %v: two Steps over the standard flight hold different flip lists", thr)
+			}
+		}
+	}
+	p := StandardFlight()
+	if n := testing.AllocsPerRun(100, func() { _ = Above(p, 80) }); n != 0 {
+		t.Errorf("Above over the standard flight: %v allocations, want 0", n)
 	}
 }

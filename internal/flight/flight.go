@@ -84,6 +84,9 @@ type path struct {
 	// of a linear scan per packet. At stays a pure function of t — the hint
 	// only short-circuits the search for the same segment.
 	hint int
+	// flips, on the paths over the shared standard build, is Above's cache
+	// of that build's flip lists; nil on every other path.
+	flips *flipCache
 }
 
 // newPath builds a path and precomputes its segment constants.
@@ -151,10 +154,11 @@ func dist3(dx, dy, dz float64) float64 {
 // climb to 40 m, a ≈200 m horizontal leap, repeat at 80 m and 120 m, then a
 // straight descent. The median speed is ≈3.6 m/s (13 km/h) and the total
 // air time ≈6 min, matching the published numbers. The waypoints and
-// segments are built once per process and shared; each call returns a new
-// path over them, because At's hint belongs to each holder.
+// segments are built once per process and shared, with Above's flip lists;
+// each call returns a new path over them, because At's hint belongs to each
+// holder.
 func StandardFlight() Profile {
-	return &path{wps: standard.wps, segs: standard.segs}
+	return &path{wps: standard.wps, segs: standard.segs, flips: standard.flips}
 }
 
 // standard is the one build of StandardFlight's trajectory.
@@ -192,7 +196,9 @@ func standardPath() *path {
 		add(hoverPause, x, alt, PhaseHover)
 	}
 	add(secs(alt/climbSpeed), x, 0, PhaseDescent)
-	return newPath(wps)
+	p := newPath(wps)
+	p.flips = new(flipCache)
+	return p
 }
 
 // GroundProfile returns the ground-measurement mobility: horizontal runs at

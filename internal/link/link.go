@@ -125,9 +125,10 @@ type Link struct {
 	// reorders arrivals within the bearer.
 	lastArrival time.Duration
 	// lossAbove and stallAbove report whether the vehicle is above the
-	// profile's AltLossAbove and AltOutlierAbove at an instant; nil means
-	// never (threshold disabled, or no mobility: ground level).
-	lossAbove, stallAbove func(time.Duration) bool
+	// profile's AltLossAbove and AltOutlierAbove at an instant; the zero
+	// Step is never above (threshold disabled, or no mobility: ground
+	// level).
+	lossAbove, stallAbove flight.Step
 
 	// Deliver is invoked when a packet exits the link. Must be set before
 	// the first Send.
@@ -229,10 +230,33 @@ type arrivalSlot struct {
 // holds the flight.Profile passes nil here and calls SetFlight, which answers
 // the same comparisons without interpolating the trajectory per packet.
 func New(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.Duration) flight.State, rng *rand.Rand) *Link {
-	l := &Link{sim: s, prof: prof, rng: rng, machine: machine}
-	l.serveFn = l.serveNext
-	l.servedFn = l.served
-	l.arriveFn = l.arrive
+	return new(Buffers).Link(s, prof, machine, state, rng)
+}
+
+// Buffers is the storage one run's Link leaves to the next run's: the Link
+// itself and its bottleneck queue and in-flight rings. The zero value is
+// empty. One Buffers serves one link at a time.
+type Buffers struct {
+	link            Link
+	queue, inflight []queued
+	arrivals        []arrivalSlot
+}
+
+// Link returns the link b holds, made the link New builds from the same
+// arguments, with its rings in b's storage, emptied and zeroed; every ring
+// it grows is recorded there. The link b returned before must be finished.
+func (b *Buffers) Link(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.Duration) flight.State, rng *rand.Rand) *Link {
+	l := &b.link
+	// The packet-path callbacks are method values bound to l, which never
+	// moves: the ones an earlier link of b made serve this one as they are.
+	serveFn, servedFn, arriveFn := l.serveFn, l.servedFn, l.arriveFn
+	if serveFn == nil {
+		serveFn, servedFn, arriveFn = l.serveNext, l.served, l.arrive
+	}
+	*l = Link{sim: s, prof: prof, rng: rng, machine: machine, serveFn: serveFn, servedFn: servedFn, arriveFn: arriveFn}
+	l.queue.Reuse(&b.queue)
+	l.inflight.Reuse(&b.inflight)
+	l.arrivals.Reuse(&b.arrivals)
 	if prof.AltOutlierRate > 0 {
 		l.outlierMean = time.Duration(float64(time.Second) / prof.AltOutlierRate)
 	}
@@ -240,23 +264,6 @@ func New(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.
 		l.SetFlight(stateProfile(state))
 	}
 	return l
-}
-
-// Buffers is the storage one run's Link leaves to the next run's: its
-// bottleneck queue and in-flight rings. The zero value is empty.
-// One Buffers serves one link at a time.
-type Buffers struct {
-	queue, inflight []queued
-	arrivals        []arrivalSlot
-}
-
-// Reuse makes l keep its rings in the storage b holds, emptied and zeroed,
-// and record there every ring it grows. Call it on a new link, before its
-// first Send; the link that used b before must be finished.
-func (l *Link) Reuse(b *Buffers) {
-	l.queue.Reuse(&b.queue)
-	l.inflight.Reuse(&b.inflight)
-	l.arrivals.Reuse(&b.arrivals)
 }
 
 // stateProfile is a bare state lookup as a flight.Profile; flight.Above
@@ -267,7 +274,7 @@ func (f stateProfile) At(t time.Duration) flight.State { return f(t) }
 func (stateProfile) Duration() time.Duration           { return 0 }
 
 // SetFlight takes the altitude effects from the vehicle's profile: each
-// threshold the link profile enables becomes a flight.Above function.
+// threshold the link profile enables becomes a flight.Above step.
 func (l *Link) SetFlight(p flight.Profile) {
 	if l.prof.AltLossAbove > 0 {
 		l.lossAbove = flight.Above(p, l.prof.AltLossAbove)
@@ -395,7 +402,7 @@ func (l *Link) lose(now time.Duration) bool {
 		return true
 	}
 	enter := l.prof.PER / burst / (1 - l.prof.PER)
-	if l.lossAbove != nil && l.lossAbove(now) {
+	if l.lossAbove.At(now) {
 		enter *= l.prof.AltLossFactor
 	}
 	if l.rng.Float64() < enter {
@@ -700,10 +707,7 @@ func (l *Link) codel(now time.Duration) {
 // outlierStall decides whether a HARQ stall begins now, advancing the
 // Poisson exposure clock while the vehicle is above the altitude threshold.
 func (l *Link) outlierStall(now time.Duration) bool {
-	if l.stallAbove == nil {
-		return false
-	}
-	if !l.stallAbove(now) {
+	if !l.stallAbove.At(now) {
 		l.lastOutlierAt = now
 		return false
 	}

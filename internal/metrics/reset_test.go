@@ -94,11 +94,10 @@ func TestSketchResetMatchesZero(t *testing.T) {
 }
 
 // TestSketchResetKeepsStorage: refilling a Reset sketch with the samples
-// it held allocates nothing on the exact path and, once spilled, only the
-// exact buffer the spill let go of (in growExact's two steps): the bucket
-// windows are the ones already grown.
+// it held allocates nothing, on the exact path or spilled: the exact buffer
+// the spill emptied and the bucket windows are the ones already grown.
 func TestSketchResetKeepsStorage(t *testing.T) {
-	for name, limit := range map[string]float64{"exact": 0, "negative-exact": 0, "spilled": 2, "negative-spilled": 2} {
+	for name, limit := range map[string]float64{"exact": 0, "negative-exact": 0, "spilled": 0, "negative-spilled": 0} {
 		samples := sketchStates()[name]
 		var s Sketch
 		addAll(&s, samples)
@@ -109,6 +108,58 @@ func TestSketchResetKeepsStorage(t *testing.T) {
 		})
 		if allocs > limit || s.Buckets() != cells {
 			t.Errorf("%s: a refill allocated %v times (at most %v) and keeps %d cells, %d before", name, allocs, limit, s.Buckets(), cells)
+		}
+	}
+}
+
+// TestSketchResetAfterSpillMatchesNew: a sketch that was never Reset — a
+// run's first, a summary's, a registry's — drops its exact buffer when it
+// spills, by Add or by Merge; a reused one keeps it, emptied, and the next
+// Reset hands it back. A spilled sketch Reset answers every query, and
+// marshals, as a new one does, and refilled with any state it answers and
+// holds what a new sketch refilled alike does — the exact path included,
+// without allocating its buffer again.
+func TestSketchResetAfterSpillMatchesNew(t *testing.T) {
+	states := sketchStates()
+	var zero Sketch
+	want := answers(&zero)
+	var agg Sketch
+	addAll(&agg, states["exact"])
+	for _, from := range []string{"spilled", "negative-spilled"} {
+		var s Sketch
+		addAll(&s, states[from])
+		if agg.Merge(&s); !s.spilled || cap(s.exact) != 0 || !agg.spilled || cap(agg.exact) != 0 {
+			t.Fatalf("%s, never reset: spilled %v with %d exact slots kept, merged into: %v with %d; want both spilled with none",
+				from, s.spilled, cap(s.exact), agg.spilled, cap(agg.exact))
+		}
+		for refill, b := range states {
+			var s Sketch
+			addAll(&s, states[from])
+			s.Reset()
+			addAll(&s, states[from])
+			if !s.spilled || len(s.exact) != 0 || cap(s.exact) != sketchExactCap {
+				t.Fatalf("%s, reused: spilled %v with %d of %d exact slots, want spilled with the full buffer kept, emptied", from, s.spilled, len(s.exact), cap(s.exact))
+			}
+			buf := &s.exact[:1][0]
+			s.Reset()
+			if got := answers(&s); got != want {
+				t.Fatalf("reset from %s:\n%s\nwant a new sketch's\n%s", from, got, want)
+			}
+			var fresh Sketch
+			if n := testing.AllocsPerRun(1, func() { s.Reset(); addAll(&s, b[:min(len(b), sketchExactCap)]) }); n != 0 {
+				t.Errorf("reset from %s: refilling the exact path allocated %v times, want 0", from, n)
+			}
+			addAll(&s, b[min(len(b), sketchExactCap):])
+			addAll(&fresh, b)
+			if got, want := answers(&s), answers(&fresh); got != want {
+				t.Errorf("reset from %s, refilled as %s:\n%s\nwant\n%s", from, refill, got, want)
+			}
+			if got, want := contents(&s), contents(&fresh); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("reset from %s, refilled as %s: holds %v, a new sketch %v", from, refill, got, want)
+			}
+			if cap(s.exact) == 0 || &s.exact[:1][0] != buf {
+				t.Errorf("reset from %s, refilled as %s: the exact buffer was not handed back", from, refill)
+			}
 		}
 	}
 }

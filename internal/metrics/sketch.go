@@ -158,6 +158,9 @@ type Sketch struct {
 	exact   []float64
 	sorted  bool
 	spilled bool
+	// reused is set by Reset: a sketch that is emptied and refilled keeps
+	// its exact buffer through a spill, for the next Reset to hand back.
+	reused bool
 	// pos and neg count positive samples and negative ones (neg by the
 	// bucket of -v); zero counts exact zeros.
 	pos, neg cells
@@ -308,9 +311,12 @@ func (s *Sketch) count(v float64) {
 	}
 }
 
-// spill folds the exact samples into buckets and drops them. Each window
-// is first widened once to the range the samples span, so filling it does
-// not regrow it sample by sample.
+// spill folds the exact samples into buckets and drops them. A reused
+// sketch keeps the buffer, emptied, for Reset to hand back; any other — a
+// run's first, a summary's, a registry's — lets it go, so what a caller
+// keeps holds no buffer nothing will refill. Each window is first widened
+// once to the range the samples span, so filling it does not regrow it
+// sample by sample.
 func (s *Sketch) spill() {
 	if s.spilled {
 		return
@@ -340,18 +346,24 @@ func (s *Sketch) spill() {
 	for _, v := range s.exact {
 		s.count(v)
 	}
-	s.exact, s.sorted = nil, false
+	s.sorted = false
+	if s.reused {
+		s.exact = s.exact[:0]
+	} else {
+		s.exact = nil
+	}
 }
 
 // Reset empties s: it answers every query, and marshals, as the zero value
-// does. It keeps the storage s grew — an exact buffer not yet spilled and
-// the bucket windows — so a sketch reused run after run fills storage that
-// is already there. Buckets, which reports that storage, is the one method
+// does. It keeps the storage s grew — the exact buffer and the bucket
+// windows — and marks s reused, so it keeps the exact buffer through its
+// next spills too: a sketch reused run after run fills storage that is
+// already there. Buckets, which reports that storage, is the one method
 // a reset sketch answers differently from a new one.
 func (s *Sketch) Reset() {
 	clear(s.pos.counts)
 	clear(s.neg.counts)
-	*s = Sketch{exact: s.exact[:0], pos: s.pos, neg: s.neg}
+	*s = Sketch{exact: s.exact[:0], pos: s.pos, neg: s.neg, reused: true}
 }
 
 // Merge folds o into s. o is not modified, and s shares no storage with it
