@@ -5,10 +5,10 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rpivideo/internal/obs"
+	"rpivideo/internal/ordered"
 )
 
 // CampaignOptions tunes how a campaign executes. The zero value gives the
@@ -24,8 +24,11 @@ type CampaignOptions struct {
 	// StatusSink, when non-nil, receives live telemetry: a progress
 	// snapshot after every completed run plus each run's metrics +
 	// telemetry registry. Calls are serialized by the engine, in completion
-	// order, and run on the campaign's critical path. It feeds the -serve
-	// ops endpoints and has no effect on results.
+	// order, on the worker that ran the run and before its fold; no fold
+	// holds a lock the sink needs. At most 2·Workers+1 runs are between
+	// their start and their fold, so a slow run holds back at most that
+	// many completed ones. It feeds the -serve ops endpoints and has no
+	// effect on results.
 	StatusSink obs.StatusSink
 }
 
@@ -66,10 +69,12 @@ func RunCampaignWithOptions(cfg Config, runs int, opts CampaignOptions) ([]*Resu
 // RunCampaignWithOptions (fold stores results[i]), and the streaming path
 // for callers inside the module that reduce a run to something else (a
 // campaign summary folds Summary.AddResult; Fig. 9 keeps a traced run's
-// epoch windows, not its trace). fold calls are serialized and in strict index order at any worker
-// count; a run that failed is folded as nil and reported in the returned
-// per-run errors. Nothing is retained once fold returns, so peak memory is
-// the in-flight runs plus whatever completed ahead of its turn.
+// epoch windows, not its trace). fold is called on the caller's goroutine,
+// outside every lock, in strict index order at any worker count; a run that
+// failed is folded as nil and reported in the returned per-run errors.
+// Nothing is retained once fold returns, and at most 2·Workers+1 runs are
+// between their start and their fold, so peak memory is that many Results
+// whatever the campaign's length.
 func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int, r *Result)) []error {
 	if runs <= 0 {
 		return nil
@@ -86,21 +91,24 @@ func RunCampaignFold(cfg Config, runs int, opts CampaignOptions, fold func(i int
 
 // executor is the one engine every in-process campaign entry point runs on:
 // RunCampaignFold (and through it RunCampaignWithOptions) and both per-UAV
-// phases of RunFleet. It keeps three
+// phases of RunFleet. It is written on ordered.Run and keeps three
 // contracts:
 //
 //   - every job runs under runGuarded, so a panic becomes that job's error
 //     and its result is nil;
-//   - the observer, a StatusSink, is serialized and sees jobs in
-//     completion order;
-//   - fold is serialized and sees jobs in strict index order whatever order
-//     they complete in — a nil result still takes its turn — which is what
-//     makes every export byte-identical at any worker count. Results that
-//     complete ahead of their turn wait in a pending map and nowhere else.
+//   - the observer, a StatusSink, is serialized by the executor's own
+//     mutex and sees jobs in completion order, on the worker that ran them;
+//   - fold sees jobs in strict index order whatever order they complete
+//     in — a nil result still takes its turn — on the caller's goroutine
+//     and outside every lock, which is what makes every export
+//     byte-identical at any worker count. At most 2·workers+1 jobs are
+//     between their start and their fold (ordered.Run's window), so a
+//     slow job holds back only that many completed Results.
 //
-// A job is observed before it waits for its turn, so a fold is handed only
-// observed Results and is their one owner. The executor owns no run
-// buffers: a job takes its set from the process's pool (withBuffers).
+// A job is observed before its slot is handed to the fold, so a fold is
+// handed only observed Results and is their one owner. The executor owns
+// no run buffers: a job takes its set from the process's pool
+// (withBuffers).
 type executor struct {
 	workers int    // <= 0 selects GOMAXPROCS
 	unit    string // names job i in its error: "campaign run 3"
@@ -122,19 +130,16 @@ func (e *executor) run(errs []error, job func(i int) *Result, fold func(i int, r
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
 	start := time.Now()
 	var (
-		mu        sync.Mutex
-		pending   = make(map[int]*Result)
-		next      int
-		completed int
-		failed    int
-		simSecs   float64
+		mu                sync.Mutex // serializes observe
+		completed, failed int
+		simSecs           float64
 	)
-	finish := func(i int, res *Result) {
+	// observe counts a finished job and hands the sink its registries, when
+	// it has a Result, and then a progress snapshot stamped with the wall
+	// and simulated time since start.
+	observe := func(i int, res *Result) {
 		mu.Lock()
 		defer mu.Unlock()
 		completed++
@@ -144,63 +149,47 @@ func (e *executor) run(errs []error, job func(i int) *Result, fold func(i int, r
 		if res != nil {
 			simSecs += res.Duration.Seconds()
 		}
-		if e.sink != nil {
-			e.publish(res, obs.StatusSnapshot{RunsDone: completed, RunsTotal: n, RunErrors: failed}, start, simSecs)
+		if e.sink == nil {
+			return
 		}
-		pending[i] = res
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			fold(next, r)
-			next++
+		if res != nil {
+			e.sink.ObserveRun(res.observedRegistry())
 		}
-	}
-	// Each worker claims the next job until none is left. The caller is one
-	// of them, so a single worker runs every job on the caller's goroutine.
-	var claimed atomic.Int64
-	work := func() {
-		for i := int(claimed.Add(1) - 1); i < n; i = int(claimed.Add(1) - 1) {
-			var res *Result
-			if errs[i] == nil {
-				res, errs[i] = runGuarded(e.unit, i, 0, job)
-			}
-			finish(i, res)
+		// The ETA extrapolates linearly from the jobs completed so far: a
+		// heuristic for operators, not a promise.
+		wall := time.Since(start).Seconds()
+		st := obs.StatusSnapshot{Mode: e.mode, Cells: e.cells, RunsDone: completed, RunsTotal: n, RunErrors: failed, WallSeconds: wall, Done: completed == n}
+		if wall > 0 {
+			st.SimRate = simSecs / wall
 		}
+		if completed < n {
+			st.ETASeconds = wall / float64(completed) * float64(n-completed)
+		}
+		e.sink.PublishStatus(st)
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	type slot struct {
+		i   int
+		res *Result
 	}
-	work()
-	wg.Wait()
-}
-
-// publish hands the sink a completed job's registries, when it has a
-// Result, and then the progress snapshot st, stamped with the wall and
-// simulated time since start.
-func (e *executor) publish(res *Result, st obs.StatusSnapshot, start time.Time, simSecs float64) {
-	if res != nil {
-		e.sink.ObserveRun(res.observedRegistry())
-	}
-	// The ETA extrapolates linearly from the jobs completed so far: a
-	// heuristic for operators, not a promise.
-	wall := time.Since(start).Seconds()
-	st.Mode, st.Cells = e.mode, e.cells
-	st.WallSeconds, st.Done = wall, st.RunsDone == st.RunsTotal
-	if wall > 0 {
-		st.SimRate = simSecs / wall
-	}
-	if st.RunsDone < st.RunsTotal {
-		st.ETASeconds = wall / float64(st.RunsDone) * float64(st.RunsTotal-st.RunsDone)
-	}
-	e.sink.PublishStatus(st)
+	workers, next := min(workers, n), 0
+	ordered.Run(workers, func(s *slot) bool {
+		*s = slot{i: next}
+		next++
+		return s.i < n
+	}, func(s *slot) {
+		if workers > 1 {
+			// The fold this worker's last job woke waits on this worker's
+			// processor: let it run now, not a time slice into this job.
+			runtime.Gosched()
+		}
+		if errs[s.i] == nil {
+			s.res, errs[s.i] = runGuarded(e.unit, s.i, 0, job)
+		}
+		observe(s.i, s.res)
+	}, func(s *slot) error {
+		fold(s.i, s.res)
+		return nil
+	})
 }
 
 // runGuarded executes one job with panic recovery and, when timeout is
@@ -213,22 +202,14 @@ func (e *executor) publish(res *Result, st obs.StatusSnapshot, start time.Time, 
 // run is handed them while it still writes there. The campaign executor
 // passes 0; RunWithTimeout is the one entry point that can arm it. Its
 // errors name the job by jobName(unit, i), formatted only once one is built.
-func runGuarded(unit string, i int, timeout time.Duration, job func(i int) *Result) (*Result, error) {
+func runGuarded(unit string, i int, timeout time.Duration, job func(i int) *Result) (res *Result, err error) {
 	if timeout <= 0 {
-		var res *Result
-		err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("%s panicked: %v", jobName(unit, i), r)
-				}
-			}()
-			res = job(i)
-			return nil
+		defer func() {
+			if r := recover(); r != nil {
+				res, err = nil, fmt.Errorf("%s panicked: %v", jobName(unit, i), r)
+			}
 		}()
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
+		return job(i), nil
 	}
 	type outcome struct {
 		res *Result
@@ -236,12 +217,8 @@ func runGuarded(unit string, i int, timeout time.Duration, job func(i int) *Resu
 	}
 	done := make(chan outcome, 1) // buffered: a late finisher must not block
 	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				done <- outcome{nil, fmt.Errorf("%s panicked: %v", jobName(unit, i), r)}
-			}
-		}()
-		done <- outcome{job(i), nil}
+		res, err := runGuarded(unit, i, 0, job)
+		done <- outcome{res, err}
 	}()
 	watchdog := time.NewTimer(timeout)
 	defer watchdog.Stop()

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rpivideo/internal/cell"
 	"rpivideo/internal/obs"
+	"rpivideo/internal/ordered"
 )
 
 // resultFingerprint renders every result field the experiments package
@@ -311,6 +313,84 @@ func TestExecutorObservesBeforeFold(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestExecutorWindowBoundsInFlight: while job 0 is slow, the fast jobs
+// behind it complete only until 2·workers+1 jobs are between their start
+// and their fold — ordered.Run's window — instead of every one of them
+// completing ahead of its turn and waiting to be folded.
+func TestExecutorWindowBoundsInFlight(t *testing.T) {
+	const n = 60
+	var peak atomic.Int64
+	ordered.SetObserver(func(k int) {
+		for p := peak.Load(); int64(k) > p && !peak.CompareAndSwap(p, int64(k)); p = peak.Load() {
+		}
+	})
+	defer ordered.SetObserver(nil)
+	for _, workers := range []int{2, 4} {
+		window := 2*workers + 1
+		peak.Store(0)
+		var fast atomic.Int64
+		var ahead int64 // fast jobs completed by the time job 0 ends
+		e := executor{workers: workers, unit: "job"}
+		e.run(make([]error, n), func(i int) *Result {
+			if i == 0 {
+				time.Sleep(50 * time.Millisecond)
+				ahead = fast.Load()
+			} else {
+				fast.Add(1)
+			}
+			return &Result{Duration: time.Second}
+		}, func(int, *Result) {})
+		if ahead < 1 || ahead > int64(window-1) {
+			t.Errorf("workers=%d: %d fast jobs completed during job 0, want 1 to %d", workers, ahead, window-1)
+		}
+		if p := peak.Load(); p > int64(window) {
+			t.Errorf("workers=%d: %d jobs in flight at most, bound %d", workers, p, window)
+		}
+	}
+}
+
+// TestExecutorFoldDoesNotStallObserver: the fold of job 0 waits until the
+// status sink has observed a later job, and the later jobs complete only
+// once job 0 has been observed, so the sink must observe one while job 0's
+// fold runs. A fold that held a lock the observer needs would wait forever;
+// the fold gives up after a generous deadline, so that fails here instead
+// of hanging.
+func TestExecutorFoldDoesNotStallObserver(t *testing.T) {
+	const n = 12
+	for _, workers := range []int{2, 4} {
+		window := 2*workers + 1
+		observed0 := make(chan struct{})
+		later := make(chan int, n)
+		sink := &recordingSink{}
+		sink.status = func(st obs.StatusSnapshot) {
+			if st.RunsDone == 1 {
+				close(observed0)
+				return
+			}
+			later <- int(sink.runs[len(sink.runs)-1].Counter("frames_played"))
+		}
+		e := executor{workers: workers, unit: "job", sink: sink}
+		e.run(make([]error, n), func(i int) *Result {
+			if i > 0 {
+				<-observed0
+			}
+			return &Result{Duration: time.Second, Tally: Tally{FramesPlayed: i}}
+		}, func(i int, _ *Result) {
+			if i != 0 {
+				return
+			}
+			select {
+			case k := <-later:
+				if k <= 0 || k >= window {
+					t.Errorf("workers=%d: job %d observed during job 0's fold, want one of 1..%d", workers, k, window-1)
+				}
+			case <-time.After(10 * time.Second):
+				t.Errorf("workers=%d: no later job was observed while job 0's fold ran", workers)
+			}
+		})
 	}
 }
 

@@ -164,14 +164,15 @@ func TestResultReuseEmptiesInPlace(t *testing.T) {
 	}
 }
 
-// TestResultPoolBounded: the pool keeps at most GOMAXPROCS spent Results,
-// hands each out once, emptied, and DropPooledBuffers lets them go.
+// TestResultPoolBounded: the pool keeps at most 2·GOMAXPROCS+1 spent
+// Results (the executor's window at GOMAXPROCS workers), hands each out
+// once, emptied, and DropPooledBuffers lets them go.
 func TestResultPoolBounded(t *testing.T) {
 	if poisonSpent {
 		t.Skip("with rtppoison a spent Result is poisoned and dropped")
 	}
 	DropPooledBuffers()
-	limit := runtime.GOMAXPROCS(0)
+	limit := 2*runtime.GOMAXPROCS(0) + 1
 	spent := make([]*Result, 3*limit)
 	for i := range spent {
 		spent[i] = new(Result)
@@ -179,7 +180,7 @@ func TestResultPoolBounded(t *testing.T) {
 		runPool.putResult(spent[i])
 	}
 	if n := len(runPool.spent); n != limit {
-		t.Errorf("the pool keeps %d of %d spent Results, want GOMAXPROCS (%d)", n, len(spent), limit)
+		t.Errorf("the pool keeps %d of %d spent Results, want 2·GOMAXPROCS+1 (%d)", n, len(spent), limit)
 	}
 	seen := map[*Result]bool{}
 	for i := 0; i < limit; i++ {

@@ -63,14 +63,17 @@ type chain struct {
 // (runPool). take hands out a set no live run holds; put gives a finished
 // run's set back and keeps at most GOMAXPROCS of them — as many as can run
 // at once — letting the rest go. putResult and result do the same for
-// spent Results. A mutex and a slice, not a sync.Pool: its hits do not
-// depend on when the GC runs, and a kept set is live before and after a
-// round alike.
+// spent Results, of which it keeps as many as a campaign at GOMAXPROCS
+// workers has between their start and their fold. A mutex and a slice,
+// not a sync.Pool: its hits do not depend on when the GC runs, and a kept
+// set is live before and after a round alike.
 type bufferPool struct {
 	mu   sync.Mutex
 	free []*runBuffers
 	// spent holds Results their fold is done with, for the next runs to be
-	// built on; at most GOMAXPROCS of them, as free holds sets.
+	// built on; at most 2·GOMAXPROCS+1 of them, the executor's window, so
+	// folds that trail the runs by up to a window never make a run build
+	// its Result new.
 	spent []*Result
 }
 
@@ -139,7 +142,7 @@ func (p *bufferPool) putResult(r *Result) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.spent) < runtime.GOMAXPROCS(0) {
+	if len(p.spent) < 2*runtime.GOMAXPROCS(0)+1 {
 		p.spent = append(p.spent, r)
 	}
 }

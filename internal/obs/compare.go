@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
+
+	"rpivideo/internal/ordered"
 )
 
 // ReadRegistryJSON parses a registry previously exported by WriteJSON. It
@@ -70,7 +73,7 @@ func MergeRegistriesJSON(dst *Registry, sections [][]byte) (int, error) {
 		dst.Merge(p.reg)
 		return nil
 	}
-	return bad, ordered(produce, decode, merge)
+	return bad, ordered.Run(runtime.GOMAXPROCS(0), produce, decode, merge)
 }
 
 // Tolerance configures the regression gate's drift allowance. Relative

@@ -10,6 +10,7 @@ import (
 	"rpivideo/internal/cell"
 	"rpivideo/internal/core"
 	"rpivideo/internal/obs"
+	"rpivideo/internal/ordered"
 )
 
 // countingReader counts the bytes read through it.
@@ -34,11 +35,11 @@ func TestFlightTraceBoundedPieces(t *testing.T) {
 	}
 	res := core.Run(core.Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: core.CCGCC, Seed: 7, Duration: 360 * time.Second, Trace: true})
 	var peak atomic.Int64
-	obs.SetPipelineObserver(func(n int) {
+	ordered.SetObserver(func(n int) {
 		for p := peak.Load(); int64(n) > p && !peak.CompareAndSwap(p, int64(n)); p = peak.Load() {
 		}
 	})
-	defer obs.SetPipelineObserver(nil)
+	defer ordered.SetObserver(nil)
 
 	pr, pw := io.Pipe()
 	go func() { pw.CloseWithError(core.WriteCampaignTrace(pw, []*core.Result{res})) }()

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
 	"time"
 	"unicode/utf8"
+
+	"rpivideo/internal/ordered"
 )
 
 // RunMeta heads one run's section of a JSONL trace export.
@@ -115,7 +118,7 @@ func WriteJSONLRuns(w io.Writer, sections []TraceSection) error {
 		}
 		return p.err
 	}
-	return ordered(produce, (*exportPiece).render, consume)
+	return ordered.Run(runtime.GOMAXPROCS(0), produce, (*exportPiece).render, consume)
 }
 
 // exportPiece is one piece of a WriteJSONLRuns job: up to chunkEvents

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
 	"time"
+
+	"rpivideo/internal/ordered"
 )
 
 // kindByName inverts Kind.String for every kind WriteJSONL emits. Built
@@ -157,7 +160,7 @@ func readJSONL(r io.Reader, block int) ([]TraceRun, error) {
 		}
 		return nil
 	}
-	if err := ordered(src.next, (*readPiece).parse, consume); err != nil {
+	if err := ordered.Run(runtime.GOMAXPROCS(0), src.next, (*readPiece).parse, consume); err != nil {
 		return nil, err
 	}
 	return runs, nil
