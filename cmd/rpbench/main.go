@@ -287,7 +287,7 @@ func runScenario(sc experiments.Scenario, so experiments.ScenarioOptions, exp sc
 		analyses: func() ([]*analyze.RunAnalysis, error) {
 			var analyses []*analyze.RunAnalysis
 			for i, r := range results {
-				analyses = append(analyses, analyze.Run(core.TraceRunMeta(r, i), r.Trace.Events()))
+				analyses = append(analyses, analyze.Run(core.TraceRunMeta(r, i), r.Trace.Chunks()...))
 			}
 			return analyses, nil
 		},

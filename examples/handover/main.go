@@ -23,7 +23,7 @@ func main() {
 	})
 	// The same analysis `rpbench -analyze flight.jsonl` runs on an exported
 	// trace: per-handover epoch windows plus the media one-way-delay samples.
-	a := analyze.Run(core.TraceRunMeta(r, 0), r.Trace.Events())
+	a := analyze.Run(core.TraceRunMeta(r, 0), r.Trace.Chunks()...)
 
 	fmt.Printf("rural GCC flight: %d handovers over %v\n\n", len(r.Handovers), r.Duration)
 

@@ -82,12 +82,6 @@ func fig5(o Options, r *Report) {
 	r.set("air.owd_max", airMax)
 }
 
-// traceAnalysis runs the trace analyzer over one traced run, exactly as
-// rpbench -report does live and rpbench -analyze does from the JSONL export.
-func traceAnalysis(res *core.Result, run int) *analyze.RunAnalysis {
-	return analyze.Run(core.TraceRunMeta(res, run), res.Trace.Events())
-}
-
 // handoverEpochs returns the analysis' handover windows (RLF epochs dropped).
 func handoverEpochs(a *analyze.RunAnalysis) []analyze.Epoch {
 	var out []analyze.Epoch
@@ -105,7 +99,7 @@ func handoverEpochs(a *analyze.RunAnalysis) []analyze.Epoch {
 // through the analyzer.
 func fig8(o Options, r *Report) {
 	res := core.Run(core.Config{Env: cell.Rural, Air: true, CC: core.CCGCC, Seed: o.Seed, Trace: true})
-	a := traceAnalysis(res, 0)
+	a := analyze.Run(core.TraceRunMeta(res, 0), res.Trace.Chunks()...)
 	handovers := handoverEpochs(a)
 	// Print a 5-second-bin timeline: median OWD per bin, HO markers.
 	const (
@@ -162,7 +156,7 @@ func fig9(o Options, r *Report) {
 			if res == nil {
 				return
 			}
-			for _, e := range handoverEpochs(traceAnalysis(res, i)) {
+			for _, e := range handoverEpochs(analyze.Run(core.TraceRunMeta(res, i), res.Trace.Chunks()...)) {
 				if e.PreOK {
 					before.Add(e.PreRatio)
 				}

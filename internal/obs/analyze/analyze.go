@@ -147,43 +147,47 @@ func mediaOWD(ev *obs.Event) bool {
 // integer microseconds.
 func msToUs(ms float64) int64 { return int64(math.Round(ms * 1000)) }
 
-// Run analyzes one run's events under its meta header. Events are expected in
-// emission order (simulation-time order), which the tracer guarantees. The
-// JSONL reader does not enforce it, so a trace edited by hand may go back in
-// time: its per-second bins do not care, and the OWD samples are put back in
-// time order once so the window queries can search them.
-func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
-	a := &RunAnalysis{Meta: meta}
-	durUs := meta.Duration.Microseconds()
-	nBins := durUs / usPerSecond
-	if durUs%usPerSecond != 0 {
-		nBins++
+// Run analyzes one run's trace chunks, in order, under its meta header. Events
+// are expected in emission order (simulation-time order), which the tracer
+// guarantees. The JSONL reader does not enforce it, so a trace edited by hand
+// may go back in time: its per-second bins do not care, and the OWD samples
+// are put back in time order once so the window queries can search them.
+func Run(meta obs.RunMeta, chunks ...[]obs.Event) *RunAnalysis {
+	z := newAnalyzer(meta)
+	for _, c := range chunks {
+		z.add(c...)
 	}
-	if nBins < 1 {
-		nBins = 1
-	}
-	a.Seconds = make([]Second, nBins)
-	for i := range a.Seconds {
-		a.Seconds[i].T = int64(i)
-	}
-	bin := func(tUs int64) *Second {
-		i := tUs / usPerSecond
-		if i < 0 {
-			i = 0
-		}
-		if i >= nBins {
-			i = nBins - 1
-		}
-		return &a.Seconds[i]
-	}
+	return z.finish()
+}
 
-	open := make(map[obs.Dir]int64) // outage start per direction
-	ordered := true
+// analyzer is Run's fold: add takes the events in order, a chunk at a time,
+// and finish settles what needs the whole trace.
+type analyzer struct {
+	a *RunAnalysis
+	// open holds each direction's outage start while one is open; a trace
+	// carries only the four directions the JSONL schema names.
+	open [obs.DirUp2 + 1]struct {
+		startUs int64
+		on      bool
+	}
+	ordered bool // the OWD samples so far are in time order
+}
 
+func newAnalyzer(meta obs.RunMeta) analyzer {
+	z := analyzer{a: &RunAnalysis{Meta: meta, Seconds: make([]Second, max(1, (meta.Duration.Microseconds()+usPerSecond-1)/usPerSecond))}, ordered: true}
+	for i := range z.a.Seconds {
+		z.a.Seconds[i].T = int64(i)
+	}
+	return z
+}
+
+func (z *analyzer) add(events ...obs.Event) {
+	a := z.a
 	for i := range events {
 		ev := &events[i]
 		tUs := ev.T.Microseconds()
-		b := bin(tUs)
+		// A time outside the run lands in its first or last second.
+		b := &a.Seconds[min(max(tUs/usPerSecond, 0), int64(len(a.Seconds))-1)]
 		switch ev.Kind {
 		case obs.KindSend:
 			if ev.Flags == 0 && ev.Dir == obs.DirUp {
@@ -202,7 +206,7 @@ func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
 					b.OWDMaxMs = ev.V
 				}
 				if n := len(a.owd); n > 0 && tUs < a.owd[n-1].TUs {
-					ordered = false
+					z.ordered = false
 				}
 				a.owd = append(a.owd, OWDSample{TUs: tUs, Ms: ev.V})
 			}
@@ -230,13 +234,13 @@ func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
 		case obs.KindFrameSkip:
 			b.FramesSkipped++
 		case obs.KindOutageStart:
-			if _, dup := open[ev.Dir]; !dup {
-				open[ev.Dir] = tUs
+			if o := &z.open[ev.Dir]; !o.on {
+				o.startUs, o.on = tUs, true
 			}
 		case obs.KindOutageEnd:
-			if start, ok := open[ev.Dir]; ok {
-				delete(open, ev.Dir)
-				a.Outages = append(a.Outages, Outage{Dir: ev.Dir.String(), StartUs: start, EndUs: tUs})
+			if o := &z.open[ev.Dir]; o.on {
+				o.on = false
+				a.Outages = append(a.Outages, Outage{Dir: ev.Dir.String(), StartUs: o.startUs, EndUs: tUs})
 			}
 		case obs.KindNack:
 			a.Repair.NacksSent++
@@ -260,12 +264,14 @@ func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
 			a.Repair.Abandoned++
 		}
 	}
+}
 
+func (z *analyzer) finish() *RunAnalysis {
+	a, durUs := z.a, z.a.Meta.Duration.Microseconds()
 	// Outages still open when the trace ends run to the end of the run.
-	// Map iteration order is random, so collect deterministically by Dir.
-	for _, dir := range []obs.Dir{obs.DirNone, obs.DirUp, obs.DirDown, obs.DirUp2} {
-		if start, ok := open[dir]; ok {
-			a.Outages = append(a.Outages, Outage{Dir: dir.String(), StartUs: start, EndUs: durUs, Open: true})
+	for dir, o := range z.open {
+		if o.on {
+			a.Outages = append(a.Outages, Outage{Dir: obs.Dir(dir).String(), StartUs: o.startUs, EndUs: durUs, Open: true})
 		}
 	}
 
@@ -281,7 +287,7 @@ func Run(meta obs.RunMeta, events []obs.Event) *RunAnalysis {
 
 	// The window queries search the samples by time; a trace that went back
 	// in time gets them put in order here, once.
-	if !ordered {
+	if !z.ordered {
 		sort.SliceStable(a.owd, func(i, j int) bool { return a.owd[i].TUs < a.owd[j].TUs })
 	}
 	// Fill the epoch windows now that all OWD samples are collected.

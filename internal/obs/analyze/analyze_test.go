@@ -6,12 +6,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"rpivideo/internal/cell"
 	"rpivideo/internal/core"
+	"rpivideo/internal/fault"
 	"rpivideo/internal/obs"
+	"rpivideo/internal/repair"
 )
 
 func us(v int64) time.Duration { return time.Duration(v) * time.Microsecond }
@@ -147,8 +150,9 @@ func TestLiveVsReplayBitIdentical(t *testing.T) {
 	cfg := core.Config{Env: cell.Urban, Air: true, CC: core.CCGCC, Seed: 11, Duration: 30 * time.Second, Trace: true}
 	r := core.Run(cfg)
 
-	// Live path: meta and events straight from the run's tracer.
-	live := []*RunAnalysis{Run(core.TraceRunMeta(r, 0), r.Trace.Events())}
+	// Live path: meta and the tracer's chunks in place, as rpbench -report
+	// feeds them.
+	live := []*RunAnalysis{Run(core.TraceRunMeta(r, 0), r.Trace.Chunks()...)}
 	liveDir := t.TempDir()
 	if err := WriteBundle(liveDir, live); err != nil {
 		t.Fatal(err)
@@ -193,6 +197,74 @@ func TestLiveVsReplayBitIdentical(t *testing.T) {
 	}
 	if math.IsNaN(pre.Mean) || math.IsNaN(post.Mean) {
 		t.Errorf("Fig9 means NaN: %g / %g", pre.Mean, post.Mean)
+	}
+}
+
+// bundle writes one analysis' report bundle and reads it back.
+func bundle(t *testing.T, a *RunAnalysis) map[string][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	if err := WriteBundle(dir, []*RunAnalysis{a}); err != nil {
+		t.Fatal(err)
+	}
+	return readBundle(t, dir)
+}
+
+// TestAnalyzeChunkFeedsMatch: Run folds a trace however it is cut. The
+// tracer's own chunks, one copied slice, one-event slices and slices cut at
+// random points (with empty ones) must give the same bundle, epochs and OWD
+// samples. The run has handovers, outages and repair, and spans
+// several tracer chunks, so state crosses chunk edges on every path.
+func TestAnalyzeChunkFeedsMatch(t *testing.T) {
+	r := core.Run(core.Config{
+		Env: cell.Urban, Air: true, CC: core.CCGCC, Seed: 11, Duration: 30 * time.Second, Trace: true,
+		Faults: fault.Config{
+			Windows: []fault.Window{
+				{Start: 5 * time.Second, Duration: 60 * time.Millisecond, Dir: fault.Both, Loss: true},
+				{Start: 12 * time.Second, Duration: 2 * time.Second, Dir: fault.Both},
+			},
+			Watchdog:         true,
+			KeyframeRecovery: true,
+		},
+		Repair: repair.Config{Enabled: true},
+	})
+	meta, chunks, events := core.TraceRunMeta(r, 0), r.Trace.Chunks(), r.Trace.Events()
+	if len(events) <= 3*2048 || len(chunks) < 4 {
+		t.Fatalf("vacuous: %d events in %d chunks", len(events), len(chunks))
+	}
+	want := Run(meta, chunks...)
+	if len(want.Epochs) == 0 || len(want.Outages) == 0 || want.Repair.NacksSent == 0 || len(want.owd) == 0 {
+		t.Fatalf("vacuous: %d epochs, %d outages, %d NACKs, %d OWD samples", len(want.Epochs), len(want.Outages), want.Repair.NacksSent, len(want.owd))
+	}
+	wantBundle := bundle(t, want)
+
+	single := make([][]obs.Event, len(events))
+	for i := range events {
+		single[i] = events[i : i+1]
+	}
+	rng := rand.New(rand.NewSource(5))
+	cuts := []int{0, 0, len(events), len(events)} // an empty first and last slice
+	for i := 0; i < 200; i++ {
+		cuts = append(cuts, rng.Intn(len(events)+1))
+	}
+	slices.Sort(cuts)
+	var random [][]obs.Event
+	for i := 1; i < len(cuts); i++ {
+		random = append(random, events[cuts[i-1]:cuts[i]])
+	}
+	for name, feed := range map[string][][]obs.Event{"events": {events}, "single": single, "random": random} {
+		got := Run(meta, feed...)
+		if !slices.Equal(got.Epochs, want.Epochs) {
+			t.Errorf("%s: epochs %+v, from the tracer's chunks %+v", name, got.Epochs, want.Epochs)
+		}
+		if !slices.Equal(got.owd, want.owd) {
+			t.Errorf("%s: %d OWD samples differ from the tracer's chunks' %d", name, len(got.owd), len(want.owd))
+		}
+		for file, b := range bundle(t, got) {
+			if !bytes.Equal(b, wantBundle[file]) {
+				t.Errorf("%s: %s differs from the tracer's chunks'", name, file)
+			}
+		}
 	}
 }
 

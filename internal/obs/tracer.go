@@ -99,7 +99,7 @@ func (t *Tracer) Dropped() int64 {
 // copying nothing: nil when there are none, the chunks of an unbounded
 // tracer, a ring's one or two segments. They stay the tracer's storage — a
 // ring overwrites them as it emits on — so read them, or hand them to
-// WriteJSONL as they are, once the run is over.
+// WriteJSONL or analyze.Run as they are, once the run is over.
 func (t *Tracer) Chunks() [][]Event {
 	switch {
 	case t.Len() == 0:

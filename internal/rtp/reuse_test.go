@@ -146,6 +146,12 @@ func TestPacketizerReuseKeepsGrownFreeList(t *testing.T) {
 
 	next := NewPacketizer(1, 96, 1200)
 	held := make([]*Packet, 0, 256)
+	// Mallocs counts the whole process. With a second P idle, the world's
+	// restart after ReadMemStats can start a thread (its m, g0, gsignal
+	// and two profiling stacks: 5 allocations) and the scavenger can put
+	// its first timer on an empty heap (1). At one P, as
+	// testing.AllocsPerRun measures, neither lands inside the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
