@@ -131,9 +131,9 @@ func TestReorderSteadyStateAllocations(t *testing.T) {
 	// every slot since was released once or skipped by the deadline, and a
 	// second copy is counted — buffered, or late once released — never kept.
 	r := l.r
-	if int64(l.released)+r.GapSkipped != r.Next()-2 || r.DeadlineReleases == 0 || r.GapSkipped != r.DeadlineReleases ||
-		r.CapReleases != 0 || r.Dups == 0 || r.Len() == 0 {
+	if int64(l.released)+r.GapSkipped != r.next-2 || r.DeadlineReleases == 0 || r.GapSkipped != r.DeadlineReleases ||
+		r.CapReleases != 0 || r.Dups == 0 || len(r.buf) == 0 {
 		t.Errorf("load is not the steady state it claims: %d released, next %d, %d buffered, %d deadline releases skipping %d, %d cap releases, %d duplicates, %d late",
-			l.released, r.Next(), r.Len(), r.DeadlineReleases, r.GapSkipped, r.CapReleases, r.Dups, r.Late)
+			l.released, r.next, len(r.buf), r.DeadlineReleases, r.GapSkipped, r.CapReleases, r.Dups, r.Late)
 	}
 }

@@ -81,20 +81,20 @@ func TestFailoverHysteresis(t *testing.T) {
 
 	var now time.Duration
 	tick(m, &now, 5)
-	if !m.PathUp(0) || !m.PathUp(1) || m.Active() != 0 || len(events) != 0 {
-		t.Fatalf("healthy steady state wrong: active=%d events=%v", m.Active(), events)
+	if !m.paths[0].up || !m.paths[1].up || m.active != 0 || len(events) != 0 {
+		t.Fatalf("healthy steady state wrong: active=%d events=%v", m.active, events)
 	}
 
 	// Outage on the primary: one breach tick is not enough (hysteresis) …
 	outage = true
 	tick(m, &now, 1)
-	if !m.PathUp(0) || m.Active() != 0 {
+	if !m.paths[0].up || m.active != 0 {
 		t.Fatal("path 0 must survive a single breach tick")
 	}
 	// … the second declares it down and the scheduler fails over.
 	tick(m, &now, 1)
-	if m.PathUp(0) || m.Active() != 1 || m.Switches != 1 {
-		t.Fatalf("expected failover: up0=%v active=%d switches=%d", m.PathUp(0), m.Active(), m.Switches)
+	if m.paths[0].up || m.active != 1 || m.Switches != 1 {
+		t.Fatalf("expected failover: up0=%v active=%d switches=%d", m.paths[0].up, m.active, m.Switches)
 	}
 	if len(events) != 2 || events[0].Kind != EventPathDown || events[0].Cause != CauseOutage ||
 		events[1].Kind != EventFailover || events[1].From != 0 || events[1].To != 1 {
@@ -105,12 +105,12 @@ func TestFailoverHysteresis(t *testing.T) {
 	// path is readmitted and the stream switches back.
 	outage = false
 	tick(m, &now, 9)
-	if m.PathUp(0) || m.Active() != 1 {
+	if m.paths[0].up || m.active != 1 {
 		t.Fatal("probation must not clear early")
 	}
 	tick(m, &now, 1)
-	if !m.PathUp(0) || m.Active() != 0 || m.Switches != 2 {
-		t.Fatalf("expected switch-back: up0=%v active=%d switches=%d", m.PathUp(0), m.Active(), m.Switches)
+	if !m.paths[0].up || m.active != 0 || m.Switches != 2 {
+		t.Fatalf("expected switch-back: up0=%v active=%d switches=%d", m.paths[0].up, m.active, m.Switches)
 	}
 	last := events[len(events)-1]
 	if last.Kind != EventFailover || last.To != 0 {
@@ -134,8 +134,8 @@ func TestLossBreach(t *testing.T) {
 		m.ObserveLoss(0)
 	}
 	tick(m, &now, 2)
-	if m.PathUp(0) || m.Active() != 1 {
-		t.Fatalf("loss breach must fail over: up0=%v active=%d", m.PathUp(0), m.Active())
+	if m.paths[0].up || m.active != 1 {
+		t.Fatalf("loss breach must fail over: up0=%v active=%d", m.paths[0].up, m.active)
 	}
 	if events[0].Cause != CauseLoss {
 		t.Fatalf("cause = %v, want loss", events[0].Cause)
@@ -145,8 +145,8 @@ func TestLossBreach(t *testing.T) {
 		m.ObserveDelivery(0, 40*time.Millisecond, 1200)
 	}
 	tick(m, &now, 10)
-	if !m.PathUp(0) || m.Active() != 0 {
-		t.Fatalf("recovery failed: up0=%v active=%d", m.PathUp(0), m.Active())
+	if !m.paths[0].up || m.active != 0 {
+		t.Fatalf("recovery failed: up0=%v active=%d", m.paths[0].up, m.active)
 	}
 }
 
@@ -251,8 +251,8 @@ func TestRouteCheapest(t *testing.T) {
 		m.ObserveDelivery(1, 40*time.Millisecond, 1200)
 	}
 	tick(m, &now, 3)
-	if m.Active() != 0 || m.Switches != 0 {
-		t.Fatalf("margin must suppress a near-equal switch: active=%d", m.Active())
+	if m.active != 0 || m.Switches != 0 {
+		t.Fatalf("margin must suppress a near-equal switch: active=%d", m.active)
 	}
 	// Path 1 becomes decisively better.
 	for i := 0; i < 200; i++ {
@@ -260,8 +260,8 @@ func TestRouteCheapest(t *testing.T) {
 		m.ObserveDelivery(1, 30*time.Millisecond, 1200)
 	}
 	tick(m, &now, 1)
-	if m.Active() != 1 || m.Switches != 1 {
-		t.Fatalf("cheapest must follow the score: active=%d switches=%d", m.Active(), m.Switches)
+	if m.active != 1 || m.Switches != 1 {
+		t.Fatalf("cheapest must follow the score: active=%d switches=%d", m.active, m.Switches)
 	}
 }
 
@@ -307,7 +307,7 @@ func TestBudgets(t *testing.T) {
 		}
 		tick(m, now, 1)
 	}
-	if m.Active() != 1 {
+	if m.active != 1 {
 		t.Fatal("failover did not switch")
 	}
 	if b := m.Budget(); !approx(b, 1.25*9.6e6) {

@@ -92,12 +92,6 @@ func (m *Manager) SetOutageProbe(path int, probe func(now time.Duration) bool) {
 	m.outage[path] = probe
 }
 
-// Active returns the path the failover/cheapest schedulers currently use.
-func (m *Manager) Active() int { return m.active }
-
-// PathUp reports path's health state.
-func (m *Manager) PathUp(path int) bool { return m.paths[path].up }
-
 // Stats snapshots path's accounting. now closes the open down interval so
 // a path still down at run end is fully accounted.
 func (m *Manager) Stats(path int, now time.Duration) PathStats {

@@ -114,13 +114,13 @@ func TestFailoverMatchesOracle(t *testing.T) {
 			m.Tick(now)
 			o.tick(outage)
 			for i := 0; i < NumPaths; i++ {
-				if m.PathUp(i) != o.up[i] {
-					t.Fatalf("seed %d step %d: path %d up=%v, oracle %v", seed, step, i, m.PathUp(i), o.up[i])
+				if m.paths[i].up != o.up[i] {
+					t.Fatalf("seed %d step %d: path %d up=%v, oracle %v", seed, step, i, m.paths[i].up, o.up[i])
 				}
 			}
-			if m.Active() != o.active || m.Switches != o.switches {
+			if m.active != o.active || m.Switches != o.switches {
 				t.Fatalf("seed %d step %d: active=%d switches=%d, oracle %d/%d",
-					seed, step, m.Active(), m.Switches, o.active, o.switches)
+					seed, step, m.active, m.Switches, o.active, o.switches)
 			}
 		}
 	}

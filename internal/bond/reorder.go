@@ -50,12 +50,6 @@ func NewReorder(deadline time.Duration, capacity int, emit func(meta interface{}
 	return &Reorder{Deadline: d.ReorderDeadline, Cap: d.ReorderCap, Emit: emit}
 }
 
-// Len returns the number of buffered packets.
-func (r *Reorder) Len() int { return len(r.buf) }
-
-// Next returns the next extended sequence number the buffer will release.
-func (r *Reorder) Next() int64 { return r.next }
-
 // Insert offers one arrived packet. In-order packets (and any run they
 // complete) release immediately; out-of-order packets buffer until the gap
 // fills, the deadline passes or the cap forces them out. Insert reports

@@ -24,8 +24,8 @@ func insert(r *Reorder, now time.Duration, exts ...int64) {
 func TestReorderInOrder(t *testing.T) {
 	r, out := collect(0, 0)
 	insert(r, 0, 10, 11, 12, 13)
-	if len(*out) != 4 || (*out)[0] != 10 || (*out)[3] != 13 || r.Len() != 0 {
-		t.Fatalf("out=%v len=%d", *out, r.Len())
+	if len(*out) != 4 || (*out)[0] != 10 || (*out)[3] != 13 || len(r.buf) != 0 {
+		t.Fatalf("out=%v len=%d", *out, len(r.buf))
 	}
 }
 
@@ -34,8 +34,8 @@ func TestReorderInOrder(t *testing.T) {
 func TestReorderGapFill(t *testing.T) {
 	r, out := collect(0, 0)
 	insert(r, 0, 0, 2, 3, 4)
-	if len(*out) != 1 || r.Len() != 3 {
-		t.Fatalf("gap must hold followers: out=%v buffered=%d", *out, r.Len())
+	if len(*out) != 1 || len(r.buf) != 3 {
+		t.Fatalf("gap must hold followers: out=%v buffered=%d", *out, len(r.buf))
 	}
 	insert(r, time.Millisecond, 1)
 	want := []int64{0, 1, 2, 3, 4}
@@ -79,8 +79,8 @@ func TestReorderCap(t *testing.T) {
 	for ext := int64(2); ext < 8; ext++ {
 		insert(r, 0, ext)
 	}
-	if r.Len() > 4 {
-		t.Fatalf("cap breached: %d buffered", r.Len())
+	if len(r.buf) > 4 {
+		t.Fatalf("cap breached: %d buffered", len(r.buf))
 	}
 	if r.CapReleases == 0 || len(*out) < 3 {
 		t.Fatalf("cap must force releases: out=%v releases=%d", *out, r.CapReleases)
@@ -97,11 +97,11 @@ func TestReorderCap(t *testing.T) {
 func TestReorderDupAndFlush(t *testing.T) {
 	r, out := collect(time.Hour, 0)
 	insert(r, 0, 0, 2, 2, 2)
-	if r.Dups != 2 || r.Len() != 1 {
-		t.Fatalf("dups=%d len=%d", r.Dups, r.Len())
+	if r.Dups != 2 || len(r.buf) != 1 {
+		t.Fatalf("dups=%d len=%d", r.Dups, len(r.buf))
 	}
 	r.Flush(time.Second)
-	if len(*out) != 2 || r.Len() != 0 {
+	if len(*out) != 2 || len(r.buf) != 0 {
 		t.Fatalf("flush wrong: out=%v", *out)
 	}
 }
@@ -138,13 +138,13 @@ func FuzzReorderInsert(f *testing.F) {
 					taken++
 				}
 			}
-			if r.Len() > 16 {
-				t.Fatalf("cap breached: %d", r.Len())
+			if len(r.buf) > 16 {
+				t.Fatalf("cap breached: %d", len(r.buf))
 			}
 		}
 		r.Flush(now)
-		if r.Len() != 0 {
-			t.Fatalf("flush left %d buffered", r.Len())
+		if len(r.buf) != 0 {
+			t.Fatalf("flush left %d buffered", len(r.buf))
 		}
 		if len(released) != taken {
 			t.Fatalf("%d packets taken, %d emitted", taken, len(released))

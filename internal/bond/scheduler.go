@@ -6,8 +6,6 @@ import "time"
 // deterministic — no randomness, no map iteration — and keep any state of
 // their own inside the Manager or in plain fields.
 type Scheduler interface {
-	// Name is the policy's CLI name.
-	Name() string
 	// Tick runs after the Manager's health pass each monitor tick, letting
 	// the policy react to up/down transitions (e.g. switch the active path).
 	Tick(m *Manager, now time.Duration)
@@ -61,7 +59,6 @@ func allSet() PathSet {
 // and probes are the only traffic a down path sees.
 type duplicateSched struct{}
 
-func (duplicateSched) Name() string                 { return PolicyDuplicate.String() }
 func (duplicateSched) Tick(*Manager, time.Duration) {}
 func (duplicateSched) Route(m *Manager, _ time.Duration, _ int) PathSet {
 	set := upSet(m)
@@ -93,8 +90,6 @@ func (duplicateSched) Budget(m *Manager) float64 {
 // stream switches back to the preferred (lowest-index) path only once its
 // probation has cleared — the hysteresis that stops flapping.
 type failoverSched struct{}
-
-func (failoverSched) Name() string { return PolicyFailover.String() }
 
 func (failoverSched) Tick(m *Manager, now time.Duration) {
 	if !m.paths[m.active].up {
@@ -140,8 +135,6 @@ func (failoverSched) Budget(m *Manager) float64 {
 // probes the rest at the probe cadence. A switch needs a clear margin so
 // near-equal paths do not flap.
 type cheapestSched struct{}
-
-func (cheapestSched) Name() string { return PolicyCheapest.String() }
 
 // score is the path's cost: delivery RTT plus a steep loss penalty (one
 // EWMA loss point ≈ 800 ms of RTT).
@@ -192,7 +185,6 @@ func (cheapestSched) Budget(m *Manager) float64 {
 // interleave is even rather than bursty.
 type spraySched struct{}
 
-func (spraySched) Name() string                 { return PolicySpray.String() }
 func (spraySched) Tick(*Manager, time.Duration) {}
 
 func (spraySched) Route(m *Manager, _ time.Duration, _ int) PathSet {

@@ -87,8 +87,8 @@ func TestSendQueueFIFO(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Push(Item{Data: i, Size: 100, Enqueued: time.Duration(i) * time.Millisecond})
 	}
-	if q.Len() != 5 || q.Bytes() != 500 {
-		t.Fatalf("Len=%d Bytes=%d", q.Len(), q.Bytes())
+	if q.items.Len() != 5 || queuedBytes(&q) != 500 {
+		t.Fatalf("Len=%d Bytes=%d", q.items.Len(), queuedBytes(&q))
 	}
 	for i := 0; i < 5; i++ {
 		it, ok := q.Pop()
@@ -99,8 +99,8 @@ func TestSendQueueFIFO(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Error("pop from empty queue should fail")
 	}
-	if q.Bytes() != 0 {
-		t.Errorf("Bytes = %d after drain", q.Bytes())
+	if queuedBytes(&q) != 0 {
+		t.Errorf("Bytes = %d after drain", queuedBytes(&q))
 	}
 }
 
@@ -125,8 +125,8 @@ func TestSendQueueClear(t *testing.T) {
 	if n := q.Clear(); n != 2 {
 		t.Errorf("Clear = %d, want 2", n)
 	}
-	if q.Len() != 0 || q.Bytes() != 0 {
-		t.Errorf("after Clear: Len=%d Bytes=%d", q.Len(), q.Bytes())
+	if q.items.Len() != 0 || queuedBytes(&q) != 0 {
+		t.Errorf("after Clear: Len=%d Bytes=%d", q.items.Len(), queuedBytes(&q))
 	}
 }
 
@@ -210,7 +210,7 @@ func TestPropertySendQueueAccounting(t *testing.T) {
 					wantLen--
 				}
 			}
-			if q.Bytes() != want || q.Len() != wantLen {
+			if queuedBytes(&q) != want || q.items.Len() != wantLen {
 				return false
 			}
 		}
@@ -258,8 +258,8 @@ func TestSendQueueReuse(t *testing.T) {
 	}
 	var next SendQueue
 	next.Reuse(&b)
-	if next.Len() != 0 || next.Bytes() != 0 || next.items.Cap() != grown {
-		t.Fatalf("after Reuse: %d queued, %d bytes, %d slots (predecessor's %d)", next.Len(), next.Bytes(), next.items.Cap(), grown)
+	if next.items.Len() != 0 || queuedBytes(&next) != 0 || next.items.Cap() != grown {
+		t.Fatalf("after Reuse: %d queued, %d bytes, %d slots (predecessor's %d)", next.items.Len(), queuedBytes(&next), next.items.Cap(), grown)
 	}
 	for _, it := range b {
 		if it.Data != nil {
@@ -274,4 +274,13 @@ func TestSendQueueReuse(t *testing.T) {
 			t.Fatalf("pop %d: %+v, %v", i, it, ok)
 		}
 	}
+}
+
+// queuedBytes is the wire bytes q holds.
+func queuedBytes(q *SendQueue) int {
+	n := 0
+	for i := 0; i < q.items.Len(); i++ {
+		n += q.items.At(i).Size
+	}
+	return n
 }

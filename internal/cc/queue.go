@@ -42,16 +42,6 @@ func (q *SendQueue) Push(it Item) { q.items.Push(it) }
 // Len returns the number of queued packets.
 func (q *SendQueue) Len() int { return q.items.Len() }
 
-// Bytes returns the queued wire bytes. It walks the queue: the packet path
-// never asks, so Push keeps no running sum.
-func (q *SendQueue) Bytes() int {
-	n := 0
-	for i := 0; i < q.items.Len(); i++ {
-		n += q.items.At(i).Size
-	}
-	return n
-}
-
 // Peek returns the head item without removing it; ok is false when empty.
 func (q *SendQueue) Peek() (Item, bool) {
 	if q.items.Len() == 0 {

@@ -86,11 +86,3 @@ func (w *Watchdog) OnFeedback(now time.Duration) (recovered bool) {
 func (w *Watchdog) InBackoff(now time.Duration) bool {
 	return w != nil && now < w.backoffUntil
 }
-
-// Episodes returns how many starvation episodes have been declared.
-func (w *Watchdog) Episodes() int {
-	if w == nil {
-		return 0
-	}
-	return w.episodes
-}

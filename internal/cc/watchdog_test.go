@@ -16,9 +16,6 @@ func TestWatchdogNilSafe(t *testing.T) {
 	if w.InBackoff(time.Second) {
 		t.Error("nil watchdog in backoff")
 	}
-	if w.Episodes() != 0 {
-		t.Error("nil watchdog has episodes")
-	}
 }
 
 func TestWatchdogNotStarvedBeforeFirstFeedback(t *testing.T) {
@@ -37,13 +34,13 @@ func TestWatchdogStarvationAndRecovery(t *testing.T) {
 	if !w.Starved(800 * time.Millisecond) {
 		t.Error("not starved past the timeout")
 	}
-	if w.Episodes() != 1 {
-		t.Errorf("episodes = %d, want 1", w.Episodes())
+	if w.episodes != 1 {
+		t.Errorf("episodes = %d, want 1", w.episodes)
 	}
 	// Staying starved is not a new episode.
 	w.Starved(2 * time.Second)
-	if w.Episodes() != 1 {
-		t.Errorf("episodes = %d after repeated queries, want 1", w.Episodes())
+	if w.episodes != 1 {
+		t.Errorf("episodes = %d after repeated queries, want 1", w.episodes)
 	}
 	if !w.OnFeedback(3 * time.Second) {
 		t.Error("feedback after starvation did not report recovery")
@@ -113,7 +110,7 @@ func TestWatchdogStarvationLatchedByFeedback(t *testing.T) {
 	if !w.OnFeedback(5 * time.Second) {
 		t.Error("silent 5 s gap not latched as a starvation episode")
 	}
-	if w.Episodes() != 1 {
-		t.Errorf("episodes = %d, want 1", w.Episodes())
+	if w.episodes != 1 {
+		t.Errorf("episodes = %d, want 1", w.episodes)
 	}
 }

@@ -120,14 +120,9 @@ func (m *Machine) SetTracer(tr *obs.Tracer, dir obs.Dir) {
 
 // Serving returns the current serving cell's *deployment index* (-1 before
 // the first measurement) — the position in the SignalModel's cell slice,
-// which is what fleet contention keys on. For the externally meaningful
-// identifier use ServingCellID.
+// which is what fleet contention keys on. SignalModel.CellID maps it to the
+// externally meaningful base-station ID.
 func (m *Machine) Serving() int { return m.serving }
-
-// ServingCellID returns the current serving cell's base-station ID (-1
-// before the first measurement). Index and ID coincide for generated
-// deployments but not necessarily for injected shared maps.
-func (m *Machine) ServingCellID() int { return m.model.CellID(m.serving) }
 
 // Events returns all completed handover events so far.
 func (m *Machine) Events() []Event { return m.events }

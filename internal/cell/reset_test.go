@@ -78,7 +78,7 @@ func TestRadioResetMatchesNew(t *testing.T) {
 			if (got == nil) != (want == nil) || got != nil && *got != *want {
 				t.Fatalf("%s at %v: reused machine's event %v, a new one's %v", name, now, got, want)
 			}
-			if reused.Serving() != fresh.Serving() || reused.ServingCellID() != fresh.ServingCellID() ||
+			if reused.Serving() != fresh.Serving() || reused.model.CellID(reused.serving) != fresh.model.CellID(fresh.serving) ||
 				reused.ServingRSRP() != fresh.ServingRSRP() || reused.best != fresh.best ||
 				reused.RadioDegradation(now) != fresh.RadioDegradation(now) || model.evals != freshModel.evals {
 				t.Fatalf("%s at %v: reused machine serves %d (%v dBm, best %d, degradation %v, %d evaluations), a new one %d (%v dBm, best %d, degradation %v, %d evaluations)",

@@ -38,14 +38,6 @@ type CellStats struct {
 	ShareSum float64
 }
 
-// MeanShare is the average capacity share a user of this cell received.
-func (cs CellStats) MeanShare() float64 {
-	if cs.UserEpochs == 0 {
-		return 1
-	}
-	return cs.ShareSum / float64(cs.UserEpochs)
-}
-
 // Contention is the output of one shared-map scheduling fold.
 type Contention struct {
 	Sched SchedulerKind

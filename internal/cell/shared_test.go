@@ -73,7 +73,7 @@ func TestContendStatsAndEvents(t *testing.T) {
 	if ct.Cells[0].PeakUsers != 2 || ct.Cells[0].UserEpochs != 6 || ct.Cells[1].UserEpochs != 1 {
 		t.Errorf("cell stats = %+v", ct.Cells)
 	}
-	if got := ct.Cells[0].MeanShare(); math.Abs(got-4.0/6.0) > 1e-12 {
+	if got := ct.Cells[0].ShareSum / float64(ct.Cells[0].UserEpochs); math.Abs(got-4.0/6.0) > 1e-12 {
 		t.Errorf("cell 0 mean share = %v, want 2/3", got)
 	}
 
@@ -248,8 +248,8 @@ func TestHandoverEventsReportCellIDs(t *testing.T) {
 	if m.Serving() != 1 {
 		t.Errorf("Serving() = %d, want deployment index 1", m.Serving())
 	}
-	if m.ServingCellID() != 42 {
-		t.Errorf("ServingCellID() = %d, want 42", m.ServingCellID())
+	if id := m.model.CellID(m.serving); id != 42 {
+		t.Errorf("serving cell ID = %d, want 42", id)
 	}
 }
 

@@ -138,9 +138,6 @@ func (m *SignalModel) pLoSGround() float64 {
 	return pLoSGroundUrban
 }
 
-// Cells returns the deployment.
-func (m *SignalModel) Cells() []BS { return m.bss }
-
 // CellID maps a deployment index — what Machine tracks internally and what
 // Best returns — to the base station's ID. The two
 // coincide for Deployment-generated maps, but injected shared maps may

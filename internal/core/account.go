@@ -89,7 +89,7 @@ type recoveryTrack struct {
 // targetSampler watches the sender's target rate every 100 ms: ramp-up
 // detection and — with faults armed — the per-episode
 // recovery and post-outage queue metrics. Everything fault-related is gated
-// on faultsOn: sampling QueueDelay advances the link's capacity process, so
+// on faultsOn: SampleQueueDelay advances the link's capacity process, so
 // touching it here would perturb the calibrated no-fault runs.
 type targetSampler struct {
 	res      *Result
@@ -180,7 +180,7 @@ func (t *targetSampler) sample(now time.Duration, target float64) {
 				queueSampled = true
 				// The advancing variant: this probe is part of the
 				// simulated system, and sampling here has always stepped
-				// the capacity process — switching to the pure QueueDelay
+				// the capacity process — switching to a pure peek
 				// would change every fault campaign's realization (and
 				// golden trace).
 				queueMs = float64(t.uplink.SampleQueueDelay()) / float64(time.Millisecond)

@@ -82,16 +82,16 @@ func BenchmarkRunRuralSCReAM(b *testing.B) {
 func BenchmarkDedup(b *testing.B) {
 	d := newMultipathDedup()
 	for i := 0; i < 2*dedupHorizon; i++ { // past the horizon: the cursor is moving
-		d.Duplicate(uint16(i))
+		duplicate(d, uint16(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	fresh := 0
 	for i := 2 * dedupHorizon; i < 2*dedupHorizon+b.N; i++ {
-		if !d.Duplicate(uint16(i)) {
+		if !duplicate(d, uint16(i)) {
 			fresh++
 		}
-		if !d.Duplicate(uint16(i - 3)) {
+		if !duplicate(d, uint16(i-3)) {
 			fresh++
 		}
 	}

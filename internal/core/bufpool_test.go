@@ -85,7 +85,7 @@ func TestRunBufferPoolNeverShares(t *testing.T) {
 						}
 						r := b.run(new(Result), flights[i], false)
 						if flights[i].Bond.Enabled() && (second != nil && b.second != second ||
-							len(b.second.model.Cells()) == 0 || b.second.machine.Serving() < 0) {
+							b.second.machine.Serving() < 0) {
 							t.Errorf("flight %d is bonded, but its second chain did not fly on the set's second chain", i)
 						}
 						return r

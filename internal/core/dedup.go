@@ -81,12 +81,6 @@ func (d *multipathDedup) DuplicateExt(seq uint16) (ext int64, dup bool) {
 	return ext, false
 }
 
-// Duplicate records seq and reports whether a copy was already delivered.
-func (d *multipathDedup) Duplicate(seq uint16) bool {
-	_, dup := d.DuplicateExt(seq)
-	return dup
-}
-
 // Mark records a sequence delivered through another channel (an RTX repair)
 // so a late path copy is still recognized as a duplicate.
 func (d *multipathDedup) Mark(seq uint16) {

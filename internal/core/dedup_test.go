@@ -13,10 +13,10 @@ func TestDedupSurvivesSeqWrap(t *testing.T) {
 	const total = 3 * 65536 // three full wraps
 	for i := 0; i < total; i++ {
 		seq := uint16(i)
-		if d.Duplicate(seq) {
+		if duplicate(d, seq) {
 			t.Fatalf("fresh packet %d (seq %d) flagged as duplicate", i, seq)
 		}
-		if !d.Duplicate(seq) {
+		if !duplicate(d, seq) {
 			t.Fatalf("second path copy of packet %d (seq %d) not flagged", i, seq)
 		}
 	}
@@ -29,9 +29,9 @@ func TestDedupMemoryHardBound(t *testing.T) {
 	d := newMultipathDedup()
 	i := 0
 	allocs := testing.AllocsPerRun(200_000, func() {
-		d.Duplicate(uint16(i))
-		d.Duplicate(uint16(i)) // the other path's copy
-		d.Duplicate(uint16(i - 2*dedupHorizon))
+		duplicate(d, uint16(i))
+		duplicate(d, uint16(i)) // the other path's copy
+		duplicate(d, uint16(i-2*dedupHorizon))
 		d.Mark(uint16(i + 1))
 		i += 2
 	})
@@ -48,11 +48,11 @@ func TestDedupMemoryHardBound(t *testing.T) {
 func TestDedupBelowHorizon(t *testing.T) {
 	d := newMultipathDedup()
 	for i := 0; i < dedupHorizon+1000; i++ {
-		d.Duplicate(uint16(i))
+		duplicate(d, uint16(i))
 	}
 	before := *d
 	// Sequence 100 is far below the cursor now.
-	if !d.Duplicate(100) {
+	if !duplicate(d, 100) {
 		t.Error("a below-horizon copy must report duplicate")
 	}
 	d.Mark(101)
@@ -69,24 +69,30 @@ func TestDedupReorderAcrossWrap(t *testing.T) {
 	d := newMultipathDedup()
 	// Walk up to just before the boundary.
 	for i := 65530; i < 65536; i++ {
-		if d.Duplicate(uint16(i)) {
+		if duplicate(d, uint16(i)) {
 			t.Fatalf("seq %d duplicate on first sight", i)
 		}
 	}
 	// Cross it.
-	if d.Duplicate(0) || d.Duplicate(1) {
+	if duplicate(d, 0) || duplicate(d, 1) {
 		t.Fatal("post-wrap sequences flagged as duplicates")
 	}
 	// The second path's copy of the post-wrap packet.
-	if !d.Duplicate(0) {
+	if !duplicate(d, 0) {
 		t.Fatal("second copy of post-wrap seq 0 not flagged")
 	}
-	if !d.Duplicate(uint16(65531)) {
+	if !duplicate(d, uint16(65531)) {
 		t.Fatal("late pre-wrap copy of seq 65531 not recognized as duplicate")
 	}
 	// Mark (the RTX path) must land in the same key space.
 	d.Mark(5)
-	if !d.Duplicate(5) {
+	if !duplicate(d, 5) {
 		t.Fatal("sequence Marked via the repair path not recognized as duplicate")
 	}
+}
+
+// duplicate records seq and reports whether a copy was already delivered.
+func duplicate(d *multipathDedup, seq uint16) bool {
+	_, dup := d.DuplicateExt(seq)
+	return dup
 }

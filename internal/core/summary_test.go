@@ -189,8 +189,8 @@ func matchSketch(t *testing.T, name string, sk *metrics.Sketch, d *metrics.Dist)
 		t.Errorf("%s: N %d vs %d", name, sk.N(), d.N())
 		return
 	}
-	if sk.Min() != d.Min() || sk.Max() != d.Max() {
-		t.Errorf("%s: extremes [%g,%g] vs [%g,%g]", name, sk.Min(), sk.Max(), d.Min(), d.Max())
+	if sk.Quantile(0) != d.Quantile(0) || sk.Max() != d.Max() {
+		t.Errorf("%s: extremes [%g,%g] vs [%g,%g]", name, sk.Quantile(0), sk.Max(), d.Quantile(0), d.Max())
 	}
 	if math.Abs(sk.Mean()-d.Mean()) > 1e-12*math.Abs(d.Mean()) {
 		t.Errorf("%s: mean %g vs %g", name, sk.Mean(), d.Mean())

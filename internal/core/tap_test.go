@@ -120,7 +120,7 @@ func (tp *Tap) CheckSketches(t testing.TB, r *Result) int {
 		n += len(samples)
 		if !reflect.DeepEqual(&ref, d) {
 			t.Errorf("%s: the run's sketch (N %d, [%g, %g], sum %g) is not the one its %d raw samples build (N %d, [%g, %g], sum %g)",
-				name, d.N(), d.Min(), d.Max(), d.Sum(), len(samples), ref.N(), ref.Min(), ref.Max(), ref.Sum())
+				name, d.N(), d.Quantile(0), d.Max(), d.Sum(), len(samples), ref.N(), ref.Quantile(0), ref.Max(), ref.Sum())
 		}
 	}
 	return n

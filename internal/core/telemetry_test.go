@@ -199,10 +199,10 @@ func TestTelemetryRepeatsResult(t *testing.T) {
 		if got.N() < c.minN {
 			t.Errorf("%s: %d samples, want at least %d", c.name, got.N(), c.minN)
 		}
-		if got.N() != c.want.N() || got.Sum() != c.want.Sum() || got.Min() != c.want.Min() || got.Max() != c.want.Max() ||
+		if got.N() != c.want.N() || got.Sum() != c.want.Sum() || got.Quantile(0) != c.want.Quantile(0) || got.Max() != c.want.Max() ||
 			!reflect.DeepEqual(buckets(got), buckets(c.want)) {
 			t.Errorf("%s (N %d, sum %g, [%g, %g]) does not hold the Result's samples (N %d, sum %g, [%g, %g])",
-				c.name, got.N(), got.Sum(), got.Min(), got.Max(), c.want.N(), c.want.Sum(), c.want.Min(), c.want.Max())
+				c.name, got.N(), got.Sum(), got.Quantile(0), got.Max(), c.want.N(), c.want.Sum(), c.want.Quantile(0), c.want.Max())
 		}
 	}
 	if n := reg.LogHistogram(TelemetryFrameDelay).N(); n != res.FramesPlayed {

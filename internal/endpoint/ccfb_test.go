@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -60,10 +61,15 @@ type screamState struct {
 	inFlight, losses, window, inBand, qd int
 }
 
+// stateOf reads the controller's window, round-trip and queue-delay
+// estimates and bytes in flight from its unexported fields: nothing outside
+// the controller asks for them.
 func stateOf(s *Sender, now time.Duration) screamState {
 	c := s.Ctrl.(*scream.Controller)
-	return screamState{c.CWND(), c.TargetBitrate(now), c.SRTT(), c.QDelay(),
-		c.BytesInFlight(), c.Losses, c.LossesWindow, c.LossesInBand, c.QueueDiscards}
+	v := reflect.ValueOf(c).Elem()
+	return screamState{v.FieldByName("cwnd").Float(), c.TargetBitrate(now),
+		time.Duration(v.FieldByName("srtt").Int()), time.Duration(v.FieldByName("qdelay").Int()),
+		int(v.FieldByName("bytesInFlight").Int()), c.Losses, c.LossesWindow, c.LossesInBand, c.QueueDiscards}
 }
 
 // screamFlight is one SCReAM flight over core.Run's single-path network,
@@ -383,14 +389,14 @@ func TestBondedSCReAMSteersOnItsSendQueue(t *testing.T) {
 			}
 			snd.Start()
 			s.RunUntil(time.Second)
-			if d := snd.Video.QueueDelay(); sent == 0 || d <= 100*time.Millisecond {
+			if d := snd.Video.Queue().Delay(s.Now()); sent == 0 || d <= 100*time.Millisecond {
 				t.Fatalf("%d packets sent, queue delay %v: the window never filled", sent, d)
 			}
 			snd.OnDatagram(ccfbDatagram(time.Second, ccfbBlock{begin: first, words: []uint16{receivedWord(0)}}), time.Second)
 			if n := snd.Ctrl.(*scream.Controller).QueueDiscards; n != 1 {
 				t.Errorf("%d queue discards, want 1", n)
 			}
-			if d := snd.Video.QueueDelay(); d != 0 {
+			if d := snd.Video.Queue().Delay(s.Now()); d != 0 {
 				t.Errorf("queue delay %v after the discard, want 0", d)
 			}
 		})

@@ -119,7 +119,7 @@ func TestRepairAndKeyframeOverTheWire(t *testing.T) {
 		t.Fatalf("dropped %d, NACKs %d, RTX bytes %d, packets repaired %d: the repair loop must close",
 			dropped, p.rcv.NacksSent, p.snd.RtxBytes, p.rcv.Player.PacketsRepaired)
 	}
-	pli, err := (&rtp.PLI{SenderSSRC: receiverSSRC, MediaSSRC: video.DefaultSenderConfig().SSRC}).Marshal()
+	pli, err := (&rtp.PLI{SenderSSRC: receiverSSRC, MediaSSRC: video.DefaultSenderConfig().SSRC}).AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -383,5 +383,5 @@ func (r *Receiver) plausible(frame uint32, at time.Duration) bool {
 		return true
 	}
 	ahead := int64(int32(frame - r.frame0))
-	return ahead <= int64((at-r.at0)*time.Duration(r.cfg.Player.FPS)/time.Second)+frameSlack
+	return ahead <= int64((at-r.at0)*video.PlaybackFPS/time.Second)+frameSlack
 }

@@ -141,17 +141,6 @@ func (r *Report) OK() bool {
 	return true
 }
 
-// FailedChecks lists the names of failed checks.
-func (r *Report) FailedChecks() []string {
-	var out []string
-	for _, c := range r.Checks {
-		if !c.OK {
-			out = append(out, c.Name+": "+c.Detail)
-		}
-	}
-	return out
-}
-
 // WriteTo renders the report.
 func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	var sb strings.Builder

@@ -199,26 +199,6 @@ func (c *Controller) PacingRate(now time.Duration) float64 {
 // CanSend implements cc.Controller: GCC is purely rate-based.
 func (c *Controller) CanSend(time.Duration, int) bool { return true }
 
-// RTT returns the smoothed feedback round-trip estimate.
-func (c *Controller) RTT() time.Duration { return c.rtt }
-
-// Signal returns the most recent over-use detector output (for traces and
-// tests).
-func (c *Controller) Signal() Signal { return c.lastSignal }
-
-// DelayGradient returns the current delay-gradient estimate: the Kalman
-// state in ms, or the scaled trendline slope when the trendline estimator
-// is selected.
-func (c *Controller) DelayGradient() float64 {
-	if c.trend != nil {
-		return c.trend.slope() * trendlineGain
-	}
-	return c.filter.m
-}
-
-// Threshold returns the current adaptive detector threshold in ms.
-func (c *Controller) Threshold() float64 { return c.det.gamma }
-
 // OnFeedback implements cc.Controller: it ingests one TWCC report.
 func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	if c.wd.OnFeedback(now) {

@@ -229,7 +229,7 @@ func TestGCCBacksOffOnQueueBuildup(t *testing.T) {
 	at := time.Duration(0)
 	for i := 0; i < 10; i++ {
 		at = ackStream(ctrl, at, 0.5, owd, 0, rng)
-		if ctrl.Signal() == SignalOveruse {
+		if ctrl.lastSignal == SignalOveruse {
 			sawOveruse = true
 		}
 	}

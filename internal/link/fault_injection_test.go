@@ -119,7 +119,7 @@ func TestNoBusyPollDuringOutage(t *testing.T) {
 
 	s.At(500*time.Millisecond, func() { l.Send(nil, 1200) })
 	pending := -1
-	s.At(2*time.Second, func() { pending = s.Pending() })
+	s.At(2*time.Second, func() { pending = pendingEvents(s) })
 	s.Run()
 	// At t=2 s the send has fired and the probe event has been popped; the
 	// only event left must be the single resume at t=3 s.

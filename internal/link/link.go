@@ -309,19 +309,13 @@ func (l *Link) SetTracer(tr *obs.Tracer, dir obs.Dir) {
 // queueing delay in milliseconds. Nil disables recording.
 func (l *Link) SetQueueDelayHist(h *metrics.Sketch) { l.queueHist = h }
 
-// Capacity returns the link capacity in bits/s as of the most recently
+// peekCapacity is the link capacity in bits/s as of the most recently
 // advanced point of the fluctuation process (before handover degradation).
-//
-// Capacity is a pure observation: it never draws from the link RNG and
-// never advances the Ornstein–Uhlenbeck state, so observing a link mid-run
-// cannot perturb the capacity realization (the "observation never draws
-// randomness" invariant). The process itself advances only on the packet
-// path, via capacity(now).
-func (l *Link) Capacity() float64 { return l.peekCapacity() }
-
-// peekCapacity computes the capacity at the current OU deviation without
-// mutating any state. Before the first packet has advanced the process it
-// reports the profile mean.
+// It is a pure observation: it never draws from the link RNG and never
+// advances the Ornstein–Uhlenbeck state, so observing a link mid-run cannot
+// perturb the capacity realization. The process itself advances only on the
+// packet path, via capacity(now). Before the first packet has advanced the
+// process it reports the profile mean.
 func (l *Link) peekCapacity() float64 {
 	c := l.prof.MeanCapacity
 	if l.capInit {
@@ -482,16 +476,16 @@ func (l *Link) drop(pkt queued, now time.Duration, r DropReason) {
 // control).
 func (l *Link) QueueBytes() int { return l.queueBytes + l.ctrlQueueBytes }
 
-// QueueDelay estimates the buffer drain time at the current effective
+// queueDelay estimates the buffer drain time at the current effective
 // capacity, handover/degradation windows included. The capacity is floored
 // (at the profile's MinCapacity, or 1% of MeanCapacity if unset) so an
 // interrupted link reports a large-but-finite backlog instead of dividing
 // by zero.
 //
-// Like Capacity, QueueDelay is a pure observation: it reads the capacity
-// realization at its most recently advanced point without drawing
+// Like peekCapacity, queueDelay is a pure observation: it reads the
+// capacity realization at its most recently advanced point without drawing
 // randomness, so sampling it mid-run leaves the run byte-identical.
-func (l *Link) QueueDelay() time.Duration {
+func (l *Link) queueDelay() time.Duration {
 	c := l.peekCapacity()
 	if l.machine != nil {
 		c *= l.machine.RadioDegradation(l.sim.Now())
@@ -502,13 +496,13 @@ func (l *Link) QueueDelay() time.Duration {
 	return l.queueDelayAt(c)
 }
 
-// SampleQueueDelay is the advancing variant of QueueDelay: it steps the
+// SampleQueueDelay is the advancing variant of queueDelay: it steps the
 // capacity fluctuation to now (drawing from the link RNG) before computing
 // the drain time, exactly as every packet service does. It exists for
 // in-run samplers that are part of the simulated system — core's fault
 // recovery probe uses it so the capacity realization of fault campaigns
-// (and their golden traces) is unchanged from when QueueDelay itself
-// advanced the process. External observers must use QueueDelay.
+// (and their golden traces) is unchanged from when the drain-time estimate
+// itself advanced the process.
 func (l *Link) SampleQueueDelay() time.Duration {
 	return l.queueDelayAt(l.effectiveCapacity(l.sim.Now()))
 }

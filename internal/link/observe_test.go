@@ -24,8 +24,8 @@ func runObserved(seed int64, observe bool) string {
 	}
 	if observe {
 		s.Every(0, time.Millisecond, func() {
-			_ = l.Capacity()
-			_ = l.QueueDelay()
+			_ = l.peekCapacity()
+			_ = l.queueDelay()
 			_ = l.QueueBytes()
 		})
 	}
@@ -38,7 +38,7 @@ func runObserved(seed int64, observe bool) string {
 }
 
 // TestObserversDoNotPerturbRun pins the satellite fix for the
-// capacity-observation bug: Capacity() and QueueDelay() used to advance the
+// capacity-observation bug: peekCapacity and queueDelay used to advance the
 // Ornstein–Uhlenbeck capacity process (drawing RNG), so merely *looking* at
 // a link mid-run changed where packets landed. Both are pure peeks now.
 func TestObserversDoNotPerturbRun(t *testing.T) {
@@ -46,7 +46,7 @@ func TestObserversDoNotPerturbRun(t *testing.T) {
 		plain := runObserved(seed, false)
 		watched := runObserved(seed, true)
 		if plain != watched {
-			t.Fatalf("seed %d: observing Capacity/QueueDelay mid-run changed the delivery transcript", seed)
+			t.Fatalf("seed %d: observing peekCapacity/queueDelay mid-run changed the delivery transcript", seed)
 		}
 		if plain != runObserved(seed, false) {
 			t.Fatalf("seed %d: identical runs diverged", seed)
@@ -57,22 +57,22 @@ func TestObserversDoNotPerturbRun(t *testing.T) {
 // TestSampleQueueDelayAdvances covers the other half of the split API: the
 // in-run fault sampler must keep stepping the capacity process (it models a
 // probe that is part of the simulated system), so SampleQueueDelay advances
-// the OU state where QueueDelay does not.
+// the OU state where queueDelay does not.
 func TestSampleQueueDelayAdvances(t *testing.T) {
 	s := sim.New(7)
 	p := ProfileFor(0, 0)
 	l := New(s, p, nil, nil, s.Stream("link"))
 	s.RunUntil(100 * time.Millisecond)
-	before := l.Capacity()
+	before := l.peekCapacity()
 	_ = l.SampleQueueDelay()
-	changedBySample := l.Capacity() != before
+	changedBySample := l.peekCapacity() != before
 
-	mid := l.Capacity()
+	mid := l.peekCapacity()
 	for i := 0; i < 50; i++ {
-		_ = l.QueueDelay()
-		_ = l.Capacity()
+		_ = l.queueDelay()
+		_ = l.peekCapacity()
 	}
-	if l.Capacity() != mid {
+	if l.peekCapacity() != mid {
 		t.Fatal("pure observers advanced the capacity process")
 	}
 	if !changedBySample {

@@ -47,7 +47,7 @@ func TestCapacityShareThroughput(t *testing.T) {
 	}
 }
 
-// TestCapacityShareQueueDelayConsistent: the pure QueueDelay observation
+// TestCapacityShareQueueDelayConsistent: the pure queueDelay observation
 // reflects the share exactly as the advancing sampler does, and a nil
 // share restores sole tenancy.
 func TestCapacityShareQueueDelay(t *testing.T) {
@@ -64,15 +64,15 @@ func TestCapacityShareQueueDelay(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			l.Send(i, 1250)
 		}
-		full := l.QueueDelay()
+		full := l.queueDelay()
 		l.SetCapacityShare(func(time.Duration) float64 { return 0.5 })
-		halved := l.QueueDelay()
+		halved := l.queueDelay()
 		if halved < full*19/10 || halved > full*21/10 {
-			t.Errorf("QueueDelay at half share = %v, want ≈2× the full-rate %v", halved, full)
+			t.Errorf("queueDelay at half share = %v, want ≈2× the full-rate %v", halved, full)
 		}
 		l.SetCapacityShare(nil)
-		if got := l.QueueDelay(); got != full {
-			t.Errorf("QueueDelay after clearing the share = %v, want %v", got, full)
+		if got := l.queueDelay(); got != full {
+			t.Errorf("queueDelay after clearing the share = %v, want %v", got, full)
 		}
 	})
 	s.Run()

@@ -40,9 +40,6 @@ func (d *Dist) Samples() []float64 {
 	return append([]float64(nil), d.samples...)
 }
 
-// Sum returns the sum of all samples.
-func (d *Dist) Sum() float64 { return d.sum }
-
 // Mean returns the sample mean, or 0 for an empty distribution.
 func (d *Dist) Mean() float64 {
 	if d.N() == 0 {
@@ -83,29 +80,11 @@ func (d *Dist) Quantile(q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Min returns the smallest sample, or 0 when empty.
-func (d *Dist) Min() float64 { return d.Quantile(0) }
-
 // Max returns the largest sample, or 0 when empty.
 func (d *Dist) Max() float64 { return d.Quantile(1) }
 
 // Median returns the 0.5-quantile.
 func (d *Dist) Median() float64 { return d.Quantile(0.5) }
-
-// Stddev returns the population standard deviation.
-func (d *Dist) Stddev() float64 {
-	s := d.samples
-	if len(s) == 0 {
-		return 0
-	}
-	mean := d.Mean()
-	var ss float64
-	for _, v := range s {
-		dv := v - mean
-		ss += dv * dv
-	}
-	return math.Sqrt(ss / float64(len(s)))
-}
 
 // FracBelow returns the fraction of samples strictly below x.
 func (d *Dist) FracBelow(x float64) float64 {

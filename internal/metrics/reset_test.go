@@ -44,7 +44,7 @@ func sketchStates() map[string][]float64 {
 // answers renders every query a sketch answers, and its JSON.
 func answers(s *Sketch) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d sum=%v mean=%v min=%v max=%v box=%+v\n", s.N(), s.Sum(), s.Mean(), s.Min(), s.Max(), s.Box())
+	fmt.Fprintf(&b, "n=%d sum=%v mean=%v min=%v max=%v box=%+v\n", s.N(), s.Sum(), s.Mean(), s.Quantile(0), s.Max(), s.Box())
 	for _, q := range []float64{0, 0.01, 0.1, 0.33, 0.5, 0.9, 0.99, 1} {
 		fmt.Fprintf(&b, "q%v=%v ", q, s.Quantile(q))
 	}

@@ -79,7 +79,10 @@ func init() {
 	}
 }
 
-// sketchIndex maps a positive value to its log-bucket index.
+// sketchIndex maps a positive value to its log-bucket index, where bucket i
+// covers (gamma^(i-1), gamma^i] with gamma = (1+SketchAlpha)/(1-SketchAlpha).
+// It is the layout of every Sketch and of the registry's histogram wire
+// format.
 func sketchIndex(v float64) int32 {
 	if !inTable(v) {
 		return sketchIndexLog(v) // also NaN
@@ -116,14 +119,8 @@ func sketchEdge(v float64) int {
 	return j
 }
 
-// BucketIndex exposes the package bucketing scheme: the log-bucket index of
-// a positive value, where bucket i covers (gamma^(i-1), gamma^i] with
-// gamma = (1+SketchAlpha)/(1-SketchAlpha). It is the layout of every Sketch
-// and of the registry's histogram wire format.
-func BucketIndex(v float64) int32 { return sketchIndex(v) }
-
 // BucketUpper returns bucket idx's upper edge gamma^idx — the inverse of
-// BucketIndex up to the bucket's width.
+// sketchIndex up to the bucket's width.
 func BucketUpper(idx int32) float64 { return math.Pow(sketchGamma, float64(idx)) }
 
 // sketchRep returns the representative value of a positive bucket.
@@ -411,14 +408,6 @@ func (s *Sketch) Mean() float64 {
 		return 0
 	}
 	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest sample (exact), or 0 when empty.
-func (s *Sketch) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
 }
 
 // Max returns the largest sample (exact), or 0 when empty.

@@ -83,9 +83,6 @@ func TestSketchIndexOutsideWindow(t *testing.T) {
 			t.Errorf("sketchIndex(%g) = %d, Log form %d", v, got, want)
 		}
 	}
-	if BucketIndex(10) != sketchIndexLog(10) {
-		t.Error("BucketIndex is not sketchIndex")
-	}
 }
 
 // FuzzBucketIndex: any bit pattern that is a positive finite float64 gets
@@ -99,8 +96,8 @@ func FuzzBucketIndex(f *testing.F) {
 		if !(v > 0) || math.IsInf(v, 1) {
 			return
 		}
-		if got, want := BucketIndex(v), sketchIndexLog(v); got != want {
-			t.Fatalf("BucketIndex(%g) = %d, Log form %d", v, got, want)
+		if got, want := sketchIndex(v), sketchIndexLog(v); got != want {
+			t.Fatalf("sketchIndex(%g) = %d, Log form %d", v, got, want)
 		}
 	})
 }
@@ -119,7 +116,7 @@ func BenchmarkBucketIndex(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		fn   func(float64) int32
-	}{{"table", BucketIndex}, {"log", sketchIndexLog}} {
+	}{{"table", sketchIndex}, {"log", sketchIndexLog}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				benchIndex = c.fn(vals[i&4095])

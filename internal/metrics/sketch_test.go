@@ -22,7 +22,7 @@ func sketchOf(samples []float64) *Sketch {
 
 func TestSketchEmpty(t *testing.T) {
 	var s Sketch
-	if s.N() != 0 || s.Mean() != 0 || s.Median() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Median() != 0 || s.Quantile(0) != 0 || s.Max() != 0 {
 		t.Errorf("empty sketch not all-zero: %+v", s.Box())
 	}
 	if got := s.FracAtOrAbove(10); got != 0 {
@@ -81,8 +81,8 @@ func TestSketchQuantileAccuracy(t *testing.T) {
 			t.Errorf("q=%g: sketch %g vs dist %g, rel err %.4f > %.4f", q, sq, dq, rel, SketchAlpha)
 		}
 	}
-	if s.Min() != d.Min() || s.Max() != d.Max() {
-		t.Errorf("extremes not exact: sketch [%g,%g] vs dist [%g,%g]", s.Min(), s.Max(), d.Min(), d.Max())
+	if s.Quantile(0) != d.Quantile(0) || s.Max() != d.Max() {
+		t.Errorf("extremes not exact: sketch [%g,%g] vs dist [%g,%g]", s.Quantile(0), s.Max(), d.Quantile(0), d.Max())
 	}
 	if math.Abs(s.Mean()-d.Mean()) > 1e-9*math.Abs(d.Mean()) {
 		t.Errorf("mean drifted: sketch %g vs dist %g", s.Mean(), d.Mean())
@@ -108,8 +108,8 @@ func TestSketchNegativeAndZero(t *testing.T) {
 	if med := s.Median(); math.Abs(med) > 1e-9 {
 		t.Errorf("median of symmetric distribution = %g, want 0", med)
 	}
-	if s.Min() != -200 || s.Max() != 200 {
-		t.Errorf("extremes [%g,%g], want [-200,200]", s.Min(), s.Max())
+	if s.Quantile(0) != -200 || s.Max() != 200 {
+		t.Errorf("extremes [%g,%g], want [-200,200]", s.Quantile(0), s.Max())
 	}
 	if fb := s.FracBelow(0); math.Abs(fb-200.0/600) > 0.01 {
 		t.Errorf("FracBelow(0) = %g, want ≈1/3", fb)
@@ -187,7 +187,7 @@ func TestSketchMergeOrderInvariance(t *testing.T) {
 				return false
 			}
 		}
-		if left.Min() != right.Min() || left.Max() != right.Max() {
+		if left.Quantile(0) != right.Quantile(0) || left.Max() != right.Max() {
 			t.Logf("extremes differ across groupings")
 			return false
 		}
@@ -372,7 +372,7 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 			t.Errorf("n=%d: exact and bucketed forms write different bytes", n)
 		}
 		want := s.bucketed()
-		if back.N() != s.N() || back.Min() != s.Min() || back.Max() != s.Max() || back.Sum() != s.Sum() ||
+		if back.N() != s.N() || back.Quantile(0) != s.Quantile(0) || back.Max() != s.Max() || back.Sum() != s.Sum() ||
 			back.Quantile(0.3) != want.Quantile(0.3) || back.FracBelow(1) != want.FracBelow(1) {
 			t.Errorf("n=%d: the sketch read back answers differently", n)
 		}

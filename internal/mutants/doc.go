@@ -1,7 +1,10 @@
 // Package mutants holds the mutant catalogue (testdata/mutants.txt): seeded
-// faults in the code that takes pooled storage over, each with the tests
-// that must catch it. Its test builds and tests every mutant through a
-// `go test -overlay`, so the catalogue never touches the tree:
+// faults — in the code that takes pooled storage over, in the ordered
+// engine and the trace analyzer, reintroduced bugs, broken oracles, and an
+// unread exported method and an unset exported field for the API gates —
+// each with the tests that must catch it. Its test builds and tests every
+// mutant through a `go test -overlay`, so the catalogue never touches the
+// tree:
 //
 //	RPIVIDEO_MUTANTS=1 go test -timeout 30m ./internal/mutants
 //

@@ -121,6 +121,9 @@ func TestMutantsAreKilled(t *testing.T) {
 				args := append([]string{"test", "-overlay", overlayPath, "-count=1", "-run", run}, m.pkgs...)
 				cmd := exec.Command("go", args...)
 				cmd.Dir = root
+				// The API gates parse the module's files themselves: this
+				// points them at the overlay too.
+				cmd.Env = append(os.Environ(), "RPIVIDEO_OVERLAY="+overlayPath)
 				return cmd.CombinedOutput()
 			}
 			// Building every test binary without running a test tells a

@@ -63,9 +63,6 @@ func Serve(addr string, tel *Telemetry) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.addr }
 
-// Telemetry returns the hub feeding the live endpoints.
-func (s *Server) Telemetry() *Telemetry { return s.tel }
-
 // Shutdown gracefully stops the server: the SSE streams are closed (they
 // would otherwise hold connections open forever), the listener stops, and
 // in-flight scrapes drain until ctx expires. It then waits for the serving
@@ -81,14 +78,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = ctx.Err()
 		}
 	}
-	return err
-}
-
-// Close stops the server immediately, dropping in-flight requests.
-func (s *Server) Close() error {
-	s.tel.CloseStreams()
-	err := s.srv.Close()
-	<-s.done
 	return err
 }
 

@@ -20,7 +20,7 @@ func TestServePprofAndRuntimeMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	for _, path := range []string{"/debug/pprof/", "/debug/runtime-metrics"} {
@@ -54,7 +54,7 @@ func TestServeBadAddress(t *testing.T) {
 		srv, err := Serve(addr, nil)
 		if err == nil {
 			t.Errorf("Serve(%q) succeeded with addr %q, want error", addr, srv.Addr())
-			srv.Close()
+			srv.Shutdown(context.Background())
 			continue
 		}
 		if !strings.Contains(err.Error(), addr) {
@@ -73,10 +73,10 @@ func TestServeAddressInUse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first Serve: %v", err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 	dup, err := Serve(srv.Addr(), nil)
 	if err == nil {
-		dup.Close()
+		dup.Shutdown(context.Background())
 		t.Fatalf("second Serve on %s succeeded, want address-in-use error", srv.Addr())
 	}
 	// The original endpoint is unaffected.
@@ -90,9 +90,9 @@ func TestServeAddressInUse(t *testing.T) {
 	}
 }
 
-// TestServeShutdownWhileServing: Close during active use terminates the
+// TestServeShutdownWhileServing: Shutdown after active use terminates the
 // listener; subsequent requests fail with a connection error, and a second
-// Close is a no-op rather than a panic.
+// Shutdown is a no-op rather than a panic.
 func TestServeShutdownWhileServing(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", nil)
 	if err != nil {
@@ -105,14 +105,14 @@ func TestServeShutdownWhileServing(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining
 	resp.Body.Close()
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	if _, err := client.Get("http://" + srv.Addr() + "/debug/runtime-metrics"); err == nil {
-		t.Error("request succeeded after Close")
+		t.Error("request succeeded after Shutdown")
 	}
-	if err := srv.Close(); err != nil {
-		t.Errorf("second Close errored: %v", err)
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Errorf("second Shutdown errored: %v", err)
 	}
 }
 
@@ -125,8 +125,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	if srv.Telemetry() != tel {
-		t.Error("Telemetry() does not return the hub passed to Serve")
+	if srv.tel != tel {
+		t.Error("the server does not hold the hub passed to Serve")
 	}
 	tel.PublishStatus(StatusSnapshot{Mode: "campaign", RunsTotal: 1})
 
@@ -173,7 +173,7 @@ func serveTestHub(t *testing.T) (*Server, *Telemetry) {
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
 	return srv, tel
 }
 
@@ -218,7 +218,7 @@ func TestServeStatusJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get("http://" + srv.Addr() + "/status")
 	if err != nil {
@@ -230,7 +230,7 @@ func TestServeStatusJSON(t *testing.T) {
 		t.Fatalf("/status before any publish: status %d, want 404", resp.StatusCode)
 	}
 
-	srv.Telemetry().PublishStatus(StatusSnapshot{
+	srv.tel.PublishStatus(StatusSnapshot{
 		Mode: "fleet", Label: "fleet-contention",
 		RunsDone: 3, RunsTotal: 8, RunErrors: 1, WallSeconds: 1.5,
 		Cells: []CellStatus{{Cell: 0, Attaches: 8, PeakUsers: 8, OverloadEpochs: 2}},

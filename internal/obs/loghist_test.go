@@ -122,9 +122,9 @@ func TestLogHistogramJSONRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, data2) {
 		t.Errorf("round trip not byte-identical:\n%s\n%s", data, data2)
 	}
-	if back.N() != h.N() || back.Sum() != h.Sum() || back.Min() != h.Min() || back.Max() != h.Max() {
+	if back.N() != h.N() || back.Sum() != h.Sum() || back.Quantile(0) != h.Quantile(0) || back.Max() != h.Max() {
 		t.Errorf("round trip lost totals: %d/%g/[%g,%g] vs %d/%g/[%g,%g]",
-			back.N(), back.Sum(), back.Min(), back.Max(), h.N(), h.Sum(), h.Min(), h.Max())
+			back.N(), back.Sum(), back.Quantile(0), back.Max(), h.N(), h.Sum(), h.Quantile(0), h.Max())
 	}
 	// The shape bench/ reads a quantile from: count, zero and buckets keyed
 	// by bucket index.

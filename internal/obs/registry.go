@@ -45,9 +45,6 @@ func (r *Registry) SetGauge(name string, v float64) {
 	}
 }
 
-// Gauge returns a gauge's current value.
-func (r *Registry) Gauge(name string) float64 { return r.gauges[name] }
-
 // LogHistogram returns (creating if needed) the named histogram. Every
 // histogram shares the metrics.Sketch bucket layout, so there is nothing to
 // negotiate when registries merge.

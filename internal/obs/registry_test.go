@@ -18,8 +18,8 @@ func TestRegistryBasics(t *testing.T) {
 	r.SetGauge("queue_ms", 10)
 	r.SetGauge("queue_ms", 4) // gauges keep the watermark
 	r.SetGauge("queue_ms", 25)
-	if r.Gauge("queue_ms") != 25 {
-		t.Fatalf("gauge = %g, want 25", r.Gauge("queue_ms"))
+	if r.gauges["queue_ms"] != 25 {
+		t.Fatalf("gauge = %g, want 25", r.gauges["queue_ms"])
 	}
 	h := r.LogHistogram("owd_ms")
 	h.Add(3)
@@ -132,15 +132,15 @@ func TestMergePartitionInvariant(t *testing.T) {
 			t.Fatalf("trial %d: counter sums diverge: flat %d chunked %d want %d",
 				trial, flat.Counter("packets_sent"), chunked.Counter("packets_sent"), wantSent)
 		}
-		if flat.Gauge("queue_ms") != chunked.Gauge("queue_ms") {
+		if flat.gauges["queue_ms"] != chunked.gauges["queue_ms"] {
 			t.Fatalf("trial %d: gauge max diverges: flat %g chunked %g",
-				trial, flat.Gauge("queue_ms"), chunked.Gauge("queue_ms"))
+				trial, flat.gauges["queue_ms"], chunked.gauges["queue_ms"])
 		}
 		fh := flat.LogHistogram("owd_ms")
 		ch := chunked.LogHistogram("owd_ms")
-		if fh.N() != ch.N() || fh.Min() != ch.Min() || fh.Max() != ch.Max() {
+		if fh.N() != ch.N() || fh.Quantile(0) != ch.Quantile(0) || fh.Max() != ch.Max() {
 			t.Fatalf("trial %d: histogram totals diverge: flat %d [%g,%g] chunked %d [%g,%g]",
-				trial, fh.N(), fh.Min(), fh.Max(), ch.N(), ch.Min(), ch.Max())
+				trial, fh.N(), fh.Quantile(0), fh.Max(), ch.N(), ch.Quantile(0), ch.Max())
 		}
 		if fb, cb := bucketList(fh), bucketList(ch); !reflect.DeepEqual(fb, cb) {
 			t.Fatalf("trial %d: buckets diverge: flat %v chunked %v", trial, fb, cb)

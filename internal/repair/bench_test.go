@@ -133,8 +133,8 @@ func TestDetectorSteadyStateAllocations(t *testing.T) {
 		t.Errorf("OnPacket+AppendTick+OnRepair allocate %.0f times in 5 000 packets, want 0", n)
 	}
 	// Every loss is NACKed once and healed by its retransmission.
-	if l.d.Repaired-repaired < 180 || l.d.Abandoned != 0 || l.d.Late != 0 || l.d.Pending() > 1 {
+	if l.d.Repaired-repaired < 180 || l.d.Abandoned != 0 || l.d.Late != 0 || l.d.slots.Len() > 1 {
 		t.Errorf("load is not the steady state it claims: %d repaired, %d abandoned, %d late, %d pending",
-			l.d.Repaired-repaired, l.d.Abandoned, l.d.Late, l.d.Pending())
+			l.d.Repaired-repaired, l.d.Abandoned, l.d.Late, l.d.slots.Len())
 	}
 }

@@ -55,9 +55,6 @@ func (b *Budget) Allow(now time.Duration, size int, targetRate float64) bool {
 // invariant.
 func (b *Budget) Accrued() float64 { return b.accrued }
 
-// Tokens returns the bytes currently available.
-func (b *Budget) Tokens() float64 { return b.tokens }
-
 // SpendRate returns the repair send rate in bits/s over the trailing
 // one-second window — the signal congestion controllers subtract from
 // their media target.

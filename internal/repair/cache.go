@@ -54,9 +54,6 @@ func NewCache(Config) *Cache {
 	return &Cache{maxBytes: cacheBytes, maxAge: cacheAge, slots: ring.MakeSeqTable[cacheEntry](cacheInitSlots)}
 }
 
-// Bytes returns the bytes currently held.
-func (c *Cache) Bytes() int { return c.bytes }
-
 // Len returns the number of packets currently held.
 func (c *Cache) Len() int { return c.slots.Len() }
 

@@ -132,10 +132,10 @@ func TestCacheMatchesMapOracle(t *testing.T) {
 						now += time.Duration(rng.Int63n(int64(3 * bound.age)))
 					}
 				}
-				if got.Len() != len(ref.entries) || got.Bytes() != ref.bytes ||
+				if got.Len() != len(ref.entries) || got.bytes != ref.bytes ||
 					got.Stored != ref.Stored || got.Evicted != ref.Evicted || got.Misses != ref.Misses {
 					t.Fatalf("op %d: len/bytes/stored/evicted/misses = %d/%d/%d/%d/%d, map reference %d/%d/%d/%d/%d",
-						op, got.Len(), got.Bytes(), got.Stored, got.Evicted, got.Misses,
+						op, got.Len(), got.bytes, got.Stored, got.Evicted, got.Misses,
 						len(ref.entries), ref.bytes, ref.Stored, ref.Evicted, ref.Misses)
 				}
 			}

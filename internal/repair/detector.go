@@ -97,12 +97,6 @@ func (d *Detector) SetTracer(tr *obs.Tracer) { d.trace = tr }
 // nothing about the repair path.
 func (d *Detector) SetNackRTTHist(h *metrics.Sketch) { d.rttHist = h }
 
-// RTT returns the smoothed NACK→repair round-trip estimate.
-func (d *Detector) RTT() time.Duration { return d.srtt }
-
-// Pending returns the number of losses currently tracked.
-func (d *Detector) Pending() int { return d.slots.Len() }
-
 // named returns the live loss r names, or nil when r is a husk.
 func (d *Detector) named(r lossRef) *loss {
 	if e := d.slots.Get(r.seq); e != nil && e.arrivalsAtMiss == r.arrivalsAtMiss {

@@ -311,10 +311,10 @@ func TestDetectorMatchesMapOracle(t *testing.T) {
 						now += time.Duration(rng.Int63n(int64(3 * outageGuard)))
 					}
 				}
-				if got.Pending() != len(ref.index) || got.RTT() != ref.srtt || got.Repaired != ref.Repaired ||
+				if got.slots.Len() != len(ref.index) || got.srtt != ref.srtt || got.Repaired != ref.Repaired ||
 					got.Late != ref.Late || got.Abandoned != ref.Abandoned {
 					t.Fatalf("op %d: pending/rtt/repaired/late/abandoned = %d/%v/%d/%d/%d, map reference %d/%v/%d/%d/%d",
-						op, got.Pending(), got.RTT(), got.Repaired, got.Late, got.Abandoned,
+						op, got.slots.Len(), got.srtt, got.Repaired, got.Late, got.Abandoned,
 						len(ref.index), ref.srtt, ref.Repaired, ref.Late, ref.Abandoned)
 				}
 			}
@@ -328,7 +328,7 @@ func TestDetectorMatchesMapOracle(t *testing.T) {
 					got.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps)
 			}
 			t.Logf("%d repaired, %d late, %d abandoned, %d NACKs in %d ticks, %d wraps (%d laps), %d slots, RTT %v",
-				got.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps, got.slots.Cap(), got.RTT())
+				got.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps, got.slots.Cap(), got.srtt)
 		})
 	}
 }

@@ -33,8 +33,8 @@ func TestDetectorIgnoresReorderBelowTolerance(t *testing.T) {
 		t.Fatalf("NACK fired below reorder tolerance: %v", got)
 	}
 	d.OnPacket(2, ms(5)) // the reordered original shows up
-	if d.Late != 1 || d.Pending() != 0 {
-		t.Fatalf("late arrival not healed: late=%d pending=%d", d.Late, d.Pending())
+	if d.Late != 1 || d.slots.Len() != 0 {
+		t.Fatalf("late arrival not healed: late=%d pending=%d", d.Late, d.slots.Len())
 	}
 	if got := tickUntil(d, 2, time.Second); len(got) != 0 {
 		t.Fatalf("spurious NACKs for a healed gap: %v", got)
@@ -62,9 +62,9 @@ func TestDetectorBackoffSequence(t *testing.T) {
 			t.Fatalf("NACK times %v, want %v", fired, want)
 		}
 	}
-	if d.Abandoned != 1 || d.Pending() != 0 {
+	if d.Abandoned != 1 || d.slots.Len() != 0 {
 		t.Fatalf("retry cap did not abandon: abandoned=%d pending=%d",
-			d.Abandoned, d.Pending())
+			d.Abandoned, d.slots.Len())
 	}
 	// Abandonment is the hand-off to the PLI path: the loss is forgotten,
 	// so even the real retransmission arriving now is spurious.
@@ -84,8 +84,8 @@ func TestDetectorRTTAdaptation(t *testing.T) {
 	if !d.OnRepair(1, ms(50)) { // 40ms after the NACK
 		t.Fatal("repair rejected")
 	}
-	if d.RTT() != ms(40) {
-		t.Fatalf("first RTT sample not adopted: %v", d.RTT())
+	if d.srtt != ms(40) {
+		t.Fatalf("first RTT sample not adopted: %v", d.srtt)
 	}
 	if d.Repaired != 1 {
 		t.Fatalf("Repaired=%d", d.Repaired)
@@ -99,8 +99,8 @@ func TestDetectorRTTAdaptation(t *testing.T) {
 	if !d.OnRepair(4, ms(70+120)) {
 		t.Fatal("second repair rejected")
 	}
-	if want := ms(40) + (ms(120)-ms(40))/8; d.RTT() != want {
-		t.Fatalf("EWMA RTT %v, want %v", d.RTT(), want)
+	if want := ms(40) + (ms(120)-ms(40))/8; d.srtt != want {
+		t.Fatalf("EWMA RTT %v, want %v", d.srtt, want)
 	}
 	// A duplicate of an already-healed seq is spurious.
 	if d.OnRepair(4, ms(200)) {
@@ -127,8 +127,8 @@ func TestDetectorOutageGuardAbandonsDeadSpan(t *testing.T) {
 	// The link goes dead; the next arrival reveals a 100-packet span a
 	// blackout later. The whole span must degrade to the PLI path.
 	d.OnPacket(102, ms(10+2000))
-	if d.Pending() != 0 || d.Abandoned != 100 {
-		t.Fatalf("dead span chased: pending=%d abandoned=%d", d.Pending(), d.Abandoned)
+	if d.slots.Len() != 0 || d.Abandoned != 100 {
+		t.Fatalf("dead span chased: pending=%d abandoned=%d", d.slots.Len(), d.Abandoned)
 	}
 	if got := tickUntil(d, 50, ms(3000)); len(got) != 0 {
 		t.Fatalf("NACKs fired for an abandoned span: %v", got)
@@ -136,8 +136,8 @@ func TestDetectorOutageGuardAbandonsDeadSpan(t *testing.T) {
 	// An ordinary burst inside a live stream is still chased.
 	d.OnPacket(103, ms(2020))
 	d.OnPacket(110, ms(2050)) // 6 missing, 30ms silence — well under guard
-	if d.Pending() != 6 {
-		t.Fatalf("live burst not tracked: pending=%d", d.Pending())
+	if d.slots.Len() != 6 {
+		t.Fatalf("live burst not tracked: pending=%d", d.slots.Len())
 	}
 }
 
@@ -146,8 +146,8 @@ func TestDetectorPendingBound(t *testing.T) {
 	d.maxPending = 4
 	d.OnPacket(0, 0)
 	d.OnPacket(11, 0) // seqs 1..10 missing
-	if d.Pending() != 4 || d.Abandoned != 6 {
-		t.Fatalf("pending=%d abandoned=%d, want 4/6", d.Pending(), d.Abandoned)
+	if d.slots.Len() != 4 || d.Abandoned != 6 {
+		t.Fatalf("pending=%d abandoned=%d, want 4/6", d.slots.Len(), d.Abandoned)
 	}
 	// The survivors are the newest losses.
 	d.OnPacket(12, 0)
@@ -189,8 +189,8 @@ func TestDetectorGapBeyondPendingBound(t *testing.T) {
 		if d.Abandoned != ref.Abandoned || d.Abandoned != 3+skipped-8192 {
 			t.Fatalf("gap %d: abandoned %d, the per-sequence loop %d, want %d", skipped, d.Abandoned, ref.Abandoned, 3+skipped-8192)
 		}
-		if d.Pending() != 8192 || d.order.Len() != 8192 || ref.Pending() != 8192 {
-			t.Fatalf("gap %d: pending %d (%d records), the per-sequence loop %d, want 8192", skipped, d.Pending(), d.order.Len(), ref.Pending())
+		if d.slots.Len() != 8192 || d.order.Len() != 8192 || ref.slots.Len() != 8192 {
+			t.Fatalf("gap %d: pending %d (%d records), the per-sequence loop %d, want 8192", skipped, d.slots.Len(), d.order.Len(), ref.slots.Len())
 		}
 		d.OnPacket(seq+1, ms(3)) // the second arrival past the gap: NACK-eligible
 		ref.OnPacket(seq+1, ms(3))
@@ -228,8 +228,8 @@ func TestCacheEvictionByBytes(t *testing.T) {
 	for _, p := range pkts {
 		c.Store(p, 0)
 	}
-	if c.Bytes() > c.maxBytes {
-		t.Fatalf("cache holds %d bytes, bound %d", c.Bytes(), c.maxBytes)
+	if c.bytes > c.maxBytes {
+		t.Fatalf("cache holds %d bytes, bound %d", c.bytes, c.maxBytes)
 	}
 	if c.Lookup(pkts[0].Header.SequenceNumber, 0) != nil {
 		t.Fatal("oldest packet survived byte eviction")
@@ -257,8 +257,8 @@ func TestCacheEvictionByAge(t *testing.T) {
 	}
 	// Storing later sweeps the aged entries out.
 	c.Store(pkts[2], ms(2000))
-	if c.Len() != 1 || c.Bytes() != pkts[2].MarshalSize() {
-		t.Fatalf("after age sweep: len=%d bytes=%d", c.Len(), c.Bytes())
+	if c.Len() != 1 || c.bytes != pkts[2].MarshalSize() {
+		t.Fatalf("after age sweep: len=%d bytes=%d", c.Len(), c.bytes)
 	}
 }
 

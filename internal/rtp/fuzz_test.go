@@ -22,18 +22,18 @@ func fuzzSeed(f *testing.F, buf []byte) {
 // codec is the serializing half of an RTCP packet type.
 type codec interface {
 	AppendTo(dst []byte) ([]byte, error)
-	Marshal() ([]byte, error)
 }
 
-// checkAppendTo holds a parsed packet's AppendTo to its Marshal. Appended
-// after a prefix into a buffer whose spare capacity holds stale bytes (a
-// recycled datagram slot), it leaves the prefix as it was and writes exactly
-// Marshal's bytes, and it allocates nothing; a packet Marshal refuses,
-// AppendTo refuses too and returns its dst unchanged. It returns Marshal's
-// bytes, nil for a refused packet.
+// checkAppendTo holds a parsed packet's AppendTo after a prefix to its
+// AppendTo into a new buffer. Appended after a prefix into a buffer whose
+// spare capacity holds stale bytes (a recycled datagram slot), it leaves the
+// prefix as it was and writes exactly the new buffer's bytes, and it
+// allocates nothing; a packet AppendTo(nil) refuses, AppendTo refuses there
+// too and returns its dst unchanged. It returns the new buffer's bytes, nil
+// for a refused packet.
 func checkAppendTo(t *testing.T, pkt codec) []byte {
 	t.Helper()
-	want, err := pkt.Marshal()
+	want, err := pkt.AppendTo(nil)
 	prefix := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x5A}
 	dst := make([]byte, len(prefix), len(prefix)+len(want)+16)
 	copy(dst, prefix)
@@ -43,7 +43,7 @@ func checkAppendTo(t *testing.T, pkt codec) []byte {
 	}
 	got, appendErr := pkt.AppendTo(dst)
 	if (err == nil) != (appendErr == nil) {
-		t.Fatalf("Marshal error %v, AppendTo error %v", err, appendErr)
+		t.Fatalf("AppendTo(nil) error %v, AppendTo error %v", err, appendErr)
 	}
 	if err != nil {
 		if !bytes.Equal(got, prefix) {
@@ -52,7 +52,7 @@ func checkAppendTo(t *testing.T, pkt codec) []byte {
 		return nil
 	}
 	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-		t.Fatalf("AppendTo after a %d-byte prefix wrote\n% x\nMarshal wrote\n% x", len(prefix), got, want)
+		t.Fatalf("AppendTo after a %d-byte prefix wrote\n% x\nAppendTo(nil) wrote\n% x", len(prefix), got, want)
 	}
 	if n := testing.AllocsPerRun(1, func() { got, _ = pkt.AppendTo(got[:len(prefix)]) }); n != 0 {
 		t.Fatalf("AppendTo into spare capacity: %.0f allocations, want 0", n)
@@ -67,7 +67,7 @@ func declaredLen(buf []byte) int {
 
 // FuzzTWCCUnmarshal feeds arbitrary bytes to the TWCC parser: it must never
 // panic, whatever it accepts must survive a marshal→unmarshal roundtrip, and
-// its AppendTo must agree with Marshal (checkAppendTo).
+// its AppendTo after a prefix must agree with AppendTo(nil) (checkAppendTo).
 func FuzzTWCCUnmarshal(f *testing.F) {
 	valid := &TWCC{
 		SenderSSRC: 0x1234, MediaSSRC: 0x5678, BaseSeq: 100, FbPktCount: 3,
@@ -206,12 +206,12 @@ func FuzzCCFBUnmarshal(f *testing.F) {
 // with Marshal.
 func FuzzNACKUnmarshal(f *testing.F) {
 	one := &NACK{SenderSSRC: 1, MediaSSRC: 0x1234, Pairs: AppendNackPairs(nil, []uint16{7})}
-	if buf, err := one.Marshal(); err == nil {
+	if buf, err := one.AppendTo(nil); err == nil {
 		fuzzSeed(f, buf)
 	}
 	many := &NACK{SenderSSRC: 0xABCD, MediaSSRC: 2,
 		Pairs: AppendNackPairs(nil, []uint16{100, 101, 105, 116, 400, 65535, 0})}
-	if buf, err := many.Marshal(); err == nil {
+	if buf, err := many.AppendTo(nil); err == nil {
 		fuzzSeed(f, buf)
 	}
 
@@ -284,19 +284,19 @@ func FuzzRTXUnwrap(f *testing.F) {
 func FuzzRTCPReports(f *testing.F) {
 	sr := &SenderReport{SSRC: 0x1234, NTPTime: 90 * time.Second, RTPTime: 81000,
 		PacketCount: 1000, OctetCount: 1_200_000}
-	if buf, err := sr.Marshal(); err == nil {
+	if buf, err := sr.AppendTo(nil); err == nil {
 		fuzzSeed(f, buf)
 	}
 	rr := &ReceiverReport{SSRC: 0x5678, Blocks: []ReportBlock{{
 		SSRC: 0x1234, FractionLost: 12, CumulativeLost: 345,
 		HighestSeq: 7000, Jitter: 90, LastSR: 0x11223344, DelaySinceLastSR: 0x100,
 	}}}
-	if buf, err := rr.Marshal(); err == nil {
+	if buf, err := rr.AppendTo(nil); err == nil {
 		fuzzSeed(f, buf)
 		f.Add(append(bytes.Clone(buf), 0xAA, 0xBB, 0xCC, 0xDD))
 	}
 	pli := &PLI{SenderSSRC: 1, MediaSSRC: 0x1234}
-	if buf, err := pli.Marshal(); err == nil {
+	if buf, err := pli.AppendTo(nil); err == nil {
 		fuzzSeed(f, buf)
 	}
 	f.Add(rrDeclaring(1, 1)) // one block announced, none declared

@@ -91,9 +91,6 @@ func (n *NACK) AppendTo(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Marshal serializes the packet into a new buffer.
-func (n *NACK) Marshal() ([]byte, error) { return n.AppendTo(nil) }
-
 // Unmarshal parses a Generic NACK feedback packet. It refills Pairs in
 // place, so a NACK unmarshalled into repeatedly stops allocating.
 func (n *NACK) Unmarshal(buf []byte) error {

@@ -38,7 +38,7 @@ func TestNACKRoundTrip(t *testing.T) {
 		MediaSSRC:  0x1234,
 		Pairs:      AppendNackPairs(nil, []uint16{10, 11, 13, 40}),
 	}
-	buf, err := n.Marshal()
+	buf, err := n.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,10 +58,6 @@ func NewPacketizer(ssrc uint32, payloadType uint8, mtu int) *Packetizer {
 	return &Packetizer{SSRC: ssrc, PayloadType: payloadType, MTU: mtu}
 }
 
-// NextTransportSeq returns the transport-wide sequence number the next
-// produced packet will carry.
-func (p *Packetizer) NextTransportSeq() uint16 { return p.tseq }
-
 // PoolStats reports the packetizer's recycled slots (see pool.go).
 func (p *Packetizer) PoolStats() PoolStats { return p.pool.stats }
 
@@ -379,6 +375,3 @@ func (d *Depacketizer) Delete(num uint32) {
 	}
 	delete(d.spill, num)
 }
-
-// Pending returns the number of frames with reassembly state.
-func (d *Depacketizer) Pending() int { return d.live + len(d.spill) }

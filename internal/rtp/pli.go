@@ -32,9 +32,6 @@ func (p *PLI) AppendTo(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Marshal serializes the packet into a new buffer.
-func (p *PLI) Marshal() ([]byte, error) { return p.AppendTo(nil) }
-
 // Unmarshal parses a picture loss indication.
 func (p *PLI) Unmarshal(buf []byte) error {
 	var h rtcpHeader

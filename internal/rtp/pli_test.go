@@ -4,7 +4,7 @@ import "testing"
 
 func TestPLIRoundTrip(t *testing.T) {
 	in := PLI{SenderSSRC: 1, MediaSSRC: 0x1234}
-	buf, err := in.Marshal()
+	buf, err := in.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,7 +15,7 @@ func TestPLIRoundTrip(t *testing.T) {
 	if err := out.Unmarshal(buf[:8]); err == nil {
 		t.Error("truncated PLI accepted")
 	}
-	nack, _ := (&NACK{MediaSSRC: 0x1234, Pairs: []NackPair{{PID: 7}}}).Marshal()
+	nack, _ := (&NACK{MediaSSRC: 0x1234, Pairs: []NackPair{{PID: 7}}}).AppendTo(nil)
 	if err := out.Unmarshal(nack); err == nil {
 		t.Error("a NACK parsed as a PLI")
 	}
@@ -26,7 +26,7 @@ func TestPLIRoundTrip(t *testing.T) {
 // its declared end parses as the PLI alone.
 func TestPLIRespectsItsLength(t *testing.T) {
 	in := PLI{SenderSSRC: 1, MediaSSRC: 0x1234}
-	buf, err := in.Marshal()
+	buf, err := in.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,10 @@ func TestPeekRTCP(t *testing.T) {
 	gen := NewCCFBGenerator(1, 2, 64)
 	gen.Record(10, 1000)
 	ccfb, _ := gen.Report(5000).Marshal()
-	nack, _ := (&NACK{Pairs: []NackPair{{PID: 7, BLP: 3}}}).Marshal()
-	pli, _ := (&PLI{}).Marshal()
-	sr, _ := (&SenderReport{}).Marshal()
-	rr, _ := (&ReceiverReport{Blocks: []ReportBlock{{}}}).Marshal()
+	nack, _ := (&NACK{Pairs: []NackPair{{PID: 7, BLP: 3}}}).AppendTo(nil)
+	pli, _ := (&PLI{}).AppendTo(nil)
+	sr, _ := (&SenderReport{}).AppendTo(nil)
+	rr, _ := (&ReceiverReport{Blocks: []ReportBlock{{}}}).AppendTo(nil)
 	for name, c := range map[string]struct {
 		buf        []byte
 		pt, format uint8

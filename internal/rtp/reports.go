@@ -46,9 +46,6 @@ func (sr *SenderReport) AppendTo(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Marshal serializes the report into a new buffer.
-func (sr *SenderReport) Marshal() ([]byte, error) { return sr.AppendTo(nil) }
-
 // Unmarshal parses a sender report. The length its header declares must
 // hold the sender info and the report blocks its count announces (which
 // are skipped).
@@ -125,9 +122,6 @@ func (rr *ReceiverReport) AppendTo(dst []byte) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// Marshal serializes the report into a new buffer.
-func (rr *ReceiverReport) Marshal() ([]byte, error) { return rr.AppendTo(nil) }
 
 // Unmarshal parses a receiver report. The length its header declares must
 // hold the report blocks its count announces. It refills Blocks in place,

@@ -15,7 +15,7 @@ func TestSenderReportRoundTrip(t *testing.T) {
 		PacketCount: 1000,
 		OctetCount:  1_000_000,
 	}
-	buf, err := sr.Marshal()
+	buf, err := sr.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSenderReportRoundTrip(t *testing.T) {
 
 func TestSenderReportRejectsWrongType(t *testing.T) {
 	rr := &ReceiverReport{SSRC: 1}
-	buf, err := rr.Marshal()
+	buf, err := rr.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestReceiverReportRoundTrip(t *testing.T) {
 			DelaySinceLastSR: 6553,
 		}},
 	}
-	buf, err := rr.Marshal()
+	buf, err := rr.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func rrDeclaring(count uint8, words uint16) []byte {
 	for i := range rr.Blocks {
 		rr.Blocks[i] = ReportBlock{SSRC: uint32(i + 1), HighestSeq: 100}
 	}
-	buf, _ := rr.Marshal()
+	buf, _ := rr.AppendTo(nil)
 	return withLength(buf, words, count)
 }
 
@@ -112,7 +112,7 @@ func TestReportsRespectTheirLength(t *testing.T) {
 		t.Errorf("a one-block RR followed by junk: %v, %d blocks", err, len(rr.Blocks))
 	}
 
-	srBuf, err := (&SenderReport{SSRC: 9, PacketCount: 3}).Marshal()
+	srBuf, err := (&SenderReport{SSRC: 9, PacketCount: 3}).AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestReportsRespectTheirLength(t *testing.T) {
 
 func TestReceiverReportBlockLimit(t *testing.T) {
 	rr := &ReceiverReport{Blocks: make([]ReportBlock, 32)}
-	if _, err := rr.Marshal(); err == nil {
+	if _, err := rr.AppendTo(nil); err == nil {
 		t.Error("32 blocks should be rejected")
 	}
 }
@@ -236,7 +236,7 @@ func TestPropertyReceiverReportRoundTrip(t *testing.T) {
 				DelaySinceLastSR: dlsr,
 			})
 		}
-		buf, err := rr.Marshal()
+		buf, err := rr.AppendTo(nil)
 		if err != nil {
 			return false
 		}

@@ -86,8 +86,8 @@ func TestDepacketizerReuseStartsEmpty(t *testing.T) {
 
 	next, fresh := NewDepacketizer(), NewDepacketizer()
 	next.Reuse(&b)
-	if next.Pending() != 0 || next.Frame(0) != nil || len(next.ring) != grown {
-		t.Fatalf("after Reuse: %d pending, %d slots (predecessor's %d)", next.Pending(), len(next.ring), grown)
+	if (next.live+len(next.spill)) != 0 || next.Frame(0) != nil || len(next.ring) != grown {
+		t.Fatalf("after Reuse: %d pending, %d slots (predecessor's %d)", next.live+len(next.spill), len(next.ring), grown)
 	}
 	for n := uint32(0); n < 300; n++ {
 		for i := uint16(0); i < 3; i += 1 + uint16(n%2) {
@@ -104,8 +104,8 @@ func TestDepacketizerReuseStartsEmpty(t *testing.T) {
 			fresh.Delete(n - 3)
 		}
 	}
-	if next.Pending() != fresh.Pending() {
-		t.Errorf("%d pending, fresh %d", next.Pending(), fresh.Pending())
+	if next.live+len(next.spill) != fresh.live+len(fresh.spill) {
+		t.Errorf("%d pending, fresh %d", next.live+len(next.spill), fresh.live+len(fresh.spill))
 	}
 }
 

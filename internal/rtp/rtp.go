@@ -80,15 +80,6 @@ func (h *Header) MarshalSize() int {
 	return HeaderSize + 4*len(h.CSRC) + h.extensionWireLen()
 }
 
-// Marshal serializes the header.
-func (h *Header) Marshal() ([]byte, error) {
-	buf := make([]byte, h.MarshalSize())
-	if _, err := h.MarshalTo(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // MarshalTo serializes the header into buf, returning the bytes written.
 func (h *Header) MarshalTo(buf []byte) (int, error) {
 	size := h.MarshalSize()
@@ -206,9 +197,9 @@ func (h *Header) Unmarshal(buf []byte) (int, error) {
 	return off, nil
 }
 
-// SetTransportSeq attaches (or replaces) the transport-wide sequence number
+// setTransportSeq attaches (or replaces) the transport-wide sequence number
 // extension.
-func (h *Header) SetTransportSeq(seq uint16) {
+func (h *Header) setTransportSeq(seq uint16) {
 	var payload [2]byte
 	binary.BigEndian.PutUint16(payload[:], seq)
 	for i := range h.Extensions {

@@ -19,8 +19,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 		SSRC:           0xCAFEBABE,
 		CSRC:           []uint32{1, 2, 3},
 	}
-	h.SetTransportSeq(777)
-	buf, err := h.Marshal()
+	h.setTransportSeq(777)
+	buf, err := marshalHeader(&h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestHeaderNoExtensions(t *testing.T) {
 	h := Header{PayloadType: 96, SequenceNumber: 1, SSRC: 9}
-	buf, err := h.Marshal()
+	buf, err := marshalHeader(&h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +63,8 @@ func TestHeaderNoExtensions(t *testing.T) {
 
 func TestSetTransportSeqReplaces(t *testing.T) {
 	var h Header
-	h.SetTransportSeq(1)
-	h.SetTransportSeq(2)
+	h.setTransportSeq(1)
+	h.setTransportSeq(2)
 	if len(h.Extensions) != 1 {
 		t.Fatalf("got %d extensions, want 1", len(h.Extensions))
 	}
@@ -91,8 +91,8 @@ func TestHeaderShort(t *testing.T) {
 
 func TestHeaderTruncatedExtension(t *testing.T) {
 	h := Header{PayloadType: 96}
-	h.SetTransportSeq(1)
-	buf, err := h.Marshal()
+	h.setTransportSeq(1)
+	buf, err := marshalHeader(&h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,22 +104,22 @@ func TestHeaderTruncatedExtension(t *testing.T) {
 
 func TestExtensionValidation(t *testing.T) {
 	h := Header{Extensions: []Extension{{ID: 15, Payload: []byte{1}}}}
-	if _, err := h.Marshal(); err == nil {
+	if _, err := marshalHeader(&h); err == nil {
 		t.Error("extension id 15 should be rejected")
 	}
 	h = Header{Extensions: []Extension{{ID: 1, Payload: nil}}}
-	if _, err := h.Marshal(); err == nil {
+	if _, err := marshalHeader(&h); err == nil {
 		t.Error("empty extension payload should be rejected")
 	}
 	h = Header{Extensions: []Extension{{ID: 1, Payload: make([]byte, 17)}}}
-	if _, err := h.Marshal(); err == nil {
+	if _, err := marshalHeader(&h); err == nil {
 		t.Error("17-byte extension payload should be rejected")
 	}
 }
 
 func TestTooManyCSRCs(t *testing.T) {
 	h := Header{CSRC: make([]uint32, 16)}
-	if _, err := h.Marshal(); err == nil {
+	if _, err := marshalHeader(&h); err == nil {
 		t.Error("16 CSRCs should be rejected")
 	}
 }
@@ -184,7 +184,7 @@ func TestPacketPadTooLarge(t *testing.T) {
 
 func TestPacketInvalidPadCount(t *testing.T) {
 	h := Header{Padding: true, PayloadType: 96}
-	buf, err := h.Marshal()
+	buf, err := marshalHeader(&h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +205,8 @@ func TestPropertyHeaderRoundTrip(t *testing.T) {
 			Timestamp:      ts,
 			SSRC:           ssrc,
 		}
-		h.SetTransportSeq(tseq)
-		buf, err := h.Marshal()
+		h.setTransportSeq(tseq)
+		buf, err := marshalHeader(&h)
 		if err != nil {
 			return false
 		}
@@ -324,8 +324,8 @@ func TestPacketizerSeqsAdvanceTogether(t *testing.T) {
 			want++
 			sent++
 		}
-		if p.NextTransportSeq() != want {
-			t.Fatalf("after frame %d NextTransportSeq is %d, want %d", num, p.NextTransportSeq(), want)
+		if p.tseq != want {
+			t.Fatalf("after frame %d the next transport sequence is %d, want %d", num, p.tseq, want)
 		}
 	}
 }
@@ -379,8 +379,8 @@ func TestDepacketizerReassembly(t *testing.T) {
 		t.Errorf("LossFraction = %v", fs.LossFraction())
 	}
 	d.Delete(3)
-	if d.Pending() != 0 {
-		t.Errorf("Pending = %d after Delete", d.Pending())
+	if d.live+len(d.spill) != 0 {
+		t.Errorf("Pending = %d after Delete", d.live+len(d.spill))
 	}
 }
 
@@ -535,4 +535,13 @@ func TestPacketizeAllocations(t *testing.T) {
 	if st := p.PoolStats(); st.Live != 0 || st.Slots > st.PeakLive+PoolBlock {
 		t.Errorf("pool %+v: want no live packet and at most the peak plus one block of slots", st)
 	}
+}
+
+// marshalHeader serializes h into a new buffer.
+func marshalHeader(h *Header) ([]byte, error) {
+	buf := make([]byte, h.MarshalSize())
+	if _, err := h.MarshalTo(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }

@@ -63,7 +63,7 @@ func TestOnFeedbackSteadyStateAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(500, l.step); n != 0 {
 		t.Errorf("OnPacketSent+OnFeedback allocate %.2f times per reporting interval, want 0", n)
 	}
-	if l.c.Losses != 0 || l.c.BytesInFlight() != 0 {
-		t.Errorf("load is not the clean steady state it claims: %d losses, %d bytes in flight", l.c.Losses, l.c.BytesInFlight())
+	if l.c.Losses != 0 || l.c.bytesInFlight != 0 {
+		t.Errorf("load is not the clean steady state it claims: %d losses, %d bytes in flight", l.c.Losses, l.c.bytesInFlight)
 	}
 }

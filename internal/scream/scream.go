@@ -259,18 +259,6 @@ func (c *Controller) CanSend(now time.Duration, size int) bool {
 	return float64(c.bytesInFlight+size) <= 1.25*c.cwnd
 }
 
-// CWND returns the congestion window in bytes (for traces and tests).
-func (c *Controller) CWND() float64 { return c.cwnd }
-
-// BytesInFlight returns the unacknowledged bytes.
-func (c *Controller) BytesInFlight() int { return c.bytesInFlight }
-
-// QDelay returns the smoothed queuing-delay estimate.
-func (c *Controller) QDelay() time.Duration { return c.qdelay }
-
-// SRTT returns the smoothed round-trip estimate.
-func (c *Controller) SRTT() time.Duration { return c.srtt }
-
 // OnPacketSent implements cc.Controller.
 func (c *Controller) OnPacketSent(p cc.SentPacket) {
 	if c.inflight.Len() == 0 || seqLess(p.Seq, c.oldest) {

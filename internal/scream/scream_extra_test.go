@@ -19,12 +19,12 @@ func TestOverlappingReportsAckOnce(t *testing.T) {
 	// Two overlapping reports covering the same packets: the second must
 	// not double-release bytes in flight.
 	c.OnFeedback(60*time.Millisecond, feedbackFor(0, 10, sendTimes, 50*time.Millisecond))
-	if c.BytesInFlight() != 0 {
-		t.Fatalf("bytes in flight = %d after full ack", c.BytesInFlight())
+	if c.bytesInFlight != 0 {
+		t.Fatalf("bytes in flight = %d after full ack", c.bytesInFlight)
 	}
 	c.OnFeedback(70*time.Millisecond, feedbackFor(0, 10, sendTimes, 50*time.Millisecond))
-	if c.BytesInFlight() != 0 {
-		t.Errorf("bytes in flight = %d after duplicate ack", c.BytesInFlight())
+	if c.bytesInFlight != 0 {
+		t.Errorf("bytes in flight = %d after duplicate ack", c.bytesInFlight)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestRateHeadroomKeepsTargetBelowWindow(t *testing.T) {
 	// Drive a long clean closed loop and verify the target stays below
 	// what the window converts to.
 	rngRun(c, t)
-	cwndRate := c.CWND() * 8 / c.boundedSRTT().Seconds()
+	cwndRate := c.cwnd * 8 / c.boundedSRTT().Seconds()
 	if c.TargetBitrate(0) > cwndRate {
 		t.Errorf("target %v above cwnd rate %v", c.TargetBitrate(0), cwndRate)
 	}
@@ -167,7 +167,7 @@ func TestControllerReuseMatchesFresh(t *testing.T) {
 				}
 			}
 			c.OnFeedback(now+60*time.Millisecond, acks)
-			out = append(out, state{c.CWND(), c.TargetBitrate(now), c.BytesInFlight(), c.Losses,
+			out = append(out, state{c.cwnd, c.TargetBitrate(now), c.bytesInFlight, c.Losses,
 				c.LossesWindow, c.LossesInBand, c.inflight.Len()})
 		}
 		return out

@@ -45,8 +45,8 @@ func TestSelfClocking(t *testing.T) {
 			t.Fatal("window never filled")
 		}
 	}
-	if float64(c.BytesInFlight()) > 1.25*c.CWND()+1200 {
-		t.Errorf("bytes in flight %d exceed the 1.25×cwnd burst margin (%.0f)", c.BytesInFlight(), c.CWND())
+	if float64(c.bytesInFlight) > 1.25*c.cwnd+1200 {
+		t.Errorf("bytes in flight %d exceed the 1.25×cwnd burst margin (%.0f)", c.bytesInFlight, c.cwnd)
 	}
 	if n < 2 {
 		t.Errorf("window admits only %d packets", n)
@@ -79,16 +79,16 @@ func TestAckReleasesWindow(t *testing.T) {
 		c.OnPacketSent(cc.SentPacket{Seq: uint16(i), Size: 1200, SendTime: st})
 		sendTimes[uint16(i)] = st
 	}
-	before := c.BytesInFlight()
+	before := c.bytesInFlight
 	c.OnFeedback(70*time.Millisecond, feedbackFor(0, 5, sendTimes, 50*time.Millisecond))
-	if c.BytesInFlight() != before-5*1200 {
-		t.Errorf("bytes in flight = %d, want %d", c.BytesInFlight(), before-5*1200)
+	if c.bytesInFlight != before-5*1200 {
+		t.Errorf("bytes in flight = %d, want %d", c.bytesInFlight, before-5*1200)
 	}
 }
 
 func TestCWNDGrowsWhenBelowQDelayTarget(t *testing.T) {
 	c := New(Config{})
-	cw0 := c.CWND()
+	cw0 := c.cwnd
 	now := time.Duration(0)
 	seq := uint16(0)
 	for round := 0; round < 100; round++ {
@@ -106,8 +106,8 @@ func TestCWNDGrowsWhenBelowQDelayTarget(t *testing.T) {
 		now += 50 * time.Millisecond
 		c.OnFeedback(now, feedbackFor(begin, len(sendTimes), sendTimes, 40*time.Millisecond))
 	}
-	if c.CWND() <= cw0 {
-		t.Errorf("cwnd did not grow: %.0f → %.0f", cw0, c.CWND())
+	if c.cwnd <= cw0 {
+		t.Errorf("cwnd did not grow: %.0f → %.0f", cw0, c.cwnd)
 	}
 }
 
@@ -127,7 +127,7 @@ func TestCWNDShrinksOnLoss(t *testing.T) {
 	if c.Losses != 0 {
 		t.Fatalf("fresh hole declared lost immediately (losses=%d)", c.Losses)
 	}
-	cw0 := c.CWND()
+	cw0 := c.cwnd
 	// A newer packet far beyond the hole gets acked, and the hole has aged
 	// past the guard: now it is a loss.
 	c.OnPacketSent(cc.SentPacket{Seq: 30, Size: 1200, SendTime: 250 * time.Millisecond})
@@ -138,11 +138,11 @@ func TestCWNDShrinksOnLoss(t *testing.T) {
 	if c.Losses != 1 {
 		t.Errorf("Losses = %d, want 1", c.Losses)
 	}
-	if c.CWND() >= cw0 {
-		t.Errorf("cwnd did not shrink on loss: %.0f → %.0f", cw0, c.CWND())
+	if c.cwnd >= cw0 {
+		t.Errorf("cwnd did not shrink on loss: %.0f → %.0f", cw0, c.cwnd)
 	}
-	if c.BytesInFlight() != 0 {
-		t.Errorf("lost packet still counted in flight: %d", c.BytesInFlight())
+	if c.bytesInFlight != 0 {
+		t.Errorf("lost packet still counted in flight: %d", c.bytesInFlight)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestSpuriousLossFromAckWindow(t *testing.T) {
 		t.Errorf("spurious losses = %d, want 36", c.Losses)
 	}
 	target0 := c.TargetBitrate(0)
-	if target0 >= 2e6*1.01 && c.CWND() >= New(Config{}).CWND() {
+	if target0 >= 2e6*1.01 && c.cwnd >= New(Config{}).cwnd {
 		t.Error("spurious loss should reduce window or rate")
 	}
 }
@@ -176,16 +176,16 @@ func TestQDelayEstimateSubtractsBase(t *testing.T) {
 		now += 10 * time.Millisecond
 		c.updateOWD(now, now-80*time.Millisecond, now)
 	}
-	if c.QDelay() > 5*time.Millisecond {
-		t.Errorf("qdelay = %v for constant OWD, want ≈0", c.QDelay())
+	if c.qdelay > 5*time.Millisecond {
+		t.Errorf("qdelay = %v for constant OWD, want ≈0", c.qdelay)
 	}
 	// Then the delay rises by 100 ms: queuing delay should follow.
 	for i := 0; i < 100; i++ {
 		now += 10 * time.Millisecond
 		c.updateOWD(now, now-180*time.Millisecond, now)
 	}
-	if c.QDelay() < 50*time.Millisecond {
-		t.Errorf("qdelay = %v after +100 ms step, want > 50 ms", c.QDelay())
+	if c.qdelay < 50*time.Millisecond {
+		t.Errorf("qdelay = %v after +100 ms step, want > 50 ms", c.qdelay)
 	}
 }
 
@@ -380,7 +380,7 @@ func TestPropertyInvariants(t *testing.T) {
 			if math.IsNaN(tb) || tb < 2e6-1 || tb > 25e6+1 {
 				return false
 			}
-			if c.CWND() < float64(2*1200) || c.BytesInFlight() < 0 {
+			if c.cwnd < float64(2*1200) || c.bytesInFlight < 0 {
 				return false
 			}
 		}

@@ -109,7 +109,7 @@ func randomProgram(t *testing.T, seed int64, reserved bool) (fired []firing, sch
 				}
 			}
 			if rng.Intn(20) == 0 {
-				s.Stop()
+				s.stop()
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func randomProgram(t *testing.T, seed int64, reserved bool) (fired []firing, sch
 	}
 
 	drv := rand.New(rand.NewSource(seed + 1))
-	for rounds := 0; s.Pending() > 0; rounds++ {
+	for rounds := 0; len(s.events) > 0; rounds++ {
 		if rounds > 10_000 {
 			t.Fatalf("seed %d: program does not drain", seed)
 		}
@@ -220,8 +220,8 @@ func TestAtReservedRejectsBadNumbers(t *testing.T) {
 	for _, seq := range []uint64{a, b, c} {
 		mustPanic(t, "a second use with none outstanding", func() { s.AtReserved(time.Millisecond, seq, nop) })
 	}
-	if s.Pending() != 5 || s.Scheduled() != 5 {
-		t.Errorf("Pending %d, Scheduled %d after five good schedules, want 5 and 5", s.Pending(), s.Scheduled())
+	if len(s.events) != 5 || s.Scheduled() != 5 {
+		t.Errorf("pending %d, Scheduled %d after five good schedules, want 5 and 5", len(s.events), s.Scheduled())
 	}
 }
 
@@ -264,7 +264,7 @@ func TestSeqRingAgainstSet(t *testing.T) {
 func TestRunUntilStoppedKeepsClock(t *testing.T) {
 	s := New(1)
 	var firedAt time.Duration
-	s.At(time.Second, s.Stop)
+	s.At(time.Second, s.stop)
 	s.At(2*time.Second, func() { firedAt = s.Now() })
 	s.RunUntil(10 * time.Second)
 	if s.Now() != time.Second {
@@ -341,7 +341,7 @@ func TestArrivalLoadSteadyState(t *testing.T) {
 		if reserved {
 			want = 17 + 1
 		}
-		if got := l.s.Pending(); got != want {
+		if got := len(l.s.events); got != want {
 			t.Errorf("reserved=%v: %d events pending, want %d", reserved, got, want)
 		}
 		if l.arrived == 0 || l.ticks == 0 {

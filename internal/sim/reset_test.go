@@ -100,9 +100,9 @@ func TestResetStartsOver(t *testing.T) {
 	s.Reserve()
 	s.RunUntil(10 * time.Second) // leaves timers pending and one reservation open
 	s.Reset(1)
-	if s.Now() != 0 || s.Pending() != 0 || s.Scheduled() != 0 || s.TimerHighWater() != 0 || s.Seed() != 1 {
+	if s.Now() != 0 || len(s.events) != 0 || s.Scheduled() != 0 || s.TimerHighWater() != 0 || s.seed != 1 {
 		t.Fatalf("after Reset: now %v, pending %d, scheduled %d, timers %d, seed %d",
-			s.Now(), s.Pending(), s.Scheduled(), s.TimerHighWater(), s.Seed())
+			s.Now(), len(s.events), s.Scheduled(), s.TimerHighWater(), s.seed)
 	}
 	var got []int
 	schedule(s, &got)

@@ -125,9 +125,9 @@ func (r *scheduleRun) arg() int {
 func (r *scheduleRun) check(what string) {
 	r.t.Helper()
 	s, o := r.s, &r.o
-	if s.Now() != o.now || s.Pending() != o.armed() || s.Scheduled() != o.seq || s.TimerHighWater() != o.peak {
+	if s.Now() != o.now || len(s.events) != o.armed() || s.Scheduled() != o.seq || s.TimerHighWater() != o.peak {
 		r.t.Fatalf("after %s: now %v, pending %d, scheduled %d, timers %d; oracle %v, %d, %d, %d",
-			what, s.Now(), s.Pending(), s.Scheduled(), s.TimerHighWater(), o.now, o.armed(), o.seq, o.peak)
+			what, s.Now(), len(s.events), s.Scheduled(), s.TimerHighWater(), o.now, o.armed(), o.seq, o.peak)
 	}
 }
 
@@ -263,8 +263,8 @@ func (r *scheduleRun) stopPlain(pick int) {
 		if tm, ok := r.plain[id]; ok {
 			delete(r.plain, id)
 			tm.Stop()
-			if !tm.Stopped() {
-				r.t.Fatal("a stopped pending timer reads as not Stopped")
+			if !tm.stopped {
+				r.t.Fatal("a stopped pending timer reads as not stopped")
 			}
 			r.o.remove(id)
 			r.stale = tm
@@ -277,10 +277,10 @@ func (r *scheduleRun) stopStale() {
 	if r.stale == nil {
 		return
 	}
-	was := r.stale.Stopped()
+	was := r.stale.stopped
 	r.stale.Stop()
-	if r.stale.Stopped() != was {
-		r.t.Fatalf("Stop on a recycled handle changed Stopped from %v", was)
+	if r.stale.stopped != was {
+		r.t.Fatalf("Stop on a recycled handle changed stopped from %v", was)
 	}
 }
 
@@ -304,8 +304,8 @@ func (r *scheduleRun) act(self *Timer, ft *fuzzTask) {
 	case 4: // stop the event running now
 		if self != nil {
 			self.Stop()
-			if !self.Stopped() {
-				r.t.Fatal("a timer stopped from its own callback reads as not Stopped")
+			if !self.stopped {
+				r.t.Fatal("a timer stopped from its own callback reads as not stopped")
 			}
 		} else if ft != nil {
 			r.stopTask(ft)
@@ -317,7 +317,7 @@ func (r *scheduleRun) act(self *Timer, ft *fuzzTask) {
 	case 6:
 		r.stopStale()
 	case 7:
-		r.s.Stop()
+		r.s.stop()
 		r.halted = true
 	}
 	r.check("a callback's action")

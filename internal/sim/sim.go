@@ -56,8 +56,8 @@ type Timer struct {
 // Stop cancels the timer. It is safe to call multiple times and after the
 // timer has fired (as long as the handle has not been recycled, see the type
 // comment). A pending timer leaves the pending set immediately, so cancelled
-// events neither occupy it nor count toward Pending; a timer stopped from
-// its own callback reads as Stopped until it is recycled.
+// events never occupy it; a timer stopped from its own callback keeps its
+// stopped flag until it is recycled.
 func (t *Timer) Stop() {
 	if t == nil || t.state == timerFree {
 		return
@@ -68,12 +68,6 @@ func (t *Timer) Stop() {
 		t.owner.release(t)
 	}
 }
-
-// Stopped reports whether Stop was called.
-func (t *Timer) Stopped() bool { return t != nil && t.stopped }
-
-// When returns the virtual time the timer is scheduled for.
-func (t *Timer) When() time.Duration { return t.at }
 
 // entry is one pending event. The ordering key (at, seq) is stored inline
 // so comparisons touch only the contiguous pending slice — no pointer chase
@@ -149,9 +143,6 @@ func (s *Simulator) Reset(seed int64) {
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
-
-// Seed returns the master seed the simulator was created with.
-func (s *Simulator) Seed() int64 { return s.seed }
 
 // Stream returns a deterministic random stream identified by name. The same
 // (seed, name) pair always yields the same sequence, independent of the order
@@ -279,7 +270,7 @@ func (s *Simulator) After(d time.Duration, fn func()) *Timer {
 
 // release returns a timer to the free list. The caller must have detached it
 // from the pending set already. The stopped flag survives until the handle
-// is reused, so Stopped() keeps answering truthfully on a stale handle.
+// is reused, so it keeps answering truthfully on a stale handle.
 func (s *Simulator) release(t *Timer) {
 	t.fn = nil
 	t.state = timerFree
@@ -339,12 +330,8 @@ func (s *Simulator) Every(start, interval time.Duration, fn func()) *Task {
 	return t
 }
 
-// Stop halts Run/RunUntil after the currently executing event returns.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Pending returns the number of live scheduled events. Stopped timers leave
-// the pending set immediately, so they are never counted.
-func (s *Simulator) Pending() int { return len(s.events) }
+// stop halts Run/RunUntil after the currently executing event returns.
+func (s *Simulator) stop() { s.stopped = true }
 
 // Scheduled returns how many events have been scheduled since New — fired,
 // stopped, still pending, and reserved but not yet pushed alike. It is a pure
@@ -374,7 +361,7 @@ func (s *Simulator) step(limit time.Duration, bounded bool) bool {
 	return true
 }
 
-// Run executes events until none remain or Stop is called.
+// Run executes events until none remain or stop is called.
 func (s *Simulator) Run() {
 	if s.running {
 		panic("sim: Run re-entered")
@@ -387,7 +374,7 @@ func (s *Simulator) Run() {
 }
 
 // RunUntil executes events with timestamps ≤ t, then advances the clock to
-// t. Events scheduled after t remain pending. When Stop halts it, events ≤ t
+// t. Events scheduled after t remain pending. When stop halts it, events ≤ t
 // may remain too, so the clock stays at the last event run: the next Run or
 // RunUntil must not find pending events in its past.
 func (s *Simulator) RunUntil(t time.Duration) {

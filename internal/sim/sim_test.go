@@ -72,8 +72,8 @@ func TestTimerStop(t *testing.T) {
 	if fired {
 		t.Error("stopped timer fired")
 	}
-	if !timer.Stopped() {
-		t.Error("Stopped() = false after Stop")
+	if !timer.stopped {
+		t.Error("stopped = false after Stop")
 	}
 }
 
@@ -91,8 +91,8 @@ func TestRunUntilLeavesLaterEventsPending(t *testing.T) {
 	if s.Now() != 12*time.Millisecond {
 		t.Errorf("Now() = %v, want 12ms", s.Now())
 	}
-	if s.Pending() != 2 {
-		t.Errorf("Pending() = %d, want 2", s.Pending())
+	if len(s.events) != 2 {
+		t.Errorf("pending = %d, want 2", len(s.events))
 	}
 	s.Run()
 	if len(fired) != 4 {
@@ -106,7 +106,7 @@ func TestEveryFiresPeriodically(t *testing.T) {
 	task := s.Every(10*time.Millisecond, 20*time.Millisecond, func() {
 		times = append(times, s.Now())
 		if len(times) == 3 {
-			s.Stop()
+			s.stop()
 		}
 	})
 	s.Run()
@@ -175,7 +175,7 @@ func TestStopHaltsRun(t *testing.T) {
 	s.Every(0, time.Millisecond, func() {
 		n++
 		if n == 5 {
-			s.Stop()
+			s.stop()
 		}
 	})
 	s.Run()

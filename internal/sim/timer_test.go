@@ -16,24 +16,24 @@ func TestStoppedTimersLeaveHeap(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		timers = append(timers, s.At(time.Duration(i+1)*time.Millisecond, func() {}))
 	}
-	if s.Pending() != 100 {
-		t.Fatalf("Pending = %d, want 100", s.Pending())
+	if len(s.events) != 100 {
+		t.Fatalf("pending = %d, want 100", len(s.events))
 	}
 	// Stop every other timer, to hit every region of the pending set.
 	stopped := 0
 	for i := 0; i < len(timers); i += 2 {
 		timers[i].Stop()
 		stopped++
-		if !timers[i].Stopped() {
+		if !timers[i].stopped {
 			t.Fatalf("timer %d not Stopped after Stop", i)
 		}
 	}
-	if got := s.Pending(); got != 100-stopped {
-		t.Fatalf("Pending = %d after stopping %d, want %d", got, stopped, 100-stopped)
+	if got := len(s.events); got != 100-stopped {
+		t.Fatalf("pending = %d after stopping %d, want %d", got, stopped, 100-stopped)
 	}
 	s.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after Run", s.Pending())
+	if len(s.events) != 0 {
+		t.Fatalf("pending = %d after Run", len(s.events))
 	}
 }
 
@@ -73,8 +73,8 @@ func TestStopRandomizedAgainstOracle(t *testing.T) {
 				live++
 			}
 		}
-		if s.Pending() != live {
-			t.Fatalf("trial %d: Pending = %d, want %d live", trial, s.Pending(), live)
+		if len(s.events) != live {
+			t.Fatalf("trial %d: Pending = %d, want %d live", trial, len(s.events), live)
 		}
 		s.Run()
 		// Oracle order: stable sort by at (seq order is insertion order,
@@ -105,7 +105,7 @@ func TestTimerPoolReuse(t *testing.T) {
 	s := New(1)
 	t1 := s.At(time.Millisecond, func() {})
 	s.Run()
-	if t1.Stopped() {
+	if t1.stopped {
 		t.Fatal("fired timer reads as stopped")
 	}
 	t2 := s.At(2*time.Millisecond, func() {})
@@ -113,7 +113,7 @@ func TestTimerPoolReuse(t *testing.T) {
 		t.Fatalf("expected the fired timer to be recycled (pool broken)")
 	}
 	t2.Stop()
-	if !t2.Stopped() {
+	if !t2.stopped {
 		t.Fatal("Stopped() = false after Stop on recycled timer")
 	}
 	// The stopped flag must be cleared again on the next reuse.
@@ -121,7 +121,7 @@ func TestTimerPoolReuse(t *testing.T) {
 	if t3 != t2 {
 		t.Fatal("expected the stopped timer to be recycled")
 	}
-	if t3.Stopped() {
+	if t3.stopped {
 		t.Fatal("recycled timer inherited the stopped flag")
 	}
 	s.Run()

@@ -92,16 +92,10 @@ func (e *Encoder) SetTarget(bitsPerSecond float64) {
 	e.clamp()
 }
 
-// Target returns the currently requested rate.
-func (e *Encoder) Target() float64 { return e.target }
-
 // ForceKeyframe makes the next encoded frame an I-frame and restarts the
 // GOP phase — the encoder's response to a PLI-style keyframe request after
 // the receiver lost decodable continuity.
 func (e *Encoder) ForceKeyframe() { e.forceKey = true }
-
-// Rate returns the effective (lagged) encoder rate.
-func (e *Encoder) Rate() float64 { return e.rate }
 
 // NextFrame encodes the next frame at time now. Callers invoke it once per
 // frame interval.

@@ -13,8 +13,6 @@ import (
 // buffer plus the playback-rate adaptation the paper describes in §4.2.2
 // and Appendix A.4.
 type PlayerConfig struct {
-	// FPS is the nominal playback rate (30).
-	FPS int
 	// JitterBuffer is the rtpjitterbuffer latency: a frame becomes due
 	// this long after its first packet arrives (150 ms in the campaign).
 	JitterBuffer time.Duration
@@ -41,6 +39,8 @@ type PlayerConfig struct {
 }
 
 const (
+	// PlaybackFPS is the nominal playback rate.
+	PlaybackFPS = 30
 	// stallThreshold classifies an inter-frame playback gap as a stall
 	// (≈300 ms, the RP latency requirement).
 	stallThreshold = 300 * time.Millisecond
@@ -71,10 +71,7 @@ const errorPropagationSSIM = 0.6
 
 // DefaultPlayerConfig returns the campaign player parameters.
 func DefaultPlayerConfig() PlayerConfig {
-	return PlayerConfig{
-		FPS:          30,
-		JitterBuffer: 150 * time.Millisecond,
-	}
+	return PlayerConfig{JitterBuffer: 150 * time.Millisecond}
 }
 
 // PlayedFrame is one frame that reached the screen (or failed to).
@@ -189,7 +186,9 @@ func NewPlayer(s *sim.Simulator, cfg PlayerConfig, ssim *SSIMModel, encoding fun
 func (p *Player) Reuse(b *Buffers) { p.depkt.Reuse(&b.rtp) }
 
 // RecordInto has the player fill latency and ssim, in place of sketches
-// of its own, with the distributions LatencySketch and SSIMSketch return.
+// of its own, with its playback-latency distribution over played frames in
+// milliseconds (Fig. 7c) and its SSIM distribution over all frames, skipped
+// ones scoring 0 (Fig. 7b).
 // Call it on a new player, before its first packet.
 func (p *Player) RecordInto(latency, ssim *metrics.Sketch) {
 	p.latencies, p.scores = latency, ssim
@@ -467,7 +466,7 @@ func (p *Player) record(pf PlayedFrame, now time.Duration) {
 // the buffer is starved and catching back up when it is comfortable.
 func (p *Player) advance(now time.Duration) {
 	p.nextPlay++
-	interval := time.Second / time.Duration(p.cfg.FPS)
+	interval := time.Second / PlaybackFPS
 	ahead := p.bufferedAhead()
 	factor := 1.0
 	switch {
@@ -505,16 +504,6 @@ func (p *Player) AddFPS(d *metrics.Sketch, span time.Duration) {
 		d.Add(float64(p.fpsBins[s]))
 	}
 }
-
-// LatencySketch returns the playback-latency distribution over played
-// frames in milliseconds (Fig. 7c's metric): the player's own, or the one
-// RecordInto named, still filling while the player runs.
-func (p *Player) LatencySketch() *metrics.Sketch { return p.latencies }
-
-// SSIMSketch returns the SSIM distribution over all frames, skipped ones
-// scoring 0 (Fig. 7b's metric): the player's own, or the one RecordInto
-// named, still filling while the player runs.
-func (p *Player) SSIMSketch() *metrics.Sketch { return p.scores }
 
 // StallsPerMinute returns the stall rate over the given span (§4.2.1).
 func (p *Player) StallsPerMinute(span time.Duration) float64 {

@@ -215,9 +215,6 @@ func (s *Sender) WrapRTX(orig *rtp.Packet, ssrc uint32, payloadType uint8, seq u
 	return s.pkt.WrapRTX(orig, ssrc, payloadType, seq)
 }
 
-// Encoder exposes the encoder (for traces).
-func (s *Sender) Encoder() *Encoder { return s.enc }
-
 // ForceKeyframe asks the encoder to restart the GOP with an I-frame on the
 // next tick — the sender's handling of a receiver keyframe request.
 func (s *Sender) ForceKeyframe() { s.enc.ForceKeyframe() }
@@ -225,9 +222,6 @@ func (s *Sender) ForceKeyframe() { s.enc.ForceKeyframe() }
 // Queue returns the RTP send queue between the encoder and the pacer, for a
 // controller that steers on it (SCReAM's SetQueue).
 func (s *Sender) Queue() *cc.SendQueue { return &s.queue }
-
-// QueueDelay returns the current send-queue head age.
-func (s *Sender) QueueDelay() time.Duration { return s.queue.Delay(s.sim.Now()) }
 
 // Start begins the frame clock. The sender runs until Stop.
 func (s *Sender) Start() {

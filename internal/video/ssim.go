@@ -89,6 +89,3 @@ func (m *SSIMModel) Skip() float64 {
 	}
 	return 0
 }
-
-// Damage exposes the current propagated damage (for tests).
-func (m *SSIMModel) Damage() float64 { return m.damage }

@@ -82,12 +82,12 @@ func TestEncoderClampsTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	e := NewEncoder(DefaultEncoderConfig(), 8e6, rng)
 	e.SetTarget(100e6)
-	if e.Target() != 25e6 {
-		t.Errorf("target clamped to %v, want 25e6", e.Target())
+	if e.target != 25e6 {
+		t.Errorf("target clamped to %v, want 25e6", e.target)
 	}
 	e.SetTarget(0)
-	if e.Target() != 2e6 {
-		t.Errorf("target clamped to %v, want 2e6", e.Target())
+	if e.target != 2e6 {
+		t.Errorf("target clamped to %v, want 2e6", e.target)
 	}
 }
 
@@ -135,8 +135,8 @@ func TestSSIMSkipScoresZero(t *testing.T) {
 	if got := m.Skip(); got != 0 {
 		t.Errorf("Skip = %v, want 0", got)
 	}
-	if m.Damage() < 0.5 {
-		t.Errorf("skip should damage the reference chain, damage = %v", m.Damage())
+	if m.damage < 0.5 {
+		t.Errorf("skip should damage the reference chain, damage = %v", m.damage)
 	}
 }
 
@@ -191,7 +191,7 @@ func TestEndToEndCleanPath(t *testing.T) {
 	if fps.Median() < 29 || fps.Median() > 31 {
 		t.Errorf("median FPS = %v, want 30", fps.Median())
 	}
-	lat := pl.LatencySketch()
+	lat := pl.latencies
 	// 50 ms path + 150 ms jitter buffer + pacing slack.
 	if lat.Median() < 180 || lat.Median() > 300 {
 		t.Errorf("median playback latency = %.0f ms, want ≈200–250", lat.Median())
@@ -199,7 +199,7 @@ func TestEndToEndCleanPath(t *testing.T) {
 	if got := pl.StallsPerMinute(span); got != 0 {
 		t.Errorf("stall rate on a clean path = %v/min", got)
 	}
-	ssim := pl.SSIMSketch()
+	ssim := pl.scores
 	if ssim.Quantile(0.05) < 0.80 {
 		t.Errorf("P5 SSIM = %v on a clean 8 Mbps path", ssim.Quantile(0.05))
 	}
@@ -247,7 +247,7 @@ func TestPacketLossDamagesOrSkipsFrames(t *testing.T) {
 	if drops == 0 {
 		t.Fatal("filter dropped nothing")
 	}
-	ssim := pl.SSIMSketch()
+	ssim := pl.scores
 	clean := DefaultSSIMModel().Score(8e6, 1, 0, true)
 	if ssim.Quantile(0.25) >= clean {
 		t.Errorf("Q1 SSIM %v shows no loss damage (clean = %v)", ssim.Quantile(0.25), clean)
@@ -314,7 +314,7 @@ func TestPlaybackRateAdaptation(t *testing.T) {
 	cfg := DefaultPlayerConfig()
 	pl := NewPlayer(s, cfg, DefaultSSIMModel(), nil)
 	s.RunUntil(10 * time.Second)
-	interval := time.Second / time.Duration(cfg.FPS)
+	interval := time.Second / PlaybackFPS
 
 	// Empty buffer: slowdown.
 	pl.nextPlay = 100

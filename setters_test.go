@@ -2,10 +2,8 @@ package rpivideo_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
+	"go/types"
 	"sort"
 	"strings"
 	"testing"
@@ -16,15 +14,15 @@ import (
 // field nothing sets is an option nobody can reach: delete it, make it a
 // constant, or say here who sets it.
 var unsetFields = map[string]string{
-	"cell.RLFConfig.Enabled":         "read by bench/; goes with ROADMAP item 4",
-	"cell.RLFConfig.HOFailureHET":    "read by bench/; goes with ROADMAP item 4",
-	"cell.RLFConfig.HOFailureProb":   "read by bench/; goes with ROADMAP item 4",
-	"cell.RLFConfig.QinDBm":          "read by bench/; goes with ROADMAP item 4",
-	"cell.RLFConfig.QoutDBm":         "read by bench/; goes with ROADMAP item 4",
-	"cell.RLFConfig.ReestablishMax":  "read by bench/; goes with ROADMAP item 4",
-	"cell.RLFConfig.ReestablishMin":  "read by bench/; goes with ROADMAP item 4",
-	"cell.RLFConfig.T310":            "read by bench/; goes with ROADMAP item 4",
-	"cell.RLFConfig.T311":            "read by bench/; goes with ROADMAP item 4",
+	"cell.RLFConfig.Enabled":         "filled by cell.DefaultRLFConfig, which bench/ calls; goes with ROADMAP item 4",
+	"cell.RLFConfig.HOFailureHET":    "filled by cell.DefaultRLFConfig, which bench/ calls; goes with ROADMAP item 4",
+	"cell.RLFConfig.HOFailureProb":   "filled by cell.DefaultRLFConfig, which bench/ calls; goes with ROADMAP item 4",
+	"cell.RLFConfig.QinDBm":          "filled by cell.DefaultRLFConfig, which bench/ calls; goes with ROADMAP item 4",
+	"cell.RLFConfig.QoutDBm":         "filled by cell.DefaultRLFConfig, which bench/ calls; goes with ROADMAP item 4",
+	"cell.RLFConfig.ReestablishMax":  "filled by cell.DefaultRLFConfig, which bench/ calls; goes with ROADMAP item 4",
+	"cell.RLFConfig.ReestablishMin":  "filled by cell.DefaultRLFConfig, which bench/ calls; goes with ROADMAP item 4",
+	"cell.RLFConfig.T310":            "filled by cell.DefaultRLFConfig, which bench/ calls; goes with ROADMAP item 4",
+	"cell.RLFConfig.T311":            "filled by cell.DefaultRLFConfig, which bench/ calls; goes with ROADMAP item 4",
 	"core.Config.TraceCap":           "read by bench/; goes with ROADMAP item 4",
 	"core.FleetConfig.Spread":        "read by bench/; goes with ROADMAP item 4",
 	"fault.Config.FreezeQueue":       "read by bench/; goes with ROADMAP item 4",
@@ -32,27 +30,44 @@ var unsetFields = map[string]string{
 	"fault.Config.WatchdogTimeout":   "read by bench/; goes with ROADMAP item 4",
 	"repair.Config.TickInterval":     "read by bench/; goes with ROADMAP item 4",
 	"video.SenderConfig.Encoder":     "read by bench/; goes with ROADMAP item 4",
+	"video.SenderConfig.PayloadType": "read by bench/; goes with ROADMAP item 4",
+	"video.SenderConfig.SSRC":        "read by bench/; goes with ROADMAP item 4",
+	"video.EncoderConfig.FPS":        "read by bench/; goes with ROADMAP item 4",
+	"dist.Config.Metrics":            "set by bench/; goes with ROADMAP item 4",
+	"dist.Config.Runs":               "set by bench/; goes with ROADMAP item 4",
 	"experiments.DistSpec.Scenario":  "set by bench/; goes with ROADMAP item 4",
-	"core.FleetResult.PerUAVGoodput": "filled by its pointer-receiver Add in RunFleet",
+	"experiments.DistSpec.Seed":      "set by bench/; goes with ROADMAP item 4",
 	"metrics.sketchJSON.Buckets":     "written by encoding/json",
+	"metrics.sketchJSON.Count":       "written by encoding/json",
+	"metrics.sketchJSON.Max":         "written by encoding/json",
+	"metrics.sketchJSON.Min":         "written by encoding/json",
 	"metrics.sketchJSON.Neg":         "written by encoding/json",
 	"metrics.sketchJSON.Sum":         "written by encoding/json",
 	"metrics.sketchJSON.Zero":        "written by encoding/json",
+	"obs.jsonlLine.Aux":              "written by encoding/json",
+	"obs.jsonlLine.Ctrl":             "written by encoding/json",
+	"obs.jsonlLine.Dir":              "written by encoding/json",
+	"obs.jsonlLine.Dropped":          "written by encoding/json",
 	"obs.jsonlLine.DurationUs":       "written by encoding/json",
+	"obs.jsonlLine.Events":           "written by encoding/json",
 	"obs.jsonlLine.Kind":             "written by encoding/json",
+	"obs.jsonlLine.Label":            "written by encoding/json",
 	"obs.jsonlLine.Rtx":              "written by encoding/json",
 	"obs.jsonlLine.Run":              "written by encoding/json",
+	"obs.jsonlLine.Seed":             "written by encoding/json",
+	"obs.jsonlLine.Seq":              "written by encoding/json",
 	"obs.jsonlLine.TUs":              "written by encoding/json",
+	"obs.jsonlLine.V":                "written by encoding/json",
 }
 
-// TestEveryExportedFieldHasASetter parses the module's non-test Go files
-// (bench/, its own module, aside) and lists every exported field of a
-// struct type declared under internal/ that none of them writes. A write is
-// an assignment to the field (x.F = v, also through x.F.G or x.F[i]), a
-// composite-literal key (T{F: v}), a positional composite literal of the
-// type, &x.F, or x.F++ / x.F--. Composite literals are matched by their
-// type (through type aliases); every other write, and a literal whose type
-// is elided, by field name alone, so it counts for every field of that name.
+// TestEveryExportedFieldHasASetter lists every exported, named field of a
+// struct type declared under internal/ that no non-test file of the module
+// writes, bench/ aside. A write is an assignment to the field (x.F = v, also
+// through x.F.G or x.F[i]), a composite-literal key (T{F: v}), a positional
+// composite literal of the type, &x.F, x.F++ / x.F--, or a call of a
+// pointer-receiver method on the addressable field (x.F.M() takes &x.F).
+// Fields resolve through go/types, so a write counts for the one field it
+// selects.
 //
 // Defaulting code is not a setter: a write inside a defaults, withDefaults
 // or WithDefaults method, or inside an argument-less Default…() function,
@@ -61,189 +76,70 @@ var unsetFields = map[string]string{
 // tables (DefaultSignalConfigFor(env)) take an argument and do count.
 //
 // The list must equal unsetFields: a new field nothing sets fails the
-// build, and so does an entry that has gained a setter.
+// build, and so does an entry that has gained a setter. An entry that says
+// bench/ reads it must be used by bench/, and one that says bench/ sets it
+// must be written there.
 func TestEveryExportedFieldHasASetter(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	checked := map[*ast.File]bool{} // the files under internal/
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		checked[f] = strings.HasPrefix(filepath.ToSlash(path), "internal/")
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loadGates(t)
 
-	// Exported fields of the struct types declared under internal/, keyed
-	// "pkg.Type.Field" and listed by name and by "pkg.Type"; every struct
-	// type of the module; and each type alias by "pkg.Alias".
-	fields := map[string]string{}   // "pkg.Type.Field" → pkg
-	byName := map[string][]string{} // field name → keys
-	byType := map[string][]string{} // "pkg.Type" → keys
-	structs := map[string]bool{}    // "pkg.Type"
-	aliases := map[string]string{}  // "pkg.Alias" → "pkg.Type"
-	for _, f := range files {
-		pkg := f.Name.Name
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			typ := pkg + "." + ts.Name.Name
-			if ts.Assign.IsValid() {
-				aliases[typ] = typeKey(pkg, ts.Type)
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			structs[typ] = true
-			if !checked[f] {
-				return true
-			}
-			for _, fl := range st.Fields.List {
-				for _, name := range fl.Names {
-					if !name.IsExported() {
-						continue
-					}
-					key := typ + "." + name.Name
-					fields[key] = pkg
-					byName[name.Name] = append(byName[name.Name], key)
-					byType[typ] = append(byType[typ], key)
-				}
-			}
-			return true
-		})
-	}
-	resolve := func(typ string) string {
-		for aliases[typ] != "" {
-			typ = aliases[typ]
-		}
-		return typ
-	}
-
-	written := map[string]bool{}
-	// defaults is the package whose defaulting code is being walked, ""
-	// outside it. A selector write there is taken to be to a field of the
-	// package's own types, so it counts for no field.
-	var defaults string
-	set := func(key string) {
-		if pkg, ok := fields[key]; ok && pkg != defaults {
-			written[key] = true
-		}
-	}
-	// through marks every field selected on the way to a written location.
-	var through func(e ast.Expr)
-	through = func(e ast.Expr) {
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			if defaults == "" {
-				for _, key := range byName[x.Sel.Name] {
-					set(key)
-				}
-			}
-			through(x.X)
-		case *ast.IndexExpr:
-			through(x.X)
-		case *ast.StarExpr:
-			through(x.X)
-		case *ast.ParenExpr:
-			through(x.X)
-		}
-	}
-	for _, f := range files {
-		pkg := f.Name.Name
-		elided := map[*ast.CompositeLit]ast.Expr{} // element literal → its type
-		visit := func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					through(lhs)
-				}
-			case *ast.IncDecStmt:
-				through(x.X)
-			case *ast.UnaryExpr:
-				if x.Op == token.AND {
-					through(x.X)
-				}
-			case *ast.CompositeLit:
-				texpr := x.Type
-				if texpr == nil {
-					texpr = elided[x]
-				}
-				typ := resolve(typeKey(pkg, texpr))
-				for _, el := range x.Elts {
-					kv, keyed := el.(*ast.KeyValueExpr)
-					val := el
-					if keyed {
-						val = kv.Value
-					}
-					if lit, ok := val.(*ast.CompositeLit); ok && lit.Type == nil {
-						elided[lit] = elemType(texpr)
-					}
-					if !keyed {
-						for _, key := range byType[typ] {
-							set(key)
-						}
-						continue
-					}
-					name, ok := kv.Key.(*ast.Ident)
-					switch {
-					case !ok:
-					case structs[typ]:
-						set(typ + "." + name.Name)
-					case elemType(texpr) == nil && defaults == "":
-						// A literal of a type the module does not declare.
-						for _, key := range byName[name.Name] {
-							set(key)
-						}
-					}
-				}
-			}
-			return true
-		}
-		for _, d := range f.Decls {
-			defaults = ""
-			if fn, ok := d.(*ast.FuncDecl); ok && defaulting(fn) {
-				defaults = pkg
-			}
-			ast.Inspect(d, visit)
-		}
-	}
-
-	var unset []string
-	perPkg := map[string][2]int{} // exported fields, of them in …Config types
+	fields := map[*types.Var]string{} // field → "pkg.Type.Field"
+	perPkg := map[string][2]int{}     // exported fields, of them in …Config types
 	var total [2]int
-	for key, pkg := range fields {
-		inConfig := 0
-		if strings.HasSuffix(strings.Split(key, ".")[1], "Config") {
-			inConfig = 1
+	for _, p := range l.pkgs {
+		if !p.inInternal() {
+			continue
 		}
-		n := perPkg[pkg]
-		perPkg[pkg] = [2]int{n[0] + 1, n[1] + inConfig}
-		total[0], total[1] = total[0]+1, total[1]+inConfig
-		if !written[key] {
-			unset = append(unset, key)
+		for _, obj := range p.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			inConfig := 0
+			if strings.HasSuffix(tn.Name(), "Config") {
+				inConfig = 1
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() {
+					continue
+				}
+				pkg := p.types.Name()
+				fields[f] = pkg + "." + tn.Name() + "." + f.Name()
+				n := perPkg[pkg]
+				perPkg[pkg] = [2]int{n[0] + 1, n[1] + inConfig}
+				total[0], total[1] = total[0]+1, total[1]+inConfig
+			}
 		}
 	}
+
+	written := map[*types.Var]bool{}     // by the module
+	benchWrites := map[*types.Var]bool{} // by bench/
+	benchUses := map[*types.Var]bool{}
+	benchNames := map[string]bool{} // functions bench/ calls, by gateKey
+	for _, p := range l.pkgs {
+		if !p.bench {
+			walkWrites(p, func(f *types.Var) { written[f] = true })
+			continue
+		}
+		walkWrites(p, func(f *types.Var) { benchWrites[f] = true })
+		for _, obj := range p.info.Uses {
+			switch o := obj.(type) {
+			case *types.Var:
+				if o.IsField() {
+					benchUses[o.Origin()] = true
+				}
+			case *types.Func:
+				if o.Pkg() != nil {
+					benchNames[gateKey(o)] = true
+				}
+			}
+		}
+	}
+
 	pkgs := make([]string, 0, len(perPkg))
 	for pkg := range perPkg {
 		pkgs = append(pkgs, pkg)
@@ -254,6 +150,23 @@ func TestEveryExportedFieldHasASetter(t *testing.T) {
 	}
 	t.Logf("%-12s %4d exported fields checked, %3d in …Config types", "total", total[0], total[1])
 
+	var unset []string
+	for f, key := range fields {
+		if written[f] {
+			continue
+		}
+		unset = append(unset, key)
+		switch reason := unsetFields[key]; {
+		case strings.HasPrefix(reason, "read by bench/") && !benchUses[f]:
+			t.Errorf("%s is listed as read by bench/, but bench/ does not use it", key)
+		case strings.HasPrefix(reason, "set by bench/") && !benchWrites[f]:
+			t.Errorf("%s is listed as set by bench/, but bench/ does not write it", key)
+		case strings.HasPrefix(reason, "filled by "):
+			if fn, _, _ := strings.Cut(strings.TrimPrefix(reason, "filled by "), ","); !benchNames[fn] {
+				t.Errorf("%s is listed as filled by %s, which bench/ calls, but bench/ does not call it", key, fn)
+			}
+		}
+	}
 	sort.Strings(unset)
 	for _, key := range unset {
 		if _, ok := unsetFields[key]; !ok {
@@ -267,6 +180,94 @@ func TestEveryExportedFieldHasASetter(t *testing.T) {
 	}
 }
 
+// walkWrites hands set every struct field p's files write (see
+// TestEveryExportedFieldHasASetter), as the field of the generic type's
+// origin where the struct is an instance.
+func walkWrites(p *gatePkg, set func(*types.Var)) {
+	info := p.info
+	// own is true inside defaulting code, whose writes to the fields of
+	// p's own types do not count.
+	own := false
+	write := func(f *types.Var) {
+		f = f.Origin()
+		if !own || f.Pkg() != p.types {
+			set(f)
+		}
+	}
+	// through marks every field selected on the way to a written location.
+	var through func(e ast.Expr)
+	through = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				write(sel.Obj().(*types.Var))
+			}
+			through(x.X)
+		case *ast.IndexExpr:
+			through(x.X)
+		case *ast.StarExpr:
+			through(x.X)
+		case *ast.ParenExpr:
+			through(x.X)
+		}
+	}
+	visit := func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				through(lhs)
+			}
+		case *ast.IncDecStmt:
+			through(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				through(x.X)
+			}
+		case *ast.SelectorExpr:
+			// A pointer-receiver method on an addressable value takes its
+			// address.
+			sel := info.Selections[x]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				break
+			}
+			recv := sel.Obj().Type().(*types.Signature).Recv().Type()
+			if _, ptr := recv.(*types.Pointer); !ptr {
+				break
+			}
+			if _, ptr := info.Types[x.X].Type.Underlying().(*types.Pointer); !ptr {
+				through(x.X)
+			}
+		case *ast.CompositeLit:
+			typ := info.Types[x].Type
+			if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			st, ok := typ.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, el := range x.Elts {
+				kv, keyed := el.(*ast.KeyValueExpr)
+				if !keyed {
+					write(st.Field(i))
+					continue
+				}
+				if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+					write(f)
+				}
+			}
+		}
+		return true
+	}
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			own = ok && defaulting(fn)
+			ast.Inspect(d, visit)
+		}
+	}
+}
+
 // defaulting reports whether fn is defaulting code: a defaults,
 // withDefaults or WithDefaults method, or an argument-less Default…()
 // function.
@@ -276,34 +277,4 @@ func defaulting(fn *ast.FuncDecl) bool {
 		return name == "defaults" || name == "withDefaults" || name == "WithDefaults"
 	}
 	return strings.HasPrefix(name, "Default") && fn.Type.Params.NumFields() == 0
-}
-
-// elemType is the element type of an array, slice or map type expression,
-// nil for any other.
-func elemType(e ast.Expr) ast.Expr {
-	switch x := e.(type) {
-	case *ast.ArrayType:
-		return x.Elt
-	case *ast.MapType:
-		return x.Value
-	}
-	return nil
-}
-
-// typeKey is "pkg.Type" for a type expression written in package pkg, ""
-// for one that names no declared type (an elided or anonymous type).
-func typeKey(pkg string, e ast.Expr) string {
-	switch x := e.(type) {
-	case nil:
-		return ""
-	case *ast.Ident:
-		return pkg + "." + x.Name
-	case *ast.SelectorExpr:
-		if id, ok := x.X.(*ast.Ident); ok {
-			return id.Name + "." + x.Sel.Name
-		}
-	case *ast.StarExpr:
-		return typeKey(pkg, x.X)
-	}
-	return ""
 }
