@@ -21,7 +21,8 @@ import (
 
 // A typed load of the module's non-test Go files and of bench/ (its own
 // module, which replaces rpivideo with this tree), shared by the API gates:
-// TestEveryExportedFieldHasASetter and TestEveryExportedNameHasAReader.
+// TestEveryExportedFieldHasASetter, TestEveryExportedNameHasAReader and
+// TestEveryFieldHasAReader.
 //
 // Module packages are type-checked from their directories in import order;
 // the standard library through the source importer, so the load needs no

@@ -78,6 +78,8 @@ type reorderLoad struct {
 	n        int64
 	now      time.Duration
 	released int
+	copies   int // second copies inserted
+	taken    int // of them, taken by the buffer
 }
 
 func newReorderLoad() *reorderLoad {
@@ -99,7 +101,10 @@ func (l *reorderLoad) step() {
 	if ext > 0 && ext%101 != 0 {
 		l.r.Insert(ext, &l.pkts[ext%int64(len(l.pkts))], l.now)
 		if ext%97 == 0 {
-			l.r.Insert(ext, &l.pkts[ext%int64(len(l.pkts))], l.now)
+			l.copies++
+			if l.r.Insert(ext, &l.pkts[ext%int64(len(l.pkts))], l.now) {
+				l.taken++
+			}
 		}
 	}
 	if l.now%(50*time.Millisecond) == 0 {
@@ -128,12 +133,13 @@ func TestReorderSteadyStateAllocations(t *testing.T) {
 		t.Errorf("Insert+Tick allocate %.3f times per arrival, want 0", n)
 	}
 	// The stream starts at 2 (its first odd packet, 1, arrives late):
-	// every slot since was released once or skipped by the deadline, and a
-	// second copy is counted — buffered, or late once released — never kept.
+	// every slot since was released once or skipped by a deadline release,
+	// one slot each, and a second copy is refused — buffered, or late once
+	// released — never kept.
 	r := l.r
-	if int64(l.released)+r.GapSkipped != r.next-2 || r.DeadlineReleases == 0 || r.GapSkipped != r.DeadlineReleases ||
-		r.CapReleases != 0 || r.Dups == 0 || len(r.buf) == 0 {
-		t.Errorf("load is not the steady state it claims: %d released, next %d, %d buffered, %d deadline releases skipping %d, %d cap releases, %d duplicates, %d late",
-			l.released, r.next, len(r.buf), r.DeadlineReleases, r.GapSkipped, r.CapReleases, r.Dups, r.Late)
+	if int64(l.released)+r.DeadlineReleases != r.next-2 || r.DeadlineReleases == 0 ||
+		r.CapReleases != 0 || l.copies == 0 || l.taken != 0 || len(r.buf) == 0 {
+		t.Errorf("load is not the steady state it claims: %d released, next %d, %d buffered, %d deadline releases, %d cap releases, %d of %d second copies taken, %d late",
+			l.released, r.next, len(r.buf), r.DeadlineReleases, r.CapReleases, l.taken, l.copies, r.Late)
 	}
 }

@@ -35,12 +35,10 @@ type Reorder struct {
 	buf     []pending // sorted by ext, unique, all ≥ next
 
 	// Late counts packets dropped because their slot had already been
-	// released; Dups counts duplicates of a buffered packet.
-	Late, Dups int64
-	// DeadlineReleases and CapReleases count forced advances past a gap;
-	// GapSkipped counts the sequence slots abandoned by those advances.
+	// released.
+	Late int64
+	// DeadlineReleases and CapReleases count forced advances past a gap.
 	DeadlineReleases, CapReleases int64
-	GapSkipped                    int64
 }
 
 // NewReorder builds a buffer; deadline and cap fall back to the package
@@ -68,7 +66,6 @@ func (r *Reorder) Insert(ext int64, meta interface{}, now time.Duration) bool {
 	}
 	i := sort.Search(len(r.buf), func(i int) bool { return r.buf[i].ext >= ext })
 	if i < len(r.buf) && r.buf[i].ext == ext {
-		r.Dups++
 		return false
 	}
 	r.buf = append(r.buf, pending{})
@@ -115,7 +112,6 @@ func (r *Reorder) release(now time.Duration) {
 // the run it heads. The skipped slots are packets that never arrived
 // (already accounted as link losses) or will now count as late.
 func (r *Reorder) advance(now time.Duration) {
-	r.GapSkipped += r.buf[0].ext - r.next
 	r.next = r.buf[0].ext
 	r.release(now)
 }

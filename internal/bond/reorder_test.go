@@ -1,6 +1,7 @@
 package bond
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -61,8 +62,8 @@ func TestReorderDeadline(t *testing.T) {
 		t.Fatal("deadline must not fire early")
 	}
 	r.Tick(60 * time.Millisecond)
-	if len(*out) != 3 || r.DeadlineReleases != 1 || r.GapSkipped != 1 {
-		t.Fatalf("deadline release wrong: out=%v releases=%d skipped=%d", *out, r.DeadlineReleases, r.GapSkipped)
+	if !slices.Equal(*out, []int64{0, 2, 3}) || r.DeadlineReleases != 1 {
+		t.Fatalf("deadline release wrong: out=%v releases=%d", *out, r.DeadlineReleases)
 	}
 	// Seq 1's slot is gone: arriving now is a late drop.
 	insert(r, 70*time.Millisecond, 1)
@@ -92,13 +93,18 @@ func TestReorderCap(t *testing.T) {
 	}
 }
 
-// TestReorderDupAndFlush: duplicates of a buffered packet are absorbed;
-// Flush drains everything at run end.
+// TestReorderDupAndFlush: duplicates of a buffered packet are refused and
+// not counted late; Flush drains everything at run end.
 func TestReorderDupAndFlush(t *testing.T) {
 	r, out := collect(time.Hour, 0)
-	insert(r, 0, 0, 2, 2, 2)
-	if r.Dups != 2 || len(r.buf) != 1 {
-		t.Fatalf("dups=%d len=%d", r.Dups, len(r.buf))
+	insert(r, 0, 0, 2)
+	for i := 0; i < 2; i++ {
+		if r.Insert(2, int64(2), 0) {
+			t.Fatalf("copy %d of a buffered packet was taken", i+1)
+		}
+	}
+	if r.Late != 0 || len(r.buf) != 1 {
+		t.Fatalf("late=%d len=%d", r.Late, len(r.buf))
 	}
 	r.Flush(time.Second)
 	if len(*out) != 2 || len(r.buf) != 0 {

@@ -150,14 +150,14 @@ func TestSendQueueClearKeepsNothing(t *testing.T) {
 // order, to Discard — and none that Pop already returned.
 func TestSendQueueClearDiscards(t *testing.T) {
 	var q SendQueue
-	var got []uint32
-	q.Discard = func(it Item) { got = append(got, it.FrameNum) }
-	for i := uint32(0); i < 5; i++ {
-		q.Push(Item{Size: 1, FrameNum: i})
+	var got []int
+	q.Discard = func(it Item) { got = append(got, it.Size) }
+	for i := 0; i < 5; i++ {
+		q.Push(Item{Size: 100 + i})
 	}
 	q.Pop()
-	if n := q.Clear(); n != 4 || len(got) != 4 || got[0] != 1 || got[3] != 4 {
-		t.Fatalf("Clear dropped %d and discarded %v, want 4: frames 1..4", n, got)
+	if n := q.Clear(); n != 4 || len(got) != 4 || got[0] != 101 || got[3] != 104 {
+		t.Fatalf("Clear dropped %d and discarded %v, want 4: items 101..104", n, got)
 	}
 }
 

@@ -14,9 +14,6 @@ type Item struct {
 	Size int
 	// Enqueued is when the packet entered the queue.
 	Enqueued time.Duration
-	// FrameNum groups packets of the same video frame so discards can drop
-	// whole frames.
-	FrameNum uint32
 }
 
 // SendQueue is the RTP send queue between the encoder and the pacer. SCReAM

@@ -59,15 +59,9 @@ type BS struct {
 
 // Event is one completed handover.
 type Event struct {
-	// At is when the handover was triggered (reception of the
-	// RRCConnectionReconfiguration in the paper's terms).
-	At time.Duration
 	// From and To are the serving cell IDs.
 	From, To int
 	// HET is the execution time: the window during which the link is
 	// interrupted.
 	HET time.Duration
-	// PingPong marks a bounce back to the previous cell within a short
-	// interval.
-	PingPong bool
 }

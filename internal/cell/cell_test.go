@@ -8,16 +8,24 @@ import (
 
 	"rpivideo/internal/flight"
 	"rpivideo/internal/metrics"
+	"rpivideo/internal/obs"
 )
 
 // runMobility drives a handover machine over a mobility profile and returns
 // the machine.
 func runMobility(t *testing.T, env Environment, op Operator, air bool, seed int64) *Machine {
 	t.Helper()
+	return runMobilityTraced(t, env, op, air, seed, nil)
+}
+
+// runMobilityTraced is runMobility with the machine's events traced to tr.
+func runMobilityTraced(t *testing.T, env Environment, op Operator, air bool, seed int64, tr *obs.Tracer) *Machine {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	bss := Deployment(env, op, rng)
 	model := NewSignalModel(env, bss, DefaultSignalConfigFor(env), rng)
 	m := NewMachine(model, DefaultHandoverConfigFor(Urban), air, rng)
+	m.SetTracer(tr, obs.DirUp)
 	var prof flight.Profile
 	if air {
 		prof = flight.StandardFlight()
@@ -170,13 +178,22 @@ func TestHETDistribution(t *testing.T) {
 	}
 }
 
+// TestRuralPingPongs counts, in the handover trace, returns to the
+// previous cell within 5 s of leaving it.
 func TestRuralPingPongs(t *testing.T) {
 	pp := 0
 	for s := 0; s < 10; s++ {
-		for _, ev := range runMobility(t, Rural, P1, true, int64(500+s)).Events() {
-			if ev.PingPong {
+		tr := obs.New(0)
+		runMobilityTraced(t, Rural, P1, true, int64(500+s), tr)
+		var prev obs.Event
+		for _, ev := range tr.Events() {
+			if ev.Kind != obs.KindHandover {
+				continue
+			}
+			if prev.Kind == obs.KindHandover && ev.Aux == prev.Seq && ev.T-prev.T < 5*time.Second {
 				pp++
 			}
+			prev = ev
 		}
 	}
 	if pp == 0 {
@@ -221,10 +238,10 @@ func TestHandoverInterruptsLink(t *testing.T) {
 	step := 40 * time.Millisecond
 	for now := time.Duration(0); now < prof.Duration(); now += step {
 		if ev := m.Step(now, prof.At(now)); ev != nil {
-			if !m.InHandover(ev.At + ev.HET/2) {
+			if !m.InHandover(now + ev.HET/2) {
 				t.Error("link not interrupted during HET")
 			}
-			if m.InHandover(ev.At + ev.HET + time.Millisecond) {
+			if m.InHandover(now + ev.HET + time.Millisecond) {
 				t.Error("link still interrupted after HET")
 			}
 			return

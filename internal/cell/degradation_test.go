@@ -10,38 +10,38 @@ import (
 )
 
 // driveToHandover steps a machine until its first handover and returns the
-// machine and the event.
-func driveToHandover(t *testing.T, seed int64) (*Machine, Event) {
+// machine, the handover's onset and its execution time.
+func driveToHandover(t *testing.T, seed int64) (m *Machine, at, het time.Duration) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	bss := Deployment(Urban, P1, rng)
 	model := NewSignalModel(Urban, bss, DefaultSignalConfigFor(Urban), rng)
-	m := NewMachine(model, DefaultHandoverConfigFor(Urban), true, rng)
+	m = NewMachine(model, DefaultHandoverConfigFor(Urban), true, rng)
 	prof := flight.StandardFlight()
 	for now := time.Duration(0); now < prof.Duration(); now += 40 * time.Millisecond {
 		if ev := m.Step(now, prof.At(now)); ev != nil {
-			return m, *ev
+			return m, now, ev.HET
 		}
 	}
 	t.Fatal("no handover in a full urban flight")
-	return nil, Event{}
+	return nil, 0, 0
 }
 
 func TestRadioDegradationStates(t *testing.T) {
-	m, ev := driveToHandover(t, 21)
+	m, at, het := driveToHandover(t, 21)
 	// During execution: zero capacity.
-	if got := m.RadioDegradation(ev.At + ev.HET/2); got != 0 {
+	if got := m.RadioDegradation(at + het/2); got != 0 {
 		t.Errorf("degradation during HET = %v, want 0", got)
 	}
 	// Just after execution: the post-HO settling factor.
 	cfg := DefaultHandoverConfigFor(Urban)
-	post := m.RadioDegradation(ev.At + ev.HET + cfg.PostHOWindow/2)
+	post := m.RadioDegradation(at + het + cfg.PostHOWindow/2)
 	if post != cfg.PostHOFactor {
 		t.Errorf("post-HO degradation = %v, want %v", post, cfg.PostHOFactor)
 	}
 	// Long after: full capacity (no candidate pending in this instant is
 	// not guaranteed, so only check the window bound).
-	if m.RadioDegradation(ev.At+ev.HET+cfg.PostHOWindow+time.Minute) == cfg.PostHOFactor {
+	if m.RadioDegradation(at+het+cfg.PostHOWindow+time.Minute) == cfg.PostHOFactor {
 		t.Error("post-HO factor persisted beyond its window")
 	}
 }

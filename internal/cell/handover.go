@@ -17,9 +17,6 @@ type HandoverConfig struct {
 	TimeToTrigger time.Duration
 	// MeasurementInterval is the RRC measurement cadence.
 	MeasurementInterval time.Duration
-	// PingPongWindow classifies a return to the previous cell within this
-	// window as a ping-pong handover.
-	PingPongWindow time.Duration
 	// PreHOFactor and PostHOFactor are the capacity multipliers applied
 	// while a handover is pending and while the target cell settles — the
 	// §4.2.2 latency-spike mechanism. PostHOWindow bounds the latter.
@@ -45,7 +42,6 @@ func DefaultHandoverConfigFor(env Environment) HandoverConfig {
 		HysteresisDB:        3,
 		TimeToTrigger:       256 * time.Millisecond,
 		MeasurementInterval: 40 * time.Millisecond,
-		PingPongWindow:      5 * time.Second,
 		PreHOFactor:         0.40,
 		PostHOFactor:        0.60,
 		PostHOWindow:        600 * time.Millisecond,
@@ -64,10 +60,8 @@ type Machine struct {
 	rng    *rand.Rand
 	midair bool // whether this run is an aerial one (HET tail selection)
 
-	serving     int
-	prevServing int
-	lastHOAt    time.Duration
-	haveLastHO  bool
+	serving    int
+	haveLastHO bool
 
 	candidate      int
 	candidateSince time.Duration
@@ -107,7 +101,7 @@ func NewMachine(model *SignalModel, cfg HandoverConfig, air bool, rng *rand.Rand
 // storage its event lists grew. The run that used m before must be
 // finished, and nothing may hold what Events or RLFEvents returned.
 func (m *Machine) Reset(model *SignalModel, cfg HandoverConfig, air bool, rng *rand.Rand) {
-	*m = Machine{cfg: cfg, model: model, rng: rng, midair: air, serving: -1, prevServing: -1, best: -1,
+	*m = Machine{cfg: cfg, model: model, rng: rng, midair: air, serving: -1, best: -1,
 		events: m.events[:0], rlfs: m.rlfs[:0]}
 }
 
@@ -207,10 +201,7 @@ func (m *Machine) decide(now time.Duration, st flight.State, best int, bestV, se
 		// RRC re-establishment is not a handover, so no Event is emitted
 		// and HET statistics stay clean-handover-only.
 		m.reestablishing = false
-		m.prevServing = m.serving
 		m.serving, m.servV = best, bestV
-		m.lastHOAt = now
-		m.rlfs[len(m.rlfs)-1].To = m.model.CellID(best)
 	}
 	// No measurements act while the previous handover is executing.
 	if m.InHandover(now) {
@@ -251,16 +242,8 @@ func (m *Machine) decide(now time.Duration, st flight.State, best int, bestV, se
 	}
 	// Events report base-station IDs; the machine's own bookkeeping stays
 	// in deployment indices (ping-pong detection compares indices).
-	ev := Event{
-		At:       now,
-		From:     m.model.CellID(m.serving),
-		To:       m.model.CellID(best),
-		HET:      het,
-		PingPong: best == m.prevServing && m.haveLastHO && now-m.lastHOAt < m.cfg.PingPongWindow,
-	}
-	m.prevServing = m.serving
+	ev := Event{From: m.model.CellID(m.serving), To: m.model.CellID(best), HET: het}
 	m.serving, m.servV = best, bestV
-	m.lastHOAt = now
 	m.haveLastHO = true
 	m.busyUntil = now + het
 	m.haveCandidate = false

@@ -85,9 +85,6 @@ type RLFEvent struct {
 	// Outage is the full service blackout: cell search plus the RRC
 	// re-establishment exchange.
 	Outage time.Duration
-	// From is the serving cell at failure; To is the re-establishment
-	// target (-1 until the UE re-attaches).
-	From, To int
 }
 
 // RLFEvents returns all radio-link failures declared so far.
@@ -137,7 +134,7 @@ func (m *Machine) declareRLF(now time.Duration, cause RLFCause) {
 	// a handover: reuse the post-HO degradation window.
 	m.haveLastHO = true
 	from := m.model.CellID(m.serving)
-	m.rlfs = append(m.rlfs, RLFEvent{At: now, Cause: cause, Outage: out, From: from, To: -1})
+	m.rlfs = append(m.rlfs, RLFEvent{At: now, Cause: cause, Outage: out})
 	if m.trace != nil {
 		m.trace.Emit(obs.Event{T: now, Kind: obs.KindRLF, Dir: m.traceDir,
 			Seq: int64(from), Aux: int64(cause), V: float64(out) / float64(time.Millisecond)})

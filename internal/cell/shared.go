@@ -28,20 +28,13 @@ type CellStats struct {
 	// PeakUsers is the largest number of simultaneously attached UEs seen
 	// in any single epoch.
 	PeakUsers int
-	// UserEpochs is the total attached user-epochs (Σ users over epochs).
-	UserEpochs int64
 	// OverloadEpochs counts epochs where the cell had at least two users
 	// and some user's share fell below the overload floor.
 	OverloadEpochs int
-	// ShareSum is the sum of per-user shares over all user-epochs;
-	// ShareSum/UserEpochs is the cell's mean granted share.
-	ShareSum float64
 }
 
 // Contention is the output of one shared-map scheduling fold.
 type Contention struct {
-	Sched SchedulerKind
-	Epoch time.Duration
 	// Shares[u][k] is UAV u's capacity share during epoch k. Epochs where
 	// the UAV is unattached carry share 1 (its link is already silenced by
 	// the radio model; the scheduler grants it nothing and charges it
@@ -86,8 +79,6 @@ func Contend(timelines [][]AttachSample, cells []BS, kind SchedulerKind, overloa
 		}
 	}
 	ct := &Contention{
-		Sched:    kind,
-		Epoch:    epoch,
 		Shares:   make([][]float64, nUE),
 		Cells:    make([]CellStats, len(cells)),
 		MinShare: 1,
@@ -170,7 +161,6 @@ func Contend(timelines [][]AttachSample, cells []BS, kind SchedulerKind, overloa
 				continue
 			}
 			cs := &ct.Cells[c]
-			cs.UserEpochs += int64(n)
 			if n > cs.PeakUsers {
 				cs.PeakUsers = n
 			}
@@ -186,7 +176,6 @@ func Contend(timelines [][]AttachSample, cells []BS, kind SchedulerKind, overloa
 			for i, u := range members[c] {
 				sh := shares[i]
 				ct.Shares[u][k] = sh
-				cs.ShareSum += sh
 				ct.ShareHist.Add(sh)
 				if sh < minShare {
 					minShare = sh

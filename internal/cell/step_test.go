@@ -83,7 +83,7 @@ func cruisingMachine(env Environment) (step func()) {
 		if x += dir * 3.6 * cfg.MeasurementInterval.Seconds(); x > 200 || x < 0 {
 			dir = -dir
 		}
-		m.Step(now, flight.State{X: x, Alt: 80, Speed: 3.6, Phase: flight.PhaseCruise})
+		m.Step(now, flight.State{X: x, Alt: 80, Speed: 3.6})
 	}
 }
 

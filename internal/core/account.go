@@ -124,7 +124,7 @@ func newTargetSampler(cfg Config, res *Result, machine *cell.Machine, uplink *li
 		if end > dur {
 			end = dur
 		}
-		t.scripted = append(t.scripted, fault.Episode{Start: w.Start, End: end, Kind: fault.KindScripted, Dir: w.Dir})
+		t.scripted = append(t.scripted, fault.Episode{Start: w.Start, End: end, Kind: fault.KindScripted})
 	}
 	t.episodes = append(t.episodes, t.scripted...)
 	return t
@@ -243,7 +243,6 @@ func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.
 		res.ScreamDiscards = sc.QueueDiscards
 	}
 	if bp != nil {
-		res.BondPolicy = bp.mgr.Policy().String()
 		res.BondSwitches = bp.mgr.Switches
 		if reorder := rcv.Reorder; reorder != nil {
 			res.BondReorderLate = int(reorder.Late)

@@ -220,9 +220,10 @@ func TestShapePERBand(t *testing.T) {
 		t.Skip("full flights")
 	}
 	r := merged(t, Config{Env: cell.Urban, Air: true, CC: CCStatic, Seed: 19}, 3)
-	t.Logf("PER = %.4f%% (paper: 0.06–0.07%%)", 100*r.PER)
-	if r.PER < 0.0002 || r.PER > 0.0015 {
-		t.Errorf("PER %.5f outside the paper's band", r.PER)
+	per := float64(r.PacketsLost) / float64(r.PacketsSent)
+	t.Logf("PER = %.4f%% (paper: 0.06–0.07%%)", 100*per)
+	if per < 0.0002 || per > 0.0015 {
+		t.Errorf("PER %.5f outside the paper's band", per)
 	}
 }
 

@@ -75,9 +75,8 @@ type FleetResult struct {
 	// goodput in Mbps. The median of this distribution is the
 	// contention-monotonicity metric (non-increasing in fleet size).
 	PerUAVGoodput metrics.Dist
-	// Cells, Attaches, Detaches, OverloadEpochs, PeakCellUsers, MinShare
-	// and ShareHist summarize the scheduling fold (see cell.Contention).
-	Cells          []cell.CellStats
+	// Attaches, Detaches, OverloadEpochs, PeakCellUsers, MinShare and
+	// ShareHist summarize the scheduling fold (see cell.Contention).
 	Attaches       int
 	Detaches       int
 	OverloadEpochs int
@@ -285,7 +284,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 		Duration:       dur,
 		Deployment:     cells,
 		Summary:        &Summary{},
-		Cells:          ct.Cells,
 		Attaches:       ct.Attaches,
 		Detaches:       ct.Detaches,
 		OverloadEpochs: ct.OverloadEpochs,

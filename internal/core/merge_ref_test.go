@@ -15,7 +15,6 @@ func mergeRef(results []*Result, tp *Tap) (*Result, map[string]*metrics.Dist) {
 		return &Result{}, dists
 	}
 	out := &Result{Config: results[0].Config}
-	var lostSum, sentSum int
 	for _, r := range results {
 		for name, d := range ResultSketches(r) {
 			if dists[name] == nil {
@@ -34,15 +33,10 @@ func mergeRef(results []*Result, tp *Tap) (*Result, map[string]*metrics.Dist) {
 		out.CtrlPacketsSent += r.CtrlPacketsSent
 		out.CtrlPacketsDelivered += r.CtrlPacketsDelivered
 		out.CtrlPacketsLost += r.CtrlPacketsLost
-		lostSum += r.PacketsLost
-		sentSum += r.PacketsSent
 		out.Stalls = append(out.Stalls, r.Stalls...)
 		out.FramesPlayed += r.FramesPlayed
 		out.FramesSkipped += r.FramesSkipped
 		out.MultipathDuplicates += r.MultipathDuplicates
-		if r.BondPolicy != "" {
-			out.BondPolicy = r.BondPolicy
-		}
 		out.BondSwitches += r.BondSwitches
 		out.BondPathDownEvents += r.BondPathDownEvents
 		out.BondPathUpEvents += r.BondPathUpEvents
@@ -88,9 +82,6 @@ func mergeRef(results []*Result, tp *Tap) (*Result, map[string]*metrics.Dist) {
 		out.RtxLost += r.RtxLost
 		out.RtxStaleDrops += r.RtxStaleDrops
 		out.RtxOverflows += r.RtxOverflows
-	}
-	if sentSum > 0 {
-		out.PER = float64(lostSum) / float64(sentSum)
 	}
 	if out.Duration > 0 {
 		out.StallsPerMin = float64(len(out.Stalls)) / out.Duration.Minutes()

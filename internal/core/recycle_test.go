@@ -199,3 +199,35 @@ func TestResultPoolBounded(t *testing.T) {
 		t.Errorf("DropPooledBuffers left %d spent Results", n)
 	}
 }
+
+// TestLoneRunAfterFleetBuildsNewResult: a Run after a fleet builds its
+// Result new, not on a spent fleet Result the pool still keeps. The caller
+// keeps a lone flight's Result, so one built on a spent fleet Result would
+// hold that UAV's grown storage for as long as the caller holds the Result.
+func TestLoneRunAfterFleetBuildsNewResult(t *testing.T) {
+	if poisonSpent {
+		t.Skip("with rtppoison a spent Result is poisoned and dropped")
+	}
+	DropPooledBuffers()
+	defer DropPooledBuffers()
+	cfg := fleetTestConfig()
+	cfg.Duration = 2 * time.Second
+	if _, errs := RunFleet(FleetConfig{Config: cfg, Size: 4, Sched: cell.SchedRR, Workers: 1}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	runPool.mu.Lock()
+	spent := slices.Clone(runPool.spent)
+	runPool.mu.Unlock()
+	if len(spent) == 0 {
+		t.Fatal("the fleet left no spent Result in the pool")
+	}
+	r := Run(cfg)
+	if slices.Contains(spent, r) {
+		t.Fatal("a lone Run after a fleet built its Result on a spent fleet Result")
+	}
+	runPool.mu.Lock()
+	defer runPool.mu.Unlock()
+	if !slices.Equal(runPool.spent, spent) {
+		t.Errorf("a lone Run took a spent Result from the pool: %d kept before, %d after", len(spent), len(runPool.spent))
+	}
+}

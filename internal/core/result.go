@@ -90,8 +90,7 @@ type Result struct {
 	StallsPerMin float64
 
 	// Bonding (bonded runs only; see internal/bond).
-	BondPolicy string          // scheduling policy name
-	BondPaths  []BondPathStats // per-path accounting, path 0 = primary
+	BondPaths []BondPathStats // per-path accounting, path 0 = primary
 
 	// Ramp-up: first time the controller target reached 99% of MaxRate
 	// (zero if never).

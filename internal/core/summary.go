@@ -28,10 +28,9 @@ type Summary struct {
 	Duration time.Duration
 	Tally
 
-	// What is not a plain sum of the runs' Tally: the two rates, the
+	// What is not a plain sum of the runs' Tally: the stall rate, the
 	// per-run event lists as counts, the bonded paths by index, the
 	// watermarks and the outage timelines end to end.
-	PER               float64
 	StallsPerMin      float64
 	Handovers         int
 	Stalls            int
@@ -53,9 +52,6 @@ func (s *Summary) AddResult(r *Result) {
 	s.Runs++
 	s.Duration += r.Duration
 	s.Tally.add(&r.Tally)
-	if s.PacketsSent > 0 {
-		s.PER = float64(s.PacketsLost) / float64(s.PacketsSent)
-	}
 	s.Handovers += len(r.Handovers)
 	s.Stalls += len(r.Stalls)
 	if s.Duration > 0 {

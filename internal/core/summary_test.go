@@ -70,7 +70,7 @@ func TestSummaryMatchesMerge(t *testing.T) {
 	// Result fields that describe one run and have no campaign aggregate of
 	// their name.
 	perRun := map[string]bool{
-		"BondPolicy": true, "RampUpTo25": true,
+		"PER": true, "RampUpTo25": true,
 		"Trace": true, "Telemetry": true, "SimEvents": true, "SimTimerPeak": true,
 	}
 

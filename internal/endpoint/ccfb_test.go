@@ -38,7 +38,7 @@ func fullTranslation(s *Sender, buf []byte, at time.Duration) Verdict {
 				a.ArrivalTime = fb.Timestamp - m.ArrivalOffset
 			}
 			if rec, ok := s.Video.LookupSeq(seq); ok {
-				a.TransportSeq, a.Size, a.SendTime = rec.TransportSeq, rec.Size, rec.SendTime
+				a.Size, a.SendTime = rec.Size, rec.SendTime
 			}
 			acks = append(acks, a)
 		}

@@ -431,7 +431,7 @@ func TestSenderFeedbackAllocationsMatchClosure(t *testing.T) {
 		acks := ackScratch[:0]
 		for i, pk := range fb.Packets {
 			tseq := fb.BaseSeq + uint16(i)
-			a := cc.Ack{TransportSeq: tseq, Received: pk.Received, ArrivalTime: pk.At}
+			a := cc.Ack{Received: pk.Received, ArrivalTime: pk.At}
 			if rec, ok := snd.LookupTransport(tseq); ok {
 				a.Seq, a.Size, a.SendTime = rec.Seq, rec.Size, rec.SendTime
 			}

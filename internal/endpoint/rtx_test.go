@@ -108,7 +108,7 @@ func TestRTXSequenceContiguousAcrossDenials(t *testing.T) {
 		if st, held := l.snd.Video.PacketPool(), l.snd.Cache.Len()+l.snd.Video.Queue().Len(); st.Refs != held {
 			t.Errorf("wire=%v: pool %+v, %d references held by the cache and the queue", wire, st, held)
 		}
-		t.Logf("wire=%v: %d lost, %d retransmitted, %d denied, %d repaired", wire, l.lost, len(l.rtxSeqs), denied, l.rcv.Detector.Repaired)
+		t.Logf("wire=%v: %d lost, %d retransmitted, %d denied, %d repaired", wire, l.lost, len(l.rtxSeqs), denied, l.rcv.Player.PacketsRepaired)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestRepairRoundTripAllocations(t *testing.T) {
 			l.s.RunUntil(tick)
 			continue
 		}
-		before := l.rcv.Detector.Repaired
+		before := l.rcv.Player.PacketsRepaired
 		armed := false
 		n := testing.AllocsPerRun(1, func() {
 			if armed {
@@ -143,7 +143,7 @@ func TestRepairRoundTripAllocations(t *testing.T) {
 			t.Fatalf("window %d: %.0f allocations, want 0", i, n)
 		}
 		windows++
-		if l.rcv.Detector.Repaired > before {
+		if l.rcv.Player.PacketsRepaired > before {
 			repairing++
 		}
 	}

@@ -287,7 +287,7 @@ func (s *Sender) onTWCC(buf []byte, at time.Duration) Verdict {
 	acks := fb.acks[:0]
 	for i, p := range tw.Packets {
 		tseq := tw.BaseSeq + uint16(i)
-		a := cc.Ack{TransportSeq: tseq, Received: p.Received, ArrivalTime: p.At}
+		a := cc.Ack{Received: p.Received, ArrivalTime: p.At}
 		if rec, ok := s.Video.LookupTransport(tseq); ok {
 			a.Seq, a.Size, a.SendTime = rec.Seq, rec.Size, rec.SendTime
 		}
@@ -345,7 +345,7 @@ func (s *Sender) onCCFB(buf []byte, at time.Duration) Verdict {
 				rec, known = s.Video.LookupSeq(seq)
 			}
 			if known {
-				a.TransportSeq, a.Size, a.SendTime = rec.TransportSeq, rec.Size, rec.SendTime
+				a.Size, a.SendTime = rec.Size, rec.SendTime
 			}
 			acks = append(acks, a)
 		}

@@ -128,22 +128,20 @@ type DistCampaign struct {
 	// Trace is the concatenated JSONL trace, byte-identical to
 	// core.WriteCampaignTrace over a serial campaign.
 	Trace []byte
-	// RunErrs holds per-run errors, indexed by run; nil entries succeeded.
-	RunErrs []error
 }
 
 // FoldDistShards rebuilds the campaign outputs from a dist.Run outcome.
 // Failed or errored runs are skipped in every export, exactly as the serial
-// path skips nil results; their errors stay in RunErrs. The shards carry
-// everything the fold needs; the spec parameter is what bench/ (frozen
-// outside benchmark PRs) still passes.
+// path skips nil results; their errors stay in the outcome's RunErrs. The
+// shards carry everything the fold needs; the spec parameter is what bench/
+// (frozen outside benchmark PRs) still passes.
 //
 // The registries are decoded on the available cores and merged in run
 // order (obs.MergeRegistriesJSON), so the first bad shard in run order is
 // the error — a section that does not parse ahead of a shard that does not
 // split, as a serial fold would meet them.
 func FoldDistShards(_ DistSpec, out *dist.Outcome) (*DistCampaign, error) {
-	camp := &DistCampaign{Registry: obs.NewRegistry(), RunErrs: out.RunErrs}
+	camp := &DistCampaign{Registry: obs.NewRegistry()}
 	registries := make([][]byte, len(out.Shards))
 	traces := make([][]byte, len(out.Shards))
 	var splitErr error

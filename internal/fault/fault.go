@@ -322,8 +322,6 @@ func (k Kind) String() string {
 type Episode struct {
 	Start, End time.Duration
 	Kind       Kind
-	// Dir is which side went dark (RLF episodes silence both).
-	Dir Direction
 }
 
 // Length returns the episode duration.

@@ -13,31 +13,6 @@ import (
 	"time"
 )
 
-// Phase labels the flight state.
-type Phase int
-
-// Flight phases.
-const (
-	PhaseHover Phase = iota
-	PhaseClimb
-	PhaseCruise
-	PhaseDescent
-)
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case PhaseClimb:
-		return "climb"
-	case PhaseCruise:
-		return "cruise"
-	case PhaseDescent:
-		return "descent"
-	default:
-		return "hover"
-	}
-}
-
 // State is the vehicle state at one instant.
 type State struct {
 	// X, Y are ground coordinates in metres relative to the takeoff point.
@@ -46,7 +21,6 @@ type State struct {
 	Alt float64
 	// Speed is the total speed in m/s.
 	Speed float64
-	Phase Phase
 }
 
 // Profile yields the vehicle state over time.
@@ -59,10 +33,9 @@ type Profile interface {
 
 // waypoint marks a position reached at a given elapsed time.
 type waypoint struct {
-	at    time.Duration
-	x, y  float64
-	alt   float64
-	phase Phase // phase of the segment ending at this waypoint
+	at   time.Duration
+	x, y float64
+	alt  float64
 }
 
 // segment holds the per-segment constants of the piecewise-linear
@@ -117,11 +90,11 @@ func (p *path) At(t time.Duration) State {
 	}
 	if t <= p.wps[0].at {
 		w := p.wps[0]
-		return State{X: w.x, Y: w.y, Alt: w.alt, Phase: PhaseHover}
+		return State{X: w.x, Y: w.y, Alt: w.alt}
 	}
 	last := p.wps[len(p.wps)-1]
 	if t >= last.at {
-		return State{X: last.x, Y: last.y, Alt: last.alt, Phase: PhaseHover}
+		return State{X: last.x, Y: last.y, Alt: last.alt}
 	}
 	// Locate the segment (a, b] containing t: the cached hint if it still
 	// matches, otherwise a binary search for the first waypoint at or after
@@ -142,7 +115,6 @@ func (p *path) At(t time.Duration) State {
 		Y:     a.y + frac*sg.dy,
 		Alt:   a.alt + frac*sg.dz,
 		Speed: sg.speed,
-		Phase: b.phase,
 	}
 }
 
@@ -174,28 +146,28 @@ func standardPath() *path {
 	var wps []waypoint
 	at := time.Duration(0)
 	x, alt := 0.0, 0.0
-	add := func(dur time.Duration, nx, nalt float64, ph Phase) {
+	add := func(dur time.Duration, nx, nalt float64) {
 		at += dur
 		x, alt = nx, nalt
-		wps = append(wps, waypoint{at: at, x: x, alt: alt, phase: ph})
+		wps = append(wps, waypoint{at: at, x: x, alt: alt})
 	}
 	secs := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 	wps = append(wps, waypoint{})
 	dir := 1.0
 	for _, level := range []float64{40, 80, 120} {
-		add(secs((level-alt)/climbSpeed), x, level, PhaseClimb)
-		add(hoverPause, x, level, PhaseHover)
-		add(secs(leap/cruiseSpeed), x+dir*leap, level, PhaseCruise)
-		add(hoverPause, x, level, PhaseHover)
+		add(secs((level-alt)/climbSpeed), x, level)
+		add(hoverPause, x, level)
+		add(secs(leap/cruiseSpeed), x+dir*leap, level)
+		add(hoverPause, x, level)
 		dir = -dir
 	}
 	// Return above the takeoff point, then descend straight down to it.
 	if x != 0 {
-		add(secs(leap/cruiseSpeed), 0, alt, PhaseCruise)
-		add(hoverPause, x, alt, PhaseHover)
+		add(secs(leap/cruiseSpeed), 0, alt)
+		add(hoverPause, x, alt)
 	}
-	add(secs(alt/climbSpeed), x, 0, PhaseDescent)
+	add(secs(alt/climbSpeed), x, 0)
 	p := newPath(wps)
 	p.flips = new(flipCache)
 	return p
@@ -217,7 +189,7 @@ func GroundProfile(total time.Duration, rng *rand.Rand) Profile {
 		// Idle period: 20–80 s.
 		idle := time.Duration(20+rng.Intn(61)) * time.Second
 		at += idle
-		wps = append(wps, waypoint{at: at, x: x, phase: PhaseHover})
+		wps = append(wps, waypoint{at: at, x: x})
 		if at >= total {
 			break
 		}
@@ -226,7 +198,7 @@ func GroundProfile(total time.Duration, rng *rand.Rand) Profile {
 		dur := time.Duration(run / speed * float64(time.Second))
 		at += dur
 		x += dir * run
-		wps = append(wps, waypoint{at: at, x: x, phase: PhaseCruise})
+		wps = append(wps, waypoint{at: at, x: x})
 		if x > 600 || x < -600 {
 			dir = -dir
 		}

@@ -26,9 +26,8 @@ func BenchmarkOnFeedback(b *testing.B) {
 	acks := make([]cc.Ack, 50)
 	for i := range acks {
 		acks[i] = cc.Ack{
-			TransportSeq: uint16(i),
-			Size:         1200,
-			Received:     true,
+			Size:     1200,
+			Received: true,
 		}
 	}
 	b.ReportAllocs()
@@ -36,7 +35,6 @@ func BenchmarkOnFeedback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now += 50 * time.Millisecond
 		for j := range acks {
-			acks[j].TransportSeq = uint16(i*50 + j)
 			acks[j].SendTime = now - 60*time.Millisecond + time.Duration(j)*time.Millisecond
 			acks[j].ArrivalTime = acks[j].SendTime + 50*time.Millisecond
 		}

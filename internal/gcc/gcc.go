@@ -49,7 +49,6 @@ type group struct {
 	firstSend   time.Duration
 	lastSend    time.Duration
 	lastArrival time.Duration
-	bytes       int
 	valid       bool
 }
 
@@ -295,7 +294,7 @@ func worst(a, b Signal) Signal {
 // the resulting signal is returned with ok=true.
 func (c *Controller) addToGroup(a cc.Ack) (Signal, bool) {
 	if !c.cur.valid {
-		c.cur = group{firstSend: a.SendTime, lastSend: a.SendTime, lastArrival: a.ArrivalTime, bytes: a.Size, valid: true}
+		c.cur = group{firstSend: a.SendTime, lastSend: a.SendTime, lastArrival: a.ArrivalTime, valid: true}
 		return 0, false
 	}
 	// Out-of-order w.r.t. the current group: ignore for grouping.
@@ -310,7 +309,6 @@ func (c *Controller) addToGroup(a cc.Ack) (Signal, bool) {
 		if a.ArrivalTime > c.cur.lastArrival {
 			c.cur.lastArrival = a.ArrivalTime
 		}
-		c.cur.bytes += a.Size
 		return 0, false
 	}
 	// New group: measure against the previous one.
@@ -335,6 +333,6 @@ func (c *Controller) addToGroup(a cc.Ack) (Signal, bool) {
 		ok = true
 	}
 	c.prev = c.cur
-	c.cur = group{firstSend: a.SendTime, lastSend: a.SendTime, lastArrival: a.ArrivalTime, bytes: a.Size, valid: true}
+	c.cur = group{firstSend: a.SendTime, lastSend: a.SendTime, lastArrival: a.ArrivalTime, valid: true}
 	return sig, ok
 }

@@ -182,20 +182,17 @@ func ackStream(ctrl *Controller, start time.Duration, seconds float64, owd func(
 	var batch []cc.Ack
 	next := start
 	lastFb := start
-	seq := uint16(start / time.Millisecond) // continue roughly where we left off
 	end := start + time.Duration(seconds*float64(time.Second))
 	for next < end {
 		a := cc.Ack{
-			TransportSeq: seq,
-			Size:         1200,
-			SendTime:     next,
-			Received:     rng.Float64() >= lossP,
+			Size:     1200,
+			SendTime: next,
+			Received: rng.Float64() >= lossP,
 		}
 		if a.Received {
 			a.ArrivalTime = next + owd(next)
 		}
 		batch = append(batch, a)
-		seq++
 		next += time.Duration(float64(1200*8) / ctrl.TargetBitrate(next) * float64(time.Second))
 		if next-lastFb >= fbEvery {
 			ctrl.OnFeedback(next+owd(next), batch)
@@ -261,11 +258,9 @@ func TestGCCRampUpTimeMatchesPaper(t *testing.T) {
 	const fbEvery = 50 * time.Millisecond
 	var batch []cc.Ack
 	next, lastFb := time.Duration(0), time.Duration(0)
-	seq := uint16(0)
 	reached := time.Duration(0)
 	for next < 60*time.Second {
-		batch = append(batch, cc.Ack{TransportSeq: seq, Size: 1200, SendTime: next, Received: true, ArrivalTime: next + owd(next)})
-		seq++
+		batch = append(batch, cc.Ack{Size: 1200, SendTime: next, Received: true, ArrivalTime: next + owd(next)})
 		next += time.Duration(float64(1200*8) / ctrl.TargetBitrate(next) * float64(time.Second))
 		if next-lastFb >= fbEvery {
 			ctrl.OnFeedback(next+owd(next), batch)
@@ -324,23 +319,20 @@ func TestPropertyTargetBounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ctrl := New(Config{})
 		now := time.Duration(0)
-		seq := uint16(0)
 		for round := 0; round < 50; round++ {
 			now += time.Duration(rng.Intn(100)+1) * time.Millisecond
 			var acks []cc.Ack
 			n := rng.Intn(40) + 1
 			for i := 0; i < n; i++ {
 				a := cc.Ack{
-					TransportSeq: seq,
-					Size:         rng.Intn(1400) + 100,
-					SendTime:     now - time.Duration(rng.Intn(200))*time.Millisecond,
-					Received:     rng.Float64() < 0.8,
+					Size:     rng.Intn(1400) + 100,
+					SendTime: now - time.Duration(rng.Intn(200))*time.Millisecond,
+					Received: rng.Float64() < 0.8,
 				}
 				if a.Received {
 					a.ArrivalTime = a.SendTime + time.Duration(rng.Intn(500))*time.Millisecond
 				}
 				acks = append(acks, a)
-				seq++
 			}
 			ctrl.OnFeedback(now, acks)
 			tr := ctrl.TargetBitrate(now)

@@ -41,18 +41,16 @@ func (w *reslicedWindow) rate(latestArrival time.Duration) float64 {
 // randomReport builds one TWCC report's acks at now: a burst of packets
 // sent over the last interval, some lost, arrivals jittered (and so not
 // always in order), sizes mixed.
-func randomReport(rng *rand.Rand, now, interval time.Duration, tseq *uint16) []cc.Ack {
+func randomReport(rng *rand.Rand, now, interval time.Duration) []cc.Ack {
 	acks := make([]cc.Ack, rng.Intn(120))
 	for i := range acks {
 		send := now - interval - 40*time.Millisecond + time.Duration(rng.Int63n(int64(interval)))
 		acks[i] = cc.Ack{
-			TransportSeq: *tseq,
-			Size:         200 + rng.Intn(1100),
-			SendTime:     send,
-			Received:     rng.Intn(25) != 0,
-			ArrivalTime:  send + 30*time.Millisecond + time.Duration(rng.Int63n(int64(8*time.Millisecond))),
+			Size:        200 + rng.Intn(1100),
+			SendTime:    send,
+			Received:    rng.Intn(25) != 0,
+			ArrivalTime: send + 30*time.Millisecond + time.Duration(rng.Int63n(int64(8*time.Millisecond))),
 		}
-		*tseq++
 	}
 	return acks
 }
@@ -68,7 +66,6 @@ func TestRecvWindowMatchesReslicedOracle(t *testing.T) {
 	c := New(Config{FeedbackTimeout: timeout})
 	wd := cc.NewWatchdog(timeout) // tells the oracle when the controller resets
 	var want reslicedWindow
-	var tseq uint16
 	now := time.Duration(0)
 	reports, resets, emptied, peak := 0, 0, 0, 0
 	for reports = 0; reports < 20_000; reports++ {
@@ -80,7 +77,7 @@ func TestRecvWindowMatchesReslicedOracle(t *testing.T) {
 			interval = 700 * time.Millisecond // outlasts the window
 		}
 		now += interval
-		acks := randomReport(rng, now, interval, &tseq)
+		acks := randomReport(rng, now, interval)
 		c.TargetBitrate(now) // latches a starvation, as the sender's queries do
 		c.OnFeedback(now, acks)
 
@@ -135,13 +132,12 @@ func TestRecvWindowMatchesReslicedOracle(t *testing.T) {
 func TestOnFeedbackSteadyStateAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := New(Config{})
-	var tseq uint16
 	now := time.Duration(0)
 	reports := make([][]cc.Ack, 400)
 	nows := make([]time.Duration, len(reports))
 	for i := range reports {
 		now += 50 * time.Millisecond
-		reports[i], nows[i] = randomReport(rng, now, 50*time.Millisecond, &tseq), now
+		reports[i], nows[i] = randomReport(rng, now, 50*time.Millisecond), now
 	}
 	i := 0
 	step := func() {
@@ -162,12 +158,11 @@ func TestOnFeedbackSteadyStateAllocatesNothing(t *testing.T) {
 func TestControllerReuseMatchesFresh(t *testing.T) {
 	feed := func(c *Controller, seed int64) []float64 {
 		rng := rand.New(rand.NewSource(seed))
-		var tseq uint16
 		now := time.Duration(0)
 		var targets []float64
 		for i := 0; i < 300; i++ {
 			now += 50 * time.Millisecond
-			c.OnFeedback(now, randomReport(rng, now, 50*time.Millisecond, &tseq))
+			c.OnFeedback(now, randomReport(rng, now, 50*time.Millisecond))
 			targets = append(targets, c.TargetBitrate(now))
 		}
 		return targets

@@ -309,24 +309,6 @@ func (l *Link) SetTracer(tr *obs.Tracer, dir obs.Dir) {
 // queueing delay in milliseconds. Nil disables recording.
 func (l *Link) SetQueueDelayHist(h *metrics.Sketch) { l.queueHist = h }
 
-// peekCapacity is the link capacity in bits/s as of the most recently
-// advanced point of the fluctuation process (before handover degradation).
-// It is a pure observation: it never draws from the link RNG and never
-// advances the Ornstein–Uhlenbeck state, so observing a link mid-run cannot
-// perturb the capacity realization. The process itself advances only on the
-// packet path, via capacity(now). Before the first packet has advanced the
-// process it reports the profile mean.
-func (l *Link) peekCapacity() float64 {
-	c := l.prof.MeanCapacity
-	if l.capInit {
-		c *= 1 + l.capDev
-	}
-	if c < l.prof.MinCapacity {
-		c = l.prof.MinCapacity
-	}
-	return c
-}
-
 // capacity advances the OU fluctuation to now and returns the raw capacity.
 func (l *Link) capacity(now time.Duration) float64 {
 	if !l.capInit {
@@ -476,39 +458,17 @@ func (l *Link) drop(pkt queued, now time.Duration, r DropReason) {
 // control).
 func (l *Link) QueueBytes() int { return l.queueBytes + l.ctrlQueueBytes }
 
-// queueDelay estimates the buffer drain time at the current effective
-// capacity, handover/degradation windows included. The capacity is floored
-// (at the profile's MinCapacity, or 1% of MeanCapacity if unset) so an
-// interrupted link reports a large-but-finite backlog instead of dividing
-// by zero.
-//
-// Like peekCapacity, queueDelay is a pure observation: it reads the
-// capacity realization at its most recently advanced point without drawing
-// randomness, so sampling it mid-run leaves the run byte-identical.
-func (l *Link) queueDelay() time.Duration {
-	c := l.peekCapacity()
-	if l.machine != nil {
-		c *= l.machine.RadioDegradation(l.sim.Now())
-	}
-	if l.shareFn != nil {
-		c *= l.shareFn(l.sim.Now())
-	}
-	return l.queueDelayAt(c)
-}
-
-// SampleQueueDelay is the advancing variant of queueDelay: it steps the
-// capacity fluctuation to now (drawing from the link RNG) before computing
-// the drain time, exactly as every packet service does. It exists for
-// in-run samplers that are part of the simulated system — core's fault
-// recovery probe uses it so the capacity realization of fault campaigns
-// (and their golden traces) is unchanged from when the drain-time estimate
-// itself advanced the process.
+// SampleQueueDelay estimates the buffer drain time at the current effective
+// capacity, handover/degradation windows included. It steps the capacity
+// fluctuation to now (drawing from the link RNG) before computing the drain
+// time, exactly as every packet service does, so it is part of the
+// simulated system: core's fault recovery probe samples it, and the
+// capacity realization of fault campaigns (and their golden traces)
+// includes those steps. The capacity is floored (at the profile's
+// MinCapacity, or 1% of MeanCapacity if unset) so an interrupted link
+// reports a large-but-finite backlog instead of dividing by zero.
 func (l *Link) SampleQueueDelay() time.Duration {
-	return l.queueDelayAt(l.effectiveCapacity(l.sim.Now()))
-}
-
-// queueDelayAt computes the floored drain-time estimate at capacity c.
-func (l *Link) queueDelayAt(c float64) time.Duration {
+	c := l.effectiveCapacity(l.sim.Now())
 	floor := l.prof.MinCapacity
 	if floor <= 0 {
 		floor = 0.01 * l.prof.MeanCapacity

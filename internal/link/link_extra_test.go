@@ -16,8 +16,8 @@ func TestQueueDelayEstimate(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			l.Send(nil, 1250) // 125 KB into a 10 Mbps link = 100 ms backlog
 		}
-		if got := l.queueDelay(); got < 80*time.Millisecond || got > 120*time.Millisecond {
-			t.Errorf("queueDelay = %v, want ≈100 ms", got)
+		if got := l.SampleQueueDelay(); got < 80*time.Millisecond || got > 120*time.Millisecond {
+			t.Errorf("SampleQueueDelay = %v, want ≈100 ms", got)
 		}
 		if l.QueueBytes() != 125_000 {
 			t.Errorf("QueueBytes = %d", l.QueueBytes())
@@ -36,12 +36,9 @@ func TestCapacityFluctuatesWithinBounds(t *testing.T) {
 	min, max := p.MeanCapacity, p.MeanCapacity
 	for i := 0; i < 10000; i++ {
 		s.RunUntil(time.Duration(i) * 100 * time.Millisecond)
-		// peekCapacity is a pure peek; step the fluctuation
-		// explicitly, as packet service does, to exercise the OU process.
+		// Step the fluctuation explicitly, as packet service does, to
+		// exercise the OU process.
 		c := l.capacity(s.Now())
-		if peek := l.peekCapacity(); peek != c {
-			t.Fatalf("peekCapacity() = %v right after advancing to %v", peek, c)
-		}
 		if c < min {
 			min = c
 		}

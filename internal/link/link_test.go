@@ -15,7 +15,6 @@ import (
 // cleanProfile returns a deterministic profile without loss or fluctuation.
 func cleanProfile() Profile {
 	return Profile{
-		Name:         "test",
 		MeanCapacity: 10e6,
 		CapSigma:     0,
 		CapTau:       time.Second,
@@ -237,33 +236,35 @@ func TestHandoverCausesLatencySpikes(t *testing.T) {
 
 func TestNoDeliveriesDuringHandoverExecution(t *testing.T) {
 	s, l, machine, prof := flightLinkFixture(8)
+	tr := obs.New(0)
+	machine.SetTracer(tr, obs.DirUp)
 	var arrivals []time.Duration
 	l.Deliver = func(meta any, size int, sentAt, at time.Duration) { arrivals = append(arrivals, at) }
 	s.Every(0, time.Millisecond, func() { l.Send(nil, 1250) })
 	s.RunUntil(prof.Duration())
 
-	// Pick the longest handover; nothing should *depart* the bottleneck
-	// during it, so arrivals inside (At+BaseOWD, At+HET) are at most a few
-	// stragglers that were already past the queue.
-	var longest cell.Event
-	for _, ev := range machine.Events() {
-		if ev.HET > longest.HET {
-			longest = ev
+	// Pick the longest handover in the trace; nothing should *depart* the
+	// bottleneck during it, so arrivals inside (onset+BaseOWD, onset+HET)
+	// are at most a few stragglers that were already past the queue.
+	var onset, het time.Duration
+	for _, ev := range tr.Events() {
+		if d := time.Duration(ev.V * float64(time.Millisecond)); ev.Kind == obs.KindHandover && d > het {
+			onset, het = ev.T, d
 		}
 	}
-	if longest.HET < 100*time.Millisecond {
+	if het < 100*time.Millisecond {
 		t.Skip("no long handover in this seed")
 	}
 	inWindow := 0
-	lo := longest.At + 40*time.Millisecond
-	hi := longest.At + longest.HET
+	lo := onset + 40*time.Millisecond
+	hi := onset + het
 	for _, at := range arrivals {
 		if at > lo && at < hi {
 			inWindow++
 		}
 	}
 	if inWindow > 3 {
-		t.Errorf("%d deliveries during a %v handover execution", inWindow, longest.HET)
+		t.Errorf("%d deliveries during a %v handover execution", inWindow, het)
 	}
 }
 

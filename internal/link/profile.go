@@ -10,8 +10,6 @@ import (
 // field cites the paper statistic it targets (see DESIGN.md §4 and
 // EXPERIMENTS.md for the paper-vs-measured record).
 type Profile struct {
-	Name string
-
 	// MeanCapacity is the long-run average uplink capacity in bits/s.
 	// Urban P1 sustains static 25 Mbps with headroom (≈40 Mbps uplink,
 	// §4.2.1); rural P1 supports ≈8–10 Mbps (Fig. 6); rural P2 roughly
@@ -67,7 +65,6 @@ func ProfileFor(env cell.Environment, op cell.Operator) Profile {
 	switch {
 	case env == cell.Urban:
 		p := Profile{
-			Name:            "urban-" + op.String(),
 			MeanCapacity:    38e6,
 			CapSigma:        0.10,
 			CapTau:          8 * time.Second,
@@ -88,7 +85,6 @@ func ProfileFor(env cell.Environment, op cell.Operator) Profile {
 		return p
 	case op == cell.P1:
 		return Profile{
-			Name:            "rural-P1",
 			MeanCapacity:    11.5e6,
 			CapSigma:        0.24,
 			CapTau:          5 * time.Second,
@@ -103,7 +99,6 @@ func ProfileFor(env cell.Environment, op cell.Operator) Profile {
 		}
 	default:
 		return Profile{
-			Name:            "rural-P2",
 			MeanCapacity:    24e6,
 			CapSigma:        0.25,
 			CapTau:          5 * time.Second,
@@ -125,7 +120,6 @@ func ProfileFor(env cell.Environment, op cell.Operator) Profile {
 // interruptions but adds no congestion of its own.
 func FeedbackProfile() Profile {
 	return Profile{
-		Name:         "downlink-feedback",
 		MeanCapacity: 100e6,
 		CapSigma:     0.05,
 		CapTau:       10 * time.Second,

@@ -47,9 +47,8 @@ func TestCapacityShareThroughput(t *testing.T) {
 	}
 }
 
-// TestCapacityShareQueueDelayConsistent: the pure queueDelay observation
-// reflects the share exactly as the advancing sampler does, and a nil
-// share restores sole tenancy.
+// TestCapacityShareQueueDelay: the drain-time estimate reflects the share,
+// and a nil share restores sole tenancy.
 func TestCapacityShareQueueDelay(t *testing.T) {
 	s := sim.New(1)
 	// A low MinCapacity so the drain-estimate floor sits far below the
@@ -64,15 +63,15 @@ func TestCapacityShareQueueDelay(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			l.Send(i, 1250)
 		}
-		full := l.queueDelay()
+		full := l.SampleQueueDelay()
 		l.SetCapacityShare(func(time.Duration) float64 { return 0.5 })
-		halved := l.queueDelay()
+		halved := l.SampleQueueDelay()
 		if halved < full*19/10 || halved > full*21/10 {
-			t.Errorf("queueDelay at half share = %v, want ≈2× the full-rate %v", halved, full)
+			t.Errorf("SampleQueueDelay at half share = %v, want ≈2× the full-rate %v", halved, full)
 		}
 		l.SetCapacityShare(nil)
-		if got := l.queueDelay(); got != full {
-			t.Errorf("queueDelay after clearing the share = %v, want %v", got, full)
+		if got := l.SampleQueueDelay(); got != full {
+			t.Errorf("SampleQueueDelay after clearing the share = %v, want %v", got, full)
 		}
 	})
 	s.Run()

@@ -77,13 +77,14 @@ type detectorLoad struct {
 	seq    uint16
 	now    time.Duration
 	nacked []uint16
+	heals  metrics.Sketch // one loss-to-repair time per retransmission heal
 }
 
 // warmDetector runs 70 s of load: past a 16-bit wrap, with the table and
 // the order slice at their steady sizes.
 func warmDetector() *detectorLoad {
 	l := &detectorLoad{d: NewDetector(DefaultConfig())}
-	l.d.SetNackRTTHist(new(metrics.Sketch))
+	l.d.SetNackRTTHist(&l.heals)
 	for i := 0; i < 70_000; i++ {
 		l.step()
 	}
@@ -121,7 +122,7 @@ func BenchmarkDetectorCycle(b *testing.B) {
 // live in the table by value and each tick compacts the order in place.
 func TestDetectorSteadyStateAllocations(t *testing.T) {
 	l := warmDetector()
-	repaired := l.d.Repaired
+	repaired := l.heals.N()
 	// One unmeasured call, then every allocation of 5 000 packets: growth
 	// amortized over many packets counts too.
 	n := testing.AllocsPerRun(1, func() {
@@ -133,8 +134,8 @@ func TestDetectorSteadyStateAllocations(t *testing.T) {
 		t.Errorf("OnPacket+AppendTick+OnRepair allocate %.0f times in 5 000 packets, want 0", n)
 	}
 	// Every loss is NACKed once and healed by its retransmission.
-	if l.d.Repaired-repaired < 180 || l.d.Abandoned != 0 || l.d.Late != 0 || l.d.slots.Len() > 1 {
+	if l.heals.N()-repaired < 180 || l.d.Abandoned != 0 || l.d.Late != 0 || l.d.slots.Len() > 1 {
 		t.Errorf("load is not the steady state it claims: %d repaired, %d abandoned, %d late, %d pending",
-			l.d.Repaired-repaired, l.d.Abandoned, l.d.Late, l.d.slots.Len())
+			l.heals.N()-repaired, l.d.Abandoned, l.d.Late, l.d.slots.Len())
 	}
 }

@@ -9,8 +9,8 @@ const spendBin = 250 * time.Millisecond
 // Budget is the sender-side repair token bucket. It accrues BudgetFraction
 // of the congestion controller's current target rate (capped at
 // BudgetBurst) and every retransmitted byte draws from it, so repair
-// traffic is bounded relative to the media rate by construction:
-// Spent ≤ Accrued always holds, and Accrued grows no faster than
+// traffic is bounded relative to the media rate by construction: the bytes
+// granted never exceed Accrued, and Accrued grows no faster than
 // fraction × target plus the initial burst.
 type Budget struct {
 	cfg     Config
@@ -21,10 +21,8 @@ type Budget struct {
 	bins [4]int
 	binQ int
 
-	// Spent is the total bytes granted; Denied counts refused
-	// retransmissions (bucket empty — the caller degrades to the PLI
-	// path instead).
-	Spent  int
+	// Denied counts refused retransmissions (bucket empty — the caller
+	// degrades to the PLI path instead).
 	Denied int
 }
 
@@ -45,14 +43,13 @@ func (b *Budget) Allow(now time.Duration, size int, targetRate float64) bool {
 		return false
 	}
 	b.tokens -= float64(size)
-	b.Spent += size
 	b.note(now, size)
 	return true
 }
 
 // Accrued returns the cumulative (uncapped) byte allowance granted so far,
-// including the initial burst. Spent ≤ Accrued is the layer's hard
-// invariant.
+// including the initial burst. The bytes granted never exceed it: the
+// layer's hard invariant.
 func (b *Budget) Accrued() float64 { return b.accrued }
 
 // SpendRate returns the repair send rate in bits/s over the trailing

@@ -37,11 +37,8 @@ type Cache struct {
 	fifo     ring.Queue[fifoRef]
 	bytes    int
 
-	// Stored and Evicted count packets in and out; Misses counts lookups
-	// that found nothing fresh enough to resend.
-	Stored  int
-	Evicted int
-	Misses  int
+	// Misses counts lookups that found nothing fresh enough to resend.
+	Misses int
 }
 
 // cacheInitSlots covers the default 400 ms age window at ≈600 pkt/s; a
@@ -69,11 +66,9 @@ func (c *Cache) Store(pkt *rtp.Packet, now time.Duration) {
 		// Sequence number reuse (wrap): the old entry is long stale.
 		old.pkt.Release()
 		c.bytes -= old.size
-		c.Evicted++
 	}
 	c.fifo.Push(fifoRef{seq: seq, storedAt: now})
 	c.bytes += size
-	c.Stored++
 	c.evict(now)
 }
 
@@ -101,7 +96,6 @@ func (c *Cache) evict(now time.Duration) {
 			c.bytes -= e.size
 			e.pkt.Release()
 			c.slots.Delete(ref.seq)
-			c.Evicted++
 		}
 		c.fifo.Pop()
 	}

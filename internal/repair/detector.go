@@ -65,11 +65,10 @@ type Detector struct {
 	// loss-to-repair time in milliseconds (see SetNackRTTHist).
 	rttHist *metrics.Sketch
 
-	// Repaired counts losses healed by a retransmission, Late those healed
-	// by the original arriving after its gap was noticed, and Abandoned
-	// those given up on (retry cap or pending bound) — the PLI path's
-	// responsibility from then on.
-	Repaired  int
+	// Late counts losses healed by the original arriving after its gap was
+	// noticed, and Abandoned those given up on (retry cap or pending
+	// bound) — the PLI path's responsibility from then on. Retransmission
+	// heals are OnRepair's true answers.
 	Late      int
 	Abandoned int
 }
@@ -247,7 +246,6 @@ func (d *Detector) heal(seq uint16, e loss, at time.Duration, rtx bool) {
 	aux := int64(0)
 	if rtx {
 		aux = 1
-		d.Repaired++
 		if d.rttHist != nil {
 			d.rttHist.Add(float64(at-e.missedAt) / float64(time.Millisecond))
 		}

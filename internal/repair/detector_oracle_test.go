@@ -311,10 +311,10 @@ func TestDetectorMatchesMapOracle(t *testing.T) {
 						now += time.Duration(rng.Int63n(int64(3 * outageGuard)))
 					}
 				}
-				if got.slots.Len() != len(ref.index) || got.srtt != ref.srtt || got.Repaired != ref.Repaired ||
+				if got.slots.Len() != len(ref.index) || got.srtt != ref.srtt || gotHist.N() != ref.Repaired ||
 					got.Late != ref.Late || got.Abandoned != ref.Abandoned {
 					t.Fatalf("op %d: pending/rtt/repaired/late/abandoned = %d/%v/%d/%d/%d, map reference %d/%v/%d/%d/%d",
-						op, got.slots.Len(), got.srtt, got.Repaired, got.Late, got.Abandoned,
+						op, got.slots.Len(), got.srtt, gotHist.N(), got.Late, got.Abandoned,
 						len(ref.index), ref.srtt, ref.Repaired, ref.Late, ref.Abandoned)
 				}
 			}
@@ -323,12 +323,12 @@ func TestDetectorMatchesMapOracle(t *testing.T) {
 				t.Errorf("NACK RTT samples: %d summing to %v, map reference %d summing to %v",
 					gotHist.N(), gotHist.Sum(), refHist.N(), refHist.Sum())
 			}
-			if got.Repaired == 0 || got.Late == 0 || got.Abandoned == 0 || nacks == 0 || wraps < 3 || laps == 0 {
+			if ref.Repaired == 0 || got.Late == 0 || got.Abandoned == 0 || nacks == 0 || wraps < 3 || laps == 0 {
 				t.Errorf("stream too tame: %d repaired, %d late, %d abandoned, %d NACKs in %d ticks, %d wraps, %d laps",
-					got.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps)
+					ref.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps)
 			}
 			t.Logf("%d repaired, %d late, %d abandoned, %d NACKs in %d ticks, %d wraps (%d laps), %d slots, RTT %v",
-				got.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps, got.slots.Cap(), got.srtt)
+				ref.Repaired, got.Late, got.Abandoned, nacks, ticks, wraps, laps, got.slots.Cap(), got.srtt)
 		})
 	}
 }

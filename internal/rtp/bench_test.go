@@ -7,7 +7,7 @@ import (
 
 func BenchmarkHeaderMarshal(b *testing.B) {
 	h := Header{Marker: true, PayloadType: 96, SequenceNumber: 1, Timestamp: 2, SSRC: 3}
-	h.setTransportSeq(7)
+	h.Extensions = tseqExt(7)
 	buf := make([]byte, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -19,7 +19,7 @@ func BenchmarkHeaderMarshal(b *testing.B) {
 
 func BenchmarkHeaderUnmarshal(b *testing.B) {
 	h := Header{Marker: true, PayloadType: 96, SequenceNumber: 1, Timestamp: 2, SSRC: 3}
-	h.setTransportSeq(7)
+	h.Extensions = tseqExt(7)
 	buf, err := marshalHeader(&h)
 	if err != nil {
 		b.Fatal(err)

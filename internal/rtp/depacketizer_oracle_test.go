@@ -42,7 +42,6 @@ func (d *mapDepacketizer) push(pkt *Packet, at time.Duration) (*mapFrame, error)
 	}
 	fs.got[w] |= bit
 	fs.Received++
-	fs.Bytes += pkt.MarshalSize()
 	if at > fs.LastArrival {
 		fs.LastArrival = at
 	}
@@ -71,14 +70,14 @@ func sameFrame(got *FrameState, want *mapFrame) bool {
 }
 
 type frameFields struct {
-	num                    uint32
-	enc, first, last       time.Duration
-	keyframe, repaired     bool
-	total, received, bytes int
+	num                uint32
+	enc, first, last   time.Duration
+	keyframe, repaired bool
+	total, received    int
 }
 
 func exported(f *FrameState) frameFields {
-	return frameFields{f.Num, f.EncodeTime, f.FirstArrival, f.LastArrival, f.Keyframe, f.Repaired, f.Total, f.Received, f.Bytes}
+	return frameFields{f.Num, f.EncodeTime, f.FirstArrival, f.LastArrival, f.Keyframe, f.Repaired, f.Total, f.Received}
 }
 
 // TestDepacketizerMatchesMapOracle drives the ring and the map through the

@@ -169,11 +169,11 @@ func TestDepacketizerDeduplicates(t *testing.T) {
 	if !fs.Complete() {
 		t.Fatalf("frame incomplete after all %d packets", len(pkts))
 	}
-	recv, bytes := fs.Received, fs.Bytes
+	before := exported(fs)
 	if _, err := d.Push(pkts[0], 20); err != ErrDuplicate {
 		t.Fatalf("duplicate push returned %v, want ErrDuplicate", err)
 	}
-	if fs.Received != recv || fs.Bytes != bytes {
+	if exported(fs) != before {
 		t.Fatal("duplicate push mutated frame state")
 	}
 }

@@ -166,7 +166,6 @@ type FrameState struct {
 	Keyframe   bool
 	Total      int // packets in the frame
 	Received   int // packets received so far
-	Bytes      int // wire bytes received so far
 	// FirstArrival and LastArrival bracket the packet arrivals seen so far.
 	FirstArrival time.Duration
 	LastArrival  time.Duration
@@ -295,7 +294,6 @@ func (d *Depacketizer) Push(pkt *Packet, at time.Duration) (*FrameState, error) 
 	}
 	fs.mark(meta.Index)
 	fs.Received++
-	fs.Bytes += pkt.MarshalSize()
 	if at > fs.LastArrival {
 		fs.LastArrival = at
 	}

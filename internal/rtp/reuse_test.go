@@ -95,7 +95,7 @@ func TestDepacketizerReuseStartsEmpty(t *testing.T) {
 			at := time.Duration(n) * time.Millisecond
 			got, gerr := next.Push(p, at)
 			want, werr := fresh.Push(p, at)
-			if gerr != werr || got.Num != want.Num || got.Received != want.Received || got.Bytes != want.Bytes || got.Complete() != want.Complete() {
+			if gerr != werr || exported(got) != exported(want) || got.Complete() != want.Complete() {
 				t.Fatalf("frame %d index %d: %+v, %v; fresh %+v, %v", n, i, got, gerr, want, werr)
 			}
 		}

@@ -197,20 +197,6 @@ func (h *Header) Unmarshal(buf []byte) (int, error) {
 	return off, nil
 }
 
-// setTransportSeq attaches (or replaces) the transport-wide sequence number
-// extension.
-func (h *Header) setTransportSeq(seq uint16) {
-	var payload [2]byte
-	binary.BigEndian.PutUint16(payload[:], seq)
-	for i := range h.Extensions {
-		if h.Extensions[i].ID == ExtensionIDTransportSeq {
-			h.Extensions[i].Payload = payload[:]
-			return
-		}
-	}
-	h.Extensions = append(h.Extensions, Extension{ID: ExtensionIDTransportSeq, Payload: payload[:]})
-}
-
 // TransportSeq extracts the transport-wide sequence number extension.
 func (h *Header) TransportSeq() (uint16, bool) {
 	for _, e := range h.Extensions {

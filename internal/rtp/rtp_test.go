@@ -19,7 +19,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 		SSRC:           0xCAFEBABE,
 		CSRC:           []uint32{1, 2, 3},
 	}
-	h.setTransportSeq(777)
+	h.Extensions = tseqExt(777)
 	buf, err := marshalHeader(&h)
 	if err != nil {
 		t.Fatal(err)
@@ -61,16 +61,9 @@ func TestHeaderNoExtensions(t *testing.T) {
 	}
 }
 
-func TestSetTransportSeqReplaces(t *testing.T) {
-	var h Header
-	h.setTransportSeq(1)
-	h.setTransportSeq(2)
-	if len(h.Extensions) != 1 {
-		t.Fatalf("got %d extensions, want 1", len(h.Extensions))
-	}
-	if seq, _ := h.TransportSeq(); seq != 2 {
-		t.Errorf("seq = %d, want 2", seq)
-	}
+// tseqExt is the transport-wide sequence number extension carrying seq.
+func tseqExt(seq uint16) []Extension {
+	return []Extension{{ID: ExtensionIDTransportSeq, Payload: binary.BigEndian.AppendUint16(nil, seq)}}
 }
 
 func TestHeaderBadVersion(t *testing.T) {
@@ -91,7 +84,7 @@ func TestHeaderShort(t *testing.T) {
 
 func TestHeaderTruncatedExtension(t *testing.T) {
 	h := Header{PayloadType: 96}
-	h.setTransportSeq(1)
+	h.Extensions = tseqExt(1)
 	buf, err := marshalHeader(&h)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +198,7 @@ func TestPropertyHeaderRoundTrip(t *testing.T) {
 			Timestamp:      ts,
 			SSRC:           ssrc,
 		}
-		h.setTransportSeq(tseq)
+		h.Extensions = tseqExt(tseq)
 		buf, err := marshalHeader(&h)
 		if err != nil {
 			return false

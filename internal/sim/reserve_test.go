@@ -76,8 +76,8 @@ type firing struct {
 // inside an event, so two runs make the same decisions for as long as their
 // events fire in the same order — and record a difference as soon as they
 // do not. Events spawn plain timers (some in the past, some at the current
-// instant), events on three FIFO sources, cancellations of pending timers
-// and Simulator.Stop; the driver resumes with Run or a bounded RunUntil.
+// instant), events on three FIFO sources and cancellations of pending
+// timers; the driver alternates Run and a bounded RunUntil.
 func randomProgram(t *testing.T, seed int64, reserved bool) (fired []firing, scheduled uint64, peak int) {
 	t.Helper()
 	s := New(seed)
@@ -107,9 +107,6 @@ func randomProgram(t *testing.T, seed int64, reserved bool) (fired []firing, sch
 						break
 					}
 				}
-			}
-			if rng.Intn(20) == 0 {
-				s.stop()
 			}
 		}
 	}
@@ -158,8 +155,8 @@ func randomProgram(t *testing.T, seed int64, reserved bool) (fired []firing, sch
 // TestReservedOrderMatchesAtOracle is the order claim behind the link's
 // single armed arrival: scheduling late under a reserved number fires
 // exactly what, when and in the order an At at the reservation point would
-// have, through stops, cancellations and nested scheduling — and it counts
-// the same events while holding fewer timers.
+// have, through cancellations, resumed runs and nested scheduling — and it
+// counts the same events while holding fewer timers.
 func TestReservedOrderMatchesAtOracle(t *testing.T) {
 	held := false
 	for seed := int64(1); seed <= 200; seed++ {
@@ -255,24 +252,6 @@ func TestSeqRingAgainstSet(t *testing.T) {
 		if r.Len() != len(want) {
 			t.Fatalf("step %d: ring holds %d, set %d", step, r.Len(), len(want))
 		}
-	}
-}
-
-// TestRunUntilStoppedKeepsClock is the regression for RunUntil advancing to
-// its bound after Stop had left earlier events pending: the next run then
-// moved the clock backwards.
-func TestRunUntilStoppedKeepsClock(t *testing.T) {
-	s := New(1)
-	var firedAt time.Duration
-	s.At(time.Second, s.stop)
-	s.At(2*time.Second, func() { firedAt = s.Now() })
-	s.RunUntil(10 * time.Second)
-	if s.Now() != time.Second {
-		t.Fatalf("Now() = %v after Stop at 1s inside RunUntil(10s), want 1s", s.Now())
-	}
-	s.RunUntil(10 * time.Second)
-	if firedAt != 2*time.Second || s.Now() != 10*time.Second {
-		t.Errorf("resumed run fired the 2s event at %v and ended at %v, want 2s and 10s", firedAt, s.Now())
 	}
 }
 

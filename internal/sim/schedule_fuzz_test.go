@@ -103,8 +103,7 @@ type scheduleRun struct {
 	tasks   []*fuzzTask
 	// stale is a handle the simulator has recycled and not handed out
 	// again: stopping it must change nothing.
-	stale  *Timer
-	halted bool // Simulator.Stop called since the last run began
+	stale *Timer
 }
 
 func (r *scheduleRun) byte() (byte, bool) {
@@ -263,8 +262,8 @@ func (r *scheduleRun) stopPlain(pick int) {
 		if tm, ok := r.plain[id]; ok {
 			delete(r.plain, id)
 			tm.Stop()
-			if !tm.stopped {
-				r.t.Fatal("a stopped pending timer reads as not stopped")
+			if tm.state != timerFree {
+				r.t.Fatal("a stopped pending timer is not back on the free list")
 			}
 			r.o.remove(id)
 			r.stale = tm
@@ -277,10 +276,9 @@ func (r *scheduleRun) stopStale() {
 	if r.stale == nil {
 		return
 	}
-	was := r.stale.stopped
 	r.stale.Stop()
-	if r.stale.stopped != was {
-		r.t.Fatalf("Stop on a recycled handle changed stopped from %v", was)
+	if r.stale.state != timerFree {
+		r.t.Fatal("Stop on a recycled handle took it off the free list")
 	}
 }
 
@@ -304,8 +302,8 @@ func (r *scheduleRun) act(self *Timer, ft *fuzzTask) {
 	case 4: // stop the event running now
 		if self != nil {
 			self.Stop()
-			if !self.stopped {
-				r.t.Fatal("a timer stopped from its own callback reads as not stopped")
+			if self.state != timerFiring {
+				r.t.Fatal("a timer stopped from its own callback is no longer firing")
 			}
 		} else if ft != nil {
 			r.stopTask(ft)
@@ -316,9 +314,6 @@ func (r *scheduleRun) act(self *Timer, ft *fuzzTask) {
 		}
 	case 6:
 		r.stopStale()
-	case 7:
-		r.s.stop()
-		r.halted = true
 	}
 	r.check("a callback's action")
 }
@@ -333,14 +328,11 @@ func (r *scheduleRun) activeTasks() bool {
 }
 
 func (r *scheduleRun) runUntil(limit time.Duration) {
-	r.halted = false
 	r.s.RunUntil(limit)
-	if !r.halted {
-		if i := r.o.next(); i >= 0 && r.o.events[i].at <= limit {
-			r.t.Fatalf("RunUntil(%v) left event %+v behind", limit, r.o.events[i])
-		}
-		r.o.now = max(r.o.now, limit)
+	if i := r.o.next(); i >= 0 && r.o.events[i].at <= limit {
+		r.t.Fatalf("RunUntil(%v) left event %+v behind", limit, r.o.events[i])
 	}
+	r.o.now = max(r.o.now, limit)
 	r.check("RunUntil")
 }
 
@@ -349,9 +341,8 @@ func (r *scheduleRun) run() {
 		r.runUntil(r.o.now + 20*time.Millisecond)
 		return
 	}
-	r.halted = false
 	r.s.Run()
-	if !r.halted && len(r.o.events) > 0 {
+	if len(r.o.events) > 0 {
 		r.t.Fatalf("Run returned with the oracle holding %d events", len(r.o.events))
 	}
 	r.check("Run")
@@ -432,8 +423,7 @@ func runSchedule(t *testing.T, prog []byte) {
 
 // FuzzSimSchedule holds the simulator to scheduleOracle over byte-decoded
 // programs of At, FIFO holders on Reserve and AtReserved, Stop on pending,
-// firing and recycled timers, Every and Task.Stop, Run, RunUntil, Stop and
-// Reset: the same firings at the same Now(), and the same Pending(),
+// firing and recycled timers, Every and Task.Stop, Run, RunUntil and Reset: the same firings at the same Now(), and the same Pending(),
 // Scheduled() and TimerHighWater() after every operation.
 func FuzzSimSchedule(f *testing.F) {
 	f.Add([]byte{})

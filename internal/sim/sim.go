@@ -45,28 +45,23 @@ const (
 // error. No code in this repository retains fired timers (sim.Task replaces
 // its handle on every firing).
 type Timer struct {
-	at      time.Duration
-	fn      func()
-	owner   *Simulator
-	stopped bool
-	state   uint8 // timerPending, timerFiring or timerFree
-	id      int32 // slot in the owner's timer registry, fixed for life
+	fn    func()
+	owner *Simulator
+	state uint8 // timerPending, timerFiring or timerFree
+	id    int32 // slot in the owner's timer registry, fixed for life
 }
 
 // Stop cancels the timer. It is safe to call multiple times and after the
 // timer has fired (as long as the handle has not been recycled, see the type
 // comment). A pending timer leaves the pending set immediately, so cancelled
-// events never occupy it; a timer stopped from its own callback keeps its
-// stopped flag until it is recycled.
+// events never occupy it; stopping a timer from its own callback changes
+// nothing.
 func (t *Timer) Stop() {
-	if t == nil || t.state == timerFree {
+	if t == nil || t.state != timerPending {
 		return
 	}
-	t.stopped = true
-	if t.state == timerPending {
-		t.owner.remove(t.id)
-		t.owner.release(t)
-	}
+	t.owner.remove(t.id)
+	t.owner.release(t)
 }
 
 // entry is one pending event. The ordering key (at, seq) is stored inline
@@ -106,7 +101,6 @@ type Simulator struct {
 	// by Stream for new names instead of allocating a source each.
 	spare   []*rand.Rand
 	running bool
-	stopped bool
 }
 
 // New returns a Simulator at virtual time zero whose random streams derive
@@ -138,7 +132,6 @@ func (s *Simulator) Reset(seed int64) {
 		s.spare = append(s.spare, r)
 	}
 	clear(s.streams)
-	s.stopped = false
 }
 
 // Now returns the current virtual time.
@@ -215,9 +208,9 @@ func (s *Simulator) schedule(at time.Duration, seq uint64, fn func()) *Timer {
 		t = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		t.at, t.fn, t.state, t.stopped = at, fn, timerPending, false
+		t.fn, t.state = fn, timerPending
 	} else {
-		t = &Timer{at: at, fn: fn, owner: s, id: int32(len(s.timers))}
+		t = &Timer{fn: fn, owner: s, id: int32(len(s.timers))}
 		s.timers = append(s.timers, t)
 	}
 	// Shift the entries that fire before the new one up a slot, from the
@@ -269,8 +262,7 @@ func (s *Simulator) After(d time.Duration, fn func()) *Timer {
 }
 
 // release returns a timer to the free list. The caller must have detached it
-// from the pending set already. The stopped flag survives until the handle
-// is reused, so it keeps answering truthfully on a stale handle.
+// from the pending set already.
 func (s *Simulator) release(t *Timer) {
 	t.fn = nil
 	t.state = timerFree
@@ -330,9 +322,6 @@ func (s *Simulator) Every(start, interval time.Duration, fn func()) *Task {
 	return t
 }
 
-// stop halts Run/RunUntil after the currently executing event returns.
-func (s *Simulator) stop() { s.stopped = true }
-
 // Scheduled returns how many events have been scheduled since New — fired,
 // stopped, still pending, and reserved but not yet pushed alike. It is a pure
 // function of (Config, Seed), which makes it the run cost a regression gate
@@ -361,32 +350,28 @@ func (s *Simulator) step(limit time.Duration, bounded bool) bool {
 	return true
 }
 
-// Run executes events until none remain or stop is called.
+// Run executes events until none remain.
 func (s *Simulator) Run() {
 	if s.running {
 		panic("sim: Run re-entered")
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	s.stopped = false
-	for !s.stopped && s.step(0, false) {
+	for s.step(0, false) {
 	}
 }
 
 // RunUntil executes events with timestamps ≤ t, then advances the clock to
-// t. Events scheduled after t remain pending. When stop halts it, events ≤ t
-// may remain too, so the clock stays at the last event run: the next Run or
-// RunUntil must not find pending events in its past.
+// t. Events scheduled after t remain pending.
 func (s *Simulator) RunUntil(t time.Duration) {
 	if s.running {
 		panic("sim: RunUntil re-entered")
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	s.stopped = false
-	for !s.stopped && s.step(t, true) {
+	for s.step(t, true) {
 	}
-	if !s.stopped && t > s.now {
+	if t > s.now {
 		s.now = t
 	}
 }

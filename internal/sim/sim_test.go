@@ -72,8 +72,8 @@ func TestTimerStop(t *testing.T) {
 	if fired {
 		t.Error("stopped timer fired")
 	}
-	if !timer.stopped {
-		t.Error("stopped = false after Stop")
+	if timer.state != timerFree {
+		t.Error("a stopped timer is not back on the free list")
 	}
 }
 
@@ -105,11 +105,8 @@ func TestEveryFiresPeriodically(t *testing.T) {
 	var times []time.Duration
 	task := s.Every(10*time.Millisecond, 20*time.Millisecond, func() {
 		times = append(times, s.Now())
-		if len(times) == 3 {
-			s.stop()
-		}
 	})
-	s.Run()
+	s.RunUntil(60 * time.Millisecond)
 	task.Stop()
 	want := []time.Duration{10 * time.Millisecond, 30 * time.Millisecond, 50 * time.Millisecond}
 	if len(times) != len(want) {
@@ -166,21 +163,6 @@ func TestStreamIsCached(t *testing.T) {
 	s := New(7)
 	if s.Stream("x") != s.Stream("x") {
 		t.Error("Stream returned distinct generators for the same name")
-	}
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	s := New(1)
-	n := 0
-	s.Every(0, time.Millisecond, func() {
-		n++
-		if n == 5 {
-			s.stop()
-		}
-	})
-	s.Run()
-	if n != 5 {
-		t.Errorf("ran %d events, want 5", n)
 	}
 }
 

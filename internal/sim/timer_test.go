@@ -24,8 +24,8 @@ func TestStoppedTimersLeaveHeap(t *testing.T) {
 	for i := 0; i < len(timers); i += 2 {
 		timers[i].Stop()
 		stopped++
-		if !timers[i].stopped {
-			t.Fatalf("timer %d not Stopped after Stop", i)
+		if timers[i].state != timerFree {
+			t.Fatalf("timer %d not back on the free list after Stop", i)
 		}
 	}
 	if got := len(s.events); got != 100-stopped {
@@ -98,33 +98,35 @@ func TestStopRandomizedAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestTimerPoolReuse checks the free-list recycling contract: a fired
-// timer's storage is reused by a later At, and a handle stays truthful
-// about Stopped until that reuse.
+// TestTimerPoolReuse checks the free-list recycling contract: a fired or
+// stopped timer's storage is reused by a later At, and stopping a stale
+// handle does not touch the event that reuses it.
 func TestTimerPoolReuse(t *testing.T) {
 	s := New(1)
 	t1 := s.At(time.Millisecond, func() {})
 	s.Run()
-	if t1.stopped {
-		t.Fatal("fired timer reads as stopped")
+	if t1.state != timerFree {
+		t.Fatal("a fired timer is not back on the free list")
 	}
+	t1.Stop() // stale: a no-op
 	t2 := s.At(2*time.Millisecond, func() {})
 	if t1 != t2 {
 		t.Fatalf("expected the fired timer to be recycled (pool broken)")
 	}
 	t2.Stop()
-	if !t2.stopped {
-		t.Fatal("Stopped() = false after Stop on recycled timer")
+	t2.Stop()
+	if t2.state != timerFree || len(s.events) != 0 {
+		t.Fatal("Stop on a recycled timer left it pending")
 	}
-	// The stopped flag must be cleared again on the next reuse.
-	t3 := s.At(3*time.Millisecond, func() {})
+	fired := false
+	t3 := s.At(3*time.Millisecond, func() { fired = true })
 	if t3 != t2 {
 		t.Fatal("expected the stopped timer to be recycled")
 	}
-	if t3.stopped {
-		t.Fatal("recycled timer inherited the stopped flag")
-	}
 	s.Run()
+	if !fired {
+		t.Fatal("the event on a recycled stopped timer did not fire")
+	}
 }
 
 // TestEventLoopAllocationFree verifies that the

@@ -85,14 +85,10 @@ type PlayedFrame struct {
 	SSIM float64
 	// Skipped marks frames that were never decoded.
 	Skipped bool
-	// Repaired marks frames at least one of whose packets arrived as a
-	// retransmission — played (or concealed) instead of lost.
-	Repaired bool
 }
 
 // Stall is one playback interruption longer than the stall threshold.
 type Stall struct {
-	At       time.Duration
 	Duration time.Duration
 }
 
@@ -385,7 +381,6 @@ func (p *Player) play(now time.Duration, fs *rtp.FrameState) {
 		PlayedAt: now,
 		Latency:  now - fs.EncodeTime,
 		SSIM:     score,
-		Repaired: fs.Repaired,
 	}
 	if fs.Repaired {
 		p.FramesRepaired++
@@ -444,7 +439,7 @@ func (p *Player) record(pf PlayedFrame, now time.Duration) {
 	}
 	if p.everPlayed {
 		if gap := now - p.lastPlayedAt; gap > stallThreshold {
-			p.Stalls = append(p.Stalls, Stall{At: p.lastPlayedAt, Duration: gap})
+			p.Stalls = append(p.Stalls, Stall{Duration: gap})
 			if p.trace != nil {
 				p.trace.Emit(obs.Event{T: now, Kind: obs.KindStall,
 					V: float64(gap) / float64(time.Millisecond)})

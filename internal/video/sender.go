@@ -255,7 +255,6 @@ func (s *Sender) tick() {
 			Data:     p,
 			Size:     p.MarshalSize(),
 			Enqueued: now,
-			FrameNum: f.Num,
 		})
 	}
 	s.Kick()
@@ -346,12 +345,7 @@ func (s *Sender) drain() {
 			SendTime:     now,
 		}
 		s.remember(rec)
-		s.ctrl.OnPacketSent(cc.SentPacket{
-			TransportSeq: tseq,
-			Seq:          rec.Seq,
-			Size:         it.Size,
-			SendTime:     now,
-		})
+		s.ctrl.OnPacketSent(cc.SentPacket{Seq: rec.Seq, Size: it.Size, SendTime: now})
 		s.PacketsSent++
 		s.BytesSent += it.Size
 		s.Transmit(p, it.Size)

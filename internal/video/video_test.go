@@ -10,6 +10,7 @@ import (
 
 	"rpivideo/internal/cc"
 	"rpivideo/internal/metrics"
+	"rpivideo/internal/obs"
 	"rpivideo/internal/rtp"
 	"rpivideo/internal/sim"
 )
@@ -286,6 +287,8 @@ func TestOutageCausesStall(t *testing.T) {
 	ctrl := cc.NewStatic(8e6)
 	blocked := false
 	snd, pl := pipe(s, ctrl, 50*time.Millisecond, func(*rtp.Packet) bool { return !blocked })
+	tr := obs.New(0)
+	pl.SetTracer(tr)
 	snd.Start()
 	// Block the path entirely between t=10 s and t=11 s (a long handover).
 	s.At(10*time.Second, func() { blocked = true })
@@ -295,14 +298,16 @@ func TestOutageCausesStall(t *testing.T) {
 	if len(pl.Stalls) == 0 {
 		t.Fatal("a 1 s outage must produce a stall")
 	}
+	// A traced stall ends at T and lasted V milliseconds.
 	found := false
-	for _, st := range pl.Stalls {
-		if st.At > 9*time.Second && st.At < 12*time.Second && st.Duration > 300*time.Millisecond {
+	for _, ev := range tr.Events() {
+		gap := time.Duration(ev.V * float64(time.Millisecond))
+		if start := ev.T - gap; ev.Kind == obs.KindStall && start > 9*time.Second && start < 12*time.Second && gap > 300*time.Millisecond {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no stall recorded near the outage: %+v", pl.Stalls)
+		t.Errorf("no stall traced near the outage: %+v", pl.Stalls)
 	}
 }
 

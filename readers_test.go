@@ -2,22 +2,31 @@ package rpivideo_test
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 	"testing"
 )
 
-// The two reasons an exported name may stay without a production reader:
-// bench/ reads it (checked against bench/'s own uses), or tests need it as a
-// hook, "a hook <pkg>'s tests need" naming their packages.
-const benchReason = "read by bench/; goes with ROADMAP item 4"
+// The reasons a name or field may stay without a production reader: bench/
+// reads it (checked against bench/'s own uses), or tests need it as a hook,
+// "a hook <pkg>'s tests need" naming the packages whose test files use it.
+// A field may also stay because bench/ sets it (checked against bench/'s
+// writes): bench/ is frozen, so it cannot stop.
+const (
+	benchReason    = "read by bench/; goes with ROADMAP item 4"
+	benchSetReason = "set by bench/; goes with ROADMAP item 4"
+)
 
 var hookReason = regexp.MustCompile(`^a hook [a-z]+'s?((, [a-z]+'s?)* and [a-z]+'s?)? tests need$`)
 
-// unreadNames are the exported names under internal/ that no non-test file
-// of the module reads, each with why it stays.
+// unreadNames are the exported names, and the unexported functions and
+// methods, under internal/ that no non-test file of the module reads, each
+// with why it stays.
 var unreadNames = map[string]string{
 	"cell.NewMachine":                  benchReason,
 	"cell.NewSignalModel":              benchReason,
@@ -45,8 +54,9 @@ var unreadNames = map[string]string{
 }
 
 // TestEveryExportedNameHasAReader lists every exported function, method,
-// type, variable, constant and interface method declared under internal/
-// that no non-test file of the module uses, bench/ aside. A use inside the
+// type, variable, constant and interface method, and every unexported
+// function and method, declared under internal/ that no non-test file of
+// the module uses, bench/ aside: code only tests reach goes too. A use inside the
 // name's own declaration (a recursive call, a self-referencing type) does
 // not count. Uses resolve through go/types: a generic method's use is one of
 // its origin, and a method is read when its type implements an interface
@@ -56,7 +66,7 @@ var unreadNames = map[string]string{
 //
 // The list must equal unreadNames: a new unread name fails the build, and
 // so does an entry that has gained a reader. An entry that says it is read
-// by bench/ must be.
+// by bench/ must be, and a hook must be used by the tests it names.
 func TestEveryExportedNameHasAReader(t *testing.T) {
 	l := loadGates(t)
 
@@ -140,7 +150,7 @@ func TestEveryExportedNameHasAReader(t *testing.T) {
 	benchRead := map[string]bool{}
 	checked := 0
 	check := func(obj types.Object) {
-		if !obj.Exported() {
+		if _, fn := obj.(*types.Func); !obj.Exported() && !fn {
 			return
 		}
 		if checked++; read(obj) {
@@ -174,24 +184,84 @@ func TestEveryExportedNameHasAReader(t *testing.T) {
 		}
 	}
 
-	t.Logf("%d exported names checked, %d without a production reader", checked, len(unread))
-	sort.Strings(unread)
-	for _, key := range unread {
-		reason, ok := unreadNames[key]
+	t.Logf("%d names checked, %d without a production reader", checked, len(unread))
+	checkAllowlist(t, l, "unreadNames", unreadNames, unread, benchRead, nil)
+}
+
+// checkAllowlist fails t unless list names exactly the keys found, each
+// with an allowed reason: benchReason where benchRead says bench/ reads it,
+// benchSetReason where benchSet says bench/ writes it, or "a hook <pkg>'s
+// tests need" where the test files of every package it names use the name.
+func checkAllowlist(t *testing.T, l *gateLoad, name string, list map[string]string, found []string, benchRead, benchSet map[string]bool) {
+	t.Helper()
+	sort.Strings(found)
+	for _, key := range found {
+		reason, ok := list[key]
 		switch {
+		case !ok && benchRead[key]:
+			t.Errorf("%s: no non-test code reads it but bench/", key)
 		case !ok:
-			t.Errorf("%s: exported name that no non-test code reads", key)
-		case reason != benchReason && !hookReason.MatchString(reason):
+			t.Errorf("%s: no non-test code reads it", key)
+		case reason == benchReason:
+			if !benchRead[key] {
+				t.Errorf("%s is listed as read by bench/, but bench/ does not read it", key)
+			}
+		case reason == benchSetReason && benchSet != nil:
+			if !benchSet[key] {
+				t.Errorf("%s is listed as set by bench/, but bench/ does not write it", key)
+			}
+		case !hookReason.MatchString(reason):
 			t.Errorf("%s: reason %q is neither %q nor \"a hook <pkg>'s tests need\"", key, reason, benchReason)
-		case reason == benchReason && !benchRead[key]:
-			t.Errorf("%s is listed as read by bench/, but bench/ does not read it", key)
+		default:
+			ident := key[strings.LastIndex(key, ".")+1:]
+			for _, pkg := range hookPkgs.FindAllStringSubmatch(reason, -1) {
+				if !testsUse(t, l, pkg[1], ident) {
+					t.Errorf("%s: listed as a hook %s's tests need, but no test file of %s uses %s", key, pkg[1], pkg[1], ident)
+				}
+			}
 		}
 	}
-	for key := range unreadNames {
-		if i := sort.SearchStrings(unread, key); i == len(unread) || unread[i] != key {
-			t.Errorf("%s is listed as unread, but it is read now or gone: drop it from unreadNames", key)
+	for key := range list {
+		if i := sort.SearchStrings(found, key); i == len(found) || found[i] != key {
+			t.Errorf("%s is listed as unread, but it is read now or gone: drop it from %s", key, name)
 		}
 	}
+}
+
+// hookPkgs picks the package names out of a hook reason.
+var hookPkgs = regexp.MustCompile(`([a-z]+)'s?[ ,]`)
+
+// testsUse reports whether a _test.go file of the internal/ package named
+// pkg holds the identifier ident.
+func testsUse(t *testing.T, l *gateLoad, pkg, ident string) bool {
+	t.Helper()
+	for _, p := range l.pkgs {
+		if !p.inInternal() || p.types.Name() != pkg {
+			continue
+		}
+		dir := strings.TrimPrefix(p.path, "rpivideo/")
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			used := false
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == ident {
+					used = true
+				}
+				return !used
+			})
+			if used {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // origin is the generic object an instantiated method or field comes from.
@@ -237,5 +307,177 @@ func exemptInterfaces(t *testing.T, l *gateLoad) map[string]*types.Interface {
 		"Error":         types.Universe.Lookup("error").Type().Underlying().(*types.Interface),
 		"MarshalJSON":   lookup("encoding/json", "Marshaler"),
 		"UnmarshalJSON": lookup("encoding/json", "Unmarshaler"),
+	}
+}
+
+// unreadFields are the struct fields under internal/ that no non-test file
+// of the module reads, each with why it stays.
+var unreadFields = map[string]string{
+	"core.FleetResult.Epoch":     benchReason,
+	"video.Sender.FramesEncoded": benchReason,
+	"cc.Ack.TransportSeq":        benchSetReason,
+	"cc.SentPacket.TransportSeq": benchSetReason,
+	"cell.SignalModel.evals":     "a hook cell's tests need",
+	"core.FleetResult.SimEvents": "a hook experiments' tests need",
+	"rtp.Depacketizer.live":      "a hook rtp's tests need",
+	"rtp.PoolStats.Refs":         "a hook core's, endpoint's and rtp's tests need",
+	"video.PlayedFrame.PlayedAt": "a hook core's and video's tests need",
+}
+
+// TestEveryFieldHasAReader lists every field, exported or not, of every
+// struct type written in a non-test file under internal/ that no non-test
+// file of the module reads, bench/ aside. A read is a use of the field,
+// through go/types' Uses or Selections, that is none of these: the left side
+// of =, := or an op-assign (x.F = v, x.F += v, and through an array element
+// or a struct field held by value, x.F[i] = v or x.F.G = v), the operand of
+// ++ or --, or a composite-literal key (T{F: v}). Selecting through an
+// embedded field reads it. A struct copied or compared whole reads none of
+// its fields. Structs with a json tag are exempt: encoding/json reads them.
+//
+// The list must equal unreadFields, with the reasons unreadNames allows or
+// benchSetReason.
+func TestEveryFieldHasAReader(t *testing.T) {
+	l := loadGates(t)
+
+	fields := map[*types.Var]string{} // field → "pkg.Type.field"
+	for _, p := range l.pkgs {
+		if p.inInternal() {
+			structFields(p, func(f *types.Var, key string) { fields[f] = key })
+		}
+	}
+
+	readBy := map[*types.Var]bool{}      // by the module
+	benchReads := map[*types.Var]bool{}  // by bench/
+	benchWrites := map[*types.Var]bool{} // by bench/
+	for _, p := range l.pkgs {
+		into := readBy
+		if p.bench {
+			into = benchReads
+			walkWrites(p, func(f *types.Var) { benchWrites[f] = true })
+		}
+		walkReads(p, func(f *types.Var) { into[f.Origin()] = true })
+	}
+
+	var unread []string
+	benchRead, benchSet := map[string]bool{}, map[string]bool{}
+	for f, key := range fields {
+		if readBy[f] {
+			continue
+		}
+		unread = append(unread, key)
+		benchRead[key], benchSet[key] = benchReads[f], benchWrites[f]
+	}
+	t.Logf("%d fields checked, %d without a production reader", len(fields), len(unread))
+	checkAllowlist(t, l, "unreadFields", unreadFields, unread, benchRead, benchSet)
+}
+
+// structFields hands each field of each struct type written in p's files,
+// with its allowlist key: "pkg.Type.field" for a field of a named type, the
+// enclosing type's or function's name and the field path for one of an
+// anonymous struct. The fields of a struct with a json tag are skipped.
+func structFields(p *gatePkg, each func(f *types.Var, key string)) {
+	pkg := p.types.Name()
+	var walk func(n ast.Node, name string)
+	walk = func(root ast.Node, name string) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				if x.Body != nil {
+					walk(x.Body, x.Name.Name)
+				}
+				return false
+			case *ast.TypeSpec:
+				walk(x.Type, x.Name.Name)
+				return false
+			case *ast.StructType:
+				st := p.info.Types[x].Type.(*types.Struct)
+				for i := 0; i < st.NumFields(); i++ {
+					if strings.Contains(st.Tag(i), `json:"`) {
+						return false
+					}
+				}
+				i := 0
+				for _, fl := range x.Fields.List {
+					n := max(len(fl.Names), 1)
+					for j := 0; j < n; j++ {
+						f := st.Field(i + j)
+						each(f, pkg+"."+name+"."+f.Name())
+						walk(fl.Type, name+"."+f.Name())
+					}
+					i += n
+				}
+				return false
+			}
+			return true
+		})
+	}
+	for _, f := range p.files {
+		walk(f, "")
+	}
+}
+
+// walkReads hands read every struct field p's files read (see
+// TestEveryFieldHasAReader).
+func walkReads(p *gatePkg, read func(*types.Var)) {
+	info := p.info
+	written := map[*ast.Ident]bool{}
+	// target marks the fields an assignment to e writes: the field it
+	// selects, and the fields and array elements it is held in by value.
+	var target func(e ast.Expr)
+	target = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			target(x.X)
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				written[x.Sel] = true
+				if !sel.Indirect() {
+					target(x.X)
+				}
+			}
+		case *ast.IndexExpr:
+			if _, ok := info.Types[x.X].Type.Underlying().(*types.Array); ok {
+				target(x.X)
+			}
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(x.X)
+			case *ast.CompositeLit:
+				if _, ok := info.Types[x].Type.Underlying().(*types.Struct); !ok {
+					break
+				}
+				for _, el := range x.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						written[kv.Key.(*ast.Ident)] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		if f, ok := obj.(*types.Var); ok && f.IsField() && !written[id] {
+			read(f)
+		}
+	}
+	// Selecting through an embedded field reads it.
+	for _, sel := range info.Selections {
+		typ := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			f := typ.Underlying().(*types.Struct).Field(i)
+			read(f)
+			typ = f.Type()
+		}
 	}
 }

@@ -33,6 +33,8 @@ var unsetFields = map[string]string{
 	"video.SenderConfig.PayloadType": "read by bench/; goes with ROADMAP item 4",
 	"video.SenderConfig.SSRC":        "read by bench/; goes with ROADMAP item 4",
 	"video.EncoderConfig.FPS":        "read by bench/; goes with ROADMAP item 4",
+	"cc.Ack.TransportSeq":            "set by bench/; goes with ROADMAP item 4",
+	"cc.SentPacket.TransportSeq":     "set by bench/; goes with ROADMAP item 4",
 	"dist.Config.Metrics":            "set by bench/; goes with ROADMAP item 4",
 	"dist.Config.Runs":               "set by bench/; goes with ROADMAP item 4",
 	"experiments.DistSpec.Scenario":  "set by bench/; goes with ROADMAP item 4",
