@@ -46,8 +46,12 @@ func (p *gatePkg) inInternal() bool {
 }
 
 type gateLoad struct {
-	pkgs []*gatePkg // in import order
-	std  types.Importer
+	pkgs    []*gatePkg // in import order
+	std     types.Importer
+	fset    *token.FileSet
+	overlay map[string]string // absolute path → the file that replaces it
+	// testUses caches testUses by package name.
+	testUses map[string]map[token.Pos]bool
 }
 
 var (
@@ -77,7 +81,8 @@ func loadModule() (*gateLoad, error) {
 			return nil, err
 		}
 	}
-	l, fset := &gateLoad{}, token.NewFileSet()
+	fset := token.NewFileSet()
+	l := &gateLoad{fset: fset, overlay: overlay.Replace, testUses: map[string]map[token.Pos]bool{}}
 	byPath := map[string]*gatePkg{}
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -102,14 +107,7 @@ func loadModule() (*gateLoad, error) {
 				}
 				continue
 			}
-			path := filepath.Join(dir, name)
-			var src any // nil: the file itself
-			if abs, err := filepath.Abs(path); err == nil && overlay.Replace[abs] != "" {
-				if src, err = os.ReadFile(overlay.Replace[abs]); err != nil {
-					return err
-				}
-			}
-			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+			f, err := l.parse(filepath.Join(dir, name))
 			if err != nil {
 				return err
 			}
@@ -153,12 +151,7 @@ func loadModule() (*gateLoad, error) {
 	}
 
 	l.std = importer.ForCompiler(fset, "source", nil)
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := byPath[path]; ok {
-			return p.types, nil
-		}
-		return l.std.Import(path)
-	})
+	imp := l.importer(nil)
 	for _, p := range l.pkgs {
 		p.info = &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -172,6 +165,34 @@ func loadModule() (*gateLoad, error) {
 		}
 	}
 	return l, nil
+}
+
+// parse parses the Go file at path, or the file the overlay replaces it
+// with, into the load's file set.
+func (l *gateLoad) parse(path string) (*ast.File, error) {
+	var src any // nil: the file itself
+	if abs, err := filepath.Abs(path); err == nil && l.overlay[abs] != "" {
+		if src, err = os.ReadFile(l.overlay[abs]); err != nil {
+			return nil, err
+		}
+	}
+	return parser.ParseFile(l.fset, path, src, parser.SkipObjectResolution)
+}
+
+// importer imports the load's packages, the standard library, and in
+// place of the load's package of each path in over, that one.
+func (l *gateLoad) importer(over map[string]*types.Package) types.Importer {
+	return importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := over[path]; ok {
+			return p, nil
+		}
+		for _, p := range l.pkgs {
+			if p.path == path {
+				return p.types, nil
+			}
+		}
+		return l.std.Import(path)
+	})
 }
 
 // modulePath is the import path of the package in dir, relative to the

@@ -8,35 +8,38 @@ import (
 
 	"rpivideo/internal/flight"
 	"rpivideo/internal/metrics"
-	"rpivideo/internal/obs"
 )
 
 // runMobility drives a handover machine over a mobility profile and returns
 // the machine.
 func runMobility(t *testing.T, env Environment, op Operator, air bool, seed int64) *Machine {
 	t.Helper()
-	return runMobilityTraced(t, env, op, air, seed, nil)
+	m, _ := runMobilityTimed(t, env, op, air, seed)
+	return m
 }
 
-// runMobilityTraced is runMobility with the machine's events traced to tr.
-func runMobilityTraced(t *testing.T, env Environment, op Operator, air bool, seed int64, tr *obs.Tracer) *Machine {
+// runMobilityTimed is runMobility that also returns the instant of each
+// handover in m.Events().
+func runMobilityTimed(t *testing.T, env Environment, op Operator, air bool, seed int64) (*Machine, []time.Duration) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	bss := Deployment(env, op, rng)
 	model := NewSignalModel(env, bss, DefaultSignalConfigFor(env), rng)
 	m := NewMachine(model, DefaultHandoverConfigFor(Urban), air, rng)
-	m.SetTracer(tr, obs.DirUp)
 	var prof flight.Profile
 	if air {
 		prof = flight.StandardFlight()
 	} else {
 		prof = flight.GroundProfile(6*time.Minute, rng)
 	}
+	var at []time.Duration
 	step := DefaultHandoverConfigFor(Urban).MeasurementInterval
 	for now := time.Duration(0); now < prof.Duration(); now += step {
-		m.Step(now, prof.At(now))
+		if m.Step(now, prof.At(now)) != nil {
+			at = append(at, now)
+		}
 	}
-	return m
+	return m, at
 }
 
 // hoRate returns handovers per second over n seeded runs.
@@ -178,22 +181,17 @@ func TestHETDistribution(t *testing.T) {
 	}
 }
 
-// TestRuralPingPongs counts, in the handover trace, returns to the
-// previous cell within 5 s of leaving it.
+// TestRuralPingPongs counts returns to the previous cell within 5 s of
+// leaving it.
 func TestRuralPingPongs(t *testing.T) {
 	pp := 0
 	for s := 0; s < 10; s++ {
-		tr := obs.New(0)
-		runMobilityTraced(t, Rural, P1, true, int64(500+s), tr)
-		var prev obs.Event
-		for _, ev := range tr.Events() {
-			if ev.Kind != obs.KindHandover {
-				continue
-			}
-			if prev.Kind == obs.KindHandover && ev.Aux == prev.Seq && ev.T-prev.T < 5*time.Second {
+		m, at := runMobilityTimed(t, Rural, P1, true, int64(500+s))
+		evs := m.Events()
+		for i := 1; i < len(evs); i++ {
+			if evs[i].To == evs[i-1].From && at[i]-at[i-1] < 5*time.Second {
 				pp++
 			}
-			prev = ev
 		}
 	}
 	if pp == 0 {
@@ -223,7 +221,7 @@ func TestMachineBasics(t *testing.T) {
 	if m.Serving() < 0 {
 		t.Error("no serving cell after first measurement")
 	}
-	if m.InHandover(0) {
+	if 0 < m.Link.BusyUntil {
 		t.Error("in handover before any event")
 	}
 }
@@ -238,10 +236,10 @@ func TestHandoverInterruptsLink(t *testing.T) {
 	step := 40 * time.Millisecond
 	for now := time.Duration(0); now < prof.Duration(); now += step {
 		if ev := m.Step(now, prof.At(now)); ev != nil {
-			if !m.InHandover(now + ev.HET/2) {
+			if now+ev.HET/2 >= m.Link.BusyUntil {
 				t.Error("link not interrupted during HET")
 			}
-			if m.InHandover(now + ev.HET + time.Millisecond) {
+			if now+ev.HET+time.Millisecond < m.Link.BusyUntil {
 				t.Error("link still interrupted after HET")
 			}
 			return

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rpivideo/internal/flight"
-	"rpivideo/internal/obs"
 )
 
 // HandoverConfig parameterizes the A3-event handover machine.
@@ -60,14 +59,11 @@ type Machine struct {
 	rng    *rand.Rand
 	midair bool // whether this run is an aerial one (HET tail selection)
 
-	serving    int
-	haveLastHO bool
-
-	candidate      int
-	candidateSince time.Duration
-	haveCandidate  bool
-
-	busyUntil time.Duration // in-progress handover or re-establishment window
+	serving   int
+	candidate int
+	// Link is what the machine's links read. A run that plays a recorded
+	// radio back sets it, with no measurement stepped.
+	Link LinkState
 
 	// Radio-link-failure supervision (rlf.go).
 	t310Running    bool
@@ -81,10 +77,16 @@ type Machine struct {
 	// the serving cell's received power.
 	best  int
 	servV float64
+}
 
-	// Tracing (nil = disabled). Purely observational — see internal/obs.
-	trace    *obs.Tracer
-	traceDir obs.Dir
+// LinkState is the part of a machine's state its links read: the end of
+// the current handover execution or re-establishment window (the link is
+// interrupted before it), whether an A3 candidate beats the serving cell and
+// since when, and whether a handover or re-establishment has happened (its
+// settling window runs from BusyUntil).
+type LinkState struct {
+	BusyUntil, CandidateSince time.Duration
+	Candidate, LastHO         bool
 }
 
 // NewMachine returns a handover machine attached to a signal model. air
@@ -97,19 +99,12 @@ func NewMachine(model *SignalModel, cfg HandoverConfig, air bool, rng *rand.Rand
 }
 
 // Reset makes m the machine NewMachine builds from the same arguments, with
-// no handover or radio-link failure recorded and no tracer, and keeps the
-// storage its event lists grew. The run that used m before must be
-// finished, and nothing may hold what Events or RLFEvents returned.
+// no handover or radio-link failure recorded, and keeps the storage its
+// event lists grew. The run that used m before must be finished, and
+// nothing may hold what Events or RLFEvents returned.
 func (m *Machine) Reset(model *SignalModel, cfg HandoverConfig, air bool, rng *rand.Rand) {
 	*m = Machine{cfg: cfg, model: model, rng: rng, midair: air, serving: -1, best: -1,
 		events: m.events[:0], rlfs: m.rlfs[:0]}
-}
-
-// SetTracer attaches an event tracer (nil disables tracing). dir labels the
-// link direction this machine serves.
-func (m *Machine) SetTracer(tr *obs.Tracer, dir obs.Dir) {
-	m.trace = tr
-	m.traceDir = dir
 }
 
 // Serving returns the current serving cell's *deployment index* (-1 before
@@ -121,49 +116,33 @@ func (m *Machine) Serving() int { return m.serving }
 // Events returns all completed handover events so far.
 func (m *Machine) Events() []Event { return m.events }
 
-// InHandover reports whether the link is interrupted by an in-progress
-// handover execution at time now.
-func (m *Machine) InHandover(now time.Duration) bool { return now < m.busyUntil }
-
-// BusyUntil returns the end of the current handover execution window (zero
-// when none has occurred).
-func (m *Machine) BusyUntil() time.Duration { return m.busyUntil }
-
 // RadioDegradation returns the capacity multiplier the radio imposes at
 // time now: 0 during handover execution, a deep degradation while a
 // handover is pending (the §4.2.2 pre-HO latency spike), a partial one
 // while the target cell settles, and 1 otherwise. With DAPS the second
 // active leg masks most of the degradation.
 func (m *Machine) RadioDegradation(now time.Duration) float64 {
+	ls := &m.Link
+	pre, post := m.cfg.PreHOFactor, m.cfg.PostHOFactor
 	if m.cfg.DAPS {
-		switch {
-		case m.haveCandidate &&
-			now-m.candidateSince >= m.cfg.TimeToTrigger/2 &&
-			now-m.candidateSince < 4*m.cfg.TimeToTrigger:
-			return 0.85
-		case m.haveLastHO && now < m.busyUntil+m.cfg.PostHOWindow:
-			return 0.9
-		default:
-			return 1
-		}
+		pre, post = 0.85, 0.9
+	} else if now < ls.BusyUntil {
+		return 0
 	}
 	switch {
-	case m.InHandover(now):
-		return 0
-	case m.haveCandidate &&
-		now-m.candidateSince >= m.cfg.TimeToTrigger/2 &&
-		now-m.candidateSince < 4*m.cfg.TimeToTrigger:
+	case ls.Candidate &&
+		now-ls.CandidateSince >= m.cfg.TimeToTrigger/2 &&
+		now-ls.CandidateSince < 4*m.cfg.TimeToTrigger:
 		// Only established-but-fresh candidates degrade the link deeply:
 		// momentary flickers (age < TTT/2) are measurement noise, and
 		// candidates that linger without triggering are marginal-signal
 		// conditions, not imminent handovers. The paper's spikes start
 		// ≈0.5 s before handovers and last ≈1 s (§4.2.2).
-		return m.cfg.PreHOFactor
-	case m.haveLastHO && now < m.busyUntil+m.cfg.PostHOWindow:
-		return m.cfg.PostHOFactor
-	default:
-		return 1
+		return pre
+	case ls.LastHO && now < ls.BusyUntil+m.cfg.PostHOWindow:
+		return post
 	}
+	return 1
 }
 
 // ServingRSRP returns the most recent serving-cell received power.
@@ -192,36 +171,33 @@ func (m *Machine) decide(now time.Duration, st flight.State, best int, bestV, se
 		m.serving, m.servV = best, bestV
 		return nil
 	}
+	// No measurements act while a handover executes or the UE
+	// re-establishes.
+	if now < m.Link.BusyUntil {
+		m.Link.Candidate = false
+		return nil
+	}
 	if m.reestablishing {
-		if m.InHandover(now) {
-			m.haveCandidate = false
-			return nil
-		}
 		// Re-establishment blackout over: attach to the strongest cell.
 		// RRC re-establishment is not a handover, so no Event is emitted
 		// and HET statistics stay clean-handover-only.
 		m.reestablishing = false
 		m.serving, m.servV = best, bestV
 	}
-	// No measurements act while the previous handover is executing.
-	if m.InHandover(now) {
-		m.haveCandidate = false
-		return nil
-	}
 	if m.cfg.RLF.Enabled && m.monitorRLF(now) {
 		return nil
 	}
 	if best == m.serving || bestV <= m.servV+m.cfg.HysteresisDB {
-		m.haveCandidate = false
+		m.Link.Candidate = false
 		return nil
 	}
-	if !m.haveCandidate || m.candidate != best {
+	if !m.Link.Candidate || m.candidate != best {
 		m.candidate = best
-		m.candidateSince = now
-		m.haveCandidate = true
+		m.Link.CandidateSince = now
+		m.Link.Candidate = true
 		return nil
 	}
-	if now-m.candidateSince < m.cfg.TimeToTrigger {
+	if now-m.Link.CandidateSince < m.cfg.TimeToTrigger {
 		return nil
 	}
 	// A3 condition held for TTT: execute the handover. With DAPS the
@@ -244,14 +220,10 @@ func (m *Machine) decide(now time.Duration, st flight.State, best int, bestV, se
 	// in deployment indices (ping-pong detection compares indices).
 	ev := Event{From: m.model.CellID(m.serving), To: m.model.CellID(best), HET: het}
 	m.serving, m.servV = best, bestV
-	m.haveLastHO = true
-	m.busyUntil = now + het
-	m.haveCandidate = false
+	m.Link.LastHO = true
+	m.Link.BusyUntil = now + het
+	m.Link.Candidate = false
 	m.events = append(m.events, ev)
-	if m.trace != nil {
-		m.trace.Emit(obs.Event{T: now, Kind: obs.KindHandover, Dir: m.traceDir,
-			Seq: int64(ev.From), Aux: int64(ev.To), V: float64(het) / float64(time.Millisecond)})
-	}
 	return &m.events[len(m.events)-1]
 }
 

@@ -1,10 +1,6 @@
 package cell
 
-import (
-	"time"
-
-	"rpivideo/internal/obs"
-)
+import "time"
 
 // RLFConfig parameterizes the radio-link-failure model (3GPP TS 36.331
 // §5.3.11): when the serving-cell quality stays below Qout for T310 the UE
@@ -85,6 +81,8 @@ type RLFEvent struct {
 	// Outage is the full service blackout: cell search plus the RRC
 	// re-establishment exchange.
 	Outage time.Duration
+	// From is the ID of the serving cell the link failed on.
+	From int
 }
 
 // RLFEvents returns all radio-link failures declared so far.
@@ -114,7 +112,7 @@ func (m *Machine) monitorRLF(now time.Duration) bool {
 }
 
 // declareRLF starts the re-establishment blackout: the radio goes silent
-// (busyUntil, which the link layer already honours) for the sampled cell-
+// (BusyUntil, which the link layer already honours) for the sampled cell-
 // search-plus-re-establishment time, after which Step re-attaches to the
 // strongest cell without emitting a handover event.
 func (m *Machine) declareRLF(now time.Duration, cause RLFCause) {
@@ -126,17 +124,12 @@ func (m *Machine) declareRLF(now time.Duration, cause RLFCause) {
 	if cfg.T311 > 0 && out > cfg.T311 {
 		out = cfg.T311
 	}
-	m.busyUntil = now + out
+	m.Link.BusyUntil = now + out
 	m.reestablishing = true
 	m.t310Running = false
-	m.haveCandidate = false
+	m.Link.Candidate = false
 	// The target cell settles after re-establishment just as it does after
 	// a handover: reuse the post-HO degradation window.
-	m.haveLastHO = true
-	from := m.model.CellID(m.serving)
-	m.rlfs = append(m.rlfs, RLFEvent{At: now, Cause: cause, Outage: out})
-	if m.trace != nil {
-		m.trace.Emit(obs.Event{T: now, Kind: obs.KindRLF, Dir: m.traceDir,
-			Seq: int64(from), Aux: int64(cause), V: float64(out) / float64(time.Millisecond)})
-	}
+	m.Link.LastHO = true
+	m.rlfs = append(m.rlfs, RLFEvent{At: now, Cause: cause, Outage: out, From: m.model.CellID(m.serving)})
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rpivideo/internal/flight"
-	"rpivideo/internal/obs"
 )
 
 // rlfMachine builds an urban ground machine with the given RLF config.
@@ -19,13 +18,18 @@ func rlfMachine(seed int64, rlf RLFConfig) *Machine {
 	return NewMachine(model, cfg, false, rng)
 }
 
-// driveMachine steps a machine over a ground profile for dur.
-func driveMachine(m *Machine, dur time.Duration, seed int64) {
+// driveMachine steps a machine over a ground profile for dur and returns
+// the instant of each handover it committed.
+func driveMachine(m *Machine, dur time.Duration, seed int64) []time.Duration {
 	prof := flight.GroundProfile(dur, rand.New(rand.NewSource(seed)))
 	step := m.cfg.MeasurementInterval
+	var handovers []time.Duration
 	for now := time.Duration(0); now < dur; now += step {
-		m.Step(now, prof.At(now))
+		if m.Step(now, prof.At(now)) != nil {
+			handovers = append(handovers, now)
+		}
 	}
+	return handovers
 }
 
 // TestRLFForcedQualityOut sets Qout above any achievable RSRP so T310 starts
@@ -35,9 +39,7 @@ func TestRLFForcedQualityOut(t *testing.T) {
 	rlf.QoutDBm = 200 // always out-of-sync
 	rlf.QinDBm = 201
 	m := rlfMachine(42, rlf)
-	tr := obs.New(0)
-	m.SetTracer(tr, obs.DirUp)
-	driveMachine(m, 30*time.Second, 42)
+	handovers := driveMachine(m, 30*time.Second, 42)
 
 	rlfs := m.RLFEvents()
 	if len(rlfs) == 0 {
@@ -67,17 +69,17 @@ func TestRLFForcedQualityOut(t *testing.T) {
 	}
 	// Re-establishment is not a handover: the clean-handover statistics
 	// must not have absorbed the failures.
-	for _, ev := range tr.Events() {
+	for _, at := range handovers {
 		for _, r := range rlfs {
-			if ev.Kind == obs.KindHandover && ev.T == r.At {
-				t.Errorf("handover event emitted at RLF instant %v", ev.T)
+			if at == r.At {
+				t.Errorf("handover committed at RLF instant %v", at)
 			}
 		}
 	}
 }
 
 // TestRLFBlackoutHonoured: during the re-establishment window the machine
-// reports InHandover (the link layer's interruption signal) and zero radio
+// reports the busy window (the link layer's interruption signal) and zero radio
 // capacity.
 func TestRLFBlackoutHonoured(t *testing.T) {
 	rlf := DefaultRLFConfig()
@@ -93,14 +95,14 @@ func TestRLFBlackoutHonoured(t *testing.T) {
 			declared = true
 			ev := m.RLFEvents()[0]
 			mid := ev.At + ev.Outage/2
-			if !m.InHandover(mid) {
-				t.Errorf("InHandover(%v) false mid-blackout", mid)
+			if mid >= m.Link.BusyUntil {
+				t.Errorf("%v is past the busy window mid-blackout", mid)
 			}
 			if got := m.RadioDegradation(mid); got != 0 {
 				t.Errorf("RadioDegradation mid-blackout = %v, want 0", got)
 			}
-			if m.BusyUntil() != ev.At+ev.Outage {
-				t.Errorf("BusyUntil = %v, want %v", m.BusyUntil(), ev.At+ev.Outage)
+			if m.Link.BusyUntil != ev.At+ev.Outage {
+				t.Errorf("BusyUntil = %v, want %v", m.Link.BusyUntil, ev.At+ev.Outage)
 			}
 		}
 	}

@@ -93,7 +93,6 @@ type recoveryTrack struct {
 // touching it here would perturb the calibrated no-fault runs.
 type targetSampler struct {
 	res      *Result
-	machine  *cell.Machine
 	uplink   *link.Link
 	dur      time.Duration
 	faultsOn bool
@@ -102,12 +101,11 @@ type targetSampler struct {
 	tracks     []*recoveryTrack
 	scripted   []fault.Episode
 	scriptIdx  int
-	rlfSeen    int
 	lastTarget float64
 }
 
-func newTargetSampler(cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, dur time.Duration) *targetSampler {
-	t := &targetSampler{res: res, machine: machine, uplink: uplink, dur: dur, faultsOn: cfg.Faults.Enabled(), episodes: res.FaultEpisodes}
+func newTargetSampler(cfg Config, res *Result, uplink *link.Link, dur time.Duration) *targetSampler {
+	t := &targetSampler{res: res, uplink: uplink, dur: dur, faultsOn: cfg.Faults.Enabled(), episodes: res.FaultEpisodes}
 	if !t.faultsOn {
 		return t
 	}
@@ -130,26 +128,20 @@ func newTargetSampler(cfg Config, res *Result, machine *cell.Machine, uplink *li
 	return t
 }
 
-// collectRLFs folds newly declared radio-link failures into the episode
-// timeline (and, while the run is live, into the recovery tracking).
-func (t *targetSampler) collectRLFs(track bool) {
-	evs := t.machine.RLFEvents()
-	for ; t.rlfSeen < len(evs); t.rlfSeen++ {
-		ev := evs[t.rlfSeen]
-		kind := fault.KindRLF
-		if ev.Cause == cell.RLFHandoverFailure {
-			kind = fault.KindHandoverFailure
-		}
-		end := ev.At + ev.Outage
-		if end > t.dur {
-			end = t.dur
-		}
-		ep := fault.Episode{Start: ev.At, End: end, Kind: kind}
-		t.episodes = append(t.episodes, ep)
-		if track {
-			t.tracks = append(t.tracks, &recoveryTrack{ep: ep, preRate: t.lastTarget})
-		}
+// rlf takes a radio-link failure the primary chain's radio plays, at the
+// step that declares it, into the counts, the episode timeline and the
+// recovery tracking. Only a run with faults armed declares one.
+func (t *targetSampler) rlf(ev cell.RLFEvent) {
+	kind := fault.KindRLF
+	if ev.Cause == cell.RLFHandoverFailure {
+		kind = fault.KindHandoverFailure
+		t.res.HandoverFailures++
+	} else {
+		t.res.RLFs++
 	}
+	ep := fault.Episode{Start: ev.At, End: min(ev.At+ev.Outage, t.dur), Kind: kind}
+	t.episodes = append(t.episodes, ep)
+	t.tracks = append(t.tracks, &recoveryTrack{ep: ep, preRate: t.lastTarget})
 }
 
 // sample takes one reading of the target rate.
@@ -164,7 +156,6 @@ func (t *targetSampler) sample(now time.Duration, target float64) {
 	if t.lastTarget == 0 {
 		t.lastTarget = target
 	}
-	t.collectRLFs(true)
 	for t.scriptIdx < len(t.scripted) && now >= t.scripted[t.scriptIdx].Start {
 		t.tracks = append(t.tracks, &recoveryTrack{ep: t.scripted[t.scriptIdx], preRate: t.lastTarget})
 		t.scriptIdx++
@@ -203,7 +194,6 @@ func (t *targetSampler) fold() {
 	if !t.faultsOn {
 		return
 	}
-	t.collectRLFs(false)
 	sort.Slice(t.episodes, func(i, j int) bool {
 		if t.episodes[i].Start != t.episodes[j].Start {
 			return t.episodes[i].Start < t.episodes[j].Start
@@ -215,13 +205,6 @@ func (t *targetSampler) fold() {
 	for _, ep := range t.episodes {
 		res.OutageTotal += ep.Length()
 		record(&res.OutageMs, float64(ep.Length())/float64(time.Millisecond))
-	}
-	for _, ev := range t.machine.RLFEvents() {
-		if ev.Cause == cell.RLFHandoverFailure {
-			res.HandoverFailures++
-		} else {
-			res.RLFs++
-		}
 	}
 }
 

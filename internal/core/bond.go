@@ -27,14 +27,14 @@ type bondPaths struct {
 
 // setupBond builds the second radio chain over the competing operator and
 // the bond manager driving both, or returns nil when the run is not
-// bonded. The chain is built as the primary is (setupRadio), over the
-// competing operator and from its own named rng streams ("cell2",
+// bonded. The chain's sky is recorded and played as the primary's is, over
+// the competing operator and from its own named rng streams ("cell2",
 // "uplink2"), so a bonded run stays a pure function of (Config, Seed).
 // Scripted faults scope per chain: @p1 windows silence only the primary,
 // @p2 only the secondary, unscoped windows (the vehicle sitting in a
 // coverage hole) silence both. The second chain is built on b's second
 // chain, which the first bonded run on b makes.
-func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, b *runBuffers, prof flight.Profile, stateAt func(time.Duration) flight.State, flushStale bool) *bondPaths {
+func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, b *runBuffers, prof flight.Profile, stateAt func(time.Duration) flight.State, dur time.Duration, flushStale bool) *bondPaths {
 	if !cfg.Bond.Enabled() || cfg.Workload != WorkloadVideo {
 		return nil
 	}
@@ -45,16 +45,13 @@ func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, b *
 	if b.second == nil {
 		b.second = new(chain)
 	}
-	machine2, hoCfg2 := setupRadio(cfg, op2, s.Stream("cell2"), b.second)
-	s.Every(0, hoCfg2.MeasurementInterval, func() {
-		machine2.Step(s.Now(), stateAt(s.Now()))
-	})
+	k2 := b.second.sky.record(cfg, op2, s.Stream("cell2"), b.second, stateAt, dur, 0)
+	b.second.play.play(k2, s, &b.second.machine, res.Trace, obs.DirUp2)
 	prof2 := link.ProfileFor(cfg.Env, op2)
 	prof2.AQM = cfg.AQM
-	uplink2 := b.second.uplink.Link(s, prof2, machine2, nil, s.Stream("uplink2"))
+	uplink2 := b.second.uplink.Link(s, prof2, &b.second.machine, nil, s.Stream("uplink2"))
 	uplink2.SetFlight(prof)
 	if res.Trace != nil {
-		machine2.SetTracer(res.Trace, obs.DirUp2)
 		uplink2.SetTracer(res.Trace, obs.DirUp2)
 	}
 	if cfg.Faults.Enabled() {

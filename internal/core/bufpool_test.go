@@ -83,9 +83,9 @@ func TestRunBufferPoolNeverShares(t *testing.T) {
 						if bonded := flights[i].Bond.Enabled(); bonded && second != nil {
 							*second = chain{}
 						}
-						r := b.run(new(Result), flights[i], false)
+						r := b.run(new(Result), flights[i], nil, nil, false)
 						if flights[i].Bond.Enabled() && (second != nil && b.second != second ||
-							b.second.machine.Serving() < 0) {
+							b.second.sky.cfg.MeasurementInterval == 0) {
 							t.Errorf("flight %d is bonded, but its second chain did not fly on the set's second chain", i)
 						}
 						return r
@@ -165,14 +165,18 @@ func TestRunBufferPoolWaitsForAbandonedRun(t *testing.T) {
 	DropPooledBuffers()
 	blocked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	hung := Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: CCGCC, Seed: 2, Duration: 4 * time.Second,
-		CapacityShare: func(now time.Duration) float64 {
-			if now > time.Second {
-				once.Do(func() { close(blocked); <-release })
-			}
-			return 1
-		}}
-	if _, err := RunWithTimeout(hung, 20*time.Millisecond); err == nil || !strings.Contains(err.Error(), "watchdog") {
+	hung := Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: CCGCC, Seed: 2, Duration: 4 * time.Second}
+	stall := func(now time.Duration) float64 {
+		if now > time.Second {
+			once.Do(func() { close(blocked); <-release })
+		}
+		return 1
+	}
+	// RunWithTimeout's watchdog over Run, on a run that hangs.
+	_, err := runGuarded("run", -1, 20*time.Millisecond, func(int) *Result {
+		return withBuffers(func(b *runBuffers) *Result { return b.run(new(Result), hung, nil, stall, false) })
+	})
+	if err == nil || !strings.Contains(err.Error(), "watchdog") {
 		t.Fatalf("the hung run was not abandoned: %v", err)
 	}
 	<-blocked // the abandoned run is still going, on the set it took

@@ -134,10 +134,6 @@ type Config struct {
 	// (metres), scattering a fleet's UAVs over the shared deployment
 	// instead of flying the identical track.
 	OffsetX, OffsetY float64
-	// CapacityShare, when non-nil, scales the media uplink's effective
-	// capacity by the fleet scheduler's share for this UAV at a given sim
-	// time (internal/cell.Contend). It must be a pure function of time.
-	CapacityShare func(time.Duration) float64
 }
 
 // watchdogTimeout resolves the feedback-starvation threshold when the

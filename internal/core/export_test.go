@@ -1,16 +1,33 @@
 package core
 
 import (
+	"time"
+
 	"rpivideo/internal/endpoint"
 	"rpivideo/internal/link"
 	"rpivideo/internal/rtp"
 )
 
 // WorkerJob is one job of RunOnOneWorker: a run of Config, with every media
-// packet crossing the links as marshalled bytes when Wire is set.
+// packet crossing the links as marshalled bytes when Wire is set. A job
+// with a Share runs as a fleet's phase 3 does: on a sky recorded first on
+// the same buffers (recordUAV, over Config.Cells) and with its uplink scaled
+// by Share.
 type WorkerJob struct {
 	Config Config
 	Wire   bool
+	Share  func(time.Duration) float64
+}
+
+// run runs job on b and builds its Result on res.
+func (job WorkerJob) run(b *runBuffers, res *Result) *Result {
+	if job.Share == nil {
+		return b.run(res, job.Config, nil, nil, job.Wire)
+	}
+	k := recordUAV(new(sky), job.Config, fleetDuration(job.Config), 100*time.Millisecond, b)
+	cfg := job.Config
+	cfg.Cells = nil
+	return b.run(res, cfg, k, job.Share, job.Wire)
 }
 
 // RunOnOneWorker runs jobs back to back on one private buffer set that
@@ -27,7 +44,7 @@ func RunOnOneWorker(jobs []WorkerJob, fold func(i int, r *Result)) []error {
 		if b == nil || errs[i-1] != nil { // the first job, or the one after a panic
 			b = new(runBuffers)
 		}
-		return b.run(new(Result), jobs[i].Config, jobs[i].Wire)
+		return jobs[i].run(b, new(Result))
 	}, fold)
 	return errs
 }
@@ -35,7 +52,7 @@ func RunOnOneWorker(jobs []WorkerJob, fold func(i int, r *Result)) []error {
 // RunFresh runs job on a private, empty buffer set and a new Result: the
 // run the first Run of a process makes, whatever ran before it.
 func RunFresh(job WorkerJob) *Result {
-	return new(runBuffers).run(new(Result), job.Config, job.Wire)
+	return job.run(new(runBuffers), new(Result))
 }
 
 // DatagramSlots is what a video run's two endpoints hold in datagram slots

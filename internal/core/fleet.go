@@ -145,62 +145,28 @@ func fleetDuration(cfg Config) time.Duration {
 	return 6 * time.Minute
 }
 
-// attachTimeline replays one UAV's radio setup offline — same seed, same
-// streams, same handover config as its live run — stepping the handover
-// machine at the RRC measurement cadence and sampling the serving cell at
-// every scheduling-epoch start. Because the live run (with cfg.Cells
-// injected) consumes the "ground" and "cell" streams identically, the
-// timeline recorded here is exactly the attachment sequence phase 3
-// realizes. Attachment is RSRP-driven (load-independent), which is what
-// makes this precompute legal: contention changes a UAV's capacity, never
-// its serving cell (TestFleetReplayMatchesLiveRadio holds the replay's
-// handovers and radio-link failures to the live run's). The replay runs on
-// b's simulator and primary chain.
-func attachTimeline(cfg Config, dur, epoch time.Duration, nEpochs int, b *runBuffers) []cell.AttachSample {
+// recordUAV records into k, on b, the sky of a fleet UAV that flies cfg,
+// with its attach row sampled at every scheduling-epoch start (RunFleet's
+// phase 1): the sky the UAV's run would record itself.
+func recordUAV(k *sky, cfg Config, dur, epoch time.Duration, b *runBuffers) *sky {
 	s := b.simulator(cfg.Seed)
 	_, stateAt := setupMobility(cfg, s)
-	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"), &b.primary)
-	samples := make([]cell.AttachSample, 0, nEpochs)
-	measT := time.Duration(0)
-	for k := 0; k < nEpochs; k++ {
-		at := epoch * time.Duration(k)
-		// The live run steps the machine at every measurement instant
-		// ≤ now; an epoch's attachment is the machine state after the
-		// measurement on (or straddling) its start.
-		for measT <= at && measT <= dur {
-			machine.Step(measT, stateAt(measT))
-			measT += hoCfg.MeasurementInterval
-		}
-		samples = append(samples, cell.AttachSample{Cell: machine.Serving(), RSRP: machine.ServingRSRP()})
-	}
-	return samples
-}
-
-// shareLookup adapts one UAV's per-epoch share row into the pure
-// time-indexed lookup Config.CapacityShare wants.
-func shareLookup(shares []float64, epoch time.Duration) func(time.Duration) float64 {
-	return func(now time.Duration) float64 {
-		k := int(now / epoch)
-		if k < 0 {
-			k = 0
-		}
-		if k >= len(shares) {
-			k = len(shares) - 1
-		}
-		return shares[k]
-	}
+	return k.record(cfg, cfg.Op, s.Stream("cell"), &b.primary, stateAt, dur, epoch)
 }
 
 // RunFleet executes N concurrent flights against one shared base-station
 // map in a single process, in three phases:
 //
-//  1. Per UAV (parallel): replay the radio setup offline and record the
-//     attachment timeline at scheduling-epoch granularity.
-//  2. Fold (serial): cell.Contend turns the timelines into per-UAV
+//  1. Per UAV (parallel): record the UAV's sky over the shared map, with
+//     its attachment at scheduling-epoch granularity (recordUAV). Attachment
+//     is RSRP-driven: contention changes a UAV's capacity, never its serving
+//     cell, so the sky does not depend on the shares phase 2 derives from it.
+//  2. Fold (serial): cell.Contend turns the attach rows into per-UAV
 //     per-epoch capacity shares under the selected PRB scheduler, plus
 //     per-cell stats and the attach/detach/overload event stream.
-//  3. Per UAV (parallel): the full run with the shared map and its share
-//     row injected, folded into the Summary in UAV-index order.
+//  3. Per UAV (parallel): the full run on the recorded sky, with its share
+//     row, folded into the Summary in UAV-index order. It builds and steps
+//     no radio.
 //
 // Every phase is a pure function of (Config, Size, Sched, ...), so the
 // result — down to exported bytes — is identical at any Workers count.
@@ -225,10 +191,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	draw := sim.New(base.Seed)
 	cells := cell.Deployment(base.Env, base.Op, draw.Stream("fleet-deploy"))
 	dur := fleetDuration(base)
-	nEpochs := int((dur + fc.Epoch - 1) / fc.Epoch)
-	if nEpochs < 1 {
-		nEpochs = 1
-	}
 	spread := fc.Spread
 	if spread <= 0 {
 		spread = defaultSpread(base.Env, base.Op)
@@ -236,13 +198,14 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 
 	// Derive each UAV's private config: own seed, own origin offset
 	// (uniform over a disc — its own "fleet-origin" stream, so neither
-	// the flight nor the radio streams shift), shared cells.
+	// the flight nor the radio streams shift). Only phase 1 reads the
+	// shared cells, so a Result's Config never holds the 500-way-shared
+	// deployment.
 	cfgs := make([]Config, fc.Size)
 	for u := range cfgs {
 		c := base
 		c.Seed = DeriveSeed(base.Seed, u)
 		c.Duration = dur
-		c.Cells = cells
 		// Per-UAV traces stay off in fleets: the fleet-level surface is
 		// the cell event timeline plus the folded summary.
 		c.Trace = false
@@ -258,23 +221,20 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	errs := make([]error, fc.Size)
 	exec := executor{workers: fc.Workers, unit: "fleet uav"}
 
-	// Phase 1: attachment timelines, each replayed on a simulator from the
-	// pool. Nothing is published yet: the status view starts with the cell
-	// table phase 2 produces.
-	timelines := make([][]cell.AttachSample, fc.Size)
+	// Phase 1: the skies, each recorded on a buffer set from the pool. A
+	// UAV that fails here has no attach row: it never attached. Nothing is
+	// published yet: the status view starts with the cell table phase 2
+	// produces.
+	skies, rows := make([]sky, fc.Size), make([][]cell.AttachSample, fc.Size)
 	exec.run(errs, func(u int) *Result {
-		timelines[u] = withBuffers(func(b *runBuffers) []cell.AttachSample {
-			return attachTimeline(cfgs[u], dur, fc.Epoch, nEpochs, b)
-		})
+		c := cfgs[u]
+		c.Cells = cells
+		rows[u] = withBuffers(func(b *runBuffers) *sky { return recordUAV(&skies[u], c, dur, fc.Epoch, b) }).attach
 		return nil
-	}, func(u int, _ *Result) {
-		if timelines[u] == nil {
-			timelines[u] = []cell.AttachSample{} // failed UAV: never attached
-		}
-	})
+	}, func(int, *Result) {})
 
 	// Phase 2: the scheduling fold.
-	ct := cell.Contend(timelines, cells, fc.Sched, fc.OverloadShare, fc.Epoch, fc.Events)
+	ct := cell.Contend(rows, cells, fc.Sched, fc.OverloadShare, fc.Epoch, fc.Events)
 
 	fr := &FleetResult{
 		Size:           fc.Size,
@@ -309,15 +269,9 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 	exec.sink = fc.StatusSink
 	exec.mode, exec.cells = "fleet", cellStatuses
 	exec.run(errs, func(u int) *Result {
-		c := cfgs[u]
-		c.CapacityShare = shareLookup(ct.Shares[u], fc.Epoch)
-		r := withBuffers(func(b *runBuffers) *Result { return b.run(runPool.result(), c, false) })
-		// Scrub the injected fields before folding: the summary's Config
-		// must stay comparable (func fields defeat DeepEqual) and free of
-		// the 500-way-shared deployment slice.
-		r.Config.CapacityShare = nil
-		r.Config.Cells = nil
-		return r
+		row := ct.Shares[u]
+		share := func(now time.Duration) float64 { return row[min(max(int(now/fc.Epoch), 0), len(row)-1)] }
+		return withBuffers(func(b *runBuffers) *Result { return b.run(runPool.result(), cfgs[u], &skies[u], share, false) })
 	}, func(_ int, r *Result) {
 		if r != nil {
 			fr.Summary.AddResult(r)

@@ -29,25 +29,25 @@ func TestRunIndependentOfPredecessor(t *testing.T) {
 	resilient := core.Resilient75s()
 	resilient.Seed, resilient.Trace = 7, true
 	fleetUAV := core.Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: core.CCStatic, Seed: 5, Duration: 10 * time.Second, Trace: true,
-		Cells: cell.Deployment(cell.Urban, cell.P1, rand.New(rand.NewSource(1))), OffsetX: 300, OffsetY: -200,
-		CapacityShare: func(now time.Duration) float64 { return 0.2 + 0.6*float64(now%(2*time.Second))/float64(2*time.Second) }}
+		Cells: cell.Deployment(cell.Urban, cell.P1, rand.New(rand.NewSource(1))), OffsetX: 300, OffsetY: -200}
+	fleetShare := func(now time.Duration) float64 { return 0.2 + 0.6*float64(now%(2*time.Second))/float64(2*time.Second) }
 	wire := core.Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: core.CCGCC, Seed: 9, Duration: 8 * time.Second, Trace: true}
-	panicked := core.Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: core.CCGCC, Seed: 11, Duration: 20 * time.Second, Trace: true,
-		CapacityShare: func(now time.Duration) float64 {
-			if now > 6*time.Second {
-				panic("mid-flight")
-			}
-			return 1
-		}}
+	panicked := core.Config{Env: cell.Urban, Op: cell.P1, Air: true, CC: core.CCGCC, Seed: 11, Duration: 20 * time.Second, Trace: true}
+	midFlight := func(now time.Duration) float64 {
+		if now > 6*time.Second {
+			panic("mid-flight")
+		}
+		return 1
+	}
 	preds := []struct {
 		name string
 		job  core.WorkerJob
 	}{
 		{"urban-scream", core.WorkerJob{Config: scream}},
 		{"resilient-75s", core.WorkerJob{Config: resilient}},
-		{"fleet-uav", core.WorkerJob{Config: fleetUAV}},
+		{"fleet-uav", core.WorkerJob{Config: fleetUAV, Share: fleetShare}},
 		{"wire", core.WorkerJob{Config: wire, Wire: true}},
-		{"panicked", core.WorkerJob{Config: panicked}},
+		{"panicked", core.WorkerJob{Config: panicked, Share: midFlight}},
 	}
 	for _, sc := range experiments.Scenarios() {
 		for _, trace := range []bool{false, true} {

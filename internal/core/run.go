@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -21,12 +20,12 @@ import (
 // Run executes one measurement run and returns its aggregated result, on a
 // buffer set from the process's pool (runBuffers).
 func Run(cfg Config) *Result {
-	return withBuffers(func(b *runBuffers) *Result { return b.run(new(Result), cfg, false) })
+	return withBuffers(func(b *runBuffers) *Result { return b.run(new(Result), cfg, nil, nil, false) })
 }
 
 // runBuffers is the storage a finished run hands to the next one: the
 // simulator (its pending set and random streams), each radio chain's signal
-// model and handover machine, the links and their rings, the media path's
+// model, handover machine and recorded sky, the links and their rings, the media path's
 // sent table, frame registry, packet slots, send queue and depacketizer
 // ring, and the feedback path's acks, decoded reports, GCC receive window
 // and TWCC recorder (endpoint.Buffers). A run takes each piece emptied, as
@@ -51,11 +50,14 @@ type runBuffers struct {
 	ends   endpoint.Buffers
 }
 
-// chain is one radio chain's storage: its signal model, the handover
-// machine over it (setupRadio) and its uplink.
+// chain is one radio chain's storage: its signal model and the handover
+// machine over it, the sky they record (sky.record), its playback onto the
+// machine and its uplink.
 type chain struct {
 	model   cell.SignalModel
 	machine cell.Machine
+	sky     sky
+	play    playback
 	uplink  link.Buffers
 }
 
@@ -175,10 +177,12 @@ func (b *runBuffers) simulator(seed int64) *sim.Simulator {
 }
 
 // run executes one run on b's buffers and builds its Result on res, which
-// is empty: new, or handed out by runPool.result. wire is the differential
-// test's switch: it makes every media packet cross the links as marshalled
-// bytes (see connect).
-func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
+// is empty: new, or handed out by runPool.result. A fleet's phase 3 hands in
+// the UAV's sky, recorded in phase 1, and its capacity share, which scales
+// the media uplink; a solo run passes nil for both and records its own sky.
+// wire is the differential test's switch: it makes every media packet cross
+// the links as marshalled bytes (see connect).
+func (b *runBuffers) run(res *Result, cfg Config, k *sky, share func(time.Duration) float64, wire bool) *Result {
 	s := b.simulator(cfg.Seed)
 
 	// Mobility.
@@ -188,9 +192,10 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 		dur = prof.Duration()
 	}
 
-	// Radio access. A fleet run injects its shared deployment via
-	// cfg.Cells; solo runs draw a private map from the "cell" stream.
-	machine, hoCfg := setupRadio(cfg, cfg.Op, s.Stream("cell"), &b.primary)
+	// Radio access: the primary chain's sky, recorded before any traffic.
+	if k == nil {
+		k = b.primary.sky.record(cfg, cfg.Op, s.Stream("cell"), &b.primary, stateAt, dur, 0)
+	}
 
 	res.Config, res.Duration = cfg, dur
 	// Live-telemetry histograms (internal/obs): queue delay and NACK RTT,
@@ -207,13 +212,9 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 	}
 	if cfg.Trace {
 		res.Trace = obs.New(cfg.TraceCap)
-		machine.SetTracer(res.Trace, obs.DirUp)
 	}
-	s.Every(0, hoCfg.MeasurementInterval, func() {
-		if ev := machine.Step(s.Now(), stateAt(s.Now())); ev != nil {
-			res.Handovers = append(res.Handovers, *ev)
-		}
-	})
+	machine := &b.primary.machine
+	b.primary.play.play(k, s, machine, res.Trace, obs.DirUp)
 
 	upProfile := link.ProfileFor(cfg.Env, cfg.Op)
 	upProfile.AQM = cfg.AQM
@@ -222,11 +223,11 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 	uplink.SetFlight(prof)
 	downlink.SetFlight(prof)
 	uplink.SetQueueDelayHist(res.Telemetry.LogHistogram(TelemetryQueueDelay))
-	if cfg.CapacityShare != nil {
+	if share != nil {
 		// The fleet scheduler's share scales the media uplink only: the
 		// feedback downlink is tiny control traffic on an overprovisioned
 		// bearer, so contention on it is negligible by design.
-		uplink.SetCapacityShare(cfg.CapacityShare)
+		uplink.SetCapacityShare(share)
 	}
 	if res.Trace != nil {
 		uplink.SetTracer(res.Trace, obs.DirUp)
@@ -244,14 +245,16 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 	// Dual-operator bonding (internal/bond): an independent second radio
 	// chain over the competing operator, a per-path health monitor and a
 	// scheduling policy. nil for single-path runs.
-	bp := setupBond(s, cfg, res, uplink, b, prof, stateAt, flushStale)
+	bp := setupBond(s, cfg, res, uplink, b, prof, stateAt, dur, flushStale)
 
 	switch cfg.Workload {
 	case WorkloadPing:
 		runPing(s, cfg, res, uplink, downlink, stateAt, dur)
 	default:
-		stream(s, cfg, res, machine, uplink, bp, downlink, prof, dur, wire, &b.ends)
+		stream(s, cfg, res, &b.primary.play, uplink, bp, downlink, prof, dur, wire, &b.ends)
 	}
+	// The run has played every step of the sky.
+	res.Handovers = append(res.Handovers, k.handovers...)
 
 	// The media counters sum every path's ledger, so a bonded run's count
 	// all the copies on the air (duplicate ≈ 2× the unique stream); the
@@ -283,8 +286,8 @@ func (b *runBuffers) run(res *Result, cfg Config, wire bool) *Result {
 
 // setupMobility builds the flight profile and the (possibly origin-shifted)
 // state lookup. It consumes exactly the "ground" stream for ground runs and
-// nothing for aerial ones; RunFleet's attachment precompute relies on that
-// to replay a UAV's mobility byte-identically outside a full run.
+// nothing for aerial ones; RunFleet's phase 1 relies on that to record a
+// UAV's sky outside its run.
 func setupMobility(cfg Config, s *sim.Simulator) (flight.Profile, func(time.Duration) flight.State) {
 	var prof flight.Profile
 	if cfg.Air {
@@ -306,33 +309,11 @@ func setupMobility(cfg Config, s *sim.Simulator) (flight.Profile, func(time.Dura
 	return prof, stateAt
 }
 
-// setupRadio builds operator op's deployment (unless cfg.Cells injects a
-// shared one), signal model and handover machine on c's storage, drawing
-// only from cellRng. RunFleet's attachment precompute calls this with an
-// identically derived stream so its offline handover replay consumes
-// exactly the randomness the live run does — the basis of the fleet's share
-// determinism (TestFleetReplayMatchesLiveRadio); setupBond builds the
-// second chain with it.
-func setupRadio(cfg Config, op cell.Operator, cellRng *rand.Rand, c *chain) (*cell.Machine, cell.HandoverConfig) {
-	bss := cfg.Cells
-	if bss == nil {
-		bss = cell.Deployment(cfg.Env, op, cellRng)
-	}
-	c.model.Reset(cfg.Env, bss, cell.DefaultSignalConfigFor(cfg.Env), cellRng)
-	hoCfg := cell.DefaultHandoverConfigFor(cfg.Env)
-	hoCfg.DAPS = cfg.DAPS
-	if cfg.Faults.RLF {
-		hoCfg.RLF = cell.DefaultRLFConfig()
-	}
-	c.machine.Reset(&c.model, hoCfg, cfg.Air, cellRng)
-	return &c.machine, hoCfg
-}
-
 // stream runs the video workload: build the two endpoints on eb's buffers,
 // join them through the links (and the bond router, when bp is set), attach
 // the accounting, run the clock and fold every counter into res. wire is the
 // differential test's switch (see connect).
-func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool, eb *endpoint.Buffers) {
+func stream(s *sim.Simulator, cfg Config, res *Result, radio *playback, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool, eb *endpoint.Buffers) {
 	snd, rcv := newEndpoints(s, cfg, res, bp)
 	snd.Reuse(eb)
 	rcv.Reuse(eb)
@@ -348,7 +329,8 @@ func stream(s *sim.Simulator, cfg Config, res *Result, machine *cell.Machine, up
 	connect(s, cfg, snd, rcv, uplink, downlink, bp, log, wire)
 	snd.OnRTT = func(rtt time.Duration) { record(&res.RTCPRTTms, float64(rtt)/float64(time.Millisecond)) }
 	rcv.OnReport = func(jitter time.Duration) { record(&res.JitterMs, float64(jitter)/float64(time.Millisecond)) }
-	sampler := newTargetSampler(cfg, res, machine, uplink, dur)
+	sampler := newTargetSampler(cfg, res, uplink, dur)
+	radio.sampler = sampler
 
 	// Registration order is part of the run's output: the contract is on
 	// endpoint.Sender.StartReports, and the target sampler keeps the slot

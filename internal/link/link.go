@@ -504,11 +504,8 @@ func (l *Link) Interrupted(now time.Duration) bool {
 // a scripted fault window — and the earliest instant service can resume.
 func (l *Link) interruption(now time.Duration) (resume time.Duration, down bool) {
 	resume = now
-	if l.machine != nil && l.machine.InHandover(now) {
-		down = true
-		if bu := l.machine.BusyUntil(); bu > resume {
-			resume = bu
-		}
+	if l.machine != nil && now < l.machine.Link.BusyUntil {
+		down, resume = true, l.machine.Link.BusyUntil
 	}
 	if until, blocked := l.faults.Blocked(now); blocked {
 		down = true

@@ -182,7 +182,8 @@ func TestLossesAreBursty(t *testing.T) {
 }
 
 // flightLinkFixture wires a machine-driven link over the standard flight.
-func flightLinkFixture(seed int64) (*sim.Simulator, *Link, *cell.Machine, flight.Profile) {
+// A non-nil tr gets each handover as a core run traces it.
+func flightLinkFixture(seed int64, tr *obs.Tracer) (*sim.Simulator, *Link, flight.Profile) {
 	s := sim.New(seed)
 	rng := s.Stream("cell")
 	bss := cell.Deployment(cell.Urban, cell.P1, rng)
@@ -192,18 +193,20 @@ func flightLinkFixture(seed int64) (*sim.Simulator, *Link, *cell.Machine, flight
 	stateAt := func(at time.Duration) flight.State { return prof.At(at) }
 	l := New(s, ProfileFor(cell.Urban, cell.P1), machine, stateAt, s.Stream("link"))
 	s.Every(0, 40*time.Millisecond, func() {
-		machine.Step(s.Now(), prof.At(s.Now()))
+		if ev := machine.Step(s.Now(), prof.At(s.Now())); ev != nil && tr != nil {
+			tr.Emit(obs.Event{T: s.Now(), Kind: obs.KindHandover, Dir: obs.DirUp,
+				Seq: int64(ev.From), Aux: int64(ev.To), V: float64(ev.HET) / float64(time.Millisecond)})
+		}
 	})
-	return s, l, machine, prof
+	return s, l, prof
 }
 
 func TestHandoverCausesLatencySpikes(t *testing.T) {
-	s, l, machine, prof := flightLinkFixture(5)
 	// Link and machine write one trace; the analyzer's handover epochs are
 	// the Fig. 9 windows.
 	tr := obs.New(0)
+	s, l, prof := flightLinkFixture(5, tr)
 	l.SetTracer(tr, obs.DirUp)
-	machine.SetTracer(tr, obs.DirUp)
 	l.Deliver = func(any, int, time.Duration, time.Duration) {}
 	// Steady 25 Mbps stream (the urban static workload): pre-handover
 	// degradation must back it up into the buffer.
@@ -235,9 +238,8 @@ func TestHandoverCausesLatencySpikes(t *testing.T) {
 }
 
 func TestNoDeliveriesDuringHandoverExecution(t *testing.T) {
-	s, l, machine, prof := flightLinkFixture(8)
 	tr := obs.New(0)
-	machine.SetTracer(tr, obs.DirUp)
+	s, l, prof := flightLinkFixture(8, tr)
 	var arrivals []time.Duration
 	l.Deliver = func(meta any, size int, sentAt, at time.Duration) { arrivals = append(arrivals, at) }
 	s.Every(0, time.Millisecond, func() { l.Send(nil, 1250) })
@@ -308,7 +310,7 @@ func TestAltitudeOutliers(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []arrival {
-		s, l, _, prof := flightLinkFixture(99)
+		s, l, prof := flightLinkFixture(99, nil)
 		got := collect(l)
 		s.Every(0, 2*time.Millisecond, func() { l.Send(nil, 1250) })
 		s.RunUntil(prof.Duration() / 4)

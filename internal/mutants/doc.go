@@ -1,7 +1,8 @@
 // Package mutants holds the mutant catalogue (testdata/mutants.txt): seeded
 // faults — in the code that takes pooled storage over, in the ordered
-// engine and the trace analyzer, reintroduced bugs, broken oracles, and an
-// unread exported method and an unset exported field for the API gates —
+// engine, the trace analyzer and the playback of a recorded radio,
+// reintroduced bugs, broken oracles, and an unread exported method, an
+// unset exported field and a hook matched by name only for the API gates —
 // each with the tests that must catch it. Its test builds and tests every
 // mutant through a `go test -overlay`, so the catalogue never touches the
 // tree:

@@ -2,11 +2,12 @@ package rpivideo_test
 
 import (
 	"go/ast"
-	"go/parser"
+	"go/build"
 	"go/token"
 	"go/types"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,7 +15,8 @@ import (
 
 // The reasons a name or field may stay without a production reader: bench/
 // reads it (checked against bench/'s own uses), or tests need it as a hook,
-// "a hook <pkg>'s tests need" naming the packages whose test files use it.
+// "a hook <pkg>'s tests need" naming the packages whose test files use it —
+// that object, type-checked, not just a name like it.
 // A field may also stay because bench/ sets it (checked against bench/'s
 // writes): bench/ is frozen, so it cannot stop.
 const (
@@ -42,7 +44,6 @@ var unreadNames = map[string]string{
 	"rtp.(*CCFBGenerator).Report":      benchReason,
 	"rtp.(*TWCC).Marshal":              benchReason,
 	"cc.(*SendQueue).Len":              "a hook core's, endpoint's and scream's tests need",
-	"cell.(*Machine).Events":           "a hook core's and link's tests need",
 	"core.DropPooledBuffers":           "a hook experiments' tests need",
 	"metrics.(*Sketch).Buckets":        "a hook core's tests need",
 	"ordered.SetObserver":              "a hook core's and obs's tests need",
@@ -147,6 +148,7 @@ func TestEveryExportedNameHasAReader(t *testing.T) {
 	}
 
 	var unread []string
+	objs := map[string]types.Object{}
 	benchRead := map[string]bool{}
 	checked := 0
 	check := func(obj types.Object) {
@@ -158,6 +160,7 @@ func TestEveryExportedNameHasAReader(t *testing.T) {
 		}
 		key := gateKey(obj)
 		unread = append(unread, key)
+		objs[key] = obj
 		benchRead[key] = benchReads[obj]
 	}
 	for _, p := range l.pkgs {
@@ -185,14 +188,14 @@ func TestEveryExportedNameHasAReader(t *testing.T) {
 	}
 
 	t.Logf("%d names checked, %d without a production reader", checked, len(unread))
-	checkAllowlist(t, l, "unreadNames", unreadNames, unread, benchRead, nil)
+	checkAllowlist(t, l, "unreadNames", unreadNames, unread, objs, benchRead, nil)
 }
 
 // checkAllowlist fails t unless list names exactly the keys found, each
 // with an allowed reason: benchReason where benchRead says bench/ reads it,
 // benchSetReason where benchSet says bench/ writes it, or "a hook <pkg>'s
-// tests need" where the test files of every package it names use the name.
-func checkAllowlist(t *testing.T, l *gateLoad, name string, list map[string]string, found []string, benchRead, benchSet map[string]bool) {
+// tests need" where the test files of every package it names use the object.
+func checkAllowlist(t *testing.T, l *gateLoad, name string, list map[string]string, found []string, objs map[string]types.Object, benchRead, benchSet map[string]bool) {
 	t.Helper()
 	sort.Strings(found)
 	for _, key := range found {
@@ -213,10 +216,9 @@ func checkAllowlist(t *testing.T, l *gateLoad, name string, list map[string]stri
 		case !hookReason.MatchString(reason):
 			t.Errorf("%s: reason %q is neither %q nor \"a hook <pkg>'s tests need\"", key, reason, benchReason)
 		default:
-			ident := key[strings.LastIndex(key, ".")+1:]
 			for _, pkg := range hookPkgs.FindAllStringSubmatch(reason, -1) {
-				if !testsUse(t, l, pkg[1], ident) {
-					t.Errorf("%s: listed as a hook %s's tests need, but no test file of %s uses %s", key, pkg[1], pkg[1], ident)
+				if !testsUse(t, l, pkg[1], objs[key]) {
+					t.Errorf("%s: listed as a hook %s's tests need, but no test file of %s uses it", key, pkg[1], pkg[1])
 				}
 			}
 		}
@@ -232,36 +234,73 @@ func checkAllowlist(t *testing.T, l *gateLoad, name string, list map[string]stri
 var hookPkgs = regexp.MustCompile(`([a-z]+)'s?[ ,]`)
 
 // testsUse reports whether a _test.go file of the internal/ package named
-// pkg holds the identifier ident.
-func testsUse(t *testing.T, l *gateLoad, pkg, ident string) bool {
+// pkg uses obj itself, not just a name like it.
+func testsUse(t *testing.T, l *gateLoad, pkg string, obj types.Object) bool {
 	t.Helper()
-	for _, p := range l.pkgs {
-		if !p.inInternal() || p.types.Name() != pkg {
-			continue
+	uses, ok := l.testUses[pkg]
+	if !ok {
+		uses = map[token.Pos]bool{}
+		for _, p := range l.pkgs {
+			if p.inInternal() && p.types.Name() == pkg {
+				testObjects(t, l, p, uses)
+			}
 		}
-		dir := strings.TrimPrefix(p.path, "rpivideo/")
-		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, file := range files {
-			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		l.testUses[pkg] = uses
+	}
+	return uses[obj.Pos()]
+}
+
+// testObjects type-checks p's test files on the load and marks in uses the
+// declaring position of every object they use. The package's own test files
+// are checked with its other files, and its external test files against
+// that package, as go test builds them. A file's type errors are ignored:
+// the objects of the test binary's other packages are the load's, so a
+// value the test passes between the two builds of p may not type-check.
+// Objects are matched by where they are declared, which both builds share.
+func testObjects(t *testing.T, l *gateLoad, p *gatePkg, uses map[token.Pos]bool) {
+	t.Helper()
+	dir := strings.TrimPrefix(p.path, "rpivideo/")
+	names, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var internal, external []*ast.File
+	for _, name := range names {
+		if ok, err := build.Default.MatchFile(dir, filepath.Base(name)); err != nil || !ok {
 			if err != nil {
 				t.Fatal(err)
 			}
-			used := false
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name == ident {
-					used = true
-				}
-				return !used
-			})
-			if used {
-				return true
-			}
+			continue
+		}
+		f, err := l.parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name.Name == p.types.Name() {
+			internal = append(internal, f)
+		} else {
+			external = append(external, f)
 		}
 	}
-	return false
+	// check type-checks files, of which tests are the test files.
+	check := func(path string, files, tests []*ast.File, imp types.Importer) *types.Package {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: imp, Error: func(error) {}}
+		pkg, _ := conf.Check(path, l.fset, files, info)
+		for _, f := range tests {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+					uses[origin(info.Uses[id]).Pos()] = true
+				}
+				return true
+			})
+		}
+		return pkg
+	}
+	tested := check(p.path, append(slices.Clip(p.files), internal...), internal, l.importer(nil))
+	if len(external) > 0 {
+		check(p.path+"_test", external, external, l.importer(map[string]*types.Package{p.path: tested}))
+	}
 }
 
 // origin is the generic object an instantiated method or field comes from.
@@ -359,16 +398,18 @@ func TestEveryFieldHasAReader(t *testing.T) {
 	}
 
 	var unread []string
+	objs := map[string]types.Object{}
 	benchRead, benchSet := map[string]bool{}, map[string]bool{}
 	for f, key := range fields {
 		if readBy[f] {
 			continue
 		}
 		unread = append(unread, key)
+		objs[key] = f
 		benchRead[key], benchSet[key] = benchReads[f], benchWrites[f]
 	}
 	t.Logf("%d fields checked, %d without a production reader", len(fields), len(unread))
-	checkAllowlist(t, l, "unreadFields", unreadFields, unread, benchRead, benchSet)
+	checkAllowlist(t, l, "unreadFields", unreadFields, unread, objs, benchRead, benchSet)
 }
 
 // structFields hands each field of each struct type written in p's files,
