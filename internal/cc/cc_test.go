@@ -241,36 +241,33 @@ func TestRepairAwareAdjustsTarget(t *testing.T) {
 	}
 }
 
-// TestSendQueueReuse: a queue that takes over an array starts empty on the
-// array its predecessor grew, zeroed — none of the predecessor's packets
-// stay reachable through it — and queues as a fresh one does.
+// TestSendQueueReuse: a queue Reset after a use starts empty on the array
+// it grew, zeroed — none of its packets stay reachable through it — and
+// queues as a fresh one does.
 func TestSendQueueReuse(t *testing.T) {
-	var b []Item
-	var first SendQueue
-	first.Reuse(&b)
+	var q SendQueue
 	for i := 0; i < 1000; i++ {
-		first.Push(Item{Data: i, Size: 100})
+		q.Push(Item{Data: i, Size: 100})
 	}
-	first.Pop()
-	grown := len(b)
+	q.Pop()
+	grown := q.items.Cap()
 	if grown < 1000 {
-		t.Fatalf("the grown array was not recorded: %d slots", grown)
+		t.Fatalf("the queue grew to %d slots, want 1000 or more", grown)
 	}
-	var next SendQueue
-	next.Reuse(&b)
-	if next.items.Len() != 0 || queuedBytes(&next) != 0 || next.items.Cap() != grown {
-		t.Fatalf("after Reuse: %d queued, %d bytes, %d slots (predecessor's %d)", next.items.Len(), queuedBytes(&next), next.items.Cap(), grown)
+	q.Reset()
+	if q.items.Len() != 0 || queuedBytes(&q) != 0 || q.items.Cap() != grown {
+		t.Fatalf("after Reset: %d queued, %d bytes, %d slots (grown to %d)", q.items.Len(), queuedBytes(&q), q.items.Cap(), grown)
 	}
-	for _, it := range b {
-		if it.Data != nil {
-			t.Fatal("the reused array still holds a packet of the queue before")
+	for i := 0; i < grown; i++ {
+		if q.items.At(i).Data != nil {
+			t.Fatal("the reset array still holds a packet of the queue's last use")
 		}
 	}
 	for i := 0; i < 10; i++ {
-		next.Push(Item{Data: i, Size: 10 + i})
+		q.Push(Item{Data: i, Size: 10 + i})
 	}
 	for i := 0; i < 10; i++ {
-		if it, ok := next.Pop(); !ok || it.Data != i || it.Size != 10+i {
+		if it, ok := q.Pop(); !ok || it.Data != i || it.Size != 10+i {
 			t.Fatalf("pop %d: %+v, %v", i, it, ok)
 		}
 	}

@@ -28,10 +28,12 @@ type SendQueue struct {
 	items ring.Queue[Item]
 }
 
-// Reuse makes q queue in the array buf holds, zeroed, and record there the
-// array it grows to. Call it on an empty queue; the queue that used buf
-// before must be finished.
-func (q *SendQueue) Reuse(buf *[]Item) { q.items.Reuse(buf) }
+// Reset makes q the zero queue on the array it grew to, holding none of
+// its packets: they are dropped, not handed to Discard, which goes too.
+func (q *SendQueue) Reset() {
+	*q = SendQueue{items: q.items}
+	q.items.Truncate(0)
+}
 
 // Push appends a packet to the tail.
 func (q *SendQueue) Push(it Item) { q.items.Push(it) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -30,12 +31,16 @@ type flightLog struct {
 	suppressed   [bond.NumPaths]int64
 }
 
-func newFlightLog(res *Result, prof flight.Profile, dur time.Duration) *flightLog {
-	l := &flightLog{res: res, goodputBytes: make([]int, int(dur/time.Second)+1)}
+// reset makes l the log of a run of dur on res, on the goodput bins it
+// grew, zeroed.
+func (l *flightLog) reset(res *Result, prof flight.Profile, dur time.Duration) {
+	n := int(dur/time.Second) + 1
+	bins := slices.Grow(l.goodputBytes[:0], n)[:n]
+	clear(bins)
+	*l = flightLog{res: res, goodputBytes: bins}
 	for i, edge := range altBandEdges {
 		l.above[i] = flight.Above(prof, edge)
 	}
-	return l
 }
 
 // bucketAt is BucketFor(profile.At(t).Alt) without the interpolation.

@@ -49,7 +49,8 @@ func setupBond(s *sim.Simulator, cfg Config, res *Result, uplink *link.Link, b *
 	b.second.play.play(k2, s, &b.second.machine, res.Trace, obs.DirUp2)
 	prof2 := link.ProfileFor(cfg.Env, op2)
 	prof2.AQM = cfg.AQM
-	uplink2 := b.second.uplink.Link(s, prof2, &b.second.machine, nil, s.Stream("uplink2"))
+	uplink2 := &b.second.uplink
+	uplink2.Reset(s, prof2, &b.second.machine, nil, s.Stream("uplink2"))
 	uplink2.SetFlight(prof)
 	if res.Trace != nil {
 		uplink2.SetTracer(res.Trace, obs.DirUp2)

@@ -23,17 +23,17 @@ func Run(cfg Config) *Result {
 	return withBuffers(func(b *runBuffers) *Result { return b.run(new(Result), cfg, nil, nil, false) })
 }
 
-// runBuffers is the storage a finished run hands to the next one: the
-// simulator (its pending set and random streams), each radio chain's signal
-// model, handover machine and recorded sky, the links and their rings, the media path's
-// sent table, frame registry, packet slots, send queue and depacketizer
-// ring, and the feedback path's acks, decoded reports, GCC receive window
-// and TWCC recorder (endpoint.Buffers). A run takes each piece emptied, as
-// its package's constructor would build it, and records there whatever it
-// grows, so the runs of a process allocate their radio, links and
-// traffic-sized storage once between them, not once each. The pool
-// (runPool) decides every such piece's lifetime; the packages only say how
-// to take one over (their Reset, Reuse and Buffers.Link methods).
+// runBuffers is what a finished run hands to the next one: the simulator
+// (its pending set and random streams), each radio chain's signal model,
+// handover machine, recorded sky and uplink, the feedback downlink, the two
+// endpoints — and through them the media path's packetizer, send queue,
+// sent table, frame registry, player and depacketizer, both datagram pools,
+// the congestion feedback's recorder or generator and both controllers —
+// and the flight log. A run takes each piece it uses with its Reset, which
+// makes it what its package's constructor builds, on the storage it grew,
+// so the runs of a process allocate their radio, links and traffic-sized
+// storage once between them, not once each. The pool (runPool) decides
+// every piece's lifetime; the packages only say how to reset one.
 //
 // What a run keeps — its Result — never points into runBuffers, so the next
 // run cannot change a Result it did not make. A fleet's phase-3 run builds
@@ -43,22 +43,24 @@ func Run(cfg Config) *Result {
 type runBuffers struct {
 	sim      *sim.Simulator
 	primary  chain
-	downlink link.Buffers // the feedback downlink
+	downlink link.Link // the feedback downlink
 	// second is the bonded second chain, made by the first bonded run the
 	// set serves: a run without bonding never pays for it.
 	second *chain
-	ends   endpoint.Buffers
+	snd    endpoint.Sender
+	rcv    endpoint.Receiver
+	log    flightLog
 }
 
-// chain is one radio chain's storage: its signal model and the handover
-// machine over it, the sky they record (sky.record), its playback onto the
-// machine and its uplink.
+// chain is one radio chain: its signal model and the handover machine over
+// it, the sky they record (sky.record), its playback onto the machine and
+// its uplink.
 type chain struct {
 	model   cell.SignalModel
 	machine cell.Machine
 	sky     sky
 	play    playback
-	uplink  link.Buffers
+	uplink  link.Link
 }
 
 // bufferPool is a bounded free list of buffer sets, one per process
@@ -218,8 +220,9 @@ func (b *runBuffers) run(res *Result, cfg Config, k *sky, share func(time.Durati
 
 	upProfile := link.ProfileFor(cfg.Env, cfg.Op)
 	upProfile.AQM = cfg.AQM
-	uplink := b.primary.uplink.Link(s, upProfile, machine, nil, s.Stream("uplink"))
-	downlink := b.downlink.Link(s, link.FeedbackProfile(), machine, nil, s.Stream("downlink"))
+	uplink, downlink := &b.primary.uplink, &b.downlink
+	uplink.Reset(s, upProfile, machine, nil, s.Stream("uplink"))
+	downlink.Reset(s, link.FeedbackProfile(), machine, nil, s.Stream("downlink"))
 	uplink.SetFlight(prof)
 	downlink.SetFlight(prof)
 	uplink.SetQueueDelayHist(res.Telemetry.LogHistogram(TelemetryQueueDelay))
@@ -251,7 +254,7 @@ func (b *runBuffers) run(res *Result, cfg Config, k *sky, share func(time.Durati
 	case WorkloadPing:
 		runPing(s, cfg, res, uplink, downlink, stateAt, dur)
 	default:
-		stream(s, cfg, res, &b.primary.play, uplink, bp, downlink, prof, dur, wire, &b.ends)
+		stream(s, cfg, res, b, uplink, bp, downlink, prof, dur, wire)
 	}
 	// The run has played every step of the sky.
 	res.Handovers = append(res.Handovers, k.handovers...)
@@ -309,14 +312,12 @@ func setupMobility(cfg Config, s *sim.Simulator) (flight.Profile, func(time.Dura
 	return prof, stateAt
 }
 
-// stream runs the video workload: build the two endpoints on eb's buffers,
-// join them through the links (and the bond router, when bp is set), attach
-// the accounting, run the clock and fold every counter into res. wire is the
-// differential test's switch (see connect).
-func stream(s *sim.Simulator, cfg Config, res *Result, radio *playback, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool, eb *endpoint.Buffers) {
-	snd, rcv := newEndpoints(s, cfg, res, bp)
-	snd.Reuse(eb)
-	rcv.Reuse(eb)
+// stream runs the video workload: reset b's two endpoints and flight log,
+// join the endpoints through the links (and the bond router, when bp is
+// set), attach the accounting, run the clock and fold every counter into
+// res. wire is the differential test's switch (see connect).
+func stream(s *sim.Simulator, cfg Config, res *Result, b *runBuffers, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool) {
+	snd, rcv := resetEndpoints(s, cfg, res, bp, b)
 	rcv.Player.RecordInto(&res.PlaybackMs, &res.SSIM)
 	rcv.Player.Stalls = res.Stalls
 	var tapFrames func()
@@ -325,12 +326,13 @@ func stream(s *sim.Simulator, cfg Config, res *Result, radio *playback, uplink *
 		rcv.Player.OnFrame = func(f video.PlayedFrame) { frames = append(frames, f) }
 		tapFrames = func() { framesTap(res, frames) }
 	}
-	log := newFlightLog(res, prof, dur)
+	log := &b.log
+	log.reset(res, prof, dur)
 	connect(s, cfg, snd, rcv, uplink, downlink, bp, log, wire)
 	snd.OnRTT = func(rtt time.Duration) { record(&res.RTCPRTTms, float64(rtt)/float64(time.Millisecond)) }
 	rcv.OnReport = func(jitter time.Duration) { record(&res.JitterMs, float64(jitter)/float64(time.Millisecond)) }
 	sampler := newTargetSampler(cfg, res, uplink, dur)
-	radio.sampler = sampler
+	b.primary.play.sampler = sampler
 
 	// Registration order is part of the run's output: the contract is on
 	// endpoint.Sender.StartReports, and the target sampler keeps the slot
@@ -363,10 +365,10 @@ func stream(s *sim.Simulator, cfg Config, res *Result, radio *playback, uplink *
 	}
 }
 
-// newEndpoints translates a run's Config into the two endpoint configs and
-// builds the pair, sender first: the receiver's player scores frames from
-// the sender's frame registry.
-func newEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths) (*endpoint.Sender, *endpoint.Receiver) {
+// resetEndpoints translates a run's Config into the two endpoint configs and
+// resets b's pair to them, sender first: the receiver's player scores frames
+// from the sender's frame registry.
+func resetEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths, b *runBuffers) (*endpoint.Sender, *endpoint.Receiver) {
 	faultsOn := cfg.Faults.Enabled()
 	scfg := endpoint.SenderConfig{
 		Video:        video.DefaultSenderConfig(),
@@ -421,9 +423,10 @@ func newEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths) (*en
 		rcfg.Reorder = bp.mgr.Policy() != bond.PolicyDuplicate
 		rcfg.ReorderDeadline, rcfg.ReorderCap = bcfg.ReorderDeadline, bcfg.ReorderCap
 	}
-	snd := endpoint.NewSender(s, scfg)
+	snd, rcv := &b.snd, &b.rcv
+	snd.Reset(s, scfg)
 	rcfg.FrameEncoding = snd.Video.FrameEncoding
-	rcv := endpoint.NewReceiver(s, rcfg)
+	rcv.Reset(s, rcfg)
 	if det := rcv.Detector; det != nil {
 		det.SetNackRTTHist(res.Telemetry.LogHistogram(TelemetryNackRTT))
 	}

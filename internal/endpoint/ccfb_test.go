@@ -545,7 +545,7 @@ func BenchmarkSenderOnCCFB(b *testing.B) {
 		if l.snd.OnDatagram(buf, now) != Control {
 			b.Fatal("report rejected")
 		}
-		acks += len(l.snd.feedback().acks)
+		acks += len(l.snd.acks)
 	}
 	b.ReportMetric(float64(acks)/float64(b.N), "acks/op")
 }
@@ -570,7 +570,7 @@ func TestSenderOnCCFBAllocations(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("report %d: %.0f allocations in Sender.OnDatagram, want 0", i, n)
 		}
-		acks += len(l.snd.feedback().acks)
+		acks += len(l.snd.acks)
 	}
 	mean := float64(acks) / 200
 	t.Logf("%.1f of 256 acks per report reached the controller", mean)

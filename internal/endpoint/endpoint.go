@@ -21,12 +21,6 @@ package endpoint
 import (
 	"fmt"
 	"time"
-
-	"rpivideo/internal/cc"
-	"rpivideo/internal/gcc"
-	"rpivideo/internal/rtp"
-	"rpivideo/internal/scream"
-	"rpivideo/internal/video"
 )
 
 // CC names a rate-control regime (§3.2: static, GCC or SCReAM).
@@ -93,56 +87,3 @@ const receiverSSRC = 1
 // campaigns were calibrated with. Every other packet is charged its RTP or
 // RTCP length alone.
 const pliAirSize = 40
-
-// Buffers is the storage one run's Sender and Receiver leave to the next
-// run's: the media path's (video.Buffers) and the congestion feedback's —
-// the sender's decoded TWCC reports and acks, GCC's receive-rate window,
-// SCReAM's in-flight table and the receiver's TWCC recorder. The zero value
-// is empty. One Buffers serves one sender and one receiver at a time.
-type Buffers struct {
-	video    video.Buffers
-	fb       feedback
-	gcc      gcc.Buffers
-	scream   scream.Buffers
-	recorder *rtp.TWCCRecorder // the first TWCC receiver's own, handed on
-}
-
-// feedback is where a sender decodes congestion feedback: the parsed TWCC
-// report (made at the first one: only a GCC sender needs it), and the acks
-// a report becomes. RFC 8888 reports are read in place (rtp.ParseCCFB).
-type feedback struct {
-	acks []cc.Ack
-	twcc *rtp.TWCC
-}
-
-// Reuse makes s keep its media path in b (video.Sender.Reuse), decode
-// feedback into b's reports and acks and keep its controller's state
-// there: GCC's receive-rate window, SCReAM's in-flight table. Call it on a
-// new sender, before Start; the sender that used b before must be
-// finished.
-func (s *Sender) Reuse(b *Buffers) {
-	s.Video.Reuse(&b.video)
-	s.fb = &b.fb
-	switch c := s.Ctrl.(type) {
-	case *gcc.Controller:
-		c.Reuse(&b.gcc)
-	case *scream.Controller:
-		c.Reuse(&b.scream)
-	}
-}
-
-// Reuse makes r reassemble frames in b's ring (video.Player.Reuse) and,
-// when it answers with TWCC, record arrivals in b's recorder, emptied; the
-// first such receiver leaves b its own. Call it on a new receiver, before
-// its first packet; the receiver that used b before must be finished.
-func (r *Receiver) Reuse(b *Buffers) {
-	r.Player.Reuse(&b.video)
-	switch {
-	case r.twcc == nil:
-	case b.recorder == nil:
-		b.recorder = r.twcc
-	default:
-		b.recorder.Reset(r.twcc.SenderSSRC, r.twcc.MediaSSRC)
-		r.twcc = b.recorder
-	}
-}

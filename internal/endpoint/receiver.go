@@ -81,8 +81,10 @@ type Receiver struct {
 	Reorder  *bond.Reorder
 
 	stats *rtp.ReceptionStats
-	twcc  *rtp.TWCCRecorder
-	ccfb  *rtp.CCFBGenerator
+	// twcc and ccfb are the congestion feedback the receiver keeps; each is
+	// in use when cfg.TWCC or cfg.CCFB says so.
+	twcc rtp.TWCCRecorder
+	ccfb rtp.CCFBGenerator
 
 	// dgrams holds the feedback's slots; the packets below are written
 	// into them and reused from report to report, as are seqs.
@@ -112,8 +114,25 @@ type Receiver struct {
 // NewReceiver builds the receiving end on clock s. The player's playback
 // loop is the only timer it registers; the rest wait for the Start calls.
 func NewReceiver(s *sim.Simulator, cfg ReceiverConfig) *Receiver {
-	r := &Receiver{sim: s, cfg: cfg}
-	r.Player = video.NewPlayer(s, cfg.Player, video.DefaultSSIMModel(), cfg.FrameEncoding)
+	r := new(Receiver)
+	r.Reset(s, cfg)
+	return r
+}
+
+// Reset makes r the receiver NewReceiver(s, cfg) builds, registering the
+// player's playback loop as NewReceiver does, on the storage it grew: its
+// player's (video.Player.Reset), its datagram slots and its congestion
+// feedback's, emptied. Every datagram it made is reclaimed, so the stream
+// it served must be finished.
+func (r *Receiver) Reset(s *sim.Simulator, cfg ReceiverConfig) {
+	*r = Receiver{sim: s, cfg: cfg, Player: r.Player, twcc: r.twcc, ccfb: r.ccfb, dgrams: r.dgrams,
+		rr:   rtp.ReceiverReport{SSRC: receiverSSRC, Blocks: r.rr.Blocks},
+		nack: rtp.NACK{SenderSSRC: receiverSSRC, MediaSSRC: cfg.SSRC, Pairs: r.nack.Pairs[:0]}, seqs: r.seqs[:0]}
+	r.dgrams.Reset()
+	if r.Player == nil {
+		r.Player = new(video.Player)
+	}
+	r.Player.Reset(s, cfg.Player, video.DefaultSSIMModel(), cfg.FrameEncoding)
 	r.Player.SetTracer(cfg.Trace)
 	if cfg.Player.KeyframeRecovery {
 		// The receiver's PLI rides the feedback path: it reaches the sender
@@ -125,8 +144,9 @@ func NewReceiver(s *sim.Simulator, cfg ReceiverConfig) *Receiver {
 			}
 		}
 	}
-	r.rr = rtp.ReceiverReport{SSRC: receiverSSRC, Blocks: make([]rtp.ReportBlock, 1)}
-	r.nack = rtp.NACK{SenderSSRC: receiverSSRC, MediaSSRC: cfg.SSRC}
+	if r.rr.Blocks == nil {
+		r.rr.Blocks = make([]rtp.ReportBlock, 1)
+	}
 	r.stats = rtp.NewReceptionStats(cfg.SSRC, rtp.VideoClockRate)
 	if cfg.Repair.Enabled {
 		r.Detector = repair.NewDetector(cfg.Repair)
@@ -145,7 +165,7 @@ func NewReceiver(s *sim.Simulator, cfg ReceiverConfig) *Receiver {
 		}
 	}
 	if cfg.TWCC {
-		r.twcc = rtp.NewTWCCRecorder(receiverSSRC, cfg.SSRC)
+		r.twcc.Reset(receiverSSRC, cfg.SSRC)
 	}
 	if cfg.CCFB {
 		window := cfg.CCFBWindow
@@ -155,9 +175,8 @@ func NewReceiver(s *sim.Simulator, cfg ReceiverConfig) *Receiver {
 			// ablation.
 			window = 256
 		}
-		r.ccfb = rtp.NewCCFBGenerator(receiverSSRC, cfg.SSRC, window)
+		r.ccfb.Reset(receiverSSRC, cfg.SSRC, window)
 	}
-	return r
 }
 
 // StartRepair starts the NACK scheduler — the first call of the timer-order
@@ -236,14 +255,14 @@ func (r *Receiver) StartReports() {
 		r.rr.Blocks[0] = block
 		r.send(&r.rr)
 	})
-	if r.twcc != nil {
+	if r.cfg.TWCC {
 		r.sim.Every(twccInterval, twccInterval, func() {
 			if fb := r.twcc.Flush(); fb != nil {
 				r.send(fb)
 			}
 		})
 	}
-	if r.ccfb != nil {
+	if r.cfg.CCFB {
 		interval := r.cfg.CCFBInterval
 		if interval == 0 {
 			interval = ccfbInterval
@@ -319,12 +338,12 @@ func (r *Receiver) OnMedia(p *rtp.Packet, at time.Duration) Verdict {
 	} else {
 		r.Player.OnPacket(p, at)
 	}
-	if r.twcc != nil {
+	if r.cfg.TWCC {
 		if tseq, ok := p.Header.TransportSeq(); ok {
 			r.twcc.Record(tseq, at)
 		}
 	}
-	if r.ccfb != nil {
+	if r.cfg.CCFB {
 		r.ccfb.Record(seq, at)
 	}
 	return Fresh

@@ -85,11 +85,11 @@ func newFeedbackLoop(k CC) *feedbackLoop {
 	// The responders start over on the 2 000 packets the sender's table
 	// still holds, which the pins then report as arriving.
 	l.next = uint16(l.snd.Video.PacketsSent - 2000)
-	if l.rcv.twcc != nil {
-		l.rcv.twcc = rtp.NewTWCCRecorder(receiverSSRC, vcfg.SSRC)
+	if l.rcv.cfg.TWCC {
+		l.rcv.twcc.Reset(receiverSSRC, vcfg.SSRC)
 	}
-	if l.rcv.ccfb != nil {
-		l.rcv.ccfb = rtp.NewCCFBGenerator(receiverSSRC, vcfg.SSRC, l.rcv.ccfb.Window)
+	if l.rcv.cfg.CCFB {
+		l.rcv.ccfb.Reset(receiverSSRC, vcfg.SSRC, l.rcv.ccfb.Window)
 	}
 	return l
 }
@@ -101,10 +101,10 @@ func (l *feedbackLoop) arrive(n int) {
 	for i := 0; i < n; i++ {
 		if seq := l.next; seq%29 != 0 {
 			rec, _ := l.snd.Video.LookupSeq(seq)
-			if l.rcv.twcc != nil {
+			if l.rcv.cfg.TWCC {
 				l.rcv.twcc.Record(rec.TransportSeq, now)
 			}
-			if l.rcv.ccfb != nil {
+			if l.rcv.cfg.CCFB {
 				l.rcv.ccfb.Record(seq, now)
 			}
 		}

@@ -49,9 +49,12 @@ type Sender struct {
 	Video *video.Sender
 	// Ctrl is the concrete controller, for the type-asserted extensions
 	// (RepairAware, the SCReAM counters); ctrl is what the stream obeys —
-	// Ctrl itself, or Ctrl capped by the bonded path budget.
-	Ctrl cc.Controller
-	ctrl cc.Controller
+	// Ctrl itself, or Ctrl capped by the bonded path budget. gcc and scream
+	// are the sender's own controllers, Ctrl when the config picks them.
+	Ctrl   cc.Controller
+	ctrl   cc.Controller
+	gcc    gcc.Controller
+	scream scream.Controller
 	// Cache and Budget are the repair layer's sending half, nil when repair
 	// is off.
 	Cache  *repair.Cache
@@ -77,15 +80,17 @@ type Sender struct {
 	rtxSeq uint16
 	// dgrams holds the sender reports' slots.
 	dgrams rtp.DatagramPool
-	// seqs, the parsed packets and fb's acks and reports are reused across
-	// reports: no controller (nor cc.Bonded) keeps the acks slice past
-	// OnFeedback, and every Unmarshal refills the struct it is called on.
-	// fb is a Buffers' (Reuse), or nil until the first report (feedback).
+	// seqs, the parsed packets and the acks a report becomes are reused
+	// across reports: no controller (nor cc.Bonded) keeps the acks slice
+	// past OnFeedback, and every Unmarshal refills the struct it is called
+	// on. twcc is made at the first TWCC report: only a GCC sender needs it.
+	// RFC 8888 reports are read in place (rtp.ParseCCFB).
 	seqs []uint16
 	rr   rtp.ReceiverReport
 	nack rtp.NACK
 	pli  rtp.PLI
-	fb   *feedback
+	acks []cc.Ack
+	twcc *rtp.TWCC
 
 	// RtxBytes counts retransmitted wire bytes.
 	RtxBytes int
@@ -94,43 +99,64 @@ type Sender struct {
 // NewSender builds the sending end on clock s. It draws the encoder's
 // randomness from the "encoder" stream and schedules nothing until started.
 func NewSender(s *sim.Simulator, cfg SenderConfig) *Sender {
-	snd := &Sender{sim: s, cfg: cfg}
-	var sc *scream.Controller
+	snd := new(Sender)
+	snd.Reset(s, cfg)
+	return snd
+}
+
+// Reset makes s the sender NewSender(clock, cfg) builds, on the storage it
+// grew: its media path's (video.Sender.Reset), its datagram slots, its
+// feedback decoding and both controllers' windows, emptied. Every packet
+// and datagram it made is reclaimed, so the stream it served must be
+// finished. The controller cfg does not pick is reset too, to its zero
+// config: it keeps nothing of an earlier stream but storage.
+func (s *Sender) Reset(clock *sim.Simulator, cfg SenderConfig) {
+	*s = Sender{sim: clock, cfg: cfg, Video: s.Video, gcc: s.gcc, scream: s.scream, dgrams: s.dgrams,
+		seqs: s.seqs[:0], rr: rtp.ReceiverReport{Blocks: s.rr.Blocks[:0]}, nack: rtp.NACK{Pairs: s.nack.Pairs[:0]},
+		acks: s.acks[:0], twcc: s.twcc}
+	s.dgrams.Reset()
+	var gc gcc.Config
+	var sc scream.Config
 	switch cfg.CC {
 	case CCGCC:
-		snd.Ctrl = gcc.New(gcc.Config{UseTrendline: cfg.GCCTrendline, FeedbackTimeout: cfg.FeedbackTimeout})
+		gc = gcc.Config{UseTrendline: cfg.GCCTrendline, FeedbackTimeout: cfg.FeedbackTimeout}
+		s.Ctrl = &s.gcc
 	case CCSCReAM:
-		sc = scream.New(scream.Config{FeedbackTimeout: cfg.FeedbackTimeout})
-		snd.Ctrl = sc
+		sc = scream.Config{FeedbackTimeout: cfg.FeedbackTimeout}
+		s.Ctrl = &s.scream
 	default:
-		snd.Ctrl = cc.NewStatic(cfg.StaticRate)
+		s.Ctrl = cc.NewStatic(cfg.StaticRate)
 	}
-	if tc, ok := snd.Ctrl.(cc.Traceable); ok && cfg.Trace != nil {
+	s.gcc.Reset(gc)
+	s.scream.Reset(sc)
+	if tc, ok := s.Ctrl.(cc.Traceable); ok && cfg.Trace != nil {
 		tc.SetTracer(cfg.Trace)
 	}
-	snd.ctrl = snd.Ctrl
+	s.ctrl = s.Ctrl
 	if cfg.PathBudget != nil {
 		// Bonded runs wrap the rate queries so the encoder target also
 		// honors the aggregate path budget.
-		snd.ctrl = cc.NewBonded(snd.Ctrl, cfg.PathBudget)
+		s.ctrl = cc.NewBonded(s.Ctrl, cfg.PathBudget)
 	}
-	snd.Video = video.NewSender(s, cfg.Video, snd.ctrl, s.Stream("encoder"))
-	if sc != nil {
+	if s.Video == nil {
+		s.Video = new(video.Sender)
+	}
+	s.Video.Reset(clock, cfg.Video, s.ctrl, clock.Stream("encoder"))
+	if cfg.CC == CCSCReAM {
 		// SCReAM steers on the send queue and discards it (§4.2.1), bonded
 		// or not: the queue goes to the controller, not to the wrapper.
-		sc.SetQueue(snd.Video.Queue())
+		s.scream.SetQueue(s.Video.Queue())
 	}
-	snd.Video.Transmit = snd.transmit
+	s.Video.Transmit = s.transmit
 	if cfg.Repair.Enabled {
-		snd.Cache = repair.NewCache(cfg.Repair)
-		snd.Budget = repair.NewBudget(cfg.Repair)
+		s.Cache = repair.NewCache(cfg.Repair)
+		s.Budget = repair.NewBudget(cfg.Repair)
 		// Account repair spend against the media target so media plus RTX
 		// together honor the congested rate (cc.RepairAware).
-		if ra, ok := snd.Ctrl.(cc.RepairAware); ok {
-			ra.SetRepairSpend(snd.Budget.SpendRate)
+		if ra, ok := s.Ctrl.(cc.RepairAware); ok {
+			ra.SetRepairSpend(s.Budget.SpendRate)
 		}
 	}
-	return snd
 }
 
 // TargetBitrate is the rate the encoder is being driven at.
@@ -265,26 +291,16 @@ func (s *Sender) onReceiverReport(buf []byte, at time.Duration) Verdict {
 	return Control
 }
 
-// feedback returns where s decodes a report: the Buffers' it was given
-// (Reuse), or its own, made at its first report.
-func (s *Sender) feedback() *feedback {
-	if s.fb == nil {
-		s.fb = new(feedback)
-	}
-	return s.fb
-}
-
 // onTWCC translates transport-wide feedback into acks for GCC.
 func (s *Sender) onTWCC(buf []byte, at time.Duration) Verdict {
-	fb := s.feedback()
-	if fb.twcc == nil {
-		fb.twcc = new(rtp.TWCC)
+	if s.twcc == nil {
+		s.twcc = new(rtp.TWCC)
 	}
-	tw := fb.twcc
+	tw := s.twcc
 	if tw.Unmarshal(buf) != nil {
 		return Rejected
 	}
-	acks := fb.acks[:0]
+	acks := s.acks[:0]
 	for i, p := range tw.Packets {
 		tseq := tw.BaseSeq + uint16(i)
 		a := cc.Ack{Received: p.Received, ArrivalTime: p.At}
@@ -293,7 +309,7 @@ func (s *Sender) onTWCC(buf []byte, at time.Duration) Verdict {
 		}
 		acks = append(acks, a)
 	}
-	fb.acks = acks
+	s.acks = acks
 	s.ctrl.OnFeedback(at, acks)
 	s.Video.Kick()
 	return Control
@@ -319,7 +335,6 @@ func (s *Sender) onCCFB(buf []byte, at time.Duration) Verdict {
 	if err != nil {
 		return Rejected
 	}
-	fb := s.feedback()
 	for b, ok := v.Next(); ok; b, ok = v.Next() {
 		last := b.Len() - 1
 		top := last // the highest received metric (the first if none is)
@@ -328,7 +343,7 @@ func (s *Sender) onCCFB(buf []byte, at time.Duration) Verdict {
 				break
 			}
 		}
-		acks := fb.acks[:0]
+		acks := s.acks[:0]
 		for i := 0; i <= last; i++ {
 			seq := b.BeginSeq + uint16(i)
 			received, _, offset := rtp.DecodeCCFBWord(b.Word(i))
@@ -349,7 +364,7 @@ func (s *Sender) onCCFB(buf []byte, at time.Duration) Verdict {
 			}
 			acks = append(acks, a)
 		}
-		fb.acks = acks
+		s.acks = acks
 		s.ctrl.OnFeedback(at, acks)
 	}
 	s.Video.Kick()

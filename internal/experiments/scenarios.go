@@ -125,6 +125,21 @@ func Scenarios() []Scenario {
 			Runs: 1,
 		},
 		{
+			Name: "edge-rlf",
+			Desc: "urban aerial GCC 9 km out at the cell grid's edge with radio-link-failure supervision, 10 s — the radio trace: a handover and two radio-link failures",
+			Config: core.Config{
+				Env:      cell.Urban,
+				Op:       cell.P1,
+				Air:      true,
+				CC:       core.CCGCC,
+				Seed:     2,
+				Duration: 10 * time.Second,
+				OffsetX:  9000,
+				Faults:   fault.Config{RLF: true},
+			},
+			Runs: 1,
+		},
+		{
 			Name: "fleet-contention",
 			Desc: "urban aerial static-rate fleet of 8 on one shared cell map (round-robin PRB split), 3 s — the contention trace",
 			Config: core.Config{

@@ -34,8 +34,8 @@ type kalman struct {
 	count    int
 }
 
-func newKalman() *kalman {
-	return &kalman{variance: 0.1, varNoise: 50}
+func newKalman() kalman {
+	return kalman{variance: 0.1, varNoise: 50}
 }
 
 // update feeds one delay-variation measurement d (ms) and returns the new
@@ -83,8 +83,8 @@ type detector struct {
 	started     bool
 }
 
-func newDetector() *detector {
-	return &detector{gamma: 12.5}
+func newDetector() detector {
+	return detector{gamma: 12.5}
 }
 
 // thresholds and adaptation gains from the reference implementation.

@@ -97,26 +97,14 @@ func (w *recvWindow) rate(latestArrival time.Duration) float64 {
 	return float64(w.bytes*8) / window.Seconds()
 }
 
-// Buffers is the storage one run's Controller leaves to the next run's: its
-// receive-rate window. The zero value is empty. One Buffers serves one
-// controller at a time.
-type Buffers struct {
-	recv []recvSample
-}
-
-// Reuse makes c keep its receive-rate window in the array b holds, emptied,
-// and record there the array it grows to. Call it on a new controller,
-// before its first feedback; the controller that used b before must be
-// finished.
-func (c *Controller) Reuse(b *Buffers) { c.recv.samples.Reuse(&b.recv) }
-
 // Controller implements cc.Controller with GCC.
 type Controller struct {
-	filter *kalman
-	trend  *trendline // non-nil when cfg.UseTrendline
-	det    *detector
-	aimd   *aimd
-	loss   *lossController
+	filter   kalman
+	trend    trendline
+	useTrend bool // cfg.UseTrendline: trend, not filter, estimates
+	det      detector
+	aimd     aimd
+	loss     lossController
 
 	prev, cur group
 
@@ -151,21 +139,30 @@ func (c *Controller) SetTracer(tr *obs.Tracer) { c.trace = tr }
 
 // New returns a GCC controller.
 func New(cfg Config) *Controller {
-	c := &Controller{
-		filter: newKalman(),
-		det:    newDetector(),
-		aimd:   newAIMD(cc.MinRate, cc.MinRate, cc.MaxRate),
-		loss:   newLossController(cc.MaxRate, cc.MinRate, cc.MaxRate),
-		target: cc.MinRate,
-		rtt:    100 * time.Millisecond,
+	c := new(Controller)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset makes c the controller New(cfg) returns, on the receive-rate and
+// trendline windows it grew, emptied.
+func (c *Controller) Reset(cfg Config) {
+	*c = Controller{
+		filter:   newKalman(),
+		trend:    c.trend,
+		useTrend: cfg.UseTrendline,
+		det:      newDetector(),
+		aimd:     newAIMD(cc.MinRate, cc.MinRate, cc.MaxRate),
+		loss:     newLossController(cc.MaxRate, cc.MinRate, cc.MaxRate),
+		recv:     c.recv,
+		target:   cc.MinRate,
+		rtt:      100 * time.Millisecond,
 	}
-	if cfg.UseTrendline {
-		c.trend = newTrendline()
-	}
+	c.trend.reset()
+	c.recv.reset()
 	if cfg.FeedbackTimeout > 0 {
 		c.wd = cc.NewWatchdog(cfg.FeedbackTimeout)
 	}
-	return c
 }
 
 // Name implements cc.Controller.
@@ -319,7 +316,7 @@ func (c *Controller) addToGroup(a cc.Ack) (Signal, bool) {
 		dArr := c.cur.lastArrival - c.prev.lastArrival
 		d := float64(dArr-dSend) / float64(time.Millisecond)
 		var m float64
-		if c.trend != nil {
+		if c.useTrend {
 			m = c.trend.update(d, float64(c.cur.lastArrival)/float64(time.Millisecond))
 		} else {
 			m = c.filter.update(d)

@@ -59,8 +59,8 @@ const (
 	convergenceTTL = 2500 * time.Millisecond
 )
 
-func newAIMD(initial, min, max float64) *aimd {
-	return &aimd{
+func newAIMD(initial, min, max float64) aimd {
+	return aimd{
 		state:         stateIncrease,
 		rate:          initial,
 		minRate:       min,
@@ -227,8 +227,8 @@ type lossController struct {
 	maxRate float64
 }
 
-func newLossController(initial, min, max float64) *lossController {
-	return &lossController{rate: initial, minRate: min, maxRate: max}
+func newLossController(initial, min, max float64) lossController {
+	return lossController{rate: initial, minRate: min, maxRate: max}
 }
 
 // update applies one feedback report's loss fraction.

@@ -30,8 +30,10 @@ type trendSample struct{ t, d float64 }
 // the reference implementation.
 const trendlineGain = 4.0
 
-func newTrendline() *trendline {
-	return &trendline{window: 20, smoothing: 0.9}
+// reset makes t a new trendline on the window it grew, emptied.
+func (t *trendline) reset() {
+	*t = trendline{window: 20, smoothing: 0.9, samples: t.samples}
+	t.samples.Truncate(0)
 }
 
 // update feeds one inter-group delay variation d (ms) observed at

@@ -128,3 +128,10 @@ func TestTrendlineSteadyStateAllocations(t *testing.T) {
 		t.Errorf("trendline.update allocates %.0f times in 10 000 samples, want 0", n)
 	}
 }
+
+// newTrendline is a trendline as a controller's Reset leaves it.
+func newTrendline() *trendline {
+	t := new(trendline)
+	t.reset()
+	return t
+}

@@ -152,9 +152,9 @@ func TestOnFeedbackSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestControllerReuseMatchesFresh: a controller that keeps its window in a
-// Buffers another controller grew decides exactly as a new one does, and
-// starts on the grown array instead of regrowing it.
+// TestControllerReuseMatchesFresh: a controller Reset after a use decides
+// exactly as a new one does, and starts on the receive window it grew,
+// emptied, instead of regrowing it.
 func TestControllerReuseMatchesFresh(t *testing.T) {
 	feed := func(c *Controller, seed int64) []float64 {
 		rng := rand.New(rand.NewSource(seed))
@@ -167,23 +167,20 @@ func TestControllerReuseMatchesFresh(t *testing.T) {
 		}
 		return targets
 	}
-	var b Buffers
-	first := New(Config{})
-	first.Reuse(&b)
-	feed(first, 1)
-	grown := len(b.recv)
-	if grown == 0 || grown != first.recv.samples.Cap() {
-		t.Fatalf("the Buffers kept %d slots, the controller grew to %d", grown, first.recv.samples.Cap())
+	c := New(Config{})
+	feed(c, 1)
+	grown := c.recv.samples.Cap()
+	if grown == 0 || c.recv.samples.Len() == 0 {
+		t.Fatalf("the first use left %d samples on %d slots, want both above 0", c.recv.samples.Len(), grown)
 	}
-	next := New(Config{})
-	next.Reuse(&b)
-	if next.recv.samples.Len() != 0 || next.recv.samples.Cap() != grown {
-		t.Fatalf("after Reuse: %d samples on %d slots, want 0 on the predecessor's %d", next.recv.samples.Len(), next.recv.samples.Cap(), grown)
+	c.Reset(Config{})
+	if c.recv.samples.Len() != 0 || c.recv.samples.Cap() != grown {
+		t.Fatalf("after Reset: %d samples on %d slots, want 0 on the grown %d", c.recv.samples.Len(), c.recv.samples.Cap(), grown)
 	}
-	got, want := feed(next, 2), feed(New(Config{}), 2)
+	got, want := feed(c, 2), feed(New(Config{}), 2)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("report %d: reused controller targets %v, a new one %v", i, got[i], want[i])
+			t.Fatalf("report %d: reset controller targets %v, a new one %v", i, got[i], want[i])
 		}
 	}
 }

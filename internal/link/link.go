@@ -230,40 +230,33 @@ type arrivalSlot struct {
 // holds the flight.Profile passes nil here and calls SetFlight, which answers
 // the same comparisons without interpolating the trajectory per packet.
 func New(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.Duration) flight.State, rng *rand.Rand) *Link {
-	return new(Buffers).Link(s, prof, machine, state, rng)
+	l := new(Link)
+	l.Reset(s, prof, machine, state, rng)
+	return l
 }
 
-// Buffers is the storage one run's Link leaves to the next run's: the Link
-// itself and its bottleneck queue and in-flight rings. The zero value is
-// empty. One Buffers serves one link at a time.
-type Buffers struct {
-	link            Link
-	queue, inflight []queued
-	arrivals        []arrivalSlot
-}
-
-// Link returns the link b holds, made the link New builds from the same
-// arguments, with its rings in b's storage, emptied and zeroed; every ring
-// it grows is recorded there. The link b returned before must be finished.
-func (b *Buffers) Link(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.Duration) flight.State, rng *rand.Rand) *Link {
-	l := &b.link
+// Reset makes l the link New builds from the same arguments, on the rings
+// it grew, emptied. Whatever l held or was set to is gone: hooks, faults,
+// tracer, capacity share. The link must be finished: its packets are
+// dropped unannounced.
+func (l *Link) Reset(s *sim.Simulator, prof Profile, machine *cell.Machine, state func(time.Duration) flight.State, rng *rand.Rand) {
 	// The packet-path callbacks are method values bound to l, which never
-	// moves: the ones an earlier link of b made serve this one as they are.
+	// moves: the ones an earlier Reset made serve as they are.
 	serveFn, servedFn, arriveFn := l.serveFn, l.servedFn, l.arriveFn
 	if serveFn == nil {
 		serveFn, servedFn, arriveFn = l.serveNext, l.served, l.arrive
 	}
-	*l = Link{sim: s, prof: prof, rng: rng, machine: machine, serveFn: serveFn, servedFn: servedFn, arriveFn: arriveFn}
-	l.queue.Reuse(&b.queue)
-	l.inflight.Reuse(&b.inflight)
-	l.arrivals.Reuse(&b.arrivals)
+	*l = Link{sim: s, prof: prof, rng: rng, machine: machine, serveFn: serveFn, servedFn: servedFn, arriveFn: arriveFn,
+		queue: l.queue, inflight: l.inflight, arrivals: l.arrivals}
+	l.queue.Truncate(0)
+	l.inflight.Truncate(0)
+	l.arrivals.Truncate(0)
 	if prof.AltOutlierRate > 0 {
 		l.outlierMean = time.Duration(float64(time.Second) / prof.AltOutlierRate)
 	}
 	if state != nil {
 		l.SetFlight(stateProfile(state))
 	}
-	return l
 }
 
 // stateProfile is a bare state lookup as a flight.Profile; flight.Above

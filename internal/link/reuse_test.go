@@ -61,17 +61,16 @@ func reuseSchedule(newLink func(*sim.Simulator, Profile, func(time.Duration) fli
 	return r
 }
 
-// TestLinkFromBuffersMatchesNew: a link Buffers.Link hands out again, after
-// a link with other settings — capacity share, AQM, a tracer, the shared
-// standard flight's altitude steps — was left with packets queued and in
-// flight, does what a new link does: the same deliveries, drops, trace and
-// ledger. It is the same Link over the rings the first one grew.
+// TestLinkFromBuffersMatchesNew: a link Reset after it ran with other
+// settings — capacity share, AQM, a tracer, the shared standard flight's
+// altitude steps — and was left with packets queued and in flight, does
+// what a new link does: the same deliveries, drops, trace and ledger, on
+// the rings it grew.
 func TestLinkFromBuffersMatchesNew(t *testing.T) {
-	var b Buffers
 	s := sim.New(3)
 	p := ProfileFor(cell.Urban, cell.P1)
 	p.AQM = true
-	first := b.Link(s, p, nil, nil, s.Stream("other"))
+	first := New(s, p, nil, nil, s.Stream("other"))
 	first.SetFlight(flight.StandardFlight())
 	first.SetCapacityShare(func(time.Duration) float64 { return 0.2 })
 	first.SetTracer(obs.New(0), obs.DirDown)
@@ -83,24 +82,23 @@ func TestLinkFromBuffersMatchesNew(t *testing.T) {
 	}
 	grown := first.queue.Cap()
 
-	var again *Link
 	got := reuseSchedule(func(s *sim.Simulator, p Profile, state func(time.Duration) flight.State) *Link {
-		again = b.Link(s, p, nil, state, s.Stream("link"))
-		return again
+		first.Reset(s, p, nil, state, s.Stream("link"))
+		return first
 	})
 	want := reuseSchedule(func(s *sim.Simulator, p Profile, state func(time.Duration) flight.State) *Link {
 		return New(s, p, nil, state, s.Stream("link"))
 	})
-	if again != first || again.queue.Cap() < grown {
-		t.Errorf("Buffers.Link returned %p with %d queue slots, want %p with the %d the first link grew", again, again.queue.Cap(), first, grown)
+	if first.queue.Cap() < grown {
+		t.Errorf("the reset link has %d queue slots, want the %d it grew", first.queue.Cap(), grown)
 	}
 	if len(want.got) == 0 || want.ledger[Media].Dropped[DropStale] == 0 || want.ledger[Media].Dropped[DropOverflow] == 0 {
 		t.Fatalf("the schedule delivers %d packets with ledger %+v: it does not exercise the link", len(want.got), want.ledger[Media])
 	}
 	if !reflect.DeepEqual(got.got, want.got) || !reflect.DeepEqual(got.drops, want.drops) {
-		t.Errorf("reused link: %d deliveries and %d drops, a new one %d and %d", len(got.got), len(got.drops), len(want.got), len(want.drops))
+		t.Errorf("reset link: %d deliveries and %d drops, a new one %d and %d", len(got.got), len(got.drops), len(want.got), len(want.drops))
 	}
 	if !reflect.DeepEqual(got.trace, want.trace) || got.ledger != want.ledger {
-		t.Errorf("reused link: trace of %d events and ledger %+v, a new one %d and %+v", len(got.trace), got.ledger, len(want.trace), want.ledger)
+		t.Errorf("reset link: trace of %d events and ledger %+v, a new one %d and %+v", len(got.trace), got.ledger, len(want.trace), want.ledger)
 	}
 }

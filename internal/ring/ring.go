@@ -12,17 +12,6 @@ type Queue[T any] struct {
 	buf  []T
 	head int
 	n    int
-	// keep, when set, is where the grown buffer is recorded for the next
-	// queue (see Reuse).
-	keep *[]T
-}
-
-// Reuse makes q an empty queue over buf, zeroed, and has it record in buf
-// the buffer it grows to, so the next holder starts at the size this one
-// reached. The queue that used buf before must be finished.
-func (q *Queue[T]) Reuse(buf *[]T) {
-	clear(*buf)
-	q.buf, q.head, q.n, q.keep = *buf, 0, 0, buf
 }
 
 // Len returns the number of queued elements.
@@ -43,9 +32,6 @@ func (q *Queue[T]) Push(v T) {
 		buf := make([]T, max(16, 2*q.n))
 		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
 		q.buf, q.head = buf, 0
-		if q.keep != nil {
-			*q.keep = buf
-		}
 	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
@@ -67,7 +53,9 @@ func (q *Queue[T]) Pop() T {
 }
 
 // Truncate keeps the first n elements and zeroes the rest: the tail end of
-// an in-place compaction, or a pop from the tail.
+// an in-place compaction, or a pop from the tail. Pop and Truncate leave
+// every slot past the live ones zeroed, so Truncate(0) is a holder's reset:
+// an empty queue on the buffer it grew, holding nothing of what it held.
 func (q *Queue[T]) Truncate(n int) {
 	var zero T
 	for i := n; i < q.n; i++ {
@@ -91,9 +79,6 @@ type SeqTable[V any] struct {
 	// first is how many slots the table takes when it has none: 16, or
 	// MakeSeqTable's size.
 	first int
-	// keep, when set, is where the slots the table takes are recorded for
-	// the next table (see Reuse).
-	keep *SeqSlots[V]
 }
 
 type seqSlot[V any] struct {
@@ -102,31 +87,14 @@ type seqSlot[V any] struct {
 	val  V
 }
 
-// SeqSlots is the storage of a SeqTable, which a holder hands from one
-// table to the next (see Reuse). The zero value holds none.
-type SeqSlots[V any] struct {
-	slots []seqSlot[V]
-}
-
 // MakeSeqTable returns an empty table that takes the given number of
 // slots, a power of two, at its first Put: the size the holder expects its
-// live window to fit in. A table that is handed storage before then (Reuse)
-// never allocates them.
+// live window to fit in.
 func MakeSeqTable[V any](slots int) SeqTable[V] {
 	if slots <= 0 || slots&(slots-1) != 0 {
 		panic("ring: SeqTable size is not a power of two")
 	}
 	return SeqTable[V]{first: slots}
-}
-
-// Reuse makes t an empty table over the slots buf holds, cleared, and has
-// it record in buf the slots it takes when it grows, so the next holder
-// starts at the size this one reached. A buf that holds none leaves t to
-// take its first slots at its first Put. The table that used buf before
-// must be finished.
-func (t *SeqTable[V]) Reuse(buf *SeqSlots[V]) {
-	clear(buf.slots)
-	t.slots, t.n, t.keep = buf.slots, 0, buf
 }
 
 // Len returns the number of records.
@@ -175,7 +143,8 @@ func (t *SeqTable[V]) Delete(k uint16) (v V, ok bool) {
 	return v, true
 }
 
-// Clear removes every record and keeps the slots.
+// Clear removes every record and keeps the slots: a holder's reset, an
+// empty table at the size this one grew to.
 func (t *SeqTable[V]) Clear() {
 	clear(t.slots)
 	t.n = 0
@@ -199,8 +168,5 @@ func (t *SeqTable[V]) grow() {
 		if old[i].live {
 			*t.slot(old[i].key) = old[i]
 		}
-	}
-	if t.keep != nil {
-		t.keep.slots = t.slots
 	}
 }

@@ -83,50 +83,40 @@ func TestPktRingTruncateAndAt(t *testing.T) {
 	}
 }
 
-// TestRingReuse: a queue that takes over a buffer starts empty on the one
-// its predecessor grew to, zeroed, records every growth of its own there,
-// and stays FIFO.
+// TestRingReuse: a queue emptied by Truncate(0), its holder's reset, keeps
+// the buffer it grew to, holds none of its packets any more, and stays
+// FIFO on it.
 func TestRingReuse(t *testing.T) {
-	var buf []pkt
-	var first Queue[pkt]
-	first.Reuse(&buf)
+	var q Queue[pkt]
 	for i := 0; i < 100; i++ {
-		first.Push(pkt{meta: i, size: i})
+		q.Push(pkt{meta: i, size: i})
 	}
-	first.Pop()
-	if len(buf) != first.Cap() || len(buf) < 100 {
-		t.Fatalf("recorded %d slots, the queue has %d", len(buf), first.Cap())
+	q.Pop()
+	grown := q.buf
+	q.Truncate(0)
+	if q.Len() != 0 || q.Cap() != len(grown) || len(grown) < 100 {
+		t.Fatalf("after the reset: %d queued in %d slots, grown to %d", q.Len(), q.Cap(), len(grown))
 	}
-	var next Queue[pkt]
-	next.Reuse(&buf)
-	if next.Len() != 0 || next.Cap() != len(buf) {
-		t.Fatalf("after reuse: %d queued in %d slots", next.Len(), next.Cap())
-	}
-	for _, q := range buf {
-		if q.meta != nil {
-			t.Fatal("the reused buffer still holds a packet of the queue before")
+	for _, p := range grown {
+		if p.meta != nil {
+			t.Fatal("the reset queue still holds a packet of its last use")
 		}
 	}
-	for i := 0; i < 3*len(buf); i++ {
-		next.Push(pkt{size: i})
-		if q := next.Pop(); q.size != i {
-			t.Fatalf("pop = %d, want %d", q.size, i)
+	for i := 0; i < 3*len(grown); i++ {
+		q.Push(pkt{size: i})
+		if p := q.Pop(); p.size != i {
+			t.Fatalf("pop = %d, want %d", p.size, i)
 		}
 	}
-	n := len(buf)
-	for i := 0; i <= n; i++ {
-		next.Push(pkt{size: i})
-	}
-	if len(buf) != 2*n || &buf[0] != &next.buf[0] {
-		t.Fatalf("a growth past %d slots was not recorded: %d", n, len(buf))
+	if &q.buf[0] != &grown[0] {
+		t.Fatal("the reset queue regrew its buffer")
 	}
 }
 
 // queueOracle runs ops, two bytes each, on a Queue and on a slice and fails
-// at the first difference. Every queue it empties its slots into for Reuse
-// must hold no element the oracle has dropped.
+// at the first difference. A queue it resets must hold no element the
+// oracle has dropped.
 func queueOracle(t *testing.T, ops []byte) {
-	var buf []pkt
 	var q Queue[pkt]
 	var want []pkt
 	next := 0
@@ -159,22 +149,17 @@ func queueOracle(t *testing.T, ops []byte) {
 			n := len(want) * arg / 256
 			q.Truncate(n)
 			want = want[:n]
-		case 5: // hand the storage to a new queue, with or without Reuse
+		case 5: // start over: a new queue, or a reset one on its buffer
 			if arg%2 == 0 {
 				q = Queue[pkt]{}
 				want = want[:0]
 				break
 			}
-			if q.keep != nil && len(buf) != q.Cap() {
-				t.Fatalf("recorded %d slots, the queue grew to %d", len(buf), q.Cap())
-			}
-			q = Queue[pkt]{}
-			q.Reuse(&buf)
+			grown := q.Cap()
+			q.Truncate(0)
 			want = want[:0]
-			for _, p := range buf {
-				if p.meta != nil {
-					t.Fatal("a reused buffer holds an element of the queue before")
-				}
+			if q.Cap() != grown {
+				t.Fatalf("the reset queue has %d slots, it grew to %d", q.Cap(), grown)
 			}
 		}
 		if q.Len() != len(want) {
@@ -338,41 +323,35 @@ func TestSeqTableMatchesMap(t *testing.T) {
 }
 
 // TestSeqTableReuse: MakeSeqTable allocates nothing until the first Put,
-// and then its size; a table that takes over a SeqSlots starts empty on
-// the slots its predecessor grew to, never allocates them, records every
-// growth of its own there, and answers as a map does.
+// and then its size; a table emptied by Clear, its holder's reset, keeps
+// the slots it grew to, allocates nothing at its next Put, holds none of
+// its records and answers as a map does.
 func TestSeqTableReuse(t *testing.T) {
-	var first SeqTable[rec]
-	if n := testing.AllocsPerRun(10, func() { first = MakeSeqTable[rec](256) }); n != 0 || first.Cap() != 0 {
-		t.Fatalf("MakeSeqTable allocated %.0f times, took %d slots before a Put", n, first.Cap())
+	var tab SeqTable[rec]
+	if n := testing.AllocsPerRun(10, func() { tab = MakeSeqTable[rec](256) }); n != 0 || tab.Cap() != 0 {
+		t.Fatalf("MakeSeqTable allocated %.0f times, took %d slots before a Put", n, tab.Cap())
 	}
-	var buf SeqSlots[rec]
-	first.Reuse(&buf)
 	for k := 0; k < 2000; k++ { // 0 and 256 share a slot of 256: the table grows
-		first.Put(uint16(k), rec{seq: uint16(k)})
+		tab.Put(uint16(k), rec{seq: uint16(k)})
 	}
-	if first.Cap() < 2048 || len(buf.slots) != first.Cap() || &buf.slots[0] != &first.slots[0] {
-		t.Fatalf("recorded %d slots, the table has %d", len(buf.slots), first.Cap())
+	grown := tab.Cap()
+	if grown < 2048 {
+		t.Fatalf("the table grew to %d slots, want at least 2048", grown)
 	}
-	grown := first.Cap()
-	next := MakeSeqTable[rec](256)
-	if n := testing.AllocsPerRun(1, func() { next.Reuse(&buf); next.Put(7, rec{seq: 7}) }); n != 0 {
-		t.Fatalf("a table on its predecessor's slots allocated %.0f times at its first Put", n)
+	if n := testing.AllocsPerRun(1, func() { tab.Clear(); tab.Put(7, rec{seq: 7}) }); n != 0 {
+		t.Fatalf("a cleared table allocated %.0f times at its first Put", n)
 	}
-	next.Reuse(&buf)
-	if next.Len() != 0 || next.Cap() != grown {
-		t.Fatalf("after Reuse: %d records in %d slots, want 0 in %d", next.Len(), next.Cap(), grown)
+	tab.Clear()
+	if tab.Len() != 0 || tab.Cap() != grown {
+		t.Fatalf("after Clear: %d records in %d slots, want 0 in %d", tab.Len(), tab.Cap(), grown)
 	}
 	want := map[uint16]rec{}
-	tableMatches(t, &next, want)
+	tableMatches(t, &tab, want)
 	rng := rand.New(rand.NewSource(1))
 	for op := 0; op < 20_000; op++ {
-		tableOracle(t, &next, want, byte(rng.Intn(4)), uint16(rng.Intn(1<<16)), op)
+		tableOracle(t, &tab, want, byte(rng.Intn(4)), uint16(rng.Intn(1<<16)), op)
 	}
-	tableMatches(t, &next, want)
-	if next.Cap() <= grown || len(buf.slots) != next.Cap() {
-		t.Fatalf("a growth past %d slots was not recorded: the table has %d, the SeqSlots %d", grown, next.Cap(), len(buf.slots))
-	}
+	tableMatches(t, &tab, want)
 }
 
 func FuzzSeqTable(f *testing.F) {

@@ -265,6 +265,14 @@ const noArrival = time.Duration(math.MinInt64)
 // DefaultCCFBWindow). It panics on a window above the 16 384 metric blocks
 // one report can carry: no report from it could be marshalled.
 func NewCCFBGenerator(senderSSRC, mediaSSRC uint32, window int) *CCFBGenerator {
+	g := new(CCFBGenerator)
+	g.Reset(senderSSRC, mediaSSRC, window)
+	return g
+}
+
+// Reset makes g the generator NewCCFBGenerator returns, on the arrival ring
+// it holds when that is the window's size.
+func (g *CCFBGenerator) Reset(senderSSRC, mediaSSRC uint32, window int) {
 	if window <= 0 {
 		window = DefaultCCFBWindow
 	}
@@ -275,16 +283,14 @@ func NewCCFBGenerator(senderSSRC, mediaSSRC uint32, window int) *CCFBGenerator {
 	for size < window {
 		size <<= 1
 	}
-	g := &CCFBGenerator{
-		SenderSSRC: senderSSRC,
-		MediaSSRC:  mediaSSRC,
-		Window:     window,
-		ring:       make([]time.Duration, size),
+	ring := g.ring
+	if len(ring) != size {
+		ring = make([]time.Duration, size)
 	}
+	*g = CCFBGenerator{SenderSSRC: senderSSRC, MediaSSRC: mediaSSRC, Window: window, ring: ring}
 	for i := range g.ring {
 		g.ring[i] = noArrival
 	}
-	return g
 }
 
 // Record notes the arrival of RTP sequence number seq at time at. Only the

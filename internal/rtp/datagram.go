@@ -33,11 +33,37 @@ type Datagram struct {
 	held bool
 }
 
-// DatagramPool is one endpoint's free list of datagram slots, living and
-// dying with the endpoint. The zero value is empty and ready.
+// DatagramPool is one endpoint's datagram slots and their free list. The
+// zero value is empty and ready.
 type DatagramPool struct {
-	free  []*Datagram
-	stats PoolStats
+	blocks [][]Datagram
+	free   []*Datagram
+	stats  PoolStats
+}
+
+// Reset empties p on the slots it allocated: every one is reclaimed, held
+// or not, so whatever holds a datagram of p is finished and will neither
+// read nor release it. Built with the rtppoison tag, the slots are zeroed
+// and dropped instead, as Release treats a datagram.
+func (p *DatagramPool) Reset() {
+	if poisonReleased {
+		for _, block := range p.blocks {
+			for i := range block {
+				clear(block[i].B)
+				block[i].held = false
+			}
+		}
+		*p = DatagramPool{}
+		return
+	}
+	*p = DatagramPool{blocks: p.blocks, free: p.free[:0]}
+	for _, block := range p.blocks {
+		for i := range block {
+			block[i].held = false
+			p.free = append(p.free, &block[i])
+		}
+	}
+	p.stats.Slots = len(p.free)
 }
 
 // Get takes a slot off the free list, empty and held, allocating a block
@@ -49,6 +75,7 @@ func (p *DatagramPool) Get() *Datagram {
 			block[i].pool = p
 			p.free = append(p.free, &block[i])
 		}
+		p.blocks = append(p.blocks, block)
 		p.stats.Slots += DatagramBlock
 	}
 	d := p.free[len(p.free)-1]
@@ -60,7 +87,7 @@ func (p *DatagramPool) Get() *Datagram {
 }
 
 // Stats reports the pool's slots: how many it holds, how many are held
-// now, and the most that ever were at once.
+// now, and the most that ever were at once since its last Reset.
 func (p *DatagramPool) Stats() PoolStats { return p.stats }
 
 // Release hands the datagram back to its pool, after which neither it nor

@@ -43,8 +43,7 @@ type Packetizer struct {
 	seq  uint16
 	tseq uint16
 
-	// out is the slice Packetize returns, reused by the next call and, once
-	// grown, recorded in the pool's Buffers for the next packetizer.
+	// out is the slice Packetize returns, reused by the next call.
 	out  []*Packet
 	pool packetPool
 }
@@ -52,10 +51,20 @@ type Packetizer struct {
 // NewPacketizer returns a packetizer. The initial sequence numbers start at
 // zero for reproducibility.
 func NewPacketizer(ssrc uint32, payloadType uint8, mtu int) *Packetizer {
+	p := new(Packetizer)
+	p.Reset(ssrc, payloadType, mtu)
+	return p
+}
+
+// Reset makes p the packetizer NewPacketizer returns, on the slots and the
+// frame list it grew. It reclaims every slot, so the packets p made must
+// all be dead (see pool.go).
+func (p *Packetizer) Reset(ssrc uint32, payloadType uint8, mtu int) {
 	if mtu < HeaderSize+16+payloadMetaSize {
 		panic("rtp: MTU too small for packetization")
 	}
-	return &Packetizer{SSRC: ssrc, PayloadType: payloadType, MTU: mtu}
+	*p = Packetizer{SSRC: ssrc, PayloadType: payloadType, MTU: mtu, out: p.out[:0], pool: p.pool}
+	p.pool.reset()
 }
 
 // PoolStats reports the packetizer's recycled slots (see pool.go).
@@ -126,9 +135,6 @@ func (p *Packetizer) Packetize(f FrameInfo) []*Packet {
 		p.seq++
 		p.tseq++
 		p.out = append(p.out, pkt)
-	}
-	if k := p.pool.keep; k != nil && cap(p.out) > cap(k.out) {
-		k.out = p.out
 	}
 	return p.out
 }
@@ -228,8 +234,6 @@ type Depacketizer struct {
 	ring  []FrameState // len is a power of two
 	live  int          // ring slots in use
 	spill map[uint32]*FrameState
-	// keep, when set, is the Buffers the ring is recorded in (see Reuse).
-	keep *Buffers
 }
 
 const (
@@ -243,23 +247,24 @@ const (
 var noFrames = make([]FrameState, 1)
 
 // NewDepacketizer returns an empty reassembler. Its ring is allocated with
-// the first frame, unless Reuse hands it one first.
+// the first frame.
 func NewDepacketizer() *Depacketizer {
-	return &Depacketizer{ring: noFrames}
+	d := new(Depacketizer)
+	d.Reset()
+	return d
 }
 
-// Reuse makes d reassemble in the frame ring b holds, emptied, keeping each
-// slot's bitset, and record there the ring it grows to. Call it on a new
-// depacketizer, before its first Push; the depacketizer that used b before
-// must be finished.
-func (d *Depacketizer) Reuse(b *Buffers) {
-	d.keep = b
-	for i := range b.frames {
-		b.frames[i] = FrameState{got: b.frames[i].got[:0]}
+// Reset makes d the depacketizer NewDepacketizer returns, on the frame ring
+// it grew, emptied: each slot keeps its bitset's array.
+func (d *Depacketizer) Reset() {
+	ring := noFrames
+	if len(d.ring) >= depMinSlots {
+		ring = d.ring
+		for i := range ring {
+			ring[i] = FrameState{got: ring[i].got[:0]}
+		}
 	}
-	if len(b.frames) > 0 {
-		d.ring = b.frames
-	}
+	*d = Depacketizer{ring: ring}
 }
 
 // ErrDuplicate reports a packet whose (frame, index) slot has already been
@@ -320,14 +325,14 @@ func (d *Depacketizer) slot(num uint32) *FrameState {
 // doubling the ring while another pending frame holds it, or a spill entry.
 func (d *Depacketizer) add(num uint32) *FrameState {
 	if len(d.ring) < depMinSlots {
-		d.setRing(make([]FrameState, depMinSlots))
+		d.ring = make([]FrameState, depMinSlots)
 	}
 	fs := d.slot(num)
 	for fs.used && len(d.ring) < depMaxSlots {
 		// Frames in distinct slots differ in their low bits, so re-placing
 		// them in the doubled ring cannot collide.
 		old := d.ring
-		d.setRing(make([]FrameState, 2*len(old)))
+		d.ring = make([]FrameState, 2*len(old))
 		for i := range old {
 			if old[i].used {
 				*d.slot(old[i].Num) = old[i]
@@ -345,14 +350,6 @@ func (d *Depacketizer) add(num uint32) *FrameState {
 	}
 	d.live++
 	return fs
-}
-
-// setRing installs a new ring, and records it for the next depacketizer.
-func (d *Depacketizer) setRing(ring []FrameState) {
-	d.ring = ring
-	if d.keep != nil {
-		d.keep.frames = ring
-	}
 }
 
 // Frame returns the reassembly state for a frame number, or nil. Like

@@ -17,11 +17,10 @@ import "slices"
 // packetizer's free list.
 //
 // A holder that never releases keeps a garbage-collected packet: its slot
-// is simply never reused by that packetizer. (A packetizer that takes over
-// another's Buffers reclaims every slot at once, so by then every holder of
-// the old packetizer's packets must be finished; see Reuse.) Only an early
-// Release is a bug, and the two
-// guards catch the common ones in every build: Retain on a released packet
+// is simply never reused by that packetizer. (A packetizer's Reset reclaims
+// every slot at once, so by then every holder of its packets must be
+// finished.) Only an early Release is a bug, and the two guards catch the
+// common ones in every build: Retain on a released packet
 // and a Release below zero panic. Built with the rtppoison tag, a released
 // packet is overwritten with implausible values and never reused, so a
 // holder that reads a packet after its last Release corrupts the run's
@@ -52,68 +51,48 @@ type packetSlot struct {
 	pool  *packetPool
 }
 
-// packetPool is a packetizer's free list and its occupancy.
+// packetPool is a packetizer's slot blocks, its free list and its
+// occupancy.
 type packetPool struct {
-	free  []*packetSlot
-	stats PoolStats
-	// keep, when set, is the Buffers the pool's blocks are recorded in for
-	// the next packetizer to reclaim (see Reuse).
-	keep *Buffers
+	blocks [][]packetSlot
+	free   []*packetSlot
+	stats  PoolStats
 }
 
 // PoolStats describes a packetizer's or a DatagramPool's slots: how many it
 // holds, how many hold a referenced packet now, and the most that ever did
-// at once. For a packetizer, Live and PeakLive count its own packets alone,
-// while Slots includes the slots it reclaimed through Reuse from the
-// packetizers before it, and Refs counts the references its live packets
+// at once, since its last Reset: Slots includes the slots the Reset
+// reclaimed. For a packetizer, Refs counts the references its live packets
 // carry, one per holder (a DatagramPool leaves it zero: a datagram has one
 // holder, so Live says it).
 type PoolStats struct {
 	Slots, Live, PeakLive, Refs int
 }
 
-// Buffers is the storage one run's Packetizer and Depacketizer leave to the
-// next run's: the packet slot blocks, the packetizer's per-frame list and
-// the frame ring. The zero value is empty. One Buffers serves one
-// packetizer and one depacketizer at a time.
-type Buffers struct {
-	blocks [][]packetSlot
-	free   []*packetSlot
-	out    []*Packet
-	frames []FrameState
-}
-
-// Reuse makes p take its packet slots from b and record there every block
-// it allocates. Call it on a new packetizer, before its first Packetize:
-// every slot of the packetizers that used b before is reclaimed with its
-// count reset, so their packets must all be dead — whatever still holds
-// one is finished and will neither read nor release it. Built with the
-// rtppoison tag, the reclaimed slots are poisoned and dropped instead, as
-// Release treats a packet's last reference.
-func (p *Packetizer) Reuse(b *Buffers) {
-	p.out = b.out[:0]
-	pool := &p.pool
-	pool.keep = b
+// reset empties the pool on the blocks it allocated: every slot is
+// reclaimed with its count reset, so the packets in them must all be dead —
+// whatever still holds one is finished and will neither read nor release
+// it. Built with the rtppoison tag, the slots are poisoned and dropped
+// instead, as Release treats a packet's last reference.
+func (p *packetPool) reset() {
 	if poisonReleased {
-		for _, block := range b.blocks {
+		for _, block := range p.blocks {
 			for i := range block {
 				block[i].refs = 0
 				block[i].poison()
 			}
 		}
-		b.blocks = nil
+		*p = packetPool{}
 		return
 	}
-	pool.free = b.free[:0]
-	for _, block := range b.blocks {
+	*p = packetPool{blocks: p.blocks, free: p.free[:0]}
+	for _, block := range p.blocks {
 		for i := range block {
-			s := &block[i]
-			s.refs, s.pool = 0, pool
-			pool.free = append(pool.free, s)
+			block[i].refs = 0
+			p.free = append(p.free, &block[i])
 		}
 	}
-	b.free = pool.free
-	pool.stats.Slots = len(pool.free)
+	p.stats.Slots = len(p.free)
 }
 
 // get takes a slot off the free list with one reference, allocating a block
@@ -123,17 +102,13 @@ func (p *packetPool) get() *packetSlot {
 		block := make([]packetSlot, PoolBlock)
 		p.stats.Slots += PoolBlock
 		// The list can then hold every slot at once, so Release never
-		// grows it: this is the one place it does, and the grown list is
-		// recorded with the block for the next packetizer.
+		// grows it: this is the one place it does.
 		p.free = slices.Grow(p.free, p.stats.Slots)
 		for i := range block {
 			block[i].pool = p
 			p.free = append(p.free, &block[i])
 		}
-		if p.keep != nil {
-			p.keep.blocks = append(p.keep.blocks, block)
-			p.keep.free = p.free
-		}
+		p.blocks = append(p.blocks, block)
 	}
 	s := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]

@@ -8,15 +8,14 @@ import (
 	"time"
 )
 
-// TestPacketizerReuseReclaimsEverySlot: a packetizer that takes over a
-// Buffers reclaims every slot its predecessor allocated, the ones whose
-// packets were still referenced included, with their counts reset, and
-// packetizes exactly what a fresh packetizer does. Built with rtppoison the
-// reclaimed slots are poisoned instead and never handed out again.
+// TestPacketizerReuseReclaimsEverySlot: a packetizer's Reset reclaims every
+// slot it allocated, the ones whose packets were still referenced included,
+// with their counts reset, and it then packetizes exactly what a fresh
+// packetizer does. Built with rtppoison the reclaimed slots are poisoned
+// instead and never handed out again.
 func TestPacketizerReuseReclaimsEverySlot(t *testing.T) {
-	var b Buffers
 	first := NewPacketizer(1, 96, 1200)
-	first.Reuse(&b)
+	next := first // after its Reset
 	var held []*Packet
 	for n := uint32(0); n < 40; n++ {
 		pkts := first.Packetize(FrameInfo{Num: n, Size: 9000})
@@ -30,8 +29,7 @@ func TestPacketizerReuseReclaimsEverySlot(t *testing.T) {
 	}
 	grown := first.PoolStats().Slots
 
-	next := NewPacketizer(1, 96, 1200)
-	next.Reuse(&b)
+	next.Reset(1, 96, 1200)
 	fresh := NewPacketizer(1, 96, 1200)
 	st := next.PoolStats()
 	if poisonReleased {
@@ -45,7 +43,7 @@ func TestPacketizerReuseReclaimsEverySlot(t *testing.T) {
 			mustPanic(t, "Retain of a reclaimed packet", p.Retain)
 		}
 	} else if st != (PoolStats{Slots: grown}) {
-		t.Fatalf("after Reuse: pool %+v, want all %d slots free", st, grown)
+		t.Fatalf("after Reset: pool %+v, want all %d slots free", st, grown)
 	}
 	for n := uint32(0); n < 40; n++ {
 		got, want := next.Packetize(FrameInfo{Num: n, Size: 7000, EncodeTime: time.Duration(n)}), fresh.Packetize(FrameInfo{Num: n, Size: 7000, EncodeTime: time.Duration(n)})
@@ -70,13 +68,12 @@ func TestPacketizerReuseReclaimsEverySlot(t *testing.T) {
 	}
 }
 
-// TestDepacketizerReuseStartsEmpty: a depacketizer that takes over a
-// Buffers sees none of its predecessor's pending frames, reassembles as a
-// fresh one does, and keeps the ring the predecessor grew.
+// TestDepacketizerReuseStartsEmpty: a depacketizer's Reset leaves none of
+// its pending frames, and it then reassembles as a fresh one does on the
+// ring it grew.
 func TestDepacketizerReuseStartsEmpty(t *testing.T) {
-	var b Buffers
 	first := NewDepacketizer()
-	first.Reuse(&b)
+	next := first                         // after its Reset
 	for n := uint32(0); n < 300; n += 2 { // every other frame left pending
 		if _, err := first.Push(mediaPacket(n, 0, 3, false, 0, 900), 0); err != nil {
 			t.Fatal(err)
@@ -84,10 +81,10 @@ func TestDepacketizerReuseStartsEmpty(t *testing.T) {
 	}
 	grown := len(first.ring)
 
-	next, fresh := NewDepacketizer(), NewDepacketizer()
-	next.Reuse(&b)
+	fresh := NewDepacketizer()
+	next.Reset()
 	if (next.live+len(next.spill)) != 0 || next.Frame(0) != nil || len(next.ring) != grown {
-		t.Fatalf("after Reuse: %d pending, %d slots (predecessor's %d)", next.live+len(next.spill), len(next.ring), grown)
+		t.Fatalf("after Reset: %d pending, %d slots (it grew %d)", next.live+len(next.spill), len(next.ring), grown)
 	}
 	for n := uint32(0); n < 300; n++ {
 		for i := uint16(0); i < 3; i += 1 + uint16(n%2) {
@@ -110,11 +107,11 @@ func TestDepacketizerReuseStartsEmpty(t *testing.T) {
 }
 
 // TestPacketizerReuseKeepsGrownFreeList: the free list a packetizer grows
-// mid-run, as its pool gains blocks, is the one the next packetizer on the
-// same Buffers starts with, and so is the per-frame list Packetize returns,
-// so a second run of the same traffic allocates nothing at all: no block,
-// no free list, no frame list. Built with rtppoison nothing is reclaimed,
-// so there is nothing to pin.
+// mid-run, as its pool gains blocks, is the one it starts with after its
+// Reset, and so is the per-frame list Packetize returns, so a second run of
+// the same traffic allocates nothing at all: no block, no free list, no
+// frame list. Built with rtppoison nothing is reclaimed, so there is
+// nothing to pin.
 func TestPacketizerReuseKeepsGrownFreeList(t *testing.T) {
 	if poisonReleased {
 		t.Skip("a poisoned pool never reuses a slot")
@@ -136,15 +133,12 @@ func TestPacketizerReuseKeepsGrownFreeList(t *testing.T) {
 			pkt.Release()
 		}
 	}
-	var b Buffers
-	first := NewPacketizer(1, 96, 1200)
-	first.Reuse(&b)
-	run(first)
-	if st := first.PoolStats(); st.Slots <= 2*PoolBlock || cap(b.free) < st.Slots || cap(b.out) < 8 {
-		t.Fatalf("the first run's pool %+v, its free list recorded with room for %d slots, its frame list for %d packets", st, cap(b.free), cap(b.out))
-	}
-
 	next := NewPacketizer(1, 96, 1200)
+	run(next)
+	first := next.PoolStats()
+	if first.Slots <= 2*PoolBlock || cap(next.pool.free) < first.Slots || cap(next.out) < 8 {
+		t.Fatalf("the first run's pool %+v, its free list with room for %d slots, its frame list for %d packets", first, cap(next.pool.free), cap(next.out))
+	}
 	held := make([]*Packet, 0, 256)
 	// Mallocs counts the whole process. With a second P idle, the world's
 	// restart after ReadMemStats can start a thread (its m, g0, gsignal
@@ -155,7 +149,7 @@ func TestPacketizerReuseKeepsGrownFreeList(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	next.Reuse(&b)
+	next.Reset(1, 96, 1200)
 	for n := uint32(0); n < 40; n++ {
 		for i, pkt := range next.Packetize(FrameInfo{Num: n, Size: 9000}) {
 			if i%3 != 0 {
@@ -170,10 +164,10 @@ func TestPacketizerReuseKeepsGrownFreeList(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("a second run on the same Buffers allocated %d times, want 0", n)
+		t.Errorf("a second run after Reset allocated %d times, want 0", n)
 	}
-	if st := next.PoolStats(); st.Slots != first.PoolStats().Slots {
-		t.Errorf("the second run's pool %+v grew past the first's %d slots", st, first.PoolStats().Slots)
+	if st := next.PoolStats(); st.Slots != first.Slots {
+		t.Errorf("the second run's pool %+v grew past the first's %d slots", st, first.Slots)
 	}
 }
 

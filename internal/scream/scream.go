@@ -114,19 +114,6 @@ func (b *baseDelay) update(now, owd time.Duration) time.Duration {
 
 func (b *baseDelay) reset() { b.q.Truncate(0) }
 
-// Buffers is the storage one run's Controller leaves to the next run's: its
-// in-flight table. The zero value is empty. One Buffers serves one
-// controller at a time.
-type Buffers struct {
-	inflight ring.SeqSlots[inflightPkt]
-}
-
-// Reuse makes c keep its in-flight table in the slots b holds, emptied,
-// and record there the slots it grows to. Call it on a new controller,
-// before its first packet; the controller that used b before must be
-// finished.
-func (c *Controller) Reuse(b *Buffers) { c.inflight.Reuse(&b.inflight) }
-
 // Controller implements cc.Controller with SCReAM.
 type Controller struct {
 	cwnd          float64 // bytes
@@ -179,13 +166,27 @@ func (c *Controller) SetTracer(tr *obs.Tracer) { c.trace = tr }
 
 // New returns a SCReAM controller.
 func New(cfg Config) *Controller {
+	c := new(Controller)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset makes c the controller New(cfg) returns, on the in-flight table
+// and base-delay deque it grew, emptied.
+func (c *Controller) Reset(cfg Config) {
+	inflight := c.inflight
+	if inflight.Cap() == 0 {
+		inflight = ring.MakeSeqTable[inflightPkt](inflightInitSlots)
+	}
 	srtt := 100 * time.Millisecond
-	c := &Controller{
-		inflight: ring.MakeSeqTable[inflightPkt](inflightInitSlots),
+	*c = Controller{
+		inflight: inflight,
+		base:     c.base,
 		srtt:     srtt,
 		target:   cc.MinRate,
-		qdelay:   0,
 	}
+	c.inflight.Clear()
+	c.base.reset()
 	// Initial window sized so the initial rate is sendable at the assumed
 	// RTT.
 	c.cwnd = cc.MinRate / 8 * srtt.Seconds()
@@ -195,7 +196,6 @@ func New(cfg Config) *Controller {
 	if cfg.FeedbackTimeout > 0 {
 		c.wd = cc.NewWatchdog(cfg.FeedbackTimeout)
 	}
-	return c
 }
 
 // Name implements cc.Controller.

@@ -128,10 +128,9 @@ func rngRun(c *Controller, t *testing.T) {
 	}
 }
 
-// TestControllerReuseMatchesFresh: a controller that keeps its in-flight
-// table in a Buffers another controller grew — and left holding records
-// never acknowledged — decides exactly as a new one does, and starts on
-// the grown slots instead of taking its own.
+// TestControllerReuseMatchesFresh: a controller Reset after a use that left
+// its in-flight table grown and holding records never acknowledged decides
+// exactly as a new one does, and starts on the grown slots, emptied.
 func TestControllerReuseMatchesFresh(t *testing.T) {
 	// feed runs 3 000 reporting intervals of 26 sends and one report over
 	// the 256 numbers ending at the newest, through the sequence wrap,
@@ -172,25 +171,22 @@ func TestControllerReuseMatchesFresh(t *testing.T) {
 		}
 		return out
 	}
-	var b Buffers
-	first := New(Config{})
-	first.Reuse(&b)
+	c := New(Config{})
 	for s := 0; s < 3000; s++ { // never acknowledged: numbers 1 024 apart collide
-		first.OnPacketSent(cc.SentPacket{Seq: uint16(s), Size: 1200})
+		c.OnPacketSent(cc.SentPacket{Seq: uint16(s), Size: 1200})
 	}
-	grown := first.inflight.Cap()
+	grown := c.inflight.Cap()
 	if grown <= inflightInitSlots {
 		t.Fatalf("the in-flight table never grew: %d slots", grown)
 	}
-	next := New(Config{})
-	next.Reuse(&b)
-	if next.inflight.Len() != 0 || next.inflight.Cap() != grown {
-		t.Fatalf("after Reuse: %d records on %d slots, want 0 on the predecessor's %d", next.inflight.Len(), next.inflight.Cap(), grown)
+	c.Reset(Config{})
+	if c.inflight.Len() != 0 || c.inflight.Cap() != grown {
+		t.Fatalf("after Reset: %d records on %d slots, want 0 on the grown %d", c.inflight.Len(), c.inflight.Cap(), grown)
 	}
-	got, want := feed(next, 2), feed(New(Config{}), 2)
+	got, want := feed(c, 2), feed(New(Config{}), 2)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("report %d: reused controller %+v, a new one %+v", i, got[i], want[i])
+			t.Fatalf("report %d: reset controller %+v, a new one %+v", i, got[i], want[i])
 		}
 	}
 	if last := want[len(want)-1]; last.losses == 0 {

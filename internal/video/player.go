@@ -102,7 +102,7 @@ type Player struct {
 	// from the sender's registry; out-of-band in the simulator).
 	encoding func(num uint32) (rate, complexity float64, ok bool)
 
-	depkt *rtp.Depacketizer
+	depkt rtp.Depacketizer
 
 	// KeyframeRequest, when set with cfg.KeyframeRecovery, is invoked
 	// (rate-limited) whenever a frame is skipped while decodable
@@ -161,25 +161,28 @@ type Player struct {
 // NewPlayer returns a player. encoding resolves frame numbers to their
 // encoder parameters for the SSIM model.
 func NewPlayer(s *sim.Simulator, cfg PlayerConfig, ssim *SSIMModel, encoding func(uint32) (float64, float64, bool)) *Player {
-	if ssim == nil {
-		ssim = DefaultSSIMModel()
-	}
-	p := &Player{
-		cfg:      cfg,
-		sim:      s,
-		ssim:     ssim,
-		encoding: encoding,
-		depkt:    rtp.NewDepacketizer(),
-		fpsBins:  make(map[int]int),
-	}
-	p.latencies, p.scores = &p.sketches[0], &p.sketches[1]
-	p.task = s.Every(0, 5*time.Millisecond, p.pump)
+	p := new(Player)
+	p.Reset(s, cfg, ssim, encoding)
 	return p
 }
 
-// Reuse makes p reassemble frames in the ring b holds (see Buffers). Call
-// it on a new player, before its first packet.
-func (p *Player) Reuse(b *Buffers) { p.depkt.Reuse(&b.rtp) }
+// Reset makes p the player NewPlayer returns, on the frame ring and
+// per-second FPS bins it grew, emptied, and registers its playback loop on
+// s as NewPlayer does. What it handed out (Stalls, the sketches of
+// RecordInto) it lets go.
+func (p *Player) Reset(s *sim.Simulator, cfg PlayerConfig, ssim *SSIMModel, encoding func(uint32) (float64, float64, bool)) {
+	if ssim == nil {
+		ssim = DefaultSSIMModel()
+	}
+	*p = Player{cfg: cfg, sim: s, ssim: ssim, encoding: encoding, depkt: p.depkt, fpsBins: p.fpsBins}
+	p.depkt.Reset()
+	if p.fpsBins == nil {
+		p.fpsBins = make(map[int]int)
+	}
+	clear(p.fpsBins)
+	p.latencies, p.scores = &p.sketches[0], &p.sketches[1]
+	p.task = s.Every(0, 5*time.Millisecond, p.pump)
+}
 
 // RecordInto has the player fill latency and ssim, in place of sketches
 // of its own, with its playback-latency distribution over played frames in

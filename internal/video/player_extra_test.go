@@ -263,7 +263,7 @@ func TestPlayerLatePacketsLeaveNoState(t *testing.T) {
 		}
 		s.After(delay, func() {
 			pl.OnPacket(p, s.Now())
-			if n := framesHeld(pl.depkt); n > maxPending {
+			if n := framesHeld(&pl.depkt); n > maxPending {
 				maxPending = n
 			}
 		})
@@ -278,7 +278,7 @@ func TestPlayerLatePacketsLeaveNoState(t *testing.T) {
 	// frame or two waiting out its give-up grace.
 	if maxPending > 16 {
 		t.Errorf("depacketizer held up to %d frame states (%d at the end) over %d frames: late packets leak state",
-			maxPending, framesHeld(pl.depkt), frames)
+			maxPending, framesHeld(&pl.depkt), frames)
 	}
 }
 

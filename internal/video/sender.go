@@ -49,7 +49,7 @@ type Sender struct {
 	sim  *sim.Simulator
 	ctrl cc.Controller
 	enc  *Encoder
-	pkt  *rtp.Packetizer
+	pkt  rtp.Packetizer
 
 	queue cc.SendQueue
 	pacer cc.Pacer
@@ -89,55 +89,38 @@ type Sender struct {
 
 // NewSender wires an encoder and packetizer under the given controller.
 func NewSender(s *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand.Rand) *Sender {
-	if cfg.MTU == 0 {
-		cfg.MTU = 1200
-	}
-	snd := &Sender{
-		cfg:  cfg,
-		sim:  s,
-		ctrl: ctrl,
-		enc:  NewEncoder(cfg.Encoder, ctrl.TargetBitrate(0), rng),
-		pkt:  rtp.NewPacketizer(cfg.SSRC, cfg.PayloadType, cfg.MTU),
-		sent: sentTable{recs: noSent},
-	}
-	snd.drainFn = snd.drain
-	// Packetize's reference is the queue's until drain hands it to
-	// Transmit; a queue discard ends it.
-	snd.queue.Discard = func(it cc.Item) { it.Data.(*rtp.Packet).Release() }
+	snd := new(Sender)
+	snd.Reset(s, cfg, ctrl, rng)
 	return snd
 }
 
-// Buffers is the storage one run's Sender and Player leave to the next run's:
-// the sent table, the frame registry, the packet slots, the send queue's
-// array and the depacketizer's ring. The zero value is empty. One Buffers
-// serves one sender and one player at a time.
-type Buffers struct {
-	sent   []SentRecord
-	frames *[frameSlots]frameSlot
-	rtp    rtp.Buffers
-	queue  []cc.Item
-}
-
-// Reuse makes s keep its traffic-sized state in the storage b holds,
-// emptied, and record there whatever of it grows. Call it on a new sender,
-// before Start; the sender that used b before must be finished and its
-// packets dead (see rtp's Packetizer.Reuse). A sent table reused at its
-// grown size answers every lookup as a fresh one does: any size from
-// sentMinSlots up keeps exactly the records the full window keeps.
-func (s *Sender) Reuse(b *Buffers) {
-	if b.frames == nil {
-		b.frames = new([frameSlots]frameSlot)
-	} else {
-		clear(b.frames[:])
+// Reset makes s the sender NewSender returns, on the packet slots, send
+// queue, sent table and frame registry it grew, emptied. Its packets must
+// all be dead: the packetizer reclaims every slot (rtp.Packetizer.Reset). A
+// sent table kept at its grown size answers every lookup as a fresh one
+// does: any size from sentMinSlots up keeps exactly the records the full
+// window keeps.
+func (s *Sender) Reset(clock *sim.Simulator, cfg SenderConfig, ctrl cc.Controller, rng *rand.Rand) {
+	if cfg.MTU == 0 {
+		cfg.MTU = 1200
 	}
-	s.frames.slots = b.frames
-	clear(b.sent)
-	if len(b.sent) > 0 {
-		s.sent.recs = b.sent
+	*s = Sender{cfg: cfg, sim: clock, ctrl: ctrl, pkt: s.pkt, queue: s.queue, sent: s.sent,
+		frames: frameRegistry{slots: s.frames.slots}, drainFn: s.drainFn}
+	s.enc = NewEncoder(cfg.Encoder, ctrl.TargetBitrate(0), rng)
+	s.pkt.Reset(cfg.SSRC, cfg.PayloadType, cfg.MTU)
+	s.queue.Reset()
+	s.sent.reset()
+	if s.frames.slots != nil {
+		clear(s.frames.slots[:])
 	}
-	s.sent.keep = &b.sent
-	s.pkt.Reuse(&b.rtp)
-	s.queue.Reuse(&b.queue)
+	if s.drainFn == nil {
+		// A method value bound to s, which never moves: it serves every
+		// later Reset as it is.
+		s.drainFn = s.drain
+	}
+	// Packetize's reference is the queue's until drain hands it to
+	// Transmit; a queue discard ends it.
+	s.queue.Discard = func(it cc.Item) { it.Data.(*rtp.Packet).Release() }
 }
 
 // sentTable is a direct-mapped window over the last sentWindow sequence
@@ -154,9 +137,6 @@ func (s *Sender) Reuse(b *Buffers) {
 // answers as that table does.
 type sentTable struct {
 	recs []SentRecord
-	// keep, when set, is where a grown table is recorded for the next
-	// sender (see Reuse).
-	keep *[]SentRecord
 }
 
 // sentWindow bounds how far back feedback can reference a sent packet —
@@ -171,6 +151,15 @@ const (
 // slot, so a lookup misses without a length check. store replaces it before
 // writing, so it is only ever read.
 var noSent = make([]SentRecord, 1)
+
+// reset empties the table on the slots it grew to.
+func (t *sentTable) reset() {
+	if len(t.recs) < sentMinSlots {
+		t.recs = noSent
+		return
+	}
+	clear(t.recs)
+}
 
 func (t *sentTable) slot(seq uint16) *SentRecord {
 	return &t.recs[int(seq)&(len(t.recs)-1)]
@@ -200,9 +189,6 @@ func (t *sentTable) grow(n int) {
 		}
 	}
 	t.recs = recs
-	if t.keep != nil {
-		*t.keep = recs
-	}
 }
 
 // PacketPool reports the packetizer's recycled packet slots.
@@ -268,7 +254,7 @@ func (s *Sender) tick() {
 // outside it is refused by the window check whether or not its slot has
 // been reused yet.
 type frameRegistry struct {
-	slots  *[frameSlots]frameSlot // allocated with the first frame, unless Reuse hands it
+	slots  *[frameSlots]frameSlot // allocated with the first frame
 	latest uint32                 // the most recently registered frame number
 }
 

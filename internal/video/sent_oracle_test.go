@@ -219,13 +219,13 @@ func TestSentTableTransportMismatchMisses(t *testing.T) {
 	}
 }
 
-// TestSentTableReusedMatchesFixedWindows: senders that take over one
-// Buffers in turn — the first grows the table to its full size, the next
-// ones start there, emptied — answer every lookup as a fresh pair of fixed
-// windows does, a short run as well as a long one: any table size from
-// sentMinSlots up keeps exactly the records the full window keeps.
+// TestSentTableReusedMatchesFixedWindows: one sender Reset between runs —
+// the first grows the table to its full size, the next ones start there,
+// emptied — answers every lookup as a fresh pair of fixed windows does, a
+// short run as well as a long one: any table size from sentMinSlots up
+// keeps exactly the records the full window keeps.
 func TestSentTableReusedMatchesFixedWindows(t *testing.T) {
-	var b Buffers
+	var snd *Sender
 	for i, run := range []struct {
 		start, delta uint16
 		sends, every int
@@ -236,7 +236,12 @@ func TestSentTableReusedMatchesFixedWindows(t *testing.T) {
 		{0, 0, 5_000, 1},
 	} {
 		d := newSentDriver(t, int64(20+i))
-		d.snd.Reuse(&b)
+		if snd != nil {
+			s := sim.New(int64(20 + i))
+			snd.Reset(s, DefaultSenderConfig(), cc.NewStatic(8e6), s.Stream("enc"))
+			d.snd = snd
+		}
+		snd = d.snd
 		seq := run.start
 		for n := 0; n < run.sends; n++ {
 			d.send(seq, seq+run.delta)

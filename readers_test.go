@@ -36,6 +36,7 @@ var unreadNames = map[string]string{
 	"dist.Run":                         benchReason,
 	"dist.StartPipe":                   benchReason,
 	"experiments.FoldDistShards":       benchReason,
+	"gcc.New":                          benchReason,
 	"link.New":                         benchReason,
 	"obs.(*Tracer).Events":             benchReason,
 	"obs.LogHistogram":                 benchReason,
@@ -43,13 +44,19 @@ var unreadNames = map[string]string{
 	"rtp.(*CCFB).Marshal":              benchReason,
 	"rtp.(*CCFBGenerator).Report":      benchReason,
 	"rtp.(*TWCC).Marshal":              benchReason,
+	"rtp.NewCCFBGenerator":             benchReason,
+	"rtp.NewDepacketizer":              benchReason,
+	"rtp.NewPacketizer":                benchReason,
+	"rtp.NewTWCCRecorder":              benchReason,
+	"scream.New":                       benchReason,
+	"video.NewPlayer":                  benchReason,
+	"video.NewSender":                  benchReason,
 	"cc.(*SendQueue).Len":              "a hook core's, endpoint's and scream's tests need",
 	"core.DropPooledBuffers":           "a hook experiments' tests need",
 	"metrics.(*Sketch).Buckets":        "a hook core's tests need",
 	"ordered.SetObserver":              "a hook core's and obs's tests need",
 	"repair.(*Cache).Len":              "a hook core's and endpoint's tests need",
 	"ring.(*Queue).Cap":                "a hook cc's, gcc's, link's and scream's tests need",
-	"ring.(*SeqTable).Cap":             "a hook repair's and scream's tests need",
 	"sim.(*Simulator).Run":             "a hook link's tests need",
 	"video.(*Sender).PacketPool":       "a hook core's and endpoint's tests need",
 }
