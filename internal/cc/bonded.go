@@ -22,11 +22,6 @@ type Bonded struct {
 // drain bursts the encoder target admitted.
 const pacingHeadroom = 1.5
 
-// NewBonded wraps inner with the bond budget cap.
-func NewBonded(inner Controller, budget func() float64) *Bonded {
-	return &Bonded{Inner: inner, Budget: budget}
-}
-
 // OnPacketSent implements Controller.
 func (b *Bonded) OnPacketSent(p SentPacket) { b.Inner.OnPacketSent(p) }
 
@@ -55,6 +50,3 @@ func (b *Bonded) PacingRate(now time.Duration) float64 {
 
 // CanSend implements Controller.
 func (b *Bonded) CanSend(now time.Duration, size int) bool { return b.Inner.CanSend(now, size) }
-
-// Name implements Controller.
-func (b *Bonded) Name() string { return b.Inner.Name() + "+bond" }

@@ -8,9 +8,9 @@ import (
 // TestBondedCaps: the decorator caps target and pacing at the budget (with
 // pacing headroom) and passes everything else through.
 func TestBondedCaps(t *testing.T) {
-	inner := NewStatic(10e6)
+	inner := &Static{Rate: 10e6}
 	budget := 4e6
-	b := NewBonded(inner, func() float64 { return budget })
+	b := &Bonded{Inner: inner, Budget: func() float64 { return budget }}
 	if got := b.TargetBitrate(0); got != 4e6 {
 		t.Errorf("capped target = %v, want 4e6", got)
 	}
@@ -30,9 +30,6 @@ func TestBondedCaps(t *testing.T) {
 	}
 	if !b.CanSend(0, 1200) {
 		t.Error("CanSend must pass through")
-	}
-	if b.Name() != "static+bond" {
-		t.Errorf("Name = %q", b.Name())
 	}
 	b.OnPacketSent(SentPacket{Size: 1200})
 	b.OnFeedback(time.Second, nil)

@@ -74,8 +74,6 @@ type Controller interface {
 	// network now. Rate-based controllers always return true;
 	// window-limited controllers enforce bytes-in-flight ≤ cwnd.
 	CanSend(now time.Duration, size int) bool
-	// Name identifies the controller in traces and experiment output.
-	Name() string
 }
 
 // Traceable is implemented by controllers that can emit obs.KindCC events
@@ -126,11 +124,6 @@ type Static struct {
 // encoder burstiness.
 const staticPacingFactor = 1.5
 
-// NewStatic returns a constant-bitrate controller.
-func NewStatic(bitsPerSecond float64) *Static {
-	return &Static{Rate: bitsPerSecond}
-}
-
 // OnPacketSent implements Controller.
 func (s *Static) OnPacketSent(SentPacket) {}
 
@@ -154,9 +147,6 @@ func (s *Static) PacingRate(time.Duration) float64 {
 
 // CanSend implements Controller.
 func (s *Static) CanSend(time.Duration, int) bool { return true }
-
-// Name implements Controller.
-func (s *Static) Name() string { return "static" }
 
 // Pacer spaces packet departures to a byte budget so the sender does not
 // burst whole frames into the access link.

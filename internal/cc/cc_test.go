@@ -7,7 +7,7 @@ import (
 )
 
 func TestStaticController(t *testing.T) {
-	s := NewStatic(25e6)
+	s := &Static{Rate: 25e6}
 	if got := s.TargetBitrate(0); got != 25e6 {
 		t.Errorf("TargetBitrate = %v", got)
 	}
@@ -16,9 +16,6 @@ func TestStaticController(t *testing.T) {
 	}
 	if !s.CanSend(0, 1e6) {
 		t.Error("static controller must always allow sending")
-	}
-	if s.Name() != "static" {
-		t.Errorf("Name = %q", s.Name())
 	}
 	s.OnPacketSent(SentPacket{})   // must not panic
 	s.OnFeedback(time.Second, nil) // must not panic
@@ -222,7 +219,7 @@ func TestPropertySendQueueAccounting(t *testing.T) {
 }
 
 func TestRepairAwareAdjustsTarget(t *testing.T) {
-	s := NewStatic(25e6)
+	s := &Static{Rate: 25e6}
 	if got := s.TargetBitrate(0); got != 25e6 {
 		t.Fatalf("target before probe: %v", got)
 	}

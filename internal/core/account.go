@@ -215,7 +215,7 @@ func (t *targetSampler) fold() {
 
 // foldEndpoints copies what the two endpoints, the bond manager and the
 // repair path counted into the result.
-func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.Receiver, bp *bondPaths, log *flightLog, dur time.Duration) {
+func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.Receiver, mgr *bond.Manager, log *flightLog, dur time.Duration) {
 	// The player has stopped: PlaybackMs, SSIM and Stalls, which it filled
 	// in place (stream), are final.
 	pl := rcv.Player
@@ -230,8 +230,8 @@ func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.
 		res.ScreamLossesWindow = sc.LossesWindow
 		res.ScreamDiscards = sc.QueueDiscards
 	}
-	if bp != nil {
-		res.BondSwitches = bp.mgr.Switches
+	if mgr != nil {
+		res.BondSwitches = mgr.Switches
 		if reorder := rcv.Reorder; reorder != nil {
 			res.BondReorderLate = int(reorder.Late)
 			res.BondReorderForced = int(reorder.DeadlineReleases + reorder.CapReleases)
@@ -240,7 +240,7 @@ func foldEndpoints(cfg Config, res *Result, snd *endpoint.Sender, rcv *endpoint.
 		// as the derived compat view (total copies suppressed at the
 		// receiver, the old field's meaning exactly).
 		for i := 0; i < bond.NumPaths; i++ {
-			st := bp.mgr.Stats(i, dur)
+			st := mgr.Stats(i, dur)
 			res.BondPaths = append(res.BondPaths, BondPathStats{
 				Sent:       st.Sent,
 				Delivered:  st.Delivered,

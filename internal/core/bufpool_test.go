@@ -32,12 +32,11 @@ func pooled() []*runBuffers {
 }
 
 // TestRunBufferPoolNeverShares: runs that overlap in time never hold the
-// same buffer set, nor any piece of one — its simulator, either radio
-// chain, the downlink — and each makes the run an empty set makes.
-// Goroutines take sets through withBuffers, the path Run takes, and mark
-// each one held while their run writes there; concurrent Run calls go
+// same buffer set, nor its simulator, and each makes the run an empty set
+// makes. Goroutines take sets through withBuffers, the path Run takes, and
+// mark each one held while their run writes there; concurrent Run calls go
 // through the real entry point. The bonded flight flies its second chain
-// on the set's own, made by the first bonded run the set serves. Under
+// on the set's own second chain, emptied before the run. Under
 // -race a shared set is also a data race.
 func TestRunBufferPoolNeverShares(t *testing.T) {
 	flights := poolFlights()
@@ -53,12 +52,9 @@ func TestRunBufferPoolNeverShares(t *testing.T) {
 	hold := func(b *runBuffers, on bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		pieces := []any{b, &b.primary, &b.downlink}
+		pieces := []any{b}
 		if b.sim != nil {
 			pieces = append(pieces, b.sim)
-		}
-		if b.second != nil {
-			pieces = append(pieces, b.second)
 		}
 		for _, p := range pieces {
 			if on && held[p] {
@@ -79,13 +75,12 @@ func TestRunBufferPoolNeverShares(t *testing.T) {
 					got = withBuffers(func(b *runBuffers) *Result {
 						hold(b, true)
 						defer hold(b, false)
-						second := b.second
-						if bonded := flights[i].Bond.Enabled(); bonded && second != nil {
-							*second = chain{}
+						bonded := flights[i].Bond.Enabled()
+						if bonded {
+							b.chains[1] = chain{}
 						}
 						r := b.run(new(Result), flights[i], nil, nil, false)
-						if flights[i].Bond.Enabled() && (second != nil && b.second != second ||
-							b.second.sky.cfg.MeasurementInterval == 0) {
+						if bonded && b.chains[1].sky.cfg.MeasurementInterval == 0 {
 							t.Errorf("flight %d is bonded, but its second chain did not fly on the set's second chain", i)
 						}
 						return r

@@ -151,7 +151,7 @@ func fleetDuration(cfg Config) time.Duration {
 func recordUAV(k *sky, cfg Config, dur, epoch time.Duration, b *runBuffers) *sky {
 	s := b.simulator(cfg.Seed)
 	_, stateAt := setupMobility(cfg, s)
-	return k.record(cfg, cfg.Op, s.Stream("cell"), &b.primary, stateAt, dur, epoch)
+	return pathRows[0].record(k, &b.chains[0], cfg, s, stateAt, dur, epoch)
 }
 
 // RunFleet executes N concurrent flights against one shared base-station

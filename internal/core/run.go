@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rpivideo/internal/bond"
-	"rpivideo/internal/cell"
 	"rpivideo/internal/endpoint"
 	"rpivideo/internal/fault"
 	"rpivideo/internal/flight"
@@ -41,26 +40,16 @@ func Run(cfg Config) *Result {
 // pool holds one; every other run builds a new one. A run that panicked may
 // have left any buffer half-written: its set never goes back (withBuffers).
 type runBuffers struct {
-	sim      *sim.Simulator
-	primary  chain
+	sim *sim.Simulator
+	// chains are the run's radio chains, one per row of pathRows: the
+	// primary, and a bonded run's second. uplinks backs the list of the
+	// uplinks a run flies (run).
+	chains   [bond.NumPaths]chain
+	uplinks  [bond.NumPaths]*link.Link
 	downlink link.Link // the feedback downlink
-	// second is the bonded second chain, made by the first bonded run the
-	// set serves: a run without bonding never pays for it.
-	second *chain
-	snd    endpoint.Sender
-	rcv    endpoint.Receiver
-	log    flightLog
-}
-
-// chain is one radio chain: its signal model and the handover machine over
-// it, the sky they record (sky.record), its playback onto the machine and
-// its uplink.
-type chain struct {
-	model   cell.SignalModel
-	machine cell.Machine
-	sky     sky
-	play    playback
-	uplink  link.Link
+	snd      endpoint.Sender
+	rcv      endpoint.Receiver
+	log      flightLog
 }
 
 // bufferPool is a bounded free list of buffer sets, one per process
@@ -194,11 +183,6 @@ func (b *runBuffers) run(res *Result, cfg Config, k *sky, share func(time.Durati
 		dur = prof.Duration()
 	}
 
-	// Radio access: the primary chain's sky, recorded before any traffic.
-	if k == nil {
-		k = b.primary.sky.record(cfg, cfg.Op, s.Stream("cell"), &b.primary, stateAt, dur, 0)
-	}
-
 	res.Config, res.Duration = cfg, dur
 	// Live-telemetry histograms (internal/obs): queue delay and NACK RTT,
 	// recorded as the run goes. These are deliberately a separate registry
@@ -215,46 +199,48 @@ func (b *runBuffers) run(res *Result, cfg Config, k *sky, share func(time.Durati
 	if cfg.Trace {
 		res.Trace = obs.New(cfg.TraceCap)
 	}
-	machine := &b.primary.machine
-	b.primary.play.play(k, s, machine, res.Trace, obs.DirUp)
 
-	upProfile := link.ProfileFor(cfg.Env, cfg.Op)
-	upProfile.AQM = cfg.AQM
-	uplink, downlink := &b.primary.uplink, &b.downlink
-	uplink.Reset(s, upProfile, machine, nil, s.Stream("uplink"))
-	downlink.Reset(s, link.FeedbackProfile(), machine, nil, s.Stream("downlink"))
-	uplink.SetFlight(prof)
+	// Radio access: every radio chain the run flies, each built from its
+	// row of pathRows — the primary alone or, bonded (internal/bond), also
+	// a second chain over the competing operator. Each sky is recorded
+	// before any traffic, the primary's by a fleet's phase 1 when k is set.
+	n := 1
+	if cfg.Bond.Enabled() && cfg.Workload == WorkloadVideo {
+		n = bond.NumPaths
+	}
+	skies := [bond.NumPaths]*sky{k}
+	uplinks := b.uplinks[:0]
+	for i := range n {
+		skies[i] = b.chains[i].build(&pathRows[i], s, cfg, skies[i], prof, stateAt, dur, res.Trace)
+		uplinks = append(uplinks, &b.chains[i].uplink)
+	}
+	k = skies[0]
+
+	// The primary chain alone carries the feedback downlink, the
+	// queue-delay histogram and the fleet scheduler's capacity share, which
+	// scales the media uplink only: the feedback downlink is tiny control
+	// traffic on an overprovisioned bearer, so contention on it is
+	// negligible by design.
+	uplink, downlink := uplinks[0], &b.downlink
+	downlink.Reset(s, link.FeedbackProfile(), &b.chains[0].machine, nil, s.Stream("downlink"))
 	downlink.SetFlight(prof)
+	downlink.SetTracer(res.Trace, obs.DirDown)
+	if cfg.Faults.Enabled() {
+		downlink.SetFaults(fault.NewPathLine(cfg.Faults.Windows, fault.Downlink, pathRows[0].faults), !cfg.Faults.FreezeQueue, cfg.Faults.StaleAfter)
+	}
 	uplink.SetQueueDelayHist(res.Telemetry.LogHistogram(TelemetryQueueDelay))
 	if share != nil {
-		// The fleet scheduler's share scales the media uplink only: the
-		// feedback downlink is tiny control traffic on an overprovisioned
-		// bearer, so contention on it is negligible by design.
 		uplink.SetCapacityShare(share)
 	}
-	if res.Trace != nil {
-		uplink.SetTracer(res.Trace, obs.DirUp)
-		downlink.SetTracer(res.Trace, obs.DirDown)
-	}
-	flushStale := !cfg.Faults.FreezeQueue
-	if cfg.Faults.Enabled() {
-		// The primary chain takes PathAll and @p1-scoped windows; a bonded
-		// run's secondary chain takes PathAll and @p2 (setupBond). With no
-		// path-scoped windows both take every window.
-		uplink.SetFaults(fault.NewPathLine(cfg.Faults.Windows, fault.Uplink, fault.PathPrimary), flushStale, cfg.Faults.StaleAfter)
-		downlink.SetFaults(fault.NewPathLine(cfg.Faults.Windows, fault.Downlink, fault.PathPrimary), flushStale, cfg.Faults.StaleAfter)
-	}
 
-	// Dual-operator bonding (internal/bond): an independent second radio
-	// chain over the competing operator, a per-path health monitor and a
-	// scheduling policy. nil for single-path runs.
-	bp := setupBond(s, cfg, res, uplink, b, prof, stateAt, dur, flushStale)
+	// The bond manager over a bonded run's uplinks; nil otherwise.
+	mgr := setupBond(s, cfg, res, uplinks, &b.rcv)
 
 	switch cfg.Workload {
 	case WorkloadPing:
 		runPing(s, cfg, res, uplink, downlink, stateAt, dur)
 	default:
-		stream(s, cfg, res, b, uplink, bp, downlink, prof, dur, wire)
+		stream(s, cfg, res, b, uplinks, mgr, downlink, prof, dur, wire)
 	}
 	// The run has played every step of the sky.
 	res.Handovers = append(res.Handovers, k.handovers...)
@@ -263,11 +249,7 @@ func (b *runBuffers) run(res *Result, cfg Config, k *sky, share func(time.Durati
 	// all the copies on the air (duplicate ≈ 2× the unique stream); the
 	// unique view is in BondPaths (per-path Delivered − Suppressed). Control
 	// and RTX ride the primary chain only.
-	paths := []*link.Link{uplink}
-	if bp != nil {
-		paths = bp.uplinks[:]
-	}
-	for _, l := range paths {
+	for _, l := range uplinks {
 		m := l.Count(link.Media)
 		res.PacketsSent += m.Sent
 		res.PacketsDelivered += m.Delivered
@@ -313,11 +295,12 @@ func setupMobility(cfg Config, s *sim.Simulator) (flight.Profile, func(time.Dura
 }
 
 // stream runs the video workload: reset b's two endpoints and flight log,
-// join the endpoints through the links (and the bond router, when bp is
-// set), attach the accounting, run the clock and fold every counter into
-// res. wire is the differential test's switch (see connect).
-func stream(s *sim.Simulator, cfg Config, res *Result, b *runBuffers, uplink *link.Link, bp *bondPaths, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool) {
-	snd, rcv := resetEndpoints(s, cfg, res, bp, b)
+// join the endpoints through the links (the run's uplinks, the primary's
+// first, and the bond router over them when mgr is set), attach the
+// accounting, run the clock and fold every counter into res. wire is the
+// differential test's switch (see connect).
+func stream(s *sim.Simulator, cfg Config, res *Result, b *runBuffers, uplinks []*link.Link, mgr *bond.Manager, downlink *link.Link, prof flight.Profile, dur time.Duration, wire bool) {
+	snd, rcv := resetEndpoints(s, cfg, res, mgr, b)
 	rcv.Player.RecordInto(&res.PlaybackMs, &res.SSIM)
 	rcv.Player.Stalls = res.Stalls
 	var tapFrames func()
@@ -328,11 +311,11 @@ func stream(s *sim.Simulator, cfg Config, res *Result, b *runBuffers, uplink *li
 	}
 	log := &b.log
 	log.reset(res, prof, dur)
-	connect(s, cfg, snd, rcv, uplink, downlink, bp, log, wire)
+	connect(s, cfg, snd, rcv, uplinks, downlink, mgr, log, wire)
 	snd.OnRTT = func(rtt time.Duration) { record(&res.RTCPRTTms, float64(rtt)/float64(time.Millisecond)) }
 	rcv.OnReport = func(jitter time.Duration) { record(&res.JitterMs, float64(jitter)/float64(time.Millisecond)) }
-	sampler := newTargetSampler(cfg, res, uplink, dur)
-	b.primary.play.sampler = sampler
+	sampler := newTargetSampler(cfg, res, uplinks[0], dur)
+	b.chains[0].play.sampler = sampler
 
 	// Registration order is part of the run's output: the contract is on
 	// endpoint.Sender.StartReports, and the target sampler keeps the slot
@@ -348,27 +331,23 @@ func stream(s *sim.Simulator, cfg Config, res *Result, b *runBuffers, uplink *li
 
 	log.fold()
 	sampler.fold()
-	foldEndpoints(cfg, res, snd, rcv, bp, log, dur)
+	foldEndpoints(cfg, res, snd, rcv, mgr, log, dur)
 	if tapFrames != nil {
 		tapFrames()
 	}
 	if poolTap != nil {
-		uplinks := []*link.Link{uplink}
-		if bp != nil {
-			uplinks = bp.uplinks[:]
-		}
 		poolTap(res, snd, uplinks, wire)
 	}
 	if datagramTap != nil {
 		carried := func(c link.Counts) int { return c.Sent - c.Delivered - c.Drops() }
-		datagramTap(res, snd.Datagrams(), rcv.Datagrams(), carried(uplink.Count(link.Control)), carried(downlink.Count(link.Media)))
+		datagramTap(res, snd.Datagrams(), rcv.Datagrams(), carried(uplinks[0].Count(link.Control)), carried(downlink.Count(link.Media)))
 	}
 }
 
 // resetEndpoints translates a run's Config into the two endpoint configs and
 // resets b's pair to them, sender first: the receiver's player scores frames
 // from the sender's frame registry.
-func resetEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths, b *runBuffers) (*endpoint.Sender, *endpoint.Receiver) {
+func resetEndpoints(s *sim.Simulator, cfg Config, res *Result, mgr *bond.Manager, b *runBuffers) (*endpoint.Sender, *endpoint.Receiver) {
 	faultsOn := cfg.Faults.Enabled()
 	scfg := endpoint.SenderConfig{
 		Video:        video.DefaultSenderConfig(),
@@ -410,8 +389,8 @@ func resetEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths, b 
 		scfg.Repair = cfg.Repair.WithDefaults()
 		rcfg.Repair = scfg.Repair
 	}
-	if bp != nil {
-		scfg.PathBudget = bp.mgr.Budget
+	if mgr != nil {
+		scfg.PathBudget = mgr.Budget
 		// Deduplication is always on for bonded runs: the duplicate policy
 		// sends full copies, and every other policy still duplicates probe
 		// packets onto idle paths.
@@ -419,8 +398,8 @@ func resetEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths, b 
 		// Striping policies interleave paths of different latency; the
 		// bounded reorder buffer re-serializes for the player. The
 		// duplicate policy plays the first copy and needs none.
-		bcfg := bp.mgr.Config()
-		rcfg.Reorder = bp.mgr.Policy() != bond.PolicyDuplicate
+		bcfg := mgr.Config()
+		rcfg.Reorder = mgr.Policy() != bond.PolicyDuplicate
 		rcfg.ReorderDeadline, rcfg.ReorderCap = bcfg.ReorderDeadline, bcfg.ReorderCap
 	}
 	snd, rcv := &b.snd, &b.rcv
@@ -429,9 +408,6 @@ func resetEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths, b 
 	rcv.Reset(s, rcfg)
 	if det := rcv.Detector; det != nil {
 		det.SetNackRTTHist(res.Telemetry.LogHistogram(TelemetryNackRTT))
-	}
-	if bp != nil {
-		bp.reorder = rcv.Reorder
 	}
 	return snd, rcv
 }
@@ -456,11 +432,12 @@ func resetEndpoints(s *sim.Simulator, cfg Config, res *Result, bp *bondPaths, b 
 // landed copy, in OnDrop for a dropped one. A datagram (rtp's datagram.go)
 // has one holder and ends at the same two exits: after OnDatagram returns,
 // or in OnDrop. link and bond never see either.
-func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.Receiver, uplink, downlink *link.Link, bp *bondPaths, log *flightLog, wire bool) {
+func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.Receiver, uplinks []*link.Link, downlink *link.Link, mgr *bond.Manager, log *flightLog, wire bool) {
+	uplink := uplinks[0]
 	media := uplink.Send
-	if bp != nil {
+	if mgr != nil {
 		media = func(meta any, size int) {
-			set := bp.mgr.Route(s.Now(), size)
+			set := mgr.Route(s.Now(), size)
 			// Every reference is taken before the first send: a copy can be
 			// dropped, and released, inside Send.
 			n := set.Count()
@@ -470,9 +447,9 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 			for i := 1; i < n; i++ {
 				retain(meta)
 			}
-			for i := 0; i < bond.NumPaths; i++ {
+			for i, l := range uplinks {
 				if set.Has(i) {
-					bp.uplinks[i].Send(meta, size)
+					l.Send(meta, size)
 				}
 			}
 		}
@@ -511,35 +488,23 @@ func connect(s *sim.Simulator, cfg Config, snd *endpoint.Sender, rcv *endpoint.R
 		case []byte: // with wire set, a media packet
 			v = rcv.OnDatagram(m, at)
 		}
-		if bp != nil && (v == endpoint.Fresh || v == endpoint.Duplicate) {
+		if mgr != nil && (v == endpoint.Fresh || v == endpoint.Duplicate) {
 			// Per-path health observation (delivery RTT, loss decay, rate)
 			// of every media copy, duplicates included, so probe copies
 			// keep an idle path's estimate warm.
-			bp.mgr.ObserveDelivery(path, at-sentAt, size)
+			mgr.ObserveDelivery(path, at-sentAt, size)
 		}
 		log.delivered(v, path, size, sentAt, at)
 	}
-	uplink.Deliver = func(meta any, size int, sentAt, at time.Duration) {
-		deliver(0, meta, size, sentAt, at)
-	}
-	uplink.OnDrop = func(meta any, _ int, _ time.Duration, c link.Class, _ link.DropReason) {
-		if bp != nil && c == link.Media {
-			bp.mgr.ObserveLoss(0)
+	for i, l := range uplinks {
+		l.Deliver = func(meta any, size int, sentAt, at time.Duration) {
+			deliver(i, meta, size, sentAt, at)
 		}
-		release(meta)
-	}
-	if bp != nil {
-		for i := 1; i < bond.NumPaths; i++ {
-			i := i
-			bp.uplinks[i].Deliver = func(meta any, size int, sentAt, at time.Duration) {
-				deliver(i, meta, size, sentAt, at)
+		l.OnDrop = func(meta any, _ int, _ time.Duration, c link.Class, _ link.DropReason) {
+			if mgr != nil && c == link.Media {
+				mgr.ObserveLoss(i)
 			}
-			bp.uplinks[i].OnDrop = func(meta any, _ int, _ time.Duration, c link.Class, _ link.DropReason) {
-				if c == link.Media {
-					bp.mgr.ObserveLoss(i)
-				}
-				release(meta)
-			}
+			release(meta)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func TestRunPlaysRecordedSky(t *testing.T) {
 		shareFn := func(time.Duration) float64 { return share }
 		var live runBuffers
 		res := live.run(new(Result), cfg, nil, shareFn, false)
-		played := &live.primary.sky
+		played := &live.chains[0].sky
 		quiet := recordUAV(new(sky), cfg, dur, 0, new(runBuffers))
 		if !reflect.DeepEqual(played, quiet) {
 			t.Errorf("%s: the run played a sky other than the one recorded with no run", name)
@@ -66,10 +66,10 @@ func TestRunPlaysRecordedSky(t *testing.T) {
 			s := sim.New(cfg.Seed)
 			_, stateAt := setupMobility(cfg, s)
 			quiet2 := new(sky).record(cfg, cell.P2, s.Stream("cell2"), new(chain), stateAt, dur, 0)
-			if !reflect.DeepEqual(&live.second.sky, quiet2) {
+			if !reflect.DeepEqual(&live.chains[1].sky, quiet2) {
 				t.Errorf("%s: the second chain played a sky other than the one recorded with no run", name)
 			}
-			checkPlayed(t, name+" second chain", &live.second.sky, res.Trace, obs.DirUp2)
+			checkPlayed(t, name+" second chain", &live.chains[1].sky, res.Trace, obs.DirUp2)
 			handovers += len(quiet2.handovers)
 			rlfs += len(quiet2.rlfs)
 			return
@@ -84,11 +84,11 @@ func TestRunPlaysRecordedSky(t *testing.T) {
 		if want := int((dur + epoch - 1) / epoch); len(k.attach) != want {
 			t.Errorf("%s: phase 1 sampled %d epochs, want %d", name, len(k.attach), want)
 		}
-		evals := signalEvals(&b.primary.model)
+		evals := signalEvals(&b.chains[0].model)
 		c := cfg
 		c.Cells = nil
 		res3 := b.run(new(Result), c, k, shareFn, false)
-		if n := signalEvals(&b.primary.model) - evals; n != 0 {
+		if n := signalEvals(&b.chains[0].model) - evals; n != 0 {
 			t.Errorf("%s: a run on a recorded sky made %d signal-model evaluations", name, n)
 		}
 		if resultFingerprint(res3) != resultFingerprint(res) || !slices.Equal(res3.Trace.Events(), res.Trace.Events()) {

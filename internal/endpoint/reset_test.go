@@ -276,7 +276,7 @@ func resetCases() []resetCase {
 		{
 			name: "video.Sender",
 			fresh: func(s *sim.Simulator) any {
-				return video.NewSender(s, video.DefaultSenderConfig(), cc.NewStatic(6e6), s.Stream("encoder"))
+				return video.NewSender(s, video.DefaultSenderConfig(), &cc.Static{Rate: 6e6}, s.Stream("encoder"))
 			},
 			dirty: func(s *sim.Simulator, v any) {
 				snd := v.(*video.Sender)
@@ -285,7 +285,7 @@ func resetCases() []resetCase {
 				s.RunUntil(2*time.Second + 7*time.Millisecond)
 			},
 			reset: func(s *sim.Simulator, v any) {
-				v.(*video.Sender).Reset(s, video.DefaultSenderConfig(), cc.NewStatic(6e6), s.Stream("encoder"))
+				v.(*video.Sender).Reset(s, video.DefaultSenderConfig(), &cc.Static{Rate: 6e6}, s.Stream("encoder"))
 			},
 			use: func(s *sim.Simulator, v any) any {
 				snd := v.(*video.Sender)

@@ -49,12 +49,15 @@ type Sender struct {
 	Video *video.Sender
 	// Ctrl is the concrete controller, for the type-asserted extensions
 	// (RepairAware, the SCReAM counters); ctrl is what the stream obeys —
-	// Ctrl itself, or Ctrl capped by the bonded path budget. gcc and scream
-	// are the sender's own controllers, Ctrl when the config picks them.
+	// Ctrl itself, or Ctrl capped by the bonded path budget (bonded). gcc,
+	// scream and static are the sender's own controllers, Ctrl when the
+	// config picks them.
 	Ctrl   cc.Controller
 	ctrl   cc.Controller
 	gcc    gcc.Controller
 	scream scream.Controller
+	static cc.Static
+	bonded cc.Bonded
 	// Cache and Budget are the repair layer's sending half, nil when repair
 	// is off.
 	Cache  *repair.Cache
@@ -125,7 +128,8 @@ func (s *Sender) Reset(clock *sim.Simulator, cfg SenderConfig) {
 		sc = scream.Config{FeedbackTimeout: cfg.FeedbackTimeout}
 		s.Ctrl = &s.scream
 	default:
-		s.Ctrl = cc.NewStatic(cfg.StaticRate)
+		s.static = cc.Static{Rate: cfg.StaticRate}
+		s.Ctrl = &s.static
 	}
 	s.gcc.Reset(gc)
 	s.scream.Reset(sc)
@@ -136,7 +140,8 @@ func (s *Sender) Reset(clock *sim.Simulator, cfg SenderConfig) {
 	if cfg.PathBudget != nil {
 		// Bonded runs wrap the rate queries so the encoder target also
 		// honors the aggregate path budget.
-		s.ctrl = cc.NewBonded(s.Ctrl, cfg.PathBudget)
+		s.bonded = cc.Bonded{Inner: s.Ctrl, Budget: cfg.PathBudget}
+		s.ctrl = &s.bonded
 	}
 	if s.Video == nil {
 		s.Video = new(video.Sender)

@@ -165,9 +165,6 @@ func (c *Controller) Reset(cfg Config) {
 	}
 }
 
-// Name implements cc.Controller.
-func (c *Controller) Name() string { return "gcc" }
-
 // OnPacketSent implements cc.Controller. GCC keys all state off feedback,
 // which already carries the send times.
 func (c *Controller) OnPacketSent(cc.SentPacket) {}

@@ -282,9 +282,6 @@ func TestGCCRampUpTimeMatchesPaper(t *testing.T) {
 
 func TestGCCInterface(t *testing.T) {
 	ctrl := New(Config{})
-	if ctrl.Name() != "gcc" {
-		t.Errorf("Name = %q", ctrl.Name())
-	}
 	if !ctrl.CanSend(0, 1500) {
 		t.Error("GCC must always allow sending")
 	}

@@ -198,9 +198,6 @@ func (c *Controller) Reset(cfg Config) {
 	}
 }
 
-// Name implements cc.Controller.
-func (c *Controller) Name() string { return "scream" }
-
 // SetQueue attaches the RTP send queue the controller steers on and
 // discards (§4.2.1). The sender wiring calls it once, on the controller
 // itself: a wrapper such as cc.Bonded does not pass it through.

@@ -23,9 +23,6 @@ func TestDefaults(t *testing.T) {
 
 func TestInterface(t *testing.T) {
 	c := New(Config{})
-	if c.Name() != "scream" {
-		t.Errorf("Name = %q", c.Name())
-	}
 	if c.TargetBitrate(0) != 2e6 {
 		t.Errorf("initial target = %v", c.TargetBitrate(0))
 	}

@@ -23,7 +23,7 @@ type senderLoad struct {
 
 func warmSender() *senderLoad {
 	l := &senderLoad{s: sim.New(1)}
-	l.snd = NewSender(l.s, DefaultSenderConfig(), cc.NewStatic(8e6), l.s.Stream("enc"))
+	l.snd = NewSender(l.s, DefaultSenderConfig(), &cc.Static{Rate: 8e6}, l.s.Stream("enc"))
 	l.snd.Transmit = func(p *rtp.Packet, _ int) { p.Release() }
 	l.snd.Start()
 	l.s.RunUntil(45 * time.Second)

@@ -14,7 +14,7 @@ import (
 
 func TestPlayerFPSDistCountsPerSecond(t *testing.T) {
 	s := sim.New(1)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	snd, pl := pipe(s, ctrl, 40*time.Millisecond, nil)
 	snd.Start()
 	s.RunUntil(10 * time.Second)
@@ -42,7 +42,7 @@ func TestPlayerOutOfOrderPacketsWithinFrame(t *testing.T) {
 	// Deliver each frame's packets in reverse order: reassembly must not
 	// care, and playback must be intact.
 	s := sim.New(3)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	snd := NewSender(s, DefaultSenderConfig(), ctrl, s.Stream("enc"))
 	pl := NewPlayer(s, DefaultPlayerConfig(), DefaultSSIMModel(), snd.FrameEncoding)
 	var batch []*rtp.Packet
@@ -135,7 +135,7 @@ func TestEncoderDeterministicPerSeed(t *testing.T) {
 
 func TestSenderFrameEncodingRegistry(t *testing.T) {
 	s := sim.New(6)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	snd := NewSender(s, DefaultSenderConfig(), ctrl, s.Stream("enc"))
 	snd.Transmit = func(*rtp.Packet, int) {}
 	snd.Start()
@@ -252,7 +252,7 @@ func TestKeyframeRequestLimiterResetsAfterBlackout(t *testing.T) {
 // late frame for the rest of the flight.
 func TestPlayerLatePacketsLeaveNoState(t *testing.T) {
 	s := sim.New(7)
-	snd := NewSender(s, DefaultSenderConfig(), cc.NewStatic(8e6), s.Stream("enc"))
+	snd := NewSender(s, DefaultSenderConfig(), &cc.Static{Rate: 8e6}, s.Stream("enc"))
 	pl := NewPlayer(s, DefaultPlayerConfig(), DefaultSSIMModel(), snd.FrameEncoding)
 	sent, maxPending := 0, 0
 	snd.Transmit = func(p *rtp.Packet, size int) {

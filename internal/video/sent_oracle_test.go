@@ -70,7 +70,7 @@ func newSentDriver(t *testing.T, seed int64) *sentDriver {
 	return &sentDriver{
 		t:   t,
 		rng: rand.New(rand.NewSource(seed)),
-		snd: NewSender(s, DefaultSenderConfig(), cc.NewStatic(8e6), s.Stream("enc")),
+		snd: NewSender(s, DefaultSenderConfig(), &cc.Static{Rate: 8e6}, s.Stream("enc")),
 		o:   new(sentOracle),
 	}
 }
@@ -238,7 +238,7 @@ func TestSentTableReusedMatchesFixedWindows(t *testing.T) {
 		d := newSentDriver(t, int64(20+i))
 		if snd != nil {
 			s := sim.New(int64(20 + i))
-			snd.Reset(s, DefaultSenderConfig(), cc.NewStatic(8e6), s.Stream("enc"))
+			snd.Reset(s, DefaultSenderConfig(), &cc.Static{Rate: 8e6}, s.Stream("enc"))
 			d.snd = snd
 		}
 		snd = d.snd

@@ -179,7 +179,7 @@ func recordFrames(pl *Player) *[]PlayedFrame {
 
 func TestEndToEndCleanPath(t *testing.T) {
 	s := sim.New(1)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	snd, pl := pipe(s, ctrl, 50*time.Millisecond, nil)
 	snd.Start()
 	const span = 30 * time.Second
@@ -212,7 +212,7 @@ func TestEndToEndCleanPath(t *testing.T) {
 
 func TestJitterBufferDelaysPlayback(t *testing.T) {
 	s := sim.New(2)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	snd, pl := pipe(s, ctrl, 10*time.Millisecond, nil)
 	frames := recordFrames(pl)
 	snd.Start()
@@ -232,7 +232,7 @@ func TestJitterBufferDelaysPlayback(t *testing.T) {
 
 func TestPacketLossDamagesOrSkipsFrames(t *testing.T) {
 	s := sim.New(3)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	rng := rand.New(rand.NewSource(7))
 	drops := 0
 	snd, pl := pipe(s, ctrl, 50*time.Millisecond, func(p *rtp.Packet) bool {
@@ -257,7 +257,7 @@ func TestPacketLossDamagesOrSkipsFrames(t *testing.T) {
 
 func TestBurstLossSkipsFrames(t *testing.T) {
 	s := sim.New(13)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	// Periodically drop everything for 200 ms: whole frames go missing and
 	// the player must skip them (SSIM 0).
 	snd, pl := pipe(s, ctrl, 50*time.Millisecond, func(*rtp.Packet) bool {
@@ -284,7 +284,7 @@ func TestBurstLossSkipsFrames(t *testing.T) {
 
 func TestOutageCausesStall(t *testing.T) {
 	s := sim.New(4)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	blocked := false
 	snd, pl := pipe(s, ctrl, 50*time.Millisecond, func(*rtp.Packet) bool { return !blocked })
 	tr := obs.New(0)
@@ -345,7 +345,7 @@ func TestPlaybackRateAdaptation(t *testing.T) {
 
 func TestDropOnLatencySkipsStaleFrames(t *testing.T) {
 	s := sim.New(6)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	snd := NewSender(s, DefaultSenderConfig(), ctrl, s.Stream("enc"))
 	cfg := DefaultPlayerConfig()
 	cfg.DropOnLatency = true
@@ -386,7 +386,7 @@ func TestDropOnLatencySkipsStaleFrames(t *testing.T) {
 
 func TestSenderRecordsLookup(t *testing.T) {
 	s := sim.New(8)
-	ctrl := cc.NewStatic(8e6)
+	ctrl := &cc.Static{Rate: 8e6}
 	var sentPkts []*rtp.Packet
 	snd := NewSender(s, DefaultSenderConfig(), ctrl, s.Stream("enc"))
 	snd.Transmit = func(p *rtp.Packet, size int) { sentPkts = append(sentPkts, p) }
@@ -418,7 +418,7 @@ func TestSenderAckSeqMarksUntilResent(t *testing.T) {
 		t.Errorf("SentRecord is %d bytes, want 24", size)
 	}
 	s := sim.New(8)
-	snd := NewSender(s, DefaultSenderConfig(), cc.NewStatic(25e6), s.Stream("enc"))
+	snd := NewSender(s, DefaultSenderConfig(), &cc.Static{Rate: 25e6}, s.Stream("enc"))
 	var newest uint16
 	snd.Transmit = func(p *rtp.Packet, size int) { newest = p.Header.SequenceNumber }
 	snd.Start()

@@ -66,9 +66,12 @@ var unreadNames = map[string]string{
 // function and method, declared under internal/ that no non-test file of
 // the module uses, bench/ aside: code only tests reach goes too. A use inside the
 // name's own declaration (a recursive call, a self-referencing type) does
-// not count. Uses resolve through go/types: a generic method's use is one of
-// its origin, and a method is read when its type implements an interface
-// method of the same name that production code calls. Methods implementing
+// not count, and neither does a call of an interface method inside a method
+// that implements that interface method itself: a wrapper handing the call
+// on to what it wraps reads nothing by it. Uses resolve through go/types: a
+// generic method's use is one of its origin, and a method is read when its
+// type implements an interface method of the same name that production code
+// calls. Methods implementing
 // fmt.Stringer, error, json.Marshaler or json.Unmarshaler are exempt: the
 // standard library calls them.
 //
@@ -116,6 +119,9 @@ func TestEveryExportedNameHasAReader(t *testing.T) {
 			if s, ok := decls[obj]; ok && s.pos <= id.Pos() && id.Pos() < s.end {
 				continue
 			}
+			if fn, ok := obj.(*types.Func); ok && isInterfaceMethod(fn) && forwards(p, id.Pos(), fn) {
+				continue
+			}
 			if p.bench {
 				benchReads[obj] = true
 				continue
@@ -136,18 +142,11 @@ func TestEveryExportedNameHasAReader(t *testing.T) {
 		if !ok || fn.Type().(*types.Signature).Recv() == nil || isInterfaceMethod(fn) {
 			return false
 		}
-		recv := fn.Type().(*types.Signature).Recv().Type()
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		implements := func(iface *types.Interface) bool {
-			return types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)
-		}
-		if iface, ok := exempt[fn.Name()]; ok && implements(iface) {
+		if iface, ok := exempt[fn.Name()]; ok && implements(fn, iface) {
 			return true
 		}
 		for _, call := range ifaceCalls {
-			if call.Name() == fn.Name() && implements(receiverInterface(call)) {
+			if call.Name() == fn.Name() && implements(fn, receiverInterface(call)) {
 				return true
 			}
 		}
@@ -319,6 +318,33 @@ func origin(obj types.Object) types.Object {
 		return o.Origin()
 	}
 	return obj
+}
+
+// forwards reports whether the use at pos of the interface method call sits
+// in the body of one of p's methods that implements call itself.
+func forwards(p *gatePkg, pos token.Pos, call *types.Func) bool {
+	for _, f := range p.files {
+		if pos < f.Pos() || pos >= f.End() {
+			continue
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Pos() <= pos && pos < fd.End() {
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				return fn.Name() == call.Name() && implements(fn, receiverInterface(call))
+			}
+		}
+	}
+	return false
+}
+
+// implements reports whether the receiver of the concrete method fn, as a
+// value or a pointer, implements iface.
+func implements(fn *types.Func, iface *types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	return types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)
 }
 
 func isInterfaceMethod(fn *types.Func) bool {
